@@ -24,7 +24,6 @@
 //!
 //! Writes `results/BENCH_fleet.json`.
 
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
 use acs_serve::{
     ArbiterPolicy, ChaosPlan, ChaosProxy, CoordClient, CoordRequest, CoordResponse, CoordStats,
     Coordinator, CoordinatorConfig, ServeConfig, Server, ServerHandle,
@@ -85,16 +84,6 @@ struct BenchFleet {
     shard_kill: ShardKillResult,
 }
 
-fn train_model() -> TrainedModel {
-    let machine = acs_bench::default_machine();
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .take(12)
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    train(&profiles, TrainingParams::default()).expect("training succeeds")
-}
-
 /// The child process: bind the coordinator (an explicit port on restart,
 /// ephemeral on the first run), print the contract lines, serve until
 /// the parent kills us.
@@ -147,28 +136,17 @@ fn spawn_coordinator(journal: &Path, port: u16) -> (std::process::Child, String,
     (child, addr, replayed)
 }
 
-fn spawn_shard(
-    model: &TrainedModel,
-    coordinator: &str,
-    demand_w: f64,
-) -> (ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(
-        ServeConfig {
-            port: 0,
-            seed: acs_bench::EXPERIMENT_SEED,
-            global_cap_w: demand_w,
-            policy: ArbiterPolicy::EqualShare,
-            coordinator: Some(coordinator.to_string()),
-            lease_floor_w: FLOOR_W,
-            renew_ms: 25,
-            ..ServeConfig::default()
-        },
-        model.clone(),
-    )
-    .expect("shard binds");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("shard serves"));
-    (handle, join)
+fn shard_config(coordinator: &str, demand_w: f64) -> ServeConfig {
+    ServeConfig {
+        port: 0,
+        seed: acs_bench::EXPERIMENT_SEED,
+        global_cap_w: demand_w,
+        policy: ArbiterPolicy::EqualShare,
+        coordinator: Some(coordinator.to_string()),
+        lease_floor_w: FLOOR_W,
+        renew_ms: 25,
+        ..ServeConfig::default()
+    }
 }
 
 fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
@@ -222,7 +200,8 @@ fn main() {
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let journal = scratch.join("coordinator.journal");
 
-    let model = train_model();
+    let model =
+        acs_core::train_on_suite(&acs_bench::default_machine(), 12).expect("training succeeds");
     let (mut coord, coord_addr, replayed0) = spawn_coordinator(&journal, 0);
     assert_eq!(replayed0, 0, "a fresh journal replays nothing");
     let coord_port: u16 = coord_addr.rsplit(':').next().unwrap().parse().expect("coordinator port");
@@ -230,16 +209,15 @@ fn main() {
     // Shards 0 and 1 talk to the coordinator directly; shard 2 goes
     // through the chaos proxy so a partition can be injected later.
     let proxy =
-        ChaosProxy::bind("127.0.0.1:0", &coord_addr, ChaosPlan::quiet(acs_bench::EXPERIMENT_SEED))
+        ChaosProxy::spawn("127.0.0.1:0", &coord_addr, ChaosPlan::quiet(acs_bench::EXPERIMENT_SEED))
             .expect("proxy binds");
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().expect("proxy runs"));
 
     let started = Instant::now();
-    let (shard0, join0) = spawn_shard(&model, &coord_addr, DEMANDS_W[0]);
-    let (shard1, join1) = spawn_shard(&model, &coord_addr, DEMANDS_W[1]);
-    let (shard2, join2) = spawn_shard(&model, &proxy_addr, DEMANDS_W[2]);
+    let [run0, run1, run2] =
+        [(&coord_addr, 0), (&coord_addr, 1), (&proxy.addr, 2)].map(|(via, i)| {
+            Server::spawn(shard_config(via, DEMANDS_W[i]), model.clone()).expect("shard binds")
+        });
+    let (shard0, shard1, shard2) = (run0.handle.clone(), run1.handle.clone(), run2.handle.clone());
     let fleet = [&shard0, &shard1, &shard2];
 
     // Phase A: converge. Demands oversubscribe the cap, so the enforced
@@ -289,7 +267,7 @@ fn main() {
     // ways while the connections stay open. Its cap decays below the last
     // grant but never under min(floor, last grant), then recovers.
     let last_grant_w = shard2.lease_cap_w();
-    proxy_handle.partition(700);
+    proxy.handle.partition(700);
     assert!(
         wait_until(Duration::from_secs(5), || shard2.lease_state() == "degraded"),
         "the partitioned shard never entered degraded mode"
@@ -315,7 +293,7 @@ fn main() {
         "the partitioned shard never recovered its lease"
     );
     let recover_ms = partition_recover.elapsed().as_millis() as u64;
-    let blackholed = proxy_handle.stats().blackholed;
+    let blackholed = proxy.handle.stats().blackholed;
     assert!(blackholed > 0, "the partition window swallowed nothing");
     fleet_max_sum_w =
         fleet_max_sum_w.max(sample_fleet(&fleet, Duration::from_millis(200), "post-partition"));
@@ -323,7 +301,7 @@ fn main() {
     // Phase D: SIGKILL a shard. Its lease expires to a floor-sized
     // encumbrance and the survivors ramp into the freed budget.
     shard1.simulate_crash();
-    join1.join().expect("crashed shard thread exits");
+    run1.join();
     assert!(
         wait_until(Duration::from_secs(5), || {
             let s = coordinator_stats(&coord_addr);
@@ -351,13 +329,9 @@ fn main() {
 
     // Teardown: clean shard shutdown (Release frames), then the proxy,
     // then the coordinator child.
-    for handle in [&shard0, &shard2] {
-        handle.shutdown();
-    }
-    join0.join().expect("shard 0 exits");
-    join2.join().expect("shard 2 exits");
-    proxy_handle.shutdown();
-    proxy_join.join().expect("proxy exits");
+    run0.stop();
+    run2.stop();
+    proxy.stop();
     coord.kill().expect("stop the coordinator child");
     coord.wait().expect("reap the coordinator child");
 

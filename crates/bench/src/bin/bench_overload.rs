@@ -16,7 +16,6 @@
 //! Results land in `results/BENCH_overload.json`.
 
 use acs_bench::loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
-use acs_core::{train, KernelProfile, TrainingParams};
 use acs_serve::{ServeConfig, Server};
 use serde::Serialize;
 
@@ -48,40 +47,23 @@ struct BenchOverload {
     phases: Vec<Phase>,
 }
 
-fn train_model() -> acs_core::TrainedModel {
-    let machine = acs_bench::default_machine();
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    train(&profiles, TrainingParams::default()).expect("full-suite training succeeds")
-}
-
-fn spawn(
-    config: ServeConfig,
-    model: acs_core::TrainedModel,
-) -> (String, std::thread::JoinHandle<()>) {
-    let server = Server::bind(config, model).expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-    (addr, join)
-}
-
 fn main() {
-    let model = train_model();
+    let model = acs_core::train_on_suite(&acs_bench::default_machine(), usize::MAX)
+        .expect("full-suite training succeeds");
 
     // Phase 1: closed-loop saturation. Four sessions, no deadlines, no
     // brownout — the pre-overload byte path, setting the baseline.
-    let (addr, join) = spawn(
+    let server = Server::spawn(
         ServeConfig {
             seed: acs_bench::EXPERIMENT_SEED,
             max_sessions: 16,
             ..ServeConfig::default()
         },
         model.clone(),
-    );
+    )
+    .expect("bind ephemeral port");
     let saturation_opts = LoadgenOptions {
-        addr,
+        addr: server.addr.clone(),
         requests: REQUESTS,
         seed: 7,
         sessions: 4,
@@ -96,7 +78,7 @@ fn main() {
         priority: 0,
     };
     let (saturation, _) = run_loadgen(&saturation_opts).expect("saturation phase completes");
-    join.join().expect("server thread joins");
+    server.join();
     assert_eq!(saturation.dropped, 0, "saturation: dropped requests");
     assert_eq!(saturation.errors, 0, "saturation: errored requests");
     let saturation_rps = saturation.throughput_rps;
@@ -110,7 +92,7 @@ fn main() {
     // what the closed loop could extract; the shed gate and the brownout
     // ladder keep the admitted latency bounded.
     let offered_rate = saturation_rps * 2.0;
-    let (addr, join) = spawn(
+    let server = Server::spawn(
         ServeConfig {
             seed: acs_bench::EXPERIMENT_SEED,
             max_sessions: 16,
@@ -118,9 +100,10 @@ fn main() {
             ..ServeConfig::default()
         },
         model,
-    );
+    )
+    .expect("bind ephemeral port");
     let overload_opts = LoadgenOptions {
-        addr,
+        addr: server.addr.clone(),
         requests: REQUESTS,
         seed: 7,
         sessions: 8,
@@ -135,7 +118,7 @@ fn main() {
         priority: 0,
     };
     let (overload, _) = run_loadgen(&overload_opts).expect("overload phase completes");
-    join.join().expect("server thread joins");
+    server.join();
 
     assert_eq!(overload.dropped, 0, "overload must answer, not tear connections");
     assert_eq!(overload.errors, 0, "overload answers are typed sheds, not errors");

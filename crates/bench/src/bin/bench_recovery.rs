@@ -18,7 +18,7 @@
 //! Writes `results/BENCH_recovery.json`.
 
 use acs_bench::loadgen::{run_loadgen, LoadgenOptions};
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
+use acs_core::TrainedModel;
 use acs_serve::{
     replay, ArbiterPolicy, ChaosPlan, ChaosProxy, ChaosStats, Client, Journal, Request, Response,
     ServeConfig, Server,
@@ -65,15 +65,6 @@ struct BenchRecovery {
     global_cap_w: f64,
     recovery: RecoveryResult,
     chaos_smoke: ChaosSmokeResult,
-}
-
-fn train_model() -> TrainedModel {
-    let machine = acs_bench::default_machine();
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    train(&profiles, TrainingParams::default()).expect("full-suite training succeeds")
 }
 
 /// The child process: bind an ephemeral port, print the contract lines,
@@ -167,7 +158,7 @@ fn run_recovery_cycle(model: &TrainedModel, scratch: &Path) -> RecoveryResult {
     // Reference: the whole stream against one uninterrupted in-process
     // server (same code path as the child, minus the journal).
     let reference = {
-        let server = Server::bind(
+        let server = Server::spawn(
             ServeConfig {
                 port: 0,
                 seed: acs_bench::EXPERIMENT_SEED,
@@ -178,13 +169,9 @@ fn run_recovery_cycle(model: &TrainedModel, scratch: &Path) -> RecoveryResult {
             model.clone(),
         )
         .expect("reference bind");
-        let addr = server.local_addr().to_string();
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run().expect("reference serves"));
-        let mut client = Client::connect(&addr).expect("connect reference");
+        let mut client = Client::connect(&server.addr).expect("connect reference");
         let log = drive(&mut client, &stream);
-        handle.shutdown();
-        join.join().unwrap();
+        server.stop();
         log
     };
 
@@ -237,7 +224,7 @@ fn run_recovery_cycle(model: &TrainedModel, scratch: &Path) -> RecoveryResult {
 }
 
 fn run_chaos_smoke(model: TrainedModel) -> ChaosSmokeResult {
-    let server = Server::bind(
+    let server = Server::spawn(
         ServeConfig {
             port: 0,
             seed: acs_bench::EXPERIMENT_SEED,
@@ -248,9 +235,6 @@ fn run_chaos_smoke(model: TrainedModel) -> ChaosSmokeResult {
         model,
     )
     .expect("smoke bind");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("smoke serves"));
 
     // Session-ending faults (disconnect/tear/corrupt) stay rare: the
     // loadgen is closed-loop without reconnect, so each one forfeits the
@@ -265,14 +249,11 @@ fn run_chaos_smoke(model: TrainedModel) -> ChaosSmokeResult {
         dup_p: 0.0, // a dup desyncs the closed-loop loadgen's log pairing
         ..ChaosPlan::quiet(acs_bench::EXPERIMENT_SEED)
     };
-    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, plan).expect("proxy bind");
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().expect("proxy runs"));
+    let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, plan).expect("proxy bind");
 
     let requests = 500u64;
     let opts = LoadgenOptions {
-        addr: proxy_addr,
+        addr: proxy.addr.clone(),
         requests,
         seed: 7,
         sessions: 4,
@@ -290,23 +271,21 @@ fn run_chaos_smoke(model: TrainedModel) -> ChaosSmokeResult {
 
     // The hardening contract, after ~500 requests' worth of injected
     // faults: server alive, failures typed or clean, budget conserved.
-    let mut probe = Client::connect(&addr).expect("server still accepts");
+    let mut probe = Client::connect(&server.addr).expect("server still accepts");
     match probe.call(&Request::Hello) {
         Ok(Response::Welcome { .. }) => {}
         other => panic!("server unhealthy after chaos smoke: {other:?}"),
     }
-    let conservation_error_w = handle.budget_conservation_error_w();
+    let conservation_error_w = server.handle.budget_conservation_error_w();
     assert_eq!(conservation_error_w, 0.0, "chaos smoke violated budget conservation");
 
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    handle.shutdown();
-    join.join().unwrap();
+    let proxy = proxy.stop();
+    server.stop();
 
     ChaosSmokeResult {
         requests,
         plan,
-        proxy: proxy_handle.stats(),
+        proxy: proxy.stats(),
         completed: requests - report.dropped,
         dropped: report.dropped,
         errored: report.errors,
@@ -324,7 +303,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("scratch dir");
 
-    let model = train_model();
+    let model = acs_core::train_on_suite(&acs_bench::default_machine(), usize::MAX)
+        .expect("full-suite training succeeds");
     let recovery = run_recovery_cycle(&model, &scratch);
     println!(
         "recovery: {} entries replayed in {} µs, {} kernels warmed, byte-identical: {}, \

@@ -9,7 +9,6 @@
 //! (memoized) path beating the cold (CART + regression) path.
 
 use acs_bench::loadgen::{run_loadgen, LoadgenOptions};
-use acs_core::{train, KernelProfile, TrainingParams};
 use acs_serve::{ArbiterPolicy, ServeConfig, Server};
 use serde::Serialize;
 
@@ -28,17 +27,8 @@ struct BenchServe {
     policies: Vec<PolicyResult>,
 }
 
-fn train_model() -> acs_core::TrainedModel {
-    let machine = acs_bench::default_machine();
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    train(&profiles, TrainingParams::default()).expect("full-suite training succeeds")
-}
-
 fn drive(policy: ArbiterPolicy, sessions: u64, model: acs_core::TrainedModel) -> PolicyResult {
-    let server = Server::bind(
+    let server = Server::spawn(
         ServeConfig {
             policy,
             seed: acs_bench::EXPERIMENT_SEED,
@@ -48,12 +38,9 @@ fn drive(policy: ArbiterPolicy, sessions: u64, model: acs_core::TrainedModel) ->
         model,
     )
     .expect("bind ephemeral port");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
 
     let opts = LoadgenOptions {
-        addr,
+        addr: server.addr.clone(),
         requests: 200,
         seed: 7,
         sessions,
@@ -68,7 +55,7 @@ fn drive(policy: ArbiterPolicy, sessions: u64, model: acs_core::TrainedModel) ->
         priority: 0,
     };
     let (report, _log) = run_loadgen(&opts).expect("loadgen completes");
-    join.join().expect("server thread joins");
+    let handle = server.join();
 
     assert_eq!(report.dropped, 0, "{policy:?}: dropped requests");
     assert_eq!(report.errors, 0, "{policy:?}: errored requests");
@@ -95,7 +82,8 @@ fn drive(policy: ArbiterPolicy, sessions: u64, model: acs_core::TrainedModel) ->
 }
 
 fn main() {
-    let model = train_model();
+    let model = acs_core::train_on_suite(&acs_bench::default_machine(), usize::MAX)
+        .expect("full-suite training succeeds");
     let policies = vec![
         drive(ArbiterPolicy::EqualShare, 1, model.clone()),
         drive(ArbiterPolicy::DemandProportional, 3, model),

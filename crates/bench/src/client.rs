@@ -30,6 +30,7 @@
 //! only, never response bytes.
 
 use acs_serve::{Client, Request, Response};
+use acs_sim::noise::{fnv1a, splitmix64, SplitMix64};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -206,22 +207,13 @@ pub struct ClientStats {
     pub breaker_fast_fails: u64,
 }
 
-/// splitmix64 for idempotency keys: seedable, stable, dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A retrying, deadline-bounded, breaker-guarded client.
 pub struct ResilientClient {
     addr: String,
     policy: RetryPolicy,
     conn: Option<Client>,
     breaker: Breaker,
-    rng: u64,
+    rng: SplitMix64,
     stats: ClientStats,
 }
 
@@ -241,14 +233,14 @@ impl ResilientClient {
             policy,
             conn: None,
             breaker,
-            rng: 0x5EED_C11E_4715_0001,
+            rng: SplitMix64(0x5EED_C11E_4715_0001),
             stats: ClientStats::default(),
         }
     }
 
     /// Seed the idempotency-key stream (defaults to a fixed seed).
     pub fn with_key_seed(mut self, seed: u64) -> Self {
-        self.rng = seed;
+        self.rng = SplitMix64(seed);
         self
     }
 
@@ -262,7 +254,7 @@ impl ResilientClient {
     /// every retry, so the server either executes once and replays the
     /// memoized bytes, or the call fails typed.
     pub fn run(&mut self, kernel_id: &str, iterations: u64) -> Result<Response, ClientError> {
-        let key = splitmix64(&mut self.rng);
+        let key = self.rng.next_u64();
         self.call(&Request::Run {
             kernel_id: kernel_id.to_string(),
             iterations,
@@ -361,27 +353,17 @@ impl ResilientClient {
         let base = self.policy.base_backoff.as_micros() as u64;
         let ceil = (prev.as_micros() as u64).saturating_mul(3).max(base + 1);
         let span = ceil - base;
-        let jitter = base + splitmix64(&mut self.rng) % span;
+        let jitter = base + self.rng.next_u64() % span;
         Duration::from_micros(jitter).min(self.policy.max_backoff).max(self.policy.base_backoff)
     }
 }
 
-/// FNV-1a over the address bytes; the per-session rendezvous weight mixes
-/// this with the session key through splitmix64 so each session gets an
-/// independent permutation of the shard ring.
-fn addr_hash(addr: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in addr.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Rendezvous (highest-random-weight) score of `addr` for `session_key`.
+/// Rendezvous (highest-random-weight) score of `addr` for `session_key`:
+/// FNV-1a over the address bytes, mixed with the session key through
+/// splitmix64 so each session gets an independent permutation of the
+/// shard ring.
 pub fn rendezvous_weight(addr: &str, session_key: u64) -> u64 {
-    let mut state = addr_hash(addr) ^ session_key;
-    splitmix64(&mut state)
+    splitmix64(fnv1a(addr.as_bytes()) ^ session_key)
 }
 
 /// Counters a fleet bench or chaos test can assert on.
@@ -413,7 +395,7 @@ pub struct FleetClient {
     policy: RetryPolicy,
     conn: Option<(String, ResilientClient)>,
     run_history: Vec<(String, u64, u64)>,
-    rng: u64,
+    rng: SplitMix64,
     stats: FleetStats,
 }
 
@@ -438,7 +420,7 @@ impl FleetClient {
             policy,
             conn: None,
             run_history: Vec::new(),
-            rng: session_key ^ 0x5EED_C11E_4715_0001,
+            rng: SplitMix64(session_key ^ 0x5EED_C11E_4715_0001),
             stats: FleetStats::default(),
         }
     }
@@ -489,7 +471,7 @@ impl FleetClient {
     /// Run a kernel with exactly-once-in-effect semantics that survive
     /// shard failover: the drawn key joins the session's replay history.
     pub fn run(&mut self, kernel_id: &str, iterations: u64) -> Result<Response, ClientError> {
-        let key = splitmix64(&mut self.rng);
+        let key = self.rng.next_u64();
         self.run_history.push((kernel_id.to_string(), iterations, key));
         self.call(&Request::Run {
             kernel_id: kernel_id.to_string(),
@@ -543,7 +525,7 @@ impl FleetClient {
         addr: &str,
     ) -> Result<ResilientClient, ClientError> {
         let mut conn = ResilientClient::new(addr, self.policy.clone())
-            .with_key_seed(self.session_key ^ addr_hash(label));
+            .with_key_seed(self.session_key ^ fnv1a(label.as_bytes()));
         conn.call(&Request::Hello)?;
         for (kernel_id, iterations, key) in &self.run_history {
             conn.call(&Request::Run {
@@ -636,7 +618,7 @@ mod tests {
         let draw = |seed: u64| -> Vec<u64> {
             let mut c =
                 ResilientClient::new("127.0.0.1:1", RetryPolicy::default()).with_key_seed(seed);
-            (0..32).map(|_| splitmix64(&mut c.rng)).collect()
+            (0..32).map(|_| c.rng.next_u64()).collect()
         };
         let a = draw(9);
         assert_eq!(a, draw(9), "same seed, same key stream");

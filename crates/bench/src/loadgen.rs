@@ -17,6 +17,7 @@
 //! logged verbatim in request order.
 
 use acs_serve::{Client, ReportFeedback, Request, Response, StatsSnapshot};
+use acs_sim::noise::{SplitMix64, MIX_MUL};
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -133,18 +134,10 @@ struct SessionOutcome {
     dropped: u64,
 }
 
-/// splitmix64: tiny, seedable, and stable across toolchains.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in [0, 1).
-fn next_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+/// The open-loop arrival stream of one `(seed, session)` pair: a stream
+/// of its own, so pacing never perturbs the request contents.
+fn arrival_stream(seed: u64, session: u64) -> SplitMix64 {
+    SplitMix64(seed ^ 0x5DEE_CE66_D1CE_CAFE ^ session.wrapping_mul(MIX_MUL))
 }
 
 /// The deadline fields the options attach to `Select`/`Run` requests.
@@ -157,8 +150,13 @@ fn deadline_fields(opts: &LoadgenOptions) -> (Option<u64>, u8) {
 }
 
 /// The deterministic request for `(seed, session, index)`.
-fn request_for(opts: &LoadgenOptions, kernel_ids: &[String], rng: &mut u64, index: u64) -> Request {
-    let draw = splitmix64(rng);
+fn request_for(
+    opts: &LoadgenOptions,
+    kernel_ids: &[String],
+    rng: &mut SplitMix64,
+    index: u64,
+) -> Request {
+    let draw = rng.next_u64();
     if opts.report_every > 0 && index % opts.report_every == opts.report_every - 1 {
         // Residual headroom in [0, 40) W, deterministic from the stream.
         let residual_w = (draw % 4000) as f64 / 100.0;
@@ -209,25 +207,24 @@ fn run_session(
         outcome.dropped = count;
         return Ok(outcome);
     }
-    let mut rng = opts.seed ^ (session.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(session);
-    // Open-loop pacing: seeded exponential inter-arrivals from a stream
-    // of their own, so timing never perturbs the request contents. When
-    // service is slower than the arrival process the next send happens
+    let mut rng =
+        SplitMix64(opts.seed ^ (session.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(session));
+    // Open-loop pacing: seeded exponential inter-arrivals. When service
+    // is slower than the arrival process the next send happens
     // immediately — the backlog is the point of an overload bench.
     let session_rate = if opts.open_loop && opts.rate_rps > 0.0 {
         Some(opts.rate_rps / opts.sessions.max(1) as f64)
     } else {
         None
     };
-    let mut arrival_rng =
-        opts.seed ^ 0x5DEE_CE66_D1CE_CAFE ^ session.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut arrival_rng = arrival_stream(opts.seed, session);
     let mut next_arrival_s = 0.0f64;
     let loop_started = Instant::now();
     for index in 0..count {
         if let Some(rate) = session_rate {
             // Inverse-CDF exponential draw; (1 - u) never hits zero
             // because next_f64 is in [0, 1).
-            next_arrival_s += -(1.0 - next_f64(&mut arrival_rng)).ln() / rate;
+            next_arrival_s += -(1.0 - arrival_rng.next_f64()).ln() / rate;
             let due = Duration::from_secs_f64(next_arrival_s);
             let elapsed = loop_started.elapsed();
             if due > elapsed {
@@ -374,7 +371,7 @@ mod tests {
         let opts = LoadgenOptions { run_every: 5, report_every: 7, ..Default::default() };
         let ids: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
         let stream = |seed: u64| -> Vec<Request> {
-            let mut rng = seed;
+            let mut rng = SplitMix64(seed);
             (0..40).map(|i| request_for(&opts, &ids, &mut rng, i)).collect()
         };
         assert_eq!(stream(7), stream(7));
@@ -390,7 +387,7 @@ mod tests {
         let ids: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
         let stream = |feedback: bool| -> Vec<Request> {
             let opts = LoadgenOptions { report_every: 3, feedback, ..Default::default() };
-            let mut rng = opts.seed;
+            let mut rng = SplitMix64(opts.seed);
             (0..30).map(|i| request_for(&opts, &ids, &mut rng, i)).collect()
         };
         assert_eq!(stream(true), stream(true), "feedback mode must replay bit-identically");
@@ -429,7 +426,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(deadline_fields(&opts), (Some(250), 9));
-        let mut rng = opts.seed;
+        let mut rng = SplitMix64(opts.seed);
         for index in 0..40 {
             match request_for(&opts, &ids, &mut rng, index) {
                 Request::Select { deadline_ms, priority, .. }
@@ -445,7 +442,7 @@ mod tests {
         // serde defaults even when a priority is configured.
         let off = LoadgenOptions { deadline_ms: 0, priority: 9, ..Default::default() };
         assert_eq!(deadline_fields(&off), (None, 0));
-        let mut rng = off.seed;
+        let mut rng = SplitMix64(off.seed);
         match request_for(&off, &ids, &mut rng, 0) {
             Request::Select { deadline_ms, priority, .. } => {
                 assert_eq!(deadline_ms, None);
@@ -469,7 +466,7 @@ mod tests {
                 rate_rps: if open_loop { 500.0 } else { 0.0 },
                 ..Default::default()
             };
-            let mut rng = opts.seed;
+            let mut rng = SplitMix64(opts.seed);
             (0..60)
                 .map(|i| serde_json::to_string(&request_for(&opts, &ids, &mut rng, i)).unwrap())
                 .collect()
@@ -483,12 +480,11 @@ mod tests {
         // the same schedule; a different session diverges; and the mean
         // inter-arrival approximates 1/rate.
         let arrivals = |seed: u64, session: u64, rate: f64, n: usize| -> Vec<f64> {
-            let mut rng =
-                seed ^ 0x5DEE_CE66_D1CE_CAFE ^ session.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let mut rng = arrival_stream(seed, session);
             let mut t = 0.0f64;
             (0..n)
                 .map(|_| {
-                    t += -(1.0 - next_f64(&mut rng)).ln() / rate;
+                    t += -(1.0 - rng.next_f64()).ln() / rate;
                     t
                 })
                 .collect()

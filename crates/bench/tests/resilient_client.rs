@@ -2,10 +2,8 @@
 //! and without the chaos proxy in the middle.
 
 use acs_bench::client::{ClientError, ResilientClient, RetryPolicy};
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
-use acs_serve::{
-    ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server, ServerHandle,
-};
+use acs_core::{train_on_suite, TrainedModel};
+use acs_serve::{ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server};
 use acs_sim::Machine;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -13,41 +11,25 @@ use std::time::Duration;
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
     MODEL
-        .get_or_init(|| {
-            let machine = Machine::new(2014);
-            let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-                .iter()
-                .take(12)
-                .map(|k| KernelProfile::collect(&machine, k))
-                .collect();
-            train(&profiles, TrainingParams::default()).expect("training succeeds")
-        })
+        .get_or_init(|| train_on_suite(&Machine::new(2014), 12).expect("training succeeds"))
         .clone()
-}
-
-fn spawn(config: ServeConfig) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(config, model()).expect("bind succeeds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-    (addr, handle, join)
 }
 
 #[test]
 fn retried_run_with_one_key_replays_byte_identical_bytes() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let kernel_id = acs_kernels::all_kernel_instances()[0].id();
 
     // The wire-level contract the resilient client relies on: a retry
     // carrying the same idempotency key gets the memoized response back,
     // byte for byte, without a second execution.
-    let mut raw = Client::connect(&addr).unwrap();
+    let mut raw = Client::connect(&server.addr).unwrap();
     let request =
         Request::Run { kernel_id, iterations: 3, idem: Some(5005), deadline_ms: None, priority: 0 };
     let first = serde_json::to_string(&raw.call(&request).unwrap()).unwrap();
     let retried = serde_json::to_string(&raw.call(&request).unwrap()).unwrap();
     assert_eq!(first, retried, "a keyed retry must replay identical bytes");
-    assert_eq!(handle.idem_replays(), 1);
+    assert_eq!(server.handle.idem_replays(), 1);
 
     // Without a key, the second execution runs again: the runtime's noise
     // state advanced, so the responses legitimately differ.
@@ -57,15 +39,15 @@ fn retried_run_with_one_key_replays_byte_identical_bytes() {
     let a = serde_json::to_string(&raw.call(&unkeyed).unwrap()).unwrap();
     let b = serde_json::to_string(&raw.call(&unkeyed).unwrap()).unwrap();
     assert_ne!(a, b, "unkeyed runs re-execute");
-    assert_eq!(handle.idem_replays(), 1, "no key, no replay");
+    assert_eq!(server.handle.idem_replays(), 1, "no key, no replay");
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn resilient_client_finishes_a_run_sequence_under_chaos() {
-    let (addr, handle, join) = spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() });
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
     // Disconnect-and-tear-heavy: roughly one call in four loses its
     // connection, so a bare client would fail the sequence with near
     // certainty. No corruption: a corrupted *request* is a typed
@@ -79,10 +61,7 @@ fn resilient_client_finishes_a_run_sequence_under_chaos() {
         dup_p: 0.0,
         ..ChaosPlan::quiet(11)
     };
-    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, plan).unwrap();
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+    let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, plan).unwrap();
 
     let policy = RetryPolicy {
         max_attempts: 8,
@@ -92,7 +71,7 @@ fn resilient_client_finishes_a_run_sequence_under_chaos() {
         breaker_threshold: 8, // chaos is expected; don't trip on it
         breaker_cooldown: Duration::from_millis(10),
     };
-    let mut client = ResilientClient::new(&proxy_addr, policy).with_key_seed(42);
+    let mut client = ResilientClient::new(&proxy.addr, policy).with_key_seed(42);
 
     let kernel_ids: Vec<String> =
         acs_kernels::all_kernel_instances().iter().take(4).map(|k| k.id()).collect();
@@ -109,18 +88,16 @@ fn resilient_client_finishes_a_run_sequence_under_chaos() {
     let stats = client.stats();
     assert!(stats.retries > 0, "the plan injects faults; some retries must have happened");
     assert!(stats.connects > 1, "failed attempts reconnect");
-    assert!(proxy_handle.stats().faults() > 0, "the proxy injected nothing?");
-    assert_eq!(handle.budget_conservation_error_w(), 0.0);
+    assert!(proxy.handle.stats().faults() > 0, "the proxy injected nothing?");
+    assert_eq!(server.handle.budget_conservation_error_w(), 0.0);
 
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    handle.shutdown();
-    join.join().unwrap();
+    proxy.stop();
+    server.stop();
 }
 
 #[test]
 fn breaker_fails_fast_once_the_server_is_gone() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let policy = RetryPolicy {
         max_attempts: 2,
         base_backoff: Duration::from_micros(200),
@@ -129,12 +106,11 @@ fn breaker_fails_fast_once_the_server_is_gone() {
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_secs(30), // long: stays open for the test
     };
-    let mut client = ResilientClient::new(&addr, policy);
+    let mut client = ResilientClient::new(&server.addr, policy);
     let kernel_id = acs_kernels::all_kernel_instances()[0].id();
     assert!(matches!(client.run(&kernel_id, 1), Ok(Response::Ran { .. })));
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 
     // First call after death: real attempts, then Exhausted (2 failures
     // reach the threshold and trip the breaker).

@@ -4,8 +4,8 @@
 use crate::args::{ArgError, Args};
 use acs_core::eval::{characterize_apps, evaluate};
 use acs_core::{
-    sample_config, train, CappedRuntime, KernelProfile, Predictor, SamplePair, TrainedModel,
-    TrainingParams,
+    sample_config, train, train_on_suite, CappedRuntime, KernelProfile, Predictor, SamplePair,
+    TrainedModel, TrainingParams,
 };
 use acs_sim::{Device, Machine};
 use std::io::Write;
@@ -733,13 +733,8 @@ fn serve_model(args: &Args, family: acs_sim::FamilyId) -> Result<TrainedModel, C
     if let Some(path) = args.get("model") {
         return TrainedModel::load(path).map_err(io_err);
     }
-    let seed: u64 = args.get_or("seed", 2014)?;
-    let machine = Machine::from_family(family, seed);
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    train(&profiles, TrainingParams::default()).map_err(|e| CliError::Domain(e.to_string()))
+    let machine = Machine::from_family(family, args.get_or("seed", 2014)?);
+    train_on_suite(&machine, usize::MAX).map_err(|e| CliError::Domain(e.to_string()))
 }
 
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -951,16 +946,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// splitmix64: the chaos schedule's only entropy source, so the whole
-/// orchestration is a pure function of `--seed`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// `acs chaosfleet`: the fleet chaos orchestrator (DESIGN.md §17).
 ///
 /// Spins up a coordinator and N shard servers in-process — each shard
@@ -981,8 +966,9 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_bench::client::{FleetClient, RetryPolicy};
     use acs_serve::{
         ArbiterPolicy, ChaosPlan, ChaosProxy, ChaosProxyHandle, Coordinator, CoordinatorConfig,
-        Request, Response, ServeConfig, Server, ServerHandle,
+        Request, Response, Running, ServeConfig, Server, ServerHandle,
     };
+    use acs_sim::SplitMix64;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -1014,18 +1000,12 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     // One model shared by every shard, trained on a fixed sample of the
     // suite at a fixed seed: the chaos seed must not change the model.
-    let machine = Machine::new(2014);
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .take(16)
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
     let model =
-        train(&profiles, TrainingParams::default()).map_err(|e| CliError::Domain(e.to_string()))?;
+        train_on_suite(&Machine::new(2014), 16).map_err(|e| CliError::Domain(e.to_string()))?;
     let kernel_ids: Vec<String> =
         acs_kernels::all_kernel_instances().iter().take(8).map(|k| k.id()).collect();
 
-    let coordinator = Coordinator::bind(CoordinatorConfig {
+    let coord = Coordinator::spawn(CoordinatorConfig {
         host: "127.0.0.1".into(),
         port: 0,
         global_cap_w: cap_w,
@@ -1038,52 +1018,47 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         journal_sync: false,
     })
     .map_err(|e| CliError::Domain(e.to_string()))?;
-    let coord_addr = coordinator.local_addr().to_string();
-    let coord = coordinator.handle();
-    let coord_join = std::thread::spawn(move || coordinator.run().expect("coordinator serves"));
 
+    /// One shard: its (port-pinned) config for restarts, the proxy its
+    /// lease client dials, and the running server (`None` while killed).
     struct Shard {
-        addr: String,
         config: ServeConfig,
-        proxy: ChaosProxyHandle,
-        handle: ServerHandle,
-        join: Option<std::thread::JoinHandle<()>>,
+        proxy: Running<ChaosProxyHandle>,
+        server: Option<Running<ServerHandle>>,
+    }
+    impl Shard {
+        fn running(&self) -> &Running<ServerHandle> {
+            self.server.as_ref().expect("shard is running")
+        }
     }
 
     let mut shards: Vec<Shard> = Vec::with_capacity(shards_n);
     for i in 0..shards_n {
-        let proxy = ChaosProxy::bind("127.0.0.1:0", &coord_addr, ChaosPlan::quiet(seed ^ i as u64))
-            .map_err(|e| CliError::Domain(e.to_string()))?;
-        let proxy_addr = proxy.local_addr().to_string();
-        let proxy_handle = proxy.handle();
-        std::thread::spawn(move || {
-            let _ = proxy.run();
-        });
-        let config = ServeConfig {
+        let proxy =
+            ChaosProxy::spawn("127.0.0.1:0", &coord.addr, ChaosPlan::quiet(seed ^ i as u64))
+                .map_err(|e| CliError::Domain(e.to_string()))?;
+        let mut config = ServeConfig {
             family: acs_sim::FamilyId::Trinity,
             global_cap_w: cap_w,
             policy: ArbiterPolicy::EqualShare,
             max_sessions: 64,
-            coordinator: Some(proxy_addr),
+            coordinator: Some(proxy.addr.clone()),
             shard_id: Some(i as u64),
             lease_floor_w: floor_w,
             renew_ms: 25,
             ..ServeConfig::default()
         };
-        let server = Server::bind(config.clone(), model.clone())
+        let server = Server::spawn(config.clone(), model.clone())
             .map_err(|e| CliError::Domain(e.to_string()))?;
-        let addr = server.local_addr().to_string();
         // Pin the port so a restart rebinds the same address the clients
         // already hold in their rings.
-        let mut config = config;
-        config.port = server.local_addr().port();
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run().expect("shard serves"));
-        shards.push(Shard { addr, config, proxy: proxy_handle, handle, join: Some(join) });
+        let bound: std::net::SocketAddr = server.addr.parse().expect("bound address parses");
+        config.port = bound.port();
+        shards.push(Shard { config, proxy, server: Some(server) });
     }
 
     let up_deadline = Instant::now() + Duration::from_secs(30);
-    while !shards.iter().all(|s| s.handle.lease_state() == "leased") {
+    while !shards.iter().all(|s| s.running().handle.lease_state() == "leased") {
         if Instant::now() >= up_deadline {
             return Err(CliError::Domain("fleet did not lease within 30 s".into()));
         }
@@ -1096,7 +1071,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let stop = Arc::new(AtomicBool::new(false));
     let violations = Arc::new(AtomicU64::new(0));
     let monitor = {
-        let (stop, violations, coord) = (stop.clone(), violations.clone(), coord.clone());
+        let (stop, violations, coord) = (stop.clone(), violations.clone(), coord.handle.clone());
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
                 let stats = coord.stats();
@@ -1122,11 +1097,14 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // dialed addresses: the OS assigns ephemeral ports, and hashing those
     // would make session homes — and every printed re-admission and
     // failover count — vary run to run at the same seed.
-    let ring: Vec<(String, String)> =
-        shards.iter().enumerate().map(|(i, s)| (format!("shard-{i}"), s.addr.clone())).collect();
-    let mut key_rng = seed ^ 0x5E55_1014_C11E_4715;
+    let ring: Vec<(String, String)> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("shard-{i}"), s.running().addr.clone()))
+        .collect();
+    let mut key_rng = SplitMix64(seed ^ 0x5E55_1014_C11E_4715);
     let mut clients: Vec<FleetClient> = (0..sessions_n)
-        .map(|_| FleetClient::with_ring(&ring, splitmix64(&mut key_rng), policy.clone()))
+        .map(|_| FleetClient::with_ring(&ring, key_rng.next_u64(), policy.clone()))
         .collect();
 
     // One phase's worth of traffic: every session issues its calls in
@@ -1164,13 +1142,15 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Ok(completed)
     };
 
-    let mut sched = seed ^ 0xC4A0_5F1E_E7B0_0A57;
+    // The chaos schedule's only entropy source, so the whole orchestration
+    // is a pure function of `--seed`.
+    let mut sched = SplitMix64(seed ^ 0xC4A0_5F1E_E7B0_0A57);
     let (mut completed, mut kills, mut partitions) = (0u64, 0u64, 0u64);
     let (mut readmitted, mut expected_readmissions) = (0u64, 0u64);
     let mut decay_violations = 0u64;
     for phase in 1..=phases {
-        let action = splitmix64(&mut sched) % 3;
-        let victim = (splitmix64(&mut sched) as usize) % shards_n;
+        let action = sched.next_u64() % 3;
+        let victim = (sched.next_u64() as usize) % shards_n;
         match action {
             0 => {
                 writeln!(out, "phase {phase}: kill shard-{victim}").map_err(io_err)?;
@@ -1182,10 +1162,9 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     .map(|(i, _)| i)
                     .collect();
                 expected_readmissions += homed.len() as u64;
-                shards[victim].handle.simulate_crash();
-                if let Some(join) = shards[victim].join.take() {
-                    let _ = join.join();
-                }
+                let server = shards[victim].server.take().expect("shard is running");
+                server.handle.simulate_crash();
+                server.join();
                 kills += 1;
                 completed += drive(&mut clients, phase)?;
                 for i in homed {
@@ -1196,8 +1175,8 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // Restart on the same port; the OS may hold the address
                 // briefly, so rebind with a bounded retry.
                 let restart_deadline = Instant::now() + Duration::from_secs(10);
-                let server = loop {
-                    match Server::bind(shards[victim].config.clone(), model.clone()) {
+                shards[victim].server = Some(loop {
+                    match Server::spawn(shards[victim].config.clone(), model.clone()) {
                         Ok(server) => break server,
                         Err(e) if Instant::now() >= restart_deadline => {
                             return Err(CliError::Domain(format!(
@@ -1206,10 +1185,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                         }
                         Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
-                };
-                shards[victim].handle = server.handle();
-                shards[victim].join =
-                    Some(std::thread::spawn(move || server.run().expect("shard serves")));
+                });
                 for client in &mut clients {
                     client.restore(&victim_label);
                 }
@@ -1217,15 +1193,15 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             1 => {
                 writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")
                     .map_err(io_err)?;
-                let last_grant = shards[victim].handle.lease_cap_w();
-                shards[victim].proxy.partition(partition_ms);
+                let last_grant = shards[victim].running().handle.lease_cap_w();
+                shards[victim].proxy.handle.partition(partition_ms);
                 partitions += 1;
                 completed += drive(&mut clients, phase)?;
                 // Bounded degraded decay: while (and after) the window,
                 // the enforced cap stays inside [min(floor, last grant),
                 // global cap]. It may recover upward, never overshoot.
                 for _ in 0..10 {
-                    let cap = shards[victim].handle.lease_cap_w();
+                    let cap = shards[victim].running().handle.lease_cap_w();
                     if cap < floor_w.min(last_grant) - 1e-9 || cap > cap_w + 1e-9 {
                         decay_violations += 1;
                     }
@@ -1252,15 +1228,11 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "partitions: {partitions}").map_err(io_err)?;
 
     drop(clients);
-    for shard in &mut shards {
-        shard.handle.shutdown();
-        if let Some(join) = shard.join.take() {
-            let _ = join.join();
-        }
-        shard.proxy.shutdown();
+    for shard in shards {
+        shard.server.expect("every killed shard was restarted").stop();
+        shard.proxy.stop();
     }
-    coord.shutdown();
-    coord_join.join().expect("coordinator joins");
+    coord.stop();
 
     let mut failures = Vec::new();
     if completed != expected {

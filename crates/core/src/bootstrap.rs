@@ -8,6 +8,7 @@
 
 use crate::eval::{summarize, CaseResult};
 use crate::methods::Method;
+use acs_sim::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// A percentile interval for one metric.
@@ -30,15 +31,6 @@ pub struct MethodIntervals {
     pub pct_under: Interval,
     /// Percent of oracle performance in under-limit cases.
     pub under_perf_pct: Interval,
-}
-
-/// Deterministic SplitMix64 for resampling indices.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -79,7 +71,7 @@ pub fn bootstrap_table3(
         .collect();
 
     let alpha = (1.0 - confidence) / 2.0;
-    let mut state = seed;
+    let mut state = SplitMix64(seed);
 
     Method::COMPARED
         .iter()
@@ -90,7 +82,7 @@ pub fn bootstrap_table3(
             for _ in 0..replicates {
                 let mut resampled: Vec<CaseResult> = Vec::with_capacity(cases.len());
                 for _ in 0..groups.len() {
-                    let pick = (splitmix(&mut state) as usize) % groups.len();
+                    let pick = (state.next_u64() as usize) % groups.len();
                     resampled.extend(groups[pick].iter().map(|&i| cases[i].clone()));
                 }
                 let s = summarize(&resampled, method);

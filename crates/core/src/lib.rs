@@ -89,7 +89,7 @@ pub use health::{
 };
 pub use methods::Method;
 pub use objective::Objective;
-pub use offline::{train, ClusterModels, TrainedModel, TrainingParams};
+pub use offline::{train, train_on_suite, ClusterModels, TrainedModel, TrainingParams};
 pub use online::{prediction_error, PredictedProfile, Predictor};
 pub use partition::{
     partition_budget, partition_budget_with, DemandCurve, Partition, PartitionObjective,

@@ -5,11 +5,11 @@
 
 use crate::dissimilarity::dissimilarity_matrix;
 use crate::features::{config_features, TREE_FEATURE_NAMES};
-use crate::profile::KernelProfile;
+use crate::profile::{collect_suite, KernelProfile};
 use acs_mlstat::{
     pam, silhouette, ClassificationTree, Clustering, FitError, LinearModel, TreeError, TreeParams,
 };
-use acs_sim::Device;
+use acs_sim::{Device, Machine};
 use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
@@ -166,6 +166,16 @@ fn fit_cluster(
         power_gpu: LinearModel::fit(&rows_gpu, &power_gpu_y, true)
             .map_err(TrainError::Regression)?,
     })
+}
+
+/// Characterize the first `n` kernel instances of the benchmark suite on
+/// `machine` and train on them with default parameters — the model every
+/// serve-side test, bench and in-process `acs serve` uses. `usize::MAX`
+/// takes the whole suite.
+pub fn train_on_suite(machine: &Machine, n: usize) -> Result<TrainedModel, TrainError> {
+    let kernels = acs_kernels::all_kernel_instances();
+    let profiles = collect_suite(machine, &kernels[..n.min(kernels.len())]);
+    train(&profiles, TrainingParams::default())
 }
 
 /// Run the complete offline stage on a training set of characterized

@@ -6,26 +6,18 @@
 
 use acs_core::adapt::Innovation;
 use acs_core::{AdaptError, AdaptParams, AdaptivePredictor, KalmanFilter, Signal};
+use acs_sim::SplitMix64;
 use proptest::prelude::*;
-
-/// Local splitmix64 so the observation streams are seed-stable forever.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Feed a seeded 64-observation ratio stream through a fresh predictor
 /// and return its exact state digest.
 fn digest_for(seed: u64) -> u64 {
     let mut predictor = AdaptivePredictor::default();
-    let mut rng = seed;
+    let mut rng = SplitMix64(seed);
     for index in 0..64u64 {
         let kernel = format!("k{}", index % 3);
-        let power_ratio = 0.5 + (splitmix64(&mut rng) % 1000) as f64 / 500.0;
-        let perf_ratio = 0.5 + (splitmix64(&mut rng) % 1000) as f64 / 500.0;
+        let power_ratio = 0.5 + (rng.next_u64() % 1000) as f64 / 500.0;
+        let perf_ratio = 0.5 + (rng.next_u64() % 1000) as f64 / 500.0;
         predictor
             .observe_ratios(&kernel, power_ratio, perf_ratio)
             .expect("in-range ratios are always accepted");

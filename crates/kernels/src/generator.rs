@@ -10,7 +10,7 @@
 //! Experiment A7 (`ablation_microbench`) trains on a generated set and
 //! validates on the real suite — the deployment mode a vendor would ship.
 
-use acs_sim::KernelCharacteristics;
+use acs_sim::{KernelCharacteristics, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 /// Parameter ranges for microbenchmark generation. Each latent is drawn
@@ -48,21 +48,11 @@ impl Default for GeneratorConfig {
     }
 }
 
-/// SplitMix64 step.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+fn uniform(state: &mut SplitMix64, (lo, hi): (f64, f64)) -> f64 {
+    lo + state.next_f64() * (hi - lo)
 }
 
-fn uniform(state: &mut u64, (lo, hi): (f64, f64)) -> f64 {
-    let u = (next(state) >> 11) as f64 / (1u64 << 53) as f64;
-    lo + u * (hi - lo)
-}
-
-fn log_uniform(state: &mut u64, (lo, hi): (f64, f64)) -> f64 {
+fn log_uniform(state: &mut SplitMix64, (lo, hi): (f64, f64)) -> f64 {
     assert!(lo > 0.0 && hi > lo);
     (uniform(state, (lo.ln(), hi.ln()))).exp()
 }
@@ -73,7 +63,7 @@ fn log_uniform(state: &mut u64, (lo, hi): (f64, f64)) -> f64 {
 /// couplings: memory-bound kernels saturate bandwidth at fewer threads and
 /// switch less; divergent kernels vectorize poorly.
 pub fn generate(config: &GeneratorConfig, seed: u64) -> Vec<KernelCharacteristics> {
-    let mut state = seed ^ 0x5DEECE66D;
+    let mut state = SplitMix64(seed ^ 0x5DEECE66D);
     (0..config.count)
         .map(|i| {
             let compute = log_uniform(&mut state, config.compute_time_s);

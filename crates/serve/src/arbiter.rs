@@ -24,8 +24,10 @@
 
 use std::collections::BTreeMap;
 
-/// Minimum budget change, W, that counts as a reshuffle.
-const RESHUFFLE_EPS_W: f64 = 1e-9;
+/// Watt comparison tolerance, shared by the arbiter and the lease table:
+/// the minimum budget change that counts as a reshuffle, and the total
+/// demand below which demands are indistinguishable.
+pub const BUDGET_EPS_W: f64 = 1e-9;
 
 /// Fold the floating-point remainder of a split onto the first share so
 /// the shares sum back to `target` *exactly*. f64 splits do not sum back
@@ -36,7 +38,7 @@ const RESHUFFLE_EPS_W: f64 = 1e-9;
 /// pathological case where the remainder is below one ulp of the first
 /// share and the fold cannot make progress). Shared by the per-process
 /// arbiter and the fleet lease table — both conservation gates ride on it.
-pub(crate) fn fold_exact_sum(target: f64, shares: &mut [f64]) {
+fn fold_exact_sum(target: f64, shares: &mut [f64]) {
     if shares.is_empty() {
         return;
     }
@@ -59,6 +61,32 @@ pub enum ArbiterPolicy {
 }
 
 impl ArbiterPolicy {
+    /// Split `pool_w` into one share per entry of `demands` (non-negative
+    /// weights): equal shares, or half the pool as an equal floor and the
+    /// other half in proportion to demand — equal again when the demands
+    /// are indistinguishable. The shares sum to `pool_w` exactly
+    /// ([`fold_exact_sum`]). The one budget-split formula: the session
+    /// arbiter, the lease table's targets and its admission check all
+    /// call it.
+    pub fn split(&self, pool_w: f64, demands: &[f64]) -> Vec<f64> {
+        let n = demands.len() as f64;
+        let mut shares: Vec<f64> = match self {
+            ArbiterPolicy::EqualShare => vec![pool_w / n; demands.len()],
+            ArbiterPolicy::DemandProportional => {
+                let floor = 0.5 * pool_w / n;
+                let extra = 0.5 * pool_w;
+                let total: f64 = demands.iter().sum();
+                if total <= BUDGET_EPS_W {
+                    vec![floor + extra / n; demands.len()]
+                } else {
+                    demands.iter().map(|d| floor + extra * d / total).collect()
+                }
+            }
+        };
+        fold_exact_sum(pool_w, &mut shares);
+        shares
+    }
+
     /// Stable name (the CLI `--policy` value).
     pub fn name(&self) -> &'static str {
         match self {
@@ -200,52 +228,30 @@ impl Arbiter {
     }
 
     /// Re-partition the cap per the policy; bump counters when any budget
-    /// moved by more than [`RESHUFFLE_EPS_W`].
+    /// moved by more than [`BUDGET_EPS_W`].
     fn rebalance(&mut self) {
-        let n = self.nodes.len();
-        if n == 0 {
+        if self.nodes.is_empty() {
             return;
         }
-        let mut shares: Vec<f64> = match self.policy {
-            ArbiterPolicy::EqualShare => vec![self.global_cap_w / n as f64; n],
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * self.global_cap_w / n as f64;
-                let pool = 0.5 * self.global_cap_w;
-                // Demand: a node with no headroom left wants watts; a node
-                // with lots of residual donates. Shift so the hungriest
-                // node defines zero demand offset and everything stays
-                // non-negative.
-                let max_residual = self
-                    .nodes
-                    .values()
-                    .map(|s| s.residual_w.max(0.0))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let demands: Vec<f64> = self
-                    .nodes
-                    .values()
-                    .map(|s| (max_residual - s.residual_w.max(0.0)).max(0.0))
-                    .collect();
-                let total: f64 = demands.iter().sum();
-                if total <= RESHUFFLE_EPS_W {
-                    // Indistinguishable demands: split the pool equally.
-                    vec![floor + pool / n as f64; n]
-                } else {
-                    demands.iter().map(|d| floor + pool * d / total).collect()
-                }
-            }
-        };
-        // Fold the rounding remainder onto the lowest node id —
+        // Demand: a node with no headroom left wants watts; a node with
+        // lots of residual donates. Shift so the hungriest node defines
+        // zero demand offset and everything stays non-negative.
+        let max_residual =
+            self.nodes.values().map(|s| s.residual_w.max(0.0)).fold(f64::NEG_INFINITY, f64::max);
+        let demands: Vec<f64> =
+            self.nodes.values().map(|s| (max_residual - s.residual_w.max(0.0)).max(0.0)).collect();
+        // The rounding remainder lands on the lowest node id —
         // deterministic, and at most a few ulp.
-        fold_exact_sum(self.global_cap_w, &mut shares);
+        let shares = self.policy.split(self.global_cap_w, &demands);
         let mut changed = false;
         for (state, share) in self.nodes.values_mut().zip(shares) {
-            if (state.budget_w - share).abs() > RESHUFFLE_EPS_W {
+            if (state.budget_w - share).abs() > BUDGET_EPS_W {
                 changed = true;
             }
             state.budget_w = share;
         }
         debug_assert!(
-            self.conservation_error_w() <= RESHUFFLE_EPS_W,
+            self.conservation_error_w() <= BUDGET_EPS_W,
             "budgets sum to {} under a {} W cap",
             self.budget_sum_w(),
             self.global_cap_w
@@ -260,6 +266,53 @@ impl Arbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_reproduces_the_formulas_it_replaced_bit_for_bit() {
+        // (pool, demands) from this module's and lease.rs's tests, with
+        // the shares the parent's `Arbiter::rebalance` and
+        // `LeaseTable::targets` produced for them, recorded as exact
+        // round-trip literals.
+        use ArbiterPolicy::{DemandProportional as Demand, EqualShare as Equal};
+        let seventh = 14.285714285714286;
+        let third = 33.333333333333336;
+        let cases: [(ArbiterPolicy, f64, &[f64], &[f64]); 10] = [
+            (Equal, 120.0, &[0.0], &[120.0]),
+            (Demand, 120.0, &[0.0], &[120.0]),
+            (Equal, 100.0, &[0.0; 3], &[third; 3]),
+            (Demand, 100.0, &[0.0; 3], &[third; 3]),
+            // 100/7 does not sum back; share 0 absorbs the remainder.
+            (
+                Equal,
+                100.0,
+                &[0.0; 7],
+                &[14.285714285714272, seventh, seventh, seventh, seventh, seventh, seventh],
+            ),
+            (Equal, 61.3, &[10.0, 30.0, 5.0], &[20.433333333333334; 3]),
+            (Demand, 61.3, &[10.0, 30.0, 5.0], &[17.02777777777778, 30.65, 13.622222222222222]),
+            (Demand, 95.0, &[30.0, 10.0], &[59.375, 35.625]),
+            // Indistinguishable demands (total ≤ eps) split equally.
+            (Demand, 88.0, &[1e-10, 0.0], &[44.0, 44.0]),
+            (
+                Demand,
+                90.0,
+                &[18.0, 29.5, 30.0, 0.0, 30.0],
+                &[
+                    16.53488372093023,
+                    21.348837209302324,
+                    21.558139534883722,
+                    9.0,
+                    21.558139534883722,
+                ],
+            ),
+        ];
+        for (policy, pool, demands, expected) in cases {
+            let shares = policy.split(pool, demands);
+            assert_eq!(shares, expected, "{policy:?} {pool} {demands:?}");
+            assert_eq!(shares.iter().sum::<f64>(), pool, "{policy:?} {pool} {demands:?}");
+        }
+        assert!(Equal.split(50.0, &[]).is_empty());
+    }
 
     #[test]
     fn equal_share_splits_evenly() {

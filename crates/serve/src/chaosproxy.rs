@@ -38,16 +38,15 @@
 //! drop — never a panic, and never a poisoned arbiter (budget
 //! conservation holds after every disconnect).
 
+use crate::net::{Listener, Running};
 use crate::protocol::MAX_FRAME_LEN;
-use crate::server::{sig, ServeError};
+use crate::server::ServeError;
+use acs_sim::noise::{splitmix64, SplitMix64};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Accept-loop poll interval, matching the server's.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Pump read timeout; bounds shutdown latency.
 const PUMP_READ_TIMEOUT: Duration = Duration::from_millis(50);
@@ -206,6 +205,28 @@ struct ProxyShared {
 }
 
 impl ProxyShared {
+    fn new(upstream: &str, plan: ChaosPlan) -> Self {
+        let zero = || AtomicU64::new(0);
+        Self {
+            upstream: upstream.to_string(),
+            plan,
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            partition_until_ms: zero(),
+            connections: zero(),
+            frames: zero(),
+            forwarded: zero(),
+            disconnects: zero(),
+            torn: zero(),
+            corrupted: zero(),
+            delayed: zero(),
+            dribbled: zero(),
+            duplicated: zero(),
+            partitions: zero(),
+            blackholed: zero(),
+        }
+    }
+
     /// Whether a partition window is currently open.
     fn partition_active(&self) -> bool {
         let now_ms = self.started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
@@ -264,8 +285,7 @@ impl ChaosProxyHandle {
 
 /// A bound, not-yet-running chaos proxy.
 pub struct ChaosProxy {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<ProxyShared>,
 }
 
@@ -274,39 +294,26 @@ impl ChaosProxy {
     /// forward every connection to `upstream` under `plan`.
     pub fn bind(listen: &str, upstream: &str, plan: ChaosPlan) -> Result<Self, ServeError> {
         plan.validate().map_err(|detail| ServeError::Bind { addr: listen.into(), detail })?;
-        let listener = TcpListener::bind(listen)
-            .map_err(|e| ServeError::Bind { addr: listen.into(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: listen.into(), detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
         Ok(Self {
-            listener,
-            addr,
-            shared: Arc::new(ProxyShared {
-                upstream: upstream.to_string(),
-                plan,
-                shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                partition_until_ms: AtomicU64::new(0),
-                connections: AtomicU64::new(0),
-                frames: AtomicU64::new(0),
-                forwarded: AtomicU64::new(0),
-                disconnects: AtomicU64::new(0),
-                torn: AtomicU64::new(0),
-                corrupted: AtomicU64::new(0),
-                delayed: AtomicU64::new(0),
-                dribbled: AtomicU64::new(0),
-                duplicated: AtomicU64::new(0),
-                partitions: AtomicU64::new(0),
-                blackholed: AtomicU64::new(0),
-            }),
+            listener: Listener::bind(listen)?,
+            shared: Arc::new(ProxyShared::new(upstream, plan)),
         })
+    }
+
+    /// Bind, then proxy on a background thread until stopped.
+    pub fn spawn(
+        listen: &str,
+        upstream: &str,
+        plan: ChaosPlan,
+    ) -> Result<Running<ChaosProxyHandle>, ServeError> {
+        let proxy = Self::bind(listen, upstream, plan)?;
+        let (addr, handle) = (proxy.local_addr(), proxy.handle());
+        Ok(Running::start(addr, handle, ChaosProxyHandle::shutdown, move || proxy.run()))
     }
 
     /// The address actually bound.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// A handle usable while [`run`](Self::run) blocks.
@@ -316,45 +323,13 @@ impl ChaosProxy {
 
     /// Proxy until SIGINT or [`ChaosProxyHandle::shutdown`], then drain.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
-        let mut pumps: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((client, _peer)) => {
-                    let conn_id = self.shared.connections.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    pumps.push(std::thread::spawn(move || handle_conn(shared, client, conn_id)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for pump in pumps {
-            let _ = pump.join();
-        }
-        Ok(())
+        let shared = self.shared;
+        self.listener.serve(&shared.shutdown, |client| {
+            let conn_id = shared.connections.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(&shared);
+            Some(std::thread::spawn(move || handle_conn(shared, client, conn_id)))
+        })
     }
-}
-
-/// splitmix64, seeded per connection so chaos runs replay.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in [0, 1).
-fn next_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// One proxied connection: spawn the transparent server→client pump,
@@ -466,7 +441,8 @@ fn inject_frames(
     conn_id: u64,
 ) {
     let plan = shared.plan;
-    let mut rng = plan.seed ^ splitmix64(&mut { conn_id.wrapping_add(1) });
+    // Seeded per connection so chaos runs replay.
+    let mut rng = SplitMix64(plan.seed ^ splitmix64(conn_id.wrapping_add(1)));
     let close_both = |server: &TcpStream| {
         let _ = server.shutdown(Shutdown::Both);
         if let Some(c) = &client_close {
@@ -491,7 +467,7 @@ fn inject_frames(
             continue;
         }
 
-        let roll = next_f64(&mut rng);
+        let roll = rng.next_f64();
         let mut edge = plan.partition_p;
         if roll < edge {
             // Open the window and swallow the triggering frame with it.
@@ -518,7 +494,7 @@ fn inject_frames(
         edge += plan.corrupt_p;
         if roll < edge && !body.is_empty() {
             shared.corrupted.fetch_add(1, Ordering::Relaxed);
-            let at = (splitmix64(&mut rng) % body.len() as u64) as usize;
+            let at = (rng.next_u64() % body.len() as u64) as usize;
             body[at] = 0xFF;
         } else {
             edge += plan.delay_p;
@@ -597,21 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_rolls_are_deterministic_per_seed() {
-        let draw = |seed: u64| -> Vec<u64> {
-            let mut s = seed;
-            (0..8).map(|_| splitmix64(&mut s)).collect()
-        };
-        assert_eq!(draw(2014), draw(2014));
-        assert_ne!(draw(2014), draw(2015));
-        let mut s = 1;
-        for _ in 0..100 {
-            let f = next_f64(&mut s);
-            assert!((0.0..1.0).contains(&f));
-        }
-    }
-
-    #[test]
     fn stats_faults_sums_the_injections() {
         let s = ChaosStats {
             connections: 1,
@@ -640,24 +601,7 @@ mod tests {
 
     #[test]
     fn partition_windows_open_extend_and_close() {
-        let shared = ProxyShared {
-            upstream: String::new(),
-            plan: ChaosPlan::quiet(1),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            partition_until_ms: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-            torn: AtomicU64::new(0),
-            corrupted: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-            dribbled: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            partitions: AtomicU64::new(0),
-            blackholed: AtomicU64::new(0),
-        };
+        let shared = ProxyShared::new("", ChaosPlan::quiet(1));
         assert!(!shared.partition_active());
         shared.open_partition(60_000);
         assert!(shared.partition_active());

@@ -34,18 +34,15 @@ use crate::lease::{
     replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
     LeaseTable,
 };
-use crate::protocol::{read_frame, write_frame, ProtocolError, ReadOutcome};
-use crate::server::{sig, ServeError};
+use crate::net::{serve_frames, FrameClient, FrameHandler, Listener, Running};
+use crate::protocol::ProtocolError;
+use crate::server::ServeError;
 use crate::ArbiterPolicy;
 use parking_lot::Mutex;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-connection read timeout; bounds how long a connection takes to
 /// observe the shutdown flag.
@@ -208,8 +205,7 @@ impl CoordinatorHandle {
 
 /// A bound, not-yet-running coordinator.
 pub struct Coordinator {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<CoordShared>,
 }
 
@@ -218,13 +214,7 @@ impl Coordinator {
     /// configured. Divergent journals are a typed bind error, never a
     /// guess at who holds which watts.
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        let requested = format!("{}:{}", config.host, config.port);
-        let listener = TcpListener::bind(&requested)
-            .map_err(|e| ServeError::Bind { addr: requested.clone(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: requested, detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
+        let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
 
         let (journal, recovery, table) = match &config.journal {
             Some(path) => {
@@ -262,12 +252,19 @@ impl Coordinator {
             started: Instant::now(),
             base_tick,
         });
-        Ok(Self { listener, addr, shared })
+        Ok(Self { listener, shared })
+    }
+
+    /// Bind, then serve on a background thread until stopped.
+    pub fn spawn(config: CoordinatorConfig) -> Result<Running<CoordinatorHandle>, ServeError> {
+        let coordinator = Self::bind(config)?;
+        let (addr, handle) = (coordinator.local_addr(), coordinator.handle());
+        Ok(Running::start(addr, handle, CoordinatorHandle::shutdown, move || coordinator.run()))
     }
 
     /// The address actually bound (resolves `--port 0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// A handle usable from other threads while [`run`](Self::run) blocks.
@@ -277,60 +274,29 @@ impl Coordinator {
 
     /// Serve until SIGINT or a `Shutdown` request, then drain.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    conns.push(std::thread::spawn(move || run_conn(shared, stream)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for handle in conns {
-            let _ = handle.join();
-        }
-        Ok(())
+        let shared = self.shared;
+        self.listener.serve(&shared.shutdown, |stream| {
+            let shared = Arc::clone(&shared);
+            Some(std::thread::spawn(move || {
+                serve_frames(stream, CONN_READ_TIMEOUT, &shared.shutdown, &mut Conn(&shared))
+            }))
+        })
     }
 }
 
 /// One shard (or operator) connection.
-fn run_conn(shared: Arc<CoordShared>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let request = match read_frame::<_, CoordRequest>(&mut stream) {
-            Ok(ReadOutcome::Frame(req)) => req,
-            Ok(ReadOutcome::Idle) => continue,
-            Ok(ReadOutcome::Eof) => break,
+struct Conn<'a>(&'a CoordShared);
+
+impl FrameHandler for Conn<'_> {
+    type Req = CoordRequest;
+    type Resp = CoordResponse;
+
+    fn handle(&mut self, request: Result<CoordRequest, ProtocolError>) -> (CoordResponse, bool) {
+        match request {
+            Ok(request) => handle_request(self.0, request),
             Err(err) => {
-                let _ = write_frame(
-                    &mut stream,
-                    &CoordResponse::Error { code: err.code().into(), detail: err.to_string() },
-                );
-                break;
+                (CoordResponse::Error { code: err.code().into(), detail: err.to_string() }, true)
             }
-        };
-        let (response, done) = handle_request(&shared, request);
-        if write_frame(&mut stream, &response).is_err() {
-            break;
-        }
-        if done {
-            break;
         }
     }
 }
@@ -447,45 +413,7 @@ fn handle_request(shared: &CoordShared, request: CoordRequest) -> (CoordResponse
 
 /// A blocking client for the coordinator protocol (the shard lease
 /// client, `acs coordinator --stats`, benches, tests).
-pub struct CoordClient {
-    stream: TcpStream,
-}
-
-impl CoordClient {
-    /// Connect to a coordinator.
-    pub fn connect(addr: &str) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream })
-    }
-
-    /// Connect with a timeout on both the connect and later calls — the
-    /// lease client uses this so a partitioned coordinator surfaces as a
-    /// miss within one renewal interval, not a hung thread.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self { stream })
-    }
-
-    /// Send one request and wait for its response.
-    pub fn call(&mut self, request: &CoordRequest) -> Result<CoordResponse, ProtocolError> {
-        write_frame(&mut self.stream, request)?;
-        match read_frame(&mut self.stream)? {
-            ReadOutcome::Frame(resp) => Ok(resp),
-            ReadOutcome::Eof => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "coordinator closed mid-call",
-            ))),
-            ReadOutcome::Idle => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::TimedOut,
-                "coordinator call timed out",
-            ))),
-        }
-    }
-}
+pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 
 #[cfg(test)]
 mod tests {
@@ -497,16 +425,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    fn spawn(
-        config: CoordinatorConfig,
-    ) -> (String, CoordinatorHandle, std::thread::JoinHandle<()>) {
-        let coord = Coordinator::bind(config).expect("bind succeeds");
-        let addr = coord.local_addr().to_string();
-        let handle = coord.handle();
-        let join = std::thread::spawn(move || coord.run().expect("coordinator runs"));
-        (addr, handle, join)
     }
 
     fn config(journal: Option<PathBuf>) -> CoordinatorConfig {
@@ -523,8 +441,8 @@ mod tests {
 
     #[test]
     fn grant_renew_release_over_the_wire() {
-        let (addr, handle, join) = spawn(config(None));
-        let mut c = CoordClient::connect(&addr).unwrap();
+        let coord = Coordinator::spawn(config(None)).unwrap();
+        let mut c = CoordClient::connect(&coord.addr).unwrap();
 
         let (lease_id, epoch) =
             match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).unwrap() {
@@ -559,9 +477,7 @@ mod tests {
             other => panic!("expected Rejected, got {other:?}"),
         }
 
-        handle.shutdown();
-        join.join().unwrap();
-        assert_eq!(handle.fleet_committed_w(), 0.0);
+        assert_eq!(coord.stop().fleet_committed_w(), 0.0);
     }
 
     #[test]
@@ -570,28 +486,28 @@ mod tests {
         let journal_path = dir.join("coord.journal");
 
         let (lease_id, epoch) = {
-            let (addr, handle, join) = spawn(config(Some(journal_path.clone())));
-            let mut c = CoordClient::connect(&addr).unwrap();
+            let coord = Coordinator::spawn(config(Some(journal_path.clone()))).unwrap();
+            let mut c = CoordClient::connect(&coord.addr).unwrap();
             let out = match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).unwrap()
             {
                 CoordResponse::Granted { lease_id, epoch, .. } => (lease_id, epoch),
                 other => panic!("expected Granted, got {other:?}"),
             };
             // Abrupt death: no Release, no drain.
-            handle.simulate_crash();
-            join.join().unwrap();
+            coord.handle.simulate_crash();
+            coord.join();
             out
         };
 
-        let (addr, handle, join) = spawn(config(Some(journal_path)));
-        let recovery = handle.recovery().expect("a journaled coordinator reports recovery");
+        let coord = Coordinator::spawn(config(Some(journal_path))).unwrap();
+        let recovery = coord.handle.recovery().expect("a journaled coordinator reports recovery");
         assert_eq!(recovery.replayed, 1);
         assert_eq!(recovery.live_leases, vec![lease_id]);
-        assert_eq!(handle.overshoot_w(), 0.0);
+        assert_eq!(coord.handle.overshoot_w(), 0.0);
 
         // The shard's fence survived the restart: its next renewal just
         // works — no re-lease, no double grant.
-        let mut c = CoordClient::connect(&addr).unwrap();
+        let mut c = CoordClient::connect(&coord.addr).unwrap();
         match c.call(&CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 }).unwrap() {
             CoordResponse::Renewed { lease_id: id, .. } => assert_eq!(id, lease_id),
             other => panic!("expected Renewed, got {other:?}"),
@@ -610,8 +526,7 @@ mod tests {
             }
             other => panic!("expected Stats, got {other:?}"),
         }
-        handle.shutdown();
-        join.join().unwrap();
+        coord.stop();
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -621,8 +536,8 @@ mod tests {
         cfg.tick_ms = 1;
         cfg.ttl_ticks = 5;
         cfg.evict_after_ticks = 5;
-        let (addr, handle, join) = spawn(cfg);
-        let mut c = CoordClient::connect(&addr).unwrap();
+        let coord = Coordinator::spawn(cfg).unwrap();
+        let mut c = CoordClient::connect(&coord.addr).unwrap();
         let (lease_id, shard_id) =
             match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 }).unwrap() {
                 CoordResponse::Granted { lease_id, shard_id, .. } => (lease_id, shard_id),
@@ -648,8 +563,7 @@ mod tests {
             }
             other => panic!("expected Granted, got {other:?}"),
         }
-        handle.shutdown();
-        join.join().unwrap();
+        coord.stop();
     }
 
     #[test]
@@ -658,8 +572,8 @@ mod tests {
         let mut cfg = config(None);
         cfg.tick_ms = 1;
         cfg.ttl_ticks = 5;
-        let (addr, handle, join) = spawn(cfg);
-        let mut c = CoordClient::connect(&addr).unwrap();
+        let coord = Coordinator::spawn(cfg).unwrap();
+        let mut c = CoordClient::connect(&coord.addr).unwrap();
         let lease_id = match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 }).unwrap()
         {
             CoordResponse::Granted { lease_id, .. } => lease_id,
@@ -688,7 +602,6 @@ mod tests {
             }
             other => panic!("expected Stats, got {other:?}"),
         }
-        handle.shutdown();
-        join.join().unwrap();
+        coord.stop();
     }
 }

@@ -268,14 +268,10 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acs_core::{train, KernelProfile, TrainingParams};
 
     fn engine() -> Engine {
         let machine = Machine::new(2014);
-        let kernels = acs_kernels::all_kernel_instances();
-        let profiles: Vec<KernelProfile> =
-            kernels.iter().take(12).map(|k| KernelProfile::collect(&machine, k)).collect();
-        let model = train(&profiles, TrainingParams::default()).expect("training succeeds");
+        let model = acs_core::train_on_suite(&machine, 12).expect("training succeeds");
         Engine::new(Arc::new(model), machine)
     }
 

@@ -20,7 +20,7 @@
 //!    toward its target at its next renewal, taking at most the watts
 //!    other shards have already renewed down from. The sum of committed
 //!    budgets therefore never exceeds the pool, and converges to it
-//!    exactly (largest-remainder fold, [`fold_exact_sum`]) once every
+//!    exactly (largest-remainder fold, [`ArbiterPolicy::split`]) once every
 //!    live shard has renewed after a membership change.
 //! 2. **Encumbrance at the floor.** A lease that misses its renewals
 //!    expires, but its watts are not fully reclaimed: `min(floor,
@@ -50,14 +50,10 @@
 //! the recorded post-op epoch ([`JournalError::LeaseDivergence`] when
 //! history cannot be trusted).
 
-use crate::arbiter::{fold_exact_sum, ArbiterPolicy};
+use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Watt-scale epsilon for admission checks (same scale as the arbiter's
-/// reshuffle epsilon).
-pub const LEASE_EPS_W: f64 = 1e-9;
 
 /// One lease's coordinator-side state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -388,28 +384,8 @@ impl LeaseTable {
     /// policy (equal, or half floor + demand-proportional), folded so the
     /// targets sum to the pool exactly. Aligned with [`Self::live_ids`].
     fn targets(&self, live_ids: &[u64]) -> Vec<f64> {
-        let n = live_ids.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let pool = self.pool_w();
-        let mut targets = match self.policy {
-            ArbiterPolicy::EqualShare => vec![pool / n as f64; n],
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * pool / n as f64;
-                let extra = 0.5 * pool;
-                let demands: Vec<f64> =
-                    live_ids.iter().map(|id| self.leases[id].demand_w).collect();
-                let total: f64 = demands.iter().sum();
-                if total <= LEASE_EPS_W {
-                    vec![floor + extra / n as f64; n]
-                } else {
-                    demands.iter().map(|d| floor + extra * d / total).collect()
-                }
-            }
-        };
-        fold_exact_sum(pool, &mut targets);
-        targets
+        let demands: Vec<f64> = live_ids.iter().map(|id| self.leases[id].demand_w).collect();
+        self.policy.split(self.pool_w(), &demands)
     }
 
     /// Commit-on-contact: move `lease_id` toward its target, taking at
@@ -485,24 +461,13 @@ impl LeaseTable {
             }
         }
         // Fresh grant: admission-check before mutating anything.
-        let live_ids = self.live_ids();
-        let n_new = live_ids.len() + 1;
-        let pool = self.pool_w();
-        let target_new = match self.policy {
-            ArbiterPolicy::EqualShare => pool / n_new as f64,
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * pool / n_new as f64;
-                let extra = 0.5 * pool;
-                let total: f64 =
-                    live_ids.iter().map(|id| self.leases[id].demand_w).sum::<f64>() + demand_w;
-                if total <= LEASE_EPS_W {
-                    floor + extra / n_new as f64
-                } else {
-                    floor + extra * demand_w / total
-                }
-            }
-        };
-        if target_new + LEASE_EPS_W < self.floor_w {
+        // The newcomer's steady-state target is the last share of the
+        // split over the live demands plus its own.
+        let mut demands: Vec<f64> =
+            self.live_ids().iter().map(|id| self.leases[id].demand_w).collect();
+        demands.push(demand_w);
+        let target_new = self.policy.split(self.pool_w(), &demands)[demands.len() - 1];
+        if target_new + BUDGET_EPS_W < self.floor_w {
             return Err(LeaseError::Denied {
                 needed_w: self.floor_w,
                 available_w: target_new.max(0.0),

@@ -18,7 +18,10 @@
 //! - [`arbiter`] — global-cap partitioning policies (budgets always sum
 //!   exactly to the cap)
 //! - [`metrics`] — counters, latency quantiles, the `STATS` snapshot
-//! - [`server`] — listener, admission control, sessions, shutdown
+//! - [`net`] — the connection layer every server shares: listener,
+//!   accept/reap/drain loop, per-connection frame loop, [`FrameClient`],
+//!   [`Running`] background servers
+//! - [`server`] — admission control, sessions, lease client, brownout
 //! - [`journal`] — append-only recovery journal; a restarted server
 //!   replays it and resumes with identical budgets and a warm cache
 //! - [`chaosproxy`] — seeded fault-injecting TCP proxy for hardening
@@ -44,6 +47,7 @@ pub mod engine;
 pub mod journal;
 pub mod lease;
 pub mod metrics;
+pub mod net;
 pub mod protocol;
 pub mod server;
 
@@ -57,6 +61,7 @@ pub use lease::{
     GrantOutcome, LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
 };
 pub use metrics::{LeaseReport, Metrics, StatsSnapshot};
+pub use net::{FrameClient, Running};
 pub use protocol::{
     read_frame, read_frame_blocking, write_frame, ProtocolError, ReadOutcome, ReportFeedback,
     Request, Response, Selection, MAX_FRAME_LEN,

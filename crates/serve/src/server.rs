@@ -1,9 +1,7 @@
-//! The connection layer: listener, admission control, per-session loops.
-//!
-//! The accept loop is non-blocking and polls a shutdown flag, so SIGINT
-//! and the `Shutdown` poison request both drain the server the same way:
-//! stop accepting, let every session observe the flag at its next read
-//! timeout (≤ ~100 ms), join the session threads, leave the arbiter empty.
+//! The selection server: shared state, admission control, the session
+//! handler, the lease client and the brownout controller. Listening,
+//! accepting, draining and the per-connection frame loop are the shared
+//! connection layer in [`crate::net`].
 //!
 //! Admission control is a hard bound, not a queue: when `max_sessions`
 //! sessions are live, a new connection is answered with one typed
@@ -16,22 +14,17 @@ use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
 use crate::lease::{CoordRequest, CoordResponse, ShardLease};
 use crate::metrics::{LeaseReport, Metrics};
-use crate::protocol::{
-    read_frame, write_frame, ProtocolError, ReadOutcome, ReportFeedback, Request, Response,
-    Selection,
-};
+use crate::net::{serve_frames, FrameClient, FrameHandler, Listener, Running, ACCEPT_POLL};
+use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
 use acs_core::{AdaptivePredictor, CappedRuntime, DriftEvent, GuardPolicy, TrainedModel};
 use acs_sim::{Configuration, FamilyId, Machine};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-session read timeout; bounds how long a session takes to observe
 /// the shutdown flag.
@@ -313,46 +306,9 @@ impl ServerHandle {
     }
 }
 
-/// SIGINT plumbing: the handler only sets a flag the accept loop polls.
-/// `pub(crate)` so the chaos proxy's accept loop shares the same flag.
-#[cfg(unix)]
-pub(crate) mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static SIGINT: AtomicBool = AtomicBool::new(false);
-    const SIGINT_NO: i32 = 2;
-
-    extern "C" fn on_sigint(_: i32) {
-        SIGINT.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGINT_NO, on_sigint);
-        }
-    }
-
-    pub fn pending() -> bool {
-        SIGINT.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) mod sig {
-    pub fn install() {}
-    pub fn pending() -> bool {
-        false
-    }
-}
-
 /// A bound, not-yet-running selection server.
 pub struct Server {
-    listener: TcpListener,
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
 }
 
@@ -362,13 +318,7 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        let requested = format!("{}:{}", config.host, config.port);
-        let listener = TcpListener::bind(&requested)
-            .map_err(|e| ServeError::Bind { addr: requested.clone(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: requested, detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
+        let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
         let model = Arc::new(model);
 
         // Crash recovery: open the journal, replay its valid prefix into a
@@ -443,12 +393,22 @@ impl Server {
             model,
             config,
         });
-        Ok(Self { listener, addr, shared })
+        Ok(Self { listener, shared })
+    }
+
+    /// Bind, then serve on a background thread until stopped.
+    pub fn spawn(
+        config: ServeConfig,
+        model: TrainedModel,
+    ) -> Result<Running<ServerHandle>, ServeError> {
+        let server = Self::bind(config, model)?;
+        let (addr, handle) = (server.local_addr(), server.handle());
+        Ok(Running::start(addr, handle, ServerHandle::shutdown, move || server.run()))
     }
 
     /// The address actually bound (resolves `--port 0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// A handle usable from other threads while [`run`](Self::run) blocks.
@@ -459,62 +419,39 @@ impl Server {
     /// Serve until SIGINT or a `Shutdown` poison request, then drain and
     /// join every session.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
-        let lease_thread = self.shared.config.coordinator.clone().map(|target| {
-            let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
+        let lease_thread = shared.config.coordinator.clone().map(|target| {
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || run_lease_client(shared, target))
         });
-        let brownout_thread = (self.shared.config.brownout_us > 0).then(|| {
-            let shared = Arc::clone(&self.shared);
+        let brownout_thread = (shared.config.brownout_us > 0).then(|| {
+            let shared = Arc::clone(&shared);
             std::thread::spawn(move || run_brownout(shared))
         });
-        let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
+        let served = self.listener.serve(&shared.shutdown, |mut stream| {
+            let active = shared.active.load(Ordering::SeqCst);
+            if active >= shared.config.max_sessions {
+                shared.metrics.record_overloaded();
+                let _ = write_frame(
+                    &mut stream,
+                    &Response::Overloaded {
+                        load: active as u64 + 1,
+                        limit: shared.config.max_sessions as u64,
+                    },
+                );
+                return None;
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let active = self.shared.active.load(Ordering::SeqCst);
-                    if active >= self.shared.config.max_sessions {
-                        self.shared.metrics.record_overloaded();
-                        let mut stream = stream;
-                        let _ = write_frame(
-                            &mut stream,
-                            &Response::Overloaded {
-                                load: active as u64 + 1,
-                                limit: self.shared.config.max_sessions as u64,
-                            },
-                        );
-                        continue;
-                    }
-                    self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    let node_id = self.shared.next_node.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    sessions.push(std::thread::spawn(move || {
-                        run_session(shared, stream, node_id);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for handle in sessions {
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            let node_id = shared.next_node.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(&shared);
+            Some(std::thread::spawn(move || run_session(shared, stream, node_id)))
+        });
+        // Also after an accept-loop failure, so the helper threads exit.
+        shared.shutdown.store(true, Ordering::SeqCst);
+        for handle in lease_thread.into_iter().chain(brownout_thread) {
             let _ = handle.join();
         }
-        if let Some(handle) = lease_thread {
-            let _ = handle.join();
-        }
-        if let Some(handle) = brownout_thread {
-            let _ = handle.join();
-        }
-        Ok(())
+        served
     }
 }
 
@@ -735,10 +672,14 @@ fn apply_lease_cap(shared: &Shared, cap_w: f64) {
 
 /// One connection: a node in the arbiter's cluster with its own capped,
 /// guarded runtime over its own (seed-identical) simulated machine.
-fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
-    let _ = stream.set_read_timeout(Some(SESSION_READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
+struct Session<'a> {
+    shared: &'a Shared,
+    node_id: u64,
+    rt: CappedRuntime<Machine>,
+    seen_epoch: u64,
+}
 
+fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
     // (mutation, epoch) pairs are journaled under the arbiter lock so the
     // recorded epoch is exactly the one this operation produced.
     let budget_w = {
@@ -748,70 +689,16 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
         budget_w
     };
     shared.adapt.lock().insert(node_id, AdaptivePredictor::default());
-    let mut rt = CappedRuntime::guarded(
+    let rt = CappedRuntime::guarded(
         Machine::from_family(shared.config.family, shared.config.seed),
         (*shared.model).clone(),
         budget_w,
         GuardPolicy::default(),
     );
     rt.timeline().set_capacity(Some(shared.config.timeline_capacity));
-    let mut seen_epoch = shared.arbiter.lock().epoch();
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Pick up budget reshuffles made on behalf of *other* nodes; a
-        // changed budget re-runs selection from the cached frontiers.
-        {
-            let arbiter = shared.arbiter.lock();
-            let epoch = arbiter.epoch();
-            if epoch != seen_epoch {
-                seen_epoch = epoch;
-                let budget = arbiter.budget_of(node_id);
-                drop(arbiter);
-                if let Some(budget) = budget {
-                    apply_budget(&shared, &mut rt, budget);
-                }
-            }
-        }
-
-        let request = match read_frame::<_, Request>(&mut stream) {
-            Ok(ReadOutcome::Frame(req)) => req,
-            Ok(ReadOutcome::Idle) => continue,
-            Ok(ReadOutcome::Eof) => break,
-            Err(err) => {
-                shared.metrics.record_protocol_error();
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::Error { code: err.code().into(), detail: err.to_string() },
-                );
-                break;
-            }
-        };
-
-        let started = Instant::now();
-        let kind = request.kind();
-        let deadline = request.deadline();
-        let (response, done) = handle_request(&shared, &mut rt, node_id, request);
-        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        shared.metrics.record_request(kind, latency_ns);
-        // A served (not shed) request that blew through its own deadline
-        // is a miss — the overload bench's goodput denominator.
-        if let Some((deadline_ms, _)) = deadline {
-            if !matches!(response, Response::ShedDeadline { .. })
-                && latency_ns > deadline_ms.saturating_mul(1_000_000)
-            {
-                shared.metrics.record_deadline_miss();
-            }
-        }
-        if write_frame(&mut stream, &response).is_err() {
-            break;
-        }
-        if done {
-            break;
-        }
-    }
+    let seen_epoch = shared.arbiter.lock().epoch();
+    let mut session = Session { shared: &shared, node_id, rt, seen_epoch };
+    serve_frames(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);
 
     // A simulated crash skips the clean leave: the journal must end the way
     // a SIGKILLed process leaves it, with this session still admitted (the
@@ -826,6 +713,56 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
         shared.adapt.lock().remove(&node_id);
     }
     shared.active.fetch_sub(1, Ordering::SeqCst);
+}
+
+impl FrameHandler for Session<'_> {
+    type Req = Request;
+    type Resp = Response;
+
+    /// Pick up budget reshuffles made on behalf of *other* nodes; a
+    /// changed budget re-runs selection from the cached frontiers.
+    fn turn(&mut self) {
+        let arbiter = self.shared.arbiter.lock();
+        let epoch = arbiter.epoch();
+        if epoch != self.seen_epoch {
+            self.seen_epoch = epoch;
+            let budget = arbiter.budget_of(self.node_id);
+            drop(arbiter);
+            if let Some(budget) = budget {
+                apply_budget(self.shared, &mut self.rt, budget);
+            }
+        }
+    }
+
+    fn handle(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
+        let shared = self.shared;
+        let request = match request {
+            Ok(request) => request,
+            Err(err) => {
+                shared.metrics.record_protocol_error();
+                return (
+                    Response::Error { code: err.code().into(), detail: err.to_string() },
+                    true,
+                );
+            }
+        };
+        let started = Instant::now();
+        let kind = request.kind();
+        let deadline = request.deadline();
+        let (response, done) = handle_request(shared, &mut self.rt, self.node_id, request);
+        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        shared.metrics.record_request(kind, latency_ns);
+        // A served (not shed) request that blew through its own deadline
+        // is a miss — the overload bench's goodput denominator.
+        if let Some((deadline_ms, _)) = deadline {
+            if !matches!(response, Response::ShedDeadline { .. })
+                && latency_ns > deadline_ms.saturating_mul(1_000_000)
+            {
+                shared.metrics.record_deadline_miss();
+            }
+        }
+        (response, done)
+    }
 }
 
 /// Apply an arbiter-assigned budget to the session runtime, re-running
@@ -1142,32 +1079,4 @@ fn engine_error(e: EngineError) -> Response {
 
 /// A blocking client for the wire protocol (used by `acs loadgen`, the
 /// benches, and the tests).
-pub struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    /// Connect to a server.
-    pub fn connect(addr: &str) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream })
-    }
-
-    /// Send one request and wait for its response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
-        write_frame(&mut self.stream, request)?;
-        match read_frame(&mut self.stream)? {
-            ReadOutcome::Frame(resp) => Ok(resp),
-            ReadOutcome::Eof | ReadOutcome::Idle => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "server closed mid-call",
-            ))),
-        }
-    }
-
-    /// The raw stream (for tests that need to write hostile bytes).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-}
+pub type Client = FrameClient<Request, Response>;

@@ -6,10 +6,8 @@
 //! byte offset straight against the server, and randomized runs through
 //! the seeded [`ChaosProxy`] across many seeds.
 
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
-use acs_serve::{
-    ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server, ServerHandle,
-};
+use acs_core::{train_on_suite, TrainedModel};
+use acs_serve::{ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server};
 use acs_sim::Machine;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -19,24 +17,8 @@ use std::time::Duration;
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
     MODEL
-        .get_or_init(|| {
-            let machine = Machine::new(2014);
-            let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-                .iter()
-                .take(12)
-                .map(|k| KernelProfile::collect(&machine, k))
-                .collect();
-            train(&profiles, TrainingParams::default()).expect("training succeeds")
-        })
+        .get_or_init(|| train_on_suite(&Machine::new(2014), 12).expect("training succeeds"))
         .clone()
-}
-
-fn spawn(config: ServeConfig) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(config, model()).expect("bind succeeds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-    (addr, handle, join)
 }
 
 /// A raw frame for one request, exactly as the protocol writes it.
@@ -58,7 +40,8 @@ fn assert_alive(addr: &str) {
 
 #[test]
 fn torn_frame_at_every_offset_is_typed_or_a_clean_drop() {
-    let (addr, handle, join) = spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() });
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
     let whole = frame_bytes(&Request::Select {
         kernel_id: acs_kernels::all_kernel_instances()[0].id(),
         deadline_ms: None,
@@ -66,7 +49,7 @@ fn torn_frame_at_every_offset_is_typed_or_a_clean_drop() {
     });
 
     for cut in 0..whole.len() {
-        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut stream = TcpStream::connect(&server.addr).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.write_all(&whole[..cut]).unwrap();
         stream.flush().unwrap();
@@ -85,17 +68,17 @@ fn torn_frame_at_every_offset_is_typed_or_a_clean_drop() {
             other => panic!("cut at {cut}: expected typed error or EOF, got {other:?}"),
         }
         // No torn frame may poison the arbiter.
-        assert_eq!(handle.budget_conservation_error_w(), 0.0, "cut at {cut}");
+        assert_eq!(server.handle.budget_conservation_error_w(), 0.0, "cut at {cut}");
     }
-    assert!(handle.protocol_errors() >= (whole.len() - 1) as u64);
-    assert_alive(&addr);
-    handle.shutdown();
-    join.join().unwrap();
+    assert!(server.handle.protocol_errors() >= (whole.len() - 1) as u64);
+    assert_alive(&server.addr);
+    server.stop();
 }
 
 #[test]
 fn corrupt_byte_at_every_offset_is_typed() {
-    let (addr, handle, join) = spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() });
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
     let whole = frame_bytes(&Request::Select {
         kernel_id: acs_kernels::all_kernel_instances()[0].id(),
         deadline_ms: None,
@@ -106,7 +89,7 @@ fn corrupt_byte_at_every_offset_is_typed() {
     for at in 4..whole.len() {
         let mut bytes = whole.clone();
         bytes[at] = 0xFF;
-        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut stream = TcpStream::connect(&server.addr).unwrap();
         stream.set_nodelay(true).unwrap();
         stream.write_all(&bytes).unwrap();
         stream.flush().unwrap();
@@ -117,20 +100,16 @@ fn corrupt_byte_at_every_offset_is_typed() {
             }
             other => panic!("corrupt byte at {at}: expected typed error, got {other:?}"),
         }
-        assert_eq!(handle.budget_conservation_error_w(), 0.0, "corrupt byte at {at}");
+        assert_eq!(server.handle.budget_conservation_error_w(), 0.0, "corrupt byte at {at}");
     }
-    assert_alive(&addr);
-    handle.shutdown();
-    join.join().unwrap();
+    assert_alive(&server.addr);
+    server.stop();
 }
 
 #[test]
 fn quiet_proxy_is_byte_transparent() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, ChaosPlan::quiet(1)).unwrap();
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, ChaosPlan::quiet(1)).unwrap();
 
     let kernel_id = acs_kernels::all_kernel_instances()[0].id();
     let requests = [
@@ -147,30 +126,29 @@ fn quiet_proxy_is_byte_transparent() {
     ];
 
     let via_proxy: Vec<String> = {
-        let mut c = Client::connect(&proxy_addr).unwrap();
+        let mut c = Client::connect(&proxy.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
     let direct: Vec<String> = {
-        let mut c = Client::connect(&addr).unwrap();
+        let mut c = Client::connect(&server.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
     // The Run carries an idem key, so the second (direct) execution
     // replays the first's memoized bytes: the logs match exactly.
     assert_eq!(via_proxy, direct, "a quiet proxy must be invisible");
 
-    let stats = proxy_handle.stats();
+    let stats = proxy.handle.stats();
     assert_eq!(stats.faults(), 0);
     assert_eq!(stats.frames, requests.len() as u64);
 
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    handle.shutdown();
-    join.join().unwrap();
+    proxy.stop();
+    server.stop();
 }
 
 #[test]
 fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
-    let (addr, handle, join) = spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() });
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
     let kernel_ids: Vec<String> =
         acs_kernels::all_kernel_instances().iter().take(4).map(|k| k.id()).collect();
 
@@ -186,16 +164,13 @@ fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
             dribble_p: 0.05,
             ..ChaosPlan::quiet(seed)
         };
-        let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, plan).unwrap();
-        let proxy_addr = proxy.local_addr().to_string();
-        let proxy_handle = proxy.handle();
-        let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, plan).unwrap();
 
         // Closed-loop sessions through the proxy. Any call may fail (the
         // proxy tears/drops at will) — the contract is that failures are
         // clean, the server stays alive, and the arbiter stays conserved.
         for conn in 0..6u64 {
-            let Ok(mut client) = Client::connect(&proxy_addr) else { continue };
+            let Ok(mut client) = Client::connect(&proxy.addr) else { continue };
             let _ = client.stream_mut().set_read_timeout(Some(Duration::from_secs(5)));
             for i in 0..6u64 {
                 let request = match i % 3 {
@@ -221,24 +196,21 @@ fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
             // After every connection — dropped mid-batch or not — the
             // global cap is still split exactly.
             assert_eq!(
-                handle.budget_conservation_error_w(),
+                server.handle.budget_conservation_error_w(),
                 0.0,
                 "conservation violated at seed {seed}, conn {conn}"
             );
         }
 
-        proxy_handle.shutdown();
-        proxy_join.join().unwrap();
-        let stats = proxy_handle.stats();
+        let stats = proxy.stop().stats();
         assert!(stats.frames > 0, "seed {seed} drove no frames");
     }
 
     // Sessions the proxy killed must have left the arbiter; only the
     // probe below may remain. Overall: alive, conserved, typed.
-    assert_alive(&addr);
-    assert_eq!(handle.budget_conservation_error_w(), 0.0);
-    handle.shutdown();
-    join.join().unwrap();
+    assert_alive(&server.addr);
+    assert_eq!(server.handle.budget_conservation_error_w(), 0.0);
+    server.stop();
 }
 
 #[test]
@@ -249,12 +221,9 @@ fn dribbled_frames_arrive_intact_at_every_length() {
     // complete frame. Sweeping requests of different encoded lengths,
     // the dribbled responses must match direct responses byte-for-byte —
     // a slow sender is indistinguishable from a fast one.
-    let (addr, handle, join) = spawn(ServeConfig::default());
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let plan = ChaosPlan { dribble_p: 1.0, ..ChaosPlan::quiet(5) };
-    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, plan).unwrap();
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+    let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, plan).unwrap();
 
     let kernel_ids: Vec<String> =
         acs_kernels::all_kernel_instances().iter().take(3).map(|k| k.id()).collect();
@@ -274,26 +243,24 @@ fn dribbled_frames_arrive_intact_at_every_length() {
         });
     }
     let via_proxy: Vec<String> = {
-        let mut c = Client::connect(&proxy_addr).unwrap();
+        let mut c = Client::connect(&proxy.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
     let direct: Vec<String> = {
-        let mut c = Client::connect(&addr).unwrap();
+        let mut c = Client::connect(&server.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
     // Hello responses carry per-session node ids; everything downstream
     // (the keyed Runs replay their memos) must be identical.
     assert_eq!(via_proxy[1..], direct[1..], "dribbled frames must reassemble exactly");
 
-    let stats = proxy_handle.stats();
+    let stats = proxy.handle.stats();
     assert_eq!(stats.dribbled, requests.len() as u64, "every frame was dribbled");
     assert_eq!(stats.faults(), requests.len() as u64);
-    assert_eq!(handle.protocol_errors(), 0, "no dribbled frame may tear");
+    assert_eq!(server.handle.protocol_errors(), 0, "no dribbled frame may tear");
 
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    handle.shutdown();
-    join.join().unwrap();
+    proxy.stop();
+    server.stop();
 }
 
 #[test]
@@ -302,15 +269,12 @@ fn duplicated_frames_do_not_double_execute_keyed_runs() {
     // desync a closed-loop client, so inject on exactly one frame by
     // sending one keyed Run through a dup-heavy proxy and counting server
     // executions via the idempotency replay metric.
-    let (addr, handle, join) = spawn(ServeConfig::default());
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let plan = ChaosPlan { dup_p: 1.0, ..ChaosPlan::quiet(3) };
-    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, plan).unwrap();
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+    let proxy = ChaosProxy::spawn("127.0.0.1:0", &server.addr, plan).unwrap();
 
     let kernel_id = acs_kernels::all_kernel_instances()[0].id();
-    let mut client = Client::connect(&proxy_addr).unwrap();
+    let mut client = Client::connect(&proxy.addr).unwrap();
     let first = client
         .call(&Request::Run {
             kernel_id,
@@ -324,14 +288,12 @@ fn duplicated_frames_do_not_double_execute_keyed_runs() {
     // The server saw the frame twice; the duplicate was answered from the
     // idempotency memo, not executed again.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while handle.idem_replays() == 0 && std::time::Instant::now() < deadline {
+    while server.handle.idem_replays() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(handle.idem_replays(), 1, "the duplicated Run must replay, not re-execute");
-    assert_eq!(proxy_handle.stats().duplicated, 1);
+    assert_eq!(server.handle.idem_replays(), 1, "the duplicated Run must replay, not re-execute");
+    assert_eq!(proxy.handle.stats().duplicated, 1);
 
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    handle.shutdown();
-    join.join().unwrap();
+    proxy.stop();
+    server.stop();
 }

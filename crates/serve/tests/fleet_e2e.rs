@@ -10,10 +10,10 @@
 //! global cap. Crashes are in-process (`simulate_crash`), mirroring
 //! `recovery_e2e.rs`; `bench_fleet` does the real out-of-process SIGKILL.
 
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
+use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
-    ArbiterPolicy, ChaosPlan, ChaosProxy, Client, Coordinator, CoordinatorConfig,
-    CoordinatorHandle, Request, Response, ServeConfig, Server, ServerHandle,
+    ArbiterPolicy, ChaosPlan, ChaosProxy, Client, Coordinator, CoordinatorConfig, Request,
+    Response, ServeConfig, Server, ServerHandle,
 };
 use acs_sim::{FamilyId, Machine};
 use std::path::PathBuf;
@@ -23,15 +23,7 @@ use std::time::{Duration, Instant};
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
     MODEL
-        .get_or_init(|| {
-            let machine = Machine::new(2014);
-            let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-                .iter()
-                .take(16)
-                .map(|k| KernelProfile::collect(&machine, k))
-                .collect();
-            train(&profiles, TrainingParams::default()).expect("training succeeds")
-        })
+        .get_or_init(|| train_on_suite(&Machine::new(2014), 16).expect("training succeeds"))
         .clone()
 }
 
@@ -60,42 +52,17 @@ fn coordinator_config(journal: Option<PathBuf>) -> CoordinatorConfig {
     }
 }
 
-fn spawn_coordinator(
-    config: CoordinatorConfig,
-) -> (String, CoordinatorHandle, std::thread::JoinHandle<()>) {
-    let coordinator = Coordinator::bind(config).expect("coordinator binds");
-    let addr = coordinator.local_addr().to_string();
-    let handle = coordinator.handle();
-    let join = std::thread::spawn(move || coordinator.run().expect("coordinator runs"));
-    (addr, handle, join)
-}
-
-fn spawn_shard_on(
-    family: FamilyId,
-    coordinator: &str,
-    demand_w: f64,
-) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    let config = ServeConfig {
+/// A shard of `family` demanding 60 W, leasing from `coordinator`.
+fn shard_config(family: FamilyId, coordinator: &str) -> ServeConfig {
+    ServeConfig {
         family,
-        global_cap_w: demand_w,
+        global_cap_w: 60.0,
         policy: ArbiterPolicy::EqualShare,
         coordinator: Some(coordinator.to_string()),
         lease_floor_w: FLOOR_W,
         renew_ms: 25,
         ..ServeConfig::default()
-    };
-    let server = Server::bind(config, model()).expect("shard binds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("shard runs"));
-    (addr, handle, join)
-}
-
-fn spawn_shard(
-    coordinator: &str,
-    demand_w: f64,
-) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    spawn_shard_on(FamilyId::Trinity, coordinator, demand_w)
+    }
 }
 
 /// Poll `check` until it holds or `timeout` passes.
@@ -118,9 +85,11 @@ fn fleet_cap_w(shards: &[ServerHandle]) -> f64 {
 
 #[test]
 fn three_shards_converge_to_the_global_cap_without_ever_exceeding_it() {
-    let (addr, coord, coord_join) = spawn_coordinator(coordinator_config(None));
-    let shards: Vec<_> = (0..3).map(|_| spawn_shard(&addr, 60.0)).collect();
-    let handles: Vec<ServerHandle> = shards.iter().map(|(_, h, _)| h.clone()).collect();
+    let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
+    let shards: Vec<_> = (0..3)
+        .map(|_| Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap())
+        .collect();
+    let handles: Vec<ServerHandle> = shards.iter().map(|s| s.handle.clone()).collect();
 
     assert!(
         wait_until(Duration::from_secs(10), || {
@@ -139,19 +108,19 @@ fn three_shards_converge_to_the_global_cap_without_ever_exceeding_it() {
     );
     for _ in 0..20 {
         assert!(fleet_cap_w(&handles) <= GLOBAL_CAP_W + 1e-9);
-        let stats = coord.stats();
+        let stats = coord.handle.stats();
         assert_eq!(stats.overshoot_w, 0.0);
         assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
         std::thread::sleep(Duration::from_millis(5));
     }
-    let stats = coord.stats();
+    let stats = coord.handle.stats();
     assert_eq!(stats.live_leases, 3);
     assert!(stats.grants >= 3);
     assert!(stats.renews >= 3);
 
     // The lease shows up in the shard's own STATS frame: state, budget,
     // renew counters, and renew latency quantiles.
-    let mut client = Client::connect(&shards[0].0).unwrap();
+    let mut client = Client::connect(&shards[0].addr).unwrap();
     match client.call(&Request::Stats).unwrap() {
         Response::Stats(s) => {
             assert_eq!(s.lease_state, "leased");
@@ -165,18 +134,16 @@ fn three_shards_converge_to_the_global_cap_without_ever_exceeding_it() {
     drop(client);
 
     // Clean shard shutdown releases the leases; the pool refills.
-    for (_, handle, join) in shards {
-        handle.shutdown();
-        join.join().unwrap();
+    for shard in shards {
+        shard.stop();
     }
     assert!(
-        wait_until(Duration::from_secs(5), || coord.stats().live_leases == 0),
+        wait_until(Duration::from_secs(5), || coord.handle.stats().live_leases == 0),
         "released leases leave the table"
     );
-    let stats = coord.stats();
+    let stats = coord.handle.stats();
     assert_eq!(stats.live_committed_w + stats.encumbered_w, 0.0);
-    coord.shutdown();
-    coord_join.join().unwrap();
+    coord.stop();
 }
 
 #[test]
@@ -186,10 +153,13 @@ fn heterogeneous_family_shards_share_one_budget_and_warm_their_own_caches() {
     // family-blind — watts are watts — but every shard profiles kernels
     // on its own family's machine, so each keeps a private profile
     // cache and its selections reflect its own hardware.
-    let (addr, coord, coord_join) = spawn_coordinator(coordinator_config(None));
+    let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
     let families = [FamilyId::BigCore, FamilyId::LowPower, FamilyId::AccelHybrid];
-    let shards: Vec<_> = families.iter().map(|&f| spawn_shard_on(f, &addr, 60.0)).collect();
-    let handles: Vec<ServerHandle> = shards.iter().map(|(_, h, _)| h.clone()).collect();
+    let shards: Vec<_> = families
+        .iter()
+        .map(|&f| Server::spawn(shard_config(f, &coord.addr), model()).unwrap())
+        .collect();
+    let handles: Vec<ServerHandle> = shards.iter().map(|s| s.handle.clone()).collect();
 
     assert!(
         wait_until(Duration::from_secs(10), || {
@@ -208,20 +178,20 @@ fn heterogeneous_family_shards_share_one_budget_and_warm_their_own_caches() {
     // case: heterogeneity must not open any overshoot window.
     for _ in 0..20 {
         assert!(fleet_cap_w(&handles) <= GLOBAL_CAP_W + 1e-9);
-        let stats = coord.stats();
+        let stats = coord.handle.stats();
         assert_eq!(stats.overshoot_w, 0.0);
         assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(coord.stats().live_leases, 3);
+    assert_eq!(coord.handle.stats().live_leases, 3);
 
     // Drive the same kernel through every shard: the first Select is a
     // profile-cache miss (collected on that shard's family machine),
     // the repeats are hits. STATS reports the per-shard hit rate.
     let kernel_id = acs_kernels::all_kernel_instances()[0].id();
     let mut predicted = Vec::new();
-    for (shard_addr, _, _) in &shards {
-        let mut client = Client::connect(shard_addr).unwrap();
+    for shard in &shards {
+        let mut client = Client::connect(&shard.addr).unwrap();
         let mut last = None;
         for _ in 0..4 {
             let select =
@@ -254,30 +224,32 @@ fn heterogeneous_family_shards_share_one_budget_and_warm_their_own_caches() {
     });
     assert!(!all_same, "family machines must differentiate the predictions: {predicted:?}");
 
-    for (_, handle, join) in shards {
-        handle.shutdown();
-        join.join().unwrap();
+    for shard in shards {
+        shard.stop();
     }
     assert!(
-        wait_until(Duration::from_secs(5), || coord.stats().live_leases == 0),
+        wait_until(Duration::from_secs(5), || coord.handle.stats().live_leases == 0),
         "released leases leave the table"
     );
-    coord.shutdown();
-    coord_join.join().unwrap();
+    coord.stop();
 }
 
 #[test]
 fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
     let dir = scratch("failover");
     let journal = dir.join("coordinator.journal");
-    let (addr, coord, coord_join) = spawn_coordinator(CoordinatorConfig {
+    let coord = Coordinator::spawn(CoordinatorConfig {
         journal: Some(journal.clone()),
         ..coordinator_config(None)
-    });
+    })
+    .unwrap();
+    let addr = coord.addr.clone();
     let port: u16 = addr.rsplit(':').next().unwrap().parse().unwrap();
 
-    let shards: Vec<_> = (0..2).map(|_| spawn_shard(&addr, 60.0)).collect();
-    let handles: Vec<ServerHandle> = shards.iter().map(|(_, h, _)| h.clone()).collect();
+    let shards: Vec<_> = (0..2)
+        .map(|_| Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap())
+        .collect();
+    let handles: Vec<ServerHandle> = shards.iter().map(|s| s.handle.clone()).collect();
     assert!(
         wait_until(Duration::from_secs(10), || {
             handles.iter().all(|h| h.lease_state() == "leased")
@@ -288,8 +260,8 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
 
     // SIGKILL the coordinator. The shards keep running: every missed
     // renewal decays their caps, so the fleet sum can only fall.
-    coord.simulate_crash();
-    coord_join.join().unwrap();
+    coord.handle.simulate_crash();
+    coord.join();
     let mut max_during_outage: f64 = 0.0;
     for _ in 0..30 {
         max_during_outage = max_during_outage.max(fleet_cap_w(&handles));
@@ -308,13 +280,14 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
     // Restart on the same port from the journal: the replayed table holds
     // the same leases, so returning shards are re-adopted, not granted
     // fresh budget on top of the old (which would double-spend the pool).
-    let (addr2, coord, coord_join) = spawn_coordinator(CoordinatorConfig {
+    let coord = Coordinator::spawn(CoordinatorConfig {
         port,
         journal: Some(journal),
         ..coordinator_config(None)
-    });
-    assert_eq!(addr2, addr);
-    let recovery = coord.recovery().expect("journal replayed");
+    })
+    .unwrap();
+    assert_eq!(coord.addr, addr);
+    let recovery = coord.handle.recovery().expect("journal replayed");
     assert!(recovery.replayed >= 2, "the grants were journaled");
 
     assert!(
@@ -326,61 +299,57 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
         fleet_cap_w(&handles),
         handles.iter().map(|h| h.lease_state()).collect::<Vec<_>>()
     );
-    let stats = coord.stats();
+    let stats = coord.handle.stats();
     assert_eq!(stats.live_leases, 2);
     assert_eq!(stats.overshoot_w, 0.0);
     assert!(stats.journal_replayed >= 2);
 
-    for (_, handle, join) in shards {
-        handle.shutdown();
-        join.join().unwrap();
+    for shard in shards {
+        shard.stop();
     }
-    coord.shutdown();
-    coord_join.join().unwrap();
+    coord.stop();
     let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn a_sigkilled_shards_lease_expires_to_the_floor_and_frees_the_rest() {
-    let (addr, coord, coord_join) = spawn_coordinator(coordinator_config(None));
-    let (_, alive, alive_join) = spawn_shard(&addr, 60.0);
-    let (_, victim, victim_join) = spawn_shard(&addr, 60.0);
+    let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
+    let alive = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
+    let victim = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.lease_state() == "leased" && victim.lease_state() == "leased"
+            alive.handle.lease_state() == "leased" && victim.handle.lease_state() == "leased"
         }),
         "both shards lease"
     );
 
     // SIGKILL the victim: no Release frame, its lease just goes silent.
-    victim.simulate_crash();
-    victim_join.join().unwrap();
+    victim.handle.simulate_crash();
+    victim.join();
 
     // After the TTL the coordinator expires the lease down to the floor
     // encumbrance and hands the freed watts to the survivor.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            let stats = coord.stats();
+            let stats = coord.handle.stats();
             stats.live_leases == 1 && stats.encumbered_leases == 1
         }),
         "the silent lease expires"
     );
-    let stats = coord.stats();
+    let stats = coord.handle.stats();
     assert!(stats.encumbered_w <= FLOOR_W + 1e-9);
     assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.lease_cap_w() >= GLOBAL_CAP_W - FLOOR_W - 1e-6
+            alive.handle.lease_cap_w() >= GLOBAL_CAP_W - FLOOR_W - 1e-6
         }),
         "the survivor absorbs the freed budget, got {} W",
-        alive.lease_cap_w()
+        alive.handle.lease_cap_w()
     );
 
-    alive.shutdown();
-    alive_join.join().unwrap();
-    coord.shutdown();
-    coord_join.join().unwrap();
+    alive.stop();
+    coord.stop();
 }
 
 #[test]
@@ -389,55 +358,57 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
     // 5 ticks past expiry the coordinator *evicts* the silent lease,
     // reclaiming even the floor encumbrance the expiry path parks forever.
     let config = CoordinatorConfig { evict_after_ticks: 5, ..coordinator_config(None) };
-    let (addr, coord, coord_join) = spawn_coordinator(config);
-    let (alive_addr, alive, alive_join) = spawn_shard(&addr, 60.0);
-    let (_, victim, victim_join) = spawn_shard(&addr, 60.0);
+    let coord = Coordinator::spawn(config).unwrap();
+    let alive = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
+    let victim = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.lease_state() == "leased" && victim.lease_state() == "leased"
+            alive.handle.lease_state() == "leased" && victim.handle.lease_state() == "leased"
         }),
         "both shards lease"
     );
 
-    victim.simulate_crash();
-    victim_join.join().unwrap();
+    victim.handle.simulate_crash();
+    victim.join();
 
     // TTL expires the lease, then the horizon evicts it outright: no
     // encumbered entry survives, and the coordinator counts the eviction.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            let stats = coord.stats();
+            let stats = coord.handle.stats();
             stats.evicted_shards >= 1 && stats.encumbered_leases == 0 && stats.live_leases == 1
         }),
         "the silent lease is evicted, not floor-parked: {:?}",
-        coord.stats()
+        coord.handle.stats()
     );
-    assert_eq!(coord.stats().encumbered_w, 0.0, "eviction reclaims the floor watts");
+    assert_eq!(coord.handle.stats().encumbered_w, 0.0, "eviction reclaims the floor watts");
 
     // The survivor absorbs the FULL global cap — not cap minus floor, the
     // ceiling the expiry-only path converges to.
     assert!(
-        wait_until(Duration::from_secs(10), || { alive.lease_cap_w() >= GLOBAL_CAP_W - 1e-6 }),
+        wait_until(Duration::from_secs(10), || {
+            alive.handle.lease_cap_w() >= GLOBAL_CAP_W - 1e-6
+        }),
         "the survivor absorbs the whole cap, got {} W",
-        alive.lease_cap_w()
+        alive.handle.lease_cap_w()
     );
 
     // A replacement shard re-admits against the reclaimed pool as a fresh
     // grant — the evicted id is gone, not recycled.
-    let (_, replacement, replacement_join) = spawn_shard(&addr, 60.0);
+    let replacement = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || {
-            replacement.lease_state() == "leased" && coord.stats().live_leases == 2
+            replacement.handle.lease_state() == "leased" && coord.handle.stats().live_leases == 2
         }),
         "the replacement re-admits"
     );
-    let stats = coord.stats();
+    let stats = coord.handle.stats();
     assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
 
     // The overload counters flow through the survivor's wire snapshot:
     // this shard was never shed, never missed, never evicted.
-    let mut client = Client::connect(&alive_addr).unwrap();
+    let mut client = Client::connect(&alive.addr).unwrap();
     assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
     match client.call(&Request::Stats).unwrap() {
         Response::Stats(s) => {
@@ -449,71 +420,63 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
         other => panic!("expected Stats, got {other:?}"),
     }
 
-    alive.shutdown();
-    alive_join.join().unwrap();
-    replacement.shutdown();
-    replacement_join.join().unwrap();
-    coord.shutdown();
-    coord_join.join().unwrap();
+    alive.stop();
+    replacement.stop();
+    coord.stop();
 }
 
 #[test]
 fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
-    let (coord_addr, coord, coord_join) = spawn_coordinator(coordinator_config(None));
+    let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
 
     // The shard reaches its coordinator through the chaos proxy, which
     // can blackhole both directions while keeping connections open.
     let proxy =
-        ChaosProxy::bind("127.0.0.1:0", &coord_addr, ChaosPlan::quiet(7)).expect("proxy binds");
-    let proxy_addr = proxy.local_addr().to_string();
-    let proxy_handle = proxy.handle();
-    let proxy_join = std::thread::spawn(move || proxy.run().expect("proxy runs"));
+        ChaosProxy::spawn("127.0.0.1:0", &coord.addr, ChaosPlan::quiet(7)).expect("proxy binds");
 
-    let (_, shard, shard_join) = spawn_shard(&proxy_addr, 60.0);
+    let shard = Server::spawn(shard_config(FamilyId::Trinity, &proxy.addr), model()).unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || shard.lease_state() == "leased"),
+        wait_until(Duration::from_secs(10), || shard.handle.lease_state() == "leased"),
         "the shard leases through the quiet proxy"
     );
-    let last_grant = shard.lease_cap_w();
+    let last_grant = shard.handle.lease_cap_w();
     assert!(last_grant > FLOOR_W);
 
     // Partition for ~32 renewal intervals: every renewal inside the
     // window times out, so the cap decays — but never above the last
     // grant, and never below min(floor, last grant).
-    proxy_handle.partition(800);
+    proxy.handle.partition(800);
     assert!(
-        wait_until(Duration::from_secs(5), || shard.lease_state() == "degraded"),
+        wait_until(Duration::from_secs(5), || shard.handle.lease_state() == "degraded"),
         "missed renewals enter degraded mode"
     );
     assert!(
-        wait_until(Duration::from_millis(600), || shard.lease_cap_w() < last_grant - 1e-9),
+        wait_until(Duration::from_millis(600), || shard.handle.lease_cap_w() < last_grant - 1e-9),
         "the cap decays during the partition, still {} W",
-        shard.lease_cap_w()
+        shard.handle.lease_cap_w()
     );
     let deadline = Instant::now() + Duration::from_millis(150);
     while Instant::now() < deadline {
-        let cap = shard.lease_cap_w();
+        let cap = shard.handle.lease_cap_w();
         assert!(cap <= last_grant + 1e-9, "degraded cap {cap} exceeds last grant {last_grant}");
         assert!(cap >= FLOOR_W.min(last_grant) - 1e-9, "degraded cap {cap} fell below the floor");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(shard.degraded_entries() >= 1);
+    assert!(shard.handle.degraded_entries() >= 1);
 
     // The window closes; renewals flow again and the lease recovers.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            shard.lease_state() == "leased" && (shard.lease_cap_w() - GLOBAL_CAP_W).abs() < 1e-6
+            shard.handle.lease_state() == "leased"
+                && (shard.handle.lease_cap_w() - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "the shard recovers after the partition, state {} cap {} W",
-        shard.lease_state(),
-        shard.lease_cap_w()
+        shard.handle.lease_state(),
+        shard.handle.lease_cap_w()
     );
-    assert!(proxy_handle.stats().blackholed > 0, "the partition actually swallowed traffic");
+    assert!(proxy.handle.stats().blackholed > 0, "the partition actually swallowed traffic");
 
-    shard.shutdown();
-    shard_join.join().unwrap();
-    proxy_handle.shutdown();
-    proxy_join.join().unwrap();
-    coord.shutdown();
-    coord_join.join().unwrap();
+    shard.stop();
+    proxy.stop();
+    coord.stop();
 }

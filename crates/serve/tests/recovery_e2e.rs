@@ -11,10 +11,10 @@
 //! with `--journal` sees **byte-identical** responses to a client that
 //! drove the whole stream against one uninterrupted server.
 
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
+use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
     ArbiterPolicy, Client, Journal, JournalEntry, ReportFeedback, Request, Response, ServeConfig,
-    ServeError, Server, ServerHandle,
+    ServeError, Server,
 };
 use acs_sim::Machine;
 use std::path::PathBuf;
@@ -23,24 +23,8 @@ use std::sync::OnceLock;
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
     MODEL
-        .get_or_init(|| {
-            let machine = Machine::new(2014);
-            let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-                .iter()
-                .take(16)
-                .map(|k| KernelProfile::collect(&machine, k))
-                .collect();
-            train(&profiles, TrainingParams::default()).expect("training succeeds")
-        })
+        .get_or_init(|| train_on_suite(&Machine::new(2014), 16).expect("training succeeds"))
         .clone()
-}
-
-fn spawn(config: ServeConfig) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(config, model()).expect("bind succeeds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-    (addr, handle, join)
 }
 
 fn scratch(test: &str) -> PathBuf {
@@ -96,11 +80,10 @@ fn kill_and_restart_resumes_byte_identical_selections() {
 
     // Reference: the whole stream against one uninterrupted server.
     let reference = {
-        let (addr, handle, join) = spawn(config(None));
-        let mut client = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(None), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
         let log = drive(&mut client, &stream);
-        handle.shutdown();
-        join.join().unwrap();
+        server.stop();
         log
     };
 
@@ -108,27 +91,27 @@ fn kill_and_restart_resumes_byte_identical_selections() {
     // leave — the journal must end the way SIGKILL leaves it.
     let journal_path = dir.join("serve.journal");
     let mut log = {
-        let (addr, handle, join) = spawn(config(Some(journal_path.clone())));
-        let mut client = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
         let log = drive(&mut client, &stream[..half]);
-        handle.simulate_crash();
-        join.join().unwrap();
+        server.handle.simulate_crash();
+        server.join();
         log
     };
 
     // Restart on the same journal and finish the stream.
-    let (addr, handle, join) = spawn(config(Some(journal_path)));
-    let recovery = handle.recovery().expect("a journaled server reports its recovery");
+    let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
+    let recovery = server.handle.recovery().expect("a journaled server reports its recovery");
     assert!(recovery.replayed > 0, "the first run journaled entries");
     assert_eq!(recovery.orphaned_sessions.len(), 1, "the crashed session is an orphan");
     assert!(!recovery.warm_kernels.is_empty(), "phase-1 misses were journaled");
     assert_eq!(
-        handle.budget_conservation_error_w(),
+        server.handle.budget_conservation_error_w(),
         0.0,
         "replay + orphan cleanup conserves the cap exactly"
     );
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
     // The restarted cache is warm: phase-1 kernels are hits, so the miss
     // counter stays at what warm-up recomputed.
     let warmed = recovery.warm_kernels.len() as u64;
@@ -147,8 +130,7 @@ fn kill_and_restart_resumes_byte_identical_selections() {
         }
         other => panic!("expected Stats, got {other:?}"),
     }
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 
     assert_eq!(log, reference, "post-recovery selections/budgets must be byte-identical");
 }
@@ -165,8 +147,8 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
     // 0.6× perf confirm bias and a cluster mismatch), plus a few `Run`s
     // for rung tallies. Then die like a SIGKILL.
     let (pre_digests, pre_tallies) = {
-        let (addr, handle, join) = spawn(config(Some(journal_path.clone())));
-        let mut client = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
         client.call(&Request::Hello).unwrap();
         for id in &ids {
             let selection = match client
@@ -208,19 +190,19 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
             other => panic!("expected Stats, got {other:?}"),
         };
         assert!(!tallies.is_empty(), "the runs never recorded a rung");
-        assert!(handle.adapt_observations() > 0, "feedback never reached a predictor");
-        let digests = handle.adapt_digests();
+        assert!(server.handle.adapt_observations() > 0, "feedback never reached a predictor");
+        let digests = server.handle.adapt_digests();
         assert!(!digests.is_empty(), "the session never grew adaptation state");
-        handle.simulate_crash();
-        join.join().unwrap();
+        server.handle.simulate_crash();
+        server.join();
         (digests, tallies)
     };
 
     // Phase 2: restart on the same journal. Replay must rebuild the
     // orphaned session's predictor bit-for-bit and reconcile the rung
     // tallies into the restarted server's STATS.
-    let (addr, handle, join) = spawn(config(Some(journal_path)));
-    let recovery = handle.recovery().expect("a journaled server reports its recovery");
+    let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
+    let recovery = server.handle.recovery().expect("a journaled server reports its recovery");
     let replayed: Vec<(u64, u64)> =
         recovery.adapt.iter().map(|s| (s.node_id, s.predictor.state_digest())).collect();
     assert_eq!(
@@ -229,7 +211,7 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
     );
     assert_eq!(recovery.rung_tallies, pre_tallies, "replay reconciles the rung tallies");
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
     match client.call(&Request::Stats).unwrap() {
         Response::Stats(s) => {
             assert_eq!(
@@ -239,8 +221,7 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
         }
         other => panic!("expected Stats, got {other:?}"),
     }
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
@@ -250,24 +231,24 @@ fn restart_never_reuses_node_ids_and_conserves_budgets() {
 
     // Two sessions, both killed by the crash.
     {
-        let (addr, handle, join) = spawn(config(Some(journal_path.clone())));
-        let mut a = Client::connect(&addr).unwrap();
-        let mut b = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
+        let mut a = Client::connect(&server.addr).unwrap();
+        let mut b = Client::connect(&server.addr).unwrap();
         let id_of = |c: &mut Client| match c.call(&Request::Hello).unwrap() {
             Response::Welcome { node_id, .. } => node_id,
             other => panic!("expected Welcome, got {other:?}"),
         };
         assert_eq!((id_of(&mut a), id_of(&mut b)), (1, 2));
-        handle.simulate_crash();
-        join.join().unwrap();
+        server.handle.simulate_crash();
+        server.join();
     }
 
-    let (addr, handle, join) = spawn(config(Some(journal_path)));
-    let recovery = handle.recovery().unwrap();
+    let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
+    let recovery = server.handle.recovery().unwrap();
     assert_eq!(recovery.orphaned_sessions, vec![1, 2]);
     assert_eq!(recovery.next_node, 3, "burned ids stay burned");
 
-    let mut c = Client::connect(&addr).unwrap();
+    let mut c = Client::connect(&server.addr).unwrap();
     match c.call(&Request::Hello).unwrap() {
         Response::Welcome { node_id, budget_w } => {
             assert_eq!(node_id, 3, "a restarted server never reuses a journaled node id");
@@ -275,9 +256,8 @@ fn restart_never_reuses_node_ids_and_conserves_budgets() {
         }
         other => panic!("expected Welcome, got {other:?}"),
     }
-    assert_eq!(handle.budget_conservation_error_w(), 0.0);
-    handle.shutdown();
-    join.join().unwrap();
+    assert_eq!(server.handle.budget_conservation_error_w(), 0.0);
+    server.stop();
 }
 
 #[test]
@@ -308,11 +288,10 @@ fn crash_during_phase_two_recovers_again() {
     let third = stream.len() / 3;
 
     let reference = {
-        let (addr, handle, join) = spawn(config(None));
-        let mut client = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(None), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
         let log = drive(&mut client, &stream);
-        handle.shutdown();
-        join.join().unwrap();
+        server.stop();
         log
     };
 
@@ -320,15 +299,15 @@ fn crash_during_phase_two_recovers_again() {
     for (phase, range) in
         [&stream[..third], &stream[third..2 * third], &stream[2 * third..]].iter().enumerate()
     {
-        let (addr, handle, join) = spawn(config(Some(journal_path.clone())));
-        let mut client = Client::connect(&addr).unwrap();
+        let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
         log.extend(drive(&mut client, range));
         if phase < 2 {
-            handle.simulate_crash();
+            server.handle.simulate_crash();
         } else {
-            handle.shutdown();
+            server.handle.shutdown();
         }
-        join.join().unwrap();
+        server.join();
     }
     assert_eq!(log, reference, "double recovery still replays byte-identically");
 }

@@ -2,7 +2,7 @@
 //! batches, runs, arbiter reshuffles, admission control, typed bind
 //! errors, hostile frames, and both shutdown paths.
 
-use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
+use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{ArbiterPolicy, Client, Request, Response, ServeConfig, ServeError, Server};
 use acs_sim::Machine;
 use std::io::Write;
@@ -13,24 +13,8 @@ use std::time::Duration;
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
     MODEL
-        .get_or_init(|| {
-            let machine = Machine::new(2014);
-            let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-                .iter()
-                .take(16)
-                .map(|k| KernelProfile::collect(&machine, k))
-                .collect();
-            train(&profiles, TrainingParams::default()).expect("training succeeds")
-        })
+        .get_or_init(|| train_on_suite(&Machine::new(2014), 16).expect("training succeeds"))
         .clone()
-}
-
-fn spawn(config: ServeConfig) -> (String, acs_serve::ServerHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(config, model()).expect("bind succeeds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-    (addr, handle, join)
 }
 
 fn kernel_ids(n: usize) -> Vec<String> {
@@ -39,8 +23,8 @@ fn kernel_ids(n: usize) -> Vec<String> {
 
 #[test]
 fn hello_select_run_stats_bye() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let mut client = Client::connect(&addr).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
 
     let hello = client.call(&Request::Hello).unwrap();
     let budget = match hello {
@@ -113,14 +97,14 @@ fn hello_select_run_stats_bye() {
     }
 
     assert!(matches!(client.call(&Request::Bye).unwrap(), Response::Bye));
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn batch_matches_singles_and_oversized_batch_is_overloaded() {
-    let (addr, handle, join) = spawn(ServeConfig { max_batch: 4, ..ServeConfig::default() });
-    let mut client = Client::connect(&addr).unwrap();
+    let server =
+        Server::spawn(ServeConfig { max_batch: 4, ..ServeConfig::default() }, model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
 
     let ids = kernel_ids(4);
     let batch = match client
@@ -151,14 +135,13 @@ fn batch_matches_singles_and_oversized_batch_is_overloaded() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn unknown_kernel_is_a_typed_error_not_a_dropped_session() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let mut client = Client::connect(&addr).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
     match client
         .call(&Request::Select {
             kernel_id: "no/such/kernel".into(),
@@ -175,18 +158,18 @@ fn unknown_kernel_is_a_typed_error_not_a_dropped_session() {
     }
     // The session survives a domain error.
     assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn admission_control_rejects_with_typed_overloaded() {
-    let (addr, handle, join) = spawn(ServeConfig { max_sessions: 1, ..ServeConfig::default() });
-    let mut first = Client::connect(&addr).unwrap();
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 1, ..ServeConfig::default() }, model()).unwrap();
+    let mut first = Client::connect(&server.addr).unwrap();
     assert!(matches!(first.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
 
     // The second connection must be answered with Overloaded, not queued.
-    let mut second = Client::connect(&addr).unwrap();
+    let mut second = Client::connect(&server.addr).unwrap();
     let resp: Option<Response> = {
         let stream = second.stream_mut();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -200,20 +183,23 @@ fn admission_control_rejects_with_typed_overloaded() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn report_reshuffles_budgets_across_sessions() {
-    let (addr, handle, join) = spawn(ServeConfig {
-        policy: ArbiterPolicy::DemandProportional,
-        global_cap_w: 100.0,
-        ..ServeConfig::default()
-    });
-    let mut a = Client::connect(&addr).unwrap();
+    let server = Server::spawn(
+        ServeConfig {
+            policy: ArbiterPolicy::DemandProportional,
+            global_cap_w: 100.0,
+            ..ServeConfig::default()
+        },
+        model(),
+    )
+    .unwrap();
+    let mut a = Client::connect(&server.addr).unwrap();
     assert!(matches!(a.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
-    let mut b = Client::connect(&addr).unwrap();
+    let mut b = Client::connect(&server.addr).unwrap();
     assert!(matches!(b.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
 
     // a reports plenty of headroom (low demand), b reports none: the
@@ -239,8 +225,7 @@ fn report_reshuffles_budgets_across_sessions() {
         other => panic!("expected Stats, got {other:?}"),
     }
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
@@ -248,10 +233,12 @@ fn budget_reshuffle_rewrites_selection() {
     // One node: gets the whole 40 W cap. A second node joins: the budget
     // halves, and the same kernel must re-select under 20 W — the
     // Section III-C dynamic-constraint property, driven by the arbiter.
-    let (addr, handle, join) = spawn(ServeConfig { global_cap_w: 40.0, ..ServeConfig::default() });
+    let server =
+        Server::spawn(ServeConfig { global_cap_w: 40.0, ..ServeConfig::default() }, model())
+            .unwrap();
     let id = &kernel_ids(1)[0];
 
-    let mut a = Client::connect(&addr).unwrap();
+    let mut a = Client::connect(&server.addr).unwrap();
     let generous = match a
         .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
         .unwrap()
@@ -261,7 +248,7 @@ fn budget_reshuffle_rewrites_selection() {
     };
     assert!((generous.budget_w - 40.0).abs() < 1e-9);
 
-    let mut b = Client::connect(&addr).unwrap();
+    let mut b = Client::connect(&server.addr).unwrap();
     assert!(matches!(b.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
 
     // Session a's budget drops at its next poll; selections follow.
@@ -280,8 +267,7 @@ fn budget_reshuffle_rewrites_selection() {
         "tighter budget cannot select more predicted power"
     );
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
@@ -300,8 +286,8 @@ fn eaddrinuse_is_a_typed_bind_error() {
 
 #[test]
 fn hostile_frame_gets_typed_error_and_counts() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let mut client = Client::connect(&addr).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
 
     // An oversized length prefix straight onto the wire.
     let stream = client.stream_mut();
@@ -312,16 +298,15 @@ fn hostile_frame_gets_typed_error_and_counts() {
         Ok(Some(Response::Error { code, .. })) => assert_eq!(code, "oversized"),
         other => panic!("expected typed Error response, got {other:?}"),
     }
-    assert!(handle.protocol_errors() >= 1);
+    assert!(server.handle.protocol_errors() >= 1);
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn expired_deadlines_shed_and_misses_surface_in_stats() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let mut client = Client::connect(&addr).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
     assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
     let id = &kernel_ids(1)[0];
 
@@ -339,7 +324,7 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         }
         other => panic!("expected ShedDeadline, got {other:?}"),
     }
-    assert_eq!(handle.sheds(), 1);
+    assert_eq!(server.handle.sheds(), 1);
 
     // A positive deadline is served below full brownout — and a run long
     // enough to blow through it records a miss for the served request.
@@ -356,8 +341,8 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         Response::Ran { iterations, .. } => assert_eq!(iterations, 20_000),
         other => panic!("expected Ran, got {other:?}"),
     }
-    assert_eq!(handle.sheds(), 1, "a served request is not a shed");
-    assert_eq!(handle.deadline_misses(), 1);
+    assert_eq!(server.handle.sheds(), 1, "a served request is not a shed");
+    assert_eq!(server.handle.deadline_misses(), 1);
 
     // Requests without a deadline never enter the gate: the old-client
     // wire shape is untouched by the overload machinery.
@@ -380,20 +365,20 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         other => panic!("expected Stats, got {other:?}"),
     }
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop();
 }
 
 #[test]
 fn shutdown_poison_drains_the_server() {
-    let (addr, handle, join) = spawn(ServeConfig::default());
-    let mut bystander = Client::connect(&addr).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut bystander = Client::connect(&server.addr).unwrap();
     assert!(matches!(bystander.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
 
-    let mut killer = Client::connect(&addr).unwrap();
+    let mut killer = Client::connect(&server.addr).unwrap();
     assert!(matches!(killer.call(&Request::Shutdown).unwrap(), Response::ShuttingDown));
-    assert!(handle.is_shutting_down());
-    join.join().unwrap();
+    assert!(server.handle.is_shutting_down());
+    let addr = server.addr.clone();
+    server.join();
 
     // The drained listener no longer accepts: either the connection is
     // refused outright or the new socket sees EOF/ECONNRESET on use.
@@ -411,4 +396,50 @@ fn shutdown_poison_drains_the_server() {
         acs_serve::read_frame_blocking(stream).unwrap()
     };
     assert!(eof.is_none(), "session must close silently on shutdown, got {eof:?}");
+}
+
+/// One `FrameClient` call (20 ms read timeout) against a raw peer that reads
+/// the request frame and then either closes or holds the socket open in
+/// silence; returns the kind of i/o error the call reports.
+fn call_mute_peer<Req, Resp>(close: bool, request: &Req) -> std::io::ErrorKind
+where
+    Req: serde::Serialize,
+    Resp: serde::Deserialize + std::fmt::Debug,
+{
+    use std::io::Read;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut header = [0u8; 4];
+        stream.read_exact(&mut header).unwrap();
+        let mut body = vec![0u8; u32::from_be_bytes(header) as usize];
+        stream.read_exact(&mut body).unwrap();
+        if !close {
+            let _ = released.recv();
+        }
+    });
+    let mut client = acs_serve::FrameClient::<Req, Resp>::connect(&addr).unwrap();
+    client.stream_mut().set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+    let kind = match client.call(request) {
+        Err(acs_serve::ProtocolError::Io(e)) => e.kind(),
+        other => panic!("expected an i/o error, got {other:?}"),
+    };
+    drop(release);
+    peer.join().unwrap();
+    kind
+}
+
+#[test]
+fn a_silent_peer_is_timed_out_and_a_closing_peer_is_unexpected_eof() {
+    use acs_serve::{CoordRequest, CoordResponse};
+    use std::io::ErrorKind::{TimedOut, UnexpectedEof};
+    // `Client` and `CoordClient` are these two instantiations.
+    assert_eq!(call_mute_peer::<Request, Response>(false, &Request::Hello), TimedOut);
+    assert_eq!(
+        call_mute_peer::<CoordRequest, CoordResponse>(false, &CoordRequest::Stats),
+        TimedOut
+    );
+    assert_eq!(call_mute_peer::<Request, Response>(true, &Request::Hello), UnexpectedEof);
 }

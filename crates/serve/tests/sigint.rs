@@ -3,7 +3,6 @@
 //! with the other server tests.
 #![cfg(unix)]
 
-use acs_core::{train, KernelProfile, TrainingParams};
 use acs_serve::{Client, Request, Response, ServeConfig, Server};
 use acs_sim::Machine;
 
@@ -12,22 +11,13 @@ fn sigint_drains_the_server() {
     extern "C" {
         fn raise(sig: i32) -> i32;
     }
-    let machine = Machine::new(2014);
-    let profiles: Vec<KernelProfile> = acs_kernels::all_kernel_instances()
-        .iter()
-        .take(12)
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    let model = train(&profiles, TrainingParams::default()).expect("training succeeds");
+    let model = acs_core::train_on_suite(&Machine::new(2014), 12).expect("training succeeds");
+    let server = Server::spawn(ServeConfig::default(), model).expect("bind succeeds");
 
-    let server = Server::bind(ServeConfig::default(), model).expect("bind succeeds");
-    let addr = server.local_addr().to_string();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
-
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
     assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
     unsafe {
         raise(2); // SIGINT; the handler only sets a flag.
     }
-    join.join().unwrap();
+    server.join();
 }

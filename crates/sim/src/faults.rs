@@ -15,7 +15,7 @@
 use crate::config::Configuration;
 use crate::kernel::KernelCharacteristics;
 use crate::machine::{KernelRun, Machine};
-use crate::noise::splitmix64;
+use crate::noise::{splitmix64, MIX_MUL};
 use crate::power::PowerBreakdown;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -263,7 +263,7 @@ impl FaultyMachine {
 
     /// Raw bits for value scrambling.
     fn bits(&self, lane: u64, n: u64) -> u64 {
-        let mut z = splitmix64(self.plan.seed ^ lane.wrapping_mul(0xBF58476D1CE4E5B9));
+        let mut z = splitmix64(self.plan.seed ^ lane.wrapping_mul(MIX_MUL));
         z = splitmix64(z ^ n);
         z
     }

@@ -51,7 +51,7 @@ pub use faults::{ExecutionFault, Executor, FaultKind, FaultPlan, FaultStats, Fau
 pub use governor::{GovernorAction, OndemandGovernor, TransitionModel};
 pub use kernel::KernelCharacteristics;
 pub use machine::{KernelRun, Machine};
-pub use noise::NoiseSource;
+pub use noise::{NoiseSource, SplitMix64};
 pub use power::{PowerBreakdown, PowerCalibration};
 pub use pstate::{CpuPState, GpuPState, CPU_REF_FREQ_GHZ, GPU_REF_FREQ_GHZ};
 pub use sensor::PowerSensor;

@@ -28,13 +28,44 @@ pub enum Stream {
     Interrupt = 13,
 }
 
+/// SplitMix64's Weyl increment (the golden-ratio gamma).
+pub const GOLDEN_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// SplitMix64's first finalizer multiplier. The fault and arrival streams
+/// also borrow it as an odd stream-separation multiplier.
+pub const MIX_MUL: u64 = 0xBF58476D1CE4E5B9;
+
 /// SplitMix64 finalizer: a strong 64-bit mixing function.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+/// The workspace's one seeded sequential stream: SplitMix64 as a stateful
+/// generator. Output `i` of a stream seeded `s` is
+/// `splitmix64(s + i·γ)`, so the determinism contract of every seeded
+/// schedule (chaos rolls, loadgen requests, idempotency keys, bootstrap
+/// resamples) is the one pinned by this module's tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    /// The next 64-bit output.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        out
+    }
+
+    /// A uniform draw in [0, 1) from the next output's 53 high bits.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// FNV-1a hash of a byte string, used to fold kernel names into the seed.
@@ -159,6 +190,42 @@ mod tests {
         assert!((0.5..=2.0).contains(&j));
         // sigma=0 means exactly no jitter
         assert_eq!(src.jitter(Stream::Timing, 0.0), 1.0);
+    }
+
+    #[test]
+    fn splitmix_stream_is_pinned() {
+        // Reference vectors of Vigna's splitmix64.c; every seeded
+        // transcript in the workspace derives from these.
+        let first4 = |seed| {
+            let mut s = SplitMix64(seed);
+            [s.next_u64(), s.next_u64(), s.next_u64(), s.next_u64()]
+        };
+        assert_eq!(
+            first4(0),
+            [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+        );
+        assert_eq!(
+            first4(2014),
+            [0xC5D011D42ADE5404, 0x02B74F80E778F7C3, 0xA0CDD6C523743EDB, 0x13884E303DBEE888]
+        );
+        // The stream is the free function walked along the Weyl sequence.
+        let mut s = SplitMix64(2014);
+        for i in 0..64u64 {
+            assert_eq!(
+                s.next_u64(),
+                splitmix64(2014u64.wrapping_add(i.wrapping_mul(GOLDEN_GAMMA)))
+            );
+        }
+    }
+
+    #[test]
+    fn next_f64_is_the_top_53_bits() {
+        let (mut a, mut b) = (SplitMix64(7), SplitMix64(7));
+        for _ in 0..1000 {
+            let f = a.next_f64();
+            assert!((0.0..1.0).contains(&f));
+            assert_eq!(f, (b.next_u64() >> 11) as f64 / 9007199254740992.0);
+        }
     }
 
     #[test]

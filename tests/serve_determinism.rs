@@ -15,21 +15,13 @@ use acs_bench::loadgen::{run_loadgen, LoadgenOptions};
 #[test]
 fn loadgen_seed7_replays_to_byte_identical_logs() {
     // Train on the full suite at the experiment seed, as `acs serve` does.
-    let machine = Machine::new(2014);
-    let profiles: Vec<KernelProfile> = acs::kernels::all_kernel_instances()
-        .iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
-    let model = train(&profiles, TrainingParams::default()).expect("training succeeds");
-
-    let server = Server::bind(ServeConfig::default(), model).expect("ephemeral bind succeeds");
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server runs"));
+    let model =
+        acs::core::train_on_suite(&Machine::new(2014), usize::MAX).expect("training succeeds");
+    let server = Server::spawn(ServeConfig::default(), model).expect("ephemeral bind succeeds");
 
     // Mixed traffic: selections, periodic runs, periodic residual reports.
     let opts = LoadgenOptions {
-        addr,
+        addr: server.addr.clone(),
         requests: 1000,
         seed: 7,
         sessions: 1,
@@ -64,6 +56,5 @@ fn loadgen_seed7_replays_to_byte_identical_logs() {
             .unwrap_or(first_log.len().min(second_log.len()))
     );
 
-    handle.shutdown();
-    join.join().expect("server thread joins");
+    server.stop();
 }
