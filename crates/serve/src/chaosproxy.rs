@@ -532,9 +532,12 @@ fn inject_frames(
     let _ = client.shutdown(Shutdown::Both);
 }
 
+/// Prefix and body in one `write_all` — one segment, like `write_frame`.
 fn write_frame_raw(stream: &mut TcpStream, len: u32, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 

@@ -34,7 +34,7 @@ use crate::lease::{
     replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
     LeaseTable,
 };
-use crate::net::{serve_frames, FrameClient, FrameHandler, Listener, Running};
+use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::ProtocolError;
 use crate::server::ServeError;
 use crate::ArbiterPolicy;
@@ -278,7 +278,7 @@ impl Coordinator {
         self.listener.serve(&shared.shutdown, |stream| {
             let shared = Arc::clone(&shared);
             Some(std::thread::spawn(move || {
-                serve_frames(stream, CONN_READ_TIMEOUT, &shared.shutdown, &mut Conn(&shared))
+                serve_tcp(stream, CONN_READ_TIMEOUT, &shared.shutdown, &mut Conn(&shared))
             }))
         })
     }

@@ -49,6 +49,8 @@ pub mod lease;
 pub mod metrics;
 pub mod net;
 pub mod protocol;
+#[cfg(test)]
+mod scripted;
 pub mod server;
 
 pub use arbiter::{Arbiter, ArbiterPolicy};

@@ -174,7 +174,14 @@ impl Metrics {
     /// nanoseconds (sub-µs services must not collapse to 0).
     pub fn record_request(&self, kind: &str, latency_ns: u64) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
-        *self.by_kind.lock().entry(kind.to_string()).or_insert(0) += 1;
+        // Allocate the key only the first time a kind is seen.
+        let mut by_kind = self.by_kind.lock();
+        if let Some(count) = by_kind.get_mut(kind) {
+            *count += 1;
+        } else {
+            by_kind.insert(kind.to_string(), 1);
+        }
+        drop(by_kind);
         let mut lat = self.latencies_ns.lock();
         if lat.len() < LATENCY_RESERVOIR {
             lat.push(latency_ns);

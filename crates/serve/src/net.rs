@@ -3,32 +3,63 @@
 //! per-connection frame loop, one blocking frame client, one way to run a
 //! server on a background thread.
 //!
-//! The accept loop is non-blocking and polls a shutdown flag, so SIGINT
-//! and a `Shutdown` request drain a server the same way: stop accepting,
-//! let every connection observe the flag at its next read timeout, join
-//! the connection threads. Finished threads are reaped on every accept,
-//! so the tracked set is bounded by the connections currently alive.
+//! The accept loop waits for a connection in `poll(2)` with a short
+//! timeout and re-checks a shutdown flag, so SIGINT and a `Shutdown`
+//! request drain a server the same way: stop accepting, let every
+//! connection observe the flag at its next read timeout, join the
+//! connection threads. Finished threads are reaped on every accept, so the
+//! tracked set is bounded by the connections currently alive.
+//!
+//! The frame loop pays syscalls per wake-up, not per frame: one `read`
+//! takes every request the socket holds, and their replies leave in one
+//! `write` just before the loop has to read the socket again.
 
-use crate::protocol::{read_frame, read_frame_blocking, write_frame, ProtocolError, ReadOutcome};
+use crate::protocol::{
+    encode_frame, read_frame_blocking, write_frame, FrameReader, ProtocolError, ReadOutcome,
+};
 use crate::server::ServeError;
 use serde::{Deserialize, Serialize};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop waits for a connection before it looks at the
+/// shutdown flag and SIGINT again.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// SIGINT plumbing: the handler only sets a flag the accept loop polls.
+/// Reply bytes a connection holds back at most: past this mark they are
+/// written even though requests are still buffered.
+const WRITE_HIGH_WATER: usize = 64 * 1024;
+
+/// The two libc calls the accept loop needs (there is no `libc` crate
+/// here): a SIGINT handler that only sets a flag the loop polls, and
+/// `poll(2)` to wait on the listener.
 #[cfg(unix)]
-mod sig {
+mod sys {
+    use std::io::ErrorKind;
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     static SIGINT: AtomicBool = AtomicBool::new(false);
     const SIGINT_NO: i32 = 2;
+    const POLLIN: i16 = 0x001;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NfdsT = std::os::raw::c_uint;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
 
     extern "C" fn on_sigint(_: i32) {
         SIGINT.store(true, Ordering::SeqCst);
@@ -36,9 +67,10 @@ mod sig {
 
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
     }
 
-    pub fn install() {
+    pub fn install_sigint() {
         // SAFETY: `signal` is the libc function of that signature, and the
         // handler only performs an atomic store, which is async-signal-safe.
         unsafe {
@@ -46,16 +78,37 @@ mod sig {
         }
     }
 
-    pub fn pending() -> bool {
+    pub fn sigint_pending() -> bool {
         SIGINT.load(Ordering::SeqCst)
+    }
+
+    /// Block until `listener` has a connection to accept, `timeout`
+    /// passes, or a signal arrives — whichever is first. The caller tries
+    /// `accept` again in every case, so the outcome is not reported.
+    pub fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
+        let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `poll` is the libc function of that signature; `fd` is one
+        // live, exclusively borrowed `pollfd`-layout struct and `nfds` is 1,
+        // so the kernel reads and writes only that struct. The descriptor
+        // stays open for the call because `listener` is borrowed across it.
+        let rc = unsafe { poll(&mut fd, 1, timeout_ms) };
+        // EINTR is SIGINT doing its job. Anything else (ENOMEM) must not
+        // turn the accept loop into a spin: wait the timeout out instead.
+        if rc < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
+            std::thread::sleep(timeout);
+        }
     }
 }
 
 #[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-    pub fn pending() -> bool {
+mod sys {
+    pub fn install_sigint() {}
+    pub fn sigint_pending() -> bool {
         false
+    }
+    pub fn wait_acceptable(_: &std::net::TcpListener, timeout: std::time::Duration) {
+        std::thread::sleep(timeout);
     }
 }
 
@@ -118,10 +171,10 @@ impl Listener {
         shutdown: &AtomicBool,
         mut on_conn: impl FnMut(TcpStream) -> Option<JoinHandle<()>>,
     ) -> Result<(), ServeError> {
-        sig::install();
+        sys::install_sigint();
         let mut conns = Reaper::default();
         loop {
-            if sig::pending() {
+            if sys::sigint_pending() {
                 shutdown.store(true, Ordering::SeqCst);
             }
             if shutdown.load(Ordering::SeqCst) {
@@ -133,7 +186,9 @@ impl Listener {
                         conns.push(handle);
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    sys::wait_acceptable(&self.listener, ACCEPT_POLL);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(ServeError::Io(e.to_string())),
             }
@@ -160,21 +215,40 @@ pub(crate) trait FrameHandler {
     fn handle(&mut self, request: Result<Self::Req, ProtocolError>) -> (Self::Resp, bool);
 }
 
+/// Write the pending replies, if any, with one `write_all`.
+fn flush_replies<S: Write>(stream: &mut S, out: &mut Vec<u8>) -> std::io::Result<()> {
+    if !out.is_empty() {
+        stream.write_all(out)?;
+        out.clear();
+    }
+    Ok(())
+}
+
 /// The per-connection loop: until shutdown, EOF, a write failure, a
-/// protocol error or the handler saying it is done, read one frame and
-/// write its response. `read_timeout` bounds how long the connection
-/// takes to observe the shutdown flag.
-pub(crate) fn serve_frames<H: FrameHandler>(
-    mut stream: TcpStream,
-    read_timeout: Duration,
+/// protocol error or the handler saying it is done, answer every frame in
+/// arrival order.
+///
+/// Requests are decoded from a per-connection read buffer and replies are
+/// encoded into a per-connection write buffer, which is written (a) before
+/// any read that has to go to the stream, (b) when it passes
+/// [`WRITE_HIGH_WATER`], and (c) before the loop returns. A burst of `k`
+/// pipelined requests therefore costs one `read` and one `write`, and a
+/// peer that waits for each reply before sending again still gets it at
+/// once: with nothing left to decode, the next step is a read.
+pub(crate) fn serve_frames<S: Read + Write, H: FrameHandler>(
+    stream: &mut S,
     shutdown: &AtomicBool,
     handler: &mut H,
 ) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
+    let mut input = FrameReader::new();
+    let mut out = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
         handler.turn();
-        let request = match read_frame::<_, H::Req>(&mut stream) {
+        // A peer we cannot write to is gone; that is not a protocol error.
+        if !input.has_frame() && flush_replies(stream, &mut out).is_err() {
+            return;
+        }
+        let request = match input.read_frame::<_, H::Req>(stream) {
             Ok(ReadOutcome::Frame(request)) => Ok(request),
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) => break,
@@ -182,10 +256,27 @@ pub(crate) fn serve_frames<H: FrameHandler>(
         };
         let failed = request.is_err();
         let (response, done) = handler.handle(request);
-        if write_frame(&mut stream, &response).is_err() || done || failed {
+        if encode_frame(&mut out, &response).is_err() || done || failed {
             break;
         }
+        if out.len() >= WRITE_HIGH_WATER && flush_replies(stream, &mut out).is_err() {
+            return;
+        }
     }
+    let _ = flush_replies(stream, &mut out);
+}
+
+/// [`serve_frames`] over a TCP connection. `read_timeout` bounds how long
+/// the connection takes to observe the shutdown flag.
+pub(crate) fn serve_tcp<H: FrameHandler>(
+    mut stream: TcpStream,
+    read_timeout: Duration,
+    shutdown: &AtomicBool,
+    handler: &mut H,
+) {
+    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_nodelay(true);
+    serve_frames(&mut stream, shutdown, handler);
 }
 
 /// A blocking client for one framed request/response protocol
@@ -276,6 +367,144 @@ impl<H> Running<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Request, Response};
+    use crate::scripted::{Event, Scripted, Step};
+
+    /// Answers every request with its ordinal (padded to `pad` bytes when
+    /// `pad` is set), and ends the conversation the way a session does.
+    struct Ordinal<'a> {
+        shutdown: &'a AtomicBool,
+        pad: usize,
+        served: u64,
+        turns: u64,
+    }
+
+    impl FrameHandler for Ordinal<'_> {
+        type Req = Request;
+        type Resp = Response;
+
+        fn turn(&mut self) {
+            self.turns += 1;
+        }
+
+        fn handle(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
+            match request {
+                Ok(Request::Bye) => (Response::Bye, true),
+                Ok(Request::Shutdown) => {
+                    self.shutdown.store(true, Ordering::SeqCst);
+                    (Response::ShuttingDown, true)
+                }
+                Ok(_) => {
+                    self.served += 1;
+                    (ordinal_reply(self.pad, self.served), false)
+                }
+                Err(err) => {
+                    (Response::Error { code: err.code().into(), detail: String::new() }, true)
+                }
+            }
+        }
+    }
+
+    fn ordinal_reply(pad: usize, ordinal: u64) -> Response {
+        match pad {
+            0 => Response::Welcome { node_id: ordinal, budget_w: 0.0 },
+            pad => Response::Error { code: ordinal.to_string(), detail: "x".repeat(pad) },
+        }
+    }
+
+    /// The wire bytes of replies `ordinals`, in order.
+    fn replies(pad: usize, ordinals: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+        frames(&ordinals.map(|i| ordinal_reply(pad, i)).collect::<Vec<_>>())
+    }
+
+    fn frames<T: Serialize>(messages: &[T]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for message in messages {
+            write_frame(&mut wire, message).expect("in-memory write");
+        }
+        wire
+    }
+
+    /// Run the frame loop over `steps`; returns the call log and the
+    /// handler's turn count.
+    fn converse(steps: Vec<Step>, pad: usize) -> (Vec<Event>, u64) {
+        let shutdown = AtomicBool::new(false);
+        let mut stream = Scripted::new(steps);
+        let mut handler = Ordinal { shutdown: &shutdown, pad, served: 0, turns: 0 };
+        serve_frames(&mut stream, &shutdown, &mut handler);
+        (stream.events, handler.turns)
+    }
+
+    #[test]
+    fn a_burst_of_eight_costs_one_read_and_one_write() {
+        let (events, turns) = converse(vec![Step::Data(frames(&vec![Request::Hello; 8]))], 0);
+        // The second read is the one that finds EOF.
+        assert_eq!(events, [Event::Read, Event::Write(replies(0, 1..=8)), Event::Read]);
+        assert_eq!(turns, 9, "one turn per frame, one before the read that found EOF");
+    }
+
+    #[test]
+    fn a_complete_frame_is_answered_before_the_read_that_completes_the_next() {
+        // A peer that waits for reply 1 before it finishes frame 2 must
+        // not deadlock against a loop that waits for frame 2 to write.
+        let mut first = frames(&[Request::Hello, Request::Hello]);
+        let rest = first.split_off(first.len() - 5);
+        let (events, _) = converse(vec![Step::Data(first), Step::Timeout, Step::Data(rest)], 0);
+        assert_eq!(
+            events,
+            [
+                Event::Read,
+                Event::Write(replies(0, 1..=1)),
+                Event::Read, // times out inside frame 2: retried, not idle
+                Event::Read,
+                Event::Write(replies(0, 2..=2)),
+                Event::Read,
+            ]
+        );
+    }
+
+    #[test]
+    fn replies_past_the_high_water_mark_do_not_wait_for_input_to_drain() {
+        const PAD: usize = 1_000;
+        let (events, _) = converse(vec![Step::Data(frames(&vec![Request::Hello; 100]))], PAD);
+        let Event::Write(early) = &events[1] else {
+            panic!("expected a write while requests are still buffered, got {:?}", events[1]);
+        };
+        assert!((WRITE_HIGH_WATER..WRITE_HIGH_WATER + 2 * PAD).contains(&early.len()));
+        // Exactly: one read, the high-water write, the rest before the
+        // next read, and nothing reordered or lost across the two writes.
+        assert!(matches!(events[..], [Event::Read, Event::Write(_), Event::Write(_), Event::Read]));
+        let Event::Write(late) = &events[2] else { unreachable!("matched above") };
+        assert_eq!([early.as_slice(), late.as_slice()].concat(), replies(PAD, 1..=100));
+    }
+
+    #[test]
+    fn the_last_reply_is_written_before_the_loop_returns() {
+        // Bye, Shutdown and a malformed frame each end the conversation:
+        // their reply leaves with what was pending, nothing after them is
+        // served, and the stream is not read again.
+        let mut garbage = frames(&[Request::Hello]);
+        garbage.extend_from_slice(&2u32.to_be_bytes());
+        garbage.extend_from_slice(b"{}");
+        garbage.extend_from_slice(&frames(&[Request::Hello]));
+        let error = Response::Error { code: "malformed".into(), detail: String::new() };
+        for (wire, last) in [
+            (frames(&[Request::Hello, Request::Bye, Request::Hello]), Response::Bye),
+            (frames(&[Request::Hello, Request::Shutdown, Request::Hello]), Response::ShuttingDown),
+            (garbage, error),
+        ] {
+            let (events, _) = converse(vec![Step::Data(wire)], 0);
+            let replies = [Response::Welcome { node_id: 1, budget_w: 0.0 }, last];
+            assert_eq!(events, [Event::Read, Event::Write(frames(&replies))]);
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_turns_without_writing() {
+        let (events, turns) = converse(vec![Step::Timeout, Step::Timeout], 0);
+        assert_eq!(events, [Event::Read, Event::Read, Event::Read]);
+        assert_eq!(turns, 3);
+    }
 
     #[test]
     fn reaper_tracks_live_threads_not_every_thread_ever_pushed() {

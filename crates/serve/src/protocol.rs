@@ -304,17 +304,46 @@ pub enum ReadOutcome<T> {
     Idle,
 }
 
-/// Serialize `msg` and write it as one length-prefixed frame.
-pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ProtocolError> {
+/// Bytes of the big-endian length prefix.
+const HEADER_LEN: usize = 4;
+
+/// Serialize `msg` and append it to `out` as one length-prefixed frame.
+/// On error `out` is left as it was.
+pub(crate) fn encode_frame<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> Result<(), ProtocolError> {
     let body = serde_json::to_string(msg).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
-    let bytes = body.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len: bytes.len(), max: MAX_FRAME_LEN });
+    if body.len() > MAX_FRAME_LEN {
+        return Err(ProtocolError::Oversized { len: body.len(), max: MAX_FRAME_LEN });
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    out.reserve(HEADER_LEN + body.len());
+    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    out.extend_from_slice(body.as_bytes());
+    Ok(())
+}
+
+/// Serialize `msg` and write it as one length-prefixed frame — prefix and
+/// body in one `write_all`, so a `TCP_NODELAY` socket sends one segment.
+pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ProtocolError> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg)?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
+}
+
+/// The payload length a prefix announces, validated against
+/// [`MAX_FRAME_LEN`] before anything is allocated for it.
+fn frame_len(header: [u8; HEADER_LEN]) -> Result<usize, ProtocolError> {
+    let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(ProtocolError::Oversized { len, max: MAX_FRAME_LEN });
+    }
+    Ok(len)
+}
+
+/// Decode one frame payload.
+fn decode_body<T: Deserialize>(body: &[u8]) -> Result<T, ProtocolError> {
+    let text = std::str::from_utf8(body).map_err(|_| ProtocolError::InvalidUtf8)?;
+    serde_json::from_str(text).map_err(|e| ProtocolError::Malformed(e.to_string()))
 }
 
 /// True for the error kinds a read timeout surfaces as.
@@ -345,8 +374,12 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], mut got: usize) -> Result<usize
 /// length prefix returns [`ReadOutcome::Idle`]; once a frame has started,
 /// timeouts are retried until the frame completes or the stream ends
 /// (→ [`ProtocolError::Truncated`]).
+///
+/// Reads exactly one frame's bytes and no more, so it suits a caller that
+/// owns the stream between frames (clients, tests); a server connection
+/// reads through a [`FrameReader`] instead.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, ProtocolError> {
-    let mut header = [0u8; 4];
+    let mut header = [0u8; HEADER_LEN];
     let mut got = 0usize;
     // The first byte decides between Eof, Idle, and an in-flight frame.
     while got == 0 {
@@ -362,18 +395,117 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, 
     if got < header.len() {
         return Err(ProtocolError::Truncated { expected: header.len(), got });
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len, max: MAX_FRAME_LEN });
-    }
+    let len = frame_len(header)?;
     let mut body = vec![0u8; len];
     let got = read_full(r, &mut body, 0)?;
     if got < len {
         return Err(ProtocolError::Truncated { expected: len, got });
     }
-    let text = std::str::from_utf8(&body).map_err(|_| ProtocolError::InvalidUtf8)?;
-    let msg = serde_json::from_str(text).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
-    Ok(ReadOutcome::Frame(msg))
+    decode_body(&body).map(ReadOutcome::Frame)
+}
+
+/// Bytes a [`FrameReader`] asks the stream for per read. A frame longer
+/// than this grows the buffer for that frame only.
+const READ_BUF_LEN: usize = 16 * 1024;
+
+/// What [`FrameReader::fill`] found.
+enum Fill {
+    /// The bytes asked for are buffered.
+    Ready,
+    /// A read timeout fired with nothing buffered.
+    Idle,
+    /// The stream ended first.
+    Eof,
+}
+
+/// A per-connection buffered frame reader with [`read_frame`]'s outcomes:
+/// each read takes whatever the stream has (up to the buffer), and every
+/// complete frame already buffered is decoded in place without another
+/// read — a burst of pipelined frames costs one `read`, and no frame
+/// allocates a body.
+pub(crate) struct FrameReader {
+    /// `buf[start..end]` holds bytes read but not yet consumed. The length
+    /// is [`READ_BUF_LEN`] except while a longer frame is in flight.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> Self {
+        Self { buf: vec![0u8; READ_BUF_LEN], start: 0, end: 0 }
+    }
+
+    /// Whether the next [`read_frame`](Self::read_frame) is answered from
+    /// the buffer, without reading the stream.
+    pub(crate) fn has_frame(&self) -> bool {
+        match self.buf[self.start..self.end].split_first_chunk::<HEADER_LEN>() {
+            Some((header, rest)) => rest.len() >= u32::from_be_bytes(*header) as usize,
+            None => false,
+        }
+    }
+
+    /// Read until `need` bytes are buffered (at most the frame in flight:
+    /// `need` never reaches past it, so a grown buffer never over-reads).
+    fn fill<R: Read>(&mut self, r: &mut R, need: usize) -> Result<Fill, ProtocolError> {
+        if self.end - self.start >= need {
+            return Ok(Fill::Ready);
+        }
+        // What is left is less than one frame: move it to the front so the
+        // read below has the whole buffer to fill.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        // Grow for a frame longer than the buffer; shrink back after it.
+        let want = need.max(READ_BUF_LEN);
+        if self.buf.len() != want {
+            self.buf.resize(want, 0);
+            self.buf.shrink_to(READ_BUF_LEN);
+        }
+        while self.end < need {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(Fill::Eof),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Idle only between frames: a frame, once started, is
+                // finished or declared truncated.
+                Err(e) if is_timeout(&e) => {
+                    if self.end == 0 {
+                        return Ok(Fill::Idle);
+                    }
+                }
+                Err(e) => return Err(ProtocolError::Io(e)),
+            }
+        }
+        Ok(Fill::Ready)
+    }
+
+    /// The next frame, from the buffer if it is already there.
+    pub(crate) fn read_frame<R: Read, T: Deserialize>(
+        &mut self,
+        r: &mut R,
+    ) -> Result<ReadOutcome<T>, ProtocolError> {
+        match self.fill(r, HEADER_LEN)? {
+            Fill::Ready => {}
+            Fill::Idle => return Ok(ReadOutcome::Idle),
+            Fill::Eof if self.start == self.end => return Ok(ReadOutcome::Eof),
+            Fill::Eof => {
+                let got = self.end - self.start;
+                return Err(ProtocolError::Truncated { expected: HEADER_LEN, got });
+            }
+        }
+        let (header, _) = self.buf[self.start..self.end]
+            .split_first_chunk::<HEADER_LEN>()
+            .expect("fill buffered a whole prefix");
+        let len = frame_len(*header)?;
+        if !matches!(self.fill(r, HEADER_LEN + len)?, Fill::Ready) {
+            let got = self.end - self.start - HEADER_LEN;
+            return Err(ProtocolError::Truncated { expected: len, got });
+        }
+        let body = self.start + HEADER_LEN;
+        self.start = body + len;
+        decode_body(&self.buf[body..body + len]).map(ReadOutcome::Frame)
+    }
 }
 
 /// Blocking convenience: read one frame, mapping EOF to `None`.
@@ -394,6 +526,7 @@ pub fn read_frame_blocking<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scripted::{Event, Scripted, Step};
     use std::io::Cursor;
 
     fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) {
@@ -556,6 +689,119 @@ mod tests {
         buf.extend_from_slice(b"{{{{");
         let err = read_frame::<_, Request>(&mut Cursor::new(&buf)).unwrap_err();
         assert!(matches!(err, ProtocolError::Malformed(_)));
+    }
+
+    /// Every outcome `next` yields until the stream ends, as text.
+    fn outcomes(
+        mut next: impl FnMut() -> Result<ReadOutcome<Request>, ProtocolError>,
+    ) -> Vec<String> {
+        let mut seen = Vec::new();
+        loop {
+            match next() {
+                Ok(ReadOutcome::Frame(request)) => seen.push(format!("{request:?}")),
+                Ok(other) => {
+                    seen.push(format!("{other:?}"));
+                    return seen;
+                }
+                Err(err) => {
+                    seen.push(format!("{}: {err}", err.code()));
+                    return seen;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_agrees_with_read_frame_at_every_cut_and_chunking() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Hello).unwrap();
+        let select =
+            Request::Select { kernel_id: "LU/Small/lud".into(), deadline_ms: Some(5), priority: 1 };
+        write_frame(&mut wire, &select).unwrap();
+        wire.extend_from_slice(&2u32.to_be_bytes());
+        wire.extend_from_slice(b"{}");
+        for cut in 0..=wire.len() {
+            let mut cursor = Cursor::new(&wire[..cut]);
+            let expected = outcomes(|| read_frame(&mut cursor));
+            for chunk in [1, 3, wire.len()] {
+                let steps = wire[..cut].chunks(chunk).map(|c| Step::Data(c.to_vec()));
+                let mut stream = Scripted::new(steps);
+                let mut reader = FrameReader::new();
+                let got = outcomes(|| reader.read_frame(&mut stream));
+                assert_eq!(got, expected, "cut {cut}, chunks of {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_decodes_a_burst_from_one_read() {
+        let mut wire = Vec::new();
+        for _ in 0..8 {
+            write_frame(&mut wire, &Request::Stats).unwrap();
+        }
+        let mut stream = Scripted::new([Step::Data(wire)]);
+        let mut reader = FrameReader::new();
+        assert!(!reader.has_frame());
+        for i in 0..8 {
+            let frame = reader.read_frame::<_, Request>(&mut stream).unwrap();
+            assert!(matches!(frame, ReadOutcome::Frame(Request::Stats)));
+            assert_eq!(reader.has_frame(), i < 7, "after frame {i}");
+        }
+        assert_eq!(stream.events, [Event::Read], "eight frames, one read");
+        assert!(matches!(reader.read_frame::<_, Request>(&mut stream), Ok(ReadOutcome::Eof)));
+    }
+
+    #[test]
+    fn frame_reader_is_idle_between_frames_and_patient_inside_one() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Bye).unwrap();
+        let tail = wire.split_off(2);
+        let mut stream = Scripted::new([
+            Step::Timeout,
+            Step::Data(wire),
+            Step::Timeout,
+            Step::Timeout,
+            Step::Data(tail),
+            Step::Timeout,
+        ]);
+        let mut reader = FrameReader::new();
+        assert!(matches!(reader.read_frame::<_, Request>(&mut stream), Ok(ReadOutcome::Idle)));
+        let frame = reader.read_frame::<_, Request>(&mut stream).unwrap();
+        assert!(matches!(frame, ReadOutcome::Frame(Request::Bye)));
+        assert!(matches!(reader.read_frame::<_, Request>(&mut stream), Ok(ReadOutcome::Idle)));
+    }
+
+    #[test]
+    fn frame_reader_rejects_an_oversized_prefix_before_growing() {
+        let mut stream = Scripted::new([Step::Data(u32::MAX.to_be_bytes().to_vec())]);
+        let mut reader = FrameReader::new();
+        let err = reader.read_frame::<_, Request>(&mut stream).unwrap_err();
+        assert!(matches!(err, ProtocolError::Oversized { len, max }
+            if len == u32::MAX as usize && max == MAX_FRAME_LEN));
+        assert_eq!(reader.buf.len(), READ_BUF_LEN);
+    }
+
+    #[test]
+    fn frame_reader_grows_for_a_long_frame_only_while_it_is_in_flight() {
+        let long = Request::Batch {
+            kernel_ids: (0..2_000).map(|i| format!("bench/input/kernel-{i}")).collect(),
+            deadline_ms: None,
+            priority: 0,
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Hello).unwrap();
+        write_frame(&mut wire, &long).unwrap();
+        assert!(wire.len() > 2 * READ_BUF_LEN);
+        write_frame(&mut wire, &Request::Bye).unwrap();
+        let mut stream = Scripted::new([Step::Data(wire)]);
+        let mut reader = FrameReader::new();
+        for expected in [Request::Hello, long, Request::Bye] {
+            match reader.read_frame::<_, Request>(&mut stream).unwrap() {
+                ReadOutcome::Frame(request) => assert_eq!(request, expected),
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert_eq!(reader.buf.len(), READ_BUF_LEN, "back to size once the long frame is gone");
     }
 
     #[test]

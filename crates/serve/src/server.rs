@@ -14,7 +14,7 @@ use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
 use crate::lease::{CoordRequest, CoordResponse, ShardLease};
 use crate::metrics::{LeaseReport, Metrics};
-use crate::net::{serve_frames, FrameClient, FrameHandler, Listener, Running, ACCEPT_POLL};
+use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
 use acs_core::{AdaptivePredictor, CappedRuntime, DriftEvent, GuardPolicy, TrainedModel};
 use acs_sim::{Configuration, FamilyId, Machine};
@@ -29,6 +29,10 @@ use std::time::{Duration, Instant};
 /// Per-session read timeout; bounds how long a session takes to observe
 /// the shutdown flag.
 const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Longest single sleep of the lease client between renewals; bounds how
+/// long it takes to observe the shutdown flag.
+const LEASE_SLEEP_SLICE: Duration = Duration::from_millis(5);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -616,7 +620,7 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break 'rounds;
             }
-            std::thread::sleep(ACCEPT_POLL.min(deadline - now));
+            std::thread::sleep(LEASE_SLEEP_SLICE.min(deadline - now));
         }
     }
     // Clean shutdown releases the lease so the coordinator frees the full
@@ -698,7 +702,7 @@ fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
     rt.timeline().set_capacity(Some(shared.config.timeline_capacity));
     let seen_epoch = shared.arbiter.lock().epoch();
     let mut session = Session { shared: &shared, node_id, rt, seen_epoch };
-    serve_frames(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);
+    serve_tcp(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);
 
     // A simulated crash skips the clean leave: the journal must end the way
     // a SIGKILLed process leaves it, with this session still admitted (the

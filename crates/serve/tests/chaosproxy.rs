@@ -7,12 +7,14 @@
 //! the seeded [`ChaosProxy`] across many seeds.
 
 use acs_core::{train_on_suite, TrainedModel};
-use acs_serve::{ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server};
+use acs_serve::{
+    ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server, ServerHandle,
+};
 use acs_sim::Machine;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn model() -> TrainedModel {
     static MODEL: OnceLock<TrainedModel> = OnceLock::new();
@@ -35,6 +37,18 @@ fn assert_alive(addr: &str) {
     match probe.call(&Request::Hello) {
         Ok(Response::Welcome { .. }) => {}
         other => panic!("server unhealthy after chaos: {other:?}"),
+    }
+}
+
+/// Wait until every session has left the arbiter. A test that compares a
+/// second client's bytes against a first one's needs this between them:
+/// the accept is immediate, so the second would otherwise join while the
+/// first is still a node and select under half the cap.
+fn wait_for_no_sessions(handle: &ServerHandle) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.active_sessions() != 0 {
+        assert!(Instant::now() < deadline, "sessions never drained");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -129,6 +143,7 @@ fn quiet_proxy_is_byte_transparent() {
         let mut c = Client::connect(&proxy.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
+    wait_for_no_sessions(&server.handle);
     let direct: Vec<String> = {
         let mut c = Client::connect(&server.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
@@ -246,6 +261,7 @@ fn dribbled_frames_arrive_intact_at_every_length() {
         let mut c = Client::connect(&proxy.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
+    wait_for_no_sessions(&server.handle);
     let direct: Vec<String> = {
         let mut c = Client::connect(&server.addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
@@ -287,8 +303,8 @@ fn duplicated_frames_do_not_double_execute_keyed_runs() {
     assert!(matches!(first, Response::Ran { .. }));
     // The server saw the frame twice; the duplicate was answered from the
     // idempotency memo, not executed again.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.handle.idem_replays() == 0 && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.handle.idem_replays() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(server.handle.idem_replays(), 1, "the duplicated Run must replay, not re-execute");

@@ -398,6 +398,95 @@ fn shutdown_poison_drains_the_server() {
     assert!(eof.is_none(), "session must close silently on shutdown, got {eof:?}");
 }
 
+/// The raw bytes of the next reply frame, length prefix included.
+fn read_raw_reply(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut frame = vec![0u8; 4];
+    stream.read_exact(&mut frame).unwrap();
+    let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    stream.read_exact(&mut frame[4..]).unwrap();
+    frame
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_in_order_with_the_bytes_of_one_at_a_time() {
+    let ids = kernel_ids(8);
+    let requests: Vec<Vec<u8>> = (0..256)
+        .map(|i| {
+            let select = Request::Select {
+                kernel_id: ids[i % ids.len()].clone(),
+                deadline_ms: None,
+                priority: 0,
+            };
+            let mut frame = Vec::new();
+            acs_serve::write_frame(&mut frame, &select).unwrap();
+            frame
+        })
+        .collect();
+
+    // Each side on a fresh server, so both sessions are node 1 of 1.
+    let one_at_a_time: Vec<Vec<u8>> = {
+        let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
+        let stream = client.stream_mut();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let replies = requests
+            .iter()
+            .map(|frame| {
+                stream.write_all(frame).unwrap();
+                read_raw_reply(stream)
+            })
+            .collect();
+        server.stop();
+        replies
+    };
+
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
+    let stream = client.stream_mut();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(&requests.concat()).unwrap();
+    for (i, expected) in one_at_a_time.iter().enumerate() {
+        assert_eq!(&read_raw_reply(stream), expected, "reply {i} of the burst");
+    }
+    assert_eq!(server.handle.protocol_errors(), 0);
+    server.stop();
+}
+
+#[test]
+fn an_idle_server_accepts_at_once() {
+    // The accept loop waits on the listener's readiness; when it slept
+    // between polls instead, a connection waited out the rest of a 5 ms
+    // sleep and this median was 5 ms by construction.
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
+    let median_of_50 = || {
+        let mut round_trips: Vec<Duration> = (0..50)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let mut client = Client::connect(&server.addr).unwrap();
+                assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+                started.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        round_trips[round_trips.len() / 2]
+    };
+    // The other tests of this file share the cores: a round that lost
+    // them is run again, which a sleeping accept loop cannot profit from.
+    let limit = Duration::from_millis(2);
+    let mut medians = Vec::new();
+    while medians.len() < 3 && medians.last().is_none_or(|m| *m >= limit) {
+        medians.push(median_of_50());
+    }
+    assert!(
+        medians.last().is_some_and(|m| *m < limit),
+        "median connect + Hello per round of 50: {medians:?}"
+    );
+    server.stop();
+}
+
 /// One `FrameClient` call (20 ms read timeout) against a raw peer that reads
 /// the request frame and then either closes or holds the socket open in
 /// silence; returns the kind of i/o error the call reports.

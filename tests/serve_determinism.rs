@@ -41,7 +41,16 @@ fn loadgen_seed7_replays_to_byte_identical_logs() {
     assert_eq!(first_report.dropped, 0, "first run dropped requests");
     assert_eq!(first_log.lines().count(), 1000, "one logged response per request");
 
-    // Replay on the same (now cache-warm) server.
+    // Replay on the same (now cache-warm) server — once the first run's
+    // session has left the arbiter: it leaves after its `Bye` is answered,
+    // and a connection is accepted at once, so a replay started straight
+    // away could join as the second node of two and select under half
+    // the cap.
+    let drained = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while server.handle.active_sessions() != 0 {
+        assert!(std::time::Instant::now() < drained, "the first run's session never left");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let (second_report, second_log) = run_loadgen(&opts).expect("replay completes");
     assert_eq!(second_report.errors, 0, "replay errored requests");
     assert_eq!(second_report.dropped, 0, "replay dropped requests");
