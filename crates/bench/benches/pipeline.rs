@@ -81,7 +81,7 @@ fn bench_substrates(c: &mut Criterion) {
     let machine = Machine::new(2014);
     let kernel = KernelCharacteristics::default();
     c.bench_function("machine_single_run", |b| {
-        let cfg = Configuration::enumerate()[17];
+        let cfg = Configuration::all()[17];
         b.iter(|| black_box(machine.run(black_box(&kernel), &cfg)))
     });
     c.bench_function("machine_full_sweep", |b| {
@@ -145,7 +145,7 @@ fn bench_extensions(c: &mut Criterion) {
 
     // Phase-trace construction and accumulator sampling.
     let kernel = KernelCharacteristics::default();
-    let cfg = Configuration::enumerate()[30];
+    let cfg = Configuration::all()[30];
     let cal = acs_sim::PowerCalibration::default();
     c.bench_function("trace_build_and_sense", |b| {
         let sensor = acs_sim::PowerSensor::default();

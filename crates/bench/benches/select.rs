@@ -76,18 +76,9 @@ fn mean_us_of_median_batch(batches: usize, iters: usize, mut f: impl FnMut(usize
     per_op[per_op.len() / 2]
 }
 
-/// Training suite: two apps' kernels, same shape as the determinism
-/// gates (enough clusters to make classification non-trivial).
-fn training_kernels() -> Vec<acs_sim::KernelCharacteristics> {
-    acs_kernels::comd::kernels(acs_kernels::InputSize::Default)
-        .into_iter()
-        .chain(acs_kernels::smc::kernels(acs_kernels::InputSize::Small))
-        .collect()
-}
-
 fn bench_select(c: &mut Criterion) {
     let machine = acs_bench::default_machine();
-    let profiles = collect_suite(&machine, &training_kernels());
+    let profiles = collect_suite(&machine, &acs_kernels::training_kernels());
     let model = train(&profiles, TrainingParams::default()).expect("training succeeds");
     let predictor = Predictor::new(&model);
 

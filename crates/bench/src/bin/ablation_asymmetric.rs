@@ -29,13 +29,11 @@ fn main() {
         // Symmetric CPU points (noiseless analytic, matching the
         // asymmetric model's fidelity).
         let mut sym_points = Vec::new();
-        for cfg in
-            Configuration::enumerate().into_iter().filter(|c| c.device == acs_sim::Device::Cpu)
-        {
-            let t = acs_sim::cpu::cpu_time(&kernel, &cfg);
-            let p = cal.cpu_run_power(&kernel, &cfg, &t);
+        for cfg in Configuration::all().iter().filter(|c| c.device == acs_sim::Device::Cpu) {
+            let t = acs_sim::cpu::cpu_time(&kernel, cfg);
+            let p = cal.cpu_run_power(&kernel, cfg, &t);
             sym_points.push(PowerPerfPoint {
-                config: cfg,
+                config: *cfg,
                 power_w: p.total_w(),
                 perf: 1.0 / t.total_s,
             });

@@ -50,9 +50,8 @@ fn plan(severity: f64, seed: u64) -> FaultPlan {
 
 fn main() {
     let machine = acs_bench::default_machine();
-    let training: Vec<KernelProfile> = acs_kernels::comd::kernels(acs_kernels::InputSize::Default)
+    let training: Vec<KernelProfile> = acs_kernels::training_kernels()
         .into_iter()
-        .chain(acs_kernels::smc::kernels(acs_kernels::InputSize::Small))
         .chain(acs_kernels::lu::kernels(acs_kernels::InputSize::Default))
         .map(|k| KernelProfile::collect(&machine, &k))
         .collect();

@@ -65,17 +65,11 @@ fn main() {
     let saturation_opts = LoadgenOptions {
         addr: server.addr.clone(),
         requests: REQUESTS,
-        seed: 7,
         sessions: 4,
         run_every: 10,
-        report_every: 0,
-        feedback: false,
         stats_at_end: true,
         shutdown_at_end: true,
-        open_loop: false,
-        rate_rps: 0.0,
-        deadline_ms: 0,
-        priority: 0,
+        ..Default::default()
     };
     let (saturation, _) = run_loadgen(&saturation_opts).expect("saturation phase completes");
     server.join();
@@ -105,17 +99,14 @@ fn main() {
     let overload_opts = LoadgenOptions {
         addr: server.addr.clone(),
         requests: REQUESTS,
-        seed: 7,
         sessions: 8,
         run_every: 10,
-        report_every: 0,
-        feedback: false,
         stats_at_end: true,
         shutdown_at_end: true,
         open_loop: true,
         rate_rps: offered_rate,
         deadline_ms: DEADLINE_MS,
-        priority: 0,
+        ..Default::default()
     };
     let (overload, _) = run_loadgen(&overload_opts).expect("overload phase completes");
     server.join();

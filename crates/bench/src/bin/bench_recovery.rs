@@ -255,17 +255,11 @@ fn run_chaos_smoke(model: TrainedModel) -> ChaosSmokeResult {
     let opts = LoadgenOptions {
         addr: proxy.addr.clone(),
         requests,
-        seed: 7,
         sessions: 4,
         run_every: 11,
         report_every: 13,
         feedback: true,
-        stats_at_end: false,
-        shutdown_at_end: false,
-        open_loop: false,
-        rate_rps: 0.0,
-        deadline_ms: 0,
-        priority: 0,
+        ..Default::default()
     };
     let (report, _log) = run_loadgen(&opts).expect("loadgen completes under chaos");
 

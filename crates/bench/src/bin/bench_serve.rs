@@ -42,17 +42,12 @@ fn drive(policy: ArbiterPolicy, sessions: u64, model: acs_core::TrainedModel) ->
     let opts = LoadgenOptions {
         addr: server.addr.clone(),
         requests: 200,
-        seed: 7,
         sessions,
         run_every: 10,
         report_every: 7,
-        feedback: false,
         stats_at_end: true,
         shutdown_at_end: true,
-        open_loop: false,
-        rate_rps: 0.0,
-        deadline_ms: 0,
-        priority: 0,
+        ..Default::default()
     };
     let (report, _log) = run_loadgen(&opts).expect("loadgen completes");
     let handle = server.join();

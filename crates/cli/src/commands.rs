@@ -38,8 +38,22 @@ impl From<ArgError> for CliError {
     }
 }
 
-fn io_err<E: std::fmt::Display>(e: E) -> CliError {
-    CliError::Io(e.to_string())
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e.to_string())
+    }
+}
+
+impl From<serde_json::Error> for CliError {
+    fn from(e: serde_json::Error) -> Self {
+        CliError::Io(e.to_string())
+    }
+}
+
+impl From<acs_core::PersistError> for CliError {
+    fn from(e: acs_core::PersistError) -> Self {
+        CliError::Io(e.to_string())
+    }
 }
 
 /// Usage text.
@@ -93,7 +107,7 @@ COMMANDS:
         [--policy equal|demand]           when --model is omitted), splits the
         [--max-sessions N]                global cap across connected sessions
         [--max-batch N] [--seed N]        via the arbiter, prints the bound
-        [--family F] [--timeline-cap N]   address (--port 0 = ephemeral), and
+        [--family F]                      address (--port 0 = ephemeral), and
         [--journal FILE]                  serves until SIGINT or a Shutdown
         [--journal-sync true]             poison request; --journal makes
         [--coordinator HOST:PORT]         admissions/budgets/cache keys durable
@@ -181,7 +195,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "loadgen" => cmd_loadgen(args, out),
         "chaosfleet" => cmd_chaosfleet(args, out),
         "help" => {
-            write!(out, "{USAGE}").map_err(io_err)?;
+            write!(out, "{USAGE}")?;
             Ok(())
         }
         other => Err(CliError::Domain(format!("unknown command '{other}'\n\n{USAGE}"))),
@@ -190,9 +204,9 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn cmd_suite(out: &mut dyn Write) -> Result<(), CliError> {
     for app in acs_kernels::app_instances() {
-        writeln!(out, "{} ({} kernels)", app.label(), app.kernels.len()).map_err(io_err)?;
+        writeln!(out, "{} ({} kernels)", app.label(), app.kernels.len())?;
         for k in &app.kernels {
-            writeln!(out, "  {}  (weight {:.3})", k.id(), k.weight).map_err(io_err)?;
+            writeln!(out, "  {}  (weight {:.3})", k.id(), k.weight)?;
         }
     }
     Ok(())
@@ -206,21 +220,20 @@ fn cmd_characterize(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .iter()
         .map(|k| KernelProfile::collect(&machine, k))
         .collect();
-    let json = serde_json::to_string(&profiles).map_err(io_err)?;
-    std::fs::write(path, json).map_err(io_err)?;
+    let json = serde_json::to_string(&profiles)?;
+    std::fs::write(path, json)?;
     writeln!(
         out,
         "characterized {} kernel/input combinations over {} configurations each → {path}",
         profiles.len(),
         acs_sim::Configuration::space_size()
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
 fn load_profiles(path: &str) -> Result<Vec<KernelProfile>, CliError> {
-    let json = std::fs::read_to_string(path).map_err(io_err)?;
-    serde_json::from_str(&json).map_err(io_err)
+    let json = std::fs::read_to_string(path)?;
+    Ok(serde_json::from_str(&json)?)
 }
 
 fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -233,7 +246,7 @@ fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ..Default::default()
     };
     let model = train(&profiles, params).map_err(|e| CliError::Domain(e.to_string()))?;
-    model.save(out_path).map_err(io_err)?;
+    model.save(out_path)?;
     writeln!(
         out,
         "trained {} clusters over {} kernels (silhouette {:.3}, tree depth {}) → {out_path}",
@@ -241,19 +254,18 @@ fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         model.kernel_ids.len(),
         model.silhouette,
         model.tree.depth()
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
 fn cmd_tree(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = TrainedModel::load(args.require("model")?).map_err(io_err)?;
-    write!(out, "{}", model.render_tree()).map_err(io_err)?;
+    let model = TrainedModel::load(args.require("model")?)?;
+    write!(out, "{}", model.render_tree())?;
     Ok(())
 }
 
 fn cmd_predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = TrainedModel::load(args.require("model")?).map_err(io_err)?;
+    let model = TrainedModel::load(args.require("model")?)?;
     let kernel_id = args.require("kernel")?;
     let seed: u64 = args.get_or("seed", 2014)?;
     let cap: f64 = args.get_or("cap", f64::INFINITY)?;
@@ -273,21 +285,20 @@ fn cmd_predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let predictor = Predictor::new(&model);
     let predicted = predictor.predict(&samples);
 
-    writeln!(out, "kernel:   {kernel_id}").map_err(io_err)?;
-    writeln!(out, "cluster:  {}", predicted.cluster).map_err(io_err)?;
-    writeln!(out, "frontier: {} configurations", predicted.frontier.len()).map_err(io_err)?;
+    writeln!(out, "kernel:   {kernel_id}")?;
+    writeln!(out, "cluster:  {}", predicted.cluster)?;
+    writeln!(out, "frontier: {} configurations", predicted.frontier.len())?;
     let config = predicted.select(cap);
     let point = predicted.point_for(&config);
     if cap.is_finite() {
-        writeln!(out, "cap:      {cap:.1} W").map_err(io_err)?;
+        writeln!(out, "cap:      {cap:.1} W")?;
     }
     writeln!(
         out,
         "selected: {config}  (predicted {:.1} W, {:.3} ms/iter)",
         point.power_w,
         1e3 / point.perf
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
@@ -302,8 +313,7 @@ fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         out,
         "{:<9} | {:>7} | {:>11} | {:>12} | {:>11} | {:>10}",
         "Method", "%Under", "Under %Perf", "Under %Power", "Over %Power", "Over %Perf"
-    )
-    .map_err(io_err)?;
+    )?;
     for s in eval.table3() {
         let p = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.0}"));
         writeln!(
@@ -315,14 +325,13 @@ fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             p(s.under_power_pct),
             p(s.over_power_pct),
             p(s.over_perf_pct),
-        )
-        .map_err(io_err)?;
+        )?;
     }
     Ok(())
 }
 
 fn cmd_runtime(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = TrainedModel::load(args.require("model")?).map_err(io_err)?;
+    let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
     let cap: f64 = args.require_parsed("cap")?;
     if cap.is_nan() || cap <= 0.0 {
@@ -339,28 +348,26 @@ fn cmd_runtime(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut rt = CappedRuntime::new(Machine::new(seed), model, cap);
     let report = rt.run_app(&app, iters).map_err(|e| CliError::Domain(e.to_string()))?;
 
-    writeln!(out, "application:   {}", report.app).map_err(io_err)?;
-    writeln!(out, "cap:           {:.1} W", report.cap_w).map_err(io_err)?;
-    writeln!(out, "total time:    {:.2} ms", report.total_time_s * 1e3).map_err(io_err)?;
-    writeln!(out, "avg power:     {:.1} W", report.avg_power_w).map_err(io_err)?;
-    writeln!(out, "cap compliance: {:.0}%", report.cap_compliance * 100.0).map_err(io_err)?;
+    writeln!(out, "application:   {}", report.app)?;
+    writeln!(out, "cap:           {:.1} W", report.cap_w)?;
+    writeln!(out, "total time:    {:.2} ms", report.total_time_s * 1e3)?;
+    writeln!(out, "avg power:     {:.1} W", report.avg_power_w)?;
+    writeln!(out, "cap compliance: {:.0}%", report.cap_compliance * 100.0)?;
     writeln!(
         out,
         "
 final configurations:"
-    )
-    .map_err(io_err)?;
+    )?;
     for (id, cfg) in &report.final_configs {
-        writeln!(out, "  {id} → {cfg}").map_err(io_err)?;
+        writeln!(out, "  {id} → {cfg}")?;
     }
     if args.get_or("timeline", false)? {
         writeln!(
             out,
             "
 scheduling timeline:"
-        )
-        .map_err(io_err)?;
-        write!(out, "{}", rt.timeline().render()).map_err(io_err)?;
+        )?;
+        write!(out, "{}", rt.timeline().render())?;
     }
     Ok(())
 }
@@ -369,7 +376,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_core::GuardPolicy;
     use acs_sim::{FaultPlan, FaultyMachine};
 
-    let model = TrainedModel::load(args.require("model")?).map_err(io_err)?;
+    let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
     let cap: f64 = args.require_parsed("cap")?;
     if cap.is_nan() || cap <= 0.0 {
@@ -418,35 +425,32 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let report = rt.run_app(&app, iters).map_err(|e| CliError::Domain(e.to_string()))?;
     let stats = rt.executor().stats();
 
-    writeln!(out, "application:    {}", report.app).map_err(io_err)?;
-    writeln!(out, "cap:            {:.1} W", report.cap_w).map_err(io_err)?;
-    writeln!(out, "scheduler:      {}", if guarded { "guarded" } else { "unguarded" })
-        .map_err(io_err)?;
-    writeln!(out, "total time:     {:.2} ms", report.total_time_s * 1e3).map_err(io_err)?;
-    writeln!(out, "avg power:      {:.1} W", report.avg_power_w).map_err(io_err)?;
-    writeln!(out, "cap compliance: {:.0}%", report.cap_compliance * 100.0).map_err(io_err)?;
-    writeln!(out, "failed runs:    {}", report.failed_runs).map_err(io_err)?;
+    writeln!(out, "application:    {}", report.app)?;
+    writeln!(out, "cap:            {:.1} W", report.cap_w)?;
+    writeln!(out, "scheduler:      {}", if guarded { "guarded" } else { "unguarded" })?;
+    writeln!(out, "total time:     {:.2} ms", report.total_time_s * 1e3)?;
+    writeln!(out, "avg power:      {:.1} W", report.avg_power_w)?;
+    writeln!(out, "cap compliance: {:.0}%", report.cap_compliance * 100.0)?;
+    writeln!(out, "failed runs:    {}", report.failed_runs)?;
     writeln!(
         out,
         "
 injected faults ({} invocations):",
         stats.invocations
-    )
-    .map_err(io_err)?;
-    writeln!(out, "  sensor dropouts:     {}", stats.sensor_dropouts).map_err(io_err)?;
-    writeln!(out, "  frozen readings:     {}", stats.sensor_freezes).map_err(io_err)?;
-    writeln!(out, "  biased readings:     {}", stats.sensor_biases).map_err(io_err)?;
-    writeln!(out, "  counter corruptions: {}", stats.counter_corruptions).map_err(io_err)?;
-    writeln!(out, "  p-state clamps:      {}", stats.pstate_clamps).map_err(io_err)?;
-    writeln!(out, "  run failures:        {}", stats.run_failures).map_err(io_err)?;
+    )?;
+    writeln!(out, "  sensor dropouts:     {}", stats.sensor_dropouts)?;
+    writeln!(out, "  frozen readings:     {}", stats.sensor_freezes)?;
+    writeln!(out, "  biased readings:     {}", stats.sensor_biases)?;
+    writeln!(out, "  counter corruptions: {}", stats.counter_corruptions)?;
+    writeln!(out, "  p-state clamps:      {}", stats.pstate_clamps)?;
+    writeln!(out, "  run failures:        {}", stats.run_failures)?;
 
     if guarded {
         writeln!(
             out,
             "
 kernel health:"
-        )
-        .map_err(io_err)?;
+        )?;
         for k in &app.kernels {
             let id = k.id();
             if let Some(h) = rt.health(&id) {
@@ -457,8 +461,7 @@ kernel health:"
                     h.degradations,
                     h.recoveries,
                     h.retries
-                )
-                .map_err(io_err)?;
+                )?;
             }
         }
     }
@@ -467,9 +470,8 @@ kernel health:"
             out,
             "
 scheduling timeline:"
-        )
-        .map_err(io_err)?;
-        write!(out, "{}", rt.timeline().render()).map_err(io_err)?;
+        )?;
+        write!(out, "{}", rt.timeline().render())?;
     }
     Ok(())
 }
@@ -509,60 +511,23 @@ fn cmd_verify_transfer(
         "transfer grid: {} scenarios across {} machine families",
         grid.len(),
         grid.machines.len()
-    )
-    .map_err(io_err)?;
+    )?;
 
     let matrix = run_transfer(&grid, TrainingParams::default())
         .map_err(|e| CliError::Domain(e.to_string()))?;
-    write!(out, "{}", matrix.render()).map_err(io_err)?;
+    write!(out, "{}", matrix.render())?;
 
-    // The benchmark artifact: the full matrix, pair by pair.
-    let artifact = match args.get("out") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results/BENCH_transfer.json"),
+    let gate = PinnedGate {
+        name: "transfer",
+        noun: "transfer matrix",
+        snapshot_file: "transfer-matrix.json",
     };
-    if let Some(parent) = artifact.parent() {
-        std::fs::create_dir_all(parent).map_err(io_err)?;
-    }
-    let json = serde_json::to_string_pretty(&matrix).map_err(io_err)?;
-    std::fs::write(&artifact, json).map_err(io_err)?;
-    writeln!(out, "wrote {}", artifact.display()).map_err(io_err)?;
-
-    // The golden snapshot: the quantized summary, byte-exact once blessed.
-    let snapshot_path = golden_dir.join("transfer-matrix.json");
-    let snapshot = serde_json::to_string_pretty(&matrix.golden_summary()).map_err(io_err)?;
-    if args.get_or("bless", false)? {
-        std::fs::create_dir_all(golden_dir).map_err(io_err)?;
-        std::fs::write(&snapshot_path, &snapshot).map_err(io_err)?;
-        writeln!(out, "blessed {}", snapshot_path.display()).map_err(io_err)?;
-        return Ok(());
-    }
-
-    let mut failures = matrix.check(&TransferThresholds::default());
-    match std::fs::read_to_string(&snapshot_path) {
-        Ok(blessed) if blessed == snapshot => {
-            writeln!(out, "transfer golden: ok").map_err(io_err)?;
-        }
-        Ok(_) => failures.push(format!(
-            "transfer matrix deviates from blessed snapshot {} \
-             (re-bless with `acs verify --transfer true --bless true` if intended)",
-            snapshot_path.display()
-        )),
-        // No snapshot blessed (or a different grid resolution was blessed):
-        // the thresholds are still the primary gate, so this is a note.
-        Err(_) => {
-            writeln!(out, "transfer golden: no blessed snapshot (thresholds only)")
-                .map_err(io_err)?;
-        }
-    }
-
-    if failures.is_empty() {
-        writeln!(out, "verify --transfer: PASS").map_err(io_err)?;
-        Ok(())
-    } else {
-        Err(CliError::Domain(format!("verify --transfer: FAIL\n  {}", failures.join("\n  "))))
-    }
+    // The artifact is the full matrix, pair by pair; the snapshot is its
+    // quantized summary.
+    let artifact = serde_json::to_string_pretty(&matrix)?;
+    let snapshot = serde_json::to_string_pretty(&matrix.golden_summary())?;
+    let failures = matrix.check(&TransferThresholds::default());
+    finish_pinned_gate(args, out, golden_dir, &gate, &artifact, &snapshot, failures)
 }
 
 /// `acs verify --drift`: the online-adaptation differential. Runs every
@@ -583,53 +548,77 @@ fn cmd_verify_drift(
         DriftGridParams::full()
     };
     let report = run_drift(&params).map_err(|e| CliError::Domain(e.to_string()))?;
-    write!(out, "{}", report.render()).map_err(io_err)?;
+    write!(out, "{}", report.render())?;
 
-    // The benchmark artifact: every (process, kernel, cap) cell.
+    let gate = PinnedGate { name: "drift", noun: "drift grid", snapshot_file: "drift-grid.json" };
+    // The artifact is every (process, kernel, cap) cell; the snapshot is
+    // its quantized summary.
+    let artifact = serde_json::to_string_pretty(&report)?;
+    let snapshot = serde_json::to_string_pretty(&report.golden_summary())?;
+    let failures = report.check(&AdaptThresholds::default());
+    finish_pinned_gate(args, out, golden_dir, &gate, &artifact, &snapshot, failures)
+}
+
+/// What tells the two snapshot-pinned verify gates apart in their output.
+struct PinnedGate {
+    /// The flag: `verify --<name>`, `results/BENCH_<name>.json`.
+    name: &'static str,
+    /// What the snapshot holds, as the failure message calls it.
+    noun: &'static str,
+    /// The blessed snapshot's file name under the golden directory.
+    snapshot_file: &'static str,
+}
+
+/// The shared tail of `verify --transfer` and `verify --drift`: write the
+/// benchmark artifact, then bless the snapshot (byte-exact once blessed)
+/// or compare it with the blessed file, and print the verdict over the
+/// threshold `failures` plus any snapshot deviation.
+fn finish_pinned_gate(
+    args: &Args,
+    out: &mut dyn Write,
+    golden_dir: &std::path::Path,
+    gate: &PinnedGate,
+    artifact_json: &str,
+    snapshot: &str,
+    mut failures: Vec<String>,
+) -> Result<(), CliError> {
+    let PinnedGate { name, noun, snapshot_file } = gate;
     let artifact = match args.get("out") {
         Some(path) => std::path::PathBuf::from(path),
         None => std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results/BENCH_drift.json"),
+            .join(format!("../../results/BENCH_{name}.json")),
     };
     if let Some(parent) = artifact.parent() {
-        std::fs::create_dir_all(parent).map_err(io_err)?;
+        std::fs::create_dir_all(parent)?;
     }
-    let json = serde_json::to_string_pretty(&report).map_err(io_err)?;
-    std::fs::write(&artifact, json).map_err(io_err)?;
-    writeln!(out, "wrote {}", artifact.display()).map_err(io_err)?;
+    std::fs::write(&artifact, artifact_json)?;
+    writeln!(out, "wrote {}", artifact.display())?;
 
-    // The golden snapshot: the quantized summary, byte-exact once blessed.
-    let snapshot_path = golden_dir.join("drift-grid.json");
-    let snapshot = serde_json::to_string_pretty(&report.golden_summary()).map_err(io_err)?;
+    let snapshot_path = golden_dir.join(snapshot_file);
     if args.get_or("bless", false)? {
-        std::fs::create_dir_all(golden_dir).map_err(io_err)?;
-        std::fs::write(&snapshot_path, &snapshot).map_err(io_err)?;
-        writeln!(out, "blessed {}", snapshot_path.display()).map_err(io_err)?;
+        std::fs::create_dir_all(golden_dir)?;
+        std::fs::write(&snapshot_path, snapshot)?;
+        writeln!(out, "blessed {}", snapshot_path.display())?;
         return Ok(());
     }
 
-    let mut failures = report.check(&AdaptThresholds::default());
     match std::fs::read_to_string(&snapshot_path) {
-        Ok(blessed) if blessed == snapshot => {
-            writeln!(out, "drift golden: ok").map_err(io_err)?;
-        }
+        Ok(blessed) if blessed == snapshot => writeln!(out, "{name} golden: ok")?,
         Ok(_) => failures.push(format!(
-            "drift grid deviates from blessed snapshot {} \
-             (re-bless with `acs verify --drift true --bless true` if intended)",
+            "{noun} deviates from blessed snapshot {} \
+             (re-bless with `acs verify --{name} true --bless true` if intended)",
             snapshot_path.display()
         )),
         // No snapshot blessed (or a different grid resolution was blessed):
         // the thresholds are still the primary gate, so this is a note.
-        Err(_) => {
-            writeln!(out, "drift golden: no blessed snapshot (thresholds only)").map_err(io_err)?;
-        }
+        Err(_) => writeln!(out, "{name} golden: no blessed snapshot (thresholds only)")?,
     }
 
     if failures.is_empty() {
-        writeln!(out, "verify --drift: PASS").map_err(io_err)?;
+        writeln!(out, "verify --{name}: PASS")?;
         Ok(())
     } else {
-        Err(CliError::Domain(format!("verify --drift: FAIL\n  {}", failures.join("\n  "))))
+        Err(CliError::Domain(format!("verify --{name}: FAIL\n  {}", failures.join("\n  "))))
     }
 }
 
@@ -652,19 +641,18 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Blessing regenerates the reference traces and stops — no gates run
     // against files that were just rewritten.
     if args.get_or("bless", false)? {
-        let written = acs_verify::bless(&golden_dir).map_err(io_err)?;
+        let written = acs_verify::bless(&golden_dir)?;
         for p in &written {
-            writeln!(out, "blessed {}", p.display()).map_err(io_err)?;
+            writeln!(out, "blessed {}", p.display())?;
         }
-        writeln!(out, "{} golden trace(s) regenerated", written.len()).map_err(io_err)?;
+        writeln!(out, "{} golden trace(s) regenerated", written.len())?;
         return Ok(());
     }
 
     let params =
         if args.get_or("quick", false)? { GridParams::quick() } else { GridParams::default() };
     let grid = ScenarioGrid::generate(params);
-    writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())
-        .map_err(io_err)?;
+    writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())?;
 
     // Optionally persist oracle frontiers so repeat runs skip the sweeps;
     // each machine's kernel sweeps fan out across the rayon pool.
@@ -676,12 +664,12 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 m.evaluated.iter().map(|(p, _)| p.kernel.clone()).collect();
             cached += engine.frontiers(&m.machine, &kernels).len();
         }
-        writeln!(out, "oracle cache: {cached} frontiers under {dir}").map_err(io_err)?;
+        writeln!(out, "oracle cache: {cached} frontiers under {dir}")?;
     }
 
     let report = run_differential(&grid, TrainingParams::default())
         .map_err(|e| CliError::Domain(e.to_string()))?;
-    write!(out, "{}", report.render()).map_err(io_err)?;
+    write!(out, "{}", report.render())?;
     let mut failures = report.check(&Thresholds::default());
 
     for m in &grid.machines {
@@ -697,27 +685,25 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             failures.push(format!("invariant (machine {}): {v}", m.machine.seed));
         }
     }
-    writeln!(out, "metamorphic invariants: checked on {} machine(s)", grid.machines.len())
-        .map_err(io_err)?;
+    writeln!(out, "metamorphic invariants: checked on {} machine(s)", grid.machines.len())?;
 
     let diffs = acs_verify::compare(&golden_dir);
     for d in &diffs {
-        writeln!(out, "golden {}", acs_verify::render_diff(d)).map_err(io_err)?;
+        writeln!(out, "golden {}", acs_verify::render_diff(d))?;
         if !d.passed() {
             failures.push(format!("golden trace {}: see target/golden-diffs/", d.name));
         }
     }
     if diffs.iter().any(|d| !d.passed()) {
         let artifacts =
-            acs_verify::write_failure_artifacts(&golden::default_artifact_dir(), &diffs)
-                .map_err(io_err)?;
+            acs_verify::write_failure_artifacts(&golden::default_artifact_dir(), &diffs)?;
         for p in artifacts {
-            writeln!(out, "wrote failure artifact {}", p.display()).map_err(io_err)?;
+            writeln!(out, "wrote failure artifact {}", p.display())?;
         }
     }
 
     if failures.is_empty() {
-        writeln!(out, "verify: PASS").map_err(io_err)?;
+        writeln!(out, "verify: PASS")?;
         Ok(())
     } else {
         Err(CliError::Domain(format!("verify: FAIL\n  {}", failures.join("\n  "))))
@@ -731,7 +717,7 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// heterogeneous shard's model is native to the hardware it schedules.
 fn serve_model(args: &Args, family: acs_sim::FamilyId) -> Result<TrainedModel, CliError> {
     if let Some(path) = args.get("model") {
-        return TrainedModel::load(path).map_err(io_err);
+        return Ok(TrainedModel::load(path)?);
     }
     let machine = Machine::from_family(family, args.get_or("seed", 2014)?);
     train_on_suite(&machine, usize::MAX).map_err(|e| CliError::Domain(e.to_string()))
@@ -756,7 +742,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         policy: args.get("policy").unwrap_or("equal").parse().map_err(CliError::Domain)?,
         max_sessions: args.get_or("max-sessions", 8)?,
         max_batch: args.get_or("max-batch", 256)?,
-        timeline_capacity: args.get_or("timeline-cap", 4096)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
         coordinator: args.get("coordinator").map(str::to_string),
@@ -780,11 +765,10 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             recovery.replayed,
             recovery.warm_kernels.len(),
             recovery.orphaned_sessions.len()
-        )
-        .map_err(io_err)?;
+        )?;
     }
-    writeln!(out, "listening on {}", server.local_addr()).map_err(io_err)?;
-    out.flush().map_err(io_err)?;
+    writeln!(out, "listening on {}", server.local_addr())?;
+    out.flush()?;
     server.run().map_err(|e| CliError::Domain(e.to_string()))
 }
 
@@ -825,11 +809,10 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             recovery.replayed,
             recovery.live_leases.len(),
             recovery.encumbered_leases.len()
-        )
-        .map_err(io_err)?;
+        )?;
     }
-    writeln!(out, "listening on {}", coordinator.local_addr()).map_err(io_err)?;
-    out.flush().map_err(io_err)?;
+    writeln!(out, "listening on {}", coordinator.local_addr())?;
+    out.flush()?;
     coordinator.run().map_err(|e| CliError::Domain(e.to_string()))
 }
 
@@ -853,9 +836,9 @@ fn cmd_chaosproxy(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let proxy =
         ChaosProxy::bind(&listen, &upstream, plan).map_err(|e| CliError::Domain(e.to_string()))?;
     let handle = proxy.handle();
-    writeln!(out, "listening on {}", proxy.local_addr()).map_err(io_err)?;
-    writeln!(out, "proxying to {upstream} under plan {plan:?}").map_err(io_err)?;
-    out.flush().map_err(io_err)?;
+    writeln!(out, "listening on {}", proxy.local_addr())?;
+    writeln!(out, "proxying to {upstream} under plan {plan:?}")?;
+    out.flush()?;
     proxy.run().map_err(|e| CliError::Domain(e.to_string()))?;
     let stats = handle.stats();
     writeln!(
@@ -871,8 +854,7 @@ fn cmd_chaosproxy(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         stats.dribbled,
         stats.disconnects,
         stats.connections
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(())
 }
 
@@ -903,38 +885,34 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let (report, log) = run_loadgen(&opts).map_err(CliError::Domain)?;
 
     if let Some(path) = args.get("log") {
-        std::fs::write(path, &log).map_err(io_err)?;
+        std::fs::write(path, &log)?;
     }
-    writeln!(out, "requests:    {}", report.requests).map_err(io_err)?;
-    writeln!(out, "sessions:    {}", report.sessions).map_err(io_err)?;
-    writeln!(out, "throughput:  {:.0} req/s", report.throughput_rps).map_err(io_err)?;
+    writeln!(out, "requests:    {}", report.requests)?;
+    writeln!(out, "sessions:    {}", report.sessions)?;
+    writeln!(out, "throughput:  {:.0} req/s", report.throughput_rps)?;
     writeln!(
         out,
         "latency:     p50 {} µs, p99 {} µs",
         report.p50_latency_us, report.p99_latency_us
-    )
-    .map_err(io_err)?;
+    )?;
     writeln!(
         out,
         "cold/warm:   {} cold ({:.0} µs mean), {} warm ({:.0} µs mean)",
         report.cold_selects, report.cold_mean_us, report.warm_selects, report.warm_mean_us
-    )
-    .map_err(io_err)?;
+    )?;
     writeln!(
         out,
         "errors:      {} errored, {} shed, {} dropped",
         report.errors, report.sheds, report.dropped
-    )
-    .map_err(io_err)?;
+    )?;
     if let Some(stats) = &report.stats {
-        writeln!(out, "\nserver STATS:").map_err(io_err)?;
-        writeln!(out, "{}", serde_json::to_string_pretty(stats).map_err(io_err)?)
-            .map_err(io_err)?;
+        writeln!(out, "\nserver STATS:")?;
+        writeln!(out, "{}", serde_json::to_string_pretty(stats)?)?;
     }
     if let Some(name) = args.get("result") {
         if name != "none" {
             let path = acs_bench::write_result(name, &report);
-            writeln!(out, "wrote {}", path.display()).map_err(io_err)?;
+            writeln!(out, "wrote {}", path.display())?;
         }
     }
     if report.errors > 0 || report.dropped > 0 {
@@ -995,8 +973,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "chaosfleet: seed {seed}, {shards_n} shards, {phases} phases, {sessions_n} sessions"
-    )
-    .map_err(io_err)?;
+    )?;
 
     // One model shared by every shard, trained on a fixed sample of the
     // suite at a fixed seed: the chaos seed must not change the model.
@@ -1064,7 +1041,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    writeln!(out, "fleet up: {shards_n} shards leased").map_err(io_err)?;
+    writeln!(out, "fleet up: {shards_n} shards leased")?;
 
     // Continuous conservation watchdog: samples the coordinator's books
     // every few milliseconds for the whole run.
@@ -1153,7 +1130,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let victim = (sched.next_u64() as usize) % shards_n;
         match action {
             0 => {
-                writeln!(out, "phase {phase}: kill shard-{victim}").map_err(io_err)?;
+                writeln!(out, "phase {phase}: kill shard-{victim}")?;
                 let victim_label = format!("shard-{victim}");
                 let homed: Vec<usize> = clients
                     .iter()
@@ -1191,8 +1168,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 }
             }
             1 => {
-                writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")
-                    .map_err(io_err)?;
+                writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")?;
                 let last_grant = shards[victim].running().handle.lease_cap_w();
                 shards[victim].proxy.handle.partition(partition_ms);
                 partitions += 1;
@@ -1209,7 +1185,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 }
             }
             _ => {
-                writeln!(out, "phase {phase}: calm").map_err(io_err)?;
+                writeln!(out, "phase {phase}: calm")?;
                 completed += drive(&mut clients, phase)?;
             }
         }
@@ -1221,11 +1197,10 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let failovers: u64 = clients.iter().map(|c| c.stats().failovers).sum();
     let replays: u64 = clients.iter().map(|c| c.stats().replays).sum();
     let expected = phases * sessions_n * calls_per_phase;
-    writeln!(out, "calls: {completed}/{expected} completed").map_err(io_err)?;
-    writeln!(out, "re-admissions: {readmitted} session moves after {kills} kill(s)")
-        .map_err(io_err)?;
-    writeln!(out, "failovers: {failovers} evictions, {replays} replays").map_err(io_err)?;
-    writeln!(out, "partitions: {partitions}").map_err(io_err)?;
+    writeln!(out, "calls: {completed}/{expected} completed")?;
+    writeln!(out, "re-admissions: {readmitted} session moves after {kills} kill(s)")?;
+    writeln!(out, "failovers: {failovers} evictions, {replays} replays")?;
+    writeln!(out, "partitions: {partitions}")?;
 
     drop(clients);
     for shard in shards {
@@ -1253,8 +1228,8 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if !failures.is_empty() {
         return Err(CliError::Domain(format!("chaosfleet: FAIL\n  {}", failures.join("\n  "))));
     }
-    writeln!(out, "budget: conserved under cap {cap_w} W").map_err(io_err)?;
-    writeln!(out, "fleet ok").map_err(io_err)?;
+    writeln!(out, "budget: conserved under cap {cap_w} W")?;
+    writeln!(out, "fleet ok")?;
     Ok(())
 }
 

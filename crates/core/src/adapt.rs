@@ -605,12 +605,7 @@ impl AdaptivePredictor {
         let static_config = profile.select(cap_w);
         if let Some(correction) = self.correction(kernel_id) {
             let corrected_cap = cap_w / correction.power_ratio;
-            let config = profile
-                .frontier
-                .best_under(corrected_cap)
-                .or_else(|| profile.frontier.min_power())
-                .map(|point| point.config)
-                .unwrap_or(static_config);
+            let config = profile.select(corrected_cap);
             if config != static_config {
                 return AdaptSelection { config, corrected: true };
             }
@@ -641,7 +636,7 @@ mod tests {
 
     /// A synthetic profile whose frontier spans 10–50 W monotonically.
     fn profile() -> PredictedProfile {
-        let space = Configuration::enumerate();
+        let space = Configuration::all();
         let points: Vec<PowerPerfPoint> = space
             .iter()
             .enumerate()

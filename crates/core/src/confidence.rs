@@ -37,7 +37,7 @@ pub struct BoundedProfile {
     /// Cluster the kernel was classified into.
     pub cluster: usize,
     /// One bounded prediction per configuration, in
-    /// `Configuration::enumerate()` order.
+    /// `Configuration::all()` order.
     pub points: Vec<BoundedPoint>,
 }
 

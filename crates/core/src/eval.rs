@@ -10,6 +10,8 @@
 //! accounts for (Section V-D), under leave-one-benchmark-out
 //! cross-validation (Section V-C).
 
+use crate::fastpath::SelectScratch;
+use crate::frontier::PowerPerfPoint;
 use crate::methods::{select, Method};
 use crate::offline::{train, TrainError, TrainedModel, TrainingParams};
 use crate::online::Predictor;
@@ -185,6 +187,63 @@ pub fn characterize_apps(machine: &Machine, apps: &[AppInstance]) -> Vec<AppProf
         .collect()
 }
 
+/// What one method picked for one kernel at one power constraint, beside
+/// the oracle's pick at the same constraint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pick {
+    /// Which method.
+    pub method: Method,
+    /// The power constraint, W.
+    pub cap_w: f64,
+    /// The method's selection, with its *true* power and performance.
+    pub picked: PowerPerfPoint,
+    /// The oracle's selection at the same constraint.
+    pub oracle: PowerPerfPoint,
+    /// Whether any configuration meets the constraint (false only when
+    /// the oracle itself fell back to minimum power).
+    pub feasible: bool,
+}
+
+/// The evaluation protocol of Sections V-B–D for one kernel, stated once:
+/// at every constraint, let each of `methods` select and pair the
+/// selection with the oracle's. `caps` defaults to the paper's constraint
+/// set — the power levels of the kernel's oracle frontier. Table III
+/// ([`evaluate`]) and `acs-verify`'s differential and transfer runners are
+/// all this loop; they differ in the caps they ask about and the
+/// statistics they keep. Picks come out cap-major, `methods` order within
+/// a cap.
+pub fn replay(
+    profile: &KernelProfile,
+    caps: Option<&[f64]>,
+    methods: &[Method],
+    predictor: &Predictor<'_>,
+) -> Vec<Pick> {
+    let frontier = profile.oracle_frontier();
+    let frontier_powers: Vec<f64>;
+    let caps = match caps {
+        Some(caps) => caps,
+        None => {
+            frontier_powers = frontier.points().iter().map(|p| p.power_w).collect();
+            &frontier_powers
+        }
+    };
+    let samples = profile.sample_pair();
+    let mut scratch = SelectScratch::new();
+
+    let mut picks = Vec::with_capacity(caps.len() * methods.len());
+    for &cap_w in caps {
+        let (&oracle, feasible) = frontier.select(cap_w);
+        for &method in methods {
+            let config = select(method, profile, &samples, Some(predictor), cap_w, &mut scratch);
+            let run = profile.run_at(&config);
+            let picked =
+                PowerPerfPoint { config, power_w: run.true_power_w(), perf: 1.0 / run.time_s };
+            picks.push(Pick { method, cap_w, picked, oracle, feasible });
+        }
+    }
+    picks
+}
+
 /// Evaluate all methods on characterized applications under
 /// leave-one-benchmark-out cross-validation.
 pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluation, TrainError> {
@@ -201,6 +260,7 @@ pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluati
             fold.train.iter().flat_map(|&ai| apps[ai].profiles.iter().cloned()).collect();
         let model = train(&training, params)?;
         fold_silhouettes.push((fold.label.clone(), model.silhouette));
+        let predictor = Predictor::new(&model);
 
         // Evaluate every kernel of the held-out benchmark's app instances.
         let fold_cases: Vec<CaseResult> = fold
@@ -210,7 +270,7 @@ pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluati
                 let app = &apps[ai];
                 app.profiles
                     .iter()
-                    .flat_map(|profile| evaluate_kernel(profile, &model, &app.app.label()))
+                    .flat_map(|profile| kernel_cases(profile, &predictor, &app.app.label()))
             })
             .collect();
         cases.extend(fold_cases);
@@ -226,36 +286,33 @@ pub fn evaluate_kernel(
     model: &TrainedModel,
     app_label: &str,
 ) -> Vec<CaseResult> {
-    let predictor = Predictor::new(model);
-    let oracle_frontier = profile.oracle_frontier();
-    let caps: Vec<f64> = oracle_frontier.points().iter().map(|p| p.power_w).collect();
-    if caps.is_empty() {
-        return Vec::new();
-    }
-    let case_weight = profile.kernel.weight / caps.len() as f64;
+    kernel_cases(profile, &Predictor::new(model), app_label)
+}
 
-    let mut out = Vec::with_capacity(caps.len() * Method::COMPARED.len());
-    for &cap in &caps {
-        let oracle_cfg = select(Method::Oracle, profile, None, cap);
-        let oracle_run = profile.run_at(&oracle_cfg);
-        for &method in &Method::COMPARED {
-            let cfg = select(method, profile, Some(&predictor), cap);
-            let run = profile.run_at(&cfg);
-            out.push(CaseResult {
-                method,
-                kernel_id: profile.kernel.id(),
-                app_label: app_label.to_string(),
-                weight: case_weight,
-                cap_w: cap,
-                config: cfg,
-                power_w: run.true_power_w(),
-                perf: 1.0 / run.time_s,
-                oracle_power_w: oracle_run.true_power_w(),
-                oracle_perf: 1.0 / oracle_run.time_s,
-            });
-        }
-    }
-    out
+/// One kernel's [`replay`] at the paper's constraints, as Table III cases.
+fn kernel_cases(
+    profile: &KernelProfile,
+    predictor: &Predictor<'_>,
+    app_label: &str,
+) -> Vec<CaseResult> {
+    let picks = replay(profile, None, &Method::COMPARED, predictor);
+    let n_caps = picks.len() / Method::COMPARED.len();
+    let kernel_id = profile.kernel.id();
+    picks
+        .into_iter()
+        .map(|pick| CaseResult {
+            method: pick.method,
+            kernel_id: kernel_id.clone(),
+            app_label: app_label.to_string(),
+            weight: profile.kernel.weight / n_caps as f64,
+            cap_w: pick.cap_w,
+            config: pick.picked.config,
+            power_w: pick.picked.power_w,
+            perf: pick.picked.perf,
+            oracle_power_w: pick.oracle.power_w,
+            oracle_perf: pick.oracle.perf,
+        })
+        .collect()
 }
 
 #[cfg(test)]

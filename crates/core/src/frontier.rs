@@ -105,6 +105,19 @@ impl Frontier {
         self.points.first()
     }
 
+    /// The cap rule of Section III-C, stated once: the best-performing
+    /// point under `cap_w`, else the minimum-power point (the kernel must
+    /// still run somewhere). The flag is whether the cap was met — false
+    /// exactly when [`best_under`](Self::best_under) is `None`. Panics on
+    /// an empty frontier; a swept or predicted configuration space never
+    /// yields one.
+    pub fn select(&self, cap_w: f64) -> (&PowerPerfPoint, bool) {
+        match self.best_under(cap_w) {
+            Some(point) => (point, true),
+            None => (self.min_power().expect("frontier is never empty"), false),
+        }
+    }
+
     /// The maximum-performance point.
     pub fn max_perf(&self) -> Option<&PowerPerfPoint> {
         self.points.last()

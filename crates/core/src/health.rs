@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn ladder_reaches_safe_min_from_any_choice() {
-        for choice in Configuration::enumerate() {
+        for &choice in Configuration::all() {
             let mut state = TierState::model();
             let mut rungs = 0;
             while state.tier != DegradationTier::SafeMin {

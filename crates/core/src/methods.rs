@@ -65,53 +65,7 @@ impl fmt::Display for Method {
 /// configuration whose *true* power meets the cap, or the minimum-power
 /// configuration if none does.
 pub fn oracle_select(profile: &KernelProfile, cap_w: f64) -> Configuration {
-    let frontier = profile.oracle_frontier();
-    frontier
-        .best_under(cap_w)
-        .or_else(|| frontier.min_power())
-        .expect("non-empty configuration space")
-        .config
-}
-
-/// Select a configuration with the model alone (flat path; bit-identical
-/// to `predictor.predict(samples).select(cap_w)`).
-pub fn model_select(predictor: &Predictor<'_>, samples: &SamplePair, cap_w: f64) -> Configuration {
-    model_select_with(predictor, samples, cap_w, &mut SelectScratch::new())
-}
-
-/// [`model_select`] through a caller-owned scratch arena — the form hot
-/// loops (the differential runner, serve workers) use so steady-state
-/// selection allocates nothing.
-pub fn model_select_with(
-    predictor: &Predictor<'_>,
-    samples: &SamplePair,
-    cap_w: f64,
-    scratch: &mut SelectScratch,
-) -> Configuration {
-    predictor.select_with(samples, cap_w, scratch)
-}
-
-/// Select with the model, then let the frequency limiter pull the active
-/// device's P-state down if measured power exceeds the cap.
-pub fn model_fl_select(
-    predictor: &Predictor<'_>,
-    samples: &SamplePair,
-    cap_w: f64,
-    measure: impl FnMut(&Configuration) -> f64,
-) -> Configuration {
-    model_fl_select_with(predictor, samples, cap_w, measure, &mut SelectScratch::new())
-}
-
-/// [`model_fl_select`] through a caller-owned scratch arena.
-pub fn model_fl_select_with(
-    predictor: &Predictor<'_>,
-    samples: &SamplePair,
-    cap_w: f64,
-    measure: impl FnMut(&Configuration) -> f64,
-    scratch: &mut SelectScratch,
-) -> Configuration {
-    let picked = model_select_with(predictor, samples, cap_w, scratch);
-    limit_active_device(picked, cap_w, measure).config
+    profile.oracle_frontier().select(cap_w).0.config
 }
 
 /// The CPU+FL baseline: all cores enabled, GPU at minimum frequency, CPU
@@ -131,23 +85,16 @@ pub fn gpu_fl_select(cap_w: f64, mut measure: impl FnMut(&Configuration) -> f64)
     raise_cpu_freq_within(limited.config, cap_w, measure).config
 }
 
-/// Dispatch a method. `predictor` is required for the model methods;
-/// measurement-driven methods read sensor power from the kernel's profile
-/// (equivalent to running the kernel at each probed configuration).
+/// Dispatch a method for one kernel. The model methods see only
+/// `samples` (the kernel's two Table II runs) and need `predictor` —
+/// `Model` is [`Predictor::select_with`], through the caller's scratch
+/// arena so a replay loop selects without allocating; measurement-driven
+/// methods read sensor power from `profile` (equivalent to running the
+/// kernel at each probed configuration).
 pub fn select(
     method: Method,
     profile: &KernelProfile,
-    predictor: Option<&Predictor<'_>>,
-    cap_w: f64,
-) -> Configuration {
-    select_with_scratch(method, profile, predictor, cap_w, &mut SelectScratch::new())
-}
-
-/// [`select`] through a caller-owned scratch arena, for replay loops that
-/// dispatch many `(cap, method)` cases per profile.
-pub fn select_with_scratch(
-    method: Method,
-    profile: &KernelProfile,
+    samples: &SamplePair,
     predictor: Option<&Predictor<'_>>,
     cap_w: f64,
     scratch: &mut SelectScratch,
@@ -155,19 +102,17 @@ pub fn select_with_scratch(
     let measure = |c: &Configuration| profile.run_at(c).power_w();
     match method {
         Method::Oracle => oracle_select(profile, cap_w),
-        Method::Model => model_select_with(
-            predictor.expect("Model needs a predictor"),
-            &profile.sample_pair(),
-            cap_w,
-            scratch,
-        ),
-        Method::ModelFL => model_fl_select_with(
-            predictor.expect("Model+FL needs a predictor"),
-            &profile.sample_pair(),
-            cap_w,
-            measure,
-            scratch,
-        ),
+        Method::Model => {
+            predictor.expect("Model needs a predictor").select_with(samples, cap_w, scratch)
+        }
+        Method::ModelFL => {
+            // The model's pick, then the frequency limiter pulls the
+            // active device's P-state down while measured power exceeds
+            // the cap.
+            let predictor = predictor.expect("Model+FL needs a predictor");
+            let picked = predictor.select_with(samples, cap_w, scratch);
+            limit_active_device(picked, cap_w, measure).config
+        }
         Method::CpuFL => cpu_fl_select(cap_w, measure),
         Method::GpuFL => gpu_fl_select(cap_w, measure),
     }
@@ -280,9 +225,10 @@ mod tests {
             train(&profiles, TrainingParams { n_clusters: 3, ..Default::default() }).unwrap();
         let predictor = Predictor::new(&model);
         let p = &profiles[0];
+        let (samples, mut scratch) = (p.sample_pair(), SelectScratch::new());
         for cap in [12.0, 20.0, 30.0] {
-            let plain = select(Method::Model, p, Some(&predictor), cap);
-            let fl = select(Method::ModelFL, p, Some(&predictor), cap);
+            let mut pick = |m| select(m, p, &samples, Some(&predictor), cap, &mut scratch);
+            let (plain, fl) = (pick(Method::Model), pick(Method::ModelFL));
             // With FL, measured power can only be <= the plain pick's
             // measured power (FL only steps down).
             assert!(
@@ -304,6 +250,7 @@ mod tests {
     #[should_panic(expected = "needs a predictor")]
     fn model_without_predictor_panics() {
         let profiles = collect_suite(&Machine::new(3), &kernels()[..1]);
-        let _ = select(Method::Model, &profiles[0], None, 20.0);
+        let p = &profiles[0];
+        let _ = select(Method::Model, p, &p.sample_pair(), None, 20.0, &mut SelectScratch::new());
     }
 }

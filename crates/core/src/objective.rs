@@ -121,8 +121,7 @@ mod tests {
         let frontier = crate::frontier::Frontier::from_points(points.clone());
         for cap in [10.0, 15.0, 22.0, 30.0, 100.0] {
             let via_objective = Objective::MaxPerfUnderCap(cap).select(&points).unwrap();
-            let via_frontier =
-                frontier.best_under(cap).or_else(|| frontier.min_power()).unwrap().config;
+            let via_frontier = frontier.select(cap).0.config;
             assert_eq!(via_objective, via_frontier, "cap {cap}");
         }
     }

@@ -23,7 +23,7 @@ pub struct PredictedProfile {
     /// Cluster the kernel was classified into.
     pub cluster: usize,
     /// Predicted (power, performance) for every configuration, aligned
-    /// with `Configuration::enumerate()` order.
+    /// with `Configuration::all()` order.
     pub points: Vec<PowerPerfPoint>,
     /// The predicted Pareto frontier.
     pub frontier: Frontier,
@@ -34,11 +34,7 @@ impl PredictedProfile {
     /// falls back to the minimum-predicted-power configuration when none
     /// does (the scheduler must still run the kernel somewhere).
     pub fn select(&self, cap_w: f64) -> Configuration {
-        self.frontier
-            .best_under(cap_w)
-            .or_else(|| self.frontier.min_power())
-            .expect("configuration space is never empty")
-            .config
+        self.frontier.select(cap_w).0.config
     }
 
     /// Predicted point for a specific configuration.

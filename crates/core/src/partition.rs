@@ -188,7 +188,7 @@ mod tests {
     use acs_sim::Configuration;
 
     fn frontier(points: &[(f64, f64)]) -> Frontier {
-        let space = Configuration::enumerate();
+        let space = Configuration::all();
         Frontier::from_points(
             points
                 .iter()

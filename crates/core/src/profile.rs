@@ -13,7 +13,7 @@ pub struct KernelProfile {
     /// The kernel's identity (and, for the simulator, its latents — the
     /// model code only reads `id`, `benchmark`, `input`, and `weight`).
     pub kernel: KernelCharacteristics,
-    /// One run per configuration, aligned with `Configuration::enumerate()`
+    /// One run per configuration, aligned with `Configuration::all()`
     /// order (`runs[c.index()]` is configuration `c`).
     pub runs: Vec<KernelRun>,
 }

@@ -19,12 +19,13 @@
 //! backoff, and steps misbehaving kernels down (and later back up) the
 //! [`health`](crate::health) degradation ladder.
 
+use crate::fastpath::FastModel;
 use crate::features::{sample_config, SamplePair};
 use crate::health::{GuardPolicy, KernelHealth, RuntimeError, TierState};
 use crate::offline::TrainedModel;
-use crate::online::{PredictedProfile, Predictor};
+use crate::online::PredictedProfile;
 use acs_kernels::AppInstance;
-use acs_profiling::{Event, History, ProfileSample, Timeline};
+use acs_profiling::{Event, Timeline};
 use acs_sim::{Configuration, Device, Executor, KernelCharacteristics, KernelRun, Machine};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -35,20 +36,13 @@ use std::sync::Arc;
 struct KernelState {
     iterations: u64,
     cpu_sample: Option<KernelRun>,
-    gpu_sample: Option<KernelRun>,
     predicted: Option<PredictedProfile>,
     fixed_config: Option<Configuration>,
 }
 
 impl KernelState {
     fn new() -> Self {
-        Self {
-            iterations: 0,
-            cpu_sample: None,
-            gpu_sample: None,
-            predicted: None,
-            fixed_config: None,
-        }
+        Self { iterations: 0, cpu_sample: None, predicted: None, fixed_config: None }
     }
 }
 
@@ -84,7 +78,9 @@ struct Guard {
 pub struct CappedRuntime<E: Executor = Machine> {
     executor: E,
     model: Arc<TrainedModel>,
-    history: Arc<History>,
+    /// `model` compiled for the flat path, on the first classification:
+    /// a runtime that only ever re-selects or reports never pays for it.
+    fast: Option<FastModel>,
     timeline: Arc<Timeline>,
     cap_w: f64,
     kernels: HashMap<String, KernelState>,
@@ -94,7 +90,7 @@ pub struct CappedRuntime<E: Executor = Machine> {
 impl CappedRuntime<Machine> {
     /// A runtime on `machine` using a trained model, starting with the
     /// given node power cap.
-    pub fn new(machine: Machine, model: TrainedModel, cap_w: f64) -> Self {
+    pub fn new(machine: Machine, model: impl Into<Arc<TrainedModel>>, cap_w: f64) -> Self {
         Self::with_executor(machine, model, cap_w)
     }
 }
@@ -103,12 +99,14 @@ impl<E: Executor> CappedRuntime<E> {
     /// A runtime on any [`Executor`] (a [`Machine`], a
     /// [`FaultyMachine`](acs_sim::FaultyMachine), ...) without the guard:
     /// execution faults surface as errors, nothing retries or degrades.
-    pub fn with_executor(executor: E, model: TrainedModel, cap_w: f64) -> Self {
+    /// The model is shared, not copied: pass an `Arc` to run many runtimes
+    /// off one trained model.
+    pub fn with_executor(executor: E, model: impl Into<Arc<TrainedModel>>, cap_w: f64) -> Self {
         assert!(cap_w > 0.0, "power cap must be positive");
         Self {
             executor,
-            model: Arc::new(model),
-            history: Arc::new(History::new()),
+            model: model.into(),
+            fast: None,
             timeline: Arc::new(Timeline::new()),
             cap_w,
             kernels: HashMap::new(),
@@ -119,7 +117,12 @@ impl<E: Executor> CappedRuntime<E> {
     /// A self-healing runtime: bounded retries with exponential backoff,
     /// a post-run cap/sensor watchdog, and the degradation ladder of
     /// [`health`](crate::health), tuned by `policy`.
-    pub fn guarded(executor: E, model: TrainedModel, cap_w: f64, policy: GuardPolicy) -> Self {
+    pub fn guarded(
+        executor: E,
+        model: impl Into<Arc<TrainedModel>>,
+        cap_w: f64,
+        policy: GuardPolicy,
+    ) -> Self {
         let mut rt = Self::with_executor(executor, model, cap_w);
         rt.guard = Some(Guard { policy, kernels: HashMap::new() });
         rt
@@ -146,12 +149,8 @@ impl<E: Executor> CappedRuntime<E> {
         self.guard.as_ref()?.kernels.get(kernel_id)
     }
 
-    /// The shared run history.
-    pub fn history(&self) -> &Arc<History> {
-        &self.history
-    }
-
-    /// The scheduling timeline: every run, selection, and cap change.
+    /// The scheduling timeline: every run, selection, and cap change —
+    /// the runtime's one record of what it did.
     pub fn timeline(&self) -> &Arc<Timeline> {
         &self.timeline
     }
@@ -214,7 +213,7 @@ impl<E: Executor> CappedRuntime<E> {
     }
 
     /// Execute one iteration of `kernel`, choosing the configuration per
-    /// the paper's protocol, and record it in the history.
+    /// the paper's protocol, and record it in the timeline.
     pub fn run_kernel(
         &mut self,
         kernel: &KernelCharacteristics,
@@ -426,7 +425,6 @@ impl<E: Executor> CappedRuntime<E> {
 
         let run = self.execute_with_retries(kernel, &id, target, iteration)?;
 
-        self.history.record(ProfileSample::from_run(&id, iteration, &run));
         self.timeline.record(Event::KernelRun {
             kernel_id: id.clone(),
             iteration,
@@ -443,15 +441,15 @@ impl<E: Executor> CappedRuntime<E> {
         match iteration {
             0 => state.cpu_sample = Some(run.clone()),
             1 => {
-                state.gpu_sample = Some(run.clone());
                 // Both samples in hand: classify, predict, fix the config.
                 let cpu_sample =
-                    state.cpu_sample.clone().ok_or_else(|| RuntimeError::ProtocolViolation {
+                    state.cpu_sample.take().ok_or_else(|| RuntimeError::ProtocolViolation {
                         kernel_id: id.clone(),
                         detail: "CPU sample missing at classification time".into(),
                     })?;
                 let samples = SamplePair::new(cpu_sample, run.clone());
-                let predicted = Predictor::new(&self.model).predict(&samples);
+                let fast = self.fast.get_or_insert_with(|| FastModel::new(&self.model));
+                let predicted = fast.predict(&samples);
                 let config = predicted.select(self.cap_w);
                 self.timeline.record(Event::ConfigSelected {
                     kernel_id: id.clone(),
@@ -530,18 +528,25 @@ mod tests {
     use crate::health::{safe_min_config, DegradationTier};
     use crate::offline::{train, TrainingParams};
     use crate::profile::collect_suite;
-    use acs_kernels::InputSize;
     use acs_sim::{FaultPlan, FaultyMachine};
 
     fn trained_model(machine: &Machine) -> TrainedModel {
         // Train on CoMD + SMC, schedule LULESH Small.
-        let training_kernels: Vec<KernelCharacteristics> =
-            acs_kernels::comd::kernels(InputSize::Default)
-                .into_iter()
-                .chain(acs_kernels::smc::kernels(InputSize::Small))
-                .collect();
-        let profiles = collect_suite(machine, &training_kernels);
+        let profiles = collect_suite(machine, &acs_kernels::training_kernels());
         train(&profiles, TrainingParams::default()).unwrap()
+    }
+
+    /// `(iteration, configuration)` of every run the timeline holds for
+    /// one kernel id or context id.
+    fn runs_of(rt: &CappedRuntime, id: &str) -> Vec<(u64, Configuration)> {
+        rt.timeline()
+            .for_kernel(id)
+            .into_iter()
+            .filter_map(|e| match e.event {
+                Event::KernelRun { iteration, config, .. } => Some((iteration, config)),
+                _ => None,
+            })
+            .collect()
     }
 
     fn lulesh() -> AppInstance {
@@ -597,7 +602,7 @@ mod tests {
         rt.run_kernel(k).unwrap();
         rt.run_kernel(k).unwrap();
         let generous = rt.run_kernel(k).unwrap().config;
-        let samples_before = rt.history().sample_count(&k.id());
+        let runs_before = runs_of(&rt, &k.id()).len();
 
         rt.set_cap(11.0); // tight: should force a cheaper configuration
         let tight = rt.run_kernel(k).unwrap().config;
@@ -606,14 +611,15 @@ mod tests {
         // No additional sampling iterations happened: only iterations 0
         // and 1 ran the Table II sample configurations by design (a
         // *selected* config may legitimately coincide with a sample one).
-        for s in rt.history().samples(&k.id()) {
-            match s.iteration {
-                0 => assert_eq!(s.config, sample_config(Device::Cpu)),
-                1 => assert_eq!(s.config, sample_config(Device::Gpu)),
+        let runs = runs_of(&rt, &k.id());
+        for (iteration, config) in &runs {
+            match iteration {
+                0 => assert_eq!(*config, sample_config(Device::Cpu)),
+                1 => assert_eq!(*config, sample_config(Device::Gpu)),
                 _ => {}
             }
         }
-        assert_eq!(rt.history().sample_count(&k.id()), samples_before + 1);
+        assert_eq!(runs.len(), runs_before + 1);
     }
 
     #[test]
@@ -628,7 +634,7 @@ mod tests {
         assert_eq!(report.final_configs.len(), app.kernels.len());
         // After 3 app iterations every kernel is past its sampling phase.
         for (id, _) in &report.final_configs {
-            assert!(rt.history().sample_count(id) >= 3, "{id}");
+            assert!(runs_of(&rt, id).len() >= 3, "{id}");
         }
     }
 
@@ -677,10 +683,10 @@ mod tests {
             let r1 = rt.run_kernel_in_context(k, ctx).unwrap();
             assert_eq!(r1.config, sample_config(Device::Gpu), "{ctx}");
         }
-        // Histories are separate.
-        assert_eq!(rt.history().sample_count(&ctx_a.history_id()), 2);
-        assert_eq!(rt.history().sample_count(&ctx_b.history_id()), 2);
-        assert_eq!(rt.history().sample_count(&k.id()), 0);
+        // The run records are separate.
+        assert_eq!(runs_of(&rt, &ctx_a.history_id()).len(), 2);
+        assert_eq!(runs_of(&rt, &ctx_b.history_id()).len(), 2);
+        assert_eq!(runs_of(&rt, &k.id()).len(), 0);
         // Both contexts have fixed configs now.
         assert!(rt.planned_config(&ctx_a.history_id()).is_some());
         assert!(rt.planned_config(&ctx_b.history_id()).is_some());

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 /// Arbitrary (power, perf) points over distinct configurations.
 fn points_strategy() -> impl Strategy<Value = Vec<PowerPerfPoint>> {
     prop::collection::vec((0usize..42, 5.0..60.0f64, 0.1..100.0f64), 1..42).prop_map(|raw| {
-        let space = Configuration::enumerate();
+        let space = Configuration::all();
         raw.into_iter()
             .map(|(ci, power_w, perf)| PowerPerfPoint { config: space[ci], power_w, perf })
             .collect()
@@ -22,7 +22,7 @@ fn frontier_strategy() -> impl Strategy<Value = Frontier> {
     prop::collection::btree_set(0usize..42, 2..20).prop_flat_map(|set| {
         let n = set.len();
         (Just(set), prop::collection::vec(0.1..2.0f64, n)).prop_map(|(set, steps)| {
-            let space = Configuration::enumerate();
+            let space = Configuration::all();
             let mut power = 5.0;
             let mut perf = 1.0;
             let pts = set
@@ -130,6 +130,16 @@ proptest! {
                 }
                 (a, b) => prop_assert!(false, "cap {}: linear {:?} vs binary {:?}", cap, a, b),
             }
+            // The cap rule: `select` is `best_under`, else the
+            // minimum-power point, and says which of the two it was (a NaN
+            // cap and a cap below every point are both infeasible).
+            let (picked, feasible) = f.select(cap);
+            prop_assert_eq!(feasible, binary.is_some(), "cap {}", cap);
+            prop_assert_eq!(Some(picked), binary.or(f.min_power()), "cap {}", cap);
+        }
+        // A cap exactly at a point's power is met by that point.
+        for p in f.points() {
+            prop_assert_eq!(f.select(p.power_w), (p, true));
         }
     }
 

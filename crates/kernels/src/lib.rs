@@ -33,4 +33,6 @@ pub mod suite;
 pub use generator::{generate, GeneratorConfig};
 pub use inputs::InputSize;
 pub use spec::KernelSpec;
-pub use suite::{all_kernel_instances, app_instances, distinct_kernel_count, AppInstance};
+pub use suite::{
+    all_kernel_instances, app_instances, distinct_kernel_count, training_kernels, AppInstance,
+};

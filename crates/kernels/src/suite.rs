@@ -60,6 +60,15 @@ pub fn app_instances() -> Vec<AppInstance> {
     ]
 }
 
+/// The training sample every train-here / schedule-elsewhere test, golden
+/// and bench uses: CoMD `Default` then SMC `Small` — 15 kernels that never
+/// include the scheduled app (LULESH), in the order blessed goldens pin.
+pub fn training_kernels() -> Vec<KernelCharacteristics> {
+    let mut kernels = comd::kernels(InputSize::Default);
+    kernels.extend(smc::kernels(InputSize::Small));
+    kernels
+}
+
 /// All 65 kernel/input combinations, flattened.
 pub fn all_kernel_instances() -> Vec<KernelCharacteristics> {
     app_instances().into_iter().flat_map(|a| a.kernels).collect()

@@ -34,6 +34,12 @@ const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// long it takes to observe the shutdown flag.
 const LEASE_SLEEP_SLICE: Duration = Duration::from_millis(5);
 
+/// Ring-buffer capacity of each session's scheduling timeline — the one
+/// per-run record a session keeps, so this bounds a session's memory
+/// however many `Run`s it serves. Nothing on the wire reads a timeline,
+/// hence a constant rather than a setting.
+const SESSION_TIMELINE_CAPACITY: usize = 4096;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -54,8 +60,6 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Hard bound on kernels per `Batch` request.
     pub max_batch: usize,
-    /// Ring-buffer capacity of each session's scheduling timeline.
-    pub timeline_capacity: usize,
     /// Recovery-journal path. `Some` makes admissions, arbiter reshuffles,
     /// and first-time cache misses durable: a restarted server replays the
     /// journal and resumes with identical budgets and a warm cache.
@@ -98,7 +102,6 @@ impl Default for ServeConfig {
             policy: ArbiterPolicy::EqualShare,
             max_sessions: 8,
             max_batch: 256,
-            timeline_capacity: 4096,
             journal: None,
             journal_sync: false,
             coordinator: None,
@@ -695,11 +698,11 @@ fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
     shared.adapt.lock().insert(node_id, AdaptivePredictor::default());
     let rt = CappedRuntime::guarded(
         Machine::from_family(shared.config.family, shared.config.seed),
-        (*shared.model).clone(),
+        Arc::clone(&shared.model),
         budget_w,
         GuardPolicy::default(),
     );
-    rt.timeline().set_capacity(Some(shared.config.timeline_capacity));
+    rt.timeline().set_capacity(Some(SESSION_TIMELINE_CAPACITY));
     let seen_epoch = shared.arbiter.lock().epoch();
     let mut session = Session { shared: &shared, node_id, rt, seen_epoch };
     serve_tcp(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);

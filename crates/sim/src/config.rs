@@ -85,16 +85,7 @@ impl Configuration {
     ///
     /// The space is enumerated once and cached for the life of the
     /// process — it sits on the sub-millisecond online selection path, so
-    /// use [`Configuration::all`] to borrow it allocation-free; this
-    /// signature survives as a thin cloning wrapper for callers that want
-    /// ownership.
-    pub fn enumerate() -> Vec<Configuration> {
-        Self::all().to_vec()
-    }
-
-    /// The cached configuration space, in [`enumerate`]'s order.
-    ///
-    /// [`enumerate`]: Configuration::enumerate
+    /// every caller borrows it allocation-free.
     pub fn all() -> &'static [Configuration] {
         static SPACE: std::sync::OnceLock<Vec<Configuration>> = std::sync::OnceLock::new();
         SPACE.get_or_init(|| {
@@ -113,10 +104,10 @@ impl Configuration {
         })
     }
 
-    /// A stable dense index of this configuration within [`enumerate`]'s
+    /// A stable dense index of this configuration within [`all`]'s
     /// ordering. Useful as a compact key for per-configuration tables.
     ///
-    /// [`enumerate`]: Configuration::enumerate
+    /// [`all`]: Configuration::all
     pub fn index(&self) -> usize {
         match self.device {
             Device::Cpu => {
@@ -162,23 +153,21 @@ mod tests {
 
     #[test]
     fn space_has_42_configurations() {
-        let all = Configuration::enumerate();
+        let all = Configuration::all();
         assert_eq!(all.len(), 42);
         assert_eq!(all.len(), Configuration::space_size());
     }
 
     #[test]
-    fn all_is_cached_and_matches_enumerate() {
-        // Same static slice on every call (one enumeration per process)…
+    fn all_is_cached() {
+        // Same static slice on every call (one enumeration per process).
         assert!(std::ptr::eq(Configuration::all(), Configuration::all()));
-        // …and the owning wrapper sees exactly the same space.
-        assert_eq!(Configuration::enumerate(), Configuration::all());
     }
 
     #[test]
     fn enumeration_has_no_duplicates() {
-        let all = Configuration::enumerate();
-        let mut dedup = all.clone();
+        let all = Configuration::all();
+        let mut dedup = all.to_vec();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len());
@@ -186,14 +175,14 @@ mod tests {
 
     #[test]
     fn index_matches_enumeration_order() {
-        for (i, c) in Configuration::enumerate().iter().enumerate() {
+        for (i, c) in Configuration::all().iter().enumerate() {
             assert_eq!(c.index(), i, "config {c} has wrong index");
         }
     }
 
     #[test]
     fn cpu_configs_park_gpu() {
-        for c in Configuration::enumerate() {
+        for c in Configuration::all() {
             if c.device == Device::Cpu {
                 assert_eq!(c.gpu_pstate, GpuPState::MIN);
             } else {

@@ -71,8 +71,8 @@ proptest! {
     #[test]
     fn every_run_is_physical(k in kernel_strategy(), seed in 0u64..100) {
         let m = Machine::new(seed);
-        for cfg in Configuration::enumerate() {
-            let r = m.run(&k, &cfg);
+        for cfg in Configuration::all() {
+            let r = m.run(&k, cfg);
             prop_assert!(r.time_s > 0.0 && r.time_s.is_finite());
             prop_assert!(r.power_w() > 0.0 && r.power_w() < 200.0, "{}", r.power_w());
             prop_assert!(r.true_power.cpu_plane_w > 0.0);
@@ -154,7 +154,7 @@ proptest! {
         let m = Machine::new(seed);
         let forward = m.sweep(&k);
         // Re-run in reverse order; every observation must be identical.
-        for cfg in Configuration::enumerate().iter().rev() {
+        for cfg in Configuration::all().iter().rev() {
             let r = m.run(&k, cfg);
             prop_assert_eq!(&r, &forward[cfg.index()]);
         }
@@ -199,8 +199,8 @@ proptest! {
     #[test]
     fn device_dispatch_matches_config(k in kernel_strategy()) {
         let m = Machine::noiseless(0);
-        for cfg in Configuration::enumerate() {
-            let r = m.run(&k, &cfg);
+        for cfg in Configuration::all() {
+            let r = m.run(&k, cfg);
             match cfg.device {
                 Device::Cpu => prop_assert_eq!(r.config.device, Device::Cpu),
                 Device::Gpu => prop_assert_eq!(r.config.device, Device::Gpu),
@@ -217,8 +217,8 @@ proptest! {
         let a = Machine::from_family(family, seed);
         let b = Machine::from_family(family, seed);
         prop_assert_eq!(&a, &b);
-        for cfg in Configuration::enumerate() {
-            prop_assert_eq!(a.run(&k, &cfg), b.run(&k, &cfg));
+        for cfg in Configuration::all() {
+            prop_assert_eq!(a.run(&k, cfg), b.run(&k, cfg));
         }
     }
 
@@ -229,8 +229,8 @@ proptest! {
         seed in 0u64..50,
     ) {
         let m = Machine::from_family(family, seed);
-        for cfg in Configuration::enumerate() {
-            let r = m.run(&k, &cfg);
+        for cfg in Configuration::all() {
+            let r = m.run(&k, cfg);
             prop_assert!(r.time_s > 0.0 && r.time_s.is_finite(), "{family} time {}", r.time_s);
             prop_assert!(
                 r.power_w() > 0.0 && r.power_w() < 400.0,
@@ -251,9 +251,9 @@ proptest! {
         // bit-for-bit (goldens depend on this).
         let legacy = Machine::new(seed);
         let fam = Machine::from_family(FamilyId::Trinity, seed);
-        for cfg in Configuration::enumerate() {
-            let a = legacy.run(&k, &cfg);
-            let b = fam.run(&k, &cfg);
+        for cfg in Configuration::all() {
+            let a = legacy.run(&k, cfg);
+            let b = fam.run(&k, cfg);
             prop_assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
             prop_assert_eq!(
                 a.true_power.cpu_plane_w.to_bits(),

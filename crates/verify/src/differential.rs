@@ -7,12 +7,12 @@
 //! reliably than the fixed-device baselines; [`Thresholds`] turns those
 //! claims into pass/fail gates that every future PR must clear.
 
-use crate::oracle::{OracleChoice, OracleEngine};
-use crate::scenario::ScenarioGrid;
-use acs_core::methods::{select_with_scratch, Method};
+use crate::oracle::OracleChoice;
+use crate::scenario::{MachineScenarios, ScenarioGrid};
+use acs_core::eval::replay;
 use acs_core::offline::TrainError;
 use acs_core::online::Predictor;
-use acs_core::{train, SelectScratch, TrainingParams};
+use acs_core::{train, Method, TrainingParams};
 use acs_sim::Configuration;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -126,60 +126,45 @@ pub fn run_differential(
     params: TrainingParams,
 ) -> Result<RegretReport, TrainError> {
     let mut cases = Vec::new();
-
     for m in &grid.machines {
         let model = train(&m.training, params)?;
-        let predictor = Predictor::new(&model);
-        // Each evaluated profile's (cap, method) replay is independent, so
-        // profiles fan out across the rayon pool; `flat_map_iter` splices
-        // the per-profile case blocks back in profile order, keeping the
-        // report byte-identical to the sequential nesting.
-        let machine_cases: Vec<ScenarioCase> = m
-            .evaluated
-            .par_iter()
-            .flat_map_iter(|(profile, caps)| {
-                // The grid already holds the full sweep; derive the oracle
-                // frontier from it rather than re-sweeping (the disk-cached
-                // [`OracleEngine::frontier`] path serves `acs verify
-                // --cache-dir`, where profiles are not pre-collected).
-                let frontier = profile.oracle_frontier();
-                // One scratch arena per profile: the (cap, method) replay
-                // loop below re-selects many times, and the fast path
-                // writes through this instead of allocating per select.
-                let mut scratch = SelectScratch::new();
-                let mut out = Vec::with_capacity(caps.len() * Method::COMPARED.len());
-                for &cap_w in caps {
-                    let oracle = OracleEngine::choose(&frontier, cap_w);
-                    for &method in &Method::COMPARED {
-                        let config = select_with_scratch(
-                            method,
-                            profile,
-                            Some(&predictor),
-                            cap_w,
-                            &mut scratch,
-                        );
-                        let run = profile.run_at(&config);
-                        out.push(ScenarioCase {
-                            method,
-                            machine_seed: m.machine.seed,
-                            kernel_id: profile.kernel.id(),
-                            cap_w,
-                            config,
-                            power_w: run.true_power_w(),
-                            perf: 1.0 / run.time_s,
-                            oracle,
-                        });
-                    }
-                }
-                out
-            })
-            .collect();
-        cases.extend(machine_cases);
+        cases.extend(machine_cases(m, &Method::COMPARED, &Predictor::new(&model)));
     }
 
     let total_scenarios = cases.len() / Method::COMPARED.len();
     let per_method = Method::COMPARED.iter().map(|&m| summarize_method(&cases, m)).collect();
     Ok(RegretReport { total_scenarios, per_method, cases })
+}
+
+/// One machine's scenarios through [`replay`] — the loop Table III runs —
+/// at the grid's probe caps, with one predictor. Shared with the transfer
+/// runner, which passes a foreign family's predictor. Each profile's
+/// replay is independent, so profiles fan out across the rayon pool;
+/// `flat_map_iter` splices the per-profile case blocks back in profile
+/// order, keeping the report byte-identical to the sequential nesting.
+pub(crate) fn machine_cases(
+    m: &MachineScenarios,
+    methods: &[Method],
+    predictor: &Predictor<'_>,
+) -> Vec<ScenarioCase> {
+    m.evaluated
+        .par_iter()
+        .flat_map_iter(|(profile, caps)| {
+            let kernel_id = profile.kernel.id();
+            replay(profile, Some(caps), methods, predictor).into_iter().map(move |pick| {
+                ScenarioCase {
+                    method: pick.method,
+                    machine_seed: m.machine.seed,
+                    kernel_id: kernel_id.clone(),
+                    cap_w: pick.cap_w,
+                    config: pick.picked.config,
+                    power_w: pick.picked.power_w,
+                    perf: pick.picked.perf,
+                    oracle: OracleChoice::new(&pick.oracle, pick.feasible),
+                }
+            })
+        })
+        .collect()
 }
 
 /// Aggregate one method's cases in a single pass (no intermediate

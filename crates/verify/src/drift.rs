@@ -14,7 +14,7 @@
 //! regrets must match the static path bit for bit, with zero re-selections
 //! and zero drift events.
 
-use crate::scenario::{evaluation_kernels, training_kernels};
+use crate::scenario::evaluation_kernels;
 use acs_core::offline::TrainError;
 use acs_core::{
     sample_config, train, AdaptivePredictor, KernelProfile, PredictedProfile, Predictor,
@@ -313,8 +313,10 @@ fn score_cell(
 /// to the sequential nesting at any thread count.
 pub fn run_drift(params: &DriftGridParams) -> Result<DriftReport, TrainError> {
     let machine = Machine::new(params.machine_seed);
-    let training: Vec<KernelProfile> =
-        training_kernels().par_iter().map(|k| KernelProfile::collect(&machine, k)).collect();
+    let training: Vec<KernelProfile> = acs_kernels::training_kernels()
+        .par_iter()
+        .map(|k| KernelProfile::collect(&machine, k))
+        .collect();
     let model = train(&training, TrainingParams::default())?;
     let predictor = Predictor::new(&model);
     let kernels: Vec<KernelCharacteristics> =

@@ -19,8 +19,8 @@
 use crate::scenario::GridParams;
 use acs_core::offline::TrainedModel;
 use acs_core::{collect_suite, train, CappedRuntime, GuardPolicy, TrainingParams};
-use acs_kernels::{AppInstance, InputSize};
-use acs_sim::{FamilyId, FaultPlan, FaultyMachine, KernelCharacteristics, Machine};
+use acs_kernels::AppInstance;
+use acs_sim::{FamilyId, FaultPlan, FaultyMachine, Machine};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -39,11 +39,7 @@ pub const GOLDEN_ITERATIONS: u64 = 6;
 /// The train-on suite for golden traces (matches the differential grid's
 /// training discipline: CoMD + SMC, never the scheduled app).
 fn golden_model(machine: &Machine) -> TrainedModel {
-    let kernels: Vec<KernelCharacteristics> = acs_kernels::comd::kernels(InputSize::Default)
-        .into_iter()
-        .chain(acs_kernels::smc::kernels(InputSize::Small))
-        .collect();
-    let profiles = collect_suite(machine, &kernels);
+    let profiles = collect_suite(machine, &acs_kernels::training_kernels());
     train(&profiles, TrainingParams::default()).expect("golden training suite is sufficient")
 }
 

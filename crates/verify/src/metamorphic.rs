@@ -338,18 +338,14 @@ mod tests {
     use super::*;
     use acs_core::{collect_suite, train, PowerPerfPoint, TrainingParams};
     use acs_kernels::InputSize;
-    use acs_sim::{Configuration, CpuPState, KernelCharacteristics};
+    use acs_sim::{Configuration, CpuPState};
 
     fn machine() -> Machine {
         Machine::new(2014)
     }
 
     fn training_profiles(m: &Machine) -> Vec<KernelProfile> {
-        let kernels: Vec<KernelCharacteristics> = acs_kernels::comd::kernels(InputSize::Default)
-            .into_iter()
-            .chain(acs_kernels::smc::kernels(InputSize::Small))
-            .collect();
-        collect_suite(m, &kernels)
+        collect_suite(m, &acs_kernels::training_kernels())
     }
 
     fn lulesh() -> AppInstance {

@@ -49,6 +49,13 @@ pub struct OracleChoice {
     pub feasible: bool,
 }
 
+impl OracleChoice {
+    /// The answer [`Frontier::select`] gave on a true-power frontier.
+    pub fn new(point: &PowerPerfPoint, feasible: bool) -> Self {
+        Self { config: point.config, power_w: point.power_w, perf: point.perf, feasible }
+    }
+}
+
 impl OracleEngine {
     /// An engine that always sweeps (no cache).
     pub fn new() -> Self {
@@ -134,22 +141,8 @@ impl OracleEngine {
     /// best-performing point meeting the cap, else the minimum-power
     /// fallback.
     pub fn choose(frontier: &Frontier, cap_w: f64) -> OracleChoice {
-        let (point, feasible): (&PowerPerfPoint, bool) = match frontier.best_under(cap_w) {
-            Some(p) => (p, true),
-            None => (frontier.min_power().expect("non-empty frontier"), false),
-        };
-        OracleChoice { config: point.config, power_w: point.power_w, perf: point.perf, feasible }
-    }
-
-    /// Sweep-and-choose in one call (used by the differential runner when
-    /// it already has the profile in hand).
-    pub fn choose_for(
-        &self,
-        machine: &Machine,
-        kernel: &KernelCharacteristics,
-        cap_w: f64,
-    ) -> OracleChoice {
-        Self::choose(&self.frontier(machine, kernel), cap_w)
+        let (point, feasible) = frontier.select(cap_w);
+        OracleChoice::new(point, feasible)
     }
 }
 

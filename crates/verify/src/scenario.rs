@@ -11,7 +11,7 @@
 //! unseen kernels (Section V-C).
 
 use acs_core::profile::KernelProfile;
-use acs_kernels::InputSize;
+use acs_kernels::{training_kernels, InputSize};
 use acs_sim::{FamilyId, KernelCharacteristics, Machine};
 use serde::{Deserialize, Serialize};
 
@@ -104,14 +104,6 @@ pub struct ScenarioGrid {
     pub params: GridParams,
     /// One entry per machine seed.
     pub machines: Vec<MachineScenarios>,
-}
-
-/// The training suite: CoMD (all sizes present in the app list) plus SMC.
-pub(crate) fn training_kernels() -> Vec<KernelCharacteristics> {
-    acs_kernels::comd::kernels(InputSize::Default)
-        .into_iter()
-        .chain(acs_kernels::smc::kernels(InputSize::Small))
-        .collect()
 }
 
 /// The held-out evaluation suite: LULESH Small (20 kernels) plus LU at two

@@ -11,15 +11,12 @@
 //! transfer regret by construction, which doubles as an end-to-end
 //! determinism check of the whole pipeline.
 
-use crate::differential::{summarize_method, MethodRegret, ScenarioCase};
-use crate::oracle::OracleEngine;
-use crate::scenario::ScenarioGrid;
-use acs_core::methods::{select_with_scratch, Method};
+use crate::differential::{machine_cases, summarize_method, MethodRegret};
+use crate::scenario::{MachineScenarios, ScenarioGrid};
 use acs_core::offline::TrainError;
 use acs_core::online::Predictor;
-use acs_core::{train, TrainingParams};
+use acs_core::{train, Method, TrainingParams};
 use acs_sim::FamilyId;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The model-driven methods whose selections depend on training data.
@@ -163,41 +160,10 @@ pub fn run_transfer(
 }
 
 /// Score one serve machine's full scenario set with one predictor, in
-/// [`TRANSFER_METHODS`] order. Mirrors the differential runner's replay:
-/// profiles fan out across the rayon pool, `flat_map_iter` keeps case
-/// order equal to the sequential nesting.
-fn score_pair(
-    serve: &crate::scenario::MachineScenarios,
-    predictor: &Predictor,
-) -> Vec<MethodRegret> {
-    let cases: Vec<ScenarioCase> = serve
-        .evaluated
-        .par_iter()
-        .flat_map_iter(|(profile, caps)| {
-            let frontier = profile.oracle_frontier();
-            let mut scratch = acs_core::SelectScratch::new();
-            let mut out = Vec::with_capacity(caps.len() * TRANSFER_METHODS.len());
-            for &cap_w in caps {
-                let oracle = OracleEngine::choose(&frontier, cap_w);
-                for &method in &TRANSFER_METHODS {
-                    let config =
-                        select_with_scratch(method, profile, Some(predictor), cap_w, &mut scratch);
-                    let run = profile.run_at(&config);
-                    out.push(ScenarioCase {
-                        method,
-                        machine_seed: serve.machine.seed,
-                        kernel_id: profile.kernel.id(),
-                        cap_w,
-                        config,
-                        power_w: run.true_power_w(),
-                        perf: 1.0 / run.time_s,
-                        oracle,
-                    });
-                }
-            }
-            out
-        })
-        .collect();
+/// [`TRANSFER_METHODS`] order: the differential runner's replay and
+/// statistics, restricted to the model-driven methods.
+fn score_pair(serve: &MachineScenarios, predictor: &Predictor) -> Vec<MethodRegret> {
+    let cases = machine_cases(serve, &TRANSFER_METHODS, predictor);
     TRANSFER_METHODS.iter().map(|&m| summarize_method(&cases, m)).collect()
 }
 

@@ -15,12 +15,10 @@ use acs_core::{CappedRuntime, GuardPolicy};
 use acs_sim::{FaultPlan, FaultyMachine};
 
 fn trained_model(machine: &Machine) -> TrainedModel {
-    let kernels: Vec<KernelCharacteristics> = acs::kernels::comd::kernels(InputSize::Default)
-        .into_iter()
-        .chain(acs::kernels::smc::kernels(InputSize::Small))
+    let profiles: Vec<KernelProfile> = acs::kernels::training_kernels()
+        .iter()
+        .map(|k| KernelProfile::collect(machine, k))
         .collect();
-    let profiles: Vec<KernelProfile> =
-        kernels.iter().map(|k| KernelProfile::collect(machine, k)).collect();
     train(&profiles, TrainingParams::default()).expect("training succeeds")
 }
 

@@ -2,7 +2,9 @@
 //! must hold for *any* correct implementation of Section V, checked on a
 //! reduced suite for speed.
 
-use acs::core::eval::{characterize_apps, evaluate, AppProfiles, Evaluation};
+use acs::core::eval::{
+    characterize_apps, evaluate, evaluate_kernel, AppProfiles, CaseResult, Evaluation,
+};
 use acs::core::methods;
 use acs::prelude::*;
 
@@ -71,6 +73,38 @@ fn oracle_meets_every_cap_it_defines() {
                     profile.kernel.id()
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn public_wrapper_and_fold_path_are_the_same_replay() {
+    // `evaluate` compiles one predictor per fold; `evaluate_kernel` takes
+    // a model and compiles its own. Hold out LU by hand and the wrapper
+    // must reproduce `evaluate`'s cases for LU's kernels exactly.
+    let apps = reduced_suite();
+    let e = evaluate(&apps, TrainingParams::default()).unwrap();
+    let training: Vec<KernelProfile> = apps
+        .iter()
+        .filter(|a| a.app.benchmark != "LU")
+        .flat_map(|a| a.profiles.iter().cloned())
+        .collect();
+    let fold_model = train(&training, TrainingParams::default()).unwrap();
+    let held_out: Vec<&AppProfiles> = apps.iter().filter(|a| a.app.benchmark == "LU").collect();
+    assert!(!held_out.is_empty());
+    for app in held_out {
+        let label = app.app.label();
+        for profile in &app.profiles {
+            let direct = evaluate_kernel(profile, &fold_model, &label);
+            let id = profile.kernel.id();
+            let from_evaluate: Vec<CaseResult> = e
+                .cases
+                .iter()
+                .filter(|c| c.app_label == label && c.kernel_id == id)
+                .cloned()
+                .collect();
+            assert!(!direct.is_empty());
+            assert_eq!(direct, from_evaluate, "{id}");
         }
     }
 }

@@ -31,9 +31,8 @@ const TRAIN_SEED: u64 = 2014;
 /// Kernels the identity sweep probes: one app per suite family so the
 /// classifier visits CPU-bound, GPU-bound, and mixed clusters.
 fn probe_kernels() -> Vec<KernelCharacteristics> {
-    acs::kernels::comd::kernels(InputSize::Default)
+    acs::kernels::training_kernels()
         .into_iter()
-        .chain(acs::kernels::smc::kernels(InputSize::Small))
         .chain(acs::kernels::lulesh::kernels(InputSize::Small))
         .chain(acs::kernels::lu::kernels(InputSize::Small))
         .collect()

@@ -15,6 +15,7 @@
 //! whole suite under `RAYON_NUM_THREADS=1` and the default sizing.
 
 use acs::core::collect_suite;
+use acs::kernels::training_kernels;
 use acs::prelude::*;
 use acs::verify::golden::{guarded_chaos_timeline, GOLDEN_SEED};
 use acs::verify::OracleEngine;
@@ -23,13 +24,6 @@ use acs::verify::OracleEngine;
 /// fallback (the byte-level reference), 2 forces real helper threads, and
 /// 8 over-subscribes a small host so chunk claiming order scrambles.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn training_kernels() -> Vec<KernelCharacteristics> {
-    acs::kernels::comd::kernels(InputSize::Default)
-        .into_iter()
-        .chain(acs::kernels::smc::kernels(InputSize::Small))
-        .collect()
-}
 
 /// Offline training end-to-end: parallel profile sweeps, the O(K²)
 /// pairwise Kendall dissimilarity matrix, clustering, and regression —

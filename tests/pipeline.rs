@@ -96,8 +96,12 @@ fn model_beats_naive_baselines_under_tight_caps() {
     let predictor = Predictor::new(&model);
 
     let cap = fill_boundary.oracle_frontier().min_power().unwrap().power_w * 1.3;
-    let model_cfg = acs::core::methods::select(Method::Model, fill_boundary, Some(&predictor), cap);
-    let gpu_cfg = acs::core::methods::select(Method::GpuFL, fill_boundary, Some(&predictor), cap);
+    let (samples, mut scratch) = (fill_boundary.sample_pair(), acs::core::SelectScratch::new());
+    let mut pick = |method| {
+        let predictor = Some(&predictor);
+        acs::core::methods::select(method, fill_boundary, &samples, predictor, cap, &mut scratch)
+    };
+    let (model_cfg, gpu_cfg) = (pick(Method::Model), pick(Method::GpuFL));
 
     let model_power = fill_boundary.run_at(&model_cfg).true_power_w();
     let gpu_power = fill_boundary.run_at(&gpu_cfg).true_power_w();

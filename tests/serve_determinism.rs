@@ -19,21 +19,14 @@ fn loadgen_seed7_replays_to_byte_identical_logs() {
         acs::core::train_on_suite(&Machine::new(2014), usize::MAX).expect("training succeeds");
     let server = Server::spawn(ServeConfig::default(), model).expect("ephemeral bind succeeds");
 
-    // Mixed traffic: selections, periodic runs, periodic residual reports.
+    // Mixed traffic over the default stream (1000 requests, seed 7, one
+    // session): selections, periodic runs, periodic residual reports.
     let opts = LoadgenOptions {
         addr: server.addr.clone(),
-        requests: 1000,
-        seed: 7,
-        sessions: 1,
         run_every: 11,
         report_every: 13,
         feedback: true,
-        stats_at_end: false,
-        shutdown_at_end: false,
-        open_loop: false,
-        rate_rps: 0.0,
-        deadline_ms: 0,
-        priority: 0,
+        ..Default::default()
     };
 
     let (first_report, first_log) = run_loadgen(&opts).expect("first run completes");
