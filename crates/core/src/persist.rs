@@ -349,6 +349,23 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_zero_coefficient_reloads_bit_equal() {
+        // `PartialEq` cannot see the sign of a zero; the bits can.
+        let (mut m, _) = model();
+        m.clusters[0].power_cpu.coeffs[0] = -0.0;
+        let dir = scratch("negzero");
+        let path = dir.join("model.json");
+        m.save(&path).unwrap();
+        let back = TrainedModel::load(&path).unwrap();
+        assert_eq!(back.clusters[0].power_cpu.coeffs[0].to_bits(), (-0.0f64).to_bits());
+        for (a, b) in m.clusters.iter().zip(&back.clusters) {
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.power_cpu.coeffs), bits(&b.power_cpu.coeffs));
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn roundtripped_model_predicts_identically() {
         let (m, profiles) = model();
         let back = TrainedModel::from_json(&m.to_json().unwrap()).unwrap();

@@ -240,7 +240,12 @@ impl From<std::io::Error> for JournalError {
 struct Inner {
     file: std::fs::File,
     next_seq: u64,
+    /// The line being appended, kept for its capacity.
+    line: Vec<u8>,
 }
+
+/// Bytes a line's checksum field takes: eight hex digits and a space.
+const CRC_FIELD_LEN: usize = 9;
 
 /// An open, append-only recovery journal over entry type `E` — the serve
 /// shard journals [`JournalEntry`], the fleet coordinator journals
@@ -314,7 +319,7 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
         }
         Ok((
             Self {
-                inner: Mutex::new(Inner { file, next_seq: entries.len() as u64 }),
+                inner: Mutex::new(Inner { file, next_seq: entries.len() as u64, line: Vec::new() }),
                 path,
                 truncated_tail_bytes,
                 recovered: entries.len() as u64,
@@ -362,11 +367,19 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
     /// under the journal lock, so concurrent appenders serialize and the
     /// log stays gapless.
     pub fn append(&self, entry: &E) -> Result<(), JournalError> {
-        let json = serde_json::to_string(entry).map_err(|e| JournalError::Format(e.to_string()))?;
-        let mut inner = self.inner.lock();
-        let body = format!("{} {}", inner.next_seq, json);
-        let line = format!("{:08x} {}\n", crc32(body.as_bytes()), body);
-        inner.file.write_all(line.as_bytes())?;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        // `crc seq json\n`, built in place: the checksum covers everything
+        // after its own field, so that field is reserved and filled last.
+        let line = &mut inner.line;
+        line.clear();
+        line.extend_from_slice(&[b' '; CRC_FIELD_LEN]);
+        write!(line, "{} ", inner.next_seq)?;
+        serde_json::to_writer(line, entry).map_err(|e| JournalError::Format(e.to_string()))?;
+        let crc = crc32(&line[CRC_FIELD_LEN..]);
+        write!(&mut line[..CRC_FIELD_LEN], "{crc:08x}")?;
+        line.push(b'\n');
+        inner.file.write_all(line)?;
         inner.file.flush()?;
         if self.sync {
             inner.file.sync_data()?;

@@ -307,23 +307,38 @@ pub enum ReadOutcome<T> {
 /// Bytes of the big-endian length prefix.
 const HEADER_LEN: usize = 4;
 
-/// Serialize `msg` and append it to `out` as one length-prefixed frame.
-/// On error `out` is left as it was.
+/// Serialize `msg` onto the end of `out` as one length-prefixed frame: the
+/// prefix is reserved, the body is written in place behind it, and the
+/// length is patched in once known. On error `out` is left as it was.
 pub(crate) fn encode_frame<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> Result<(), ProtocolError> {
-    let body = serde_json::to_string(msg).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
-    if body.len() > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len: body.len(), max: MAX_FRAME_LEN });
+    let mark = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    let written = serde_json::to_writer(out, msg)
+        .map_err(|e| ProtocolError::Malformed(e.to_string()))
+        .and_then(|()| match out.len() - mark - HEADER_LEN {
+            len if len > MAX_FRAME_LEN => Err(ProtocolError::Oversized { len, max: MAX_FRAME_LEN }),
+            len => Ok(len as u32),
+        });
+    match written {
+        Ok(len) => {
+            out[mark..mark + HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(mark);
+            Err(e)
+        }
     }
-    out.reserve(HEADER_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body.as_bytes());
-    Ok(())
 }
+
+/// What [`write_frame`] allocates up front: every message but `Stats` and
+/// a long `Batch` fits, so it is built without regrowing.
+const FRAME_CAPACITY: usize = 512;
 
 /// Serialize `msg` and write it as one length-prefixed frame — prefix and
 /// body in one `write_all`, so a `TCP_NODELAY` socket sends one segment.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ProtocolError> {
-    let mut frame = Vec::new();
+    let mut frame = Vec::with_capacity(FRAME_CAPACITY);
     encode_frame(&mut frame, msg)?;
     w.write_all(&frame)?;
     w.flush()?;
@@ -689,6 +704,35 @@ mod tests {
         buf.extend_from_slice(b"{{{{");
         let err = read_frame::<_, Request>(&mut Cursor::new(&buf)).unwrap_err();
         assert!(matches!(err, ProtocolError::Malformed(_)));
+
+        // Valid UTF-8 whose `\u` escape runs into a two-byte character:
+        // the four "hex digits" end inside `é`.
+        let json = "{\"Select\":{\"kernel_id\":\"\\u123é\"}}";
+        let mut buf = (json.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(json.as_bytes());
+        let err = read_frame::<_, Request>(&mut Cursor::new(&buf)).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)));
+    }
+
+    #[test]
+    fn encode_frame_appends_in_place_and_leaves_the_buffer_alone_on_error() {
+        let mut out = b"earlier replies".to_vec();
+        encode_frame(&mut out, &Request::Bye).unwrap();
+        let mut alone = Vec::new();
+        write_frame(&mut alone, &Request::Bye).unwrap();
+        assert_eq!(out, [b"earlier replies".as_slice(), &alone].concat());
+        assert_eq!(alone, [&5u32.to_be_bytes()[..], b"\"Bye\""].concat());
+
+        let huge = Request::Select {
+            kernel_id: "x".repeat(MAX_FRAME_LEN),
+            deadline_ms: None,
+            priority: 0,
+        };
+        let before = out.clone();
+        let err = encode_frame(&mut out, &huge).unwrap_err();
+        assert!(matches!(err, ProtocolError::Oversized { len, max }
+            if len > MAX_FRAME_LEN && max == MAX_FRAME_LEN));
+        assert_eq!(out, before);
     }
 
     /// Every outcome `next` yields until the stream ends, as text.

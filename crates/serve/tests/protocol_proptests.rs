@@ -192,3 +192,384 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The codec under the messages, pinned without a second codec to compare
+// against: (a) what the derived writers emit is a fixed point of the generic
+// `Value` writer, in both layouts; (b) the documents `Request` accepts and
+// refuses are written down; (c) no damaged frame panics.
+// ---------------------------------------------------------------------------
+
+mod codec {
+    use super::*;
+    use acs_serve::{
+        CoordJournalEntry, CoordRequest, CoordResponse, CoordStats, JournalEntry, LeaseReport,
+        Metrics, Recovery, ReportFeedback, SessionAdapt,
+    };
+    use serde::{Deserialize, Serialize};
+    use serde_json::{from_str, parse_value, to_string, to_string_pretty};
+    use std::fmt::Debug;
+
+    /// Strings that need every kind of escape, and some that need none.
+    const AWKWARD: &str = "q\" b\\ n\n t\t r\r nul\u{0} esc\u{1b} κ/üñ/… 😀";
+
+    /// Checks (a) and (c) for one message and that it reads back equal.
+    fn pin<T: Serialize + Deserialize + PartialEq + Debug>(msg: &T) {
+        let compact = to_string(msg).unwrap();
+        let pretty = to_string_pretty(msg).unwrap();
+        let tree = parse_value(&compact).unwrap();
+        assert_eq!(to_string(&tree).unwrap(), compact, "compact is not a fixed point");
+        let tree = parse_value(&pretty).unwrap();
+        assert_eq!(to_string_pretty(&tree).unwrap(), pretty, "pretty is not a fixed point");
+        assert_eq!(to_string(&tree).unwrap(), compact, "the layouts disagree");
+        assert_eq!(&from_str::<T>(&compact).unwrap(), msg);
+        assert_eq!(&from_str::<T>(&pretty).unwrap(), msg);
+
+        let mut frame = Vec::new();
+        write_frame(&mut frame, msg).unwrap();
+        assert_eq!(&frame[..4], (compact.len() as u32).to_be_bytes());
+        assert_eq!(&frame[4..], compact.as_bytes(), "a frame body is the compact text");
+        damage::<T>(&frame);
+    }
+
+    /// (c): every prefix is `Eof` or `Truncated`; every overwritten byte
+    /// is a message or a typed error. Long frames are sampled.
+    fn damage<T: Deserialize + Debug>(frame: &[u8]) {
+        let stride = frame.len() / 1500 + 1;
+        for cut in (0..frame.len()).step_by(stride) {
+            match read_frame::<_, T>(&mut &frame[..cut]) {
+                Ok(ReadOutcome::Eof) => assert_eq!(cut, 0),
+                Err(ProtocolError::Truncated { expected, got }) => assert!(got < expected),
+                other => panic!("prefix {cut} of {}: {other:?}", frame.len()),
+            }
+        }
+        let mut bytes = frame.to_vec();
+        for at in (0..frame.len()).step_by(stride) {
+            for byte in [b'"', b'\\', b'u', b'{', b']', b',', b'-', b'e', b'7', 0, 0xc3, 0xa9] {
+                bytes[at] = byte;
+                // Returning at all is the property; the value is free.
+                let _ = read_frame::<_, T>(&mut &bytes[..]);
+            }
+            bytes[at] = frame[at];
+        }
+    }
+
+    fn selection(kernel_id: &str) -> Selection {
+        Selection {
+            kernel_id: kernel_id.into(),
+            cluster: 3,
+            config: Configuration::all()[17],
+            predicted_power_w: 23.456789012345,
+            predicted_perf: 1234.5678901234,
+            budget_w: 26.666666666666668,
+        }
+    }
+
+    #[test]
+    fn every_request_and_response_is_pinned() {
+        let feedback = ReportFeedback {
+            kernel_id: AWKWARD.into(),
+            config: Configuration::all()[0],
+            measured_power_w: 41.5,
+            measured_perf: 12.25,
+        };
+        for request in [
+            Request::Hello,
+            Request::Select { kernel_id: AWKWARD.into(), deadline_ms: None, priority: 0 },
+            Request::Select {
+                kernel_id: "LU/Small/lud".into(),
+                deadline_ms: Some(25),
+                priority: 255,
+            },
+            Request::Batch { kernel_ids: vec![], deadline_ms: None, priority: 0 },
+            Request::Batch {
+                kernel_ids: vec!["a".into(), AWKWARD.into()],
+                deadline_ms: Some(0),
+                priority: 1,
+            },
+            Request::Run {
+                kernel_id: "x".into(),
+                iterations: u64::MAX,
+                idem: Some(42),
+                deadline_ms: Some(10),
+                priority: 1,
+            },
+            Request::Run {
+                kernel_id: String::new(),
+                iterations: 0,
+                idem: None,
+                deadline_ms: None,
+                priority: 0,
+            },
+            Request::Report { residual_w: -0.0, feedback: None },
+            Request::Report { residual_w: -1.25e-7, feedback: Some(feedback) },
+            Request::Stats,
+            Request::Bye,
+            Request::Shutdown,
+        ] {
+            pin(&request);
+        }
+
+        let metrics = Metrics::new();
+        metrics.record_request("select", 1_500);
+        metrics.record_request("batch", 90_000);
+        metrics.record_rung("model");
+        metrics.record_rung("model+fl(1)");
+        let lease = LeaseReport {
+            lease_state: "leased".into(),
+            lease_budget_w: 60.5,
+            ..LeaseReport::default()
+        };
+        let stats = metrics.snapshot((3, 1), 2, 5, &lease);
+        assert!(stats.requests_by_kind.len() == 2 && stats.degradation_tallies.len() == 2);
+        for response in [
+            Response::Welcome { node_id: 3, budget_w: 40.0 },
+            Response::Selected(selection(AWKWARD)),
+            Response::BatchSelected { selections: vec![] },
+            Response::BatchSelected { selections: vec![selection("a"), selection("LU/Small/lud")] },
+            Response::Ran {
+                kernel_id: "LU/Small/lud".into(),
+                iterations: 9,
+                avg_power_w: 31.25,
+                total_time_s: 0.001953125,
+                config: Configuration::all()[5],
+                tier: "model+fl(1)".into(),
+            },
+            Response::Budget { budget_w: 1e-3 },
+            Response::Stats(Box::new(stats)),
+            Response::ShedDeadline { deadline_ms: 5, priority: 3, brownout_level: 2 },
+            Response::Overloaded { load: 9, limit: 8 },
+            Response::Error { code: "malformed".into(), detail: AWKWARD.into() },
+            Response::Bye,
+            Response::ShuttingDown,
+        ] {
+            pin(&response);
+        }
+    }
+
+    #[test]
+    fn every_journal_and_lease_message_is_pinned() {
+        for entry in [
+            JournalEntry::Admit { node_id: 1, epoch: 2 },
+            JournalEntry::Leave { node_id: 1, epoch: 3 },
+            JournalEntry::Report { node_id: 1, residual_w: -0.0, epoch: 4 },
+            JournalEntry::Report { node_id: 1, residual_w: 2.5, epoch: 5 },
+            JournalEntry::CacheKey { kernel_id: AWKWARD.into() },
+            JournalEntry::Cap { cap_w: 119.99999999999999, epoch: 6 },
+            JournalEntry::AdaptObs {
+                node_id: 1,
+                kernel_id: "LU/Small/lud".into(),
+                power_bits: 1.25f64.to_bits(),
+                perf_bits: (-0.0f64).to_bits(),
+            },
+            JournalEntry::Reclassify { node_id: 1, kernel_id: "k".into() },
+            JournalEntry::Rung { label: "model+fl(1)".into() },
+            JournalEntry::Brownout { level: 3 },
+        ] {
+            pin(&entry);
+        }
+        pin(&Recovery {
+            replayed: 12,
+            warm_kernels: vec!["a".into(), AWKWARD.into()],
+            orphaned_sessions: vec![2, 5],
+            next_node: 6,
+            rung_tallies: [("model".to_string(), 4u64)].into_iter().collect(),
+            adapt: vec![SessionAdapt { node_id: 2, predictor: Default::default() }],
+            brownout_transitions: 1,
+        });
+        for entry in [
+            CoordJournalEntry::Grant {
+                lease_id: 1,
+                shard_id: 2,
+                demand_w: 30.5,
+                tick: 3,
+                epoch: 4,
+            },
+            CoordJournalEntry::Renew { lease_id: 1, demand_w: 0.0, tick: 5, epoch: 6 },
+            CoordJournalEntry::Release { lease_id: 1, tick: 7, epoch: 8 },
+            CoordJournalEntry::Revoke { lease_id: 1, tick: 9, epoch: 10 },
+        ] {
+            pin(&entry);
+        }
+        for request in [
+            CoordRequest::Lease { shard_id: None, demand_w: 12.5 },
+            CoordRequest::Lease { shard_id: Some(4), demand_w: 0.0 },
+            CoordRequest::Renew { lease_id: 1, epoch: 2, demand_w: 33.333333333333336 },
+            CoordRequest::Release { lease_id: 1 },
+            CoordRequest::Revoke { lease_id: 1 },
+            CoordRequest::Stats,
+            CoordRequest::Shutdown,
+        ] {
+            pin(&request);
+        }
+        let stats = CoordStats {
+            tick: 1,
+            epoch: 2,
+            global_cap_w: 240.0,
+            floor_w: 5.0,
+            live_leases: 3,
+            encumbered_leases: 1,
+            live_committed_w: 180.25,
+            encumbered_w: 20.0,
+            pool_w: 39.75,
+            overshoot_w: 0.0,
+            grants: 4,
+            renews: 50,
+            expirations: 1,
+            revocations: 0,
+            evicted_shards: 1,
+            journal_appends: 55,
+            journal_replayed: 0,
+        };
+        for response in [
+            CoordResponse::Granted {
+                lease_id: 1,
+                shard_id: 2,
+                epoch: 3,
+                budget_w: 80.0,
+                expires_tick: 9,
+                ttl_ms: 600,
+            },
+            CoordResponse::Renewed { lease_id: 1, epoch: 4, budget_w: 79.5, expires_tick: 12 },
+            CoordResponse::Rejected { code: "pool-exhausted".into(), detail: AWKWARD.into() },
+            CoordResponse::Released,
+            CoordResponse::Revoked,
+            CoordResponse::Stats(stats),
+            CoordResponse::Error { code: "malformed".into(), detail: String::new() },
+            CoordResponse::ShuttingDown,
+        ] {
+            pin(&response);
+        }
+    }
+
+    #[test]
+    fn a_trained_model_is_pinned() {
+        let model = acs_core::train_on_suite(&acs_sim::Machine::new(2014), 16).unwrap();
+        pin(&model);
+    }
+
+    fn decode(json: &str) -> Result<Request, String> {
+        let mut frame = (json.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(json.as_bytes());
+        match read_frame::<_, Request>(&mut &frame[..]) {
+            Ok(ReadOutcome::Frame(request)) => Ok(request),
+            Ok(other) => panic!("{json}: {other:?}"),
+            Err(ProtocolError::Malformed(why)) => Err(why),
+            Err(other) => panic!("{json}: {other:?}"),
+        }
+    }
+
+    /// (b): what `Request` accepts and what it says of what it refuses, as
+    /// it was before the streaming codec (the last two rows excepted).
+    #[test]
+    fn the_request_accept_set_is_written_down() {
+        let select = |kernel_id: &str, deadline_ms, priority| {
+            Ok(Request::Select { kernel_id: kernel_id.into(), deadline_ms, priority })
+        };
+        let run = |iterations, idem| {
+            Ok(Request::Run {
+                kernel_id: "x".into(),
+                iterations,
+                idem,
+                deadline_ms: None,
+                priority: 0,
+            })
+        };
+        // Inside `{"Select":{..}}` a value starts two levels down, so 127
+        // nested arrays reach the cap of 128 and one more passes it (129
+        // at the top level: `vendor/serde_json/tests/codec.rs`).
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let table: Vec<(String, Result<Request, String>)> = vec![
+            // Key order, whitespace, unknown keys, repeated keys.
+            (r#"{"Select":{"priority":7,"deadline_ms":9,"kernel_id":"x"}}"#.into(), select("x", Some(9), 7)),
+            (" {\n\"Select\" :\t{ \"kernel_id\" : \"x\" } }\r\n".into(), select("x", None, 0)),
+            (r#"{"Select":{"trace":{"id":[1,{"a":null}]},"kernel_id":"x","z":-1.5e3}}"#.into(), select("x", None, 0)),
+            (r#"{"Select":{"kernel_id":"x","kernel_id":7,"priority":1,"priority":"high"}}"#.into(), select("x", None, 1)),
+            // Optional and defaulted fields: absent or null, absent only.
+            (r#"{"Select":{"kernel_id":"x","deadline_ms":null}}"#.into(), select("x", None, 0)),
+            (r#"{"Run":{"kernel_id":"x","iterations":2}}"#.into(), run(2, None)),
+            (r#"{"Run":{"kernel_id":"x","iterations":2,"idem":null}}"#.into(), run(2, None)),
+            (r#"{"Run":{"kernel_id":"x","iterations":2,"idem":5}}"#.into(), run(2, Some(5))),
+            (r#"{"Select":{"kernel_id":"x","priority":null}}"#.into(), Err("field `priority`: expected unsigned integer for u8, found null".into())),
+            (r#"{"Select":{}}"#.into(), Err("missing field `kernel_id`".into())),
+            (r#"{"Run":{"kernel_id":"x"}}"#.into(), Err("missing field `iterations`".into())),
+            // Numbers.
+            (r#"{"Run":{"kernel_id":"x","iterations":3.0}}"#.into(), run(3, None)),
+            (r#"{"Run":{"kernel_id":"x","iterations":3.5}}"#.into(), Err("field `iterations`: expected unsigned integer for u64, found number".into())),
+            (r#"{"Run":{"kernel_id":"x","iterations":-1}}"#.into(), Err("field `iterations`: expected unsigned integer for u64, found integer".into())),
+            (r#"{"Report":{"residual_w":3}}"#.into(), Ok(Request::Report { residual_w: 3.0, feedback: None })),
+            (r#"{"Select":{"kernel_id":"x","priority":255}}"#.into(), select("x", None, 255)),
+            (r#"{"Select":{"kernel_id":"x","priority":256}}"#.into(), Err("field `priority`: integer 256 out of range for u8".into())),
+            (r#"{"Select":{"kernel_id":7}}"#.into(), Err("field `kernel_id`: expected string for String, found integer".into())),
+            // Variants: unit ones are strings, data ones single-key objects.
+            (r#""Hello""#.into(), Ok(Request::Hello)),
+            (r#"{"Hello":null}"#.into(), Err("unknown variant `Hello` for Request".into())),
+            (r#""Select""#.into(), Err("unknown variant `Select` for Request".into())),
+            (r#""Explain""#.into(), Err("unknown variant `Explain` for Request".into())),
+            (r#"{"Explain":{}}"#.into(), Err("unknown variant `Explain` for Request".into())),
+            (r#"{"Select":{"kernel_id":"x"},"Stats":null}"#.into(), Err("expected variant string or single-key object for Request, found object".into())),
+            (r#"{"Select":{"kernel_id":"x"},"Select":{"kernel_id":"x"}}"#.into(), Err("expected variant string or single-key object for Request, found object".into())),
+            ("{}".into(), Err("expected variant string or single-key object for Request, found object".into())),
+            ("[\"Hello\"]".into(), Err("expected variant string or single-key object for Request, found array".into())),
+            ("null".into(), Err("expected variant string or single-key object for Request, found null".into())),
+            (r#"{"Select":["x"]}"#.into(), Err("expected object for Request::Select, found array".into())),
+            (r#"{"Report":{"residual_w":1,"feedback":{"kernel_id":"k","config":{"device":"Cpu","threads":2,"cpu_pstate":[4],"gpu_pstate":0},"measured_power_w":1,"measured_perf":1}}}"#.into(),
+             Err("field `feedback`: field `config`: field `cpu_pstate`: expected unsigned integer for u8, found array".into())),
+            // Text that is not one JSON document.
+            (r#""Hello"x"#.into(), Err("trailing characters after JSON document at line 1 column 8".into())),
+            (r#"{"Select":{"kernel_id":"x"}}}"#.into(), Err("trailing characters after JSON document at line 1 column 29".into())),
+            (r#"{"Select":{"kernel_id":"x"}"#.into(), Err("expected `,` or `}` at line 1 column 28".into())),
+            ("".into(), Err("unexpected end of input at line 1 column 1".into())),
+            (format!(r#"{{"Select":{{"kernel_id":"x","pad":{}}}}}"#, deep(127)), select("x", None, 0)),
+            (format!(r#"{{"Select":{{"kernel_id":"x","pad":{}}}}}"#, deep(128)), Err("recursion limit exceeded at line 1 column 161".into())),
+            // Escapes, in values and in keys.
+            (r#"{"Select":{"kernel_id":"\"\\\/\b\f\n\r\t\u0041\u00e9\u20ac\ud83d\ude00"}}"#.into(), select("\"\\/\u{8}\u{c}\n\r\tAé€😀", None, 0)),
+            (r#"{"\u0053elect":{"kernel\u005fid":"x"}}"#.into(), select("x", None, 0)),
+            (r#"{"Select":{"kernel_id":"\ud83d"}}"#.into(), Err("expected `\\` at line 1 column 31".into())),
+            (r#"{"Select":{"kernel_id":"\ude00"}}"#.into(), Err("invalid unicode escape at line 1 column 31".into())),
+            (r#"{"Select":{"kernel_id":"\q"}}"#.into(), Err("invalid escape `\\q` at line 1 column 27".into())),
+            // The two the tree-building parser got wrong: a panic, and an
+            // accident of `from_str_radix`.
+            ("{\"Select\":{\"kernel_id\":\"\\u123é\"}}".into(), Err("invalid unicode escape at line 1 column 27".into())),
+            (r#"{"Select":{"kernel_id":"\u+041"}}"#.into(), Err("invalid unicode escape at line 1 column 27".into())),
+        ];
+        for (json, expected) in table {
+            assert_eq!(decode(&json), expected, "{json}");
+        }
+    }
+
+    /// Characters of every UTF-8 width, a quote and a backslash included.
+    const AFTER_ESCAPE: [char; 12] =
+        ['é', 'κ', '…', '€', '😀', '\u{10ffff}', 'g', 'Z', '"', '\\', ' ', '\u{7f}'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever follows `\u` or `\uD83D\u` short of four hex digits —
+        /// multi-byte characters above all — is `Malformed`, not a panic.
+        #[test]
+        fn junk_after_a_unicode_escape_is_malformed(
+            picks in prop::collection::vec(0usize..AFTER_ESCAPE.len(), 0..6),
+            hex in prop::collection::vec(0u8..16, 0..4),
+            junk_at in 0usize..4,
+            paired in 0u8..2,
+        ) {
+            // Up to three hex digits with the junk spliced in somewhere.
+            let digits: String = hex.iter().map(|&d| char::from_digit(d.into(), 16).unwrap()).collect();
+            let junk: String = picks.iter().map(|&i| AFTER_ESCAPE[i]).collect();
+            let lead = if paired == 1 { "\\uD83D\\u" } else { "\\u" };
+            let at = junk_at.min(digits.len());
+            let tail = format!("{}{junk}{}", &digits[..at], &digits[at..]);
+            let json = format!("{{\"Select\":{{\"kernel_id\":\"{lead}{tail}\"}}}}");
+            let mut frame = (json.len() as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(json.as_bytes());
+            match read_frame::<_, Request>(&mut &frame[..]) {
+                Err(ProtocolError::Malformed(_)) => {}
+                // Four hex digits can still turn up (an all-hex tail, or
+                // junk that is itself hex): then it may well be a frame.
+                Ok(ReadOutcome::Frame(_)) => prop_assert!(tail.chars().take(4).all(|c| c.is_ascii_hexdigit())),
+                other => prop_assert!(false, "{}: {:?}", json, other),
+            }
+        }
+    }
+}

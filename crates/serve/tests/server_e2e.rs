@@ -303,6 +303,67 @@ fn hostile_frame_gets_typed_error_and_counts() {
     server.stop();
 }
 
+/// A well-framed, valid-UTF-8 body whose `\u` escape runs into a two-byte
+/// character. The session thread must answer it like any other malformed
+/// frame and then *leave*: a thread that dies instead keeps its share of the
+/// cap and its admission slot for the life of the server.
+#[test]
+fn a_frame_that_ends_an_escape_inside_a_character_is_malformed_and_the_session_leaves() {
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let cap = ServeConfig::default().global_cap_w;
+    let mut survivor = Client::connect(&server.addr).unwrap();
+    match survivor.call(&Request::Hello).unwrap() {
+        Response::Welcome { budget_w, .. } => assert_eq!(budget_w, cap),
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+    let active_before = match survivor.call(&Request::Stats).unwrap() {
+        Response::Stats(s) => s.active_sessions,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    assert_eq!(active_before, 1);
+
+    let mut hostile = Client::connect(&server.addr).unwrap();
+    match hostile.call(&Request::Hello).unwrap() {
+        Response::Welcome { budget_w, .. } => assert_eq!(budget_w, cap / 2.0),
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+    let body = "{\"Select\":{\"kernel_id\":\"\\u123é\"}}";
+    let stream = hostile.stream_mut();
+    stream.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    stream.flush().unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match acs_serve::read_frame_blocking::<_, Response>(stream) {
+        Ok(Some(Response::Error { code, .. })) => assert_eq!(code, "malformed"),
+        other => panic!("expected typed Error response, got {other:?}"),
+    }
+    let closed = acs_serve::read_frame_blocking::<_, Response>(stream);
+    assert!(matches!(closed, Ok(None)), "the connection closes after the error, got {closed:?}");
+
+    // The session leaves after its last reply is written; wait for that.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.handle.active_sessions() != 1 {
+        assert!(std::time::Instant::now() < deadline, "the hostile session never left");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    match survivor.call(&Request::Stats).unwrap() {
+        Response::Stats(s) => {
+            assert_eq!(s.active_sessions, active_before);
+            assert_eq!(s.protocol_errors, 1);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    match survivor.call(&Request::Hello).unwrap() {
+        Response::Welcome { budget_w, .. } => assert_eq!(budget_w, cap, "the share came back"),
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+    match survivor.call(&Request::Report { residual_w: 0.0, feedback: None }).unwrap() {
+        Response::Budget { budget_w } => assert_eq!(budget_w, cap),
+        other => panic!("expected Budget, got {other:?}"),
+    }
+    server.stop();
+}
+
 #[test]
 fn expired_deadlines_shed_and_misses_surface_in_stats() {
     let server = Server::spawn(ServeConfig::default(), model()).unwrap();
