@@ -161,7 +161,7 @@ fn wait_until(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
 }
 
 fn fleet_sum_w(handles: &[&ServerHandle]) -> f64 {
-    handles.iter().map(|h| h.lease_cap_w()).sum()
+    handles.iter().map(|h| h.stats().lease_budget_w).sum()
 }
 
 /// Sample the fleet's enforced-cap sum for `window`, asserting the cap at
@@ -224,7 +224,7 @@ fn main() {
     // sum ramps up to exactly the global cap and stays there.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            fleet.iter().all(|h| h.lease_state() == "leased")
+            fleet.iter().all(|h| h.stats().lease_state == "leased")
                 && (fleet_sum_w(&fleet) - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "fleet failed to converge to the global cap"
@@ -239,7 +239,7 @@ fn main() {
     coord.wait().expect("reap the coordinator");
     let outage_max_sum_w = sample_fleet(&fleet, Duration::from_millis(700), "coordinator outage");
     fleet_max_sum_w = fleet_max_sum_w.max(outage_max_sum_w);
-    let degraded_entries: u64 = fleet.iter().map(|h| h.degraded_entries()).sum();
+    let degraded_entries: u64 = fleet.iter().map(|h| h.stats().degraded_entries).sum();
     assert!(degraded_entries >= 1, "a 700 ms outage must drive shards into degraded mode");
 
     // Restart on the same port and journal: the replayed table re-adopts
@@ -251,7 +251,7 @@ fn main() {
     let restart = Instant::now();
     assert!(
         wait_until(Duration::from_secs(10), || {
-            fleet.iter().all(|h| h.lease_state() == "leased")
+            fleet.iter().all(|h| h.stats().lease_state == "leased")
                 && (fleet_sum_w(&fleet) - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "fleet failed to re-converge after the coordinator restart"
@@ -266,20 +266,20 @@ fn main() {
     // Phase C: partition shard 2 — the proxy swallows its renewals both
     // ways while the connections stay open. Its cap decays below the last
     // grant but never under min(floor, last grant), then recovers.
-    let last_grant_w = shard2.lease_cap_w();
+    let last_grant_w = shard2.stats().lease_budget_w;
     proxy.handle.partition(700);
     assert!(
-        wait_until(Duration::from_secs(5), || shard2.lease_state() == "degraded"),
+        wait_until(Duration::from_secs(5), || shard2.stats().lease_state == "degraded"),
         "the partitioned shard never entered degraded mode"
     );
     assert!(
-        wait_until(Duration::from_secs(5), || shard2.lease_cap_w() < last_grant_w - 1e-9),
+        wait_until(Duration::from_secs(5), || shard2.stats().lease_budget_w < last_grant_w - 1e-9),
         "the partitioned shard's cap never decayed"
     );
     let mut degraded_min_cap_w = f64::INFINITY;
     let deadline = Instant::now() + Duration::from_millis(150);
     while Instant::now() < deadline {
-        let cap = shard2.lease_cap_w();
+        let cap = shard2.stats().lease_budget_w;
         assert!(cap <= last_grant_w + 1e-9, "degraded cap above the last grant");
         assert!(cap >= FLOOR_W.min(last_grant_w) - 1e-9, "degraded cap under the floor");
         degraded_min_cap_w = degraded_min_cap_w.min(cap);
@@ -288,7 +288,8 @@ fn main() {
     let partition_recover = Instant::now();
     assert!(
         wait_until(Duration::from_secs(10), || {
-            shard2.lease_state() == "leased" && (fleet_sum_w(&fleet) - GLOBAL_CAP_W).abs() < 1e-6
+            shard2.stats().lease_state == "leased"
+                && (fleet_sum_w(&fleet) - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "the partitioned shard never recovered its lease"
     );

@@ -29,7 +29,7 @@ fn retried_run_with_one_key_replays_byte_identical_bytes() {
     let first = serde_json::to_string(&raw.call(&request).unwrap()).unwrap();
     let retried = serde_json::to_string(&raw.call(&request).unwrap()).unwrap();
     assert_eq!(first, retried, "a keyed retry must replay identical bytes");
-    assert_eq!(server.handle.idem_replays(), 1);
+    assert_eq!(server.handle.stats().idem_replays, 1);
 
     // Without a key, the second execution runs again: the runtime's noise
     // state advanced, so the responses legitimately differ.
@@ -39,7 +39,7 @@ fn retried_run_with_one_key_replays_byte_identical_bytes() {
     let a = serde_json::to_string(&raw.call(&unkeyed).unwrap()).unwrap();
     let b = serde_json::to_string(&raw.call(&unkeyed).unwrap()).unwrap();
     assert_ne!(a, b, "unkeyed runs re-execute");
-    assert_eq!(server.handle.idem_replays(), 1, "no key, no replay");
+    assert_eq!(server.handle.stats().idem_replays, 1, "no key, no replay");
 
     server.stop();
 }

@@ -1035,7 +1035,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let up_deadline = Instant::now() + Duration::from_secs(30);
-    while !shards.iter().all(|s| s.running().handle.lease_state() == "leased") {
+    while !shards.iter().all(|s| s.running().handle.stats().lease_state == "leased") {
         if Instant::now() >= up_deadline {
             return Err(CliError::Domain("fleet did not lease within 30 s".into()));
         }
@@ -1169,7 +1169,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             }
             1 => {
                 writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")?;
-                let last_grant = shards[victim].running().handle.lease_cap_w();
+                let last_grant = shards[victim].running().handle.stats().lease_budget_w;
                 shards[victim].proxy.handle.partition(partition_ms);
                 partitions += 1;
                 completed += drive(&mut clients, phase)?;
@@ -1177,7 +1177,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // the enforced cap stays inside [min(floor, last grant),
                 // global cap]. It may recover upward, never overshoot.
                 for _ in 0..10 {
-                    let cap = shards[victim].running().handle.lease_cap_w();
+                    let cap = shards[victim].running().handle.stats().lease_budget_w;
                     if cap < floor_w.min(last_grant) - 1e-9 || cap > cap_w + 1e-9 {
                         decay_violations += 1;
                     }

@@ -423,6 +423,11 @@ pub struct AdaptivePredictor {
     drift_events: u64,
     reselections: u64,
     reclassifications: u64,
+    /// XOR over `kernels` of each tracker's digest, kept current by
+    /// [`observe_ratios`](Self::observe_ratios) so that
+    /// [`state_digest`](Self::state_digest) costs the same however many
+    /// kernels a session has reported on.
+    kernels_digest: u64,
 }
 
 impl Default for AdaptivePredictor {
@@ -441,6 +446,7 @@ impl AdaptivePredictor {
             drift_events: 0,
             reselections: 0,
             reclassifications: 0,
+            kernels_digest: 0,
         }
     }
 
@@ -517,6 +523,30 @@ impl AdaptivePredictor {
         if !perf_ratio.is_finite() {
             return Err(AdaptError::NonFinite { signal: Signal::Perf, value: perf_ratio });
         }
+        // Only this kernel's tracker can change, whichever way `track`
+        // returns: swap its share of the combined digest.
+        let before = self.kernel_digest(kernel_id);
+        let events = self.track(kernel_id, power_ratio, perf_ratio);
+        self.kernels_digest ^= before ^ self.kernel_digest(kernel_id);
+        events
+    }
+
+    /// One kernel's share of [`state_digest`](Self::state_digest): the
+    /// exact bits of its tracker, seeded by its id; 0 before the kernel's
+    /// first observation.
+    fn kernel_digest(&self, kernel_id: &str) -> u64 {
+        self.kernels
+            .get(kernel_id)
+            .map_or(0, |tracker| tracker.digest_into(splitmix64(fnv1a(kernel_id.as_bytes()))))
+    }
+
+    /// The state transition behind `observe_ratios`, for finite ratios.
+    fn track(
+        &mut self,
+        kernel_id: &str,
+        power_ratio: f64,
+        perf_ratio: f64,
+    ) -> Result<Vec<DriftEvent>, AdaptError> {
         let params = self.params;
         let power_ratio = power_ratio.clamp(params.ratio_min, params.ratio_max);
         let perf_ratio = perf_ratio.clamp(params.ratio_min, params.ratio_max);
@@ -615,17 +645,14 @@ impl AdaptivePredictor {
 
     /// A deterministic digest over the exact bits of all estimator state.
     /// Two predictors that saw the same observation sequence — live or via
-    /// journal replay — produce equal digests.
+    /// journal replay — produce equal digests. Constant time: the
+    /// per-kernel part is maintained as observations arrive.
     pub fn state_digest(&self) -> u64 {
         let mut h = splitmix64(0xADA7_5EED ^ self.observations);
         h = splitmix64(h ^ self.drift_events);
         h = splitmix64(h ^ self.reselections);
         h = splitmix64(h ^ self.reclassifications);
-        for (kernel_id, tracker) in &self.kernels {
-            h = splitmix64(h ^ fnv1a(kernel_id.as_bytes()));
-            h = tracker.digest_into(h);
-        }
-        h
+        splitmix64(h ^ self.kernels_digest)
     }
 }
 
@@ -765,6 +792,28 @@ mod tests {
         assert_eq!(sel, sel2);
         assert_eq!(live.state_digest(), replayed.state_digest());
         assert_eq!(live, replayed);
+    }
+
+    #[test]
+    fn the_maintained_digest_is_the_digest_of_the_state() {
+        // Interleaved kernels, through baseline, drift and a latched
+        // mismatch: after every step the running XOR equals one recomputed
+        // from every tracker, and a rejected observation leaves it alone.
+        let mut predictor = AdaptivePredictor::default();
+        let mut digests = std::collections::BTreeSet::new();
+        for i in 0..60u64 {
+            let kernel = ["a", "b", "c"][(i % 3) as usize];
+            let drift = if kernel == "c" { 2.5 } else { 1.0 + 0.01 * i as f64 };
+            predictor.observe(kernel, 20.0 * drift, 2.0, 20.0, 2.0).unwrap();
+            let recomputed =
+                predictor.kernels.keys().fold(0, |x, id| x ^ predictor.kernel_digest(id));
+            assert_eq!(predictor.kernels_digest, recomputed, "after observation {i}");
+            assert!(digests.insert(predictor.state_digest()), "observation {i} changed nothing");
+        }
+        assert!(predictor.reclassifications() > 0, "the mismatch path was taken");
+        let before = predictor.state_digest();
+        assert!(predictor.observe_ratios("a", f64::NAN, 1.0).is_err());
+        assert_eq!(predictor.state_digest(), before);
     }
 
     #[test]

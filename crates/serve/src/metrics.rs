@@ -1,26 +1,21 @@
 //! Server metrics: counters, latency quantiles, and the `STATS` snapshot.
 //!
-//! Latencies are recorded in **nanoseconds** into a bounded reservoir (the
-//! server is long-running; an unbounded sample vector would be the same
-//! bug the Timeline ring buffer exists to prevent). Snapshots report
+//! Everything a request touches here is a relaxed atomic add: counters,
+//! one slot of a per-kind array, one bucket of a latency histogram.
+//! Latencies are recorded in **nanoseconds**; snapshots report
 //! microseconds, rounding each quantile *up* — warm selects service in
 //! well under a microsecond, so truncating division would report the
-//! median of a busy server as 0 µs (the PR-8 reservoir bug). Quantiles are
-//! computed on demand by sorting a copy — snapshots are rare relative to
-//! requests.
+//! median of a busy server as 0 µs (the PR-8 reservoir bug).
 //!
 //! Snapshots carry wall-clock-derived latency numbers, so replay logs
 //! exclude `Stats` responses (DESIGN.md §11); everything else in the
 //! snapshot is a plain counter.
 
+use crate::protocol::Request;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cap on retained latency samples. Beyond it, recording falls back to
-/// overwriting a rotating slot, which keeps quantiles fresh without growth.
-const LATENCY_RESERVOIR: usize = 1 << 16;
 
 /// Point-in-time server statistics, as returned for a `Stats` request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -141,21 +136,109 @@ impl Default for LeaseReport {
     }
 }
 
+/// Sub-buckets per power of two, so a bucket is at most 1/16 as wide as
+/// its lower bound.
+const SUB_BUCKETS: usize = 16;
+
+/// One bucket per value below 16, then 16 per power of two up to 2⁶⁴:
+/// every `u64` has a bucket, so nothing is clamped.
+const BUCKETS: usize = SUB_BUCKETS * 61;
+
+/// The bucket holding `ns`: its top five significant bits (the leading
+/// one and four more) select the bucket, the rest are dropped.
+fn bucket_of(ns: u64) -> usize {
+    let shift = ns.max(16).ilog2() - 4;
+    shift as usize * SUB_BUCKETS + (ns >> shift) as usize
+}
+
+/// The largest value [`bucket_of`] maps to `bucket`.
+fn upper_bound_ns(bucket: usize) -> u64 {
+    let shift = (bucket / SUB_BUCKETS).saturating_sub(1);
+    let lowest = ((bucket - shift * SUB_BUCKETS) as u64) << shift;
+    lowest + ((1u64 << shift) - 1)
+}
+
+/// A fixed-size log-linear latency histogram: recording is one relaxed
+/// add, reading copies the counts without stopping writers.
+struct Histogram([AtomicU64; BUCKETS]);
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl Histogram {
+    fn record(&self, ns: u64) {
+        self.0[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> LatencyCounts {
+        LatencyCounts(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+}
+
+/// One reading of a latency histogram. The brownout controller keeps
+/// its previous one so that each poll judges only the requests served
+/// since ([`Metrics::p99_latency_us_since`]).
+#[derive(Clone)]
+pub struct LatencyCounts([u64; BUCKETS]);
+
+impl Default for LatencyCounts {
+    fn default() -> Self {
+        Self([0; BUCKETS])
+    }
+}
+
+impl LatencyCounts {
+    /// The samples recorded after `earlier` was read.
+    fn since(&self, earlier: &Self) -> Self {
+        Self(std::array::from_fn(|i| self.0[i].saturating_sub(earlier.0[i])))
+    }
+
+    /// Nearest-rank quantile, reported as the upper bound of the bucket
+    /// holding it: never below the exact value, and above it by less than
+    /// one bucket width. `None` when nothing was recorded.
+    fn quantile_ns(&self, q: f64) -> Option<u64> {
+        let total: u64 = self.0.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+        let mut reached = 0;
+        let bucket = self.0.iter().position(|&count| {
+            reached += count;
+            reached >= rank
+        })?;
+        Some(upper_bound_ns(bucket))
+    }
+
+    /// A quantile in µs; 0 when nothing was recorded.
+    fn quantile_us(&self, q: f64) -> u64 {
+        self.quantile_ns(q).map_or(0, ns_to_us)
+    }
+}
+
+/// µs rounded up, and at least 1 (a 0 ns sample is clock granularity):
+/// a recorded request is never summarized as 0 µs.
+fn ns_to_us(ns: u64) -> u64 {
+    ns.div_ceil(1000).max(1)
+}
+
 /// Thread-safe metric registry shared by all sessions.
 #[derive(Default)]
 pub struct Metrics {
     requests_total: AtomicU64,
-    by_kind: Mutex<BTreeMap<String, u64>>,
-    latencies_ns: Mutex<Vec<u64>>,
-    next_slot: AtomicU64,
+    /// One slot per entry of [`Request::KINDS`].
+    by_kind: [AtomicU64; Request::KINDS.len()],
+    latencies: Histogram,
     overloaded: AtomicU64,
     protocol_errors: AtomicU64,
     reselections: AtomicU64,
     idem_replays: AtomicU64,
     degradation: Mutex<BTreeMap<String, u64>>,
     lease_renews: AtomicU64,
-    renew_latencies_ns: Mutex<Vec<u64>>,
-    renew_next_slot: AtomicU64,
+    renew_latencies: Histogram,
     adapt_observations: AtomicU64,
     drift_events: AtomicU64,
     adapt_reselections: AtomicU64,
@@ -170,25 +253,15 @@ impl Metrics {
         Self::default()
     }
 
-    /// Record one served request of `kind` with its service latency in
-    /// nanoseconds (sub-µs services must not collapse to 0).
+    /// Record one served request of `kind` (a [`Request::kind`] label)
+    /// with its service latency in nanoseconds (sub-µs services must not
+    /// collapse to 0).
     pub fn record_request(&self, kind: &str, latency_ns: u64) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
-        // Allocate the key only the first time a kind is seen.
-        let mut by_kind = self.by_kind.lock();
-        if let Some(count) = by_kind.get_mut(kind) {
-            *count += 1;
-        } else {
-            by_kind.insert(kind.to_string(), 1);
+        if let Some(slot) = Request::KINDS.iter().position(|k| *k == kind) {
+            self.by_kind[slot].fetch_add(1, Ordering::Relaxed);
         }
-        drop(by_kind);
-        let mut lat = self.latencies_ns.lock();
-        if lat.len() < LATENCY_RESERVOIR {
-            lat.push(latency_ns);
-        } else {
-            let slot = self.next_slot.fetch_add(1, Ordering::Relaxed) as usize;
-            lat[slot % LATENCY_RESERVOIR] = latency_ns;
-        }
+        self.latencies.record(latency_ns);
     }
 
     /// Count a typed `Overloaded` rejection.
@@ -209,11 +282,6 @@ impl Metrics {
     /// Count a `Run` answered from the idempotency memo.
     pub fn record_idem_replay(&self) {
         self.idem_replays.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Idempotent replays so far.
-    pub fn idem_replays(&self) -> u64 {
-        self.idem_replays.load(Ordering::Relaxed)
     }
 
     /// Tally one request served at a degradation-ladder rung.
@@ -245,32 +313,11 @@ impl Metrics {
         self.adapt_reselections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adaptive observations so far.
-    pub fn adapt_observations(&self) -> u64 {
-        self.adapt_observations.load(Ordering::Relaxed)
-    }
-
     /// Record one successful lease renewal and its round-trip latency in
     /// nanoseconds.
     pub fn record_renew(&self, latency_ns: u64) {
         self.lease_renews.fetch_add(1, Ordering::Relaxed);
-        let mut lat = self.renew_latencies_ns.lock();
-        if lat.len() < LATENCY_RESERVOIR {
-            lat.push(latency_ns);
-        } else {
-            let slot = self.renew_next_slot.fetch_add(1, Ordering::Relaxed) as usize;
-            lat[slot % LATENCY_RESERVOIR] = latency_ns;
-        }
-    }
-
-    /// Successful lease renewals so far.
-    pub fn lease_renews(&self) -> u64 {
-        self.lease_renews.load(Ordering::Relaxed)
-    }
-
-    /// Wire-protocol failures so far.
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
+        self.renew_latencies.record(latency_ns);
     }
 
     /// Count a deadline-carrying request shed before service.
@@ -278,26 +325,20 @@ impl Metrics {
         self.sheds.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests shed so far.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(Ordering::Relaxed)
-    }
-
     /// Count a deadline-carrying request that was served late.
     pub fn record_deadline_miss(&self) {
         self.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deadline misses so far.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
-    /// The current 99th-percentile request latency in µs, straight off
-    /// the reservoir. The brownout controller polls this; quantiles sort
-    /// a copy, so callers should sample at a bounded rate.
-    pub fn p99_latency_us_now(&self) -> u64 {
-        self.latency_quantiles().1
+    /// The 99th-percentile latency, µs, of the requests recorded since
+    /// `seen` was last passed here (`seen` is advanced to now); `None`
+    /// when there were none. The brownout controller polls this, so its
+    /// estimate follows the last poll interval rather than all of history.
+    pub fn p99_latency_us_since(&self, seen: &mut LatencyCounts) -> Option<u64> {
+        let now = self.latencies.counts();
+        let window = now.since(seen);
+        *seen = now;
+        window.quantile_ns(0.99).map(ns_to_us)
     }
 
     /// Build a snapshot. Cache and arbiter counters live elsewhere, so the
@@ -309,15 +350,21 @@ impl Metrics {
         arbiter_rebalances: u64,
         lease: &LeaseReport,
     ) -> StatsSnapshot {
-        let (p50, p99) = self.latency_quantiles();
-        let (renew_p50, renew_p99) = self.renew_quantiles();
+        let latencies = self.latencies.counts();
+        let renew_latencies = self.renew_latencies.counts();
         let (cache_hits, cache_misses) = cache_counts;
         let looked_up = cache_hits + cache_misses;
         StatsSnapshot {
             requests_total: self.requests_total.load(Ordering::Relaxed),
-            requests_by_kind: self.by_kind.lock().clone(),
-            p50_latency_us: p50,
-            p99_latency_us: p99,
+            requests_by_kind: Request::KINDS
+                .iter()
+                .zip(&self.by_kind)
+                .map(|(kind, count)| (kind, count.load(Ordering::Relaxed)))
+                .filter(|(_, count)| *count > 0)
+                .map(|(kind, count)| (kind.to_string(), count))
+                .collect(),
+            p50_latency_us: latencies.quantile_us(0.50),
+            p99_latency_us: latencies.quantile_us(0.99),
             cache_hits,
             cache_misses,
             cache_hit_rate: if looked_up == 0 { 0.0 } else { cache_hits as f64 / looked_up as f64 },
@@ -332,8 +379,8 @@ impl Metrics {
             lease_budget_w: lease.lease_budget_w,
             degraded_entries: lease.degraded_entries,
             lease_renews: self.lease_renews.load(Ordering::Relaxed),
-            p50_renew_latency_us: renew_p50,
-            p99_renew_latency_us: renew_p99,
+            p50_renew_latency_us: renew_latencies.quantile_us(0.50),
+            p99_renew_latency_us: renew_latencies.quantile_us(0.99),
             journal_appends: lease.journal_appends,
             journal_replayed: lease.journal_replayed,
             adapt_observations: self.adapt_observations.load(Ordering::Relaxed),
@@ -346,29 +393,10 @@ impl Metrics {
             evicted_shards: lease.evicted_shards,
         }
     }
-
-    fn latency_quantiles(&self) -> (u64, u64) {
-        Self::quantiles_us(&mut self.latencies_ns.lock().clone())
-    }
-
-    fn renew_quantiles(&self) -> (u64, u64) {
-        Self::quantiles_us(&mut self.renew_latencies_ns.lock().clone())
-    }
-
-    /// (p50, p99) of nanosecond samples, reported in µs rounded up so a
-    /// recorded request is never summarized as 0 µs.
-    fn quantiles_us(lat_ns: &mut [u64]) -> (u64, u64) {
-        if lat_ns.is_empty() {
-            return (0, 0);
-        }
-        lat_ns.sort_unstable();
-        // `.max(1)` guards the (clock-granularity) case of a 0 ns sample:
-        // with any samples at all, quantiles are ≥ 1 µs by contract.
-        (quantile(lat_ns, 0.50).div_ceil(1000).max(1), quantile(lat_ns, 0.99).div_ceil(1000).max(1))
-    }
 }
 
-/// Nearest-rank quantile of a sorted, non-empty sample.
+/// Nearest-rank quantile of a sorted, non-empty sample: the exact value
+/// the histogram's bucketed answer is tested against.
 pub fn quantile(sorted: &[u64], q: f64) -> u64 {
     debug_assert!(!sorted.is_empty());
     let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
@@ -378,6 +406,66 @@ pub fn quantile(sorted: &[u64], q: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The histogram's contract, for a quantile whose exact nearest-rank
+    /// value is `exact_ns`: never below it, and above it by less than one
+    /// bucket width (at most 1/16 of the value).
+    fn assert_within_a_bucket(reported_us: u64, exact_ns: u64) {
+        let (low, high) = (ns_to_us(exact_ns), ns_to_us(exact_ns + exact_ns / 16));
+        assert!(
+            (low..=high).contains(&reported_us),
+            "{reported_us} µs reported for {exact_ns} ns, expected {low}..={high} µs"
+        );
+    }
+
+    #[test]
+    fn every_value_has_a_bucket_and_the_buckets_tile_u64() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(upper_bound_ns(BUCKETS - 1), u64::MAX);
+        assert_eq!(upper_bound_ns(bucket_of(1 << 40)), (1 << 40) + (1 << 36) - 1);
+        for bucket in 0..BUCKETS - 1 {
+            let upper = upper_bound_ns(bucket);
+            assert_eq!(bucket_of(upper), bucket, "upper bound {upper} of bucket {bucket}");
+            assert_eq!(bucket_of(upper + 1), bucket + 1, "bucket {bucket} ends at {upper}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against the exact nearest-rank [`quantile`] of the same samples
+        /// (0 ns … 2⁴⁰ ns, log-uniform so that small multisets repeat
+        /// values): every quantile, p50 and p99 among them, is at least
+        /// the exact value, above it by less than one bucket width, and
+        /// monotone in `q`.
+        #[test]
+        fn histogram_quantiles_bound_the_exact_ones(
+            draws in proptest::collection::vec((0u32..=40, 0u64..=u64::MAX), 1..300),
+        ) {
+            let mut samples: Vec<u64> =
+                draws.iter().map(|&(bits, draw)| (draw >> 24) >> (40 - bits)).collect();
+            let histogram = Histogram::default();
+            for &ns in &samples {
+                histogram.record(ns);
+            }
+            samples.sort_unstable();
+            let counts = histogram.counts();
+            let mut previous = 0;
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                let exact = quantile(&samples, q);
+                let reported = counts.quantile_ns(q).expect("samples were recorded");
+                prop_assert!(
+                    exact <= reported && reported <= exact + exact / 16,
+                    "q {q}: exact {exact} ns, reported {reported} ns"
+                );
+                prop_assert_eq!(bucket_of(reported), bucket_of(exact));
+                prop_assert!(previous <= reported, "q {q}: {reported} ns after {previous} ns");
+                previous = reported;
+            }
+        }
+    }
 
     #[test]
     fn counts_and_quantiles() {
@@ -390,8 +478,8 @@ mod tests {
         assert_eq!(s.requests_total, 101);
         assert_eq!(s.requests_by_kind["select"], 100);
         assert_eq!(s.requests_by_kind["stats"], 1);
-        assert_eq!(s.p50_latency_us, 51);
-        assert_eq!(s.p99_latency_us, 100);
+        assert_within_a_bucket(s.p50_latency_us, 51_000);
+        assert_within_a_bucket(s.p99_latency_us, 100_000);
         assert_eq!(s.cache_hits, 30);
         assert!((s.cache_hit_rate - 0.30).abs() < 1e-12);
         assert_eq!(s.active_sessions, 2);
@@ -416,8 +504,8 @@ mod tests {
             m.record_request("select", 2_000);
         }
         let s = m.snapshot((0, 0), 1, 0, &LeaseReport::default());
-        assert_eq!(s.p50_latency_us, 2);
-        assert_eq!(s.p99_latency_us, 31);
+        assert_within_a_bucket(s.p50_latency_us, 2_000);
+        assert_within_a_bucket(s.p99_latency_us, 30_001);
     }
 
     #[test]
@@ -452,8 +540,8 @@ mod tests {
         assert_eq!(s.lease_budget_w, 7.5);
         assert_eq!(s.degraded_entries, 2);
         assert_eq!(s.lease_renews, 3);
-        assert_eq!(s.p50_renew_latency_us, 200);
-        assert_eq!(s.p99_renew_latency_us, 300);
+        assert_within_a_bucket(s.p50_renew_latency_us, 200_000);
+        assert_within_a_bucket(s.p99_renew_latency_us, 300_000);
         assert_eq!(s.journal_appends, 11);
         assert_eq!(s.journal_replayed, 4);
         assert_eq!(s.brownout_level, 2);
@@ -461,12 +549,39 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_is_bounded() {
+    fn what_a_request_records_into_cannot_grow() {
+        // Two histograms and the counters, all inline: however many
+        // requests are recorded, this is every byte they can occupy (the
+        // rung tallies are the one map, keyed by the ladder's few labels).
+        assert!(std::mem::size_of::<Metrics>() <= 16 * 1024);
+    }
+
+    #[test]
+    fn unseen_kinds_are_omitted_and_every_request_kind_is_counted() {
         let m = Metrics::new();
-        for i in 0..(LATENCY_RESERVOIR as u64 + 500) {
-            m.record_request("select", i);
+        assert!(m.snapshot((0, 0), 0, 0, &LeaseReport::default()).requests_by_kind.is_empty());
+        let requests = [
+            Request::Hello,
+            Request::Select { kernel_id: String::new(), deadline_ms: None, priority: 0 },
+            Request::Batch { kernel_ids: Vec::new(), deadline_ms: None, priority: 0 },
+            Request::Run {
+                kernel_id: String::new(),
+                iterations: 1,
+                idem: None,
+                deadline_ms: None,
+                priority: 0,
+            },
+            Request::Report { residual_w: 0.0, feedback: None },
+            Request::Stats,
+            Request::Bye,
+            Request::Shutdown,
+        ];
+        for request in &requests {
+            m.record_request(request.kind(), 1);
         }
-        assert_eq!(m.latencies_ns.lock().len(), LATENCY_RESERVOIR);
+        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        assert_eq!(s.requests_by_kind.len(), requests.len());
+        assert!(s.requests_by_kind.values().all(|&count| count == 1));
     }
 
     #[test]
@@ -552,9 +667,6 @@ mod tests {
         assert_eq!(s.sheds, 2);
         assert_eq!(s.deadline_misses, 1);
         assert_eq!(s.brownout_level, 0);
-        // The reservoir p99 accessor mirrors the snapshot's quantile.
-        m.record_request("select", 5_000);
-        assert_eq!(m.p99_latency_us_now(), 5);
     }
 
     #[test]

@@ -97,7 +97,12 @@ pub enum Request {
 }
 
 impl Request {
-    /// Short label for metrics bucketing.
+    /// Every label [`kind`](Self::kind) returns: the per-kind counters in
+    /// `Metrics` are an array indexed by position in this table.
+    pub const KINDS: [&'static str; 8] =
+        ["hello", "select", "batch", "run", "report", "stats", "bye", "shutdown"];
+
+    /// Short label for metrics bucketing, one of [`KINDS`](Self::KINDS).
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Hello => "hello",

@@ -13,7 +13,7 @@ use crate::coordinator::CoordClient;
 use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
 use crate::lease::{CoordRequest, CoordResponse, ShardLease};
-use crate::metrics::{LeaseReport, Metrics};
+use crate::metrics::{LatencyCounts, LeaseReport, Metrics, StatsSnapshot};
 use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
 use acs_core::{AdaptivePredictor, CappedRuntime, DriftEvent, GuardPolicy, TrainedModel};
@@ -165,17 +165,19 @@ struct Shared {
     /// brownout thread, read on every request; stays 0 forever when the
     /// controller is disabled.
     brownout_level: AtomicU8,
-    /// The brownout thread's cached p99 service-latency estimate, µs —
-    /// what the shed decision compares deadlines against (sessions must
-    /// not pay a reservoir scan per request).
+    /// The brownout thread's p99 service-latency estimate over its last
+    /// non-empty poll interval, µs — what the shed decision compares
+    /// deadlines against.
     est_p99_us: AtomicU64,
     /// Times the lease client learned its lease was evicted by the
     /// coordinator's health check (`unknown-lease` on renew).
     evicted_observed: AtomicU64,
-    /// Per-session online adaptation state, keyed by node id. A clean
-    /// `Bye` removes the entry; a crash leaves it, mirroring the journal's
-    /// replay semantics (orphans keep their rebuilt state).
-    adapt: Mutex<BTreeMap<u64, AdaptivePredictor>>,
+    /// `state_digest()` of each session's adaptive predictor, keyed by
+    /// node id — all of the adaptation state a session shares. Written
+    /// after each observation; a clean leave removes the entry, a crash
+    /// leaves it, mirroring the journal's replay semantics (orphans keep
+    /// their rebuilt state).
+    adapt_digests: Mutex<BTreeMap<u64, u64>>,
 }
 
 /// Best-effort journal append. Append failures (disk full, journal file
@@ -205,19 +207,9 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Wire-protocol failures observed so far.
-    pub fn protocol_errors(&self) -> u64 {
-        self.shared.metrics.protocol_errors()
-    }
-
     /// Sessions currently connected.
     pub fn active_sessions(&self) -> usize {
         self.shared.active.load(Ordering::SeqCst)
-    }
-
-    /// `Run` requests answered from the idempotency memo so far.
-    pub fn idem_replays(&self) -> u64 {
-        self.shared.metrics.idem_replays()
     }
 
     /// The arbiter's current epoch.
@@ -237,70 +229,16 @@ impl ServerHandle {
         self.shared.recovery.clone()
     }
 
-    /// The shard's lease state name (`standalone` when no coordinator is
-    /// configured).
-    pub fn lease_state(&self) -> String {
-        match &self.shared.lease {
-            Some(lease) => lease.lock().state().name().to_string(),
-            None => "standalone".to_string(),
-        }
-    }
-
-    /// The cap the shard currently enforces: its lease budget, or the
-    /// configured global cap when standalone.
-    pub fn lease_cap_w(&self) -> f64 {
-        match &self.shared.lease {
-            Some(lease) => lease.lock().cap_w(),
-            None => self.shared.config.global_cap_w,
-        }
-    }
-
-    /// Times the shard has entered degraded mode.
-    pub fn degraded_entries(&self) -> u64 {
-        self.shared.lease.as_ref().map(|l| l.lock().degraded_entries()).unwrap_or(0)
-    }
-
-    /// Successful lease renewals against the coordinator.
-    pub fn lease_renews(&self) -> u64 {
-        self.shared.metrics.lease_renews()
-    }
-
-    /// Per-session adaptation-state digests, sorted by node id. The
-    /// kill-and-restart e2e compares these against the digests of the
-    /// predictors journal replay rebuilds.
+    /// Adaptation-state digests of the sessions that have observed
+    /// feedback, sorted by node id. The kill-and-restart e2e compares
+    /// these against the digests of the predictors journal replay rebuilds.
     pub fn adapt_digests(&self) -> Vec<(u64, u64)> {
-        self.shared
-            .adapt
-            .lock()
-            .iter()
-            .map(|(node_id, predictor)| (*node_id, predictor.state_digest()))
-            .collect()
+        self.shared.adapt_digests.lock().clone().into_iter().collect()
     }
 
-    /// Measured-feedback observations consumed by adaptive predictors.
-    pub fn adapt_observations(&self) -> u64 {
-        self.shared.metrics.adapt_observations()
-    }
-
-    /// Requests shed by the deadline gate so far.
-    pub fn sheds(&self) -> u64 {
-        self.shared.metrics.sheds()
-    }
-
-    /// Served requests that exceeded their own deadline in service.
-    pub fn deadline_misses(&self) -> u64 {
-        self.shared.metrics.deadline_misses()
-    }
-
-    /// The current brownout level (0 when the controller is disabled).
-    pub fn brownout_level(&self) -> u8 {
-        self.shared.brownout_level.load(Ordering::SeqCst)
-    }
-
-    /// Times this shard observed its lease evicted by the coordinator's
-    /// health check.
-    pub fn evictions_observed(&self) -> u64 {
-        self.shared.evicted_observed.load(Ordering::SeqCst)
+    /// The snapshot a `Stats` request is answered with, without a socket.
+    pub fn stats(&self) -> StatsSnapshot {
+        stats_snapshot(&self.shared)
     }
 
     /// Die like a SIGKILL: stop every session *without* journaling their
@@ -396,7 +334,7 @@ impl Server {
             brownout_level: AtomicU8::new(0),
             est_p99_us: AtomicU64::new(0),
             evicted_observed: AtomicU64::new(0),
-            adapt: Mutex::new(BTreeMap::new()),
+            adapt_digests: Mutex::new(BTreeMap::new()),
             model,
             config,
         });
@@ -462,7 +400,7 @@ impl Server {
     }
 }
 
-/// How often the brownout controller re-reads the latency reservoir.
+/// How often the brownout controller re-reads the latency histogram.
 const BROWNOUT_POLL: Duration = Duration::from_millis(100);
 
 /// Map an observed p99 to a brownout level against the configured target:
@@ -480,21 +418,30 @@ pub fn brownout_level_for(target_us: u64, p99_us: u64) -> u8 {
     }
 }
 
-/// The brownout controller: one thread, one reservoir read per poll.
-/// Level transitions are journaled (pure observability — replay counts
-/// them, the live level always restarts at 0) and published through the
-/// shared atomics the request path reads.
+/// The brownout controller: one thread, one histogram read per poll.
 fn run_brownout(shared: Arc<Shared>) {
-    let target_us = shared.config.brownout_us;
+    let mut seen = LatencyCounts::default();
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let p99_us = shared.metrics.p99_latency_us_now();
-        shared.est_p99_us.store(p99_us, Ordering::SeqCst);
-        let level = brownout_level_for(target_us, p99_us);
-        let previous = shared.brownout_level.swap(level, Ordering::SeqCst);
-        if level != previous {
-            journal_append(&shared, &JournalEntry::Brownout { level });
-        }
+        brownout_poll(&shared, &mut seen);
         std::thread::sleep(BROWNOUT_POLL);
+    }
+}
+
+/// One poll: set the level from the p99 of the requests served since the
+/// previous poll (`seen`). An interval that served nothing says nothing
+/// about latency, so it leaves estimate and level where they were. Level
+/// transitions are journaled (pure observability — replay counts them,
+/// the live level always restarts at 0) and published through the shared
+/// atomics the request path reads.
+fn brownout_poll(shared: &Shared, seen: &mut LatencyCounts) {
+    let Some(p99_us) = shared.metrics.p99_latency_us_since(seen) else {
+        return;
+    };
+    shared.est_p99_us.store(p99_us, Ordering::SeqCst);
+    let level = brownout_level_for(shared.config.brownout_us, p99_us);
+    let previous = shared.brownout_level.swap(level, Ordering::SeqCst);
+    if level != previous {
+        journal_append(shared, &JournalEntry::Brownout { level });
     }
 }
 
@@ -533,6 +480,8 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
 /// the coordinator's encumbered reserve — `min(floor, last grant)` — so a
 /// fully partitioned fleet still sums below the global cap.
 fn run_lease_client(shared: Arc<Shared>, target: String) {
+    // `bind` builds the lease state, and `run` starts this thread, from the
+    // same `config.coordinator.is_some()`.
     let lease_mutex = shared.lease.as_ref().expect("lease client requires lease state");
     let renew_every = Duration::from_millis(shared.config.renew_ms.max(10));
     let mut client: Option<CoordClient> = None;
@@ -601,7 +550,6 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
                 }
                 Ok(_) => lease.cap_w(),
                 Err(_) => {
-                    client = None;
                     let mut cap_w = lease.on_miss();
                     if let Some((at, ttl)) = contact {
                         if at.elapsed() >= ttl {
@@ -638,26 +586,29 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
     }
 }
 
-/// One lease-protocol round trip, (re)connecting as needed. The caller
-/// resets `client` on error so the next round reconnects.
+/// One lease-protocol round trip, (re)connecting as needed. A connection
+/// that failed the call is not kept, so the next round reconnects.
 fn lease_call(
     client: &mut Option<CoordClient>,
     target: &str,
     timeout: Duration,
     request: &CoordRequest,
 ) -> Result<CoordResponse, ProtocolError> {
-    if client.is_none() {
-        let addr = target.to_socket_addrs()?.next().ok_or_else(|| {
-            ProtocolError::Io(std::io::Error::new(
-                ErrorKind::AddrNotAvailable,
-                format!("coordinator address {target} resolved to nothing"),
-            ))
-        })?;
-        *client = Some(CoordClient::connect_timeout(&addr, timeout)?);
-    }
-    let result = client.as_mut().expect("connected above").call(request);
-    if result.is_err() {
-        *client = None;
+    let mut connection = match client.take() {
+        Some(connection) => connection,
+        None => {
+            let addr = target.to_socket_addrs()?.next().ok_or_else(|| {
+                ProtocolError::Io(std::io::Error::new(
+                    ErrorKind::AddrNotAvailable,
+                    format!("coordinator address {target} resolved to nothing"),
+                ))
+            })?;
+            CoordClient::connect_timeout(&addr, timeout)?
+        }
+    };
+    let result = connection.call(request);
+    if result.is_ok() {
+        *client = Some(connection);
     }
     result
 }
@@ -677,25 +628,59 @@ fn apply_lease_cap(shared: &Shared, cap_w: f64) {
     );
 }
 
-/// One connection: a node in the arbiter's cluster with its own capped,
-/// guarded runtime over its own (seed-identical) simulated machine.
-struct Session<'a> {
+/// A session's seat in the cluster: joining the arbiter constructs it,
+/// and dropping it is the only way a session leaves — whether its
+/// conversation ended with `Bye`, EOF, a protocol error or a panic.
+struct Seat<'a> {
     shared: &'a Shared,
     node_id: u64,
+}
+
+impl<'a> Seat<'a> {
+    /// Join the arbiter as `node_id`; returns the seat, the node's budget
+    /// and the epoch that budget belongs to. The caller (the accept loop)
+    /// has already counted the session in `active`.
+    fn join(shared: &'a Shared, node_id: u64) -> (Self, f64, u64) {
+        // (mutation, epoch) pairs are journaled under the arbiter lock so
+        // the recorded epoch is exactly the one this operation produced.
+        let mut arbiter = shared.arbiter.lock();
+        let budget_w = arbiter.join(node_id);
+        let epoch = arbiter.epoch();
+        journal_append(shared, &JournalEntry::Admit { node_id, epoch });
+        (Self { shared, node_id }, budget_w, epoch)
+    }
+}
+
+impl Drop for Seat<'_> {
+    fn drop(&mut self) {
+        let Self { shared, node_id } = *self;
+        // A simulated crash skips the clean leave: the journal must end the
+        // way a SIGKILLed process leaves it, with this session still
+        // admitted (the restarted server's replay then removes it as an
+        // orphan) and its adaptation digest still published.
+        if !shared.crashed.load(Ordering::SeqCst) {
+            let mut arbiter = shared.arbiter.lock();
+            arbiter.leave(node_id);
+            journal_append(shared, &JournalEntry::Leave { node_id, epoch: arbiter.epoch() });
+            drop(arbiter);
+            shared.adapt_digests.lock().remove(&node_id);
+        }
+        shared.active.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One connection: a node in the arbiter's cluster with its own capped,
+/// guarded runtime over its own (seed-identical) simulated machine and
+/// its own online adaptation state.
+struct Session<'a> {
+    seat: Seat<'a>,
     rt: CappedRuntime<Machine>,
+    adapt: AdaptivePredictor,
     seen_epoch: u64,
 }
 
 fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
-    // (mutation, epoch) pairs are journaled under the arbiter lock so the
-    // recorded epoch is exactly the one this operation produced.
-    let budget_w = {
-        let mut arbiter = shared.arbiter.lock();
-        let budget_w = arbiter.join(node_id);
-        journal_append(&shared, &JournalEntry::Admit { node_id, epoch: arbiter.epoch() });
-        budget_w
-    };
-    shared.adapt.lock().insert(node_id, AdaptivePredictor::default());
+    let (seat, budget_w, seen_epoch) = Seat::join(&shared, node_id);
     let rt = CappedRuntime::guarded(
         Machine::from_family(shared.config.family, shared.config.seed),
         Arc::clone(&shared.model),
@@ -703,23 +688,8 @@ fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
         GuardPolicy::default(),
     );
     rt.timeline().set_capacity(Some(SESSION_TIMELINE_CAPACITY));
-    let seen_epoch = shared.arbiter.lock().epoch();
-    let mut session = Session { shared: &shared, node_id, rt, seen_epoch };
+    let mut session = Session { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch };
     serve_tcp(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);
-
-    // A simulated crash skips the clean leave: the journal must end the way
-    // a SIGKILLed process leaves it, with this session still admitted (the
-    // restarted server's replay then removes it as an orphan).
-    if !shared.crashed.load(Ordering::SeqCst) {
-        let mut arbiter = shared.arbiter.lock();
-        arbiter.leave(node_id);
-        journal_append(&shared, &JournalEntry::Leave { node_id, epoch: arbiter.epoch() });
-        drop(arbiter);
-        // A clean close discards the session's adaptation state, exactly
-        // as replaying its Leave entry does; a crash leaves it in place.
-        shared.adapt.lock().remove(&node_id);
-    }
-    shared.active.fetch_sub(1, Ordering::SeqCst);
 }
 
 impl FrameHandler for Session<'_> {
@@ -729,20 +699,21 @@ impl FrameHandler for Session<'_> {
     /// Pick up budget reshuffles made on behalf of *other* nodes; a
     /// changed budget re-runs selection from the cached frontiers.
     fn turn(&mut self) {
-        let arbiter = self.shared.arbiter.lock();
+        let Seat { shared, node_id } = self.seat;
+        let arbiter = shared.arbiter.lock();
         let epoch = arbiter.epoch();
         if epoch != self.seen_epoch {
             self.seen_epoch = epoch;
-            let budget = arbiter.budget_of(self.node_id);
+            let budget = arbiter.budget_of(node_id);
             drop(arbiter);
             if let Some(budget) = budget {
-                apply_budget(self.shared, &mut self.rt, budget);
+                self.apply_budget(budget);
             }
         }
     }
 
     fn handle(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
-        let shared = self.shared;
+        let shared = self.seat.shared;
         let request = match request {
             Ok(request) => request,
             Err(err) => {
@@ -756,7 +727,7 @@ impl FrameHandler for Session<'_> {
         let started = Instant::now();
         let kind = request.kind();
         let deadline = request.deadline();
-        let (response, done) = handle_request(shared, &mut self.rt, self.node_id, request);
+        let (response, done) = self.handle_request(request);
         let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         shared.metrics.record_request(kind, latency_ns);
         // A served (not shed) request that blew through its own deadline
@@ -772,293 +743,279 @@ impl FrameHandler for Session<'_> {
     }
 }
 
-/// Apply an arbiter-assigned budget to the session runtime, re-running
-/// selection for every classified kernel.
-fn apply_budget(shared: &Shared, rt: &mut CappedRuntime<Machine>, budget_w: f64) {
-    if (rt.cap_w() - budget_w).abs() > 1e-9 && rt.try_set_cap(budget_w).is_ok() {
-        shared.metrics.record_reselection();
-    }
-}
+/// Hard bound on `iterations` per `Run` request: at ~4 µs an iteration one
+/// frame holds its session thread for about as long as one read timeout,
+/// which already bounds how long shutdown waits for a session.
+const MAX_RUN_ITERATIONS: u64 = 1 << 14;
 
-/// Serve one request. Returns the response and whether the session ends.
-fn handle_request(
-    shared: &Shared,
-    rt: &mut CappedRuntime<Machine>,
-    node_id: u64,
-    request: Request,
-) -> (Response, bool) {
-    let brownout_level = shared.brownout_level.load(Ordering::SeqCst);
-    // The shed gate runs before any work: a request that has already
-    // expired (or that the brownout estimate says will) is answered with
-    // one typed frame and costs nothing else. Requests without a deadline
-    // never enter the gate.
-    if let Some((deadline_ms, priority)) = request.deadline() {
-        let est_p99_us = shared.est_p99_us.load(Ordering::SeqCst);
-        if should_shed(brownout_level, deadline_ms, priority, est_p99_us) {
-            shared.metrics.record_shed();
-            return (Response::ShedDeadline { deadline_ms, priority, brownout_level }, false);
+impl Session<'_> {
+    /// Apply an arbiter-assigned budget to the session runtime, re-running
+    /// selection for every classified kernel.
+    fn apply_budget(&mut self, budget_w: f64) {
+        if (self.rt.cap_w() - budget_w).abs() > 1e-9 && self.rt.try_set_cap(budget_w).is_ok() {
+            self.seat.shared.metrics.record_reselection();
         }
     }
-    match request {
-        Request::Hello => (Response::Welcome { node_id, budget_w: rt.cap_w() }, false),
-        Request::Select { kernel_id, .. } => {
-            match select_for(shared, node_id, &kernel_id, rt.cap_w()) {
+
+    /// Serve one request. Returns the response and whether the session ends.
+    fn handle_request(&mut self, request: Request) -> (Response, bool) {
+        let Seat { shared, node_id } = self.seat;
+        let brownout_level = shared.brownout_level.load(Ordering::SeqCst);
+        // The shed gate runs before any work: a request that has already
+        // expired (or that the brownout estimate says will) is answered with
+        // one typed frame and costs nothing else. Requests without a deadline
+        // never enter the gate.
+        if let Some((deadline_ms, priority)) = request.deadline() {
+            let est_p99_us = shared.est_p99_us.load(Ordering::SeqCst);
+            if should_shed(brownout_level, deadline_ms, priority, est_p99_us) {
+                shared.metrics.record_shed();
+                return (Response::ShedDeadline { deadline_ms, priority, brownout_level }, false);
+            }
+        }
+        match request {
+            Request::Hello => (Response::Welcome { node_id, budget_w: self.rt.cap_w() }, false),
+            Request::Select { kernel_id, .. } => match self.select(&kernel_id) {
                 Ok(selection) => (Response::Selected(selection), false),
                 Err(e) => (engine_error(e), false),
-            }
-        }
-        Request::Batch { kernel_ids, .. } => {
-            let limit = shared.config.max_batch;
-            if kernel_ids.len() > limit {
-                shared.metrics.record_overloaded();
-                return (
-                    Response::Overloaded { load: kernel_ids.len() as u64, limit: limit as u64 },
-                    false,
-                );
-            }
-            // Sessions with no confirmed drift correction for any batched
-            // kernel take the parallel static path, bit-identical to the
-            // pre-adaptation server. Brownout level 3 also forces the
-            // sequential walk: selections stay byte-identical, only the
-            // fan-out's thread-pool pressure is dropped.
-            let any_corrected = {
-                let adapt = shared.adapt.lock();
-                adapt
-                    .get(&node_id)
-                    .is_some_and(|p| kernel_ids.iter().any(|k| p.correction(k).is_some()))
-            };
-            let mut selections = Vec::with_capacity(kernel_ids.len());
-            if any_corrected || brownout_level >= 3 {
-                for kernel_id in &kernel_ids {
-                    match select_for(shared, node_id, kernel_id, rt.cap_w()) {
-                        Ok(s) => selections.push(s),
-                        Err(e) => return (engine_error(e), false),
+            },
+            Request::Batch { kernel_ids, .. } => {
+                let limit = shared.config.max_batch;
+                if kernel_ids.len() > limit {
+                    return (self.overloaded(kernel_ids.len() as u64, limit as u64), false);
+                }
+                // Sessions with no confirmed drift correction for any batched
+                // kernel take the parallel static path, bit-identical to the
+                // pre-adaptation server. Brownout level 3 also forces the
+                // sequential walk: selections stay byte-identical, only the
+                // fan-out's thread-pool pressure is dropped.
+                let any_corrected = kernel_ids.iter().any(|k| self.adapt.correction(k).is_some());
+                let mut selections = Vec::with_capacity(kernel_ids.len());
+                if any_corrected || brownout_level >= 3 {
+                    for kernel_id in &kernel_ids {
+                        match self.select(kernel_id) {
+                            Ok(s) => selections.push(s),
+                            Err(e) => return (engine_error(e), false),
+                        }
+                    }
+                } else {
+                    for result in shared.engine.select_batch(&kernel_ids, self.rt.cap_w()) {
+                        match result {
+                            Ok(s) => selections.push(s),
+                            Err(e) => return (engine_error(e), false),
+                        }
                     }
                 }
-            } else {
-                for result in shared.engine.select_batch(&kernel_ids, rt.cap_w()) {
-                    match result {
-                        Ok(s) => selections.push(s),
-                        Err(e) => return (engine_error(e), false),
+                (Response::BatchSelected { selections }, false)
+            }
+            Request::Run { kernel_id, iterations, idem, .. } => {
+                if iterations > MAX_RUN_ITERATIONS {
+                    return (self.overloaded(iterations, MAX_RUN_ITERATIONS), false);
+                }
+                // A retry carrying a known idempotency key replays the first
+                // successful execution's exact response instead of running the
+                // kernel again (exactly-once in effect).
+                if let Some(key) = idem {
+                    if let Some(memo) = shared.engine.idem_lookup(key) {
+                        shared.metrics.record_idem_replay();
+                        return (memo, false);
                     }
                 }
-            }
-            (Response::BatchSelected { selections }, false)
-        }
-        Request::Run { kernel_id, iterations, idem, .. } => {
-            // A retry carrying a known idempotency key replays the first
-            // successful execution's exact response instead of running the
-            // kernel again (exactly-once in effect).
-            if let Some(key) = idem {
-                if let Some(memo) = shared.engine.idem_lookup(key) {
-                    shared.metrics.record_idem_replay();
-                    return (memo, false);
-                }
-            }
-            let Some(kernel) = shared.engine.kernel(&kernel_id).cloned() else {
-                return (engine_error(EngineError::UnknownKernel(kernel_id)), false);
-            };
-            let iterations = iterations.max(1);
-            let mut total_time_s = 0.0;
-            let mut power_sum = 0.0;
-            let mut last_config = None;
-            for _ in 0..iterations {
-                match rt.run_kernel(&kernel) {
-                    Ok(run) => {
-                        total_time_s += run.time_s;
-                        power_sum += run.power_w();
-                        last_config = Some(run.config);
-                    }
-                    Err(e) => {
-                        return (
-                            Response::Error { code: "runtime".into(), detail: e.to_string() },
-                            false,
-                        )
+                let Some(kernel) = shared.engine.kernel(&kernel_id).cloned() else {
+                    return (engine_error(EngineError::UnknownKernel(kernel_id)), false);
+                };
+                let iterations = iterations.max(1);
+                let mut total_time_s = 0.0;
+                let mut power_sum = 0.0;
+                let mut last_config = None;
+                for _ in 0..iterations {
+                    match self.rt.run_kernel(&kernel) {
+                        Ok(run) => {
+                            total_time_s += run.time_s;
+                            power_sum += run.power_w();
+                            last_config = Some(run.config);
+                        }
+                        Err(e) => {
+                            return (
+                                Response::Error { code: "runtime".into(), detail: e.to_string() },
+                                false,
+                            )
+                        }
                     }
                 }
+                let tier = self
+                    .rt
+                    .health(&kernel_id)
+                    .map(|h| h.tier.label())
+                    .unwrap_or_else(|| "model".to_string());
+                shared.metrics.record_rung(&tier);
+                // Rung tallies are journaled so recovery replay reconciles the
+                // STATS degradation history instead of restarting it at zero.
+                journal_append(shared, &JournalEntry::Rung { label: tier.clone() });
+                let response = Response::Ran {
+                    kernel_id,
+                    iterations,
+                    avg_power_w: power_sum / iterations as f64,
+                    total_time_s,
+                    // `iterations` is at least 1 and every failed iteration
+                    // returned above, so the loop stored a configuration.
+                    config: last_config.expect("at least one iteration ran"),
+                    tier,
+                };
+                // Only successful executions are memoized: a retried failure
+                // should re-execute, not replay the error.
+                if let Some(key) = idem {
+                    shared.engine.idem_store(key, &response);
+                }
+                (response, false)
             }
-            let tier = rt
-                .health(&kernel_id)
-                .map(|h| h.tier.label())
-                .unwrap_or_else(|| "model".to_string());
-            shared.metrics.record_rung(&tier);
-            // Rung tallies are journaled so recovery replay reconciles the
-            // STATS degradation history instead of restarting it at zero.
-            journal_append(shared, &JournalEntry::Rung { label: tier.clone() });
-            let response = Response::Ran {
-                kernel_id,
-                iterations,
-                avg_power_w: power_sum / iterations as f64,
-                total_time_s,
-                config: last_config.expect("at least one iteration ran"),
-                tier,
-            };
-            // Only successful executions are memoized: a retried failure
-            // should re-execute, not replay the error.
-            if let Some(key) = idem {
-                shared.engine.idem_store(key, &response);
-            }
-            (response, false)
-        }
-        Request::Report { residual_w, feedback } => {
-            // Feedback is validated and consumed *before* the arbiter
-            // mutates: a rejected measurement must leave the session's
-            // budget exactly as it was. Brownout level 1 drops feedback
-            // processing entirely — adaptation is the first optional work
-            // to go, the budget report itself still lands.
-            if brownout_level < 1 {
-                if let Some(feedback) = feedback {
-                    if let Err(response) = observe_feedback(shared, node_id, &feedback) {
-                        return (*response, false);
+            Request::Report { residual_w, feedback } => {
+                // Feedback is validated and consumed *before* the arbiter
+                // mutates: a rejected measurement must leave the session's
+                // budget exactly as it was. Brownout level 1 drops feedback
+                // processing entirely — adaptation is the first optional work
+                // to go, the budget report itself still lands.
+                if brownout_level < 1 {
+                    if let Some(feedback) = feedback {
+                        if let Err(response) = self.observe_feedback(&feedback) {
+                            return (*response, false);
+                        }
                     }
                 }
-            }
-            let budget = {
-                let mut arbiter = shared.arbiter.lock();
-                let budget = arbiter.report(node_id, residual_w);
-                journal_append(
-                    shared,
-                    &JournalEntry::Report { node_id, residual_w, epoch: arbiter.epoch() },
-                );
-                budget
-            };
-            // Apply our own new budget immediately; other sessions pick
-            // the reshuffle up at their next poll via the epoch counter.
-            let budget_w = budget.unwrap_or_else(|| rt.cap_w());
-            apply_budget(shared, rt, budget_w);
-            (Response::Budget { budget_w: rt.cap_w() }, false)
-        }
-        Request::Stats => {
-            let mut snapshot = shared.metrics.snapshot(
-                shared.engine.cache_counts(),
-                shared.active.load(Ordering::SeqCst) as u64,
-                shared.arbiter.lock().rebalances(),
-                &lease_report(shared),
-            );
-            // Brownout level 2 strips the detail maps: the headline
-            // counters (and the brownout level itself) still flow, but
-            // the per-kind and per-rung breakdowns are optional work.
-            if brownout_level >= 2 {
-                snapshot.requests_by_kind.clear();
-                snapshot.degradation_tallies.clear();
-            }
-            (Response::Stats(Box::new(snapshot)), false)
-        }
-        Request::Bye => (Response::Bye, true),
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            (Response::ShuttingDown, true)
-        }
-    }
-}
-
-/// Select for one kernel through the session's adaptive predictor. With no
-/// confirmed drift correction this is exactly [`Engine::select`] — the
-/// bit-identical static path. With one, the frontier is re-walked under
-/// the drift-deflated cap and the advertised predictions carry the
-/// estimated correction.
-fn select_for(
-    shared: &Shared,
-    node_id: u64,
-    kernel_id: &str,
-    cap_w: f64,
-) -> Result<Selection, EngineError> {
-    let correction = shared.adapt.lock().get(&node_id).and_then(|p| p.correction(kernel_id));
-    let Some(correction) = correction else {
-        return shared.engine.select(kernel_id, cap_w);
-    };
-    let profile = shared.engine.profile(kernel_id)?;
-    let selection = {
-        let adapt = shared.adapt.lock();
-        // The predictor only mutates from this session's own thread, so it
-        // is still present and still corrected here.
-        adapt
-            .get(&node_id)
-            .expect("correction implies a predictor")
-            .selection(kernel_id, &profile, cap_w)
-    };
-    if selection.corrected {
-        shared.metrics.record_adapt_reselection();
-    }
-    let point = profile.point_for(&selection.config);
-    Ok(Selection {
-        kernel_id: kernel_id.to_string(),
-        cluster: profile.cluster,
-        config: selection.config,
-        predicted_power_w: point.power_w * correction.power_ratio,
-        predicted_perf: point.perf * correction.perf_ratio,
-        budget_w: cap_w,
-    })
-}
-
-/// Feed one `Report` feedback payload through the session's predictor:
-/// validate, observe, journal the exact clamped ratio bits (plus any
-/// cluster-mismatch reclassification), and count the drift events. On
-/// error the predictor is untouched and the caller returns the typed
-/// response without touching the arbiter.
-fn observe_feedback(
-    shared: &Shared,
-    node_id: u64,
-    feedback: &ReportFeedback,
-) -> Result<(), Box<Response>> {
-    // A hostile config (out-of-range threads or P-states) would index
-    // outside the profile's point table; reject it before the lookup.
-    let index = feedback.config.index();
-    if Configuration::all().get(index) != Some(&feedback.config) {
-        return Err(Box::new(Response::Error {
-            code: "bad-feedback".into(),
-            detail: format!("configuration {:?} is not in the machine's space", feedback.config),
-        }));
-    }
-    let profile = match shared.engine.profile(&feedback.kernel_id) {
-        Ok(profile) => profile,
-        Err(e) => return Err(Box::new(engine_error(e))),
-    };
-    let point = profile.point_for(&feedback.config);
-    let (predicted_power_w, predicted_perf) = (point.power_w, point.perf);
-    let mut adapt = shared.adapt.lock();
-    let predictor = adapt.entry(node_id).or_default();
-    match predictor.observe(
-        &feedback.kernel_id,
-        feedback.measured_power_w,
-        feedback.measured_perf,
-        predicted_power_w,
-        predicted_perf,
-    ) {
-        Ok(outcome) => {
-            let mismatches = outcome
-                .events
-                .iter()
-                .filter(|e| matches!(e, DriftEvent::ClusterMismatch { .. }))
-                .count() as u64;
-            shared.metrics.record_adapt_observation(outcome.events.len() as u64, mismatches);
-            journal_append(
-                shared,
-                &JournalEntry::AdaptObs {
-                    node_id,
-                    kernel_id: feedback.kernel_id.clone(),
-                    power_bits: outcome.power_ratio.to_bits(),
-                    perf_bits: outcome.perf_ratio.to_bits(),
-                },
-            );
-            for event in &outcome.events {
-                if let DriftEvent::ClusterMismatch { kernel_id, .. } = event {
+                let budget = {
+                    let mut arbiter = shared.arbiter.lock();
+                    let budget = arbiter.report(node_id, residual_w);
                     journal_append(
                         shared,
-                        &JournalEntry::Reclassify { node_id, kernel_id: kernel_id.clone() },
+                        &JournalEntry::Report { node_id, residual_w, epoch: arbiter.epoch() },
                     );
-                }
+                    budget
+                };
+                // Apply our own new budget immediately; other sessions pick
+                // the reshuffle up at their next poll via the epoch counter.
+                self.apply_budget(budget.unwrap_or_else(|| self.rt.cap_w()));
+                (Response::Budget { budget_w: self.rt.cap_w() }, false)
             }
-            Ok(())
+            Request::Stats => {
+                let mut snapshot = stats_snapshot(shared);
+                // Brownout level 2 strips the detail maps: the headline
+                // counters (and the brownout level itself) still flow, but
+                // the per-kind and per-rung breakdowns are optional work.
+                if brownout_level >= 2 {
+                    snapshot.requests_by_kind.clear();
+                    snapshot.degradation_tallies.clear();
+                }
+                (Response::Stats(Box::new(snapshot)), false)
+            }
+            Request::Bye => (Response::Bye, true),
+            Request::Shutdown => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                (Response::ShuttingDown, true)
+            }
         }
-        Err(e) => {
-            Err(Box::new(Response::Error { code: "bad-feedback".into(), detail: e.to_string() }))
+    }
+
+    /// Count and build the typed refusal of a request that asks for more
+    /// than its hard bound.
+    fn overloaded(&self, load: u64, limit: u64) -> Response {
+        self.seat.shared.metrics.record_overloaded();
+        Response::Overloaded { load, limit }
+    }
+
+    /// Select for one kernel through the session's adaptive predictor. With
+    /// no confirmed drift correction this is exactly [`Engine::select`] —
+    /// the bit-identical static path. With one, the frontier is re-walked
+    /// under the drift-deflated cap and the advertised predictions carry
+    /// the estimated correction.
+    fn select(&self, kernel_id: &str) -> Result<Selection, EngineError> {
+        let shared = self.seat.shared;
+        let cap_w = self.rt.cap_w();
+        let Some(correction) = self.adapt.correction(kernel_id) else {
+            return shared.engine.select(kernel_id, cap_w);
+        };
+        let profile = shared.engine.profile(kernel_id)?;
+        let selection = self.adapt.selection(kernel_id, &profile, cap_w);
+        if selection.corrected {
+            shared.metrics.record_adapt_reselection();
         }
+        let point = profile.point_for(&selection.config);
+        Ok(Selection {
+            kernel_id: kernel_id.to_string(),
+            cluster: profile.cluster,
+            config: selection.config,
+            predicted_power_w: point.power_w * correction.power_ratio,
+            predicted_perf: point.perf * correction.perf_ratio,
+            budget_w: cap_w,
+        })
+    }
+
+    /// Feed one `Report` feedback payload through the session's predictor:
+    /// validate, observe, journal the exact clamped ratio bits (plus any
+    /// cluster-mismatch reclassification), count the drift events and
+    /// publish the predictor's new digest. On error the predictor is
+    /// untouched and the caller returns the typed response without touching
+    /// the arbiter.
+    fn observe_feedback(&mut self, feedback: &ReportFeedback) -> Result<(), Box<Response>> {
+        let Seat { shared, node_id } = self.seat;
+        // A hostile config (out-of-range threads or P-states) would index
+        // outside the profile's point table; reject it before the lookup.
+        let index = feedback.config.index();
+        if Configuration::all().get(index) != Some(&feedback.config) {
+            return Err(Box::new(Response::Error {
+                code: "bad-feedback".into(),
+                detail: format!(
+                    "configuration {:?} is not in the machine's space",
+                    feedback.config
+                ),
+            }));
+        }
+        let profile = match shared.engine.profile(&feedback.kernel_id) {
+            Ok(profile) => profile,
+            Err(e) => return Err(Box::new(engine_error(e))),
+        };
+        let point = profile.point_for(&feedback.config);
+        let outcome = self
+            .adapt
+            .observe(
+                &feedback.kernel_id,
+                feedback.measured_power_w,
+                feedback.measured_perf,
+                point.power_w,
+                point.perf,
+            )
+            .map_err(|e| {
+                Box::new(Response::Error { code: "bad-feedback".into(), detail: e.to_string() })
+            })?;
+        shared.adapt_digests.lock().insert(node_id, self.adapt.state_digest());
+        let mismatches = outcome
+            .events
+            .iter()
+            .filter(|e| matches!(e, DriftEvent::ClusterMismatch { .. }))
+            .count() as u64;
+        shared.metrics.record_adapt_observation(outcome.events.len() as u64, mismatches);
+        journal_append(
+            shared,
+            &JournalEntry::AdaptObs {
+                node_id,
+                kernel_id: feedback.kernel_id.clone(),
+                power_bits: outcome.power_ratio.to_bits(),
+                perf_bits: outcome.perf_ratio.to_bits(),
+            },
+        );
+        for event in &outcome.events {
+            if let DriftEvent::ClusterMismatch { kernel_id, .. } = event {
+                journal_append(
+                    shared,
+                    &JournalEntry::Reclassify { node_id, kernel_id: kernel_id.clone() },
+                );
+            }
+        }
+        Ok(())
     }
 }
 
-/// Assemble the lease/journal side of a `Stats` snapshot.
-fn lease_report(shared: &Shared) -> LeaseReport {
+/// The `Stats` snapshot: what the wire request and
+/// [`ServerHandle::stats`] both report.
+fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
     let (lease_state, lease_budget_w, degraded_entries) = match &shared.lease {
         Some(lease) => {
             let lease = lease.lock();
@@ -1066,7 +1023,7 @@ fn lease_report(shared: &Shared) -> LeaseReport {
         }
         None => ("standalone".to_string(), shared.config.global_cap_w, 0),
     };
-    LeaseReport {
+    let lease = LeaseReport {
         lease_state,
         lease_budget_w,
         degraded_entries,
@@ -1074,7 +1031,13 @@ fn lease_report(shared: &Shared) -> LeaseReport {
         journal_replayed: shared.recovery.as_ref().map(|r| r.replayed).unwrap_or(0),
         brownout_level: shared.brownout_level.load(Ordering::SeqCst),
         evicted_shards: shared.evicted_observed.load(Ordering::SeqCst),
-    }
+    };
+    shared.metrics.snapshot(
+        shared.engine.cache_counts(),
+        shared.active.load(Ordering::SeqCst) as u64,
+        shared.arbiter.lock().rebalances(),
+        &lease,
+    )
 }
 
 fn engine_error(e: EngineError) -> Response {
@@ -1087,3 +1050,121 @@ fn engine_error(e: EngineError) -> Response {
 /// A blocking client for the wire protocol (used by `acs loadgen`, the
 /// benches, and the tests).
 pub type Client = FrameClient<Request, Response>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    fn model() -> TrainedModel {
+        static MODEL: OnceLock<TrainedModel> = OnceLock::new();
+        MODEL
+            .get_or_init(|| {
+                acs_core::train_on_suite(&Machine::new(2014), 12).expect("training succeeds")
+            })
+            .clone()
+    }
+
+    fn hello(client: &mut Client) -> (u64, f64) {
+        match client.call(&Request::Hello).expect("the session answers") {
+            Response::Welcome { node_id, budget_w } => (node_id, budget_w),
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_session_whose_handler_panics_still_leaves() {
+        let journal_path =
+            std::env::temp_dir().join(format!("acs-serve-panic-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let config = ServeConfig {
+            global_cap_w: 90.0,
+            journal: Some(journal_path.clone()),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config, model()).unwrap();
+        let kernels: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(2).map(|k| k.id()).collect();
+        // The victim's handler dies inside its second cache miss, past the
+        // decode-error path, with its seat taken and a digest published.
+        let fatal = kernels[1].clone();
+        server.shared.engine.set_miss_hook(Box::new(move |kernel_id| {
+            assert_ne!(kernel_id, fatal, "injected handler panic");
+        }));
+        let (addr, handle) = (server.local_addr(), server.handle());
+        let running = Running::start(addr, handle, ServerHandle::shutdown, move || server.run());
+
+        let mut survivor = Client::connect(&running.addr).unwrap();
+        assert_eq!(hello(&mut survivor), (1, 90.0));
+        let mut victim = Client::connect(&running.addr).unwrap();
+        assert_eq!(hello(&mut victim), (2, 45.0));
+        let select =
+            |id: &str| Request::Select { kernel_id: id.into(), deadline_ms: None, priority: 0 };
+        let picked = match victim.call(&select(&kernels[0])).unwrap() {
+            Response::Selected(selection) => selection,
+            other => panic!("expected Selected, got {other:?}"),
+        };
+        let feedback = ReportFeedback {
+            kernel_id: picked.kernel_id,
+            config: picked.config,
+            measured_power_w: picked.predicted_power_w,
+            measured_perf: picked.predicted_perf,
+        };
+        let report = Request::Report { residual_w: 0.0, feedback: Some(feedback) };
+        assert!(matches!(victim.call(&report).unwrap(), Response::Budget { .. }));
+        assert_eq!(running.handle.adapt_digests().len(), 1);
+        assert!(victim.call(&select(&kernels[1])).is_err(), "the panicking session hangs up");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while running.handle.active_sessions() != 1 {
+            assert!(Instant::now() < deadline, "the dead session never gave its seat back");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(hello(&mut survivor), (1, 90.0), "the survivor owns the whole cap again");
+        assert_eq!(running.handle.budget_conservation_error_w(), 0.0);
+        assert_eq!(running.handle.adapt_digests(), [], "the dead session's digest is gone");
+        drop(survivor);
+        running.stop();
+        let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+        assert!(
+            entries.iter().any(|e| matches!(e, JournalEntry::Leave { node_id: 2, .. })),
+            "the dead session's Leave is journaled: {entries:?}"
+        );
+        let _ = std::fs::remove_file(&journal_path);
+    }
+
+    #[test]
+    fn brownout_follows_the_last_poll_window() {
+        let config = ServeConfig { brownout_us: 100, ..ServeConfig::default() };
+        let server = Server::bind(config, model()).unwrap();
+        let shared = &server.shared;
+        let state = || {
+            (shared.brownout_level.load(Ordering::SeqCst), shared.est_p99_us.load(Ordering::SeqCst))
+        };
+        let mut seen = LatencyCounts::default();
+        brownout_poll(shared, &mut seen);
+        assert_eq!(state(), (0, 0), "nothing served yet");
+
+        for _ in 0..1_000 {
+            shared.metrics.record_request("select", 1_000_000);
+        }
+        brownout_poll(shared, &mut seen);
+        let (level, slow_p99_us) = state();
+        assert_eq!(level, 3, "1 ms against a 100 µs target");
+        assert!(slow_p99_us >= 1_000);
+
+        brownout_poll(shared, &mut seen);
+        assert_eq!(state(), (3, slow_p99_us), "an empty interval changes nothing");
+
+        // Fewer fast requests than the burst had slow ones: over all of
+        // history p99 is still 1 ms, over this interval it is 10 µs.
+        for _ in 0..100 {
+            shared.metrics.record_request("select", 10_000);
+        }
+        brownout_poll(shared, &mut seen);
+        let (level, fast_p99_us) = state();
+        assert_eq!(level, 0);
+        assert!((10..=11).contains(&fast_p99_us), "{fast_p99_us} µs");
+        assert!(stats_snapshot(shared).p99_latency_us >= 1_000, "STATS is since start");
+    }
+}

@@ -84,7 +84,7 @@ fn torn_frame_at_every_offset_is_typed_or_a_clean_drop() {
         // No torn frame may poison the arbiter.
         assert_eq!(server.handle.budget_conservation_error_w(), 0.0, "cut at {cut}");
     }
-    assert!(server.handle.protocol_errors() >= (whole.len() - 1) as u64);
+    assert!(server.handle.stats().protocol_errors >= (whole.len() - 1) as u64);
     assert_alive(&server.addr);
     server.stop();
 }
@@ -273,7 +273,7 @@ fn dribbled_frames_arrive_intact_at_every_length() {
     let stats = proxy.handle.stats();
     assert_eq!(stats.dribbled, requests.len() as u64, "every frame was dribbled");
     assert_eq!(stats.faults(), requests.len() as u64);
-    assert_eq!(server.handle.protocol_errors(), 0, "no dribbled frame may tear");
+    assert_eq!(server.handle.stats().protocol_errors, 0, "no dribbled frame may tear");
 
     proxy.stop();
     server.stop();
@@ -304,10 +304,14 @@ fn duplicated_frames_do_not_double_execute_keyed_runs() {
     // The server saw the frame twice; the duplicate was answered from the
     // idempotency memo, not executed again.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.handle.idem_replays() == 0 && Instant::now() < deadline {
+    while server.handle.stats().idem_replays == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(server.handle.idem_replays(), 1, "the duplicated Run must replay, not re-execute");
+    assert_eq!(
+        server.handle.stats().idem_replays,
+        1,
+        "the duplicated Run must replay, not re-execute"
+    );
     assert_eq!(proxy.handle.stats().duplicated, 1);
 
     proxy.stop();

@@ -80,7 +80,7 @@ fn wait_until(timeout: Duration, mut check: impl FnMut() -> bool) -> bool {
 }
 
 fn fleet_cap_w(shards: &[ServerHandle]) -> f64 {
-    shards.iter().map(|s| s.lease_cap_w()).sum()
+    shards.iter().map(|s| s.stats().lease_budget_w).sum()
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn three_shards_converge_to_the_global_cap_without_ever_exceeding_it() {
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            handles.iter().all(|h| h.lease_state() == "leased")
+            handles.iter().all(|h| h.stats().lease_state == "leased")
         }),
         "all shards lease within the deadline"
     );
@@ -163,7 +163,7 @@ fn heterogeneous_family_shards_share_one_budget_and_warm_their_own_caches() {
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            handles.iter().all(|h| h.lease_state() == "leased")
+            handles.iter().all(|h| h.stats().lease_state == "leased")
         }),
         "all family shards lease within the deadline"
     );
@@ -252,7 +252,7 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
     let handles: Vec<ServerHandle> = shards.iter().map(|s| s.handle.clone()).collect();
     assert!(
         wait_until(Duration::from_secs(10), || {
-            handles.iter().all(|h| h.lease_state() == "leased")
+            handles.iter().all(|h| h.stats().lease_state == "leased")
                 && (fleet_cap_w(&handles) - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "fleet converges before the crash"
@@ -273,7 +273,7 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
         max_during_outage
     );
     assert!(
-        handles.iter().any(|h| h.degraded_entries() >= 1),
+        handles.iter().any(|h| h.stats().degraded_entries >= 1),
         "missed renewals drive shards into degraded mode"
     );
 
@@ -292,12 +292,12 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            handles.iter().all(|h| h.lease_state() == "leased")
+            handles.iter().all(|h| h.stats().lease_state == "leased")
                 && (fleet_cap_w(&handles) - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "fleet re-converges after failover, got {} W across states {:?}",
         fleet_cap_w(&handles),
-        handles.iter().map(|h| h.lease_state()).collect::<Vec<_>>()
+        handles.iter().map(|h| h.stats().lease_state).collect::<Vec<_>>()
     );
     let stats = coord.handle.stats();
     assert_eq!(stats.live_leases, 2);
@@ -319,7 +319,8 @@ fn a_sigkilled_shards_lease_expires_to_the_floor_and_frees_the_rest() {
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.handle.lease_state() == "leased" && victim.handle.lease_state() == "leased"
+            alive.handle.stats().lease_state == "leased"
+                && victim.handle.stats().lease_state == "leased"
         }),
         "both shards lease"
     );
@@ -342,10 +343,10 @@ fn a_sigkilled_shards_lease_expires_to_the_floor_and_frees_the_rest() {
     assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.handle.lease_cap_w() >= GLOBAL_CAP_W - FLOOR_W - 1e-6
+            alive.handle.stats().lease_budget_w >= GLOBAL_CAP_W - FLOOR_W - 1e-6
         }),
         "the survivor absorbs the freed budget, got {} W",
-        alive.handle.lease_cap_w()
+        alive.handle.stats().lease_budget_w
     );
 
     alive.stop();
@@ -364,7 +365,8 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
 
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.handle.lease_state() == "leased" && victim.handle.lease_state() == "leased"
+            alive.handle.stats().lease_state == "leased"
+                && victim.handle.stats().lease_state == "leased"
         }),
         "both shards lease"
     );
@@ -388,10 +390,10 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
     // ceiling the expiry-only path converges to.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.handle.lease_cap_w() >= GLOBAL_CAP_W - 1e-6
+            alive.handle.stats().lease_budget_w >= GLOBAL_CAP_W - 1e-6
         }),
         "the survivor absorbs the whole cap, got {} W",
-        alive.handle.lease_cap_w()
+        alive.handle.stats().lease_budget_w
     );
 
     // A replacement shard re-admits against the reclaimed pool as a fresh
@@ -399,7 +401,8 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
     let replacement = Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || {
-            replacement.handle.lease_state() == "leased" && coord.handle.stats().live_leases == 2
+            replacement.handle.stats().lease_state == "leased"
+                && coord.handle.stats().live_leases == 2
         }),
         "the replacement re-admits"
     );
@@ -436,10 +439,10 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
 
     let shard = Server::spawn(shard_config(FamilyId::Trinity, &proxy.addr), model()).unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || shard.handle.lease_state() == "leased"),
+        wait_until(Duration::from_secs(10), || shard.handle.stats().lease_state == "leased"),
         "the shard leases through the quiet proxy"
     );
-    let last_grant = shard.handle.lease_cap_w();
+    let last_grant = shard.handle.stats().lease_budget_w;
     assert!(last_grant > FLOOR_W);
 
     // Partition for ~32 renewal intervals: every renewal inside the
@@ -447,32 +450,33 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
     // grant, and never below min(floor, last grant).
     proxy.handle.partition(800);
     assert!(
-        wait_until(Duration::from_secs(5), || shard.handle.lease_state() == "degraded"),
+        wait_until(Duration::from_secs(5), || shard.handle.stats().lease_state == "degraded"),
         "missed renewals enter degraded mode"
     );
     assert!(
-        wait_until(Duration::from_millis(600), || shard.handle.lease_cap_w() < last_grant - 1e-9),
+        wait_until(Duration::from_millis(600), || shard.handle.stats().lease_budget_w
+            < last_grant - 1e-9),
         "the cap decays during the partition, still {} W",
-        shard.handle.lease_cap_w()
+        shard.handle.stats().lease_budget_w
     );
     let deadline = Instant::now() + Duration::from_millis(150);
     while Instant::now() < deadline {
-        let cap = shard.handle.lease_cap_w();
+        let cap = shard.handle.stats().lease_budget_w;
         assert!(cap <= last_grant + 1e-9, "degraded cap {cap} exceeds last grant {last_grant}");
         assert!(cap >= FLOOR_W.min(last_grant) - 1e-9, "degraded cap {cap} fell below the floor");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(shard.handle.degraded_entries() >= 1);
+    assert!(shard.handle.stats().degraded_entries >= 1);
 
     // The window closes; renewals flow again and the lease recovers.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            shard.handle.lease_state() == "leased"
-                && (shard.handle.lease_cap_w() - GLOBAL_CAP_W).abs() < 1e-6
+            shard.handle.stats().lease_state == "leased"
+                && (shard.handle.stats().lease_budget_w - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "the shard recovers after the partition, state {} cap {} W",
-        shard.handle.lease_state(),
-        shard.handle.lease_cap_w()
+        shard.handle.stats().lease_state,
+        shard.handle.stats().lease_budget_w
     );
     assert!(proxy.handle.stats().blackholed > 0, "the partition actually swallowed traffic");
 

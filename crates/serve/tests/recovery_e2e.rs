@@ -190,7 +190,7 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
             other => panic!("expected Stats, got {other:?}"),
         };
         assert!(!tallies.is_empty(), "the runs never recorded a rung");
-        assert!(server.handle.adapt_observations() > 0, "feedback never reached a predictor");
+        assert!(server.handle.stats().adapt_observations > 0, "feedback never reached a predictor");
         let digests = server.handle.adapt_digests();
         assert!(!digests.is_empty(), "the session never grew adaptation state");
         server.handle.simulate_crash();

@@ -139,6 +139,36 @@ fn batch_matches_singles_and_oversized_batch_is_overloaded() {
 }
 
 #[test]
+fn a_run_of_unbounded_iterations_is_overloaded_and_the_session_stays_usable() {
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let mut client = Client::connect(&server.addr).unwrap();
+    // Served, this frame would hold its session thread past any shutdown;
+    // the timeout turns that into a failure instead of a hung test.
+    client.stream_mut().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let run = |iterations| Request::Run {
+        kernel_id: kernel_ids(1)[0].clone(),
+        iterations,
+        idem: None,
+        deadline_ms: None,
+        priority: 0,
+    };
+    let limit = match client.call(&run(u64::MAX)).unwrap() {
+        Response::Overloaded { load, limit } => {
+            assert_eq!(load, u64::MAX);
+            limit
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    };
+    assert_eq!(server.handle.stats().overloaded, 1);
+    match client.call(&run(limit)).unwrap() {
+        Response::Ran { iterations, .. } => assert_eq!(iterations, limit, "the bound is served"),
+        other => panic!("expected Ran, got {other:?}"),
+    }
+    assert_eq!(server.handle.stats().overloaded, 1);
+    server.stop();
+}
+
+#[test]
 fn unknown_kernel_is_a_typed_error_not_a_dropped_session() {
     let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let mut client = Client::connect(&server.addr).unwrap();
@@ -298,7 +328,7 @@ fn hostile_frame_gets_typed_error_and_counts() {
         Ok(Some(Response::Error { code, .. })) => assert_eq!(code, "oversized"),
         other => panic!("expected typed Error response, got {other:?}"),
     }
-    assert!(server.handle.protocol_errors() >= 1);
+    assert!(server.handle.stats().protocol_errors >= 1);
 
     server.stop();
 }
@@ -385,25 +415,25 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         }
         other => panic!("expected ShedDeadline, got {other:?}"),
     }
-    assert_eq!(server.handle.sheds(), 1);
+    assert_eq!(server.handle.stats().sheds, 1);
 
     // A positive deadline is served below full brownout — and a run long
     // enough to blow through it records a miss for the served request.
     match client
         .call(&Request::Run {
             kernel_id: id.clone(),
-            iterations: 20_000,
+            iterations: 16_384,
             idem: None,
             deadline_ms: Some(1),
             priority: 0,
         })
         .unwrap()
     {
-        Response::Ran { iterations, .. } => assert_eq!(iterations, 20_000),
+        Response::Ran { iterations, .. } => assert_eq!(iterations, 16_384),
         other => panic!("expected Ran, got {other:?}"),
     }
-    assert_eq!(server.handle.sheds(), 1, "a served request is not a shed");
-    assert_eq!(server.handle.deadline_misses(), 1);
+    assert_eq!(server.handle.stats().sheds, 1, "a served request is not a shed");
+    assert_eq!(server.handle.stats().deadline_misses, 1);
 
     // Requests without a deadline never enter the gate: the old-client
     // wire shape is untouched by the overload machinery.
@@ -511,7 +541,7 @@ fn a_pipelined_burst_is_answered_in_order_with_the_bytes_of_one_at_a_time() {
     for (i, expected) in one_at_a_time.iter().enumerate() {
         assert_eq!(&read_raw_reply(stream), expected, "reply {i} of the burst");
     }
-    assert_eq!(server.handle.protocol_errors(), 0);
+    assert_eq!(server.handle.stats().protocol_errors, 0);
     server.stop();
 }
 
