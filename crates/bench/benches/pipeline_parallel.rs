@@ -5,10 +5,10 @@
 //! at verification scale: generate the quick scenario grid (per-kernel
 //! 42-configuration sweeps), train the model (including the O(K²)
 //! pairwise Kendall dissimilarity matrix), and replay every scenario
-//! through the differential runner. Every stage fans out on the vendored
-//! rayon pool, so this bench measures the whole-pipeline speedup of the
-//! work-stealing runtime over its own 1-thread sequential fallback —
-//! results are byte-identical at any thread count (see
+//! through the differential runner. Every stage fans out through the
+//! vendored rayon shim, so this bench measures the whole-pipeline speedup
+//! of its scoped helper threads over its own 1-thread sequential fallback
+//! — results are byte-identical at any thread count (see
 //! `tests/parallel_determinism.rs`), so only wall-clock may differ.
 //!
 //! Writes `results/BENCH_parallel.json` with the measured times and the
@@ -47,7 +47,7 @@ fn timed_median(runs: usize, mut f: impl FnMut()) -> Duration {
 
 #[derive(Serialize)]
 struct SpeedupResult {
-    /// Thread count of the parallel run (the pool's default sizing).
+    /// Thread count of the parallel run (the process default).
     parallel_threads: usize,
     /// Median sequential (1-thread) wall-clock, milliseconds.
     sequential_ms: f64,
@@ -68,8 +68,8 @@ fn bench_pipeline_parallel(c: &mut Criterion) {
     let scenarios = rayon::with_num_threads(1, pipeline_once);
     black_box(pipeline_once());
 
-    // Sequential = forced 1-thread fallback; parallel = the default
-    // global pool exactly as production sees it.
+    // Sequential = forced 1-thread fallback; parallel = the process
+    // default exactly as production sees it.
     let seq = timed_median(runs, || {
         rayon::with_num_threads(1, || black_box(pipeline_once()));
     });

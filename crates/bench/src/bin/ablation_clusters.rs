@@ -22,7 +22,7 @@ fn main() {
     println!("{}", "-".repeat(72));
 
     // Every k re-trains and re-evaluates the full suite independently —
-    // the sweep fans out across the rayon pool, then prints in k order.
+    // the sweep fans out across rayon threads, then prints in k order.
     let results: Vec<(usize, acs_core::MethodSummary, acs_core::MethodSummary)> = (2..11usize)
         .into_par_iter()
         .map(|k| {

@@ -27,8 +27,8 @@ fn main() {
     println!();
 
     // Each sensor variant re-characterizes and re-evaluates the entire
-    // suite — independent end-to-end pipelines, fanned out across the
-    // rayon pool and printed in declaration order.
+    // suite — independent end-to-end pipelines, fanned out across rayon
+    // threads and printed in declaration order.
     let results: Vec<(String, Vec<acs_core::MethodSummary>)> = sensors
         .into_par_iter()
         .map(|(label, sensor)| {

@@ -655,7 +655,7 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())?;
 
     // Optionally persist oracle frontiers so repeat runs skip the sweeps;
-    // each machine's kernel sweeps fan out across the rayon pool.
+    // each machine's kernel sweeps fan out across rayon threads.
     if let Some(dir) = args.get("cache-dir") {
         let engine = acs_verify::OracleEngine::with_cache(dir);
         let mut cached = 0usize;

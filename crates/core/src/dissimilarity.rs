@@ -54,8 +54,8 @@ pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
 
 /// Build the full pairwise dissimilarity matrix for a set of frontiers.
 ///
-/// The O(K²) pairwise comparisons are independent, so they run on the
-/// rayon pool; values land at `(i, j)` positions fixed by the flattened
+/// The O(K²) pairwise comparisons are independent, so they run on
+/// rayon threads; values land at `(i, j)` positions fixed by the flattened
 /// pair list, making the matrix bit-identical at any thread count.
 pub fn dissimilarity_matrix(frontiers: &[Frontier]) -> Dissimilarity {
     use rayon::prelude::*;

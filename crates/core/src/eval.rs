@@ -178,12 +178,18 @@ pub struct AppProfiles {
     pub profiles: Vec<KernelProfile>,
 }
 
-/// Characterize every kernel of every application instance (in parallel:
-/// app instances fan out across the rayon pool, and each instance's suite
-/// sweep fans out further inside [`collect_suite`]).
+/// Characterize every kernel of every application instance. Every
+/// `(app, kernel)` pair goes through one [`collect_suite`] — a sweep per
+/// app inside a sweep over apps would fan out over apps only, the inner
+/// sweeps running inline — and the profiles are regrouped by app.
 pub fn characterize_apps(machine: &Machine, apps: &[AppInstance]) -> Vec<AppProfiles> {
-    apps.par_iter()
-        .map(|app| AppProfiles { app: app.clone(), profiles: collect_suite(machine, &app.kernels) })
+    let kernels: Vec<_> = apps.iter().flat_map(|app| app.kernels.iter().cloned()).collect();
+    let mut profiles = collect_suite(machine, &kernels).into_iter();
+    apps.iter()
+        .map(|app| AppProfiles {
+            app: app.clone(),
+            profiles: profiles.by_ref().take(app.kernels.len()).collect(),
+        })
         .collect()
 }
 

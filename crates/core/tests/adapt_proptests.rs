@@ -105,7 +105,7 @@ proptest! {
             let digest = rayon::with_num_threads(threads, || digest_for(seed));
             prop_assert_eq!(
                 digest, baseline,
-                "state digest changed under a {}-thread pool", threads
+                "state digest changed at {} threads", threads
             );
         }
     }

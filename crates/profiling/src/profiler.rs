@@ -15,7 +15,6 @@
 use crate::history::History;
 use crate::sample::ProfileSample;
 use acs_sim::{Configuration, KernelCharacteristics, Machine};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Drives simulated kernel executions and records them.
@@ -89,13 +88,6 @@ impl Profiler {
         Configuration::all().iter().map(|c| self.profile(kernel, c, 0)).collect()
     }
 
-    /// Profile many kernels across the full configuration space in
-    /// parallel. Deterministic: simulator noise is addressed by
-    /// `(seed, kernel, config, iteration)`, not by execution order.
-    pub fn sweep_suite(&self, kernels: &[KernelCharacteristics]) -> Vec<Vec<ProfileSample>> {
-        kernels.par_iter().map(|k| self.sweep(k)).collect()
-    }
-
     /// Total instrumented wall time currently recorded, seconds. The
     /// offline stage must stay cheap — the paper's training runs take
     /// under two hours.
@@ -134,22 +126,6 @@ mod tests {
         let samples = p.sweep(&k);
         assert_eq!(samples.len(), Configuration::space_size());
         assert_eq!(p.history().sample_count(&k.id()), Configuration::space_size());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_sweep() {
-        let k1 = kernel();
-        let k2 = KernelCharacteristics { name: "other".into(), ..kernel() };
-
-        let serial = Profiler::new(Machine::new(42));
-        let a1 = serial.sweep(&k1);
-        let a2 = serial.sweep(&k2);
-
-        let parallel = Profiler::new(Machine::new(42));
-        let both = parallel.sweep_suite(&[k1, k2]);
-
-        assert_eq!(both[0], a1);
-        assert_eq!(both[1], a2);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! sample-configuration runs, CART classification, and per-configuration
 //! regression (Section III-C). The engine memoizes the resulting
 //! [`PredictedProfile`] per kernel id, so repeat clients pay only a Pareto
-//! frontier walk. Batches fan onto the workspace rayon pool with
-//! index-ordered collection, so batch responses are deterministic.
+//! frontier walk. A batch is that walk once per kernel, in request order.
 //!
 //! Determinism rule (DESIGN.md §11): a cache hit and a cache miss must
 //! produce byte-identical selections. That holds because the profile is a
@@ -34,7 +33,6 @@ use acs_core::{
 };
 use acs_sim::{Device, KernelCharacteristics, Machine};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,10 +185,10 @@ impl Engine {
         // profile is a function of seed + kernel + model only).
         let cpu = self.machine.run_iter(kernel, &sample_config(Device::Cpu), 0);
         let gpu = self.machine.run_iter(kernel, &sample_config(Device::Gpu), 1);
-        // Per-thread scratch arena: connection threads and rayon batch
-        // workers each reuse one across requests (the profile itself still
-        // owns its points/frontier — the scratch only absorbs the
-        // intermediate sort/sweep allocations).
+        // Per-thread scratch arena: each connection thread reuses one
+        // across requests (the profile itself still owns its
+        // points/frontier — the scratch only absorbs the intermediate
+        // sort/sweep allocations).
         thread_local! {
             static SCRATCH: std::cell::RefCell<SelectScratch> =
                 std::cell::RefCell::new(SelectScratch::new());
@@ -253,15 +251,15 @@ impl Engine {
         })
     }
 
-    /// Select for many kernels at once on the rayon pool. Results are
-    /// collected in request order (index-ordered), so the response is
-    /// independent of worker scheduling.
+    /// Select for many kernels, in request order. A warm selection is a
+    /// ~0.1 µs frontier walk, far below what starting a thread costs, so
+    /// this is a loop.
     pub fn select_batch(
         &self,
         kernel_ids: &[String],
         budget_w: f64,
     ) -> Vec<Result<Selection, EngineError>> {
-        kernel_ids.par_iter().map(|id| self.select(id, budget_w)).collect()
+        kernel_ids.iter().map(|id| self.select(id, budget_w)).collect()
     }
 }
 

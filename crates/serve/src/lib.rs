@@ -13,8 +13,8 @@
 //!
 //! Module map:
 //! - [`protocol`] — length-prefixed JSON frames, typed [`ProtocolError`]
-//! - [`engine`] — memoized classify+predict, batch fan-out on rayon,
-//!   bounded LRU caches, idempotency memo
+//! - [`engine`] — memoized classify+predict, bounded LRU caches,
+//!   idempotency memo
 //! - [`arbiter`] — global-cap partitioning policies (budgets always sum
 //!   exactly to the cap)
 //! - [`metrics`] — counters, latency quantiles, the `STATS` snapshot

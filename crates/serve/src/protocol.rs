@@ -44,8 +44,7 @@ pub enum Request {
         #[serde(default)]
         priority: u8,
     },
-    /// Select configurations for many kernels in one round trip; the
-    /// server fans the batch onto its thread pool.
+    /// Select configurations for many kernels in one round trip.
     Batch {
         /// Kernel ids to select for, answered in the same order.
         kernel_ids: Vec<String>,

@@ -83,11 +83,11 @@ pub struct ServeConfig {
     pub renew_ms: u64,
     /// Brownout target: the p99 service latency, µs, the server tries to
     /// hold by progressively disabling optional work (level 1 skips
-    /// adaptation feedback, 2 strips STATS detail, 3 serializes batch
-    /// fan-out and sheds deadline-carrying requests the latency estimate
-    /// says would expire before service). `0` (the default) disables the
-    /// controller entirely — no thread, no level, the pre-brownout byte
-    /// path. Requests without a deadline are never shed at any level.
+    /// adaptation feedback, 2 strips STATS detail, 3 sheds
+    /// deadline-carrying requests the latency estimate says would expire
+    /// before service). `0` (the default) disables the controller
+    /// entirely — no thread, no level, the pre-brownout byte path.
+    /// Requests without a deadline are never shed at any level.
     pub brownout_us: u64,
 }
 
@@ -784,13 +784,11 @@ impl Session<'_> {
                     return (self.overloaded(kernel_ids.len() as u64, limit as u64), false);
                 }
                 // Sessions with no confirmed drift correction for any batched
-                // kernel take the parallel static path, bit-identical to the
-                // pre-adaptation server. Brownout level 3 also forces the
-                // sequential walk: selections stay byte-identical, only the
-                // fan-out's thread-pool pressure is dropped.
+                // kernel take the engine's static path, bit-identical to the
+                // pre-adaptation server.
                 let any_corrected = kernel_ids.iter().any(|k| self.adapt.correction(k).is_some());
                 let mut selections = Vec::with_capacity(kernel_ids.len());
-                if any_corrected || brownout_level >= 3 {
+                if any_corrected {
                     for kernel_id in &kernel_ids {
                         match self.select(kernel_id) {
                             Ok(s) => selections.push(s),

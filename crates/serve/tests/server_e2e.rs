@@ -3,7 +3,9 @@
 //! errors, hostile frames, and both shutdown paths.
 
 use acs_core::{train_on_suite, TrainedModel};
-use acs_serve::{ArbiterPolicy, Client, Request, Response, ServeConfig, ServeError, Server};
+use acs_serve::{
+    ArbiterPolicy, Client, ReportFeedback, Request, Response, ServeConfig, ServeError, Server,
+};
 use acs_sim::Machine;
 use std::io::Write;
 use std::sync::OnceLock;
@@ -107,23 +109,48 @@ fn batch_matches_singles_and_oversized_batch_is_overloaded() {
     let mut client = Client::connect(&server.addr).unwrap();
 
     let ids = kernel_ids(4);
-    let batch = match client
-        .call(&Request::Batch { kernel_ids: ids.clone(), deadline_ms: None, priority: 0 })
-        .unwrap()
-    {
-        Response::BatchSelected { selections } => selections,
-        other => panic!("expected BatchSelected, got {other:?}"),
-    };
-    assert_eq!(batch.len(), ids.len());
-    for (id, got) in ids.iter().zip(&batch) {
-        match client
-            .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
+    // One `Batch`, checked element for element against the same `Select`s.
+    let batch_matching_singles = |client: &mut Client| {
+        let batch = match client
+            .call(&Request::Batch { kernel_ids: ids.clone(), deadline_ms: None, priority: 0 })
             .unwrap()
         {
-            Response::Selected(single) => assert_eq!(&single, got),
-            other => panic!("expected Selected, got {other:?}"),
+            Response::BatchSelected { selections } => selections,
+            other => panic!("expected BatchSelected, got {other:?}"),
+        };
+        assert_eq!(batch.len(), ids.len());
+        for (id, got) in ids.iter().zip(&batch) {
+            match client
+                .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
+                .unwrap()
+            {
+                Response::Selected(single) => assert_eq!(&single, got),
+                other => panic!("expected Selected, got {other:?}"),
+            }
+        }
+        batch
+    };
+    let uncorrected = batch_matching_singles(&mut client);
+
+    // Confirm a drift correction for the first batched kernel (4 on-model
+    // observations form the baseline, 4 at 2× power / 0.6× perf confirm the
+    // bias): the batch now takes the session's corrected walk.
+    for step in 0..8u32 {
+        let (power_factor, perf_factor) = if step < 4 { (1.0, 1.0) } else { (2.0, 0.6) };
+        let feedback = ReportFeedback {
+            kernel_id: ids[0].clone(),
+            config: uncorrected[0].config,
+            measured_power_w: uncorrected[0].predicted_power_w * power_factor,
+            measured_perf: uncorrected[0].predicted_perf * perf_factor,
+        };
+        match client.call(&Request::Report { residual_w: 1.0, feedback: Some(feedback) }).unwrap() {
+            Response::Budget { .. } => {}
+            other => panic!("expected Budget, got {other:?}"),
         }
     }
+    let corrected = batch_matching_singles(&mut client);
+    assert_ne!(corrected[0], uncorrected[0], "the correction never reached the batch");
+    assert_eq!(corrected[1..], uncorrected[1..], "only the drifted kernel is corrected");
 
     match client
         .call(&Request::Batch { kernel_ids: kernel_ids(5), deadline_ms: None, priority: 0 })

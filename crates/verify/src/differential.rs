@@ -139,7 +139,7 @@ pub fn run_differential(
 /// One machine's scenarios through [`replay`] — the loop Table III runs —
 /// at the grid's probe caps, with one predictor. Shared with the transfer
 /// runner, which passes a foreign family's predictor. Each profile's
-/// replay is independent, so profiles fan out across the rayon pool;
+/// replay is independent, so profiles fan out across rayon threads;
 /// `flat_map_iter` splices the per-profile case blocks back in profile
 /// order, keeping the report byte-identical to the sequential nesting.
 pub(crate) fn machine_cases(

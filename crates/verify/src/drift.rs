@@ -309,7 +309,7 @@ fn score_cell(
 /// Run the drift differential. Trains the standard model (CoMD + SMC) on
 /// the clean machine, predicts each held-out kernel's profile once, then
 /// scores every `(process, kernel, cap)` cell. Cells are independent, so
-/// they fan out on the rayon pool; `flat_map_iter` keeps cell order equal
+/// they fan out across rayon threads; `flat_map_iter` keeps cell order equal
 /// to the sequential nesting at any thread count.
 pub fn run_drift(params: &DriftGridParams) -> Result<DriftReport, TrainError> {
     let machine = Machine::new(params.machine_seed);

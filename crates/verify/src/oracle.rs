@@ -129,7 +129,7 @@ impl OracleEngine {
 
     /// Oracle frontiers for a whole kernel suite on one machine: the
     /// per-(machine, kernel) 42-configuration sweeps are independent, so
-    /// they fan out across the rayon pool. Results are index-ordered
+    /// they fan out across rayon threads. Results are index-ordered
     /// (aligned with `kernels`), and the disk cache behaves exactly as in
     /// [`OracleEngine::frontier`] — each kernel writes its own record.
     pub fn frontiers(&self, machine: &Machine, kernels: &[KernelCharacteristics]) -> Vec<Frontier> {

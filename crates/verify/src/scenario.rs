@@ -130,10 +130,10 @@ pub fn probe_caps(profile: &KernelProfile, params: &GridParams) -> Vec<f64> {
 impl ScenarioGrid {
     /// Generate the grid: characterize training and evaluation kernels on
     /// every machine and derive each kernel's probe caps. Machines are
-    /// independent simulated nodes, so they characterize in parallel (and
-    /// each machine's suite sweep fans out further inside
-    /// [`acs_core::collect_suite`]); the machine order matches
-    /// `params.machine_seeds` regardless of thread count.
+    /// independent simulated nodes, so several characterize in parallel
+    /// (each one's suite sweeps then run inline on its thread) and a lone
+    /// machine's suite sweeps fan out themselves; the machine order
+    /// matches `params.machine_seeds` regardless of thread count.
     pub fn generate(params: GridParams) -> Self {
         use rayon::prelude::*;
         // Families vary in the outer position so a single-family grid

@@ -10,8 +10,8 @@
 //! random machine seeds × all four machine families × every kernel in a
 //! cross-application suite × a spread of power caps (including NaN and
 //! infeasible caps), and replays the comparison at 1, 2, and 8 rayon
-//! pool threads to pin that the flat path has no hidden dependence on
-//! pool sizing.
+//! threads to pin that the flat path has no hidden dependence on the
+//! thread count.
 
 use std::sync::OnceLock;
 

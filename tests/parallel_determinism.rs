@@ -1,18 +1,17 @@
-//! Thread-count invariance gates for the work-stealing rayon shim.
+//! Thread-count invariance gates for the vendored rayon shim.
 //!
-//! The parallel runtime promises *byte-identical* results at any thread
-//! count: chunk boundaries depend only on input length, collection is
-//! index-ordered, and floating-point reductions keep the sequential
-//! combine order. These tests hold the promise against the three
+//! The shim promises *byte-identical* results at any thread count: chunk
+//! boundaries depend only on input length and collection is
+//! index-ordered. These tests hold the promise against the three
 //! sweep-shaped pipelines the paper's workflow actually runs — offline
 //! training, the exhaustive oracle sweep, and the guarded chaos timeline
-//! — by replaying each at 1, 2, and 8 pool threads and comparing the
+//! — by replaying each at 1, 2, and 8 threads and comparing the
 //! serialized output byte-for-byte with the sequential (1-thread) run.
 //!
-//! `rayon::with_num_threads` scopes a temporary pool to the closure, so
-//! one process exercises every thread count regardless of how
-//! `RAYON_NUM_THREADS` sized the global pool; CI additionally runs the
-//! whole suite under `RAYON_NUM_THREADS=1` and the default sizing.
+//! `rayon::with_num_threads` overrides the thread count for the closure,
+//! so one process exercises every count whatever `RAYON_NUM_THREADS`
+//! says; CI additionally runs the whole suite under
+//! `RAYON_NUM_THREADS=1` and the default count.
 
 use acs::core::collect_suite;
 use acs::kernels::training_kernels;
@@ -36,7 +35,7 @@ fn training_json() -> String {
 }
 
 /// The exhaustive oracle sweep: one 42-configuration frontier per kernel,
-/// fanned out per kernel across the pool.
+/// fanned out per kernel.
 fn oracle_sweep_json() -> String {
     let machine = Machine::new(GOLDEN_SEED);
     let frontiers = OracleEngine::new().frontiers(&machine, &training_kernels());
@@ -75,14 +74,14 @@ fn oracle_sweep_is_byte_identical_at_any_thread_count() {
 fn guarded_chaos_timeline_is_byte_identical_at_any_thread_count() {
     // The PR 1 fault-injection path on top of the PR 2 golden producers:
     // retries, sensor anomalies, and degradation-ladder moves must all
-    // land in the same order whatever the pool size.
+    // land in the same order whatever the thread count.
     assert_thread_invariant("guarded chaos timeline", guarded_chaos_timeline);
 }
 
 #[test]
 fn pool_override_nests_and_restores() {
     // The comparison harness itself must be trustworthy: overrides nest,
-    // and the global sizing returns once the scope unwinds.
+    // and the process default returns once the closure is left.
     let outer = rayon::current_num_threads();
     rayon::with_num_threads(2, || {
         assert_eq!(rayon::current_num_threads(), 2);
