@@ -1,8 +1,10 @@
 //! # acs-bench — experiment harness
 //!
-//! Shared plumbing for the table/figure regeneration binaries (one binary
-//! per paper artifact; see DESIGN.md section 4 for the index) and the
-//! Criterion benchmarks.
+//! Shared plumbing for the table/figure regeneration binaries and the
+//! failure drills (one binary per artifact; see DESIGN.md section 4 for
+//! the index), plus the selection-server client and load generator.
+//! Nothing here times anything for publication: latencies come from the
+//! `benchmark/` package's layer table.
 
 #![warn(missing_docs)]
 

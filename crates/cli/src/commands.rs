@@ -84,12 +84,11 @@ COMMANDS:
         [--run-fail P] [--unguarded true] --timeline true for the full trace)
   verify [--quick true] [--bless true]    differential-test every method
          [--golden-dir DIR]               against the exhaustive oracle, check
-         [--cache-dir DIR]                metamorphic invariants, and diff (or,
-         [--transfer true] [--out FILE]   with --bless, regenerate) the golden
-         [--drift true]                   traces; --cache-dir caches oracle
-                                          frontiers between runs; --transfer
-                                          instead trains on every machine
-                                          family and serves every other,
+         [--transfer true] [--out FILE]   metamorphic invariants, and diff (or,
+         [--drift true]                   with --bless, regenerate) the golden
+                                          traces; --transfer instead trains on
+                                          every machine family and serves
+                                          every other,
                                           gating the cross-architecture
                                           transfer-regret matrix and writing
                                           it to results/BENCH_transfer.json
@@ -653,19 +652,6 @@ fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         if args.get_or("quick", false)? { GridParams::quick() } else { GridParams::default() };
     let grid = ScenarioGrid::generate(params);
     writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())?;
-
-    // Optionally persist oracle frontiers so repeat runs skip the sweeps;
-    // each machine's kernel sweeps fan out across rayon threads.
-    if let Some(dir) = args.get("cache-dir") {
-        let engine = acs_verify::OracleEngine::with_cache(dir);
-        let mut cached = 0usize;
-        for m in &grid.machines {
-            let kernels: Vec<acs_sim::KernelCharacteristics> =
-                m.evaluated.iter().map(|(p, _)| p.kernel.clone()).collect();
-            cached += engine.frontiers(&m.machine, &kernels).len();
-        }
-        writeln!(out, "oracle cache: {cached} frontiers under {dir}")?;
-    }
 
     let report = run_differential(&grid, TrainingParams::default())
         .map_err(|e| CliError::Domain(e.to_string()))?;
@@ -1394,20 +1380,6 @@ mod tests {
             }
             other => panic!("expected failure without blessed goldens, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn verify_cache_dir_populates_oracle_cache() {
-        let golden = tmp("golden-cache");
-        let cache = tmp("oracle-cache");
-        let _ = std::fs::remove_dir_all(&cache);
-        run_str(&format!("verify --bless true --golden-dir {golden}")).unwrap();
-        let out =
-            run_str(&format!("verify --quick true --golden-dir {golden} --cache-dir {cache}"))
-                .unwrap();
-        assert!(out.contains("oracle cache: 22 frontiers"), "{out}");
-        let files = std::fs::read_dir(&cache).unwrap().count();
-        assert_eq!(files, 22);
     }
 
     #[test]

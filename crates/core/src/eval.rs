@@ -222,7 +222,7 @@ pub fn replay(
     profile: &KernelProfile,
     caps: Option<&[f64]>,
     methods: &[Method],
-    predictor: &Predictor<'_>,
+    predictor: &Predictor,
 ) -> Vec<Pick> {
     let frontier = profile.oracle_frontier();
     let frontier_powers: Vec<f64>;
@@ -298,7 +298,7 @@ pub fn evaluate_kernel(
 /// One kernel's [`replay`] at the paper's constraints, as Table III cases.
 fn kernel_cases(
     profile: &KernelProfile,
-    predictor: &Predictor<'_>,
+    predictor: &Predictor,
     app_label: &str,
 ) -> Vec<CaseResult> {
     let picks = replay(profile, None, &Method::COMPARED, predictor);

@@ -1,6 +1,6 @@
 //! Flattened, allocation-free online selection (DESIGN.md §15).
 //!
-//! The scalar online path ([`crate::online::Predictor::predict_scalar`])
+//! The scalar online path (the reference in `acs_verify::reference`)
 //! walks the CART by pointer, rebuilds each configuration's feature row,
 //! evaluates four regressions per device, clones the 42 predicted points,
 //! and fully sorts them to extract the frontier — every select. This module
@@ -306,8 +306,8 @@ impl FastModel {
         f[idx.saturating_sub(1)].config
     }
 
-    /// Full predicted profile, bit-identical to the scalar
-    /// [`crate::online::Predictor::predict_scalar`].
+    /// Full predicted profile, bit-identical to the scalar reference in
+    /// `acs_verify::reference`.
     pub fn predict(&self, samples: &SamplePair) -> PredictedProfile {
         self.predict_with(samples, &mut SelectScratch::new())
     }
@@ -339,7 +339,6 @@ impl FastModel {
 mod tests {
     use super::*;
     use crate::offline::{train, TrainingParams};
-    use crate::online::Predictor;
     use crate::profile::{collect_suite, KernelProfile};
     use acs_sim::{KernelCharacteristics, Machine};
 
@@ -410,46 +409,6 @@ mod tests {
                 let power = unstabilize(power_model.predict(&x), stab).max(0.1);
                 assert_eq!(tables.ratio[i].to_bits(), ratio.to_bits(), "ratio c{cluster} i{i}");
                 assert_eq!(tables.power[i].to_bits(), power.to_bits(), "power c{cluster} i{i}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_predict_is_bit_identical_to_scalar() {
-        let (model, profiles) = trained();
-        let fast = FastModel::new(&model);
-        let predictor = Predictor::new(&model);
-        for p in &profiles {
-            let samples = p.sample_pair();
-            let scalar = predictor.predict_scalar(&samples);
-            let flat = fast.predict(&samples);
-            assert_eq!(flat.cluster, scalar.cluster);
-            assert_eq!(flat.points.len(), scalar.points.len());
-            for (a, b) in flat.points.iter().zip(&scalar.points) {
-                assert_eq!(a.config, b.config);
-                assert_eq!(a.power_w.to_bits(), b.power_w.to_bits());
-                assert_eq!(a.perf.to_bits(), b.perf.to_bits());
-            }
-            assert_eq!(flat.frontier, scalar.frontier);
-        }
-    }
-
-    #[test]
-    fn select_with_matches_profile_select_across_caps() {
-        let (model, profiles) = trained();
-        let fast = FastModel::new(&model);
-        let predictor = Predictor::new(&model);
-        let mut scratch = SelectScratch::new();
-        for p in &profiles {
-            let samples = p.sample_pair();
-            let scalar = predictor.predict_scalar(&samples);
-            for cap in [0.0, 5.0, 12.5, 20.0, 33.3, 60.0, 1e9, f64::NAN] {
-                assert_eq!(
-                    fast.select_with(&samples, cap, &mut scratch),
-                    scalar.select(cap),
-                    "kernel {} cap {cap}",
-                    p.kernel.id()
-                );
             }
         }
     }

@@ -95,7 +95,7 @@ pub fn select(
     method: Method,
     profile: &KernelProfile,
     samples: &SamplePair,
-    predictor: Option<&Predictor<'_>>,
+    predictor: Option<&Predictor>,
     cap_w: f64,
     scratch: &mut SelectScratch,
 ) -> Configuration {

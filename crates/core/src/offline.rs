@@ -115,8 +115,9 @@ fn stabilize(y: f64, on: bool) -> f64 {
     }
 }
 
-/// Invert [`stabilize`].
-pub(crate) fn unstabilize(y: f64, on: bool) -> f64 {
+/// Invert the variance-stabilizing transform applied to regression
+/// targets when `stabilize_variance` is on.
+pub fn unstabilize(y: f64, on: bool) -> f64 {
     if on {
         y.max(0.0) * y.max(0.0)
     } else {

@@ -6,13 +6,13 @@
 //!
 //! The whole pipeline is a tree walk plus a matrix–vector product — the
 //! paper reports "less than one millisecond to make each configuration
-//! selection" (Section II), which the Criterion bench `online_selection`
-//! verifies for this implementation.
+//! selection" (Section II), which `tests/paper_claims.rs`
+//! (`online_overhead_is_sub_millisecond`) asserts for this implementation.
 
 use crate::fastpath::{FastModel, SelectScratch};
-use crate::features::{config_features, SamplePair};
+use crate::features::SamplePair;
 use crate::frontier::{Frontier, PowerPerfPoint};
-use crate::offline::{unstabilize, TrainedModel};
+use crate::offline::TrainedModel;
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 
@@ -47,18 +47,17 @@ impl PredictedProfile {
 ///
 /// Construction precompiles the model into a [`FastModel`] (flattened
 /// CART + per-cluster regression tables, DESIGN.md §15); prediction and
-/// selection then run on the flat path, bit-identical to
-/// [`Predictor::predict_scalar`].
+/// selection then run on the flat path, bit-identical to the scalar
+/// reference in `acs_verify::reference`.
 #[derive(Debug, Clone)]
-pub struct Predictor<'m> {
-    model: &'m TrainedModel,
+pub struct Predictor {
     fast: FastModel,
 }
 
-impl<'m> Predictor<'m> {
-    /// Wrap (and precompile) a trained model.
-    pub fn new(model: &'m TrainedModel) -> Self {
-        Self { model, fast: FastModel::new(model) }
+impl Predictor {
+    /// Precompile a trained model.
+    pub fn new(model: &TrainedModel) -> Self {
+        Self { fast: FastModel::new(model) }
     }
 
     /// Assign the kernel to a cluster from its two sample runs.
@@ -91,34 +90,6 @@ impl<'m> Predictor<'m> {
         scratch: &mut SelectScratch,
     ) -> Configuration {
         self.fast.select_with(samples, cap_w, scratch)
-    }
-
-    /// The scalar reference implementation of [`Predictor::predict`]: one
-    /// feature row and four regression evaluations per configuration, then
-    /// a full frontier sort. Kept as the ground truth the flat path is
-    /// gated against (`tests/fastpath_identity.rs`).
-    pub fn predict_scalar(&self, samples: &SamplePair) -> PredictedProfile {
-        let cluster = self.model.tree.predict(&samples.tree_features());
-        let models = &self.model.clusters[cluster];
-        let stab = self.model.params.stabilize_variance;
-
-        let points: Vec<PowerPerfPoint> = Configuration::all()
-            .iter()
-            .map(|config| {
-                let x = config_features(config);
-                let (perf_model, power_model) = match config.device {
-                    acs_sim::Device::Cpu => (&models.perf_cpu, &models.power_cpu),
-                    acs_sim::Device::Gpu => (&models.perf_gpu, &models.power_gpu),
-                };
-                let ratio = unstabilize(perf_model.predict(&x), stab).max(1e-9);
-                let perf = ratio * samples.perf_on(config.device);
-                let power = unstabilize(power_model.predict(&x), stab).max(0.1);
-                PowerPerfPoint { config: *config, power_w: power, perf }
-            })
-            .collect();
-
-        let frontier = Frontier::from_points(points.clone());
-        PredictedProfile { cluster, points, frontier }
     }
 }
 
@@ -275,7 +246,7 @@ mod tests {
     #[test]
     fn selection_is_fast() {
         // The paper's <1 ms online-overhead claim, asserted coarsely here
-        // (the Criterion bench measures it precisely).
+        // (`acs-benchmark`'s `core.fastpath.predict_us` measures it).
         let (model, profiles) = trained();
         let samples = profiles[0].sample_pair();
         let predictor = Predictor::new(&model);

@@ -351,12 +351,6 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
         self.inner.lock().next_seq
     }
 
-    /// Entries recovered from disk when this journal was opened (the
-    /// STATS `journal_replayed` counter).
-    pub fn recovered_entries(&self) -> u64 {
-        self.recovered
-    }
-
     /// Entries appended through this handle since open (the STATS
     /// `journal_appends` counter).
     pub fn appended_entries(&self) -> u64 {

@@ -212,11 +212,6 @@ impl ServerHandle {
         self.shared.active.load(Ordering::SeqCst)
     }
 
-    /// The arbiter's current epoch.
-    pub fn arbiter_epoch(&self) -> u64 {
-        self.shared.arbiter.lock().epoch()
-    }
-
     /// `|global cap − Σ budgets|`, which the arbiter keeps at exactly zero
     /// (the chaos tests assert this after every injected disconnect).
     pub fn budget_conservation_error_w(&self) -> f64 {

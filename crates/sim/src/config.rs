@@ -73,12 +73,6 @@ impl Configuration {
         }
     }
 
-    /// True when both cores of at least one module are active, sharing the
-    /// module's front-end and FPU.
-    pub fn has_shared_module(&self) -> bool {
-        self.device == Device::Cpu && self.threads >= 2
-    }
-
     /// The full configuration space of the simulated machine:
     /// 6 CPU P-states × 4 thread counts (CPU device) plus
     /// 6 CPU P-states × 3 GPU P-states (GPU device) = 42 configurations.

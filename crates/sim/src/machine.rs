@@ -5,7 +5,7 @@
 use crate::config::{Configuration, Device};
 use crate::counters::{self, CounterInputs, CounterSet};
 use crate::cpu::cpu_time_on;
-use crate::family::{FamilyId, MachineFamily};
+use crate::family::FamilyId;
 use crate::gpu::gpu_time_on;
 use crate::kernel::KernelCharacteristics;
 use crate::noise::{NoiseSource, Stream};
@@ -107,12 +107,6 @@ impl Machine {
             timing_sigma: 0.0,
             power_sigma: 0.0,
         }
-    }
-
-    /// The family descriptor this machine instantiates.
-    #[inline]
-    pub fn family_descriptor(&self) -> &'static MachineFamily {
-        self.family.descriptor()
     }
 
     /// Execute `kernel` at `config` (first iteration).

@@ -145,7 +145,7 @@ pub fn run_differential(
 pub(crate) fn machine_cases(
     m: &MachineScenarios,
     methods: &[Method],
-    predictor: &Predictor<'_>,
+    predictor: &Predictor,
 ) -> Vec<ScenarioCase> {
     m.evaluated
         .par_iter()

@@ -8,12 +8,14 @@
 //!
 //! * [`scenario`] — a deterministic grid of `(machine seed, kernel, cap)`
 //!   scenarios with leave-one-benchmark-out training discipline.
-//! * [`oracle`] — the exhaustive ground truth: full 42-configuration
-//!   sweeps with disk-cached Pareto frontiers.
+//! * [`oracle`] — the exhaustive ground truth's answer at a cap (the
+//!   sweep itself is `KernelProfile::oracle_frontier`).
 //! * [`differential`] — every method replayed against the oracle, scored
 //!   as per-method regret with pass/fail thresholds from the paper.
 //! * [`transfer`] — the cross-architecture differential: models trained
 //!   on one machine family scheduling another, gated on transfer regret.
+//! * [`reference`] — the online stage written the slow, obvious way; the
+//!   flat fast path in `acs-core` is held bit-identical to it.
 //! * [`metamorphic`] + [`golden`] — first-principles invariants and
 //!   byte-exact blessed traces guarding against silent behavior drift.
 //!
@@ -28,6 +30,7 @@ pub mod drift;
 pub mod golden;
 pub mod metamorphic;
 pub mod oracle;
+pub mod reference;
 pub mod scenario;
 pub mod transfer;
 
@@ -42,7 +45,7 @@ pub use metamorphic::{
     check_family_frontiers, check_frontier_non_domination, check_seed_determinism,
     InvariantViolation,
 };
-pub use oracle::{FrontierRecord, OracleChoice, OracleEngine};
+pub use oracle::OracleChoice;
 pub use scenario::{GridParams, MachineScenarios, Scenario, ScenarioGrid};
 pub use transfer::{
     run_transfer, TransferCell, TransferMatrix, TransferThresholds, TRANSFER_METHODS,

@@ -18,6 +18,7 @@ use std::sync::OnceLock;
 use acs::core::{collect_suite, SelectScratch};
 use acs::prelude::*;
 use acs::sim::FamilyId;
+use acs::verify::reference::predict_scalar;
 use proptest::prelude::*;
 
 /// 1 = sequential reference, 2 = real helper threads, 8 = over-
@@ -83,27 +84,41 @@ fn assert_profiles_identical(fast: &PredictedProfile, scalar: &PredictedProfile,
     }
 }
 
+/// Flat vs scalar for one model on one machine: every predicted point,
+/// the frontier, and the selection under each cap.
+fn compare(
+    model: &TrainedModel,
+    machine: &Machine,
+    kernels: &[KernelCharacteristics],
+    caps: &[f64],
+    ctx: &str,
+) {
+    let predictor = Predictor::new(model);
+    let mut scratch = SelectScratch::new();
+    for kernel in kernels {
+        let samples = SamplePair::new(
+            machine.run(kernel, &sample_config(Device::Cpu)),
+            machine.run(kernel, &sample_config(Device::Gpu)),
+        );
+        let ctx = format!("{ctx} kernel {}", kernel.id());
+        let scalar = predict_scalar(model, &samples);
+        let memoized = predictor.predict(&samples);
+        assert_profiles_identical(&memoized, &scalar, &ctx);
+        for &cap in caps {
+            let fast = predictor.select_with(&samples, cap, &mut scratch);
+            assert_eq!(fast, scalar.select(cap), "{ctx}: selection diverged under cap {cap}");
+            assert_eq!(fast, memoized.select(cap), "{ctx}: warm and cold disagree under cap {cap}");
+        }
+    }
+}
+
 /// The full identity sweep for one machine seed and cap list: every
-/// family × every probe kernel, flat vs scalar.
+/// family × every probe kernel.
 fn sweep(seed: u64, caps: &[f64]) {
     let kernels = probe_kernels();
-    let mut scratch = SelectScratch::new();
     for (family, model) in family_models() {
         let machine = Machine::from_family(*family, seed);
-        let predictor = Predictor::new(model);
-        for kernel in &kernels {
-            let samples = SamplePair::new(
-                machine.run(kernel, &sample_config(Device::Cpu)),
-                machine.run(kernel, &sample_config(Device::Gpu)),
-            );
-            let ctx = format!("family {family:?} seed {seed} kernel {}", kernel.id());
-            let scalar = predictor.predict_scalar(&samples);
-            assert_profiles_identical(&predictor.predict(&samples), &scalar, &ctx);
-            for &cap in caps {
-                let fast = predictor.select_with(&samples, cap, &mut scratch);
-                assert_eq!(fast, scalar.select(cap), "{ctx}: selection diverged under cap {cap}");
-            }
-        }
+        compare(model, &machine, &kernels, caps, &format!("family {family:?} seed {seed}"));
     }
 }
 
@@ -142,4 +157,20 @@ fn every_family_model_classifies_through_the_flat_tree() {
             "family {family:?}: trained CART did not flatten (depth above FlatTree::MAX_DEPTH?)"
         );
     }
+}
+
+#[test]
+fn a_three_cluster_model_is_identical_on_the_kernels_it_was_trained_on() {
+    // Not the suite's kernels and not k = 5: generated microbenchmarks,
+    // scored on the machine that trained them, at caps pinned to include
+    // nothing-fits (0), everything-fits (1e9) and NaN.
+    let kernels = acs::kernels::generate(&acs::kernels::GeneratorConfig::default(), 7);
+    let machine = Machine::new(7);
+    let model = train(
+        &collect_suite(&machine, &kernels),
+        TrainingParams { n_clusters: 3, ..Default::default() },
+    )
+    .expect("microbenchmark training succeeds");
+    let caps = [0.0, 5.0, 12.5, 20.0, 33.3, 60.0, 1e9, f64::NAN];
+    compare(&model, &machine, &kernels, &caps, "microbenchmarks seed 7");
 }

@@ -17,7 +17,6 @@ use acs::core::collect_suite;
 use acs::kernels::training_kernels;
 use acs::prelude::*;
 use acs::verify::golden::{guarded_chaos_timeline, GOLDEN_SEED};
-use acs::verify::OracleEngine;
 
 /// Thread counts every pipeline is replayed at. 1 is the sequential
 /// fallback (the byte-level reference), 2 forces real helper threads, and
@@ -38,7 +37,10 @@ fn training_json() -> String {
 /// fanned out per kernel.
 fn oracle_sweep_json() -> String {
     let machine = Machine::new(GOLDEN_SEED);
-    let frontiers = OracleEngine::new().frontiers(&machine, &training_kernels());
+    let frontiers: Vec<Frontier> = collect_suite(&machine, &training_kernels())
+        .iter()
+        .map(KernelProfile::oracle_frontier)
+        .collect();
     serde_json::to_string(&frontiers).expect("frontiers serialize")
 }
 
