@@ -1,20 +1,22 @@
 //! # acs-bench — experiment harness
 //!
-//! Shared plumbing for the table/figure regeneration binaries and the
-//! failure drills (one binary per artifact; see DESIGN.md section 4 for
-//! the index), plus the selection-server client and load generator.
+//! A library with no binaries: the registry of every table, figure,
+//! ablation and failure drill (`experiments`; `acs reproduce --name NAME`
+//! runs a row, DESIGN.md section 4 is the index), the drills themselves
+//! (`drills`), and the selection-server client and load generator.
 //! Nothing here times anything for publication: latencies come from the
 //! `benchmark/` package's layer table.
 
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod drills;
+pub mod experiments;
 pub mod loadgen;
 
 use acs_core::eval::{characterize_apps, evaluate, AppProfiles, Evaluation};
 use acs_core::{MethodSummary, TrainingParams};
 use acs_sim::Machine;
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// The fixed seed every experiment uses: results in EXPERIMENTS.md were
@@ -95,15 +97,20 @@ pub fn render_by_app(
     out
 }
 
-/// Write an experiment's machine-readable result next to the repo's
-/// `results/` directory (created on demand). Returns the path.
-pub fn write_result<T: Serialize>(experiment: &str, value: &T) -> PathBuf {
+/// An experiment's result as it is committed under `results/`.
+fn pretty<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("experiment results serialize")
+}
+
+/// Write `json` as `STEM.json` in the repo's `results/` directory
+/// (created on demand) — the one writer of everything under `results/`.
+/// Returns the path.
+pub fn write_result(stem: &str, json: &str) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{experiment}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize result");
-    std::fs::write(&path, json).expect("write result");
-    path
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{stem}.json"));
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 #[cfg(test)]

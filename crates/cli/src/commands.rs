@@ -82,6 +82,11 @@ COMMANDS:
         [--freeze P] [--bias P]           and per-kernel degradation ladders
         [--corrupt P] [--pstate-fail P]   (probabilities in [0,1]; add
         [--run-fail P] [--unguarded true] --timeline true for the full trace)
+  reproduce --name NAME|all               regenerate one paper table, figure,
+                                          ablation or failure drill (or, with
+                                          `all`, every one whose output is a
+                                          pure function of the code): print
+                                          its report and write results/*.json
   verify [--quick true] [--bless true]    differential-test every method
          [--golden-dir DIR]               against the exhaustive oracle, check
          [--transfer true] [--out FILE]   metamorphic invariants, and diff (or,
@@ -187,6 +192,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "evaluate" => cmd_evaluate(args, out),
         "runtime" => cmd_runtime(args, out),
         "chaos" => cmd_chaos(args, out),
+        "reproduce" => cmd_reproduce(args, out),
         "verify" => cmd_verify(args, out),
         "serve" => cmd_serve(args, out),
         "coordinator" => cmd_coordinator(args, out),
@@ -308,24 +314,7 @@ fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let apps = characterize_apps(&machine, &acs_kernels::app_instances());
     let eval = evaluate(&apps, params).map_err(|e| CliError::Domain(e.to_string()))?;
 
-    writeln!(
-        out,
-        "{:<9} | {:>7} | {:>11} | {:>12} | {:>11} | {:>10}",
-        "Method", "%Under", "Under %Perf", "Under %Power", "Over %Power", "Over %Perf"
-    )?;
-    for s in eval.table3() {
-        let p = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.0}"));
-        writeln!(
-            out,
-            "{:<9} | {:>7.0} | {:>11} | {:>12} | {:>11} | {:>10}",
-            s.method.name(),
-            s.pct_under,
-            p(s.under_perf_pct),
-            p(s.under_power_pct),
-            p(s.over_power_pct),
-            p(s.over_perf_pct),
-        )?;
-    }
+    write!(out, "{}", acs_bench::render_table3(&eval.table3()))?;
     Ok(())
 }
 
@@ -583,14 +572,16 @@ fn finish_pinned_gate(
 ) -> Result<(), CliError> {
     let PinnedGate { name, noun, snapshot_file } = gate;
     let artifact = match args.get("out") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../results/BENCH_{name}.json")),
+        Some(path) => {
+            let path = std::path::PathBuf::from(path);
+            if let Some(parent) = path.parent() {
+                std::fs::create_dir_all(parent)?;
+            }
+            std::fs::write(&path, artifact_json)?;
+            path
+        }
+        None => acs_bench::write_result(&format!("BENCH_{name}"), artifact_json)?,
     };
-    if let Some(parent) = artifact.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&artifact, artifact_json)?;
     writeln!(out, "wrote {}", artifact.display())?;
 
     let snapshot_path = golden_dir.join(snapshot_file);
@@ -741,9 +732,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let model = serve_model(args, family)?;
     let server = Server::bind(config, model).map_err(|e| CliError::Domain(e.to_string()))?;
-    // The bound address line is a contract: `--port 0` callers (CI, the
-    // e2e tests) parse it to find the ephemeral port. So is the
-    // `recovered:` line, which `bench_recovery` parses.
+    // Both lines are a contract: `--port 0` callers (CI, the e2e tests,
+    // `acs_bench::drills`) parse the address to find the ephemeral port,
+    // and `bench_recovery` checks the `recovered:` count of a restart.
     if let Some(recovery) = server.handle().recovery() {
         writeln!(
             out,
@@ -787,7 +778,7 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let coordinator = Coordinator::bind(config).map_err(|e| CliError::Domain(e.to_string()))?;
     // Both lines are a contract: `--port 0` callers parse the address, and
-    // `bench_fleet` parses the `recovered:` line after a restart.
+    // `bench_fleet` reads the `recovered:` count after a restart.
     if let Some(recovery) = coordinator.handle().recovery() {
         writeln!(
             out,
@@ -897,7 +888,7 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if let Some(name) = args.get("result") {
         if name != "none" {
-            let path = acs_bench::write_result(name, &report);
+            let path = acs_bench::write_result(name, &serde_json::to_string_pretty(&report)?)?;
             writeln!(out, "wrote {}", path.display())?;
         }
     }
@@ -910,313 +901,58 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `acs chaosfleet`: the fleet chaos orchestrator (DESIGN.md §17).
-///
-/// Spins up a coordinator and N shard servers in-process — each shard
-/// reaching the coordinator through its own chaos proxy — then drives
-/// fleet-client sessions through a seeded phase schedule that kills,
-/// restarts, and partitions shards. Throughout the run:
-/// - every logical call must complete: sessions homed on a dead shard
-///   fail over to a live one and replay their idempotency keys,
-/// - the coordinator-side budget must stay conserved (live committed
-///   plus encumbered never above the cap, overshoot exactly zero),
-/// - a shard's enforced cap must stay inside [min(floor, last grant),
-///   global cap] — bounded degraded decay, never an overshoot.
-///
-/// Everything printed is a pure function of the seed (schedules, call
-/// counts, failover counts), never a measurement, so two runs at the
-/// same seed produce byte-identical stdout.
-fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_bench::client::{FleetClient, RetryPolicy};
-    use acs_serve::{
-        ArbiterPolicy, ChaosPlan, ChaosProxy, ChaosProxyHandle, Coordinator, CoordinatorConfig,
-        Request, Response, Running, ServeConfig, Server, ServerHandle,
-    };
-    use acs_sim::SplitMix64;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+/// `acs reproduce`: run one row of the experiment registry — or, with
+/// `--name all`, every row whose output is a pure function of the code —
+/// printing its report and writing its `results/` artifact.
+fn cmd_reproduce(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    use acs_bench::experiments::{Experiment, REGISTRY};
 
-    let seed: u64 = args.get_or("seed", 2014)?;
+    let name = args.require("name")?;
+    let rows: Vec<&Experiment> = match name {
+        "all" => REGISTRY.iter().filter(|e| e.deterministic).collect(),
+        _ => vec![REGISTRY.iter().find(|e| e.name == name).ok_or_else(|| {
+            let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+            CliError::Domain(format!(
+                "unknown experiment '{name}' (expected all or one of: {})",
+                names.join(", ")
+            ))
+        })?],
+    };
+    for row in rows {
+        let json = (row.run)(out)?;
+        let path = acs_bench::write_result(&row.result_stem(), &json)?;
+        writeln!(out, "\nwrote {}", path.display())?;
+    }
+    Ok(())
+}
+
+/// `acs chaosfleet`: flag parsing for [`acs_bench::drills::chaosfleet`],
+/// the seeded kill / restart / partition orchestrator (DESIGN.md §17).
+fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let quick = args.get_or("quick", false)?;
-    let shards_n: usize = args.get_or("shards", 5)?;
-    if shards_n < 2 {
+    let fleet = acs_bench::drills::ChaosFleet {
+        seed: args.get_or("seed", 2014)?,
+        shards: args.get_or("shards", 5)?,
+        phases: args.get_or("phases", if quick { 4 } else { 10 })?,
+        sessions: args.get_or("sessions", if quick { 4 } else { 8 })?,
+        calls_per_phase: args.get_or("calls", if quick { 3 } else { 6 })?,
+        cap_w: args.get_or("cap", 90.0)?,
+        evict_after_ticks: args.get_or("evict-after-ticks", 8)?,
+        partition_ms: if quick { 250 } else { 400 },
+    };
+    if fleet.shards < 2 {
         return Err(CliError::Domain(format!(
-            "--shards must be at least 2 so failover has somewhere to go, got {shards_n}"
+            "--shards must be at least 2 so failover has somewhere to go, got {}",
+            fleet.shards
         )));
     }
-    let phases: u64 = args.get_or("phases", if quick { 4 } else { 10 })?;
-    let sessions_n: u64 = args.get_or("sessions", if quick { 4 } else { 8 })?;
-    let calls_per_phase: u64 = args.get_or("calls", if quick { 3 } else { 6 })?;
-    let cap_w: f64 = args.get_or("cap", 90.0)?;
-    if cap_w.is_nan() || cap_w <= 0.0 {
-        return Err(CliError::Domain(format!("--cap must be a positive wattage, got {cap_w}")));
+    if fleet.cap_w.is_nan() || fleet.cap_w <= 0.0 {
+        return Err(CliError::Domain(format!(
+            "--cap must be a positive wattage, got {}",
+            fleet.cap_w
+        )));
     }
-    let floor_w = 2.0;
-    let evict_after_ticks: u64 = args.get_or("evict-after-ticks", 8)?;
-    let partition_ms: u64 = if quick { 250 } else { 400 };
-
-    writeln!(
-        out,
-        "chaosfleet: seed {seed}, {shards_n} shards, {phases} phases, {sessions_n} sessions"
-    )?;
-
-    // One model shared by every shard, trained on a fixed sample of the
-    // suite at a fixed seed: the chaos seed must not change the model.
-    let model =
-        train_on_suite(&Machine::new(2014), 16).map_err(|e| CliError::Domain(e.to_string()))?;
-    let kernel_ids: Vec<String> =
-        acs_kernels::all_kernel_instances().iter().take(8).map(|k| k.id()).collect();
-
-    let coord = Coordinator::spawn(CoordinatorConfig {
-        host: "127.0.0.1".into(),
-        port: 0,
-        global_cap_w: cap_w,
-        policy: ArbiterPolicy::DemandProportional,
-        ttl_ticks: 20,
-        tick_ms: 25,
-        floor_w,
-        evict_after_ticks,
-        journal: None,
-        journal_sync: false,
-    })
-    .map_err(|e| CliError::Domain(e.to_string()))?;
-
-    /// One shard: its (port-pinned) config for restarts, the proxy its
-    /// lease client dials, and the running server (`None` while killed).
-    struct Shard {
-        config: ServeConfig,
-        proxy: Running<ChaosProxyHandle>,
-        server: Option<Running<ServerHandle>>,
-    }
-    impl Shard {
-        fn running(&self) -> &Running<ServerHandle> {
-            self.server.as_ref().expect("shard is running")
-        }
-    }
-
-    let mut shards: Vec<Shard> = Vec::with_capacity(shards_n);
-    for i in 0..shards_n {
-        let proxy =
-            ChaosProxy::spawn("127.0.0.1:0", &coord.addr, ChaosPlan::quiet(seed ^ i as u64))
-                .map_err(|e| CliError::Domain(e.to_string()))?;
-        let mut config = ServeConfig {
-            family: acs_sim::FamilyId::Trinity,
-            global_cap_w: cap_w,
-            policy: ArbiterPolicy::EqualShare,
-            max_sessions: 64,
-            coordinator: Some(proxy.addr.clone()),
-            shard_id: Some(i as u64),
-            lease_floor_w: floor_w,
-            renew_ms: 25,
-            ..ServeConfig::default()
-        };
-        let server = Server::spawn(config.clone(), model.clone())
-            .map_err(|e| CliError::Domain(e.to_string()))?;
-        // Pin the port so a restart rebinds the same address the clients
-        // already hold in their rings.
-        let bound: std::net::SocketAddr = server.addr.parse().expect("bound address parses");
-        config.port = bound.port();
-        shards.push(Shard { config, proxy, server: Some(server) });
-    }
-
-    let up_deadline = Instant::now() + Duration::from_secs(30);
-    while !shards.iter().all(|s| s.running().handle.stats().lease_state == "leased") {
-        if Instant::now() >= up_deadline {
-            return Err(CliError::Domain("fleet did not lease within 30 s".into()));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    writeln!(out, "fleet up: {shards_n} shards leased")?;
-
-    // Continuous conservation watchdog: samples the coordinator's books
-    // every few milliseconds for the whole run.
-    let stop = Arc::new(AtomicBool::new(false));
-    let violations = Arc::new(AtomicU64::new(0));
-    let monitor = {
-        let (stop, violations, coord) = (stop.clone(), violations.clone(), coord.handle.clone());
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let stats = coord.stats();
-                if stats.overshoot_w != 0.0
-                    || stats.live_committed_w + stats.encumbered_w > cap_w + 1e-9
-                {
-                    violations.fetch_add(1, Ordering::SeqCst);
-                }
-                std::thread::sleep(Duration::from_millis(3));
-            }
-        })
-    };
-
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(20),
-        request_deadline: Duration::from_secs(10),
-        breaker_threshold: 1000,
-        breaker_cooldown: Duration::from_millis(1),
-    };
-    // Rendezvous placement hashes the stable "shard-i" labels, never the
-    // dialed addresses: the OS assigns ephemeral ports, and hashing those
-    // would make session homes — and every printed re-admission and
-    // failover count — vary run to run at the same seed.
-    let ring: Vec<(String, String)> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (format!("shard-{i}"), s.running().addr.clone()))
-        .collect();
-    let mut key_rng = SplitMix64(seed ^ 0x5E55_1014_C11E_4715);
-    let mut clients: Vec<FleetClient> = (0..sessions_n)
-        .map(|_| FleetClient::with_ring(&ring, key_rng.next_u64(), policy.clone()))
-        .collect();
-
-    // One phase's worth of traffic: every session issues its calls in
-    // order; the schedule of kernels and Run-vs-Select is seed-pure.
-    let drive = |clients: &mut Vec<FleetClient>, phase: u64| -> Result<u64, CliError> {
-        let mut completed = 0u64;
-        for (s, client) in clients.iter_mut().enumerate() {
-            for c in 0..calls_per_phase {
-                let kernel = &kernel_ids
-                    [((phase * 31 + s as u64 * 7 + c) % kernel_ids.len() as u64) as usize];
-                let response = if c % 3 == 2 {
-                    client.run(kernel, 1 + c % 2)
-                } else {
-                    client.call(&Request::Select {
-                        kernel_id: kernel.clone(),
-                        deadline_ms: None,
-                        priority: 0,
-                    })
-                };
-                match response {
-                    Ok(Response::Selected(_)) | Ok(Response::Ran { .. }) => completed += 1,
-                    Ok(other) => {
-                        return Err(CliError::Domain(format!(
-                            "phase {phase} session {s}: unexpected response {other:?}"
-                        )))
-                    }
-                    Err(e) => {
-                        return Err(CliError::Domain(format!(
-                            "phase {phase} session {s}: call failed: {e}"
-                        )))
-                    }
-                }
-            }
-        }
-        Ok(completed)
-    };
-
-    // The chaos schedule's only entropy source, so the whole orchestration
-    // is a pure function of `--seed`.
-    let mut sched = SplitMix64(seed ^ 0xC4A0_5F1E_E7B0_0A57);
-    let (mut completed, mut kills, mut partitions) = (0u64, 0u64, 0u64);
-    let (mut readmitted, mut expected_readmissions) = (0u64, 0u64);
-    let mut decay_violations = 0u64;
-    for phase in 1..=phases {
-        let action = sched.next_u64() % 3;
-        let victim = (sched.next_u64() as usize) % shards_n;
-        match action {
-            0 => {
-                writeln!(out, "phase {phase}: kill shard-{victim}")?;
-                let victim_label = format!("shard-{victim}");
-                let homed: Vec<usize> = clients
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.pick() == Some(victim_label.as_str()))
-                    .map(|(i, _)| i)
-                    .collect();
-                expected_readmissions += homed.len() as u64;
-                let server = shards[victim].server.take().expect("shard is running");
-                server.handle.simulate_crash();
-                server.join();
-                kills += 1;
-                completed += drive(&mut clients, phase)?;
-                for i in homed {
-                    if clients[i].pick() != Some(victim_label.as_str()) {
-                        readmitted += 1;
-                    }
-                }
-                // Restart on the same port; the OS may hold the address
-                // briefly, so rebind with a bounded retry.
-                let restart_deadline = Instant::now() + Duration::from_secs(10);
-                shards[victim].server = Some(loop {
-                    match Server::spawn(shards[victim].config.clone(), model.clone()) {
-                        Ok(server) => break server,
-                        Err(e) if Instant::now() >= restart_deadline => {
-                            return Err(CliError::Domain(format!(
-                                "shard-{victim} restart failed: {e}"
-                            )))
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                    }
-                });
-                for client in &mut clients {
-                    client.restore(&victim_label);
-                }
-            }
-            1 => {
-                writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")?;
-                let last_grant = shards[victim].running().handle.stats().lease_budget_w;
-                shards[victim].proxy.handle.partition(partition_ms);
-                partitions += 1;
-                completed += drive(&mut clients, phase)?;
-                // Bounded degraded decay: while (and after) the window,
-                // the enforced cap stays inside [min(floor, last grant),
-                // global cap]. It may recover upward, never overshoot.
-                for _ in 0..10 {
-                    let cap = shards[victim].running().handle.stats().lease_budget_w;
-                    if cap < floor_w.min(last_grant) - 1e-9 || cap > cap_w + 1e-9 {
-                        decay_violations += 1;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-            _ => {
-                writeln!(out, "phase {phase}: calm")?;
-                completed += drive(&mut clients, phase)?;
-            }
-        }
-    }
-
-    stop.store(true, Ordering::SeqCst);
-    monitor.join().expect("monitor joins");
-
-    let failovers: u64 = clients.iter().map(|c| c.stats().failovers).sum();
-    let replays: u64 = clients.iter().map(|c| c.stats().replays).sum();
-    let expected = phases * sessions_n * calls_per_phase;
-    writeln!(out, "calls: {completed}/{expected} completed")?;
-    writeln!(out, "re-admissions: {readmitted} session moves after {kills} kill(s)")?;
-    writeln!(out, "failovers: {failovers} evictions, {replays} replays")?;
-    writeln!(out, "partitions: {partitions}")?;
-
-    drop(clients);
-    for shard in shards {
-        shard.server.expect("every killed shard was restarted").stop();
-        shard.proxy.stop();
-    }
-    coord.stop();
-
-    let mut failures = Vec::new();
-    if completed != expected {
-        failures.push(format!("goodput: only {completed}/{expected} calls completed"));
-    }
-    if readmitted != expected_readmissions {
-        failures.push(format!(
-            "re-admission: {readmitted} of {expected_readmissions} killed-shard sessions moved"
-        ));
-    }
-    let budget_violations = violations.load(Ordering::SeqCst);
-    if budget_violations > 0 {
-        failures.push(format!("budget: {budget_violations} conservation violation(s) observed"));
-    }
-    if decay_violations > 0 {
-        failures.push(format!("decay: {decay_violations} out-of-bounds cap sample(s)"));
-    }
-    if !failures.is_empty() {
-        return Err(CliError::Domain(format!("chaosfleet: FAIL\n  {}", failures.join("\n  "))));
-    }
-    writeln!(out, "budget: conserved under cap {cap_w} W")?;
-    writeln!(out, "fleet ok")?;
-    Ok(())
+    acs_bench::drills::chaosfleet(&fleet, out).map_err(|e| CliError::Domain(e.to_string()))
 }
 
 #[cfg(test)]
@@ -1275,6 +1011,32 @@ mod tests {
 
         let out = run_str(&format!("tree --model {model}")).unwrap();
         assert!(out.contains("cluster"));
+    }
+
+    #[test]
+    fn evaluate_prints_table_iii() {
+        let out = run_str("evaluate").unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("Method    | %Under  | Under %Perf"), "{out}");
+        assert!(lines[1].starts_with("----------+---------+"), "{out}");
+        let methods: Vec<&str> =
+            lines[2..].iter().map(|l| l.split('|').next().unwrap().trim()).collect();
+        let compared: Vec<&str> = acs_core::Method::COMPARED.iter().map(|m| m.name()).collect();
+        assert_eq!(methods, compared, "{out}");
+    }
+
+    #[test]
+    fn reproduce_rejects_an_unknown_name_by_listing_the_registry() {
+        match run_str("reproduce --name nope") {
+            Err(CliError::Domain(msg)) => {
+                assert!(msg.contains("unknown experiment 'nope'"), "{msg}");
+                for row in acs_bench::experiments::REGISTRY {
+                    assert!(msg.contains(row.name), "{} missing from {msg}", row.name);
+                }
+            }
+            other => panic!("expected domain error, got {other:?}"),
+        }
+        assert!(matches!(run_str("reproduce"), Err(CliError::Args(_))));
     }
 
     #[test]

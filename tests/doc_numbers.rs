@@ -15,6 +15,10 @@
 //! short for `workloads/workload=W/metrics/M/value`. The file's value,
 //! printed to as many decimals as the doc prints, must equal the doc's
 //! digits (thousands may be separated by single spaces).
+//!
+//! Nor can the lists of "every experiment": `acs_bench::experiments::REGISTRY`
+//! is the list, and the last test here holds `results/` and DESIGN.md
+//! section 4 to it.
 
 use serde::Value;
 use std::path::Path;
@@ -136,6 +140,36 @@ fn table_iii_is_marked_cell_by_cell() {
         .filter(|(_, _, body)| body.starts_with("results/table3_methods.json#"))
         .count();
     assert!(cells >= 20, "EXPERIMENTS.md marks {cells} Table III cells, expected 20");
+}
+
+/// No experiment runs here: this checks names only (`crates/bench/tests/reproduce.rs`
+/// checks the bytes).
+#[test]
+fn the_registry_is_the_list_of_experiments() {
+    use acs_bench::experiments::REGISTRY;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+
+    // `acs verify --transfer` / `--drift` write the two artifacts that are
+    // not a registry row's.
+    let mut expected = vec!["BENCH_drift.json".to_string(), "BENCH_transfer.json".to_string()];
+    expected.extend(REGISTRY.iter().map(|row| format!("{}.json", row.result_stem())));
+    expected.sort();
+    let mut committed: Vec<String> = std::fs::read_dir(root.join("results"))
+        .expect("results/ is readable")
+        .map(|entry| entry.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    committed.sort();
+    assert_eq!(committed, expected, "results/ and the registry list different artifacts");
+
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("doc is readable");
+    for row in REGISTRY {
+        let (index_row, regenerated_by) =
+            (format!("| {} |", row.id), format!("`acs reproduce --name {}`", row.name));
+        assert!(
+            design.lines().any(|l| l.starts_with(&index_row) && l.contains(&regenerated_by)),
+            "DESIGN.md section 4 has no `{index_row}` row regenerated by {regenerated_by}"
+        );
+    }
 }
 
 #[test]
