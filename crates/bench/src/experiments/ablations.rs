@@ -10,11 +10,14 @@ use std::io::{self, Write};
 /// fewer clusters resulted in over-generalized models, and using more
 /// clusters resulted in over-specialized models" (Section III-B).
 pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
-    use acs_core::eval::evaluate;
+    use acs_core::eval::PreparedSuite;
     use acs_core::{Method, TrainingParams};
     use rayon::prelude::*;
 
     let apps = crate::characterized_suite();
+    // No k changes the frontiers or their dissimilarity: one preparation
+    // serves the whole sweep.
+    let suite = PreparedSuite::new(&apps);
 
     writeln!(out, "Ablation A1 — cluster count sweep (LOBO-CV, Model and Model+FL)")?;
     writeln!(out)?;
@@ -31,7 +34,7 @@ pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
         .into_par_iter()
         .map(|k| {
             let params = TrainingParams { n_clusters: k, ..Default::default() };
-            let eval = evaluate(&apps, params).expect("training succeeds");
+            let eval = suite.evaluate(params).expect("training succeeds");
             let table = eval.table3();
             let get = |m: Method| *table.iter().find(|s| s.method == m).expect("method present");
             (k, get(Method::Model), get(Method::ModelFL))
@@ -66,10 +69,11 @@ pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
 /// fitted model values". This binary trains the model with and without a
 /// square-root response transform and compares held-out quality.
 pub(super) fn ablation_transform(out: &mut dyn Write) -> io::Result<String> {
-    use acs_core::eval::evaluate;
+    use acs_core::eval::PreparedSuite;
     use acs_core::{Method, TrainingParams};
 
     let apps = crate::characterized_suite();
+    let suite = PreparedSuite::new(&apps);
 
     writeln!(out, "Ablation A2 — variance-stabilizing transform (sqrt on responses)")?;
     writeln!(out)?;
@@ -77,7 +81,7 @@ pub(super) fn ablation_transform(out: &mut dyn Write) -> io::Result<String> {
     let mut rows = Vec::new();
     for stabilize in [false, true] {
         let params = TrainingParams { stabilize_variance: stabilize, ..Default::default() };
-        let eval = evaluate(&apps, params).expect("training succeeds");
+        let eval = suite.evaluate(params).expect("training succeeds");
         let table = eval.table3();
         writeln!(out, "stabilize_variance = {stabilize}:")?;
         write!(out, "{}", crate::render_table3(&table))?;

@@ -80,12 +80,12 @@ pub fn bootstrap_table3(
             let mut under_samples = Vec::with_capacity(replicates);
             let mut perf_samples = Vec::with_capacity(replicates);
             for _ in 0..replicates {
-                let mut resampled: Vec<CaseResult> = Vec::with_capacity(cases.len());
+                let mut resampled: Vec<&CaseResult> = Vec::with_capacity(cases.len());
                 for _ in 0..groups.len() {
                     let pick = (state.next_u64() as usize) % groups.len();
-                    resampled.extend(groups[pick].iter().map(|&i| cases[i].clone()));
+                    resampled.extend(groups[pick].iter().map(|&i| &cases[i]));
                 }
-                let s = summarize(&resampled, method);
+                let s = summarize(resampled, method);
                 under_samples.push(s.pct_under);
                 if let Some(p) = s.under_perf_pct {
                     perf_samples.push(p);

@@ -16,40 +16,89 @@
 //! ordering term.
 
 use crate::frontier::Frontier;
-use acs_mlstat::{kendall, Dissimilarity};
+use acs_mlstat::Dissimilarity;
+use acs_sim::Configuration;
 
 /// Weight of the ordering (Kendall) term; the remainder weights frontier
 /// membership.
 const ORDER_WEIGHT: f64 = 0.5;
 
-/// Dissimilarity between two frontiers in [0, 1]: a blend of Jaccard
-/// set distance over frontier membership and `(1 − τ)/2` over the
-/// orderings of shared configurations.
-pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
-    let idx_a = a.config_indices();
-    let idx_b = b.config_indices();
+/// The configuration space: a frontier holds at most this many points, and
+/// positions on it fit a byte.
+const SPACE: usize = Configuration::space_size();
+const _: () = assert!(SPACE < u8::MAX as usize);
 
-    // Ranks within each frontier for the shared configurations, in a
-    // canonical (frontier-a) traversal order.
-    let mut ranks_a = Vec::new();
-    let mut ranks_b = Vec::new();
-    for (rank_a, ci) in idx_a.iter().enumerate() {
-        if let Some(rank_b) = idx_b.iter().position(|cj| cj == ci) {
-            ranks_a.push(rank_a as f64);
-            ranks_b.push(rank_b as f64);
+/// One frontier's ordering, readable both ways: the configurations in
+/// frontier order, and each configuration's position on the frontier.
+struct RankTable {
+    len: usize,
+    /// `Configuration::index()` of each point, in frontier order.
+    order: [u8; SPACE],
+    /// By `Configuration::index()`: one more than the configuration's
+    /// position on the frontier, 0 when it is not on it.
+    rank: [u8; SPACE],
+}
+
+impl RankTable {
+    fn new(frontier: &Frontier) -> Self {
+        let len = frontier.len();
+        assert!(len <= SPACE, "a frontier of {len} points over {SPACE} configurations");
+        let (mut order, mut rank) = ([0u8; SPACE], [0u8; SPACE]);
+        for (position, point) in frontier.points().iter().enumerate() {
+            let config = point.config.index();
+            order[position] = config as u8;
+            if rank[config] == 0 {
+                rank[config] = position as u8 + 1;
+            }
         }
+        Self { len, order, rank }
     }
 
-    let shared = ranks_a.len();
-    let union = idx_a.len() + idx_b.len() - shared;
-    let membership = if union == 0 { 1.0 } else { 1.0 - shared as f64 / union as f64 };
+    /// [`frontier_dissimilarity`] of the two frontiers the tables were
+    /// built from.
+    fn dissimilarity(&self, other: &RankTable) -> f64 {
+        // The other frontier's ranks of the shared configurations, in this
+        // frontier's order — so a pair is concordant exactly when its
+        // ranks ascend.
+        let mut ranks = [0u8; SPACE];
+        let mut shared = 0;
+        for &config in &self.order[..self.len] {
+            let rank = other.rank[usize::from(config)];
+            if rank != 0 {
+                ranks[shared] = rank;
+                shared += 1;
+            }
+        }
+        let ranks = &ranks[..shared];
 
-    let order = match kendall::tau_a(&ranks_a, &ranks_b) {
-        Some(tau) => (1.0 - tau) / 2.0,
-        None => 1.0,
-    };
+        let union = self.len + other.len - shared;
+        let membership = if union == 0 { 1.0 } else { 1.0 - shared as f64 / union as f64 };
 
-    ORDER_WEIGHT * order + (1.0 - ORDER_WEIGHT) * membership
+        // Kendall τ-a, `(concordant − discordant) / pairs`; undefined on
+        // fewer than two shared configurations.
+        let order = if shared < 2 {
+            1.0
+        } else {
+            let mut balance = 0i64;
+            for (i, a) in ranks.iter().enumerate() {
+                for b in &ranks[i + 1..] {
+                    balance += i64::from(a < b) - i64::from(a > b);
+                }
+            }
+            let pairs = (shared * (shared - 1) / 2) as f64;
+            (1.0 - balance as f64 / pairs) / 2.0
+        };
+
+        ORDER_WEIGHT * order + (1.0 - ORDER_WEIGHT) * membership
+    }
+}
+
+/// Dissimilarity between two frontiers in [0, 1]: a blend of Jaccard
+/// set distance over frontier membership and `(1 − τ)/2` over the
+/// orderings of shared configurations. Panics on a frontier with more
+/// points than there are configurations.
+pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
+    RankTable::new(a).dissimilarity(&RankTable::new(b))
 }
 
 /// Build the full pairwise dissimilarity matrix for a set of frontiers.
@@ -60,11 +109,10 @@ pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
 pub fn dissimilarity_matrix(frontiers: &[Frontier]) -> Dissimilarity {
     use rayon::prelude::*;
     let n = frontiers.len();
+    let tables: Vec<RankTable> = frontiers.iter().map(RankTable::new).collect();
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
-    let values: Vec<f64> = pairs
-        .par_iter()
-        .map(|&(i, j)| frontier_dissimilarity(&frontiers[i], &frontiers[j]))
-        .collect();
+    let values: Vec<f64> =
+        pairs.par_iter().map(|&(i, j)| tables[i].dissimilarity(&tables[j])).collect();
     let mut d = Dissimilarity::zeros(n);
     for (&(i, j), v) in pairs.iter().zip(values) {
         d.set(i, j, v);

@@ -13,11 +13,11 @@
 use crate::fastpath::SelectScratch;
 use crate::frontier::PowerPerfPoint;
 use crate::methods::{select, Method};
-use crate::offline::{train, TrainError, TrainedModel, TrainingParams};
+use crate::offline::{Prepared, TrainError, TrainedModel, TrainingParams};
 use crate::online::Predictor;
 use crate::profile::{collect_suite, KernelProfile};
 use acs_kernels::AppInstance;
-use acs_mlstat::leave_one_group_out;
+use acs_mlstat::{leave_one_group_out, Fold};
 use acs_sim::{Configuration, Machine};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -97,39 +97,49 @@ pub struct Evaluation {
     pub fold_silhouettes: Vec<(String, f64)>,
 }
 
-fn weighted_pct(values: &[(f64, f64)]) -> Option<f64> {
-    let total: f64 = values.iter().map(|(_, w)| w).sum();
-    if total <= 0.0 {
-        return None;
-    }
-    Some(values.iter().map(|(v, w)| v * w).sum::<f64>() / total * 100.0)
+/// Weighted sums over the cases on one side of the power constraint.
+#[derive(Default)]
+struct Side {
+    weight: f64,
+    perf: f64,
+    power: f64,
 }
 
-/// Summarize one method over a slice of cases.
-pub fn summarize(cases: &[CaseResult], method: Method) -> MethodSummary {
-    let mine: Vec<&CaseResult> = cases.iter().filter(|c| c.method == method).collect();
-    let total_w: f64 = mine.iter().map(|c| c.weight).sum();
-    let under: Vec<&&CaseResult> = mine.iter().filter(|c| c.under_limit()).collect();
-    let over: Vec<&&CaseResult> = mine.iter().filter(|c| !c.under_limit()).collect();
+impl Side {
+    fn add(&mut self, case: &CaseResult) {
+        self.weight += case.weight;
+        self.perf += case.perf_ratio() * case.weight;
+        self.power += case.power_ratio() * case.weight;
+    }
 
-    let under_w: f64 = under.iter().map(|c| c.weight).sum();
-    let pct_under = if total_w > 0.0 { under_w / total_w * 100.0 } else { 0.0 };
+    /// A weighted sum as a weighted mean, in percent.
+    fn pct(&self, sum: f64) -> Option<f64> {
+        if self.weight <= 0.0 {
+            return None;
+        }
+        Some(sum / self.weight * 100.0)
+    }
+}
+
+/// Summarize one method over a set of cases.
+pub fn summarize<'a>(
+    cases: impl IntoIterator<Item = &'a CaseResult>,
+    method: Method,
+) -> MethodSummary {
+    let (mut under, mut over) = (Side::default(), Side::default());
+    let mut total_w = 0.0;
+    for case in cases.into_iter().filter(|c| c.method == method) {
+        total_w += case.weight;
+        if case.under_limit() { &mut under } else { &mut over }.add(case);
+    }
 
     MethodSummary {
         method,
-        pct_under,
-        under_perf_pct: weighted_pct(
-            &under.iter().map(|c| (c.perf_ratio(), c.weight)).collect::<Vec<_>>(),
-        ),
-        under_power_pct: weighted_pct(
-            &under.iter().map(|c| (c.power_ratio(), c.weight)).collect::<Vec<_>>(),
-        ),
-        over_power_pct: weighted_pct(
-            &over.iter().map(|c| (c.power_ratio(), c.weight)).collect::<Vec<_>>(),
-        ),
-        over_perf_pct: weighted_pct(
-            &over.iter().map(|c| (c.perf_ratio(), c.weight)).collect::<Vec<_>>(),
-        ),
+        pct_under: if total_w > 0.0 { under.weight / total_w * 100.0 } else { 0.0 },
+        under_perf_pct: under.pct(under.perf),
+        under_power_pct: under.pct(under.power),
+        over_power_pct: over.pct(over.power),
+        over_perf_pct: over.pct(over.perf),
     }
 }
 
@@ -155,9 +165,7 @@ impl Evaluation {
         self.app_labels()
             .into_iter()
             .map(|label| {
-                let cases: Vec<CaseResult> =
-                    self.cases.iter().filter(|c| c.app_label == label).cloned().collect();
-                let summary = summarize(&cases, method);
+                let summary = summarize(self.cases.iter().filter(|c| c.app_label == label), method);
                 (label, summary)
             })
             .collect()
@@ -253,36 +261,85 @@ pub fn replay(
 /// Evaluate all methods on characterized applications under
 /// leave-one-benchmark-out cross-validation.
 pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluation, TrainError> {
-    // Fold by *benchmark* (LULESH, CoMD, SMC, LU): holding out a benchmark
-    // holds out all of its input sizes, per Section V-C.
-    let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
-    let folds = leave_one_group_out(&benchmarks);
+    PreparedSuite::new(apps).evaluate(params)
+}
 
-    let mut cases = Vec::new();
-    let mut fold_silhouettes = Vec::new();
+/// A characterized suite with everything cross-validation needs that no
+/// fold and no hyperparameter changes, computed once: the folds and the
+/// suite-wide frontier dissimilarity ([`Prepared`]). A sweep over
+/// [`TrainingParams`] builds one and calls
+/// [`evaluate`](Self::evaluate) per setting.
+pub struct PreparedSuite<'a> {
+    apps: &'a [AppProfiles],
+    /// Every kernel of the suite, app by app.
+    kernels: Prepared<'a>,
+    /// Each fold with the `kernels` indices of its training kernels.
+    folds: Vec<(Fold, Vec<usize>)>,
+}
 
-    for fold in &folds {
-        let training: Vec<KernelProfile> =
-            fold.train.iter().flat_map(|&ai| apps[ai].profiles.iter().cloned()).collect();
-        let model = train(&training, params)?;
-        fold_silhouettes.push((fold.label.clone(), model.silhouette));
-        let predictor = Predictor::new(&model);
-
-        // Evaluate every kernel of the held-out benchmark's app instances.
-        let fold_cases: Vec<CaseResult> = fold
-            .test
-            .par_iter()
-            .flat_map_iter(|&ai| {
-                let app = &apps[ai];
-                app.profiles
-                    .iter()
-                    .flat_map(|profile| kernel_cases(profile, &predictor, &app.app.label()))
+impl<'a> PreparedSuite<'a> {
+    /// Prepare `apps` for any number of evaluations.
+    pub fn new(apps: &'a [AppProfiles]) -> Self {
+        // Fold by *benchmark* (LULESH, CoMD, SMC, LU): holding out a
+        // benchmark holds out all of its input sizes, per Section V-C.
+        let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
+        // `starts[ai]..starts[ai + 1]` are app `ai`'s kernels.
+        let mut starts = vec![0];
+        for app in apps {
+            starts.push(starts[starts.len() - 1] + app.profiles.len());
+        }
+        let folds = leave_one_group_out(&benchmarks)
+            .into_iter()
+            .map(|fold| {
+                let training =
+                    fold.train.iter().flat_map(|&ai| starts[ai]..starts[ai + 1]).collect();
+                (fold, training)
             })
             .collect();
-        cases.extend(fold_cases);
+        Self { apps, kernels: Prepared::new(apps.iter().flat_map(|a| &a.profiles)), folds }
     }
 
-    Ok(Evaluation { cases, fold_silhouettes })
+    /// The suite-wide training preparation every fold fits from.
+    pub fn kernels(&self) -> &Prepared<'a> {
+        &self.kernels
+    }
+
+    /// The leave-one-benchmark-out folds, each with the [`kernels`]
+    /// indices of its training kernels.
+    ///
+    /// [`kernels`]: Self::kernels
+    pub fn folds(&self) -> &[(Fold, Vec<usize>)] {
+        &self.folds
+    }
+
+    /// Evaluate all methods: per fold, fit on the training benchmarks'
+    /// kernels and replay every kernel of the held-out benchmark.
+    pub fn evaluate(&self, params: TrainingParams) -> Result<Evaluation, TrainError> {
+        let apps = self.apps;
+        let mut cases = Vec::new();
+        let mut fold_silhouettes = Vec::new();
+
+        for (fold, training) in &self.folds {
+            let model = self.kernels.fit(training, params)?;
+            fold_silhouettes.push((fold.label.clone(), model.silhouette));
+            let predictor = Predictor::new(&model);
+
+            // Evaluate every kernel of the held-out benchmark's app instances.
+            let fold_cases: Vec<CaseResult> = fold
+                .test
+                .par_iter()
+                .flat_map_iter(|&ai| {
+                    let app = &apps[ai];
+                    app.profiles
+                        .iter()
+                        .flat_map(|profile| kernel_cases(profile, &predictor, &app.app.label()))
+                })
+                .collect();
+            cases.extend(fold_cases);
+        }
+
+        Ok(Evaluation { cases, fold_silhouettes })
+    }
 }
 
 /// Evaluate all compared methods on one kernel at every oracle-frontier

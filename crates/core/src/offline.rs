@@ -4,10 +4,11 @@
 //! clusters online.
 
 use crate::dissimilarity::dissimilarity_matrix;
-use crate::features::{config_features, TREE_FEATURE_NAMES};
+use crate::features::{config_features, CONFIG_FEATURES, TREE_FEATURE_NAMES};
 use crate::profile::{collect_suite, KernelProfile};
 use acs_mlstat::{
-    pam, silhouette, ClassificationTree, Clustering, FitError, LinearModel, TreeError, TreeParams,
+    pam, silhouette, ClassificationTree, Clustering, Dissimilarity, FitError, LinearModel,
+    TreeError, TreeParams,
 };
 use acs_sim::{Device, Machine};
 use serde::{Deserialize, Serialize};
@@ -129,17 +130,17 @@ fn fit_cluster(
     members: &[&KernelProfile],
     stabilize_variance: bool,
 ) -> Result<ClusterModels, TrainError> {
-    let mut rows_cpu: Vec<Vec<f64>> = Vec::new();
+    let mut rows_cpu: Vec<[f64; CONFIG_FEATURES]> = Vec::new();
     let mut perf_cpu_y: Vec<f64> = Vec::new();
     let mut power_cpu_y: Vec<f64> = Vec::new();
-    let mut rows_gpu: Vec<Vec<f64>> = Vec::new();
+    let mut rows_gpu: Vec<[f64; CONFIG_FEATURES]> = Vec::new();
     let mut perf_gpu_y: Vec<f64> = Vec::new();
     let mut power_gpu_y: Vec<f64> = Vec::new();
 
     for profile in members {
         let samples = profile.sample_pair();
         for run in &profile.runs {
-            let x = config_features(&run.config).to_vec();
+            let x = config_features(&run.config);
             let s_perf = samples.perf_on(run.config.device);
             let ratio = (1.0 / run.time_s) / s_perf;
             match run.config.device {
@@ -158,13 +159,13 @@ fn fit_cluster(
     }
 
     Ok(ClusterModels {
-        perf_cpu: LinearModel::fit(&rows_cpu, &perf_cpu_y, false)
+        perf_cpu: LinearModel::fit_rows(&rows_cpu, &perf_cpu_y, false)
             .map_err(TrainError::Regression)?,
-        perf_gpu: LinearModel::fit(&rows_gpu, &perf_gpu_y, false)
+        perf_gpu: LinearModel::fit_rows(&rows_gpu, &perf_gpu_y, false)
             .map_err(TrainError::Regression)?,
-        power_cpu: LinearModel::fit(&rows_cpu, &power_cpu_y, true)
+        power_cpu: LinearModel::fit_rows(&rows_cpu, &power_cpu_y, true)
             .map_err(TrainError::Regression)?,
-        power_gpu: LinearModel::fit(&rows_gpu, &power_gpu_y, true)
+        power_gpu: LinearModel::fit_rows(&rows_gpu, &power_gpu_y, true)
             .map_err(TrainError::Regression)?,
     })
 }
@@ -185,57 +186,95 @@ pub fn train(
     profiles: &[KernelProfile],
     params: TrainingParams,
 ) -> Result<TrainedModel, TrainError> {
-    if profiles.len() < params.n_clusters || params.n_clusters == 0 {
-        return Err(TrainError::TooFewKernels {
-            kernels: profiles.len(),
-            clusters: params.n_clusters,
-        });
+    let all: Vec<usize> = (0..profiles.len()).collect();
+    Prepared::new(profiles).fit(&all, params)
+}
+
+/// Characterized kernels together with the part of the offline stage that
+/// neither a hyperparameter nor the choice of a training subset changes:
+/// the pairwise dissimilarity of their measured frontiers. Each entry is a
+/// function of its two kernels alone, so the matrix of any subset is the
+/// principal sub-matrix on it — cross-validation prepares the suite once
+/// and [`fit`](Self::fit)s every fold from it.
+pub struct Prepared<'a> {
+    profiles: Vec<&'a KernelProfile>,
+    matrix: Dissimilarity,
+}
+
+impl<'a> Prepared<'a> {
+    /// Build every kernel's measured Pareto frontier and compare them
+    /// pairwise.
+    pub fn new(profiles: impl IntoIterator<Item = &'a KernelProfile>) -> Self {
+        let profiles: Vec<&KernelProfile> = profiles.into_iter().collect();
+        let frontiers: Vec<_> = profiles.iter().map(|p| p.frontier()).collect();
+        Self { matrix: dissimilarity_matrix(&frontiers), profiles }
     }
 
-    // 1. Pareto frontiers → dissimilarity matrix → PAM clustering.
-    let frontiers: Vec<_> = profiles.iter().map(KernelProfile::frontier).collect();
-    let matrix = dissimilarity_matrix(&frontiers);
-    let clustering = pam(&matrix, params.n_clusters);
-    let sil = silhouette(&matrix, &clustering);
-
-    // 2. Per-cluster regression models.
-    let mut clusters = Vec::with_capacity(params.n_clusters);
-    for c in 0..params.n_clusters {
-        let members: Vec<&KernelProfile> =
-            clustering.members(c).into_iter().map(|i| &profiles[i]).collect();
-        clusters.push(fit_cluster(&members, params.stabilize_variance)?);
+    /// The dissimilarity matrix over all prepared kernels.
+    pub fn matrix(&self) -> &Dissimilarity {
+        &self.matrix
     }
 
-    // 3. Classification tree on sample-configuration features. With
-    // pruning enabled, every fifth kernel is held out of tree *growth*
-    // and used to prune it instead.
-    let rows: Vec<Vec<f64>> =
-        profiles.iter().map(|p| p.sample_pair().tree_features().to_vec()).collect();
-    let tree = if params.prune_tree && profiles.len() >= 10 {
-        let grow: Vec<usize> = (0..rows.len()).filter(|i| i % 5 != 4).collect();
-        let hold: Vec<usize> = (0..rows.len()).filter(|i| i % 5 == 4).collect();
-        let grow_rows: Vec<Vec<f64>> = grow.iter().map(|&i| rows[i].clone()).collect();
-        let grow_labels: Vec<usize> = grow.iter().map(|&i| clustering.assignment[i]).collect();
-        let mut t =
-            ClassificationTree::fit(&grow_rows, &grow_labels, params.n_clusters, params.tree)
-                .map_err(TrainError::Tree)?;
-        let hold_rows: Vec<Vec<f64>> = hold.iter().map(|&i| rows[i].clone()).collect();
-        let hold_labels: Vec<usize> = hold.iter().map(|&i| clustering.assignment[i]).collect();
-        t.prune(&hold_rows, &hold_labels);
-        t
-    } else {
-        ClassificationTree::fit(&rows, &clustering.assignment, params.n_clusters, params.tree)
-            .map_err(TrainError::Tree)?
-    };
+    /// The rest of the offline stage on the kernels at `subset` (indices
+    /// into the prepared set, in training order): cluster, fit each
+    /// cluster's regressions, train the classifier.
+    pub fn fit(
+        &self,
+        subset: &[usize],
+        params: TrainingParams,
+    ) -> Result<TrainedModel, TrainError> {
+        if subset.len() < params.n_clusters || params.n_clusters == 0 {
+            return Err(TrainError::TooFewKernels {
+                kernels: subset.len(),
+                clusters: params.n_clusters,
+            });
+        }
+        let profiles: Vec<&KernelProfile> = subset.iter().map(|&i| self.profiles[i]).collect();
 
-    Ok(TrainedModel {
-        params,
-        kernel_ids: profiles.iter().map(|p| p.kernel.id()).collect(),
-        clustering,
-        silhouette: sil,
-        clusters,
-        tree,
-    })
+        // 1. Frontier dissimilarity → PAM clustering.
+        let matrix = self.matrix.principal(subset);
+        let clustering = pam(&matrix, params.n_clusters);
+        let sil = silhouette(&matrix, &clustering);
+
+        // 2. Per-cluster regression models.
+        let mut clusters = Vec::with_capacity(params.n_clusters);
+        for c in 0..params.n_clusters {
+            let members: Vec<&KernelProfile> =
+                clustering.members(c).into_iter().map(|i| profiles[i]).collect();
+            clusters.push(fit_cluster(&members, params.stabilize_variance)?);
+        }
+
+        // 3. Classification tree on sample-configuration features. With
+        // pruning enabled, every fifth kernel is held out of tree *growth*
+        // and used to prune it instead.
+        let rows: Vec<Vec<f64>> =
+            profiles.iter().map(|p| p.sample_pair().tree_features().to_vec()).collect();
+        let tree = if params.prune_tree && profiles.len() >= 10 {
+            let grow: Vec<usize> = (0..rows.len()).filter(|i| i % 5 != 4).collect();
+            let hold: Vec<usize> = (0..rows.len()).filter(|i| i % 5 == 4).collect();
+            let grow_rows: Vec<Vec<f64>> = grow.iter().map(|&i| rows[i].clone()).collect();
+            let grow_labels: Vec<usize> = grow.iter().map(|&i| clustering.assignment[i]).collect();
+            let mut t =
+                ClassificationTree::fit(&grow_rows, &grow_labels, params.n_clusters, params.tree)
+                    .map_err(TrainError::Tree)?;
+            let hold_rows: Vec<Vec<f64>> = hold.iter().map(|&i| rows[i].clone()).collect();
+            let hold_labels: Vec<usize> = hold.iter().map(|&i| clustering.assignment[i]).collect();
+            t.prune(&hold_rows, &hold_labels);
+            t
+        } else {
+            ClassificationTree::fit(&rows, &clustering.assignment, params.n_clusters, params.tree)
+                .map_err(TrainError::Tree)?
+        };
+
+        Ok(TrainedModel {
+            params,
+            kernel_ids: profiles.iter().map(|p| p.kernel.id()).collect(),
+            clustering,
+            silhouette: sil,
+            clusters,
+            tree,
+        })
+    }
 }
 
 impl TrainedModel {

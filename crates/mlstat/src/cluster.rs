@@ -46,6 +46,19 @@ impl Dissimilarity {
         self.data[j * self.n + i] = d;
     }
 
+    /// The principal sub-matrix on `items`: entry `(a, b)` is this
+    /// matrix's `(items[a], items[b])`.
+    pub fn principal(&self, items: &[usize]) -> Self {
+        let data = items
+            .iter()
+            .flat_map(|&i| {
+                let row = &self.data[i * self.n..(i + 1) * self.n];
+                items.iter().map(move |&j| row[j])
+            })
+            .collect();
+        Self { n: items.len(), data }
+    }
+
     /// Validate symmetry, zero diagonal, and non-negativity.
     pub fn validate(&self) -> Result<(), String> {
         for i in 0..self.n {
@@ -98,27 +111,95 @@ impl Clustering {
     }
 }
 
-fn assign_and_cost(d: &Dissimilarity, medoids: &[usize]) -> (Vec<usize>, f64) {
-    let mut assignment = vec![0usize; d.len()];
-    let mut cost = 0.0;
-    #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
-    for i in 0..d.len() {
-        // A medoid always claims its own cluster — otherwise two medoids
-        // at dissimilarity zero could leave one cluster empty.
-        if let Some(own) = medoids.iter().position(|&m| m == i) {
-            assignment[i] = own;
-            continue;
+/// Where every item stands against a medoid set: the slot of its nearest
+/// medoid and its dissimilarity to the nearest and to the second-nearest.
+/// This is the assignment and the objective, and it prices any single
+/// medoid↔non-medoid exchange in one pass over the items
+/// ([`swap_cost`](Self::swap_cost)) without re-scanning the medoids.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NearestMedoids {
+    /// Nearest medoid slot per item; ties go to the lower slot. A medoid
+    /// always claims its own slot — otherwise two medoids at dissimilarity
+    /// zero could leave one cluster empty.
+    slot: Vec<usize>,
+    /// Dissimilarity to that medoid (a medoid's own is not read).
+    nearest: Vec<f64>,
+    /// Smallest dissimilarity to any *other* slot's medoid; infinite when
+    /// there is a single medoid.
+    second: Vec<f64>,
+    is_medoid: Vec<bool>,
+}
+
+impl NearestMedoids {
+    /// Scan every item against `medoids` (distinct item indices).
+    pub fn new(d: &Dissimilarity, medoids: &[usize]) -> Self {
+        let n = d.len();
+        let mut is_medoid = vec![false; n];
+        let mut slot = vec![0usize; n];
+        for (s, &m) in medoids.iter().enumerate() {
+            is_medoid[m] = true;
+            slot[m] = s;
         }
-        let (best_c, best_d) = medoids
-            .iter()
-            .enumerate()
-            .map(|(c, &m)| (c, d.get(i, m)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .expect("at least one medoid");
-        assignment[i] = best_c;
-        cost += best_d;
+        let mut nearest = vec![0.0; n];
+        let mut second = vec![f64::INFINITY; n];
+        for i in 0..n {
+            if is_medoid[i] {
+                for (s, &m) in medoids.iter().enumerate() {
+                    if s != slot[i] && d.get(i, m) < second[i] {
+                        second[i] = d.get(i, m);
+                    }
+                }
+                continue;
+            }
+            let mut best = f64::INFINITY;
+            for (s, &m) in medoids.iter().enumerate() {
+                let dist = d.get(i, m);
+                if dist < best {
+                    second[i] = best;
+                    best = dist;
+                    slot[i] = s;
+                } else if dist < second[i] {
+                    second[i] = dist;
+                }
+            }
+            nearest[i] = best;
+        }
+        Self { slot, nearest, second, is_medoid }
     }
-    (assignment, cost)
+
+    /// The PAM objective: total dissimilarity of the non-medoid items to
+    /// their nearest medoids, summed in item order.
+    pub fn cost(&self) -> f64 {
+        let mut cost = 0.0;
+        for i in 0..self.slot.len() {
+            if !self.is_medoid[i] {
+                cost += self.nearest[i];
+            }
+        }
+        cost
+    }
+
+    /// The objective after replacing the medoid in `slot` by the
+    /// non-medoid `item`. Every term is the minimum the item would find by
+    /// scanning the new medoid set, and the terms are added in the same
+    /// item order, so this is [`cost`](Self::cost) of the exchanged set to
+    /// the last bit.
+    pub fn swap_cost(&self, d: &Dissimilarity, slot: usize, item: usize) -> f64 {
+        debug_assert!(!self.is_medoid[item]);
+        let mut cost = 0.0;
+        for i in 0..self.slot.len() {
+            let leaving = self.slot[i] == slot;
+            if i == item || (self.is_medoid[i] && !leaving) {
+                continue;
+            }
+            // The nearest of the medoids that stay …
+            let kept = if leaving { self.second[i] } else { self.nearest[i] };
+            // … against the one that arrives.
+            let arriving = d.get(i, item);
+            cost += if arriving < kept { arriving } else { kept };
+        }
+        cost
+    }
 }
 
 /// PAM (k-medoids): BUILD a greedy initial medoid set, then SWAP until no
@@ -134,12 +215,9 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
     // BUILD: first medoid minimizes total dissimilarity; each subsequent
     // medoid maximizes the cost reduction.
     let mut medoids: Vec<usize> = Vec::with_capacity(k);
+    let totals: Vec<f64> = (0..n).map(|a| (0..n).map(|i| d.get(i, a)).sum()).collect();
     let first = (0..n)
-        .min_by(|&a, &b| {
-            let ca: f64 = (0..n).map(|i| d.get(i, a)).sum();
-            let cb: f64 = (0..n).map(|i| d.get(i, b)).sum();
-            ca.partial_cmp(&cb).unwrap()
-        })
+        .min_by(|&a, &b| totals[a].partial_cmp(&totals[b]).unwrap())
         .expect("non-empty matrix");
     medoids.push(first);
 
@@ -148,33 +226,33 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
         let near: Vec<f64> = (0..n)
             .map(|i| medoids.iter().map(|&m| d.get(i, m)).fold(f64::INFINITY, f64::min))
             .collect();
-        let candidate = (0..n)
-            .filter(|i| !medoids.contains(i))
-            .max_by(|&a, &b| {
-                let gain =
-                    |c: usize| -> f64 { (0..n).map(|i| (near[i] - d.get(i, c)).max(0.0)).sum() };
-                gain(a)
-                    .partial_cmp(&gain(b))
+        let gains: Vec<(usize, f64)> = (0..n)
+            .filter(|c| !medoids.contains(c))
+            .map(|c| (c, (0..n).map(|i| (near[i] - d.get(i, c)).max(0.0)).sum()))
+            .collect();
+        let &(candidate, _) = gains
+            .iter()
+            .max_by(|a, b| {
+                a.1.partial_cmp(&b.1)
                     .unwrap()
                     // Tie-break toward the lower index for determinism.
-                    .then(b.cmp(&a))
+                    .then(b.0.cmp(&a.0))
             })
             .expect("k <= n leaves a candidate");
         medoids.push(candidate);
     }
 
     // SWAP: steepest-descent single swaps.
-    let (mut assignment, mut cost) = assign_and_cost(d, &medoids);
+    let mut near = NearestMedoids::new(d, &medoids);
+    let mut cost = near.cost();
     loop {
         let mut best: Option<(usize, usize, f64)> = None; // (medoid slot, item, new cost)
         for slot in 0..medoids.len() {
             for item in 0..n {
-                if medoids.contains(&item) {
+                if near.is_medoid[item] {
                     continue;
                 }
-                let mut trial = medoids.clone();
-                trial[slot] = item;
-                let (_, c) = assign_and_cost(d, &trial);
+                let c = near.swap_cost(d, slot, item);
                 if c + 1e-12 < best.map_or(cost, |(_, _, bc)| bc) {
                     best = Some((slot, item, c));
                 }
@@ -184,11 +262,12 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
             Some((slot, item, c)) => {
                 medoids[slot] = item;
                 cost = c;
-                assignment = assign_and_cost(d, &medoids).0;
+                near = NearestMedoids::new(d, &medoids);
             }
             None => break,
         }
     }
+    let assignment = near.slot;
 
     // Canonical order: sort medoids so cluster ids are stable.
     let mut order: Vec<usize> = (0..medoids.len()).collect();
@@ -368,6 +447,46 @@ mod tests {
         let mut bad = two_blobs();
         bad.data[1] = -0.5; // direct poke to break symmetry/negativity
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn principal_sub_matrix_keeps_the_pairs() {
+        let mut d = Dissimilarity::zeros(4);
+        for i in 0..4 {
+            for j in 0..i {
+                d.set(i, j, (10 * i + j) as f64);
+            }
+        }
+        let sub = d.principal(&[3, 0, 2]);
+        assert_eq!(sub.len(), 3);
+        assert!(sub.validate().is_ok());
+        assert_eq!(sub.get(0, 1), d.get(3, 0));
+        assert_eq!(sub.get(0, 2), d.get(3, 2));
+        assert_eq!(sub.get(2, 1), d.get(2, 0));
+        assert_eq!(d.principal(&[0, 1, 2, 3]), d);
+        assert!(d.principal(&[]).is_empty());
+    }
+
+    #[test]
+    fn swap_cost_is_the_cost_after_the_swap() {
+        // Items 1 and 2 sit at zero dissimilarity from medoid 0, so the
+        // leaving medoid's second-nearest and the ties both matter.
+        let mut d = two_blobs();
+        d.set(0, 1, 0.0);
+        d.set(0, 2, 0.0);
+        let medoids = [0, 3];
+        let near = NearestMedoids::new(&d, &medoids);
+        for slot in 0..medoids.len() {
+            for item in [1, 2, 4, 5] {
+                let mut swapped = medoids;
+                swapped[slot] = item;
+                assert_eq!(
+                    near.swap_cost(&d, slot, item),
+                    NearestMedoids::new(&d, &swapped).cost(),
+                    "slot {slot} ← item {item}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod validate;
 pub use cluster::{pam, silhouette, Clustering, Dissimilarity};
 pub use describe::{histogram, pearson, quantile, ranks, spearman};
 pub use kendall::{tau_a, tau_b};
-pub use matrix::{Matrix, MatrixError};
+pub use matrix::{Cholesky, Matrix, MatrixError};
 pub use regression::{interaction_len, with_interactions, FitError, LinearModel};
 pub use tree::{ClassificationTree, FlatTree, TreeError, TreeParams};
 pub use validate::{

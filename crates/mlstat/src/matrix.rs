@@ -130,17 +130,17 @@ impl Matrix {
 
     /// Gram matrix `Aᵀ A` (symmetric positive semi-definite).
     pub fn gram(&self) -> Matrix {
-        let mut g = Matrix::zeros(self.cols, self.cols);
-        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+        let n = self.cols;
+        let mut g = Matrix::zeros(n, n);
         for r in 0..self.rows {
             let row = self.row(r);
-            for i in 0..self.cols {
-                let ri = row[i];
+            for (i, &ri) in row.iter().enumerate() {
                 if ri == 0.0 {
                     continue;
                 }
-                for j in i..self.cols {
-                    g[(i, j)] += ri * row[j];
+                // Row i of the upper triangle, from the diagonal on.
+                for (g_ij, rj) in g.data[i * n + i..(i + 1) * n].iter_mut().zip(&row[i..]) {
+                    *g_ij += ri * rj;
                 }
             }
         }
@@ -173,15 +173,17 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Solve the symmetric positive-definite system `self · x = b` by
-    /// Cholesky decomposition. Fails with [`MatrixError::Singular`] when
-    /// the matrix is not (numerically) positive definite.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    /// Cholesky-factor a symmetric positive-definite matrix, `A = L Lᵀ`.
+    /// Fails with [`MatrixError::Singular`] when the matrix is not
+    /// (numerically) positive definite.
+    pub fn cholesky(&self) -> Result<Cholesky, MatrixError> {
         let n = self.rows;
-        if self.cols != n || b.len() != n {
-            return Err(MatrixError::Dimension("solve_spd needs square A and matching b".into()));
+        if self.cols != n {
+            return Err(MatrixError::Dimension(format!(
+                "cholesky needs a square matrix, got {n}x{}",
+                self.cols
+            )));
         }
-        // Cholesky: A = L Lᵀ, lower triangle stored in `l`.
         let mut l = vec![0.0; n * n];
         for i in 0..n {
             for j in 0..=i {
@@ -203,25 +205,14 @@ impl Matrix {
                 }
             }
         }
-        // Forward substitution: L z = b.
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= l[i * n + k] * z[k];
-            }
-            z[i] = sum / l[i * n + i];
-        }
-        // Back substitution: Lᵀ x = z.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = z[i];
-            for k in i + 1..n {
-                sum -= l[k * n + i] * x[k];
-            }
-            x[i] = sum / l[i * n + i];
-        }
-        Ok(x)
+        Ok(Cholesky { n, l })
+    }
+
+    /// Solve the symmetric positive-definite system `self · x = b` by
+    /// Cholesky decomposition. Fails with [`MatrixError::Singular`] when
+    /// the matrix is not (numerically) positive definite.
+    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+        self.cholesky()?.solve(b)
     }
 
     /// Solve a general square system `self · x = b` by Gaussian elimination
@@ -274,6 +265,48 @@ impl Matrix {
         for i in 0..n {
             self[(i, i)] += lambda;
         }
+    }
+}
+
+/// The lower-triangular factor `L` of a symmetric positive-definite
+/// `A = L Lᵀ` ([`Matrix::cholesky`]): factor once, solve against any
+/// number of right-hand sides.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cholesky {
+    n: usize,
+    /// Row-major `n × n`; the strict upper triangle stays zero.
+    l: Vec<f64>,
+}
+
+impl Cholesky {
+    /// Solve `A · x = b` by forward then back substitution.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+        let (n, l) = (self.n, &self.l);
+        if b.len() != n {
+            return Err(MatrixError::Dimension(format!(
+                "{n}x{n} factor against a right-hand side of {}",
+                b.len()
+            )));
+        }
+        // Forward substitution: L z = b.
+        let mut z = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for k in 0..i {
+                sum -= l[i * n + k] * z[k];
+            }
+            z[i] = sum / l[i * n + i];
+        }
+        // Back substitution: Lᵀ x = z.
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = z[i];
+            for k in i + 1..n {
+                sum -= l[k * n + i] * x[k];
+            }
+            x[i] = sum / l[i * n + i];
+        }
+        Ok(x)
     }
 }
 
@@ -372,6 +405,9 @@ mod tests {
         assert!(matches!(a.matmul(&Matrix::zeros(2, 2)), Err(MatrixError::Dimension(_))));
         assert!(matches!(a.t_vec(&[1.0]), Err(MatrixError::Dimension(_))));
         assert!(matches!(a.solve(&[1.0, 1.0]), Err(MatrixError::Dimension(_))));
+        assert!(matches!(a.cholesky(), Err(MatrixError::Dimension(_))));
+        assert!(matches!(a.solve_spd(&[1.0, 1.0]), Err(MatrixError::Dimension(_))));
+        assert!(matches!(Matrix::identity(2).solve_spd(&[1.0]), Err(MatrixError::Dimension(_))));
         assert!(matches!(Matrix::from_rows(2, 2, vec![1.0]), Err(MatrixError::Dimension(_))));
     }
 
@@ -380,6 +416,17 @@ mod tests {
         let mut g = Matrix::from_rows(2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
         g.add_diagonal(0.1);
         assert!(g.solve_spd(&[1.0, 1.0]).is_ok());
+    }
+
+    #[test]
+    fn one_factor_serves_many_right_hand_sides() {
+        let a = Matrix::from_rows(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]).unwrap();
+        let factor = a.cholesky().unwrap();
+        for rhs in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.5]] {
+            let x = factor.solve(&rhs).unwrap();
+            assert_eq!(x, a.solve_spd(&rhs).unwrap());
+            approx(&a.matvec(&x).unwrap(), &rhs, 1e-12);
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub struct LinearModel {
     /// uncertainty scale usable for confidence-aware selection.
     pub residual_rmse: f64,
     /// Standard error of each coefficient (same layout as `coeffs`), from
-    /// the classical OLS covariance `σ²·(XᵀX)⁻¹`. Empty when the Gram
-    /// matrix could not be inverted even with ridge.
+    /// the classical OLS covariance `σ²·(XᵀX)⁻¹`. Empty when there are no
+    /// residual degrees of freedom (as many parameters as observations).
     pub coef_std_errors: Vec<f64>,
 }
 
@@ -86,6 +86,16 @@ impl LinearModel {
     /// Fit `y ≈ X β` by OLS on the given design rows (already expanded;
     /// no intercept is added when `intercept` is false).
     pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<Self, FitError> {
+        Self::fit_rows(rows, y, intercept)
+    }
+
+    /// [`fit`](Self::fit) on design rows held any other way — fixed-size
+    /// arrays, say, which cost no allocation per row.
+    pub fn fit_rows<R: AsRef<[f64]>>(
+        rows: &[R],
+        y: &[f64],
+        intercept: bool,
+    ) -> Result<Self, FitError> {
         if rows.is_empty() || y.is_empty() {
             return Err(FitError::NoData);
         }
@@ -96,8 +106,8 @@ impl LinearModel {
                 y.len()
             )));
         }
-        let p_raw = rows[0].len();
-        if rows.iter().any(|r| r.len() != p_raw) {
+        let p_raw = rows[0].as_ref().len();
+        if rows.iter().any(|r| r.as_ref().len() != p_raw) {
             return Err(FitError::Dimension("ragged design rows".into()));
         }
         let p = p_raw + usize::from(intercept);
@@ -107,25 +117,27 @@ impl LinearModel {
             if intercept {
                 data.push(1.0);
             }
-            data.extend_from_slice(r);
+            data.extend_from_slice(r.as_ref());
         }
         let x = Matrix::from_rows(rows.len(), p, data).map_err(FitError::Matrix)?;
         let mut gram = x.gram();
         let xty = x.t_vec(y)?;
 
-        // OLS, with ridge fallback for rank-deficient designs.
-        let mut ridge_lambda = 0.0;
-        let coeffs = match gram.solve_spd(&xty) {
-            Ok(c) => c,
+        // OLS, with ridge fallback for rank-deficient designs. The Gram is
+        // factored once; the coefficients and every standard-error column
+        // below are substitutions against that factor.
+        let (factor, ridge_lambda) = match gram.cholesky() {
+            Ok(factor) => (factor, 0.0),
             Err(MatrixError::Singular) => {
                 // Scale the penalty with the trace so it is dimensionless.
                 let trace: f64 = (0..p).map(|i| gram[(i, i)]).sum();
-                ridge_lambda = 1e-6 * (trace / p as f64).max(1e-12);
-                gram.add_diagonal(ridge_lambda);
-                gram.solve_spd(&xty)?
+                let lambda = 1e-6 * (trace / p as f64).max(1e-12);
+                gram.add_diagonal(lambda);
+                (gram.cholesky()?, lambda)
             }
             Err(e) => return Err(e.into()),
         };
+        let coeffs = factor.solve(&xty)?;
 
         // R² on training data.
         let yhat = x.matvec(&coeffs)?;
@@ -136,32 +148,21 @@ impl LinearModel {
         let residual_rmse = (ss_res / y.len() as f64).sqrt();
 
         // Coefficient standard errors: sqrt of diag(σ²·(XᵀX)⁻¹), with the
-        // unbiased residual variance estimate. Solve one column of the
-        // inverse per coefficient against the (possibly ridged) Gram.
+        // unbiased residual variance estimate: one column of the inverse
+        // of the (possibly ridged) Gram per coefficient.
         let dof = y.len().saturating_sub(p);
-        let coef_std_errors = if dof > 0 {
+        let mut coef_std_errors = Vec::new();
+        if dof > 0 {
             let sigma2 = ss_res / dof as f64;
-            let mut errs = Vec::with_capacity(p);
-            let mut ok = true;
+            coef_std_errors.reserve_exact(p);
+            let mut e = vec![0.0; p];
             for j in 0..p {
-                let mut e = vec![0.0; p];
                 e[j] = 1.0;
-                match gram.solve_spd(&e) {
-                    Ok(col) => errs.push((sigma2 * col[j].max(0.0)).sqrt()),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
+                let col = factor.solve(&e)?;
+                e[j] = 0.0;
+                coef_std_errors.push((sigma2 * col[j].max(0.0)).sqrt());
             }
-            if ok {
-                errs
-            } else {
-                Vec::new()
-            }
-        } else {
-            Vec::new()
-        };
+        }
 
         Ok(Self { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
     }

@@ -116,7 +116,7 @@ impl Configuration {
     }
 
     /// Total number of configurations in the space.
-    pub fn space_size() -> usize {
+    pub const fn space_size() -> usize {
         CpuPState::COUNT * NUM_CPU_CORES as usize + CpuPState::COUNT * GpuPState::COUNT
     }
 }

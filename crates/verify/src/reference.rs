@@ -1,15 +1,28 @@
-//! The scalar reference for the online stage.
+//! The pipeline's kernels written the slow, obvious way.
 //!
-//! `acs_core::Predictor` answers from precompiled tables
-//! (`acs_core::fastpath`); this is the pipeline as the paper states it —
-//! walk the tree, build each configuration's feature row, evaluate the
-//! cluster's regressions, sort the 42 points into a frontier — with the
-//! same IEEE operations in the same order, so `tests/fastpath_identity.rs`
-//! can demand bit equality.
+//! Production answers from precompiled tables and cached scans; each
+//! function here is the same step as the paper states it, with the same
+//! IEEE operations in the same order, so the tests can demand bit
+//! equality:
+//!
+//! * [`predict_scalar`] — the online stage: walk the tree, build each
+//!   configuration's feature row, evaluate the cluster's regressions, sort
+//!   the 42 points into a frontier (`tests/fastpath_identity.rs` holds
+//!   `acs_core::fastpath` to it);
+//! * [`frontier_dissimilarity`] — shared configurations by search, ranks
+//!   as floats, `kendall::tau_a`;
+//! * [`assign_and_cost`], [`pam`] — PAM whose SWAP re-scans every medoid
+//!   for every item of every trial;
+//! * [`solve_spd`], [`fit`] — a Cholesky factorization per right-hand
+//!   side, p + 1 of them per regression.
+//!
+//! `tests/kernel_identity.rs` holds `acs_core::dissimilarity` and
+//! `acs_mlstat::{cluster, matrix, regression}` to the last four.
 
 use acs_core::features::config_features;
 use acs_core::offline::unstabilize;
 use acs_core::{Frontier, PowerPerfPoint, PredictedProfile, SamplePair, TrainedModel};
+use acs_mlstat::{kendall, Clustering, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
 use acs_sim::{Configuration, Device};
 
 /// Predict the full configuration space of one kernel, one feature row
@@ -36,4 +49,221 @@ pub fn predict_scalar(model: &TrainedModel, samples: &SamplePair) -> PredictedPr
 
     let frontier = Frontier::from_points(points.clone());
     PredictedProfile { cluster, points, frontier }
+}
+
+/// Frontier dissimilarity (Section III-B) as the paper words it: pick the
+/// configurations present on both frontiers, rank them within each, take
+/// Kendall's τ between the two rank sequences, and blend `(1 − τ)/2` with
+/// the Jaccard distance between the two configuration sets.
+pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
+    let idx_a = a.config_indices();
+    let idx_b = b.config_indices();
+
+    let mut ranks_a = Vec::new();
+    let mut ranks_b = Vec::new();
+    for (rank_a, ci) in idx_a.iter().enumerate() {
+        if let Some(rank_b) = idx_b.iter().position(|cj| cj == ci) {
+            ranks_a.push(rank_a as f64);
+            ranks_b.push(rank_b as f64);
+        }
+    }
+
+    let shared = ranks_a.len();
+    let union = idx_a.len() + idx_b.len() - shared;
+    let membership = if union == 0 { 1.0 } else { 1.0 - shared as f64 / union as f64 };
+
+    let order = match kendall::tau_a(&ranks_a, &ranks_b) {
+        Some(tau) => (1.0 - tau) / 2.0,
+        None => 1.0,
+    };
+
+    0.5 * order + 0.5 * membership
+}
+
+/// Assign every item to its nearest medoid (a medoid to itself, ties to
+/// the lower slot) and total the non-medoids' dissimilarities.
+pub fn assign_and_cost(d: &Dissimilarity, medoids: &[usize]) -> (Vec<usize>, f64) {
+    let mut assignment = vec![0usize; d.len()];
+    let mut cost = 0.0;
+    for (i, slot) in assignment.iter_mut().enumerate() {
+        if let Some(own) = medoids.iter().position(|&m| m == i) {
+            *slot = own;
+            continue;
+        }
+        let (best_c, best_d) = medoids
+            .iter()
+            .enumerate()
+            .map(|(c, &m)| (c, d.get(i, m)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .expect("at least one medoid");
+        *slot = best_c;
+        cost += best_d;
+    }
+    (assignment, cost)
+}
+
+/// PAM with every quantity recomputed where it is used: BUILD evaluates a
+/// candidate's gain inside the comparison, SWAP prices a trial by
+/// [`assign_and_cost`] on a copy of the medoids.
+pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
+    let n = d.len();
+    assert!(k >= 1 && k <= n, "k = {k} must be in 1..={n}");
+
+    let mut medoids: Vec<usize> = Vec::with_capacity(k);
+    let first = (0..n)
+        .min_by(|&a, &b| {
+            let ca: f64 = (0..n).map(|i| d.get(i, a)).sum();
+            let cb: f64 = (0..n).map(|i| d.get(i, b)).sum();
+            ca.partial_cmp(&cb).unwrap()
+        })
+        .expect("non-empty matrix");
+    medoids.push(first);
+
+    while medoids.len() < k {
+        let near: Vec<f64> = (0..n)
+            .map(|i| medoids.iter().map(|&m| d.get(i, m)).fold(f64::INFINITY, f64::min))
+            .collect();
+        let candidate = (0..n)
+            .filter(|i| !medoids.contains(i))
+            .max_by(|&a, &b| {
+                let gain =
+                    |c: usize| -> f64 { (0..n).map(|i| (near[i] - d.get(i, c)).max(0.0)).sum() };
+                gain(a).partial_cmp(&gain(b)).unwrap().then(b.cmp(&a))
+            })
+            .expect("k <= n leaves a candidate");
+        medoids.push(candidate);
+    }
+
+    let (mut assignment, mut cost) = assign_and_cost(d, &medoids);
+    loop {
+        let mut best: Option<(usize, usize, f64)> = None;
+        for slot in 0..medoids.len() {
+            for item in 0..n {
+                if medoids.contains(&item) {
+                    continue;
+                }
+                let mut trial = medoids.clone();
+                trial[slot] = item;
+                let (_, c) = assign_and_cost(d, &trial);
+                if c + 1e-12 < best.map_or(cost, |(_, _, bc)| bc) {
+                    best = Some((slot, item, c));
+                }
+            }
+        }
+        match best {
+            Some((slot, item, c)) => {
+                medoids[slot] = item;
+                cost = c;
+                assignment = assign_and_cost(d, &medoids).0;
+            }
+            None => break,
+        }
+    }
+
+    let mut order: Vec<usize> = (0..k).collect();
+    order.sort_by_key(|&c| medoids[c]);
+    let mut remap = vec![0usize; k];
+    for (new_c, &old_c) in order.iter().enumerate() {
+        remap[old_c] = new_c;
+    }
+    Clustering {
+        medoids: order.iter().map(|&c| medoids[c]).collect(),
+        assignment: assignment.into_iter().map(|a| remap[a]).collect(),
+        cost,
+    }
+}
+
+/// Solve the symmetric positive-definite `a · x = b` in one shot:
+/// factor `a = L Lᵀ`, substitute forward, substitute back.
+pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    let n = a.rows();
+    if a.cols() != n || b.len() != n {
+        return Err(MatrixError::Dimension("solve_spd needs square A and matching b".into()));
+    }
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[(i, j)];
+            for k in 0..j {
+                sum -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                let tol = 1e-10 * a[(i, i)].abs().max(1e-300);
+                if sum <= tol || !sum.is_finite() {
+                    return Err(MatrixError::Singular);
+                }
+                l[i * n + i] = sum.sqrt();
+            } else {
+                l[i * n + j] = sum / l[j * n + j];
+            }
+        }
+    }
+    let mut z = vec![0.0; n];
+    for i in 0..n {
+        let mut sum = b[i];
+        for k in 0..i {
+            sum -= l[i * n + k] * z[k];
+        }
+        z[i] = sum / l[i * n + i];
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut sum = z[i];
+        for k in i + 1..n {
+            sum -= l[k * n + i] * x[k];
+        }
+        x[i] = sum / l[i * n + i];
+    }
+    Ok(x)
+}
+
+/// `LinearModel::fit` by the normal equations, every solve a
+/// [`solve_spd`] of its own: one for the coefficients (a second after the
+/// ridge penalty when the first finds the Gram singular) and one per
+/// standard-error column. `rows` must be non-empty and rectangular.
+pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<LinearModel, FitError> {
+    let p = rows[0].len() + usize::from(intercept);
+    let mut data = Vec::with_capacity(rows.len() * p);
+    for r in rows {
+        if intercept {
+            data.push(1.0);
+        }
+        data.extend_from_slice(r);
+    }
+    let x = Matrix::from_rows(rows.len(), p, data)?;
+    let mut gram = x.gram();
+    let xty = x.t_vec(y)?;
+
+    let mut ridge_lambda = 0.0;
+    let coeffs = match solve_spd(&gram, &xty) {
+        Ok(c) => c,
+        Err(MatrixError::Singular) => {
+            let trace: f64 = (0..p).map(|i| gram[(i, i)]).sum();
+            ridge_lambda = 1e-6 * (trace / p as f64).max(1e-12);
+            gram.add_diagonal(ridge_lambda);
+            solve_spd(&gram, &xty)?
+        }
+        Err(e) => return Err(e.into()),
+    };
+
+    let yhat = x.matvec(&coeffs)?;
+    let mean = y.iter().sum::<f64>() / y.len() as f64;
+    let ss_res: f64 = y.iter().zip(&yhat).map(|(a, b)| (a - b).powi(2)).sum();
+    let ss_tot: f64 = y.iter().map(|a| (a - mean).powi(2)).sum();
+    let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
+    let residual_rmse = (ss_res / y.len() as f64).sqrt();
+
+    let dof = y.len().saturating_sub(p);
+    let mut coef_std_errors = Vec::new();
+    if dof > 0 {
+        let sigma2 = ss_res / dof as f64;
+        for j in 0..p {
+            let mut e = vec![0.0; p];
+            e[j] = 1.0;
+            let col = solve_spd(&gram, &e)?;
+            coef_std_errors.push((sigma2 * col[j].max(0.0)).sqrt());
+        }
+    }
+
+    Ok(LinearModel { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
 }

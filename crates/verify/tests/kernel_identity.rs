@@ -1,0 +1,191 @@
+//! Bit identity of the offline stage's kernels with their obvious
+//! statements in `acs_verify::reference`: the rank-table frontier
+//! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's cached
+//! nearest/second-nearest SWAP against a full re-assignment per trial, and
+//! the factor-once regression solve against a factorization per
+//! right-hand side. Equality is on `to_bits()`, not within a tolerance:
+//! every golden and every committed result depends on these kernels.
+
+use acs_core::dissimilarity::{dissimilarity_matrix, frontier_dissimilarity};
+use acs_core::{Frontier, PowerPerfPoint};
+use acs_mlstat::cluster::NearestMedoids;
+use acs_mlstat::{pam, Dissimilarity, LinearModel, Matrix, MatrixError};
+use acs_sim::Configuration;
+use acs_verify::reference;
+use proptest::prelude::*;
+
+/// A frontier holding `configs` in this order: power and performance rise
+/// with position, so `from_points` keeps every point — repeated
+/// configurations included.
+fn frontier(configs: &[usize]) -> Frontier {
+    let space = Configuration::all();
+    let points = configs
+        .iter()
+        .enumerate()
+        .map(|(rank, &ci)| PowerPerfPoint {
+            config: space[ci],
+            power_w: 5.0 + rank as f64,
+            perf: 1.0 + rank as f64,
+        })
+        .collect();
+    Frontier::from_points(points)
+}
+
+/// Configuration indices in any order, short of a full space by one so a
+/// test can add one.
+fn configs() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..42, 0..42)
+}
+
+/// A symmetric matrix over `n` items whose entries mostly come from a
+/// five-value grid starting at zero — ties and zero off-diagonal
+/// dissimilarities are the cases the tie-breaks exist for — and a
+/// medoid order (a permutation of the items).
+fn matrix_and_order() -> impl Strategy<Value = (Dissimilarity, Vec<usize>)> {
+    (1usize..=9).prop_flat_map(|n| {
+        let entries = prop::collection::vec((0u8..8, 0.0..1.0f64), n * (n - 1) / 2);
+        let keys = prop::collection::vec(0u64..u64::MAX, n);
+        (entries, keys).prop_map(move |(entries, keys)| {
+            let mut d = Dissimilarity::zeros(n);
+            let mut entries = entries.into_iter();
+            for i in 0..n {
+                for j in 0..i {
+                    let (grid, free) = entries.next().expect("one entry per pair");
+                    d.set(i, j, if grid < 5 { f64::from(grid) * 0.25 } else { free });
+                }
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            (d, order)
+        })
+    })
+}
+
+/// Design rows on a small integer grid (so columns repeat and the Gram
+/// goes singular often enough), a response, and whether to fit an
+/// intercept. There are at least as many rows as columns.
+fn design() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, bool)> {
+    (1usize..=5, 1usize..=25).prop_flat_map(|(p, extra)| {
+        let n = p + extra;
+        let rows = prop::collection::vec(prop::collection::vec(0u8..4, p), n);
+        let y = prop::collection::vec(-10.0..10.0f64, n);
+        (rows, y, 0u8..2).prop_map(|(rows, y, intercept)| {
+            let rows = rows.into_iter().map(|r| r.into_iter().map(f64::from).collect()).collect();
+            (rows, y, intercept == 1)
+        })
+    })
+}
+
+proptest! {
+    #[test]
+    fn table_dissimilarity_is_the_tau_a_statement(
+        a in configs(),
+        b in configs(),
+        common in 0usize..21,
+    ) {
+        // Disjoint halves of the space, then the same two with exactly
+        // one configuration in common.
+        let low: Vec<usize> = a.iter().map(|c| c % 21).filter(|&c| c != common).collect();
+        let high: Vec<usize> = b.iter().map(|c| 21 + c % 21).collect();
+        let (mut low_plus, mut high_plus) = (low.clone(), high.clone());
+        low_plus.push(common);
+        high_plus.insert(0, common);
+
+        let frontiers: Vec<Frontier> =
+            [&a, &b, &low, &high, &low_plus, &high_plus].map(|c| frontier(c)).into();
+        for x in &frontiers {
+            for y in &frontiers {
+                prop_assert_eq!(
+                    frontier_dissimilarity(x, y).to_bits(),
+                    reference::frontier_dissimilarity(x, y).to_bits()
+                );
+            }
+        }
+        prop_assert_eq!(frontier_dissimilarity(&frontiers[2], &frontiers[3]), 1.0);
+
+        let matrix = dissimilarity_matrix(&frontiers);
+        for (i, x) in frontiers.iter().enumerate() {
+            for (j, y) in frontiers.iter().enumerate().take(i) {
+                let expected = reference::frontier_dissimilarity(x, y);
+                prop_assert_eq!(matrix.get(i, j).to_bits(), expected.to_bits());
+                prop_assert_eq!(matrix.get(j, i).to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn cached_swap_is_the_full_reassignment((d, order) in matrix_and_order()) {
+        let n = d.len();
+        for k in 1..=n {
+            let medoids = &order[..k];
+            let near = NearestMedoids::new(&d, medoids);
+            prop_assert_eq!(
+                near.cost().to_bits(),
+                reference::assign_and_cost(&d, medoids).1.to_bits()
+            );
+            for slot in 0..k {
+                for &item in &order[k..] {
+                    let mut trial = medoids.to_vec();
+                    trial[slot] = item;
+                    prop_assert_eq!(
+                        near.swap_cost(&d, slot, item).to_bits(),
+                        reference::assign_and_cost(&d, &trial).1.to_bits(),
+                        "k = {}, slot {}, item {}", k, slot, item
+                    );
+                }
+            }
+
+            let (ours, theirs) = (pam(&d, k), reference::pam(&d, k));
+            prop_assert_eq!(ours.cost.to_bits(), theirs.cost.to_bits());
+            prop_assert_eq!(ours, theirs);
+        }
+    }
+
+    #[test]
+    fn factor_once_is_factor_per_solve((rows, y, intercept) in design()) {
+        // The whole fit: coefficients, R², ridge penalty, standard errors.
+        prop_assert_eq!(
+            LinearModel::fit(&rows, &y, intercept),
+            reference::fit(&rows, &y, intercept)
+        );
+
+        // The solve on its own, against the Gram as it is (often
+        // singular) and ridged (always positive definite).
+        let p = rows[0].len();
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        let mut gram = Matrix::from_rows(rows.len(), p, flat).expect("rectangular").gram();
+        let rhs = &y[..p];
+        for _ in 0..2 {
+            let expected = reference::solve_spd(&gram, rhs);
+            prop_assert_eq!(gram.cholesky().and_then(|factor| factor.solve(rhs)), expected.clone());
+            prop_assert_eq!(gram.solve_spd(rhs), expected);
+            gram.add_diagonal(0.5);
+        }
+    }
+}
+
+#[test]
+fn a_rank_deficient_design_still_takes_the_ridge_path() {
+    // The second column copies the first: the Gram is singular, the first
+    // factorization must fail and the second run on the ridged Gram.
+    let rows: Vec<Vec<f64>> = (0..12).map(|i| vec![f64::from(i), f64::from(i), 1.5]).collect();
+    let y: Vec<f64> = rows.iter().map(|r| 3.0 * r[0] - 1.0).collect();
+    for intercept in [false, true] {
+        let ours = LinearModel::fit(&rows, &y, intercept).expect("ridge rescues the fit");
+        let theirs = reference::fit(&rows, &y, intercept).expect("ridge rescues the fit");
+        assert!(ours.ridge_lambda > 0.0);
+        assert_eq!(ours.ridge_lambda.to_bits(), theirs.ridge_lambda.to_bits());
+        assert_eq!(ours, theirs);
+        assert_eq!(ours.coef_std_errors.len(), ours.coeffs.len());
+    }
+}
+
+#[test]
+fn a_matrix_that_is_not_positive_definite_has_no_factor() {
+    let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 1.0]).unwrap();
+    assert_eq!(a.cholesky().err(), Some(MatrixError::Singular));
+    assert_eq!(reference::solve_spd(&a, &[1.0, 1.0]), Err(MatrixError::Singular));
+    assert!(matches!(Matrix::zeros(2, 3).cholesky(), Err(MatrixError::Dimension(_))));
+    let factor = Matrix::identity(3).cholesky().unwrap();
+    assert!(matches!(factor.solve(&[1.0]), Err(MatrixError::Dimension(_))));
+}

@@ -2,11 +2,14 @@
 //! must hold for *any* correct implementation of Section V, checked on a
 //! reduced suite for speed.
 
+use acs::core::dissimilarity::dissimilarity_matrix;
 use acs::core::eval::{
     characterize_apps, evaluate, evaluate_kernel, AppProfiles, CaseResult, Evaluation,
+    PreparedSuite,
 };
 use acs::core::methods;
 use acs::prelude::*;
+use acs::sim::FamilyId;
 
 fn reduced_suite() -> Vec<AppProfiles> {
     let machine = Machine::new(7);
@@ -105,6 +108,46 @@ fn public_wrapper_and_fold_path_are_the_same_replay() {
                 .collect();
             assert!(!direct.is_empty());
             assert_eq!(direct, from_evaluate, "{id}");
+        }
+    }
+}
+
+#[test]
+fn every_fold_is_what_training_on_its_own_would_build() {
+    // `evaluate` compares the suite's frontiers once and fits each fold on
+    // a subset of that. Per fold, the sub-matrix must be the matrix of the
+    // fold's own frontiers and the model must be `train()` on a copy of
+    // the fold's profiles — on every machine family, at two seeds.
+    for family in FamilyId::ALL {
+        for seed in [2014, 7] {
+            let machine = Machine::from_family(family, seed);
+            let apps = characterize_apps(&machine, &acs::kernels::app_instances());
+            let suite = PreparedSuite::new(&apps);
+            let evaluation = suite.evaluate(TrainingParams::default()).unwrap();
+            assert_eq!(evaluation, evaluate(&apps, TrainingParams::default()).unwrap());
+
+            assert_eq!(suite.folds().len(), 4, "LULESH, CoMD, SMC, LU");
+            for (i, (fold, indices)) in suite.folds().iter().enumerate() {
+                let training: Vec<KernelProfile> =
+                    fold.train.iter().flat_map(|&ai| apps[ai].profiles.iter().cloned()).collect();
+                assert_eq!(indices.len(), training.len());
+                let frontiers: Vec<Frontier> =
+                    training.iter().map(KernelProfile::frontier).collect();
+                assert_eq!(
+                    suite.kernels().matrix().principal(indices),
+                    dissimilarity_matrix(&frontiers),
+                    "{family} seed {seed}, fold {}",
+                    fold.label
+                );
+                let model = suite.kernels().fit(indices, TrainingParams::default()).unwrap();
+                assert_eq!(
+                    model,
+                    train(&training, TrainingParams::default()).unwrap(),
+                    "{family} seed {seed}, fold {}",
+                    fold.label
+                );
+                assert_eq!(evaluation.fold_silhouettes[i], (fold.label.clone(), model.silhouette));
+            }
         }
     }
 }

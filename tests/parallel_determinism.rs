@@ -2,10 +2,10 @@
 //!
 //! The shim promises *byte-identical* results at any thread count: chunk
 //! boundaries depend only on input length and collection is
-//! index-ordered. These tests hold the promise against the three
+//! index-ordered. These tests hold the promise against the four
 //! sweep-shaped pipelines the paper's workflow actually runs — offline
-//! training, the exhaustive oracle sweep, and the guarded chaos timeline
-//! — by replaying each at 1, 2, and 8 threads and comparing the
+//! training, leave-one-benchmark-out evaluation, the exhaustive oracle
+//! sweep, and the guarded chaos timeline — by replaying each at 1, 2, and 8 threads and comparing the
 //! serialized output byte-for-byte with the sequential (1-thread) run.
 //!
 //! `rayon::with_num_threads` overrides the thread count for the closure,
@@ -44,6 +44,13 @@ fn oracle_sweep_json() -> String {
     serde_json::to_string(&frontiers).expect("frontiers serialize")
 }
 
+/// Leave-one-benchmark-out evaluation of the full suite: the suite-wide
+/// dissimilarity matrix fans out over pairs and each fold's replay over
+/// the held-out apps.
+fn evaluation_json() -> String {
+    serde_json::to_string(&acs_bench::full_evaluation()).expect("evaluation serializes")
+}
+
 /// Assert `f` produces the same bytes at every pool size in
 /// [`THREAD_COUNTS`], returning the sequential reference.
 fn assert_thread_invariant(label: &str, f: fn() -> String) -> String {
@@ -64,6 +71,17 @@ fn training_is_byte_identical_at_any_thread_count() {
     let json = assert_thread_invariant("offline training", training_json);
     // The serialized model must be substantive, not a degenerate stub.
     assert!(json.contains("clusters"), "model JSON looks truncated: {json:.60}");
+}
+
+#[test]
+fn evaluation_is_byte_identical_at_any_thread_count_and_is_table3() {
+    let json = assert_thread_invariant("evaluation", evaluation_json);
+    let evaluation: acs::core::eval::Evaluation =
+        serde_json::from_str(&json).expect("evaluation parses back");
+    let committed: Vec<acs::core::MethodSummary> =
+        serde_json::from_str(include_str!("../results/table3_methods.json"))
+            .expect("results/table3_methods.json parses");
+    assert_eq!(evaluation.table3(), committed, "Table III differs from the committed artifact");
 }
 
 #[test]
