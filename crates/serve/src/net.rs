@@ -206,7 +206,10 @@ pub(crate) trait FrameHandler {
     /// What it gets back.
     type Resp: Serialize;
 
-    /// Runs at the top of every loop turn, idle read timeouts included.
+    /// Runs once per frame, after it has arrived and before
+    /// [`handle`](Self::handle) sees it, and once per idle read timeout:
+    /// what the handler picks up here is never older than the frame it
+    /// answers next.
     fn turn(&mut self) {}
 
     /// Answer one frame — or one undecodable frame, which gets its typed
@@ -243,17 +246,22 @@ pub(crate) fn serve_frames<S: Read + Write, H: FrameHandler>(
     let mut input = FrameReader::new();
     let mut out = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        handler.turn();
         // A peer we cannot write to is gone; that is not a protocol error.
         if !input.has_frame() && flush_replies(stream, &mut out).is_err() {
             return;
         }
         let request = match input.read_frame::<_, H::Req>(stream) {
             Ok(ReadOutcome::Frame(request)) => Ok(request),
-            Ok(ReadOutcome::Idle) => continue,
+            Ok(ReadOutcome::Idle) => {
+                handler.turn();
+                continue;
+            }
             Ok(ReadOutcome::Eof) => break,
             Err(err) => Err(err),
         };
+        // After the read, not before it: the read may have blocked for a
+        // whole timeout, and the frame is answered at today's state.
+        handler.turn();
         let failed = request.is_err();
         let (response, done) = handler.handle(request);
         if encode_frame(&mut out, &response).is_err() || done || failed {
@@ -440,7 +448,7 @@ mod tests {
         let (events, turns) = converse(vec![Step::Data(frames(&vec![Request::Hello; 8]))], 0);
         // The second read is the one that finds EOF.
         assert_eq!(events, [Event::Read, Event::Write(replies(0, 1..=8)), Event::Read]);
-        assert_eq!(turns, 9, "one turn per frame, one before the read that found EOF");
+        assert_eq!(turns, 8, "one turn per frame, none for the read that found EOF");
     }
 
     #[test]
@@ -503,7 +511,7 @@ mod tests {
     fn an_idle_connection_turns_without_writing() {
         let (events, turns) = converse(vec![Step::Timeout, Step::Timeout], 0);
         assert_eq!(events, [Event::Read, Event::Read, Event::Read]);
-        assert_eq!(turns, 3);
+        assert_eq!(turns, 2, "one per timeout, none for the read that found EOF");
     }
 
     #[test]

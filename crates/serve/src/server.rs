@@ -674,16 +674,24 @@ struct Session<'a> {
     seen_epoch: u64,
 }
 
+impl<'a> Session<'a> {
+    /// Take a seat as `node_id` and build the node's runtime at the
+    /// budget the seat came with.
+    fn join(shared: &'a Shared, node_id: u64) -> Self {
+        let (seat, budget_w, seen_epoch) = Seat::join(shared, node_id);
+        let rt = CappedRuntime::guarded(
+            Machine::from_family(shared.config.family, shared.config.seed),
+            Arc::clone(&shared.model),
+            budget_w,
+            GuardPolicy::default(),
+        );
+        rt.timeline().set_capacity(Some(SESSION_TIMELINE_CAPACITY));
+        Self { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch }
+    }
+}
+
 fn run_session(shared: Arc<Shared>, stream: TcpStream, node_id: u64) {
-    let (seat, budget_w, seen_epoch) = Seat::join(&shared, node_id);
-    let rt = CappedRuntime::guarded(
-        Machine::from_family(shared.config.family, shared.config.seed),
-        Arc::clone(&shared.model),
-        budget_w,
-        GuardPolicy::default(),
-    );
-    rt.timeline().set_capacity(Some(SESSION_TIMELINE_CAPACITY));
-    let mut session = Session { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch };
+    let mut session = Session::join(&shared, node_id);
     serve_tcp(stream, SESSION_READ_TIMEOUT, &shared.shutdown, &mut session);
 }
 
@@ -1047,6 +1055,7 @@ pub type Client = FrameClient<Request, Response>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scripted::{Event, Scripted, Step};
     use std::sync::OnceLock;
 
     fn model() -> TrainedModel {
@@ -1063,6 +1072,78 @@ mod tests {
             Response::Welcome { node_id, budget_w } => (node_id, budget_w),
             other => panic!("expected Welcome, got {other:?}"),
         }
+    }
+
+    /// A transport whose first `read` takes long enough for another node
+    /// to join: the frame it returns was in flight while the arbiter
+    /// reshuffled.
+    struct JoinDuringRead<'a> {
+        wire: Scripted,
+        shared: &'a Shared,
+        joiner: Option<Seat<'a>>,
+    }
+
+    impl std::io::Read for JoinDuringRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.joiner.is_none() {
+                self.shared.active.fetch_add(1, Ordering::SeqCst);
+                self.joiner = Some(Seat::join(self.shared, 2).0);
+            }
+            self.wire.read(buf)
+        }
+    }
+
+    impl std::io::Write for JoinDuringRead<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.wire.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_in_flight_during_a_join_is_answered_at_the_new_budget() {
+        let config = ServeConfig { global_cap_w: 90.0, ..ServeConfig::default() };
+        let server = Server::bind(config, model()).unwrap();
+        let shared: &Shared = &server.shared;
+        let kernel_id = acs_kernels::all_kernel_instances()[0].id();
+        let select = Request::Select { kernel_id, deadline_ms: None, priority: 0 };
+        let mut request = Vec::new();
+        for frame in [&Request::Hello, &select] {
+            crate::protocol::write_frame(&mut request, frame).unwrap();
+        }
+
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        let mut session = Session::join(shared, 1);
+        assert_eq!(session.rt.cap_w(), 90.0, "alone, the session owns the whole cap");
+        let mut stream =
+            JoinDuringRead { wire: Scripted::new([Step::Data(request)]), shared, joiner: None };
+        crate::net::serve_frames(&mut stream, &shared.shutdown, &mut session);
+
+        // One read brought both frames, node 2 joined inside it, and both
+        // replies are served under the halved budget: what the sessions
+        // enforce sums to the cap at every reply, not one request later.
+        let Event::Write(replies) = &stream.wire.events[1] else {
+            panic!("expected the replies after the first read: {:?}", stream.wire.events);
+        };
+        let mut replies = replies.as_slice();
+        let mut next = || crate::protocol::read_frame_blocking::<_, Response>(&mut replies);
+        match next().unwrap() {
+            Some(Response::Welcome { node_id: 1, budget_w }) => assert_eq!(budget_w, 45.0),
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+        match next().unwrap() {
+            Some(Response::Selected(selection)) => {
+                assert!(selection.predicted_power_w <= 45.0, "{selection:?}");
+            }
+            other => panic!("expected Selected, got {other:?}"),
+        }
+        assert_eq!(shared.arbiter.lock().budget_of(1), Some(45.0));
+        drop((session, stream));
+        assert_eq!(shared.active.load(Ordering::SeqCst), 0);
+        assert_eq!(server.handle().budget_conservation_error_w(), 0.0);
     }
 
     #[test]
@@ -1113,6 +1194,8 @@ mod tests {
             assert!(Instant::now() < deadline, "the dead session never gave its seat back");
             std::thread::sleep(Duration::from_millis(1));
         }
+        // Whether or not an idle poll showed the survivor 45 W in between,
+        // its Hello is answered at the epoch it arrives in.
         assert_eq!(hello(&mut survivor), (1, 90.0), "the survivor owns the whole cap again");
         assert_eq!(running.handle.budget_conservation_error_w(), 0.0);
         assert_eq!(running.handle.adapt_digests(), [], "the dead session's digest is gone");

@@ -6,6 +6,7 @@
 //! tuples from a small set of latent characteristics per kernel. The latents
 //! are *not* visible to the model — they are the simulator's ground truth.
 
+use crate::noise::{fnv1a_extend, FNV_OFFSET_BASIS};
 use serde::{Deserialize, Serialize};
 
 /// Latent description of one computational kernel at one input size.
@@ -86,6 +87,14 @@ impl KernelCharacteristics {
     /// A stable identifier combining benchmark, input, and kernel name.
     pub fn id(&self) -> String {
         format!("{}/{}/{}", self.benchmark, self.input, self.name)
+    }
+
+    /// `fnv1a` of [`id`](Self::id), computed without building the string:
+    /// the kernel's address in the simulator's noise streams.
+    pub fn id_hash(&self) -> u64 {
+        [&self.benchmark, "/", &self.input, "/", &self.name]
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |h, part| fnv1a_extend(h, part.as_bytes()))
     }
 
     /// Validate that every latent lies in its physically meaningful range.
@@ -193,5 +202,6 @@ mod tests {
     fn id_is_hierarchical() {
         let k = KernelCharacteristics::default();
         assert_eq!(k.id(), "Synthetic/Default/synthetic");
+        assert_eq!(k.id_hash(), crate::noise::fnv1a(k.id().as_bytes()));
     }
 }

@@ -122,7 +122,8 @@ impl Machine {
         run: u64,
     ) -> KernelRun {
         let fam = self.family.descriptor();
-        let noise = NoiseSource::new(self.seed, &kernel.id(), config.index(), run);
+        let id_hash = kernel.id_hash();
+        let noise = NoiseSource::from_id_hash(self.seed, id_hash, config.index(), run);
         let t_jitter = noise.jitter(Stream::Timing, self.timing_sigma);
         let p_jitter = noise.jitter(Stream::Power, self.power_sigma);
 
@@ -168,11 +169,9 @@ impl Machine {
         let mut trace = crate::trace::trace_for_on(fam, kernel, config, &self.power_cal);
         trace.scale_time(t_jitter);
         trace.scale_power(p_jitter);
-        let plane_noise = NoiseSource::new(self.seed ^ 0xA5A5, &kernel.id(), config.index(), run);
-        let power = PowerBreakdown {
-            cpu_plane_w: self.sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise),
-            gpu_nb_plane_w: self.sensor.estimate_trace(&trace, |p| p.gpu_nb_plane_w, &plane_noise),
-        };
+        let plane_noise =
+            NoiseSource::from_id_hash(self.seed ^ 0xA5A5, id_hash, config.index(), run);
+        let power = self.sensor.estimate_trace(&trace, &noise, &plane_noise);
 
         let counters = counters::generate(kernel, &counter_inputs, &noise);
 

@@ -68,10 +68,19 @@ impl SplitMix64 {
     }
 }
 
+/// FNV-1a's offset basis: the hash of the empty string.
+pub const FNV_OFFSET_BASIS: u64 = 0xCBF29CE484222325;
+
 /// FNV-1a hash of a byte string, used to fold kernel names into the seed.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF29CE484222325;
+    fnv1a_extend(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: hashing a string piece by
+/// piece gives the hash of the concatenation.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100000001B3);
@@ -88,8 +97,15 @@ pub struct NoiseSource {
 impl NoiseSource {
     /// Build a noise source for one simulated kernel execution.
     pub fn new(machine_seed: u64, kernel_id: &str, config_index: usize, run: u64) -> Self {
+        Self::from_id_hash(machine_seed, fnv1a(kernel_id.as_bytes()), config_index, run)
+    }
+
+    /// [`NoiseSource::new`] for a kernel id already hashed with [`fnv1a`]
+    /// (`KernelCharacteristics::id_hash`), so one execution that needs
+    /// several sources hashes its kernel once.
+    pub fn from_id_hash(machine_seed: u64, id_hash: u64, config_index: usize, run: u64) -> Self {
         let mut base = splitmix64(machine_seed);
-        base = splitmix64(base ^ fnv1a(kernel_id.as_bytes()));
+        base = splitmix64(base ^ id_hash);
         base = splitmix64(base ^ (config_index as u64).wrapping_mul(0x9E3779B97F4A7C15));
         base = splitmix64(base ^ run);
         Self { base }
@@ -134,6 +150,16 @@ mod tests {
         let b = NoiseSource::new(42, "LULESH/Small/K1", 7, 0);
         assert_eq!(a.bits(Stream::Timing, 0), b.bits(Stream::Timing, 0));
         assert_eq!(a.uniform(Stream::Power, 3), b.uniform(Stream::Power, 3));
+    }
+
+    #[test]
+    fn a_hashed_id_addresses_the_same_source() {
+        let id = "LULESH/Small/K1";
+        for (seed, config, run) in [(42, 7, 0), (42 ^ 0xA5A5, 7, 0), (0, 41, 3), (u64::MAX, 0, 9)] {
+            let named = NoiseSource::new(seed, id, config, run);
+            let hashed = NoiseSource::from_id_hash(seed, fnv1a(id.as_bytes()), config, run);
+            assert_eq!(named.base, hashed.base);
+        }
     }
 
     #[test]

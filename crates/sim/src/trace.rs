@@ -13,15 +13,20 @@ use crate::cpu::cpu_time_on;
 use crate::family::{FamilyId, MachineFamily};
 use crate::gpu::gpu_time_on;
 use crate::kernel::KernelCharacteristics;
-use crate::noise::{NoiseSource, Stream};
 use crate::power::{PowerBreakdown, PowerCalibration};
-use crate::sensor::PowerSensor;
 use serde::{Deserialize, Serialize};
+use std::iter::Peekable;
 
-/// A piecewise-constant two-plane power signal.
+/// A piecewise-constant two-plane power signal: one segment, or two
+/// phases alternating for a number of cycles. Only the two phases are
+/// stored; the segments are produced on demand.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerTrace {
-    segments: Vec<TraceSegment>,
+    /// The segments of one cycle, leading phase first. Segment `i` of the
+    /// trace is `phases[i % 2]`; a one-segment trace uses slot 0 only.
+    phases: [TraceSegment; 2],
+    /// Number of segments: 0, 1, or twice the cycle count.
+    len: usize,
     total_s: f64,
 }
 
@@ -38,9 +43,11 @@ pub struct TraceSegment {
 /// between compute and memory phases at sub-millisecond granularity.
 const PHASE_PERIOD_S: f64 = 250e-6;
 
-/// Maximum number of alternation cycles in a trace (bounds memory for
+/// Maximum number of alternation cycles in a trace (bounds the sweep for
 /// very long kernels; the sensor's own sample cap dominates anyway).
 const MAX_CYCLES: usize = 512;
+
+const NO_POWER: PowerBreakdown = PowerBreakdown { cpu_plane_w: 0.0, gpu_nb_plane_w: 0.0 };
 
 impl PowerTrace {
     /// Build a trace from two phases interleaved at a fixed sub-millisecond period
@@ -51,32 +58,31 @@ impl PowerTrace {
         let (dur_b, pow_b) = b;
         let total = dur_a + dur_b;
         if total <= 0.0 {
-            return Self { segments: Vec::new(), total_s: 0.0 };
+            return Self { len: 0, ..Self::constant(0.0, NO_POWER) }; // no segments
         }
         if dur_a <= 0.0 || dur_b <= 0.0 {
             let (d, p) = if dur_a > 0.0 { (dur_a, pow_a) } else { (dur_b, pow_b) };
-            return Self { segments: vec![TraceSegment { duration_s: d, power: p }], total_s: d };
+            return Self::constant(d, p);
         }
 
         let cycles = ((total / PHASE_PERIOD_S).ceil() as usize).clamp(1, MAX_CYCLES);
-        let slice_a = dur_a / cycles as f64;
-        let slice_b = dur_b / cycles as f64;
-        let mut segments = Vec::with_capacity(cycles * 2);
-        for _ in 0..cycles {
-            segments.push(TraceSegment { duration_s: slice_a, power: pow_a });
-            segments.push(TraceSegment { duration_s: slice_b, power: pow_b });
-        }
-        Self { segments, total_s: total }
+        let phases = [
+            TraceSegment { duration_s: dur_a / cycles as f64, power: pow_a },
+            TraceSegment { duration_s: dur_b / cycles as f64, power: pow_b },
+        ];
+        Self { phases, len: cycles * 2, total_s: total }
     }
 
     /// A single-phase (constant) trace.
     pub fn constant(duration_s: f64, power: PowerBreakdown) -> Self {
-        Self { segments: vec![TraceSegment { duration_s, power }], total_s: duration_s }
+        Self { phases: [TraceSegment { duration_s, power }; 2], len: 1, total_s: duration_s }
     }
 
-    /// The trace's segments.
-    pub fn segments(&self) -> &[TraceSegment] {
-        &self.segments
+    /// The trace's segments, in time order.
+    pub fn segments(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = TraceSegment> + ExactSizeIterator + Clone + '_ {
+        (0..self.len).map(|i| self.phases[i % 2])
     }
 
     /// Total duration, seconds.
@@ -87,36 +93,23 @@ impl PowerTrace {
     /// Time-weighted average power over the whole trace.
     pub fn average(&self) -> PowerBreakdown {
         if self.total_s <= 0.0 {
-            return PowerBreakdown { cpu_plane_w: 0.0, gpu_nb_plane_w: 0.0 };
+            return NO_POWER;
         }
+        // Summed segment by segment, not phase by phase: `cycles` equal
+        // additions do not round like one multiplication.
         let mut cpu = 0.0;
         let mut gpu = 0.0;
-        for s in &self.segments {
+        for s in self.segments() {
             cpu += s.power.cpu_plane_w * s.duration_s;
             gpu += s.power.gpu_nb_plane_w * s.duration_s;
         }
         PowerBreakdown { cpu_plane_w: cpu / self.total_s, gpu_nb_plane_w: gpu / self.total_s }
     }
 
-    /// Instantaneous power at time `t` (clamped into the trace).
-    pub fn at(&self, t: f64) -> PowerBreakdown {
-        let mut acc = 0.0;
-        for s in &self.segments {
-            acc += s.duration_s;
-            if t < acc {
-                return s.power;
-            }
-        }
-        self.segments
-            .last()
-            .map(|s| s.power)
-            .unwrap_or(PowerBreakdown { cpu_plane_w: 0.0, gpu_nb_plane_w: 0.0 })
-    }
-
     /// Scale every segment duration by `factor` (used to apply run-to-run
     /// timing jitter to the waveform).
     pub fn scale_time(&mut self, factor: f64) {
-        for s in &mut self.segments {
+        for s in &mut self.phases {
             s.duration_s *= factor;
         }
         self.total_s *= factor;
@@ -124,27 +117,77 @@ impl PowerTrace {
 
     /// Scale every segment's power by `factor`.
     pub fn scale_power(&mut self, factor: f64) {
-        for s in &mut self.segments {
+        for s in &mut self.phases {
             s.power.cpu_plane_w *= factor;
             s.power.gpu_nb_plane_w *= factor;
         }
     }
 
-    /// Time-average of `plane` over the interval `[t0, t1)`, by exact
-    /// integration of the piecewise-constant signal.
-    pub fn window_average(&self, plane: fn(&PowerBreakdown) -> f64, t0: f64, t1: f64) -> f64 {
-        if t1 <= t0 || self.segments.is_empty() {
-            return 0.0;
+    /// The per-plane time averages of the consecutive windows
+    /// `[k·dt, k·dt + dt)`, `k = 0, 1, …`, by exact integration of the
+    /// piecewise-constant signal. Windows reaching past the trace hold its
+    /// last segment's power, so the iterator never ends: `take` what the
+    /// sensor samples.
+    pub fn windows(&self, dt: f64) -> Windows<impl Iterator<Item = TraceSegment> + Clone + '_> {
+        Windows {
+            segments: self.segments().peekable(),
+            seg_start: 0.0,
+            last: self.segments().next_back().map(|s| s.power),
+            dt,
+            lane: 0,
         }
-        let mut acc = 0.0;
+    }
+}
+
+/// [`PowerTrace::windows`]: one forward sweep over a segment stream. The
+/// windows' starts never decrease, so a segment that ends at or before one
+/// window's start is consumed for good and the whole sweep visits each
+/// segment once per window it overlaps.
+#[derive(Debug, Clone)]
+pub struct Windows<I: Iterator<Item = TraceSegment>> {
+    /// The segments not yet known to end at or before a window's start.
+    segments: Peekable<I>,
+    /// Where the first of them begins: the running sum of every consumed
+    /// duration, added in segment order.
+    seg_start: f64,
+    /// Power of the stream's final segment; `None` for an empty stream.
+    last: Option<PowerBreakdown>,
+    dt: f64,
+    lane: u64,
+}
+
+impl<I: Iterator<Item = TraceSegment> + Clone> Iterator for Windows<I> {
+    type Item = PowerBreakdown;
+
+    fn next(&mut self) -> Option<PowerBreakdown> {
+        let t0 = self.lane as f64 * self.dt;
+        let t1 = t0 + self.dt;
+        self.lane += 1;
+        // A degenerate window, or no trace at all, reads nothing.
+        let Some(last) = self.last.filter(|_| t1 > t0) else { return Some(NO_POWER) };
+        while let Some(s) = self.segments.peek() {
+            let seg_end = self.seg_start + s.duration_s;
+            if seg_end > t0 {
+                break;
+            }
+            self.seg_start = seg_end;
+            self.segments.next();
+        }
+
+        // The next window starts at `(lane + 1)·dt`, which can round to
+        // just below this one's `t0 + dt`: only the test against a window's
+        // own start may consume a segment, so integration reads ahead on a
+        // copy of the cursor.
+        let (mut cpu, mut gpu) = (0.0, 0.0);
         let mut covered = 0.0;
-        let mut seg_start = 0.0;
-        for s in &self.segments {
+        let mut seg_start = self.seg_start;
+        for s in self.segments.clone() {
             let seg_end = seg_start + s.duration_s;
             let lo = t0.max(seg_start);
             let hi = t1.min(seg_end);
             if hi > lo {
-                acc += plane(&s.power) * (hi - lo);
+                cpu += s.power.cpu_plane_w * (hi - lo);
+                gpu += s.power.gpu_nb_plane_w * (hi - lo);
                 covered += hi - lo;
             }
             seg_start = seg_end;
@@ -154,12 +197,12 @@ impl PowerTrace {
         }
         // Windows extending past the trace hold the last segment's power.
         if covered < (t1 - t0) - 1e-15 {
-            let last = plane(&self.segments.last().expect("non-empty").power);
             let rest = (t1 - t0) - covered;
-            acc += last * rest;
+            cpu += last.cpu_plane_w * rest;
+            gpu += last.gpu_nb_plane_w * rest;
             covered += rest;
         }
-        acc / covered
+        Some(PowerBreakdown { cpu_plane_w: cpu / covered, gpu_nb_plane_w: gpu / covered })
     }
 }
 
@@ -193,41 +236,13 @@ pub fn trace_for_on(
     }
 }
 
-impl PowerSensor {
-    /// Estimate per-plane average power from a trace.
-    ///
-    /// The firmware exposes a running energy accumulator read at the
-    /// sensor's rate: each reading reflects the *average* power over its
-    /// window (not an instantaneous point), then suffers estimation noise
-    /// and quantization. Short kernels therefore measure as one coarse
-    /// window rather than a randomly-phased point sample.
-    pub fn estimate_trace(
-        &self,
-        trace: &PowerTrace,
-        plane: fn(&PowerBreakdown) -> f64,
-        noise: &NoiseSource,
-    ) -> f64 {
-        if !self.sample_hz.is_finite() {
-            return plane(&trace.average());
-        }
-        let n = self.samples_for(trace.total_s()).min(10_000);
-        let dt = trace.total_s() / n as f64;
-        let mut acc = 0.0;
-        for lane in 0..n {
-            let t0 = lane as f64 * dt;
-            let window = trace.window_average(plane, t0, t0 + dt)
-                * (1.0 + self.noise_sigma * noise.standard_normal(Stream::Sensor, lane));
-            acc += self.quantize_pub(window.max(0.0));
-        }
-        acc / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cpu::cpu_time;
+    use crate::noise::NoiseSource;
     use crate::pstate::{CpuPState, GpuPState};
+    use crate::sensor::PowerSensor;
 
     fn kernel() -> KernelCharacteristics {
         KernelCharacteristics::default()
@@ -279,21 +294,10 @@ mod tests {
         let k = kernel();
         let cfg = Configuration::cpu(4, CpuPState::MAX);
         let trace = trace_for(&k, &cfg, &cal());
-        let powers: Vec<f64> = trace.segments().iter().map(|s| s.power.total_w()).collect();
+        let powers: Vec<f64> = trace.segments().map(|s| s.power.total_w()).collect();
         let max = powers.iter().fold(0.0f64, |a, &b| a.max(b));
         let min = powers.iter().fold(f64::INFINITY, |a, &b| a.min(b));
         assert!(max > min + 1.0, "phases should differ by watts: {min}..{max}");
-    }
-
-    #[test]
-    fn at_walks_segments() {
-        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 1.0 };
-        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 1.0 };
-        let trace = PowerTrace::interleaved((0.001, a), (0.001, b));
-        // First segment of the first cycle is phase a.
-        assert_eq!(trace.at(0.0).cpu_plane_w, 10.0);
-        // Past the end: clamps to the last segment (phase b).
-        assert_eq!(trace.at(10.0).cpu_plane_w, 2.0);
     }
 
     #[test]
@@ -304,7 +308,7 @@ mod tests {
         assert_eq!(t.segments().len(), 1);
         assert_eq!(t.average(), p);
         let empty = PowerTrace::interleaved((0.0, p), (0.0, zero));
-        assert!(empty.segments().is_empty());
+        assert_eq!(empty.segments().len(), 0);
         assert_eq!(empty.average().total_w(), 0.0);
     }
 
@@ -315,7 +319,7 @@ mod tests {
         let trace = trace_for(&k, &cfg, &cal());
         let sensor = PowerSensor::default();
         let noise = NoiseSource::new(3, "trace-sensor", 0, 0);
-        let est = sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise);
+        let est = sensor.estimate_trace(&trace, &noise, &noise).cpu_plane_w;
         let truth = trace.average().cpu_plane_w;
         assert!((est - truth).abs() / truth < 0.02, "est {est} vs {truth}");
     }
@@ -331,24 +335,53 @@ mod tests {
         let trace = trace_for(&k, &cfg, &cal());
         let sensor = PowerSensor { noise_sigma: 0.0, ..PowerSensor::default() };
         let noise = NoiseSource::new(3, "alias", 0, 0);
-        let est = sensor.estimate_trace(&trace, |p| p.total_w(), &noise);
-        let expected = sensor.quantize_pub(trace.average().total_w());
-        assert!((est - expected).abs() < 1e-9, "est {est} vs quantized average {expected}");
+        let est = sensor.estimate_trace(&trace, &noise, &noise);
+        let average = trace.average();
+        for (est, average) in
+            [(est.cpu_plane_w, average.cpu_plane_w), (est.gpu_nb_plane_w, average.gpu_nb_plane_w)]
+        {
+            let expected = sensor.quantize_pub(average);
+            assert!((est - expected).abs() < 1e-9, "est {est} vs quantized average {expected}");
+        }
     }
 
     #[test]
-    fn window_average_integrates_exactly() {
-        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 0.0 };
-        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 0.0 };
+    fn windows_integrate_exactly() {
+        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 1.0 };
+        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 3.0 };
         let trace = PowerTrace::interleaved((0.002, a), (0.002, b));
-        // Whole-trace window equals the average.
-        let whole = trace.window_average(|p| p.cpu_plane_w, 0.0, trace.total_s());
-        assert!((whole - 6.0).abs() < 1e-9, "{whole}");
-        // A window past the end extends the last phase.
-        let past = trace.window_average(|p| p.cpu_plane_w, trace.total_s(), trace.total_s() + 1.0);
-        assert!((past - 2.0).abs() < 1e-9, "{past}");
-        // Degenerate window.
-        assert_eq!(trace.window_average(|p| p.cpu_plane_w, 0.5, 0.5), 0.0);
+        let mut whole = trace.windows(trace.total_s());
+        // The whole-trace window equals the average, on both planes.
+        let first = whole.next().unwrap();
+        assert!((first.cpu_plane_w - 6.0).abs() < 1e-9, "{first:?}");
+        assert!((first.gpu_nb_plane_w - 2.0).abs() < 1e-9, "{first:?}");
+        // A window past the end extends the last phase, for as long as asked.
+        for past in whole.take(3) {
+            assert!((past.cpu_plane_w - 2.0).abs() < 1e-9, "{past:?}");
+            assert!((past.gpu_nb_plane_w - 3.0).abs() < 1e-9, "{past:?}");
+        }
+        // Degenerate windows, and windows over no trace at all.
+        assert_eq!(trace.windows(0.0).nth(5), Some(NO_POWER));
+        let empty = PowerTrace::interleaved((0.0, a), (0.0, b));
+        assert_eq!(empty.windows(0.001).next(), Some(NO_POWER));
+    }
+
+    #[test]
+    fn a_sweep_reads_what_a_scan_from_the_start_reads() {
+        // Narrow windows carry the cursor across every segment boundary;
+        // each must equal, to the bit, a fresh sweep started at that lane,
+        // which walks the segments from t = 0.
+        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 1.0 };
+        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 3.0 };
+        let mut trace = PowerTrace::interleaved((0.0007, a), (0.0004, b));
+        trace.scale_time(1.003);
+        for samples in [1.0, 3.0, 37.0, 1000.0] {
+            let dt = trace.total_s() / samples;
+            for (lane, window) in (0..samples as u64 + 3).zip(trace.windows(dt)) {
+                let from_start = Windows { lane, ..trace.windows(dt) }.next();
+                assert_eq!(Some(window), from_start, "{samples} samples, lane {lane}");
+            }
+        }
     }
 
     #[test]
@@ -372,7 +405,6 @@ mod tests {
         let trace = trace_for(&k, &cfg, &cal());
         let sensor = PowerSensor::ideal();
         let noise = NoiseSource::new(0, "ideal", 0, 0);
-        let est = sensor.estimate_trace(&trace, |p| p.gpu_nb_plane_w, &noise);
-        assert_eq!(est, trace.average().gpu_nb_plane_w);
+        assert_eq!(sensor.estimate_trace(&trace, &noise, &noise), trace.average());
     }
 }

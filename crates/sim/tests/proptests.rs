@@ -3,7 +3,7 @@
 
 use acs_sim::{
     Configuration, CpuPState, Device, FamilyId, GpuPState, KernelCharacteristics, Machine,
-    NoiseSource,
+    NoiseSource, PowerBreakdown, PowerTrace,
 };
 use proptest::prelude::*;
 
@@ -177,8 +177,12 @@ proptest! {
     fn sensor_error_shrinks_with_duration(power in 5.0..60.0f64, seed in 0u64..100) {
         let sensor = acs_sim::PowerSensor::default();
         let noise = NoiseSource::new(seed, "sensor-prop", 0, 0);
-        let short = (sensor.estimate(power, 0.002, &noise) - power).abs();
-        let long = (sensor.estimate(power, 2.0, &noise) - power).abs();
+        let error = |duration_s: f64| {
+            let held = PowerBreakdown { cpu_plane_w: power, gpu_nb_plane_w: 0.0 };
+            let trace = PowerTrace::constant(duration_s, held);
+            (sensor.estimate_trace(&trace, &noise, &noise).cpu_plane_w - power).abs()
+        };
+        let (short, long) = (error(0.002), error(2.0));
         // The long estimate averages 2000 samples; allow a generous
         // margin but require it not be wildly worse than the short one.
         prop_assert!(long <= short.max(power * 0.02) + 0.2);

@@ -14,9 +14,10 @@
 //!   as per-method regret with pass/fail thresholds from the paper.
 //! * [`transfer`] — the cross-architecture differential: models trained
 //!   on one machine family scheduling another, gated on transfer regret.
-//! * [`reference`] — the online stage, frontier dissimilarity, PAM and
-//!   the regression solve written the slow, obvious way; the production
-//!   kernels in `acs-core` and `acs-mlstat` are held bit-identical to it.
+//! * [`reference`] — the online stage, frontier dissimilarity, PAM, the
+//!   regression solve and the power sensor written the slow, obvious way;
+//!   the production kernels in `acs-core`, `acs-mlstat` and `acs-sim` are
+//!   held bit-identical to it.
 //! * [`metamorphic`] + [`golden`] — first-principles invariants and
 //!   byte-exact blessed traces guarding against silent behavior drift.
 //!

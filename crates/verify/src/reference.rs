@@ -14,16 +14,26 @@
 //! * [`assign_and_cost`], [`pam`] — PAM whose SWAP re-scans every medoid
 //!   for every item of every trial;
 //! * [`solve_spd`], [`fit`] — a Cholesky factorization per right-hand
-//!   side, p + 1 of them per regression.
+//!   side, p + 1 of them per regression;
+//! * [`SegmentTrace`], [`estimate_trace`], [`sensed_power`] — the power
+//!   sensor over a waveform stored segment by segment: every window of
+//!   every plane integrates from `t = 0`.
 //!
-//! `tests/kernel_identity.rs` holds `acs_core::dissimilarity` and
-//! `acs_mlstat::{cluster, matrix, regression}` to the last four.
+//! `tests/kernel_identity.rs` holds `acs_core::dissimilarity`,
+//! `acs_mlstat::{cluster, matrix, regression}` and
+//! `acs_sim::{trace, sensor, machine}` to all but the first.
 
 use acs_core::features::config_features;
 use acs_core::offline::unstabilize;
 use acs_core::{Frontier, PowerPerfPoint, PredictedProfile, SamplePair, TrainedModel};
 use acs_mlstat::{kendall, Clustering, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
-use acs_sim::{Configuration, Device};
+use acs_sim::cpu::cpu_time_on;
+use acs_sim::gpu::gpu_time_on;
+use acs_sim::noise::Stream;
+use acs_sim::{
+    Configuration, Device, KernelCharacteristics, Machine, MachineFamily, NoiseSource,
+    PowerBreakdown, PowerCalibration, PowerSensor, TraceSegment,
+};
 
 /// Predict the full configuration space of one kernel, one feature row
 /// and one regression pair per configuration.
@@ -266,4 +276,174 @@ pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<LinearModel,
     }
 
     Ok(LinearModel { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
+}
+
+/// A power waveform with every segment materialized: `2 · cycles`
+/// entries for a two-phase trace, each scaled in place.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentTrace {
+    /// The segments, in time order.
+    pub segments: Vec<TraceSegment>,
+    /// Total duration, seconds.
+    pub total_s: f64,
+}
+
+impl SegmentTrace {
+    /// Two phases interleaved every 250 µs, at most 512 cycles; a
+    /// non-positive phase collapses the trace to the other one.
+    pub fn interleaved(a: (f64, PowerBreakdown), b: (f64, PowerBreakdown)) -> Self {
+        let (dur_a, pow_a) = a;
+        let (dur_b, pow_b) = b;
+        let total = dur_a + dur_b;
+        if total <= 0.0 {
+            return Self { segments: Vec::new(), total_s: 0.0 };
+        }
+        if dur_a <= 0.0 || dur_b <= 0.0 {
+            let (d, p) = if dur_a > 0.0 { (dur_a, pow_a) } else { (dur_b, pow_b) };
+            return Self { segments: vec![TraceSegment { duration_s: d, power: p }], total_s: d };
+        }
+
+        let cycles = ((total / 250e-6).ceil() as usize).clamp(1, 512);
+        let slice_a = dur_a / cycles as f64;
+        let slice_b = dur_b / cycles as f64;
+        let mut segments = Vec::with_capacity(cycles * 2);
+        for _ in 0..cycles {
+            segments.push(TraceSegment { duration_s: slice_a, power: pow_a });
+            segments.push(TraceSegment { duration_s: slice_b, power: pow_b });
+        }
+        Self { segments, total_s: total }
+    }
+
+    /// A single-phase (constant) trace.
+    pub fn constant(duration_s: f64, power: PowerBreakdown) -> Self {
+        Self { segments: vec![TraceSegment { duration_s, power }], total_s: duration_s }
+    }
+
+    /// Time-weighted average power over the whole trace.
+    pub fn average(&self) -> PowerBreakdown {
+        if self.total_s <= 0.0 {
+            return PowerBreakdown { cpu_plane_w: 0.0, gpu_nb_plane_w: 0.0 };
+        }
+        let mut cpu = 0.0;
+        let mut gpu = 0.0;
+        for s in &self.segments {
+            cpu += s.power.cpu_plane_w * s.duration_s;
+            gpu += s.power.gpu_nb_plane_w * s.duration_s;
+        }
+        PowerBreakdown { cpu_plane_w: cpu / self.total_s, gpu_nb_plane_w: gpu / self.total_s }
+    }
+
+    /// Scale every segment duration by `factor`.
+    pub fn scale_time(&mut self, factor: f64) {
+        for s in &mut self.segments {
+            s.duration_s *= factor;
+        }
+        self.total_s *= factor;
+    }
+
+    /// Scale every segment's power by `factor`.
+    pub fn scale_power(&mut self, factor: f64) {
+        for s in &mut self.segments {
+            s.power.cpu_plane_w *= factor;
+            s.power.gpu_nb_plane_w *= factor;
+        }
+    }
+
+    /// Time-average of `plane` over the interval `[t0, t1)`, walking the
+    /// segments from the start of the trace.
+    pub fn window_average(&self, plane: fn(&PowerBreakdown) -> f64, t0: f64, t1: f64) -> f64 {
+        if t1 <= t0 || self.segments.is_empty() {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        let mut covered = 0.0;
+        let mut seg_start = 0.0;
+        for s in &self.segments {
+            let seg_end = seg_start + s.duration_s;
+            let lo = t0.max(seg_start);
+            let hi = t1.min(seg_end);
+            if hi > lo {
+                acc += plane(&s.power) * (hi - lo);
+                covered += hi - lo;
+            }
+            seg_start = seg_end;
+            if seg_start >= t1 {
+                break;
+            }
+        }
+        // Windows extending past the trace hold the last segment's power.
+        if covered < (t1 - t0) - 1e-15 {
+            let last = plane(&self.segments.last().expect("non-empty").power);
+            let rest = (t1 - t0) - covered;
+            acc += last * rest;
+            covered += rest;
+        }
+        acc / covered
+    }
+}
+
+/// One plane's estimate: a [`SegmentTrace::window_average`] per sample,
+/// each with its noise draw and quantization, averaged.
+pub fn estimate_trace(
+    sensor: &PowerSensor,
+    trace: &SegmentTrace,
+    plane: fn(&PowerBreakdown) -> f64,
+    noise: &NoiseSource,
+) -> f64 {
+    if !sensor.sample_hz.is_finite() {
+        return plane(&trace.average());
+    }
+    let n = sensor.samples_for(trace.total_s).min(10_000);
+    let dt = trace.total_s / n as f64;
+    let mut acc = 0.0;
+    for lane in 0..n {
+        let t0 = lane as f64 * dt;
+        let window = trace.window_average(plane, t0, t0 + dt)
+            * (1.0 + sensor.noise_sigma * noise.standard_normal(Stream::Sensor, lane));
+        acc += sensor.quantize_pub(window.max(0.0));
+    }
+    acc / n as f64
+}
+
+/// The phase trace of one kernel execution, no jitter applied.
+pub fn trace_for_on(
+    family: &MachineFamily,
+    kernel: &KernelCharacteristics,
+    config: &Configuration,
+    cal: &PowerCalibration,
+) -> SegmentTrace {
+    match config.device {
+        Device::Cpu => {
+            let t = cpu_time_on(family, kernel, config);
+            let (busy, stall) = cal.cpu_phase_powers_on(family, kernel, config);
+            SegmentTrace::interleaved((t.busy_s, busy), (t.memory_s, stall))
+        }
+        Device::Gpu => {
+            let t = gpu_time_on(family, kernel, config);
+            let (host, device) = cal.gpu_phase_powers_on(family, kernel, config, &t);
+            SegmentTrace::interleaved((t.host_s, host), (t.device_s, device))
+        }
+    }
+}
+
+/// The `power` field of `machine.run_iter(kernel, config, run)`: the
+/// jittered waveform estimated one plane at a time, each plane's noise
+/// source built from the kernel's id string.
+pub fn sensed_power(
+    machine: &Machine,
+    kernel: &KernelCharacteristics,
+    config: &Configuration,
+    run: u64,
+) -> PowerBreakdown {
+    let noise = NoiseSource::new(machine.seed, &kernel.id(), config.index(), run);
+    let t_jitter = noise.jitter(Stream::Timing, machine.timing_sigma);
+    let p_jitter = noise.jitter(Stream::Power, machine.power_sigma);
+    let mut trace = trace_for_on(machine.family.descriptor(), kernel, config, &machine.power_cal);
+    trace.scale_time(t_jitter);
+    trace.scale_power(p_jitter);
+    let plane_noise = NoiseSource::new(machine.seed ^ 0xA5A5, &kernel.id(), config.index(), run);
+    PowerBreakdown {
+        cpu_plane_w: estimate_trace(&machine.sensor, &trace, |p| p.cpu_plane_w, &noise),
+        gpu_nb_plane_w: estimate_trace(&machine.sensor, &trace, |p| p.gpu_nb_plane_w, &plane_noise),
+    }
 }

@@ -1,17 +1,23 @@
 //! Bit identity of the offline stage's kernels with their obvious
 //! statements in `acs_verify::reference`: the rank-table frontier
 //! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's cached
-//! nearest/second-nearest SWAP against a full re-assignment per trial, and
+//! nearest/second-nearest SWAP against a full re-assignment per trial,
 //! the factor-once regression solve against a factorization per
-//! right-hand side. Equality is on `to_bits()`, not within a tolerance:
-//! every golden and every committed result depends on these kernels.
+//! right-hand side, and the power sensor's one sweep over a two-phase
+//! waveform against a scan from `t = 0` per sample per plane over the
+//! materialized segments. Equality is on `to_bits()`, not within a
+//! tolerance: every golden and every committed result depends on these
+//! kernels.
 
 use acs_core::dissimilarity::{dissimilarity_matrix, frontier_dissimilarity};
+use acs_core::eval::characterize_apps;
 use acs_core::{Frontier, PowerPerfPoint};
 use acs_mlstat::cluster::NearestMedoids;
 use acs_mlstat::{pam, Dissimilarity, LinearModel, Matrix, MatrixError};
-use acs_sim::Configuration;
-use acs_verify::reference;
+use acs_sim::{
+    Configuration, FamilyId, Machine, NoiseSource, PowerBreakdown, PowerSensor, PowerTrace,
+};
+use acs_verify::reference::{self, SegmentTrace};
 use proptest::prelude::*;
 
 /// A frontier holding `configs` in this order: power and performance rise
@@ -74,6 +80,92 @@ fn design() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, bool)> {
             (rows, y, intercept == 1)
         })
     })
+}
+
+/// The sensors in the tree: the machine's default, the noiseless
+/// machine's, a noiseless 1 kHz one, and `ablation_noise`'s degraded one.
+fn sensors() -> [PowerSensor; 4] {
+    [
+        PowerSensor::default(),
+        PowerSensor::ideal(),
+        PowerSensor { noise_sigma: 0.0, ..PowerSensor::default() },
+        PowerSensor { sample_hz: 100.0, quantum_w: 0.25, noise_sigma: 0.05 },
+    ]
+}
+
+/// The same waveform built, jittered and sensed both ways: every segment,
+/// the total, the average, a few windows of a width the sensor would not
+/// pick (the last ones past the end of the trace), and each sensor's
+/// estimate on both planes must agree to the bit.
+fn assert_sensed_alike(
+    (mut ours, mut theirs): (PowerTrace, SegmentTrace),
+    (time_scale, power_scale): (f64, f64),
+    seed: u64,
+) {
+    ours.scale_time(time_scale);
+    ours.scale_power(power_scale);
+    theirs.scale_time(time_scale);
+    theirs.scale_power(power_scale);
+    assert_eq!(ours.segments().collect::<Vec<_>>(), theirs.segments);
+    assert_eq!(ours.total_s().to_bits(), theirs.total_s.to_bits());
+    let planes: [fn(&PowerBreakdown) -> f64; 2] = [|p| p.cpu_plane_w, |p| p.gpu_nb_plane_w];
+    for plane in planes {
+        assert_eq!(plane(&ours.average()).to_bits(), plane(&theirs.average()).to_bits());
+    }
+
+    let dt = theirs.total_s / 6.5;
+    for (k, window) in ours.windows(dt).take(9).enumerate() {
+        let t0 = k as f64 * dt;
+        for plane in planes {
+            let expected = theirs.window_average(plane, t0, t0 + dt);
+            assert_eq!(plane(&window).to_bits(), expected.to_bits(), "window {k} of width {dt}");
+        }
+    }
+
+    let cpu_noise = NoiseSource::new(seed, "identity", 3, 1);
+    let gpu_noise = NoiseSource::new(seed ^ 0xA5A5, "identity", 3, 1);
+    for sensor in sensors() {
+        let sensed = sensor.estimate_trace(&ours, &cpu_noise, &gpu_noise);
+        for (plane, noise) in planes.into_iter().zip([&cpu_noise, &gpu_noise]) {
+            assert_eq!(
+                plane(&sensed).to_bits(),
+                reference::estimate_trace(&sensor, &theirs, plane, noise).to_bits(),
+                "{sensor:?} over {} s in {} segments",
+                theirs.total_s,
+                theirs.segments.len()
+            );
+        }
+    }
+}
+
+/// A phase lasting 10 µs … 20 s (log-uniform) at 0.5 … 60 W per plane.
+fn phase() -> impl Strategy<Value = (f64, PowerBreakdown)> {
+    (-5.0..1.30103f64, 0.5..60.0f64, 0.5..60.0f64).prop_map(|(exponent, cpu, gpu)| {
+        (10f64.powf(exponent), PowerBreakdown { cpu_plane_w: cpu, gpu_nb_plane_w: gpu })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(96))]
+
+    #[test]
+    fn one_sweep_is_a_scan_from_zero_per_sample(
+        a in phase(),
+        b in phase(),
+        shape in 0u8..8,
+        scales in (0.5..2.0f64, 0.5..2.0f64),
+        seed in 0u64..u64::MAX,
+    ) {
+        // One case in four degenerates: either phase empty, or a trace
+        // that was constant to begin with.
+        let traces = match shape {
+            0 => (PowerTrace::constant(a.0, a.1), SegmentTrace::constant(a.0, a.1)),
+            1 => (PowerTrace::interleaved((0.0, a.1), b), SegmentTrace::interleaved((0.0, a.1), b)),
+            2 => (PowerTrace::interleaved(a, (0.0, b.1)), SegmentTrace::interleaved(a, (0.0, b.1))),
+            _ => (PowerTrace::interleaved(a, b), SegmentTrace::interleaved(a, b)),
+        };
+        assert_sensed_alike(traces, scales, seed);
+    }
 }
 
 proptest! {
@@ -188,4 +280,53 @@ fn a_matrix_that_is_not_positive_definite_has_no_factor() {
     assert!(matches!(Matrix::zeros(2, 3).cholesky(), Err(MatrixError::Dimension(_))));
     let factor = Matrix::identity(3).cholesky().unwrap();
     assert!(matches!(factor.solve(&[1.0]), Err(MatrixError::Dimension(_))));
+}
+
+#[test]
+fn the_sweep_is_the_scan_at_every_edge_of_the_sampling_grid() {
+    let a = PowerBreakdown { cpu_plane_w: 31.0, gpu_nb_plane_w: 4.5 };
+    let b = PowerBreakdown { cpu_plane_w: 9.25, gpu_nb_plane_w: 17.0 };
+    let both = |a, b| (PowerTrace::interleaved(a, b), SegmentTrace::interleaved(a, b));
+    for (dur_a, dur_b) in [
+        (6e-6, 4e-6),     // one cycle, one sample
+        (0.0004, 0.0004), // sub-millisecond: still one sample, four cycles
+        (0.0009, 0.0011), // two samples, cycle boundaries on neither
+        (0.08, 0.0475),   // 127 samples, 510 cycles: just under the clamp
+        (0.1, 0.05),      // hundreds of samples, the 512-cycle clamp
+        (6.0, 3.9999),    // 9 999 samples
+        (6.0, 4.0),       // exactly the 10 000-sample cap
+        (13.0, 7.0),      // past the cap: 2 ms windows inside 25 and 14 ms segments
+        (0.0, 0.0),       // no trace at all
+        (0.0, 0.003),     // a zero-length leading phase
+        (0.003, 0.0),     // a zero-length trailing phase
+    ] {
+        for scales in [(1.0, 1.0), (0.5, 2.0), (1.0173, 0.9911), (2.0, 0.5)] {
+            assert_sensed_alike(both((dur_a, a), (dur_b, b)), scales, 2014);
+        }
+    }
+}
+
+#[test]
+fn characterization_is_the_reference_estimator_run_for_run() {
+    let apps = acs_kernels::app_instances();
+    for family in FamilyId::ALL {
+        for seed in [2014, 7] {
+            let machine = Machine::from_family(family, seed);
+            for app in characterize_apps(&machine, &apps) {
+                for profile in &app.profiles {
+                    for run in &profile.runs {
+                        let theirs =
+                            reference::sensed_power(&machine, &profile.kernel, &run.config, 0);
+                        assert_eq!(
+                            (run.power.cpu_plane_w.to_bits(), run.power.gpu_nb_plane_w.to_bits()),
+                            (theirs.cpu_plane_w.to_bits(), theirs.gpu_nb_plane_w.to_bits()),
+                            "{family} seed {seed}: {} at {}",
+                            profile.kernel.id(),
+                            run.config
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

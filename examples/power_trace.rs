@@ -26,9 +26,7 @@ fn plot(label: &str, kernel: &KernelCharacteristics, config: &Configuration) {
     let horizon = trace.total_s().min(0.002);
     let cols = 72usize;
     let dt = horizon / cols as f64;
-    let samples: Vec<f64> = (0..cols)
-        .map(|i| trace.window_average(|p| p.total_w(), i as f64 * dt, (i + 1) as f64 * dt))
-        .collect();
+    let samples: Vec<f64> = trace.windows(dt).take(cols).map(|p| p.total_w()).collect();
     let max = samples.iter().cloned().fold(1.0f64, f64::max);
     for level in (1..=6).rev() {
         let threshold = max * level as f64 / 6.0;
@@ -39,13 +37,12 @@ fn plot(label: &str, kernel: &KernelCharacteristics, config: &Configuration) {
     }
     println!("          0 ms {:>66}", format!("{:.2} ms", horizon * 1e3));
 
-    let est_cpu = sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise);
-    let est_gpu = sensor.estimate_trace(&trace, |p| p.gpu_nb_plane_w, &noise);
+    let est = sensor.estimate_trace(&trace, &noise, &noise);
     println!(
         "  1 kHz estimator reads: CPU plane {:.2} W, GPU+NB plane {:.2} W (total {:.2} W)\n",
-        est_cpu,
-        est_gpu,
-        est_cpu + est_gpu
+        est.cpu_plane_w,
+        est.gpu_nb_plane_w,
+        est.total_w()
     );
 }
 
