@@ -12,7 +12,6 @@ use std::io::{self, Write};
 pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
     use acs_core::eval::PreparedSuite;
     use acs_core::{Method, TrainingParams};
-    use rayon::prelude::*;
 
     let apps = crate::characterized_suite();
     // No k changes the frontiers or their dissimilarity: one preparation
@@ -28,10 +27,8 @@ pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
     )?;
     writeln!(out, "{}", "-".repeat(72))?;
 
-    // Every k re-trains and re-evaluates the full suite independently —
-    // the sweep fans out across rayon threads, then prints in k order.
+    // Every k re-trains and re-evaluates the full suite.
     let results: Vec<(usize, acs_core::MethodSummary, acs_core::MethodSummary)> = (2..11usize)
-        .into_par_iter()
         .map(|k| {
             let params = TrainingParams { n_clusters: k, ..Default::default() };
             let eval = suite.evaluate(params).expect("training succeeds");
@@ -259,7 +256,6 @@ pub(super) fn ablation_noise(out: &mut dyn Write) -> io::Result<String> {
     use acs_core::eval::{characterize_apps, evaluate};
     use acs_core::TrainingParams;
     use acs_sim::{Machine, PowerSensor};
-    use rayon::prelude::*;
 
     let sensors: Vec<(&str, PowerSensor)> = vec![
         ("ideal accumulator", PowerSensor::ideal()),
@@ -273,11 +269,9 @@ pub(super) fn ablation_noise(out: &mut dyn Write) -> io::Result<String> {
     writeln!(out, "Ablation A6 — power-sensor quality vs. end-to-end results (LOBO-CV)")?;
     writeln!(out)?;
 
-    // Each sensor variant re-characterizes and re-evaluates the entire
-    // suite — independent end-to-end pipelines, fanned out across rayon
-    // threads and printed in declaration order.
+    // Each sensor variant re-characterizes and re-evaluates the full suite.
     let results: Vec<(String, Vec<acs_core::MethodSummary>)> = sensors
-        .into_par_iter()
+        .into_iter()
         .map(|(label, sensor)| {
             let machine = Machine { sensor, ..Machine::new(crate::EXPERIMENT_SEED) };
             let apps = characterize_apps(&machine, &acs_kernels::app_instances());

@@ -48,7 +48,10 @@ impl Args {
     /// Parse an iterator of arguments (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, ArgError> {
         let mut it = argv.into_iter();
-        let command = it.next().ok_or(ArgError::NoCommand)?;
+        let mut command = it.next().ok_or(ArgError::NoCommand)?;
+        if command == "--help" || command == "-h" {
+            command = "help".to_string();
+        }
         if command.starts_with("--") {
             return Err(ArgError::Malformed(command));
         }

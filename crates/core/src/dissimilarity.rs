@@ -102,20 +102,13 @@ pub fn frontier_dissimilarity(a: &Frontier, b: &Frontier) -> f64 {
 }
 
 /// Build the full pairwise dissimilarity matrix for a set of frontiers.
-///
-/// The O(K²) pairwise comparisons are independent, so they run on
-/// rayon threads; values land at `(i, j)` positions fixed by the flattened
-/// pair list, making the matrix bit-identical at any thread count.
 pub fn dissimilarity_matrix(frontiers: &[Frontier]) -> Dissimilarity {
-    use rayon::prelude::*;
-    let n = frontiers.len();
     let tables: Vec<RankTable> = frontiers.iter().map(RankTable::new).collect();
-    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
-    let values: Vec<f64> =
-        pairs.par_iter().map(|&(i, j)| tables[i].dissimilarity(&tables[j])).collect();
-    let mut d = Dissimilarity::zeros(n);
-    for (&(i, j), v) in pairs.iter().zip(values) {
-        d.set(i, j, v);
+    let mut d = Dissimilarity::zeros(tables.len());
+    for (i, a) in tables.iter().enumerate() {
+        for (j, b) in tables[..i].iter().enumerate() {
+            d.set(i, j, a.dissimilarity(b));
+        }
     }
     d
 }

@@ -19,7 +19,6 @@ use crate::profile::{collect_suite, KernelProfile};
 use acs_kernels::AppInstance;
 use acs_mlstat::{leave_one_group_out, Fold};
 use acs_sim::{Configuration, Machine};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for "meets the power constraint": measured equality up to
@@ -186,18 +185,10 @@ pub struct AppProfiles {
     pub profiles: Vec<KernelProfile>,
 }
 
-/// Characterize every kernel of every application instance. Every
-/// `(app, kernel)` pair goes through one [`collect_suite`] — a sweep per
-/// app inside a sweep over apps would fan out over apps only, the inner
-/// sweeps running inline — and the profiles are regrouped by app.
+/// Characterize every kernel of every application instance.
 pub fn characterize_apps(machine: &Machine, apps: &[AppInstance]) -> Vec<AppProfiles> {
-    let kernels: Vec<_> = apps.iter().flat_map(|app| app.kernels.iter().cloned()).collect();
-    let mut profiles = collect_suite(machine, &kernels).into_iter();
     apps.iter()
-        .map(|app| AppProfiles {
-            app: app.clone(),
-            profiles: profiles.by_ref().take(app.kernels.len()).collect(),
-        })
+        .map(|app| AppProfiles { app: app.clone(), profiles: collect_suite(machine, &app.kernels) })
         .collect()
 }
 
@@ -315,7 +306,6 @@ impl<'a> PreparedSuite<'a> {
     /// Evaluate all methods: per fold, fit on the training benchmarks'
     /// kernels and replay every kernel of the held-out benchmark.
     pub fn evaluate(&self, params: TrainingParams) -> Result<Evaluation, TrainError> {
-        let apps = self.apps;
         let mut cases = Vec::new();
         let mut fold_silhouettes = Vec::new();
 
@@ -325,17 +315,13 @@ impl<'a> PreparedSuite<'a> {
             let predictor = Predictor::new(&model);
 
             // Evaluate every kernel of the held-out benchmark's app instances.
-            let fold_cases: Vec<CaseResult> = fold
-                .test
-                .par_iter()
-                .flat_map_iter(|&ai| {
-                    let app = &apps[ai];
-                    app.profiles
-                        .iter()
-                        .flat_map(|profile| kernel_cases(profile, &predictor, &app.app.label()))
-                })
-                .collect();
-            cases.extend(fold_cases);
+            for &ai in &fold.test {
+                let app = &self.apps[ai];
+                let label = app.app.label();
+                for profile in &app.profiles {
+                    cases.extend(kernel_cases(profile, &predictor, &label));
+                }
+            }
         }
 
         Ok(Evaluation { cases, fold_silhouettes })

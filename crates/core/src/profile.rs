@@ -86,10 +86,9 @@ impl KernelProfile {
     }
 }
 
-/// Characterize a whole suite in parallel.
+/// Characterize a whole suite, in suite order.
 pub fn collect_suite(machine: &Machine, kernels: &[KernelCharacteristics]) -> Vec<KernelProfile> {
-    use rayon::prelude::*;
-    kernels.par_iter().map(|k| KernelProfile::collect(machine, k)).collect()
+    kernels.iter().map(|k| KernelProfile::collect(machine, k)).collect()
 }
 
 #[cfg(test)]
@@ -166,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suite_collection_is_deterministic() {
+    fn suite_collection_is_deterministic() {
         let m = Machine::new(9);
         let ks = vec![
             KernelCharacteristics::default(),

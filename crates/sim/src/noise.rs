@@ -2,10 +2,11 @@
 //!
 //! The simulator must be reproducible: running the same kernel at the same
 //! configuration with the same machine seed must yield bit-identical
-//! results, regardless of evaluation order (the offline sweep is
-//! parallelized with rayon). We therefore derive all noise from a counter-
-//! mode hash of `(machine seed, kernel, configuration, run, stream)` rather
-//! than from a shared stateful RNG.
+//! results, regardless of evaluation order (a served `Run`, a replayed
+//! journal and the offline sweep reach the same run by different paths).
+//! We therefore derive all noise from a counter-mode hash of `(machine
+//! seed, kernel, configuration, run, stream)` rather than from a shared
+//! stateful RNG.
 
 /// Identifies which quantity a noise sample perturbs, so that e.g. the
 /// timing jitter and the L1-miss jitter of the same run are independent.

@@ -14,7 +14,6 @@ use acs_core::offline::TrainError;
 use acs_core::online::Predictor;
 use acs_core::{train, Method, TrainingParams};
 use acs_sim::Configuration;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One scenario's outcome for one method.
@@ -138,18 +137,16 @@ pub fn run_differential(
 
 /// One machine's scenarios through [`replay`] — the loop Table III runs —
 /// at the grid's probe caps, with one predictor. Shared with the transfer
-/// runner, which passes a foreign family's predictor. Each profile's
-/// replay is independent, so profiles fan out across rayon threads;
-/// `flat_map_iter` splices the per-profile case blocks back in profile
-/// order, keeping the report byte-identical to the sequential nesting.
+/// runner, which passes a foreign family's predictor. Cases come out in
+/// profile order.
 pub(crate) fn machine_cases(
     m: &MachineScenarios,
     methods: &[Method],
     predictor: &Predictor,
 ) -> Vec<ScenarioCase> {
     m.evaluated
-        .par_iter()
-        .flat_map_iter(|(profile, caps)| {
+        .iter()
+        .flat_map(|(profile, caps)| {
             let kernel_id = profile.kernel.id();
             replay(profile, Some(caps), methods, predictor).into_iter().map(move |pick| {
                 ScenarioCase {

@@ -17,13 +17,12 @@
 use crate::scenario::evaluation_kernels;
 use acs_core::offline::TrainError;
 use acs_core::{
-    sample_config, train, AdaptivePredictor, KernelProfile, PredictedProfile, Predictor,
+    collect_suite, sample_config, train, AdaptivePredictor, PredictedProfile, Predictor,
     SamplePair, TrainingParams,
 };
 use acs_sim::{
     Configuration, Device, DriftPlan, DriftedMachine, Executor, KernelCharacteristics, Machine,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Grid shape: one machine, a slice of held-out kernels, two caps each,
@@ -308,15 +307,10 @@ fn score_cell(
 
 /// Run the drift differential. Trains the standard model (CoMD + SMC) on
 /// the clean machine, predicts each held-out kernel's profile once, then
-/// scores every `(process, kernel, cap)` cell. Cells are independent, so
-/// they fan out across rayon threads; `flat_map_iter` keeps cell order equal
-/// to the sequential nesting at any thread count.
+/// scores every `(process, kernel, cap)` cell, in that nesting order.
 pub fn run_drift(params: &DriftGridParams) -> Result<DriftReport, TrainError> {
     let machine = Machine::new(params.machine_seed);
-    let training: Vec<KernelProfile> = acs_kernels::training_kernels()
-        .par_iter()
-        .map(|k| KernelProfile::collect(&machine, k))
-        .collect();
+    let training = collect_suite(&machine, &acs_kernels::training_kernels());
     let model = train(&training, TrainingParams::default())?;
     let predictor = Predictor::new(&model);
     let kernels: Vec<KernelCharacteristics> =
@@ -330,26 +324,22 @@ pub fn run_drift(params: &DriftGridParams) -> Result<DriftReport, TrainError> {
         })
         .collect();
     let processes = drift_processes(params);
-    let cells: Vec<DriftCell> = processes
-        .par_iter()
-        .flat_map_iter(|(name, plan)| {
-            let mut out = Vec::new();
-            for (kernel, profile) in kernels.iter().zip(&profiles) {
-                for cap_w in probe_caps(profile, params.caps_per_kernel) {
-                    out.push(score_cell(
-                        params.machine_seed,
-                        *plan,
-                        name,
-                        kernel,
-                        profile,
-                        cap_w,
-                        params.iterations,
-                    ));
-                }
+    let mut cells = Vec::new();
+    for (name, plan) in &processes {
+        for (kernel, profile) in kernels.iter().zip(&profiles) {
+            for cap_w in probe_caps(profile, params.caps_per_kernel) {
+                cells.push(score_cell(
+                    params.machine_seed,
+                    *plan,
+                    name,
+                    kernel,
+                    profile,
+                    cap_w,
+                    params.iterations,
+                ));
             }
-            out
-        })
-        .collect();
+        }
+    }
     Ok(DriftReport {
         params: *params,
         scenarios: processes.into_iter().map(|(name, _)| name).collect(),
@@ -548,19 +538,6 @@ mod tests {
         let txt = quick_report().render();
         for s in &quick_report().scenarios {
             assert!(txt.contains(s.as_str()), "{txt}");
-        }
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_thread_counts() {
-        let run = || {
-            let report = run_drift(&DriftGridParams::quick()).unwrap();
-            serde_json::to_string(&report.golden_summary()).unwrap()
-        };
-        let reference = rayon::with_num_threads(1, run);
-        for threads in [2usize, 8] {
-            let got = rayon::with_num_threads(threads, run);
-            assert_eq!(got, reference, "drift grid differs at {threads} threads");
         }
     }
 }

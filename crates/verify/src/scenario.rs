@@ -129,24 +129,17 @@ pub fn probe_caps(profile: &KernelProfile, params: &GridParams) -> Vec<f64> {
 
 impl ScenarioGrid {
     /// Generate the grid: characterize training and evaluation kernels on
-    /// every machine and derive each kernel's probe caps. Machines are
-    /// independent simulated nodes, so several characterize in parallel
-    /// (each one's suite sweeps then run inline on its thread) and a lone
-    /// machine's suite sweeps fan out themselves; the machine order
-    /// matches `params.machine_seeds` regardless of thread count.
+    /// every machine and derive each kernel's probe caps. The machine
+    /// order matches `params.machine_seeds` within each family.
     pub fn generate(params: GridParams) -> Self {
-        use rayon::prelude::*;
         // Families vary in the outer position so a single-family grid
         // keeps its historical seed order and a transfer grid groups each
         // family's machines together.
-        let nodes: Vec<(FamilyId, u64)> = params
+        let machines = params
             .effective_families()
             .into_iter()
             .flat_map(|f| params.machine_seeds.iter().map(move |&s| (f, s)))
-            .collect();
-        let machines = nodes
-            .par_iter()
-            .map(|&(family, seed)| {
+            .map(|(family, seed)| {
                 let machine = Machine::from_family(family, seed);
                 let training = acs_core::collect_suite(&machine, &training_kernels());
                 let evaluated = acs_core::collect_suite(&machine, &evaluation_kernels())

@@ -2,8 +2,7 @@
 //! the full report — not just its quantized golden summary — must be
 //! byte-identical across independent runs, and the zero-drift diagonal
 //! must reproduce the static path's regret bit-for-bit with no
-//! re-selections. Thread-count invariance of the quantized summary is
-//! pinned separately in the `drift` module's unit tests.
+//! re-selections.
 
 use acs_verify::{run_drift, DriftGridParams};
 

@@ -6,15 +6,13 @@
 //! Run with: `cargo run --release --example cluster_explorer`
 
 use acs::prelude::*;
-use rayon::prelude::*;
 
 fn main() {
     let machine = Machine::new(42);
     let kernels = acs::kernels::all_kernel_instances();
 
     println!("characterizing {} kernel/input combinations ...", kernels.len());
-    let profiles: Vec<KernelProfile> =
-        kernels.par_iter().map(|k| KernelProfile::collect(&machine, k)).collect();
+    let profiles = acs::core::collect_suite(&machine, &kernels);
 
     let model = train(&profiles, TrainingParams::default()).expect("training");
 

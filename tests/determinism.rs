@@ -64,8 +64,8 @@ fn different_seeds_give_different_timelines() {
 #[test]
 fn same_seed_is_thread_invariant() {
     // Full replays on independently spawned OS threads must agree with
-    // the main thread byte-for-byte. (Pool-size invariance *within* one
-    // replay is gated separately in tests/parallel_determinism.rs.)
+    // the main thread byte-for-byte: a replay reads no thread-local or
+    // process-wide state.
     let reference = unguarded_trace(GOLDEN_SEED);
     let handles: Vec<_> =
         (0..4).map(|_| std::thread::spawn(|| unguarded_trace(GOLDEN_SEED))).collect();

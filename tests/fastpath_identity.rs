@@ -9,9 +9,7 @@
 //! the selected configuration. This suite holds that promise across
 //! random machine seeds × all four machine families × every kernel in a
 //! cross-application suite × a spread of power caps (including NaN and
-//! infeasible caps), and replays the comparison at 1, 2, and 8 rayon
-//! threads to pin that the flat path has no hidden dependence on the
-//! thread count.
+//! infeasible caps).
 
 use std::sync::OnceLock;
 
@@ -20,10 +18,6 @@ use acs::prelude::*;
 use acs::sim::FamilyId;
 use acs::verify::reference::predict_scalar;
 use proptest::prelude::*;
-
-/// 1 = sequential reference, 2 = real helper threads, 8 = over-
-/// subscribed (same ladder as `parallel_determinism.rs`).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Seed for the per-family training machines; sampling machines use
 /// proptest-drawn seeds instead.
@@ -139,9 +133,7 @@ proptest! {
                 .collect::<Vec<f64>>()
         }),
     ) {
-        for threads in THREAD_COUNTS {
-            rayon::with_num_threads(threads, || sweep(seed, &caps));
-        }
+        sweep(seed, &caps);
     }
 }
 
