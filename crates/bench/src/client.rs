@@ -2,7 +2,7 @@
 //! decorrelated-jitter backoff, idempotency keys, and a per-session
 //! circuit breaker.
 //!
-//! The plain [`Client`](acs_serve::Client) is a bare socket: one torn
+//! The plain [`Client`] is a bare socket: one torn
 //! frame or injected disconnect (see `serve::chaosproxy`) and the caller
 //! is on their own. This wrapper owns the failure handling:
 //!

@@ -1291,6 +1291,18 @@ mod tests {
             Err(CliError::Domain(msg)) => assert!(msg.contains("unknown arbiter policy"), "{msg}"),
             other => panic!("expected domain error, got {other:?}"),
         }
+        // Values only `bind` can judge come back as its typed error, not
+        // as the lease table's assertion.
+        for (command, flag) in [
+            ("serve --coordinator 127.0.0.1:1 --lease-floor 0 --port 0", "--lease-floor"),
+            ("serve --coordinator 127.0.0.1:1 --lease-floor NaN --port 0", "--lease-floor"),
+            ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
+        ] {
+            match run_str(command) {
+                Err(CliError::Domain(msg)) => assert!(msg.contains(flag), "{command}: {msg}"),
+                other => panic!("{command}: expected domain error, got {other:?}"),
+            }
+        }
     }
 
     /// A `Write` sink shareable with the thread `cmd_serve` blocks on, so

@@ -239,7 +239,7 @@ pub fn replay(
     for &cap_w in caps {
         let (&oracle, feasible) = frontier.select(cap_w);
         for &method in methods {
-            let config = select(method, profile, &samples, Some(predictor), cap_w, &mut scratch);
+            let config = select(method, profile, &samples, predictor, cap_w, &mut scratch);
             let run = profile.run_at(&config);
             let picked =
                 PowerPerfPoint { config, power_w: run.true_power_w(), perf: 1.0 / run.time_s };

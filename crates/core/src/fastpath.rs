@@ -8,11 +8,12 @@
 //!
 //! * [`ConfigSpace`] — a struct-of-arrays view of the 42-configuration
 //!   space, feature columns precomputed once per process;
-//! * [`FastModel`] — per-model precomputation: the CART flattened into a
-//!   branchless [`acs_mlstat::FlatTree`], and per-cluster power/ratio
-//!   columns (regression inputs are static per configuration, so the whole
-//!   regression collapses to tables at build time) plus a power-sorted
-//!   frontier skeleton (permutation + equal-power tie-group ranges);
+//! * per-model precomputation, held by [`Predictor`]: the CART flattened
+//!   into a branchless [`acs_mlstat::FlatTree`], and per-cluster
+//!   power/ratio columns (regression inputs are static per configuration,
+//!   so the whole regression collapses to tables at build time) plus a
+//!   power-sorted frontier skeleton (permutation + equal-power tie-group
+//!   ranges);
 //! * [`SelectScratch`] — a caller-owned arena so steady-state selection
 //!   allocates nothing.
 //!
@@ -24,10 +25,10 @@
 //! — gated by `tests/fastpath_identity.rs` and the golden suites.
 
 use crate::features::{config_features, SamplePair, CONFIG_FEATURES};
-use crate::frontier::{Frontier, PowerPerfPoint};
-use crate::offline::{unstabilize, ClusterModels, TrainedModel};
-use crate::online::PredictedProfile;
-use acs_mlstat::{ClassificationTree, FlatTree, LinearModel};
+use crate::frontier::PowerPerfPoint;
+use crate::offline::{unstabilize, ClusterModels};
+use crate::online::Predictor;
+use acs_mlstat::LinearModel;
 use acs_sim::{Configuration, Device};
 use std::sync::OnceLock;
 
@@ -98,12 +99,12 @@ impl ConfigSpace {
 /// Per-cluster precomputed tables: everything about a cluster's predictions
 /// that does not depend on the incoming kernel's samples.
 #[derive(Debug, Clone)]
-struct ClusterTables {
+pub(crate) struct ClusterTables {
     /// Predicted performance ratio per configuration (unstabilized,
     /// clamped) — runtime perf is `ratio[i] · S_perf(device)`.
     ratio: Vec<f64>,
     /// Predicted absolute power per configuration (W, clamped).
-    power: Vec<f64>,
+    pub(crate) power: Vec<f64>,
     /// Frontier skeleton: configuration indices sorted by
     /// `(power asc, index asc)`.
     order: Vec<u32>,
@@ -114,7 +115,7 @@ struct ClusterTables {
 }
 
 impl ClusterTables {
-    fn build(space: &ConfigSpace, models: &ClusterModels, stab: bool) -> Self {
+    pub(crate) fn build(space: &ConfigSpace, models: &ClusterModels, stab: bool) -> Self {
         let n = space.len();
         let mut ratio = vec![0.0; n];
         let mut power = vec![0.0; n];
@@ -142,6 +143,48 @@ impl ClusterTables {
             }
         }
         Self { ratio, power, order, ties }
+    }
+
+    /// Fill `scratch` with this kernel's predictions for the cluster: the
+    /// fused perf pass, the tie-refined frontier permutation, and the
+    /// non-domination sweep (same semantics as
+    /// [`Frontier::from_points`](crate::frontier::Frontier::from_points)).
+    pub(crate) fn prepare(&self, samples: &SamplePair, scratch: &mut SelectScratch) {
+        let space = ConfigSpace::get();
+        let s_cpu = samples.perf_on(Device::Cpu);
+        let s_gpu = samples.perf_on(Device::Gpu);
+
+        let SelectScratch { perf, order, frontier } = scratch;
+        perf.clear();
+        perf.extend(self.ratio[..space.cpu_end].iter().map(|r| r * s_cpu));
+        perf.extend(self.ratio[space.cpu_end..].iter().map(|r| r * s_gpu));
+
+        order.clear();
+        order.extend_from_slice(&self.order);
+        // Only equal-power runs depend on runtime perf for their relative
+        // order; refine them to `(perf desc, index asc)` so the full
+        // permutation matches `from_points`' `(power asc, perf desc,
+        // index asc)` sort exactly.
+        for &(a, b) in &self.ties {
+            order[a as usize..b as usize].sort_by(|&x, &y| {
+                perf[y as usize].partial_cmp(&perf[x as usize]).unwrap().then(x.cmp(&y))
+            });
+        }
+
+        frontier.clear();
+        for &i in order.iter() {
+            let i = i as usize;
+            let (pw, pf) = (self.power[i], perf[i]);
+            match frontier.last() {
+                Some(last) if pf <= last.perf => {}
+                Some(last) if pw == last.power_w => {}
+                _ => frontier.push(PowerPerfPoint {
+                    config: space.configs[i],
+                    power_w: pw,
+                    perf: pf,
+                }),
+            }
+        }
     }
 }
 
@@ -173,15 +216,15 @@ fn eval_columns(space: &ConfigSpace, model: &LinearModel, from: usize, to: usize
     }
 }
 
-/// Caller-owned scratch arena for [`FastModel`] selection: reuse one per
+/// Caller-owned scratch arena for [`Predictor`] selection: reuse one per
 /// worker/request loop and steady-state selects allocate nothing. The
 /// contents are dead between calls — any scratch works with any
-/// [`FastModel`].
+/// [`Predictor`].
 #[derive(Debug, Clone)]
 pub struct SelectScratch {
-    perf: Vec<f64>,
+    pub(crate) perf: Vec<f64>,
     order: Vec<u32>,
-    frontier: Vec<PowerPerfPoint>,
+    pub(crate) frontier: Vec<PowerPerfPoint>,
 }
 
 impl SelectScratch {
@@ -202,143 +245,13 @@ impl Default for SelectScratch {
     }
 }
 
-/// A [`TrainedModel`] precompiled for flat evaluation. Build once per
-/// model (microseconds), select many times. Owns everything it needs —
-/// no lifetime ties back to the model.
-#[derive(Debug, Clone)]
-pub struct FastModel {
-    /// Branchless CART, when the tree fits the complete-binary encoding.
-    flat: Option<FlatTree>,
-    /// Pointer-walk fallback for trees deeper than
-    /// [`FlatTree::MAX_DEPTH`] (identical decisions either way).
-    tree: ClassificationTree,
-    clusters: Vec<ClusterTables>,
-}
-
-impl FastModel {
-    /// Precompile a trained model.
-    pub fn new(model: &TrainedModel) -> Self {
-        let space = ConfigSpace::get();
-        let stab = model.params.stabilize_variance;
-        Self {
-            flat: model.tree.flatten(),
-            tree: model.tree.clone(),
-            clusters: model.clusters.iter().map(|m| ClusterTables::build(space, m, stab)).collect(),
-        }
-    }
-
-    /// Assign the kernel to a cluster (identical decisions to the scalar
-    /// tree walk; see [`FlatTree`]).
-    pub fn classify(&self, samples: &SamplePair) -> usize {
-        let x = samples.tree_features();
-        match &self.flat {
-            Some(flat) => flat.predict(&x),
-            None => self.tree.predict(&x),
-        }
-    }
-
-    /// Whether classification runs through the flattened tree (false
-    /// only for the pointer-walk fallback: empty trees or depth beyond
-    /// [`FlatTree::MAX_DEPTH`]).
-    pub fn uses_flat_tree(&self) -> bool {
-        self.flat.is_some()
-    }
-
-    /// Fill `scratch` with this kernel's predictions for `cluster`: the
-    /// fused perf pass, the tie-refined frontier permutation, and the
-    /// non-domination sweep (same semantics as [`Frontier::from_points`]).
-    fn prepare(&self, cluster: usize, samples: &SamplePair, scratch: &mut SelectScratch) {
-        let space = ConfigSpace::get();
-        let t = &self.clusters[cluster];
-        let s_cpu = samples.perf_on(Device::Cpu);
-        let s_gpu = samples.perf_on(Device::Gpu);
-
-        let SelectScratch { perf, order, frontier } = scratch;
-        perf.clear();
-        perf.extend(t.ratio[..space.cpu_end].iter().map(|r| r * s_cpu));
-        perf.extend(t.ratio[space.cpu_end..].iter().map(|r| r * s_gpu));
-
-        order.clear();
-        order.extend_from_slice(&t.order);
-        // Only equal-power runs depend on runtime perf for their relative
-        // order; refine them to `(perf desc, index asc)` so the full
-        // permutation matches `from_points`' `(power asc, perf desc,
-        // index asc)` sort exactly.
-        for &(a, b) in &t.ties {
-            order[a as usize..b as usize].sort_by(|&x, &y| {
-                perf[y as usize].partial_cmp(&perf[x as usize]).unwrap().then(x.cmp(&y))
-            });
-        }
-
-        frontier.clear();
-        for &i in order.iter() {
-            let i = i as usize;
-            let (pw, pf) = (t.power[i], perf[i]);
-            match frontier.last() {
-                Some(last) if pf <= last.perf => {}
-                Some(last) if pw == last.power_w => {}
-                _ => frontier.push(PowerPerfPoint {
-                    config: space.configs[i],
-                    power_w: pw,
-                    perf: pf,
-                }),
-            }
-        }
-    }
-
-    /// Select the best predicted configuration under `cap_w` (minimum-
-    /// predicted-power fallback when nothing meets the cap), without
-    /// allocating: bit-identical to
-    /// `predict(samples).select(cap_w)` on the scalar path.
-    pub fn select_with(
-        &self,
-        samples: &SamplePair,
-        cap_w: f64,
-        scratch: &mut SelectScratch,
-    ) -> Configuration {
-        let cluster = self.classify(samples);
-        self.prepare(cluster, samples, scratch);
-        // Frontier power is strictly increasing, so `power ≤ cap` is a
-        // true-prefix predicate; index 0 means nothing fits → min-power
-        // fallback (the sweep always keeps at least one point).
-        let f = &scratch.frontier;
-        let idx = f.partition_point(|p| p.power_w <= cap_w);
-        f[idx.saturating_sub(1)].config
-    }
-
-    /// Full predicted profile, bit-identical to the scalar reference in
-    /// `acs_verify::reference`.
-    pub fn predict(&self, samples: &SamplePair) -> PredictedProfile {
-        self.predict_with(samples, &mut SelectScratch::new())
-    }
-
-    /// [`FastModel::predict`] writing through a caller-owned scratch (the
-    /// returned profile still owns its points/frontier; the scratch only
-    /// absorbs the intermediate sort/sweep allocations).
-    pub fn predict_with(
-        &self,
-        samples: &SamplePair,
-        scratch: &mut SelectScratch,
-    ) -> PredictedProfile {
-        let space = ConfigSpace::get();
-        let cluster = self.classify(samples);
-        self.prepare(cluster, samples, scratch);
-        let t = &self.clusters[cluster];
-        let points: Vec<PowerPerfPoint> = space
-            .configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| PowerPerfPoint { config: *c, power_w: t.power[i], perf: scratch.perf[i] })
-            .collect();
-        let frontier = Frontier::from_sorted(scratch.frontier.clone());
-        PredictedProfile { cluster, points, frontier }
-    }
-}
+/// [`Predictor`] under the name `benchmark/` imports it by.
+pub type FastModel = Predictor;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::{train, TrainingParams};
+    use crate::offline::{train, TrainedModel, TrainingParams};
     use crate::profile::{collect_suite, KernelProfile};
     use acs_sim::{KernelCharacteristics, Machine};
 
@@ -395,10 +308,9 @@ mod tests {
     fn cluster_tables_match_scalar_regression_bitwise() {
         let (model, _) = trained();
         let space = ConfigSpace::get();
-        let fast = FastModel::new(&model);
         let stab = model.params.stabilize_variance;
-        for (cluster, tables) in fast.clusters.iter().enumerate() {
-            let models = &model.clusters[cluster];
+        for (cluster, models) in model.clusters.iter().enumerate() {
+            let tables = ClusterTables::build(space, models, stab);
             for (i, config) in space.configs().iter().enumerate() {
                 let x = config_features(config);
                 let (perf_model, power_model) = match config.device {
@@ -419,7 +331,7 @@ mod tests {
         let profiles2 = collect_suite(&Machine::new(11), &archetypes());
         let model2 =
             train(&profiles2, TrainingParams { n_clusters: 4, ..Default::default() }).unwrap();
-        let (fast, fast2) = (FastModel::new(&model), FastModel::new(&model2));
+        let (fast, fast2) = (Predictor::new(&model), Predictor::new(&model2));
         let mut scratch = SelectScratch::new();
         // Interleave models/kernels through one scratch; results must not
         // depend on what the scratch held before.

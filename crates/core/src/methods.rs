@@ -86,7 +86,7 @@ pub fn gpu_fl_select(cap_w: f64, mut measure: impl FnMut(&Configuration) -> f64)
 }
 
 /// Dispatch a method for one kernel. The model methods see only
-/// `samples` (the kernel's two Table II runs) and need `predictor` —
+/// `samples` (the kernel's two Table II runs) through `predictor` —
 /// `Model` is [`Predictor::select_with`], through the caller's scratch
 /// arena so a replay loop selects without allocating; measurement-driven
 /// methods read sensor power from `profile` (equivalent to running the
@@ -95,21 +95,18 @@ pub fn select(
     method: Method,
     profile: &KernelProfile,
     samples: &SamplePair,
-    predictor: Option<&Predictor>,
+    predictor: &Predictor,
     cap_w: f64,
     scratch: &mut SelectScratch,
 ) -> Configuration {
     let measure = |c: &Configuration| profile.run_at(c).power_w();
     match method {
         Method::Oracle => oracle_select(profile, cap_w),
-        Method::Model => {
-            predictor.expect("Model needs a predictor").select_with(samples, cap_w, scratch)
-        }
+        Method::Model => predictor.select_with(samples, cap_w, scratch),
         Method::ModelFL => {
             // The model's pick, then the frequency limiter pulls the
             // active device's P-state down while measured power exceeds
             // the cap.
-            let predictor = predictor.expect("Model+FL needs a predictor");
             let picked = predictor.select_with(samples, cap_w, scratch);
             limit_active_device(picked, cap_w, measure).config
         }
@@ -227,7 +224,7 @@ mod tests {
         let p = &profiles[0];
         let (samples, mut scratch) = (p.sample_pair(), SelectScratch::new());
         for cap in [12.0, 20.0, 30.0] {
-            let mut pick = |m| select(m, p, &samples, Some(&predictor), cap, &mut scratch);
+            let mut pick = |m| select(m, p, &samples, &predictor, cap, &mut scratch);
             let (plain, fl) = (pick(Method::Model), pick(Method::ModelFL));
             // With FL, measured power can only be <= the plain pick's
             // measured power (FL only steps down).
@@ -244,13 +241,5 @@ mod tests {
         assert_eq!(Method::CpuFL.to_string(), "CPU+FL");
         assert_eq!(Method::GpuFL.to_string(), "GPU+FL");
         assert_eq!(Method::COMPARED.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a predictor")]
-    fn model_without_predictor_panics() {
-        let profiles = collect_suite(&Machine::new(3), &kernels()[..1]);
-        let p = &profiles[0];
-        let _ = select(Method::Model, p, &p.sample_pair(), None, 20.0, &mut SelectScratch::new());
     }
 }

@@ -9,10 +9,11 @@
 //! selection" (Section II), which `tests/paper_claims.rs`
 //! (`online_overhead_is_sub_millisecond`) asserts for this implementation.
 
-use crate::fastpath::{FastModel, SelectScratch};
+use crate::fastpath::{ClusterTables, ConfigSpace, SelectScratch};
 use crate::features::SamplePair;
 use crate::frontier::{Frontier, PowerPerfPoint};
 use crate::offline::TrainedModel;
+use acs_mlstat::{ClassificationTree, FlatTree};
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 
@@ -45,29 +46,68 @@ impl PredictedProfile {
 
 /// Applies a trained model to new kernels.
 ///
-/// Construction precompiles the model into a [`FastModel`] (flattened
-/// CART + per-cluster regression tables, DESIGN.md §15); prediction and
-/// selection then run on the flat path, bit-identical to the scalar
-/// reference in `acs_verify::reference`.
+/// Construction precompiles the model (microseconds): the CART flattened
+/// into a branchless [`FlatTree`] and each cluster's regressions collapsed
+/// into [`fastpath`](crate::fastpath) tables (DESIGN.md §15). Prediction
+/// and selection then run on the flat path, bit-identical to the scalar
+/// reference in `acs_verify::reference`. Owns everything it needs — no
+/// lifetime ties back to the model.
 #[derive(Debug, Clone)]
 pub struct Predictor {
-    fast: FastModel,
+    /// Branchless CART, when the tree fits the complete-binary encoding.
+    flat: Option<FlatTree>,
+    /// Pointer-walk fallback for trees deeper than
+    /// [`FlatTree::MAX_DEPTH`] (identical decisions either way).
+    tree: ClassificationTree,
+    clusters: Vec<ClusterTables>,
 }
 
 impl Predictor {
     /// Precompile a trained model.
     pub fn new(model: &TrainedModel) -> Self {
-        Self { fast: FastModel::new(model) }
+        let space = ConfigSpace::get();
+        let stab = model.params.stabilize_variance;
+        Self {
+            flat: model.tree.flatten(),
+            tree: model.tree.clone(),
+            clusters: model.clusters.iter().map(|m| ClusterTables::build(space, m, stab)).collect(),
+        }
     }
 
-    /// Assign the kernel to a cluster from its two sample runs.
+    /// Assign the kernel to a cluster from its two sample runs (identical
+    /// decisions to the scalar tree walk; see [`FlatTree`]).
     pub fn classify(&self, samples: &SamplePair) -> usize {
-        self.fast.classify(samples)
+        let x = samples.tree_features();
+        match &self.flat {
+            Some(flat) => flat.predict(&x),
+            None => self.tree.predict(&x),
+        }
     }
 
-    /// The precompiled flat evaluation engine.
-    pub fn fast(&self) -> &FastModel {
-        &self.fast
+    /// Whether classification runs through the flattened tree (false
+    /// only for the pointer-walk fallback: empty trees or depth beyond
+    /// [`FlatTree::MAX_DEPTH`]).
+    pub fn uses_flat_tree(&self) -> bool {
+        self.flat.is_some()
+    }
+
+    /// Select the best predicted configuration under `cap_w` (minimum-
+    /// predicted-power fallback when nothing meets the cap) through a
+    /// caller-owned scratch arena — the allocation-free equivalent of
+    /// `predict(samples).select(cap_w)`, bit-identical to it.
+    pub fn select_with(
+        &self,
+        samples: &SamplePair,
+        cap_w: f64,
+        scratch: &mut SelectScratch,
+    ) -> Configuration {
+        self.clusters[self.classify(samples)].prepare(samples, scratch);
+        // Frontier power is strictly increasing, so `power ≤ cap` is a
+        // true-prefix predicate; index 0 means nothing fits → min-power
+        // fallback (the sweep always keeps at least one point).
+        let f = &scratch.frontier;
+        let idx = f.partition_point(|p| p.power_w <= cap_w);
+        f[idx.saturating_sub(1)].config
     }
 
     /// Predict power and performance for every configuration.
@@ -78,18 +118,28 @@ impl Predictor {
     /// required ... is the kernel's performance on the sample
     /// configurations"). Power predictions are absolute.
     pub fn predict(&self, samples: &SamplePair) -> PredictedProfile {
-        self.fast.predict(samples)
+        self.predict_with(samples, &mut SelectScratch::new())
     }
 
-    /// Select under a cap through a caller-owned scratch arena — the
-    /// allocation-free equivalent of `predict(samples).select(cap_w)`.
-    pub fn select_with(
+    /// [`Predictor::predict`] writing through a caller-owned scratch (the
+    /// returned profile still owns its points/frontier; the scratch only
+    /// absorbs the intermediate sort/sweep allocations).
+    pub fn predict_with(
         &self,
         samples: &SamplePair,
-        cap_w: f64,
         scratch: &mut SelectScratch,
-    ) -> Configuration {
-        self.fast.select_with(samples, cap_w, scratch)
+    ) -> PredictedProfile {
+        let cluster = self.classify(samples);
+        let t = &self.clusters[cluster];
+        t.prepare(samples, scratch);
+        let points: Vec<PowerPerfPoint> = ConfigSpace::get()
+            .configs()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| PowerPerfPoint { config: *c, power_w: t.power[i], perf: scratch.perf[i] })
+            .collect();
+        let frontier = Frontier::from_sorted(scratch.frontier.clone());
+        PredictedProfile { cluster, points, frontier }
     }
 }
 

@@ -19,11 +19,10 @@
 //! backoff, and steps misbehaving kernels down (and later back up) the
 //! [`health`](crate::health) degradation ladder.
 
-use crate::fastpath::FastModel;
 use crate::features::{sample_config, SamplePair};
 use crate::health::{GuardPolicy, KernelHealth, RuntimeError, TierState};
 use crate::offline::TrainedModel;
-use crate::online::PredictedProfile;
+use crate::online::{PredictedProfile, Predictor};
 use acs_kernels::AppInstance;
 use acs_profiling::{Event, Timeline};
 use acs_sim::{Configuration, Device, Executor, KernelCharacteristics, KernelRun, Machine};
@@ -80,7 +79,7 @@ pub struct CappedRuntime<E: Executor = Machine> {
     model: Arc<TrainedModel>,
     /// `model` compiled for the flat path, on the first classification:
     /// a runtime that only ever re-selects or reports never pays for it.
-    fast: Option<FastModel>,
+    predictor: Option<Predictor>,
     timeline: Arc<Timeline>,
     cap_w: f64,
     kernels: HashMap<String, KernelState>,
@@ -106,7 +105,7 @@ impl<E: Executor> CappedRuntime<E> {
         Self {
             executor,
             model: model.into(),
-            fast: None,
+            predictor: None,
             timeline: Arc::new(Timeline::new()),
             cap_w,
             kernels: HashMap::new(),
@@ -210,29 +209,6 @@ impl<E: Executor> CappedRuntime<E> {
             .and_then(|g| g.kernels.get(kernel_id))
             .map(|h| h.tier)
             .unwrap_or_else(TierState::model)
-    }
-
-    /// Execute one iteration of `kernel`, choosing the configuration per
-    /// the paper's protocol, and record it in the timeline.
-    pub fn run_kernel(
-        &mut self,
-        kernel: &KernelCharacteristics,
-    ) -> Result<KernelRun, RuntimeError> {
-        let id = kernel.id();
-        self.run_keyed(kernel, id)
-    }
-
-    /// Execute one iteration of `kernel` under an invocation context
-    /// (Section VI: distinguish "invocations of the same kernel from
-    /// distinct points in the application" or with distinct input sizes).
-    /// Each context gets its own sample pair, classification, and fixed
-    /// configuration.
-    pub fn run_kernel_in_context(
-        &mut self,
-        kernel: &KernelCharacteristics,
-        context: &acs_profiling::ContextKey,
-    ) -> Result<KernelRun, RuntimeError> {
-        self.run_keyed(kernel, context.history_id())
     }
 
     /// Execute with bounded retries: transient faults and (on sample
@@ -404,11 +380,13 @@ impl<E: Executor> CappedRuntime<E> {
         }
     }
 
-    fn run_keyed(
+    /// Execute one iteration of `kernel`, choosing the configuration per
+    /// the paper's protocol, and record it in the timeline.
+    pub fn run_kernel(
         &mut self,
         kernel: &KernelCharacteristics,
-        id: String,
     ) -> Result<KernelRun, RuntimeError> {
+        let id = kernel.id();
         let state = self.kernels.entry(id.clone()).or_insert_with(KernelState::new);
         let iteration = state.iterations;
 
@@ -448,8 +426,8 @@ impl<E: Executor> CappedRuntime<E> {
                         detail: "CPU sample missing at classification time".into(),
                     })?;
                 let samples = SamplePair::new(cpu_sample, run.clone());
-                let fast = self.fast.get_or_insert_with(|| FastModel::new(&self.model));
-                let predicted = fast.predict(&samples);
+                let predictor = self.predictor.get_or_insert_with(|| Predictor::new(&self.model));
+                let predicted = predictor.predict(&samples);
                 let config = predicted.select(self.cap_w);
                 self.timeline.record(Event::ConfigSelected {
                     kernel_id: id.clone(),
@@ -537,7 +515,7 @@ mod tests {
     }
 
     /// `(iteration, configuration)` of every run the timeline holds for
-    /// one kernel id or context id.
+    /// one kernel id.
     fn runs_of(rt: &CappedRuntime, id: &str) -> Vec<(u64, Configuration)> {
         rt.timeline()
             .for_kernel(id)
@@ -660,36 +638,6 @@ mod tests {
             "compliance {} too low at a moderate cap",
             report.cap_compliance
         );
-    }
-
-    #[test]
-    fn contexts_schedule_independently() {
-        use acs_profiling::RegionStack;
-        let (mut rt, app) = runtime(25.0);
-        let k = &app.kernels[0];
-
-        let mut stack = RegionStack::new();
-        let t = stack.enter("hydro");
-        let ctx_a = stack.context_key(&k.id(), Some(1 << 20));
-        stack.exit(t);
-        let t = stack.enter("transport");
-        let ctx_b = stack.context_key(&k.id(), Some(1 << 26));
-        stack.exit(t);
-
-        // Each context pays its own two sample iterations.
-        for ctx in [&ctx_a, &ctx_b] {
-            let r0 = rt.run_kernel_in_context(k, ctx).unwrap();
-            assert_eq!(r0.config, sample_config(Device::Cpu), "{ctx}");
-            let r1 = rt.run_kernel_in_context(k, ctx).unwrap();
-            assert_eq!(r1.config, sample_config(Device::Gpu), "{ctx}");
-        }
-        // The run records are separate.
-        assert_eq!(runs_of(&rt, &ctx_a.history_id()).len(), 2);
-        assert_eq!(runs_of(&rt, &ctx_b.history_id()).len(), 2);
-        assert_eq!(runs_of(&rt, &k.id()).len(), 0);
-        // Both contexts have fixed configs now.
-        assert!(rt.planned_config(&ctx_a.history_id()).is_some());
-        assert!(rt.planned_config(&ctx_b.history_id()).is_some());
     }
 
     #[test]

@@ -21,12 +21,10 @@
 
 pub mod history;
 pub mod profiler;
-pub mod region;
 pub mod sample;
 pub mod timeline;
 
 pub use history::History;
 pub use profiler::Profiler;
-pub use region::{ContextKey, RegionStack, RegionToken};
 pub use sample::ProfileSample;
 pub use timeline::{Entry, Event, Timeline};

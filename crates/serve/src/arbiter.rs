@@ -65,7 +65,7 @@ impl ArbiterPolicy {
     /// weights): equal shares, or half the pool as an equal floor and the
     /// other half in proportion to demand — equal again when the demands
     /// are indistinguishable. The shares sum to `pool_w` exactly
-    /// ([`fold_exact_sum`]). The one budget-split formula: the session
+    /// (`fold_exact_sum`). The one budget-split formula: the session
     /// arbiter, the lease table's targets and its admission check all
     /// call it.
     pub fn split(&self, pool_w: f64, demands: &[f64]) -> Vec<f64> {

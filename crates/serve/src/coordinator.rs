@@ -214,6 +214,13 @@ impl Coordinator {
     /// configured. Divergent journals are a typed bind error, never a
     /// guess at who holds which watts.
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
+        // `LeaseTable::new` asserts this; an operator's typo must not get
+        // that far.
+        if config.ttl_ticks == 0 {
+            return Err(ServeError::Config(
+                "--ttl-ticks must be at least 1: a lease must live one tick".into(),
+            ));
+        }
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
 
         let (journal, recovery, table) = match &config.journal {

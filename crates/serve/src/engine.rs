@@ -29,7 +29,7 @@
 
 use crate::protocol::{Response, Selection};
 use acs_core::{
-    sample_config, FastModel, PredictedProfile, SamplePair, SelectScratch, TrainedModel,
+    sample_config, PredictedProfile, Predictor, SamplePair, SelectScratch, TrainedModel,
 };
 use acs_sim::{Device, KernelCharacteristics, Machine};
 use parking_lot::Mutex;
@@ -79,7 +79,7 @@ pub struct Engine {
     /// The model precompiled for flat evaluation (DESIGN.md §15), built
     /// once at engine construction so cold misses skip per-request
     /// tree-flattening and regression-table setup.
-    fast: FastModel,
+    predictor: Predictor,
     machine: Machine,
     kernels: BTreeMap<String, KernelCharacteristics>,
     cache: Mutex<HashMap<String, Slot<Arc<PredictedProfile>>>>,
@@ -111,7 +111,7 @@ impl Engine {
         let kernels =
             acs_kernels::all_kernel_instances().into_iter().map(|k| (k.id(), k)).collect();
         Self {
-            fast: FastModel::new(&model),
+            predictor: Predictor::new(&model),
             model,
             machine,
             kernels,
@@ -194,7 +194,7 @@ impl Engine {
                 std::cell::RefCell::new(SelectScratch::new());
         }
         let profile = SCRATCH.with(|s| {
-            Arc::new(self.fast.predict_with(&SamplePair::new(cpu, gpu), &mut s.borrow_mut()))
+            Arc::new(self.predictor.predict_with(&SamplePair::new(cpu, gpu), &mut s.borrow_mut()))
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
         let (result, inserted) = {

@@ -5,7 +5,9 @@
 //! sessions under one cap. This module scales that invariant to a fleet:
 //! a **coordinator** owns the global budget and leases time-bounded
 //! slices of it to `acs serve` shards; each shard runs its arbiter
-//! *inside* its lease ([`Arbiter::set_global_cap`] is the binding).
+//! *inside* its lease
+//! ([`Arbiter::set_global_cap`](crate::arbiter::Arbiter::set_global_cap)
+//! is the binding).
 //!
 //! ## Safety model
 //!

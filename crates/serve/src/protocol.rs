@@ -396,7 +396,7 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], mut got: usize) -> Result<usize
 ///
 /// Reads exactly one frame's bytes and no more, so it suits a caller that
 /// owns the stream between frames (clients, tests); a server connection
-/// reads through a [`FrameReader`] instead.
+/// reads through a `FrameReader` instead.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     let mut got = 0usize;

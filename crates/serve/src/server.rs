@@ -127,6 +127,9 @@ pub enum ServeError {
     Io(String),
     /// The recovery journal could not be opened or replayed.
     Journal(String),
+    /// A configuration value no server can run with; the message names
+    /// the command-line flag that sets it.
+    Config(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -137,6 +140,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Io(m) => write!(f, "listener failure: {m}"),
             ServeError::Journal(m) => write!(f, "recovery journal: {m}"),
+            ServeError::Config(m) => write!(f, "invalid configuration: {m}"),
         }
     }
 }
@@ -258,6 +262,14 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
+        // `ShardLease::new` asserts this; an operator's typo must not get
+        // that far.
+        if config.lease_floor_w.is_nan() || config.lease_floor_w <= 0.0 {
+            return Err(ServeError::Config(format!(
+                "--lease-floor must be a positive wattage, got {}",
+                config.lease_floor_w
+            )));
+        }
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
         let model = Arc::new(model);
 

@@ -14,7 +14,7 @@
 //!   as per-method regret with pass/fail thresholds from the paper.
 //! * [`transfer`] — the cross-architecture differential: models trained
 //!   on one machine family scheduling another, gated on transfer regret.
-//! * [`reference`] — the online stage, frontier dissimilarity, PAM, the
+//! * [`mod@reference`] — the online stage, frontier dissimilarity, PAM, the
 //!   regression solve and the power sensor written the slow, obvious way;
 //!   the production kernels in `acs-core`, `acs-mlstat` and `acs-sim` are
 //!   held bit-identical to it.

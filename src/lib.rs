@@ -20,10 +20,11 @@
 //!   history,
 //! * [`mlstat`] — regression, Kendall rank correlation, PAM clustering,
 //!   and CART trees, implemented from scratch,
-//! * [`core`] — the paper's contribution: Pareto frontiers, offline
-//!   cluster-and-regress training, online classify-and-predict selection,
-//!   simulated RAPL frequency limiting, and the full Table III / Figures
-//!   4–9 evaluation protocol,
+//! * [`core`] — the paper's contribution, its modules in the paper's
+//!   order: Pareto frontiers, offline cluster-and-regress training, online
+//!   classify-and-predict selection ([`core::Predictor`]), simulated RAPL
+//!   frequency limiting, and the full Table III / Figures 4–9 evaluation
+//!   protocol,
 //! * [`verify`] — the correctness tooling: exhaustive-oracle differential
 //!   testing, metamorphic invariants, and golden-trace regression gates,
 //! * [`serve`] — the multi-tenant online selection server: a length-

@@ -17,8 +17,8 @@
 //! digits (thousands may be separated by single spaces).
 //!
 //! Nor can the lists of "every experiment": `acs_bench::experiments::REGISTRY`
-//! is the list, and the last test here holds `results/` and DESIGN.md
-//! section 4 to it.
+//! is the list, and a test here holds `results/` and DESIGN.md section 4
+//! to it; the README's "Runnable examples" table is held to `examples/`.
 
 use serde::Value;
 use std::path::Path;
@@ -142,6 +142,16 @@ fn table_iii_is_marked_cell_by_cell() {
     assert!(cells >= 20, "EXPERIMENTS.md marks {cells} Table III cells, expected 20");
 }
 
+/// The names in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 /// No experiment runs here: this checks names only (`crates/bench/tests/reproduce.rs`
 /// checks the bytes).
 #[test]
@@ -154,12 +164,11 @@ fn the_registry_is_the_list_of_experiments() {
     let mut expected = vec!["BENCH_drift.json".to_string(), "BENCH_transfer.json".to_string()];
     expected.extend(REGISTRY.iter().map(|row| format!("{}.json", row.result_stem())));
     expected.sort();
-    let mut committed: Vec<String> = std::fs::read_dir(root.join("results"))
-        .expect("results/ is readable")
-        .map(|entry| entry.expect("directory entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    committed.sort();
-    assert_eq!(committed, expected, "results/ and the registry list different artifacts");
+    assert_eq!(
+        file_names(&root.join("results")),
+        expected,
+        "results/ and the registry list different artifacts"
+    );
 
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("doc is readable");
     for row in REGISTRY {
@@ -170,6 +179,26 @@ fn the_registry_is_the_list_of_experiments() {
             "DESIGN.md section 4 has no `{index_row}` row regenerated by {regenerated_by}"
         );
     }
+}
+
+#[test]
+fn the_readme_lists_the_examples_in_the_tree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("doc is readable");
+    let mut listed: Vec<String> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("Runnable examples"))
+        .skip_while(|l| !l.starts_with("|---"))
+        .skip(1)
+        .map_while(|l| l.strip_prefix("| `"))
+        .map(|row| format!("{}.rs", row.split('`').next().expect("split yields a first piece")))
+        .collect();
+    listed.sort();
+    assert_eq!(
+        listed,
+        file_names(&root.join("examples")),
+        "README's \"Runnable examples\" table and examples/ differ"
+    );
 }
 
 #[test]

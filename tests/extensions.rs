@@ -1,12 +1,8 @@
-//! Integration tests for the extension features (objectives, confidence,
-//! partitioning, runtime, persistence) on the real suite, wired end to end
-//! across crates.
+//! Integration tests for the extension features (confidence, runtime,
+//! persistence) on the real suite, wired end to end across crates.
 
 use acs::core::confidence::predict_with_confidence;
-use acs::core::partition::{
-    partition_budget, partition_budget_with, DemandCurve, PartitionObjective,
-};
-use acs::core::{CappedRuntime, Objective};
+use acs::core::CappedRuntime;
 use acs::prelude::*;
 
 fn machine() -> Machine {
@@ -29,28 +25,6 @@ fn trained_without(benchmark: &str) -> (TrainedModel, Vec<KernelProfile>) {
         }
     }
     (train(&training, TrainingParams::default()).unwrap(), held)
-}
-
-#[test]
-fn objectives_differ_sensibly_on_a_real_kernel() {
-    let (model, held) = trained_without("CoMD");
-    let predictor = Predictor::new(&model);
-    let lj = held.iter().find(|p| p.kernel.name == "LJForce").unwrap();
-    let predicted = predictor.predict(&lj.sample_pair());
-
-    let pick = |o: Objective| o.select(&predicted.points).unwrap();
-    let power_of = |c: Configuration| predicted.points[c.index()].power_w;
-
-    let max_perf = pick(Objective::MaxPerf);
-    let min_e = pick(Objective::MinEnergy);
-    let capped = pick(Objective::MaxPerfUnderCap(18.0));
-
-    assert!(power_of(min_e) <= power_of(max_perf));
-    assert!(power_of(capped) <= 18.0 + 1e-9 || power_of(capped) <= power_of(min_e) + 1e-9);
-    // EDP sits between energy and perf extremes in predicted power.
-    let edp = pick(Objective::MinEnergyDelay);
-    assert!(power_of(edp) >= power_of(min_e) - 1e-9);
-    assert!(power_of(edp) <= power_of(max_perf) + 1e-9);
 }
 
 #[test]
@@ -79,39 +53,6 @@ fn risk_aversion_trades_perf_for_compliance_on_real_suite() {
     assert!(cases > 100);
     assert!(compliance[1] >= compliance[0], "risk aversion must help compliance");
     assert!(perf_sum[1] <= perf_sum[0] * 1.001, "and cost some performance");
-}
-
-#[test]
-fn partitioner_handles_real_demand_curves() {
-    let (model, _) = trained_without("LU");
-    let predictor = Predictor::new(&model);
-    let m = machine();
-    let apps = acs::kernels::app_instances();
-
-    let curve_for = |label: &str| {
-        let app = apps.iter().find(|a| a.label() == label).unwrap();
-        let frontiers: Vec<(f64, Frontier)> = app
-            .kernels
-            .iter()
-            .map(|k| {
-                let samples = SamplePair::new(
-                    m.run_iter(k, &sample_config(Device::Cpu), 0),
-                    m.run_iter(k, &sample_config(Device::Gpu), 1),
-                );
-                (k.weight, predictor.predict(&samples).frontier)
-            })
-            .collect();
-        DemandCurve::from_frontiers(label, &frontiers)
-    };
-
-    let curves = vec![curve_for("CoMD"), curve_for("SMC Small")];
-    let generous = partition_budget(&curves, 80.0, 0.5);
-    assert!(generous.perfs.iter().all(|&p| p > 0.9), "{generous:?}");
-
-    let tight_sum = partition_budget(&curves, 30.0, 0.5);
-    let tight_fair = partition_budget_with(&curves, 30.0, 0.5, PartitionObjective::MaxMin);
-    let min = |p: &acs::core::Partition| p.perfs.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(min(&tight_fair) >= min(&tight_sum) - 1e-9, "fairness lifts the floor");
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn every_family_model_classifies_through_the_flat_tree() {
     for (family, model) in family_models() {
         let predictor = Predictor::new(model);
         assert!(
-            predictor.fast().uses_flat_tree(),
+            predictor.uses_flat_tree(),
             "family {family:?}: trained CART did not flatten (depth above FlatTree::MAX_DEPTH?)"
         );
     }

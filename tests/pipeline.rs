@@ -98,8 +98,7 @@ fn model_beats_naive_baselines_under_tight_caps() {
     let cap = fill_boundary.oracle_frontier().min_power().unwrap().power_w * 1.3;
     let (samples, mut scratch) = (fill_boundary.sample_pair(), acs::core::SelectScratch::new());
     let mut pick = |method| {
-        let predictor = Some(&predictor);
-        acs::core::methods::select(method, fill_boundary, &samples, predictor, cap, &mut scratch)
+        acs::core::methods::select(method, fill_boundary, &samples, &predictor, cap, &mut scratch)
     };
     let (model_cfg, gpu_cfg) = (pick(Method::Model), pick(Method::GpuFL));
 
