@@ -6,7 +6,9 @@
 mod ablations;
 
 use crate::{drills, pretty};
-use acs_core::MethodSummary;
+use acs_core::{MethodSummary, TrainingParams};
+use acs_sim::FamilyId;
+use acs_verify::golden;
 use std::io::{self, Write};
 
 /// One regenerable artifact.
@@ -37,7 +39,8 @@ impl Experiment {
     }
 }
 
-/// Every experiment, in DESIGN.md section 4 order.
+/// Every experiment: the deterministic rows in DESIGN.md section 4 order,
+/// then the drills.
 pub static REGISTRY: &[Experiment] = &[
     artifact("fig2_table1_frontier", "T1", fig2_table1_frontier),
     artifact("fig3_tree", "F3", fig3_tree),
@@ -95,6 +98,30 @@ pub static REGISTRY: &[Experiment] = &[
     artifact("ablation_ranking", "A9", ablations::ablation_ranking),
     artifact("ablation_faults", "A10", ablations::ablation_faults),
     artifact("ablation_regret", "A11", ablations::ablation_regret),
+    artifact("transfer_matrix", "A16", transfer_matrix),
+    artifact("drift_grid", "A18", drift_grid),
+    // The regression traces: each covers a layer a behaviour change could
+    // hide in, and its bytes are the evidence.
+    artifact("timeline_unguarded", "G1", |out| {
+        trace(out, "unguarded scheduler timeline", golden::unguarded_timeline)
+    }),
+    artifact("timeline_guarded_chaos", "G2", |out| {
+        trace(out, "guarded chaos timeline", golden::guarded_chaos_timeline)
+    }),
+    artifact("regret_summary", "G3", |out| {
+        trace(out, "quick-grid regret summary", golden::regret_summary)
+    }),
+    artifact("timeline_bigcore", "G4", |out| {
+        trace(out, "BigCore scheduler timeline", || golden::family_timeline(FamilyId::BigCore))
+    }),
+    artifact("timeline_lowpower", "G5", |out| {
+        trace(out, "LowPower scheduler timeline", || golden::family_timeline(FamilyId::LowPower))
+    }),
+    artifact("timeline_accel", "G6", |out| {
+        trace(out, "AccelHybrid scheduler timeline", || {
+            golden::family_timeline(FamilyId::AccelHybrid)
+        })
+    }),
     // The drills publish wall-clock fields (recovery latency, converge
     // times, req/s), so their artifacts are evidence of a pass, not bytes
     // to compare.
@@ -109,6 +136,35 @@ const fn artifact(name: &'static str, id: &'static str, run: Run) -> Experiment 
 
 const fn drill(name: &'static str, id: &'static str, run: Run) -> Experiment {
     Experiment { name, id, deterministic: false, run }
+}
+
+/// A regression trace's row: name what it pins and return its bytes.
+fn trace(out: &mut dyn Write, what: &str, produce: impl FnOnce() -> String) -> io::Result<String> {
+    let json = produce();
+    writeln!(out, "{what}: {} bytes", json.len())?;
+    Ok(json)
+}
+
+/// Experiment A16 — the cross-architecture transfer matrix over the quick
+/// transfer grid: a model trained on every machine family serves every
+/// family. `acs verify --transfer true` gates it (and the full grid).
+fn transfer_matrix(out: &mut dyn Write) -> io::Result<String> {
+    use acs_verify::{run_transfer, GridParams, ScenarioGrid};
+
+    let grid = ScenarioGrid::generate(GridParams::transfer_quick());
+    let matrix = run_transfer(&grid, TrainingParams::default()).expect("training succeeds");
+    write!(out, "{}", matrix.render())?;
+    Ok(pretty(&matrix))
+}
+
+/// Experiment A18 — static vs adaptive regret under every seeded drift
+/// process over the quick drift grid. `acs verify --drift true` gates it
+/// (and the full grid).
+fn drift_grid(out: &mut dyn Write) -> io::Result<String> {
+    let report =
+        acs_verify::run_drift(&acs_verify::DriftGridParams::quick()).expect("training succeeds");
+    write!(out, "{}", report.render())?;
+    Ok(pretty(&report))
 }
 
 /// Figures 5, 6, 8 and 9: one per-application table each, differing in
@@ -253,7 +309,7 @@ fn fig2_table1_frontier(out: &mut dyn Write) -> io::Result<String> {
 /// Experiment F3 — Figure 3: an example classification tree, trained on
 /// the full suite's sample-configuration features.
 fn fig3_tree(out: &mut dyn Write) -> io::Result<String> {
-    use acs_core::{train, KernelProfile, TrainingParams};
+    use acs_core::{train, KernelProfile};
 
     let apps = crate::characterized_suite();
     let profiles: Vec<KernelProfile> =

@@ -27,6 +27,13 @@ pub enum ArgError {
         /// The rejected value.
         value: String,
     },
+    /// An option the command does not read.
+    Unknown {
+        /// The subcommand.
+        command: String,
+        /// The option name.
+        key: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -37,6 +44,9 @@ impl std::fmt::Display for ArgError {
             ArgError::Missing(key) => write!(f, "missing required option --{key}"),
             ArgError::Invalid { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
+            }
+            ArgError::Unknown { command, key } => {
+                write!(f, "`{command}` has no option --{key}")
             }
         }
     }
@@ -62,6 +72,14 @@ impl Args {
             options.insert(key.to_string(), value);
         }
         Ok(Self { command, options })
+    }
+
+    /// Reject the first option (in name order) that is not in `known`.
+    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().find(|key| !known.contains(&key.as_str())) {
+            Some(key) => Err(ArgError::Unknown { command: self.command.clone(), key: key.clone() }),
+            None => Ok(()),
+        }
     }
 
     /// A string option.

@@ -68,6 +68,8 @@ COMMANDS:
                                           configurations; write profiles JSON
   train --profiles FILE --out FILE        run the offline stage on profiles
         [--clusters K] [--prune true]     and save the trained model
+        [--stabilize true]                (--stabilize: variance-stabilizing
+                                          transform, ablation A2)
   tree --model FILE                       print the model's classification tree
   predict --model FILE --kernel ID        classify + predict a kernel and
           [--seed N] [--cap W]            select a configuration under a cap
@@ -75,7 +77,8 @@ COMMANDS:
                                           evaluation (Table III)
   runtime --model FILE --app LABEL        run an application under a cap with
           --cap W [--iters N] [--seed N]  the capped scheduler; print the
-                                          scheduling timeline and summary
+          [--timeline true]               summary (and, with --timeline,
+                                          the scheduling timeline)
   chaos --model FILE --app LABEL --cap W  run under injected faults with the
         [--iters N] [--seed N]            self-healing guarded scheduler and
         [--fault-seed N] [--dropout P]    report fault statistics, retries,
@@ -83,29 +86,27 @@ COMMANDS:
         [--corrupt P] [--pstate-fail P]   (probabilities in [0,1]; add
         [--run-fail P] [--unguarded true] --timeline true for the full trace)
   reproduce --name NAME|all               regenerate one paper table, figure,
-                                          ablation or failure drill (or, with
-                                          `all`, every one whose output is a
-                                          pure function of the code): print
-                                          its report and write results/*.json
-  verify [--quick true] [--bless true]    differential-test every method
-         [--golden-dir DIR]               against the exhaustive oracle, check
-         [--transfer true] [--out FILE]   metamorphic invariants, and diff (or,
-         [--drift true]                   with --bless, regenerate) the golden
-                                          traces; --transfer instead trains on
-                                          every machine family and serves
-                                          every other,
-                                          gating the cross-architecture
-                                          transfer-regret matrix and writing
-                                          it to results/BENCH_transfer.json
-                                          (--out overrides; --bless pins the
-                                          quantized matrix as a golden);
-                                          --drift instead scores static vs
-                                          adaptive regret under every seeded
-                                          drift process (thermal ramp, step
+                                          ablation, regression trace or
+                                          failure drill (or, with `all`, every
+                                          one whose output is a pure function
+                                          of the code): print its report and
+                                          write results/*.json — the only
+                                          writer of the pinned artifacts
+  verify [--quick true]                   differential-test every method
+         [--transfer true]                against the exhaustive oracle and
+         [--drift true]                   check metamorphic invariants;
+                                          --transfer instead trains on every
+                                          machine family and serves every
+                                          other, gating the cross-architecture
+                                          transfer-regret matrix; --drift
+                                          instead scores static vs adaptive
+                                          regret under every seeded drift
+                                          process (thermal ramp, step
                                           throttle, aging, co-tenant), gating
                                           strict adaptive wins under drift and
-                                          bit-identity at zero drift, writing
-                                          results/BENCH_drift.json
+                                          bit-identity at zero drift. Prints
+                                          the report, fails on a gate, writes
+                                          no file
   serve [--model FILE] [--host H]         long-running selection server: loads
         [--port P] [--global-cap W]       the model once (or trains in-process
         [--policy equal|demand]           when --model is omitted), splits the
@@ -154,7 +155,8 @@ COMMANDS:
   loadgen --addr HOST:PORT                seeded closed-loop load generator:
           [--requests N] [--seed N]       drives the selection server, prints
           [--sessions N] [--run-every N]  throughput/latency and the server's
-          [--report-every N] [--log FILE] STATS snapshot, optionally records
+          [--report-every N] [--log FILE] STATS snapshot (--stats false
+          [--stats true]                  skips it), optionally records
           [--feedback true]               the response log (--log) and a JSON
           [--result NAME]                 report under results/ (--result);
           [--shutdown true]               --feedback attaches seeded
@@ -181,33 +183,58 @@ COMMANDS:
                                           given seed (DESIGN.md §17)
 ";
 
-/// Dispatch a parsed command line.
+/// A subcommand.
+type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// Dispatch a parsed command line. An option the command's [`USAGE`]
+/// entry does not list is an error before anything runs.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    match args.command.as_str() {
-        "suite" => cmd_suite(out),
-        "characterize" => cmd_characterize(args, out),
-        "train" => cmd_train(args, out),
-        "tree" => cmd_tree(args, out),
-        "predict" => cmd_predict(args, out),
-        "evaluate" => cmd_evaluate(args, out),
-        "runtime" => cmd_runtime(args, out),
-        "chaos" => cmd_chaos(args, out),
-        "reproduce" => cmd_reproduce(args, out),
-        "verify" => cmd_verify(args, out),
-        "serve" => cmd_serve(args, out),
-        "coordinator" => cmd_coordinator(args, out),
-        "chaosproxy" => cmd_chaosproxy(args, out),
-        "loadgen" => cmd_loadgen(args, out),
-        "chaosfleet" => cmd_chaosfleet(args, out),
-        "help" => {
-            write!(out, "{USAGE}")?;
-            Ok(())
-        }
-        other => Err(CliError::Domain(format!("unknown command '{other}'\n\n{USAGE}"))),
-    }
+    let command: Command = match args.command.as_str() {
+        "suite" => cmd_suite,
+        "characterize" => cmd_characterize,
+        "train" => cmd_train,
+        "tree" => cmd_tree,
+        "predict" => cmd_predict,
+        "evaluate" => cmd_evaluate,
+        "runtime" => cmd_runtime,
+        "chaos" => cmd_chaos,
+        "reproduce" => cmd_reproduce,
+        "verify" => cmd_verify,
+        "serve" => cmd_serve,
+        "coordinator" => cmd_coordinator,
+        "chaosproxy" => cmd_chaosproxy,
+        "loadgen" => cmd_loadgen,
+        "chaosfleet" => cmd_chaosfleet,
+        "help" => cmd_help,
+        other => return Err(CliError::Domain(format!("unknown command '{other}'\n\n{USAGE}"))),
+    };
+    args.only(&usage_flags(&args.command))?;
+    command(args, out)
 }
 
-fn cmd_suite(out: &mut dyn Write) -> Result<(), CliError> {
+/// The options `command` reads: every `--flag` in its [`USAGE`] entry,
+/// which runs from the line naming the command to the next line indented
+/// like one. A flag the entry omits is rejected, so the text cannot fall
+/// behind the code.
+fn usage_flags(command: &str) -> Vec<&'static str> {
+    let is_entry = |line: &str| line.starts_with("  ") && !line.starts_with("   ");
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|&line| !(is_entry(line) && line.split_whitespace().next() == Some(command)));
+    let entry = lines.next().into_iter().chain(lines.take_while(|&line| !is_entry(line)));
+    entry
+        .flat_map(|line| line.split("--").skip(1))
+        .filter_map(|rest| rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next())
+        .filter(|flag| !flag.is_empty())
+        .collect()
+}
+
+fn cmd_help(_: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    write!(out, "{USAGE}")?;
+    Ok(())
+}
+
+fn cmd_suite(_: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     for app in acs_kernels::app_instances() {
         writeln!(out, "{} ({} kernels)", app.label(), app.kernels.len())?;
         for k in &app.kernels {
@@ -476,23 +503,65 @@ fn family_arg(args: &Args) -> Result<acs_sim::FamilyId, CliError> {
     }
 }
 
-/// `acs verify --transfer`: the cross-architecture differential. Trains a
-/// model on every machine family, serves every other family with it, and
-/// gates the resulting transfer-regret matrix; the full matrix is written
-/// as a benchmark artifact and its quantized summary can be blessed as a
-/// golden snapshot.
-fn cmd_verify_transfer(
-    args: &Args,
-    out: &mut dyn Write,
-    golden_dir: &std::path::Path,
-) -> Result<(), CliError> {
+/// `acs verify`: gates only. The default mode differential-tests every
+/// method against the oracle and checks the metamorphic invariants;
+/// `--transfer` and `--drift` gate the transfer matrix and the drift
+/// differential instead. Each prints its report and fails on a gate; none
+/// writes a file (`acs reproduce` writes the quick grids' reports).
+fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let quick = args.get_or("quick", false)?;
+    let (mode, failures) = if args.get_or("transfer", false)? {
+        ("verify --transfer", verify_transfer(quick, out)?)
+    } else if args.get_or("drift", false)? {
+        ("verify --drift", verify_drift(quick, out)?)
+    } else {
+        ("verify", verify_differential(quick, out)?)
+    };
+    if failures.is_empty() {
+        writeln!(out, "{mode}: PASS")?;
+        Ok(())
+    } else {
+        Err(CliError::Domain(format!("{mode}: FAIL\n  {}", failures.join("\n  "))))
+    }
+}
+
+/// Every method against the exhaustive oracle on the scenario grid, and
+/// the metamorphic invariants on each of its machines.
+fn verify_differential(quick: bool, out: &mut dyn Write) -> Result<Vec<String>, CliError> {
+    use acs_verify::{metamorphic, run_differential, GridParams, ScenarioGrid, Thresholds};
+
+    let grid =
+        ScenarioGrid::generate(if quick { GridParams::quick() } else { GridParams::default() });
+    writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())?;
+
+    let report = run_differential(&grid, TrainingParams::default())
+        .map_err(|e| CliError::Domain(e.to_string()))?;
+    write!(out, "{}", report.render())?;
+    let mut failures = report.check(&Thresholds::default());
+
+    let app = acs_kernels::app_instances()
+        .into_iter()
+        .find(|a| a.label() == "LULESH Small")
+        .expect("LULESH Small exists");
+    for m in &grid.machines {
+        let evaluated: Vec<acs_core::KernelProfile> =
+            m.evaluated.iter().map(|(p, _)| p.clone()).collect();
+        let model = train(&m.training, TrainingParams::default())
+            .map_err(|e| CliError::Domain(e.to_string()))?;
+        for v in metamorphic::check_all(m.machine.seed, &m.training, &evaluated, &model, &app) {
+            failures.push(format!("invariant (machine {}): {v}", m.machine.seed));
+        }
+    }
+    writeln!(out, "metamorphic invariants: checked on {} machine(s)", grid.machines.len())?;
+    Ok(failures)
+}
+
+/// The cross-architecture differential: a model trained on every machine
+/// family serves every other, and the transfer-regret matrix is gated.
+fn verify_transfer(quick: bool, out: &mut dyn Write) -> Result<Vec<String>, CliError> {
     use acs_verify::{run_transfer, GridParams, ScenarioGrid, TransferThresholds};
 
-    let params = if args.get_or("quick", false)? {
-        GridParams::transfer_quick()
-    } else {
-        GridParams::transfer()
-    };
+    let params = if quick { GridParams::transfer_quick() } else { GridParams::transfer() };
     let grid = ScenarioGrid::generate(params);
     writeln!(
         out,
@@ -504,201 +573,20 @@ fn cmd_verify_transfer(
     let matrix = run_transfer(&grid, TrainingParams::default())
         .map_err(|e| CliError::Domain(e.to_string()))?;
     write!(out, "{}", matrix.render())?;
-
-    let gate = PinnedGate {
-        name: "transfer",
-        noun: "transfer matrix",
-        snapshot_file: "transfer-matrix.json",
-        grid_key: "scenarios_per_pair",
-    };
-    // The artifact is the full matrix, pair by pair; the snapshot is its
-    // quantized summary.
-    let artifact = serde_json::to_string_pretty(&matrix)?;
-    let failures = matrix.check(&TransferThresholds::default());
-    finish_pinned_gate(args, out, golden_dir, &gate, &artifact, &matrix.golden_summary(), failures)
+    Ok(matrix.check(&TransferThresholds::default()))
 }
 
-/// `acs verify --drift`: the online-adaptation differential. Runs every
-/// seeded drift process over the evaluation kernels, scoring static-model
-/// regret against adaptive-model regret per cell, and gates the result:
-/// adaptation must strictly win under drift and be bit-identical to the
-/// static path at zero drift.
-fn cmd_verify_drift(
-    args: &Args,
-    out: &mut dyn Write,
-    golden_dir: &std::path::Path,
-) -> Result<(), CliError> {
+/// The online-adaptation differential: every seeded drift process over the
+/// evaluation kernels, static-model regret against adaptive-model regret
+/// per cell. Adaptation must strictly win under drift and be bit-identical
+/// to the static path at zero drift.
+fn verify_drift(quick: bool, out: &mut dyn Write) -> Result<Vec<String>, CliError> {
     use acs_verify::{run_drift, AdaptThresholds, DriftGridParams};
 
-    let params = if args.get_or("quick", false)? {
-        DriftGridParams::quick()
-    } else {
-        DriftGridParams::full()
-    };
+    let params = if quick { DriftGridParams::quick() } else { DriftGridParams::full() };
     let report = run_drift(&params).map_err(|e| CliError::Domain(e.to_string()))?;
     write!(out, "{}", report.render())?;
-
-    let gate = PinnedGate {
-        name: "drift",
-        noun: "drift grid",
-        snapshot_file: "drift-grid.json",
-        grid_key: "iterations",
-    };
-    // The artifact is every (process, kernel, cap) cell; the snapshot is
-    // its quantized summary.
-    let artifact = serde_json::to_string_pretty(&report)?;
-    let failures = report.check(&AdaptThresholds::default());
-    finish_pinned_gate(args, out, golden_dir, &gate, &artifact, &report.golden_summary(), failures)
-}
-
-/// What tells the two snapshot-pinned verify gates apart in their output.
-struct PinnedGate {
-    /// The flag: `verify --<name>`, `results/BENCH_<name>.json`.
-    name: &'static str,
-    /// What the snapshot holds, as the failure message calls it.
-    noun: &'static str,
-    /// The blessed snapshot's file name under the golden directory.
-    snapshot_file: &'static str,
-    /// The snapshot field that names the grid it was taken on; the quick
-    /// and the full grid differ in it.
-    grid_key: &'static str,
-}
-
-/// The shared tail of `verify --transfer` and `verify --drift`: write the
-/// benchmark artifact, then bless the snapshot (byte-exact once blessed)
-/// or compare it with the blessed file when that was taken on the same
-/// grid, and print the verdict over the threshold `failures` plus any
-/// snapshot deviation.
-fn finish_pinned_gate(
-    args: &Args,
-    out: &mut dyn Write,
-    golden_dir: &std::path::Path,
-    gate: &PinnedGate,
-    artifact_json: &str,
-    snapshot: &serde::Value,
-    mut failures: Vec<String>,
-) -> Result<(), CliError> {
-    let PinnedGate { name, noun, snapshot_file, grid_key } = gate;
-    let snapshot_json = serde_json::to_string_pretty(snapshot)?;
-    let artifact = match args.get("out") {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(&path, artifact_json)?;
-            path
-        }
-        None => acs_bench::write_result(&format!("BENCH_{name}"), artifact_json)?,
-    };
-    writeln!(out, "wrote {}", artifact.display())?;
-
-    let snapshot_path = golden_dir.join(snapshot_file);
-    if args.get_or("bless", false)? {
-        std::fs::create_dir_all(golden_dir)?;
-        std::fs::write(&snapshot_path, snapshot_json)?;
-        writeln!(out, "blessed {}", snapshot_path.display())?;
-        return Ok(());
-    }
-
-    // A blessed file that does not parse names no grid: it deviates.
-    let same_grid = |blessed: &str| {
-        serde_json::parse_value(blessed).map_or(true, |b| b.get(grid_key) == snapshot.get(grid_key))
-    };
-    match std::fs::read_to_string(&snapshot_path) {
-        Ok(blessed) if blessed == snapshot_json => writeln!(out, "{name} golden: ok")?,
-        Ok(blessed) if same_grid(&blessed) => failures.push(format!(
-            "{noun} deviates from blessed snapshot {} \
-             (re-bless with `acs verify --{name} true --bless true` if intended)",
-            snapshot_path.display()
-        )),
-        // No snapshot blessed, or one blessed on another grid (quick vs
-        // full): the thresholds are still the primary gate, so this is a
-        // note.
-        _ => writeln!(out, "{name} golden: no blessed snapshot of this grid (thresholds only)")?,
-    }
-
-    if failures.is_empty() {
-        writeln!(out, "verify --{name}: PASS")?;
-        Ok(())
-    } else {
-        Err(CliError::Domain(format!("verify --{name}: FAIL\n  {}", failures.join("\n  "))))
-    }
-}
-
-fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_verify::{golden, metamorphic, run_differential, GridParams, ScenarioGrid, Thresholds};
-
-    let golden_dir = args
-        .get("golden-dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(golden::default_golden_dir);
-
-    if args.get_or("transfer", false)? {
-        return cmd_verify_transfer(args, out, &golden_dir);
-    }
-
-    if args.get_or("drift", false)? {
-        return cmd_verify_drift(args, out, &golden_dir);
-    }
-
-    // Blessing regenerates the reference traces and stops — no gates run
-    // against files that were just rewritten.
-    if args.get_or("bless", false)? {
-        let written = acs_verify::bless(&golden_dir)?;
-        for p in &written {
-            writeln!(out, "blessed {}", p.display())?;
-        }
-        writeln!(out, "{} golden trace(s) regenerated", written.len())?;
-        return Ok(());
-    }
-
-    let params =
-        if args.get_or("quick", false)? { GridParams::quick() } else { GridParams::default() };
-    let grid = ScenarioGrid::generate(params);
-    writeln!(out, "scenario grid: {} (machine, kernel, cap) scenarios", grid.len())?;
-
-    let report = run_differential(&grid, TrainingParams::default())
-        .map_err(|e| CliError::Domain(e.to_string()))?;
-    write!(out, "{}", report.render())?;
-    let mut failures = report.check(&Thresholds::default());
-
-    for m in &grid.machines {
-        let evaluated: Vec<acs_core::KernelProfile> =
-            m.evaluated.iter().map(|(p, _)| p.clone()).collect();
-        let model = train(&m.training, TrainingParams::default())
-            .map_err(|e| CliError::Domain(e.to_string()))?;
-        let app = acs_kernels::app_instances()
-            .into_iter()
-            .find(|a| a.label() == "LULESH Small")
-            .expect("LULESH Small exists");
-        for v in metamorphic::check_all(m.machine.seed, &m.training, &evaluated, &model, &app) {
-            failures.push(format!("invariant (machine {}): {v}", m.machine.seed));
-        }
-    }
-    writeln!(out, "metamorphic invariants: checked on {} machine(s)", grid.machines.len())?;
-
-    let diffs = acs_verify::compare(&golden_dir);
-    for d in &diffs {
-        writeln!(out, "golden {}", acs_verify::render_diff(d))?;
-        if !d.passed() {
-            failures.push(format!("golden trace {}: see target/golden-diffs/", d.name));
-        }
-    }
-    if diffs.iter().any(|d| !d.passed()) {
-        let artifacts =
-            acs_verify::write_failure_artifacts(&golden::default_artifact_dir(), &diffs)?;
-        for p in artifacts {
-            writeln!(out, "wrote failure artifact {}", p.display())?;
-        }
-    }
-
-    if failures.is_empty() {
-        writeln!(out, "verify: PASS")?;
-        Ok(())
-    } else {
-        Err(CliError::Domain(format!("verify: FAIL\n  {}", failures.join("\n  "))))
-    }
+    Ok(report.check(&AdaptThresholds::default()))
 }
 
 /// The model for `serve`: loaded from `--model`, or trained in-process on
@@ -717,19 +605,13 @@ fn serve_model(args: &Args, family: acs_sim::FamilyId) -> Result<TrainedModel, C
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_serve::{ServeConfig, Server};
 
-    let global_cap_w: f64 = args.get_or("global-cap", 120.0)?;
-    if global_cap_w.is_nan() || global_cap_w <= 0.0 {
-        return Err(CliError::Domain(format!(
-            "--global-cap must be a positive wattage, got {global_cap_w}"
-        )));
-    }
     let family = family_arg(args)?;
     let config = ServeConfig {
         host: args.get("host").unwrap_or("127.0.0.1").to_string(),
         port: args.get_or("port", 4014)?,
         seed: args.get_or("seed", 2014)?,
         family,
-        global_cap_w,
+        global_cap_w: args.get_or("global-cap", 120.0)?,
         policy: args.get("policy").unwrap_or("equal").parse().map_err(CliError::Domain)?,
         max_sessions: args.get_or("max-sessions", 8)?,
         max_batch: args.get_or("max-batch", 256)?,
@@ -766,26 +648,14 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_serve::{Coordinator, CoordinatorConfig};
 
-    let global_cap_w: f64 = args.get_or("cap", 120.0)?;
-    if global_cap_w.is_nan() || global_cap_w <= 0.0 {
-        return Err(CliError::Domain(format!(
-            "--cap must be a positive wattage, got {global_cap_w}"
-        )));
-    }
-    let floor_w: f64 = args.get_or("floor", 5.0)?;
-    if !(floor_w > 0.0 && floor_w < global_cap_w) {
-        return Err(CliError::Domain(format!(
-            "--floor must be in (0, cap), got {floor_w} against cap {global_cap_w}"
-        )));
-    }
     let config = CoordinatorConfig {
         host: args.get("host").unwrap_or("127.0.0.1").to_string(),
         port: args.get_or("port", 4015)?,
-        global_cap_w,
+        global_cap_w: args.get_or("cap", 120.0)?,
         policy: args.get("policy").unwrap_or("demand").parse().map_err(CliError::Domain)?,
         ttl_ticks: args.get_or("ttl-ticks", 20)?,
         tick_ms: args.get_or("tick-ms", 50)?,
-        floor_w,
+        floor_w: args.get_or("floor", 5.0)?,
         evict_after_ticks: args.get_or("evict-after-ticks", 0)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
@@ -960,12 +830,6 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             fleet.shards
         )));
     }
-    if fleet.cap_w.is_nan() || fleet.cap_w <= 0.0 {
-        return Err(CliError::Domain(format!(
-            "--cap must be a positive wattage, got {}",
-            fleet.cap_w
-        )));
-    }
     acs_bench::drills::chaosfleet(&fleet, out).map_err(|e| CliError::Domain(e.to_string()))
 }
 
@@ -1134,13 +998,8 @@ mod tests {
     }
 
     #[test]
-    fn verify_bless_then_pass_quick() {
-        let dir = tmp("golden-dir");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = run_str(&format!("verify --bless true --golden-dir {dir}")).unwrap();
-        assert!(out.contains("6 golden trace(s) regenerated"), "{out}");
-
-        let out = run_str(&format!("verify --quick true --golden-dir {dir}")).unwrap();
+    fn verify_quick_passes_its_gates() {
+        let out = run_str("verify --quick true").unwrap();
         assert!(out.contains("scenario grid:"), "{out}");
         assert!(out.contains("Model+FL"), "{out}");
         assert!(out.contains("metamorphic invariants"), "{out}");
@@ -1148,120 +1007,61 @@ mod tests {
     }
 
     #[test]
-    fn verify_missing_goldens_fails_with_bless_hint() {
-        let dir = tmp("golden-missing");
-        let _ = std::fs::remove_dir_all(&dir);
-        match run_str(&format!("verify --quick true --golden-dir {dir}")) {
-            Err(CliError::Domain(msg)) => {
-                assert!(msg.contains("verify: FAIL"), "{msg}");
-                assert!(msg.contains("golden trace"), "{msg}");
-            }
-            other => panic!("expected failure without blessed goldens, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn verify_transfer_scores_every_pair_and_pins_a_snapshot() {
-        let dir = tmp("golden-transfer");
-        let _ = std::fs::remove_dir_all(&dir);
-        let artifact = tmp("BENCH_transfer.json");
-
-        // Bless the quantized snapshot first.
-        let out = run_str(&format!(
-            "verify --transfer true --bless true --quick true --golden-dir {dir} --out {artifact}"
-        ))
-        .unwrap();
+    fn verify_transfer_scores_every_pair() {
+        let out = run_str("verify --transfer true --quick true").unwrap();
         assert!(out.contains("transfer regret matrix"), "{out}");
-        assert!(out.contains("blessed"), "{out}");
-
-        // A scoring run covers every family pair, matches the snapshot,
-        // clears the thresholds, and rewrites the benchmark artifact.
-        let out = run_str(&format!(
-            "verify --transfer true --quick true --golden-dir {dir} --out {artifact}"
-        ))
-        .unwrap();
         for family in ["trinity", "bigcore", "lowpower", "accel"] {
             assert!(out.contains(family), "{family} missing from {out}");
         }
-        assert!(out.contains("transfer golden: ok"), "{out}");
         assert!(out.contains("verify --transfer: PASS"), "{out}");
-        let json = std::fs::read_to_string(&artifact).unwrap();
-        assert!(json.contains("transfer_regret"), "{json}");
 
-        // A tampered snapshot is a hard failure with a re-bless hint.
-        let snapshot = std::path::Path::new(&dir).join("transfer-matrix.json");
-        let mut text = std::fs::read_to_string(&snapshot).unwrap();
-        text.push(' ');
-        std::fs::write(&snapshot, text).unwrap();
-        match run_str(&format!(
-            "verify --transfer true --quick true --golden-dir {dir} --out {artifact}"
-        )) {
+        // The full grid fails its thresholds on six `→ lowpower` cells
+        // (EXPERIMENTS.md A16).
+        match run_str("verify --transfer true") {
             Err(CliError::Domain(msg)) => {
-                assert!(msg.contains("deviates from blessed snapshot"), "{msg}")
-            }
-            other => panic!("expected snapshot mismatch failure, got {other:?}"),
-        }
-
-        // The full grid is not the grid that snapshot was blessed on: it
-        // is judged by its thresholds alone (which six `→ lowpower` cells
-        // exceed, EXPERIMENTS.md A16), never against the quick bytes.
-        match run_str(&format!("verify --transfer true --golden-dir {dir} --out {artifact}")) {
-            Err(CliError::Domain(msg)) => {
-                assert!(msg.contains("lowpower Model: transfer regret"), "{msg}");
-                assert!(!msg.contains("deviates from blessed snapshot"), "{msg}");
+                assert!(msg.contains("lowpower Model: transfer regret"), "{msg}")
             }
             other => panic!("expected a threshold failure, got {other:?}"),
         }
     }
 
     #[test]
-    fn verify_drift_scores_every_process_and_pins_a_snapshot() {
-        let dir = tmp("golden-drift");
-        let _ = std::fs::remove_dir_all(&dir);
-        let artifact = tmp("BENCH_drift.json");
-
-        // Bless the quantized snapshot first.
-        let out = run_str(&format!(
-            "verify --drift true --bless true --quick true --golden-dir {dir} --out {artifact}"
-        ))
-        .unwrap();
-        assert!(out.contains("drift differential"), "{out}");
-        assert!(out.contains("blessed"), "{out}");
-
-        // A scoring run covers every drift process, matches the snapshot,
-        // clears the thresholds, and rewrites the benchmark artifact.
-        let out = run_str(&format!(
-            "verify --drift true --quick true --golden-dir {dir} --out {artifact}"
-        ))
-        .unwrap();
-        for process in ["zero", "thermal-ramp", "step-throttle", "aging", "co-tenant"] {
-            assert!(out.contains(process), "{process} missing from {out}");
-        }
-        assert!(out.contains("drift golden: ok"), "{out}");
-        assert!(out.contains("verify --drift: PASS"), "{out}");
-        let json = std::fs::read_to_string(&artifact).unwrap();
-        assert!(json.contains("adaptive_mean_regret"), "{json}");
-
-        // A tampered snapshot is a hard failure with a re-bless hint.
-        let snapshot = std::path::Path::new(&dir).join("drift-grid.json");
-        let mut text = std::fs::read_to_string(&snapshot).unwrap();
-        text.push(' ');
-        std::fs::write(&snapshot, text).unwrap();
-        match run_str(&format!(
-            "verify --drift true --quick true --golden-dir {dir} --out {artifact}"
-        )) {
-            Err(CliError::Domain(msg)) => {
-                assert!(msg.contains("deviates from blessed snapshot"), "{msg}")
+    fn verify_drift_scores_every_process() {
+        for command in ["verify --drift true --quick true", "verify --drift true"] {
+            let out = run_str(command).unwrap();
+            assert!(out.contains("drift differential"), "{out}");
+            for process in ["zero", "thermal-ramp", "step-throttle", "aging", "co-tenant"] {
+                assert!(out.contains(process), "{process} missing from {out}");
             }
-            other => panic!("expected snapshot mismatch failure, got {other:?}"),
+            assert!(out.contains("verify --drift: PASS"), "{out}");
         }
+    }
 
-        // The full grid is not the grid that snapshot was blessed on: it
-        // is judged by its thresholds alone and passes.
-        let out =
-            run_str(&format!("verify --drift true --golden-dir {dir} --out {artifact}")).unwrap();
-        assert!(out.contains("no blessed snapshot of this grid (thresholds only)"), "{out}");
-        assert!(out.contains("verify --drift: PASS"), "{out}");
+    #[test]
+    fn an_option_the_command_does_not_read_is_rejected_before_it_runs() {
+        // A typo, and a flag `verify` no longer has.
+        for (command, flag) in
+            [("serve --prot 0", "--prot"), ("verify --transfer true --out x", "--out")]
+        {
+            match run_str(command) {
+                Err(CliError::Args(e @ ArgError::Unknown { .. })) => {
+                    assert!(e.to_string().contains(flag), "{command}: {e}")
+                }
+                other => panic!("{command}: expected an unknown-option error, got {other:?}"),
+            }
+        }
+        // Flags USAGE used to leave out reach their command, which then
+        // asks for its required option.
+        for (command, missing) in [
+            ("train --stabilize true", "profiles"),
+            ("runtime --timeline true", "model"),
+            ("loadgen --stats false", "addr"),
+        ] {
+            assert!(
+                matches!(run_str(command), Err(CliError::Args(ArgError::Missing(m))) if m == missing),
+                "{command}"
+            );
+        }
     }
 
     #[test]
@@ -1297,6 +1097,9 @@ mod tests {
             ("serve --coordinator 127.0.0.1:1 --lease-floor 0 --port 0", "--lease-floor"),
             ("serve --coordinator 127.0.0.1:1 --lease-floor NaN --port 0", "--lease-floor"),
             ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
+            ("coordinator --floor 200 --port 0", "--floor"),
+            ("coordinator --cap NaN --port 0", "--cap"),
+            ("chaosfleet --quick true --cap 2", "--cap"),
         ] {
             match run_str(command) {
                 Err(CliError::Domain(msg)) => assert!(msg.contains(flag), "{command}: {msg}"),

@@ -214,8 +214,19 @@ impl Coordinator {
     /// configured. Divergent journals are a typed bind error, never a
     /// guess at who holds which watts.
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        // `LeaseTable::new` asserts this; an operator's typo must not get
+        // `LeaseTable::new` asserts these; an operator's typo must not get
         // that far.
+        let (cap_w, floor_w) = (config.global_cap_w, config.floor_w);
+        if cap_w.is_nan() || cap_w <= 0.0 {
+            return Err(ServeError::Config(format!(
+                "--cap must be a positive wattage, got {cap_w}"
+            )));
+        }
+        if !(floor_w > 0.0 && floor_w < cap_w) {
+            return Err(ServeError::Config(format!(
+                "--floor must be positive and below --cap, got {floor_w} W against {cap_w} W"
+            )));
+        }
         if config.ttl_ticks == 0 {
             return Err(ServeError::Config(
                 "--ttl-ticks must be at least 1: a lease must live one tick".into(),

@@ -262,8 +262,14 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        // `ShardLease::new` asserts this; an operator's typo must not get
-        // that far.
+        // `Arbiter::new` and `ShardLease::new` assert these; an operator's
+        // typo must not get that far.
+        if config.global_cap_w.is_nan() || config.global_cap_w <= 0.0 {
+            return Err(ServeError::Config(format!(
+                "--global-cap must be a positive wattage, got {}",
+                config.global_cap_w
+            )));
+        }
         if config.lease_floor_w.is_nan() || config.lease_floor_w <= 0.0 {
             return Err(ServeError::Config(format!(
                 "--lease-floor must be a positive wattage, got {}",

@@ -81,7 +81,7 @@ pub struct RegretReport {
     pub total_scenarios: usize,
     /// Per-method aggregates, in `Method::COMPARED` order.
     pub per_method: Vec<MethodRegret>,
-    /// Every individual case (for goldens and per-app breakdowns).
+    /// Every individual case (for per-app breakdowns).
     pub cases: Vec<ScenarioCase>,
 }
 
@@ -300,10 +300,10 @@ impl RegretReport {
         out
     }
 
-    /// A compact, float-rounded summary for golden-trace snapshots:
-    /// aggregate rates only, quantized so blessed files stay stable under
-    /// last-ulp arithmetic drift.
-    pub fn golden_summary(&self) -> serde::Value {
+    /// A compact, float-rounded summary (the `regret_summary` artifact):
+    /// aggregate rates only, quantized so the pinned bytes stay stable
+    /// under last-ulp arithmetic drift.
+    pub fn summary(&self) -> serde::Value {
         use serde::Value;
         let rows: Vec<Value> = self
             .per_method

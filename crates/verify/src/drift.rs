@@ -436,53 +436,6 @@ impl DriftReport {
         }
         out
     }
-
-    /// A quantized summary (per mille, rounded) for snapshots and the
-    /// benchmark artifact: stable under last-ulp arithmetic drift.
-    pub fn golden_summary(&self) -> serde::Value {
-        use serde::Value;
-        let q = |x: f64| (x * 1000.0).round() / 10.0;
-        let cells: Vec<Value> = self
-            .cells
-            .iter()
-            .map(|c| {
-                Value::Map(vec![
-                    ("scenario".into(), Value::Str(c.scenario.clone())),
-                    ("kernel".into(), Value::Str(c.kernel_id.clone())),
-                    ("cap_w".into(), Value::F64((c.cap_w * 10.0).round() / 10.0)),
-                    ("static_regret_pct".into(), Value::F64(q(c.static_mean_regret))),
-                    ("adaptive_regret_pct".into(), Value::F64(q(c.adaptive_mean_regret))),
-                    ("static_violations".into(), Value::U64(c.static_violations)),
-                    ("adaptive_violations".into(), Value::U64(c.adaptive_violations)),
-                    ("reselections".into(), Value::U64(c.reselections)),
-                    ("drift_events".into(), Value::U64(c.drift_events)),
-                    ("identical".into(), Value::Bool(c.identical_selections)),
-                ])
-            })
-            .collect();
-        let aggregates: Vec<Value> = self
-            .scenario_regrets()
-            .iter()
-            .map(|s| {
-                Value::Map(vec![
-                    ("scenario".into(), Value::Str(s.scenario.clone())),
-                    ("static_regret_pct".into(), Value::F64(q(s.static_mean_regret))),
-                    ("adaptive_regret_pct".into(), Value::F64(q(s.adaptive_mean_regret))),
-                    ("reselections".into(), Value::U64(s.reselections)),
-                    ("drift_events".into(), Value::U64(s.drift_events)),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            (
-                "scenarios".into(),
-                Value::Array(self.scenarios.iter().map(|s| Value::Str(s.clone())).collect()),
-            ),
-            ("iterations".into(), Value::U64(self.params.iterations)),
-            ("aggregates".into(), Value::Array(aggregates)),
-            ("cells".into(), Value::Array(cells)),
-        ])
-    }
 }
 
 #[cfg(test)]

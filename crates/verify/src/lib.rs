@@ -1,5 +1,5 @@
 //! acs-verify — oracle differential testing, metamorphic invariants, and
-//! golden-trace regression gates.
+//! the regression traces `acs reproduce` pins.
 //!
 //! The paper's central claim (Figures 4–6) is that model-based
 //! configuration selection lands within a few percent of an exhaustive
@@ -18,12 +18,15 @@
 //!   regression solve and the power sensor written the slow, obvious way;
 //!   the production kernels in `acs-core`, `acs-mlstat` and `acs-sim` are
 //!   held bit-identical to it.
-//! * [`metamorphic`] + [`golden`] — first-principles invariants and
-//!   byte-exact blessed traces guarding against silent behavior drift.
+//! * [`metamorphic`] — first-principles invariants.
+//! * [`golden`] — the scheduler timelines and the regret summary that,
+//!   with the transfer matrix and the drift grid, are rows of the
+//!   experiment registry: `acs reproduce` writes them to `results/` and
+//!   `tests/reproduce.rs` holds them there byte for byte.
 //!
-//! `tests/conformance.rs` at the workspace root wires all four into
+//! `tests/conformance.rs` at the workspace root wires the gates into
 //! `cargo test`; the `acs verify` CLI subcommand runs them on demand and
-//! re-blesses goldens after intentional behavior changes.
+//! writes nothing.
 
 #![warn(missing_docs)]
 
@@ -41,7 +44,6 @@ pub use drift::{
     drift_processes, run_drift, AdaptThresholds, DriftCell, DriftGridParams, DriftReport,
     ScenarioRegret,
 };
-pub use golden::{bless, compare, render_diff, write_failure_artifacts, GoldenDiff, GoldenStatus};
 pub use metamorphic::{
     check_all, check_cap_monotonicity, check_cluster_permutation_invariance,
     check_family_frontiers, check_frontier_non_domination, check_seed_determinism,

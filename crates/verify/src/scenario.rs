@@ -2,7 +2,7 @@
 //!
 //! A *scenario* is one `(machine seed, kernel, power cap)` triple. The grid
 //! is generated deterministically from a [`GridParams`], so every session —
-//! local `cargo test`, CI, a blessing run — sees exactly the same scenarios
+//! local `cargo test`, CI, `acs reproduce` — sees exactly the same scenarios
 //! and the differential results are comparable across commits.
 //!
 //! The grid follows the paper's leave-one-benchmark-out discipline: the

@@ -253,38 +253,6 @@ impl TransferMatrix {
         }
         out
     }
-
-    /// A quantized summary (per mille, rounded) for snapshots and the
-    /// benchmark artifact: stable under last-ulp arithmetic drift.
-    pub fn golden_summary(&self) -> serde::Value {
-        use serde::Value;
-        let q = |x: f64| (x * 1000.0).round() / 10.0;
-        let rows: Vec<Value> = self
-            .cells
-            .iter()
-            .map(|c| {
-                Value::Map(vec![
-                    ("train".into(), Value::Str(c.train_family.as_str().into())),
-                    ("serve".into(), Value::Str(c.serve_family.as_str().into())),
-                    ("method".into(), Value::Str(c.method.name().into())),
-                    ("under_pct".into(), Value::F64(q(c.stats.under_rate))),
-                    ("mean_regret_pct".into(), Value::F64(q(c.stats.mean_regret))),
-                    ("max_regret_pct".into(), Value::F64(q(c.stats.max_regret))),
-                    ("violation_pct".into(), Value::F64(q(c.stats.violation_rate))),
-                    ("transfer_regret_pct".into(), Value::F64(q(c.transfer_regret))),
-                    ("overshoot_delta_pct".into(), Value::F64(q(c.overshoot_delta))),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            (
-                "families".into(),
-                Value::Array(self.families.iter().map(|f| Value::Str(f.as_str().into())).collect()),
-            ),
-            ("scenarios_per_pair".into(), Value::U64(self.scenarios_per_pair as u64)),
-            ("cells".into(), Value::Array(rows)),
-        ])
-    }
 }
 
 #[cfg(test)]

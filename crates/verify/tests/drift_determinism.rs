@@ -1,19 +1,9 @@
 //! Determinism gate for the drift-differential grid (ISSUE 9 satellite):
-//! the full report — not just its quantized golden summary — must be
-//! byte-identical across independent runs, and the zero-drift diagonal
-//! must reproduce the static path's regret bit-for-bit with no
-//! re-selections.
+//! the zero-drift diagonal must reproduce the static path's regret
+//! bit-for-bit with no re-selections. (The whole quick report's bytes are
+//! pinned as `results/drift_grid.json` by `tests/reproduce.rs`.)
 
 use acs_verify::{run_drift, DriftGridParams};
-
-#[test]
-fn full_report_is_byte_identical_across_runs() {
-    let run = || {
-        let report = run_drift(&DriftGridParams::quick()).expect("training succeeds");
-        serde_json::to_string(&report).expect("serialize report")
-    };
-    assert_eq!(run(), run(), "two runs of the same grid serialized differently");
-}
 
 #[test]
 fn zero_drift_diagonal_reproduces_static_regret_exactly() {

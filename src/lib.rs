@@ -26,7 +26,8 @@
 //!   frequency limiting, and the full Table III / Figures 4–9 evaluation
 //!   protocol,
 //! * [`verify`] — the correctness tooling: exhaustive-oracle differential
-//!   testing, metamorphic invariants, and golden-trace regression gates,
+//!   testing, metamorphic invariants, and the regression traces pinned
+//!   under `results/`,
 //! * [`serve`] — the multi-tenant online selection server: a length-
 //!   prefixed JSON protocol over TCP, memoized selection, and a cluster
 //!   power-budget arbiter partitioning a global cap across sessions.

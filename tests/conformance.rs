@@ -1,15 +1,12 @@
 //! The conformance gate: every selection method differentially tested
-//! against the exhaustive oracle, the metamorphic invariants checked, and
-//! the current behavior diffed against the blessed golden traces.
+//! against the exhaustive oracle, and the metamorphic invariants checked.
 //!
-//! This is the `cargo test` face of `crates/verify` (DESIGN.md §9). When
-//! a behavior change is *intentional*, re-bless with `acs verify --bless`
-//! and commit the updated files under `tests/golden/`; when it is not,
-//! the diff written to `target/golden-diffs/` (uploaded as a CI artifact)
-//! shows exactly where the timeline diverged.
+//! This is the `cargo test` face of `crates/verify` (DESIGN.md §9); the
+//! regression traces are pinned with every other artifact by
+//! `tests/reproduce.rs`.
 
 use acs::prelude::*;
-use acs::verify::{golden, metamorphic, run_differential, GridParams, ScenarioGrid, Thresholds};
+use acs::verify::{metamorphic, run_differential, GridParams, ScenarioGrid, Thresholds};
 
 /// The full grid is deliberately shared across tests (generation sweeps
 /// 3 machines × every training/evaluation kernel × 42 configurations).
@@ -71,22 +68,4 @@ fn metamorphic_invariants_hold_on_every_grid_machine() {
         }
     }
     assert!(violations.is_empty(), "metamorphic violations:\n  {}", violations.join("\n  "));
-}
-
-#[test]
-fn golden_traces_match_blessed_files() {
-    let dir = golden::default_golden_dir();
-    let diffs = acs::verify::compare(&dir);
-    if diffs.iter().any(|d| !d.passed()) {
-        // Leave the actual outputs where CI picks them up as artifacts.
-        let artifact_dir = golden::default_artifact_dir();
-        let written = acs::verify::write_failure_artifacts(&artifact_dir, &diffs)
-            .expect("artifact dir is writable");
-        let rendered: Vec<String> = diffs.iter().map(acs::verify::render_diff).collect();
-        panic!(
-            "golden traces diverged (artifacts: {}):\n{}",
-            written.iter().map(|p| p.display().to_string()).collect::<Vec<_>>().join(", "),
-            rendered.join("\n")
-        );
-    }
 }

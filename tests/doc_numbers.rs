@@ -152,17 +152,15 @@ fn file_names(dir: &Path) -> Vec<String> {
     names
 }
 
-/// No experiment runs here: this checks names only (`crates/bench/tests/reproduce.rs`
+/// No experiment runs here: this checks names only (`tests/reproduce.rs`
 /// checks the bytes).
 #[test]
 fn the_registry_is_the_list_of_experiments() {
     use acs_bench::experiments::REGISTRY;
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
 
-    // `acs verify --transfer` / `--drift` write the two artifacts that are
-    // not a registry row's.
-    let mut expected = vec!["BENCH_drift.json".to_string(), "BENCH_transfer.json".to_string()];
-    expected.extend(REGISTRY.iter().map(|row| format!("{}.json", row.result_stem())));
+    let mut expected: Vec<String> =
+        REGISTRY.iter().map(|row| format!("{}.json", row.result_stem())).collect();
     expected.sort();
     assert_eq!(
         file_names(&root.join("results")),

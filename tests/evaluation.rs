@@ -236,14 +236,3 @@ fn different_seeds_preserve_table3_shape() {
         );
     }
 }
-
-#[test]
-fn full_evaluation_is_the_committed_table3() {
-    // The full 65-combination suite at the experiment seed, not the
-    // reduced one above: the only debug-mode check that Table III is
-    // the committed artifact (`reproduce.rs` runs in release only).
-    let committed: Vec<acs::core::MethodSummary> =
-        serde_json::from_str(include_str!("../results/table3_methods.json"))
-            .expect("results/table3_methods.json parses");
-    assert_eq!(acs_bench::full_evaluation().table3(), committed);
-}
