@@ -56,16 +56,16 @@ pub fn bootstrap_table3(
     assert!(replicates >= 10, "need at least 10 replicates");
 
     // Group case indices by kernel.
-    let mut kernel_ids: Vec<&str> = cases.iter().map(|c| c.kernel_id.as_str()).collect();
+    let mut kernel_ids: Vec<&str> = cases.iter().map(|c| &*c.kernel_id).collect();
     kernel_ids.sort();
     kernel_ids.dedup();
     let groups: Vec<Vec<usize>> = kernel_ids
         .iter()
-        .map(|id| {
+        .map(|&id| {
             cases
                 .iter()
                 .enumerate()
-                .filter_map(|(i, c)| (c.kernel_id == *id).then_some(i))
+                .filter_map(|(i, c)| (*c.kernel_id == *id).then_some(i))
                 .collect()
         })
         .collect();

@@ -10,8 +10,7 @@
 //! accounts for (Section V-D), under leave-one-benchmark-out
 //! cross-validation (Section V-C).
 
-use crate::fastpath::SelectScratch;
-use crate::frontier::PowerPerfPoint;
+use crate::frontier::{Frontier, PowerPerfPoint};
 use crate::methods::{select, Method};
 use crate::offline::{Prepared, TrainError, TrainedModel, TrainingParams};
 use crate::online::Predictor;
@@ -20,6 +19,7 @@ use acs_kernels::AppInstance;
 use acs_mlstat::{leave_one_group_out, Fold};
 use acs_sim::{Configuration, Machine};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Tolerance for "meets the power constraint": measured equality up to
 /// floating-point noise counts as meeting it (the oracle's own pick sits
@@ -27,14 +27,15 @@ use serde::{Deserialize, Serialize};
 const CAP_EPSILON: f64 = 1e-9;
 
 /// One (kernel, power constraint, method) outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseResult {
     /// Which method produced this case.
     pub method: Method,
-    /// Kernel identifier.
-    pub kernel_id: String,
-    /// Application instance label (e.g. `LULESH Small`).
-    pub app_label: String,
+    /// Kernel identifier, shared by every case of the kernel.
+    pub kernel_id: Arc<str>,
+    /// Application instance label (e.g. `LULESH Small`), shared by every
+    /// case of the app.
+    pub app_label: Arc<str>,
     /// Case weight: kernel's share of app time, split evenly over the
     /// kernel's constraints so every kernel contributes its weight once.
     pub weight: f64,
@@ -88,7 +89,7 @@ pub struct MethodSummary {
 }
 
 /// A complete evaluation: every case for every compared method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// All cases.
     pub cases: Vec<CaseResult>,
@@ -149,18 +150,18 @@ impl Evaluation {
     }
 
     /// Application-instance labels present, in first-appearance order.
-    pub fn app_labels(&self) -> Vec<String> {
+    pub fn app_labels(&self) -> Vec<Arc<str>> {
         let mut labels = Vec::new();
         for c in &self.cases {
             if !labels.contains(&c.app_label) {
-                labels.push(c.app_label.clone());
+                labels.push(Arc::clone(&c.app_label));
             }
         }
         labels
     }
 
     /// Per-application summaries for one method (Figures 5, 6, 8, 9).
-    pub fn by_app(&self, method: Method) -> Vec<(String, MethodSummary)> {
+    pub fn by_app(&self, method: Method) -> Vec<(Arc<str>, MethodSummary)> {
         self.app_labels()
             .into_iter()
             .map(|label| {
@@ -223,30 +224,44 @@ pub fn replay(
     methods: &[Method],
     predictor: &Predictor,
 ) -> Vec<Pick> {
-    let frontier = profile.oracle_frontier();
-    let frontier_powers: Vec<f64>;
-    let caps = match caps {
-        Some(caps) => caps,
-        None => {
-            frontier_powers = frontier.points().iter().map(|p| p.power_w).collect();
-            &frontier_powers
-        }
-    };
-    let samples = profile.sample_pair();
-    let mut scratch = SelectScratch::new();
+    let oracle = profile.oracle_frontier();
+    let mut picks = Vec::with_capacity(caps.map_or(oracle.len(), <[f64]>::len) * methods.len());
+    let emit = |pick: Pick| picks.push(pick);
+    match caps {
+        Some(caps) => replay_each(profile, &oracle, caps.iter().copied(), methods, predictor, emit),
+        None => replay_each(profile, &oracle, frontier_powers(&oracle), methods, predictor, emit),
+    }
+    picks
+}
 
-    let mut picks = Vec::with_capacity(caps.len() * methods.len());
-    for &cap_w in caps {
-        let (&oracle, feasible) = frontier.select(cap_w);
+/// The power level of every point of a frontier, in order.
+fn frontier_powers(frontier: &Frontier) -> impl Iterator<Item = f64> + '_ {
+    frontier.points().iter().map(|p| p.power_w)
+}
+
+/// [`replay`] against the kernel's oracle frontier, handing each pick to
+/// `emit`. What does not depend on the cap is built once, before the first
+/// one: the oracle frontier (by the caller) and the predicted frontier the
+/// model methods select from.
+fn replay_each(
+    profile: &KernelProfile,
+    oracle: &Frontier,
+    caps: impl IntoIterator<Item = f64>,
+    methods: &[Method],
+    predictor: &Predictor,
+    mut emit: impl FnMut(Pick),
+) {
+    let predicted = predictor.predict(&profile.sample_pair()).frontier;
+    for cap_w in caps {
+        let (&oracle, feasible) = oracle.select(cap_w);
         for &method in methods {
-            let config = select(method, profile, &samples, predictor, cap_w, &mut scratch);
+            let config = select(method, profile, &predicted, cap_w);
             let run = profile.run_at(&config);
             let picked =
                 PowerPerfPoint { config, power_w: run.true_power_w(), perf: 1.0 / run.time_s };
-            picks.push(Pick { method, cap_w, picked, oracle, feasible });
+            emit(Pick { method, cap_w, picked, oracle, feasible });
         }
     }
-    picks
 }
 
 /// Evaluate all methods on characterized applications under
@@ -256,16 +271,20 @@ pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluati
 }
 
 /// A characterized suite with everything cross-validation needs that no
-/// fold and no hyperparameter changes, computed once: the folds and the
-/// suite-wide frontier dissimilarity ([`Prepared`]). A sweep over
-/// [`TrainingParams`] builds one and calls
-/// [`evaluate`](Self::evaluate) per setting.
+/// fold and no hyperparameter changes, computed once: the folds, the
+/// suite-wide frontier dissimilarity ([`Prepared`]) and each kernel's
+/// oracle frontier and labels. A sweep over [`TrainingParams`] builds one
+/// and calls [`evaluate`](Self::evaluate) per setting.
 pub struct PreparedSuite<'a> {
-    apps: &'a [AppProfiles],
     /// Every kernel of the suite, app by app.
     kernels: Prepared<'a>,
     /// Each fold with the `kernels` indices of its training kernels.
     folds: Vec<(Fold, Vec<usize>)>,
+    /// `starts[ai]..starts[ai + 1]` are app `ai`'s kernels.
+    starts: Vec<usize>,
+    /// What replaying each kernel needs besides a model, aligned with
+    /// `kernels`.
+    held_out: Vec<HeldOut<'a>>,
 }
 
 impl<'a> PreparedSuite<'a> {
@@ -274,7 +293,6 @@ impl<'a> PreparedSuite<'a> {
         // Fold by *benchmark* (LULESH, CoMD, SMC, LU): holding out a
         // benchmark holds out all of its input sizes, per Section V-C.
         let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
-        // `starts[ai]..starts[ai + 1]` are app `ai`'s kernels.
         let mut starts = vec![0];
         for app in apps {
             starts.push(starts[starts.len() - 1] + app.profiles.len());
@@ -287,7 +305,13 @@ impl<'a> PreparedSuite<'a> {
                 (fold, training)
             })
             .collect();
-        Self { apps, kernels: Prepared::new(apps.iter().flat_map(|a| &a.profiles)), folds }
+        let mut held_out = Vec::with_capacity(starts[apps.len()]);
+        for app in apps {
+            let label: Arc<str> = app.app.label().into();
+            held_out.extend(app.profiles.iter().map(|p| HeldOut::new(p, Arc::clone(&label))));
+        }
+        let kernels = Prepared::new(apps.iter().flat_map(|a| &a.profiles));
+        Self { kernels, folds, starts, held_out }
     }
 
     /// The suite-wide training preparation every fold fits from.
@@ -306,8 +330,10 @@ impl<'a> PreparedSuite<'a> {
     /// Evaluate all methods: per fold, fit on the training benchmarks'
     /// kernels and replay every kernel of the held-out benchmark.
     pub fn evaluate(&self, params: TrainingParams) -> Result<Evaluation, TrainError> {
-        let mut cases = Vec::new();
-        let mut fold_silhouettes = Vec::new();
+        // Every kernel is held out by exactly one fold.
+        let n_cases: usize = self.held_out.iter().map(|k| k.oracle.len()).sum();
+        let mut cases = Vec::with_capacity(n_cases * Method::COMPARED.len());
+        let mut fold_silhouettes = Vec::with_capacity(self.folds.len());
 
         for (fold, training) in &self.folds {
             let model = self.kernels.fit(training, params)?;
@@ -316,10 +342,8 @@ impl<'a> PreparedSuite<'a> {
 
             // Evaluate every kernel of the held-out benchmark's app instances.
             for &ai in &fold.test {
-                let app = &self.apps[ai];
-                let label = app.app.label();
-                for profile in &app.profiles {
-                    cases.extend(kernel_cases(profile, &predictor, &label));
+                for kernel in &self.held_out[self.starts[ai]..self.starts[ai + 1]] {
+                    kernel.replay(&predictor, &mut cases);
                 }
             }
         }
@@ -335,33 +359,47 @@ pub fn evaluate_kernel(
     model: &TrainedModel,
     app_label: &str,
 ) -> Vec<CaseResult> {
-    kernel_cases(profile, &Predictor::new(model), app_label)
+    let kernel = HeldOut::new(profile, app_label.into());
+    let mut cases = Vec::with_capacity(kernel.oracle.len() * Method::COMPARED.len());
+    kernel.replay(&Predictor::new(model), &mut cases);
+    cases
 }
 
-/// One kernel's [`replay`] at the paper's constraints, as Table III cases.
-fn kernel_cases(
-    profile: &KernelProfile,
-    predictor: &Predictor,
-    app_label: &str,
-) -> Vec<CaseResult> {
-    let picks = replay(profile, None, &Method::COMPARED, predictor);
-    let n_caps = picks.len() / Method::COMPARED.len();
-    let kernel_id = profile.kernel.id();
-    picks
-        .into_iter()
-        .map(|pick| CaseResult {
-            method: pick.method,
-            kernel_id: kernel_id.clone(),
-            app_label: app_label.to_string(),
-            weight: profile.kernel.weight / n_caps as f64,
-            cap_w: pick.cap_w,
-            config: pick.picked.config,
-            power_w: pick.picked.power_w,
-            perf: pick.picked.perf,
-            oracle_power_w: pick.oracle.power_w,
-            oracle_perf: pick.oracle.perf,
-        })
-        .collect()
+/// One kernel as Table III replays it: its oracle frontier, whose power
+/// levels are the constraints, and the labels its cases share.
+struct HeldOut<'a> {
+    profile: &'a KernelProfile,
+    oracle: Frontier,
+    kernel_id: Arc<str>,
+    app_label: Arc<str>,
+}
+
+impl<'a> HeldOut<'a> {
+    fn new(profile: &'a KernelProfile, app_label: Arc<str>) -> Self {
+        let oracle = profile.oracle_frontier();
+        Self { profile, oracle, kernel_id: profile.kernel.id().into(), app_label }
+    }
+
+    /// [`replay`] at the paper's constraints, appending Table III cases.
+    fn replay(&self, predictor: &Predictor, cases: &mut Vec<CaseResult>) {
+        // Each kernel contributes its weight once, split over its caps.
+        let weight = self.profile.kernel.weight / self.oracle.len() as f64;
+        let caps = frontier_powers(&self.oracle);
+        replay_each(self.profile, &self.oracle, caps, &Method::COMPARED, predictor, |pick| {
+            cases.push(CaseResult {
+                method: pick.method,
+                kernel_id: Arc::clone(&self.kernel_id),
+                app_label: Arc::clone(&self.app_label),
+                weight,
+                cap_w: pick.cap_w,
+                config: pick.picked.config,
+                power_w: pick.picked.power_w,
+                perf: pick.picked.perf,
+                oracle_power_w: pick.oracle.power_w,
+                oracle_perf: pick.oracle.perf,
+            })
+        });
+    }
 }
 
 #[cfg(test)]

@@ -11,12 +11,10 @@
 //! * **CPU+FL / GPU+FL** — state-of-the-practice RAPL-style limiting with
 //!   a fixed device policy; no model at all.
 
-use crate::fastpath::SelectScratch;
-use crate::features::SamplePair;
+use crate::frontier::Frontier;
 use crate::limiter::{
     limit_active_device, limit_cpu_freq, limit_gpu_freq, raise_cpu_freq_within, start,
 };
-use crate::online::Predictor;
 use crate::profile::KernelProfile;
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
@@ -86,28 +84,29 @@ pub fn gpu_fl_select(cap_w: f64, mut measure: impl FnMut(&Configuration) -> f64)
 }
 
 /// Dispatch a method for one kernel. The model methods see only
-/// `samples` (the kernel's two Table II runs) through `predictor` —
-/// `Model` is [`Predictor::select_with`], through the caller's scratch
-/// arena so a replay loop selects without allocating; measurement-driven
-/// methods read sensor power from `profile` (equivalent to running the
-/// kernel at each probed configuration).
+/// `predicted`, the frontier [`Predictor::predict`] derives from the
+/// kernel's two Table II runs: it does not depend on the cap, so the
+/// caller builds it once per kernel, and `Model` is its
+/// [`Frontier::select`] at each cap. Measurement-driven methods read
+/// sensor power from `profile` (equivalent to running the kernel at each
+/// probed configuration).
+///
+/// [`Predictor::predict`]: crate::online::Predictor::predict
 pub fn select(
     method: Method,
     profile: &KernelProfile,
-    samples: &SamplePair,
-    predictor: &Predictor,
+    predicted: &Frontier,
     cap_w: f64,
-    scratch: &mut SelectScratch,
 ) -> Configuration {
     let measure = |c: &Configuration| profile.run_at(c).power_w();
     match method {
         Method::Oracle => oracle_select(profile, cap_w),
-        Method::Model => predictor.select_with(samples, cap_w, scratch),
+        Method::Model => predicted.select(cap_w).0.config,
         Method::ModelFL => {
             // The model's pick, then the frequency limiter pulls the
             // active device's P-state down while measured power exceeds
             // the cap.
-            let picked = predictor.select_with(samples, cap_w, scratch);
+            let picked = predicted.select(cap_w).0.config;
             limit_active_device(picked, cap_w, measure).config
         }
         Method::CpuFL => cpu_fl_select(cap_w, measure),
@@ -119,6 +118,7 @@ pub fn select(
 mod tests {
     use super::*;
     use crate::offline::{train, TrainingParams};
+    use crate::online::Predictor;
     use crate::profile::collect_suite;
     use acs_sim::{CpuPState, Device, KernelCharacteristics, Machine};
 
@@ -220,11 +220,10 @@ mod tests {
         let profiles = collect_suite(&Machine::new(3), &kernels());
         let model =
             train(&profiles, TrainingParams { n_clusters: 3, ..Default::default() }).unwrap();
-        let predictor = Predictor::new(&model);
         let p = &profiles[0];
-        let (samples, mut scratch) = (p.sample_pair(), SelectScratch::new());
+        let predicted = Predictor::new(&model).predict(&p.sample_pair()).frontier;
         for cap in [12.0, 20.0, 30.0] {
-            let mut pick = |m| select(m, p, &samples, &predictor, cap, &mut scratch);
+            let pick = |m| select(m, p, &predicted, cap);
             let (plain, fl) = (pick(Method::Model), pick(Method::ModelFL));
             // With FL, measured power can only be <= the plain pick's
             // measured power (FL only steps down).

@@ -4,10 +4,11 @@
 //! clusters online.
 
 use crate::dissimilarity::dissimilarity_matrix;
+use crate::fastpath::ConfigSpace;
 use crate::features::{config_features, CONFIG_FEATURES, TREE_FEATURE_NAMES};
 use crate::profile::{collect_suite, KernelProfile};
 use acs_mlstat::{
-    pam, silhouette, ClassificationTree, Clustering, Dissimilarity, FitError, LinearModel,
+    pam, silhouette, ClassificationTree, Clustering, Design, Dissimilarity, FitError, LinearModel,
     TreeError, TreeParams,
 };
 use acs_sim::{Device, Machine};
@@ -126,48 +127,57 @@ pub fn unstabilize(y: f64, on: bool) -> f64 {
     }
 }
 
+/// One device's training observations within a cluster: a design row per
+/// run, with its performance and power responses.
+struct DeviceRows {
+    rows: Vec<[f64; CONFIG_FEATURES]>,
+    perf: Vec<f64>,
+    power: Vec<f64>,
+}
+
+impl DeviceRows {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            rows: Vec::with_capacity(n),
+            perf: Vec::with_capacity(n),
+            power: Vec::with_capacity(n),
+        }
+    }
+
+    /// The device's performance model (no intercept) and power model
+    /// (intercept), both from one [`Design`].
+    fn fit(&self) -> Result<(LinearModel, LinearModel), FitError> {
+        let design = Design::new(&self.rows)?;
+        Ok((design.fit(&self.perf, false)?, design.fit(&self.power, true)?))
+    }
+}
+
 fn fit_cluster(
     members: &[&KernelProfile],
     stabilize_variance: bool,
 ) -> Result<ClusterModels, TrainError> {
-    let mut rows_cpu: Vec<[f64; CONFIG_FEATURES]> = Vec::new();
-    let mut perf_cpu_y: Vec<f64> = Vec::new();
-    let mut power_cpu_y: Vec<f64> = Vec::new();
-    let mut rows_gpu: Vec<[f64; CONFIG_FEATURES]> = Vec::new();
-    let mut perf_gpu_y: Vec<f64> = Vec::new();
-    let mut power_gpu_y: Vec<f64> = Vec::new();
+    let space = ConfigSpace::get();
+    let n_cpu = space.cpu_end();
+    let mut cpu = DeviceRows::with_capacity(members.len() * n_cpu);
+    let mut gpu = DeviceRows::with_capacity(members.len() * (space.len() - n_cpu));
 
     for profile in members {
         let samples = profile.sample_pair();
         for run in &profile.runs {
-            let x = config_features(&run.config);
-            let s_perf = samples.perf_on(run.config.device);
-            let ratio = (1.0 / run.time_s) / s_perf;
-            match run.config.device {
-                Device::Cpu => {
-                    rows_cpu.push(x);
-                    perf_cpu_y.push(stabilize(ratio, stabilize_variance));
-                    power_cpu_y.push(stabilize(run.power_w(), stabilize_variance));
-                }
-                Device::Gpu => {
-                    rows_gpu.push(x);
-                    perf_gpu_y.push(stabilize(ratio, stabilize_variance));
-                    power_gpu_y.push(stabilize(run.power_w(), stabilize_variance));
-                }
-            }
+            let ratio = (1.0 / run.time_s) / samples.perf_on(run.config.device);
+            let device = match run.config.device {
+                Device::Cpu => &mut cpu,
+                Device::Gpu => &mut gpu,
+            };
+            device.rows.push(config_features(&run.config));
+            device.perf.push(stabilize(ratio, stabilize_variance));
+            device.power.push(stabilize(run.power_w(), stabilize_variance));
         }
     }
 
-    Ok(ClusterModels {
-        perf_cpu: LinearModel::fit_rows(&rows_cpu, &perf_cpu_y, false)
-            .map_err(TrainError::Regression)?,
-        perf_gpu: LinearModel::fit_rows(&rows_gpu, &perf_gpu_y, false)
-            .map_err(TrainError::Regression)?,
-        power_cpu: LinearModel::fit_rows(&rows_cpu, &power_cpu_y, true)
-            .map_err(TrainError::Regression)?,
-        power_gpu: LinearModel::fit_rows(&rows_gpu, &power_gpu_y, true)
-            .map_err(TrainError::Regression)?,
-    })
+    let (perf_cpu, power_cpu) = cpu.fit().map_err(TrainError::Regression)?;
+    let (perf_gpu, power_gpu) = gpu.fit().map_err(TrainError::Regression)?;
+    Ok(ClusterModels { perf_cpu, perf_gpu, power_cpu, power_gpu })
 }
 
 /// Characterize the first `n` kernel instances of the benchmark suite on
@@ -397,6 +407,17 @@ mod tests {
         assert!(matches!(err, Err(TrainError::TooFewKernels { .. })));
         let err0 = train(&profiles, TrainingParams { n_clusters: 0, ..Default::default() });
         assert!(matches!(err0, Err(TrainError::TooFewKernels { .. })));
+    }
+
+    #[test]
+    fn a_non_finite_sample_counter_is_a_tree_error() {
+        let gpu_sample = crate::features::sample_config(Device::Gpu).index();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut profiles = training_profiles();
+            profiles[4].runs[gpu_sample].counters.dram_accesses = bad;
+            let err = train(&profiles, TrainingParams { n_clusters: 3, ..Default::default() });
+            assert!(matches!(err, Err(TrainError::Tree(TreeError::BadInput(_)))), "{err:?}");
+        }
     }
 
     #[test]

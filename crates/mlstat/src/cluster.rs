@@ -113,9 +113,9 @@ impl Clustering {
 
 /// Where every item stands against a medoid set: the slot of its nearest
 /// medoid and its dissimilarity to the nearest and to the second-nearest.
-/// This is the assignment and the objective, and it prices any single
-/// medoid↔non-medoid exchange in one pass over the items
-/// ([`swap_cost`](Self::swap_cost)) without re-scanning the medoids.
+/// This is the assignment and the objective, and it prices every exchange
+/// of one non-medoid against each medoid in one pass over the items
+/// ([`swap_costs`](Self::swap_costs)) without re-scanning the medoids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NearestMedoids {
     /// Nearest medoid slot per item; ties go to the lower slot. A medoid
@@ -179,26 +179,35 @@ impl NearestMedoids {
         cost
     }
 
-    /// The objective after replacing the medoid in `slot` by the
-    /// non-medoid `item`. Every term is the minimum the item would find by
-    /// scanning the new medoid set, and the terms are added in the same
-    /// item order, so this is [`cost`](Self::cost) of the exchanged set to
-    /// the last bit.
-    pub fn swap_cost(&self, d: &Dissimilarity, slot: usize, item: usize) -> f64 {
+    /// The objective after replacing the medoid in each slot by the
+    /// non-medoid `item`, `costs[slot]` for every slot, in one pass over
+    /// the items. Every term is the minimum the item would find by
+    /// scanning the new medoid set, and each slot's terms are added in
+    /// item order, so `costs[slot]` is [`cost`](Self::cost) of that
+    /// exchanged set to the last bit.
+    pub fn swap_costs(&self, d: &Dissimilarity, item: usize, costs: &mut [f64]) {
         debug_assert!(!self.is_medoid[item]);
-        let mut cost = 0.0;
+        costs.fill(0.0);
         for i in 0..self.slot.len() {
-            let leaving = self.slot[i] == slot;
-            if i == item || (self.is_medoid[i] && !leaving) {
+            if i == item {
                 continue;
             }
-            // The nearest of the medoids that stay …
-            let kept = if leaving { self.second[i] } else { self.nearest[i] };
-            // … against the one that arrives.
+            let own = self.slot[i];
+            // The one that arrives, against the nearest of the medoids
+            // that stay: the second-nearest when `own` is the one leaving.
             let arriving = d.get(i, item);
-            cost += if arriving < kept { arriving } else { kept };
+            let min = |kept: f64| if arriving < kept { arriving } else { kept };
+            if self.is_medoid[i] {
+                // A medoid that stays costs nothing; only its own slot's
+                // exchange makes it an ordinary item.
+                costs[own] += min(self.second[i]);
+                continue;
+            }
+            let (leaving, staying) = (min(self.second[i]), min(self.nearest[i]));
+            for (slot, cost) in costs.iter_mut().enumerate() {
+                *cost += if slot == own { leaving } else { staying };
+            }
         }
-        cost
     }
 }
 
@@ -242,17 +251,26 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
         medoids.push(candidate);
     }
 
-    // SWAP: steepest-descent single swaps.
+    // SWAP: steepest-descent single swaps. Every exchange is priced
+    // first, one pass per candidate item (`costs[item * k + slot]`), then
+    // scanned slot by slot, item by item: under the `+ 1e-12` rule that
+    // order decides between exchanges of equal cost.
     let mut near = NearestMedoids::new(d, &medoids);
     let mut cost = near.cost();
+    let mut costs = vec![0.0; n * k];
     loop {
+        for (item, item_costs) in costs.chunks_exact_mut(k).enumerate() {
+            if !near.is_medoid[item] {
+                near.swap_costs(d, item, item_costs);
+            }
+        }
         let mut best: Option<(usize, usize, f64)> = None; // (medoid slot, item, new cost)
-        for slot in 0..medoids.len() {
+        for slot in 0..k {
             for item in 0..n {
                 if near.is_medoid[item] {
                     continue;
                 }
-                let c = near.swap_cost(d, slot, item);
+                let c = costs[item * k + slot];
                 if c + 1e-12 < best.map_or(cost, |(_, _, bc)| bc) {
                     best = Some((slot, item, c));
                 }
@@ -476,12 +494,14 @@ mod tests {
         d.set(0, 2, 0.0);
         let medoids = [0, 3];
         let near = NearestMedoids::new(&d, &medoids);
-        for slot in 0..medoids.len() {
-            for item in [1, 2, 4, 5] {
+        let mut costs = [f64::NAN; 2];
+        for item in [1, 2, 4, 5] {
+            near.swap_costs(&d, item, &mut costs);
+            for (slot, &cost) in costs.iter().enumerate() {
                 let mut swapped = medoids;
                 swapped[slot] = item;
                 assert_eq!(
-                    near.swap_cost(&d, slot, item),
+                    cost,
                     NearestMedoids::new(&d, &swapped).cost(),
                     "slot {slot} ← item {item}"
                 );

@@ -49,7 +49,7 @@ pub use cluster::{pam, silhouette, Clustering, Dissimilarity};
 pub use describe::{histogram, pearson, quantile, ranks, spearman};
 pub use kendall::{tau_a, tau_b};
 pub use matrix::{Cholesky, Matrix, MatrixError};
-pub use regression::{interaction_len, with_interactions, FitError, LinearModel};
+pub use regression::{interaction_len, with_interactions, Design, FitError, LinearModel};
 pub use tree::{ClassificationTree, FlatTree, TreeError, TreeParams};
 pub use validate::{
     leave_one_group_out, leave_one_out, mean, median, std_dev, weighted_mean, Fold,

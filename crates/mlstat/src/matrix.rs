@@ -152,6 +152,16 @@ impl Matrix {
         g
     }
 
+    /// The lower-right square block from row and column `from` on.
+    pub fn trailing_block(&self, from: usize) -> Matrix {
+        let n = self.rows.min(self.cols).saturating_sub(from);
+        let mut data = Vec::with_capacity(n * n);
+        for r in from..from + n {
+            data.extend_from_slice(&self.row(r)[from..from + n]);
+        }
+        Matrix { rows: n, cols: n, data }
+    }
+
     /// `Aᵀ y` for a response vector.
     pub fn t_vec(&self, y: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if self.rows != y.len() {
@@ -383,6 +393,14 @@ mod tests {
         let g = a.gram();
         let explicit = a.transpose().matmul(&a).unwrap();
         assert_eq!(g, explicit);
+    }
+
+    #[test]
+    fn trailing_block_is_the_lower_right_corner() {
+        let a = Matrix::from_rows(3, 3, (1..=9).map(f64::from).collect()).unwrap();
+        assert_eq!(a.trailing_block(0), a);
+        assert_eq!(a.trailing_block(1), Matrix::from_rows(2, 2, vec![5.0, 6.0, 8.0, 9.0]).unwrap());
+        assert_eq!(a.trailing_block(3).rows(), 0);
     }
 
     #[test]

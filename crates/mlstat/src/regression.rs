@@ -9,9 +9,14 @@
 //! products. Fitting solves the normal equations by Cholesky, falling back
 //! to a small ridge penalty when the design is rank-deficient (e.g. a
 //! training cluster whose kernels never vary one knob).
+//!
+//! Both models of a cluster and device are fitted over the same rows, so
+//! a [`Design`] builds their Gram once, with the intercept column; the
+//! no-intercept Gram is its lower-right block, bit for bit.
 
 use crate::matrix::{Matrix, MatrixError};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Expand a raw feature vector with all pairwise interaction terms
 /// `xᵢ·xⱼ (i < j)`, preserving the original features first.
@@ -82,46 +87,56 @@ impl From<MatrixError> for FitError {
     }
 }
 
-impl LinearModel {
-    /// Fit `y ≈ X β` by OLS on the given design rows (already expanded;
-    /// no intercept is added when `intercept` is false).
-    pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<Self, FitError> {
-        Self::fit_rows(rows, y, intercept)
+/// Design rows prepared for any number of fits over them: the rows behind
+/// a column of ones, and that matrix's Gram. A fit with an intercept
+/// factors the whole Gram; one without factors its lower-right block,
+/// which holds exactly the sums the no-intercept Gram would (the ones
+/// column only adds the first row and column).
+#[derive(Debug, Clone)]
+pub struct Design {
+    /// `n × (p + 1)`, column 0 all ones.
+    x: Matrix,
+    /// `xᵀx`, `(p + 1) × (p + 1)`.
+    gram: Matrix,
+}
+
+impl Design {
+    /// Prepare non-empty, rectangular design rows (already expanded).
+    pub fn new<R: AsRef<[f64]>>(rows: &[R]) -> Result<Self, FitError> {
+        let Some(first) = rows.first() else {
+            return Err(FitError::NoData);
+        };
+        let p = first.as_ref().len();
+        if rows.iter().any(|r| r.as_ref().len() != p) {
+            return Err(FitError::Dimension("ragged design rows".into()));
+        }
+        let mut data = Vec::with_capacity(rows.len() * (p + 1));
+        for r in rows {
+            data.push(1.0);
+            data.extend_from_slice(r.as_ref());
+        }
+        let x = Matrix::from_rows(rows.len(), p + 1, data)?;
+        Ok(Self { gram: x.gram(), x })
     }
 
-    /// [`fit`](Self::fit) on design rows held any other way — fixed-size
-    /// arrays, say, which cost no allocation per row.
-    pub fn fit_rows<R: AsRef<[f64]>>(
-        rows: &[R],
-        y: &[f64],
-        intercept: bool,
-    ) -> Result<Self, FitError> {
-        if rows.is_empty() || y.is_empty() {
-            return Err(FitError::NoData);
-        }
-        if rows.len() != y.len() {
+    /// Fit `y ≈ X β`, with β₀ in front when `intercept` is set.
+    pub fn fit(&self, y: &[f64], intercept: bool) -> Result<LinearModel, FitError> {
+        if y.len() != self.x.rows() {
             return Err(FitError::Dimension(format!(
                 "{} design rows vs {} responses",
-                rows.len(),
+                self.x.rows(),
                 y.len()
             )));
         }
-        let p_raw = rows[0].as_ref().len();
-        if rows.iter().any(|r| r.as_ref().len() != p_raw) {
-            return Err(FitError::Dimension("ragged design rows".into()));
-        }
-        let p = p_raw + usize::from(intercept);
-
-        let mut data = Vec::with_capacity(rows.len() * p);
-        for r in rows {
-            if intercept {
-                data.push(1.0);
-            }
-            data.extend_from_slice(r.as_ref());
-        }
-        let x = Matrix::from_rows(rows.len(), p, data).map_err(FitError::Matrix)?;
-        let mut gram = x.gram();
-        let xty = x.t_vec(y)?;
+        // The columns this model reads: all, or all but the ones.
+        let from = usize::from(!intercept);
+        let p = self.x.cols() - from;
+        let xty = &self.x.t_vec(y)?[from..];
+        let gram = if intercept {
+            Cow::Borrowed(&self.gram)
+        } else {
+            Cow::Owned(self.gram.trailing_block(from))
+        };
 
         // OLS, with ridge fallback for rank-deficient designs. The Gram is
         // factored once; the coefficients and every standard-error column
@@ -132,17 +147,19 @@ impl LinearModel {
                 // Scale the penalty with the trace so it is dimensionless.
                 let trace: f64 = (0..p).map(|i| gram[(i, i)]).sum();
                 let lambda = 1e-6 * (trace / p as f64).max(1e-12);
-                gram.add_diagonal(lambda);
-                (gram.cholesky()?, lambda)
+                let mut ridged = gram.into_owned();
+                ridged.add_diagonal(lambda);
+                (ridged.cholesky()?, lambda)
             }
             Err(e) => return Err(e.into()),
         };
-        let coeffs = factor.solve(&xty)?;
+        let coeffs = factor.solve(xty)?;
 
         // R² on training data.
-        let yhat = x.matvec(&coeffs)?;
+        let yhat = (0..self.x.rows())
+            .map(|r| self.x.row(r)[from..].iter().zip(&coeffs).map(|(a, b)| a * b).sum::<f64>());
         let mean = y.iter().sum::<f64>() / y.len() as f64;
-        let ss_res: f64 = y.iter().zip(&yhat).map(|(a, b)| (a - b).powi(2)).sum();
+        let ss_res: f64 = y.iter().zip(yhat).map(|(a, b)| (a - b).powi(2)).sum();
         let ss_tot: f64 = y.iter().map(|a| (a - mean).powi(2)).sum();
         let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
         let residual_rmse = (ss_res / y.len() as f64).sqrt();
@@ -164,7 +181,26 @@ impl LinearModel {
             }
         }
 
-        Ok(Self { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
+        Ok(LinearModel {
+            coeffs,
+            intercept,
+            r_squared,
+            ridge_lambda,
+            residual_rmse,
+            coef_std_errors,
+        })
+    }
+}
+
+impl LinearModel {
+    /// Fit `y ≈ X β` by OLS on the given design rows (already expanded;
+    /// no intercept is added when `intercept` is false): a [`Design`] fit
+    /// once.
+    pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<Self, FitError> {
+        if y.is_empty() {
+            return Err(FitError::NoData);
+        }
+        Design::new(rows)?.fit(y, intercept)
     }
 
     /// Predict the response for one (already expanded) feature row.

@@ -47,7 +47,8 @@ enum Node {
 /// Errors from tree training.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
-    /// Empty training set or ragged feature rows.
+    /// Empty training set, ragged or non-finite feature rows, or a label
+    /// out of range.
     BadInput(String),
 }
 
@@ -107,6 +108,13 @@ impl ClassificationTree {
         let n_features = rows[0].len();
         if n_features == 0 || rows.iter().any(|r| r.len() != n_features) {
             return Err(TreeError::BadInput("ragged or empty feature rows".into()));
+        }
+        // Splits sort on the features and cut midway between neighbours:
+        // NaN has no place in the order, and an infinity has no midpoint.
+        for (r, row) in rows.iter().enumerate() {
+            if let Some(f) = row.iter().position(|v| !v.is_finite()) {
+                return Err(TreeError::BadInput(format!("row {r} feature {f} is {}", row[f])));
+            }
         }
         if let Some(&bad) = labels.iter().find(|&&l| l >= n_classes) {
             return Err(TreeError::BadInput(format!("label {bad} >= n_classes {n_classes}")));
@@ -566,6 +574,17 @@ mod tests {
         )
         .is_err());
         assert!(ClassificationTree::fit(&[vec![1.0]], &[5], 2, TreeParams::default()).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_not_sorted() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut rows: Vec<Vec<f64>> = (0..5).map(|i| vec![f64::from(i), 1.0]).collect();
+            rows[3][1] = bad;
+            let err = ClassificationTree::fit(&rows, &[0, 1, 0, 1, 0], 2, TreeParams::default())
+                .expect_err("a non-finite feature has no split order");
+            assert_eq!(err, TreeError::BadInput(format!("row 3 feature 1 is {bad}")));
+        }
     }
 
     #[test]

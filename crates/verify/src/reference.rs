@@ -14,18 +14,26 @@
 //! * [`assign_and_cost`], [`pam`] — PAM whose SWAP re-scans every medoid
 //!   for every item of every trial;
 //! * [`solve_spd`], [`fit`] — a Cholesky factorization per right-hand
-//!   side, p + 1 of them per regression;
+//!   side, p + 1 of them per regression, and a Gram per model;
+//! * [`replay`] — the evaluation loop re-predicting the kernel at every
+//!   cap for each model method;
 //! * [`SegmentTrace`], [`estimate_trace`], [`sensed_power`] — the power
 //!   sensor over a waveform stored segment by segment: every window of
 //!   every plane integrates from `t = 0`.
 //!
-//! `tests/kernel_identity.rs` holds `acs_core::dissimilarity`,
+//! `tests/kernel_identity.rs` holds `acs_core::{dissimilarity, eval}`,
 //! `acs_mlstat::{cluster, matrix, regression}` and
 //! `acs_sim::{trace, sensor, machine}` to all but the first.
 
+use acs_core::eval::Pick;
 use acs_core::features::config_features;
+use acs_core::limiter::limit_active_device;
+use acs_core::methods::{cpu_fl_select, gpu_fl_select, oracle_select, Method};
 use acs_core::offline::unstabilize;
-use acs_core::{Frontier, PowerPerfPoint, PredictedProfile, SamplePair, TrainedModel};
+use acs_core::{
+    Frontier, KernelProfile, PowerPerfPoint, PredictedProfile, Predictor, SamplePair,
+    SelectScratch, TrainedModel,
+};
 use acs_mlstat::{kendall, Clustering, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
 use acs_sim::cpu::cpu_time_on;
 use acs_sim::gpu::gpu_time_on;
@@ -227,10 +235,11 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
     Ok(x)
 }
 
-/// `LinearModel::fit` by the normal equations, every solve a
-/// [`solve_spd`] of its own: one for the coefficients (a second after the
-/// ridge penalty when the first finds the Gram singular) and one per
-/// standard-error column. `rows` must be non-empty and rectangular.
+/// `Design::fit` by the normal equations over a Gram of this model's own
+/// columns, every solve a [`solve_spd`] of its own: one for the
+/// coefficients (a second after the ridge penalty when the first finds
+/// the Gram singular) and one per standard-error column. `rows` must be
+/// non-empty and rectangular.
 pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<LinearModel, FitError> {
     let p = rows[0].len() + usize::from(intercept);
     let mut data = Vec::with_capacity(rows.len() * p);
@@ -276,6 +285,63 @@ pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<LinearModel,
     }
 
     Ok(LinearModel { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
+}
+
+/// `acs_core::eval::replay` with the model methods selecting through
+/// [`Predictor::select_with`] at every cap: a classification, a 42-point
+/// prediction and a frontier sweep per cap and method.
+pub fn replay(
+    profile: &KernelProfile,
+    caps: Option<&[f64]>,
+    methods: &[Method],
+    predictor: &Predictor,
+) -> Vec<Pick> {
+    let frontier = profile.oracle_frontier();
+    let frontier_powers: Vec<f64>;
+    let caps = match caps {
+        Some(caps) => caps,
+        None => {
+            frontier_powers = frontier.points().iter().map(|p| p.power_w).collect();
+            &frontier_powers
+        }
+    };
+    let samples = profile.sample_pair();
+    let mut scratch = SelectScratch::new();
+
+    let mut picks = Vec::with_capacity(caps.len() * methods.len());
+    for &cap_w in caps {
+        let (&oracle, feasible) = frontier.select(cap_w);
+        for &method in methods {
+            let config = select(method, profile, &samples, predictor, cap_w, &mut scratch);
+            let run = profile.run_at(&config);
+            let picked =
+                PowerPerfPoint { config, power_w: run.true_power_w(), perf: 1.0 / run.time_s };
+            picks.push(Pick { method, cap_w, picked, oracle, feasible });
+        }
+    }
+    picks
+}
+
+/// The method dispatch [`replay`] calls at each cap.
+fn select(
+    method: Method,
+    profile: &KernelProfile,
+    samples: &SamplePair,
+    predictor: &Predictor,
+    cap_w: f64,
+    scratch: &mut SelectScratch,
+) -> Configuration {
+    let measure = |c: &Configuration| profile.run_at(c).power_w();
+    match method {
+        Method::Oracle => oracle_select(profile, cap_w),
+        Method::Model => predictor.select_with(samples, cap_w, scratch),
+        Method::ModelFL => {
+            let picked = predictor.select_with(samples, cap_w, scratch);
+            limit_active_device(picked, cap_w, measure).config
+        }
+        Method::CpuFL => cpu_fl_select(cap_w, measure),
+        Method::GpuFL => gpu_fl_select(cap_w, measure),
+    }
 }
 
 /// A power waveform with every segment materialized: `2 · cycles`

@@ -1,24 +1,27 @@
 //! Bit identity of the offline stage's kernels with their obvious
 //! statements in `acs_verify::reference`: the rank-table frontier
-//! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's cached
-//! nearest/second-nearest SWAP against a full re-assignment per trial,
-//! the factor-once regression solve against a factorization per
-//! right-hand side, and the power sensor's one sweep over a two-phase
+//! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's
+//! one-pass-per-candidate SWAP against a full re-assignment per trial,
+//! one Gram per design and one factorization per regression against a
+//! Gram per model and a factorization per right-hand side, the
+//! evaluation loop's one predicted frontier per kernel against a
+//! prediction per cap, and the power sensor's one sweep over a two-phase
 //! waveform against a scan from `t = 0` per sample per plane over the
 //! materialized segments. Equality is on `to_bits()`, not within a
-//! tolerance: every golden and every committed result depends on these
-//! kernels.
+//! tolerance: every committed result depends on these kernels.
 
 use acs_core::dissimilarity::{dissimilarity_matrix, frontier_dissimilarity};
-use acs_core::eval::characterize_apps;
-use acs_core::{Frontier, PowerPerfPoint};
+use acs_core::eval::{characterize_apps, replay, Pick};
+use acs_core::{train_on_suite, Frontier, KernelProfile, Method, PowerPerfPoint, Predictor};
+use acs_kernels::GeneratorConfig;
 use acs_mlstat::cluster::NearestMedoids;
-use acs_mlstat::{pam, Dissimilarity, LinearModel, Matrix, MatrixError};
+use acs_mlstat::{pam, Design, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
 use acs_sim::{
     Configuration, FamilyId, Machine, NoiseSource, PowerBreakdown, PowerSensor, PowerTrace,
 };
 use acs_verify::reference::{self, SegmentTrace};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// A frontier holding `configs` in this order: power and performance rise
 /// with position, so `from_points` keeps every point — repeated
@@ -215,12 +218,14 @@ proptest! {
                 near.cost().to_bits(),
                 reference::assign_and_cost(&d, medoids).1.to_bits()
             );
-            for slot in 0..k {
-                for &item in &order[k..] {
+            let mut costs = vec![f64::NAN; k];
+            for &item in &order[k..] {
+                near.swap_costs(&d, item, &mut costs);
+                for (slot, cost) in costs.iter().enumerate() {
                     let mut trial = medoids.to_vec();
                     trial[slot] = item;
                     prop_assert_eq!(
-                        near.swap_cost(&d, slot, item).to_bits(),
+                        cost.to_bits(),
                         reference::assign_and_cost(&d, &trial).1.to_bits(),
                         "k = {}, slot {}, item {}", k, slot, item
                     );
@@ -252,6 +257,98 @@ proptest! {
             prop_assert_eq!(gram.cholesky().and_then(|factor| factor.solve(rhs)), expected.clone());
             prop_assert_eq!(gram.solve_spd(rhs), expected);
             gram.add_diagonal(0.5);
+        }
+    }
+
+    #[test]
+    fn one_gram_is_a_gram_per_model((rows, perf, _) in design()) {
+        // A cluster's perf model (no intercept) and power model
+        // (intercept) over the same rows, each against its own Gram.
+        let power: Vec<f64> = perf.iter().rev().map(|y| 2.5 * y + 40.0).collect();
+        let design = Design::new(&rows).expect("non-empty, rectangular");
+        prop_assert_eq!(
+            model_bits(design.fit(&perf, false)),
+            model_bits(reference::fit(&rows, &perf, false))
+        );
+        prop_assert_eq!(
+            model_bits(design.fit(&power, true)),
+            model_bits(reference::fit(&rows, &power, true))
+        );
+    }
+}
+
+/// A fitted model as the bits of every number in it.
+fn model_bits(model: Result<LinearModel, FitError>) -> Result<(bool, Vec<u64>), FitError> {
+    let m = model?;
+    let scalars = [m.r_squared, m.ridge_lambda, m.residual_rmse];
+    let bits = m.coeffs.iter().chain(&scalars).chain(&m.coef_std_errors).map(|v| v.to_bits());
+    Ok((m.intercept, bits.collect()))
+}
+
+/// A pick as the bits of every number in it.
+fn pick_bits(p: &Pick) -> (Method, [u64; 5], [usize; 2], bool) {
+    let numbers = [p.cap_w, p.picked.power_w, p.picked.perf, p.oracle.power_w, p.oracle.perf];
+    let configs = [p.picked.config.index(), p.oracle.config.index()];
+    (p.method, numbers.map(f64::to_bits), configs, p.feasible)
+}
+
+/// One model per machine family, trained on the whole suite at the
+/// experiment seed.
+fn family_models() -> &'static [(Machine, Predictor)] {
+    static MODELS: OnceLock<Vec<(Machine, Predictor)>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        FamilyId::ALL
+            .into_iter()
+            .map(|family| {
+                let machine = Machine::from_family(family, 2014);
+                let model = train_on_suite(&machine, usize::MAX).expect("the suite trains");
+                (machine, Predictor::new(&model))
+            })
+            .collect()
+    })
+}
+
+/// Where a cap comes from: anywhere on the real line or off it, or exactly
+/// at a predicted or oracle-frontier point's power.
+fn cap() -> impl Strategy<Value = (u8, f64, usize)> {
+    (0u8..9, -20.0..90.0f64, 0usize..42)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(48))]
+
+    #[test]
+    fn one_predicted_frontier_is_a_prediction_per_cap(
+        family in 0usize..4,
+        seed in 0u64..u64::MAX,
+        kernel in 0usize..40,
+        caps in prop::collection::vec(cap(), 0..12),
+    ) {
+        let (machine, predictor) = &family_models()[family];
+        let kernel = &acs_kernels::generate(&GeneratorConfig::default(), seed)[kernel];
+        let profile = KernelProfile::collect(machine, kernel);
+        let predicted = predictor.predict(&profile.sample_pair()).points;
+        let oracle = profile.oracle_frontier();
+        let caps: Vec<f64> = caps
+            .into_iter()
+            .map(|(kind, w, i)| match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -w.abs(),
+                5 => predicted[i].power_w,
+                6 => oracle.points()[i % oracle.len()].power_w,
+                _ => w,
+            })
+            .collect();
+        let methods =
+            [Method::Model, Method::Oracle, Method::ModelFL, Method::GpuFL, Method::CpuFL];
+        for caps in [None, Some(caps.as_slice())] {
+            let ours: Vec<_> = replay(&profile, caps, &methods, predictor).iter().map(pick_bits).collect();
+            let theirs: Vec<_> =
+                reference::replay(&profile, caps, &methods, predictor).iter().map(pick_bits).collect();
+            prop_assert_eq!(ours, theirs);
         }
     }
 }

@@ -31,7 +31,7 @@ fn every_kernel_contributes_every_method() {
     let kernel_count: usize = apps.iter().map(|a| a.profiles.len()).sum();
     for &m in &Method::COMPARED {
         let mut ids: Vec<&str> =
-            e.cases.iter().filter(|c| c.method == m).map(|c| c.kernel_id.as_str()).collect();
+            e.cases.iter().filter(|c| c.method == m).map(|c| &*c.kernel_id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), kernel_count, "{m} missing kernels");
@@ -51,7 +51,7 @@ fn caps_are_oracle_frontier_powers() {
             let mut seen: Vec<f64> = e
                 .cases
                 .iter()
-                .filter(|c| c.kernel_id == profile.kernel.id() && c.method == Method::Model)
+                .filter(|c| *c.kernel_id == profile.kernel.id() && c.method == Method::Model)
                 .map(|c| c.cap_w)
                 .collect();
             seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -103,7 +103,7 @@ fn public_wrapper_and_fold_path_are_the_same_replay() {
             let from_evaluate: Vec<CaseResult> = e
                 .cases
                 .iter()
-                .filter(|c| c.app_label == label && c.kernel_id == id)
+                .filter(|c| *c.app_label == label && *c.kernel_id == id)
                 .cloned()
                 .collect();
             assert!(!direct.is_empty());

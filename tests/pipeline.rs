@@ -96,10 +96,8 @@ fn model_beats_naive_baselines_under_tight_caps() {
     let predictor = Predictor::new(&model);
 
     let cap = fill_boundary.oracle_frontier().min_power().unwrap().power_w * 1.3;
-    let (samples, mut scratch) = (fill_boundary.sample_pair(), acs::core::SelectScratch::new());
-    let mut pick = |method| {
-        acs::core::methods::select(method, fill_boundary, &samples, &predictor, cap, &mut scratch)
-    };
+    let predicted = predictor.predict(&fill_boundary.sample_pair()).frontier;
+    let pick = |method| acs::core::methods::select(method, fill_boundary, &predicted, cap);
     let (model_cfg, gpu_cfg) = (pick(Method::Model), pick(Method::GpuFL));
 
     let model_power = fill_boundary.run_at(&model_cfg).true_power_w();
