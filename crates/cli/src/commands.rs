@@ -1096,9 +1096,12 @@ mod tests {
         for (command, flag) in [
             ("serve --coordinator 127.0.0.1:1 --lease-floor 0 --port 0", "--lease-floor"),
             ("serve --coordinator 127.0.0.1:1 --lease-floor NaN --port 0", "--lease-floor"),
+            ("serve --coordinator 127.0.0.1:1 --lease-floor inf --port 0", "--lease-floor"),
+            ("serve --global-cap inf --port 0", "--global-cap"),
             ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
             ("coordinator --floor 200 --port 0", "--floor"),
             ("coordinator --cap NaN --port 0", "--cap"),
+            ("coordinator --cap inf --port 0", "--cap"),
             ("chaosfleet --quick true --cap 2", "--cap"),
         ] {
             match run_str(command) {

@@ -88,59 +88,39 @@ impl std::fmt::Display for AdaptError {
 
 impl std::error::Error for AdaptError {}
 
-/// Parameters of the adaptation layer. Defaults are tuned for the
-/// simulator's 1% multiplicative sensor noise: the bias tolerance (4%) is
-/// four sigma away from the zero-drift signal, so false re-selections are
-/// effectively impossible, while a 20%+ drift confirms within
-/// [`AdaptParams::confirm`] observations of the baseline closing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptParams {
-    /// Initial process-noise covariance (adapted online, ALERT-style).
-    pub q: f64,
-    /// Measurement-noise covariance.
-    pub r: f64,
-    /// Initial error covariance.
-    pub p0: f64,
-    /// Floor under the adaptive process noise.
-    pub q_floor: f64,
-    /// Observations averaged into the per-kernel baseline before any
-    /// detection begins.
-    pub baseline_window: u32,
-    /// Ring size for innovation-normalized residuals (variance detector).
-    pub detect_window: usize,
-    /// Posterior distance from 1.0 that counts as bias.
-    pub bias_tol: f64,
-    /// Normalized-innovation variance that counts as a blow-up.
-    pub var_blowup: f64,
-    /// Consecutive biased observations required to confirm drift.
-    pub confirm: u32,
-    /// Baseline-relative ratio beyond which the cluster assignment itself
-    /// is considered wrong (triggers re-classification, once per kernel).
-    pub reclassify_ratio: f64,
-    /// Lower clamp on measured/predicted ratios.
-    pub ratio_min: f64,
-    /// Upper clamp on measured/predicted ratios.
-    pub ratio_max: f64,
-}
+// The adaptation layer's constants, tuned for the simulator's 1%
+// multiplicative sensor noise: the bias tolerance (4%) is four sigma away
+// from the zero-drift signal, so false re-selections are effectively
+// impossible, while a 20%+ drift confirms within `CONFIRM` observations of
+// the baseline closing. The filter's own are public: they are what a
+// `KalmanFilter` starts from and is held to.
 
-impl Default for AdaptParams {
-    fn default() -> Self {
-        Self {
-            q: 1e-4,
-            r: 4e-4,
-            p0: 1.0,
-            q_floor: 1e-5,
-            baseline_window: 4,
-            detect_window: 8,
-            bias_tol: 0.04,
-            var_blowup: 9.0,
-            confirm: 3,
-            reclassify_ratio: 1.5,
-            ratio_min: 0.25,
-            ratio_max: 4.0,
-        }
-    }
-}
+/// Initial process-noise covariance (adapted online, ALERT-style).
+pub const Q: f64 = 1e-4;
+/// Measurement-noise covariance.
+pub const R: f64 = 4e-4;
+/// Initial error covariance.
+pub const P0: f64 = 1.0;
+/// Floor under the adaptive process noise.
+pub const Q_FLOOR: f64 = 1e-5;
+/// Observations averaged into the per-kernel baseline before any detection
+/// begins.
+const BASELINE_WINDOW: u32 = 4;
+/// Ring size for innovation-normalized residuals (variance detector).
+const DETECT_WINDOW: usize = 8;
+/// Posterior distance from 1.0 that counts as bias.
+const BIAS_TOL: f64 = 0.04;
+/// Normalized-innovation variance that counts as a blow-up.
+const VAR_BLOWUP: f64 = 9.0;
+/// Consecutive biased observations required to confirm drift.
+const CONFIRM: u32 = 3;
+/// Baseline-relative ratio beyond which the cluster assignment itself is
+/// considered wrong (triggers re-classification, once per kernel).
+const RECLASSIFY_RATIO: f64 = 1.5;
+/// Lower clamp on measured/predicted ratios.
+const RATIO_MIN: f64 = 0.25;
+/// Upper clamp on measured/predicted ratios.
+const RATIO_MAX: f64 = 4.0;
 
 /// One filter step's innovation: the residual and its predicted variance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,10 +142,6 @@ pub struct KalmanFilter {
     pub p: f64,
     /// Adaptive process-noise covariance.
     pub q: f64,
-    /// Measurement-noise covariance.
-    pub r: f64,
-    /// Floor under the adaptive process noise.
-    pub q_floor: f64,
     /// Previous Kalman gain (feeds the adaptive Q update).
     k: f64,
     /// Previous innovation residual.
@@ -173,17 +149,9 @@ pub struct KalmanFilter {
 }
 
 impl KalmanFilter {
-    /// A filter starting at estimate `x0` with the given covariances.
-    pub fn new(x0: f64, params: &AdaptParams) -> Self {
-        Self {
-            x: x0,
-            p: params.p0,
-            q: params.q,
-            r: params.r,
-            q_floor: params.q_floor,
-            k: 0.0,
-            y: 0.0,
-        }
+    /// A filter starting at estimate `x0` with covariances [`P0`] and [`Q`].
+    pub fn new(x0: f64) -> Self {
+        Self { x: x0, p: P0, q: Q, k: 0.0, y: 0.0 }
     }
 
     /// One measurement update. Non-finite measurements are rejected with a
@@ -195,10 +163,10 @@ impl KalmanFilter {
             return Err(AdaptError::NonFinite { signal, value: z });
         }
         // x = A·x with A = 1 is a no-op; kept implicit.
-        self.q = (0.3 * self.q + 0.7 * self.k * self.k * self.y * self.y).max(self.q_floor);
+        self.q = (0.3 * self.q + 0.7 * self.k * self.k * self.y * self.y).max(Q_FLOOR);
         self.p = self.p + self.q;
         self.y = z - self.x;
-        let s = self.p + self.r;
+        let s = self.p + R;
         self.k = self.p / s;
         self.x = self.x + self.k * self.y;
         self.p = (1.0 - self.k) * self.p;
@@ -268,9 +236,9 @@ struct SignalTracker {
 }
 
 impl SignalTracker {
-    fn new(params: &AdaptParams) -> Self {
+    fn new() -> Self {
         Self {
-            filter: KalmanFilter::new(1.0, params),
+            filter: KalmanFilter::new(1.0),
             window: Vec::new(),
             next: 0,
             consecutive: 0,
@@ -285,20 +253,19 @@ impl SignalTracker {
         signal: Signal,
         z: f64,
         kernel_id: &str,
-        params: &AdaptParams,
         events: &mut Vec<DriftEvent>,
     ) -> Result<(), AdaptError> {
         let innovation = self.filter.update(signal, z)?;
         let normalized = innovation.residual / innovation.variance.sqrt();
-        if self.window.len() < params.detect_window {
+        if self.window.len() < DETECT_WINDOW {
             self.window.push(normalized);
         } else {
             self.window[self.next] = normalized;
         }
-        self.next = (self.next + 1) % params.detect_window.max(1);
-        if (self.filter.x - 1.0).abs() > params.bias_tol {
+        self.next = (self.next + 1) % DETECT_WINDOW;
+        if (self.filter.x - 1.0).abs() > BIAS_TOL {
             self.consecutive += 1;
-            if self.consecutive >= params.confirm && !self.bias_confirmed {
+            if self.consecutive >= CONFIRM && !self.bias_confirmed {
                 self.bias_confirmed = true;
                 events.push(DriftEvent::Bias {
                     kernel_id: kernel_id.to_string(),
@@ -309,11 +276,11 @@ impl SignalTracker {
         } else {
             self.consecutive = 0;
         }
-        if self.window.len() == params.detect_window && !self.blowup_emitted {
-            let n = params.detect_window as f64;
+        if self.window.len() == DETECT_WINDOW && !self.blowup_emitted {
+            let n = DETECT_WINDOW as f64;
             let mean = self.window.iter().sum::<f64>() / n;
             let var = self.window.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-            if var > params.var_blowup {
+            if var > VAR_BLOWUP {
                 self.blowup_emitted = true;
                 events.push(DriftEvent::VarianceBlowup {
                     kernel_id: kernel_id.to_string(),
@@ -349,13 +316,13 @@ struct KernelTracker {
 }
 
 impl KernelTracker {
-    fn new(params: &AdaptParams) -> Self {
+    fn new() -> Self {
         Self {
             baseline_power_sum: 0.0,
             baseline_perf_sum: 0.0,
             baseline_count: 0,
-            power: SignalTracker::new(params),
-            perf: SignalTracker::new(params),
+            power: SignalTracker::new(),
+            perf: SignalTracker::new(),
             mismatch_emitted: false,
         }
     }
@@ -415,9 +382,8 @@ pub struct AdaptSelection {
 /// posteriors. Until drift is *confirmed* for a kernel, selection falls
 /// through to the bit-identical static path — a predictor that never sees
 /// feedback is observationally indistinguishable from no predictor at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdaptivePredictor {
-    params: AdaptParams,
     kernels: BTreeMap<String, KernelTracker>,
     observations: u64,
     drift_events: u64,
@@ -430,31 +396,7 @@ pub struct AdaptivePredictor {
     kernels_digest: u64,
 }
 
-impl Default for AdaptivePredictor {
-    fn default() -> Self {
-        Self::new(AdaptParams::default())
-    }
-}
-
 impl AdaptivePredictor {
-    /// A predictor with no observations and the given thresholds.
-    pub fn new(params: AdaptParams) -> Self {
-        Self {
-            params,
-            kernels: BTreeMap::new(),
-            observations: 0,
-            drift_events: 0,
-            reselections: 0,
-            reclassifications: 0,
-            kernels_digest: 0,
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn params(&self) -> &AdaptParams {
-        &self.params
-    }
-
     /// Total measurements accepted.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -500,10 +442,8 @@ impl AdaptivePredictor {
                 return Err(AdaptError::NonPositive { signal, value });
             }
         }
-        let power_ratio = (measured_power_w / predicted_power_w)
-            .clamp(self.params.ratio_min, self.params.ratio_max);
-        let perf_ratio =
-            (measured_perf / predicted_perf).clamp(self.params.ratio_min, self.params.ratio_max);
+        let power_ratio = (measured_power_w / predicted_power_w).clamp(RATIO_MIN, RATIO_MAX);
+        let perf_ratio = (measured_perf / predicted_perf).clamp(RATIO_MIN, RATIO_MAX);
         let events = self.observe_ratios(kernel_id, power_ratio, perf_ratio)?;
         Ok(AdaptOutcome { power_ratio, perf_ratio, events })
     }
@@ -547,16 +487,12 @@ impl AdaptivePredictor {
         power_ratio: f64,
         perf_ratio: f64,
     ) -> Result<Vec<DriftEvent>, AdaptError> {
-        let params = self.params;
-        let power_ratio = power_ratio.clamp(params.ratio_min, params.ratio_max);
-        let perf_ratio = perf_ratio.clamp(params.ratio_min, params.ratio_max);
-        let tracker = self
-            .kernels
-            .entry(kernel_id.to_string())
-            .or_insert_with(|| KernelTracker::new(&params));
+        let power_ratio = power_ratio.clamp(RATIO_MIN, RATIO_MAX);
+        let perf_ratio = perf_ratio.clamp(RATIO_MIN, RATIO_MAX);
+        let tracker = self.kernels.entry(kernel_id.to_string()).or_insert_with(KernelTracker::new);
         self.observations += 1;
         let mut events = Vec::new();
-        if tracker.baseline_count < params.baseline_window {
+        if tracker.baseline_count < BASELINE_WINDOW {
             // Baseline phase: learn what "no drift" looks like for this
             // kernel (absorbs static-model error), detect nothing yet.
             tracker.baseline_power_sum += power_ratio;
@@ -566,11 +502,11 @@ impl AdaptivePredictor {
         }
         let z_power = power_ratio / tracker.baseline_power_mean();
         let z_perf = perf_ratio / tracker.baseline_perf_mean();
-        tracker.power.update(Signal::Power, z_power, kernel_id, &params, &mut events)?;
-        tracker.perf.update(Signal::Perf, z_perf, kernel_id, &params, &mut events)?;
+        tracker.power.update(Signal::Power, z_power, kernel_id, &mut events)?;
+        tracker.perf.update(Signal::Perf, z_perf, kernel_id, &mut events)?;
         if !tracker.mismatch_emitted {
-            let hi = params.reclassify_ratio;
-            let lo = 1.0 / params.reclassify_ratio;
+            let hi = RECLASSIFY_RATIO;
+            let lo = 1.0 / RECLASSIFY_RATIO;
             if z_power > hi || z_power < lo || z_perf > hi || z_perf < lo {
                 tracker.mismatch_emitted = true;
                 self.reclassifications += 1;
@@ -590,16 +526,16 @@ impl AdaptivePredictor {
     /// starts answering differently from the static path.
     pub fn correction(&self, kernel_id: &str) -> Option<AdaptCorrection> {
         let tracker = self.kernels.get(kernel_id)?;
-        if tracker.baseline_count < self.params.baseline_window {
+        if tracker.baseline_count < BASELINE_WINDOW {
             return None;
         }
         if !(tracker.power.bias_confirmed || tracker.perf.bias_confirmed) {
             return None;
         }
-        let power_ratio = (tracker.baseline_power_mean() * tracker.power.filter.x)
-            .clamp(self.params.ratio_min, self.params.ratio_max);
-        let perf_ratio = (tracker.baseline_perf_mean() * tracker.perf.filter.x)
-            .clamp(self.params.ratio_min, self.params.ratio_max);
+        let power_ratio =
+            (tracker.baseline_power_mean() * tracker.power.filter.x).clamp(RATIO_MIN, RATIO_MAX);
+        let perf_ratio =
+            (tracker.baseline_perf_mean() * tracker.perf.filter.x).clamp(RATIO_MIN, RATIO_MAX);
         Some(AdaptCorrection { power_ratio, perf_ratio })
     }
 
@@ -682,7 +618,7 @@ mod tests {
 
     #[test]
     fn filter_converges_to_constant_signal() {
-        let mut f = KalmanFilter::new(1.0, &AdaptParams::default());
+        let mut f = KalmanFilter::new(1.0);
         for _ in 0..64 {
             f.update(Signal::Power, 1.3).unwrap();
         }
@@ -692,7 +628,7 @@ mod tests {
 
     #[test]
     fn non_finite_measurement_is_rejected_and_state_untouched() {
-        let mut f = KalmanFilter::new(1.0, &AdaptParams::default());
+        let mut f = KalmanFilter::new(1.0);
         f.update(Signal::Perf, 1.05).unwrap();
         let before = f;
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

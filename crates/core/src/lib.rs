@@ -44,12 +44,13 @@
 //! confidence intervals on that table.
 //!
 //! **Beyond the paper, and who runs it:** [`adapt`] (Kalman-tracked drift
-//! correction) — every `acs-serve` session; [`health`] and [`runtime`]
-//! (the guarded, power-capped application runtime) — the server's `Run`
-//! request, `acs runtime` and `acs chaos`; [`persist`] (checksummed,
-//! atomically replaced artifacts) — the CLI's model files and the
-//! server journal's CRC; [`confidence`] (Section VI's risk-averse
-//! selection) — ablation A5, `acs reproduce --name ablation_confidence`.
+//! correction) — every `acs-serve` session; [`health`], [`runtime`]
+//! (the guarded, power-capped application runtime) and [`timeline`] (its
+//! run record) — the server's `Run` request, `acs runtime` and
+//! `acs chaos`; [`persist`] (checksummed, atomically replaced artifacts)
+//! — the CLI's model files and the server journal's CRC; [`confidence`]
+//! (Section VI's risk-averse selection) — ablation A5,
+//! `acs reproduce --name ablation_confidence`.
 //!
 //! ```
 //! use acs_core::{train, sample_config, KernelProfile, Predictor, SamplePair, TrainingParams};
@@ -113,6 +114,7 @@ pub mod confidence;
 pub mod health;
 pub mod persist;
 pub mod runtime;
+pub mod timeline;
 
 pub use bootstrap::{bootstrap_table3, Interval, MethodIntervals};
 pub use eval::{characterize_apps, evaluate, AppProfiles, CaseResult, Evaluation, MethodSummary};
@@ -125,8 +127,8 @@ pub use online::{prediction_error, PredictedProfile, Predictor};
 pub use profile::{collect_suite, KernelProfile};
 
 pub use adapt::{
-    AdaptCorrection, AdaptError, AdaptOutcome, AdaptParams, AdaptSelection, AdaptivePredictor,
-    DriftEvent, KalmanFilter, Signal,
+    AdaptCorrection, AdaptError, AdaptOutcome, AdaptSelection, AdaptivePredictor, DriftEvent,
+    KalmanFilter, Signal,
 };
 pub use confidence::{predict_with_confidence, BoundedPoint, BoundedProfile};
 pub use health::{

@@ -1,14 +1,14 @@
 //! An application-level power-capped runtime.
 //!
-//! This is the "foundation for dynamic scheduling" the profiling library
-//! promises (Section III-D), assembled into a usable scheduler: kernels
-//! execute sequentially (Section III-A); a kernel's first two iterations
-//! run at the Table II sample configurations; from the third iteration on,
-//! its configuration is fixed to the model's selection ("after the second
-//! iteration of a kernel, its configuration is fixed", Section IV-C) —
-//! unless the node's power budget changes, in which case the cached
-//! predicted frontier is re-consulted without any re-profiling
-//! (Section III-C).
+//! This is the "foundation for dynamic scheduling" of Section III-D,
+//! assembled into a usable scheduler that keeps its run history in a
+//! [`Timeline`]: kernels execute sequentially (Section III-A); a kernel's
+//! first two iterations run at the Table II sample configurations; from
+//! the third iteration on, its configuration is fixed to the model's
+//! selection ("after the second iteration of a kernel, its configuration
+//! is fixed", Section IV-C) — unless the node's power budget changes, in
+//! which case the cached predicted frontier is re-consulted without any
+//! re-profiling (Section III-C).
 //!
 //! The runtime is generic over an [`Executor`], so the same scheduler
 //! drives a trustworthy [`Machine`] or a chaos-injecting
@@ -23,8 +23,8 @@ use crate::features::{sample_config, SamplePair};
 use crate::health::{GuardPolicy, KernelHealth, RuntimeError, TierState};
 use crate::offline::TrainedModel;
 use crate::online::{PredictedProfile, Predictor};
+use crate::timeline::{Event, Timeline};
 use acs_kernels::AppInstance;
-use acs_profiling::{Event, Timeline};
 use acs_sim::{Configuration, Device, Executor, KernelCharacteristics, KernelRun, Machine};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -518,10 +518,12 @@ mod tests {
     /// one kernel id.
     fn runs_of(rt: &CappedRuntime, id: &str) -> Vec<(u64, Configuration)> {
         rt.timeline()
-            .for_kernel(id)
+            .entries()
             .into_iter()
             .filter_map(|e| match e.event {
-                Event::KernelRun { iteration, config, .. } => Some((iteration, config)),
+                Event::KernelRun { kernel_id, iteration, config, .. } if kernel_id == id => {
+                    Some((iteration, config))
+                }
                 _ => None,
             })
             .collect()
@@ -651,18 +653,10 @@ mod tests {
         rt.run_kernel(k).unwrap();
 
         let events = rt.timeline().entries();
-        let runs = events
-            .iter()
-            .filter(|e| matches!(e.event, acs_profiling::Event::KernelRun { .. }))
-            .count();
-        let picks = events
-            .iter()
-            .filter(|e| matches!(e.event, acs_profiling::Event::ConfigSelected { .. }))
-            .count();
-        let caps = events
-            .iter()
-            .filter(|e| matches!(e.event, acs_profiling::Event::CapChanged { .. }))
-            .count();
+        let runs = events.iter().filter(|e| matches!(e.event, Event::KernelRun { .. })).count();
+        let picks =
+            events.iter().filter(|e| matches!(e.event, Event::ConfigSelected { .. })).count();
+        let caps = events.iter().filter(|e| matches!(e.event, Event::CapChanged { .. })).count();
         assert_eq!(runs, 4);
         assert!(picks >= 1, "model selection must be traced");
         assert_eq!(caps, 1);

@@ -4,8 +4,8 @@
 //! without poisoning state, converge on constant signals, and the
 //! predictor's state digest is a function of its observation stream.
 
-use acs_core::adapt::Innovation;
-use acs_core::{AdaptError, AdaptParams, AdaptivePredictor, KalmanFilter, Signal};
+use acs_core::adapt::{Innovation, Q_FLOOR};
+use acs_core::{AdaptError, AdaptivePredictor, KalmanFilter, Signal};
 use acs_sim::SplitMix64;
 use proptest::prelude::*;
 
@@ -31,15 +31,14 @@ proptest! {
         x0 in 0.25..4.0f64,
         zs in prop::collection::vec(-10.0..10.0f64, 1..200),
     ) {
-        let params = AdaptParams::default();
-        let mut filter = KalmanFilter::new(x0, &params);
+        let mut filter = KalmanFilter::new(x0);
         for z in zs {
             let Innovation { residual, variance } =
                 filter.update(Signal::Power, z).expect("finite measurements are accepted");
             prop_assert!(variance.is_finite() && variance > 0.0, "S = {variance}");
             prop_assert!(residual.is_finite());
             prop_assert!(filter.p.is_finite() && filter.p > 0.0, "P = {}", filter.p);
-            prop_assert!(filter.q >= params.q_floor, "Q fell through its floor");
+            prop_assert!(filter.q >= Q_FLOOR, "Q fell through its floor");
             prop_assert!(filter.x.is_finite());
         }
     }
@@ -50,8 +49,7 @@ proptest! {
         bad_index in 0usize..3,
     ) {
         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][bad_index];
-        let params = AdaptParams::default();
-        let mut filter = KalmanFilter::new(1.0, &params);
+        let mut filter = KalmanFilter::new(1.0);
         for z in zs {
             filter.update(Signal::Perf, z).expect("finite measurements are accepted");
         }
@@ -65,8 +63,7 @@ proptest! {
 
     #[test]
     fn filter_converges_on_a_constant_signal(target in 0.5..2.0f64) {
-        let params = AdaptParams::default();
-        let mut filter = KalmanFilter::new(1.0, &params);
+        let mut filter = KalmanFilter::new(1.0);
         for _ in 0..200 {
             filter.update(Signal::Power, target).expect("finite");
         }

@@ -215,11 +215,11 @@ impl Coordinator {
     /// guess at who holds which watts.
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
         // `LeaseTable::new` asserts these; an operator's typo must not get
-        // that far.
+        // that far. A finite cap also bounds the floor below it.
         let (cap_w, floor_w) = (config.global_cap_w, config.floor_w);
-        if cap_w.is_nan() || cap_w <= 0.0 {
+        if !(cap_w.is_finite() && cap_w > 0.0) {
             return Err(ServeError::Config(format!(
-                "--cap must be a positive wattage, got {cap_w}"
+                "--cap must be a finite, positive wattage, got {cap_w}"
             )));
         }
         if !(floor_w > 0.0 && floor_w < cap_w) {

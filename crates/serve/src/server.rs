@@ -262,19 +262,17 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        // `Arbiter::new` and `ShardLease::new` assert these; an operator's
-        // typo must not get that far.
-        if config.global_cap_w.is_nan() || config.global_cap_w <= 0.0 {
-            return Err(ServeError::Config(format!(
-                "--global-cap must be a positive wattage, got {}",
-                config.global_cap_w
-            )));
-        }
-        if config.lease_floor_w.is_nan() || config.lease_floor_w <= 0.0 {
-            return Err(ServeError::Config(format!(
-                "--lease-floor must be a positive wattage, got {}",
-                config.lease_floor_w
-            )));
+        // `Arbiter::new` and `ShardLease::new` assert positivity; an
+        // operator's typo must not get that far. An infinite cap would pass
+        // those asserts and then split into NaN budgets.
+        for (flag, watts) in
+            [("--global-cap", config.global_cap_w), ("--lease-floor", config.lease_floor_w)]
+        {
+            if !(watts.is_finite() && watts > 0.0) {
+                return Err(ServeError::Config(format!(
+                    "{flag} must be a finite, positive wattage, got {watts}"
+                )));
+            }
         }
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
         let model = Arc::new(model);
@@ -1162,6 +1160,44 @@ mod tests {
         drop((session, stream));
         assert_eq!(shared.active.load(Ordering::SeqCst), 0);
         assert_eq!(server.handle().budget_conservation_error_w(), 0.0);
+    }
+
+    #[test]
+    fn a_long_run_keeps_the_session_timeline_at_its_bound() {
+        let server = Server::bind(ServeConfig::default(), model()).unwrap();
+        let shared: &Shared = &server.shared;
+        // One frame's worth (under `MAX_RUN_ITERATIONS`), and more entries
+        // than the bound holds.
+        let run = Request::Run {
+            kernel_id: acs_kernels::all_kernel_instances()[0].id(),
+            iterations: 5_000,
+            idem: None,
+            deadline_ms: None,
+            priority: 0,
+        };
+
+        // The same Run on two lone sessions, one with its timeline bound
+        // lifted: the bound caps memory and changes no response byte.
+        let mut replies = Vec::new();
+        for (node_id, bounded) in [(1, true), (2, false)] {
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            let mut session = Session::join(shared, node_id);
+            if !bounded {
+                session.rt.timeline().set_capacity(None);
+            }
+            let (reply, done) = session.handle_request(run.clone());
+            assert!(!done);
+            assert!(matches!(reply, Response::Ran { iterations: 5_000, .. }), "{reply:?}");
+            let timeline = session.rt.timeline();
+            if bounded {
+                assert_eq!(timeline.len(), SESSION_TIMELINE_CAPACITY);
+                assert!(timeline.dropped() > 0);
+            } else {
+                assert!(timeline.len() > SESSION_TIMELINE_CAPACITY);
+            }
+            replies.push(reply);
+        }
+        assert_eq!(replies[0], replies[1]);
     }
 
     #[test]

@@ -16,15 +16,14 @@
 //!   sensor),
 //! * [`kernels`] — a 36-kernel synthetic proxy-application suite (LULESH,
 //!   CoMD, SMC, LU) at multiple input sizes (65 combinations),
-//! * [`profiling`] — the integrated profiling library with a shared run
-//!   history,
 //! * [`mlstat`] — regression, Kendall rank correlation, PAM clustering,
 //!   and CART trees, implemented from scratch,
 //! * [`core`] — the paper's contribution, its modules in the paper's
 //!   order: Pareto frontiers, offline cluster-and-regress training, online
 //!   classify-and-predict selection ([`core::Predictor`]), simulated RAPL
-//!   frequency limiting, and the full Table III / Figures 4–9 evaluation
-//!   protocol,
+//!   frequency limiting, the full Table III / Figures 4–9 evaluation
+//!   protocol, and the power-capped runtime with its run record
+//!   ([`core::timeline`]),
 //! * [`verify`] — the correctness tooling: exhaustive-oracle differential
 //!   testing, metamorphic invariants, and the regression traces pinned
 //!   under `results/`,
@@ -63,7 +62,6 @@
 pub use acs_core as core;
 pub use acs_kernels as kernels;
 pub use acs_mlstat as mlstat;
-pub use acs_profiling as profiling;
 pub use acs_serve as serve;
 pub use acs_sim as sim;
 pub use acs_verify as verify;
@@ -75,7 +73,6 @@ pub mod prelude {
         Predictor, SamplePair, TrainedModel, TrainingParams,
     };
     pub use acs_kernels::{AppInstance, InputSize};
-    pub use acs_profiling::{History, Profiler};
     pub use acs_sim::{
         Configuration, CpuPState, Device, GpuPState, KernelCharacteristics, KernelRun, Machine,
     };

@@ -211,13 +211,13 @@ proptest! {
         }
         let cap_events = entries
             .iter()
-            .filter(|e| matches!(e.event, acs::profiling::Event::CapChanged { .. }))
+            .filter(|e| matches!(e.event, acs::core::timeline::Event::CapChanged { .. }))
             .count();
         prop_assert_eq!(cap_events, caps.len() + 1, "one CapChanged per set_cap");
         let sample_runs = entries
             .iter()
             .filter(|e| {
-                matches!(e.event, acs::profiling::Event::KernelRun { iteration, .. } if iteration < 2)
+                matches!(e.event, acs::core::timeline::Event::KernelRun { iteration, .. } if iteration < 2)
             })
             .count();
         prop_assert_eq!(

@@ -111,59 +111,6 @@ fn model_beats_naive_baselines_under_tight_caps() {
 }
 
 #[test]
-fn profiling_history_integrates_with_online_stage() {
-    // Drive everything through the profiling library, as a runtime would.
-    let m = machine();
-    let (model, _, held_out) = train_without("LU");
-    let kernel = &held_out[0].kernel;
-
-    let profiler = acs::profiling::Profiler::new(m.clone());
-    profiler.profile(kernel, &sample_config(Device::Cpu), 0);
-    profiler.profile(kernel, &sample_config(Device::Gpu), 1);
-    assert_eq!(profiler.history().sample_count(&kernel.id()), 2);
-
-    // Rebuild the sample pair from history (what a scheduler would do).
-    let cpu = profiler
-        .history()
-        .latest_at(&kernel.id(), &sample_config(Device::Cpu))
-        .expect("cpu sample recorded");
-    let gpu = profiler
-        .history()
-        .latest_at(&kernel.id(), &sample_config(Device::Gpu))
-        .expect("gpu sample recorded");
-    assert_eq!(cpu.config, sample_config(Device::Cpu));
-    assert_eq!(gpu.config, sample_config(Device::Gpu));
-
-    // Predictions from profiler-recorded samples match direct ones
-    // (profiler adds no overhead by default).
-    let direct = SamplePair::new(
-        m.run_iter(kernel, &sample_config(Device::Cpu), 0),
-        m.run_iter(kernel, &sample_config(Device::Gpu), 1),
-    );
-    let predictor = Predictor::new(&model);
-    assert_eq!(predictor.classify(&direct), {
-        // Rebuild KernelRun-shaped data from the ProfileSamples.
-        let rebuilt = SamplePair::new(
-            KernelRun {
-                config: cpu.config,
-                time_s: cpu.time_s,
-                power: cpu.power,
-                true_power: cpu.power,
-                counters: cpu.counters,
-            },
-            KernelRun {
-                config: gpu.config,
-                time_s: gpu.time_s,
-                power: gpu.power,
-                true_power: gpu.power,
-                counters: gpu.counters,
-            },
-        );
-        predictor.classify(&rebuilt)
-    });
-}
-
-#[test]
 fn facade_prelude_exposes_whole_workflow() {
     // Compile-time check that the prelude is sufficient for the README
     // workflow (plus a smoke run).
@@ -178,6 +125,5 @@ fn facade_prelude_exposes_whole_workflow() {
     }]);
     let _ = (InputSize::Small, Method::Model, GpuPState::MIN);
     let _unused: Option<PredictedProfile> = None;
-    let _h = History::new();
     let _a: Vec<AppInstance> = acs::kernels::app_instances();
 }
