@@ -324,10 +324,11 @@ impl ChaosProxy {
     /// Proxy until SIGINT or [`ChaosProxyHandle::shutdown`], then drain.
     pub fn run(self) -> Result<(), ServeError> {
         let shared = self.shared;
-        self.listener.serve(&shared.shutdown, |client| {
+        // A fault drill, not a hot path: every connection gets a thread.
+        self.listener.serve(&shared.shutdown, 0, |client| {
             let conn_id = shared.connections.fetch_add(1, Ordering::SeqCst);
             let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || handle_conn(shared, client, conn_id)))
+            Some(Box::new(move || handle_conn(shared, client, conn_id)))
         })
     }
 }

@@ -293,9 +293,10 @@ impl Coordinator {
     /// Serve until SIGINT or a `Shutdown` request, then drain.
     pub fn run(self) -> Result<(), ServeError> {
         let shared = self.shared;
-        self.listener.serve(&shared.shutdown, |stream| {
+        // Shard connections are long-lived: no thread waits for the next.
+        self.listener.serve(&shared.shutdown, 0, |stream| {
             let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || {
+            Some(Box::new(move || {
                 serve_tcp(stream, CONN_READ_TIMEOUT, &shared.shutdown, &mut Conn(&shared))
             }))
         })

@@ -7,8 +7,9 @@
 //! timeout and re-checks a shutdown flag, so SIGINT and a `Shutdown`
 //! request drain a server the same way: stop accepting, let every
 //! connection observe the flag at its next read timeout, join the
-//! connection threads. Finished threads are reaped on every accept, so the
-//! tracked set is bounded by the connections currently alive.
+//! connection threads. A connection thread that has finished its
+//! connection parks for the next one, so a short session costs a hand-off
+//! instead of a thread.
 //!
 //! The frame loop pays syscalls per wake-up, not per frame: one `read`
 //! takes every request the socket holds, and their replies leave in one
@@ -18,16 +19,20 @@ use crate::protocol::{
     encode_frame, read_frame_blocking, write_frame, FrameReader, ProtocolError, ReadOutcome,
 };
 use crate::server::ServeError;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, SendError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long the accept loop waits for a connection before it looks at the
-/// shutdown flag and SIGINT again.
+/// shutdown flag and SIGINT again, and how long it backs off after an
+/// `accept` error it outlives.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Reply bytes a connection holds back at most: past this mark they are
@@ -96,8 +101,21 @@ mod sys {
         // EINTR is SIGINT doing its job. Anything else (ENOMEM) must not
         // turn the accept loop into a spin: wait the timeout out instead.
         if rc < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
-            std::thread::sleep(timeout);
+            super::back_off(timeout);
         }
+    }
+
+    /// Whether an `accept` error number says the listener itself is
+    /// unusable: `EBADF`, `EFAULT`, `EINVAL` or `ENOTSOCK`.
+    pub fn listener_unusable(errno: i32) -> bool {
+        const EBADF: i32 = 9;
+        const EFAULT: i32 = 14;
+        const EINVAL: i32 = 22;
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const ENOTSOCK: i32 = 88;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const ENOTSOCK: i32 = 38;
+        matches!(errno, EBADF | EFAULT | EINVAL | ENOTSOCK)
     }
 }
 
@@ -108,40 +126,112 @@ mod sys {
         false
     }
     pub fn wait_acceptable(_: &std::net::TcpListener, timeout: std::time::Duration) {
-        std::thread::sleep(timeout);
+        super::back_off(timeout);
+    }
+    /// `WSAEBADF`, `WSAEFAULT`, `WSAEINVAL` and `WSAENOTSOCK`.
+    pub fn listener_unusable(errno: i32) -> bool {
+        matches!(errno, 10009 | 10014 | 10022 | 10038)
     }
 }
 
-/// Join handles of the live connection threads. Pushing reaps the
-/// finished ones first, so a long-running server tracks as many handles
-/// as it has connections, not as many as it has ever accepted.
+/// The accept loop's one timed wait that is not `poll(2)`.
+fn back_off(timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
+/// Whether an `accept` error ends the accept loop. Only an unusable
+/// listener does; descriptor or buffer exhaustion (`EMFILE`, `ENFILE`,
+/// `ENOBUFS`, `ENOMEM`), an aborted connection and the network errors
+/// accept(2) says to retry on pass, and the loop backs off one
+/// [`ACCEPT_POLL`] before it accepts again, so a full descriptor table
+/// cannot turn it into a spin.
+fn accept_error_is_fatal(error: &std::io::Error) -> bool {
+    error.raw_os_error().is_some_and(sys::listener_unusable)
+}
+
+/// What a connection thread runs for one accepted connection.
+pub(crate) type ConnWork = Box<dyn FnOnce() + Send>;
+
+/// The connection threads waiting for their next connection, each as the
+/// sending half of its hand-off channel. Drain sets `closed` under the
+/// lock a thread holds to park, so no thread parks once it is set.
 #[derive(Default)]
-pub(crate) struct Reaper {
+struct Parked {
+    threads: Vec<SyncSender<ConnWork>>,
+    closed: bool,
+}
+
+/// A connection thread: run `work`, then park for the next connection
+/// unless the list is closed or already holds `max_parked` threads. A
+/// parked thread blocks in `recv` until it is handed work or its sender is
+/// dropped at drain.
+fn conn_thread(mut work: ConnWork, parked: &Mutex<Parked>, max_parked: usize) {
+    loop {
+        work();
+        let next = {
+            let mut list = parked.lock();
+            if list.closed || list.threads.len() >= max_parked {
+                return;
+            }
+            let (hand_off, next) = sync_channel(1);
+            list.threads.push(hand_off);
+            next
+        };
+        let Ok(next) = next.recv() else { return };
+        work = next;
+    }
+}
+
+/// The accept loop's connection threads: a parked thread takes the next
+/// connection, and a thread is spawned only when none is parked.
+struct ConnThreads {
+    parked: Arc<Mutex<Parked>>,
+    max_parked: usize,
+    /// Every thread not known to have finished; finished ones are dropped
+    /// on every spawn, so this is bounded by the threads alive.
     handles: Vec<JoinHandle<()>>,
 }
 
-impl Reaper {
-    pub(crate) fn push(&mut self, handle: JoinHandle<()>) {
+impl ConnThreads {
+    fn run(&mut self, mut work: ConnWork) {
+        let parked = self.parked.lock().threads.pop();
+        if let Some(thread) = parked {
+            match thread.send(work) {
+                Ok(()) => return,
+                // Only a thread that has died drops its receiver.
+                Err(SendError(unsent)) => work = unsent,
+            }
+        }
         self.handles.retain(|h| !h.is_finished());
-        self.handles.push(handle);
+        let (parked, max_parked) = (Arc::clone(&self.parked), self.max_parked);
+        self.handles.push(std::thread::spawn(move || conn_thread(work, &parked, max_parked)));
     }
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.handles.len()
+    /// Close the list: every parked thread wakes by disconnection (work
+    /// handed over before the close is still delivered), and every other
+    /// one exits when its connection ends.
+    fn close(&self) {
+        let parked = {
+            let mut list = self.parked.lock();
+            list.closed = true;
+            std::mem::take(&mut list.threads)
+        };
+        drop(parked);
     }
 
-    pub(crate) fn join_all(self) {
+    fn join(self) {
         for handle in self.handles {
             let _ = handle.join();
         }
     }
 }
 
-/// A bound, non-blocking listener.
+/// A bound, non-blocking listener and the threads that serve its
+/// connections.
 pub(crate) struct Listener {
     listener: TcpListener,
     addr: SocketAddr,
+    parked: Arc<Mutex<Parked>>,
 }
 
 impl Listener {
@@ -154,7 +244,7 @@ impl Listener {
         let listener = TcpListener::bind(requested).map_err(bind_err)?;
         let addr = listener.local_addr().map_err(bind_err)?;
         listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
-        Ok(Self { listener, addr })
+        Ok(Self { listener, addr, parked: Arc::default() })
     }
 
     /// The address actually bound.
@@ -162,39 +252,78 @@ impl Listener {
         self.addr
     }
 
-    /// Accept until SIGINT or `shutdown`, then join every connection
-    /// thread. `on_conn` decides each connection's fate: `Some(handle)`
-    /// for a spawned connection thread, `None` when it was turned away
-    /// (admission control answers and closes inline).
+    /// A view of the connection threads that outlives `self` moving into
+    /// [`serve`](Self::serve).
+    #[cfg(test)]
+    pub(crate) fn threads(&self) -> ThreadsProbe {
+        ThreadsProbe(Arc::downgrade(&self.parked))
+    }
+
+    /// Accept until SIGINT, `shutdown` or an unusable listener, then drain:
+    /// set `shutdown`, close the parked list and join every connection
+    /// thread. `on_conn`
+    /// decides each connection's fate: `Some(work)` to run on a connection
+    /// thread, `None` when it was turned away (admission control answers
+    /// and closes inline). At most `max_parked` finished threads wait for
+    /// a next connection; with 0 every connection gets a thread of its own.
     pub(crate) fn serve(
         self,
         shutdown: &AtomicBool,
-        mut on_conn: impl FnMut(TcpStream) -> Option<JoinHandle<()>>,
+        max_parked: usize,
+        mut on_conn: impl FnMut(TcpStream) -> Option<ConnWork>,
     ) -> Result<(), ServeError> {
         sys::install_sigint();
-        let mut conns = Reaper::default();
-        loop {
+        let Self { listener, parked, .. } = self;
+        let mut threads = ConnThreads { parked, max_parked, handles: Vec::new() };
+        let served = loop {
             if sys::sigint_pending() {
                 shutdown.store(true, Ordering::SeqCst);
             }
             if shutdown.load(Ordering::SeqCst) {
-                break;
+                break Ok(());
             }
-            match self.listener.accept() {
+            match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if let Some(handle) = on_conn(stream) {
-                        conns.push(handle);
+                    if let Some(work) = on_conn(stream) {
+                        threads.run(work);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    sys::wait_acceptable(&self.listener, ACCEPT_POLL);
+                    sys::wait_acceptable(&listener, ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
+                Err(e) if accept_error_is_fatal(&e) => {
+                    // The server is over: its connections drain as at shutdown.
+                    shutdown.store(true, Ordering::SeqCst);
+                    break Err(ServeError::Io(e.to_string()));
+                }
+                Err(_) => back_off(ACCEPT_POLL),
             }
-        }
-        conns.join_all();
-        Ok(())
+        };
+        // The list closes before the listening socket does: a peer that
+        // finds the port closed knows that no connection thread parks again.
+        threads.close();
+        drop(listener);
+        threads.join();
+        served
+    }
+}
+
+/// What tests see of a listener's connection threads while it serves.
+#[cfg(test)]
+pub(crate) struct ThreadsProbe(std::sync::Weak<Mutex<Parked>>);
+
+#[cfg(test)]
+impl ThreadsProbe {
+    /// Connection threads alive, working or parked: besides the accept
+    /// loop, each of them holds the parked list.
+    pub(crate) fn live(&self) -> usize {
+        self.0.strong_count().saturating_sub(1)
+    }
+
+    /// Connection threads parked for a next connection.
+    pub(crate) fn parked(&self) -> usize {
+        self.0.upgrade().map_or(0, |parked| parked.lock().threads.len())
     }
 }
 
@@ -515,19 +644,68 @@ mod tests {
     }
 
     #[test]
-    fn reaper_tracks_live_threads_not_every_thread_ever_pushed() {
-        let mut conns = Reaper::default();
+    fn parked_threads_take_the_next_connection_up_to_max_parked() {
+        let parked = Arc::<Mutex<Parked>>::default();
+        let mut threads =
+            ConnThreads { parked: Arc::clone(&parked), max_parked: 2, handles: Vec::new() };
+        let parked_now = || parked.lock().threads.len();
+        let (ran_tx, ran) = std::sync::mpsc::channel();
+        let report = || -> ConnWork {
+            let ran_tx = ran_tx.clone();
+            Box::new(move || ran_tx.send(std::thread::current().id()).expect("test waits"))
+        };
+
+        // One connection at a time: the thread that served the last one
+        // serves the next, and no second thread is ever started.
+        let mut served_by = Vec::new();
         for _ in 0..1_000 {
-            let (done_tx, done_rx) = std::sync::mpsc::channel();
-            conns.push(std::thread::spawn(move || done_tx.send(()).expect("receiver waits")));
-            done_rx.recv().expect("thread ran");
-            // The thread has sent its last word; give it a moment to exit
-            // so the next push can reap it.
-            while !conns.handles.last().expect("just pushed").is_finished() {
+            threads.run(report());
+            served_by.push(ran.recv().expect("the work ran"));
+            while parked_now() == 0 {
                 std::thread::yield_now();
             }
         }
-        assert!(conns.len() <= 2, "{} handles tracked after 1000 short threads", conns.len());
-        conns.join_all();
+        assert!(served_by.iter().all(|id| *id == served_by[0]));
+        assert_eq!(threads.handles.len(), 1);
+
+        // Four at once take the parked thread and three new ones; when
+        // they finish, two park and two exit.
+        let gate = Arc::new(std::sync::Barrier::new(5));
+        for _ in 0..4 {
+            let gate = Arc::clone(&gate);
+            threads.run(Box::new(move || {
+                gate.wait();
+            }));
+        }
+        gate.wait();
+        // The test and the accept loop's handle hold the list too.
+        while Arc::strong_count(&parked) - 2 > 2 || parked_now() < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(threads.handles.len(), 4, "nothing finished has been reaped yet");
+
+        // Work handed to a parked thread just before the close still runs.
+        threads.run(report());
+        threads.close();
+        threads.join();
+        assert!(ran.try_recv().is_ok(), "drain dropped handed-over work");
+        assert_eq!(Arc::strong_count(&parked), 1, "a connection thread outlived drain");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn only_an_unusable_listener_ends_the_accept_loop() {
+        let fatal = |errno| accept_error_is_fatal(&std::io::Error::from_raw_os_error(errno));
+        // EBADF, EFAULT, EINVAL, ENOTSOCK.
+        for errno in [9, 14, 22, 88] {
+            assert!(fatal(errno), "errno {errno} is the listener's own failure");
+        }
+        // EPERM, ENOMEM, ENFILE, EMFILE, ENONET, EPROTO, ENOPROTOOPT,
+        // EOPNOTSUPP, ENETDOWN, ENETUNREACH, ECONNABORTED, ENOBUFS,
+        // EHOSTDOWN, EHOSTUNREACH.
+        for errno in [1, 12, 23, 24, 64, 71, 92, 95, 100, 101, 103, 105, 112, 113] {
+            assert!(!fatal(errno), "errno {errno} is worth another accept");
+        }
+        assert!(!accept_error_is_fatal(&std::io::Error::other("no errno")));
     }
 }

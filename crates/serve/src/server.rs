@@ -384,7 +384,9 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || run_brownout(shared))
         });
-        let served = self.listener.serve(&shared.shutdown, |mut stream| {
+        // As many threads wait for a next session as can be in one.
+        let max_parked = shared.config.max_sessions;
+        let served = self.listener.serve(&shared.shutdown, max_parked, |mut stream| {
             let active = shared.active.load(Ordering::SeqCst);
             if active >= shared.config.max_sessions {
                 shared.metrics.record_overloaded();
@@ -400,10 +402,9 @@ impl Server {
             shared.active.fetch_add(1, Ordering::SeqCst);
             let node_id = shared.next_node.fetch_add(1, Ordering::SeqCst);
             let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || run_session(shared, stream, node_id)))
+            Some(Box::new(move || run_session(shared, stream, node_id)))
         });
-        // Also after an accept-loop failure, so the helper threads exit.
-        shared.shutdown.store(true, Ordering::SeqCst);
+        // `serve` returns with the shutdown flag set, so the helpers exit.
         for handle in lease_thread.into_iter().chain(brownout_thread) {
             let _ = handle.join();
         }
@@ -1090,6 +1091,123 @@ mod tests {
         }
     }
 
+    fn bye(mut client: Client) {
+        assert!(matches!(client.call(&Request::Bye).expect("the session answers"), Response::Bye));
+    }
+
+    /// Poll `done` every millisecond; fail with `stuck` after ten seconds.
+    fn wait_until(stuck: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{stuck}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A server on a background thread, and a view of its connection
+    /// threads.
+    fn spawn_probed(config: ServeConfig) -> (Running<ServerHandle>, crate::net::ThreadsProbe) {
+        let server = Server::bind(config, model()).unwrap();
+        let threads = server.listener.threads();
+        let (addr, handle) = (server.local_addr(), server.handle());
+        (Running::start(addr, handle, ServerHandle::shutdown, move || server.run()), threads)
+    }
+
+    #[test]
+    fn parked_threads_are_not_sessions() {
+        const MAX: usize = 3;
+        let (running, threads) =
+            spawn_probed(ServeConfig { max_sessions: MAX, ..ServeConfig::default() });
+        let connect = || Client::connect(&running.addr).unwrap();
+
+        // A full house says Bye: every seat comes back and every thread parks.
+        let mut first: Vec<Client> = (0..MAX).map(|_| connect()).collect();
+        let node_ids: Vec<u64> = first.iter_mut().map(|c| hello(c).0).collect();
+        assert_eq!(node_ids, [1, 2, 3]);
+        first.into_iter().for_each(bye);
+        wait_until("a finished session kept its seat or its thread never parked", || {
+            running.handle.active_sessions() == 0 && threads.parked() == MAX
+        });
+
+        // The parked threads take a second full house, which is still the
+        // admission bound, and node ids keep counting.
+        let mut second: Vec<Client> = (0..MAX).map(|_| connect()).collect();
+        let node_ids: Vec<u64> = second.iter_mut().map(|c| hello(c).0).collect();
+        assert_eq!(node_ids, [4, 5, 6]);
+        assert_eq!(threads.live(), MAX, "a session found no parked thread");
+        let mut refused = connect();
+        refused.stream_mut().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        match crate::protocol::read_frame_blocking(refused.stream_mut()).unwrap() {
+            Some(Response::Overloaded { load, limit }) => assert_eq!((load, limit), (4, 3)),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        second.into_iter().for_each(bye);
+
+        // A thousand sessions one at a time: the threads stay bounded by
+        // the seats.
+        for node_id in 7..1_007 {
+            let mut client = connect();
+            assert_eq!(hello(&mut client).0, node_id);
+            bye(client);
+        }
+        wait_until("a session never left", || running.handle.active_sessions() == 0);
+        let live = threads.live();
+        assert!(live <= MAX + 1, "{live} connection threads after 1000 sequential sessions");
+        running.stop();
+        assert_eq!(threads.live(), 0, "drain left a connection thread behind");
+    }
+
+    #[test]
+    fn a_reused_thread_answers_like_a_fresh_one() {
+        let kernel_ids: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(4).map(|k| k.id()).collect();
+        let select =
+            |id: &String| Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 };
+        let batch =
+            Request::Batch { kernel_ids: kernel_ids.clone(), deadline_ms: None, priority: 0 };
+        let report = Request::Report { residual_w: 0.0, feedback: None };
+        let mut wire = Vec::new();
+        for request in kernel_ids.iter().map(select).chain([batch, report, Request::Bye]) {
+            write_frame(&mut wire, &request).unwrap();
+        }
+        // Every byte a server writes back to `wire`, up to its close.
+        let replies = |addr: &str| {
+            use std::io::{Read, Write};
+            let mut client = Client::connect(addr).unwrap();
+            let stream = client.stream_mut();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            stream.write_all(&wire).unwrap();
+            let mut replies = Vec::new();
+            stream.read_to_end(&mut replies).unwrap();
+            replies
+        };
+        let fresh = {
+            let running = Server::spawn(ServeConfig::default(), model()).unwrap();
+            let fresh = replies(&running.addr);
+            running.stop();
+            fresh
+        };
+
+        // One whole frame and half the next; the peer takes the first reply
+        // and is gone: the session ends mid-frame and its thread parks.
+        let (running, threads) = spawn_probed(ServeConfig::default());
+        let frame_len =
+            |at: usize| 4 + u32::from_be_bytes(wire[at..at + 4].try_into().unwrap()) as usize;
+        let torn = frame_len(0) + frame_len(frame_len(0)) / 2;
+        let mut client = Client::connect(&running.addr).unwrap();
+        let stream = client.stream_mut();
+        std::io::Write::write_all(stream, &wire[..torn]).unwrap();
+        let first = crate::protocol::read_frame_blocking::<_, Response>(stream).unwrap();
+        assert!(matches!(first, Some(Response::Selected(_))), "{first:?}");
+        drop(client);
+        wait_until("the torn session's thread never parked", || threads.parked() == 1);
+
+        assert_eq!(replies(&running.addr), fresh, "the reused thread answered differently");
+        assert_eq!(threads.live(), 1, "the second session got a thread of its own");
+        assert_eq!(running.handle.stats().protocol_errors, 1, "the torn frame was not seen");
+        running.stop();
+    }
+
     /// A transport whose first `read` takes long enough for another node
     /// to join: the frame it returns was in flight while the arbiter
     /// reshuffled.
@@ -1243,11 +1361,9 @@ mod tests {
         assert_eq!(running.handle.adapt_digests().len(), 1);
         assert!(victim.call(&select(&kernels[1])).is_err(), "the panicking session hangs up");
 
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while running.handle.active_sessions() != 1 {
-            assert!(Instant::now() < deadline, "the dead session never gave its seat back");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_until("the dead session never gave its seat back", || {
+            running.handle.active_sessions() == 1
+        });
         // Whether or not an idle poll showed the survivor 45 W in between,
         // its Hello is answered at the epoch it arrives in.
         assert_eq!(hello(&mut survivor), (1, 90.0), "the survivor owns the whole cap again");

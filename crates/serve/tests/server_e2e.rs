@@ -516,6 +516,83 @@ fn shutdown_poison_drains_the_server() {
     assert!(eof.is_none(), "session must close silently on shutdown, got {eof:?}");
 }
 
+/// Twenty thousand connect → `Hello` → `Bye` sessions, then `stop()`.
+/// Each session after the first is handed to a parked connection thread
+/// or starts one; a hand-off that is never taken, or a parked thread that
+/// drain does not wake, hangs `stop()`, so the sessions run on a thread
+/// of their own under a watchdog.
+#[test]
+fn twenty_thousand_short_sessions_then_stop() {
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let sessions = std::thread::spawn(move || {
+        let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+        for _ in 0..20_000 {
+            let mut client = Client::connect(&server.addr).unwrap();
+            assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+            assert!(matches!(client.call(&Request::Bye).unwrap(), Response::Bye));
+        }
+        server.stop();
+        done_tx.send(()).unwrap();
+    });
+    match done.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => sessions.join().unwrap(),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(sessions.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("20 000 sessions and a stop() took over 120 s: a lost wake-up")
+        }
+    }
+}
+
+/// `stop()` with threads parked and sessions open: parked threads wake by
+/// disconnection, an idle session observes shutdown at its read timeout,
+/// and a session that ends after drain has closed the parked list exits
+/// instead of parking where nothing will wake it.
+#[test]
+fn stop_wakes_parked_threads_and_none_parks_after_the_close() {
+    const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(100);
+    const SLACK: Duration = Duration::from_millis(400);
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let addr = server.addr.clone();
+    let hello = || {
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+        client
+    };
+    let finished: Vec<Client> = (0..4).map(|_| hello()).collect();
+    for mut client in finished {
+        assert!(matches!(client.call(&Request::Bye).unwrap(), Response::Bye));
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.handle.active_sessions() != 0 {
+        assert!(std::time::Instant::now() < deadline, "a session that said Bye never left");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let _idle = hello();
+    let mut late = hello();
+
+    let (stopped_tx, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let started = std::time::Instant::now();
+        server.stop();
+        let _ = stopped_tx.send(started.elapsed());
+    });
+    // The listening socket closes after the parked list does.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while std::net::TcpStream::connect(&addr).is_ok() {
+        assert!(std::time::Instant::now() < deadline, "the listener never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Its session ends now, with the list closed (or at its read timeout,
+    // also after the close, if this thread stalled for that long).
+    let _ = late.call(&Request::Bye);
+    let took = stopped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop() hung: a connection thread parked on the closed list");
+    assert!(took < SESSION_READ_TIMEOUT + SLACK, "stop() took {took:?}");
+}
+
 /// The raw bytes of the next reply frame, length prefix included.
 fn read_raw_reply(stream: &mut std::net::TcpStream) -> Vec<u8> {
     use std::io::Read;
