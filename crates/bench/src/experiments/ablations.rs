@@ -16,7 +16,7 @@ pub(super) fn ablation_clusters(out: &mut dyn Write) -> io::Result<String> {
     let apps = crate::characterized_suite();
     // No k changes the frontiers or their dissimilarity: one preparation
     // serves the whole sweep.
-    let suite = PreparedSuite::new(&apps);
+    let suite = PreparedSuite::new(&apps).expect("the characterized suite is well-formed");
 
     writeln!(out, "Ablation A1 — cluster count sweep (LOBO-CV, Model and Model+FL)")?;
     writeln!(out)?;
@@ -70,7 +70,7 @@ pub(super) fn ablation_transform(out: &mut dyn Write) -> io::Result<String> {
     use acs_core::{Method, TrainingParams};
 
     let apps = crate::characterized_suite();
-    let suite = PreparedSuite::new(&apps);
+    let suite = PreparedSuite::new(&apps).expect("the characterized suite is well-formed");
 
     writeln!(out, "Ablation A2 — variance-stabilizing transform (sqrt on responses)")?;
     writeln!(out)?;

@@ -267,7 +267,7 @@ fn replay_each(
 /// Evaluate all methods on characterized applications under
 /// leave-one-benchmark-out cross-validation.
 pub fn evaluate(apps: &[AppProfiles], params: TrainingParams) -> Result<Evaluation, TrainError> {
-    PreparedSuite::new(apps).evaluate(params)
+    PreparedSuite::new(apps)?.evaluate(params)
 }
 
 /// A characterized suite with everything cross-validation needs that no
@@ -288,8 +288,10 @@ pub struct PreparedSuite<'a> {
 }
 
 impl<'a> PreparedSuite<'a> {
-    /// Prepare `apps` for any number of evaluations.
-    pub fn new(apps: &'a [AppProfiles]) -> Self {
+    /// Prepare `apps` for any number of evaluations, once
+    /// [`Prepared::new`] has checked every profile.
+    pub fn new(apps: &'a [AppProfiles]) -> Result<Self, TrainError> {
+        let kernels = Prepared::new(apps.iter().flat_map(|a| &a.profiles))?;
         // Fold by *benchmark* (LULESH, CoMD, SMC, LU): holding out a
         // benchmark holds out all of its input sizes, per Section V-C.
         let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
@@ -310,8 +312,7 @@ impl<'a> PreparedSuite<'a> {
             let label: Arc<str> = app.app.label().into();
             held_out.extend(app.profiles.iter().map(|p| HeldOut::new(p, Arc::clone(&label))));
         }
-        let kernels = Prepared::new(apps.iter().flat_map(|a| &a.profiles));
-        Self { kernels, folds, starts, held_out }
+        Ok(Self { kernels, folds, starts, held_out })
     }
 
     /// The suite-wide training preparation every fold fits from.
@@ -449,6 +450,18 @@ mod tests {
             assert!(!e.cases_of(m).is_empty(), "{m} has no cases");
         }
         assert_eq!(e.fold_silhouettes.len(), 2, "two benchmarks → two folds");
+    }
+
+    #[test]
+    fn a_malformed_profile_fails_the_evaluation_before_any_frontier() {
+        // A NaN true power has no place in the oracle frontier's sort.
+        let mut apps = mini_apps(&Machine::new(42));
+        apps[1].profiles[2].runs[5].true_power.gpu_nb_plane_w = f64::NAN;
+        let kernel = apps[1].profiles[2].kernel.id();
+        match evaluate(&apps, TrainingParams { n_clusters: 3, ..Default::default() }) {
+            Err(TrainError::BadProfile { kernel: named, run: 5, .. }) => assert_eq!(named, kernel),
+            other => panic!("expected a bad-profile error, got {other:?}"),
+        }
     }
 
     #[test]

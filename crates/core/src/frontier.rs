@@ -39,9 +39,9 @@ impl Frontier {
             a.power_w
                 .partial_cmp(&b.power_w)
                 .unwrap()
-                .then(b.perf.partial_cmp(&a.perf).unwrap())
+                .then_with(|| b.perf.partial_cmp(&a.perf).unwrap())
                 // Stable, deterministic order for exact duplicates.
-                .then(a.config.index().cmp(&b.config.index()))
+                .then_with(|| a.config.index().cmp(&b.config.index()))
         });
         let mut frontier: Vec<PowerPerfPoint> = Vec::new();
         for p in points {

@@ -5,13 +5,13 @@
 
 use crate::dissimilarity::dissimilarity_matrix;
 use crate::fastpath::ConfigSpace;
-use crate::features::{config_features, CONFIG_FEATURES, TREE_FEATURE_NAMES};
+use crate::features::{config_features, TREE_FEATURE_NAMES};
 use crate::profile::{collect_suite, KernelProfile};
 use acs_mlstat::{
     pam, silhouette, ClassificationTree, Clustering, Design, Dissimilarity, FitError, LinearModel,
     TreeError, TreeParams,
 };
-use acs_sim::{Device, Machine};
+use acs_sim::{Configuration, Device, KernelRun, Machine};
 use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters.
@@ -69,10 +69,41 @@ pub enum TrainError {
         /// Clusters requested.
         clusters: usize,
     },
+    /// A training profile has a run the offline stage cannot use.
+    BadProfile {
+        /// The kernel's id.
+        kernel: String,
+        /// Position of the run in the profile's `runs`.
+        run: usize,
+        /// What is wrong with it.
+        fault: RunFault,
+    },
     /// A cluster regression failed to fit.
     Regression(FitError),
     /// The classification tree failed to fit.
     Tree(TreeError),
+}
+
+/// What makes a profile's run unusable for training (see
+/// [`TrainError::BadProfile`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunFault {
+    /// The profile ends before this configuration.
+    Missing(Configuration),
+    /// The profile has more runs than there are configurations.
+    Extra,
+    /// The run is at another configuration than the one its position
+    /// names.
+    Misplaced {
+        /// The configuration at this position of `Configuration::all()`.
+        expected: Configuration,
+        /// The run's configuration.
+        found: Configuration,
+    },
+    /// The run's time is not finite and positive.
+    Time(f64),
+    /// A measured or true plane power is negative or not finite.
+    Power(f64),
 }
 
 impl std::fmt::Display for TrainError {
@@ -81,6 +112,20 @@ impl std::fmt::Display for TrainError {
             TrainError::TooFewKernels { kernels, clusters } => {
                 write!(f, "{kernels} kernels cannot form {clusters} clusters")
             }
+            TrainError::BadProfile { kernel, run, fault } => {
+                write!(f, "profile of {kernel}, run {run}: ")?;
+                match fault {
+                    RunFault::Missing(config) => write!(f, "missing (no run at {config})"),
+                    RunFault::Extra => {
+                        write!(f, "past the {} configurations", Configuration::space_size())
+                    }
+                    RunFault::Misplaced { expected, found } => {
+                        write!(f, "at {found}, where {expected} belongs")
+                    }
+                    RunFault::Time(t) => write!(f, "time_s is {t}, not a positive time"),
+                    RunFault::Power(w) => write!(f, "a plane power is {w} W, not a power"),
+                }
+            }
             TrainError::Regression(e) => write!(f, "cluster regression: {e}"),
             TrainError::Tree(e) => write!(f, "classification tree: {e}"),
         }
@@ -88,6 +133,38 @@ impl std::fmt::Display for TrainError {
 }
 
 impl std::error::Error for TrainError {}
+
+/// Check that a training profile holds one usable run per configuration,
+/// in `Configuration::all()` order: what every step of the offline stage
+/// assumes (the regressions stack one block of configuration rows per
+/// member). Counters are the classification tree's to check.
+fn check_profile(profile: &KernelProfile) -> Result<(), TrainError> {
+    let bad = |run, fault| TrainError::BadProfile { kernel: profile.kernel.id(), run, fault };
+    let space = Configuration::all();
+    for (i, (run, &expected)) in profile.runs.iter().zip(space).enumerate() {
+        if run.config != expected {
+            return Err(bad(i, RunFault::Misplaced { expected, found: run.config }));
+        }
+        if !(run.time_s.is_finite() && run.time_s > 0.0) {
+            return Err(bad(i, RunFault::Time(run.time_s)));
+        }
+        let (measured, truth) = (run.power, run.true_power);
+        let planes = [
+            measured.cpu_plane_w,
+            measured.gpu_nb_plane_w,
+            truth.cpu_plane_w,
+            truth.gpu_nb_plane_w,
+        ];
+        if let Some(&w) = planes.iter().find(|w| !(w.is_finite() && **w >= 0.0)) {
+            return Err(bad(i, RunFault::Power(w)));
+        }
+    }
+    match profile.runs.len() {
+        n if n < space.len() => Err(bad(n, RunFault::Missing(space[n]))),
+        n if n > space.len() => Err(bad(space.len(), RunFault::Extra)),
+        _ => Ok(()),
+    }
+}
 
 /// The product of the offline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,56 +204,58 @@ pub fn unstabilize(y: f64, on: bool) -> f64 {
     }
 }
 
-/// One device's training observations within a cluster: a design row per
-/// run, with its performance and power responses.
-struct DeviceRows {
-    rows: Vec<[f64; CONFIG_FEATURES]>,
+/// One device's responses within a cluster, a block per member in
+/// configuration order: each run's performance ratio and power.
+struct Responses {
     perf: Vec<f64>,
     power: Vec<f64>,
 }
 
-impl DeviceRows {
+impl Responses {
     fn with_capacity(n: usize) -> Self {
-        Self {
-            rows: Vec::with_capacity(n),
-            perf: Vec::with_capacity(n),
-            power: Vec::with_capacity(n),
-        }
+        Self { perf: Vec::with_capacity(n), power: Vec::with_capacity(n) }
+    }
+
+    /// Append one member's runs on the device, whose sample-configuration
+    /// performance there is `sample_perf`.
+    fn extend(&mut self, runs: &[KernelRun], sample_perf: f64, stabilize_variance: bool) {
+        let ratio = |run: &KernelRun| (1.0 / run.time_s) / sample_perf;
+        self.perf.extend(runs.iter().map(|run| stabilize(ratio(run), stabilize_variance)));
+        self.power.extend(runs.iter().map(|run| stabilize(run.power_w(), stabilize_variance)));
     }
 
     /// The device's performance model (no intercept) and power model
-    /// (intercept), both from one [`Design`].
-    fn fit(&self) -> Result<(LinearModel, LinearModel), FitError> {
-        let design = Design::new(&self.rows)?;
+    /// (intercept), over its `design` stacked once per member.
+    fn fit(&self, design: &Design) -> Result<(LinearModel, LinearModel), FitError> {
         Ok((design.fit(&self.perf, false)?, design.fit(&self.power, true)?))
     }
 }
 
+/// Fit a cluster's four regressions against the CPU and GPU designs,
+/// gathering the responses in the CPU and GPU buffers (emptied first). Every
+/// member's runs are the configurations in index order
+/// ([`check_profile`]): its CPU runs, then its GPU runs, each run at its
+/// design row.
 fn fit_cluster(
     members: &[&KernelProfile],
+    (cpu_design, gpu_design): &(Design, Design),
+    (cpu, gpu): &mut (Responses, Responses),
     stabilize_variance: bool,
 ) -> Result<ClusterModels, TrainError> {
-    let space = ConfigSpace::get();
-    let n_cpu = space.cpu_end();
-    let mut cpu = DeviceRows::with_capacity(members.len() * n_cpu);
-    let mut gpu = DeviceRows::with_capacity(members.len() * (space.len() - n_cpu));
-
+    for device in [&mut *cpu, &mut *gpu] {
+        device.perf.clear();
+        device.power.clear();
+    }
+    let cpu_end = ConfigSpace::get().cpu_end();
     for profile in members {
         let samples = profile.sample_pair();
-        for run in &profile.runs {
-            let ratio = (1.0 / run.time_s) / samples.perf_on(run.config.device);
-            let device = match run.config.device {
-                Device::Cpu => &mut cpu,
-                Device::Gpu => &mut gpu,
-            };
-            device.rows.push(config_features(&run.config));
-            device.perf.push(stabilize(ratio, stabilize_variance));
-            device.power.push(stabilize(run.power_w(), stabilize_variance));
-        }
+        let (on_cpu, on_gpu) = profile.runs.split_at(cpu_end);
+        cpu.extend(on_cpu, samples.perf_on(Device::Cpu), stabilize_variance);
+        gpu.extend(on_gpu, samples.perf_on(Device::Gpu), stabilize_variance);
     }
 
-    let (perf_cpu, power_cpu) = cpu.fit().map_err(TrainError::Regression)?;
-    let (perf_gpu, power_gpu) = gpu.fit().map_err(TrainError::Regression)?;
+    let (perf_cpu, power_cpu) = cpu.fit(cpu_design).map_err(TrainError::Regression)?;
+    let (perf_gpu, power_gpu) = gpu.fit(gpu_design).map_err(TrainError::Regression)?;
     Ok(ClusterModels { perf_cpu, perf_gpu, power_cpu, power_gpu })
 }
 
@@ -197,27 +276,43 @@ pub fn train(
     params: TrainingParams,
 ) -> Result<TrainedModel, TrainError> {
     let all: Vec<usize> = (0..profiles.len()).collect();
-    Prepared::new(profiles).fit(&all, params)
+    Prepared::new(profiles)?.fit(&all, params)
 }
 
 /// Characterized kernels together with the part of the offline stage that
 /// neither a hyperparameter nor the choice of a training subset changes:
-/// the pairwise dissimilarity of their measured frontiers. Each entry is a
-/// function of its two kernels alone, so the matrix of any subset is the
-/// principal sub-matrix on it — cross-validation prepares the suite once
-/// and [`fit`](Self::fit)s every fold from it.
+/// the pairwise dissimilarity of their measured frontiers, and each
+/// device's regression design. Each dissimilarity is a function of its
+/// two kernels alone, so the matrix of any subset is the principal
+/// sub-matrix on it; a cluster's design is its device's configuration
+/// rows once per member, whichever kernels they are. Cross-validation
+/// prepares the suite once and [`fit`](Self::fit)s every fold from it.
 pub struct Prepared<'a> {
     profiles: Vec<&'a KernelProfile>,
     matrix: Dissimilarity,
+    /// The CPU's and the GPU's configuration rows, in index order, for
+    /// clusters of up to every prepared kernel.
+    designs: (Design, Design),
 }
 
 impl<'a> Prepared<'a> {
-    /// Build every kernel's measured Pareto frontier and compare them
-    /// pairwise.
-    pub fn new(profiles: impl IntoIterator<Item = &'a KernelProfile>) -> Self {
+    /// Check every profile ([`TrainError::BadProfile`] names the first
+    /// unusable run), then build every kernel's measured Pareto frontier
+    /// and compare them pairwise.
+    pub fn new(profiles: impl IntoIterator<Item = &'a KernelProfile>) -> Result<Self, TrainError> {
         let profiles: Vec<&KernelProfile> = profiles.into_iter().collect();
+        for profile in &profiles {
+            check_profile(profile)?;
+        }
+        let space = ConfigSpace::get();
+        let (cpu, gpu) = space.configs().split_at(space.cpu_end());
+        let design = |configs: &[Configuration]| {
+            let rows: Vec<_> = configs.iter().map(config_features).collect();
+            Design::repeated(&rows, profiles.len()).map_err(TrainError::Regression)
+        };
+        let designs = (design(cpu)?, design(gpu)?);
         let frontiers: Vec<_> = profiles.iter().map(|p| p.frontier()).collect();
-        Self { matrix: dissimilarity_matrix(&frontiers), profiles }
+        Ok(Self { matrix: dissimilarity_matrix(&frontiers), profiles, designs })
     }
 
     /// The dissimilarity matrix over all prepared kernels.
@@ -247,11 +342,17 @@ impl<'a> Prepared<'a> {
         let sil = silhouette(&matrix, &clustering);
 
         // 2. Per-cluster regression models.
+        let space = ConfigSpace::get();
+        let mut responses = (
+            Responses::with_capacity(subset.len() * space.cpu_end()),
+            Responses::with_capacity(subset.len() * (space.len() - space.cpu_end())),
+        );
+        let stabilize = params.stabilize_variance;
         let mut clusters = Vec::with_capacity(params.n_clusters);
         for c in 0..params.n_clusters {
             let members: Vec<&KernelProfile> =
                 clustering.members(c).into_iter().map(|i| profiles[i]).collect();
-            clusters.push(fit_cluster(&members, params.stabilize_variance)?);
+            clusters.push(fit_cluster(&members, &self.designs, &mut responses, stabilize)?);
         }
 
         // 3. Classification tree on sample-configuration features. With
@@ -418,6 +519,45 @@ mod tests {
             let err = train(&profiles, TrainingParams { n_clusters: 3, ..Default::default() });
             assert!(matches!(err, Err(TrainError::Tree(TreeError::BadInput(_)))), "{err:?}");
         }
+    }
+
+    #[test]
+    fn a_malformed_profile_is_an_error_naming_its_kernel_and_run() {
+        let space = Configuration::all();
+        type Break = fn(&mut KernelProfile);
+        let cases: [(Break, usize, RunFault); 9] = [
+            (|p| p.runs.truncate(30), 30, RunFault::Missing(space[30])),
+            (|p| p.runs.push(p.runs[0].clone()), 42, RunFault::Extra),
+            (|p| p.runs.reverse(), 0, RunFault::Misplaced { expected: space[0], found: space[41] }),
+            (|p| p.runs[7].time_s = 0.0, 7, RunFault::Time(0.0)),
+            (|p| p.runs[7].time_s = -1.0, 7, RunFault::Time(-1.0)),
+            (|p| p.runs[7].time_s = f64::INFINITY, 7, RunFault::Time(f64::INFINITY)),
+            (|p| p.runs[9].power.gpu_nb_plane_w = -50.0, 9, RunFault::Power(-50.0)),
+            (
+                |p| p.runs[40].power.cpu_plane_w = f64::NEG_INFINITY,
+                40,
+                RunFault::Power(f64::NEG_INFINITY),
+            ),
+            (|p| p.runs[0].true_power.cpu_plane_w = -1e-9, 0, RunFault::Power(-1e-9)),
+        ];
+        let params = TrainingParams { n_clusters: 3, ..Default::default() };
+        for (break_it, run, fault) in cases {
+            let mut profiles = training_profiles();
+            break_it(&mut profiles[5]);
+            let kernel = profiles[5].kernel.id();
+            let expected = TrainError::BadProfile { kernel: kernel.clone(), run, fault };
+            assert!(expected.to_string().contains(&format!("{kernel}, run {run}:")), "{expected}");
+            assert_eq!(train(&profiles, params), Err(expected));
+        }
+
+        // NaN equals nothing, so match on it.
+        let mut profiles = training_profiles();
+        profiles[2].runs[3].time_s = f64::NAN;
+        let err = train(&profiles, params);
+        assert!(
+            matches!(&err, Err(TrainError::BadProfile { run: 3, fault: RunFault::Time(t), .. }) if t.is_nan()),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -49,13 +49,11 @@ impl Dissimilarity {
     /// The principal sub-matrix on `items`: entry `(a, b)` is this
     /// matrix's `(items[a], items[b])`.
     pub fn principal(&self, items: &[usize]) -> Self {
-        let data = items
-            .iter()
-            .flat_map(|&i| {
-                let row = &self.data[i * self.n..(i + 1) * self.n];
-                items.iter().map(move |&j| row[j])
-            })
-            .collect();
+        let mut data = Vec::with_capacity(items.len() * items.len());
+        for &i in items {
+            let row = &self.data[i * self.n..(i + 1) * self.n];
+            data.extend(items.iter().map(|&j| row[j]));
+        }
         Self { n: items.len(), data }
     }
 
@@ -311,34 +309,30 @@ pub fn silhouette(d: &Dissimilarity, clustering: &Clustering) -> f64 {
         return 0.0;
     }
     let sizes = clustering.sizes();
+    let mut sums = vec![0.0; clustering.k()];
     let mut total = 0.0;
     for i in 0..n {
         let own = clustering.assignment[i];
         if sizes[own] <= 1 {
             continue; // silhouette 0 for singletons
         }
-        // a(i): mean dissimilarity to own cluster (excluding self).
-        let mut a = 0.0;
-        for j in 0..n {
-            if j != i && clustering.assignment[j] == own {
-                a += d.get(i, j);
+        // Every cluster's total dissimilarity from i (excluding i itself),
+        // each added up in item order.
+        sums.fill(0.0);
+        for (j, &c) in clustering.assignment.iter().enumerate() {
+            if j != i {
+                sums[c] += d.get(i, j);
             }
         }
-        a /= (sizes[own] - 1) as f64;
+        // a(i): mean dissimilarity to own cluster.
+        let a = sums[own] / (sizes[own] - 1) as f64;
         // b(i): smallest mean dissimilarity to another cluster.
         let mut b = f64::INFINITY;
-        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
-        for c in 0..clustering.k() {
-            if c == own || sizes[c] == 0 {
+        for (c, (&sum, &size)) in sums.iter().zip(&sizes).enumerate() {
+            if c == own || size == 0 {
                 continue;
             }
-            let mut m = 0.0;
-            for j in 0..n {
-                if clustering.assignment[j] == c {
-                    m += d.get(i, j);
-                }
-            }
-            b = b.min(m / sizes[c] as f64);
+            b = b.min(sum / size as f64);
         }
         if b.is_finite() {
             total += (b - a) / a.max(b).max(1e-300);

@@ -12,11 +12,15 @@
 //!
 //! Both models of a cluster and device are fitted over the same rows, so
 //! a [`Design`] builds their Gram once, with the intercept column; the
-//! no-intercept Gram is its lower-right block, bit for bit.
+//! no-intercept Gram is its lower-right block, bit for bit. A cluster's
+//! rows are one block of configuration rows per member, so a `Design`
+//! also serves that block stacked any number of times, each count's Gram
+//! continued from the one before.
 
 use crate::matrix::{Matrix, MatrixError};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Expand a raw feature vector with all pairwise interaction terms
 /// `xᵢ·xⱼ (i < j)`, preserving the original features first.
@@ -87,22 +91,31 @@ impl From<MatrixError> for FitError {
     }
 }
 
-/// Design rows prepared for any number of fits over them: the rows behind
-/// a column of ones, and that matrix's Gram. A fit with an intercept
-/// factors the whole Gram; one without factors its lower-right block,
-/// which holds exactly the sums the no-intercept Gram would (the ones
-/// column only adds the first row and column).
+/// Design rows prepared for any number of fits over them, or over them
+/// stacked up to a fixed number of times: the rows behind a column of
+/// ones, and the Gram of each stacking. A fit with an intercept factors
+/// the whole Gram; one without factors its lower-right block, which holds
+/// exactly the sums the no-intercept Gram would (the ones column only adds
+/// the first row and column).
 #[derive(Debug, Clone)]
 pub struct Design {
-    /// `n × (p + 1)`, column 0 all ones.
+    /// The block, `b × (p + 1)`, column 0 all ones.
     x: Matrix,
-    /// `xᵀx`, `(p + 1) × (p + 1)`.
-    gram: Matrix,
+    /// `grams[c]` is `xᵀx` over `c + 1` stacked copies of the block,
+    /// `(p + 1) × (p + 1)`, built on first use from `grams[c - 1]`.
+    grams: Vec<OnceLock<Matrix>>,
 }
 
 impl Design {
     /// Prepare non-empty, rectangular design rows (already expanded).
     pub fn new<R: AsRef<[f64]>>(rows: &[R]) -> Result<Self, FitError> {
+        Self::repeated(rows, 1)
+    }
+
+    /// Prepare rows that a fit may stack up to `copies` times: a fit
+    /// over `c` copies reads `c` blocks of responses, response `r`
+    /// against row `r mod rows.len()`.
+    pub fn repeated<R: AsRef<[f64]>>(rows: &[R], copies: usize) -> Result<Self, FitError> {
         let Some(first) = rows.first() else {
             return Err(FitError::NoData);
         };
@@ -116,27 +129,45 @@ impl Design {
             data.extend_from_slice(r.as_ref());
         }
         let x = Matrix::from_rows(rows.len(), p + 1, data)?;
-        Ok(Self { gram: x.gram(), x })
+        Ok(Self { x, grams: (0..copies).map(|_| OnceLock::new()).collect() })
     }
 
-    /// Fit `y ≈ X β`, with β₀ in front when `intercept` is set.
+    /// The Gram of `copies` (in `1..=grams.len()`) stacked blocks.
+    fn gram(&self, copies: usize) -> &Matrix {
+        self.grams[copies - 1].get_or_init(|| match copies {
+            1 => self.x.gram(),
+            _ => self.x.gram_after(self.gram(copies - 1).clone()),
+        })
+    }
+
+    /// Fit `y ≈ X β`, with β₀ in front when `intercept` is set, over as
+    /// many stacked copies of the rows as `y` has blocks of responses.
     pub fn fit(&self, y: &[f64], intercept: bool) -> Result<LinearModel, FitError> {
-        if y.len() != self.x.rows() {
+        let b = self.x.rows();
+        let copies = y.len() / b;
+        if !y.len().is_multiple_of(b) || copies == 0 || copies > self.grams.len() {
             return Err(FitError::Dimension(format!(
-                "{} design rows vs {} responses",
-                self.x.rows(),
-                y.len()
+                "{} responses are not 1 to {} copies of {b} design rows",
+                y.len(),
+                self.grams.len()
             )));
         }
         // The columns this model reads: all, or all but the ones.
         let from = usize::from(!intercept);
         let p = self.x.cols() - from;
-        let xty = &self.x.t_vec(y)?[from..];
-        let gram = if intercept {
-            Cow::Borrowed(&self.gram)
-        } else {
-            Cow::Owned(self.gram.trailing_block(from))
-        };
+        // Xᵀy over the stacked rows, response by response.
+        let mut xty = vec![0.0; self.x.cols()];
+        for block in y.chunks_exact(b) {
+            for (r, &yr) in block.iter().enumerate() {
+                for (o, a) in xty.iter_mut().zip(self.x.row(r)) {
+                    *o += a * yr;
+                }
+            }
+        }
+        let xty = &xty[from..];
+        let gram = self.gram(copies);
+        let gram =
+            if intercept { Cow::Borrowed(gram) } else { Cow::Owned(gram.trailing_block(from)) };
 
         // OLS, with ridge fallback for rank-deficient designs. The Gram is
         // factored once; the coefficients and every standard-error column
@@ -155,11 +186,14 @@ impl Design {
         };
         let coeffs = factor.solve(xty)?;
 
-        // R² on training data.
-        let yhat = (0..self.x.rows())
-            .map(|r| self.x.row(r)[from..].iter().zip(&coeffs).map(|(a, b)| a * b).sum::<f64>());
+        // R² on training data: one prediction per row of the block, read
+        // by every copy.
+        let yhat: Vec<f64> = (0..b)
+            .map(|r| self.x.row(r)[from..].iter().zip(&coeffs).map(|(a, c)| a * c).sum::<f64>())
+            .collect();
         let mean = y.iter().sum::<f64>() / y.len() as f64;
-        let ss_res: f64 = y.iter().zip(yhat).map(|(a, b)| (a - b).powi(2)).sum();
+        let residuals = y.chunks_exact(b).flat_map(|block| block.iter().zip(&yhat));
+        let ss_res: f64 = residuals.map(|(a, f)| (a - f).powi(2)).sum();
         let ss_tot: f64 = y.iter().map(|a| (a - mean).powi(2)).sum();
         let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
         let residual_rmse = (ss_res / y.len() as f64).sqrt();
@@ -312,6 +346,25 @@ mod tests {
             LinearModel::fit(&[vec![1.0], vec![1.0, 2.0]], &[1.0, 2.0], true),
             Err(FitError::Dimension(_))
         ));
+    }
+
+    #[test]
+    fn a_stacked_design_fits_the_repeated_rows() {
+        let block: Vec<Vec<f64>> =
+            (0..4).map(|i| vec![f64::from(i), f64::from(i * i % 3)]).collect();
+        let design = Design::repeated(&block, 3).unwrap();
+        for copies in [2, 1, 3] {
+            let rows: Vec<Vec<f64>> = block.iter().cycle().take(4 * copies).cloned().collect();
+            let y: Vec<f64> = (0..rows.len()).map(|r| (r * 7 % 5) as f64).collect();
+            for intercept in [false, true] {
+                assert_eq!(design.fit(&y, intercept), LinearModel::fit(&rows, &y, intercept));
+            }
+        }
+        // A partial block, more copies than prepared, or none.
+        for n in [6, 16, 0] {
+            let err = design.fit(&vec![1.0; n], true);
+            assert!(matches!(err, Err(FitError::Dimension(_))), "{n} responses: {err:?}");
+        }
     }
 
     #[test]

@@ -36,12 +36,31 @@ pub struct ClassificationTree {
     n_classes: usize,
 }
 
+/// One node of a [`ClassificationTree`]; children are slots in the
+/// tree's node list.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
+pub enum Node {
     /// `feature < threshold` goes left, else right.
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
+    Split {
+        /// The feature tested.
+        feature: usize,
+        /// Midway between the two training values it separates.
+        threshold: f64,
+        /// Slot of the subtree for `x[feature] < threshold`.
+        left: usize,
+        /// Slot of the subtree for the rest.
+        right: usize,
+    },
     /// Majority class at the leaf with its training purity.
-    Leaf { class: usize, purity: f64, count: usize },
+    Leaf {
+        /// The class predicted.
+        class: usize,
+        /// Share of the leaf's training samples in `class`.
+        purity: f64,
+        /// Training samples of `class` at the leaf; a leaf that pruning
+        /// made counts all of its training samples.
+        count: usize,
+    },
 }
 
 /// Errors from tree training.
@@ -70,14 +89,6 @@ fn gini(counts: &[usize], total: usize) -> f64 {
     1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
 }
 
-fn class_counts(labels: &[usize], idx: &[usize], n_classes: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; n_classes];
-    for &i in idx {
-        counts[labels[i]] += 1;
-    }
-    counts
-}
-
 fn majority(counts: &[usize]) -> (usize, usize) {
     counts
         .iter()
@@ -87,6 +98,164 @@ fn majority(counts: &[usize]) -> (usize, usize) {
         .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
         .map(|(c, &n)| (c, n))
         .unwrap_or((0, 0))
+}
+
+/// One fit's working set. Each feature's samples are sorted once, and a
+/// node's samples sit at the same positions `start..end` of every
+/// feature's order, so a split partitions those positions stably instead
+/// of sorting each child again.
+struct Grower<'a> {
+    labels: &'a [usize],
+    params: TreeParams,
+    /// Training samples.
+    n: usize,
+    /// Column-major features: `columns[f * n + i]` is sample `i`'s `f`.
+    columns: Vec<f64>,
+    /// `order[f * n..][start..end]` is a node's samples in ascending order
+    /// of feature `f`, equal values by sample index: what a stable sort of
+    /// the node's samples, listed in index order, gives.
+    order: Vec<usize>,
+    /// Per sample: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    /// A partition's right-hand samples, held while the left ones close up.
+    spill: Vec<usize>,
+    /// The node's class counts, then the scan's left and right counts.
+    counts: Vec<usize>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
+impl<'a> Grower<'a> {
+    /// `rows` are non-empty, rectangular and finite; `labels` in range.
+    fn new(rows: &[Vec<f64>], labels: &'a [usize], n_classes: usize, params: TreeParams) -> Self {
+        let (n, n_features) = (rows.len(), rows[0].len());
+        let mut columns = Vec::with_capacity(n * n_features);
+        for f in 0..n_features {
+            columns.extend(rows.iter().map(|r| r[f]));
+        }
+        let mut order = Vec::with_capacity(n * n_features);
+        for column in columns.chunks_exact(n) {
+            let start = order.len();
+            order.extend(0..n);
+            order[start..].sort_by(|&a, &b| {
+                column[a].partial_cmp(&column[b]).expect("finite features are ordered")
+            });
+        }
+        Self {
+            labels,
+            params,
+            n,
+            columns,
+            order,
+            goes_left: vec![false; n],
+            spill: Vec::with_capacity(n),
+            counts: vec![0; n_classes],
+            left: vec![0; n_classes],
+            right: vec![0; n_classes],
+        }
+    }
+
+    /// Grow the subtree of the samples at `start..end` into `nodes`;
+    /// returns the slot of its root.
+    fn grow(&mut self, nodes: &mut Vec<Node>, start: usize, end: usize, depth: usize) -> usize {
+        let len = end - start;
+        self.counts.fill(0);
+        // Feature 0's order holds the node's samples as well as any.
+        for &i in &self.order[start..end] {
+            self.counts[self.labels[i]] += 1;
+        }
+        let node_gini = gini(&self.counts, len);
+        let (class, count) = majority(&self.counts);
+
+        let params = self.params;
+        let make_leaf = depth >= params.max_depth || len < params.min_split || node_gini == 0.0;
+        if !make_leaf {
+            if let Some((feature, threshold)) = self.best_split(start, end, node_gini) {
+                let mid = self.partition(start, end, feature, threshold);
+                let slot = nodes.len();
+                // Reserve the slot so children indices are known after.
+                nodes.push(Node::Leaf { class, purity: 0.0, count });
+                let left = self.grow(nodes, start, mid, depth + 1);
+                let right = self.grow(nodes, mid, end, depth + 1);
+                nodes[slot] = Node::Split { feature, threshold, left, right };
+                return slot;
+            }
+        }
+        let purity = if len == 0 { 0.0 } else { count as f64 / len as f64 };
+        let slot = nodes.len();
+        nodes.push(Node::Leaf { class, purity, count });
+        slot
+    }
+
+    /// Exhaustive best split of the samples at `start..end` by weighted
+    /// child Gini, feature by feature, then position by position;
+    /// thresholds midway between consecutive distinct feature values.
+    fn best_split(&mut self, start: usize, end: usize, parent_gini: f64) -> Option<(usize, f64)> {
+        let Self { labels, params, n, columns, order, counts, left, right, .. } = self;
+        let len = end - start;
+        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
+        let features = columns.chunks_exact(*n).zip(order.chunks_exact(*n));
+        for (feature, (column, order)) in features.enumerate() {
+            let order = &order[start..end];
+            // Incremental left/right class counts while scanning.
+            left.fill(0);
+            right.copy_from_slice(counts);
+            for split_at in 1..len {
+                let moved = order[split_at - 1];
+                left[labels[moved]] += 1;
+                right[labels[moved]] -= 1;
+
+                let lo = column[moved];
+                let hi = column[order[split_at]];
+                if lo == hi {
+                    continue; // cannot split between equal values
+                }
+                if split_at < params.min_leaf || len - split_at < params.min_leaf {
+                    continue;
+                }
+                let nl = split_at;
+                let nr = len - split_at;
+                let score = (nl as f64 * gini(left, nl) + nr as f64 * gini(right, nr)) / len as f64;
+                let threshold = 0.5 * (lo + hi);
+                let better = match best {
+                    None => score + 1e-12 < parent_gini,
+                    Some((bs, _, _)) => score + 1e-12 < bs,
+                };
+                if better {
+                    best = Some((score, feature, threshold));
+                }
+            }
+        }
+        best.map(|(_, feature, threshold)| (feature, threshold))
+    }
+
+    /// Send the samples at `start..end` with `x[feature] < threshold` to
+    /// the front of every feature's order, the rest behind them, each side
+    /// in the order it had. Returns where the right side starts.
+    fn partition(&mut self, start: usize, end: usize, feature: usize, threshold: f64) -> usize {
+        let n = self.n;
+        let column = &self.columns[feature * n..(feature + 1) * n];
+        let mut mid = start;
+        for &i in &self.order[feature * n + start..feature * n + end] {
+            self.goes_left[i] = column[i] < threshold;
+            mid += usize::from(self.goes_left[i]);
+        }
+        for order in self.order.chunks_exact_mut(n) {
+            self.spill.clear();
+            let mut kept = start;
+            for at in start..end {
+                let i = order[at];
+                if self.goes_left[i] {
+                    order[kept] = i;
+                    kept += 1;
+                } else {
+                    self.spill.push(i);
+                }
+            }
+            order[kept..end].copy_from_slice(&self.spill);
+        }
+        mid
+    }
 }
 
 impl ClassificationTree {
@@ -120,105 +289,9 @@ impl ClassificationTree {
             return Err(TreeError::BadInput(format!("label {bad} >= n_classes {n_classes}")));
         }
 
-        let mut tree = Self { nodes: Vec::new(), n_features, n_classes };
-        let all: Vec<usize> = (0..rows.len()).collect();
-        tree.build(rows, labels, &all, 0, &params);
-        Ok(tree)
-    }
-
-    fn build(
-        &mut self,
-        rows: &[Vec<f64>],
-        labels: &[usize],
-        idx: &[usize],
-        depth: usize,
-        params: &TreeParams,
-    ) -> usize {
-        let counts = class_counts(labels, idx, self.n_classes);
-        let node_gini = gini(&counts, idx.len());
-        let (class, count) = majority(&counts);
-
-        let make_leaf =
-            depth >= params.max_depth || idx.len() < params.min_split || node_gini == 0.0;
-        if !make_leaf {
-            if let Some((feature, threshold, left_idx, right_idx)) =
-                self.best_split(rows, labels, idx, params)
-            {
-                let slot = self.nodes.len();
-                // Reserve the slot so children indices are known after.
-                self.nodes.push(Node::Leaf { class, purity: 0.0, count });
-                let left = self.build(rows, labels, &left_idx, depth + 1, params);
-                let right = self.build(rows, labels, &right_idx, depth + 1, params);
-                self.nodes[slot] = Node::Split { feature, threshold, left, right };
-                return slot;
-            }
-        }
-        let purity = if idx.is_empty() { 0.0 } else { count as f64 / idx.len() as f64 };
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { class, purity, count });
-        slot
-    }
-
-    /// Exhaustive best split by weighted child Gini; thresholds midway
-    /// between consecutive distinct feature values.
-    #[allow(clippy::type_complexity)]
-    fn best_split(
-        &self,
-        rows: &[Vec<f64>],
-        labels: &[usize],
-        idx: &[usize],
-        params: &TreeParams,
-    ) -> Option<(usize, f64, Vec<usize>, Vec<usize>)> {
-        let parent_gini = gini(&class_counts(labels, idx, self.n_classes), idx.len());
-        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
-
-        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
-        for feature in 0..self.n_features {
-            let mut order: Vec<usize> = idx.to_vec();
-            order.sort_by(|&a, &b| rows[a][feature].partial_cmp(&rows[b][feature]).unwrap());
-
-            // Incremental left/right class counts while scanning.
-            let mut left = vec![0usize; self.n_classes];
-            let mut right = class_counts(labels, idx, self.n_classes);
-            for split_at in 1..order.len() {
-                let moved = order[split_at - 1];
-                left[labels[moved]] += 1;
-                right[labels[moved]] -= 1;
-
-                let lo = rows[order[split_at - 1]][feature];
-                let hi = rows[order[split_at]][feature];
-                if lo == hi {
-                    continue; // cannot split between equal values
-                }
-                if split_at < params.min_leaf || order.len() - split_at < params.min_leaf {
-                    continue;
-                }
-                let nl = split_at;
-                let nr = order.len() - split_at;
-                let score = (nl as f64 * gini(&left, nl) + nr as f64 * gini(&right, nr))
-                    / order.len() as f64;
-                let threshold = 0.5 * (lo + hi);
-                let better = match best {
-                    None => score + 1e-12 < parent_gini,
-                    Some((bs, _, _)) => score + 1e-12 < bs,
-                };
-                if better {
-                    best = Some((score, feature, threshold));
-                }
-            }
-        }
-
-        best.map(|(_, feature, threshold)| {
-            let (mut l, mut r) = (Vec::new(), Vec::new());
-            for &i in idx {
-                if rows[i][feature] < threshold {
-                    l.push(i);
-                } else {
-                    r.push(i);
-                }
-            }
-            (feature, threshold, l, r)
-        })
+        let mut nodes = Vec::new();
+        Grower::new(rows, labels, n_classes, params).grow(&mut nodes, 0, rows.len(), 0);
+        Ok(Self { nodes, n_features, n_classes })
     }
 
     /// Predict the class of one feature row.
@@ -247,6 +320,36 @@ impl ClassificationTree {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The nodes, root first, each split before its children.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// A tree from nodes laid out as [`nodes`](Self::nodes) returns them.
+    /// Rejects an empty list, a split whose children do not come after
+    /// it within the list, and a feature or class out of range.
+    pub fn from_nodes(
+        nodes: Vec<Node>,
+        n_features: usize,
+        n_classes: usize,
+    ) -> Result<Self, TreeError> {
+        if nodes.is_empty() {
+            return Err(TreeError::BadInput("a tree needs a node".into()));
+        }
+        for (at, node) in nodes.iter().enumerate() {
+            let fits = match *node {
+                Node::Split { feature, left, right, .. } => {
+                    feature < n_features && at < left.min(right) && left.max(right) < nodes.len()
+                }
+                Node::Leaf { class, .. } => class < n_classes,
+            };
+            if !fits {
+                return Err(TreeError::BadInput(format!("node {at} is {node:?}")));
+            }
+        }
+        Ok(Self { nodes, n_features, n_classes })
     }
 
     /// Maximum depth of any leaf (root = 0). This bounds the online
@@ -584,6 +687,28 @@ mod tests {
             let err = ClassificationTree::fit(&rows, &[0, 1, 0, 1, 0], 2, TreeParams::default())
                 .expect_err("a non-finite feature has no split order");
             assert_eq!(err, TreeError::BadInput(format!("row 3 feature 1 is {bad}")));
+        }
+    }
+
+    #[test]
+    fn a_tree_rebuilt_from_its_nodes_is_the_same_tree() {
+        let (rows, labels) = toy();
+        let t = ClassificationTree::fit(&rows, &labels, 3, TreeParams::default()).unwrap();
+        assert_eq!(ClassificationTree::from_nodes(t.nodes().to_vec(), 2, 3), Ok(t.clone()));
+
+        let leaf = |class| Node::Leaf { class, purity: 1.0, count: 1 };
+        let split = |left, right| Node::Split { feature: 0, threshold: 0.5, left, right };
+        for (nodes, n_features) in [
+            (vec![], 2),
+            (vec![leaf(3)], 2),
+            (vec![split(1, 2), leaf(0), leaf(1)], 0),
+            (vec![split(0, 1), leaf(0)], 2),
+            (vec![split(1, 2), leaf(0)], 2),
+        ] {
+            assert!(
+                ClassificationTree::from_nodes(nodes.clone(), n_features, 3).is_err(),
+                "{nodes:?}"
+            );
         }
     }
 

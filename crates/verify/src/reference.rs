@@ -13,8 +13,13 @@
 //!   as floats, `kendall::tau_a`;
 //! * [`assign_and_cost`], [`pam`] — PAM whose SWAP re-scans every medoid
 //!   for every item of every trial;
+//! * [`silhouette`] — a rescan of every item per cluster per item;
 //! * [`solve_spd`], [`fit`] — a Cholesky factorization per right-hand
-//!   side, p + 1 of them per regression, and a Gram per model;
+//!   side, p + 1 of them per regression, and a Gram per model over every
+//!   row it is given (a cluster's configuration rows repeated once per
+//!   member, where production continues one running Gram per device);
+//! * [`tree_fit`] — the CART growing each node from a copy of its sample
+//!   indices, sorted afresh per feature;
 //! * [`replay`] — the evaluation loop re-predicting the kernel at every
 //!   cap for each model method;
 //! * [`SegmentTrace`], [`estimate_trace`], [`sensed_power`] — the power
@@ -22,7 +27,7 @@
 //!   every plane integrates from `t = 0`.
 //!
 //! `tests/kernel_identity.rs` holds `acs_core::{dissimilarity, eval}`,
-//! `acs_mlstat::{cluster, matrix, regression}` and
+//! `acs_mlstat::{cluster, matrix, regression, tree}` and
 //! `acs_sim::{trace, sensor, machine}` to all but the first.
 
 use acs_core::eval::Pick;
@@ -34,7 +39,11 @@ use acs_core::{
     Frontier, KernelProfile, PowerPerfPoint, PredictedProfile, Predictor, SamplePair,
     SelectScratch, TrainedModel,
 };
-use acs_mlstat::{kendall, Clustering, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
+use acs_mlstat::tree::Node;
+use acs_mlstat::{
+    kendall, ClassificationTree, Clustering, Dissimilarity, FitError, LinearModel, Matrix,
+    MatrixError, TreeError, TreeParams,
+};
 use acs_sim::cpu::cpu_time_on;
 use acs_sim::gpu::gpu_time_on;
 use acs_sim::noise::Stream;
@@ -191,6 +200,48 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
     }
 }
 
+/// Mean silhouette width with every item's own-cluster and other-cluster
+/// means each rescanning all items.
+pub fn silhouette(d: &Dissimilarity, clustering: &Clustering) -> f64 {
+    let n = d.len();
+    if n == 0 || clustering.k() < 2 {
+        return 0.0;
+    }
+    let sizes = clustering.sizes();
+    let mut total = 0.0;
+    for i in 0..n {
+        let own = clustering.assignment[i];
+        if sizes[own] <= 1 {
+            continue;
+        }
+        let mut a = 0.0;
+        for j in 0..n {
+            if j != i && clustering.assignment[j] == own {
+                a += d.get(i, j);
+            }
+        }
+        a /= (sizes[own] - 1) as f64;
+        let mut b = f64::INFINITY;
+        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+        for c in 0..clustering.k() {
+            if c == own || sizes[c] == 0 {
+                continue;
+            }
+            let mut m = 0.0;
+            for j in 0..n {
+                if clustering.assignment[j] == c {
+                    m += d.get(i, j);
+                }
+            }
+            b = b.min(m / sizes[c] as f64);
+        }
+        if b.is_finite() {
+            total += (b - a) / a.max(b).max(1e-300);
+        }
+    }
+    total / n as f64
+}
+
 /// Solve the symmetric positive-definite `a · x = b` in one shot:
 /// factor `a = L Lᵀ`, substitute forward, substitute back.
 pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
@@ -285,6 +336,163 @@ pub fn fit(rows: &[Vec<f64>], y: &[f64], intercept: bool) -> Result<LinearModel,
     }
 
     Ok(LinearModel { coeffs, intercept, r_squared, ridge_lambda, residual_rmse, coef_std_errors })
+}
+
+/// `ClassificationTree::fit` growing every node from its own list of
+/// sample indices: each feature sorts a copy of the list, the class counts
+/// are taken afresh for the node and for each feature's scan, and a split
+/// collects its children's lists.
+pub fn tree_fit(
+    rows: &[Vec<f64>],
+    labels: &[usize],
+    n_classes: usize,
+    params: TreeParams,
+) -> Result<ClassificationTree, TreeError> {
+    if rows.is_empty() || rows.len() != labels.len() {
+        return Err(TreeError::BadInput(format!("{} rows vs {} labels", rows.len(), labels.len())));
+    }
+    let n_features = rows[0].len();
+    if n_features == 0 || rows.iter().any(|r| r.len() != n_features) {
+        return Err(TreeError::BadInput("ragged or empty feature rows".into()));
+    }
+    for (r, row) in rows.iter().enumerate() {
+        if let Some(f) = row.iter().position(|v| !v.is_finite()) {
+            return Err(TreeError::BadInput(format!("row {r} feature {f} is {}", row[f])));
+        }
+    }
+    if let Some(&bad) = labels.iter().find(|&&l| l >= n_classes) {
+        return Err(TreeError::BadInput(format!("label {bad} >= n_classes {n_classes}")));
+    }
+
+    let mut tree = Grown { nodes: Vec::new(), n_features, n_classes };
+    let all: Vec<usize> = (0..rows.len()).collect();
+    tree.build(rows, labels, &all, 0, &params);
+    ClassificationTree::from_nodes(tree.nodes, n_features, n_classes)
+}
+
+/// The nodes [`tree_fit`] grows.
+struct Grown {
+    nodes: Vec<Node>,
+    n_features: usize,
+    n_classes: usize,
+}
+
+fn gini(counts: &[usize], total: usize) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let t = total as f64;
+    1.0 - counts.iter().map(|&c| (c as f64 / t).powi(2)).sum::<f64>()
+}
+
+fn class_counts(labels: &[usize], idx: &[usize], n_classes: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; n_classes];
+    for &i in idx {
+        counts[labels[i]] += 1;
+    }
+    counts
+}
+
+fn majority(counts: &[usize]) -> (usize, usize) {
+    counts
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .map(|(c, &n)| (c, n))
+        .unwrap_or((0, 0))
+}
+
+impl Grown {
+    fn build(
+        &mut self,
+        rows: &[Vec<f64>],
+        labels: &[usize],
+        idx: &[usize],
+        depth: usize,
+        params: &TreeParams,
+    ) -> usize {
+        let counts = class_counts(labels, idx, self.n_classes);
+        let node_gini = gini(&counts, idx.len());
+        let (class, count) = majority(&counts);
+
+        let make_leaf =
+            depth >= params.max_depth || idx.len() < params.min_split || node_gini == 0.0;
+        if !make_leaf {
+            if let Some((feature, threshold, left_idx, right_idx)) =
+                self.best_split(rows, labels, idx, params)
+            {
+                let slot = self.nodes.len();
+                self.nodes.push(Node::Leaf { class, purity: 0.0, count });
+                let left = self.build(rows, labels, &left_idx, depth + 1, params);
+                let right = self.build(rows, labels, &right_idx, depth + 1, params);
+                self.nodes[slot] = Node::Split { feature, threshold, left, right };
+                return slot;
+            }
+        }
+        let purity = if idx.is_empty() { 0.0 } else { count as f64 / idx.len() as f64 };
+        let slot = self.nodes.len();
+        self.nodes.push(Node::Leaf { class, purity, count });
+        slot
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn best_split(
+        &self,
+        rows: &[Vec<f64>],
+        labels: &[usize],
+        idx: &[usize],
+        params: &TreeParams,
+    ) -> Option<(usize, f64, Vec<usize>, Vec<usize>)> {
+        let parent_gini = gini(&class_counts(labels, idx, self.n_classes), idx.len());
+        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
+
+        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+        for feature in 0..self.n_features {
+            let mut order: Vec<usize> = idx.to_vec();
+            order.sort_by(|&a, &b| rows[a][feature].partial_cmp(&rows[b][feature]).unwrap());
+
+            let mut left = vec![0usize; self.n_classes];
+            let mut right = class_counts(labels, idx, self.n_classes);
+            for split_at in 1..order.len() {
+                let moved = order[split_at - 1];
+                left[labels[moved]] += 1;
+                right[labels[moved]] -= 1;
+
+                let lo = rows[order[split_at - 1]][feature];
+                let hi = rows[order[split_at]][feature];
+                if lo == hi {
+                    continue;
+                }
+                if split_at < params.min_leaf || order.len() - split_at < params.min_leaf {
+                    continue;
+                }
+                let nl = split_at;
+                let nr = order.len() - split_at;
+                let score = (nl as f64 * gini(&left, nl) + nr as f64 * gini(&right, nr))
+                    / order.len() as f64;
+                let threshold = 0.5 * (lo + hi);
+                let better = match best {
+                    None => score + 1e-12 < parent_gini,
+                    Some((bs, _, _)) => score + 1e-12 < bs,
+                };
+                if better {
+                    best = Some((score, feature, threshold));
+                }
+            }
+        }
+
+        best.map(|(_, feature, threshold)| {
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            for &i in idx {
+                if rows[i][feature] < threshold {
+                    l.push(i);
+                } else {
+                    r.push(i);
+                }
+            }
+            (feature, threshold, l, r)
+        })
+    }
 }
 
 /// `acs_core::eval::replay` with the model methods selecting through

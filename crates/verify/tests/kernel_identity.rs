@@ -2,8 +2,11 @@
 //! statements in `acs_verify::reference`: the rank-table frontier
 //! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's
 //! one-pass-per-candidate SWAP against a full re-assignment per trial,
-//! one Gram per design and one factorization per regression against a
-//! Gram per model and a factorization per right-hand side, the
+//! the one-pass silhouette against a rescan per cluster, one Gram per
+//! design and one factorization per regression against a Gram per model
+//! and a factorization per right-hand side, a running Gram over a block
+//! stacked once per cluster member against the Gram of the repeated
+//! rows, the CART's one sort per feature against a sort per node, the
 //! evaluation loop's one predicted frontier per kernel against a
 //! prediction per cap, and the power sensor's one sweep over a two-phase
 //! waveform against a scan from `t = 0` per sample per plane over the
@@ -15,7 +18,11 @@ use acs_core::eval::{characterize_apps, replay, Pick};
 use acs_core::{train_on_suite, Frontier, KernelProfile, Method, PowerPerfPoint, Predictor};
 use acs_kernels::GeneratorConfig;
 use acs_mlstat::cluster::NearestMedoids;
-use acs_mlstat::{pam, Design, Dissimilarity, FitError, LinearModel, Matrix, MatrixError};
+use acs_mlstat::tree::Node;
+use acs_mlstat::{
+    pam, silhouette, ClassificationTree, Design, Dissimilarity, FitError, LinearModel, Matrix,
+    MatrixError, TreeParams,
+};
 use acs_sim::{
     Configuration, FamilyId, Machine, NoiseSource, PowerBreakdown, PowerSensor, PowerTrace,
 };
@@ -83,6 +90,75 @@ fn design() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, bool)> {
             (rows, y, intercept == 1)
         })
     })
+}
+
+/// A block of design rows, mostly zeros (so columns vanish or repeat and
+/// the Gram goes singular often), the number of cluster members that
+/// stack it, and one response per stacked row.
+fn stacked_design() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, Vec<f64>)> {
+    (1usize..=6, 1usize..=24, 1usize..=70).prop_flat_map(|(p, b, members)| {
+        let entry = (0u8..10, -2.0..2.0f64).prop_map(|(pick, free)| match pick {
+            0..=5 => 0.0,
+            6..=8 => f64::from(pick - 5),
+            _ => free,
+        });
+        let rows = prop::collection::vec(prop::collection::vec(entry, p), b);
+        (rows, Just(members), prop::collection::vec(-10.0..10.0f64, b * members))
+    })
+}
+
+/// A CART training set with its controls, and a held-out set to prune
+/// the grown tree against.
+#[derive(Debug, Clone)]
+struct TreeProblem {
+    rows: Vec<Vec<f64>>,
+    labels: Vec<usize>,
+    n_classes: usize,
+    params: TreeParams,
+    held_rows: Vec<Vec<f64>>,
+    held_labels: Vec<usize>,
+}
+
+/// A feature value, three times in four from a small set holding both
+/// zeros: features tie often, and equal values of either sign meet.
+fn tied_value() -> impl Strategy<Value = f64> {
+    (0u8..8, -5.0..5.0f64).prop_map(|(pick, free)| {
+        [-0.0, 0.0, 0.25, 1.0, -1.0, 3.0].get(usize::from(pick)).copied().unwrap_or(free)
+    })
+}
+
+/// Up to 50 samples of 1–6 tied features in 1–6 classes, any controls.
+fn tree_problem() -> impl Strategy<Value = TreeProblem> {
+    let sizes = (1usize..=6, 1usize..=6, 1usize..=50, 0usize..=12);
+    (sizes, (0usize..=8, 0usize..=6, 0usize..=4)).prop_flat_map(
+        |((n_classes, n_features, n, held), (max_depth, min_split, min_leaf))| {
+            let rows =
+                |n| prop::collection::vec(prop::collection::vec(tied_value(), n_features), n);
+            let labels = |n| prop::collection::vec(0..n_classes, n);
+            (rows(n), labels(n), rows(held), labels(held)).prop_map(
+                move |(rows, labels, held_rows, held_labels)| TreeProblem {
+                    rows,
+                    labels,
+                    n_classes,
+                    params: TreeParams { max_depth, min_split, min_leaf },
+                    held_rows,
+                    held_labels,
+                },
+            )
+        },
+    )
+}
+
+/// A tree's nodes with every number as its bits: `(is a split, feature
+/// or class, threshold or purity, left child or count, right child)`.
+fn node_bits(tree: &ClassificationTree) -> Vec<(bool, usize, u64, usize, usize)> {
+    let bits = |node: &Node| match *node {
+        Node::Split { feature, threshold, left, right } => {
+            (true, feature, threshold.to_bits(), left, right)
+        }
+        Node::Leaf { class, purity, count } => (false, class, purity.to_bits(), count, 0),
+    };
+    tree.nodes().iter().map(bits).collect()
 }
 
 /// The sensors in the tree: the machine's default, the noiseless
@@ -234,6 +310,10 @@ proptest! {
 
             let (ours, theirs) = (pam(&d, k), reference::pam(&d, k));
             prop_assert_eq!(ours.cost.to_bits(), theirs.cost.to_bits());
+            prop_assert_eq!(
+                silhouette(&d, &ours).to_bits(),
+                reference::silhouette(&d, &theirs).to_bits()
+            );
             prop_assert_eq!(ours, theirs);
         }
     }
@@ -274,6 +354,38 @@ proptest! {
             model_bits(design.fit(&power, true)),
             model_bits(reference::fit(&rows, &power, true))
         );
+    }
+
+    #[test]
+    fn a_running_gram_is_the_gram_of_the_repeated_rows((block, members, y) in stacked_design()) {
+        // One design for clusters of up to 70 members, fitted at growing
+        // sizes so each continues the Grams the one before left.
+        let design = Design::repeated(&block, 70).expect("non-empty, rectangular");
+        for members in [1, members.div_ceil(2), members] {
+            let y = &y[..block.len() * members];
+            let repeated: Vec<Vec<f64>> = block.iter().cycle().take(y.len()).cloned().collect();
+            for intercept in [false, true] {
+                prop_assert_eq!(
+                    model_bits(design.fit(y, intercept)),
+                    model_bits(reference::fit(&repeated, y, intercept)),
+                    "{} members, intercept {}", members, intercept
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_sort_per_feature_is_a_sort_per_node(p in tree_problem()) {
+        let mut ours = ClassificationTree::fit(&p.rows, &p.labels, p.n_classes, p.params)
+            .expect("finite, labelled rows");
+        let mut theirs = reference::tree_fit(&p.rows, &p.labels, p.n_classes, p.params)
+            .expect("finite, labelled rows");
+        prop_assert_eq!(node_bits(&ours), node_bits(&theirs));
+        prop_assert_eq!(
+            ours.prune(&p.held_rows, &p.held_labels),
+            theirs.prune(&p.held_rows, &p.held_labels)
+        );
+        prop_assert_eq!(node_bits(&ours), node_bits(&theirs));
     }
 }
 
@@ -366,6 +478,19 @@ fn a_rank_deficient_design_still_takes_the_ridge_path() {
         assert_eq!(ours.ridge_lambda.to_bits(), theirs.ridge_lambda.to_bits());
         assert_eq!(ours, theirs);
         assert_eq!(ours.coef_std_errors.len(), ours.coeffs.len());
+    }
+
+    // Stacking the rows adds no rank: three members' Gram is singular too.
+    let stacked: Vec<f64> = y.iter().chain(&y).chain(&y).map(|v| v * 0.5).collect();
+    let repeated: Vec<Vec<f64>> = rows.iter().cycle().take(stacked.len()).cloned().collect();
+    let design = Design::repeated(&rows, 3).expect("non-empty, rectangular");
+    for intercept in [false, true] {
+        let ours = design.fit(&stacked, intercept).expect("ridge rescues the fit");
+        assert!(ours.ridge_lambda > 0.0);
+        assert_eq!(
+            model_bits(Ok(ours)),
+            model_bits(reference::fit(&repeated, &stacked, intercept))
+        );
     }
 }
 

@@ -122,7 +122,7 @@ fn every_fold_is_what_training_on_its_own_would_build() {
         for seed in [2014, 7] {
             let machine = Machine::from_family(family, seed);
             let apps = characterize_apps(&machine, &acs::kernels::app_instances());
-            let suite = PreparedSuite::new(&apps);
+            let suite = PreparedSuite::new(&apps).unwrap();
             let evaluation = suite.evaluate(TrainingParams::default()).unwrap();
             assert_eq!(evaluation, evaluate(&apps, TrainingParams::default()).unwrap());
 
