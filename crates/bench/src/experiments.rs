@@ -1,11 +1,13 @@
-//! The experiment registry: every table, figure, ablation and failure
-//! drill this repository regenerates is one row of [`REGISTRY`], and
-//! `acs reproduce --name NAME` is the only thing that selects one.
-//! DESIGN.md section 4 indexes the rows by experiment id.
+//! The experiment registry: every table, figure, ablation and regression
+//! trace this repository regenerates is one row of [`REGISTRY`], and
+//! `acs reproduce --name NAME` is the only thing that selects one. Every
+//! row's output is a pure function of the code, pinned byte for byte as
+//! `results/{name}.json`. DESIGN.md section 4 indexes the rows by
+//! experiment id.
 
 mod ablations;
 
-use crate::{drills, pretty};
+use crate::pretty;
 use acs_core::{MethodSummary, TrainingParams};
 use acs_sim::FamilyId;
 use acs_verify::golden;
@@ -17,30 +19,15 @@ pub struct Experiment {
     pub name: &'static str,
     /// The experiment id DESIGN.md section 4 and EXPERIMENTS.md use.
     pub id: &'static str,
-    /// Whether the output is a pure function of the code: no wall-clock
-    /// field, so `results/` can be compared byte for byte.
-    pub deterministic: bool,
     /// Print the human-readable report to the sink and return the pretty
-    /// JSON that belongs in [`result_stem`](Self::result_stem)`.json`.
+    /// JSON that belongs in `results/{name}.json`.
     pub run: Run,
 }
 
 /// What an [`Experiment`] runs.
 pub type Run = fn(&mut dyn Write) -> io::Result<String>;
 
-impl Experiment {
-    /// The file stem under `results/`: the row's name, except that the
-    /// drills keep the `BENCH_` spelling their artifacts have always had.
-    pub fn result_stem(&self) -> String {
-        match self.name.strip_prefix("bench_") {
-            Some(drill) => format!("BENCH_{drill}"),
-            None => self.name.to_string(),
-        }
-    }
-}
-
-/// Every experiment: the deterministic rows in DESIGN.md section 4 order,
-/// then the drills.
+/// Every experiment, in DESIGN.md section 4 order.
 pub static REGISTRY: &[Experiment] = &[
     artifact("fig2_table1_frontier", "T1", fig2_table1_frontier),
     artifact("fig3_tree", "F3", fig3_tree),
@@ -122,20 +109,10 @@ pub static REGISTRY: &[Experiment] = &[
             golden::family_timeline(FamilyId::AccelHybrid)
         })
     }),
-    // The drills publish wall-clock fields (recovery latency, converge
-    // times, req/s), so their artifacts are evidence of a pass, not bytes
-    // to compare.
-    drill("bench_recovery", "A14", drills::bench_recovery),
-    drill("bench_fleet", "A15", drills::bench_fleet),
-    drill("bench_overload", "A19", drills::bench_overload),
 ];
 
 const fn artifact(name: &'static str, id: &'static str, run: Run) -> Experiment {
-    Experiment { name, id, deterministic: true, run }
-}
-
-const fn drill(name: &'static str, id: &'static str, run: Run) -> Experiment {
-    Experiment { name, id, deterministic: false, run }
+    Experiment { name, id, run }
 }
 
 /// A regression trace's row: name what it pins and return its bytes.

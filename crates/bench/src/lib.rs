@@ -1,9 +1,10 @@
 //! # acs-bench — experiment harness
 //!
 //! A library with no binaries: the registry of every table, figure,
-//! ablation and failure drill (`experiments`; `acs reproduce --name NAME`
-//! runs a row, DESIGN.md section 4 is the index), the drills themselves
-//! (`drills`), and the selection-server client and load generator.
+//! ablation and regression trace (`experiments`; `acs reproduce --name
+//! NAME` runs a row, DESIGN.md section 4 is the index), the fleet chaos
+//! orchestrator (`drills`), and the selection-server client and load
+//! generator.
 //! Nothing here times anything for publication: latencies come from the
 //! `benchmark/` package's layer table.
 

@@ -19,7 +19,6 @@
 use acs_serve::{Client, ReportFeedback, Request, Response, StatsSnapshot};
 use acs_sim::noise::{SplitMix64, MIX_MUL};
 use acs_sim::Configuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -86,7 +85,7 @@ impl Default for LoadgenOptions {
 }
 
 /// Aggregate results of one load-generator run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenReport {
     /// Requests sent (excluding the final optional `Stats`/`Shutdown`).
     pub requests: u64,
@@ -97,8 +96,7 @@ pub struct LoadgenReport {
     /// Responses that were typed errors or `Overloaded`.
     pub errors: u64,
     /// Responses that were `ShedDeadline` — deliberate load shedding,
-    /// counted apart from errors (absent in pre-shedding reports).
-    #[serde(default)]
+    /// counted apart from errors.
     pub sheds: u64,
     /// Requests lost to connection/protocol failures.
     pub dropped: u64,

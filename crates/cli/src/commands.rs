@@ -86,12 +86,11 @@ COMMANDS:
         [--corrupt P] [--pstate-fail P]   (probabilities in [0,1]; add
         [--run-fail P] [--unguarded true] --timeline true for the full trace)
   reproduce --name NAME|all               regenerate one paper table, figure,
-                                          ablation, regression trace or
-                                          failure drill (or, with `all`, every
-                                          one whose output is a pure function
-                                          of the code): print its report and
-                                          write results/*.json — the only
-                                          writer of the pinned artifacts
+                                          ablation or regression trace (or,
+                                          with `all`, every one): print its
+                                          report and write results/NAME.json
+                                          — the only writer of the pinned
+                                          artifacts
   verify [--quick true]                   differential-test every method
          [--transfer true]                against the exhaustive oracle and
          [--drift true]                   check metamorphic invariants;
@@ -157,8 +156,7 @@ COMMANDS:
           [--sessions N] [--run-every N]  throughput/latency and the server's
           [--report-every N] [--log FILE] STATS snapshot (--stats false
           [--stats true]                  skips it), optionally records
-          [--feedback true]               the response log (--log) and a JSON
-          [--result NAME]                 report under results/ (--result);
+          [--feedback true]               the response log (--log);
           [--shutdown true]               --feedback attaches seeded
           [--open-loop true --rate R]     measurements to Reports, feeding
           [--deadline-ms MS]              the server's adaptation loop;
@@ -628,9 +626,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let model = serve_model(args, family)?;
     let server = Server::bind(config, model).map_err(|e| CliError::Domain(e.to_string()))?;
-    // Both lines are a contract: `--port 0` callers (CI, the e2e tests,
-    // `acs_bench::drills`) parse the address to find the ephemeral port,
-    // and `bench_recovery` checks the `recovered:` count of a restart.
+    // Both lines are a contract: `--port 0` callers parse the address to
+    // find the ephemeral port, and `crates/cli/tests/sigkill.rs` checks the
+    // `recovered:` line of a restart.
     if let Some(recovery) = server.handle().recovery() {
         writeln!(
             out,
@@ -662,7 +660,8 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let coordinator = Coordinator::bind(config).map_err(|e| CliError::Domain(e.to_string()))?;
     // Both lines are a contract: `--port 0` callers parse the address, and
-    // `bench_fleet` reads the `recovered:` count after a restart.
+    // `crates/cli/tests/sigkill.rs` checks the `recovered:` line of a
+    // restart.
     if let Some(recovery) = coordinator.handle().recovery() {
         writeln!(
             out,
@@ -770,12 +769,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "\nserver STATS:")?;
         writeln!(out, "{}", serde_json::to_string_pretty(stats)?)?;
     }
-    if let Some(name) = args.get("result") {
-        if name != "none" {
-            let path = acs_bench::write_result(name, &serde_json::to_string_pretty(&report)?)?;
-            writeln!(out, "wrote {}", path.display())?;
-        }
-    }
     if report.errors > 0 || report.dropped > 0 {
         return Err(CliError::Domain(format!(
             "loadgen saw {} errored and {} dropped request(s)",
@@ -786,14 +779,14 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `acs reproduce`: run one row of the experiment registry — or, with
-/// `--name all`, every row whose output is a pure function of the code —
-/// printing its report and writing its `results/` artifact.
+/// `--name all`, every row — printing its report and writing its
+/// `results/` artifact.
 fn cmd_reproduce(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_bench::experiments::{Experiment, REGISTRY};
 
     let name = args.require("name")?;
     let rows: Vec<&Experiment> = match name {
-        "all" => REGISTRY.iter().filter(|e| e.deterministic).collect(),
+        "all" => REGISTRY.iter().collect(),
         _ => vec![REGISTRY.iter().find(|e| e.name == name).ok_or_else(|| {
             let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
             CliError::Domain(format!(
@@ -804,7 +797,7 @@ fn cmd_reproduce(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     for row in rows {
         let json = (row.run)(out)?;
-        let path = acs_bench::write_result(&row.result_stem(), &json)?;
+        let path = acs_bench::write_result(row.name, &json)?;
         writeln!(out, "\nwrote {}", path.display())?;
     }
     Ok(())
@@ -1039,10 +1032,13 @@ mod tests {
 
     #[test]
     fn an_option_the_command_does_not_read_is_rejected_before_it_runs() {
-        // A typo, and a flag `verify` no longer has.
-        for (command, flag) in
-            [("serve --prot 0", "--prot"), ("verify --transfer true --out x", "--out")]
-        {
+        // A typo, and flags `verify` and `loadgen` no longer have (a
+        // `loadgen --result` could overwrite a pinned artifact).
+        for (command, flag) in [
+            ("serve --prot 0", "--prot"),
+            ("verify --transfer true --out x", "--out"),
+            ("loadgen --addr 127.0.0.1:1 --result table3_methods", "--result"),
+        ] {
             match run_str(command) {
                 Err(CliError::Args(e @ ArgError::Unknown { .. })) => {
                     assert!(e.to_string().contains(flag), "{command}: {e}")
@@ -1099,6 +1095,8 @@ mod tests {
             ("serve --coordinator 127.0.0.1:1 --lease-floor inf --port 0", "--lease-floor"),
             ("serve --global-cap inf --port 0", "--global-cap"),
             ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
+            ("coordinator --tick-ms 0 --port 0", "--tick-ms"),
+            ("coordinator --ttl-ticks 18446744073709551615 --port 0", "--ttl-ticks"),
             ("coordinator --floor 200 --port 0", "--floor"),
             ("coordinator --cap NaN --port 0", "--cap"),
             ("coordinator --cap inf --port 0", "--cap"),

@@ -2,7 +2,7 @@
 //! `FaultPlan`: the simulator's fault harness injected failures *inside*
 //! the machine; this one injects them *around* the process, on the wire
 //! between a client (loadgen, the resilient client, a test) and the
-//! server. Jepsen-style, but deterministic: every fault decision comes
+//! server. Jepsen-style, but replayable: every fault decision comes
 //! from a splitmix64 stream seeded by `(plan seed, connection index)`, so
 //! a chaos run replays.
 //!
@@ -32,11 +32,10 @@
 //! is the *server's* hardening, and asymmetric injection keeps every
 //! fault attributable.
 //!
-//! The hardening contract (checked by `tests/chaosproxy.rs` and the
-//! `bench_recovery` smoke): every injected fault maps to a typed
-//! [`ProtocolError`](crate::ProtocolError) response or a clean session
-//! drop — never a panic, and never a poisoned arbiter (budget
-//! conservation holds after every disconnect).
+//! The hardening contract (checked by `tests/chaosproxy.rs`): every
+//! injected fault maps to a typed [`ProtocolError`](crate::ProtocolError)
+//! response or a clean session drop — never a panic, and never a poisoned
+//! arbiter (budget conservation holds after every disconnect).
 
 use crate::net::{Listener, Running};
 use crate::protocol::MAX_FRAME_LEN;

@@ -122,7 +122,7 @@ struct CoordShared {
 impl CoordShared {
     /// The current logical tick (never behind the replayed journal).
     fn now_tick(&self) -> u64 {
-        self.base_tick + self.started.elapsed().as_millis() as u64 / self.config.tick_ms.max(1)
+        self.base_tick + self.started.elapsed().as_millis() as u64 / self.config.tick_ms
     }
 
     /// Best-effort journal append (mirrors the serve shard: append
@@ -231,6 +231,18 @@ impl Coordinator {
             return Err(ServeError::Config(
                 "--ttl-ticks must be at least 1: a lease must live one tick".into(),
             ));
+        }
+        if config.tick_ms == 0 {
+            return Err(ServeError::Config(
+                "--tick-ms must be at least 1: a tick must last one millisecond".into(),
+            ));
+        }
+        // Shards run their own expiry clocks on `ttl_ms()`.
+        if config.ttl_ticks.checked_mul(config.tick_ms).is_none() {
+            return Err(ServeError::Config(format!(
+                "--ttl-ticks {} × --tick-ms {} overflows a millisecond count",
+                config.ttl_ticks, config.tick_ms
+            )));
         }
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
 

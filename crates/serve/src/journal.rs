@@ -30,8 +30,8 @@
 //!
 //! Appends go straight to the OS (`File` is unbuffered) and are flushed,
 //! not fsynced, by default: the journal survives process death — including
-//! SIGKILL, which is what the kill-and-restart e2e and `bench_recovery`
-//! exercise — while a whole-machine power loss may drop the OS-buffered
+//! SIGKILL, which is what the kill-and-restart e2e and the CLI's
+//! `sigkill.rs` exercise — while a whole-machine power loss may drop the OS-buffered
 //! tail, which the next open then cleanly truncates away. Per-entry fsync
 //! would put a disk round trip on every request; crash-only semantics do
 //! not need it. For deployments where the crash window must also cover

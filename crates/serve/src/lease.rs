@@ -441,7 +441,7 @@ impl LeaseTable {
             if let Some(id) = existing {
                 self.epoch += 1;
                 self.grants += 1;
-                let expires = self.tick + self.ttl_ticks;
+                let expires = self.tick.saturating_add(self.ttl_ticks);
                 let (epoch, tick) = (self.epoch, expires);
                 {
                     let lease = self.leases.get_mut(&id).expect("found above");
@@ -480,7 +480,7 @@ impl LeaseTable {
         let id = self.next_lease;
         self.next_lease += 1;
         let sid = shard_id.unwrap_or(id);
-        let expires = self.tick + self.ttl_ticks;
+        let expires = self.tick.saturating_add(self.ttl_ticks);
         self.leases.insert(
             id,
             LeaseState {
@@ -533,7 +533,7 @@ impl LeaseTable {
         }
         self.epoch += 1;
         self.renews += 1;
-        let expires = self.tick + self.ttl_ticks;
+        let expires = self.tick.saturating_add(self.ttl_ticks);
         {
             let lease = self.leases.get_mut(&lease_id).expect("checked above");
             lease.demand_w = demand_w;
@@ -1171,6 +1171,20 @@ mod tests {
         // The re-adoption epoch clears it.
         t.renew(a.lease_id, again.epoch, 0.0).unwrap();
         assert_eq!(t.lease(a.lease_id).unwrap().committed_w, 100.0);
+    }
+
+    #[test]
+    fn a_ttl_at_the_top_of_the_clock_saturates_instead_of_expiring_in_the_past() {
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0);
+        t.advance_to(5);
+        let a = t.grant(None, 0.0).unwrap();
+        let renewed = t.renew(a.lease_id, a.epoch, 0.0).unwrap();
+        let readopted = t.grant(Some(a.shard_id), 0.0).unwrap();
+        for expires_tick in [a.expires_tick, renewed.expires_tick, readopted.expires_tick] {
+            assert_eq!(expires_tick, u64::MAX);
+        }
+        assert_eq!(t.advance_to(1 << 62), [], "nothing expires before the end of time");
+        assert_eq!(t.live_ids(), [a.lease_id]);
     }
 
     #[test]

@@ -155,7 +155,7 @@ struct Shared {
     arbiter: Mutex<Arbiter>,
     metrics: Metrics,
     shutdown: AtomicBool,
-    /// Crash simulation (tests, `bench_recovery`): sessions stop without
+    /// Crash simulation (tests, `acs chaosfleet`): sessions stop without
     /// journaling `Leave`, exactly like a SIGKILL mid-conversation.
     crashed: AtomicBool,
     active: AtomicUsize,
@@ -242,8 +242,8 @@ impl ServerHandle {
 
     /// Die like a SIGKILL: stop every session *without* journaling their
     /// `Leave` entries, so the journal ends exactly as a crashed process
-    /// would leave it. In-process stand-in for the out-of-process kill in
-    /// `bench_recovery` (tests cannot SIGKILL themselves).
+    /// would leave it. In-process stand-in for the real SIGKILL that
+    /// `crates/cli/tests/sigkill.rs` sends an `acs serve` child.
     pub fn simulate_crash(&self) {
         self.shared.crashed.store(true, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -751,7 +751,7 @@ impl FrameHandler for Session<'_> {
         let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         shared.metrics.record_request(kind, latency_ns);
         // A served (not shed) request that blew through its own deadline
-        // is a miss — the overload bench's goodput denominator.
+        // is a miss, counted in STATS `deadline_misses`.
         if let Some((deadline_ms, _)) = deadline {
             if !matches!(response, Response::ShedDeadline { .. })
                 && latency_ns > deadline_ms.saturating_mul(1_000_000)
@@ -1412,5 +1412,94 @@ mod tests {
         assert_eq!(level, 0);
         assert!((10..=11).contains(&fast_p99_us), "{fast_p99_us} µs");
         assert!(stats_snapshot(shared).p99_latency_us >= 1_000, "STATS is since start");
+    }
+
+    /// What each brownout level takes off the wire, with the level and the
+    /// latency estimate set by hand instead of by the controller thread.
+    #[test]
+    fn each_brownout_level_drops_its_own_work_on_the_wire() {
+        let config = ServeConfig {
+            global_cap_w: 90.0,
+            policy: ArbiterPolicy::DemandProportional,
+            brownout_us: 100,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config, model()).unwrap();
+        let shared: &Shared = &server.shared;
+        let set = |level: u8, est_p99_us: u64| {
+            shared.brownout_level.store(level, Ordering::SeqCst);
+            shared.est_p99_us.store(est_p99_us, Ordering::SeqCst);
+        };
+        // Two nodes, so a Report moves watts between them.
+        let join = |node_id| {
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            Session::join(shared, node_id)
+        };
+        let (mut session, _neighbour) = (join(1), join(2));
+        let kernel_id = acs_kernels::all_kernel_instances()[0].id();
+        let select = |deadline_ms, priority| Request::Select {
+            kernel_id: kernel_id.clone(),
+            deadline_ms,
+            priority,
+        };
+        let picked = match session.handle_request(select(None, 0)).0 {
+            Response::Selected(selection) => selection,
+            other => panic!("expected Selected, got {other:?}"),
+        };
+        let report = Request::Report {
+            residual_w: 30.0,
+            feedback: Some(ReportFeedback {
+                kernel_id: kernel_id.clone(),
+                config: picked.config,
+                measured_power_w: picked.predicted_power_w * 1.2,
+                measured_perf: picked.predicted_perf,
+            }),
+        };
+
+        // Level 1: the budget report lands, the feedback is not observed.
+        set(1, 0);
+        let digest = session.adapt.state_digest();
+        let reply = session.handle_request(report.clone()).0;
+        assert_eq!(reply, Response::Budget { budget_w: 22.5 }, "30 W of headroom donates");
+        assert_eq!(session.adapt.state_digest(), digest, "level 1 observed the feedback");
+        assert!(shared.adapt_digests.lock().is_empty());
+        set(0, 0);
+        session.handle_request(report);
+        assert_ne!(session.adapt.state_digest(), digest, "level 0 ignored the feedback");
+
+        // Level 2: STATS keeps its headline counters and loses its maps.
+        let run = Request::Run {
+            kernel_id: kernel_id.clone(),
+            iterations: 1,
+            idem: None,
+            deadline_ms: None,
+            priority: 0,
+        };
+        assert!(matches!(session.handle(Ok(run)).0, Response::Ran { .. }));
+        let stats = |session: &mut Session| match session.handle_request(Request::Stats).0 {
+            Response::Stats(snapshot) => *snapshot,
+            other => panic!("expected Stats, got {other:?}"),
+        };
+        let full = stats(&mut session);
+        assert!(!full.requests_by_kind.is_empty() && !full.degradation_tallies.is_empty());
+        set(2, 0);
+        let dimmed = stats(&mut session);
+        assert!(dimmed.requests_by_kind.is_empty(), "{:?}", dimmed.requests_by_kind);
+        assert!(dimmed.degradation_tallies.is_empty(), "{:?}", dimmed.degradation_tallies);
+        assert_eq!((dimmed.requests_total, dimmed.brownout_level), (full.requests_total, 2));
+
+        // Level 3: a deadline the estimate says is lost is shed below
+        // priority 128. Level 2 serves the same request.
+        set(2, 5_000);
+        let late = select(Some(1), 0);
+        assert!(matches!(session.handle_request(late.clone()).0, Response::Selected(_)));
+        set(3, 5_000);
+        assert_eq!(
+            session.handle_request(late).0,
+            Response::ShedDeadline { deadline_ms: 1, priority: 0, brownout_level: 3 }
+        );
+        let urgent = select(Some(1), 128);
+        assert!(matches!(session.handle_request(urgent).0, Response::Selected(_)));
+        assert_eq!(stats(&mut session).sheds, 1);
     }
 }

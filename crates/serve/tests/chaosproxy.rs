@@ -8,9 +8,10 @@
 
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
-    ChaosPlan, ChaosProxy, Client, Request, Response, ServeConfig, Server, ServerHandle,
+    ChaosPlan, ChaosProxy, Client, ReportFeedback, Request, Response, ServeConfig, Server,
+    ServerHandle,
 };
-use acs_sim::Machine;
+use acs_sim::{Configuration, Machine};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
@@ -166,6 +167,7 @@ fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
         Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
     let kernel_ids: Vec<String> =
         acs_kernels::all_kernel_instances().iter().take(4).map(|k| k.id()).collect();
+    let configs = Configuration::all();
 
     for seed in 0..10u64 {
         let plan = ChaosPlan {
@@ -188,20 +190,28 @@ fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
             let Ok(mut client) = Client::connect(&proxy.addr) else { continue };
             let _ = client.stream_mut().set_read_timeout(Some(Duration::from_secs(5)));
             for i in 0..6u64 {
+                let kernel_id = kernel_ids[(conn + i) as usize % kernel_ids.len()].clone();
                 let request = match i % 3 {
-                    0 => Request::Select {
-                        kernel_id: kernel_ids[(conn + i) as usize % kernel_ids.len()].clone(),
-                        deadline_ms: None,
-                        priority: 0,
-                    },
+                    0 => Request::Select { kernel_id, deadline_ms: None, priority: 0 },
                     1 => Request::Run {
-                        kernel_id: kernel_ids[(conn + i) as usize % kernel_ids.len()].clone(),
+                        kernel_id,
                         iterations: 1,
                         idem: Some(seed * 1000 + conn * 10 + i),
                         deadline_ms: None,
                         priority: 0,
                     },
-                    _ => Request::Report { residual_w: (i * 3) as f64, feedback: None },
+                    // Measured feedback feeds the session's adaptation
+                    // state, which a torn or corrupted frame must not
+                    // poison either.
+                    _ => Request::Report {
+                        residual_w: (i * 3) as f64,
+                        feedback: Some(ReportFeedback {
+                            kernel_id,
+                            config: configs[(seed * 7 + conn * 5 + i) as usize % configs.len()],
+                            measured_power_w: 15.0 + (conn * 4 + i) as f64,
+                            measured_perf: 0.5 + seed as f64,
+                        }),
+                    },
                 };
                 match client.call(&request) {
                     Ok(_) => {}
@@ -225,6 +235,7 @@ fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
     // probe below may remain. Overall: alive, conserved, typed.
     assert_alive(&server.addr);
     assert_eq!(server.handle.budget_conservation_error_w(), 0.0);
+    assert!(server.handle.stats().adapt_observations > 0, "no feedback got through");
     server.stop();
 }
 

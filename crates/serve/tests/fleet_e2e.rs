@@ -8,7 +8,8 @@
 //! The invariant checked throughout, at every sampled instant: the sum of
 //! the caps the shards actually enforce never exceeds the coordinator's
 //! global cap. Crashes are in-process (`simulate_crash`), mirroring
-//! `recovery_e2e.rs`; `bench_fleet` does the real out-of-process SIGKILL.
+//! `recovery_e2e.rs`; `crates/cli/tests/sigkill.rs` SIGKILLs a real
+//! `acs coordinator` process.
 
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{

@@ -3,8 +3,9 @@
 //! The crash is in-process ([`ServerHandle::simulate_crash`]): a test
 //! cannot SIGKILL itself, and `simulate_crash` reproduces exactly what a
 //! SIGKILL leaves behind — sessions die without journaling `Leave`, so
-//! the journal's tail still shows them admitted. (`bench_recovery` does
-//! the real out-of-process SIGKILL; this file is the deterministic gate.)
+//! the journal's tail still shows them admitted. (`crates/cli/tests/
+//! sigkill.rs` does the real out-of-process SIGKILL; this file is the
+//! deterministic gate.)
 //!
 //! The central assertion: a client that drove half its request stream,
 //! lost the server, and finished the stream against a restarted server

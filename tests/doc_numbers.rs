@@ -160,7 +160,7 @@ fn the_registry_is_the_list_of_experiments() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
 
     let mut expected: Vec<String> =
-        REGISTRY.iter().map(|row| format!("{}.json", row.result_stem())).collect();
+        REGISTRY.iter().map(|row| format!("{}.json", row.name)).collect();
     expected.sort();
     assert_eq!(
         file_names(&root.join("results")),

@@ -1,8 +1,7 @@
-//! Artifacts cannot drift from code: every registry row whose output is a
-//! pure function of the code reproduces its committed `results/` file
-//! byte for byte. This is the one pin — paper tables and figures,
-//! ablations, the transfer matrix, the drift grid and the regression
-//! traces alike — and `acs reproduce` is its one writer.
+//! Artifacts cannot drift from code: every registry row reproduces its
+//! committed `results/` file byte for byte. This is the one pin — paper
+//! tables and figures, ablations, the transfer matrix, the drift grid and
+//! the regression traces alike — and `acs reproduce` is its one writer.
 
 use acs_bench::experiments::REGISTRY;
 use std::path::{Path, PathBuf};
@@ -37,8 +36,8 @@ fn first_difference(file: &str, fresh: &str, committed: &str) -> Option<String> 
 #[test]
 fn every_deterministic_artifact_is_what_the_code_prints() {
     let mut stale = Vec::new();
-    for row in REGISTRY.iter().filter(|e| e.deterministic) {
-        let file = format!("{}.json", row.result_stem());
+    for row in REGISTRY {
+        let file = format!("{}.json", row.name);
         let committed = std::fs::read_to_string(results().join(&file))
             .unwrap_or_else(|e| panic!("results/{file}: {e}"));
         let fresh = (row.run)(&mut std::io::sink()).expect("a sink takes every write");
