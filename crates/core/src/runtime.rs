@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-kernel scheduling state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct KernelState {
     iterations: u64,
     cpu_sample: Option<KernelRun>,
@@ -39,10 +39,13 @@ struct KernelState {
     fixed_config: Option<Configuration>,
 }
 
-impl KernelState {
-    fn new() -> Self {
-        Self { iterations: 0, cpu_sample: None, predicted: None, fixed_config: None }
+/// `map[key]`, inserted as the default on first use: a kernel's key is
+/// allocated on its first iteration only.
+fn entry<'m, V: Default>(map: &'m mut HashMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
     }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// Summary of an application run under the runtime.
@@ -84,6 +87,9 @@ pub struct CappedRuntime<E: Executor = Machine> {
     cap_w: f64,
     kernels: HashMap<String, KernelState>,
     guard: Option<Guard>,
+    /// The id of the kernel [`run_kernel`](Self::run_kernel) is running,
+    /// kept between calls so that writing it allocates nothing.
+    id_buf: String,
 }
 
 impl CappedRuntime<Machine> {
@@ -110,6 +116,7 @@ impl<E: Executor> CappedRuntime<E> {
             cap_w,
             kernels: HashMap::new(),
             guard: None,
+            id_buf: String::new(),
         }
     }
 
@@ -163,12 +170,12 @@ impl<E: Executor> CappedRuntime<E> {
     pub fn set_cap(&mut self, cap_w: f64) {
         assert!(cap_w > 0.0, "power cap must be positive");
         self.cap_w = cap_w;
-        self.timeline.record(Event::CapChanged { cap_w });
+        self.timeline.record(|| Event::CapChanged { cap_w });
         for (id, state) in self.kernels.iter_mut() {
             if let Some(predicted) = &state.predicted {
                 let config = predicted.select(cap_w);
                 if state.fixed_config != Some(config) {
-                    self.timeline.record(Event::ConfigSelected {
+                    self.timeline.record(|| Event::ConfigSelected {
                         kernel_id: id.clone(),
                         config,
                         reason: "cap change".into(),
@@ -229,12 +236,13 @@ impl<E: Executor> CappedRuntime<E> {
             .unwrap_or((0, 0.0));
         let mut attempt: u32 = 0;
         let outcome = loop {
-            let retry = |timeline: &Timeline, attempt: u32, fault: String| {
-                timeline.record(Event::RetryBackoff {
+            let retry = |timeline: &Timeline, attempt: u32, fault: &dyn std::fmt::Display| {
+                let wait_s = backoff_base * f64::from(1u32 << (attempt - 1).min(16));
+                timeline.record_advancing(wait_s, || Event::RetryBackoff {
                     kernel_id: id.to_string(),
                     attempt,
-                    wait_s: backoff_base * f64::from(1u32 << (attempt - 1).min(16)),
-                    fault,
+                    wait_s,
+                    fault: fault.to_string(),
                 });
             };
             match self.executor.execute(kernel, &target, iteration) {
@@ -243,14 +251,14 @@ impl<E: Executor> CappedRuntime<E> {
                         break Ok(run);
                     }
                     // The hardware silently refused the transition.
-                    self.timeline.record(Event::TransitionClamped {
+                    self.timeline.record(|| Event::TransitionClamped {
                         kernel_id: id.to_string(),
                         requested: target,
                         actual: run.config,
                     });
                     if attempt < max_retries {
                         attempt += 1;
-                        retry(&self.timeline, attempt, "transition clamped".into());
+                        retry(&self.timeline, attempt, &"transition clamped");
                         continue;
                     }
                     // Retries exhausted. Sampling *must* run the Table II
@@ -274,7 +282,7 @@ impl<E: Executor> CappedRuntime<E> {
                 Err(fault) => {
                     if attempt < max_retries {
                         attempt += 1;
-                        retry(&self.timeline, attempt, fault.to_string());
+                        retry(&self.timeline, attempt, &fault);
                         continue;
                     }
                     break Err(RuntimeError::ExecutionFailed {
@@ -288,7 +296,7 @@ impl<E: Executor> CappedRuntime<E> {
         };
         if attempt > 0 {
             if let Some(guard) = self.guard.as_mut() {
-                guard.kernels.entry(id.to_string()).or_default().retries += attempt;
+                entry(&mut guard.kernels, id).retries += attempt;
             }
         }
         outcome
@@ -301,7 +309,7 @@ impl<E: Executor> CappedRuntime<E> {
         let timeline = Arc::clone(&self.timeline);
         let Some(guard) = self.guard.as_mut() else { return };
         let policy = guard.policy;
-        let health = guard.kernels.entry(id.to_string()).or_default();
+        let health = entry(&mut guard.kernels, id);
 
         let power_w = run.power_w();
         let dropout = !power_w.is_finite() || power_w <= 0.0;
@@ -311,7 +319,7 @@ impl<E: Executor> CappedRuntime<E> {
         let mut degrade_reason: Option<&str> = None;
         if dropout || frozen {
             health.stale_streak += 1;
-            timeline.record(Event::SensorAnomaly {
+            timeline.record(|| Event::SensorAnomaly {
                 kernel_id: id.to_string(),
                 kind: (if dropout { "dropout" } else { "frozen" }).into(),
             });
@@ -332,7 +340,7 @@ impl<E: Executor> CappedRuntime<E> {
                 if power_w > cap_w * (1.0 + 1e-9) {
                     health.overcap_streak += 1;
                     health.clean_streak = 0;
-                    timeline.record(Event::CapViolation {
+                    timeline.record(|| Event::CapViolation {
                         kernel_id: id.to_string(),
                         power_w,
                         cap_w,
@@ -353,7 +361,7 @@ impl<E: Executor> CappedRuntime<E> {
                         health.tier = health.tier.recovered();
                         health.recoveries += 1;
                         health.clean_streak = 0;
-                        timeline.record(Event::TierChanged {
+                        timeline.record(|| Event::TierChanged {
                             kernel_id: id.to_string(),
                             from: from.label(),
                             to: health.tier.label(),
@@ -370,7 +378,7 @@ impl<E: Executor> CappedRuntime<E> {
             if to != from {
                 health.tier = to;
                 health.degradations += 1;
-                timeline.record(Event::TierChanged {
+                timeline.record(|| Event::TierChanged {
                     kernel_id: id.to_string(),
                     from: from.label(),
                     to: to.label(),
@@ -386,8 +394,21 @@ impl<E: Executor> CappedRuntime<E> {
         &mut self,
         kernel: &KernelCharacteristics,
     ) -> Result<KernelRun, RuntimeError> {
-        let id = kernel.id();
-        let state = self.kernels.entry(id.clone()).or_insert_with(KernelState::new);
+        let mut id = std::mem::take(&mut self.id_buf);
+        id.clear();
+        kernel.write_id(&mut id);
+        let result = self.run_kernel_as(kernel, &id);
+        self.id_buf = id;
+        result
+    }
+
+    /// [`run_kernel`](Self::run_kernel) for the kernel whose id is `id`.
+    fn run_kernel_as(
+        &mut self,
+        kernel: &KernelCharacteristics,
+        id: &str,
+    ) -> Result<KernelRun, RuntimeError> {
+        let state = entry(&mut self.kernels, id);
         let iteration = state.iterations;
 
         let base = match iteration {
@@ -395,24 +416,24 @@ impl<E: Executor> CappedRuntime<E> {
             1 => sample_config(Device::Gpu),
             _ => state
                 .fixed_config
-                .ok_or_else(|| RuntimeError::UnconfiguredKernel { kernel_id: id.clone() })?,
+                .ok_or_else(|| RuntimeError::UnconfiguredKernel { kernel_id: id.to_string() })?,
         };
         // The guard's tier override applies only once sampling is done:
         // the two probes are the protocol's measurement instrument.
-        let target = if iteration >= 2 { self.tier_for(&id).apply(base) } else { base };
+        let target = if iteration >= 2 { self.tier_for(id).apply(base) } else { base };
 
-        let run = self.execute_with_retries(kernel, &id, target, iteration)?;
+        let run = self.execute_with_retries(kernel, id, target, iteration)?;
 
-        self.timeline.record(Event::KernelRun {
-            kernel_id: id.clone(),
+        self.timeline.record_advancing(run.time_s, || Event::KernelRun {
+            kernel_id: id.to_string(),
             iteration,
             config: run.config,
             time_s: run.time_s,
             power_w: run.power_w(),
         });
 
-        let state = self.kernels.get_mut(&id).ok_or_else(|| RuntimeError::ProtocolViolation {
-            kernel_id: id.clone(),
+        let state = self.kernels.get_mut(id).ok_or_else(|| RuntimeError::ProtocolViolation {
+            kernel_id: id.to_string(),
             detail: "kernel state vanished mid-iteration".into(),
         })?;
         state.iterations += 1;
@@ -422,15 +443,15 @@ impl<E: Executor> CappedRuntime<E> {
                 // Both samples in hand: classify, predict, fix the config.
                 let cpu_sample =
                     state.cpu_sample.take().ok_or_else(|| RuntimeError::ProtocolViolation {
-                        kernel_id: id.clone(),
+                        kernel_id: id.to_string(),
                         detail: "CPU sample missing at classification time".into(),
                     })?;
                 let samples = SamplePair::new(cpu_sample, run.clone());
                 let predictor = self.predictor.get_or_insert_with(|| Predictor::new(&self.model));
                 let predicted = predictor.predict(&samples);
                 let config = predicted.select(self.cap_w);
-                self.timeline.record(Event::ConfigSelected {
-                    kernel_id: id.clone(),
+                self.timeline.record(|| Event::ConfigSelected {
+                    kernel_id: id.to_string(),
                     config,
                     reason: format!("model (cluster {})", predicted.cluster),
                 });
@@ -440,7 +461,7 @@ impl<E: Executor> CappedRuntime<E> {
             _ => {}
         }
 
-        self.watchdog(&id, base, iteration, &run);
+        self.watchdog(id, base, iteration, &run);
         Ok(run)
     }
 
@@ -664,6 +685,33 @@ mod tests {
         assert!(rt.timeline().now_s() > 0.0);
         // The render mentions the kernel.
         assert!(rt.timeline().render().contains(&k.id()));
+    }
+
+    #[test]
+    fn a_capacity_zero_timeline_keeps_the_clock_and_the_count() {
+        // Faults put retries (which advance the clock), clamps, anomalies
+        // and tier moves in the trace; a cap change adds reselections.
+        let plan = FaultPlan {
+            run_fail_p: 0.2,
+            pstate_fail_p: 0.2,
+            sensor_dropout_p: 0.1,
+            ..FaultPlan::none(7)
+        };
+        let (mut kept, app) = guarded_runtime(25.0, plan.clone(), GuardPolicy::default());
+        let (mut bare, _) = guarded_runtime(25.0, plan, GuardPolicy::default());
+        bare.timeline().set_capacity(Some(0));
+        for rt in [&mut kept, &mut bare] {
+            rt.run_app(&app, 4).unwrap();
+            rt.set_cap(12.0);
+            rt.run_app(&app, 2).unwrap();
+        }
+        let (kept, bare) = (kept.timeline(), bare.timeline());
+        assert!(bare.is_empty());
+        assert_eq!(bare.now_s().to_bits(), kept.now_s().to_bits());
+        assert_eq!(bare.dropped(), kept.len() as u64);
+        let entries = kept.entries();
+        assert!(entries.iter().any(|e| matches!(e.event, Event::RetryBackoff { .. })));
+        assert!(entries.iter().any(|e| matches!(e.event, Event::TransitionClamped { .. })));
     }
 
     #[test]

@@ -108,14 +108,16 @@ pub struct Entry {
 /// An append-only, thread-safe scheduling trace with a virtual clock that
 /// advances by recorded kernel durations.
 ///
-/// By default the trace is unbounded. A long-running process (the
-/// `acs-serve` daemon) instead bounds it with
-/// [`set_capacity`](Self::set_capacity): the trace becomes a ring buffer
-/// that drops its **oldest** entries once full, counting what it sheds in
-/// [`dropped`](Self::dropped). While the entry count stays under the
-/// capacity the observable trace — [`entries`](Self::entries),
-/// [`to_json`](Self::to_json), [`render`](Self::render) — is byte-for-byte
-/// identical to an unbounded timeline's.
+/// By default the trace is unbounded. [`set_capacity`](Self::set_capacity)
+/// bounds it: the trace becomes a ring buffer that drops its **oldest**
+/// entries once full, counting what it sheds in [`dropped`](Self::dropped).
+/// While the entry count stays under the capacity the observable trace —
+/// [`entries`](Self::entries), [`to_json`](Self::to_json),
+/// [`render`](Self::render) — is byte-for-byte identical to an unbounded
+/// timeline's. Capacity 0 keeps nothing and builds nothing: events are
+/// passed as closures that only a retaining timeline calls, so a record
+/// costs a clock step and a `dropped` count (the `acs-serve` sessions,
+/// whose timelines nothing reads).
 #[derive(Debug, Default)]
 pub struct Timeline {
     inner: Mutex<TimelineInner>,
@@ -162,18 +164,25 @@ impl Timeline {
         self.inner.lock().dropped
     }
 
-    /// Record an event at the current virtual time. `KernelRun` events
-    /// advance the clock by their duration; `RetryBackoff` events by their
-    /// wait.
-    pub fn record(&self, event: Event) {
+    /// Record the event `event` builds at the current virtual time, leaving
+    /// the clock where it is. `event` runs only if the timeline retains
+    /// entries, and under the timeline's lock, so it must not record.
+    pub fn record(&self, event: impl FnOnce() -> Event) {
+        self.record_advancing(0.0, event);
+    }
+
+    /// [`record`](Self::record), then advance the clock by `advance_s`: a
+    /// [`Event::KernelRun`]'s `time_s` or a [`Event::RetryBackoff`]'s
+    /// `wait_s`, which the caller passes as the event's field too.
+    pub fn record_advancing(&self, advance_s: f64, event: impl FnOnce() -> Event) {
         let mut inner = self.inner.lock();
         let at_s = inner.now_s;
-        match &event {
-            Event::KernelRun { time_s, .. } => inner.now_s += time_s,
-            Event::RetryBackoff { wait_s, .. } => inner.now_s += wait_s,
-            _ => {}
+        inner.now_s += advance_s;
+        if inner.capacity == Some(0) {
+            inner.dropped += 1;
+            return;
         }
-        inner.entries.push_back(Entry { at_s, event });
+        inner.entries.push_back(Entry { at_s, event: event() });
         inner.evict_to_capacity();
     }
 
@@ -263,13 +272,26 @@ mod tests {
         Configuration::cpu(4, CpuPState::MAX)
     }
 
-    fn run_event(id: &str, iter: u64, time_s: f64) -> Event {
-        Event::KernelRun {
+    /// Record a `KernelRun` of `time_s`, advancing the clock by it.
+    fn run(t: &Timeline, id: &str, iter: u64, time_s: f64) {
+        t.record_advancing(time_s, || Event::KernelRun {
             kernel_id: id.into(),
             iteration: iter,
             config: cfg(),
             time_s,
             power_w: 30.0,
+        });
+    }
+
+    fn cap_changed(cap_w: f64) -> impl FnOnce() -> Event {
+        move || Event::CapChanged { cap_w }
+    }
+
+    fn selected(id: &str) -> impl FnOnce() -> Event + '_ {
+        move || Event::ConfigSelected {
+            kernel_id: id.into(),
+            config: cfg(),
+            reason: "model".into(),
         }
     }
 
@@ -282,15 +304,11 @@ mod tests {
     #[test]
     fn clock_advances_on_kernel_runs_only() {
         let t = Timeline::new();
-        t.record(Event::CapChanged { cap_w: 25.0 });
+        t.record(cap_changed(25.0));
         assert_eq!(t.now_s(), 0.0);
-        t.record(run_event("k", 0, 0.010));
+        run(&t, "k", 0, 0.010);
         assert!((t.now_s() - 0.010).abs() < 1e-15);
-        t.record(Event::ConfigSelected {
-            kernel_id: "k".into(),
-            config: cfg(),
-            reason: "model".into(),
-        });
+        t.record(selected("k"));
         assert!((t.now_s() - 0.010).abs() < 1e-15);
         assert_eq!(t.len(), 3);
     }
@@ -298,8 +316,8 @@ mod tests {
     #[test]
     fn entries_carry_record_time() {
         let t = Timeline::new();
-        t.record(run_event("a", 0, 0.002));
-        t.record(run_event("b", 0, 0.003));
+        run(&t, "a", 0, 0.002);
+        run(&t, "b", 0, 0.003);
         let entries = t.entries();
         assert_eq!(entries[0].at_s, 0.0);
         assert!((entries[1].at_s - 0.002).abs() < 1e-15);
@@ -308,8 +326,8 @@ mod tests {
     #[test]
     fn render_is_readable() {
         let t = Timeline::new();
-        t.record(Event::CapChanged { cap_w: 25.0 });
-        t.record(run_event("LULESH/Small/K", 0, 0.004));
+        t.record(cap_changed(25.0));
+        run(&t, "LULESH/Small/K", 0, 0.004);
         let txt = t.render();
         assert!(txt.contains("cap   → 25.0 W"));
         assert!(txt.contains("run   LULESH/Small/K #0"));
@@ -319,27 +337,27 @@ mod tests {
     #[test]
     fn retry_backoff_advances_clock_and_health_events_render() {
         let t = Timeline::new();
-        t.record(Event::RetryBackoff {
+        t.record_advancing(0.004, || Event::RetryBackoff {
             kernel_id: "k".into(),
             attempt: 1,
             wait_s: 0.004,
             fault: "kernel run failure".into(),
         });
         assert!((t.now_s() - 0.004).abs() < 1e-15);
-        t.record(Event::CapViolation {
+        t.record(|| Event::CapViolation {
             kernel_id: "k".into(),
             power_w: 31.0,
             cap_w: 25.0,
             streak: 2,
         });
-        t.record(Event::TierChanged {
+        t.record(|| Event::TierChanged {
             kernel_id: "k".into(),
             from: "model".into(),
             to: "model+fl(1)".into(),
             reason: "cap violations".into(),
         });
-        t.record(Event::SensorAnomaly { kernel_id: "k".into(), kind: "dropout".into() });
-        t.record(Event::TransitionClamped {
+        t.record(|| Event::SensorAnomaly { kernel_id: "k".into(), kind: "dropout".into() });
+        t.record(|| Event::TransitionClamped {
             kernel_id: "k".into(),
             requested: cfg(),
             actual: Configuration::cpu(4, CpuPState::MIN),
@@ -359,7 +377,7 @@ mod tests {
     fn ring_buffer_drops_oldest_beyond_capacity() {
         let t = bounded(3);
         for i in 0..5 {
-            t.record(run_event("k", i, 0.001));
+            run(&t, "k", i, 0.001);
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -384,13 +402,9 @@ mod tests {
         let unbounded = Timeline::new();
         let bounded = bounded(16);
         for t in [&unbounded, &bounded] {
-            t.record(Event::CapChanged { cap_w: 25.0 });
-            t.record(run_event("k", 0, 0.004));
-            t.record(Event::ConfigSelected {
-                kernel_id: "k".into(),
-                config: cfg(),
-                reason: "model".into(),
-            });
+            t.record(cap_changed(25.0));
+            run(t, "k", 0, 0.004);
+            t.record(selected("k"));
         }
         assert_eq!(bounded.dropped(), 0);
         assert_eq!(unbounded.to_json(), bounded.to_json());
@@ -401,7 +415,7 @@ mod tests {
     fn set_capacity_trims_immediately_and_unbounds() {
         let t = Timeline::new();
         for i in 0..10 {
-            t.record(run_event("k", i, 0.001));
+            run(&t, "k", i, 0.001);
         }
         t.set_capacity(Some(4));
         assert_eq!(t.len(), 4);
@@ -409,17 +423,18 @@ mod tests {
         // Growing the bound (or removing it) never resurrects entries.
         t.set_capacity(None);
         assert_eq!(t.len(), 4);
-        t.record(run_event("k", 10, 0.001));
+        run(&t, "k", 10, 0.001);
         assert_eq!(t.len(), 5);
         assert_eq!(t.dropped(), 6);
     }
 
     #[test]
-    fn zero_capacity_retains_nothing_but_keeps_the_clock() {
+    fn zero_capacity_builds_nothing_but_keeps_the_clock() {
         let t = bounded(0);
-        t.record(run_event("k", 0, 0.002));
+        run(&t, "k", 0, 0.002);
+        t.record(|| unreachable!("a capacity-0 timeline built an event"));
         assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
+        assert_eq!(t.dropped(), 2);
         assert!((t.now_s() - 0.002).abs() < 1e-15);
     }
 
@@ -431,7 +446,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for j in 0..100 {
-                        t.record(run_event(&format!("k{i}"), j, 0.0001));
+                        run(&t, &format!("k{i}"), j, 0.0001);
                     }
                 });
             }

@@ -34,12 +34,6 @@ const SESSION_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// long it takes to observe the shutdown flag.
 const LEASE_SLEEP_SLICE: Duration = Duration::from_millis(5);
 
-/// Ring-buffer capacity of each session's scheduling timeline — the one
-/// per-run record a session keeps, so this bounds a session's memory
-/// however many `Run`s it serves. Nothing on the wire reads a timeline,
-/// hence a constant rather than a setting.
-const SESSION_TIMELINE_CAPACITY: usize = 4096;
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -702,7 +696,10 @@ impl<'a> Session<'a> {
             budget_w,
             GuardPolicy::default(),
         );
-        rt.timeline().set_capacity(Some(SESSION_TIMELINE_CAPACITY));
+        // Nothing on the wire reads a session's timeline: at capacity 0 it
+        // keeps the virtual clock and builds no event, so a session's memory
+        // stays flat however many `Run`s and reselections it serves.
+        rt.timeline().set_capacity(Some(0));
         Self { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch }
     }
 }
@@ -838,28 +835,32 @@ impl Session<'_> {
                         return (memo, false);
                     }
                 }
-                let Some(kernel) = shared.engine.kernel(&kernel_id).cloned() else {
+                let Some(kernel) = shared.engine.kernel(&kernel_id) else {
                     return (engine_error(EngineError::UnknownKernel(kernel_id)), false);
                 };
                 let iterations = iterations.max(1);
                 let mut total_time_s = 0.0;
                 let mut power_sum = 0.0;
-                let mut last_config = None;
-                for _ in 0..iterations {
-                    match self.rt.run_kernel(&kernel) {
-                        Ok(run) => {
-                            total_time_s += run.time_s;
-                            power_sum += run.power_w();
-                            last_config = Some(run.config);
-                        }
-                        Err(e) => {
-                            return (
-                                Response::Error { code: "runtime".into(), detail: e.to_string() },
-                                false,
-                            )
-                        }
+                let mut run_once = || {
+                    self.rt.run_kernel(kernel).map(|run| {
+                        total_time_s += run.time_s;
+                        power_sum += run.power_w();
+                        run.config
+                    })
+                };
+                // Each run's configuration replaces the one before, so the
+                // first run's is the answer for a single iteration.
+                let ran =
+                    run_once().and_then(|first| (1..iterations).try_fold(first, |_, _| run_once()));
+                let config = match ran {
+                    Ok(config) => config,
+                    Err(e) => {
+                        return (
+                            Response::Error { code: "runtime".into(), detail: e.to_string() },
+                            false,
+                        )
                     }
-                }
+                };
                 let tier = self
                     .rt
                     .health(&kernel_id)
@@ -874,9 +875,7 @@ impl Session<'_> {
                     iterations,
                     avg_power_w: power_sum / iterations as f64,
                     total_time_s,
-                    // `iterations` is at least 1 and every failed iteration
-                    // returned above, so the loop stored a configuration.
-                    config: last_config.expect("at least one iteration ran"),
+                    config,
                     tier,
                 };
                 // Only successful executions are memoized: a retried failure
@@ -887,6 +886,18 @@ impl Session<'_> {
                 (response, false)
             }
             Request::Report { residual_w, feedback } => {
+                // `1e999` reads as +∞. The arbiter would ignore it, but the
+                // journal would write it as `null`, which no `f64` reads back:
+                // the next open would drop that entry and every later one.
+                if !residual_w.is_finite() {
+                    return (
+                        Response::Error {
+                            code: "bad-report".into(),
+                            detail: format!("residual_w must be finite, got {residual_w}"),
+                        },
+                        false,
+                    );
+                }
                 // Feedback is validated and consumed *before* the arbiter
                 // mutates: a rejected measurement must leave the session's
                 // budget exactly as it was. Brownout level 1 drops feedback
@@ -1281,11 +1292,10 @@ mod tests {
     }
 
     #[test]
-    fn a_long_run_keeps_the_session_timeline_at_its_bound() {
+    fn a_session_keeps_no_timeline_and_answers_as_if_it_did() {
         let server = Server::bind(ServeConfig::default(), model()).unwrap();
         let shared: &Shared = &server.shared;
-        // One frame's worth (under `MAX_RUN_ITERATIONS`), and more entries
-        // than the bound holds.
+        // One frame's worth, under `MAX_RUN_ITERATIONS`.
         let run = Request::Run {
             kernel_id: acs_kernels::all_kernel_instances()[0].id(),
             iterations: 5_000,
@@ -1294,28 +1304,30 @@ mod tests {
             priority: 0,
         };
 
-        // The same Run on two lone sessions, one with its timeline bound
-        // lifted: the bound caps memory and changes no response byte.
+        // The same Run on two lone sessions, the second with an unbounded
+        // timeline: keeping nothing changes no reply byte, and the clock
+        // and the event count advance alike.
         let mut replies = Vec::new();
-        for (node_id, bounded) in [(1, true), (2, false)] {
+        let mut clocks = Vec::new();
+        for (node_id, kept) in [(1, false), (2, true)] {
             shared.active.fetch_add(1, Ordering::SeqCst);
             let mut session = Session::join(shared, node_id);
-            if !bounded {
-                session.rt.timeline().set_capacity(None);
+            let timeline = Arc::clone(session.rt.timeline());
+            if kept {
+                timeline.set_capacity(None);
             }
             let (reply, done) = session.handle_request(run.clone());
             assert!(!done);
             assert!(matches!(reply, Response::Ran { iterations: 5_000, .. }), "{reply:?}");
-            let timeline = session.rt.timeline();
-            if bounded {
-                assert_eq!(timeline.len(), SESSION_TIMELINE_CAPACITY);
-                assert!(timeline.dropped() > 0);
-            } else {
-                assert!(timeline.len() > SESSION_TIMELINE_CAPACITY);
-            }
-            replies.push(reply);
+            assert_eq!(timeline.is_empty(), !kept, "{} entries kept", timeline.len());
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &reply).unwrap();
+            replies.push(bytes);
+            clocks.push((timeline.now_s().to_bits(), timeline.len() as u64 + timeline.dropped()));
         }
         assert_eq!(replies[0], replies[1]);
+        assert_eq!(clocks[0], clocks[1]);
+        assert!(clocks[0].1 > 5_000, "every run is one event");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
-    ArbiterPolicy, Client, Journal, JournalEntry, ReportFeedback, Request, Response, ServeConfig,
-    ServeError, Server,
+    read_frame_blocking, ArbiterPolicy, Client, Journal, JournalEntry, ReportFeedback, Request,
+    Response, ServeConfig, ServeError, Server,
 };
 use acs_sim::Machine;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -278,6 +279,46 @@ fn divergent_journal_is_a_typed_bind_error() {
         Ok(_) => panic!("bind accepted a divergent journal"),
         Err(other) => panic!("expected ServeError::Journal, got {other}"),
     }
+}
+
+/// `1e999` reads as +∞, which the journal would write as `null`: no `f64`
+/// reads that back, so the next open would cut the entry and everything
+/// after it as crash debris. The report is refused before the arbiter or the
+/// journal sees it.
+#[test]
+fn an_infinite_residual_is_refused_and_the_journal_keeps_what_follows() {
+    let dir = scratch("infresidual");
+    let journal_path = dir.join("serve.journal");
+    {
+        let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
+        let mut client = Client::connect(&server.addr).unwrap();
+        assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+        let frame = br#"{"Report":{"residual_w":1e999}}"#;
+        let stream = client.stream_mut();
+        stream.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+        stream.write_all(frame).unwrap();
+        match read_frame_blocking::<_, Response>(stream).unwrap() {
+            Some(Response::Error { code, .. }) => assert_eq!(code, "bad-report"),
+            other => panic!("expected a bad-report error, got {other:?}"),
+        }
+        // The session lives on, and its Leave is journaled after the refusal.
+        match client.call(&Request::Hello).unwrap() {
+            Response::Welcome { node_id, budget_w } => assert_eq!((node_id, budget_w), (1, 90.0)),
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+        assert!(matches!(client.call(&Request::Bye).unwrap(), Response::Bye));
+        server.stop();
+    }
+
+    let (journal, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+    assert_eq!(journal.truncated_tail_bytes(), 0, "{entries:?}");
+    assert!(entries.iter().all(|e| !matches!(e, JournalEntry::Report { .. })), "{entries:?}");
+    drop(journal);
+    let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
+    let recovery = server.handle.recovery().unwrap();
+    assert_eq!(recovery.orphaned_sessions, Vec::<u64>::new(), "the Leave replayed");
+    assert_eq!(recovery.next_node, 2);
+    server.stop();
 }
 
 #[test]

@@ -84,17 +84,26 @@ impl KernelCharacteristics {
         self.memory_time_s / total
     }
 
+    /// The pieces [`id`](Self::id) joins.
+    fn id_parts(&self) -> [&str; 5] {
+        [&self.benchmark, "/", &self.input, "/", &self.name]
+    }
+
     /// A stable identifier combining benchmark, input, and kernel name.
     pub fn id(&self) -> String {
-        format!("{}/{}/{}", self.benchmark, self.input, self.name)
+        self.id_parts().concat()
+    }
+
+    /// Append [`id`](Self::id) to `out`, which allocates only if `out` has
+    /// to grow.
+    pub fn write_id(&self, out: &mut String) {
+        self.id_parts().iter().for_each(|part| out.push_str(part));
     }
 
     /// `fnv1a` of [`id`](Self::id), computed without building the string:
     /// the kernel's address in the simulator's noise streams.
     pub fn id_hash(&self) -> u64 {
-        [&self.benchmark, "/", &self.input, "/", &self.name]
-            .iter()
-            .fold(FNV_OFFSET_BASIS, |h, part| fnv1a_extend(h, part.as_bytes()))
+        self.id_parts().iter().fold(FNV_OFFSET_BASIS, |h, part| fnv1a_extend(h, part.as_bytes()))
     }
 
     /// Validate that every latent lies in its physically meaningful range.
