@@ -2,16 +2,13 @@
 //!
 //! A library with no binaries: the registry of every table, figure,
 //! ablation and regression trace (`experiments`; `acs reproduce --name
-//! NAME` runs a row, DESIGN.md section 4 is the index), the fleet chaos
-//! orchestrator (`drills`), and the selection-server client and load
-//! generator.
+//! NAME` runs a row, DESIGN.md section 4 is the index), and the
+//! selection-server load generator (`loadgen`; `acs loadgen`).
 //! Nothing here times anything for publication: latencies come from the
 //! `benchmark/` package's layer table.
 
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod drills;
 pub mod experiments;
 pub mod loadgen;
 

@@ -167,18 +167,6 @@ COMMANDS:
                                           service deadline and priority class
                                           to Select/Run requests, opting into
                                           deadline-aware shedding
-  chaosfleet [--seed N] [--shards N]      seeded fleet chaos orchestrator:
-             [--phases N] [--sessions N]  coordinator + N shards behind chaos
-             [--calls N] [--cap W]        proxies, driven by fleet-client
-             [--evict-after-ticks N]      sessions while shards are killed,
-             [--quick true]               restarted, and partitioned on a
-                                          deterministic schedule; every call
-                                          must complete (sessions fail over
-                                          off dead shards and replay their
-                                          idempotency keys), the fleet budget
-                                          must stay conserved throughout, and
-                                          the stdout is byte-identical for a
-                                          given seed (DESIGN.md §17)
 ";
 
 /// A subcommand.
@@ -202,7 +190,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "coordinator" => cmd_coordinator,
         "chaosproxy" => cmd_chaosproxy,
         "loadgen" => cmd_loadgen,
-        "chaosfleet" => cmd_chaosfleet,
         "help" => cmd_help,
         other => return Err(CliError::Domain(format!("unknown command '{other}'\n\n{USAGE}"))),
     };
@@ -803,29 +790,6 @@ fn cmd_reproduce(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `acs chaosfleet`: flag parsing for [`acs_bench::drills::chaosfleet`],
-/// the seeded kill / restart / partition orchestrator (DESIGN.md §17).
-fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let quick = args.get_or("quick", false)?;
-    let fleet = acs_bench::drills::ChaosFleet {
-        seed: args.get_or("seed", 2014)?,
-        shards: args.get_or("shards", 5)?,
-        phases: args.get_or("phases", if quick { 4 } else { 10 })?,
-        sessions: args.get_or("sessions", if quick { 4 } else { 8 })?,
-        calls_per_phase: args.get_or("calls", if quick { 3 } else { 6 })?,
-        cap_w: args.get_or("cap", 90.0)?,
-        evict_after_ticks: args.get_or("evict-after-ticks", 8)?,
-        partition_ms: if quick { 250 } else { 400 },
-    };
-    if fleet.shards < 2 {
-        return Err(CliError::Domain(format!(
-            "--shards must be at least 2 so failover has somewhere to go, got {}",
-            fleet.shards
-        )));
-    }
-    acs_bench::drills::chaosfleet(&fleet, out).map_err(|e| CliError::Domain(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1100,7 +1064,6 @@ mod tests {
             ("coordinator --floor 200 --port 0", "--floor"),
             ("coordinator --cap NaN --port 0", "--cap"),
             ("coordinator --cap inf --port 0", "--cap"),
-            ("chaosfleet --quick true --cap 2", "--cap"),
         ] {
             match run_str(command) {
                 Err(CliError::Domain(msg)) => assert!(msg.contains(flag), "{command}: {msg}"),
@@ -1170,23 +1133,5 @@ mod tests {
         let log_text = std::fs::read_to_string(&log).unwrap();
         assert_eq!(log_text.lines().count(), 60, "one logged response per request");
         assert!(log_text.contains("Selected"), "{log_text}");
-    }
-
-    /// The chaos orchestrator's whole point: at a fixed seed the fleet —
-    /// kills, restarts, partitions, failovers and all — must pass its
-    /// invariants and print byte-identical output on every execution.
-    #[test]
-    fn chaosfleet_passes_and_is_byte_identical_at_a_seed() {
-        let first = run_str("chaosfleet --quick true --seed 11").unwrap();
-        assert!(first.contains("fleet up: 5 shards leased"), "{first}");
-        assert!(first.contains("fleet ok"), "{first}");
-        assert!(first.contains("budget: conserved under cap 90 W"), "{first}");
-        // The seeded schedule must actually exercise failover paths.
-        assert!(
-            first.contains("kill shard-") || first.contains("partition shard-"),
-            "schedule never injected chaos: {first}"
-        );
-        let second = run_str("chaosfleet --quick true --seed 11").unwrap();
-        assert_eq!(first, second, "chaosfleet output diverged across executions");
     }
 }

@@ -149,7 +149,7 @@ struct Shared {
     arbiter: Mutex<Arbiter>,
     metrics: Metrics,
     shutdown: AtomicBool,
-    /// Crash simulation (tests, `acs chaosfleet`): sessions stop without
+    /// Set by `simulate_crash` (tests only): sessions stop without
     /// journaling `Leave`, exactly like a SIGKILL mid-conversation.
     crashed: AtomicBool,
     active: AtomicUsize,

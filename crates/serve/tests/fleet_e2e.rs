@@ -1,9 +1,10 @@
 //! Fleet end-to-end tests: real shard servers leasing their power caps
 //! from a real coordinator over TCP, with the failure modes the lease
 //! protocol exists for — a SIGKILLed coordinator restarting from its
-//! journal, a SIGKILLed shard decaying to its floor encumbrance, and a
-//! network partition (injected by the chaos proxy) driving a shard into
-//! degraded mode and back out.
+//! journal, a SIGKILLed shard decaying to its floor encumbrance, a killed
+//! shard's session replaying its idempotency keys on a survivor while the
+//! shard comes back under its old id, and a network partition (injected
+//! by the chaos proxy) driving a shard into degraded mode and back out.
 //!
 //! The invariant checked throughout, at every sampled instant: the sum of
 //! the caps the shards actually enforce never exceeds the coordinator's
@@ -16,7 +17,7 @@ use acs_serve::{
     ArbiterPolicy, ChaosPlan, ChaosProxy, Client, Coordinator, CoordinatorConfig, Request,
     Response, ServeConfig, Server, ServerHandle,
 };
-use acs_sim::{FamilyId, Machine};
+use acs_sim::{FamilyId, Machine, SplitMix64};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -426,6 +427,88 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
 
     alive.stop();
     replacement.stop();
+    coord.stop();
+}
+
+#[test]
+fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts_its_lease() {
+    let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
+    let shard_with_id =
+        |id| ServeConfig { shard_id: Some(id), ..shard_config(FamilyId::Trinity, &coord.addr) };
+    let victim = Server::spawn(shard_with_id(0), model()).unwrap();
+    let survivor = Server::spawn(shard_with_id(1), model()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            victim.handle.stats().lease_state == "leased"
+                && survivor.handle.stats().lease_state == "leased"
+        }),
+        "both shards lease"
+    );
+
+    // A session on shard 0 issues keyed runs, as a retrying client does:
+    // one key per logical call, reused on every retry of that call.
+    let kernel_id = acs_kernels::all_kernel_instances()[0].id();
+    let mut keys = SplitMix64(11);
+    let runs: Vec<Request> = (0..3)
+        .map(|_| Request::Run {
+            kernel_id: kernel_id.clone(),
+            iterations: 2,
+            idem: Some(keys.next_u64()),
+            deadline_ms: None,
+            priority: 0,
+        })
+        .collect();
+    let mut session = Client::connect(&victim.addr).unwrap();
+    assert!(matches!(session.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+    for run in &runs {
+        assert!(matches!(session.call(run).unwrap(), Response::Ran { .. }));
+    }
+
+    // Shard 0 dies mid-session; the session fails over to shard 1 and
+    // replays its keys there. Shard 1 never saw them, so each one
+    // executes — no replay of another shard's memo.
+    victim.handle.simulate_crash();
+    victim.join();
+    drop(session);
+    let mut session = Client::connect(&survivor.addr).unwrap();
+    assert!(matches!(session.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+    let mut last = String::new();
+    for run in &runs {
+        let reply = session.call(run).unwrap();
+        assert!(matches!(reply, Response::Ran { .. }), "{reply:?}");
+        last = serde_json::to_string(&reply).unwrap();
+    }
+    assert_eq!(survivor.handle.stats().idem_replays, 0, "a failed-over key executes once");
+    // A retry of the last call on the survivor is answered from its memo.
+    let retried = serde_json::to_string(&session.call(&runs[2]).unwrap()).unwrap();
+    assert_eq!(retried, last, "a keyed retry replays identical bytes");
+    assert_eq!(survivor.handle.stats().idem_replays, 1);
+
+    // The silent lease expires to its floor encumbrance; shard 0 comes
+    // back under its old id and the coordinator re-adopts that lease.
+    assert!(
+        wait_until(Duration::from_secs(10), || coord.handle.stats().encumbered_leases == 1),
+        "the killed shard's lease expires: {:?}",
+        coord.handle.stats()
+    );
+    let restarted = Server::spawn(shard_with_id(0), model()).unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            restarted.handle.stats().lease_state == "leased"
+                && coord.handle.stats().live_leases == 2
+        }),
+        "the restarted shard leases again: {:?}",
+        coord.handle.stats()
+    );
+    // A fresh grant would leave the old lease encumbered beside the new one.
+    let stats = coord.handle.stats();
+    assert_eq!(stats.encumbered_leases, 0, "re-adopted, not granted afresh: {stats:?}");
+    assert_eq!(stats.overshoot_w, 0.0);
+    assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
+
+    drop(session);
+    survivor.stop();
+    restarted.stop();
     coord.stop();
 }
 

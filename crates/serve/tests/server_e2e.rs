@@ -103,6 +103,44 @@ fn hello_select_run_stats_bye() {
 }
 
 #[test]
+fn retried_run_with_one_key_replays_byte_identical_bytes() {
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
+    let ids = kernel_ids(2);
+
+    // The wire-level contract a retrying client relies on: a retry
+    // carrying the same idempotency key gets the memoized response back,
+    // byte for byte, without a second execution.
+    let mut client = Client::connect(&server.addr).unwrap();
+    let request = Request::Run {
+        kernel_id: ids[0].clone(),
+        iterations: 3,
+        idem: Some(5005),
+        deadline_ms: None,
+        priority: 0,
+    };
+    let first = serde_json::to_string(&client.call(&request).unwrap()).unwrap();
+    let retried = serde_json::to_string(&client.call(&request).unwrap()).unwrap();
+    assert_eq!(first, retried, "a keyed retry must replay identical bytes");
+    assert_eq!(server.handle.stats().idem_replays, 1);
+
+    // Without a key, the second execution runs again: the runtime's noise
+    // state advanced, so the responses legitimately differ.
+    let unkeyed = Request::Run {
+        kernel_id: ids[1].clone(),
+        iterations: 3,
+        idem: None,
+        deadline_ms: None,
+        priority: 0,
+    };
+    let a = serde_json::to_string(&client.call(&unkeyed).unwrap()).unwrap();
+    let b = serde_json::to_string(&client.call(&unkeyed).unwrap()).unwrap();
+    assert_ne!(a, b, "unkeyed runs re-execute");
+    assert_eq!(server.handle.stats().idem_replays, 1, "no key, no replay");
+
+    server.stop();
+}
+
+#[test]
 fn batch_matches_singles_and_oversized_batch_is_overloaded() {
     let server =
         Server::spawn(ServeConfig { max_batch: 4, ..ServeConfig::default() }, model()).unwrap();
