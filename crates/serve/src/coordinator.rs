@@ -3,10 +3,12 @@
 //! One coordinator serves many `acs serve` shards. Shards acquire
 //! time-bounded leases on slices of the global cap over the same
 //! length-prefixed JSON transport the selection protocol uses
-//! ([`CoordRequest`]/[`CoordResponse`]); the lease state machine itself —
+//! ([`CoordRequest`]/[`CoordResponse`]). The lease protocol itself —
 //! grant, renew, expiry, encumbrance, fencing — lives in [`crate::lease`]
-//! and is pure, so this module is only plumbing: the listener, the
-//! logical clock, and the journal.
+//! and is pure; this module is only plumbing: the listener, the logical
+//! clock, and the journal. A lease request is one call of
+//! [`LeaseTable::apply`] at the current tick; the entry it returns is
+//! journaled and [`LeaseTable::reply`] answers the shard.
 //!
 //! ## Clock
 //!
@@ -20,14 +22,15 @@
 //! ## Crash failover
 //!
 //! Every applied grant/renew/release/revoke is journaled *under the
-//! table lock* with the tick it was applied at and the post-op epoch
-//! (the same PR 5 journal: CRC framing, torn-tail truncation, optional
-//! `--journal-sync` durability). A SIGKILLed coordinator therefore
-//! replays to the exact lease table and **re-adopts** still-live shards:
-//! their fences survive, so their next renewal just works, and a
-//! re-lease after a partition lands on the same lease id instead of a
-//! double grant. There is nothing to skip on crash — unlike sessions,
-//! leases are *supposed* to outlive the process.
+//! table lock* — the entry `apply` returned, with the tick it was applied
+//! at and the post-op epoch (the shard's journal format: CRC framing,
+//! torn-tail truncation, optional `--journal-sync` durability). A
+//! SIGKILLed coordinator therefore replays, through the same step, to
+//! the exact lease table and **re-adopts** still-live shards: their
+//! fences survive, so their next renewal just works, and a re-lease after
+//! a partition lands on the same lease id instead of a double grant.
+//! There is nothing to skip on crash — unlike sessions, leases are
+//! *supposed* to outlive the process.
 
 use crate::journal::Journal;
 use crate::lease::{
@@ -133,26 +136,12 @@ impl CoordShared {
         }
     }
 
-    fn stats(&self) -> CoordStats {
-        let table = self.table.lock();
+    /// The table's metrics plus the journal counters.
+    fn stats(&self, table: &LeaseTable) -> CoordStats {
         CoordStats {
-            tick: table.tick(),
-            epoch: table.epoch(),
-            global_cap_w: table.global_cap_w(),
-            floor_w: table.floor_w(),
-            live_leases: table.live_ids().len() as u64,
-            encumbered_leases: table.encumbered_ids().len() as u64,
-            live_committed_w: table.live_committed_w(),
-            encumbered_w: table.encumbered_w(),
-            pool_w: table.pool_w(),
-            overshoot_w: table.overshoot_w(),
-            grants: table.grants(),
-            renews: table.renews(),
-            expirations: table.expirations(),
-            revocations: table.revocations(),
-            evicted_shards: table.evictions(),
             journal_appends: self.journal.as_ref().map_or(0, |j| j.appended_entries()),
             journal_replayed: self.recovery.as_ref().map_or(0, |r| r.replayed),
+            ..table.stats()
         }
     }
 }
@@ -181,19 +170,7 @@ impl CoordinatorHandle {
 
     /// A coordinator metrics snapshot.
     pub fn stats(&self) -> CoordStats {
-        self.shared.stats()
-    }
-
-    /// The conservation gate: live commitments above the pool, W. Must be
-    /// exactly zero at every observable instant.
-    pub fn overshoot_w(&self) -> f64 {
-        self.shared.table.lock().overshoot_w()
-    }
-
-    /// Everything the fleet could be drawing per the lease table, W
-    /// (live commitments plus encumbered reserves); never above the cap.
-    pub fn fleet_committed_w(&self) -> f64 {
-        self.shared.table.lock().fleet_committed_w()
+        self.shared.stats(&self.shared.table.lock())
     }
 
     /// What journal replay reconstructed at bind time, if a journal was
@@ -332,114 +309,24 @@ impl FrameHandler for Conn<'_> {
     }
 }
 
-/// Serve one request. Every mutation advances the logical clock, applies
-/// the operation, and journals it — all under the table lock, so the
-/// recorded tick and epoch are exactly the ones the operation produced.
+/// Serve one request. A lease operation is one step of the table at the
+/// current tick, journaled under the table lock, so the recorded tick and
+/// epoch are exactly the ones the operation produced.
 fn handle_request(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
-    match request {
-        CoordRequest::Lease { shard_id, demand_w } => {
-            // Sanitize before journaling: the entry must hold the value
-            // grant() actually used (and NaN does not survive JSON).
-            let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.grant(shard_id, demand_w) {
-                Ok(o) => {
-                    shared.journal_append(&CoordJournalEntry::Grant {
-                        lease_id: o.lease_id,
-                        shard_id: o.shard_id,
-                        demand_w,
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                    (
-                        CoordResponse::Granted {
-                            lease_id: o.lease_id,
-                            shard_id: o.shard_id,
-                            epoch: o.epoch,
-                            budget_w: o.budget_w,
-                            expires_tick: o.expires_tick,
-                            ttl_ms: shared.config.ttl_ms(),
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
+    let mut table = shared.table.lock();
+    let response = match table.apply(shared.now_tick(), &request) {
+        Some(Ok(entry)) => {
+            shared.journal_append(&entry);
+            table.reply(&entry, shared.config.ttl_ms())
         }
-        CoordRequest::Renew { lease_id, epoch, demand_w } => {
-            let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.renew(lease_id, epoch, demand_w) {
-                Ok(o) => {
-                    shared.journal_append(&CoordJournalEntry::Renew {
-                        lease_id,
-                        demand_w,
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                    (
-                        CoordResponse::Renewed {
-                            lease_id,
-                            epoch: o.epoch,
-                            budget_w: o.budget_w,
-                            expires_tick: o.expires_tick,
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Release { lease_id } => {
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.release(lease_id) {
-                Ok(()) => {
-                    shared.journal_append(&CoordJournalEntry::Release {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                    (CoordResponse::Released, false)
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Revoke { lease_id } => {
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.revoke(lease_id) {
-                Ok(()) => {
-                    shared.journal_append(&CoordJournalEntry::Revoke {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                    (CoordResponse::Revoked, false)
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Stats => (CoordResponse::Stats(shared.stats()), false),
-        CoordRequest::Shutdown => {
+        Some(Err(e)) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
+        None if request == CoordRequest::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            (CoordResponse::ShuttingDown, true)
+            return (CoordResponse::ShuttingDown, true);
         }
-    }
+        None => CoordResponse::Stats(shared.stats(&table)),
+    };
+    (response, false)
 }
 
 /// A blocking client for the coordinator protocol (the shard lease
@@ -508,7 +395,8 @@ mod tests {
             other => panic!("expected Rejected, got {other:?}"),
         }
 
-        assert_eq!(coord.stop().fleet_committed_w(), 0.0);
+        let stats = coord.stop().stats();
+        assert_eq!(stats.live_committed_w + stats.encumbered_w, 0.0);
     }
 
     #[test]
@@ -534,7 +422,7 @@ mod tests {
         let recovery = coord.handle.recovery().expect("a journaled coordinator reports recovery");
         assert_eq!(recovery.replayed, 1);
         assert_eq!(recovery.live_leases, vec![lease_id]);
-        assert_eq!(coord.handle.overshoot_w(), 0.0);
+        assert_eq!(coord.handle.stats().overshoot_w, 0.0);
 
         // The shard's fence survived the restart: its next renewal just
         // works — no re-lease, no double grant.

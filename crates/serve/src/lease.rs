@@ -44,18 +44,26 @@
 //! monotone non-increasing between grants and never exceeds the last
 //! granted budget — the invariant the fleet e2e asserts per shard.
 //!
-//! Time is **logical ticks** (the coordinator maps them to wall-clock
-//! milliseconds via its `tick_ms`). Expirations are *recomputed* during
-//! replay, never journaled: [`replay_coordinator`] advances the rebuilt
-//! table to each entry's recorded tick before applying it, so the exact
-//! interleaving of expiries and operations is reproduced, then verifies
-//! the recorded post-op epoch ([`JournalError::LeaseDivergence`] when
-//! history cannot be trusted).
+//! ## One step each side
+//!
+//! Only this module knows the protocol. The coordinator drives the table
+//! through one step, [`LeaseTable::apply`]: advance the logical clock to
+//! the request's tick, apply the operation, and return the
+//! [`CoordJournalEntry`] that records it; it journals that entry and
+//! answers with [`LeaseTable::reply`]. [`replay_coordinator`] folds the
+//! same step over the journal and requires every recomputed entry to
+//! equal the recorded one ([`JournalError::LeaseDivergence`] when history
+//! cannot be trusted). Time is **logical ticks** (the coordinator maps
+//! them to wall-clock milliseconds via its `tick_ms`), and expirations are
+//! recomputed on the way, never journaled. The shard's lease client builds
+//! each request with [`ShardLease::request`] and hands every reply, or
+//! the lack of one, to [`ShardLease::on_reply`].
 
 use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 /// One lease's coordinator-side state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,25 +154,10 @@ impl std::fmt::Display for LeaseError {
 
 impl std::error::Error for LeaseError {}
 
-/// What a successful grant or renewal tells the shard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrantOutcome {
-    /// The lease id (stable across re-adoptions of the same shard).
-    pub lease_id: u64,
-    /// The shard id (assigned on first grant when the shard has none).
-    pub shard_id: u64,
-    /// Table epoch after the operation — present this on the next renewal.
-    pub epoch: u64,
-    /// The committed budget, W.
-    pub budget_w: f64,
-    /// Logical tick at which the lease expires unless renewed.
-    pub expires_tick: u64,
-}
-
 /// The coordinator's lease table. Pure state machine — no I/O, no clock —
-/// so the conservation proptests can drive it through arbitrary
-/// interleavings.
-#[derive(Debug)]
+/// driven through one step, [`Self::apply`], by the coordinator, by
+/// [`replay_coordinator`] and by the conservation tests alike.
+#[derive(Debug, Clone)]
 pub struct LeaseTable {
     global_cap_w: f64,
     policy: ArbiterPolicy,
@@ -213,23 +206,13 @@ impl LeaseTable {
     /// Enable health-checked eviction: an expired (encumbered) lease whose
     /// shard stays silent for `ticks` more logical ticks past its expiry
     /// is removed entirely, returning its reserve to the pool — the
-    /// operator's [`Self::revoke`] automated. `0` (the default) disables
+    /// operator's `Revoke` automated. `0` (the default) disables
     /// eviction and keeps the floor-parked-forever semantics. Eviction is
     /// a pure function of the logical clock, so replay reproduces it with
     /// no journal entry — as long as the horizon matches
     /// ([`replay_coordinator`] takes it as a parameter).
     pub fn set_evict_after_ticks(&mut self, ticks: u64) {
         self.evict_after_ticks = ticks;
-    }
-
-    /// The eviction horizon in ticks (0 = eviction disabled).
-    pub fn evict_after_ticks(&self) -> u64 {
-        self.evict_after_ticks
-    }
-
-    /// Lifetime health-check evictions.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Current logical tick.
@@ -242,44 +225,9 @@ impl LeaseTable {
         self.epoch
     }
 
-    /// The global cap, W.
-    pub fn global_cap_w(&self) -> f64 {
-        self.global_cap_w
-    }
-
-    /// The degraded-mode floor, W.
-    pub fn floor_w(&self) -> f64 {
-        self.floor_w
-    }
-
-    /// Lease TTL in ticks.
-    pub fn ttl_ticks(&self) -> u64 {
-        self.ttl_ticks
-    }
-
     /// The lease id the next fresh grant will receive.
     pub fn next_lease(&self) -> u64 {
         self.next_lease
-    }
-
-    /// Lifetime grant count (fresh grants and re-adoptions).
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Lifetime accepted-renewal count.
-    pub fn renews(&self) -> u64 {
-        self.renews
-    }
-
-    /// Lifetime expiry count.
-    pub fn expirations(&self) -> u64 {
-        self.expirations
-    }
-
-    /// Lifetime revocation count.
-    pub fn revocations(&self) -> u64 {
-        self.revocations
     }
 
     /// One lease's state.
@@ -302,30 +250,46 @@ impl LeaseTable {
         self.leases.iter().filter(|(_, l)| !l.live).map(|(id, _)| *id).collect()
     }
 
+    /// The table's metrics: counts, sums and lifetime counters. The two
+    /// journal counters are the coordinator's to fill in; they are zero
+    /// here.
+    pub fn stats(&self) -> CoordStats {
+        let live_committed_w = self.live_committed_w();
+        let pool_w = self.pool_w();
+        CoordStats {
+            tick: self.tick,
+            epoch: self.epoch,
+            global_cap_w: self.global_cap_w,
+            floor_w: self.floor_w,
+            live_leases: self.live_ids().len() as u64,
+            encumbered_leases: self.encumbered_ids().len() as u64,
+            live_committed_w,
+            encumbered_w: self.encumbered_w(),
+            pool_w,
+            overshoot_w: (live_committed_w - pool_w).max(0.0),
+            grants: self.grants,
+            renews: self.renews,
+            expirations: self.expirations,
+            revocations: self.revocations,
+            evicted_shards: self.evictions,
+            journal_appends: 0,
+            journal_replayed: 0,
+        }
+    }
+
     /// Sum of live committed budgets, W.
-    pub fn live_committed_w(&self) -> f64 {
+    fn live_committed_w(&self) -> f64 {
         self.leases.values().filter(|l| l.live).map(|l| l.committed_w).sum()
     }
 
     /// Sum of encumbered reserves, W.
-    pub fn encumbered_w(&self) -> f64 {
+    fn encumbered_w(&self) -> f64 {
         self.leases.values().filter(|l| !l.live).map(|l| l.committed_w).sum()
     }
 
-    /// Everything the fleet could be drawing per this table, W.
-    pub fn fleet_committed_w(&self) -> f64 {
-        self.live_committed_w() + self.encumbered_w()
-    }
-
     /// Watts available to live leases: the cap minus encumbered reserves.
-    pub fn pool_w(&self) -> f64 {
+    fn pool_w(&self) -> f64 {
         self.global_cap_w - self.encumbered_w()
-    }
-
-    /// How far the live commitments exceed the pool, W — the conservation
-    /// gate; must be exactly zero at all times.
-    pub fn overshoot_w(&self) -> f64 {
-        (self.live_committed_w() - self.pool_w()).max(0.0)
     }
 
     /// Advance logical time, processing overdue expiries and (when the
@@ -369,9 +333,8 @@ impl LeaseTable {
             if evict {
                 self.evictions += 1;
                 self.leases.remove(&id);
-            } else {
+            } else if let Some(lease) = self.leases.get_mut(&id) {
                 self.expirations += 1;
-                let lease = self.leases.get_mut(&id).expect("selected above");
                 lease.live = false;
                 lease.committed_w = lease.committed_w.min(self.floor_w);
                 lease.fence = self.epoch;
@@ -380,6 +343,76 @@ impl LeaseTable {
             }
         }
         expired
+    }
+
+    /// The one coordinator step: advance the clock to `tick`, sanitize
+    /// the request's demand, apply the operation, and return the journal
+    /// entry that records it — or the typed rejection, which leaves
+    /// nothing but the clock advance behind (rejections are not
+    /// journaled). `None` for `Stats` and `Shutdown`, which are not lease
+    /// operations and touch nothing, not even the clock.
+    ///
+    /// Replay is this same step folded over the journal
+    /// ([`CoordJournalEntry::request`]), so what the coordinator journals
+    /// and what a restart recomputes cannot drift apart.
+    pub fn apply(
+        &mut self,
+        tick: u64,
+        request: &CoordRequest,
+    ) -> Option<Result<CoordJournalEntry, LeaseError>> {
+        let demand_w = match *request {
+            CoordRequest::Lease { demand_w, .. } | CoordRequest::Renew { demand_w, .. } => demand_w,
+            CoordRequest::Release { .. } | CoordRequest::Revoke { .. } => 0.0,
+            CoordRequest::Stats | CoordRequest::Shutdown => return None,
+        };
+        // The entry must hold the value the table used, and NaN does not
+        // survive JSON.
+        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
+        self.advance_to(tick);
+        Some(match *request {
+            CoordRequest::Lease { shard_id, .. } => self.grant(shard_id, demand_w),
+            CoordRequest::Renew { lease_id, epoch, .. } => self.renew(lease_id, epoch, demand_w),
+            CoordRequest::Release { lease_id } | CoordRequest::Revoke { lease_id } => {
+                // Release is a shard's clean departure, revoke the
+                // operator's removal of a lease known to be dead; either
+                // drops the lease and any encumbrance, and its watts return
+                // to the pool for the next renewal round.
+                if self.leases.remove(&lease_id).is_none() {
+                    return Some(Err(LeaseError::UnknownLease { lease_id }));
+                }
+                self.epoch += 1;
+                let (tick, epoch) = (self.tick, self.epoch);
+                if matches!(request, CoordRequest::Revoke { .. }) {
+                    self.revocations += 1;
+                    Ok(CoordJournalEntry::Revoke { lease_id, tick, epoch })
+                } else {
+                    Ok(CoordJournalEntry::Release { lease_id, tick, epoch })
+                }
+            }
+            CoordRequest::Stats | CoordRequest::Shutdown => return None,
+        })
+    }
+
+    /// The reply an applied operation earns, derived from its journal
+    /// entry and the table it was just applied to. `ttl_ms` is the
+    /// coordinator's wall-clock TTL, which a grant hands the shard for its
+    /// own expiry clock.
+    pub fn reply(&self, entry: &CoordJournalEntry, ttl_ms: u64) -> CoordResponse {
+        let settled = |lease_id| {
+            self.leases.get(&lease_id).map_or((0.0, 0), |l| (l.committed_w, l.expires_tick))
+        };
+        match *entry {
+            CoordJournalEntry::Grant { lease_id, shard_id, epoch, .. } => {
+                let (budget_w, expires_tick) = settled(lease_id);
+                CoordResponse::Granted { lease_id, shard_id, epoch, budget_w, expires_tick, ttl_ms }
+            }
+            CoordJournalEntry::Renew { lease_id, epoch, .. } => {
+                let (budget_w, expires_tick) = settled(lease_id);
+                CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick }
+            }
+            CoordJournalEntry::Release { .. } => CoordResponse::Released,
+            CoordJournalEntry::Revoke { .. } => CoordResponse::Revoked,
+        }
     }
 
     /// Target shares for the current live set: the pool split by the
@@ -400,16 +433,15 @@ impl LeaseTable {
             return;
         };
         let target = self.targets(&live_ids)[pos];
-        let pool = self.pool_w();
-        let free = (pool - self.live_committed_w()).max(0.0);
-        let lease = self.leases.get_mut(&lease_id).expect("live lease");
-        lease.committed_w = target.min(lease.committed_w + free);
+        let free = (self.pool_w() - self.live_committed_w()).max(0.0);
+        if let Some(lease) = self.leases.get_mut(&lease_id) {
+            lease.committed_w = target.min(lease.committed_w + free);
+        }
         for _ in 0..4 {
             let over = self.live_committed_w() - self.pool_w();
-            if over > 0.0 {
-                self.leases.get_mut(&lease_id).expect("live lease").committed_w -= over;
-            } else {
-                break;
+            match self.leases.get_mut(&lease_id) {
+                Some(lease) if over > 0.0 => lease.committed_w -= over,
+                _ => break,
             }
         }
         debug_assert!(
@@ -420,157 +452,92 @@ impl LeaseTable {
         );
     }
 
-    /// Grant a lease. A known `shard_id` with an existing lease (live or
+    /// A `Lease`. A known `shard_id` with an existing lease (live or
     /// encumbered) is **re-adopted** — same lease id, commitment resumed
-    /// from where it stood, fresh fence and TTL — never double-granted.
-    /// A fresh shard is admitted when its *steady-state target* clears
-    /// the floor; its initial commitment is `min(target, free)` — often
-    /// zero right after a membership change — and it ramps toward its
-    /// target as the incumbents renew down (commit-on-contact). If even
-    /// the steady-state target cannot reach the floor, the grant is
-    /// denied without mutating the table (denials are not journaled, so
-    /// they must leave no trace).
-    pub fn grant(
+    /// from where it stood — never double-granted. A fresh shard is
+    /// admitted when its *steady-state target* clears the floor; its
+    /// initial commitment is `min(target, free)` — often zero right after
+    /// a membership change — and it ramps toward its target as the
+    /// incumbents renew down (commit-on-contact). A fresh shard without
+    /// an id takes the first id at or above its lease id that no lease
+    /// holds. If even the steady-state target cannot reach the floor, the
+    /// grant is denied without mutating the table. Either way the lease
+    /// goes live with a fresh fence and TTL, then settles.
+    fn grant(
         &mut self,
         shard_id: Option<u64>,
         demand_w: f64,
-    ) -> Result<GrantOutcome, LeaseError> {
-        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-        if let Some(sid) = shard_id {
-            let existing = self.leases.iter().find(|(_, l)| l.shard_id == sid).map(|(id, _)| *id);
-            if let Some(id) = existing {
-                self.epoch += 1;
-                self.grants += 1;
-                let expires = self.tick.saturating_add(self.ttl_ticks);
-                let (epoch, tick) = (self.epoch, expires);
-                {
-                    let lease = self.leases.get_mut(&id).expect("found above");
-                    lease.live = true;
-                    lease.demand_w = demand_w;
-                    lease.expires_tick = tick;
-                    lease.fence = epoch;
-                    lease.expired_tick = 0;
+    ) -> Result<CoordJournalEntry, LeaseError> {
+        let holder = |sid: u64| self.leases.iter().find(|(_, l)| l.shard_id == sid);
+        let readopted = shard_id.and_then(&holder).map(|(id, l)| (*id, l.shard_id, l.committed_w));
+        let (lease_id, shard_id, committed_w) = match readopted {
+            Some(readopted) => readopted,
+            None => {
+                // The newcomer's steady-state target is the last share
+                // of the split over the live demands plus its own.
+                let mut demands: Vec<f64> =
+                    self.leases.values().filter(|l| l.live).map(|l| l.demand_w).collect();
+                demands.push(demand_w);
+                let target_new = self.policy.split(self.pool_w(), &demands)[demands.len() - 1];
+                if target_new + BUDGET_EPS_W < self.floor_w {
+                    return Err(LeaseError::Denied {
+                        needed_w: self.floor_w,
+                        available_w: target_new.max(0.0),
+                    });
                 }
-                self.settle(id);
-                let lease = &self.leases[&id];
-                return Ok(GrantOutcome {
-                    lease_id: id,
-                    shard_id: sid,
-                    epoch,
-                    budget_w: lease.committed_w,
-                    expires_tick: tick,
-                });
+                let id = self.next_lease;
+                let mut sid = shard_id.unwrap_or(id);
+                while holder(sid).is_some() {
+                    sid += 1;
+                }
+                self.next_lease += 1;
+                (id, sid, 0.0)
             }
-        }
-        // Fresh grant: admission-check before mutating anything.
-        // The newcomer's steady-state target is the last share of the
-        // split over the live demands plus its own.
-        let mut demands: Vec<f64> =
-            self.live_ids().iter().map(|id| self.leases[id].demand_w).collect();
-        demands.push(demand_w);
-        let target_new = self.policy.split(self.pool_w(), &demands)[demands.len() - 1];
-        if target_new + BUDGET_EPS_W < self.floor_w {
-            return Err(LeaseError::Denied {
-                needed_w: self.floor_w,
-                available_w: target_new.max(0.0),
-            });
-        }
+        };
         self.epoch += 1;
         self.grants += 1;
-        let id = self.next_lease;
-        self.next_lease += 1;
-        let sid = shard_id.unwrap_or(id);
-        let expires = self.tick.saturating_add(self.ttl_ticks);
-        self.leases.insert(
-            id,
-            LeaseState {
-                shard_id: sid,
-                committed_w: 0.0,
-                demand_w,
-                expires_tick: expires,
-                fence: self.epoch,
-                live: true,
-                expired_tick: 0,
-            },
-        );
-        self.settle(id);
-        let lease = &self.leases[&id];
-        Ok(GrantOutcome {
-            lease_id: id,
-            shard_id: sid,
+        let lease = LeaseState {
+            shard_id,
+            committed_w,
+            demand_w,
+            expires_tick: self.tick.saturating_add(self.ttl_ticks),
+            fence: self.epoch,
+            live: true,
+            expired_tick: 0,
+        };
+        self.leases.insert(lease_id, lease);
+        self.settle(lease_id);
+        Ok(CoordJournalEntry::Grant {
+            lease_id,
+            shard_id,
+            demand_w,
+            tick: self.tick,
             epoch: self.epoch,
-            budget_w: lease.committed_w,
-            expires_tick: expires,
         })
     }
 
-    /// Renew a live lease. The presented epoch must clear the lease's
-    /// fence; an expired lease rejects with [`LeaseError::Expired`] so
-    /// the shard re-leases (re-adopts) instead.
-    pub fn renew(
+    /// A `Renew` of a live lease. The presented epoch must clear the
+    /// lease's fence; an expired lease rejects with
+    /// [`LeaseError::Expired`] so the shard re-leases (re-adopts) instead.
+    fn renew(
         &mut self,
         lease_id: u64,
         epoch: u64,
         demand_w: f64,
-    ) -> Result<GrantOutcome, LeaseError> {
-        let lease = self.leases.get(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
+    ) -> Result<CoordJournalEntry, LeaseError> {
+        let lease = self.leases.get_mut(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
         if !lease.live {
             return Err(LeaseError::Expired { lease_id });
         }
         if epoch < lease.fence {
             return Err(LeaseError::Fenced { lease_id, fence: lease.fence, presented: epoch });
         }
-        Ok(self.renew_unchecked(lease_id, demand_w).expect("lease checked live above"))
-    }
-
-    /// Apply an accepted renewal. Shared by [`Self::renew`] (after
-    /// fencing) and [`replay_coordinator`] (which replays only renewals
-    /// that were accepted live, so fencing must not re-run).
-    fn renew_unchecked(&mut self, lease_id: u64, demand_w: f64) -> Option<GrantOutcome> {
-        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-        if !self.leases.get(&lease_id)?.live {
-            return None;
-        }
+        lease.demand_w = demand_w;
+        lease.expires_tick = self.tick.saturating_add(self.ttl_ticks);
         self.epoch += 1;
         self.renews += 1;
-        let expires = self.tick.saturating_add(self.ttl_ticks);
-        {
-            let lease = self.leases.get_mut(&lease_id).expect("checked above");
-            lease.demand_w = demand_w;
-            lease.expires_tick = expires;
-        }
         self.settle(lease_id);
-        let lease = &self.leases[&lease_id];
-        Some(GrantOutcome {
-            lease_id,
-            shard_id: lease.shard_id,
-            epoch: self.epoch,
-            budget_w: lease.committed_w,
-            expires_tick: expires,
-        })
-    }
-
-    /// A shard's clean departure: the lease (and any encumbrance) is
-    /// removed entirely; its watts return to the pool for the next
-    /// renewal round.
-    pub fn release(&mut self, lease_id: u64) -> Result<(), LeaseError> {
-        if self.leases.remove(&lease_id).is_none() {
-            return Err(LeaseError::UnknownLease { lease_id });
-        }
-        self.epoch += 1;
-        Ok(())
-    }
-
-    /// Operator-forced removal of a lease known to be dead (e.g. the
-    /// shard's host is confirmed down) — frees the encumbered reserve
-    /// that expiry alone keeps holding.
-    pub fn revoke(&mut self, lease_id: u64) -> Result<(), LeaseError> {
-        if self.leases.remove(&lease_id).is_none() {
-            return Err(LeaseError::UnknownLease { lease_id });
-        }
-        self.epoch += 1;
-        self.revocations += 1;
-        Ok(())
+        Ok(CoordJournalEntry::Renew { lease_id, demand_w, tick: self.tick, epoch: self.epoch })
     }
 }
 
@@ -791,13 +758,44 @@ pub struct CoordRecovery {
     pub next_lease: u64,
 }
 
-/// Fold a validated coordinator entry stream into a fresh lease table.
-/// Each entry first advances the table to its recorded tick (recomputing
-/// any expirations — and, when `evict_after_ticks > 0`, evictions —
-/// deterministically), then applies its operation, then checks the
-/// recorded post-op epoch — and for grants the recorded lease id —
-/// against the recomputed values. The eviction horizon must match the
-/// one the live table ran with, or recomputed epochs diverge.
+impl CoordJournalEntry {
+    /// The logical tick the operation was applied at.
+    pub fn tick(&self) -> u64 {
+        match *self {
+            CoordJournalEntry::Grant { tick, .. }
+            | CoordJournalEntry::Renew { tick, .. }
+            | CoordJournalEntry::Release { tick, .. }
+            | CoordJournalEntry::Revoke { tick, .. } => tick,
+        }
+    }
+
+    /// The request that, applied at [`Self::tick`], reproduces this entry.
+    /// A grant presents the shard id it assigned, so a fresh grant replays
+    /// to the same id. A renewal cleared its fence live, so it presents
+    /// `u64::MAX`: replay checks what the renewal produced, not the token
+    /// it carried.
+    pub fn request(&self) -> CoordRequest {
+        match *self {
+            CoordJournalEntry::Grant { shard_id, demand_w, .. } => {
+                CoordRequest::Lease { shard_id: Some(shard_id), demand_w }
+            }
+            CoordJournalEntry::Renew { lease_id, demand_w, .. } => {
+                CoordRequest::Renew { lease_id, epoch: u64::MAX, demand_w }
+            }
+            CoordJournalEntry::Release { lease_id, .. } => CoordRequest::Release { lease_id },
+            CoordJournalEntry::Revoke { lease_id, .. } => CoordRequest::Revoke { lease_id },
+        }
+    }
+}
+
+/// Fold a validated coordinator entry stream into a fresh lease table
+/// through [`LeaseTable::apply`], the step the coordinator took live: each
+/// entry's request is applied at its recorded tick (recomputing any
+/// expirations — and, when `evict_after_ticks > 0`, evictions — on the
+/// way), and the recomputed entry must equal the recorded one, lease id,
+/// shard id, demand, tick and post-op epoch alike. The eviction horizon
+/// must match the one the live table ran with, or recomputed epochs
+/// diverge.
 pub fn replay_coordinator(
     entries: &[CoordJournalEntry],
     global_cap_w: f64,
@@ -808,54 +806,15 @@ pub fn replay_coordinator(
 ) -> Result<(LeaseTable, CoordRecovery), JournalError> {
     let mut table = LeaseTable::new(global_cap_w, policy, ttl_ticks, floor_w);
     table.set_evict_after_ticks(evict_after_ticks);
-    let diverged = |index: usize, detail: String| JournalError::LeaseDivergence { index, detail };
-    let check = |index: usize, recorded: u64, table: &LeaseTable| {
-        if table.epoch() == recorded {
-            Ok(())
-        } else {
-            Err(JournalError::LeaseDivergence {
-                index,
-                detail: format!("recorded epoch {recorded}, recomputed {}", table.epoch()),
-            })
-        }
-    };
     for (index, entry) in entries.iter().enumerate() {
-        match entry {
-            CoordJournalEntry::Grant { lease_id, shard_id, demand_w, tick, epoch } => {
-                table.advance_to(*tick);
-                let outcome = table
-                    .grant(Some(*shard_id), *demand_w)
-                    .map_err(|e| diverged(index, format!("journaled grant rejected: {e}")))?;
-                if outcome.lease_id != *lease_id {
-                    return Err(diverged(
-                        index,
-                        format!("recorded lease id {lease_id}, recomputed {}", outcome.lease_id),
-                    ));
-                }
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Renew { lease_id, demand_w, tick, epoch } => {
-                table.advance_to(*tick);
-                table.renew_unchecked(*lease_id, *demand_w).ok_or_else(|| {
-                    diverged(index, format!("journaled renew of dead lease {lease_id}"))
-                })?;
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Release { lease_id, tick, epoch } => {
-                table.advance_to(*tick);
-                table
-                    .release(*lease_id)
-                    .map_err(|e| diverged(index, format!("journaled release rejected: {e}")))?;
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Revoke { lease_id, tick, epoch } => {
-                table.advance_to(*tick);
-                table
-                    .revoke(*lease_id)
-                    .map_err(|e| diverged(index, format!("journaled revoke rejected: {e}")))?;
-                check(index, *epoch, &table)?;
-            }
-        }
+        let request = entry.request();
+        let detail = match table.apply(entry.tick(), &request) {
+            Some(Ok(recomputed)) if recomputed == *entry => continue,
+            Some(Ok(recomputed)) => format!("recorded {entry:?}, recomputed {recomputed:?}"),
+            Some(Err(e)) => format!("journaled {} rejected: {e}", request.kind()),
+            None => format!("journaled {} is not a lease operation", request.kind()),
+        };
+        return Err(JournalError::LeaseDivergence { index, detail });
     }
     let recovery = CoordRecovery {
         replayed: entries.len() as u64,
@@ -892,9 +851,10 @@ impl ShardLeaseState {
 }
 
 /// The shard-side lease state machine. Pure — the lease client thread
-/// owns the clock and the socket; this type only decides what the local
-/// cap may be. Invariants: the cap never exceeds the last granted budget,
-/// and between grants it is monotone non-increasing.
+/// owns the socket and reads the clock; this type builds each request,
+/// folds each reply (or its absence) and decides what the local cap may
+/// be. Invariants: the cap never exceeds the last granted budget, and
+/// between grants it is monotone non-increasing.
 #[derive(Debug, Clone)]
 pub struct ShardLease {
     floor_w: f64,
@@ -906,6 +866,10 @@ pub struct ShardLease {
     last_grant_w: f64,
     misses: u64,
     degraded_entries: u64,
+    /// (instant of last successful contact, lease TTL) — the shard-local
+    /// expiry clock; `None` while no grant is in force.
+    contact: Option<(Instant, Duration)>,
+    evictions: u64,
 }
 
 impl ShardLease {
@@ -922,6 +886,8 @@ impl ShardLease {
             last_grant_w: floor_w,
             misses: 0,
             degraded_entries: 0,
+            contact: None,
+            evictions: 0,
         }
     }
 
@@ -940,17 +906,6 @@ impl ShardLease {
         self.lease_id
     }
 
-    /// The shard id, once assigned — survives re-leasing so the
-    /// coordinator re-adopts instead of double-granting.
-    pub fn shard_id(&self) -> Option<u64> {
-        self.shard_id
-    }
-
-    /// The fencing token to present on the next renewal.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Consecutive missed renewals since the last successful contact.
     pub fn misses(&self) -> u64 {
         self.misses
@@ -961,76 +916,103 @@ impl ShardLease {
         self.degraded_entries
     }
 
-    /// A grant (or re-adoption) landed. Returns the cap to apply. A
-    /// zero-watt grant — a shard admitted mid-ramp, before the incumbents
-    /// have renewed down — keeps the previous cap (the floor at startup,
-    /// which the deployment's pre-lease reserve covers) and ramps at the
-    /// next renewal.
-    pub fn on_granted(&mut self, lease_id: u64, shard_id: u64, epoch: u64, budget_w: f64) -> f64 {
+    /// How many times a renewal learned the coordinator's health check had
+    /// evicted the lease (`unknown-lease` on a renew).
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// The next request: a renewal presenting the last epoch while a lease
+    /// is held, else a lease under the configured shard id, or the one the
+    /// coordinator assigned before (re-adoption, not a double grant).
+    pub fn request(&self, configured_shard_id: Option<u64>, demand_w: f64) -> CoordRequest {
+        match self.lease_id {
+            Some(lease_id) => CoordRequest::Renew { lease_id, epoch: self.epoch, demand_w },
+            None => {
+                CoordRequest::Lease { shard_id: configured_shard_id.or(self.shard_id), demand_w }
+            }
+        }
+    }
+
+    /// Fold the coordinator's reply to `request` — `None` when the call
+    /// failed (timeout, refused connection) — received at `now`, and
+    /// return the cap to apply.
+    ///
+    /// - A grant or renewal sets the cap to its budget. A zero-watt budget
+    ///   — a shard admitted mid-ramp, before the incumbents have renewed
+    ///   down — keeps the previous cap (the floor at startup, which the
+    ///   deployment's pre-lease reserve covers) and ramps at the next
+    ///   renewal.
+    /// - An `expired`, `fenced` or `unknown-lease` rejection means the
+    ///   lease is gone on the coordinator's side: back to unleased at
+    ///   `min(floor, last grant)`, keeping the shard id for the re-lease.
+    ///   `unknown-lease` on a renewal is a health-check eviction and is
+    ///   counted. A denial changes nothing: the shard keeps asking.
+    /// - A failed call is a miss: the cap halves toward `min(floor, last
+    ///   grant)`, never below it. Once the lease TTL has passed by the
+    ///   shard's own clock it clamps there — the encumbered reserve the
+    ///   coordinator holds — so both sides agree on the worst case
+    ///   without communicating.
+    pub fn on_reply(
+        &mut self,
+        request: &CoordRequest,
+        reply: Option<&CoordResponse>,
+        now: Instant,
+    ) -> f64 {
+        match reply {
+            Some(&CoordResponse::Granted {
+                lease_id, shard_id, epoch, budget_w, ttl_ms, ..
+            }) => {
+                self.lease_id = Some(lease_id);
+                self.shard_id = Some(shard_id);
+                self.contact = Some((now, Duration::from_millis(ttl_ms)));
+                self.landed(epoch, budget_w);
+            }
+            Some(&CoordResponse::Renewed { epoch, budget_w, .. }) => {
+                if let Some((at, _)) = &mut self.contact {
+                    *at = now;
+                }
+                self.landed(epoch, budget_w);
+            }
+            Some(CoordResponse::Rejected { code, .. })
+                if matches!(code.as_str(), "expired" | "fenced" | "unknown-lease") =>
+            {
+                if code == "unknown-lease" && matches!(request, CoordRequest::Renew { .. }) {
+                    self.evictions += 1;
+                }
+                self.state = ShardLeaseState::Unleased;
+                self.lease_id = None;
+                self.contact = None;
+                self.cap_w = self.floor_w.min(self.last_grant_w);
+                self.misses = 0;
+            }
+            None if self.state != ShardLeaseState::Unleased => {
+                if self.state != ShardLeaseState::Degraded {
+                    self.state = ShardLeaseState::Degraded;
+                    self.degraded_entries += 1;
+                }
+                self.misses += 1;
+                let reserve_w = self.floor_w.min(self.last_grant_w);
+                self.cap_w = (self.cap_w * 0.5).max(reserve_w);
+                if self.contact.is_some_and(|(at, ttl)| now.saturating_duration_since(at) >= ttl) {
+                    self.cap_w = reserve_w;
+                    self.contact = None;
+                }
+            }
+            // A denial, any other answer, or a miss with no lease held.
+            _ => {}
+        }
+        self.cap_w
+    }
+
+    /// A grant or renewal landed: leased again at its budget.
+    fn landed(&mut self, epoch: u64, budget_w: f64) {
         self.state = ShardLeaseState::Leased;
-        self.lease_id = Some(lease_id);
-        self.shard_id = Some(shard_id);
         self.epoch = epoch;
         if budget_w > 0.0 {
             self.cap_w = budget_w;
         }
         self.last_grant_w = self.cap_w;
-        self.misses = 0;
-        self.cap_w
-    }
-
-    /// A renewal landed. Returns the cap to apply (zero-watt budgets are
-    /// handled as in [`Self::on_granted`]).
-    pub fn on_renewed(&mut self, epoch: u64, budget_w: f64) -> f64 {
-        self.state = ShardLeaseState::Leased;
-        self.epoch = epoch;
-        if budget_w > 0.0 {
-            self.cap_w = budget_w;
-        }
-        self.last_grant_w = self.cap_w;
-        self.misses = 0;
-        self.cap_w
-    }
-
-    /// A renewal failed (timeout, refused connection, rejection that
-    /// needs a re-lease). The cap halves toward `min(floor, last grant)`
-    /// — never below it, never above the last grant. Returns the cap to
-    /// apply.
-    pub fn on_miss(&mut self) -> f64 {
-        if self.state == ShardLeaseState::Unleased {
-            return self.cap_w;
-        }
-        if self.state != ShardLeaseState::Degraded {
-            self.state = ShardLeaseState::Degraded;
-            self.degraded_entries += 1;
-        }
-        self.misses += 1;
-        self.cap_w = (self.cap_w * 0.5).max(self.floor_w.min(self.last_grant_w));
-        self.cap_w
-    }
-
-    /// The lease TTL passed by the shard's own clock without a renewal:
-    /// clamp to the encumbered reserve the coordinator is holding —
-    /// `min(floor, last grant)` — so both sides agree on the worst case
-    /// without communicating. Returns the cap to apply.
-    pub fn on_expired(&mut self) -> f64 {
-        if self.state == ShardLeaseState::Unleased {
-            return self.cap_w;
-        }
-        if self.state != ShardLeaseState::Degraded {
-            self.state = ShardLeaseState::Degraded;
-            self.degraded_entries += 1;
-        }
-        self.cap_w = self.floor_w.min(self.last_grant_w);
-        self.cap_w
-    }
-
-    /// The lease was released (clean shutdown): back to unleased at the
-    /// floor, keeping the shard id for a possible later re-lease.
-    pub fn on_released(&mut self) {
-        self.state = ShardLeaseState::Unleased;
-        self.lease_id = None;
-        self.cap_w = self.floor_w.min(self.last_grant_w);
         self.misses = 0;
     }
 }
@@ -1045,27 +1027,91 @@ mod tests {
         LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0)
     }
 
-    /// Renew every live lease once, in id order, presenting its fence.
+    /// What a test reads off a `Granted` or `Renewed` reply.
+    #[derive(Debug)]
+    struct Outcome {
+        lease_id: u64,
+        shard_id: u64,
+        epoch: u64,
+        budget_w: f64,
+        expires_tick: u64,
+    }
+
+    /// One step at the table's own tick, recorded in `journal`, and the
+    /// reply it earned.
+    fn step(
+        t: &mut LeaseTable,
+        journal: &mut Vec<CoordJournalEntry>,
+        request: CoordRequest,
+    ) -> Result<CoordResponse, LeaseError> {
+        let entry = t.apply(t.tick(), &request).expect("a lease operation")?;
+        let reply = t.reply(&entry, 0);
+        journal.push(entry);
+        Ok(reply)
+    }
+
+    /// A `Lease` or `Renew` step, read off its reply.
+    fn call(
+        t: &mut LeaseTable,
+        journal: &mut Vec<CoordJournalEntry>,
+        request: CoordRequest,
+    ) -> Result<Outcome, LeaseError> {
+        Ok(match step(t, journal, request)? {
+            CoordResponse::Granted {
+                lease_id, shard_id, epoch, budget_w, expires_tick, ..
+            } => Outcome { lease_id, shard_id, epoch, budget_w, expires_tick },
+            CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick } => {
+                let shard_id = t.lease(lease_id).unwrap().shard_id;
+                Outcome { lease_id, shard_id, epoch, budget_w, expires_tick }
+            }
+            other => panic!("expected Granted or Renewed, got {other:?}"),
+        })
+    }
+
+    fn grant(
+        t: &mut LeaseTable,
+        shard_id: Option<u64>,
+        demand_w: f64,
+    ) -> Result<Outcome, LeaseError> {
+        call(t, &mut Vec::new(), CoordRequest::Lease { shard_id, demand_w })
+    }
+
+    fn renew(
+        t: &mut LeaseTable,
+        lease_id: u64,
+        epoch: u64,
+        demand_w: f64,
+    ) -> Result<Outcome, LeaseError> {
+        call(t, &mut Vec::new(), CoordRequest::Renew { lease_id, epoch, demand_w })
+    }
+
+    /// Renew every live lease once, in id order, presenting the current
+    /// epoch (never behind a fence).
     fn renew_round(t: &mut LeaseTable) {
         for id in t.live_ids() {
-            let fence = t.lease(id).unwrap().fence;
-            t.renew(id, fence.max(t.epoch()), t.lease(id).unwrap().demand_w).unwrap();
+            let (epoch, demand_w) = (t.epoch(), t.lease(id).unwrap().demand_w);
+            renew(t, id, epoch, demand_w).unwrap();
         }
+    }
+
+    /// The shard-side clock every `ShardLease` test reads.
+    fn now() -> Instant {
+        Instant::now()
     }
 
     #[test]
     fn first_grant_owns_the_pool_and_later_shards_ramp_in() {
         let mut t = table();
-        let a = t.grant(None, 30.0).unwrap();
+        let a = grant(&mut t, None, 30.0).unwrap();
         assert_eq!(a.budget_w, 100.0, "sole lease owns the whole pool");
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
 
         // A holds everything, so B is admitted at zero — commit-on-contact
         // forbids shrinking A behind its back — and ramps in as A renews
         // down toward the new 50/50 target.
-        let b = t.grant(None, 30.0).unwrap();
+        let b = grant(&mut t, None, 30.0).unwrap();
         assert_eq!(b.budget_w, 0.0, "no free watts until the incumbent renews down");
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
 
         // One round in id order: A renews down to 50, then B picks up the
         // freed 50.
@@ -1074,7 +1120,7 @@ mod tests {
         let cb = t.lease(b.lease_id).unwrap().committed_w;
         assert_eq!(ca + cb, 100.0, "converged live commitments fill the pool exactly");
         assert!((ca - 50.0).abs() < 1e-9 && (cb - 50.0).abs() < 1e-9);
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
     }
 
     #[test]
@@ -1082,10 +1128,10 @@ mod tests {
         // Floor 45 of a 100 W cap: two shards fit (target 50), a third
         // (target 33.3) does not.
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0);
-        t.grant(None, 0.0).unwrap();
-        t.grant(None, 0.0).unwrap();
+        grant(&mut t, None, 0.0).unwrap();
+        grant(&mut t, None, 0.0).unwrap();
         let epoch_before = t.epoch();
-        match t.grant(None, 0.0) {
+        match grant(&mut t, None, 0.0) {
             Err(LeaseError::Denied { needed_w, available_w }) => {
                 assert_eq!(needed_w, 45.0);
                 assert!((available_w - 100.0 / 3.0).abs() < 1e-9);
@@ -1099,54 +1145,56 @@ mod tests {
     #[test]
     fn commitments_never_exceed_the_pool_mid_ramp() {
         let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0);
-        let a = t.grant(None, 40.0).unwrap();
-        t.renew(a.lease_id, t.epoch(), 40.0).unwrap();
-        let _b = t.grant(None, 10.0).unwrap();
-        let _c = t.grant(None, 25.0).unwrap();
-        assert_eq!(t.overshoot_w(), 0.0, "no overshoot at any step");
+        let a = grant(&mut t, None, 40.0).unwrap();
+        let epoch = t.epoch();
+        renew(&mut t, a.lease_id, epoch, 40.0).unwrap();
+        grant(&mut t, None, 10.0).unwrap();
+        grant(&mut t, None, 25.0).unwrap();
+        assert_eq!(t.stats().overshoot_w, 0.0, "no overshoot at any step");
         for _ in 0..4 {
             renew_round(&mut t);
-            assert_eq!(t.overshoot_w(), 0.0);
+            assert_eq!(t.stats().overshoot_w, 0.0);
         }
-        assert_eq!(t.live_committed_w(), t.pool_w(), "quiescent sum is exact");
+        let stats = t.stats();
+        assert_eq!(stats.live_committed_w, stats.pool_w, "quiescent sum is exact");
     }
 
     #[test]
     fn expiry_encumbers_at_the_floor_and_frees_the_rest() {
         let mut t = table();
-        let a = t.grant(None, 0.0).unwrap();
-        let b = t.grant(None, 0.0).unwrap();
+        let a = grant(&mut t, None, 0.0).unwrap();
+        let b = grant(&mut t, None, 0.0).unwrap();
         renew_round(&mut t);
-        assert_eq!(t.live_committed_w(), 100.0, "converged before the partition");
+        assert_eq!(t.stats().live_committed_w, 100.0, "converged before the partition");
 
         // A goes silent; B keeps renewing past A's expiry (B's renewal at
         // tick 5 pushes its own expiry out to 15, A's stays at 10).
         t.advance_to(5);
-        let fence = t.lease(b.lease_id).unwrap().fence;
-        t.renew(b.lease_id, fence.max(t.epoch()), 0.0).unwrap();
+        let epoch = t.epoch();
+        renew(&mut t, b.lease_id, epoch, 0.0).unwrap();
         let expired = t.advance_to(t.lease(a.lease_id).unwrap().expires_tick);
         assert_eq!(expired, vec![a.lease_id]);
         let ls = t.lease(a.lease_id).unwrap();
         assert!(!ls.live);
         assert_eq!(ls.committed_w, 5.0, "encumbered exactly at the floor");
-        assert_eq!(t.encumbered_w(), 5.0);
-        assert_eq!(t.pool_w(), 95.0);
+        assert_eq!((t.stats().encumbered_w, t.stats().pool_w), (5.0, 95.0));
 
         // B's next renewal absorbs the freed watts; the fleet total stays
         // at the cap (B's 95 + A's encumbered 5).
         renew_round(&mut t);
         assert_eq!(t.lease(b.lease_id).unwrap().committed_w, 95.0);
-        assert_eq!(t.fleet_committed_w(), 100.0);
-        assert_eq!(t.overshoot_w(), 0.0);
+        let stats = t.stats();
+        assert_eq!(stats.live_committed_w + stats.encumbered_w, 100.0);
+        assert_eq!(stats.overshoot_w, 0.0);
     }
 
     #[test]
     fn expired_lease_renewal_is_rejected_and_readoption_keeps_the_id() {
         let mut t = table();
-        let a = t.grant(None, 0.0).unwrap();
+        let a = grant(&mut t, None, 0.0).unwrap();
         t.advance_to(a.expires_tick);
 
-        match t.renew(a.lease_id, a.epoch, 0.0) {
+        match renew(&mut t, a.lease_id, a.epoch, 0.0) {
             Err(LeaseError::Expired { lease_id }) => assert_eq!(lease_id, a.lease_id),
             other => panic!("expected Expired, got {other:?}"),
         }
@@ -1154,32 +1202,61 @@ mod tests {
         // Re-lease with the remembered shard id: same lease, no double
         // grant. Re-adoption is contact, so the sole lease ramps straight
         // back up — the whole pool is genuinely free.
-        let again = t.grant(Some(a.shard_id), 0.0).unwrap();
+        let again = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
         assert_eq!(again.lease_id, a.lease_id);
         assert_eq!(again.shard_id, a.shard_id);
         assert_eq!(again.budget_w, 100.0, "re-adopted sole lease reclaims the free pool");
         assert_eq!(t.snapshot().len(), 1, "never two leases for one shard");
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
 
         // The pre-expiry epoch is now behind the fence.
-        match t.renew(a.lease_id, a.epoch, 0.0) {
+        match renew(&mut t, a.lease_id, a.epoch, 0.0) {
             Err(LeaseError::Fenced { fence, presented, .. }) => {
                 assert!(presented < fence);
             }
             other => panic!("expected Fenced, got {other:?}"),
         }
         // The re-adoption epoch clears it.
-        t.renew(a.lease_id, again.epoch, 0.0).unwrap();
+        renew(&mut t, a.lease_id, again.epoch, 0.0).unwrap();
         assert_eq!(t.lease(a.lease_id).unwrap().committed_w, 100.0);
+    }
+
+    #[test]
+    fn a_configured_shard_id_is_never_handed_to_a_fresh_shard() {
+        // One shard runs with `--shard-id 2`, a second without an id. Its
+        // lease id is 2, which the first shard already holds as a shard id.
+        let mut live = table();
+        let mut journal = Vec::new();
+        let first =
+            call(&mut live, &mut journal, CoordRequest::Lease { shard_id: Some(2), demand_w: 0.0 })
+                .unwrap();
+        let second =
+            call(&mut live, &mut journal, CoordRequest::Lease { shard_id: None, demand_w: 0.0 })
+                .unwrap();
+        assert_eq!((first.lease_id, first.shard_id), (1, 2));
+        assert_eq!(second.lease_id, 2);
+        assert_ne!(second.shard_id, first.shard_id, "two shards, two shard ids");
+
+        let (rebuilt, _) =
+            replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0)
+                .expect("the coordinator restarts on its own journal");
+        assert_eq!(rebuilt.snapshot(), live.snapshot());
+
+        // Each shard's re-lease re-adopts its own lease.
+        for shard in [&first, &second] {
+            let again = grant(&mut live, Some(shard.shard_id), 0.0).unwrap();
+            assert_eq!((again.lease_id, again.shard_id), (shard.lease_id, shard.shard_id));
+        }
+        assert_eq!(live.snapshot().len(), 2);
     }
 
     #[test]
     fn a_ttl_at_the_top_of_the_clock_saturates_instead_of_expiring_in_the_past() {
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0);
         t.advance_to(5);
-        let a = t.grant(None, 0.0).unwrap();
-        let renewed = t.renew(a.lease_id, a.epoch, 0.0).unwrap();
-        let readopted = t.grant(Some(a.shard_id), 0.0).unwrap();
+        let a = grant(&mut t, None, 0.0).unwrap();
+        let renewed = renew(&mut t, a.lease_id, a.epoch, 0.0).unwrap();
+        let readopted = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
         for expires_tick in [a.expires_tick, renewed.expires_tick, readopted.expires_tick] {
             assert_eq!(expires_tick, u64::MAX);
         }
@@ -1190,89 +1267,90 @@ mod tests {
     #[test]
     fn release_and_revoke_free_the_encumbrance() {
         let mut t = table();
-        let a = t.grant(None, 0.0).unwrap();
+        let a = grant(&mut t, None, 0.0).unwrap();
         t.advance_to(a.expires_tick);
-        assert_eq!(t.encumbered_w(), 5.0);
-        t.revoke(a.lease_id).unwrap();
-        assert_eq!(t.encumbered_w(), 0.0);
-        assert_eq!(t.revocations(), 1);
-        assert_eq!(t.pool_w(), 100.0);
-        assert!(matches!(t.release(a.lease_id), Err(LeaseError::UnknownLease { .. })));
+        assert_eq!(t.stats().encumbered_w, 5.0);
+        let revoke = CoordRequest::Revoke { lease_id: a.lease_id };
+        assert_eq!(step(&mut t, &mut Vec::new(), revoke), Ok(CoordResponse::Revoked));
+        let stats = t.stats();
+        assert_eq!((stats.encumbered_w, stats.revocations, stats.pool_w), (0.0, 1, 100.0));
+        let release = CoordRequest::Release { lease_id: a.lease_id };
+        assert!(matches!(
+            step(&mut t, &mut Vec::new(), release),
+            Err(LeaseError::UnknownLease { .. })
+        ));
 
-        let b = t.grant(None, 0.0).unwrap();
+        let b = grant(&mut t, None, 0.0).unwrap();
         assert_ne!(b.lease_id, a.lease_id, "burned lease ids stay burned");
-        t.release(b.lease_id).unwrap();
-        assert_eq!(t.fleet_committed_w(), 0.0);
+        let release = CoordRequest::Release { lease_id: b.lease_id };
+        assert_eq!(step(&mut t, &mut Vec::new(), release), Ok(CoordResponse::Released));
+        assert_eq!(t.stats().live_committed_w + t.stats().encumbered_w, 0.0);
+    }
+
+    #[test]
+    fn stats_and_shutdown_are_not_lease_operations() {
+        let mut t = table();
+        grant(&mut t, None, 0.0).unwrap();
+        let before = t.stats();
+        for request in [CoordRequest::Stats, CoordRequest::Shutdown] {
+            assert_eq!(t.apply(1_000, &request), None);
+        }
+        assert_eq!(t.stats(), before, "not even the clock moved");
     }
 
     #[test]
     fn eviction_reclaims_the_encumbrance_and_readmission_is_a_fresh_grant() {
         let mut t = table();
         t.set_evict_after_ticks(3);
-        let a = t.grant(None, 0.0).unwrap();
-        let b = t.grant(None, 0.0).unwrap();
+        let a = grant(&mut t, None, 0.0).unwrap();
+        let b = grant(&mut t, None, 0.0).unwrap();
         renew_round(&mut t);
 
         // B stays healthy; A goes silent and expires at tick 10.
         t.advance_to(5);
-        let fence = t.lease(b.lease_id).unwrap().fence;
-        t.renew(b.lease_id, fence.max(t.epoch()), 0.0).unwrap();
+        let epoch = t.epoch();
+        renew(&mut t, b.lease_id, epoch, 0.0).unwrap();
         t.advance_to(10);
         let ls = t.lease(a.lease_id).unwrap();
         assert!(!ls.live);
         assert_eq!(ls.expired_tick, 10, "expired_tick records the lease's own expiry");
-        assert_eq!(t.encumbered_w(), 5.0);
+        assert_eq!(t.stats().encumbered_w, 5.0);
 
         // Inside the horizon the encumbrance holds; B stays renewed.
         t.advance_to(12);
-        assert_eq!(t.encumbered_w(), 5.0);
-        let fence = t.lease(b.lease_id).unwrap().fence;
-        t.renew(b.lease_id, fence.max(t.epoch()), 0.0).unwrap();
+        assert_eq!(t.stats().encumbered_w, 5.0);
+        let epoch = t.epoch();
+        renew(&mut t, b.lease_id, epoch, 0.0).unwrap();
 
         // Horizon crossed: the silent shard is evicted, reserve reclaimed.
         t.advance_to(13);
         assert!(t.lease(a.lease_id).is_none(), "evicted lease is gone");
-        assert_eq!(t.evictions(), 1);
-        assert_eq!(t.encumbered_w(), 0.0);
-        assert_eq!(t.pool_w(), 100.0);
+        let stats = t.stats();
+        assert_eq!((stats.evicted_shards, stats.encumbered_w, stats.pool_w), (1, 0.0, 100.0));
         renew_round(&mut t);
         assert_eq!(t.lease(b.lease_id).unwrap().committed_w, 100.0);
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
 
         // The shard comes back: a fresh grant under a new lease id (burned
         // ids stay burned), admitted through the normal floor check.
-        let again = t.grant(Some(a.shard_id), 0.0).unwrap();
+        let again = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
         assert_ne!(again.lease_id, a.lease_id);
         assert_eq!(again.shard_id, a.shard_id);
-        assert_eq!(t.overshoot_w(), 0.0);
+        assert_eq!(t.stats().overshoot_w, 0.0);
     }
 
     #[test]
     fn eviction_is_replay_pure_when_the_horizon_matches() {
         let mut live = table();
         live.set_evict_after_ticks(3);
-        let mut journal: Vec<CoordJournalEntry> = Vec::new();
-        let record_grant = |t: &mut LeaseTable, j: &mut Vec<CoordJournalEntry>, sid, d| {
-            let o = t.grant(sid, d).unwrap();
-            j.push(CoordJournalEntry::Grant {
-                lease_id: o.lease_id,
-                shard_id: o.shard_id,
-                demand_w: d,
-                tick: t.tick(),
-                epoch: o.epoch,
-            });
-            o
-        };
-        let a = record_grant(&mut live, &mut journal, None, 0.0);
-        let b = record_grant(&mut live, &mut journal, None, 0.0);
+        let mut journal = Vec::new();
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let a = call(&mut live, &mut journal, lease(None)).unwrap();
+        let b = call(&mut live, &mut journal, lease(None)).unwrap();
+        // B never expires, so its grant epoch stays its fence.
+        let renew_b = CoordRequest::Renew { lease_id: b.lease_id, epoch: b.epoch, demand_w: 0.0 };
         live.advance_to(5);
-        let o = live.renew(b.lease_id, live.epoch(), 0.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 0.0,
-            tick: 5,
-            epoch: o.epoch,
-        });
+        step(&mut live, &mut journal, renew_b.clone()).unwrap();
         // The live table detects A's expiry at tick 11 and the eviction at
         // tick 13 — intermediate advances replay never sees. Both events
         // are keyed to pure lease state (expiry 10, eviction 10+3), so
@@ -1280,25 +1358,18 @@ mod tests {
         // the same epoch sequence.
         live.advance_to(11);
         live.advance_to(13);
-        let o = live.renew(b.lease_id, live.epoch(), 0.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 0.0,
-            tick: 13,
-            epoch: o.epoch,
-        });
-        let a2 = record_grant(&mut live, &mut journal, Some(a.shard_id), 0.0);
+        step(&mut live, &mut journal, renew_b.clone()).unwrap();
+        let a2 = call(&mut live, &mut journal, lease(Some(a.shard_id))).unwrap();
         assert_ne!(a2.lease_id, a.lease_id, "evicted shard re-admits under a fresh lease");
 
         let (rebuilt, recovery) =
             replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3).unwrap();
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
-        assert_eq!(rebuilt.epoch(), live.epoch());
-        assert_eq!(rebuilt.evictions(), live.evictions());
+        assert_eq!(rebuilt.stats(), live.stats());
         assert_eq!(recovery.next_lease, live.next_lease());
 
         // A mismatched horizon loses the eviction's epoch bump and is
-        // caught by the post-op epoch check, not silently absorbed.
+        // caught by the recomputed entry, not silently absorbed.
         assert!(matches!(
             replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
             Err(JournalError::LeaseDivergence { .. })
@@ -1308,72 +1379,46 @@ mod tests {
     #[test]
     fn demand_proportional_targets_favor_hungry_shards() {
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
-        let a = t.grant(None, 10.0).unwrap();
-        t.renew(a.lease_id, a.epoch, 10.0).unwrap();
-        let b = t.grant(None, 40.0).unwrap();
+        let a = grant(&mut t, None, 10.0).unwrap();
+        renew(&mut t, a.lease_id, a.epoch, 10.0).unwrap();
+        let b = grant(&mut t, None, 40.0).unwrap();
         for _ in 0..3 {
             renew_round(&mut t);
         }
         let ca = t.lease(a.lease_id).unwrap().committed_w;
         let cb = t.lease(b.lease_id).unwrap().committed_w;
+        let pool_w = t.stats().pool_w;
         assert!(cb > ca, "hungry shard got {cb}, satisfied shard got {ca}");
-        assert!(ca >= 0.5 * t.pool_w() / 2.0 - 1e-9, "the floor half is guaranteed");
-        assert_eq!(ca + cb, t.pool_w());
+        assert!(ca >= 0.5 * pool_w / 2.0 - 1e-9, "the floor half is guaranteed");
+        assert_eq!(ca + cb, pool_w);
     }
 
     #[test]
     fn replay_reproduces_the_exact_table() {
         let mut live = LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0);
-        let mut journal: Vec<CoordJournalEntry> = Vec::new();
-        let record_grant = |t: &mut LeaseTable, j: &mut Vec<CoordJournalEntry>, sid, d| {
-            let o = t.grant(sid, d).unwrap();
-            j.push(CoordJournalEntry::Grant {
-                lease_id: o.lease_id,
-                shard_id: o.shard_id,
-                demand_w: d,
-                tick: t.tick(),
-                epoch: o.epoch,
-            });
-            o
-        };
-        let a = record_grant(&mut live, &mut journal, None, 20.0);
+        let mut journal = Vec::new();
+        let lease = |shard_id, demand_w| CoordRequest::Lease { shard_id, demand_w };
+        let renew = |lease_id, epoch| CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 };
+        let a = call(&mut live, &mut journal, lease(None, 20.0)).unwrap();
         live.advance_to(2);
-        let o = live.renew(a.lease_id, a.epoch, 25.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: a.lease_id,
-            demand_w: 25.0,
-            tick: 2,
-            epoch: o.epoch,
-        });
-        let b = record_grant(&mut live, &mut journal, None, 10.0);
+        let request = CoordRequest::Renew { lease_id: a.lease_id, epoch: a.epoch, demand_w: 25.0 };
+        step(&mut live, &mut journal, request).unwrap();
+        let b = call(&mut live, &mut journal, lease(None, 10.0)).unwrap();
         // B renews at tick 6, pushing its expiry to 11; A goes silent and
         // expires at 7, so B's next renewal at 8 crosses the expiry.
         live.advance_to(6);
-        let o = live.renew(b.lease_id, b.epoch, 10.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 10.0,
-            tick: 6,
-            epoch: o.epoch,
-        });
+        let o = call(&mut live, &mut journal, renew(b.lease_id, b.epoch)).unwrap();
         live.advance_to(8);
-        let o = live.renew(b.lease_id, o.epoch, 10.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 10.0,
-            tick: 8,
-            epoch: o.epoch,
-        });
+        step(&mut live, &mut journal, renew(b.lease_id, o.epoch)).unwrap();
         // A comes back and is re-adopted.
-        let a2 = record_grant(&mut live, &mut journal, Some(a.shard_id), 20.0);
+        let a2 = call(&mut live, &mut journal, lease(Some(a.shard_id), 20.0)).unwrap();
         assert_eq!(a2.lease_id, a.lease_id);
 
         let (rebuilt, recovery) =
             replay_coordinator(&journal, 80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0)
                 .unwrap();
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
-        assert_eq!(rebuilt.epoch(), live.epoch());
-        assert_eq!(rebuilt.tick(), live.tick());
+        assert_eq!(rebuilt.stats(), live.stats());
         assert_eq!(recovery.replayed, journal.len() as u64);
         assert_eq!(recovery.next_lease, live.next_lease());
         assert_eq!(recovery.live_leases, live.live_ids());
@@ -1390,7 +1435,8 @@ mod tests {
         }];
         match replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0) {
             Err(JournalError::LeaseDivergence { index: 0, detail }) => {
-                assert!(detail.contains("recorded epoch 42"), "unhelpful detail: {detail}");
+                assert!(detail.contains("epoch: 42"), "unhelpful detail: {detail}");
+                assert!(detail.contains("epoch: 1 }"), "unhelpful detail: {detail}");
             }
             other => panic!("expected LeaseDivergence, got {other:?}"),
         }
@@ -1403,38 +1449,63 @@ mod tests {
         ));
     }
 
+    /// A `Granted` reply for lease 1, shard 1.
+    fn granted(epoch: u64, budget_w: f64, ttl_ms: u64) -> CoordResponse {
+        CoordResponse::Granted {
+            lease_id: 1,
+            shard_id: 1,
+            epoch,
+            budget_w,
+            expires_tick: 10,
+            ttl_ms,
+        }
+    }
+
+    fn renewed(epoch: u64, budget_w: f64) -> CoordResponse {
+        CoordResponse::Renewed { lease_id: 1, epoch, budget_w, expires_tick: 20 }
+    }
+
+    fn rejected(code: &str) -> CoordResponse {
+        CoordResponse::Rejected { code: code.into(), detail: String::new() }
+    }
+
     #[test]
     fn shard_lease_decays_but_never_exceeds_the_last_grant() {
+        let t0 = now();
         let mut s = ShardLease::new(5.0);
         assert_eq!(s.state(), ShardLeaseState::Unleased);
         assert_eq!(s.cap_w(), 5.0, "unleased shards run at the floor");
-        assert_eq!(s.on_miss(), 5.0, "misses before any lease change nothing");
+        let lease = s.request(None, 40.0);
+        assert_eq!(lease, CoordRequest::Lease { shard_id: None, demand_w: 40.0 });
+        assert_eq!(s.on_reply(&lease, None, t0), 5.0, "misses before any lease change nothing");
 
-        s.on_granted(1, 1, 3, 40.0);
+        assert_eq!(s.on_reply(&lease, Some(&granted(3, 40.0, 1_000)), t0), 40.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
-        assert_eq!(s.cap_w(), 40.0);
+        let renew = s.request(None, 40.0);
+        assert_eq!(renew, CoordRequest::Renew { lease_id: 1, epoch: 3, demand_w: 40.0 });
 
         // Misses halve toward the floor and never go below it.
-        assert_eq!(s.on_miss(), 20.0);
+        assert_eq!(s.on_reply(&renew, None, t0), 20.0);
         assert_eq!(s.state(), ShardLeaseState::Degraded);
         assert_eq!(s.degraded_entries(), 1);
-        assert_eq!(s.on_miss(), 10.0);
-        assert_eq!(s.on_miss(), 5.0);
-        assert_eq!(s.on_miss(), 5.0);
+        assert_eq!(s.on_reply(&renew, None, t0), 10.0);
+        assert_eq!(s.on_reply(&renew, None, t0), 5.0);
+        assert_eq!(s.on_reply(&renew, None, t0), 5.0);
         assert_eq!(s.misses(), 4);
         for _ in 0..8 {
-            assert!(s.on_miss() <= 40.0, "the cap never exceeds the last grant");
+            assert!(s.on_reply(&renew, None, t0) <= 40.0, "the cap never exceeds the last grant");
         }
 
         // A successful renewal recovers the lease and resets the misses.
-        s.on_renewed(9, 33.0);
+        assert_eq!(s.on_reply(&renew, Some(&renewed(9, 33.0)), t0), 33.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
         assert_eq!((s.cap_w(), s.misses()), (33.0, 0));
         assert_eq!(s.degraded_entries(), 1, "recovery does not recount the entry");
 
-        // TTL expiry clamps straight to the floor.
-        s.on_expired();
-        assert_eq!(s.cap_w(), 5.0);
+        // One miss past the TTL by the shard's own clock clamps straight
+        // to the floor.
+        assert_eq!(s.on_reply(&renew, None, t0 + Duration::from_millis(999)), 16.5);
+        assert_eq!(s.on_reply(&renew, None, t0 + Duration::from_millis(1_000)), 5.0);
         assert_eq!(s.degraded_entries(), 2);
     }
 
@@ -1442,10 +1513,39 @@ mod tests {
     fn shard_lease_floor_clamp_respects_a_tiny_last_grant() {
         // A shard whose last grant was *below* the floor must clamp to the
         // grant, not up to the floor — degraded mode never raises the cap.
+        let t0 = now();
         let mut s = ShardLease::new(10.0);
-        s.on_granted(1, 1, 1, 4.0);
-        assert_eq!(s.on_miss(), 4.0, "min(floor, last grant) bounds the decay");
-        assert_eq!(s.on_expired(), 4.0);
+        let lease = s.request(None, 4.0);
+        s.on_reply(&lease, Some(&granted(1, 4.0, 0)), t0);
+        let renew = s.request(None, 4.0);
+        assert_eq!(s.on_reply(&renew, None, t0), 4.0, "min(floor, last grant) bounds the decay");
+    }
+
+    #[test]
+    fn shard_lease_re_leases_under_its_id_after_losing_the_lease() {
+        let t0 = now();
+        for (code, evicted) in [("expired", 0), ("fenced", 0), ("unknown-lease", 1), ("denied", 0)]
+        {
+            let mut s = ShardLease::new(5.0);
+            let lease = s.request(None, 40.0);
+            s.on_reply(&lease, Some(&granted(1, 40.0, 1_000)), t0);
+            let renew = s.request(None, 40.0);
+            let cap_w = s.on_reply(&renew, Some(&rejected(code)), t0);
+            assert_eq!(s.evictions(), evicted, "{code}");
+            if code == "denied" {
+                assert_eq!((s.state(), cap_w), (ShardLeaseState::Leased, 40.0));
+                continue;
+            }
+            assert_eq!((s.state(), cap_w), (ShardLeaseState::Unleased, 5.0), "{code}");
+            // The configured id wins; else the assigned one is re-adopted.
+            let re_lease = CoordRequest::Lease { shard_id: Some(1), demand_w: 40.0 };
+            assert_eq!(s.request(None, 40.0), re_lease, "{code}");
+            let configured = CoordRequest::Lease { shard_id: Some(7), demand_w: 40.0 };
+            assert_eq!(s.request(Some(7), 40.0), configured, "{code}");
+            // An unknown-lease answer to a lease request is no eviction.
+            s.on_reply(&re_lease, Some(&rejected("unknown-lease")), t0);
+            assert_eq!(s.evictions(), evicted, "{code}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use engine::{Engine, EngineError};
 pub use journal::{replay, Journal, JournalEntry, JournalError, Recovery, SessionAdapt};
 pub use lease::{
     replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
-    GrantOutcome, LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
+    LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
 };
 pub use metrics::{LeaseReport, Metrics, StatsSnapshot};
 pub use net::{FrameClient, Running};

@@ -167,9 +167,6 @@ struct Shared {
     /// non-empty poll interval, µs — what the shed decision compares
     /// deadlines against.
     est_p99_us: AtomicU64,
-    /// Times the lease client learned its lease was evicted by the
-    /// coordinator's health check (`unknown-lease` on renew).
-    evicted_observed: AtomicU64,
     /// `state_digest()` of each session's adaptive predictor, keyed by
     /// node id — all of the adaptation state a session shares. Written
     /// after each observation; a clean leave removes the entry, a crash
@@ -338,7 +335,6 @@ impl Server {
             lease,
             brownout_level: AtomicU8::new(0),
             est_p99_us: AtomicU64::new(0),
-            evicted_observed: AtomicU64::new(0),
             adapt_digests: Mutex::new(BTreeMap::new()),
             model,
             config,
@@ -477,96 +473,30 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
 
 /// The shard's lease client: one thread, one renewal per `renew_ms`.
 ///
-/// Each round sends `Renew` (or `Lease` when unleased) and folds the
-/// outcome into the [`ShardLease`] state machine; the resulting cap is
-/// applied to the arbiter and journaled as a [`JournalEntry::Cap`] so a
-/// restarted shard replays to the same budgets. Connection failures and
-/// timeouts are *misses* (degraded-mode decay), and when the shard's own
-/// clock says the lease TTL has passed without contact, the cap clamps to
-/// the coordinator's encumbered reserve — `min(floor, last grant)` — so a
-/// fully partitioned fleet still sums below the global cap.
+/// Each round sends the request [`ShardLease::request`] builds and hands
+/// the reply — or the failed call, a *miss* — to [`ShardLease::on_reply`];
+/// the resulting cap is applied to the arbiter and journaled as a
+/// [`JournalEntry::Cap`] so a restarted shard replays to the same budgets.
 fn run_lease_client(shared: Arc<Shared>, target: String) {
     // `bind` builds the lease state, and `run` starts this thread, from the
     // same `config.coordinator.is_some()`.
     let lease_mutex = shared.lease.as_ref().expect("lease client requires lease state");
     let renew_every = Duration::from_millis(shared.config.renew_ms.max(10));
     let mut client: Option<CoordClient> = None;
-    // (instant of last successful contact, lease TTL) — shard-local expiry.
-    let mut contact: Option<(Instant, Duration)> = None;
     'rounds: loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let started = Instant::now();
-        let request = {
-            let lease = lease_mutex.lock();
-            match lease.lease_id() {
-                Some(lease_id) => CoordRequest::Renew {
-                    lease_id,
-                    epoch: lease.epoch(),
-                    demand_w: shared.config.global_cap_w,
-                },
-                None => CoordRequest::Lease {
-                    shard_id: shared.config.shard_id.or(lease.shard_id()),
-                    demand_w: shared.config.global_cap_w,
-                },
-            }
-        };
-        let response = lease_call(&mut client, &target, renew_every, &request);
-        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let cap_w = {
-            let mut lease = lease_mutex.lock();
-            match response {
-                Ok(CoordResponse::Granted {
-                    lease_id, shard_id, epoch, budget_w, ttl_ms, ..
-                }) => {
-                    contact = Some((Instant::now(), Duration::from_millis(ttl_ms)));
-                    shared.metrics.record_renew(latency_ns);
-                    lease.on_granted(lease_id, shard_id, epoch, budget_w)
-                }
-                Ok(CoordResponse::Renewed { epoch, budget_w, .. }) => {
-                    if let Some((at, _)) = &mut contact {
-                        *at = Instant::now();
-                    }
-                    shared.metrics.record_renew(latency_ns);
-                    lease.on_renewed(epoch, budget_w)
-                }
-                Ok(CoordResponse::Rejected { code, .. }) => {
-                    match code.as_str() {
-                        // The lease is gone on the coordinator's side:
-                        // clamp to the floor and re-lease next round with
-                        // the remembered shard id (re-adoption, not a
-                        // double grant). `unknown-lease` on a renew means
-                        // the health check evicted us — count it so STATS
-                        // and the chaos orchestrator can see failovers.
-                        "expired" | "fenced" | "unknown-lease" => {
-                            if code == "unknown-lease"
-                                && matches!(request, CoordRequest::Renew { .. })
-                            {
-                                shared.evicted_observed.fetch_add(1, Ordering::SeqCst);
-                            }
-                            contact = None;
-                            lease.on_released();
-                        }
-                        // "denied" and anything else: stay unleased at the
-                        // floor and keep asking.
-                        _ => {}
-                    }
-                    lease.cap_w()
-                }
-                Ok(_) => lease.cap_w(),
-                Err(_) => {
-                    let mut cap_w = lease.on_miss();
-                    if let Some((at, ttl)) = contact {
-                        if at.elapsed() >= ttl {
-                            cap_w = lease.on_expired();
-                            contact = None;
-                        }
-                    }
-                    cap_w
-                }
-            }
-        };
+        let config = &shared.config;
+        let request = lease_mutex.lock().request(config.shard_id, config.global_cap_w);
+        let reply = lease_call(&mut client, &target, renew_every, &request).ok();
+        let replied = Instant::now();
+        if let Some(CoordResponse::Granted { .. } | CoordResponse::Renewed { .. }) = reply {
+            let latency_ns = (replied - started).as_nanos().min(u128::from(u64::MAX)) as u64;
+            shared.metrics.record_renew(latency_ns);
+        }
+        let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), replied);
         apply_lease_cap(&shared, cap_w);
         let deadline = started + renew_every;
         loop {
@@ -1045,12 +975,13 @@ impl Session<'_> {
 /// The `Stats` snapshot: what the wire request and
 /// [`ServerHandle::stats`] both report.
 fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
-    let (lease_state, lease_budget_w, degraded_entries) = match &shared.lease {
+    let (lease_state, lease_budget_w, degraded_entries, evicted_shards) = match &shared.lease {
         Some(lease) => {
             let lease = lease.lock();
-            (lease.state().name().to_string(), lease.cap_w(), lease.degraded_entries())
+            let state = lease.state().name().to_string();
+            (state, lease.cap_w(), lease.degraded_entries(), lease.evictions())
         }
-        None => ("standalone".to_string(), shared.config.global_cap_w, 0),
+        None => ("standalone".to_string(), shared.config.global_cap_w, 0, 0),
     };
     let lease = LeaseReport {
         lease_state,
@@ -1059,7 +990,7 @@ fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
         journal_appends: shared.journal.as_ref().map(|j| j.appended_entries()).unwrap_or(0),
         journal_replayed: shared.recovery.as_ref().map(|r| r.replayed).unwrap_or(0),
         brownout_level: shared.brownout_level.load(Ordering::SeqCst),
-        evicted_shards: shared.evicted_observed.load(Ordering::SeqCst),
+        evicted_shards,
     };
     shared.metrics.snapshot(
         shared.engine.cache_counts(),

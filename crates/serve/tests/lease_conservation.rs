@@ -10,8 +10,7 @@
 //!   epoch, same tick, same lease ids, bit-identical budgets — so a
 //!   SIGKILLed coordinator re-adopts instead of double-granting.
 
-use acs_serve::lease::CoordJournalEntry;
-use acs_serve::{replay_coordinator, ArbiterPolicy, LeaseTable};
+use acs_serve::{replay_coordinator, ArbiterPolicy, CoordJournalEntry, CoordRequest, LeaseTable};
 use proptest::prelude::*;
 
 const CAP_W: f64 = 100.0;
@@ -26,8 +25,11 @@ fn policy_from(n: u8) -> ArbiterPolicy {
     }
 }
 
-/// One encoded operation against the table. The clock advances by `dt`
-/// first, exactly as the coordinator does under its table lock.
+/// One encoded operation, stepped through the table the way the
+/// coordinator steps it: the clock advances by `dt`, then the request is
+/// applied and the entry it returns is journaled. A lease comes from a
+/// fresh shard, a configured id in 1..=3, or an id already assigned (a
+/// re-adoption).
 fn apply(
     table: &mut LeaseTable,
     journal: &mut Vec<CoordJournalEntry>,
@@ -37,58 +39,34 @@ fn apply(
     dt: u64,
 ) {
     table.advance_to(table.tick() + dt);
-    let live = table.live_ids();
-    match op % 4 {
-        0 => {
-            let epoch_before = table.epoch();
-            match table.grant(None, demand_w) {
-                Ok(o) => journal.push(CoordJournalEntry::Grant {
-                    lease_id: o.lease_id,
-                    shard_id: o.shard_id,
-                    demand_w: demand_w.max(0.0),
-                    tick: table.tick(),
-                    epoch: o.epoch,
-                }),
-                // Denials leave no trace: nothing journaled, nothing bumped.
-                Err(_) => assert_eq!(table.epoch(), epoch_before),
-            }
-        }
-        1 => {
-            if let Some(&lease_id) = live.get(pick as usize % live.len().max(1)) {
-                let epoch = table.epoch();
-                if let Ok(o) = table.renew(lease_id, epoch, demand_w) {
-                    journal.push(CoordJournalEntry::Renew {
-                        lease_id,
-                        demand_w: demand_w.max(0.0),
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                }
-            }
-        }
-        2 => {
-            if let Some(&lease_id) = live.get(pick as usize % live.len().max(1)) {
-                if table.release(lease_id).is_ok() {
-                    journal.push(CoordJournalEntry::Release {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                }
-            }
-        }
-        _ => {
-            let encumbered = table.encumbered_ids();
-            if let Some(&lease_id) = encumbered.get(pick as usize % encumbered.len().max(1)) {
-                if table.revoke(lease_id).is_ok() {
-                    journal.push(CoordJournalEntry::Revoke {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                }
-            }
-        }
+    let pick_of = |ids: Vec<u64>| ids.get(pick as usize % ids.len().max(1)).copied();
+    let request = match op % 4 {
+        0 => CoordRequest::Lease {
+            shard_id: match pick % 3 {
+                0 => None,
+                1 => Some(1 + pick / 3 % 3),
+                _ => pick_of(table.snapshot().iter().map(|(_, l)| l.shard_id).collect()),
+            },
+            demand_w,
+        },
+        1 => match pick_of(table.live_ids()) {
+            Some(lease_id) => CoordRequest::Renew { lease_id, epoch: table.epoch(), demand_w },
+            None => return,
+        },
+        2 => match pick_of(table.live_ids()) {
+            Some(lease_id) => CoordRequest::Release { lease_id },
+            None => return,
+        },
+        _ => match pick_of(table.encumbered_ids()) {
+            Some(lease_id) => CoordRequest::Revoke { lease_id },
+            None => return,
+        },
+    };
+    let epoch_before = table.epoch();
+    match table.apply(table.tick(), &request) {
+        Some(Ok(entry)) => journal.push(entry),
+        // Rejections leave no trace: nothing journaled, nothing bumped.
+        _ => assert_eq!(table.epoch(), epoch_before),
     }
 }
 
@@ -109,16 +87,17 @@ proptest! {
         let mut journal = Vec::new();
         for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
             apply(&mut table, &mut journal, op, pick, demand_w, dt);
+            let stats = table.stats();
             prop_assert!(
-                table.overshoot_w() == 0.0,
+                stats.overshoot_w == 0.0,
                 "op {} ({},{},{},{}): live {} W overshoots pool {} W",
                 i, op, pick, demand_w, dt,
-                table.live_committed_w(), table.pool_w()
+                stats.live_committed_w, stats.pool_w
             );
             prop_assert!(
-                table.fleet_committed_w() <= CAP_W + 1e-9,
+                stats.live_committed_w + stats.encumbered_w <= CAP_W + 1e-9,
                 "op {}: fleet committed {} W exceeds the {} W cap",
-                i, table.fleet_committed_w(), CAP_W
+                i, stats.live_committed_w + stats.encumbered_w, CAP_W
             );
             for (id, lease) in table.snapshot() {
                 prop_assert!(
@@ -161,15 +140,8 @@ proptest! {
         // the last journaled op.
         replayed.advance_to(live.tick());
 
-        prop_assert_eq!(replayed.epoch(), live.epoch());
-        prop_assert_eq!(replayed.tick(), live.tick());
+        prop_assert_eq!(replayed.stats(), live.stats());
         prop_assert_eq!(replayed.next_lease(), live.next_lease());
-        prop_assert_eq!(replayed.grants(), live.grants());
-        prop_assert_eq!(replayed.renews(), live.renews());
-        prop_assert_eq!(replayed.expirations(), live.expirations());
-        prop_assert_eq!(replayed.revocations(), live.revocations());
-        prop_assert_eq!(replayed.live_ids(), live.live_ids());
-        prop_assert_eq!(replayed.encumbered_ids(), live.encumbered_ids());
         for (id, lease) in live.snapshot() {
             let got = *replayed.lease(id).expect("replay kept every lease");
             prop_assert_eq!(got, lease, "lease {} diverged after replay", id);
@@ -199,15 +171,16 @@ proptest! {
         let mut journal = Vec::new();
         for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
             apply(&mut live, &mut journal, op, pick, demand_w, dt);
+            let stats = live.stats();
             prop_assert!(
-                live.overshoot_w() == 0.0,
+                stats.overshoot_w == 0.0,
                 "op {}: live {} W overshoots pool {} W under eviction",
-                i, live.live_committed_w(), live.pool_w()
+                i, stats.live_committed_w, stats.pool_w
             );
             prop_assert!(
-                live.fleet_committed_w() <= CAP_W + 1e-9,
+                stats.live_committed_w + stats.encumbered_w <= CAP_W + 1e-9,
                 "op {}: fleet committed {} W exceeds the {} W cap under eviction",
-                i, live.fleet_committed_w(), CAP_W
+                i, stats.live_committed_w + stats.encumbered_w, CAP_W
             );
             for (id, lease) in live.snapshot() {
                 if !lease.live {
@@ -226,11 +199,8 @@ proptest! {
         prop_assert_eq!(recovery.replayed, journal.len() as u64);
         replayed.advance_to(live.tick());
 
-        prop_assert_eq!(replayed.epoch(), live.epoch());
+        prop_assert_eq!(replayed.stats(), live.stats());
         prop_assert_eq!(replayed.next_lease(), live.next_lease());
-        prop_assert_eq!(replayed.evictions(), live.evictions());
-        prop_assert_eq!(replayed.live_ids(), live.live_ids());
-        prop_assert_eq!(replayed.encumbered_ids(), live.encumbered_ids());
         for (id, lease) in live.snapshot() {
             let got = *replayed.lease(id).expect("replay kept every surviving lease");
             prop_assert_eq!(got, lease, "lease {} diverged after eviction replay", id);
@@ -241,4 +211,93 @@ proptest! {
             );
         }
     }
+}
+
+/// Every schedule of lease steps to depth 6, from an empty table, under
+/// both policies, with eviction off and at a one-tick horizon. A step is
+/// a lease from a fresh shard, a lease under shard id 1, 2 or 3 (a fresh
+/// configured shard, or a re-adoption once the id is assigned), a renewal
+/// or a release of each live lease, a revocation of each encumbered lease,
+/// or one TTL of clock. A rejected request changes nothing, so the walk
+/// does not branch on it: its schedules are prefixes of ones it walks.
+/// After every step the fleet must fit the cap, every encumbrance the
+/// floor, and the journal so far must replay, advanced to the live tick,
+/// to the live table and its stats. 552 700 schedules across the four
+/// configurations.
+#[test]
+fn every_lease_schedule_to_depth_six_conserves_and_replays() {
+    const DEPTH: usize = 6;
+    let mut schedules = 0u64;
+    for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
+        for evict_after_ticks in [0, 1] {
+            let mut table = LeaseTable::new(CAP_W, policy, TTL_TICKS, FLOOR_W);
+            table.set_evict_after_ticks(evict_after_ticks);
+            let mut journal = Vec::new();
+            schedules += explore(&table, &mut journal, DEPTH, policy, evict_after_ticks);
+        }
+    }
+    assert_eq!(schedules, 552_700);
+}
+
+/// Walk every schedule of `depth` more steps from `table`; the count of
+/// schedules walked.
+fn explore(
+    table: &LeaseTable,
+    journal: &mut Vec<CoordJournalEntry>,
+    depth: usize,
+    policy: ArbiterPolicy,
+    evict_after_ticks: u64,
+) -> u64 {
+    if depth == 0 {
+        return 1;
+    }
+    // `None` is one TTL of clock; the rest are requests.
+    let mut steps: Vec<Option<CoordRequest>> = vec![None];
+    steps.extend([None, Some(1), Some(2), Some(3)].map(|shard_id| {
+        Some(CoordRequest::Lease { shard_id, demand_w: 10.0 * shard_id.unwrap_or(4) as f64 })
+    }));
+    for lease_id in table.live_ids() {
+        let epoch = table.epoch();
+        steps.push(Some(CoordRequest::Renew { lease_id, epoch, demand_w: 30.0 }));
+        steps.push(Some(CoordRequest::Release { lease_id }));
+    }
+    steps.extend(
+        table.encumbered_ids().into_iter().map(|lease_id| Some(CoordRequest::Revoke { lease_id })),
+    );
+    let mut schedules = 0;
+    for step in steps {
+        let mut next = table.clone();
+        let journaled = match &step {
+            None => {
+                next.advance_to(next.tick() + TTL_TICKS);
+                false
+            }
+            Some(request) => match next.apply(next.tick(), request) {
+                Some(Ok(entry)) => {
+                    journal.push(entry);
+                    true
+                }
+                _ => continue,
+            },
+        };
+        let stats = next.stats();
+        let context =
+            || format!("{policy:?}, evict {evict_after_ticks}, {journal:?} then {step:?}");
+        assert_eq!(stats.overshoot_w, 0.0, "{}", context());
+        assert!(stats.live_committed_w + stats.encumbered_w <= CAP_W, "{}", context());
+        for (_, lease) in next.snapshot() {
+            assert!(lease.live || lease.committed_w <= FLOOR_W, "{}", context());
+        }
+        let (mut replayed, _) =
+            replay_coordinator(journal, CAP_W, policy, TTL_TICKS, FLOOR_W, evict_after_ticks)
+                .unwrap_or_else(|e| panic!("{}: {e}", context()));
+        replayed.advance_to(next.tick());
+        assert_eq!(replayed.snapshot(), next.snapshot(), "{}", context());
+        assert_eq!(replayed.stats(), stats, "{}", context());
+        schedules += explore(&next, journal, depth - 1, policy, evict_after_ticks);
+        if journaled {
+            journal.pop();
+        }
+    }
+    schedules
 }
