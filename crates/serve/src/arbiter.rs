@@ -14,7 +14,9 @@
 //!   it has under its current budget. A node running far below its budget
 //!   donates watts to nodes running at theirs.
 //!
-//! Budgets change only when nodes join, leave, or report; every change
+//! Budgets change only when nodes join, leave, or report, or when the
+//! shard's lease moves the cap: the four [`ArbiterOp`]s that
+//! [`Arbiter::apply`] steps and the journal records. Every change
 //! bumps an epoch counter so sessions can detect a reshuffle with one
 //! atomic-free comparison and re-run selection ([`CappedRuntime::set_cap`]
 //! re-selects from cached frontiers — the Section III-C dynamic-constraint
@@ -22,6 +24,7 @@
 //!
 //! [`CappedRuntime::set_cap`]: acs_core::CappedRuntime::set_cap
 
+use crate::journal::JournalEntry;
 use std::collections::BTreeMap;
 
 /// Watt comparison tolerance, shared by the arbiter and the lease table:
@@ -108,6 +111,34 @@ impl std::str::FromStr for ArbiterPolicy {
     }
 }
 
+/// One arbiter transition, as [`Arbiter::apply`] steps it and the
+/// journal's `Admit` / `Leave` / `Report` / `Cap` entries record it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ArbiterOp {
+    /// A session joins ([`Arbiter::join`]).
+    Admit { node_id: u64 },
+    /// A session leaves ([`Arbiter::leave`]).
+    Leave { node_id: u64 },
+    /// A session reports its residual headroom, W ([`Arbiter::report`]).
+    Report { node_id: u64, residual_w: f64 },
+    /// The shard's lease budget becomes the global cap, W. A lease can
+    /// shrink, never vanish: a non-positive or non-finite cap is ignored,
+    /// and an unchanged one moves no epoch.
+    Cap { cap_w: f64 },
+}
+
+impl ArbiterOp {
+    /// The node the transition is about (`None` for a cap move).
+    pub(crate) fn node_id(&self) -> Option<u64> {
+        match *self {
+            ArbiterOp::Admit { node_id }
+            | ArbiterOp::Leave { node_id }
+            | ArbiterOp::Report { node_id, .. } => Some(node_id),
+            ArbiterOp::Cap { .. } => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Last reported residual headroom, W (budget minus measured power).
@@ -136,20 +167,6 @@ impl Arbiter {
     /// The global cap, W.
     pub fn global_cap_w(&self) -> f64 {
         self.global_cap_w
-    }
-
-    /// Replace the global cap and re-partition. This is the lease binding:
-    /// a shard's arbiter runs *inside* its coordinator lease, so a granted,
-    /// renewed, or degraded lease budget lands here and every session picks
-    /// the reshuffle up through the epoch counter. Non-positive or
-    /// non-finite caps are ignored (a lease can shrink, never vanish), and
-    /// an unchanged cap does not bump the epoch.
-    pub fn set_global_cap(&mut self, cap_w: f64) {
-        if !cap_w.is_finite() || cap_w <= 0.0 || cap_w == self.global_cap_w {
-            return;
-        }
-        self.global_cap_w = cap_w;
-        self.rebalance();
     }
 
     /// The active policy.
@@ -198,6 +215,36 @@ impl Arbiter {
         }
         self.rebalance();
         Some(self.nodes[&node_id].budget_w)
+    }
+
+    /// The one arbiter step: apply `op` and return the journal entry that
+    /// records it, with the epoch after the step — `None` for a report
+    /// from a node the arbiter does not know, which changes nothing. A
+    /// cap move records the cap the arbiter holds afterwards. This is the
+    /// lease binding too: a shard's arbiter runs *inside* its coordinator
+    /// lease, and every session picks a cap move up through the epoch.
+    pub fn apply(&mut self, op: ArbiterOp) -> Option<JournalEntry> {
+        match op {
+            ArbiterOp::Admit { node_id } => {
+                self.join(node_id);
+                Some(JournalEntry::Admit { node_id, epoch: self.epoch })
+            }
+            ArbiterOp::Leave { node_id } => {
+                self.leave(node_id);
+                Some(JournalEntry::Leave { node_id, epoch: self.epoch })
+            }
+            ArbiterOp::Report { node_id, residual_w } => {
+                self.report(node_id, residual_w)?;
+                Some(JournalEntry::Report { node_id, residual_w, epoch: self.epoch })
+            }
+            ArbiterOp::Cap { cap_w } => {
+                if cap_w.is_finite() && cap_w > 0.0 && cap_w != self.global_cap_w {
+                    self.global_cap_w = cap_w;
+                    self.rebalance();
+                }
+                Some(JournalEntry::Cap { cap_w: self.global_cap_w, epoch: self.epoch })
+            }
+        }
     }
 
     /// A node's current budget, W.
@@ -440,24 +487,24 @@ mod tests {
     }
 
     #[test]
-    fn set_global_cap_rebalances_exactly() {
+    fn a_cap_move_rebalances_exactly() {
         let mut a = Arbiter::new(100.0, ArbiterPolicy::DemandProportional);
         for id in 0..3 {
             a.join(id);
         }
         let e = a.epoch();
-        a.set_global_cap(61.3);
+        let entry = a.apply(ArbiterOp::Cap { cap_w: 61.3 });
         assert!(a.epoch() > e, "a real cap change is a reshuffle");
+        assert_eq!(entry, Some(JournalEntry::Cap { cap_w: 61.3, epoch: a.epoch() }));
         assert_eq!(a.global_cap_w(), 61.3);
         assert_eq!(a.budget_sum_w(), 61.3);
         assert_eq!(a.conservation_error_w(), 0.0);
         // Unchanged, non-positive, and non-finite caps are all ignored.
         let e = a.epoch();
-        a.set_global_cap(61.3);
-        a.set_global_cap(0.0);
-        a.set_global_cap(-4.0);
-        a.set_global_cap(f64::NAN);
-        assert_eq!(a.epoch(), e);
+        for cap_w in [61.3, 0.0, -4.0, f64::NAN] {
+            let entry = a.apply(ArbiterOp::Cap { cap_w });
+            assert_eq!(entry, Some(JournalEntry::Cap { cap_w: 61.3, epoch: e }), "{cap_w}");
+        }
         assert_eq!(a.global_cap_w(), 61.3);
     }
 

@@ -1,10 +1,9 @@
 //! A seeded fault-injecting TCP proxy, in the spirit of the PR-1
 //! `FaultPlan`: the simulator's fault harness injected failures *inside*
 //! the machine; this one injects them *around* the process, on the wire
-//! between a client (loadgen, the resilient client, a test) and the
-//! server. Jepsen-style, but replayable: every fault decision comes
-//! from a splitmix64 stream seeded by `(plan seed, connection index)`, so
-//! a chaos run replays.
+//! between a client (loadgen, a test) and the server. Jepsen-style, but
+//! replayable: every fault decision comes from a splitmix64 stream seeded
+//! by `(plan seed, connection index)`, so a chaos run replays.
 //!
 //! The proxy is frame-aware in the client→server direction — it reads
 //! whole length-prefixed frames and then decides, per frame, to

@@ -6,8 +6,7 @@
 //! a **coordinator** owns the global budget and leases time-bounded
 //! slices of it to `acs serve` shards; each shard runs its arbiter
 //! *inside* its lease
-//! ([`Arbiter::set_global_cap`](crate::arbiter::Arbiter::set_global_cap)
-//! is the binding).
+//! ([`ArbiterOp::Cap`](crate::arbiter::ArbiterOp::Cap) is the binding).
 //!
 //! ## Safety model
 //!
@@ -52,7 +51,7 @@
 //! [`CoordJournalEntry`] that records it; it journals that entry and
 //! answers with [`LeaseTable::reply`]. [`replay_coordinator`] folds the
 //! same step over the journal and requires every recomputed entry to
-//! equal the recorded one ([`JournalError::LeaseDivergence`] when history
+//! equal the recorded one ([`JournalError::Divergence`] when history
 //! cannot be trusted). Time is **logical ticks** (the coordinator maps
 //! them to wall-clock milliseconds via its `tick_ms`), and expirations are
 //! recomputed on the way, never journaled. The shard's lease client builds
@@ -814,7 +813,7 @@ pub fn replay_coordinator(
             Some(Err(e)) => format!("journaled {} rejected: {e}", request.kind()),
             None => format!("journaled {} is not a lease operation", request.kind()),
         };
-        return Err(JournalError::LeaseDivergence { index, detail });
+        return Err(JournalError::Divergence { index, detail });
     }
     let recovery = CoordRecovery {
         replayed: entries.len() as u64,
@@ -1372,7 +1371,7 @@ mod tests {
         // caught by the recomputed entry, not silently absorbed.
         assert!(matches!(
             replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
-            Err(JournalError::LeaseDivergence { .. })
+            Err(JournalError::Divergence { .. })
         ));
     }
 
@@ -1434,18 +1433,18 @@ mod tests {
             epoch: 42, // a fresh table's first grant lands on epoch 1
         }];
         match replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0) {
-            Err(JournalError::LeaseDivergence { index: 0, detail }) => {
+            Err(JournalError::Divergence { index: 0, detail }) => {
                 assert!(detail.contains("epoch: 42"), "unhelpful detail: {detail}");
                 assert!(detail.contains("epoch: 1 }"), "unhelpful detail: {detail}");
             }
-            other => panic!("expected LeaseDivergence, got {other:?}"),
+            other => panic!("expected Divergence, got {other:?}"),
         }
 
         let entries =
             vec![CoordJournalEntry::Renew { lease_id: 7, demand_w: 0.0, tick: 0, epoch: 1 }];
         assert!(matches!(
             replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
-            Err(JournalError::LeaseDivergence { index: 0, .. })
+            Err(JournalError::Divergence { index: 0, .. })
         ));
     }
 

@@ -53,7 +53,7 @@ pub mod protocol;
 mod scripted;
 pub mod server;
 
-pub use arbiter::{Arbiter, ArbiterPolicy};
+pub use arbiter::{Arbiter, ArbiterOp, ArbiterPolicy};
 pub use chaosproxy::{ChaosPlan, ChaosProxy, ChaosProxyHandle, ChaosStats};
 pub use coordinator::{CoordClient, Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use engine::{Engine, EngineError};

@@ -8,7 +8,7 @@
 //! [`Response::Overloaded`] frame and closed. Nothing in the server
 //! buffers unboundedly — see DESIGN.md §11.
 
-use crate::arbiter::{Arbiter, ArbiterPolicy};
+use crate::arbiter::{Arbiter, ArbiterOp, ArbiterPolicy, BUDGET_EPS_W};
 use crate::coordinator::CoordClient;
 use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
@@ -156,9 +156,11 @@ struct Shared {
     next_node: AtomicU64,
     journal: Option<Arc<Journal>>,
     recovery: Option<Recovery>,
-    /// The shard-side lease state machine; `Some` iff a coordinator is
-    /// configured. The lease client thread mutates it; `Stats` reads it.
-    lease: Option<Mutex<ShardLease>>,
+    /// The coordinator address and the shard-side lease state machine,
+    /// `Some` iff a coordinator is configured: the lease client thread
+    /// runs exactly when this is set and mutates the state; `Stats` reads
+    /// it.
+    lease: Option<(String, Mutex<ShardLease>)>,
     /// Current brownout level (0 = everything enabled). Written by the
     /// brownout thread, read on every request; stays 0 forever when the
     /// controller is disabled.
@@ -181,6 +183,20 @@ struct Shared {
 fn journal_append(shared: &Shared, entry: &JournalEntry) {
     if let Some(journal) = &shared.journal {
         let _ = journal.append(entry);
+    }
+}
+
+impl Shared {
+    /// Take one arbiter step and journal the entry it returns, under the
+    /// arbiter lock so the recorded epoch is exactly the one the step
+    /// produced. Returns the budget the op's node holds afterwards (`None`
+    /// after a leave or a cap move) and the epoch it belongs to.
+    fn arbitrate(&self, op: ArbiterOp) -> (Option<f64>, u64) {
+        let mut arbiter = self.arbiter.lock();
+        if let Some(entry) = arbiter.apply(op) {
+            journal_append(self, &entry);
+        }
+        (op.node_id().and_then(|id| arbiter.budget_of(id)), arbiter.epoch())
     }
 }
 
@@ -273,7 +289,7 @@ impl Server {
         // and re-warm the profile cache with the journaled miss keys. The
         // miss hook is installed only *after* warm-up, so replayed keys are
         // not journaled a second time.
-        let (journal, recovery, mut arbiter, next_node) = match &config.journal {
+        let (journal, recovery, arbiter, next_node) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
                     .map_err(|e| ServeError::Journal(e.to_string()))?;
@@ -284,23 +300,10 @@ impl Server {
             }
             None => (None, None, Arbiter::new(config.global_cap_w, config.policy), 1),
         };
-        // A coordinator-bound shard must not exceed its pre-lease reserve
-        // (the floor) until its first grant lands, whatever cap the journal
-        // replayed — the coordinator only encumbers the floor for a silent
-        // shard, so anything above it would break fleet conservation.
-        let lease = if config.coordinator.is_some() {
-            let shard = ShardLease::new(config.lease_floor_w);
-            arbiter.set_global_cap(shard.cap_w());
-            if let Some(journal) = &journal {
-                let _ = journal.append(&JournalEntry::Cap {
-                    cap_w: arbiter.global_cap_w(),
-                    epoch: arbiter.epoch(),
-                });
-            }
-            Some(Mutex::new(shard))
-        } else {
-            None
-        };
+        let lease = config
+            .coordinator
+            .clone()
+            .map(|target| (target, Mutex::new(ShardLease::new(config.lease_floor_w))));
         let engine =
             Engine::new(Arc::clone(&model), Machine::from_family(config.family, config.seed));
         if let Some(recovery) = &recovery {
@@ -339,6 +342,14 @@ impl Server {
             model,
             config,
         });
+        // A coordinator-bound shard must not exceed its pre-lease reserve
+        // (the floor) until its first grant lands, whatever cap the journal
+        // replayed — the coordinator only encumbers the floor for a silent
+        // shard, so anything above it would break fleet conservation.
+        if let Some((_, lease)) = &shared.lease {
+            let cap_w = lease.lock().cap_w();
+            shared.arbitrate(ArbiterOp::Cap { cap_w });
+        }
         Ok(Self { listener, shared })
     }
 
@@ -366,9 +377,9 @@ impl Server {
     /// join every session.
     pub fn run(self) -> Result<(), ServeError> {
         let shared = self.shared;
-        let lease_thread = shared.config.coordinator.clone().map(|target| {
+        let lease_thread = shared.lease.is_some().then(|| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_lease_client(shared, target))
+            std::thread::spawn(move || run_lease_client(shared))
         });
         let brownout_thread = (shared.config.brownout_us > 0).then(|| {
             let shared = Arc::clone(&shared);
@@ -475,12 +486,13 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
 ///
 /// Each round sends the request [`ShardLease::request`] builds and hands
 /// the reply — or the failed call, a *miss* — to [`ShardLease::on_reply`];
-/// the resulting cap is applied to the arbiter and journaled as a
-/// [`JournalEntry::Cap`] so a restarted shard replays to the same budgets.
-fn run_lease_client(shared: Arc<Shared>, target: String) {
-    // `bind` builds the lease state, and `run` starts this thread, from the
-    // same `config.coordinator.is_some()`.
-    let lease_mutex = shared.lease.as_ref().expect("lease client requires lease state");
+/// a resulting cap the arbiter does not hold yet is stepped through it as
+/// an [`ArbiterOp::Cap`], which journals it so a restarted shard replays
+/// to the same budgets.
+fn run_lease_client(shared: Arc<Shared>) {
+    let Some((target, lease_mutex)) = &shared.lease else {
+        return;
+    };
     let renew_every = Duration::from_millis(shared.config.renew_ms.max(10));
     let mut client: Option<CoordClient> = None;
     'rounds: loop {
@@ -490,14 +502,18 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
         let started = Instant::now();
         let config = &shared.config;
         let request = lease_mutex.lock().request(config.shard_id, config.global_cap_w);
-        let reply = lease_call(&mut client, &target, renew_every, &request).ok();
+        let reply = lease_call(&mut client, target, renew_every, &request).ok();
         let replied = Instant::now();
         if let Some(CoordResponse::Granted { .. } | CoordResponse::Renewed { .. }) = reply {
             let latency_ns = (replied - started).as_nanos().min(u128::from(u64::MAX)) as u64;
             shared.metrics.record_renew(latency_ns);
         }
         let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), replied);
-        apply_lease_cap(&shared, cap_w);
+        // Only this thread moves the cap after `bind`, so the check cannot
+        // go stale before the step.
+        if (shared.arbiter.lock().global_cap_w() - cap_w).abs() > BUDGET_EPS_W {
+            shared.arbitrate(ArbiterOp::Cap { cap_w });
+        }
         let deadline = started + renew_every;
         loop {
             let now = Instant::now();
@@ -517,7 +533,7 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
         let lease_id = lease_mutex.lock().lease_id();
         if let Some(lease_id) = lease_id {
             let _ =
-                lease_call(&mut client, &target, renew_every, &CoordRequest::Release { lease_id });
+                lease_call(&mut client, target, renew_every, &CoordRequest::Release { lease_id });
         }
     }
 }
@@ -549,42 +565,12 @@ fn lease_call(
     result
 }
 
-/// Apply a lease-derived cap to the shard's arbiter. The mutation and its
-/// journal entry happen under the arbiter lock so the recorded epoch is
-/// exactly the one this cap change produced.
-fn apply_lease_cap(shared: &Shared, cap_w: f64) {
-    let mut arbiter = shared.arbiter.lock();
-    if (arbiter.global_cap_w() - cap_w).abs() <= 1e-9 {
-        return;
-    }
-    arbiter.set_global_cap(cap_w);
-    journal_append(
-        shared,
-        &JournalEntry::Cap { cap_w: arbiter.global_cap_w(), epoch: arbiter.epoch() },
-    );
-}
-
-/// A session's seat in the cluster: joining the arbiter constructs it,
-/// and dropping it is the only way a session leaves — whether its
-/// conversation ended with `Bye`, EOF, a protocol error or a panic.
+/// A session's seat in the cluster: [`Session::join`] takes it as it admits
+/// the node, and dropping it is the only way a session leaves — whether
+/// its conversation ended with `Bye`, EOF, a protocol error or a panic.
 struct Seat<'a> {
     shared: &'a Shared,
     node_id: u64,
-}
-
-impl<'a> Seat<'a> {
-    /// Join the arbiter as `node_id`; returns the seat, the node's budget
-    /// and the epoch that budget belongs to. The caller (the accept loop)
-    /// has already counted the session in `active`.
-    fn join(shared: &'a Shared, node_id: u64) -> (Self, f64, u64) {
-        // (mutation, epoch) pairs are journaled under the arbiter lock so
-        // the recorded epoch is exactly the one this operation produced.
-        let mut arbiter = shared.arbiter.lock();
-        let budget_w = arbiter.join(node_id);
-        let epoch = arbiter.epoch();
-        journal_append(shared, &JournalEntry::Admit { node_id, epoch });
-        (Self { shared, node_id }, budget_w, epoch)
-    }
 }
 
 impl Drop for Seat<'_> {
@@ -595,10 +581,7 @@ impl Drop for Seat<'_> {
         // admitted (the restarted server's replay then removes it as an
         // orphan) and its adaptation digest still published.
         if !shared.crashed.load(Ordering::SeqCst) {
-            let mut arbiter = shared.arbiter.lock();
-            arbiter.leave(node_id);
-            journal_append(shared, &JournalEntry::Leave { node_id, epoch: arbiter.epoch() });
-            drop(arbiter);
+            shared.arbitrate(ArbiterOp::Leave { node_id });
             shared.adapt_digests.lock().remove(&node_id);
         }
         shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -616,14 +599,17 @@ struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Take a seat as `node_id` and build the node's runtime at the
-    /// budget the seat came with.
+    /// Admit the node as `node_id`, take its seat, and build its runtime
+    /// at the budget it was admitted with. The caller (the accept loop)
+    /// has already counted the session in `active`.
     fn join(shared: &'a Shared, node_id: u64) -> Self {
-        let (seat, budget_w, seen_epoch) = Seat::join(shared, node_id);
+        let (budget_w, seen_epoch) = shared.arbitrate(ArbiterOp::Admit { node_id });
+        let seat = Seat { shared, node_id };
         let rt = CappedRuntime::guarded(
             Machine::from_family(shared.config.family, shared.config.seed),
             Arc::clone(&shared.model),
-            budget_w,
+            // An admitted node always holds a budget: the floor is never used.
+            budget_w.unwrap_or(shared.config.lease_floor_w),
             GuardPolicy::default(),
         );
         // Nothing on the wire reads a session's timeline: at capacity 0 it
@@ -699,7 +685,9 @@ impl Session<'_> {
     /// Apply an arbiter-assigned budget to the session runtime, re-running
     /// selection for every classified kernel.
     fn apply_budget(&mut self, budget_w: f64) {
-        if (self.rt.cap_w() - budget_w).abs() > 1e-9 && self.rt.try_set_cap(budget_w).is_ok() {
+        if (self.rt.cap_w() - budget_w).abs() > BUDGET_EPS_W
+            && self.rt.try_set_cap(budget_w).is_ok()
+        {
             self.seat.shared.metrics.record_reselection();
         }
     }
@@ -840,15 +828,7 @@ impl Session<'_> {
                         }
                     }
                 }
-                let budget = {
-                    let mut arbiter = shared.arbiter.lock();
-                    let budget = arbiter.report(node_id, residual_w);
-                    journal_append(
-                        shared,
-                        &JournalEntry::Report { node_id, residual_w, epoch: arbiter.epoch() },
-                    );
-                    budget
-                };
+                let (budget, _) = shared.arbitrate(ArbiterOp::Report { node_id, residual_w });
                 // Apply our own new budget immediately; other sessions pick
                 // the reshuffle up at their next poll via the epoch counter.
                 self.apply_budget(budget.unwrap_or_else(|| self.rt.cap_w()));
@@ -976,7 +956,7 @@ impl Session<'_> {
 /// [`ServerHandle::stats`] both report.
 fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
     let (lease_state, lease_budget_w, degraded_entries, evicted_shards) = match &shared.lease {
-        Some(lease) => {
+        Some((_, lease)) => {
             let lease = lease.lock();
             let state = lease.state().name().to_string();
             (state, lease.cap_w(), lease.degraded_entries(), lease.evictions())
@@ -1156,14 +1136,14 @@ mod tests {
     struct JoinDuringRead<'a> {
         wire: Scripted,
         shared: &'a Shared,
-        joiner: Option<Seat<'a>>,
+        joiner: Option<Session<'a>>,
     }
 
     impl std::io::Read for JoinDuringRead<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             if self.joiner.is_none() {
                 self.shared.active.fetch_add(1, Ordering::SeqCst);
-                self.joiner = Some(Seat::join(self.shared, 2).0);
+                self.joiner = Some(Session::join(self.shared, 2));
             }
             self.wire.read(buf)
         }
@@ -1316,7 +1296,7 @@ mod tests {
         running.stop();
         let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
         assert!(
-            entries.iter().any(|e| matches!(e, JournalEntry::Leave { node_id: 2, .. })),
+            entries.iter().any(|e| e.arbiter_op() == Some(ArbiterOp::Leave { node_id: 2 })),
             "the dead session's Leave is journaled: {entries:?}"
         );
         let _ = std::fs::remove_file(&journal_path);

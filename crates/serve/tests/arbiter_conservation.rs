@@ -1,10 +1,11 @@
 //! Property tests for the arbiter's budget-conservation invariant: after
-//! every join, leave, or report — in any order, under either policy, at
-//! any cap — the per-node budgets sum back to the global cap (the
-//! rounding remainder is folded onto the lowest node id), every budget
-//! stays strictly positive, and the whole trajectory is deterministic.
+//! every join, leave, report or cap move — in any order, under either
+//! policy, at any cap — the per-node budgets sum back to the global cap
+//! (the rounding remainder is folded onto the lowest node id), every
+//! budget stays strictly positive, and the whole trajectory is
+//! deterministic and replays from the journal entries its steps returned.
 
-use acs_serve::{Arbiter, ArbiterPolicy};
+use acs_serve::{replay, Arbiter, ArbiterOp, ArbiterPolicy};
 use proptest::prelude::*;
 
 fn policy_from(n: u8) -> ArbiterPolicy {
@@ -15,17 +16,17 @@ fn policy_from(n: u8) -> ArbiterPolicy {
     }
 }
 
-/// Apply one encoded op; 0 = join, 1 = leave, anything else = report.
-fn apply(a: &mut Arbiter, op: u8, id: u64, w: f64) {
-    match op % 3 {
-        0 => {
-            a.join(id);
-        }
-        1 => a.leave(id),
-        _ => {
-            a.report(id, w);
-        }
-    }
+/// Arbiter steps over node ids `0..ids` with watts in `-w..w`: joins,
+/// leaves, reports and cap moves, a quarter each. A non-positive cap is
+/// one the arbiter ignores.
+fn ops(ids: u64, w: f64, len: usize) -> impl Strategy<Value = Vec<ArbiterOp>> {
+    let op = (0u8..4, 0..ids, -w..w).prop_map(|(kind, node_id, w)| match kind {
+        0 => ArbiterOp::Admit { node_id },
+        1 => ArbiterOp::Leave { node_id },
+        2 => ArbiterOp::Report { node_id, residual_w: w },
+        _ => ArbiterOp::Cap { cap_w: w },
+    });
+    prop::collection::vec(op, 1..len)
 }
 
 proptest! {
@@ -37,17 +38,17 @@ proptest! {
     fn budgets_are_conserved_under_random_churn(
         policy in 0u8..2,
         cap_milli in 1u64..1_000_000, // 1 mW .. 1 kW
-        ops in prop::collection::vec((0u8..3, 0u64..16, -50.0..50.0f64), 1..200),
+        ops in ops(16, 50.0, 200),
     ) {
-        let cap = cap_milli as f64 / 1000.0;
-        let mut a = Arbiter::new(cap, policy_from(policy));
-        for (i, &(op, id, w)) in ops.iter().enumerate() {
-            apply(&mut a, op, id, w);
+        let mut a = Arbiter::new(cap_milli as f64 / 1000.0, policy_from(policy));
+        for (i, &op) in ops.iter().enumerate() {
+            a.apply(op);
+            let cap = a.global_cap_w();
             let err = a.conservation_error_w();
             prop_assert!(
                 err <= cap * f64::EPSILON,
-                "op {} ({},{},{}): {} nodes sum to {} under a {} W cap (err {:e})",
-                i, op, id, w, a.node_count(), a.budget_sum_w(), cap, err
+                "op {} ({:?}): {} nodes sum to {} under a {} W cap (err {:e})",
+                i, op, a.node_count(), a.budget_sum_w(), cap, err
             );
             for id in a.node_ids() {
                 let b = a.budget_of(id).unwrap();
@@ -58,22 +59,29 @@ proptest! {
 
     /// The same op sequence replays to bit-identical budgets: the
     /// remainder assignment is deterministic, not dependent on map
-    /// iteration luck or accumulated state.
+    /// iteration luck or accumulated state. Journal replay of the entries
+    /// the steps returned re-applies every one of them to itself and finds
+    /// the live arbiter's nodes as its orphans.
     #[test]
     fn churn_replays_to_bit_identical_budgets(
         policy in 0u8..2,
-        ops in prop::collection::vec((0u8..3, 0u64..8, -20.0..20.0f64), 1..64),
+        ops in ops(8, 20.0, 64),
     ) {
         let run = || {
             let mut a = Arbiter::new(77.7, policy_from(policy));
-            for &(op, id, w) in &ops {
-                apply(&mut a, op, id, w);
-            }
-            a.node_ids()
+            let entries: Vec<_> = ops.iter().filter_map(|&op| a.apply(op)).collect();
+            let budgets = a
+                .node_ids()
                 .into_iter()
                 .map(|id| (id, a.budget_of(id).unwrap().to_bits()))
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (a, entries, budgets)
         };
-        prop_assert_eq!(run(), run());
+        let (live, entries, budgets) = run();
+        prop_assert_eq!(&budgets, &run().2);
+        let replayed = replay(&entries, 77.7, policy_from(policy));
+        prop_assert!(replayed.is_ok(), "replay refused its own history: {:?}", replayed.err());
+        let (_, recovery) = replayed.unwrap();
+        prop_assert_eq!(recovery.orphaned_sessions, live.node_ids());
     }
 }
