@@ -16,7 +16,7 @@
 //! selections, batch selections, run reports, budgets, typed errors — is
 //! logged verbatim in request order.
 
-use acs_serve::{Client, ReportFeedback, Request, Response, StatsSnapshot};
+use acs_serve::{metrics, Client, ReportFeedback, Request, Response, StatsSnapshot};
 use acs_sim::noise::{SplitMix64, MIX_MUL};
 use acs_sim::Configuration;
 use std::collections::HashSet;
@@ -325,14 +325,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<(LoadgenReport, String), Str
     }
 
     latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let rank = ((latencies.len() as f64 * q).ceil() as usize).clamp(1, latencies.len());
-            latencies[rank - 1]
-        }
-    };
+    let quantile = |q: f64| if latencies.is_empty() { 0 } else { metrics::quantile(&latencies, q) };
     let mean = |v: &[u64]| -> f64 {
         if v.is_empty() {
             0.0

@@ -12,9 +12,9 @@
 //! usual frontier logic. `z = 0` recovers the paper's baseline selection;
 //! larger `z` trades performance for cap-compliance.
 
-use crate::features::{config_features, SamplePair};
+use crate::features::SamplePair;
 use crate::frontier::PowerPerfPoint;
-use crate::offline::{unstabilize, TrainedModel};
+use crate::offline::TrainedModel;
 use crate::online::Predictor;
 use acs_sim::{Configuration, Device};
 use serde::{Deserialize, Serialize};
@@ -70,25 +70,24 @@ impl BoundedProfile {
 }
 
 /// Predict the full configuration space with uncertainty bands, from a
-/// kernel's two sample runs.
+/// kernel's two sample runs. The expected points are
+/// [`Predictor::predict`]'s; only the bands are computed here.
 pub fn predict_with_confidence(model: &TrainedModel, samples: &SamplePair) -> BoundedProfile {
     let predictor = Predictor::new(model);
     let cluster = predictor.classify(samples);
+    let tables = predictor.tables(cluster);
     let models = &model.clusters[cluster];
     let stab = model.params.stabilize_variance;
 
     let points = Configuration::all()
         .iter()
         .map(|config| {
-            let x = config_features(config);
             let (perf_model, power_model) = match config.device {
                 Device::Cpu => (&models.perf_cpu, &models.power_cpu),
                 Device::Gpu => (&models.perf_gpu, &models.power_gpu),
             };
             let s_perf = samples.perf_on(config.device);
-            let ratio = unstabilize(perf_model.predict(&x), stab).max(1e-9);
-            let perf = ratio * s_perf;
-            let power = unstabilize(power_model.predict(&x), stab).max(0.1);
+            let (ratio, power) = (tables.ratio[config.index()], tables.power[config.index()]);
 
             // Residual RMSEs live in (possibly transformed) response
             // space; first-order error propagation through the inverse
@@ -103,7 +102,7 @@ pub fn predict_with_confidence(model: &TrainedModel, samples: &SamplePair) -> Bo
             };
 
             BoundedPoint {
-                point: PowerPerfPoint { config: *config, power_w: power, perf },
+                point: PowerPerfPoint { config: *config, power_w: power, perf: ratio * s_perf },
                 power_sigma,
                 perf_sigma: perf_ratio_sigma * s_perf,
             }

@@ -1,15 +1,14 @@
-//! Flattened, allocation-free online selection (DESIGN.md §15).
+//! Precomputed, allocation-free online selection (DESIGN.md §15).
 //!
 //! The scalar online path (the reference in `acs_verify::reference`)
-//! walks the CART by pointer, rebuilds each configuration's feature row,
-//! evaluates four regressions per device, clones the 42 predicted points,
-//! and fully sorts them to extract the frontier — every select. This module
-//! restructures that work for the machine:
+//! rebuilds each configuration's feature row, evaluates four regressions
+//! per device, clones the 42 predicted points, and fully sorts them to
+//! extract the frontier — every select. This module restructures that
+//! work for the machine:
 //!
 //! * [`ConfigSpace`] — a struct-of-arrays view of the 42-configuration
 //!   space, feature columns precomputed once per process;
-//! * per-model precomputation, held by [`Predictor`]: the CART flattened
-//!   into a branchless [`acs_mlstat::FlatTree`], and per-cluster
+//! * per-model precomputation, held by [`Predictor`]: per-cluster
 //!   power/ratio columns (regression inputs are static per configuration,
 //!   so the whole regression collapses to tables at build time) plus a
 //!   power-sorted frontier skeleton (permutation + equal-power tie-group
@@ -17,12 +16,13 @@
 //! * [`SelectScratch`] — a caller-owned arena so steady-state selection
 //!   allocates nothing.
 //!
-//! A warm select is then: one fixed-depth tree descent, 42 multiplies
+//! A warm select is then: the CART walk, 42 multiplies
 //! (`perf = ratio · S_perf`, one fused pass per device block), a
 //! non-domination sweep over the precomputed permutation, and a binary
 //! search. The fast path is **bit-for-bit float-identical** to the scalar
 //! path — same IEEE operations in the same order (the §10/§14 discipline)
-//! — gated by `tests/fastpath_identity.rs` and the golden suites.
+//! — gated by `tests/fastpath_identity.rs` and the pinned `results/`
+//! artifacts.
 
 use crate::features::{config_features, SamplePair, CONFIG_FEATURES};
 use crate::frontier::PowerPerfPoint;
@@ -102,7 +102,7 @@ impl ConfigSpace {
 pub(crate) struct ClusterTables {
     /// Predicted performance ratio per configuration (unstabilized,
     /// clamped) — runtime perf is `ratio[i] · S_perf(device)`.
-    ratio: Vec<f64>,
+    pub(crate) ratio: Vec<f64>,
     /// Predicted absolute power per configuration (W, clamped).
     pub(crate) power: Vec<f64>,
     /// Frontier skeleton: configuration indices sorted by

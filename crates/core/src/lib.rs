@@ -28,7 +28,8 @@
 //! 1. run the kernel once per device at the Table II sample
 //!    configurations ([`features::sample_config`] →
 //!    [`features::SamplePair`]);
-//! 2. classify it into a cluster ([`online::Predictor::classify`]);
+//! 2. classify it into a cluster by walking the CART
+//!    ([`online::Predictor::classify`]);
 //! 3. predict power and performance at every configuration and derive the
 //!    predicted frontier ([`online::Predictor::predict`], on the
 //!    precomputed tables of [`fastpath`]);

@@ -13,7 +13,7 @@ use crate::fastpath::{ClusterTables, ConfigSpace, SelectScratch};
 use crate::features::SamplePair;
 use crate::frontier::{Frontier, PowerPerfPoint};
 use crate::offline::TrainedModel;
-use acs_mlstat::{ClassificationTree, FlatTree};
+use acs_mlstat::ClassificationTree;
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 
@@ -46,18 +46,14 @@ impl PredictedProfile {
 
 /// Applies a trained model to new kernels.
 ///
-/// Construction precompiles the model (microseconds): the CART flattened
-/// into a branchless [`FlatTree`] and each cluster's regressions collapsed
-/// into [`fastpath`](crate::fastpath) tables (DESIGN.md §15). Prediction
-/// and selection then run on the flat path, bit-identical to the scalar
-/// reference in `acs_verify::reference`. Owns everything it needs — no
-/// lifetime ties back to the model.
+/// Construction precompiles the model (microseconds): each cluster's
+/// regressions collapse into [`fastpath`](crate::fastpath) tables
+/// (DESIGN.md §15). Classification walks the CART; prediction and
+/// selection read the tables, bit-identical to the scalar reference in
+/// `acs_verify::reference`. Owns everything it needs — no lifetime ties
+/// back to the model.
 #[derive(Debug, Clone)]
 pub struct Predictor {
-    /// Branchless CART, when the tree fits the complete-binary encoding.
-    flat: Option<FlatTree>,
-    /// Pointer-walk fallback for trees deeper than
-    /// [`FlatTree::MAX_DEPTH`] (identical decisions either way).
     tree: ClassificationTree,
     clusters: Vec<ClusterTables>,
 }
@@ -68,27 +64,20 @@ impl Predictor {
         let space = ConfigSpace::get();
         let stab = model.params.stabilize_variance;
         Self {
-            flat: model.tree.flatten(),
             tree: model.tree.clone(),
             clusters: model.clusters.iter().map(|m| ClusterTables::build(space, m, stab)).collect(),
         }
     }
 
-    /// Assign the kernel to a cluster from its two sample runs (identical
-    /// decisions to the scalar tree walk; see [`FlatTree`]).
+    /// Assign the kernel to a cluster from its two sample runs: the CART
+    /// walk ([`ClassificationTree::predict`]).
     pub fn classify(&self, samples: &SamplePair) -> usize {
-        let x = samples.tree_features();
-        match &self.flat {
-            Some(flat) => flat.predict(&x),
-            None => self.tree.predict(&x),
-        }
+        self.tree.predict(&samples.tree_features())
     }
 
-    /// Whether classification runs through the flattened tree (false
-    /// only for the pointer-walk fallback: empty trees or depth beyond
-    /// [`FlatTree::MAX_DEPTH`]).
-    pub fn uses_flat_tree(&self) -> bool {
-        self.flat.is_some()
+    /// The cluster's precomputed prediction tables.
+    pub(crate) fn tables(&self, cluster: usize) -> &ClusterTables {
+        &self.clusters[cluster]
     }
 
     /// Select the best predicted configuration under `cap_w` (minimum-

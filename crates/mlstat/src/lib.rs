@@ -11,7 +11,7 @@
 //! * [`cluster`] — PAM (k-medoids) relational clustering on a
 //!   dissimilarity matrix, standing in for the R `fossil` package,
 //! * [`tree`] — a CART classification tree with Gini impurity, standing in
-//!   for `rpart`.
+//!   for `rpart`; the online stage classifies a new kernel by walking it.
 //!
 //! [`matrix`] supplies the small dense linear algebra, and [`validate`] the
 //! leave-one-group-out cross-validation protocol of Section V-C.
@@ -50,7 +50,7 @@ pub use describe::{histogram, pearson, quantile, ranks, spearman};
 pub use kendall::{tau_a, tau_b};
 pub use matrix::{Cholesky, Matrix, MatrixError};
 pub use regression::{interaction_len, with_interactions, Design, FitError, LinearModel};
-pub use tree::{ClassificationTree, FlatTree, TreeError, TreeParams};
+pub use tree::{ClassificationTree, TreeError, TreeParams};
 pub use validate::{
     leave_one_group_out, leave_one_out, mean, median, std_dev, weighted_mean, Fold,
 };

@@ -294,7 +294,10 @@ impl ClassificationTree {
         Ok(Self { nodes, n_features, n_classes })
     }
 
-    /// Predict the class of one feature row.
+    /// Predict the class of one feature row: walk from the root, left
+    /// where `x[feature] < threshold`, so a NaN feature goes right. The
+    /// online stage classifies every new kernel this way, in steps equal
+    /// to the depth of the leaf it reaches.
     pub fn predict(&self, x: &[f64]) -> usize {
         assert_eq!(x.len(), self.n_features, "feature count mismatch");
         let mut at = 0usize;
@@ -454,31 +457,6 @@ impl ClassificationTree {
         self.nodes = out;
     }
 
-    /// Flatten into a branchless, predicated array encoding for the online
-    /// fast path (DESIGN.md §15). Returns `None` for the degenerate cases
-    /// the encoding cannot represent compactly: an empty tree, or one
-    /// deeper than [`FlatTree::MAX_DEPTH`] (the complete-binary embedding
-    /// is `2^(depth+1) − 1` slots, so pathological depth would explode).
-    pub fn flatten(&self) -> Option<FlatTree> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let depth = self.depth();
-        if depth > FlatTree::MAX_DEPTH {
-            return None;
-        }
-        let slots = (1usize << (depth + 1)) - 1;
-        let mut flat = FlatTree {
-            depth,
-            n_features: self.n_features,
-            feature: vec![0; slots],
-            threshold: vec![f64::INFINITY; slots],
-            class: vec![0; slots],
-        };
-        flat.embed(&self.nodes, 0, 0);
-        Some(flat)
-    }
-
     /// Render the tree as indented text (the Figure 3 artifact), with
     /// feature names supplied by the caller.
     pub fn render(&self, feature_names: &[&str]) -> String {
@@ -502,87 +480,6 @@ impl ClassificationTree {
                     writeln!(out, "{pad}→ cluster {class}  ({count} kernels, purity {purity:.2})");
             }
         }
-    }
-}
-
-/// A [`ClassificationTree`] re-encoded as a complete binary tree in three
-/// parallel arrays, descended with predicated index arithmetic instead of
-/// pointer chasing.
-///
-/// Slot `i`'s children are `2i + 1` and `2i + 2`. Leaves shallower than the
-/// full depth pad their subtree with pseudo-splits at threshold `+∞`: the
-/// comparison result is irrelevant because every slot under a padded leaf
-/// carries that leaf's class, so descent always runs exactly `depth` steps
-/// and reads the class at the final slot.
-///
-/// The descent step is `2i + 1 + !(x[feature] < threshold)` — the negated
-/// form of the scalar tree's left-test, so NaN features route right in both
-/// encodings and [`FlatTree::predict`] agrees with
-/// [`ClassificationTree::predict`] bit-for-bit on every input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlatTree {
-    depth: usize,
-    n_features: usize,
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    class: Vec<u32>,
-}
-
-impl FlatTree {
-    /// Depth cap for [`ClassificationTree::flatten`]: the complete-binary
-    /// embedding allocates `2^(depth+1) − 1` slots, so beyond this the
-    /// scalar walk is the better encoding.
-    pub const MAX_DEPTH: usize = 16;
-
-    /// Write `nodes[at]`'s subtree into the complete-binary slot `slot`,
-    /// replicating leaves downward so every padded slot carries the class
-    /// of the leaf above it.
-    fn embed(&mut self, nodes: &[Node], at: usize, slot: usize) {
-        match &nodes[at] {
-            Node::Split { feature, threshold, left, right } => {
-                self.feature[slot] = *feature as u32;
-                self.threshold[slot] = *threshold;
-                self.embed(nodes, *left, 2 * slot + 1);
-                self.embed(nodes, *right, 2 * slot + 2);
-            }
-            Node::Leaf { class, .. } => self.fill(*class as u32, slot),
-        }
-    }
-
-    /// Fill `slot` and its whole subtree with `class`, leaving the padded
-    /// pseudo-split defaults (feature 0, threshold `+∞`) in place.
-    fn fill(&mut self, class: u32, slot: usize) {
-        self.class[slot] = class;
-        let left = 2 * slot + 1;
-        if left < self.class.len() {
-            self.fill(class, left);
-            self.fill(class, left + 1);
-        }
-    }
-
-    /// Predict the class of one feature row: a fixed-length, branchless
-    /// descent (`depth` predicated steps, no data-dependent control flow).
-    pub fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.n_features, "feature count mismatch");
-        let mut at = 0usize;
-        for _ in 0..self.depth {
-            // `!(x < t)` (not `x >= t`) so a NaN feature goes right,
-            // exactly as the scalar walk's else-branch does.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let go_right = usize::from(!(x[self.feature[at] as usize] < self.threshold[at]));
-            at = 2 * at + 1 + go_right;
-        }
-        self.class[at] as usize
-    }
-
-    /// Depth of the source tree (every descent runs this many steps).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Feature arity expected by [`FlatTree::predict`].
-    pub fn n_features(&self) -> usize {
-        self.n_features
     }
 }
 
@@ -799,64 +696,28 @@ mod tests {
     }
 
     #[test]
-    fn flat_tree_agrees_with_pointer_walk() {
-        let (rows, labels) = toy();
-        let t = ClassificationTree::fit(&rows, &labels, 3, TreeParams::default()).unwrap();
-        let flat = t.flatten().expect("toy tree flattens");
-        assert_eq!(flat.depth(), t.depth());
-        assert_eq!(flat.n_features(), 2);
-        for r in &rows {
-            assert_eq!(flat.predict(r), t.predict(r));
-        }
-        // Dense grid probe beyond the training points, including the exact
-        // thresholds (the < vs >= boundary).
-        for i in 0..=40 {
-            for j in 0..=40 {
-                let x = [i as f64 / 40.0 * 1.2, j as f64 / 40.0 * 1.2];
-                assert_eq!(flat.predict(&x), t.predict(&x), "diverged at {x:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn flat_tree_routes_nan_like_pointer_walk() {
-        let (rows, labels) = toy();
-        let t = ClassificationTree::fit(&rows, &labels, 3, TreeParams::default()).unwrap();
-        let flat = t.flatten().unwrap();
-        for probe in
-            [[f64::NAN, 0.2], [0.5, f64::NAN], [f64::NAN, f64::NAN], [f64::INFINITY, f64::NAN]]
-        {
-            assert_eq!(flat.predict(&probe), t.predict(&probe), "diverged at {probe:?}");
-        }
-    }
-
-    #[test]
-    fn flat_tree_of_single_leaf_is_zero_step() {
-        let rows = vec![vec![1.0], vec![2.0]];
-        let labels = vec![1, 1];
-        let t = ClassificationTree::fit(&rows, &labels, 2, TreeParams::default()).unwrap();
-        let flat = t.flatten().unwrap();
-        assert_eq!(flat.depth(), 0);
-        assert_eq!(flat.predict(&[99.0]), 1);
-    }
-
-    #[test]
-    fn flatten_refuses_pathological_depth() {
-        // A comb tree: each level peels off one sample, so depth grows
-        // linearly with the training set.
-        let n = FlatTree::MAX_DEPTH + 4;
-        let rows: Vec<Vec<f64>> = (0..2 * n).map(|i| vec![i as f64]).collect();
-        let labels: Vec<usize> = (0..2 * n).map(|i| usize::from(i % 2 == 0)).collect();
-        let params = TreeParams { max_depth: 64, min_split: 2, min_leaf: 1 };
-        let t = ClassificationTree::fit(&rows, &labels, 2, params).unwrap();
-        if t.depth() > FlatTree::MAX_DEPTH {
-            assert!(t.flatten().is_none());
-        } else {
-            // Fit found a shallower perfect tree; flattening must agree.
-            let flat = t.flatten().unwrap();
-            for r in &rows {
-                assert_eq!(flat.predict(r), t.predict(r));
-            }
+    fn nan_features_route_right_at_every_split() {
+        // `x < t` is false for NaN, so the walk takes the right child. Four
+        // leaves, one class each, tell apart where each probe went.
+        let leaf = |class| Node::Leaf { class, purity: 1.0, count: 1 };
+        let split = |feature, left, right| Node::Split { feature, threshold: 0.6, left, right };
+        let nodes = vec![
+            split(0, 1, 4),
+            split(1, 2, 3),
+            leaf(0),
+            leaf(1),
+            split(1, 5, 6),
+            leaf(2),
+            leaf(3),
+        ];
+        let t = ClassificationTree::from_nodes(nodes, 2, 4).unwrap();
+        for (probe, class) in [
+            ([f64::NAN, 0.2], 2),
+            ([0.5, f64::NAN], 1),
+            ([f64::NAN, f64::NAN], 3),
+            ([f64::INFINITY, f64::NAN], 3),
+        ] {
+            assert_eq!(t.predict(&probe), class, "probe {probe:?}");
         }
     }
 }

@@ -251,9 +251,10 @@ impl Engine {
         })
     }
 
-    /// Select for many kernels, in request order. A warm selection is a
-    /// ~0.1 µs frontier walk, far below what starting a thread costs, so
-    /// this is a loop.
+    /// Select for many kernels, in request order. Every id is profiled,
+    /// also those after an unknown one. The server's `Batch` does not call
+    /// this (it stops at the first unknown id); it stays only because
+    /// `benchmark/src/replay.rs` calls it.
     pub fn select_batch(
         &self,
         kernel_ids: &[String],

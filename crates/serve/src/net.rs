@@ -462,8 +462,8 @@ impl<Req: Serialize, Resp: Deserialize> FrameClient<Req, Resp> {
 }
 
 /// A server running on a background thread: what `Server::spawn`,
-/// `Coordinator::spawn` and `ChaosProxy::spawn` return. Tests, benches
-/// and the chaos-fleet orchestrator hold one per server they start.
+/// `Coordinator::spawn` and `ChaosProxy::spawn` return. Tests and
+/// benches hold one per server they start.
 pub struct Running<H> {
     /// The address actually bound (`host:port`).
     pub addr: String,

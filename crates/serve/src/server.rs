@@ -718,24 +718,13 @@ impl Session<'_> {
                 if kernel_ids.len() > limit {
                     return (self.overloaded(kernel_ids.len() as u64, limit as u64), false);
                 }
-                // Sessions with no confirmed drift correction for any batched
-                // kernel take the engine's static path, bit-identical to the
-                // pre-adaptation server.
-                let any_corrected = kernel_ids.iter().any(|k| self.adapt.correction(k).is_some());
+                // In request order; the first unknown id answers the whole
+                // batch, and the ids after it are not profiled.
                 let mut selections = Vec::with_capacity(kernel_ids.len());
-                if any_corrected {
-                    for kernel_id in &kernel_ids {
-                        match self.select(kernel_id) {
-                            Ok(s) => selections.push(s),
-                            Err(e) => return (engine_error(e), false),
-                        }
-                    }
-                } else {
-                    for result in shared.engine.select_batch(&kernel_ids, self.rt.cap_w()) {
-                        match result {
-                            Ok(s) => selections.push(s),
-                            Err(e) => return (engine_error(e), false),
-                        }
+                for kernel_id in &kernel_ids {
+                    match self.select(kernel_id) {
+                        Ok(s) => selections.push(s),
+                        Err(e) => return (engine_error(e), false),
                     }
                 }
                 (Response::BatchSelected { selections }, false)
@@ -1239,6 +1228,43 @@ mod tests {
         assert_eq!(replies[0], replies[1]);
         assert_eq!(clocks[0], clocks[1]);
         assert!(clocks[0].1 > 5_000, "every run is one event");
+    }
+
+    #[test]
+    fn a_batch_stops_at_its_first_unknown_kernel() {
+        let journal_path =
+            std::env::temp_dir().join(format!("acs-serve-batch-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let config = ServeConfig { journal: Some(journal_path.clone()), ..ServeConfig::default() };
+        let server = Server::bind(config, model()).unwrap();
+        let shared: &Shared = &server.shared;
+        let known: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(2).map(|k| k.id()).collect();
+        let kernel_ids = vec![known[0].clone(), "no/such/kernel".into(), known[1].clone()];
+
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        let mut session = Session::join(shared, 1);
+        let (reply, done) =
+            session.handle_request(Request::Batch { kernel_ids, deadline_ms: None, priority: 0 });
+        assert!(!done);
+        assert!(
+            matches!(&reply, Response::Error { code, .. } if code == "unknown-kernel"),
+            "{reply:?}"
+        );
+        // The id after the unknown one is neither profiled nor journaled.
+        assert_eq!(shared.engine.cache_counts(), (0, 1));
+        drop(session);
+        drop(server);
+        let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+        let cached: Vec<&str> = entries
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::CacheKey { kernel_id } => Some(kernel_id.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(cached, [known[0].as_str()]);
+        let _ = std::fs::remove_file(&journal_path);
     }
 
     #[test]

@@ -36,14 +36,9 @@ pub fn shared_core_fraction(threads: u8) -> f64 {
 }
 
 /// Effective compute throughput (in units of single cores) of `threads`
-/// threads for a given kernel: Amdahl-style scaling damped by module
-/// sharing and synchronization overhead.
-pub fn effective_compute_threads(kernel: &KernelCharacteristics, threads: u8) -> f64 {
-    effective_compute_threads_on(FamilyId::Trinity.descriptor(), kernel, threads)
-}
-
-/// Family-parameterized [`effective_compute_threads`]: only physically
-/// backed threads contribute throughput (oversubscription adds nothing),
+/// threads for a given kernel on `family`: Amdahl-style scaling damped by
+/// module sharing and synchronization overhead. Only physically backed
+/// threads contribute throughput (oversubscription adds nothing),
 /// module-sharing loss follows the family's topology, and synchronization
 /// overhead follows the *software* thread count — oversubscribed threads
 /// still synchronize.

@@ -133,20 +133,11 @@ impl PowerCalibration {
         self.nb_base_w + self.nb_dram_w * dram_util.clamp(0.0, 1.0)
     }
 
-    /// Per-phase powers of a CPU-device execution: the compute-busy phase
-    /// and the DRAM-stall phase. Their time-weighted mean over
-    /// `(busy_s, memory_s)` equals [`PowerCalibration::cpu_run_power`]
-    /// exactly — the phase decomposition refines, never contradicts, the
-    /// average model.
-    pub fn cpu_phase_powers(
-        &self,
-        kernel: &KernelCharacteristics,
-        config: &Configuration,
-    ) -> (PowerBreakdown, PowerBreakdown) {
-        self.cpu_phase_powers_on(FamilyId::Trinity.descriptor(), kernel, config)
-    }
-
-    /// [`PowerCalibration::cpu_phase_powers`] on an explicit family.
+    /// Per-phase powers of a CPU-device execution on `family`: the
+    /// compute-busy phase and the DRAM-stall phase. Their time-weighted
+    /// mean over `(busy_s, memory_s)` equals
+    /// [`PowerCalibration::cpu_run_power`] exactly — the phase
+    /// decomposition refines, never contradicts, the average model.
     pub fn cpu_phase_powers_on(
         &self,
         family: &MachineFamily,
@@ -182,20 +173,11 @@ impl PowerCalibration {
         (busy, stall)
     }
 
-    /// Per-phase powers of a GPU-device execution: the host phase (serial
-    /// portion + launch, GPU idle) and the device phase (GPU busy, host
-    /// polling). Their time-weighted mean over `(host_s, device_s)` equals
-    /// [`PowerCalibration::gpu_run_power`] exactly.
-    pub fn gpu_phase_powers(
-        &self,
-        kernel: &KernelCharacteristics,
-        config: &Configuration,
-        timing: &GpuTiming,
-    ) -> (PowerBreakdown, PowerBreakdown) {
-        self.gpu_phase_powers_on(FamilyId::Trinity.descriptor(), kernel, config, timing)
-    }
-
-    /// [`PowerCalibration::gpu_phase_powers`] on an explicit family.
+    /// Per-phase powers of a GPU-device execution on `family`: the host
+    /// phase (serial portion + launch, GPU idle) and the device phase (GPU
+    /// busy, host polling). Their time-weighted mean over
+    /// `(host_s, device_s)` equals [`PowerCalibration::gpu_run_power`]
+    /// exactly.
     pub fn gpu_phase_powers_on(
         &self,
         family: &MachineFamily,
@@ -323,7 +305,7 @@ impl PowerCalibration {
         // instantaneous utilization (clamped to the channel's capacity)
         // applies during the device phase only, so the average weights it
         // by the device-phase share — keeping this average model exactly
-        // the time-mean of `gpu_phase_powers`.
+        // the time-mean of `gpu_phase_powers_on`.
         let device_dram = if timing.device_s > 0.0 {
             (timing.device_memory_s / timing.device_s * kernel.gpu_bw_advantage).clamp(0.0, 1.0)
         } else {

@@ -1,19 +1,21 @@
-//! Bit-for-bit identity gate for the flattened selection engine
+//! Bit-for-bit identity gate for the precomputed selection engine
 //! (DESIGN.md §15).
 //!
-//! The fast path — SoA config space, branchless CART, fused regression
-//! into a caller-owned scratch arena, precomputed frontier skeletons —
+//! The fast path — SoA config space, fused regression tables, a
+//! caller-owned scratch arena, precomputed frontier skeletons —
 //! promises *exactly* the scalar pipeline's floats, not merely close
 //! ones: every intermediate keeps the scalar IEEE operation order, so
 //! `f64::to_bits` must agree on every predicted point, the frontier, and
 //! the selected configuration. This suite holds that promise across
 //! random machine seeds × all four machine families × every kernel in a
 //! cross-application suite × a spread of power caps (including NaN and
-//! infeasible caps).
+//! infeasible caps). It also holds the expected points of
+//! `predict_with_confidence`, which reads the same tables, to
+//! `Predictor::predict`'s.
 
 use std::sync::OnceLock;
 
-use acs::core::{collect_suite, SelectScratch};
+use acs::core::{collect_suite, predict_with_confidence, SelectScratch};
 use acs::prelude::*;
 use acs::sim::FamilyId;
 use acs::verify::reference::predict_scalar;
@@ -138,16 +140,47 @@ proptest! {
 }
 
 #[test]
-fn every_family_model_classifies_through_the_flat_tree() {
-    // The identity sweep would still pass if every family model silently
-    // fell back to the pointer walk; pin that the flattened CART is
-    // actually in play for the trained models under test.
-    for (family, model) in family_models() {
+fn confidence_bands_center_on_the_predictors_points() {
+    // `predict_with_confidence` reads the Predictor's tables: its expected
+    // points and cluster must be `Predictor::predict`'s, bit for bit, for
+    // every family model and for one trained under the variance-
+    // stabilizing transform (whose bands depend on the clamped tables).
+    let machine = Machine::new(TRAIN_SEED);
+    let stabilized = train(
+        &collect_suite(&machine, &probe_kernels()),
+        TrainingParams { stabilize_variance: true, ..Default::default() },
+    )
+    .expect("stabilized training succeeds");
+    let models = family_models()
+        .iter()
+        .map(|(family, model)| {
+            (format!("family {family:?}"), model, Machine::from_family(*family, TRAIN_SEED))
+        })
+        .chain([("stabilized".to_string(), &stabilized, machine)]);
+    for (ctx, model, machine) in models {
         let predictor = Predictor::new(model);
-        assert!(
-            predictor.uses_flat_tree(),
-            "family {family:?}: trained CART did not flatten (depth above FlatTree::MAX_DEPTH?)"
-        );
+        for kernel in probe_kernels() {
+            let samples = SamplePair::new(
+                machine.run(&kernel, &sample_config(Device::Cpu)),
+                machine.run(&kernel, &sample_config(Device::Gpu)),
+            );
+            let ctx = format!("{ctx} kernel {}", kernel.id());
+            let bounded = predict_with_confidence(model, &samples);
+            let plain = predictor.predict(&samples);
+            assert_eq!(bounded.cluster, plain.cluster, "{ctx}: cluster diverged");
+            let expected = bounded.expected_points();
+            assert_eq!(expected.len(), plain.points.len(), "{ctx}: point count diverged");
+            for (e, p) in expected.iter().zip(&plain.points) {
+                assert_eq!(e.config, p.config, "{ctx}: point order diverged");
+                assert_eq!(
+                    e.power_w.to_bits(),
+                    p.power_w.to_bits(),
+                    "{ctx}: power at {}",
+                    e.config
+                );
+                assert_eq!(e.perf.to_bits(), p.perf.to_bits(), "{ctx}: perf at {}", e.config);
+            }
+        }
     }
 }
 
