@@ -301,7 +301,7 @@ impl FrameHandler for Conn<'_> {
 
     fn handle(&mut self, request: Result<CoordRequest, ProtocolError>) -> (CoordResponse, bool) {
         match request {
-            Ok(request) => handle_request(self.0, request),
+            Ok(request) => step(self.0, request),
             Err(err) => {
                 (CoordResponse::Error { code: err.code().into(), detail: err.to_string() }, true)
             }
@@ -312,7 +312,7 @@ impl FrameHandler for Conn<'_> {
 /// Serve one request. A lease operation is one step of the table at the
 /// current tick, journaled under the table lock, so the recorded tick and
 /// epoch are exactly the ones the operation produced.
-fn handle_request(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
+fn step(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
     let mut table = shared.table.lock();
     let response = match table.apply(shared.now_tick(), &request) {
         Some(Ok(entry)) => {

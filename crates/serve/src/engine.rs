@@ -96,11 +96,13 @@ pub struct Engine {
 /// victim is deterministic under equal ticks) until `map` fits `capacity`.
 fn evict_lru<K: Ord + std::hash::Hash + Clone, V>(map: &mut HashMap<K, Slot<V>>, capacity: usize) {
     while map.len() > capacity {
-        let victim = map
+        let Some(victim) = map
             .iter()
             .min_by(|(ka, a), (kb, b)| a.last_used.cmp(&b.last_used).then_with(|| ka.cmp(kb)))
             .map(|(k, _)| k.clone())
-            .expect("non-empty map over capacity");
+        else {
+            break;
+        };
         map.remove(&victim);
     }
 }

@@ -335,10 +335,9 @@ pub(crate) trait FrameHandler {
     /// What it gets back.
     type Resp: Serialize;
 
-    /// Runs once per frame, after it has arrived and before
-    /// [`handle`](Self::handle) sees it, and once per idle read timeout:
-    /// what the handler picks up here is never older than the frame it
-    /// answers next.
+    /// Runs once per idle read timeout, and never between a frame and
+    /// [`handle`](Self::handle): whatever a frame must be answered at,
+    /// `handle` picks up itself.
     fn turn(&mut self) {}
 
     /// Answer one frame — or one undecodable frame, which gets its typed
@@ -388,9 +387,6 @@ pub(crate) fn serve_frames<S: Read + Write, H: FrameHandler>(
             Ok(ReadOutcome::Eof) => break,
             Err(err) => Err(err),
         };
-        // After the read, not before it: the read may have blocked for a
-        // whole timeout, and the frame is answered at today's state.
-        handler.turn();
         let failed = request.is_err();
         let (response, done) = handler.handle(request);
         if encode_frame(&mut out, &response).is_err() || done || failed {
@@ -577,7 +573,7 @@ mod tests {
         let (events, turns) = converse(vec![Step::Data(frames(&vec![Request::Hello; 8]))], 0);
         // The second read is the one that finds EOF.
         assert_eq!(events, [Event::Read, Event::Write(replies(0, 1..=8)), Event::Read]);
-        assert_eq!(turns, 8, "one turn per frame, none for the read that found EOF");
+        assert_eq!(turns, 0, "a connection that is never idle never turns");
     }
 
     #[test]

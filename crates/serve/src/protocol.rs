@@ -505,17 +505,15 @@ impl FrameReader {
         r: &mut R,
     ) -> Result<ReadOutcome<T>, ProtocolError> {
         match self.fill(r, HEADER_LEN)? {
-            Fill::Ready => {}
             Fill::Idle => return Ok(ReadOutcome::Idle),
             Fill::Eof if self.start == self.end => return Ok(ReadOutcome::Eof),
-            Fill::Eof => {
-                let got = self.end - self.start;
-                return Err(ProtocolError::Truncated { expected: HEADER_LEN, got });
-            }
+            Fill::Ready | Fill::Eof => {}
         }
-        let (header, _) = self.buf[self.start..self.end]
-            .split_first_chunk::<HEADER_LEN>()
-            .expect("fill buffered a whole prefix");
+        // `Ready` buffered a whole prefix; `Eof` stopped short of one.
+        let Some(header) = self.buf[self.start..self.end].first_chunk::<HEADER_LEN>() else {
+            let got = self.end - self.start;
+            return Err(ProtocolError::Truncated { expected: HEADER_LEN, got });
+        };
         let len = frame_len(*header)?;
         if !matches!(self.fill(r, HEADER_LEN + len)?, Fill::Ready) {
             let got = self.end - self.start - HEADER_LEN;

@@ -1,7 +1,8 @@
 //! The selection server: shared state, admission control, the session
-//! handler, the lease client and the brownout controller. Listening,
-//! accepting, draining and the per-connection frame loop are the shared
-//! connection layer in [`crate::net`].
+//! (one request path, `Session::step`, in a clock shell), the lease client
+//! and the brownout controller. Listening, accepting, draining and the
+//! per-connection frame loop are the shared connection layer in
+//! [`crate::net`].
 //!
 //! Admission control is a hard bound, not a queue: when `max_sessions`
 //! sessions are live, a new connection is answered with one typed
@@ -629,47 +630,27 @@ impl FrameHandler for Session<'_> {
     type Req = Request;
     type Resp = Response;
 
-    /// Pick up budget reshuffles made on behalf of *other* nodes; a
-    /// changed budget re-runs selection from the cached frontiers.
+    /// An idle connection picks up a reshuffle between frames, so a
+    /// session re-selects within one read timeout of it.
     fn turn(&mut self) {
-        let Seat { shared, node_id } = self.seat;
-        let arbiter = shared.arbiter.lock();
-        let epoch = arbiter.epoch();
-        if epoch != self.seen_epoch {
-            self.seen_epoch = epoch;
-            let budget = arbiter.budget_of(node_id);
-            drop(arbiter);
-            if let Some(budget) = budget {
-                self.apply_budget(budget);
-            }
-        }
+        self.pick_up_budget();
     }
 
+    /// The clock shell around [`Session::step`]: times it, and records a
+    /// decoded request's kind, latency and deadline miss.
     fn handle(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
-        let shared = self.seat.shared;
-        let request = match request {
-            Ok(request) => request,
-            Err(err) => {
-                shared.metrics.record_protocol_error();
-                return (
-                    Response::Error { code: err.code().into(), detail: err.to_string() },
-                    true,
-                );
-            }
-        };
         let started = Instant::now();
-        let kind = request.kind();
-        let deadline = request.deadline();
-        let (response, done) = self.handle_request(request);
-        let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        shared.metrics.record_request(kind, latency_ns);
-        // A served (not shed) request that blew through its own deadline
-        // is a miss, counted in STATS `deadline_misses`.
-        if let Some((deadline_ms, _)) = deadline {
-            if !matches!(response, Response::ShedDeadline { .. })
-                && latency_ns > deadline_ms.saturating_mul(1_000_000)
-            {
-                shared.metrics.record_deadline_miss();
+        let decoded = request.as_ref().ok().map(|request| (request.kind(), request.deadline()));
+        let (response, done) = self.step(request);
+        if let Some((kind, deadline)) = decoded {
+            let metrics = &self.seat.shared.metrics;
+            let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            metrics.record_request(kind, latency_ns);
+            // A served (not shed) request that blew through its own deadline
+            // is a miss, counted in STATS `deadline_misses`.
+            let shed = matches!(response, Response::ShedDeadline { .. });
+            if deadline.is_some_and(|(ms, _)| !shed && latency_ns > ms.saturating_mul(1_000_000)) {
+                metrics.record_deadline_miss();
             }
         }
         (response, done)
@@ -692,9 +673,36 @@ impl Session<'_> {
         }
     }
 
-    /// Serve one request. Returns the response and whether the session ends.
-    fn handle_request(&mut self, request: Request) -> (Response, bool) {
+    /// Pick up budget reshuffles made on behalf of *other* nodes; a
+    /// changed budget re-runs selection from the cached frontiers.
+    fn pick_up_budget(&mut self) {
         let Seat { shared, node_id } = self.seat;
+        let arbiter = shared.arbiter.lock();
+        let epoch = arbiter.epoch();
+        if epoch != self.seen_epoch {
+            self.seen_epoch = epoch;
+            let budget = arbiter.budget_of(node_id);
+            drop(arbiter);
+            if let Some(budget) = budget {
+                self.apply_budget(budget);
+            }
+        }
+    }
+
+    /// Serve one frame at the budget the arbiter holds for this node when
+    /// it is answered: pick that budget up, answer an undecodable frame
+    /// with its typed error (and close), run the shed gate, then the
+    /// request. Returns the response and whether the session ends.
+    fn step(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
+        self.pick_up_budget();
+        let Seat { shared, node_id } = self.seat;
+        let request = match request {
+            Ok(request) => request,
+            Err(err) => {
+                shared.metrics.record_protocol_error();
+                return (error_response(err.code(), err), true);
+            }
+        };
         let brownout_level = shared.brownout_level.load(Ordering::SeqCst);
         // The shed gate runs before any work: a request that has already
         // expired (or that the brownout estimate says will) is answered with
@@ -761,12 +769,7 @@ impl Session<'_> {
                     run_once().and_then(|first| (1..iterations).try_fold(first, |_, _| run_once()));
                 let config = match ran {
                     Ok(config) => config,
-                    Err(e) => {
-                        return (
-                            Response::Error { code: "runtime".into(), detail: e.to_string() },
-                            false,
-                        )
-                    }
+                    Err(e) => return (error_response("runtime", e), false),
                 };
                 let tier = self
                     .rt
@@ -797,29 +800,23 @@ impl Session<'_> {
                 // journal would write it as `null`, which no `f64` reads back:
                 // the next open would drop that entry and every later one.
                 if !residual_w.is_finite() {
-                    return (
-                        Response::Error {
-                            code: "bad-report".into(),
-                            detail: format!("residual_w must be finite, got {residual_w}"),
-                        },
-                        false,
-                    );
+                    let detail = format!("residual_w must be finite, got {residual_w}");
+                    return (error_response("bad-report", detail), false);
                 }
                 // Feedback is validated and consumed *before* the arbiter
                 // mutates: a rejected measurement must leave the session's
                 // budget exactly as it was. Brownout level 1 drops feedback
                 // processing entirely — adaptation is the first optional work
                 // to go, the budget report itself still lands.
-                if brownout_level < 1 {
-                    if let Some(feedback) = feedback {
-                        if let Err(response) = self.observe_feedback(&feedback) {
-                            return (*response, false);
-                        }
+                if let Some(feedback) = feedback.filter(|_| brownout_level < 1) {
+                    if let Err(response) = self.observe_feedback(&feedback) {
+                        return (*response, false);
                     }
                 }
-                let (budget, _) = shared.arbitrate(ArbiterOp::Report { node_id, residual_w });
+                let (budget, epoch) = shared.arbitrate(ArbiterOp::Report { node_id, residual_w });
                 // Apply our own new budget immediately; other sessions pick
-                // the reshuffle up at their next poll via the epoch counter.
+                // the reshuffle up at their next step via the epoch counter.
+                self.seen_epoch = epoch;
                 self.apply_budget(budget.unwrap_or_else(|| self.rt.cap_w()));
                 (Response::Budget { budget_w: self.rt.cap_w() }, false)
             }
@@ -888,18 +885,12 @@ impl Session<'_> {
         // outside the profile's point table; reject it before the lookup.
         let index = feedback.config.index();
         if Configuration::all().get(index) != Some(&feedback.config) {
-            return Err(Box::new(Response::Error {
-                code: "bad-feedback".into(),
-                detail: format!(
-                    "configuration {:?} is not in the machine's space",
-                    feedback.config
-                ),
-            }));
+            let detail =
+                format!("configuration {:?} is not in the machine's space", feedback.config);
+            return Err(Box::new(error_response("bad-feedback", detail)));
         }
-        let profile = match shared.engine.profile(&feedback.kernel_id) {
-            Ok(profile) => profile,
-            Err(e) => return Err(Box::new(engine_error(e))),
-        };
+        let profile =
+            shared.engine.profile(&feedback.kernel_id).map_err(|e| Box::new(engine_error(e)))?;
         let point = profile.point_for(&feedback.config);
         let outcome = self
             .adapt
@@ -910,9 +901,7 @@ impl Session<'_> {
                 point.power_w,
                 point.perf,
             )
-            .map_err(|e| {
-                Box::new(Response::Error { code: "bad-feedback".into(), detail: e.to_string() })
-            })?;
+            .map_err(|e| Box::new(error_response("bad-feedback", e)))?;
         shared.adapt_digests.lock().insert(node_id, self.adapt.state_digest());
         let mismatches = outcome
             .events
@@ -973,7 +962,11 @@ fn engine_error(e: EngineError) -> Response {
     let code = match &e {
         EngineError::UnknownKernel(_) => "unknown-kernel",
     };
-    Response::Error { code: code.into(), detail: e.to_string() }
+    error_response(code, e)
+}
+
+fn error_response(code: &str, detail: impl std::fmt::Display) -> Response {
+    Response::Error { code: code.into(), detail: detail.to_string() }
 }
 
 /// A blocking client for the wire protocol (used by `acs loadgen`, the
@@ -983,7 +976,6 @@ pub type Client = FrameClient<Request, Response>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scripted::{Event, Scripted, Step};
     use std::sync::OnceLock;
 
     fn model() -> TrainedModel {
@@ -1013,6 +1005,13 @@ mod tests {
             assert!(Instant::now() < deadline, "{stuck}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Seat node `node_id` as the accept loop does: counted in `active`
+    /// first, since its seat's drop uncounts it.
+    fn join(shared: &Shared, node_id: u64) -> Session<'_> {
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        Session::join(shared, node_id)
     }
 
     /// A server on a background thread, and a view of its connection
@@ -1055,8 +1054,10 @@ mod tests {
         second.into_iter().for_each(bye);
 
         // A thousand sessions one at a time: the threads stay bounded by
-        // the seats.
+        // the seats. A session leaves only after its Bye is written, so the
+        // next one waits for it.
         for node_id in 7..1_007 {
+            wait_until("a session never left", || running.handle.active_sessions() == 0);
             let mut client = connect();
             assert_eq!(hello(&mut client).0, node_id);
             bye(client);
@@ -1119,35 +1120,6 @@ mod tests {
         running.stop();
     }
 
-    /// A transport whose first `read` takes long enough for another node
-    /// to join: the frame it returns was in flight while the arbiter
-    /// reshuffled.
-    struct JoinDuringRead<'a> {
-        wire: Scripted,
-        shared: &'a Shared,
-        joiner: Option<Session<'a>>,
-    }
-
-    impl std::io::Read for JoinDuringRead<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.joiner.is_none() {
-                self.shared.active.fetch_add(1, Ordering::SeqCst);
-                self.joiner = Some(Session::join(self.shared, 2));
-            }
-            self.wire.read(buf)
-        }
-    }
-
-    impl std::io::Write for JoinDuringRead<'_> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.wire.write(buf)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn a_frame_in_flight_during_a_join_is_answered_at_the_new_budget() {
         let config = ServeConfig { global_cap_w: 90.0, ..ServeConfig::default() };
@@ -1155,40 +1127,80 @@ mod tests {
         let shared: &Shared = &server.shared;
         let kernel_id = acs_kernels::all_kernel_instances()[0].id();
         let select = Request::Select { kernel_id, deadline_ms: None, priority: 0 };
-        let mut request = Vec::new();
-        for frame in [&Request::Hello, &select] {
-            crate::protocol::write_frame(&mut request, frame).unwrap();
-        }
 
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let mut session = Session::join(shared, 1);
-        assert_eq!(session.rt.cap_w(), 90.0, "alone, the session owns the whole cap");
-        let mut stream =
-            JoinDuringRead { wire: Scripted::new([Step::Data(request)]), shared, joiner: None };
-        crate::net::serve_frames(&mut stream, &shared.shutdown, &mut session);
-
-        // One read brought both frames, node 2 joined inside it, and both
-        // replies are served under the halved budget: what the sessions
-        // enforce sums to the cap at every reply, not one request later.
-        let Event::Write(replies) = &stream.wire.events[1] else {
-            panic!("expected the replies after the first read: {:?}", stream.wire.events);
-        };
-        let mut replies = replies.as_slice();
-        let mut next = || crate::protocol::read_frame_blocking::<_, Response>(&mut replies);
-        match next().unwrap() {
-            Some(Response::Welcome { node_id: 1, budget_w }) => assert_eq!(budget_w, 45.0),
-            other => panic!("expected Welcome, got {other:?}"),
-        }
-        match next().unwrap() {
-            Some(Response::Selected(selection)) => {
+        let mut session = join(shared, 1);
+        let welcome = session.step(Ok(Request::Hello)).0;
+        assert_eq!(welcome, Response::Welcome { node_id: 1, budget_w: 90.0 });
+        // Node 2 joins between node 1's frames, with no idle turn between
+        // them: the next frame is still answered under the halved budget,
+        // so what the sessions enforce sums to the cap at every reply.
+        let neighbour = join(shared, 2);
+        match session.step(Ok(select)).0 {
+            Response::Selected(selection) => {
+                assert_eq!(selection.budget_w, 45.0);
                 assert!(selection.predicted_power_w <= 45.0, "{selection:?}");
             }
             other => panic!("expected Selected, got {other:?}"),
         }
-        assert_eq!(shared.arbiter.lock().budget_of(1), Some(45.0));
-        drop((session, stream));
+        drop((session, neighbour));
         assert_eq!(shared.active.load(Ordering::SeqCst), 0);
         assert_eq!(server.handle().budget_conservation_error_w(), 0.0);
+    }
+
+    /// The enforced-caps invariant, without sockets: whatever joins, leaves
+    /// and reports came before, every budget a session answers with is the
+    /// one the arbiter holds for it now, and the arbiter's budgets sum to
+    /// the cap.
+    #[test]
+    fn every_reply_carries_the_budget_the_arbiter_holds_now() {
+        let kernels: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(2).map(|k| k.id()).collect();
+        let requests = [
+            Request::Hello,
+            Request::Select { kernel_id: kernels[0].clone(), deadline_ms: None, priority: 0 },
+            Request::Batch { kernel_ids: kernels, deadline_ms: None, priority: 0 },
+            Request::Report { residual_w: 0.0, feedback: None },
+            Request::Report { residual_w: 30.0, feedback: None },
+        ];
+        for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
+            let config = ServeConfig { global_cap_w: 90.0, policy, ..ServeConfig::default() };
+            let server = Server::bind(config, model()).unwrap();
+            let shared: &Shared = &server.shared;
+            let mut rng = acs_sim::noise::SplitMix64(policy as u64);
+            let mut live: Vec<Session> = Vec::new();
+            for (at, node_id) in (0..400).zip(1..) {
+                let roll = rng.next_u64() as usize;
+                let (kind, pick) = (roll % 8, roll / 8 % live.len().max(1));
+                if live.is_empty() || kind == 0 && live.len() < 4 {
+                    live.push(join(shared, node_id));
+                } else if kind < 2 {
+                    drop(live.swap_remove(pick));
+                } else {
+                    let session = &mut live[pick];
+                    let reply = session.step(Ok(requests[(kind - 2) % 5].clone())).0;
+                    let held = shared.arbiter.lock().budget_of(session.seat.node_id).unwrap();
+                    let check = |budget_w: f64| {
+                        let off = (budget_w - held).abs();
+                        assert!(
+                            off <= BUDGET_EPS_W,
+                            "{policy:?} step {at}: {budget_w} W, not {held}"
+                        );
+                    };
+                    match reply {
+                        Response::Welcome { budget_w, .. } | Response::Budget { budget_w } => {
+                            check(budget_w)
+                        }
+                        Response::Selected(selection) => check(selection.budget_w),
+                        Response::BatchSelected { selections } => {
+                            selections.iter().for_each(|s| check(s.budget_w))
+                        }
+                        other => panic!("step {at}: unexpected {other:?}"),
+                    }
+                }
+                let error_w = shared.arbiter.lock().conservation_error_w();
+                assert_eq!(error_w, 0.0, "{policy:?} step {at}");
+            }
+        }
     }
 
     #[test]
@@ -1210,13 +1222,12 @@ mod tests {
         let mut replies = Vec::new();
         let mut clocks = Vec::new();
         for (node_id, kept) in [(1, false), (2, true)] {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            let mut session = Session::join(shared, node_id);
+            let mut session = join(shared, node_id);
             let timeline = Arc::clone(session.rt.timeline());
             if kept {
                 timeline.set_capacity(None);
             }
-            let (reply, done) = session.handle_request(run.clone());
+            let (reply, done) = session.step(Ok(run.clone()));
             assert!(!done);
             assert!(matches!(reply, Response::Ran { iterations: 5_000, .. }), "{reply:?}");
             assert_eq!(timeline.is_empty(), !kept, "{} entries kept", timeline.len());
@@ -1242,10 +1253,9 @@ mod tests {
             acs_kernels::all_kernel_instances().iter().take(2).map(|k| k.id()).collect();
         let kernel_ids = vec![known[0].clone(), "no/such/kernel".into(), known[1].clone()];
 
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let mut session = Session::join(shared, 1);
+        let mut session = join(shared, 1);
         let (reply, done) =
-            session.handle_request(Request::Batch { kernel_ids, deadline_ms: None, priority: 0 });
+            session.step(Ok(Request::Batch { kernel_ids, deadline_ms: None, priority: 0 }));
         assert!(!done);
         assert!(
             matches!(&reply, Response::Error { code, .. } if code == "unknown-kernel"),
@@ -1380,18 +1390,14 @@ mod tests {
             shared.est_p99_us.store(est_p99_us, Ordering::SeqCst);
         };
         // Two nodes, so a Report moves watts between them.
-        let join = |node_id| {
-            shared.active.fetch_add(1, Ordering::SeqCst);
-            Session::join(shared, node_id)
-        };
-        let (mut session, _neighbour) = (join(1), join(2));
+        let (mut session, _neighbour) = (join(shared, 1), join(shared, 2));
         let kernel_id = acs_kernels::all_kernel_instances()[0].id();
         let select = |deadline_ms, priority| Request::Select {
             kernel_id: kernel_id.clone(),
             deadline_ms,
             priority,
         };
-        let picked = match session.handle_request(select(None, 0)).0 {
+        let picked = match session.step(Ok(select(None, 0))).0 {
             Response::Selected(selection) => selection,
             other => panic!("expected Selected, got {other:?}"),
         };
@@ -1408,12 +1414,12 @@ mod tests {
         // Level 1: the budget report lands, the feedback is not observed.
         set(1, 0);
         let digest = session.adapt.state_digest();
-        let reply = session.handle_request(report.clone()).0;
+        let reply = session.step(Ok(report.clone())).0;
         assert_eq!(reply, Response::Budget { budget_w: 22.5 }, "30 W of headroom donates");
         assert_eq!(session.adapt.state_digest(), digest, "level 1 observed the feedback");
         assert!(shared.adapt_digests.lock().is_empty());
         set(0, 0);
-        session.handle_request(report);
+        session.step(Ok(report));
         assert_ne!(session.adapt.state_digest(), digest, "level 0 ignored the feedback");
 
         // Level 2: STATS keeps its headline counters and loses its maps.
@@ -1425,7 +1431,7 @@ mod tests {
             priority: 0,
         };
         assert!(matches!(session.handle(Ok(run)).0, Response::Ran { .. }));
-        let stats = |session: &mut Session| match session.handle_request(Request::Stats).0 {
+        let stats = |session: &mut Session| match session.step(Ok(Request::Stats)).0 {
             Response::Stats(snapshot) => *snapshot,
             other => panic!("expected Stats, got {other:?}"),
         };
@@ -1441,14 +1447,14 @@ mod tests {
         // priority 128. Level 2 serves the same request.
         set(2, 5_000);
         let late = select(Some(1), 0);
-        assert!(matches!(session.handle_request(late.clone()).0, Response::Selected(_)));
+        assert!(matches!(session.step(Ok(late.clone())).0, Response::Selected(_)));
         set(3, 5_000);
         assert_eq!(
-            session.handle_request(late).0,
+            session.step(Ok(late)).0,
             Response::ShedDeadline { deadline_ms: 1, priority: 0, brownout_level: 3 }
         );
         let urgent = select(Some(1), 128);
-        assert!(matches!(session.handle_request(urgent).0, Response::Selected(_)));
+        assert!(matches!(session.step(Ok(urgent)).0, Response::Selected(_)));
         assert_eq!(stats(&mut session).sheds, 1);
     }
 }

@@ -19,6 +19,15 @@ fn model() -> TrainedModel {
         .clone()
 }
 
+/// Poll `done` every millisecond; fail with `stuck` after ten seconds.
+fn wait_until(stuck: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "{stuck}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn kernel_ids(n: usize) -> Vec<String> {
     acs_kernels::all_kernel_instances().iter().take(n).map(|k| k.id()).collect()
 }
@@ -334,29 +343,21 @@ fn budget_reshuffle_rewrites_selection() {
     let id = &kernel_ids(1)[0];
 
     let mut a = Client::connect(&server.addr).unwrap();
-    let generous = match a
-        .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
-        .unwrap()
-    {
+    let select = Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 };
+    let mut selected = || match a.call(&select).unwrap() {
         Response::Selected(s) => s,
         other => panic!("expected Selected, got {other:?}"),
     };
+    let generous = selected();
     assert!((generous.budget_w - 40.0).abs() < 1e-9);
 
     let mut b = Client::connect(&server.addr).unwrap();
     assert!(matches!(b.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
 
-    // Session a's budget drops at its next poll; selections follow.
-    let halved = loop {
-        match a
-            .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
-            .unwrap()
-        {
-            Response::Selected(s) if (s.budget_w - 20.0).abs() < 1e-9 => break s,
-            Response::Selected(_) => std::thread::sleep(Duration::from_millis(10)),
-            other => panic!("expected Selected, got {other:?}"),
-        }
-    };
+    // b was admitted before its Welcome left, and a's next frame picks up
+    // the halved budget before it is answered.
+    let halved = selected();
+    assert_eq!(halved.budget_w, 20.0);
     assert!(
         halved.predicted_power_w <= generous.predicted_power_w + 1e-9,
         "tighter budget cannot select more predicted power"
@@ -436,11 +437,7 @@ fn a_frame_that_ends_an_escape_inside_a_character_is_malformed_and_the_session_l
     assert!(matches!(closed, Ok(None)), "the connection closes after the error, got {closed:?}");
 
     // The session leaves after its last reply is written; wait for that.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.handle.active_sessions() != 1 {
-        assert!(std::time::Instant::now() < deadline, "the hostile session never left");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("the hostile session never left", || server.handle.active_sessions() == 1);
     match survivor.call(&Request::Stats).unwrap() {
         Response::Stats(s) => {
             assert_eq!(s.active_sessions, active_before);
@@ -602,11 +599,7 @@ fn stop_wakes_parked_threads_and_none_parks_after_the_close() {
     for mut client in finished {
         assert!(matches!(client.call(&Request::Bye).unwrap(), Response::Bye));
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while server.handle.active_sessions() != 0 {
-        assert!(std::time::Instant::now() < deadline, "a session that said Bye never left");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until("a session that said Bye never left", || server.handle.active_sessions() == 0);
     let _idle = hello();
     let mut late = hello();
 
@@ -617,11 +610,7 @@ fn stop_wakes_parked_threads_and_none_parks_after_the_close() {
         let _ = stopped_tx.send(started.elapsed());
     });
     // The listening socket closes after the parked list does.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while std::net::TcpStream::connect(&addr).is_ok() {
-        assert!(std::time::Instant::now() < deadline, "the listener never closed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until("the listener never closed", || std::net::TcpStream::connect(&addr).is_err());
     // Its session ends now, with the list closed (or at its read timeout,
     // also after the close, if this thread stalled for that long).
     let _ = late.call(&Request::Bye);
