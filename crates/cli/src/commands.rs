@@ -142,15 +142,6 @@ COMMANDS:
                                           N ticks after it expires, reclaiming
                                           its floor encumbrance for the live
                                           shards (0 = never; DESIGN.md §17)
-  chaosproxy --upstream HOST:PORT         seeded fault-injecting TCP proxy in
-             [--listen HOST:PORT]         front of the server: tears frames,
-             [--chaos-seed N]             corrupts bytes, delays, duplicates,
-             [--disconnect P] [--tear P]  disconnects mid-batch, and opens
-             [--corrupt P] [--delay P]    bidirectional partition windows,
-             [--delay-ms MS] [--dup P]    each with its own probability
-             [--partition P]              (defaults are mild; 0 disables a
-             [--partition-ms MS]          fault); --dribble slow-lorises a
-             [--dribble P]                frame one byte per millisecond
   loadgen --addr HOST:PORT                seeded closed-loop load generator:
           [--requests N] [--seed N]       drives the selection server, prints
           [--sessions N] [--run-every N]  throughput/latency and the server's
@@ -188,7 +179,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "verify" => cmd_verify,
         "serve" => cmd_serve,
         "coordinator" => cmd_coordinator,
-        "chaosproxy" => cmd_chaosproxy,
         "loadgen" => cmd_loadgen,
         "help" => cmd_help,
         other => return Err(CliError::Domain(format!("unknown command '{other}'\n\n{USAGE}"))),
@@ -661,48 +651,6 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "listening on {}", coordinator.local_addr())?;
     out.flush()?;
     coordinator.run().map_err(|e| CliError::Domain(e.to_string()))
-}
-
-fn cmd_chaosproxy(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_serve::{ChaosPlan, ChaosProxy};
-
-    let upstream = args.require("upstream")?.to_string();
-    let listen = args.get("listen").unwrap_or("127.0.0.1:0").to_string();
-    let plan = ChaosPlan {
-        seed: args.get_or("chaos-seed", ChaosPlan::default().seed)?,
-        disconnect_p: args.get_or("disconnect", ChaosPlan::default().disconnect_p)?,
-        tear_p: args.get_or("tear", ChaosPlan::default().tear_p)?,
-        corrupt_p: args.get_or("corrupt", ChaosPlan::default().corrupt_p)?,
-        delay_p: args.get_or("delay", ChaosPlan::default().delay_p)?,
-        delay_ms: args.get_or("delay-ms", ChaosPlan::default().delay_ms)?,
-        dup_p: args.get_or("dup", ChaosPlan::default().dup_p)?,
-        partition_p: args.get_or("partition", ChaosPlan::default().partition_p)?,
-        partition_ms: args.get_or("partition-ms", ChaosPlan::default().partition_ms)?,
-        dribble_p: args.get_or("dribble", ChaosPlan::default().dribble_p)?,
-    };
-    let proxy =
-        ChaosProxy::bind(&listen, &upstream, plan).map_err(|e| CliError::Domain(e.to_string()))?;
-    let handle = proxy.handle();
-    writeln!(out, "listening on {}", proxy.local_addr())?;
-    writeln!(out, "proxying to {upstream} under plan {plan:?}")?;
-    out.flush()?;
-    proxy.run().map_err(|e| CliError::Domain(e.to_string()))?;
-    let stats = handle.stats();
-    writeln!(
-        out,
-        "injected: {} of {} frames faulted ({} torn, {} corrupted, {} delayed, \
-         {} duplicated, {} dribbled, {} disconnects) across {} connection(s)",
-        stats.faults(),
-        stats.frames,
-        stats.torn,
-        stats.corrupted,
-        stats.delayed,
-        stats.duplicated,
-        stats.dribbled,
-        stats.disconnects,
-        stats.connections
-    )?;
-    Ok(())
 }
 
 fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {

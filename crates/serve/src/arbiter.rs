@@ -82,7 +82,14 @@ impl ArbiterPolicy {
                 if total <= BUDGET_EPS_W {
                     vec![floor + extra / n; demands.len()]
                 } else {
-                    demands.iter().map(|d| floor + extra * d / total).collect()
+                    // Demands that overflow `total` or `extra * d` are
+                    // rescaled by their maximum; anywhere else the scale is
+                    // 1 and every share keeps its bits.
+                    let max = demands.iter().fold(0.0, |max: f64, &d| max.max(d));
+                    let finite = total.is_finite() && (extra * max).is_finite();
+                    let scale = if finite { 1.0 } else { max };
+                    let total: f64 = demands.iter().map(|d| d / scale).sum();
+                    demands.iter().map(|d| floor + extra * (d / scale) / total).collect()
                 }
             }
         };
@@ -264,8 +271,8 @@ impl Arbiter {
         self.nodes.values().map(|n| n.budget_w).sum()
     }
 
-    /// `|budget_sum - global_cap|`, the conservation invariant the chaos
-    /// tests check after every disconnect. Zero with no nodes admitted.
+    /// `|budget_sum - global_cap|`, the conservation invariant the tests
+    /// check after every step. Zero with no nodes admitted.
     pub fn conservation_error_w(&self) -> f64 {
         if self.nodes.is_empty() {
             0.0

@@ -1393,6 +1393,23 @@ mod tests {
     }
 
     #[test]
+    fn an_astronomical_demand_still_commits_finite_watts() {
+        // 1e308 W beside 10 W overflows `extra * demand` in the split: the
+        // target must still be finite, and the shard must still get watts.
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let a = grant(&mut t, None, 10.0).unwrap();
+        let b = grant(&mut t, None, 1e308).unwrap();
+        for _ in 0..2 {
+            renew_round(&mut t);
+        }
+        let ca = t.lease(a.lease_id).unwrap().committed_w;
+        let cb = t.lease(b.lease_id).unwrap().committed_w;
+        assert!(cb.is_finite() && cb > 0.0, "the hungry shard holds {cb} W");
+        assert!(cb > ca, "the hungry shard got {cb}, the satisfied one {ca}");
+        assert_eq!(ca + cb, t.stats().pool_w);
+    }
+
+    #[test]
     fn replay_reproduces_the_exact_table() {
         let mut live = LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0);
         let mut journal = Vec::new();

@@ -24,9 +24,6 @@
 //! - [`server`] — admission control, sessions, lease client, brownout
 //! - [`journal`] — append-only recovery journal; a restarted server
 //!   replays it and resumes with identical budgets and a warm cache
-//! - [`chaosproxy`] — seeded fault-injecting TCP proxy for hardening
-//!   tests (torn frames, corruption, delays, duplicates, disconnects,
-//!   partitions)
 //! - [`lease`] — the fleet layer's state machines: the coordinator's
 //!   lease table (epoch-fenced, encumbrance-at-floor expiry, exact-sum
 //!   conservation) and the shard's degraded-mode cap
@@ -39,9 +36,12 @@
 //! response log. Responses therefore never leak cache state, wall-clock
 //! time, or thread interleavings; those live only in the `STATS`
 //! snapshot, which replay logs exclude.
+//!
+//! Wire faults (torn, corrupt, delayed, duplicated and dribbled frames,
+//! disconnects) are tested in-process: a seeded fault plan is served
+//! through the real frame loop from memory (DESIGN.md §12).
 
 pub mod arbiter;
-pub mod chaosproxy;
 pub mod coordinator;
 pub mod engine;
 pub mod journal;
@@ -54,7 +54,6 @@ mod scripted;
 pub mod server;
 
 pub use arbiter::{Arbiter, ArbiterOp, ArbiterPolicy};
-pub use chaosproxy::{ChaosPlan, ChaosProxy, ChaosProxyHandle, ChaosStats};
 pub use coordinator::{CoordClient, Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use engine::{Engine, EngineError};
 pub use journal::{replay, Journal, JournalEntry, JournalError, Recovery, SessionAdapt};

@@ -1,7 +1,8 @@
-//! The connection layer shared by the selection server, the coordinator
-//! and the chaos proxy (DESIGN.md §11): one listener, one accept loop, one
-//! per-connection frame loop, one blocking frame client, one way to run a
-//! server on a background thread.
+//! The connection layer shared by the selection server and the coordinator
+//! (DESIGN.md §11): one listener, one accept loop, one per-connection frame
+//! loop, one blocking frame client, one way to run a server on a background
+//! thread. The frame loop is generic over `Read + Write`, so the tests
+//! drive it over an in-memory transport that scripts wire faults too.
 //!
 //! The accept loop waits for a connection in `poll(2)` with a short
 //! timeout and re-checks a shutdown flag, so SIGINT and a `Shutdown`
@@ -457,9 +458,9 @@ impl<Req: Serialize, Resp: Deserialize> FrameClient<Req, Resp> {
     }
 }
 
-/// A server running on a background thread: what `Server::spawn`,
-/// `Coordinator::spawn` and `ChaosProxy::spawn` return. Tests and
-/// benches hold one per server they start.
+/// A server running on a background thread: what `Server::spawn` and
+/// `Coordinator::spawn` return. Tests and benches hold one per server
+/// they start.
 pub struct Running<H> {
     /// The address actually bound (`host:port`).
     pub addr: String,

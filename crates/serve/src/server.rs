@@ -225,7 +225,8 @@ impl ServerHandle {
     }
 
     /// `|global cap − Σ budgets|`, which the arbiter keeps at exactly zero
-    /// (the chaos tests assert this after every injected disconnect).
+    /// (the wire-fault tests assert this after every torn or dropped
+    /// connection).
     pub fn budget_conservation_error_w(&self) -> f64 {
         self.shared.arbiter.lock().conservation_error_w()
     }
@@ -976,6 +977,7 @@ pub type Client = FrameClient<Request, Response>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scripted::{faulted, Event, Fault, Scripted, Step};
     use std::sync::OnceLock;
 
     fn model() -> TrainedModel {
@@ -1021,6 +1023,37 @@ mod tests {
         let threads = server.listener.threads();
         let (addr, handle) = (server.local_addr(), server.handle());
         (Running::start(addr, handle, ServerHandle::shutdown, move || server.run()), threads)
+    }
+
+    /// Serve `steps` to `session` through the real frame loop, as its
+    /// connection would; returns every byte the session wrote.
+    fn converse(session: &mut Session, steps: Vec<Step>) -> Vec<u8> {
+        let mut stream = Scripted::new(steps);
+        crate::net::serve_frames(&mut stream, &AtomicBool::new(false), session);
+        let writes = stream.events.into_iter().filter_map(|event| match event {
+            Event::Write(bytes) => Some(bytes),
+            Event::Read => None,
+        });
+        writes.flatten().collect()
+    }
+
+    /// Each reply frame in `wire`: its bytes, and what they decode to.
+    fn replies(mut wire: &[u8]) -> Vec<(&[u8], Response)> {
+        let mut replies = Vec::new();
+        while !wire.is_empty() {
+            let len = 4 + u32::from_be_bytes(wire[..4].try_into().unwrap()) as usize;
+            let (mut frame, rest) = wire.split_at(len);
+            let reply = crate::protocol::read_frame_blocking(&mut frame).expect("a reply decodes");
+            replies.push((&wire[..len], reply.expect("a whole reply")));
+            wire = rest;
+        }
+        replies
+    }
+
+    fn frame(request: &Request) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, request).unwrap();
+        frame
     }
 
     #[test]
@@ -1456,5 +1489,225 @@ mod tests {
         let urgent = select(Some(1), 128);
         assert!(matches!(session.step(Ok(urgent)).0, Response::Selected(_)));
         assert_eq!(stats(&mut session).sheds, 1);
+    }
+
+    /// The wire faults a peer can inflict, in-process: under either policy,
+    /// beside a seated neighbour, seeded conversations of Selects, keyed
+    /// Runs and Reports with feedback are cut off, torn, corrupted,
+    /// delayed, duplicated and dribbled. Every fault ends as a typed error
+    /// or a clean drop, and no conversation leaves a seat or a watt behind.
+    #[test]
+    fn seeded_wire_faults_end_typed_or_clean_and_never_poison_the_arbiter() {
+        use Fault::{Clean, Corrupt, Delay, Disconnect, Dribble, Duplicate, Tear};
+        let plan = [
+            Clean, Clean, Clean, Clean, Clean, Clean, Disconnect, Tear, Corrupt, Delay, Duplicate,
+            Dribble,
+        ];
+        let kernels: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(4).map(|k| k.id()).collect();
+        let configs = Configuration::all();
+        for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
+            let config = ServeConfig { global_cap_w: 90.0, policy, ..ServeConfig::default() };
+            let server = Server::bind(config, model()).unwrap();
+            let shared: &Shared = &server.shared;
+            let _neighbour = join(shared, 1);
+            let (mut replays, mut seen) = (0, Vec::new());
+            for seed in 0..32u64 {
+                let request = |i: u64| {
+                    let kernel_id = kernels[((seed + i) % 4) as usize].clone();
+                    match i % 3 {
+                        0 => Request::Select { kernel_id, deadline_ms: None, priority: 0 },
+                        1 => Request::Run {
+                            kernel_id,
+                            iterations: 1,
+                            idem: Some(seed * 8 + i),
+                            deadline_ms: None,
+                            priority: 0,
+                        },
+                        _ => Request::Report {
+                            residual_w: ((seed + i) * 3 % 40) as f64,
+                            feedback: Some(ReportFeedback {
+                                kernel_id,
+                                config: configs[((seed * 7 + i * 5) % 42) as usize],
+                                measured_power_w: 15.0 + (seed % 8 + i) as f64,
+                                measured_perf: 0.5 + (seed % 10) as f64,
+                            }),
+                        },
+                    }
+                };
+                let frames: Vec<Vec<u8>> = (0..8).map(|i| frame(&request(i))).collect();
+                let (steps, drawn) = faulted(&frames, &plan, seed);
+                let wire = converse(&mut join(shared, seed + 2), steps);
+
+                // What the drawn faults leave on the wire: a reply per
+                // delivered frame, two for a duplicate, and a typed error
+                // that ends the session for a tear or a corruption.
+                let (mut expected, mut last) = (0, None);
+                for (i, fault) in (0..).zip(&drawn) {
+                    match fault {
+                        Disconnect => break,
+                        Tear | Corrupt => {
+                            expected += 1;
+                            last = Some(if *fault == Tear { "truncated" } else { "invalid-utf8" });
+                            break;
+                        }
+                        Duplicate => {
+                            expected += 2;
+                            replays += u64::from(i % 3 == 1); // a keyed Run
+                        }
+                        _ => expected += 1,
+                    }
+                }
+                let replies = replies(&wire);
+                let context = format!("{policy:?} seed {seed}: {drawn:?}");
+                seen.extend(drawn);
+                assert_eq!(replies.len(), expected, "{context}");
+                for (at, (_, reply)) in replies.iter().enumerate() {
+                    match reply {
+                        Response::Error { code, .. } => {
+                            assert_eq!((at + 1, Some(code.as_str())), (expected, last), "{context}")
+                        }
+                        _ => assert!(last.is_none() || at + 1 < expected, "{context}: {reply:?}"),
+                    }
+                }
+                let arbiter = shared.arbiter.lock();
+                assert_eq!(arbiter.node_ids(), [1], "{context}: a seat was kept");
+                assert_eq!(arbiter.conservation_error_w(), 0.0, "{context}");
+            }
+            assert!(plan.iter().all(|fault| seen.contains(fault)), "{policy:?}: {seen:?}");
+            let stats = stats_snapshot(shared);
+            assert_eq!(stats.idem_replays, replays, "{policy:?}: a duplicated Run ran twice");
+            assert!(stats.adapt_observations > 0, "{policy:?}: no feedback got through");
+        }
+    }
+
+    /// A slow or stalled peer is indistinguishable from a fast one: the
+    /// same conversation, dribbled a byte per read or delayed behind read
+    /// timeouts, writes exactly the bytes it writes when delivered whole.
+    #[test]
+    fn dribbled_and_delayed_frames_change_no_reply_byte() {
+        let kernels: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(3).map(|k| k.id()).collect();
+        let mut requests = vec![Request::Hello];
+        for (i, kernel_id) in (0..).zip(&kernels) {
+            requests.push(Request::Select {
+                kernel_id: kernel_id.clone(),
+                deadline_ms: None,
+                priority: 0,
+            });
+            requests.push(Request::Run {
+                kernel_id: kernel_id.clone(),
+                iterations: 1 + i,
+                idem: Some(9000 + i),
+                deadline_ms: None,
+                priority: 0,
+            });
+        }
+        requests.push(Request::Batch { kernel_ids: kernels, deadline_ms: None, priority: 0 });
+        requests.push(Request::Report { residual_w: 3.0, feedback: None });
+        let frames: Vec<Vec<u8>> = requests.iter().map(frame).collect();
+        let wire = |fault: Fault| {
+            let server = Server::bind(ServeConfig::default(), model()).unwrap();
+            let wire = converse(&mut join(&server.shared, 1), faulted(&frames, &[fault], 5).0);
+            assert_eq!(stats_snapshot(&server.shared).protocol_errors, 0, "{fault:?}");
+            wire
+        };
+        let whole = wire(Fault::Clean);
+        assert_eq!(replies(&whole).len(), requests.len());
+        assert_eq!(wire(Fault::Dribble), whole, "dribbled frames reassemble exactly");
+        assert_eq!(wire(Fault::Delay), whole, "delayed frames are answered alike");
+    }
+
+    #[test]
+    fn a_duplicated_keyed_run_executes_once_and_replays_its_bytes() {
+        let server = Server::bind(ServeConfig::default(), model()).unwrap();
+        let run = Request::Run {
+            kernel_id: acs_kernels::all_kernel_instances()[0].id(),
+            iterations: 2,
+            idem: Some(404),
+            deadline_ms: None,
+            priority: 0,
+        };
+        let (steps, _) = faulted(&[frame(&run)], &[Fault::Duplicate], 3);
+        let wire = converse(&mut join(&server.shared, 1), steps);
+        let replies = replies(&wire);
+        assert!(
+            matches!(replies[..], [(first, Response::Ran { .. }), (second, _)] if first == second),
+            "{replies:?}"
+        );
+        assert_eq!(stats_snapshot(&server.shared).idem_replays, 1);
+    }
+
+    /// Hostile numbers in every numeric request field, decoded from JSON
+    /// text as the wire delivers them (`±1e999` reads as ±∞): under either
+    /// policy, with two sessions seated, no request but `Bye` closes its
+    /// session, every budget a reply carries is finite and positive, the
+    /// budgets sum to the cap exactly, and a fresh session still joins.
+    #[test]
+    fn hostile_numbers_in_any_request_field_leave_the_shard_serving() {
+        const F64S: [&str; 8] =
+            ["0", "-0", "-1", "1e308", "-1e308", "1.7976931348623157e308", "1e999", "-1e999"];
+        const U64S: [&str; 3] = ["0", "1", "18446744073709551615"];
+        let kernel = acs_kernels::all_kernel_instances()[0].id();
+        let config = serde_json::to_string(&Configuration::all()[0]).unwrap();
+        let mut texts: Vec<String> = vec!["\"Hello\"".into(), "\"Stats\"".into(), "\"Bye\"".into()];
+        for deadline in U64S.into_iter().chain(["null"]) {
+            for priority in [0, 255] {
+                let shed = format!(r#""deadline_ms":{deadline},"priority":{priority}"#);
+                texts.push(format!(r#"{{"Select":{{"kernel_id":"{kernel}",{shed}}}}}"#));
+                texts.push(format!(r#"{{"Batch":{{"kernel_ids":["{kernel}"],{shed}}}}}"#));
+                for iterations in U64S {
+                    for idem in U64S.into_iter().chain(["null"]) {
+                        let run = format!(r#""iterations":{iterations},"idem":{idem},{shed}"#);
+                        texts.push(format!(r#"{{"Run":{{"kernel_id":"{kernel}",{run}}}}}"#));
+                    }
+                }
+            }
+        }
+        for residual in F64S {
+            texts.push(format!(r#"{{"Report":{{"residual_w":{residual},"feedback":null}}}}"#));
+            for power in F64S {
+                for perf in F64S {
+                    let measured = format!(r#""measured_power_w":{power},"measured_perf":{perf}"#);
+                    let feedback =
+                        format!(r#"{{"kernel_id":"{kernel}","config":{config},{measured}}}"#);
+                    texts.push(format!(
+                        r#"{{"Report":{{"residual_w":{residual},"feedback":{feedback}}}}}"#
+                    ));
+                }
+            }
+        }
+        for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
+            let config = ServeConfig { global_cap_w: 90.0, policy, ..ServeConfig::default() };
+            let server = Server::bind(config, model()).unwrap();
+            let shared: &Shared = &server.shared;
+            let mut node_ids = 1..;
+            let mut seat = || join(shared, node_ids.next().unwrap());
+            let mut seated = [seat(), seat()];
+            for (at, text) in texts.iter().enumerate() {
+                let request: Request =
+                    serde_json::from_str(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                let bye = request == Request::Bye;
+                let (reply, done) = seated[at % 2].step(Ok(request));
+                assert_eq!(done, bye, "{policy:?} {text}: {reply:?}");
+                if done {
+                    seated[at % 2] = seat();
+                }
+                let budgets = match &reply {
+                    Response::Welcome { budget_w, .. } | Response::Budget { budget_w } => {
+                        vec![*budget_w]
+                    }
+                    Response::Selected(selection) => vec![selection.budget_w],
+                    Response::BatchSelected { selections } => {
+                        selections.iter().map(|s| s.budget_w).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                let usable = |budget_w: f64| budget_w.is_finite() && budget_w > 0.0;
+                assert!(budgets.into_iter().all(usable), "{policy:?} {text}: {reply:?}");
+                assert_eq!(shared.arbiter.lock().conservation_error_w(), 0.0, "{policy:?} {text}");
+                assert!(usable(seat().rt.cap_w()), "{policy:?} {text}: a fresh join");
+            }
+        }
     }
 }

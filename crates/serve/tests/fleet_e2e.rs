@@ -3,8 +3,9 @@
 //! protocol exists for — a SIGKILLed coordinator restarting from its
 //! journal, a SIGKILLed shard decaying to its floor encumbrance, a killed
 //! shard's session replaying its idempotency keys on a survivor while the
-//! shard comes back under its old id, and a network partition (injected
-//! by the chaos proxy) driving a shard into degraded mode and back out.
+//! shard comes back under its old id, and a network partition (a relay
+//! that drops the shard's bytes while its connections stay open) driving
+//! a shard into degraded mode and back out.
 //!
 //! The invariant checked throughout, at every sampled instant: the sum of
 //! the caps the shards actually enforce never exceeds the coordinator's
@@ -14,12 +15,15 @@
 
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
-    ArbiterPolicy, ChaosPlan, ChaosProxy, Client, Coordinator, CoordinatorConfig, Request,
-    Response, ServeConfig, Server, ServerHandle,
+    ArbiterPolicy, Client, Coordinator, CoordinatorConfig, Request, Response, ServeConfig, Server,
+    ServerHandle,
 };
 use acs_sim::{FamilyId, Machine, SplitMix64};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 fn model() -> TrainedModel {
@@ -512,27 +516,59 @@ fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts
     coord.stop();
 }
 
+/// A TCP relay to `upstream` that drops every shard→coordinator byte while
+/// `cut` is set. Connections stay open, so a renewal crossing the cut times
+/// out instead of failing fast: the shape of a network partition. Returns
+/// the relay's address.
+fn partitionable_relay(upstream: &str, cut: Arc<AtomicBool>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let upstream = upstream.to_string();
+    std::thread::spawn(move || {
+        for shard in listener.incoming().flatten() {
+            let Ok(coord) = TcpStream::connect(&upstream) else { continue };
+            let (mut from_shard, mut to_coord) =
+                (shard.try_clone().unwrap(), coord.try_clone().unwrap());
+            let cut = Arc::clone(&cut);
+            std::thread::spawn(move || {
+                let mut buf = [0u8; 4096];
+                while let Ok(n @ 1..) = from_shard.read(&mut buf) {
+                    if !cut.load(Ordering::SeqCst) && to_coord.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = to_coord.shutdown(Shutdown::Both);
+            });
+            let (mut from_coord, mut to_shard) = (coord, shard);
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from_coord, &mut to_shard);
+                let _ = to_shard.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    addr
+}
+
 #[test]
 fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
     let coord = Coordinator::spawn(coordinator_config(None)).unwrap();
+    let cut = Arc::new(AtomicBool::new(false));
+    let relay = partitionable_relay(&coord.addr, Arc::clone(&cut));
 
-    // The shard reaches its coordinator through the chaos proxy, which
-    // can blackhole both directions while keeping connections open.
-    let proxy =
-        ChaosProxy::spawn("127.0.0.1:0", &coord.addr, ChaosPlan::quiet(7)).expect("proxy binds");
-
-    let shard = Server::spawn(shard_config(FamilyId::Trinity, &proxy.addr), model()).unwrap();
+    let shard = Server::spawn(shard_config(FamilyId::Trinity, &relay), model()).unwrap();
     assert!(
         wait_until(Duration::from_secs(10), || shard.handle.stats().lease_state == "leased"),
-        "the shard leases through the quiet proxy"
+        "the shard leases through the relay"
     );
     let last_grant = shard.handle.stats().lease_budget_w;
     assert!(last_grant > FLOOR_W);
 
-    // Partition for ~32 renewal intervals: every renewal inside the
-    // window times out, so the cap decays — but never above the last
-    // grant, and never below min(floor, last grant).
-    proxy.handle.partition(800);
+    // Cut for at least 800 ms, ~32 renewal intervals and longer than the
+    // 500 ms TTL: every renewal inside the cut times out, so the cap
+    // decays — but never above the last grant, and never below
+    // min(floor, last grant).
+    cut.store(true, Ordering::SeqCst);
+    let cut_at = Instant::now();
     assert!(
         wait_until(Duration::from_secs(5), || shard.handle.stats().lease_state == "degraded"),
         "missed renewals enter degraded mode"
@@ -551,8 +587,12 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(shard.handle.stats().degraded_entries >= 1);
+    assert!(wait_until(Duration::from_secs(1), || cut_at.elapsed() >= Duration::from_millis(800)));
 
-    // The window closes; renewals flow again and the lease recovers.
+    // The cut heals. The shard's next renewal finds its lease expired, is
+    // rejected, and the shard re-leases under its id: the coordinator
+    // re-adopts the old lease instead of granting a second one.
+    cut.store(false, Ordering::SeqCst);
     assert!(
         wait_until(Duration::from_secs(10), || {
             shard.handle.stats().lease_state == "leased"
@@ -562,9 +602,10 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
         shard.handle.stats().lease_state,
         shard.handle.stats().lease_budget_w
     );
-    assert!(proxy.handle.stats().blackholed > 0, "the partition actually swallowed traffic");
+    let stats = coord.handle.stats();
+    assert!(stats.expirations >= 1, "the lease never expired during the cut: {stats:?}");
+    assert_eq!((stats.live_leases, stats.encumbered_leases), (1, 0), "re-adopted: {stats:?}");
 
     shard.stop();
-    proxy.stop();
     coord.stop();
 }

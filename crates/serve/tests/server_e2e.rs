@@ -8,6 +8,7 @@ use acs_serve::{
 };
 use acs_sim::Machine;
 use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -753,4 +754,89 @@ fn a_silent_peer_is_timed_out_and_a_closing_peer_is_unexpected_eof() {
         TimedOut
     );
     assert_eq!(call_mute_peer::<Request, Response>(true, &Request::Hello), UnexpectedEof);
+}
+
+/// A raw frame for one request, exactly as the protocol writes it.
+fn frame_bytes(request: &Request) -> Vec<u8> {
+    let body = serde_json::to_string(request).unwrap().into_bytes();
+    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(&body);
+    bytes
+}
+
+/// The server must still be fully alive: a fresh session gets a Welcome.
+fn assert_alive(addr: &str) {
+    let mut probe = Client::connect(addr).expect("server still accepts");
+    match probe.call(&Request::Hello) {
+        Ok(Response::Welcome { .. }) => {}
+        other => panic!("server unhealthy after chaos: {other:?}"),
+    }
+}
+
+#[test]
+fn torn_frame_at_every_offset_is_typed_or_a_clean_drop() {
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
+    let whole = frame_bytes(&Request::Select {
+        kernel_id: acs_kernels::all_kernel_instances()[0].id(),
+        deadline_ms: None,
+        priority: 0,
+    });
+
+    for cut in 0..whole.len() {
+        let mut stream = TcpStream::connect(&server.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&whole[..cut]).unwrap();
+        stream.flush().unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+
+        // The session must answer with a typed error frame (truncated
+        // header/body) or close cleanly (an empty prefix is just EOF) —
+        // and nothing else. A panic would surface as a connection reset
+        // plus a dead accept loop, caught below by assert_alive.
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match acs_serve::read_frame_blocking::<_, Response>(&mut stream) {
+            Ok(None) => assert_eq!(cut, 0, "only an empty prefix may drop without a frame"),
+            Ok(Some(Response::Error { code, .. })) => {
+                assert_eq!(code, "truncated", "cut at {cut}/{}", whole.len());
+            }
+            other => panic!("cut at {cut}: expected typed error or EOF, got {other:?}"),
+        }
+        // No torn frame may poison the arbiter.
+        assert_eq!(server.handle.budget_conservation_error_w(), 0.0, "cut at {cut}");
+    }
+    assert!(server.handle.stats().protocol_errors >= (whole.len() - 1) as u64);
+    assert_alive(&server.addr);
+    server.stop();
+}
+
+#[test]
+fn corrupt_byte_at_every_offset_is_typed() {
+    let server =
+        Server::spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() }, model()).unwrap();
+    let whole = frame_bytes(&Request::Select {
+        kernel_id: acs_kernels::all_kernel_instances()[0].id(),
+        deadline_ms: None,
+        priority: 0,
+    });
+
+    // Flip every *payload* byte to 0xFF (never valid UTF-8), one at a time.
+    for at in 4..whole.len() {
+        let mut bytes = whole.clone();
+        bytes[at] = 0xFF;
+        let mut stream = TcpStream::connect(&server.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(&bytes).unwrap();
+        stream.flush().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        match acs_serve::read_frame_blocking::<_, Response>(&mut stream) {
+            Ok(Some(Response::Error { code, .. })) => {
+                assert_eq!(code, "invalid-utf8", "corrupt byte at {at}");
+            }
+            other => panic!("corrupt byte at {at}: expected typed error, got {other:?}"),
+        }
+        assert_eq!(server.handle.budget_conservation_error_w(), 0.0, "corrupt byte at {at}");
+    }
+    assert_alive(&server.addr);
+    server.stop();
 }

@@ -161,6 +161,15 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/serve/src"],
         forbidden: &[Lit("handle_request"), Lit("JoinDuringRead")],
     },
+    // Wire faults are scripted in-process: `serve::scripted::faulted` turns
+    // a seeded fault plan into the reads the real frame loop serves, so no
+    // fault-injecting TCP proxy, its plan, its counters or its command
+    // comes back.
+    Guard {
+        name: "One fault harness",
+        paths: SOURCES,
+        forbidden: &[Lit("ChaosProxy"), Lit("ChaosPlan"), Lit("ChaosStats"), Lit("chaosproxy")],
+    },
 ];
 
 const RATCHETS: &[Ratchet] = &[
@@ -176,14 +185,14 @@ const RATCHETS: &[Ratchet] = &[
             Lit("recv_timeout("),
             Lit("wait_timeout("),
         ],
-        ceiling: 18,
+        ceiling: 14,
     },
     // A fleet or server e2e case waits through its file's `wait_until`.
     Ratchet {
         name: "Sleeps in the serve e2e suites do not grow",
         paths: &["crates/serve/tests", "tests/serve_determinism.rs"],
         patterns: &[Lit("sleep(")],
-        ceiling: 10,
+        ceiling: 8,
     },
 ];
 
