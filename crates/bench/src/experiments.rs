@@ -109,6 +109,7 @@ pub static REGISTRY: &[Experiment] = &[
             golden::family_timeline(FamilyId::AccelHybrid)
         })
     }),
+    artifact("serve_stream", "G7", serve_stream),
 ];
 
 const fn artifact(name: &'static str, id: &'static str, run: Run) -> Experiment {
@@ -120,6 +121,51 @@ fn trace(out: &mut dyn Write, what: &str, produce: impl FnOnce() -> String) -> i
     let json = produce();
     writeln!(out, "{what}: {} bytes", json.len())?;
     Ok(json)
+}
+
+/// Requests in the `serve_stream` pin: enough that every request kind,
+/// cold and warm selections and a few adaptation observations show, few
+/// enough that the file stays the size of a timeline.
+const STREAM_REQUESTS: u64 = 120;
+
+/// Regression trace G7 — the served bytes. A fresh journaled server (the
+/// default configuration, the model `acs serve` trains when given none)
+/// answers one session of [`served_stream`](crate::served_stream) at seed
+/// 7 and is stopped, which journals the session's `Leave`. The pin is
+/// every reply and every journal line, so the wire codec, the session
+/// step, the arbiter and the journal format are all byte-checked.
+fn serve_stream(out: &mut dyn Write) -> io::Result<String> {
+    use acs_serve::{ServeConfig, Server};
+
+    #[derive(serde::Serialize)]
+    struct Pin {
+        replies: Vec<String>,
+        journal: Vec<String>,
+    }
+
+    let path =
+        std::env::temp_dir().join(format!("acs-serve-stream-{}.journal", std::process::id()));
+    // A journal a killed run left behind would be replayed: start empty.
+    let _ = std::fs::remove_file(&path);
+    let model =
+        acs_core::train_on_suite(&crate::default_machine(), usize::MAX).expect("training succeeds");
+    let config = ServeConfig { journal: Some(path.clone()), ..ServeConfig::default() };
+    let server = Server::spawn(config, model).map_err(io::Error::other)?;
+    let replies = crate::served_stream(&server.addr, STREAM_REQUESTS, 7);
+    server.stop();
+    let journal = std::fs::read_to_string(&path)?;
+    std::fs::remove_file(&path)?;
+    let pin = Pin {
+        replies: replies.map_err(io::Error::other)?,
+        journal: journal.lines().map(str::to_string).collect(),
+    };
+    writeln!(
+        out,
+        "served stream: {} replies, {} journal lines",
+        pin.replies.len(),
+        pin.journal.len()
+    )?;
+    Ok(pretty(&pin))
 }
 
 /// Experiment A16 — the cross-architecture transfer matrix over the quick

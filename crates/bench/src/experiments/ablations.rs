@@ -181,12 +181,20 @@ pub(super) fn ablation_boost(out: &mut dyn Write) -> io::Result<String> {
 /// trade-off under leave-one-benchmark-out cross-validation.
 pub(super) fn ablation_confidence(out: &mut dyn Write) -> io::Result<String> {
     use acs_core::confidence::predict_with_confidence;
-    use acs_core::{train, TrainingParams};
-    use acs_mlstat::leave_one_group_out;
+    use acs_core::eval::PreparedSuite;
+    use acs_core::TrainingParams;
 
     let apps = crate::characterized_suite();
-    let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
-    let folds = leave_one_group_out(&benchmarks);
+    let suite = PreparedSuite::new(&apps).expect("the characterized suite is well-formed");
+    // No z changes a fold's model: each is fitted once for the whole sweep.
+    let folds: Vec<_> = suite
+        .folds()
+        .iter()
+        .map(|(fold, training)| {
+            let model = suite.kernels().fit(training, TrainingParams::default());
+            (fold, model.expect("training succeeds"))
+        })
+        .collect();
 
     writeln!(out, "Ablation A5 — risk-averse selection (z · residual sigma), LOBO-CV")?;
     writeln!(out)?;
@@ -203,14 +211,10 @@ pub(super) fn ablation_confidence(out: &mut dyn Write) -> io::Result<String> {
         let mut total_w = 0.0;
         let mut perf_w = 0.0;
 
-        for fold in &folds {
-            let training: Vec<_> =
-                fold.train.iter().flat_map(|&ai| apps[ai].profiles.iter().cloned()).collect();
-            let model = train(&training, TrainingParams::default()).unwrap();
-
+        for (fold, model) in &folds {
             for &ai in &fold.test {
                 for profile in &apps[ai].profiles {
-                    let bounded = predict_with_confidence(&model, &profile.sample_pair());
+                    let bounded = predict_with_confidence(model, &profile.sample_pair());
                     let frontier = profile.oracle_frontier();
                     let caps: Vec<f64> = frontier.points().iter().map(|p| p.power_w).collect();
                     let w = profile.kernel.weight / caps.len() as f64;
@@ -489,20 +493,19 @@ pub(super) fn ablation_asymmetric(out: &mut dyn Write) -> io::Result<String> {
 /// predicted and true orderings of all 42 configurations, per held-out
 /// kernel, under leave-one-benchmark-out cross-validation.
 pub(super) fn ablation_ranking(out: &mut dyn Write) -> io::Result<String> {
-    use acs_core::{train, Predictor, TrainingParams};
-    use acs_mlstat::{leave_one_group_out, quantile, spearman};
+    use acs_core::eval::PreparedSuite;
+    use acs_core::{Predictor, TrainingParams};
+    use acs_mlstat::{quantile, spearman};
 
     let apps = crate::characterized_suite();
-    let benchmarks: Vec<&str> = apps.iter().map(|a| a.app.benchmark.as_str()).collect();
-    let folds = leave_one_group_out(&benchmarks);
+    let suite = PreparedSuite::new(&apps).expect("the characterized suite is well-formed");
 
     let mut perf_rhos = Vec::new();
     let mut power_rhos = Vec::new();
 
-    for fold in &folds {
-        let training: Vec<_> =
-            fold.train.iter().flat_map(|&ai| apps[ai].profiles.iter().cloned()).collect();
-        let model = train(&training, TrainingParams::default()).expect("training succeeds");
+    for (fold, training) in suite.folds() {
+        let model =
+            suite.kernels().fit(training, TrainingParams::default()).expect("training succeeds");
         let predictor = Predictor::new(&model);
 
         for &ai in &fold.test {

@@ -2,15 +2,18 @@
 //!
 //! A library with no binaries: the registry of every table, figure,
 //! ablation and regression trace (`experiments`; `acs reproduce --name
-//! NAME` runs a row, DESIGN.md section 4 is the index), and the
-//! selection-server load generator (`loadgen`; `acs loadgen`).
+//! NAME` runs a row, DESIGN.md section 4 is the index), and the one seeded
+//! session every served-byte check drives ([`served_stream`]; `acs
+//! loadgen`).
 //! Nothing here times anything for publication: latencies come from the
 //! `benchmark/` package's layer table.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod loadgen;
+mod stream;
+
+pub use stream::served_stream;
 
 use acs_core::eval::{characterize_apps, evaluate, AppProfiles, Evaluation};
 use acs_core::{MethodSummary, TrainingParams};

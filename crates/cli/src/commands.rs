@@ -142,22 +142,13 @@ COMMANDS:
                                           N ticks after it expires, reclaiming
                                           its floor encumbrance for the live
                                           shards (0 = never; DESIGN.md §17)
-  loadgen --addr HOST:PORT                seeded closed-loop load generator:
-          [--requests N] [--seed N]       drives the selection server, prints
-          [--sessions N] [--run-every N]  throughput/latency and the server's
-          [--report-every N] [--log FILE] STATS snapshot (--stats false
-          [--stats true]                  skips it), optionally records
-          [--feedback true]               the response log (--log);
-          [--shutdown true]               --feedback attaches seeded
-          [--open-loop true --rate R]     measurements to Reports, feeding
-          [--deadline-ms MS]              the server's adaptation loop;
-          [--priority N]                  --open-loop sends at R req/s with
-                                          seeded exponential inter-arrivals
-                                          (never waiting for responses);
-                                          --deadline-ms/--priority attach a
-                                          service deadline and priority class
-                                          to Select/Run requests, opting into
-                                          deadline-aware shedding
+  loadgen --addr HOST:PORT                drive one seeded session against the
+          [--requests N] [--seed N]       selection server (Selects, every
+                                          11th a Run, every 13th a Report
+                                          with feedback) and print every
+                                          reply but Welcome as a JSON line;
+                                          fails on a typed error or a
+                                          dropped connection
 ";
 
 /// A subcommand.
@@ -271,11 +262,24 @@ fn cmd_tree(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--cap`, a positive wattage, for `predict`, `runtime` and `chaos`.
+/// `default` is what an omitted flag means; `None` makes it required.
+fn cap_arg(args: &Args, default: Option<f64>) -> Result<f64, CliError> {
+    let cap: f64 = match default {
+        Some(default) => args.get_or("cap", default)?,
+        None => args.require_parsed("cap")?,
+    };
+    if cap.is_nan() || cap <= 0.0 {
+        return Err(CliError::Domain(format!("--cap must be a positive wattage, got {cap}")));
+    }
+    Ok(cap)
+}
+
 fn cmd_predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load(args.require("model")?)?;
     let kernel_id = args.require("kernel")?;
     let seed: u64 = args.get_or("seed", 2014)?;
-    let cap: f64 = args.get_or("cap", f64::INFINITY)?;
+    let cap = cap_arg(args, Some(f64::INFINITY))?;
 
     let kernel = acs_kernels::all_kernel_instances()
         .into_iter()
@@ -323,10 +327,7 @@ fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_runtime(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
-    let cap: f64 = args.require_parsed("cap")?;
-    if cap.is_nan() || cap <= 0.0 {
-        return Err(CliError::Domain(format!("--cap must be a positive wattage, got {cap}")));
-    }
+    let cap = cap_arg(args, None)?;
     let iters: u64 = args.get_or("iters", 3)?;
     let seed: u64 = args.get_or("seed", 2014)?;
 
@@ -368,10 +369,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
-    let cap: f64 = args.require_parsed("cap")?;
-    if cap.is_nan() || cap <= 0.0 {
-        return Err(CliError::Domain(format!("--cap must be a positive wattage, got {cap}")));
-    }
+    let cap = cap_arg(args, None)?;
     let iters: u64 = args.get_or("iters", 10)?;
     let seed: u64 = args.get_or("seed", 2014)?;
 
@@ -654,61 +652,10 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_bench::loadgen::{run_loadgen, LoadgenOptions};
-
-    let opts = LoadgenOptions {
-        addr: args.require("addr")?.to_string(),
-        requests: args.get_or("requests", 1000)?,
-        seed: args.get_or("seed", 7)?,
-        sessions: args.get_or("sessions", 1)?,
-        run_every: args.get_or("run-every", 0)?,
-        report_every: args.get_or("report-every", 0)?,
-        feedback: args.get_or("feedback", false)?,
-        stats_at_end: args.get_or("stats", true)?,
-        shutdown_at_end: args.get_or("shutdown", false)?,
-        open_loop: args.get_or("open-loop", false)?,
-        rate_rps: args.get_or("rate", 0.0)?,
-        deadline_ms: args.get_or("deadline-ms", 0)?,
-        priority: args.get_or("priority", 0)?,
-    };
-    if opts.open_loop && opts.rate_rps <= 0.0 {
-        return Err(CliError::Domain(format!(
-            "--open-loop needs a positive --rate (req/s), got {}",
-            opts.rate_rps
-        )));
-    }
-    let (report, log) = run_loadgen(&opts).map_err(CliError::Domain)?;
-
-    if let Some(path) = args.get("log") {
-        std::fs::write(path, &log)?;
-    }
-    writeln!(out, "requests:    {}", report.requests)?;
-    writeln!(out, "sessions:    {}", report.sessions)?;
-    writeln!(out, "throughput:  {:.0} req/s", report.throughput_rps)?;
-    writeln!(
-        out,
-        "latency:     p50 {} µs, p99 {} µs",
-        report.p50_latency_us, report.p99_latency_us
-    )?;
-    writeln!(
-        out,
-        "cold/warm:   {} cold ({:.0} µs mean), {} warm ({:.0} µs mean)",
-        report.cold_selects, report.cold_mean_us, report.warm_selects, report.warm_mean_us
-    )?;
-    writeln!(
-        out,
-        "errors:      {} errored, {} shed, {} dropped",
-        report.errors, report.sheds, report.dropped
-    )?;
-    if let Some(stats) = &report.stats {
-        writeln!(out, "\nserver STATS:")?;
-        writeln!(out, "{}", serde_json::to_string_pretty(stats)?)?;
-    }
-    if report.errors > 0 || report.dropped > 0 {
-        return Err(CliError::Domain(format!(
-            "loadgen saw {} errored and {} dropped request(s)",
-            report.errors, report.dropped
-        )));
+    let addr = args.require("addr")?;
+    let (requests, seed) = (args.get_or("requests", 1000)?, args.get_or("seed", 7)?);
+    for reply in acs_bench::served_stream(addr, requests, seed).map_err(CliError::Domain)? {
+        writeln!(out, "{reply}")?;
     }
     Ok(())
 }
@@ -891,9 +838,13 @@ mod tests {
         }
         // A non-positive cap fails cleanly instead of tripping the
         // runtime's assert.
+        let predict = format!("predict --model {model} --kernel LULESH/Small/CalcFBHourglassForce");
         for cmd in [
             format!("chaos --model {model} --app CoMD --cap -5"),
             format!("runtime --model {model} --app CoMD --cap 0"),
+            format!("{predict} --cap nan"),
+            format!("{predict} --cap -5"),
+            format!("{predict} --cap 0"),
         ] {
             match run_str(&cmd) {
                 Err(CliError::Domain(msg)) => assert!(msg.contains("positive wattage")),
@@ -945,15 +896,18 @@ mod tests {
     #[test]
     fn an_option_the_command_does_not_read_is_rejected_before_it_runs() {
         // A typo, and flags `verify` and `loadgen` no longer have (a
-        // `loadgen --result` could overwrite a pinned artifact).
-        for (command, flag) in [
-            ("serve --prot 0", "--prot"),
-            ("verify --transfer true --out x", "--out"),
-            ("loadgen --addr 127.0.0.1:1 --result table3_methods", "--result"),
-        ] {
-            match run_str(command) {
+        // `loadgen --result` could overwrite a pinned artifact; the stream
+        // `loadgen` drives is fixed but for its length and seed).
+        let loadgen = "result sessions run-every report-every log stats feedback shutdown rate \
+                       deadline-ms priority"
+            .split_whitespace()
+            .map(|flag| (format!("loadgen --addr 127.0.0.1:1 --{flag} 1"), format!("--{flag}")));
+        let others = [("serve --prot 0", "--prot"), ("verify --transfer true --out x", "--out")]
+            .map(|(command, flag)| (command.to_string(), flag.to_string()));
+        for (command, flag) in others.into_iter().chain(loadgen) {
+            match run_str(&command) {
                 Err(CliError::Args(e @ ArgError::Unknown { .. })) => {
-                    assert!(e.to_string().contains(flag), "{command}: {e}")
+                    assert!(e.to_string().contains(&flag), "{command}: {e}")
                 }
                 other => panic!("{command}: expected an unknown-option error, got {other:?}"),
             }
@@ -963,7 +917,7 @@ mod tests {
         for (command, missing) in [
             ("train --stabilize true", "profiles"),
             ("runtime --timeline true", "model"),
-            ("loadgen --stats false", "addr"),
+            ("loadgen --requests 5", "addr"),
         ] {
             assert!(
                 matches!(run_str(command), Err(CliError::Args(ArgError::Missing(m))) if m == missing),
@@ -1042,10 +996,12 @@ mod tests {
     }
 
     /// End-to-end through the CLI surface: `serve --port 0` prints the
-    /// bound address, `loadgen` drives it and reports zero failures, and
-    /// the Shutdown poison drains the server thread.
+    /// bound address, `loadgen` drives it and prints one reply per
+    /// request, and a `Shutdown` frame drains the server thread.
     #[test]
     fn serve_and_loadgen_end_to_end() {
+        use acs_serve::{Client, Request, Response};
+
         let buf = SharedBuf::default();
         let server_out = buf.clone();
         let server = std::thread::spawn(move || {
@@ -1067,19 +1023,16 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
         };
 
-        let log = tmp("loadgen-e2e.jsonl");
-        let out = run_str(&format!(
-            "loadgen --addr {addr} --requests 60 --seed 7 --run-every 9 --report-every 5 \
-             --log {log} --shutdown true"
-        ))
-        .unwrap();
-        assert!(out.contains("errors:      0 errored, 0 shed, 0 dropped"), "{out}");
-        assert!(out.contains("server STATS:"), "{out}");
-        assert!(out.contains("\"protocol_errors\": 0"), "{out}");
+        let out = run_str(&format!("loadgen --addr {addr} --requests 60 --seed 7")).unwrap();
+        assert_eq!(out.lines().count(), 60, "one reply per request: {out}");
+        for kind in ["Selected", "Ran", "Budget"] {
+            assert!(out.contains(kind), "no {kind} reply in {out}");
+        }
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(matches!(client.call(&Request::Shutdown).unwrap(), Response::ShuttingDown));
         server.join().unwrap().unwrap();
 
-        let log_text = std::fs::read_to_string(&log).unwrap();
-        assert_eq!(log_text.lines().count(), 60, "one logged response per request");
-        assert!(log_text.contains("Selected"), "{log_text}");
+        // Nothing listens any more: the stream fails instead of printing.
+        assert!(matches!(run_str(&format!("loadgen --addr {addr}")), Err(CliError::Domain(_))));
     }
 }

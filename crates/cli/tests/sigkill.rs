@@ -130,8 +130,13 @@ fn a_sigkilled_serve_resumes_byte_identical_on_its_journal() {
 
     let (acs, addr, printed) = Acs::start(&serve);
     assert_eq!(printed, ["recovered: 0 entries replayed, 0 kernels warmed, 0 orphaned session(s)"]);
-    let mut log = drive(&mut Client::connect(&addr).unwrap(), &stream[..half]);
+    // The connection stays open across the kill: closed first, the
+    // session could leave (journaled) before the signal lands, and the
+    // restart would find no orphan.
+    let mut killed = Client::connect(&addr).unwrap();
+    let mut log = drive(&mut killed, &stream[..half]);
     acs.sigkill();
+    drop(killed);
 
     let (_acs, addr, printed) = Acs::start(&serve);
     assert_eq!(printed.len(), 1, "{printed:?}");

