@@ -960,6 +960,11 @@ mod tests {
             ("serve --coordinator 127.0.0.1:1 --lease-floor NaN --port 0", "--lease-floor"),
             ("serve --coordinator 127.0.0.1:1 --lease-floor inf --port 0", "--lease-floor"),
             ("serve --global-cap inf --port 0", "--global-cap"),
+            ("serve --renew-ms 5 --port 0", "--renew-ms"),
+            (
+                "serve --coordinator 127.0.0.1:1 --shard-id 9223372036854775808 --port 0",
+                "--shard-id",
+            ),
             ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
             ("coordinator --tick-ms 0 --port 0", "--tick-ms"),
             ("coordinator --ttl-ticks 18446744073709551615 --port 0", "--ttl-ticks"),

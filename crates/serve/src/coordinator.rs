@@ -12,11 +12,12 @@
 //!
 //! ## Clock
 //!
-//! Lease expiry is defined in *logical ticks*; the coordinator maps them
-//! to wall clock as `tick = base + elapsed_ms / tick_ms`. `base` resumes
-//! from the replayed journal's last recorded tick, so a restarted
-//! coordinator never steps time backwards (leases that should have
-//! expired during the outage expire on the first operation after
+//! Lease expiry is defined in *logical ticks*; a connection maps them to
+//! wall clock as `tick = base + elapsed_ms / tick_ms` and hands the tick
+//! to the one request step, which a test calls with ticks of its own.
+//! `base` resumes from the replayed journal's last recorded tick, so a
+//! restarted coordinator never steps time backwards (leases that should
+//! have expired during the outage expire on the first operation after
 //! restart, not retroactively mid-replay).
 //!
 //! ## Crash failover
@@ -112,14 +113,50 @@ impl CoordinatorConfig {
 }
 
 /// State shared by the accept loop and every connection.
-struct CoordShared {
+pub(crate) struct CoordShared {
     config: CoordinatorConfig,
-    table: Mutex<LeaseTable>,
+    pub(crate) table: Mutex<LeaseTable>,
     journal: Option<Arc<Journal<CoordJournalEntry>>>,
     recovery: Option<CoordRecovery>,
     shutdown: AtomicBool,
     started: Instant,
     base_tick: u64,
+}
+
+/// The values only a coordinator can judge, checked before anything binds
+/// or opens a file.
+fn check_config(config: &CoordinatorConfig) -> Result<(), ServeError> {
+    // `LeaseTable::new` asserts these; an operator's typo must not get
+    // that far. A finite cap also bounds the floor below it.
+    let (cap_w, floor_w) = (config.global_cap_w, config.floor_w);
+    if !(cap_w.is_finite() && cap_w > 0.0) {
+        return Err(ServeError::Config(format!(
+            "--cap must be a finite, positive wattage, got {cap_w}"
+        )));
+    }
+    if !(floor_w > 0.0 && floor_w < cap_w) {
+        return Err(ServeError::Config(format!(
+            "--floor must be positive and below --cap, got {floor_w} W against {cap_w} W"
+        )));
+    }
+    if config.ttl_ticks == 0 {
+        return Err(ServeError::Config(
+            "--ttl-ticks must be at least 1: a lease must live one tick".into(),
+        ));
+    }
+    if config.tick_ms == 0 {
+        return Err(ServeError::Config(
+            "--tick-ms must be at least 1: a tick must last one millisecond".into(),
+        ));
+    }
+    // Shards run their own expiry clocks on `ttl_ms()`.
+    if config.ttl_ticks.checked_mul(config.tick_ms).is_none() {
+        return Err(ServeError::Config(format!(
+            "--ttl-ticks {} × --tick-ms {} overflows a millisecond count",
+            config.ttl_ticks, config.tick_ms
+        )));
+    }
+    Ok(())
 }
 
 impl CoordShared {
@@ -144,85 +181,12 @@ impl CoordShared {
             ..table.stats()
         }
     }
-}
 
-/// A cheap handle for observing and stopping a running coordinator.
-#[derive(Clone)]
-pub struct CoordinatorHandle {
-    shared: Arc<CoordShared>,
-}
-
-impl CoordinatorHandle {
-    /// Request shutdown; the accept loop and connections drain within
-    /// their next poll interval.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Die abruptly. For the coordinator this is the same as shutdown —
-    /// every applied operation was already journaled under the table
-    /// lock, so there is no clean-exit bookkeeping for a crash to skip;
-    /// the alias exists so kill-and-restart tests read like the serve
-    /// shard's.
-    pub fn simulate_crash(&self) {
-        self.shutdown();
-    }
-
-    /// A coordinator metrics snapshot.
-    pub fn stats(&self) -> CoordStats {
-        self.shared.stats(&self.shared.table.lock())
-    }
-
-    /// What journal replay reconstructed at bind time, if a journal was
-    /// configured.
-    pub fn recovery(&self) -> Option<CoordRecovery> {
-        self.shared.recovery.clone()
-    }
-}
-
-/// A bound, not-yet-running coordinator.
-pub struct Coordinator {
-    listener: Listener,
-    shared: Arc<CoordShared>,
-}
-
-impl Coordinator {
-    /// Bind the configured address, replaying the lease journal if one is
-    /// configured. Divergent journals are a typed bind error, never a
-    /// guess at who holds which watts.
-    pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        // `LeaseTable::new` asserts these; an operator's typo must not get
-        // that far. A finite cap also bounds the floor below it.
-        let (cap_w, floor_w) = (config.global_cap_w, config.floor_w);
-        if !(cap_w.is_finite() && cap_w > 0.0) {
-            return Err(ServeError::Config(format!(
-                "--cap must be a finite, positive wattage, got {cap_w}"
-            )));
-        }
-        if !(floor_w > 0.0 && floor_w < cap_w) {
-            return Err(ServeError::Config(format!(
-                "--floor must be positive and below --cap, got {floor_w} W against {cap_w} W"
-            )));
-        }
-        if config.ttl_ticks == 0 {
-            return Err(ServeError::Config(
-                "--ttl-ticks must be at least 1: a lease must live one tick".into(),
-            ));
-        }
-        if config.tick_ms == 0 {
-            return Err(ServeError::Config(
-                "--tick-ms must be at least 1: a tick must last one millisecond".into(),
-            ));
-        }
-        // Shards run their own expiry clocks on `ttl_ms()`.
-        if config.ttl_ticks.checked_mul(config.tick_ms).is_none() {
-            return Err(ServeError::Config(format!(
-                "--ttl-ticks {} × --tick-ms {} overflows a millisecond count",
-                config.ttl_ticks, config.tick_ms
-            )));
-        }
-        let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
-
+    /// Everything a coordinator is but its listener, from a checked
+    /// configuration: the lease journal, if one is configured, replayed.
+    /// Divergent journals are a typed error, never a guess at who holds
+    /// which watts.
+    pub(crate) fn new(config: CoordinatorConfig) -> Result<Self, ServeError> {
         let (journal, recovery, table) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
@@ -250,7 +214,7 @@ impl Coordinator {
             }
         };
         let base_tick = table.tick();
-        let shared = Arc::new(CoordShared {
+        Ok(Self {
             config,
             table: Mutex::new(table),
             journal,
@@ -258,8 +222,48 @@ impl Coordinator {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             base_tick,
-        });
-        Ok(Self { listener, shared })
+        })
+    }
+}
+
+/// A cheap handle for observing and stopping a running coordinator.
+#[derive(Clone)]
+pub struct CoordinatorHandle {
+    shared: Arc<CoordShared>,
+}
+
+impl CoordinatorHandle {
+    /// Request shutdown; the accept loop and connections drain within
+    /// their next poll interval.
+    pub fn shutdown(&self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// A coordinator metrics snapshot.
+    pub fn stats(&self) -> CoordStats {
+        self.shared.stats(&self.shared.table.lock())
+    }
+
+    /// What journal replay reconstructed at bind time, if a journal was
+    /// configured.
+    pub fn recovery(&self) -> Option<CoordRecovery> {
+        self.shared.recovery.clone()
+    }
+}
+
+/// A bound, not-yet-running coordinator.
+pub struct Coordinator {
+    listener: Listener,
+    shared: Arc<CoordShared>,
+}
+
+impl Coordinator {
+    /// Bind the configured address, replaying the lease journal if one is
+    /// configured ([`ServeError::Journal`] on a divergent one).
+    pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
+        check_config(&config)?;
+        let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
+        Ok(Self { listener, shared: Arc::new(CoordShared::new(config)?) })
     }
 
     /// Bind, then serve on a background thread until stopped.
@@ -301,7 +305,7 @@ impl FrameHandler for Conn<'_> {
 
     fn handle(&mut self, request: Result<CoordRequest, ProtocolError>) -> (CoordResponse, bool) {
         match request {
-            Ok(request) => step(self.0, request),
+            Ok(request) => step(self.0, self.0.now_tick(), request),
             Err(err) => {
                 (CoordResponse::Error { code: err.code().into(), detail: err.to_string() }, true)
             }
@@ -309,12 +313,16 @@ impl FrameHandler for Conn<'_> {
     }
 }
 
-/// Serve one request. A lease operation is one step of the table at the
-/// current tick, journaled under the table lock, so the recorded tick and
+/// Serve one request at logical `tick`. A lease operation is one step of
+/// the table, journaled under the table lock, so the recorded tick and
 /// epoch are exactly the ones the operation produced.
-fn step(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
+pub(crate) fn step(
+    shared: &CoordShared,
+    tick: u64,
+    request: CoordRequest,
+) -> (CoordResponse, bool) {
     let mut table = shared.table.lock();
-    let response = match table.apply(shared.now_tick(), &request) {
+    let response = match table.apply(tick, &request) {
         Some(Ok(entry)) => {
             shared.journal_append(&entry);
             table.reply(&entry, shared.config.ttl_ms())
@@ -336,6 +344,7 @@ pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::ASSIGNED_SHARD_ID;
     use std::path::PathBuf;
 
     fn scratch(test: &str) -> PathBuf {
@@ -349,178 +358,128 @@ mod tests {
         CoordinatorConfig {
             global_cap_w: 100.0,
             floor_w: 5.0,
-            // Slow ticks so nothing expires under the test.
-            tick_ms: 60_000,
             ttl_ticks: 10,
             journal,
-            ..CoordinatorConfig::default()
+            ..Default::default()
         }
     }
 
     #[test]
-    fn grant_renew_release_over_the_wire() {
-        let coord = Coordinator::spawn(config(None)).unwrap();
-        let mut c = CoordClient::connect(&coord.addr).unwrap();
-
+    fn grant_renew_release() {
+        let coord = CoordShared::new(config(None)).unwrap();
         let (lease_id, epoch) =
-            match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).unwrap() {
+            match step(&coord, 0, CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).0 {
                 CoordResponse::Granted { lease_id, shard_id, epoch, budget_w, ttl_ms, .. } => {
-                    assert_eq!(shard_id, lease_id);
+                    assert_eq!(shard_id, lease_id | ASSIGNED_SHARD_ID, "an assigned id");
                     assert_eq!(budget_w, 100.0, "sole shard owns the pool");
-                    assert_eq!(ttl_ms, 10 * 60_000);
+                    assert_eq!(ttl_ms, config(None).ttl_ms());
                     (lease_id, epoch)
                 }
                 other => panic!("expected Granted, got {other:?}"),
             };
-
-        match c.call(&CoordRequest::Renew { lease_id, epoch, demand_w: 12.0 }).unwrap() {
+        let renew = |demand_w| CoordRequest::Renew { lease_id, epoch, demand_w };
+        match step(&coord, 1, renew(12.0)).0 {
             CoordResponse::Renewed { budget_w, .. } => assert_eq!(budget_w, 100.0),
             other => panic!("expected Renewed, got {other:?}"),
         }
-
-        match c.call(&CoordRequest::Stats).unwrap() {
-            CoordResponse::Stats(s) => {
-                assert_eq!((s.live_leases, s.grants, s.renews), (1, 1, 1));
-                assert_eq!(s.overshoot_w, 0.0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-
-        match c.call(&CoordRequest::Release { lease_id }).unwrap() {
-            CoordResponse::Released => {}
-            other => panic!("expected Released, got {other:?}"),
-        }
-        match c.call(&CoordRequest::Renew { lease_id, epoch, demand_w: 0.0 }).unwrap() {
+        let s = stats(&coord, 1);
+        assert_eq!((s.live_leases, s.grants, s.renews, s.overshoot_w), (1, 1, 1, 0.0));
+        assert_eq!(step(&coord, 1, CoordRequest::Release { lease_id }).0, CoordResponse::Released);
+        match step(&coord, 1, renew(0.0)).0 {
             CoordResponse::Rejected { code, .. } => assert_eq!(code, "unknown-lease"),
             other => panic!("expected Rejected, got {other:?}"),
         }
+        let s = stats(&coord, 1);
+        assert_eq!(s.live_committed_w + s.encumbered_w, 0.0);
+    }
 
-        let stats = coord.stop().stats();
-        assert_eq!(stats.live_committed_w + stats.encumbered_w, 0.0);
+    /// What a test reads off a `Granted` reply.
+    fn granted(reply: CoordResponse) -> (u64, u64, u64) {
+        match reply {
+            CoordResponse::Granted { lease_id, shard_id, epoch, .. } => (lease_id, shard_id, epoch),
+            other => panic!("expected Granted, got {other:?}"),
+        }
+    }
+
+    fn stats(coord: &CoordShared, tick: u64) -> CoordStats {
+        match step(coord, tick, CoordRequest::Stats).0 {
+            CoordResponse::Stats(stats) => stats,
+            other => panic!("expected Stats, got {other:?}"),
+        }
     }
 
     #[test]
     fn restart_replays_the_lease_table_and_readopts() {
         let dir = scratch("restart");
         let journal_path = dir.join("coord.journal");
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 10.0 };
 
-        let (lease_id, epoch) = {
-            let coord = Coordinator::spawn(config(Some(journal_path.clone()))).unwrap();
-            let mut c = CoordClient::connect(&coord.addr).unwrap();
-            let out = match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).unwrap()
-            {
-                CoordResponse::Granted { lease_id, epoch, .. } => (lease_id, epoch),
-                other => panic!("expected Granted, got {other:?}"),
-            };
-            // Abrupt death: no Release, no drain.
-            coord.handle.simulate_crash();
-            coord.join();
-            out
+        // Abrupt death: no Release, no drain; the state is just dropped.
+        let (lease_id, shard_id, epoch) = {
+            let coord = CoordShared::new(config(Some(journal_path.clone()))).unwrap();
+            granted(step(&coord, 0, lease(None)).0)
         };
 
-        let coord = Coordinator::spawn(config(Some(journal_path))).unwrap();
-        let recovery = coord.handle.recovery().expect("a journaled coordinator reports recovery");
+        let coord = CoordShared::new(config(Some(journal_path))).unwrap();
+        let recovery = coord.recovery.clone().expect("a journaled coordinator reports recovery");
         assert_eq!(recovery.replayed, 1);
         assert_eq!(recovery.live_leases, vec![lease_id]);
-        assert_eq!(coord.handle.stats().overshoot_w, 0.0);
+        assert_eq!(stats(&coord, 1).overshoot_w, 0.0);
 
         // The shard's fence survived the restart: its next renewal just
         // works — no re-lease, no double grant.
-        let mut c = CoordClient::connect(&coord.addr).unwrap();
-        match c.call(&CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 }).unwrap() {
+        match step(&coord, 1, CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 }).0 {
             CoordResponse::Renewed { lease_id: id, .. } => assert_eq!(id, lease_id),
             other => panic!("expected Renewed, got {other:?}"),
         }
         // And a full re-lease (e.g. the shard reconnected after a
         // partition that outlived the coordinator) re-adopts the same id.
-        match c.call(&CoordRequest::Lease { shard_id: Some(lease_id), demand_w: 10.0 }).unwrap() {
-            CoordResponse::Granted { lease_id: id, .. } => assert_eq!(id, lease_id),
-            other => panic!("expected Granted, got {other:?}"),
-        }
-        match c.call(&CoordRequest::Stats).unwrap() {
-            CoordResponse::Stats(s) => {
-                assert_eq!(s.live_leases, 1, "re-adoption never duplicates a lease");
-                assert_eq!(s.journal_replayed, 1);
-                assert!(s.journal_appends >= 2, "the renewal and re-adoption were journaled");
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        coord.stop();
+        assert_eq!(granted(step(&coord, 1, lease(Some(shard_id))).0).0, lease_id);
+        let s = stats(&coord, 1);
+        assert_eq!(s.live_leases, 1, "re-adoption never duplicates a lease");
+        assert_eq!(s.journal_replayed, 1);
+        assert_eq!(s.journal_appends, 2, "the renewal and re-adoption were journaled");
         std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn eviction_reclaims_a_silent_shards_reserve_over_the_wire() {
-        let mut cfg = config(None);
-        cfg.tick_ms = 1;
-        cfg.ttl_ticks = 5;
-        cfg.evict_after_ticks = 5;
-        let coord = Coordinator::spawn(cfg).unwrap();
-        let mut c = CoordClient::connect(&coord.addr).unwrap();
-        let (lease_id, shard_id) =
-            match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 }).unwrap() {
-                CoordResponse::Granted { lease_id, shard_id, .. } => (lease_id, shard_id),
-                other => panic!("expected Granted, got {other:?}"),
-            };
-        // Sleep past expiry + horizon, then drive any mutation to advance
-        // the clock: the silent shard is evicted, not floor-parked.
-        std::thread::sleep(Duration::from_millis(30));
-        let _ = c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 });
-        match c.call(&CoordRequest::Stats).unwrap() {
-            CoordResponse::Stats(s) => {
-                assert!(s.evicted_shards >= 1, "the silent shard was evicted");
-                assert_eq!(s.encumbered_w, 0.0, "eviction reclaims the reserve");
-                assert_eq!(s.overshoot_w, 0.0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
+    fn eviction_reclaims_a_silent_shards_reserve() {
+        let coord = CoordShared::new(CoordinatorConfig {
+            ttl_ticks: 5,
+            evict_after_ticks: 5,
+            ..config(None)
+        })
+        .unwrap();
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let (lease_id, shard_id, _) = granted(step(&coord, 0, lease(None)).0);
+        // Expiry at tick 5, eviction 5 ticks later: any mutation at tick 10
+        // advances the clock past both, and the silent shard is evicted,
+        // not floor-parked.
+        step(&coord, 10, lease(None));
+        let s = stats(&coord, 10);
+        assert_eq!(s.evicted_shards, 1, "the silent shard was evicted");
+        assert_eq!(s.encumbered_w, 0.0, "eviction reclaims the reserve");
+        assert_eq!(s.overshoot_w, 0.0);
         // The returning shard re-admits as a fresh grant.
-        match c.call(&CoordRequest::Lease { shard_id: Some(shard_id), demand_w: 0.0 }).unwrap() {
-            CoordResponse::Granted { lease_id: id, shard_id: sid, .. } => {
-                assert_ne!(id, lease_id, "burned lease ids stay burned");
-                assert_eq!(sid, shard_id);
-            }
-            other => panic!("expected Granted, got {other:?}"),
-        }
-        coord.stop();
+        let (id, sid, _) = granted(step(&coord, 10, lease(Some(shard_id))).0);
+        assert_ne!(id, lease_id, "burned lease ids stay burned");
+        assert_eq!(sid, shard_id);
     }
 
     #[test]
     fn revoke_frees_a_dead_shards_encumbrance() {
-        // Fast ticks so the lease actually expires under the test.
-        let mut cfg = config(None);
-        cfg.tick_ms = 1;
-        cfg.ttl_ticks = 5;
-        let coord = Coordinator::spawn(cfg).unwrap();
-        let mut c = CoordClient::connect(&coord.addr).unwrap();
-        let lease_id = match c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 }).unwrap()
-        {
-            CoordResponse::Granted { lease_id, .. } => lease_id,
-            other => panic!("expected Granted, got {other:?}"),
-        };
-        // Let the lease expire, then poke the clock with a Stats-adjacent
-        // mutation (a denied grant advances time too; Stats alone does not
-        // mutate, so drive an op).
-        std::thread::sleep(Duration::from_millis(20));
-        let _ = c.call(&CoordRequest::Lease { shard_id: None, demand_w: 0.0 });
-        match c.call(&CoordRequest::Stats).unwrap() {
-            CoordResponse::Stats(s) => {
-                assert!(s.encumbered_leases >= 1, "the silent shard is encumbered");
-                assert!(s.encumbered_w > 0.0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        match c.call(&CoordRequest::Revoke { lease_id }).unwrap() {
-            CoordResponse::Revoked => {}
-            other => panic!("expected Revoked, got {other:?}"),
-        }
-        match c.call(&CoordRequest::Stats).unwrap() {
-            CoordResponse::Stats(s) => {
-                assert_eq!(s.encumbered_w, 0.0, "revocation frees the reserve");
-                assert_eq!(s.revocations, 1);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        coord.stop();
+        let coord = CoordShared::new(CoordinatorConfig { ttl_ticks: 5, ..config(None) }).unwrap();
+        let lease = CoordRequest::Lease { shard_id: None, demand_w: 0.0 };
+        let (lease_id, _, _) = granted(step(&coord, 0, lease.clone()).0);
+        // Stats alone does not move the clock: a lease operation at the
+        // expiry tick does, and the silent shard's lease is encumbered.
+        step(&coord, 5, lease);
+        let s = stats(&coord, 5);
+        assert_eq!(s.encumbered_leases, 1, "the silent shard is encumbered");
+        assert!(s.encumbered_w > 0.0);
+        assert_eq!(step(&coord, 5, CoordRequest::Revoke { lease_id }).0, CoordResponse::Revoked);
+        let s = stats(&coord, 5);
+        assert_eq!(s.encumbered_w, 0.0, "revocation frees the reserve");
+        assert_eq!(s.revocations, 1);
     }
 }

@@ -1,0 +1,529 @@
+//! The fleet on one clock. A real coordinator (journal on) and real shards
+//! step in-process on a virtual millisecond clock: a shard's lease round is
+//! [`lease_round`] with a call that steps [`coordinator::step`] at the
+//! clock's tick, or loses the request or the reply (a partition). There is
+//! no socket, thread or sleep, so a schedule is a pure function of its steps.
+//!
+//! Time moves only in jumps of whole ticks, and every running shard makes
+//! one round at the instant a jump lands: a lease thread renews far more
+//! often than the TTL, so no shard's own TTL clock passes unobserved while
+//! the rest of the fleet moves on. After every [`Step`] the fleet checks:
+//!
+//! - the caps the shards enforce sum to at most the global cap plus the
+//!   floor once for each shard that holds no grant (the pre-lease reserve);
+//! - a degraded cap stays within `[min(floor, last grant), last grant]`,
+//!   and no cap rises unless a grant or renewal landed;
+//! - the coordinator's overshoot is 0;
+//! - a restarted coordinator equals the one that died.
+//!
+//! [`walk`] drives seeded schedules and ends each at quiescence, where the
+//! leaseholders' caps sum exactly to the cap minus the encumbrance. The
+//! fixed schedules are the failures the fleet exists for.
+
+use crate::coordinator::{self, CoordShared, CoordinatorConfig};
+use crate::lease::{CoordResponse, CoordStats, ShardLeaseState};
+use crate::protocol::{Request, Response};
+use crate::server::tests::{join, model};
+use crate::server::{lease_round, stats_snapshot, ServeConfig, Session, Shared};
+use crate::ArbiterPolicy;
+use acs_core::TrainedModel;
+use acs_sim::{FamilyId, SplitMix64};
+use std::sync::{Arc, OnceLock};
+use Link::{LoseReply, LoseRequest, Up};
+
+const CAP_W: f64 = 90.0;
+const FLOOR_W: f64 = 2.0;
+const TICK_MS: u64 = 25;
+const TTL_TICKS: u64 = 20;
+const TTL_MS: u64 = TTL_TICKS * TICK_MS;
+const EVICT_AFTER_TICKS: u64 = 5;
+/// The arbiter's step threshold: a lease cap this close to the arbiter's
+/// is not stepped through.
+const EPS_W: f64 = 1e-9;
+/// Up-link rounds of every shard that bring a healed fleet to rest.
+const SETTLE_ROUNDS: usize = 8;
+
+/// What becomes of one lease round's messages.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Link {
+    Up,
+    /// The request never reaches the coordinator.
+    LoseRequest,
+    /// The coordinator applies the request; its reply never arrives.
+    LoseReply,
+}
+
+/// One step of the fleet.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Shard `i`'s lease round at the current instant.
+    Round(usize, Link),
+    /// The clock moves on `ms`; at the new instant shard `i` makes its
+    /// round over the `i`th link.
+    Jump(u64, Vec<Link>),
+    CrashShard(usize),
+    /// Shard `i` starts again, unleased, presenting this id.
+    RestartShard(usize, Option<u64>),
+    /// Every call fails until the coordinator restarts.
+    CrashCoordinator,
+    /// The coordinator is rebuilt from its journal.
+    RestartCoordinator,
+}
+
+/// One shard process: how it is configured, and its state while it runs.
+struct Shard {
+    config: ServeConfig,
+    running: Option<Shared>,
+}
+
+struct Fleet {
+    now_ms: u64,
+    config: CoordinatorConfig,
+    coordinator: CoordShared,
+    coordinator_up: bool,
+    shards: Vec<Shard>,
+}
+
+fn start(config: &ServeConfig) -> Shared {
+    static MODEL: OnceLock<Arc<TrainedModel>> = OnceLock::new();
+    let model = Arc::clone(MODEL.get_or_init(|| Arc::new(model())));
+    Shared::new(config.clone(), model).expect("a valid shard configuration")
+}
+
+/// A shard of `family` demanding `demand_w`, under `shard_id` or none.
+fn shard(family: FamilyId, shard_id: Option<u64>, demand_w: f64) -> ServeConfig {
+    ServeConfig {
+        family,
+        global_cap_w: demand_w,
+        coordinator: Some("in-process".into()),
+        shard_id,
+        lease_floor_w: FLOOR_W,
+        ..ServeConfig::default()
+    }
+}
+
+/// `n` Trinity shards demanding 60 W, none configured with an id.
+fn trinity(n: usize) -> Vec<ServeConfig> {
+    vec![shard(FamilyId::Trinity, None, 60.0); n]
+}
+
+impl Fleet {
+    /// A coordinator journaling to a fresh file named after `name`, and
+    /// `shards` started, none of them leased yet, at time 0.
+    fn new(name: &str, policy: ArbiterPolicy, evict: u64, shards: Vec<ServeConfig>) -> Self {
+        let journal =
+            std::env::temp_dir().join(format!("acs-fleet-{}-{name}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal);
+        let config = CoordinatorConfig {
+            global_cap_w: CAP_W,
+            policy,
+            ttl_ticks: TTL_TICKS,
+            tick_ms: TICK_MS,
+            floor_w: FLOOR_W,
+            evict_after_ticks: evict,
+            journal: Some(journal),
+            ..CoordinatorConfig::default()
+        };
+        Self {
+            now_ms: 0,
+            coordinator: CoordShared::new(config.clone()).expect("a valid coordinator"),
+            config,
+            coordinator_up: true,
+            shards: shards
+                .into_iter()
+                .map(|config| Shard { running: Some(start(&config)), config })
+                .collect(),
+        }
+    }
+
+    fn shard(&self, i: usize) -> &Shared {
+        self.shards[i].running.as_ref().expect("a running shard")
+    }
+
+    fn stats(&self) -> CoordStats {
+        self.coordinator.table.lock().stats()
+    }
+
+    /// What each shard's arbiter splits, `None` while it is down.
+    fn enforced_w(&self) -> Vec<Option<f64>> {
+        let cap_w = |shard: &Shard| shard.running.as_ref().map(|s| s.arbiter.lock().global_cap_w());
+        self.shards.iter().map(cap_w).collect()
+    }
+
+    /// Σ of the running shards' enforced caps, in lease id order as the
+    /// coordinator sums its commitments.
+    fn enforced_sum_w(&self) -> f64 {
+        let mut caps: Vec<(Option<u64>, f64)> = (self.shards.iter().zip(self.enforced_w()))
+            .filter_map(|(shard, cap_w)| {
+                let lease = &shard.running.as_ref()?.lease.as_ref()?.1;
+                Some((lease.lock().lease_id(), cap_w?))
+            })
+            .collect();
+        caps.sort_by_key(|&(lease_id, _)| lease_id);
+        caps.into_iter().map(|(_, cap_w)| cap_w).sum()
+    }
+
+    /// Take one step, then check every invariant.
+    fn apply(&mut self, step: Step) -> Result<(), String> {
+        let before = self.enforced_w();
+        let mut landed = vec![false; self.shards.len()];
+        match step {
+            Step::Round(i, link) => landed[i] = self.lease_round(i, link),
+            Step::Jump(ms, links) => {
+                self.now_ms += ms;
+                for (i, link) in links.into_iter().enumerate() {
+                    landed[i] = self.lease_round(i, link);
+                }
+            }
+            Step::CrashShard(i) => self.shards[i].running = None,
+            Step::RestartShard(i, shard_id) => {
+                let shard = &mut self.shards[i];
+                shard.config.shard_id = shard_id;
+                shard.running = Some(start(&shard.config));
+            }
+            Step::CrashCoordinator => self.coordinator_up = false,
+            Step::RestartCoordinator => self.restart_coordinator()?,
+        }
+        self.check(&before, &landed)
+    }
+
+    /// Apply a fixed schedule, panicking on the first broken invariant.
+    fn run(&mut self, steps: impl IntoIterator<Item = Step>) {
+        for step in steps {
+            let what = format!("{step:?}");
+            self.apply(step).unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
+
+    /// `n` up-link rounds of every shard, one shard at a time.
+    fn rounds(&mut self, n: usize) -> Result<(), String> {
+        let shards = self.shards.len();
+        for i in (0..n).flat_map(|_| 0..shards) {
+            self.apply(Step::Round(i, Up))?;
+        }
+        Ok(())
+    }
+
+    /// Shard `i`'s lease round at the current instant, over `link`; whether
+    /// a grant or renewal landed. Nothing happens to a shard that is down.
+    fn lease_round(&self, i: usize, link: Link) -> bool {
+        let Some(shared) = &self.shards[i].running else {
+            return false;
+        };
+        let coordinator = (self.coordinator_up && link != LoseRequest).then_some(&self.coordinator);
+        let (tick, mut landed) = (self.now_ms / TICK_MS, false);
+        lease_round(shared, self.now_ms, |request| {
+            let reply = coordinator::step(coordinator?, tick, request.clone()).0;
+            landed = link == Up
+                && matches!(reply, CoordResponse::Granted { .. } | CoordResponse::Renewed { .. });
+            (link == Up).then_some(reply)
+        });
+        landed
+    }
+
+    /// Rebuild the coordinator from its journal. Advanced to the tick the
+    /// dead one had reached, as its first request would advance it, it must
+    /// be the dead one, lease for lease and counter for counter.
+    fn restart_coordinator(&mut self) -> Result<(), String> {
+        let restarted = CoordShared::new(self.config.clone())
+            .map_err(|e| format!("the coordinator does not restart: {e}"))?;
+        {
+            let (dead, mut table) = (self.coordinator.table.lock(), restarted.table.lock());
+            table.advance_to(dead.tick());
+            if (table.snapshot(), table.stats(), table.next_lease())
+                != (dead.snapshot(), dead.stats(), dead.next_lease())
+            {
+                return Err(format!(
+                    "the restart is not the coordinator that died:\n  restarted {:?}\n  died {:?}",
+                    table.snapshot(),
+                    dead.snapshot()
+                ));
+            }
+        }
+        (self.coordinator, self.coordinator_up) = (restarted, true);
+        Ok(())
+    }
+
+    /// The invariants, after a step from the caps `before`; `landed` says
+    /// which shards a grant or renewal reached.
+    fn check(&self, before: &[Option<f64>], landed: &[bool]) -> Result<(), String> {
+        let table = self.coordinator.table.lock();
+        if table.stats().overshoot_w != 0.0 {
+            return Err(format!("the coordinator overshoots: {:?}", table.stats()));
+        }
+        let (mut enforced_w, mut unbacked) = (0.0, 0);
+        for (i, (shard, cap_w)) in self.shards.iter().zip(self.enforced_w()).enumerate() {
+            let (Some(shared), Some(cap_w)) = (&shard.running, cap_w) else {
+                continue;
+            };
+            let lease = shared.lease.as_ref().expect("a fleet shard").1.lock();
+            enforced_w += cap_w;
+            // A grant backs a cap while the coordinator holds its lease,
+            // live or encumbered.
+            if lease.grant_w().is_none()
+                || lease.lease_id().and_then(|id| table.lease(id)).is_none()
+            {
+                unbacked += 1;
+            }
+            let (low_w, high_w) = lease.grant_w().map_or((0.0, FLOOR_W), |g| (FLOOR_W.min(g), g));
+            if lease.state() == ShardLeaseState::Degraded
+                && !(low_w - EPS_W..=high_w + EPS_W).contains(&cap_w)
+            {
+                return Err(format!(
+                    "shard {i}: degraded cap {cap_w} W outside [{low_w}, {high_w}]"
+                ));
+            }
+            if let Some(was_w) = before[i].filter(|&was_w| !landed[i] && cap_w > was_w + EPS_W) {
+                return Err(format!("shard {i}: cap rose {was_w} → {cap_w} W with no grant"));
+            }
+        }
+        if enforced_w > CAP_W + FLOOR_W * unbacked as f64 + EPS_W {
+            return Err(format!(
+                "the shards enforce {enforced_w} W under a {CAP_W} W cap, with {unbacked} \
+                 holding no grant at {FLOOR_W} W each"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Heal everything — the coordinator and every shard up — jump past
+    /// the TTL every lease applied so far expires in, and let the fleet
+    /// rest. Then a shard either holds a live lease or, the pool too
+    /// encumbered to admit it, runs on its floor; the leaseholders enforce
+    /// exactly the cap less the encumbrance, or nobody can be admitted.
+    fn quiesce(&mut self) -> Result<(), String> {
+        if !self.coordinator_up {
+            self.apply(Step::RestartCoordinator)?;
+        }
+        for i in 0..self.shards.len() {
+            if self.shards[i].running.is_none() {
+                self.apply(Step::RestartShard(i, self.shards[i].config.shard_id))?;
+            }
+        }
+        self.apply(Step::Jump(TTL_MS + TICK_MS, vec![Up; self.shards.len()]))?;
+        self.rounds(SETTLE_ROUNDS)?;
+        let table = self.coordinator.table.lock();
+        let mut held = Vec::new();
+        for (shard, cap_w) in self.shards.iter().zip(self.enforced_w()) {
+            let (Some(shared), Some(cap_w)) = (&shard.running, cap_w) else {
+                continue;
+            };
+            match shared.lease.as_ref().expect("a fleet shard").1.lock().lease_id() {
+                Some(id) if table.lease(id).is_some_and(|lease| lease.live) => {
+                    held.push((id, cap_w))
+                }
+                _ if cap_w <= FLOOR_W => {}
+                _ => return Err(format!("a shard with no lease enforces {cap_w} W at rest")),
+            }
+        }
+        // Summed in lease id order, as the table sums its commitments.
+        held.sort_by_key(|&(id, _)| id);
+        let (stats, held_w) = (table.stats(), held.iter().map(|&(_, w)| w).sum::<f64>());
+        let rest = if held.is_empty() { stats.pool_w < FLOOR_W } else { held_w == stats.pool_w };
+        if held.len() as u64 != stats.live_leases || !rest {
+            return Err(format!("at rest the leaseholders enforce {held_w} W: {stats:?}"));
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        if let Some(journal) = &self.config.journal {
+            let _ = std::fs::remove_file(journal);
+        }
+    }
+}
+
+/// A draw in `0..n`.
+fn draw(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+/// One link per shard, each losing its request or its reply one time in six.
+fn links(rng: &mut SplitMix64) -> Vec<Link> {
+    (0..3).map(|_| [LoseRequest, LoseReply, Up, Up, Up, Up][draw(rng, 6) as usize]).collect()
+}
+
+/// One seeded schedule of `steps` steps over three shards, each configured
+/// with an id in 1..=3 no other shard has, or with none; then quiescence.
+fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<(), String> {
+    let rng = &mut SplitMix64(seed);
+    let mut ids: Vec<Option<u64>> = Vec::new();
+    for _ in 0..3 {
+        let id = draw(rng, 4);
+        ids.push((id > 0 && !ids.contains(&Some(id))).then_some(id));
+    }
+    let families = [FamilyId::Trinity, FamilyId::BigCore, FamilyId::LowPower];
+    let shards = (0..3).map(|i| shard(families[i], ids[i], 20.0 * (i + 1) as f64)).collect();
+    let mut fleet = Fleet::new(&format!("walk-{policy:?}-{evict}-{seed}"), policy, evict, shards);
+    for n in 0..steps {
+        let i = draw(rng, 3) as usize;
+        let step = match draw(rng, 100) {
+            0..=59 => Step::Round(i, links(rng)[0]),
+            60..=67 if fleet.shards[i].running.is_some() => Step::CrashShard(i),
+            60..=67 => {
+                let keep = draw(rng, 2) == 0;
+                Step::RestartShard(i, fleet.shards[i].config.shard_id.filter(|_| keep))
+            }
+            68..=71 if fleet.coordinator_up => Step::CrashCoordinator,
+            68..=71 => Step::RestartCoordinator,
+            72..=87 => Step::Jump((1 + draw(rng, TTL_TICKS - 1)) * TICK_MS, links(rng)),
+            88..=95 => Step::Jump((TTL_TICKS + 1 + draw(rng, 2)) * TICK_MS, links(rng)),
+            _ => Step::Jump((TTL_TICKS + EVICT_AFTER_TICKS + 1) * TICK_MS, links(rng)),
+        };
+        let what = format!("{step:?}");
+        fleet.apply(step).map_err(|e| format!("step {n}, {what}: {e}"))?;
+    }
+    fleet.quiesce().map_err(|e| format!("at quiescence: {e}"))
+}
+
+/// 64 seeds × 200 steps for each policy, with eviction off and on. A
+/// failure names its configuration, seed and step; the walk is a function
+/// of those alone, so the seed fails the same way again.
+#[test]
+fn the_fleet_walk_holds_every_invariant_at_every_step() {
+    for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
+        for evict in [0, EVICT_AFTER_TICKS] {
+            for seed in 0..64 {
+                if let Err(e) = walk(policy, evict, seed, 200) {
+                    panic!("walk({policy:?}, evict {evict}, seed {seed}): {e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn heterogeneous_families_share_one_budget_and_warm_their_own_caches() {
+    // Watts are watts: the budget is family-blind. But each shard profiles
+    // kernels on its own family's machine, into its own cache.
+    let families = [FamilyId::BigCore, FamilyId::LowPower, FamilyId::AccelHybrid];
+    let shards = families.iter().map(|&family| shard(family, None, 60.0)).collect();
+    let mut fleet = Fleet::new("families", ArbiterPolicy::DemandProportional, 0, shards);
+    fleet.rounds(SETTLE_ROUNDS).unwrap();
+    assert_eq!((fleet.enforced_sum_w(), fleet.stats().live_leases), (CAP_W, 3));
+
+    let kernel_id = acs_kernels::all_kernel_instances()[0].id();
+    let select = Request::Select { kernel_id, deadline_ms: None, priority: 0 };
+    let mut predicted = Vec::new();
+    for i in 0..families.len() {
+        let mut session = join(fleet.shard(i), 1);
+        for _ in 0..4 {
+            match session.step(Ok(select.clone())).0 {
+                Response::Selected(s) => predicted.push((s.predicted_power_w, s.predicted_perf)),
+                other => panic!("expected Selected, got {other:?}"),
+            }
+        }
+        let stats = stats_snapshot(fleet.shard(i));
+        assert_eq!(stats.lease_state, "leased");
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 3), "one miss, then hits");
+        assert!((stats.cache_hit_rate - 0.75).abs() < 1e-12);
+    }
+    // The same kernel under the same arbitration predicts differently on
+    // different hardware.
+    assert!(predicted.iter().all(|&(power_w, perf)| power_w > 0.0 && perf > 0.0));
+    assert!(predicted.iter().any(|p| *p != predicted[0]), "{predicted:?}");
+}
+
+#[test]
+fn a_crashed_shards_lease_is_encumbered_at_the_floor_or_evicted() {
+    for evict in [0, EVICT_AFTER_TICKS] {
+        let name = format!("crash-{evict}");
+        let mut fleet = Fleet::new(&name, ArbiterPolicy::EqualShare, evict, trinity(2));
+        fleet.rounds(SETTLE_ROUNDS).unwrap();
+        // The survivor renews every half TTL. The victim's lease expires to
+        // its floor encumbrance, which eviction then reclaims too.
+        let half_ttl = || Step::Jump(TTL_MS / 2, vec![Up; 2]);
+        fleet.run([Step::CrashShard(1), half_ttl(), half_ttl(), half_ttl()]);
+        fleet.rounds(SETTLE_ROUNDS).unwrap();
+        let stats = fleet.stats();
+        let reserve_w = if evict == 0 { FLOOR_W } else { 0.0 };
+        assert_eq!(stats.live_leases, 1);
+        assert_eq!((stats.encumbered_w, stats.evicted_shards), (reserve_w, u64::from(evict > 0)));
+        assert_eq!(fleet.enforced_sum_w(), CAP_W - reserve_w, "the survivor takes the rest");
+        assert_eq!(stats_snapshot(fleet.shard(0)).evicted_shards, 0, "the survivor's own lease");
+        // A replacement admits as a fresh grant against what is left.
+        fleet.run([Step::RestartShard(1, None)]);
+        fleet.rounds(SETTLE_ROUNDS).unwrap();
+        assert_eq!((fleet.stats().live_leases, fleet.stats().grants), (2, 3));
+        assert_eq!(fleet.enforced_sum_w(), CAP_W - reserve_w);
+    }
+}
+
+#[test]
+fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts_its_lease() {
+    let ids = [Some(1), Some(2)];
+    let shards = ids.iter().map(|&id| shard(FamilyId::Trinity, id, 60.0)).collect();
+    let mut fleet = Fleet::new("keys", ArbiterPolicy::DemandProportional, 0, shards);
+    fleet.rounds(SETTLE_ROUNDS).unwrap();
+    // Keyed runs, as a retrying client sends them: one key per logical
+    // call, reused on every retry of that call.
+    let mut keys = SplitMix64(11);
+    let runs: Vec<Request> = (0..3)
+        .map(|_| Request::Run {
+            kernel_id: acs_kernels::all_kernel_instances()[0].id(),
+            iterations: 2,
+            idem: Some(keys.next_u64()),
+            deadline_ms: None,
+            priority: 0,
+        })
+        .collect();
+    let ran = |session: &mut Session, run: &Request| {
+        let reply = session.step(Ok(run.clone())).0;
+        assert!(matches!(reply, Response::Ran { .. }), "{reply:?}");
+        serde_json::to_string(&reply).unwrap()
+    };
+    let mut session = join(fleet.shard(0), 1);
+    runs.iter().for_each(|run| drop(ran(&mut session, run)));
+    drop(session);
+
+    // Shard 1 dies mid-session; the session fails over to shard 2, which
+    // never saw the keys, so each executes once there, and a retry of the
+    // last is answered from shard 2's memo byte for byte.
+    fleet.run([Step::CrashShard(0)]);
+    let mut session = join(fleet.shard(1), 1);
+    let last = runs.iter().map(|run| ran(&mut session, run)).last().unwrap();
+    assert_eq!(stats_snapshot(fleet.shard(1)).idem_replays, 0, "a failed-over key runs once");
+    assert_eq!(ran(&mut session, &runs[2]), last, "a keyed retry replays identical bytes");
+    assert_eq!(stats_snapshot(fleet.shard(1)).idem_replays, 1);
+    drop(session);
+
+    // Shard 1's silent lease expires to its floor encumbrance. Restarted
+    // under its id, the shard re-adopts that lease instead of a second
+    // grant beside it.
+    let half_ttl = || Step::Jump(TTL_MS / 2, vec![Up; 2]);
+    fleet.run([half_ttl(), half_ttl(), half_ttl()]);
+    assert_eq!(fleet.stats().encumbered_leases, 1);
+    fleet.run([Step::RestartShard(0, Some(1))]);
+    fleet.rounds(SETTLE_ROUNDS).unwrap();
+    let stats = fleet.stats();
+    assert_eq!((stats.live_leases, stats.encumbered_leases), (2, 0), "re-adopted: {stats:?}");
+    assert_eq!(fleet.enforced_sum_w(), CAP_W);
+}
+
+#[test]
+fn a_partitioned_shard_degrades_within_its_last_grant_and_recovers() {
+    let mut fleet = Fleet::new("partition", ArbiterPolicy::DemandProportional, 0, trinity(1));
+    fleet.run([Step::Round(0, Up)]);
+    assert_eq!(fleet.enforced_sum_w(), CAP_W);
+    // Inside the cut every request or reply is lost: the cap halves toward
+    // min(floor, last grant), and past the TTL by the shard's own clock it
+    // clamps there.
+    fleet.run([
+        Step::Round(0, LoseRequest),
+        Step::Round(0, LoseReply),
+        Step::Round(0, LoseRequest),
+    ]);
+    assert_eq!(fleet.enforced_sum_w(), CAP_W / 8.0);
+    assert_eq!(stats_snapshot(fleet.shard(0)).lease_state, "degraded");
+    fleet.run([Step::Jump(TTL_MS + TICK_MS, vec![LoseReply])]);
+    assert_eq!(fleet.enforced_sum_w(), FLOOR_W);
+    // Healed: the renewal is rejected as expired, and the re-lease
+    // re-adopts the lease under the shard's id.
+    fleet.rounds(2).unwrap();
+    assert_eq!(fleet.enforced_sum_w(), CAP_W);
+    let stats = fleet.stats();
+    assert_eq!((stats.expirations, stats.live_leases, stats.encumbered_leases), (1, 1, 0));
+    assert_eq!(stats_snapshot(fleet.shard(0)).degraded_entries, 1);
+}

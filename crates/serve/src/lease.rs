@@ -19,10 +19,12 @@
 //!    the shard was actually told — changes only in responses to that
 //!    shard's own requests. Rebalances move *targets*; a shard ramps
 //!    toward its target at its next renewal, taking at most the watts
-//!    other shards have already renewed down from. The sum of committed
-//!    budgets therefore never exceeds the pool, and converges to it
-//!    exactly (largest-remainder fold, [`ArbiterPolicy::split`]) once every
-//!    live shard has renewed after a membership change.
+//!    other shards have already renewed down from. One contact lowers a
+//!    commitment to no less than half of it, nor below `min(floor, it)`:
+//!    a shard whose reply is lost takes exactly that step itself. The sum
+//!    of committed budgets therefore never exceeds the pool, and converges
+//!    to it exactly (largest-remainder fold, [`ArbiterPolicy::split`]) once
+//!    every live shard has renewed after a membership change.
 //! 2. **Encumbrance at the floor.** A lease that misses its renewals
 //!    expires, but its watts are not fully reclaimed: `min(floor,
 //!    committed)` stays *encumbered* — reserved for the silent shard —
@@ -41,7 +43,7 @@
 //! local cap halves toward `min(floor, last grant)`, and when the lease's
 //! TTL passes by the shard's own clock it clamps there. The local cap is
 //! monotone non-increasing between grants and never exceeds the last
-//! granted budget — the invariant the fleet e2e asserts per shard.
+//! granted budget — the invariant the fleet walk checks after every step.
 //!
 //! ## One step each side
 //!
@@ -56,13 +58,20 @@
 //! them to wall-clock milliseconds via its `tick_ms`), and expirations are
 //! recomputed on the way, never journaled. The shard's lease client builds
 //! each request with [`ShardLease::request`] and hands every reply, or
-//! the lack of one, to [`ShardLease::on_reply`].
+//! the lack of one, to [`ShardLease::on_reply`] with the round's time on
+//! its own millisecond clock. Neither machine reads a clock, so a test
+//! steps both on logical time.
 
 use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+
+/// The bit every coordinator-assigned shard id carries: a fresh shard that
+/// presents no id is named from its lease id with this bit set, a range no
+/// configured `--shard-id` may use, so a configured shard never re-adopts a
+/// lease the coordinator named for another shard.
+pub const ASSIGNED_SHARD_ID: u64 = 1 << 63;
 
 /// One lease's coordinator-side state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -423,9 +432,11 @@ impl LeaseTable {
     }
 
     /// Commit-on-contact: move `lease_id` toward its target, taking at
-    /// most the watts currently free (pool minus live commitments), then
-    /// clamp any floating-point overshoot back onto this lease so the
-    /// live sum never exceeds the pool.
+    /// most the watts currently free (pool minus live commitments) and
+    /// giving up at most what the shard gives up on its own if this reply
+    /// is lost (half, or down to `min(floor, committed)`), then clamp any
+    /// floating-point overshoot back onto this lease so the live sum never
+    /// exceeds the pool.
     fn settle(&mut self, lease_id: u64) {
         let live_ids = self.live_ids();
         let Some(pos) = live_ids.iter().position(|&id| id == lease_id) else {
@@ -433,8 +444,11 @@ impl LeaseTable {
         };
         let target = self.targets(&live_ids)[pos];
         let free = (self.pool_w() - self.live_committed_w()).max(0.0);
+        let floor_w = self.floor_w;
         if let Some(lease) = self.leases.get_mut(&lease_id) {
-            lease.committed_w = target.min(lease.committed_w + free);
+            let held = lease.committed_w;
+            let lowest = (held * 0.5).max(held.min(floor_w));
+            lease.committed_w = target.min(held + free).max(lowest);
         }
         for _ in 0..4 {
             let over = self.live_committed_w() - self.pool_w();
@@ -458,10 +472,11 @@ impl LeaseTable {
     /// initial commitment is `min(target, free)` — often zero right after
     /// a membership change — and it ramps toward its target as the
     /// incumbents renew down (commit-on-contact). A fresh shard without
-    /// an id takes the first id at or above its lease id that no lease
-    /// holds. If even the steady-state target cannot reach the floor, the
-    /// grant is denied without mutating the table. Either way the lease
-    /// goes live with a fresh fence and TTL, then settles.
+    /// an id is named `lease_id | ASSIGNED_SHARD_ID`, or the first id
+    /// above that no lease holds. If even the steady-state target cannot
+    /// reach the floor, the grant is denied without mutating the table.
+    /// Either way the lease goes live with a fresh fence and TTL, then
+    /// settles.
     fn grant(
         &mut self,
         shard_id: Option<u64>,
@@ -485,7 +500,7 @@ impl LeaseTable {
                     });
                 }
                 let id = self.next_lease;
-                let mut sid = shard_id.unwrap_or(id);
+                let mut sid = shard_id.unwrap_or(id | ASSIGNED_SHARD_ID);
                 while holder(sid).is_some() {
                     sid += 1;
                 }
@@ -851,9 +866,10 @@ impl ShardLeaseState {
 
 /// The shard-side lease state machine. Pure — the lease client thread
 /// owns the socket and reads the clock; this type builds each request,
-/// folds each reply (or its absence) and decides what the local cap may
-/// be. Invariants: the cap never exceeds the last granted budget, and
-/// between grants it is monotone non-increasing.
+/// folds each reply (or its absence) at a time on the shard's millisecond
+/// clock and decides what the local cap may be. Invariants: the cap never
+/// exceeds the last granted budget, and between grants it is monotone
+/// non-increasing.
 #[derive(Debug, Clone)]
 pub struct ShardLease {
     floor_w: f64,
@@ -862,12 +878,13 @@ pub struct ShardLease {
     shard_id: Option<u64>,
     epoch: u64,
     cap_w: f64,
-    last_grant_w: f64,
-    misses: u64,
+    grant_w: Option<f64>,
     degraded_entries: u64,
-    /// (instant of last successful contact, lease TTL) — the shard-local
-    /// expiry clock; `None` while no grant is in force.
-    contact: Option<(Instant, Duration)>,
+    /// The lease TTL, ms, from the last grant.
+    ttl_ms: u64,
+    /// The time, ms, of the round whose grant or renewal landed last: the
+    /// shard-local expiry clock; `None` while no grant is in force.
+    contact_ms: Option<u64>,
     evictions: u64,
 }
 
@@ -882,10 +899,10 @@ impl ShardLease {
             shard_id: None,
             epoch: 0,
             cap_w: floor_w,
-            last_grant_w: floor_w,
-            misses: 0,
+            grant_w: None,
             degraded_entries: 0,
-            contact: None,
+            ttl_ms: 0,
+            contact_ms: None,
             evictions: 0,
         }
     }
@@ -905,9 +922,12 @@ impl ShardLease {
         self.lease_id
     }
 
-    /// Consecutive missed renewals since the last successful contact.
-    pub fn misses(&self) -> u64 {
-        self.misses
+    /// The last positive budget granted on the lease in force, W: the
+    /// ceiling of degraded mode. `None` while unleased, and while a lease
+    /// admitted at zero watts still runs on the pre-lease reserve.
+    #[cfg(test)]
+    pub(crate) fn grant_w(&self) -> Option<f64> {
+        self.grant_w
     }
 
     /// How many times the shard has entered degraded mode.
@@ -934,8 +954,8 @@ impl ShardLease {
     }
 
     /// Fold the coordinator's reply to `request` — `None` when the call
-    /// failed (timeout, refused connection) — received at `now`, and
-    /// return the cap to apply.
+    /// failed (timeout, refused connection) — in the round made at `now_ms`
+    /// on the shard's clock, and return the cap to apply.
     ///
     /// - A grant or renewal sets the cap to its budget. A zero-watt budget
     ///   — a shard admitted mid-ramp, before the incumbents have renewed
@@ -956,7 +976,7 @@ impl ShardLease {
         &mut self,
         request: &CoordRequest,
         reply: Option<&CoordResponse>,
-        now: Instant,
+        now_ms: u64,
     ) -> f64 {
         match reply {
             Some(&CoordResponse::Granted {
@@ -964,14 +984,11 @@ impl ShardLease {
             }) => {
                 self.lease_id = Some(lease_id);
                 self.shard_id = Some(shard_id);
-                self.contact = Some((now, Duration::from_millis(ttl_ms)));
-                self.landed(epoch, budget_w);
+                self.ttl_ms = ttl_ms;
+                self.landed(epoch, budget_w, now_ms);
             }
             Some(&CoordResponse::Renewed { epoch, budget_w, .. }) => {
-                if let Some((at, _)) = &mut self.contact {
-                    *at = now;
-                }
-                self.landed(epoch, budget_w);
+                self.landed(epoch, budget_w, now_ms);
             }
             Some(CoordResponse::Rejected { code, .. })
                 if matches!(code.as_str(), "expired" | "fenced" | "unknown-lease") =>
@@ -981,21 +998,19 @@ impl ShardLease {
                 }
                 self.state = ShardLeaseState::Unleased;
                 self.lease_id = None;
-                self.contact = None;
-                self.cap_w = self.floor_w.min(self.last_grant_w);
-                self.misses = 0;
+                self.contact_ms = None;
+                self.cap_w = self.reserve_w();
+                self.grant_w = None;
             }
             None if self.state != ShardLeaseState::Unleased => {
                 if self.state != ShardLeaseState::Degraded {
                     self.state = ShardLeaseState::Degraded;
                     self.degraded_entries += 1;
                 }
-                self.misses += 1;
-                let reserve_w = self.floor_w.min(self.last_grant_w);
-                self.cap_w = (self.cap_w * 0.5).max(reserve_w);
-                if self.contact.is_some_and(|(at, ttl)| now.saturating_duration_since(at) >= ttl) {
-                    self.cap_w = reserve_w;
-                    self.contact = None;
+                self.cap_w = (self.cap_w * 0.5).max(self.reserve_w());
+                if self.contact_ms.is_some_and(|at| now_ms.saturating_sub(at) >= self.ttl_ms) {
+                    self.cap_w = self.reserve_w();
+                    self.contact_ms = None;
                 }
             }
             // A denial, any other answer, or a miss with no lease held.
@@ -1004,23 +1019,28 @@ impl ShardLease {
         self.cap_w
     }
 
-    /// A grant or renewal landed: leased again at its budget.
-    fn landed(&mut self, epoch: u64, budget_w: f64) {
+    /// `min(floor, last grant)`: where degraded mode stops. With no grant
+    /// in force the cap is already the reserve it runs on.
+    fn reserve_w(&self) -> f64 {
+        self.floor_w.min(self.grant_w.unwrap_or(self.cap_w))
+    }
+
+    /// A grant or renewal landed in the round made at `now_ms`: leased
+    /// again at its budget, and the expiry clock restarts.
+    fn landed(&mut self, epoch: u64, budget_w: f64, now_ms: u64) {
         self.state = ShardLeaseState::Leased;
         self.epoch = epoch;
         if budget_w > 0.0 {
             self.cap_w = budget_w;
+            self.grant_w = Some(budget_w);
         }
-        self.last_grant_w = self.cap_w;
-        self.misses = 0;
+        self.contact_ms = Some(now_ms);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame_blocking, write_frame};
-    use std::io::Cursor;
 
     fn table() -> LeaseTable {
         LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0)
@@ -1091,11 +1111,6 @@ mod tests {
             let (epoch, demand_w) = (t.epoch(), t.lease(id).unwrap().demand_w);
             renew(t, id, epoch, demand_w).unwrap();
         }
-    }
-
-    /// The shard-side clock every `ShardLease` test reads.
-    fn now() -> Instant {
-        Instant::now()
     }
 
     #[test]
@@ -1220,33 +1235,54 @@ mod tests {
         assert_eq!(t.lease(a.lease_id).unwrap().committed_w, 100.0);
     }
 
+    /// One round of a shard's lease machine, configured with `id`, against
+    /// `t` at the table's tick; `lost` drops the reply after the table
+    /// applied the request.
+    fn round(t: &mut LeaseTable, shard: &mut ShardLease, id: Option<u64>, lost: bool) -> f64 {
+        let request = shard.request(id, 60.0);
+        let reply = match t.apply(t.tick(), &request).expect("a lease operation") {
+            Ok(entry) => t.reply(&entry, 500),
+            Err(e) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
+        };
+        shard.on_reply(&request, (!lost).then_some(&reply), 0)
+    }
+
     #[test]
-    fn a_configured_shard_id_is_never_handed_to_a_fresh_shard() {
-        // One shard runs with `--shard-id 2`, a second without an id. Its
-        // lease id is 2, which the first shard already holds as a shard id.
-        let mut live = table();
-        let mut journal = Vec::new();
-        let first =
-            call(&mut live, &mut journal, CoordRequest::Lease { shard_id: Some(2), demand_w: 0.0 })
-                .unwrap();
-        let second =
-            call(&mut live, &mut journal, CoordRequest::Lease { shard_id: None, demand_w: 0.0 })
-                .unwrap();
-        assert_eq!((first.lease_id, first.shard_id), (1, 2));
-        assert_eq!(second.lease_id, 2);
-        assert_ne!(second.shard_id, first.shard_id, "two shards, two shard ids");
+    fn a_configured_shard_never_readopts_a_lease_the_coordinator_named() {
+        // A shard started without an id, then one started with
+        // `--shard-id 1`: once both enforce what they were told, the fleet
+        // holds the 90 W cap plus at most the newcomer's pre-lease floor.
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 20, 2.0);
+        let (mut unconfigured, mut configured) = (ShardLease::new(2.0), ShardLease::new(2.0));
+        assert_eq!(round(&mut t, &mut unconfigured, None, false), 90.0);
+        let shard_id = t.lease(1).unwrap().shard_id;
+        assert_eq!(shard_id, 1 | ASSIGNED_SHARD_ID, "an assigned id is outside 1..2^63");
+        round(&mut t, &mut configured, Some(1), false);
+        assert_ne!(configured.lease_id(), unconfigured.lease_id(), "two shards, two leases");
+        let enforced_w = unconfigured.cap_w() + configured.cap_w();
+        assert!(enforced_w <= 90.0 + 2.0, "two shards enforce {enforced_w} W under a 90 W cap");
+    }
 
-        let (rebuilt, _) =
-            replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0)
-                .expect("the coordinator restarts on its own journal");
-        assert_eq!(rebuilt.snapshot(), live.snapshot());
-
-        // Each shard's re-lease re-adopts its own lease.
-        for shard in [&first, &second] {
-            let again = grant(&mut live, Some(shard.shard_id), 0.0).unwrap();
-            assert_eq!((again.lease_id, again.shard_id), (shard.lease_id, shard.shard_id));
+    #[test]
+    fn a_lost_renewal_reply_never_leaves_a_shard_above_its_commitment() {
+        // A holds the whole pool when B and C join at zero. A's renewal
+        // down toward its third is applied but its reply is lost, so A
+        // takes its own degraded step; B and C then renew into what the
+        // table freed.
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 20, 2.0);
+        let mut shards = [ShardLease::new(2.0), ShardLease::new(2.0), ShardLease::new(2.0)];
+        for shard in &mut shards {
+            round(&mut t, shard, None, false);
         }
-        assert_eq!(live.snapshot().len(), 2);
+        assert_eq!(shards[0].cap_w(), 90.0);
+        let a_cap_w = round(&mut t, &mut shards[0], None, true);
+        let committed_w = t.lease(1).unwrap().committed_w;
+        assert!(a_cap_w <= committed_w, "A enforces {a_cap_w} W, the table holds {committed_w} W");
+        for shard in &mut shards[1..] {
+            round(&mut t, shard, None, false);
+        }
+        let enforced_w: f64 = shards.iter().map(ShardLease::cap_w).sum();
+        assert!(enforced_w <= 90.0, "the fleet enforces {enforced_w} W under a 90 W cap");
     }
 
     #[test]
@@ -1487,7 +1523,7 @@ mod tests {
 
     #[test]
     fn shard_lease_decays_but_never_exceeds_the_last_grant() {
-        let t0 = now();
+        let t0 = 0;
         let mut s = ShardLease::new(5.0);
         assert_eq!(s.state(), ShardLeaseState::Unleased);
         assert_eq!(s.cap_w(), 5.0, "unleased shards run at the floor");
@@ -1507,21 +1543,20 @@ mod tests {
         assert_eq!(s.on_reply(&renew, None, t0), 10.0);
         assert_eq!(s.on_reply(&renew, None, t0), 5.0);
         assert_eq!(s.on_reply(&renew, None, t0), 5.0);
-        assert_eq!(s.misses(), 4);
         for _ in 0..8 {
             assert!(s.on_reply(&renew, None, t0) <= 40.0, "the cap never exceeds the last grant");
         }
 
-        // A successful renewal recovers the lease and resets the misses.
+        // A successful renewal recovers the lease.
         assert_eq!(s.on_reply(&renew, Some(&renewed(9, 33.0)), t0), 33.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
-        assert_eq!((s.cap_w(), s.misses()), (33.0, 0));
+        assert_eq!(s.cap_w(), 33.0);
         assert_eq!(s.degraded_entries(), 1, "recovery does not recount the entry");
 
         // One miss past the TTL by the shard's own clock clamps straight
         // to the floor.
-        assert_eq!(s.on_reply(&renew, None, t0 + Duration::from_millis(999)), 16.5);
-        assert_eq!(s.on_reply(&renew, None, t0 + Duration::from_millis(1_000)), 5.0);
+        assert_eq!(s.on_reply(&renew, None, t0 + 999), 16.5);
+        assert_eq!(s.on_reply(&renew, None, t0 + 1_000), 5.0);
         assert_eq!(s.degraded_entries(), 2);
     }
 
@@ -1529,7 +1564,7 @@ mod tests {
     fn shard_lease_floor_clamp_respects_a_tiny_last_grant() {
         // A shard whose last grant was *below* the floor must clamp to the
         // grant, not up to the floor — degraded mode never raises the cap.
-        let t0 = now();
+        let t0 = 0;
         let mut s = ShardLease::new(10.0);
         let lease = s.request(None, 4.0);
         s.on_reply(&lease, Some(&granted(1, 4.0, 0)), t0);
@@ -1539,7 +1574,7 @@ mod tests {
 
     #[test]
     fn shard_lease_re_leases_under_its_id_after_losing_the_lease() {
-        let t0 = now();
+        let t0 = 0;
         for (code, evicted) in [("expired", 0), ("fenced", 0), ("unknown-lease", 1), ("denied", 0)]
         {
             let mut s = ShardLease::new(5.0);
@@ -1562,42 +1597,6 @@ mod tests {
             s.on_reply(&re_lease, Some(&rejected("unknown-lease")), t0);
             assert_eq!(s.evictions(), evicted, "{code}");
         }
-    }
-
-    #[test]
-    fn coordinator_frames_roundtrip() {
-        fn roundtrip<T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(
-            msg: &T,
-        ) {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, msg).unwrap();
-            let back: T = read_frame_blocking(&mut Cursor::new(&buf)).unwrap().unwrap();
-            assert_eq!(&back, msg);
-        }
-        roundtrip(&CoordRequest::Lease { shard_id: None, demand_w: 12.5 });
-        roundtrip(&CoordRequest::Lease { shard_id: Some(3), demand_w: 0.0 });
-        roundtrip(&CoordRequest::Renew { lease_id: 2, epoch: 9, demand_w: 7.0 });
-        roundtrip(&CoordRequest::Release { lease_id: 2 });
-        roundtrip(&CoordRequest::Revoke { lease_id: 2 });
-        roundtrip(&CoordRequest::Stats);
-        roundtrip(&CoordRequest::Shutdown);
-        roundtrip(&CoordResponse::Granted {
-            lease_id: 1,
-            shard_id: 1,
-            epoch: 1,
-            budget_w: 50.0,
-            expires_tick: 10,
-            ttl_ms: 500,
-        });
-        roundtrip(&CoordResponse::Renewed {
-            lease_id: 1,
-            epoch: 2,
-            budget_w: 48.0,
-            expires_tick: 20,
-        });
-        roundtrip(&CoordResponse::Rejected { code: "fenced".into(), detail: "stale".into() });
-        roundtrip(&CoordResponse::Released);
-        roundtrip(&CoordResponse::ShuttingDown);
     }
 
     #[test]

@@ -44,6 +44,8 @@
 pub mod arbiter;
 pub mod coordinator;
 pub mod engine;
+#[cfg(test)]
+mod fleet;
 pub mod journal;
 pub mod lease;
 pub mod metrics;

@@ -13,7 +13,7 @@ use crate::arbiter::{Arbiter, ArbiterOp, ArbiterPolicy, BUDGET_EPS_W};
 use crate::coordinator::CoordClient;
 use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
-use crate::lease::{CoordRequest, CoordResponse, ShardLease};
+use crate::lease::{CoordRequest, CoordResponse, ShardLease, ASSIGNED_SHARD_ID};
 use crate::metrics::{LatencyCounts, LeaseReport, Metrics, StatsSnapshot};
 use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
@@ -143,11 +143,11 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// State shared by the accept loop and every session.
-struct Shared {
+pub(crate) struct Shared {
     config: ServeConfig,
     model: Arc<TrainedModel>,
     engine: Engine,
-    arbiter: Mutex<Arbiter>,
+    pub(crate) arbiter: Mutex<Arbiter>,
     metrics: Metrics,
     shutdown: AtomicBool,
     /// Set by `simulate_crash` (tests only): sessions stop without
@@ -161,7 +161,7 @@ struct Shared {
     /// `Some` iff a coordinator is configured: the lease client thread
     /// runs exactly when this is set and mutates the state; `Stats` reads
     /// it.
-    lease: Option<(String, Mutex<ShardLease>)>,
+    pub(crate) lease: Option<(String, Mutex<ShardLease>)>,
     /// Current brownout level (0 = everything enabled). Written by the
     /// brownout thread, read on every request; stays 0 forever when the
     /// controller is disabled.
@@ -187,7 +187,108 @@ fn journal_append(shared: &Shared, entry: &JournalEntry) {
     }
 }
 
+/// The values only a shard can judge, checked before anything binds or
+/// opens a file.
+fn check_config(config: &ServeConfig) -> Result<(), ServeError> {
+    // `Arbiter::new` and `ShardLease::new` assert positivity; an
+    // operator's typo must not get that far. An infinite cap would pass
+    // those asserts and then split into NaN budgets.
+    for (flag, watts) in
+        [("--global-cap", config.global_cap_w), ("--lease-floor", config.lease_floor_w)]
+    {
+        if !(watts.is_finite() && watts > 0.0) {
+            return Err(ServeError::Config(format!(
+                "{flag} must be a finite, positive wattage, got {watts}"
+            )));
+        }
+    }
+    if config.renew_ms < 10 {
+        let detail = format!("--renew-ms must be at least 10, got {}", config.renew_ms);
+        return Err(ServeError::Config(detail));
+    }
+    if let Some(id) = config.shard_id.filter(|id| id & ASSIGNED_SHARD_ID != 0) {
+        return Err(ServeError::Config(format!(
+            "--shard-id must be below 2^63, got {id}: ids from there up are the \
+             coordinator's to assign"
+        )));
+    }
+    Ok(())
+}
+
 impl Shared {
+    /// Everything a shard is but its listener, from a checked
+    /// configuration: the journal replayed, the profile cache re-warmed,
+    /// and a coordinator-bound shard clamped to its pre-lease reserve.
+    pub(crate) fn new(config: ServeConfig, model: Arc<TrainedModel>) -> Result<Self, ServeError> {
+        // Crash recovery: open the journal, replay its valid prefix into a
+        // fresh arbiter (orphaned sessions removed, next node id resumed),
+        // and re-warm the profile cache with the journaled miss keys. The
+        // miss hook is installed only *after* warm-up, so replayed keys are
+        // not journaled a second time.
+        let (journal, recovery, arbiter, next_node) = match &config.journal {
+            Some(path) => {
+                let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
+                    .map_err(|e| ServeError::Journal(e.to_string()))?;
+                let (arbiter, recovery) = replay(&entries, config.global_cap_w, config.policy)
+                    .map_err(|e| ServeError::Journal(e.to_string()))?;
+                let next_node = recovery.next_node;
+                (Some(Arc::new(journal)), Some(recovery), arbiter, next_node)
+            }
+            None => (None, None, Arbiter::new(config.global_cap_w, config.policy), 1),
+        };
+        let lease = config
+            .coordinator
+            .clone()
+            .map(|target| (target, Mutex::new(ShardLease::new(config.lease_floor_w))));
+        let engine =
+            Engine::new(Arc::clone(&model), Machine::from_family(config.family, config.seed));
+        if let Some(recovery) = &recovery {
+            for kernel_id in &recovery.warm_kernels {
+                let _ = engine.profile(kernel_id);
+            }
+        }
+        if let Some(journal) = &journal {
+            let sink = Arc::clone(journal);
+            engine.set_miss_hook(Box::new(move |kernel_id| {
+                let _ = sink.append(&JournalEntry::CacheKey { kernel_id: kernel_id.to_string() });
+            }));
+        }
+
+        // Reconcile the STATS degradation-rung tallies with replayed
+        // history: a restarted server reports the rungs it already served,
+        // not a fresh zero next to a warm cache.
+        let metrics = Metrics::new();
+        if let Some(recovery) = &recovery {
+            metrics.seed_rungs(&recovery.rung_tallies);
+        }
+        let shared = Self {
+            engine,
+            arbiter: Mutex::new(arbiter),
+            metrics,
+            shutdown: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            next_node: AtomicU64::new(next_node),
+            journal,
+            recovery,
+            lease,
+            brownout_level: AtomicU8::new(0),
+            est_p99_us: AtomicU64::new(0),
+            adapt_digests: Mutex::new(BTreeMap::new()),
+            model,
+            config,
+        };
+        // A coordinator-bound shard must not exceed its pre-lease reserve
+        // (the floor) until its first grant lands, whatever cap the journal
+        // replayed — the coordinator only encumbers the floor for a silent
+        // shard, so anything above it would break fleet conservation.
+        if let Some((_, lease)) = &shared.lease {
+            let cap_w = lease.lock().cap_w();
+            shared.arbitrate(ArbiterOp::Cap { cap_w });
+        }
+        Ok(shared)
+    }
+
     /// Take one arbiter step and journal the entry it returns, under the
     /// arbiter lock so the recorded epoch is exactly the one the step
     /// produced. Returns the budget the op's node holds afterwards (`None`
@@ -271,88 +372,9 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        // `Arbiter::new` and `ShardLease::new` assert positivity; an
-        // operator's typo must not get that far. An infinite cap would pass
-        // those asserts and then split into NaN budgets.
-        for (flag, watts) in
-            [("--global-cap", config.global_cap_w), ("--lease-floor", config.lease_floor_w)]
-        {
-            if !(watts.is_finite() && watts > 0.0) {
-                return Err(ServeError::Config(format!(
-                    "{flag} must be a finite, positive wattage, got {watts}"
-                )));
-            }
-        }
+        check_config(&config)?;
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
-        let model = Arc::new(model);
-
-        // Crash recovery: open the journal, replay its valid prefix into a
-        // fresh arbiter (orphaned sessions removed, next node id resumed),
-        // and re-warm the profile cache with the journaled miss keys. The
-        // miss hook is installed only *after* warm-up, so replayed keys are
-        // not journaled a second time.
-        let (journal, recovery, arbiter, next_node) = match &config.journal {
-            Some(path) => {
-                let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
-                    .map_err(|e| ServeError::Journal(e.to_string()))?;
-                let (arbiter, recovery) = replay(&entries, config.global_cap_w, config.policy)
-                    .map_err(|e| ServeError::Journal(e.to_string()))?;
-                let next_node = recovery.next_node;
-                (Some(Arc::new(journal)), Some(recovery), arbiter, next_node)
-            }
-            None => (None, None, Arbiter::new(config.global_cap_w, config.policy), 1),
-        };
-        let lease = config
-            .coordinator
-            .clone()
-            .map(|target| (target, Mutex::new(ShardLease::new(config.lease_floor_w))));
-        let engine =
-            Engine::new(Arc::clone(&model), Machine::from_family(config.family, config.seed));
-        if let Some(recovery) = &recovery {
-            for kernel_id in &recovery.warm_kernels {
-                let _ = engine.profile(kernel_id);
-            }
-        }
-        if let Some(journal) = &journal {
-            let sink = Arc::clone(journal);
-            engine.set_miss_hook(Box::new(move |kernel_id| {
-                let _ = sink.append(&JournalEntry::CacheKey { kernel_id: kernel_id.to_string() });
-            }));
-        }
-
-        // Reconcile the STATS degradation-rung tallies with replayed
-        // history: a restarted server reports the rungs it already served,
-        // not a fresh zero next to a warm cache.
-        let metrics = Metrics::new();
-        if let Some(recovery) = &recovery {
-            metrics.seed_rungs(&recovery.rung_tallies);
-        }
-        let shared = Arc::new(Shared {
-            engine,
-            arbiter: Mutex::new(arbiter),
-            metrics,
-            shutdown: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            next_node: AtomicU64::new(next_node),
-            journal,
-            recovery,
-            lease,
-            brownout_level: AtomicU8::new(0),
-            est_p99_us: AtomicU64::new(0),
-            adapt_digests: Mutex::new(BTreeMap::new()),
-            model,
-            config,
-        });
-        // A coordinator-bound shard must not exceed its pre-lease reserve
-        // (the floor) until its first grant lands, whatever cap the journal
-        // replayed — the coordinator only encumbers the floor for a silent
-        // shard, so anything above it would break fleet conservation.
-        if let Some((_, lease)) = &shared.lease {
-            let cap_w = lease.lock().cap_w();
-            shared.arbitrate(ArbiterOp::Cap { cap_w });
-        }
-        Ok(Self { listener, shared })
+        Ok(Self { listener, shared: Arc::new(Shared::new(config, Arc::new(model))?) })
     }
 
     /// Bind, then serve on a background thread until stopped.
@@ -484,48 +506,33 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
     u16::from(priority) < required_priority(brownout_level, deadline_ms, est_p99_us)
 }
 
-/// The shard's lease client: one thread, one renewal per `renew_ms`.
-///
-/// Each round sends the request [`ShardLease::request`] builds and hands
-/// the reply — or the failed call, a *miss* — to [`ShardLease::on_reply`];
-/// a resulting cap the arbiter does not hold yet is stepped through it as
-/// an [`ArbiterOp::Cap`], which journals it so a restarted shard replays
-/// to the same budgets.
+/// The shard's lease client: one thread, one [`lease_round`] per
+/// `renew_ms`. The thread owns what the round leaves out: the socket call,
+/// the renew-latency timer and the sleep. The round's time is the
+/// thread's own millisecond clock, read as the request goes out.
 fn run_lease_client(shared: Arc<Shared>) {
     let Some((target, lease_mutex)) = &shared.lease else {
         return;
     };
-    let renew_every = Duration::from_millis(shared.config.renew_ms.max(10));
+    let renew_every = Duration::from_millis(shared.config.renew_ms);
+    let origin = Instant::now();
     let mut client: Option<CoordClient> = None;
-    'rounds: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let started = Instant::now();
-        let config = &shared.config;
-        let request = lease_mutex.lock().request(config.shard_id, config.global_cap_w);
-        let reply = lease_call(&mut client, target, renew_every, &request).ok();
-        let replied = Instant::now();
-        if let Some(CoordResponse::Granted { .. } | CoordResponse::Renewed { .. }) = reply {
-            let latency_ns = (replied - started).as_nanos().min(u128::from(u64::MAX)) as u64;
-            shared.metrics.record_renew(latency_ns);
-        }
-        let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), replied);
-        // Only this thread moves the cap after `bind`, so the check cannot
-        // go stale before the step.
-        if (shared.arbiter.lock().global_cap_w() - cap_w).abs() > BUDGET_EPS_W {
-            shared.arbitrate(ArbiterOp::Cap { cap_w });
-        }
-        let deadline = started + renew_every;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
+    'rounds: while !shared.shutdown.load(Ordering::SeqCst) {
+        let started = origin.elapsed();
+        let now_ms = started.as_millis().min(u128::from(u64::MAX)) as u64;
+        lease_round(&shared, now_ms, |request| {
+            let reply = lease_call(&mut client, target, renew_every, request).ok();
+            if let Some(CoordResponse::Granted { .. } | CoordResponse::Renewed { .. }) = reply {
+                let latency = origin.elapsed() - started;
+                shared.metrics.record_renew(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
             }
+            reply
+        });
+        while let Some(left) = (started + renew_every).checked_sub(origin.elapsed()) {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break 'rounds;
             }
-            std::thread::sleep(LEASE_SLEEP_SLICE.min(deadline - now));
+            std::thread::sleep(LEASE_SLEEP_SLICE.min(left));
         }
     }
     // Clean shutdown releases the lease so the coordinator frees the full
@@ -537,6 +544,31 @@ fn run_lease_client(shared: Arc<Shared>) {
             let _ =
                 lease_call(&mut client, target, renew_every, &CoordRequest::Release { lease_id });
         }
+    }
+}
+
+/// One lease round at `now_ms` on the shard's clock: send the request
+/// [`ShardLease::request`] builds through `call`, hand the reply — `None`,
+/// a *miss*, when the call failed — to [`ShardLease::on_reply`], and step a
+/// resulting cap the arbiter does not hold yet through it as an
+/// [`ArbiterOp::Cap`], which journals it so a restarted shard replays to
+/// the same budgets. A no-op on a shard with no coordinator.
+pub(crate) fn lease_round(
+    shared: &Shared,
+    now_ms: u64,
+    call: impl FnOnce(&CoordRequest) -> Option<CoordResponse>,
+) {
+    let Some((_, lease_mutex)) = &shared.lease else {
+        return;
+    };
+    let config = &shared.config;
+    let request = lease_mutex.lock().request(config.shard_id, config.global_cap_w);
+    let reply = call(&request);
+    let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), now_ms);
+    // Only the lease round moves the cap after `Shared::new`, so the check
+    // cannot go stale before the step.
+    if (shared.arbiter.lock().global_cap_w() - cap_w).abs() > BUDGET_EPS_W {
+        shared.arbitrate(ArbiterOp::Cap { cap_w });
     }
 }
 
@@ -593,7 +625,7 @@ impl Drop for Seat<'_> {
 /// One connection: a node in the arbiter's cluster with its own capped,
 /// guarded runtime over its own (seed-identical) simulated machine and
 /// its own online adaptation state.
-struct Session<'a> {
+pub(crate) struct Session<'a> {
     seat: Seat<'a>,
     rt: CappedRuntime<Machine>,
     adapt: AdaptivePredictor,
@@ -695,7 +727,7 @@ impl Session<'_> {
     /// it is answered: pick that budget up, answer an undecodable frame
     /// with its typed error (and close), run the shed gate, then the
     /// request. Returns the response and whether the session ends.
-    fn step(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
+    pub(crate) fn step(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
         self.pick_up_budget();
         let Seat { shared, node_id } = self.seat;
         let request = match request {
@@ -934,7 +966,7 @@ impl Session<'_> {
 
 /// The `Stats` snapshot: what the wire request and
 /// [`ServerHandle::stats`] both report.
-fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
+pub(crate) fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
     let (lease_state, lease_budget_w, degraded_entries, evicted_shards) = match &shared.lease {
         Some((_, lease)) => {
             let lease = lease.lock();
@@ -976,12 +1008,12 @@ fn error_response(code: &str, detail: impl std::fmt::Display) -> Response {
 pub type Client = FrameClient<Request, Response>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scripted::{faulted, Event, Fault, Scripted, Step};
     use std::sync::OnceLock;
 
-    fn model() -> TrainedModel {
+    pub(crate) fn model() -> TrainedModel {
         static MODEL: OnceLock<TrainedModel> = OnceLock::new();
         MODEL
             .get_or_init(|| {
@@ -1012,7 +1044,7 @@ mod tests {
 
     /// Seat node `node_id` as the accept loop does: counted in `active`
     /// first, since its seat's drop uncounts it.
-    fn join(shared: &Shared, node_id: u64) -> Session<'_> {
+    pub(crate) fn join(shared: &Shared, node_id: u64) -> Session<'_> {
         shared.active.fetch_add(1, Ordering::SeqCst);
         Session::join(shared, node_id)
     }

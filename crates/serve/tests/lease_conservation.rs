@@ -70,95 +70,73 @@ fn apply(
     }
 }
 
+/// Step `ops` through a table with eviction after `horizon` ticks (0 =
+/// off). After every op, live commitments fit inside the unencumbered
+/// pool, the fleet total never exceeds the cap, no lease commits a
+/// negative amount, an expired lease encumbers at most the floor and none
+/// outlives the horizon. Then the journal replays at the same horizon to
+/// the exact table — every counter, lease id and budget bit, evictions
+/// included though they are never journaled — so `next_lease` matches and
+/// a restarted coordinator can never hand a granted id out twice.
+fn churn(policy: u8, horizon: u64, ops: &[(u8, u64, f64, u64)]) -> Result<(), TestCaseError> {
+    let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
+    live.set_evict_after_ticks(horizon);
+    let mut journal = Vec::new();
+    for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
+        apply(&mut live, &mut journal, op, pick, demand_w, dt);
+        let stats = live.stats();
+        let (committed_w, tick) = (stats.live_committed_w + stats.encumbered_w, live.tick());
+        let op = format!("op {i} ({op},{pick},{demand_w},{dt})");
+        prop_assert!(stats.overshoot_w == 0.0, "{op}: {stats:?} overshoots its pool");
+        prop_assert!(committed_w <= CAP_W + 1e-9, "{op}: {committed_w} W exceed the cap");
+        for (id, lease) in live.snapshot() {
+            let (w, expired_tick) = (lease.committed_w, lease.expired_tick);
+            prop_assert!(w >= 0.0, "{op}: lease {id} committed {w} W");
+            if !lease.live {
+                prop_assert!(w <= FLOOR_W + 1e-9, "{op}: expired lease {id} encumbers {w} W");
+                prop_assert!(
+                    horizon == 0 || expired_tick + horizon > tick,
+                    "{op}: lease {id} expired at {expired_tick}, not evicted by {tick}"
+                );
+            }
+        }
+    }
+
+    let (mut replayed, recovery) =
+        replay_coordinator(&journal, CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, horizon)
+            .expect("a faithfully recorded journal replays");
+    prop_assert_eq!(recovery.replayed, journal.len() as u64);
+    // The restarted coordinator's first act is advancing to the current
+    // tick, which re-runs any expirations and evictions that happened after
+    // the last journaled op.
+    replayed.advance_to(live.tick());
+    prop_assert_eq!(replayed.stats(), live.stats());
+    prop_assert_eq!(replayed.next_lease(), live.next_lease());
+    for (id, lease) in live.snapshot() {
+        let got = *replayed.lease(id).expect("replay kept every lease");
+        prop_assert_eq!(got, lease, "lease {} diverged after replay", id);
+        let bits = (got.committed_w.to_bits(), lease.committed_w.to_bits());
+        prop_assert!(bits.0 == bits.1, "lease {id} budget is not bit-identical");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Fleet-wide conservation holds after every op: live commitments fit
-    /// inside the unencumbered pool, the total never exceeds the cap, and
-    /// no lease ever commits a negative or floor-busting amount.
+    /// [`churn`] with eviction off, the coordinator's default.
     #[test]
     fn commitments_never_exceed_the_cap_under_random_churn(
         policy in 0u8..2,
         ops in prop::collection::vec(
             (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..160),
     ) {
-        let mut table =
-            LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
-        let mut journal = Vec::new();
-        for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
-            apply(&mut table, &mut journal, op, pick, demand_w, dt);
-            let stats = table.stats();
-            prop_assert!(
-                stats.overshoot_w == 0.0,
-                "op {} ({},{},{},{}): live {} W overshoots pool {} W",
-                i, op, pick, demand_w, dt,
-                stats.live_committed_w, stats.pool_w
-            );
-            prop_assert!(
-                stats.live_committed_w + stats.encumbered_w <= CAP_W + 1e-9,
-                "op {}: fleet committed {} W exceeds the {} W cap",
-                i, stats.live_committed_w + stats.encumbered_w, CAP_W
-            );
-            for (id, lease) in table.snapshot() {
-                prop_assert!(
-                    lease.committed_w >= 0.0,
-                    "lease {} committed a negative {} W", id, lease.committed_w
-                );
-                if !lease.live {
-                    prop_assert!(
-                        lease.committed_w <= FLOOR_W + 1e-9,
-                        "expired lease {} encumbers {} W above the {} W floor",
-                        id, lease.committed_w, FLOOR_W
-                    );
-                }
-            }
-        }
+        churn(policy, 0, &ops)?;
     }
 
-    /// Replaying the journal reproduces the exact table: every counter,
-    /// every lease id, every budget bit. In particular `next_lease`
-    /// matches, so a restarted coordinator can never hand a granted id
-    /// out twice (no double-grant after replay).
-    #[test]
-    fn journal_replay_reproduces_the_exact_table(
-        policy in 0u8..2,
-        ops in prop::collection::vec(
-            (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..120),
-    ) {
-        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
-        let mut journal = Vec::new();
-        for &(op, pick, demand_w, dt) in &ops {
-            apply(&mut live, &mut journal, op, pick, demand_w, dt);
-        }
-
-        let (mut replayed, recovery) =
-            replay_coordinator(&journal, CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, 0)
-                .expect("a faithfully recorded journal replays");
-        prop_assert_eq!(recovery.replayed, journal.len() as u64);
-        // The restarted coordinator's first act is advancing to the
-        // current tick, which re-runs any expirations that happened after
-        // the last journaled op.
-        replayed.advance_to(live.tick());
-
-        prop_assert_eq!(replayed.stats(), live.stats());
-        prop_assert_eq!(replayed.next_lease(), live.next_lease());
-        for (id, lease) in live.snapshot() {
-            let got = *replayed.lease(id).expect("replay kept every lease");
-            prop_assert_eq!(got, lease, "lease {} diverged after replay", id);
-            prop_assert_eq!(
-                got.committed_w.to_bits(),
-                lease.committed_w.to_bits(),
-                "lease {} budget is not bit-identical", id
-            );
-        }
-    }
-
-    /// With health-checked eviction armed, the same random op storms must
-    /// keep exact-sum conservation while expired leases are *removed* —
-    /// no zombie encumbrance survives past the horizon — and a grant
-    /// after an eviction re-admits against the reclaimed pool. Replay at
-    /// the same horizon still reproduces the bit-exact table, eviction
-    /// counters included, even though evictions are never journaled.
+    /// [`churn`] with health-checked eviction armed: expired leases are
+    /// *removed* past the horizon, and a grant after an eviction re-admits
+    /// against the reclaimed pool.
     #[test]
     fn eviction_reclaims_zombies_and_replays_exactly_under_random_storms(
         policy in 0u8..2,
@@ -166,63 +144,20 @@ proptest! {
         ops in prop::collection::vec(
             (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..120),
     ) {
-        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
-        live.set_evict_after_ticks(horizon);
-        let mut journal = Vec::new();
-        for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
-            apply(&mut live, &mut journal, op, pick, demand_w, dt);
-            let stats = live.stats();
-            prop_assert!(
-                stats.overshoot_w == 0.0,
-                "op {}: live {} W overshoots pool {} W under eviction",
-                i, stats.live_committed_w, stats.pool_w
-            );
-            prop_assert!(
-                stats.live_committed_w + stats.encumbered_w <= CAP_W + 1e-9,
-                "op {}: fleet committed {} W exceeds the {} W cap under eviction",
-                i, stats.live_committed_w + stats.encumbered_w, CAP_W
-            );
-            for (id, lease) in live.snapshot() {
-                if !lease.live {
-                    prop_assert!(
-                        lease.expired_tick + horizon > live.tick(),
-                        "op {}: lease {} expired at {} should have been evicted by {}",
-                        i, id, lease.expired_tick, live.tick()
-                    );
-                }
-            }
-        }
-
-        let (mut replayed, recovery) =
-            replay_coordinator(&journal, CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, horizon)
-                .expect("a faithfully recorded journal replays under eviction");
-        prop_assert_eq!(recovery.replayed, journal.len() as u64);
-        replayed.advance_to(live.tick());
-
-        prop_assert_eq!(replayed.stats(), live.stats());
-        prop_assert_eq!(replayed.next_lease(), live.next_lease());
-        for (id, lease) in live.snapshot() {
-            let got = *replayed.lease(id).expect("replay kept every surviving lease");
-            prop_assert_eq!(got, lease, "lease {} diverged after eviction replay", id);
-            prop_assert_eq!(
-                got.committed_w.to_bits(),
-                lease.committed_w.to_bits(),
-                "lease {} budget is not bit-identical under eviction", id
-            );
-        }
+        churn(policy, horizon, &ops)?;
     }
 }
 
 /// Every schedule of lease steps to depth 6, from an empty table, under
 /// both policies, with eviction off and at a one-tick horizon. A step is
 /// a lease from a fresh shard, a lease under shard id 1, 2 or 3 (a fresh
-/// configured shard, or a re-adoption once the id is assigned), a renewal
+/// configured shard, or a re-adoption once it holds a lease), a renewal
 /// or a release of each live lease, a revocation of each encumbered lease,
 /// or one TTL of clock. A rejected request changes nothing, so the walk
 /// does not branch on it: its schedules are prefixes of ones it walks.
 /// After every step the fleet must fit the cap, every encumbrance the
 /// floor, and the journal so far must replay, advanced to the live tick,
-/// to the live table and its stats. 552 700 schedules across the four
+/// to the live table and its stats. 602 456 schedules across the four
 /// configurations.
 #[test]
 fn every_lease_schedule_to_depth_six_conserves_and_replays() {
@@ -236,7 +171,7 @@ fn every_lease_schedule_to_depth_six_conserves_and_replays() {
             schedules += explore(&table, &mut journal, DEPTH, policy, evict_after_ticks);
         }
     }
-    assert_eq!(schedules, 552_700);
+    assert_eq!(schedules, 602_456);
 }
 
 /// Walk every schedule of `depth` more steps from `table`; the count of

@@ -86,13 +86,15 @@ const GUARDS: &[Guard] = &[
             Lit("deterministic:"),
         ],
     },
-    // The fleet's failure domain is tested in-process by
-    // crates/serve/tests/fleet_e2e.rs and lease_conservation.rs: no
-    // orchestrator command or retrying client comes back beside them.
+    // The fleet's failure domain is stepped in-process on logical time by
+    // crates/serve/src/fleet.rs, beside lease_conservation.rs: no
+    // orchestrator command, retrying client or partitioning TCP relay comes
+    // back beside them.
     Guard {
         name: "One fleet test suite",
         paths: &["crates", "src", "tests"],
         forbidden: &[
+            Lit("partitionable_relay"),
             Lit("chaosfleet"),
             Lit("chaos-fleet"),
             Lit("ResilientClient"),
@@ -191,7 +193,8 @@ const GUARDS: &[Guard] = &[
 
 const RATCHETS: &[Ratchet] = &[
     // Sleeps and wall-clock reads in the serve crate, test modules included.
-    // A new test that has to wait goes in crates/serve/tests or calls
+    // The lease machines step on logical time (crates/serve/src/fleet.rs);
+    // a new test that has to wait goes in crates/serve/tests or calls
     // `server::tests::wait_until`.
     Ratchet {
         name: "Timed waits in the serve crate do not grow",
@@ -202,14 +205,14 @@ const RATCHETS: &[Ratchet] = &[
             Lit("recv_timeout("),
             Lit("wait_timeout("),
         ],
-        ceiling: 14,
+        ceiling: 9,
     },
     // A fleet or server e2e case waits through its file's `wait_until`.
     Ratchet {
         name: "Sleeps in the serve e2e suites do not grow",
         paths: &["crates/serve/tests", "tests/serve_determinism.rs"],
         patterns: &[Lit("sleep(")],
-        ceiling: 8,
+        ceiling: 4,
     },
 ];
 
