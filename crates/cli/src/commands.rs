@@ -119,10 +119,15 @@ COMMANDS:
         [--lease-floor W]                 stopped (DESIGN.md §12);
         [--brownout-us US]                --journal-sync upgrades appends to
                                           fdatasync; --coordinator turns the
-                                          server into a fleet shard that leases
-                                          its cap (--global-cap becomes its
-                                          demand, --lease-floor its degraded-
-                                          mode reserve; DESIGN.md §13);
+                                          server into fleet shard --shard-id
+                                          (required; restarted under it, the
+                                          shard re-adopts its lease), which
+                                          leases its cap: --global-cap is its
+                                          demand, --lease-floor its reserve
+                                          until the first grant, the
+                                          coordinator's floor after it; the
+                                          fleet flags need --coordinator
+                                          (DESIGN.md §13);
                                           --brownout-us arms the brownout
                                           controller: when the observed p99
                                           latency exceeds US µs the server
@@ -133,11 +138,12 @@ COMMANDS:
   coordinator [--host H] [--port P]       fleet power coordinator: owns the
               [--cap W] [--floor W]       global budget and leases time-bounded
               [--policy equal|demand]     slices to shards; silent shards decay
-              [--ttl-ticks N]             to the floor encumbrance and are
-              [--tick-ms MS]              re-adopted on return; --journal makes
-              [--journal FILE]            every grant/renew/revoke durable so a
-              [--journal-sync true]       SIGKILLed coordinator replays to the
-              [--evict-after-ticks N]     exact lease table (DESIGN.md §13);
+              [--ttl-ticks N]             to the floor every reply carries and
+              [--tick-ms MS]              are re-adopted on return under their
+              [--journal FILE]            shard id; --journal makes every
+              [--journal-sync true]       grant/renew/revoke durable so a
+              [--evict-after-ticks N]     SIGKILLed coordinator replays to the
+                                          exact lease table (DESIGN.md §13);
                                           --evict-after-ticks N evicts a lease
                                           N ticks after it expires, reclaiming
                                           its floor encumbrance for the live
@@ -576,9 +582,29 @@ fn serve_model(args: &Args, family: acs_sim::FamilyId) -> Result<TrainedModel, C
 }
 
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_serve::{ServeConfig, Server};
+    use acs_serve::{FleetConfig, ServeConfig, Server};
 
     let family = family_arg(args)?;
+    let fleet = match args.get("coordinator") {
+        Some(_) if args.get("shard-id").is_none() => {
+            return Err(CliError::Domain(
+                "--coordinator needs --shard-id: a shard names itself".into(),
+            ))
+        }
+        Some(coordinator) => Some(FleetConfig {
+            coordinator: coordinator.to_string(),
+            shard_id: args.require_parsed("shard-id")?,
+            lease_floor_w: args.get_or("lease-floor", 5.0)?,
+            renew_ms: args.get_or("renew-ms", 200)?,
+        }),
+        None => match ["shard-id", "lease-floor", "renew-ms"]
+            .into_iter()
+            .find(|&f| args.get(f).is_some())
+        {
+            Some(flag) => return Err(CliError::Domain(format!("--{flag} needs --coordinator"))),
+            None => None,
+        },
+    };
     let config = ServeConfig {
         host: args.get("host").unwrap_or("127.0.0.1").to_string(),
         port: args.get_or("port", 4014)?,
@@ -590,13 +616,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         max_batch: args.get_or("max-batch", 256)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
-        coordinator: args.get("coordinator").map(str::to_string),
-        shard_id: match args.get("shard-id") {
-            Some(_) => Some(args.require_parsed("shard-id")?),
-            None => None,
-        },
-        lease_floor_w: args.get_or("lease-floor", 5.0)?,
-        renew_ms: args.get_or("renew-ms", 200)?,
+        fleet,
         brownout_us: args.get_or("brownout-us", 0)?,
     };
     let model = serve_model(args, family)?;
@@ -956,15 +976,15 @@ mod tests {
         // Values only `bind` can judge come back as its typed error, not
         // as the lease table's assertion.
         for (command, flag) in [
-            ("serve --coordinator 127.0.0.1:1 --lease-floor 0 --port 0", "--lease-floor"),
-            ("serve --coordinator 127.0.0.1:1 --lease-floor NaN --port 0", "--lease-floor"),
-            ("serve --coordinator 127.0.0.1:1 --lease-floor inf --port 0", "--lease-floor"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor 0 --port 0", "--lease-floor"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor NaN --port 0", "--lease-floor"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor inf --port 0", "--lease-floor"),
             ("serve --global-cap inf --port 0", "--global-cap"),
-            ("serve --renew-ms 5 --port 0", "--renew-ms"),
-            (
-                "serve --coordinator 127.0.0.1:1 --shard-id 9223372036854775808 --port 0",
-                "--shard-id",
-            ),
+            ("serve --coordinator c:1 --shard-id 1 --renew-ms 5 --port 0", "--renew-ms"),
+            ("serve --coordinator c:1 --port 0", "--shard-id"),
+            ("serve --shard-id 1 --port 0", "--shard-id"),
+            ("serve --lease-floor 2 --port 0", "--lease-floor"),
+            ("serve --renew-ms 50 --port 0", "--renew-ms"),
             ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
             ("coordinator --tick-ms 0 --port 0", "--tick-ms"),
             ("coordinator --ttl-ticks 18446744073709551615 --port 0", "--ttl-ticks"),

@@ -168,9 +168,9 @@ fn a_sigkilled_coordinator_readopts_its_lease_from_the_journal() {
         "--ttl-ticks",
         "1000",
     ];
-    let lease = CoordRequest::Lease { shard_id: Some(7), demand_w: 10.0 };
+    let lease = CoordRequest::Lease { shard_id: 7, demand_w: 10.0 };
     let lease_id = |client: &mut CoordClient| match client.call(&lease).unwrap() {
-        CoordResponse::Granted { lease_id, shard_id: 7, .. } => lease_id,
+        CoordResponse::Granted { lease_id, .. } => lease_id,
         other => panic!("expected a grant to shard 7, got {other:?}"),
     };
 

@@ -187,32 +187,25 @@ impl CoordShared {
     /// Divergent journals are a typed error, never a guess at who holds
     /// which watts.
     pub(crate) fn new(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        let (journal, recovery, table) = match &config.journal {
+        let (journal, entries) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
                     .map_err(|e| ServeError::Journal(e.to_string()))?;
-                let (table, recovery) = replay_coordinator(
-                    &entries,
-                    config.global_cap_w,
-                    config.policy,
-                    config.ttl_ticks,
-                    config.floor_w,
-                    config.evict_after_ticks,
-                )
-                .map_err(|e| ServeError::Journal(e.to_string()))?;
-                (Some(Arc::new(journal)), Some(recovery), table)
+                (Some(Arc::new(journal)), entries)
             }
-            None => {
-                let mut table = LeaseTable::new(
-                    config.global_cap_w,
-                    config.policy,
-                    config.ttl_ticks,
-                    config.floor_w,
-                );
-                table.set_evict_after_ticks(config.evict_after_ticks);
-                (None, None, table)
-            }
+            None => (None, Vec::new()),
         };
+        // A coordinator without a journal starts from the empty one.
+        let (table, recovery) = replay_coordinator(
+            &entries,
+            config.global_cap_w,
+            config.policy,
+            config.ttl_ticks,
+            config.floor_w,
+            config.evict_after_ticks,
+        )
+        .map_err(|e| ServeError::Journal(e.to_string()))?;
+        let recovery = journal.is_some().then_some(recovery);
         let base_tick = table.tick();
         Ok(Self {
             config,
@@ -344,7 +337,6 @@ pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lease::ASSIGNED_SHARD_ID;
     use std::path::PathBuf;
 
     fn scratch(test: &str) -> PathBuf {
@@ -368,11 +360,10 @@ mod tests {
     fn grant_renew_release() {
         let coord = CoordShared::new(config(None)).unwrap();
         let (lease_id, epoch) =
-            match step(&coord, 0, CoordRequest::Lease { shard_id: None, demand_w: 10.0 }).0 {
-                CoordResponse::Granted { lease_id, shard_id, epoch, budget_w, ttl_ms, .. } => {
-                    assert_eq!(shard_id, lease_id | ASSIGNED_SHARD_ID, "an assigned id");
+            match step(&coord, 0, CoordRequest::Lease { shard_id: 1, demand_w: 10.0 }).0 {
+                CoordResponse::Granted { lease_id, epoch, budget_w, ttl_ms, floor_w, .. } => {
                     assert_eq!(budget_w, 100.0, "sole shard owns the pool");
-                    assert_eq!(ttl_ms, config(None).ttl_ms());
+                    assert_eq!((ttl_ms, floor_w), (config(None).ttl_ms(), 5.0));
                     (lease_id, epoch)
                 }
                 other => panic!("expected Granted, got {other:?}"),
@@ -393,10 +384,10 @@ mod tests {
         assert_eq!(s.live_committed_w + s.encumbered_w, 0.0);
     }
 
-    /// What a test reads off a `Granted` reply.
-    fn granted(reply: CoordResponse) -> (u64, u64, u64) {
+    /// What a test reads off a `Granted` reply: the lease id and epoch.
+    fn granted(reply: CoordResponse) -> (u64, u64) {
         match reply {
-            CoordResponse::Granted { lease_id, shard_id, epoch, .. } => (lease_id, shard_id, epoch),
+            CoordResponse::Granted { lease_id, epoch, .. } => (lease_id, epoch),
             other => panic!("expected Granted, got {other:?}"),
         }
     }
@@ -415,9 +406,9 @@ mod tests {
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 10.0 };
 
         // Abrupt death: no Release, no drain; the state is just dropped.
-        let (lease_id, shard_id, epoch) = {
+        let (lease_id, epoch) = {
             let coord = CoordShared::new(config(Some(journal_path.clone()))).unwrap();
-            granted(step(&coord, 0, lease(None)).0)
+            granted(step(&coord, 0, lease(1)).0)
         };
 
         let coord = CoordShared::new(config(Some(journal_path))).unwrap();
@@ -434,7 +425,7 @@ mod tests {
         }
         // And a full re-lease (e.g. the shard reconnected after a
         // partition that outlived the coordinator) re-adopts the same id.
-        assert_eq!(granted(step(&coord, 1, lease(Some(shard_id))).0).0, lease_id);
+        assert_eq!(granted(step(&coord, 1, lease(1)).0).0, lease_id);
         let s = stats(&coord, 1);
         assert_eq!(s.live_leases, 1, "re-adoption never duplicates a lease");
         assert_eq!(s.journal_replayed, 1);
@@ -451,29 +442,28 @@ mod tests {
         })
         .unwrap();
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
-        let (lease_id, shard_id, _) = granted(step(&coord, 0, lease(None)).0);
+        let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
         // Expiry at tick 5, eviction 5 ticks later: any mutation at tick 10
         // advances the clock past both, and the silent shard is evicted,
         // not floor-parked.
-        step(&coord, 10, lease(None));
+        step(&coord, 10, lease(2));
         let s = stats(&coord, 10);
         assert_eq!(s.evicted_shards, 1, "the silent shard was evicted");
         assert_eq!(s.encumbered_w, 0.0, "eviction reclaims the reserve");
         assert_eq!(s.overshoot_w, 0.0);
         // The returning shard re-admits as a fresh grant.
-        let (id, sid, _) = granted(step(&coord, 10, lease(Some(shard_id))).0);
+        let (id, _) = granted(step(&coord, 10, lease(1)).0);
         assert_ne!(id, lease_id, "burned lease ids stay burned");
-        assert_eq!(sid, shard_id);
     }
 
     #[test]
     fn revoke_frees_a_dead_shards_encumbrance() {
         let coord = CoordShared::new(CoordinatorConfig { ttl_ticks: 5, ..config(None) }).unwrap();
-        let lease = CoordRequest::Lease { shard_id: None, demand_w: 0.0 };
-        let (lease_id, _, _) = granted(step(&coord, 0, lease.clone()).0);
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
         // Stats alone does not move the clock: a lease operation at the
         // expiry tick does, and the silent shard's lease is encumbered.
-        step(&coord, 5, lease);
+        step(&coord, 5, lease(2));
         let s = stats(&coord, 5);
         assert_eq!(s.encumbered_leases, 1, "the silent shard is encumbered");
         assert!(s.encumbered_w > 0.0);

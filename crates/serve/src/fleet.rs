@@ -9,22 +9,26 @@
 //! often than the TTL, so no shard's own TTL clock passes unobserved while
 //! the rest of the fleet moves on. After every [`Step`] the fleet checks:
 //!
-//! - the caps the shards enforce sum to at most the global cap plus the
-//!   floor once for each shard that holds no grant (the pre-lease reserve);
+//! - the caps the shards enforce sum to at most the global cap plus, for
+//!   each shard that holds no grant, its reserve: the larger of its
+//!   pre-lease reserve and the coordinator's floor;
 //! - a degraded cap stays within `[min(floor, last grant), last grant]`,
-//!   and no cap rises unless a grant or renewal landed;
-//! - the coordinator's overshoot is 0;
+//!   where the floor is the coordinator's, and no cap rises unless a grant
+//!   or renewal landed;
+//! - the coordinator's overshoot is 0, and it holds at most one lease per
+//!   shard id;
 //! - a restarted coordinator equals the one that died.
 //!
-//! [`walk`] drives seeded schedules and ends each at quiescence, where the
-//! leaseholders' caps sum exactly to the cap minus the encumbrance. The
-//! fixed schedules are the failures the fleet exists for.
+//! [`walk`] drives seeded schedules and ends each at quiescence, where
+//! every shard holds a live lease under its own id, nothing is encumbered
+//! and the caps sum exactly to the global cap. The fixed schedules are the
+//! failures the fleet exists for.
 
 use crate::coordinator::{self, CoordShared, CoordinatorConfig};
 use crate::lease::{CoordResponse, CoordStats, ShardLeaseState};
 use crate::protocol::{Request, Response};
 use crate::server::tests::{join, model};
-use crate::server::{lease_round, stats_snapshot, ServeConfig, Session, Shared};
+use crate::server::{lease_round, stats_snapshot, FleetConfig, ServeConfig, Session, Shared};
 use crate::ArbiterPolicy;
 use acs_core::TrainedModel;
 use acs_sim::{FamilyId, SplitMix64};
@@ -62,8 +66,8 @@ enum Step {
     /// round over the `i`th link.
     Jump(u64, Vec<Link>),
     CrashShard(usize),
-    /// Shard `i` starts again, unleased, presenting this id.
-    RestartShard(usize, Option<u64>),
+    /// Shard `i` starts again, unleased, under its own id.
+    RestartShard(usize),
     /// Every call fails until the coordinator restarts.
     CrashCoordinator,
     /// The coordinator is rebuilt from its journal.
@@ -90,21 +94,22 @@ fn start(config: &ServeConfig) -> Shared {
     Shared::new(config.clone(), model).expect("a valid shard configuration")
 }
 
-/// A shard of `family` demanding `demand_w`, under `shard_id` or none.
-fn shard(family: FamilyId, shard_id: Option<u64>, demand_w: f64) -> ServeConfig {
+/// Shard `shard_id` of `family`, demanding `demand_w` and running on
+/// `reserve_w` until its first grant lands.
+fn shard(family: FamilyId, shard_id: u64, reserve_w: f64, demand_w: f64) -> ServeConfig {
+    let coordinator = "in-process".into();
     ServeConfig {
         family,
         global_cap_w: demand_w,
-        coordinator: Some("in-process".into()),
-        shard_id,
-        lease_floor_w: FLOOR_W,
+        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w: reserve_w, renew_ms: 200 }),
         ..ServeConfig::default()
     }
 }
 
-/// `n` Trinity shards demanding 60 W, none configured with an id.
-fn trinity(n: usize) -> Vec<ServeConfig> {
-    vec![shard(FamilyId::Trinity, None, 60.0); n]
+/// One shard per family, ids from 1, demanding 60 W, on the coordinator's
+/// floor until their first grants land.
+fn fleet_of(families: &[FamilyId]) -> Vec<ServeConfig> {
+    (1..).zip(families).map(|(id, &family)| shard(family, id, FLOOR_W, 60.0)).collect()
 }
 
 impl Fleet {
@@ -140,6 +145,11 @@ impl Fleet {
         self.shards[i].running.as_ref().expect("a running shard")
     }
 
+    /// Shard `i`'s fleet settings.
+    fn fleet(&self, i: usize) -> &FleetConfig {
+        self.shards[i].config.fleet.as_ref().expect("a fleet shard")
+    }
+
     fn stats(&self) -> CoordStats {
         self.coordinator.table.lock().stats()
     }
@@ -155,8 +165,8 @@ impl Fleet {
     fn enforced_sum_w(&self) -> f64 {
         let mut caps: Vec<(Option<u64>, f64)> = (self.shards.iter().zip(self.enforced_w()))
             .filter_map(|(shard, cap_w)| {
-                let lease = &shard.running.as_ref()?.lease.as_ref()?.1;
-                Some((lease.lock().lease_id(), cap_w?))
+                let lease = shard.running.as_ref()?.lease.as_ref()?.lock();
+                Some((lease.lease_id(), cap_w?))
             })
             .collect();
         caps.sort_by_key(|&(lease_id, _)| lease_id);
@@ -176,11 +186,7 @@ impl Fleet {
                 }
             }
             Step::CrashShard(i) => self.shards[i].running = None,
-            Step::RestartShard(i, shard_id) => {
-                let shard = &mut self.shards[i];
-                shard.config.shard_id = shard_id;
-                shard.running = Some(start(&shard.config));
-            }
+            Step::RestartShard(i) => self.shards[i].running = Some(start(&self.shards[i].config)),
             Step::CrashCoordinator => self.coordinator_up = false,
             Step::RestartCoordinator => self.restart_coordinator()?,
         }
@@ -251,21 +257,25 @@ impl Fleet {
         if table.stats().overshoot_w != 0.0 {
             return Err(format!("the coordinator overshoots: {:?}", table.stats()));
         }
-        let (mut enforced_w, mut unbacked) = (0.0, 0);
+        if !table.one_lease_per_shard() {
+            return Err(format!("two leases for one shard: {:?}", table.snapshot()));
+        }
+        let (mut enforced_w, mut unbacked_w) = (0.0, 0.0);
         for (i, (shard, cap_w)) in self.shards.iter().zip(self.enforced_w()).enumerate() {
             let (Some(shared), Some(cap_w)) = (&shard.running, cap_w) else {
                 continue;
             };
-            let lease = shared.lease.as_ref().expect("a fleet shard").1.lock();
+            let lease = shared.lease.as_ref().expect("a fleet shard").lock();
+            let reserve_w = self.fleet(i).lease_floor_w.max(FLOOR_W);
             enforced_w += cap_w;
             // A grant backs a cap while the coordinator holds its lease,
             // live or encumbered.
             if lease.grant_w().is_none()
                 || lease.lease_id().and_then(|id| table.lease(id)).is_none()
             {
-                unbacked += 1;
+                unbacked_w += reserve_w;
             }
-            let (low_w, high_w) = lease.grant_w().map_or((0.0, FLOOR_W), |g| (FLOOR_W.min(g), g));
+            let (low_w, high_w) = lease.grant_w().map_or((0.0, reserve_w), |g| (FLOOR_W.min(g), g));
             if lease.state() == ShardLeaseState::Degraded
                 && !(low_w - EPS_W..=high_w + EPS_W).contains(&cap_w)
             {
@@ -277,10 +287,10 @@ impl Fleet {
                 return Err(format!("shard {i}: cap rose {was_w} → {cap_w} W with no grant"));
             }
         }
-        if enforced_w > CAP_W + FLOOR_W * unbacked as f64 + EPS_W {
+        if enforced_w > CAP_W + unbacked_w + EPS_W {
             return Err(format!(
-                "the shards enforce {enforced_w} W under a {CAP_W} W cap, with {unbacked} \
-                 holding no grant at {FLOOR_W} W each"
+                "the shards enforce {enforced_w} W under a {CAP_W} W cap, {unbacked_w} W of \
+                 it reserves held without a grant"
             ));
         }
         Ok(())
@@ -288,40 +298,36 @@ impl Fleet {
 
     /// Heal everything — the coordinator and every shard up — jump past
     /// the TTL every lease applied so far expires in, and let the fleet
-    /// rest. Then a shard either holds a live lease or, the pool too
-    /// encumbered to admit it, runs on its floor; the leaseholders enforce
-    /// exactly the cap less the encumbrance, or nobody can be admitted.
+    /// rest. Then every shard holds a live lease under its own id, nothing
+    /// is encumbered, and the caps, summed in lease id order as the table
+    /// sums its commitments, are the global cap to the bit.
     fn quiesce(&mut self) -> Result<(), String> {
         if !self.coordinator_up {
             self.apply(Step::RestartCoordinator)?;
         }
         for i in 0..self.shards.len() {
             if self.shards[i].running.is_none() {
-                self.apply(Step::RestartShard(i, self.shards[i].config.shard_id))?;
+                self.apply(Step::RestartShard(i))?;
             }
         }
         self.apply(Step::Jump(TTL_MS + TICK_MS, vec![Up; self.shards.len()]))?;
         self.rounds(SETTLE_ROUNDS)?;
         let table = self.coordinator.table.lock();
-        let mut held = Vec::new();
-        for (shard, cap_w) in self.shards.iter().zip(self.enforced_w()) {
-            let (Some(shared), Some(cap_w)) = (&shard.running, cap_w) else {
-                continue;
-            };
-            match shared.lease.as_ref().expect("a fleet shard").1.lock().lease_id() {
-                Some(id) if table.lease(id).is_some_and(|lease| lease.live) => {
-                    held.push((id, cap_w))
-                }
-                _ if cap_w <= FLOOR_W => {}
-                _ => return Err(format!("a shard with no lease enforces {cap_w} W at rest")),
+        for i in 0..self.shards.len() {
+            let lease_id = self.shard(i).lease.as_ref().expect("a fleet shard").lock().lease_id();
+            let shard_id = self.fleet(i).shard_id;
+            let held = lease_id.and_then(|id| table.lease(id));
+            if !held.is_some_and(|lease| lease.live && lease.shard_id == shard_id) {
+                let leases = table.snapshot();
+                return Err(format!("shard {shard_id} holds no live lease of its own: {leases:?}"));
             }
         }
-        // Summed in lease id order, as the table sums its commitments.
-        held.sort_by_key(|&(id, _)| id);
-        let (stats, held_w) = (table.stats(), held.iter().map(|&(_, w)| w).sum::<f64>());
-        let rest = if held.is_empty() { stats.pool_w < FLOOR_W } else { held_w == stats.pool_w };
-        if held.len() as u64 != stats.live_leases || !rest {
-            return Err(format!("at rest the leaseholders enforce {held_w} W: {stats:?}"));
+        let (stats, enforced_w) = (table.stats(), self.enforced_sum_w());
+        if stats.live_leases != self.shards.len() as u64
+            || stats.encumbered_leases != 0
+            || enforced_w.to_bits() != CAP_W.to_bits()
+        {
+            return Err(format!("at rest the shards enforce {enforced_w} W: {stats:?}"));
         }
         Ok(())
     }
@@ -345,27 +351,27 @@ fn links(rng: &mut SplitMix64) -> Vec<Link> {
     (0..3).map(|_| [LoseRequest, LoseReply, Up, Up, Up, Up][draw(rng, 6) as usize]).collect()
 }
 
-/// One seeded schedule of `steps` steps over three shards, each configured
-/// with an id in 1..=3 no other shard has, or with none; then quiescence.
+/// One seeded schedule of `steps` steps over three shards with distinct ids
+/// in 1..=3, each running until its first grant on a pre-lease reserve
+/// below, at or above the coordinator's floor; then quiescence.
 fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<(), String> {
     let rng = &mut SplitMix64(seed);
-    let mut ids: Vec<Option<u64>> = Vec::new();
-    for _ in 0..3 {
-        let id = draw(rng, 4);
-        ids.push((id > 0 && !ids.contains(&Some(id))).then_some(id));
-    }
+    let mut ids = [1, 2, 3];
+    ids.rotate_left(draw(rng, 3) as usize);
     let families = [FamilyId::Trinity, FamilyId::BigCore, FamilyId::LowPower];
-    let shards = (0..3).map(|i| shard(families[i], ids[i], 20.0 * (i + 1) as f64)).collect();
+    let shards = (0..3)
+        .map(|i| {
+            let reserve_w = [FLOOR_W / 2.0, FLOOR_W, 2.5 * FLOOR_W][draw(rng, 3) as usize];
+            shard(families[i], ids[i], reserve_w, 20.0 * (i + 1) as f64)
+        })
+        .collect();
     let mut fleet = Fleet::new(&format!("walk-{policy:?}-{evict}-{seed}"), policy, evict, shards);
     for n in 0..steps {
         let i = draw(rng, 3) as usize;
         let step = match draw(rng, 100) {
             0..=59 => Step::Round(i, links(rng)[0]),
             60..=67 if fleet.shards[i].running.is_some() => Step::CrashShard(i),
-            60..=67 => {
-                let keep = draw(rng, 2) == 0;
-                Step::RestartShard(i, fleet.shards[i].config.shard_id.filter(|_| keep))
-            }
+            60..=67 => Step::RestartShard(i),
             68..=71 if fleet.coordinator_up => Step::CrashCoordinator,
             68..=71 => Step::RestartCoordinator,
             72..=87 => Step::Jump((1 + draw(rng, TTL_TICKS - 1)) * TICK_MS, links(rng)),
@@ -378,16 +384,19 @@ fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<()
     fleet.quiesce().map_err(|e| format!("at quiescence: {e}"))
 }
 
-/// 64 seeds × 200 steps for each policy, with eviction off and on. A
-/// failure names its configuration, seed and step; the walk is a function
-/// of those alone, so the seed fails the same way again.
+/// 64 seeds × 200 steps and 8 seeds × 2 000 steps for each policy, with
+/// eviction off and on. A failure names its configuration, seed and step;
+/// the walk is a function of those alone, so the seed fails the same way
+/// again.
 #[test]
 fn the_fleet_walk_holds_every_invariant_at_every_step() {
     for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
         for evict in [0, EVICT_AFTER_TICKS] {
-            for seed in 0..64 {
-                if let Err(e) = walk(policy, evict, seed, 200) {
-                    panic!("walk({policy:?}, evict {evict}, seed {seed}): {e}");
+            for (seeds, steps) in [(0..64, 200), (0..8, 2_000)] {
+                for seed in seeds {
+                    if let Err(e) = walk(policy, evict, seed, steps) {
+                        panic!("walk({policy:?}, evict {evict}, seed {seed}, {steps} steps): {e}");
+                    }
                 }
             }
         }
@@ -399,8 +408,8 @@ fn heterogeneous_families_share_one_budget_and_warm_their_own_caches() {
     // Watts are watts: the budget is family-blind. But each shard profiles
     // kernels on its own family's machine, into its own cache.
     let families = [FamilyId::BigCore, FamilyId::LowPower, FamilyId::AccelHybrid];
-    let shards = families.iter().map(|&family| shard(family, None, 60.0)).collect();
-    let mut fleet = Fleet::new("families", ArbiterPolicy::DemandProportional, 0, shards);
+    let mut fleet =
+        Fleet::new("families", ArbiterPolicy::DemandProportional, 0, fleet_of(&families));
     fleet.rounds(SETTLE_ROUNDS).unwrap();
     assert_eq!((fleet.enforced_sum_w(), fleet.stats().live_leases), (CAP_W, 3));
 
@@ -430,7 +439,8 @@ fn heterogeneous_families_share_one_budget_and_warm_their_own_caches() {
 fn a_crashed_shards_lease_is_encumbered_at_the_floor_or_evicted() {
     for evict in [0, EVICT_AFTER_TICKS] {
         let name = format!("crash-{evict}");
-        let mut fleet = Fleet::new(&name, ArbiterPolicy::EqualShare, evict, trinity(2));
+        let shards = fleet_of(&[FamilyId::Trinity; 2]);
+        let mut fleet = Fleet::new(&name, ArbiterPolicy::EqualShare, evict, shards);
         fleet.rounds(SETTLE_ROUNDS).unwrap();
         // The survivor renews every half TTL. The victim's lease expires to
         // its floor encumbrance, which eviction then reclaims too.
@@ -443,18 +453,19 @@ fn a_crashed_shards_lease_is_encumbered_at_the_floor_or_evicted() {
         assert_eq!((stats.encumbered_w, stats.evicted_shards), (reserve_w, u64::from(evict > 0)));
         assert_eq!(fleet.enforced_sum_w(), CAP_W - reserve_w, "the survivor takes the rest");
         assert_eq!(stats_snapshot(fleet.shard(0)).evicted_shards, 0, "the survivor's own lease");
-        // A replacement admits as a fresh grant against what is left.
-        fleet.run([Step::RestartShard(1, None)]);
+        // Restarted under its id, the shard re-adopts its encumbered lease,
+        // or is admitted afresh once it was evicted: the third grant.
+        fleet.run([Step::RestartShard(1)]);
         fleet.rounds(SETTLE_ROUNDS).unwrap();
-        assert_eq!((fleet.stats().live_leases, fleet.stats().grants), (2, 3));
-        assert_eq!(fleet.enforced_sum_w(), CAP_W - reserve_w);
+        let stats = fleet.stats();
+        assert_eq!((stats.live_leases, stats.encumbered_leases, stats.grants), (2, 0, 3));
+        assert_eq!(fleet.enforced_sum_w(), CAP_W);
     }
 }
 
 #[test]
 fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts_its_lease() {
-    let ids = [Some(1), Some(2)];
-    let shards = ids.iter().map(|&id| shard(FamilyId::Trinity, id, 60.0)).collect();
+    let shards = fleet_of(&[FamilyId::Trinity; 2]);
     let mut fleet = Fleet::new("keys", ArbiterPolicy::DemandProportional, 0, shards);
     fleet.rounds(SETTLE_ROUNDS).unwrap();
     // Keyed runs, as a retrying client sends them: one key per logical
@@ -495,7 +506,7 @@ fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts
     let half_ttl = || Step::Jump(TTL_MS / 2, vec![Up; 2]);
     fleet.run([half_ttl(), half_ttl(), half_ttl()]);
     assert_eq!(fleet.stats().encumbered_leases, 1);
-    fleet.run([Step::RestartShard(0, Some(1))]);
+    fleet.run([Step::RestartShard(0)]);
     fleet.rounds(SETTLE_ROUNDS).unwrap();
     let stats = fleet.stats();
     assert_eq!((stats.live_leases, stats.encumbered_leases), (2, 0), "re-adopted: {stats:?}");
@@ -504,7 +515,8 @@ fn a_killed_shards_session_replays_its_keys_on_a_survivor_and_the_shard_readopts
 
 #[test]
 fn a_partitioned_shard_degrades_within_its_last_grant_and_recovers() {
-    let mut fleet = Fleet::new("partition", ArbiterPolicy::DemandProportional, 0, trinity(1));
+    let shards = fleet_of(&[FamilyId::Trinity]);
+    let mut fleet = Fleet::new("partition", ArbiterPolicy::DemandProportional, 0, shards);
     fleet.run([Step::Round(0, Up)]);
     assert_eq!(fleet.enforced_sum_w(), CAP_W);
     // Inside the cut every request or reply is lost: the cap halves toward

@@ -39,11 +39,16 @@
 //!    must re-lease (which re-adopts its existing entry rather than
 //!    double-granting).
 //!
-//! Shard side, [`ShardLease`] mirrors rule 2: on every missed renewal the
-//! local cap halves toward `min(floor, last grant)`, and when the lease's
-//! TTL passes by the shard's own clock it clamps there. The local cap is
-//! monotone non-increasing between grants and never exceeds the last
-//! granted budget — the invariant the fleet walk checks after every step.
+//! A shard always presents its own id, so there is at most one lease per
+//! shard id: a shard whose `Granted` reply was lost asks again under the
+//! same id and re-adopts the lease it never heard about.
+//!
+//! Shard side, [`ShardLease`] mirrors rule 2 with the coordinator's floor,
+//! which every `Granted` carries: on every missed renewal the local cap
+//! halves toward `min(floor, last grant)`, and when the lease's TTL passes
+//! by the shard's own clock it clamps there. The local cap is monotone
+//! non-increasing between grants and never exceeds the last granted
+//! budget — the invariant the fleet walk checks after every step.
 //!
 //! ## One step each side
 //!
@@ -66,12 +71,6 @@ use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// The bit every coordinator-assigned shard id carries: a fresh shard that
-/// presents no id is named from its lease id with this bit set, a range no
-/// configured `--shard-id` may use, so a configured shard never re-adopts a
-/// lease the coordinator named for another shard.
-pub const ASSIGNED_SHARD_ID: u64 = 1 << 63;
 
 /// One lease's coordinator-side state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,6 +247,14 @@ impl LeaseTable {
         self.leases.iter().map(|(id, l)| (*id, *l)).collect()
     }
 
+    /// Whether no shard id holds two leases, live or encumbered: what
+    /// re-adoption in `grant` keeps true.
+    pub fn one_lease_per_shard(&self) -> bool {
+        let mut shard_ids: Vec<u64> = self.leases.values().map(|l| l.shard_id).collect();
+        shard_ids.sort_unstable();
+        shard_ids.windows(2).all(|pair| pair[0] != pair[1])
+    }
+
     /// Ids of live (renewable) leases, ascending.
     pub fn live_ids(&self) -> Vec<u64> {
         self.leases.iter().filter(|(_, l)| l.live).map(|(id, _)| *id).collect()
@@ -285,14 +292,15 @@ impl LeaseTable {
         }
     }
 
-    /// Sum of live committed budgets, W.
+    /// Sum of live committed budgets, W. Both sums start from `+0.0`: an
+    /// empty `f64` `sum()` is `-0.0`, which a fresh table would report.
     fn live_committed_w(&self) -> f64 {
-        self.leases.values().filter(|l| l.live).map(|l| l.committed_w).sum()
+        self.leases.values().filter(|l| l.live).fold(0.0, |sum, l| sum + l.committed_w)
     }
 
     /// Sum of encumbered reserves, W.
     fn encumbered_w(&self) -> f64 {
-        self.leases.values().filter(|l| !l.live).map(|l| l.committed_w).sum()
+        self.leases.values().filter(|l| !l.live).fold(0.0, |sum, l| sum + l.committed_w)
     }
 
     /// Watts available to live leases: the cap minus encumbered reserves.
@@ -403,20 +411,21 @@ impl LeaseTable {
 
     /// The reply an applied operation earns, derived from its journal
     /// entry and the table it was just applied to. `ttl_ms` is the
-    /// coordinator's wall-clock TTL, which a grant hands the shard for its
-    /// own expiry clock.
+    /// coordinator's wall-clock TTL, which every grant and renewal hands
+    /// the shard for its own expiry clock beside the floor it clamps to.
     pub fn reply(&self, entry: &CoordJournalEntry, ttl_ms: u64) -> CoordResponse {
         let settled = |lease_id| {
             self.leases.get(&lease_id).map_or((0.0, 0), |l| (l.committed_w, l.expires_tick))
         };
+        let floor_w = self.floor_w;
         match *entry {
-            CoordJournalEntry::Grant { lease_id, shard_id, epoch, .. } => {
+            CoordJournalEntry::Grant { lease_id, epoch, .. } => {
                 let (budget_w, expires_tick) = settled(lease_id);
-                CoordResponse::Granted { lease_id, shard_id, epoch, budget_w, expires_tick, ttl_ms }
+                CoordResponse::Granted { lease_id, epoch, budget_w, expires_tick, ttl_ms, floor_w }
             }
             CoordJournalEntry::Renew { lease_id, epoch, .. } => {
                 let (budget_w, expires_tick) = settled(lease_id);
-                CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick }
+                CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick, ttl_ms, floor_w }
             }
             CoordJournalEntry::Release { .. } => CoordResponse::Released,
             CoordJournalEntry::Revoke { .. } => CoordResponse::Revoked,
@@ -465,26 +474,18 @@ impl LeaseTable {
         );
     }
 
-    /// A `Lease`. A known `shard_id` with an existing lease (live or
-    /// encumbered) is **re-adopted** — same lease id, commitment resumed
-    /// from where it stood — never double-granted. A fresh shard is
-    /// admitted when its *steady-state target* clears the floor; its
-    /// initial commitment is `min(target, free)` — often zero right after
-    /// a membership change — and it ramps toward its target as the
-    /// incumbents renew down (commit-on-contact). A fresh shard without
-    /// an id is named `lease_id | ASSIGNED_SHARD_ID`, or the first id
-    /// above that no lease holds. If even the steady-state target cannot
-    /// reach the floor, the grant is denied without mutating the table.
-    /// Either way the lease goes live with a fresh fence and TTL, then
-    /// settles.
-    fn grant(
-        &mut self,
-        shard_id: Option<u64>,
-        demand_w: f64,
-    ) -> Result<CoordJournalEntry, LeaseError> {
-        let holder = |sid: u64| self.leases.iter().find(|(_, l)| l.shard_id == sid);
-        let readopted = shard_id.and_then(&holder).map(|(id, l)| (*id, l.shard_id, l.committed_w));
-        let (lease_id, shard_id, committed_w) = match readopted {
+    /// A `Lease`. A shard id with an existing lease (live or encumbered)
+    /// is **re-adopted** — same lease id, commitment resumed from where it
+    /// stood — never double-granted. A fresh shard is admitted when its
+    /// *steady-state target* clears the floor; its initial commitment is
+    /// `min(target, free)` — often zero right after a membership change —
+    /// and it ramps toward its target as the incumbents renew down
+    /// (commit-on-contact). If even the steady-state target cannot reach
+    /// the floor, the grant is denied without mutating the table. Either
+    /// way the lease goes live with a fresh fence and TTL, then settles.
+    fn grant(&mut self, shard_id: u64, demand_w: f64) -> Result<CoordJournalEntry, LeaseError> {
+        let readopted = self.leases.iter().find(|(_, l)| l.shard_id == shard_id);
+        let (lease_id, committed_w) = match readopted.map(|(id, l)| (*id, l.committed_w)) {
             Some(readopted) => readopted,
             None => {
                 // The newcomer's steady-state target is the last share
@@ -500,12 +501,8 @@ impl LeaseTable {
                     });
                 }
                 let id = self.next_lease;
-                let mut sid = shard_id.unwrap_or(id | ASSIGNED_SHARD_ID);
-                while holder(sid).is_some() {
-                    sid += 1;
-                }
                 self.next_lease += 1;
-                (id, sid, 0.0)
+                (id, 0.0)
             }
         };
         self.epoch += 1;
@@ -561,9 +558,8 @@ impl LeaseTable {
 pub enum CoordRequest {
     /// Acquire (or re-adopt) a lease.
     Lease {
-        /// The shard's remembered id; `None` on first contact, after
-        /// which the coordinator assigns one.
-        shard_id: Option<u64>,
+        /// The shard's own id, the same on every lease it asks for.
+        shard_id: u64,
         /// The shard's current demand, W.
         demand_w: f64,
     },
@@ -655,8 +651,6 @@ pub enum CoordResponse {
     Granted {
         /// The lease id.
         lease_id: u64,
-        /// The shard id (present this on re-lease after a partition).
-        shard_id: u64,
         /// Fencing token for the next renewal.
         epoch: u64,
         /// The committed budget, W.
@@ -666,6 +660,9 @@ pub enum CoordResponse {
         /// Lease TTL in wall-clock milliseconds — the shard clamps to its
         /// floor when this much time passes without a successful renewal.
         ttl_ms: u64,
+        /// The coordinator's floor, W: what it encumbers for a silent
+        /// shard, and so where the shard's degraded mode stops.
+        floor_w: f64,
     },
     /// Reply to `Renew`.
     Renewed {
@@ -677,6 +674,11 @@ pub enum CoordResponse {
         budget_w: f64,
         /// New logical expiry tick.
         expires_tick: u64,
+        /// As in `Granted`: a coordinator restarted with another TTL or
+        /// floor reaches a renewing shard at once.
+        ttl_ms: u64,
+        /// As in `Granted`.
+        floor_w: f64,
     },
     /// Typed lease rejection ([`LeaseError::code`]); the shard reacts by
     /// re-leasing (`expired`, `fenced`, `unknown-lease`) or retrying
@@ -784,14 +786,15 @@ impl CoordJournalEntry {
     }
 
     /// The request that, applied at [`Self::tick`], reproduces this entry.
-    /// A grant presents the shard id it assigned, so a fresh grant replays
-    /// to the same id. A renewal cleared its fence live, so it presents
+    /// A grant presents the shard id it recorded — one a coordinator that
+    /// once named shards itself (bit 63 set) replays like any other. A
+    /// renewal cleared its fence live, so it presents
     /// `u64::MAX`: replay checks what the renewal produced, not the token
     /// it carried.
     pub fn request(&self) -> CoordRequest {
         match *self {
             CoordJournalEntry::Grant { shard_id, demand_w, .. } => {
-                CoordRequest::Lease { shard_id: Some(shard_id), demand_w }
+                CoordRequest::Lease { shard_id, demand_w }
             }
             CoordJournalEntry::Renew { lease_id, demand_w, .. } => {
                 CoordRequest::Renew { lease_id, epoch: u64::MAX, demand_w }
@@ -843,8 +846,8 @@ pub fn replay_coordinator(
 /// Which side of the lease the shard is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardLeaseState {
-    /// No lease yet (startup, or after a release): the shard runs at the
-    /// configured floor — the deployment-level pre-lease reserve.
+    /// No lease yet (startup, or after a release): the shard runs at its
+    /// pre-lease reserve, or where its last lease left it.
     Unleased,
     /// Lease live and renewing.
     Leased,
@@ -872,15 +875,17 @@ impl ShardLeaseState {
 /// non-increasing.
 #[derive(Debug, Clone)]
 pub struct ShardLease {
+    shard_id: u64,
+    /// Where degraded mode stops, before `min(·, last grant)`: the
+    /// pre-lease reserve until a grant lands, then the coordinator's floor.
     floor_w: f64,
     state: ShardLeaseState,
     lease_id: Option<u64>,
-    shard_id: Option<u64>,
     epoch: u64,
     cap_w: f64,
     grant_w: Option<f64>,
     degraded_entries: u64,
-    /// The lease TTL, ms, from the last grant.
+    /// The lease TTL, ms, from the last grant or renewal.
     ttl_ms: u64,
     /// The time, ms, of the round whose grant or renewal landed last: the
     /// shard-local expiry clock; `None` while no grant is in force.
@@ -889,16 +894,17 @@ pub struct ShardLease {
 }
 
 impl ShardLease {
-    /// A fresh, unleased shard: the local cap starts at the floor.
-    pub fn new(floor_w: f64) -> Self {
-        assert!(floor_w > 0.0, "floor must be positive");
+    /// A fresh, unleased shard `shard_id`: the local cap starts at the
+    /// pre-lease reserve `reserve_w`.
+    pub fn new(shard_id: u64, reserve_w: f64) -> Self {
+        assert!(reserve_w > 0.0, "the pre-lease reserve must be positive");
         Self {
-            floor_w,
+            shard_id,
+            floor_w: reserve_w,
             state: ShardLeaseState::Unleased,
             lease_id: None,
-            shard_id: None,
             epoch: 0,
-            cap_w: floor_w,
+            cap_w: reserve_w,
             grant_w: None,
             degraded_entries: 0,
             ttl_ms: 0,
@@ -942,14 +948,12 @@ impl ShardLease {
     }
 
     /// The next request: a renewal presenting the last epoch while a lease
-    /// is held, else a lease under the configured shard id, or the one the
-    /// coordinator assigned before (re-adoption, not a double grant).
-    pub fn request(&self, configured_shard_id: Option<u64>, demand_w: f64) -> CoordRequest {
+    /// is held, else a lease under the shard's id (a re-adoption when the
+    /// coordinator holds one for it, never a double grant).
+    pub fn request(&self, demand_w: f64) -> CoordRequest {
         match self.lease_id {
             Some(lease_id) => CoordRequest::Renew { lease_id, epoch: self.epoch, demand_w },
-            None => {
-                CoordRequest::Lease { shard_id: configured_shard_id.or(self.shard_id), demand_w }
-            }
+            None => CoordRequest::Lease { shard_id: self.shard_id, demand_w },
         }
     }
 
@@ -957,14 +961,14 @@ impl ShardLease {
     /// failed (timeout, refused connection) — in the round made at `now_ms`
     /// on the shard's clock, and return the cap to apply.
     ///
-    /// - A grant or renewal sets the cap to its budget. A zero-watt budget
-    ///   — a shard admitted mid-ramp, before the incumbents have renewed
-    ///   down — keeps the previous cap (the floor at startup, which the
-    ///   deployment's pre-lease reserve covers) and ramps at the next
-    ///   renewal.
+    /// - A grant or renewal sets the cap to its budget, and the TTL and
+    ///   floor to the coordinator's. A zero-watt budget — a shard
+    ///   admitted mid-ramp, before the incumbents have renewed down — keeps
+    ///   the previous cap (the pre-lease reserve at startup, which the
+    ///   deployment covers) and ramps at the next renewal.
     /// - An `expired`, `fenced` or `unknown-lease` rejection means the
     ///   lease is gone on the coordinator's side: back to unleased at
-    ///   `min(floor, last grant)`, keeping the shard id for the re-lease.
+    ///   `min(floor, last grant)`, to re-lease under the shard's id.
     ///   `unknown-lease` on a renewal is a health-check eviction and is
     ///   counted. A denial changes nothing: the shard keeps asking.
     /// - A failed call is a miss: the cap halves toward `min(floor, last
@@ -980,15 +984,13 @@ impl ShardLease {
     ) -> f64 {
         match reply {
             Some(&CoordResponse::Granted {
-                lease_id, shard_id, epoch, budget_w, ttl_ms, ..
+                lease_id, epoch, budget_w, ttl_ms, floor_w, ..
             }) => {
                 self.lease_id = Some(lease_id);
-                self.shard_id = Some(shard_id);
-                self.ttl_ms = ttl_ms;
-                self.landed(epoch, budget_w, now_ms);
+                self.landed(epoch, budget_w, ttl_ms, floor_w, now_ms);
             }
-            Some(&CoordResponse::Renewed { epoch, budget_w, .. }) => {
-                self.landed(epoch, budget_w, now_ms);
+            Some(&CoordResponse::Renewed { epoch, budget_w, ttl_ms, floor_w, .. }) => {
+                self.landed(epoch, budget_w, ttl_ms, floor_w, now_ms);
             }
             Some(CoordResponse::Rejected { code, .. })
                 if matches!(code.as_str(), "expired" | "fenced" | "unknown-lease") =>
@@ -1020,16 +1022,19 @@ impl ShardLease {
     }
 
     /// `min(floor, last grant)`: where degraded mode stops. With no grant
-    /// in force the cap is already the reserve it runs on.
+    /// in force the cap it runs on stands in for the last grant.
     fn reserve_w(&self) -> f64 {
         self.floor_w.min(self.grant_w.unwrap_or(self.cap_w))
     }
 
     /// A grant or renewal landed in the round made at `now_ms`: leased
-    /// again at its budget, and the expiry clock restarts.
-    fn landed(&mut self, epoch: u64, budget_w: f64, now_ms: u64) {
+    /// again at its budget under the coordinator's TTL and floor, and the
+    /// expiry clock restarts.
+    fn landed(&mut self, epoch: u64, budget_w: f64, ttl_ms: u64, floor_w: f64, now_ms: u64) {
         self.state = ShardLeaseState::Leased;
         self.epoch = epoch;
+        self.ttl_ms = ttl_ms;
+        self.floor_w = floor_w;
         if budget_w > 0.0 {
             self.cap_w = budget_w;
             self.grant_w = Some(budget_w);
@@ -1050,7 +1055,6 @@ mod tests {
     #[derive(Debug)]
     struct Outcome {
         lease_id: u64,
-        shard_id: u64,
         epoch: u64,
         budget_w: f64,
         expires_tick: u64,
@@ -1076,22 +1080,15 @@ mod tests {
         request: CoordRequest,
     ) -> Result<Outcome, LeaseError> {
         Ok(match step(t, journal, request)? {
-            CoordResponse::Granted {
-                lease_id, shard_id, epoch, budget_w, expires_tick, ..
-            } => Outcome { lease_id, shard_id, epoch, budget_w, expires_tick },
-            CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick } => {
-                let shard_id = t.lease(lease_id).unwrap().shard_id;
-                Outcome { lease_id, shard_id, epoch, budget_w, expires_tick }
+            CoordResponse::Granted { lease_id, epoch, budget_w, expires_tick, .. }
+            | CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick, .. } => {
+                Outcome { lease_id, epoch, budget_w, expires_tick }
             }
             other => panic!("expected Granted or Renewed, got {other:?}"),
         })
     }
 
-    fn grant(
-        t: &mut LeaseTable,
-        shard_id: Option<u64>,
-        demand_w: f64,
-    ) -> Result<Outcome, LeaseError> {
+    fn grant(t: &mut LeaseTable, shard_id: u64, demand_w: f64) -> Result<Outcome, LeaseError> {
         call(t, &mut Vec::new(), CoordRequest::Lease { shard_id, demand_w })
     }
 
@@ -1116,14 +1113,14 @@ mod tests {
     #[test]
     fn first_grant_owns_the_pool_and_later_shards_ramp_in() {
         let mut t = table();
-        let a = grant(&mut t, None, 30.0).unwrap();
+        let a = grant(&mut t, 1, 30.0).unwrap();
         assert_eq!(a.budget_w, 100.0, "sole lease owns the whole pool");
         assert_eq!(t.stats().overshoot_w, 0.0);
 
         // A holds everything, so B is admitted at zero — commit-on-contact
         // forbids shrinking A behind its back — and ramps in as A renews
         // down toward the new 50/50 target.
-        let b = grant(&mut t, None, 30.0).unwrap();
+        let b = grant(&mut t, 2, 30.0).unwrap();
         assert_eq!(b.budget_w, 0.0, "no free watts until the incumbent renews down");
         assert_eq!(t.stats().overshoot_w, 0.0);
 
@@ -1142,10 +1139,10 @@ mod tests {
         // Floor 45 of a 100 W cap: two shards fit (target 50), a third
         // (target 33.3) does not.
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0);
-        grant(&mut t, None, 0.0).unwrap();
-        grant(&mut t, None, 0.0).unwrap();
+        grant(&mut t, 1, 0.0).unwrap();
+        grant(&mut t, 2, 0.0).unwrap();
         let epoch_before = t.epoch();
-        match grant(&mut t, None, 0.0) {
+        match grant(&mut t, 3, 0.0) {
             Err(LeaseError::Denied { needed_w, available_w }) => {
                 assert_eq!(needed_w, 45.0);
                 assert!((available_w - 100.0 / 3.0).abs() < 1e-9);
@@ -1159,11 +1156,11 @@ mod tests {
     #[test]
     fn commitments_never_exceed_the_pool_mid_ramp() {
         let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0);
-        let a = grant(&mut t, None, 40.0).unwrap();
+        let a = grant(&mut t, 1, 40.0).unwrap();
         let epoch = t.epoch();
         renew(&mut t, a.lease_id, epoch, 40.0).unwrap();
-        grant(&mut t, None, 10.0).unwrap();
-        grant(&mut t, None, 25.0).unwrap();
+        grant(&mut t, 2, 10.0).unwrap();
+        grant(&mut t, 3, 25.0).unwrap();
         assert_eq!(t.stats().overshoot_w, 0.0, "no overshoot at any step");
         for _ in 0..4 {
             renew_round(&mut t);
@@ -1176,8 +1173,8 @@ mod tests {
     #[test]
     fn expiry_encumbers_at_the_floor_and_frees_the_rest() {
         let mut t = table();
-        let a = grant(&mut t, None, 0.0).unwrap();
-        let b = grant(&mut t, None, 0.0).unwrap();
+        let a = grant(&mut t, 1, 0.0).unwrap();
+        let b = grant(&mut t, 2, 0.0).unwrap();
         renew_round(&mut t);
         assert_eq!(t.stats().live_committed_w, 100.0, "converged before the partition");
 
@@ -1205,7 +1202,7 @@ mod tests {
     #[test]
     fn expired_lease_renewal_is_rejected_and_readoption_keeps_the_id() {
         let mut t = table();
-        let a = grant(&mut t, None, 0.0).unwrap();
+        let a = grant(&mut t, 1, 0.0).unwrap();
         t.advance_to(a.expires_tick);
 
         match renew(&mut t, a.lease_id, a.epoch, 0.0) {
@@ -1216,9 +1213,8 @@ mod tests {
         // Re-lease with the remembered shard id: same lease, no double
         // grant. Re-adoption is contact, so the sole lease ramps straight
         // back up — the whole pool is genuinely free.
-        let again = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
+        let again = grant(&mut t, 1, 0.0).unwrap();
         assert_eq!(again.lease_id, a.lease_id);
-        assert_eq!(again.shard_id, a.shard_id);
         assert_eq!(again.budget_w, 100.0, "re-adopted sole lease reclaims the free pool");
         assert_eq!(t.snapshot().len(), 1, "never two leases for one shard");
         assert_eq!(t.stats().overshoot_w, 0.0);
@@ -1235,32 +1231,109 @@ mod tests {
         assert_eq!(t.lease(a.lease_id).unwrap().committed_w, 100.0);
     }
 
-    /// One round of a shard's lease machine, configured with `id`, against
-    /// `t` at the table's tick; `lost` drops the reply after the table
-    /// applied the request.
-    fn round(t: &mut LeaseTable, shard: &mut ShardLease, id: Option<u64>, lost: bool) -> f64 {
-        let request = shard.request(id, 60.0);
+    /// One round of a shard's lease machine against `t` at the table's tick
+    /// and `now_ms` on the shard's clock; `lost` drops the reply after the
+    /// table applied the request.
+    fn round(t: &mut LeaseTable, shard: &mut ShardLease, now_ms: u64, lost: bool) -> f64 {
+        let request = shard.request(60.0);
         let reply = match t.apply(t.tick(), &request).expect("a lease operation") {
             Ok(entry) => t.reply(&entry, 500),
             Err(e) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
         };
-        shard.on_reply(&request, (!lost).then_some(&reply), 0)
+        shard.on_reply(&request, (!lost).then_some(&reply), now_ms)
     }
 
     #[test]
-    fn a_configured_shard_never_readopts_a_lease_the_coordinator_named() {
-        // A shard started without an id, then one started with
-        // `--shard-id 1`: once both enforce what they were told, the fleet
-        // holds the 90 W cap plus at most the newcomer's pre-lease floor.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 20, 2.0);
-        let (mut unconfigured, mut configured) = (ShardLease::new(2.0), ShardLease::new(2.0));
-        assert_eq!(round(&mut t, &mut unconfigured, None, false), 90.0);
-        let shard_id = t.lease(1).unwrap().shard_id;
-        assert_eq!(shard_id, 1 | ASSIGNED_SHARD_ID, "an assigned id is outside 1..2^63");
-        round(&mut t, &mut configured, Some(1), false);
-        assert_ne!(configured.lease_id(), unconfigured.lease_id(), "two shards, two leases");
-        let enforced_w = unconfigured.cap_w() + configured.cap_w();
-        assert!(enforced_w <= 90.0 + 2.0, "two shards enforce {enforced_w} W under a 90 W cap");
+    fn lost_grant_replies_never_orphan_a_lease() {
+        // A shard's first two `Granted` replies are lost and the third
+        // lands: each ask presents the shard's id, so the later two
+        // re-adopt the lease the first created. Then the shard renews every
+        // half TTL, past the TTL a second lease would have expired at.
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        let mut shard = ShardLease::new(1, 2.0);
+        for lost in [true, true, false] {
+            round(&mut t, &mut shard, 0, lost);
+        }
+        for tick in [10, 20] {
+            t.advance_to(tick);
+            round(&mut t, &mut shard, tick * 25, false);
+        }
+        let stats = t.stats();
+        assert_eq!(t.snapshot().len(), 1, "one shard, one lease: {stats:?}");
+        assert_eq!((stats.encumbered_w, shard.lease_id(), shard.cap_w()), (0.0, Some(1), 90.0));
+    }
+
+    #[test]
+    fn a_silent_shard_clamps_to_the_coordinators_floor_not_its_reserve() {
+        // The coordinator encumbers 2 W for a silent shard; the shards run
+        // on a 10 W pre-lease reserve. A holds the whole 90 W, then hears
+        // nothing past its TTL on either side, and B joins into the watts
+        // A's expiry freed.
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        let (mut a, mut b) = (ShardLease::new(1, 10.0), ShardLease::new(2, 10.0));
+        assert_eq!(round(&mut t, &mut a, 0, false), 90.0);
+        assert_eq!(a.on_reply(&a.request(60.0), None, 500), 2.0, "A clamps to the floor");
+        t.advance_to(20);
+        assert_eq!(t.stats().encumbered_w, 2.0);
+        assert_eq!(round(&mut t, &mut b, 500, false), 88.0);
+        let enforced_w = a.cap_w() + b.cap_w();
+        assert!(enforced_w <= 90.0, "A and B enforce {enforced_w} W under a 90 W cap");
+    }
+
+    #[test]
+    fn a_renewal_carries_a_restarted_coordinators_floor() {
+        // A is granted the whole 90 W by a coordinator with a 10 W floor,
+        // which restarts on its journal with a 2 W floor. A's lease replays
+        // live, so A renews rather than re-leases; then A is silent past
+        // its TTL on both sides, and B joins into the watts A's expiry
+        // freed.
+        let mut first = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 10.0);
+        let mut a = ShardLease::new(1, 10.0);
+        let request = a.request(60.0);
+        let entry = first.apply(0, &request).expect("a lease operation").unwrap();
+        assert_eq!(a.on_reply(&request, Some(&first.reply(&entry, 500)), 0), 90.0);
+        let (mut t, _) =
+            replay_coordinator(&[entry], 90.0, ArbiterPolicy::EqualShare, 20, 2.0, 0).unwrap();
+        t.advance_to(5);
+        assert_eq!(round(&mut t, &mut a, 125, false), 90.0);
+        a.on_reply(&a.request(60.0), None, 625);
+        t.advance_to(25);
+        assert_eq!(t.stats().encumbered_w, 2.0);
+        let mut b = ShardLease::new(2, 10.0);
+        assert_eq!(round(&mut t, &mut b, 625, false), 88.0);
+        let enforced_w = a.cap_w() + b.cap_w();
+        assert!(enforced_w <= 90.0, "A and B enforce {enforced_w} W under a 90 W cap");
+    }
+
+    #[test]
+    fn a_fresh_table_reports_positive_zero_watts() {
+        let stats = table().stats();
+        for (sum, w) in [("live", stats.live_committed_w), ("encumbered", stats.encumbered_w)] {
+            assert_eq!(w.to_bits(), 0.0f64.to_bits(), "{sum}: {w} W");
+        }
+    }
+
+    #[test]
+    fn a_shard_id_with_bit_63_replays_and_readopts_like_any_other() {
+        // A coordinator that named nameless shards itself journaled its
+        // first grant to shard `1 | 2^63`, in this entry format. That id
+        // replays to the table a live grant to it builds, and the shard
+        // restarted under it re-adopts its lease.
+        let shard_id = 1 | 1 << 63;
+        let line = concat!(
+            r#"{"Grant":{"lease_id":1,"shard_id":9223372036854775809,"#,
+            r#""demand_w":60,"tick":0,"epoch":1}}"#
+        );
+        let journal = [serde_json::from_str::<CoordJournalEntry>(line).unwrap()];
+        assert_eq!(serde_json::to_string(&journal[0]).unwrap(), line, "the entry format holds");
+        let mut live = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        grant(&mut live, shard_id, 60.0).unwrap();
+        let (mut t, recovery) =
+            replay_coordinator(&journal, 90.0, ArbiterPolicy::EqualShare, 20, 2.0, 0).unwrap();
+        assert_eq!((t.snapshot(), recovery.next_lease), (live.snapshot(), 2));
+        let mut restarted = ShardLease::new(shard_id, 2.0);
+        assert_eq!(round(&mut t, &mut restarted, 0, false), 90.0);
+        assert_eq!((restarted.lease_id(), t.snapshot().len()), (Some(1), 1));
     }
 
     #[test]
@@ -1270,16 +1343,16 @@ mod tests {
         // takes its own degraded step; B and C then renew into what the
         // table freed.
         let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 20, 2.0);
-        let mut shards = [ShardLease::new(2.0), ShardLease::new(2.0), ShardLease::new(2.0)];
+        let mut shards = [1, 2, 3].map(|id| ShardLease::new(id, 2.0));
         for shard in &mut shards {
-            round(&mut t, shard, None, false);
+            round(&mut t, shard, 0, false);
         }
         assert_eq!(shards[0].cap_w(), 90.0);
-        let a_cap_w = round(&mut t, &mut shards[0], None, true);
+        let a_cap_w = round(&mut t, &mut shards[0], 0, true);
         let committed_w = t.lease(1).unwrap().committed_w;
         assert!(a_cap_w <= committed_w, "A enforces {a_cap_w} W, the table holds {committed_w} W");
         for shard in &mut shards[1..] {
-            round(&mut t, shard, None, false);
+            round(&mut t, shard, 0, false);
         }
         let enforced_w: f64 = shards.iter().map(ShardLease::cap_w).sum();
         assert!(enforced_w <= 90.0, "the fleet enforces {enforced_w} W under a 90 W cap");
@@ -1289,9 +1362,9 @@ mod tests {
     fn a_ttl_at_the_top_of_the_clock_saturates_instead_of_expiring_in_the_past() {
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0);
         t.advance_to(5);
-        let a = grant(&mut t, None, 0.0).unwrap();
+        let a = grant(&mut t, 1, 0.0).unwrap();
         let renewed = renew(&mut t, a.lease_id, a.epoch, 0.0).unwrap();
-        let readopted = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
+        let readopted = grant(&mut t, 1, 0.0).unwrap();
         for expires_tick in [a.expires_tick, renewed.expires_tick, readopted.expires_tick] {
             assert_eq!(expires_tick, u64::MAX);
         }
@@ -1302,7 +1375,7 @@ mod tests {
     #[test]
     fn release_and_revoke_free_the_encumbrance() {
         let mut t = table();
-        let a = grant(&mut t, None, 0.0).unwrap();
+        let a = grant(&mut t, 1, 0.0).unwrap();
         t.advance_to(a.expires_tick);
         assert_eq!(t.stats().encumbered_w, 5.0);
         let revoke = CoordRequest::Revoke { lease_id: a.lease_id };
@@ -1315,7 +1388,7 @@ mod tests {
             Err(LeaseError::UnknownLease { .. })
         ));
 
-        let b = grant(&mut t, None, 0.0).unwrap();
+        let b = grant(&mut t, 2, 0.0).unwrap();
         assert_ne!(b.lease_id, a.lease_id, "burned lease ids stay burned");
         let release = CoordRequest::Release { lease_id: b.lease_id };
         assert_eq!(step(&mut t, &mut Vec::new(), release), Ok(CoordResponse::Released));
@@ -1325,7 +1398,7 @@ mod tests {
     #[test]
     fn stats_and_shutdown_are_not_lease_operations() {
         let mut t = table();
-        grant(&mut t, None, 0.0).unwrap();
+        grant(&mut t, 1, 0.0).unwrap();
         let before = t.stats();
         for request in [CoordRequest::Stats, CoordRequest::Shutdown] {
             assert_eq!(t.apply(1_000, &request), None);
@@ -1337,8 +1410,8 @@ mod tests {
     fn eviction_reclaims_the_encumbrance_and_readmission_is_a_fresh_grant() {
         let mut t = table();
         t.set_evict_after_ticks(3);
-        let a = grant(&mut t, None, 0.0).unwrap();
-        let b = grant(&mut t, None, 0.0).unwrap();
+        let a = grant(&mut t, 1, 0.0).unwrap();
+        let b = grant(&mut t, 2, 0.0).unwrap();
         renew_round(&mut t);
 
         // B stays healthy; A goes silent and expires at tick 10.
@@ -1368,9 +1441,9 @@ mod tests {
 
         // The shard comes back: a fresh grant under a new lease id (burned
         // ids stay burned), admitted through the normal floor check.
-        let again = grant(&mut t, Some(a.shard_id), 0.0).unwrap();
+        let again = grant(&mut t, 1, 0.0).unwrap();
         assert_ne!(again.lease_id, a.lease_id);
-        assert_eq!(again.shard_id, a.shard_id);
+        assert_eq!(t.lease(again.lease_id).unwrap().shard_id, 1);
         assert_eq!(t.stats().overshoot_w, 0.0);
     }
 
@@ -1380,8 +1453,8 @@ mod tests {
         live.set_evict_after_ticks(3);
         let mut journal = Vec::new();
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
-        let a = call(&mut live, &mut journal, lease(None)).unwrap();
-        let b = call(&mut live, &mut journal, lease(None)).unwrap();
+        let a = call(&mut live, &mut journal, lease(1)).unwrap();
+        let b = call(&mut live, &mut journal, lease(2)).unwrap();
         // B never expires, so its grant epoch stays its fence.
         let renew_b = CoordRequest::Renew { lease_id: b.lease_id, epoch: b.epoch, demand_w: 0.0 };
         live.advance_to(5);
@@ -1394,7 +1467,7 @@ mod tests {
         live.advance_to(11);
         live.advance_to(13);
         step(&mut live, &mut journal, renew_b.clone()).unwrap();
-        let a2 = call(&mut live, &mut journal, lease(Some(a.shard_id))).unwrap();
+        let a2 = call(&mut live, &mut journal, lease(1)).unwrap();
         assert_ne!(a2.lease_id, a.lease_id, "evicted shard re-admits under a fresh lease");
 
         let (rebuilt, recovery) =
@@ -1414,9 +1487,9 @@ mod tests {
     #[test]
     fn demand_proportional_targets_favor_hungry_shards() {
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
-        let a = grant(&mut t, None, 10.0).unwrap();
+        let a = grant(&mut t, 1, 10.0).unwrap();
         renew(&mut t, a.lease_id, a.epoch, 10.0).unwrap();
-        let b = grant(&mut t, None, 40.0).unwrap();
+        let b = grant(&mut t, 2, 40.0).unwrap();
         for _ in 0..3 {
             renew_round(&mut t);
         }
@@ -1433,8 +1506,8 @@ mod tests {
         // 1e308 W beside 10 W overflows `extra * demand` in the split: the
         // target must still be finite, and the shard must still get watts.
         let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
-        let a = grant(&mut t, None, 10.0).unwrap();
-        let b = grant(&mut t, None, 1e308).unwrap();
+        let a = grant(&mut t, 1, 10.0).unwrap();
+        let b = grant(&mut t, 2, 1e308).unwrap();
         for _ in 0..2 {
             renew_round(&mut t);
         }
@@ -1451,11 +1524,11 @@ mod tests {
         let mut journal = Vec::new();
         let lease = |shard_id, demand_w| CoordRequest::Lease { shard_id, demand_w };
         let renew = |lease_id, epoch| CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 };
-        let a = call(&mut live, &mut journal, lease(None, 20.0)).unwrap();
+        let a = call(&mut live, &mut journal, lease(1, 20.0)).unwrap();
         live.advance_to(2);
         let request = CoordRequest::Renew { lease_id: a.lease_id, epoch: a.epoch, demand_w: 25.0 };
         step(&mut live, &mut journal, request).unwrap();
-        let b = call(&mut live, &mut journal, lease(None, 10.0)).unwrap();
+        let b = call(&mut live, &mut journal, lease(2, 10.0)).unwrap();
         // B renews at tick 6, pushing its expiry to 11; A goes silent and
         // expires at 7, so B's next renewal at 8 crosses the expiry.
         live.advance_to(6);
@@ -1463,7 +1536,7 @@ mod tests {
         live.advance_to(8);
         step(&mut live, &mut journal, renew(b.lease_id, o.epoch)).unwrap();
         // A comes back and is re-adopted.
-        let a2 = call(&mut live, &mut journal, lease(Some(a.shard_id), 20.0)).unwrap();
+        let a2 = call(&mut live, &mut journal, lease(1, 20.0)).unwrap();
         assert_eq!(a2.lease_id, a.lease_id);
 
         let (rebuilt, recovery) =
@@ -1501,20 +1574,22 @@ mod tests {
         ));
     }
 
-    /// A `Granted` reply for lease 1, shard 1.
+    /// A `Granted` reply for lease 1 from a coordinator whose floor is 5 W.
     fn granted(epoch: u64, budget_w: f64, ttl_ms: u64) -> CoordResponse {
         CoordResponse::Granted {
             lease_id: 1,
-            shard_id: 1,
             epoch,
             budget_w,
             expires_tick: 10,
             ttl_ms,
+            floor_w: 5.0,
         }
     }
 
+    /// A `Renewed` reply for lease 1 from the same coordinator, TTL 1 s.
     fn renewed(epoch: u64, budget_w: f64) -> CoordResponse {
-        CoordResponse::Renewed { lease_id: 1, epoch, budget_w, expires_tick: 20 }
+        let (ttl_ms, floor_w) = (1_000, 5.0);
+        CoordResponse::Renewed { lease_id: 1, epoch, budget_w, expires_tick: 20, ttl_ms, floor_w }
     }
 
     fn rejected(code: &str) -> CoordResponse {
@@ -1524,16 +1599,16 @@ mod tests {
     #[test]
     fn shard_lease_decays_but_never_exceeds_the_last_grant() {
         let t0 = 0;
-        let mut s = ShardLease::new(5.0);
+        let mut s = ShardLease::new(1, 5.0);
         assert_eq!(s.state(), ShardLeaseState::Unleased);
-        assert_eq!(s.cap_w(), 5.0, "unleased shards run at the floor");
-        let lease = s.request(None, 40.0);
-        assert_eq!(lease, CoordRequest::Lease { shard_id: None, demand_w: 40.0 });
+        assert_eq!(s.cap_w(), 5.0, "unleased shards run at the pre-lease reserve");
+        let lease = s.request(40.0);
+        assert_eq!(lease, CoordRequest::Lease { shard_id: 1, demand_w: 40.0 });
         assert_eq!(s.on_reply(&lease, None, t0), 5.0, "misses before any lease change nothing");
 
         assert_eq!(s.on_reply(&lease, Some(&granted(3, 40.0, 1_000)), t0), 40.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
-        let renew = s.request(None, 40.0);
+        let renew = s.request(40.0);
         assert_eq!(renew, CoordRequest::Renew { lease_id: 1, epoch: 3, demand_w: 40.0 });
 
         // Misses halve toward the floor and never go below it.
@@ -1565,10 +1640,10 @@ mod tests {
         // A shard whose last grant was *below* the floor must clamp to the
         // grant, not up to the floor — degraded mode never raises the cap.
         let t0 = 0;
-        let mut s = ShardLease::new(10.0);
-        let lease = s.request(None, 4.0);
+        let mut s = ShardLease::new(1, 10.0);
+        let lease = s.request(4.0);
         s.on_reply(&lease, Some(&granted(1, 4.0, 0)), t0);
-        let renew = s.request(None, 4.0);
+        let renew = s.request(4.0);
         assert_eq!(s.on_reply(&renew, None, t0), 4.0, "min(floor, last grant) bounds the decay");
     }
 
@@ -1577,10 +1652,10 @@ mod tests {
         let t0 = 0;
         for (code, evicted) in [("expired", 0), ("fenced", 0), ("unknown-lease", 1), ("denied", 0)]
         {
-            let mut s = ShardLease::new(5.0);
-            let lease = s.request(None, 40.0);
+            let mut s = ShardLease::new(1, 5.0);
+            let lease = s.request(40.0);
             s.on_reply(&lease, Some(&granted(1, 40.0, 1_000)), t0);
-            let renew = s.request(None, 40.0);
+            let renew = s.request(40.0);
             let cap_w = s.on_reply(&renew, Some(&rejected(code)), t0);
             assert_eq!(s.evictions(), evicted, "{code}");
             if code == "denied" {
@@ -1588,11 +1663,8 @@ mod tests {
                 continue;
             }
             assert_eq!((s.state(), cap_w), (ShardLeaseState::Unleased, 5.0), "{code}");
-            // The configured id wins; else the assigned one is re-adopted.
-            let re_lease = CoordRequest::Lease { shard_id: Some(1), demand_w: 40.0 };
-            assert_eq!(s.request(None, 40.0), re_lease, "{code}");
-            let configured = CoordRequest::Lease { shard_id: Some(7), demand_w: 40.0 };
-            assert_eq!(s.request(Some(7), 40.0), configured, "{code}");
+            let re_lease = CoordRequest::Lease { shard_id: 1, demand_w: 40.0 };
+            assert_eq!(s.request(40.0), re_lease, "{code}");
             // An unknown-lease answer to a lease request is no eviction.
             s.on_reply(&re_lease, Some(&rejected("unknown-lease")), t0);
             assert_eq!(s.evictions(), evicted, "{code}");

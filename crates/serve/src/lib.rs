@@ -70,6 +70,6 @@ pub use protocol::{
     Request, Response, Selection, MAX_FRAME_LEN,
 };
 pub use server::{
-    brownout_level_for, required_priority, should_shed, Client, ServeConfig, ServeError, Server,
-    ServerHandle,
+    brownout_level_for, required_priority, should_shed, Client, FleetConfig, ServeConfig,
+    ServeError, Server, ServerHandle,
 };

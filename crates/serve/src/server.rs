@@ -13,7 +13,7 @@ use crate::arbiter::{Arbiter, ArbiterOp, ArbiterPolicy, BUDGET_EPS_W};
 use crate::coordinator::CoordClient;
 use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
-use crate::lease::{CoordRequest, CoordResponse, ShardLease, ASSIGNED_SHARD_ID};
+use crate::lease::{CoordRequest, CoordResponse, ShardLease};
 use crate::metrics::{LatencyCounts, LeaseReport, Metrics, StatsSnapshot};
 use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
@@ -62,20 +62,10 @@ pub struct ServeConfig {
     /// `true` upgrades journal durability from flush-per-append to
     /// `sync_data()`-per-append (the `--journal-sync` flag).
     pub journal_sync: bool,
-    /// Coordinator address (`host:port`). `Some` turns this server into a
-    /// fleet shard: `global_cap_w` becomes its *demand*, and the cap it
-    /// actually enforces is whatever its lease grants (starting from
-    /// `lease_floor_w` until the first grant lands).
-    pub coordinator: Option<String>,
-    /// Stable shard identity to present when (re-)leasing, so a restarted
-    /// shard is re-adopted instead of double-granted. `None` lets the
-    /// coordinator assign one.
-    pub shard_id: Option<u64>,
-    /// Degraded-mode floor, W: the cap a partitioned shard decays toward
-    /// and the pre-lease reserve it runs at before its first grant.
-    pub lease_floor_w: f64,
-    /// Lease renewal interval, ms.
-    pub renew_ms: u64,
+    /// `Some` turns this server into a fleet shard: `global_cap_w` becomes
+    /// its *demand*, and the cap it actually enforces is whatever its lease
+    /// grants.
+    pub fleet: Option<FleetConfig>,
     /// Brownout target: the p99 service latency, µs, the server tries to
     /// hold by progressively disabling optional work (level 1 skips
     /// adaptation feedback, 2 strips STATS detail, 3 sheds
@@ -99,13 +89,25 @@ impl Default for ServeConfig {
             max_batch: 256,
             journal: None,
             journal_sync: false,
-            coordinator: None,
-            shard_id: None,
-            lease_floor_w: 5.0,
-            renew_ms: 200,
+            fleet: None,
             brownout_us: 0,
         }
     }
+}
+
+/// How a fleet shard leases its cap from the coordinator.
+#[derive(Debug, Clone)]
+pub struct FleetConfig {
+    /// Coordinator address (`host:port`).
+    pub coordinator: String,
+    /// The id the shard presents on every lease, so a restarted shard
+    /// re-adopts its own lease instead of being granted a second one.
+    pub shard_id: u64,
+    /// Pre-lease reserve, W: the cap the shard runs at until its first
+    /// grant lands. From then on it clamps to the coordinator's floor.
+    pub lease_floor_w: f64,
+    /// Lease renewal interval, ms.
+    pub renew_ms: u64,
 }
 
 /// Typed server failures.
@@ -157,11 +159,10 @@ pub(crate) struct Shared {
     next_node: AtomicU64,
     journal: Option<Arc<Journal>>,
     recovery: Option<Recovery>,
-    /// The coordinator address and the shard-side lease state machine,
-    /// `Some` iff a coordinator is configured: the lease client thread
-    /// runs exactly when this is set and mutates the state; `Stats` reads
-    /// it.
-    pub(crate) lease: Option<(String, Mutex<ShardLease>)>,
+    /// The shard-side lease state machine, `Some` iff the shard is in a
+    /// fleet: the lease client thread runs exactly when this is set and
+    /// mutates the state; `Stats` reads it.
+    pub(crate) lease: Option<Mutex<ShardLease>>,
     /// Current brownout level (0 = everything enabled). Written by the
     /// brownout thread, read on every request; stays 0 forever when the
     /// controller is disabled.
@@ -193,24 +194,19 @@ fn check_config(config: &ServeConfig) -> Result<(), ServeError> {
     // `Arbiter::new` and `ShardLease::new` assert positivity; an
     // operator's typo must not get that far. An infinite cap would pass
     // those asserts and then split into NaN budgets.
+    let fleet = config.fleet.as_ref();
+    let lease_floor_w = fleet.map(|fleet| fleet.lease_floor_w);
     for (flag, watts) in
-        [("--global-cap", config.global_cap_w), ("--lease-floor", config.lease_floor_w)]
+        [("--global-cap", Some(config.global_cap_w)), ("--lease-floor", lease_floor_w)]
     {
-        if !(watts.is_finite() && watts > 0.0) {
+        if let Some(watts) = watts.filter(|w| !(w.is_finite() && *w > 0.0)) {
             return Err(ServeError::Config(format!(
                 "{flag} must be a finite, positive wattage, got {watts}"
             )));
         }
     }
-    if config.renew_ms < 10 {
-        let detail = format!("--renew-ms must be at least 10, got {}", config.renew_ms);
-        return Err(ServeError::Config(detail));
-    }
-    if let Some(id) = config.shard_id.filter(|id| id & ASSIGNED_SHARD_ID != 0) {
-        return Err(ServeError::Config(format!(
-            "--shard-id must be below 2^63, got {id}: ids from there up are the \
-             coordinator's to assign"
-        )));
+    if let Some(renew_ms) = fleet.map(|fleet| fleet.renew_ms).filter(|&ms| ms < 10) {
+        return Err(ServeError::Config(format!("--renew-ms must be at least 10, got {renew_ms}")));
     }
     Ok(())
 }
@@ -236,10 +232,8 @@ impl Shared {
             }
             None => (None, None, Arbiter::new(config.global_cap_w, config.policy), 1),
         };
-        let lease = config
-            .coordinator
-            .clone()
-            .map(|target| (target, Mutex::new(ShardLease::new(config.lease_floor_w))));
+        let lease = (config.fleet.as_ref())
+            .map(|fleet| Mutex::new(ShardLease::new(fleet.shard_id, fleet.lease_floor_w)));
         let engine =
             Engine::new(Arc::clone(&model), Machine::from_family(config.family, config.seed));
         if let Some(recovery) = &recovery {
@@ -278,11 +272,10 @@ impl Shared {
             model,
             config,
         };
-        // A coordinator-bound shard must not exceed its pre-lease reserve
-        // (the floor) until its first grant lands, whatever cap the journal
-        // replayed — the coordinator only encumbers the floor for a silent
-        // shard, so anything above it would break fleet conservation.
-        if let Some((_, lease)) = &shared.lease {
+        // A fleet shard must not exceed its pre-lease reserve until its
+        // first grant lands, whatever cap the journal replayed: the
+        // deployment covers that reserve, and nothing above it.
+        if let Some(lease) = &shared.lease {
             let cap_w = lease.lock().cap_w();
             shared.arbitrate(ArbiterOp::Cap { cap_w });
         }
@@ -511,10 +504,11 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
 /// the renew-latency timer and the sleep. The round's time is the
 /// thread's own millisecond clock, read as the request goes out.
 fn run_lease_client(shared: Arc<Shared>) {
-    let Some((target, lease_mutex)) = &shared.lease else {
+    let Some(lease_mutex) = &shared.lease else {
         return;
     };
-    let renew_every = Duration::from_millis(shared.config.renew_ms);
+    let fleet = shared.config.fleet.as_ref().expect("`Shared::new` leases only for a fleet");
+    let (target, renew_every) = (&fleet.coordinator, Duration::from_millis(fleet.renew_ms));
     let origin = Instant::now();
     let mut client: Option<CoordClient> = None;
     'rounds: while !shared.shutdown.load(Ordering::SeqCst) {
@@ -558,11 +552,10 @@ pub(crate) fn lease_round(
     now_ms: u64,
     call: impl FnOnce(&CoordRequest) -> Option<CoordResponse>,
 ) {
-    let Some((_, lease_mutex)) = &shared.lease else {
+    let Some(lease_mutex) = &shared.lease else {
         return;
     };
-    let config = &shared.config;
-    let request = lease_mutex.lock().request(config.shard_id, config.global_cap_w);
+    let request = lease_mutex.lock().request(shared.config.global_cap_w);
     let reply = call(&request);
     let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), now_ms);
     // Only the lease round moves the cap after `Shared::new`, so the check
@@ -642,8 +635,7 @@ impl<'a> Session<'a> {
         let rt = CappedRuntime::guarded(
             Machine::from_family(shared.config.family, shared.config.seed),
             Arc::clone(&shared.model),
-            // An admitted node always holds a budget: the floor is never used.
-            budget_w.unwrap_or(shared.config.lease_floor_w),
+            budget_w.expect("an admitted node holds a budget"),
             GuardPolicy::default(),
         );
         // Nothing on the wire reads a session's timeline: one that is not
@@ -968,7 +960,7 @@ impl Session<'_> {
 /// [`ServerHandle::stats`] both report.
 pub(crate) fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
     let (lease_state, lease_budget_w, degraded_entries, evicted_shards) = match &shared.lease {
-        Some((_, lease)) => {
+        Some(lease) => {
             let lease = lease.lock();
             let state = lease.state().name().to_string();
             (state, lease.cap_w(), lease.degraded_entries(), lease.evictions())

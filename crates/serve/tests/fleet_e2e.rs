@@ -11,8 +11,8 @@
 
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
-    ArbiterPolicy, Client, Coordinator, CoordinatorConfig, Request, Response, ServeConfig, Server,
-    ServerHandle,
+    ArbiterPolicy, Client, Coordinator, CoordinatorConfig, FleetConfig, Request, Response,
+    ServeConfig, Server, ServerHandle,
 };
 use acs_sim::{FamilyId, Machine};
 use std::path::Path;
@@ -41,15 +41,14 @@ fn coordinator_config(journal: &Path) -> CoordinatorConfig {
     }
 }
 
-/// A shard of `family` demanding 60 W, leasing from `coordinator`.
-fn shard_config(family: FamilyId, coordinator: &str) -> ServeConfig {
+/// Shard `shard_id` of `family` demanding 60 W, leasing from `coordinator`.
+fn shard_config(family: FamilyId, shard_id: u64, coordinator: &str) -> ServeConfig {
+    let coordinator = coordinator.to_string();
     ServeConfig {
         family,
         global_cap_w: 60.0,
         policy: ArbiterPolicy::EqualShare,
-        coordinator: Some(coordinator.to_string()),
-        lease_floor_w: FLOOR_W,
-        renew_ms: 25,
+        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w: FLOOR_W, renew_ms: 25 }),
         ..ServeConfig::default()
     }
 }
@@ -76,8 +75,8 @@ fn three_shards_converge_to_the_global_cap_without_ever_exceeding_it() {
         std::env::temp_dir().join(format!("acs-fleet-e2e-{}.journal", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let coord = Coordinator::spawn(coordinator_config(&journal)).unwrap();
-    let shards: Vec<_> = (0..3)
-        .map(|_| Server::spawn(shard_config(FamilyId::Trinity, &coord.addr), model()).unwrap())
+    let shards: Vec<_> = (1..=3)
+        .map(|id| Server::spawn(shard_config(FamilyId::Trinity, id, &coord.addr), model()).unwrap())
         .collect();
     let handles: Vec<ServerHandle> = shards.iter().map(|s| s.handle.clone()).collect();
 

@@ -6,6 +6,7 @@
 //!   fleet-wide sum never exceeds the global cap, even mid-ramp),
 //! - every committed budget stays non-negative and every expired lease's
 //!   encumbrance stays at most the floor,
+//! - no shard id holds two leases,
 //! - and replaying the journaled ops reproduces the *exact* table — same
 //!   epoch, same tick, same lease ids, bit-identical budgets — so a
 //!   SIGKILLed coordinator re-adopts instead of double-granting.
@@ -27,9 +28,9 @@ fn policy_from(n: u8) -> ArbiterPolicy {
 
 /// One encoded operation, stepped through the table the way the
 /// coordinator steps it: the clock advances by `dt`, then the request is
-/// applied and the entry it returns is journaled. A lease comes from a
-/// fresh shard, a configured id in 1..=3, or an id already assigned (a
-/// re-adoption).
+/// applied and the entry it returns is journaled. A lease comes from shard
+/// 4, from a shard in 1..=3, or under an id that already holds a lease (a
+/// re-adoption; shard 4 while none does).
 fn apply(
     table: &mut LeaseTable,
     journal: &mut Vec<CoordJournalEntry>,
@@ -43,9 +44,11 @@ fn apply(
     let request = match op % 4 {
         0 => CoordRequest::Lease {
             shard_id: match pick % 3 {
-                0 => None,
-                1 => Some(1 + pick / 3 % 3),
-                _ => pick_of(table.snapshot().iter().map(|(_, l)| l.shard_id).collect()),
+                0 => 4,
+                1 => 1 + pick / 3 % 3,
+                _ => {
+                    pick_of(table.snapshot().iter().map(|(_, l)| l.shard_id).collect()).unwrap_or(4)
+                }
             },
             demand_w,
         },
@@ -73,8 +76,8 @@ fn apply(
 /// Step `ops` through a table with eviction after `horizon` ticks (0 =
 /// off). After every op, live commitments fit inside the unencumbered
 /// pool, the fleet total never exceeds the cap, no lease commits a
-/// negative amount, an expired lease encumbers at most the floor and none
-/// outlives the horizon. Then the journal replays at the same horizon to
+/// negative amount, no shard id holds two leases, an expired lease
+/// encumbers at most the floor and none outlives the horizon. Then the journal replays at the same horizon to
 /// the exact table — every counter, lease id and budget bit, evictions
 /// included though they are never journaled — so `next_lease` matches and
 /// a restarted coordinator can never hand a granted id out twice.
@@ -89,6 +92,7 @@ fn churn(policy: u8, horizon: u64, ops: &[(u8, u64, f64, u64)]) -> Result<(), Te
         let op = format!("op {i} ({op},{pick},{demand_w},{dt})");
         prop_assert!(stats.overshoot_w == 0.0, "{op}: {stats:?} overshoots its pool");
         prop_assert!(committed_w <= CAP_W + 1e-9, "{op}: {committed_w} W exceed the cap");
+        prop_assert!(live.one_lease_per_shard(), "{op}: {:?}", live.snapshot());
         for (id, lease) in live.snapshot() {
             let (w, expired_tick) = (lease.committed_w, lease.expired_tick);
             prop_assert!(w >= 0.0, "{op}: lease {id} committed {w} W");
@@ -148,16 +152,18 @@ proptest! {
     }
 }
 
+/// Whether every lease belongs to a different shard.
 /// Every schedule of lease steps to depth 6, from an empty table, under
 /// both policies, with eviction off and at a one-tick horizon. A step is
-/// a lease from a fresh shard, a lease under shard id 1, 2 or 3 (a fresh
-/// configured shard, or a re-adoption once it holds a lease), a renewal
+/// a lease under shard id 1, 2, 3 or 4 (a fresh shard, or a re-adoption
+/// once it holds a lease), a renewal
 /// or a release of each live lease, a revocation of each encumbered lease,
 /// or one TTL of clock. A rejected request changes nothing, so the walk
 /// does not branch on it: its schedules are prefixes of ones it walks.
 /// After every step the fleet must fit the cap, every encumbrance the
-/// floor, and the journal so far must replay, advanced to the live tick,
-/// to the live table and its stats. 602 456 schedules across the four
+/// floor, no shard id may hold two leases, and the journal so far must
+/// replay, advanced to the live tick,
+/// to the live table and its stats. 550 180 schedules across the four
 /// configurations.
 #[test]
 fn every_lease_schedule_to_depth_six_conserves_and_replays() {
@@ -171,7 +177,7 @@ fn every_lease_schedule_to_depth_six_conserves_and_replays() {
             schedules += explore(&table, &mut journal, DEPTH, policy, evict_after_ticks);
         }
     }
-    assert_eq!(schedules, 602_456);
+    assert_eq!(schedules, 550_180);
 }
 
 /// Walk every schedule of `depth` more steps from `table`; the count of
@@ -188,9 +194,11 @@ fn explore(
     }
     // `None` is one TTL of clock; the rest are requests.
     let mut steps: Vec<Option<CoordRequest>> = vec![None];
-    steps.extend([None, Some(1), Some(2), Some(3)].map(|shard_id| {
-        Some(CoordRequest::Lease { shard_id, demand_w: 10.0 * shard_id.unwrap_or(4) as f64 })
-    }));
+    steps.extend(
+        [1, 2, 3, 4].map(|shard_id| {
+            Some(CoordRequest::Lease { shard_id, demand_w: 10.0 * shard_id as f64 })
+        }),
+    );
     for lease_id in table.live_ids() {
         let epoch = table.epoch();
         steps.push(Some(CoordRequest::Renew { lease_id, epoch, demand_w: 30.0 }));
@@ -223,6 +231,7 @@ fn explore(
         for (_, lease) in next.snapshot() {
             assert!(lease.live || lease.committed_w <= FLOOR_W, "{}", context());
         }
+        assert!(next.one_lease_per_shard(), "{}", context());
         let (mut replayed, _) =
             replay_coordinator(journal, CAP_W, policy, TTL_TICKS, FLOOR_W, evict_after_ticks)
                 .unwrap_or_else(|e| panic!("{}: {e}", context()));

@@ -392,8 +392,8 @@ mod codec {
             pin(&entry);
         }
         for request in [
-            CoordRequest::Lease { shard_id: None, demand_w: 12.5 },
-            CoordRequest::Lease { shard_id: Some(4), demand_w: 0.0 },
+            CoordRequest::Lease { shard_id: 4, demand_w: 12.5 },
+            CoordRequest::Lease { shard_id: 1 | 1 << 63, demand_w: 0.0 },
             CoordRequest::Renew { lease_id: 1, epoch: 2, demand_w: 33.333333333333336 },
             CoordRequest::Release { lease_id: 1 },
             CoordRequest::Revoke { lease_id: 1 },
@@ -424,13 +424,20 @@ mod codec {
         for response in [
             CoordResponse::Granted {
                 lease_id: 1,
-                shard_id: 2,
                 epoch: 3,
                 budget_w: 80.0,
                 expires_tick: 9,
                 ttl_ms: 600,
+                floor_w: 2.5,
             },
-            CoordResponse::Renewed { lease_id: 1, epoch: 4, budget_w: 79.5, expires_tick: 12 },
+            CoordResponse::Renewed {
+                lease_id: 1,
+                epoch: 4,
+                budget_w: 79.5,
+                expires_tick: 12,
+                ttl_ms: 600,
+                floor_w: 2.5,
+            },
             CoordResponse::Rejected { code: "pool-exhausted".into(), detail: AWKWARD.into() },
             CoordResponse::Released,
             CoordResponse::Revoked,

@@ -118,6 +118,20 @@ const GUARDS: &[Guard] = &[
         paths: &["crates/serve/src/server.rs"],
         forbidden: &[Lit("\"expired\""), Lit("\"fenced\""), Lit("\"unknown-lease\"")],
     },
+    // A fleet shard always presents its own id (`--shard-id`), so the
+    // coordinator names no shard: no reserved id range, no `Lease` without
+    // an id, no id remembered from a `Granted` reply (which carries the
+    // coordinator's floor, not a shard id) beside the configured one.
+    Guard {
+        name: "One shard identity",
+        paths: SOURCES,
+        forbidden: &[
+            Lit("ASSIGNED_SHARD_ID"),
+            Lit("configured_shard_id"),
+            Lit("shard_id: None"),
+            Lit("shard_id: Some("),
+        ],
+    },
     // Every arbiter transition is one step, `Arbiter::apply`: the server
     // journals the entry it returns and `journal::replay` re-applies
     // `JournalEntry::arbiter_op`, so server.rs builds no arbiter entry, and
