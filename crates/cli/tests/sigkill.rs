@@ -159,15 +159,8 @@ fn a_sigkilled_serve_resumes_byte_identical_on_its_journal() {
 fn a_sigkilled_coordinator_readopts_its_lease_from_the_journal() {
     let dir = scratch("coordinator");
     let journal = dir.join("coordinator.journal");
-    let coordinator = [
-        "coordinator",
-        "--journal",
-        journal.to_str().unwrap(),
-        "--port",
-        "0",
-        "--ttl-ticks",
-        "1000",
-    ];
+    let coordinator =
+        ["coordinator", "--journal", journal.to_str().unwrap(), "--port", "0", "--ttl-ms", "50000"];
     let lease = CoordRequest::Lease { shard_id: 7, demand_w: 10.0 };
     let lease_id = |client: &mut CoordClient| match client.call(&lease).unwrap() {
         CoordResponse::Granted { lease_id, .. } => lease_id,

@@ -7,23 +7,23 @@
 //! grant, renew, expiry, encumbrance, fencing — lives in [`crate::lease`]
 //! and is pure; this module is only plumbing: the listener, the logical
 //! clock, and the journal. A lease request is one call of
-//! [`LeaseTable::apply`] at the current tick; the entry it returns is
+//! [`LeaseTable::apply`] at the current time; the entry it returns is
 //! journaled and [`LeaseTable::reply`] answers the shard.
 //!
 //! ## Clock
 //!
-//! Lease expiry is defined in *logical ticks*; a connection maps them to
-//! wall clock as `tick = base + elapsed_ms / tick_ms` and hands the tick
-//! to the one request step, which a test calls with ticks of its own.
-//! `base` resumes from the replayed journal's last recorded tick, so a
-//! restarted coordinator never steps time backwards (leases that should
-//! have expired during the outage expire on the first operation after
-//! restart, not retroactively mid-replay).
+//! Lease expiry is defined in logical milliseconds, the unit of the
+//! shard's own TTL clock; a connection reads the time as `base +
+//! elapsed_ms` and hands it to the one request step, which a test calls
+//! with times of its own. `base` resumes from the replayed journal's last
+//! recorded time, so a restarted coordinator never steps time backwards
+//! (leases that should have expired during the outage expire on the first
+//! operation after restart, not retroactively mid-replay).
 //!
 //! ## Crash failover
 //!
 //! Every applied grant/renew/release/revoke is journaled *under the
-//! table lock* — the entry `apply` returned, with the tick it was applied
+//! table lock* — the entry `apply` returned, with the time it was applied
 //! at and the post-op epoch (the shard's journal format: CRC framing,
 //! torn-tail truncation, optional `--journal-sync` durability). A
 //! SIGKILLed coordinator therefore replays, through the same step, to
@@ -63,20 +63,20 @@ pub struct CoordinatorConfig {
     pub global_cap_w: f64,
     /// How lease targets split the pool (equal, or demand-proportional).
     pub policy: ArbiterPolicy,
-    /// Lease TTL in logical ticks.
-    pub ttl_ticks: u64,
-    /// Wall-clock milliseconds per logical tick.
-    pub tick_ms: u64,
+    /// Lease TTL, ms: a lease expires this long after its last grant or
+    /// renewal, and its shard clamps to the floor as long after its last
+    /// answered round.
+    pub ttl_ms: u64,
     /// Degraded-mode floor, W: what an expired lease stays encumbered at,
     /// and what its silent shard clamps itself to.
     pub floor_w: f64,
-    /// Health-check eviction horizon in ticks: an expired lease whose
-    /// shard stays silent this many ticks past its expiry is evicted —
-    /// its encumbered reserve returns to the pool and the shard must
-    /// re-admit as a fresh grant. `0` (the default) disables eviction
-    /// and floor-parks silent shards forever. Must match across restarts
-    /// of a journaled coordinator (replay recomputes evictions from it).
-    pub evict_after_ticks: u64,
+    /// Health-check eviction horizon, ms: an expired lease whose shard
+    /// stays silent this long past its expiry is evicted — its encumbered
+    /// reserve returns to the pool and the shard must re-admit as a fresh
+    /// grant. `0` (the default) disables eviction and floor-parks silent
+    /// shards forever. Must match across restarts of a journaled
+    /// coordinator (replay recomputes evictions from it), like the TTL.
+    pub evict_after_ms: u64,
     /// Lease-journal path. `Some` makes every grant/renew/release/revoke
     /// durable: a restarted coordinator replays to the exact lease table
     /// and re-adopts still-live shards.
@@ -94,33 +94,23 @@ impl Default for CoordinatorConfig {
             port: 0,
             global_cap_w: 120.0,
             policy: ArbiterPolicy::DemandProportional,
-            ttl_ticks: 20,
-            tick_ms: 50,
+            ttl_ms: 1_000,
             floor_w: 5.0,
-            evict_after_ticks: 0,
+            evict_after_ms: 0,
             journal: None,
             journal_sync: false,
         }
     }
 }
 
-impl CoordinatorConfig {
-    /// The lease TTL in wall-clock milliseconds (what `Granted` carries
-    /// so shards can run their own expiry clocks).
-    pub fn ttl_ms(&self) -> u64 {
-        self.ttl_ticks * self.tick_ms
-    }
-}
-
 /// State shared by the accept loop and every connection.
 pub(crate) struct CoordShared {
-    config: CoordinatorConfig,
     pub(crate) table: Mutex<LeaseTable>,
     journal: Option<Arc<Journal<CoordJournalEntry>>>,
     recovery: Option<CoordRecovery>,
     shutdown: AtomicBool,
     started: Instant,
-    base_tick: u64,
+    base_ms: u64,
 }
 
 /// The values only a coordinator can judge, checked before anything binds
@@ -139,30 +129,18 @@ fn check_config(config: &CoordinatorConfig) -> Result<(), ServeError> {
             "--floor must be positive and below --cap, got {floor_w} W against {cap_w} W"
         )));
     }
-    if config.ttl_ticks == 0 {
+    if config.ttl_ms == 0 {
         return Err(ServeError::Config(
-            "--ttl-ticks must be at least 1: a lease must live one tick".into(),
+            "--ttl-ms must be at least 1: a lease must live one millisecond".into(),
         ));
-    }
-    if config.tick_ms == 0 {
-        return Err(ServeError::Config(
-            "--tick-ms must be at least 1: a tick must last one millisecond".into(),
-        ));
-    }
-    // Shards run their own expiry clocks on `ttl_ms()`.
-    if config.ttl_ticks.checked_mul(config.tick_ms).is_none() {
-        return Err(ServeError::Config(format!(
-            "--ttl-ticks {} × --tick-ms {} overflows a millisecond count",
-            config.ttl_ticks, config.tick_ms
-        )));
     }
     Ok(())
 }
 
 impl CoordShared {
-    /// The current logical tick (never behind the replayed journal).
-    fn now_tick(&self) -> u64 {
-        self.base_tick + self.started.elapsed().as_millis() as u64 / self.config.tick_ms
+    /// The current logical time, ms (never behind the replayed journal).
+    fn now_ms(&self) -> u64 {
+        self.base_ms + self.started.elapsed().as_millis() as u64
     }
 
     /// Best-effort journal append (mirrors the serve shard: append
@@ -186,7 +164,7 @@ impl CoordShared {
     /// configuration: the lease journal, if one is configured, replayed.
     /// Divergent journals are a typed error, never a guess at who holds
     /// which watts.
-    pub(crate) fn new(config: CoordinatorConfig) -> Result<Self, ServeError> {
+    pub(crate) fn new(config: &CoordinatorConfig) -> Result<Self, ServeError> {
         let (journal, entries) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
@@ -196,25 +174,24 @@ impl CoordShared {
             None => (None, Vec::new()),
         };
         // A coordinator without a journal starts from the empty one.
-        let (table, recovery) = replay_coordinator(
-            &entries,
+        let fresh = LeaseTable::new(
             config.global_cap_w,
             config.policy,
-            config.ttl_ticks,
+            config.ttl_ms,
             config.floor_w,
-            config.evict_after_ticks,
-        )
-        .map_err(|e| ServeError::Journal(e.to_string()))?;
+            config.evict_after_ms,
+        );
+        let (table, recovery) =
+            replay_coordinator(&entries, fresh).map_err(|e| ServeError::Journal(e.to_string()))?;
         let recovery = journal.is_some().then_some(recovery);
-        let base_tick = table.tick();
+        let base_ms = table.tick();
         Ok(Self {
-            config,
             table: Mutex::new(table),
             journal,
             recovery,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            base_tick,
+            base_ms,
         })
     }
 }
@@ -256,7 +233,7 @@ impl Coordinator {
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
         check_config(&config)?;
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
-        Ok(Self { listener, shared: Arc::new(CoordShared::new(config)?) })
+        Ok(Self { listener, shared: Arc::new(CoordShared::new(&config)?) })
     }
 
     /// Bind, then serve on a background thread until stopped.
@@ -298,7 +275,7 @@ impl FrameHandler for Conn<'_> {
 
     fn handle(&mut self, request: Result<CoordRequest, ProtocolError>) -> (CoordResponse, bool) {
         match request {
-            Ok(request) => step(self.0, self.0.now_tick(), request),
+            Ok(request) => step(self.0, self.0.now_ms(), request),
             Err(err) => {
                 (CoordResponse::Error { code: err.code().into(), detail: err.to_string() }, true)
             }
@@ -306,19 +283,19 @@ impl FrameHandler for Conn<'_> {
     }
 }
 
-/// Serve one request at logical `tick`. A lease operation is one step of
-/// the table, journaled under the table lock, so the recorded tick and
-/// epoch are exactly the ones the operation produced.
+/// Serve one request at logical time `now_ms`. A lease operation is one
+/// step of the table, journaled under the table lock, so the recorded time
+/// and epoch are exactly the ones the operation produced.
 pub(crate) fn step(
     shared: &CoordShared,
-    tick: u64,
+    now_ms: u64,
     request: CoordRequest,
 ) -> (CoordResponse, bool) {
     let mut table = shared.table.lock();
-    let response = match table.apply(tick, &request) {
+    let response = match table.apply(now_ms, &request) {
         Some(Ok(entry)) => {
             shared.journal_append(&entry);
-            table.reply(&entry, shared.config.ttl_ms())
+            table.reply(&entry)
         }
         Some(Err(e)) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
         None if request == CoordRequest::Shutdown => {
@@ -350,7 +327,7 @@ mod tests {
         CoordinatorConfig {
             global_cap_w: 100.0,
             floor_w: 5.0,
-            ttl_ticks: 10,
+            ttl_ms: 10,
             journal,
             ..Default::default()
         }
@@ -358,12 +335,12 @@ mod tests {
 
     #[test]
     fn grant_renew_release() {
-        let coord = CoordShared::new(config(None)).unwrap();
+        let coord = CoordShared::new(&config(None)).unwrap();
         let (lease_id, epoch) =
             match step(&coord, 0, CoordRequest::Lease { shard_id: 1, demand_w: 10.0 }).0 {
                 CoordResponse::Granted { lease_id, epoch, budget_w, ttl_ms, floor_w, .. } => {
                     assert_eq!(budget_w, 100.0, "sole shard owns the pool");
-                    assert_eq!((ttl_ms, floor_w), (config(None).ttl_ms(), 5.0));
+                    assert_eq!((ttl_ms, floor_w), (10, 5.0));
                     (lease_id, epoch)
                 }
                 other => panic!("expected Granted, got {other:?}"),
@@ -392,8 +369,8 @@ mod tests {
         }
     }
 
-    fn stats(coord: &CoordShared, tick: u64) -> CoordStats {
-        match step(coord, tick, CoordRequest::Stats).0 {
+    fn stats(coord: &CoordShared, now_ms: u64) -> CoordStats {
+        match step(coord, now_ms, CoordRequest::Stats).0 {
             CoordResponse::Stats(stats) => stats,
             other => panic!("expected Stats, got {other:?}"),
         }
@@ -407,11 +384,11 @@ mod tests {
 
         // Abrupt death: no Release, no drain; the state is just dropped.
         let (lease_id, epoch) = {
-            let coord = CoordShared::new(config(Some(journal_path.clone()))).unwrap();
+            let coord = CoordShared::new(&config(Some(journal_path.clone()))).unwrap();
             granted(step(&coord, 0, lease(1)).0)
         };
 
-        let coord = CoordShared::new(config(Some(journal_path))).unwrap();
+        let coord = CoordShared::new(&config(Some(journal_path))).unwrap();
         let recovery = coord.recovery.clone().expect("a journaled coordinator reports recovery");
         assert_eq!(recovery.replayed, 1);
         assert_eq!(recovery.live_leases, vec![lease_id]);
@@ -435,15 +412,12 @@ mod tests {
 
     #[test]
     fn eviction_reclaims_a_silent_shards_reserve() {
-        let coord = CoordShared::new(CoordinatorConfig {
-            ttl_ticks: 5,
-            evict_after_ticks: 5,
-            ..config(None)
-        })
-        .unwrap();
+        let coord =
+            CoordShared::new(&CoordinatorConfig { ttl_ms: 5, evict_after_ms: 5, ..config(None) })
+                .unwrap();
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
         let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
-        // Expiry at tick 5, eviction 5 ticks later: any mutation at tick 10
+        // Expiry at 5 ms, eviction 5 ms later: any mutation at 10 ms
         // advances the clock past both, and the silent shard is evicted,
         // not floor-parked.
         step(&coord, 10, lease(2));
@@ -458,11 +432,11 @@ mod tests {
 
     #[test]
     fn revoke_frees_a_dead_shards_encumbrance() {
-        let coord = CoordShared::new(CoordinatorConfig { ttl_ticks: 5, ..config(None) }).unwrap();
+        let coord = CoordShared::new(&CoordinatorConfig { ttl_ms: 5, ..config(None) }).unwrap();
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
         let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
         // Stats alone does not move the clock: a lease operation at the
-        // expiry tick does, and the silent shard's lease is encumbered.
+        // expiry time does, and the silent shard's lease is encumbered.
         step(&coord, 5, lease(2));
         let s = stats(&coord, 5);
         assert_eq!(s.encumbered_leases, 1, "the silent shard is encumbered");

@@ -1,11 +1,11 @@
 //! The fleet on one clock. A real coordinator (journal on) and real shards
-//! step in-process on a virtual millisecond clock: a shard's lease round is
-//! [`lease_round`] with a call that steps [`coordinator::step`] at the
-//! clock's tick, or loses the request or the reply (a partition). There is
+//! step in-process on one virtual millisecond clock: a shard's lease round
+//! is [`lease_round`] with a call that steps [`coordinator::step`] at the
+//! same instant, or loses the request or the reply (a partition). There is
 //! no socket, thread or sleep, so a schedule is a pure function of its steps.
 //!
-//! Time moves only in jumps of whole ticks, and every running shard makes
-//! one round at the instant a jump lands: a lease thread renews far more
+//! Time moves only in jumps, of any number of milliseconds, and every
+//! running shard makes one round at the instant a jump lands: a lease thread renews far more
 //! often than the TTL, so no shard's own TTL clock passes unobserved while
 //! the rest of the fleet moves on. After every [`Step`] the fleet checks:
 //!
@@ -37,10 +37,10 @@ use Link::{LoseReply, LoseRequest, Up};
 
 const CAP_W: f64 = 90.0;
 const FLOOR_W: f64 = 2.0;
-const TICK_MS: u64 = 25;
-const TTL_TICKS: u64 = 20;
-const TTL_MS: u64 = TTL_TICKS * TICK_MS;
-const EVICT_AFTER_TICKS: u64 = 5;
+const TTL_MS: u64 = 500;
+const EVICT_AFTER_MS: u64 = 125;
+/// How far past the TTL, or the eviction horizon, a long jump lands, ms.
+const PAST_MS: u64 = 25;
 /// The arbiter's step threshold: a lease cap this close to the arbiter's
 /// is not stepped through.
 const EPS_W: f64 = 1e-9;
@@ -122,16 +122,15 @@ impl Fleet {
         let config = CoordinatorConfig {
             global_cap_w: CAP_W,
             policy,
-            ttl_ticks: TTL_TICKS,
-            tick_ms: TICK_MS,
+            ttl_ms: TTL_MS,
             floor_w: FLOOR_W,
-            evict_after_ticks: evict,
+            evict_after_ms: evict,
             journal: Some(journal),
             ..CoordinatorConfig::default()
         };
         Self {
             now_ms: 0,
-            coordinator: CoordShared::new(config.clone()).expect("a valid coordinator"),
+            coordinator: CoordShared::new(&config).expect("a valid coordinator"),
             config,
             coordinator_up: true,
             shards: shards
@@ -217,9 +216,9 @@ impl Fleet {
             return false;
         };
         let coordinator = (self.coordinator_up && link != LoseRequest).then_some(&self.coordinator);
-        let (tick, mut landed) = (self.now_ms / TICK_MS, false);
+        let mut landed = false;
         lease_round(shared, self.now_ms, |request| {
-            let reply = coordinator::step(coordinator?, tick, request.clone()).0;
+            let reply = coordinator::step(coordinator?, self.now_ms, request.clone()).0;
             landed = link == Up
                 && matches!(reply, CoordResponse::Granted { .. } | CoordResponse::Renewed { .. });
             (link == Up).then_some(reply)
@@ -227,11 +226,11 @@ impl Fleet {
         landed
     }
 
-    /// Rebuild the coordinator from its journal. Advanced to the tick the
+    /// Rebuild the coordinator from its journal. Advanced to the time the
     /// dead one had reached, as its first request would advance it, it must
     /// be the dead one, lease for lease and counter for counter.
     fn restart_coordinator(&mut self) -> Result<(), String> {
-        let restarted = CoordShared::new(self.config.clone())
+        let restarted = CoordShared::new(&self.config)
             .map_err(|e| format!("the coordinator does not restart: {e}"))?;
         {
             let (dead, mut table) = (self.coordinator.table.lock(), restarted.table.lock());
@@ -310,7 +309,7 @@ impl Fleet {
                 self.apply(Step::RestartShard(i))?;
             }
         }
-        self.apply(Step::Jump(TTL_MS + TICK_MS, vec![Up; self.shards.len()]))?;
+        self.apply(Step::Jump(TTL_MS + PAST_MS, vec![Up; self.shards.len()]))?;
         self.rounds(SETTLE_ROUNDS)?;
         let table = self.coordinator.table.lock();
         for i in 0..self.shards.len() {
@@ -374,9 +373,9 @@ fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<()
             60..=67 => Step::RestartShard(i),
             68..=71 if fleet.coordinator_up => Step::CrashCoordinator,
             68..=71 => Step::RestartCoordinator,
-            72..=87 => Step::Jump((1 + draw(rng, TTL_TICKS - 1)) * TICK_MS, links(rng)),
-            88..=95 => Step::Jump((TTL_TICKS + 1 + draw(rng, 2)) * TICK_MS, links(rng)),
-            _ => Step::Jump((TTL_TICKS + EVICT_AFTER_TICKS + 1) * TICK_MS, links(rng)),
+            72..=87 => Step::Jump(1 + draw(rng, TTL_MS - 1), links(rng)),
+            88..=95 => Step::Jump(TTL_MS + PAST_MS * (1 + draw(rng, 2)), links(rng)),
+            _ => Step::Jump(TTL_MS + EVICT_AFTER_MS + PAST_MS, links(rng)),
         };
         let what = format!("{step:?}");
         fleet.apply(step).map_err(|e| format!("step {n}, {what}: {e}"))?;
@@ -391,7 +390,7 @@ fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<()
 #[test]
 fn the_fleet_walk_holds_every_invariant_at_every_step() {
     for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
-        for evict in [0, EVICT_AFTER_TICKS] {
+        for evict in [0, EVICT_AFTER_MS] {
             for (seeds, steps) in [(0..64, 200), (0..8, 2_000)] {
                 for seed in seeds {
                     if let Err(e) = walk(policy, evict, seed, steps) {
@@ -437,7 +436,7 @@ fn heterogeneous_families_share_one_budget_and_warm_their_own_caches() {
 
 #[test]
 fn a_crashed_shards_lease_is_encumbered_at_the_floor_or_evicted() {
-    for evict in [0, EVICT_AFTER_TICKS] {
+    for evict in [0, EVICT_AFTER_MS] {
         let name = format!("crash-{evict}");
         let shards = fleet_of(&[FamilyId::Trinity; 2]);
         let mut fleet = Fleet::new(&name, ArbiterPolicy::EqualShare, evict, shards);
@@ -529,7 +528,7 @@ fn a_partitioned_shard_degrades_within_its_last_grant_and_recovers() {
     ]);
     assert_eq!(fleet.enforced_sum_w(), CAP_W / 8.0);
     assert_eq!(stats_snapshot(fleet.shard(0)).lease_state, "degraded");
-    fleet.run([Step::Jump(TTL_MS + TICK_MS, vec![LoseReply])]);
+    fleet.run([Step::Jump(TTL_MS + PAST_MS, vec![LoseReply])]);
     assert_eq!(fleet.enforced_sum_w(), FLOOR_W);
     // Healed: the renewal is rejected as expired, and the re-lease
     // re-adopts the lease under the shard's id.

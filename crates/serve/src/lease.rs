@@ -59,13 +59,12 @@
 //! answers with [`LeaseTable::reply`]. [`replay_coordinator`] folds the
 //! same step over the journal and requires every recomputed entry to
 //! equal the recorded one ([`JournalError::Divergence`] when history
-//! cannot be trusted). Time is **logical ticks** (the coordinator maps
-//! them to wall-clock milliseconds via its `tick_ms`), and expirations are
-//! recomputed on the way, never journaled. The shard's lease client builds
-//! each request with [`ShardLease::request`] and hands every reply, or
-//! the lack of one, to [`ShardLease::on_reply`] with the round's time on
-//! its own millisecond clock. Neither machine reads a clock, so a test
-//! steps both on logical time.
+//! cannot be trusted). Expirations are recomputed on the way, never
+//! journaled. The shard's lease client builds each request with
+//! [`ShardLease::request`] and hands every reply, or the lack of one, to
+//! [`ShardLease::on_reply`]. Both machines count **milliseconds**, and
+//! neither reads a clock: each step is handed its time (a journal's
+//! `tick` is one millisecond), so a test steps both on logical time.
 
 use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
@@ -83,15 +82,15 @@ pub struct LeaseState {
     /// The shard's last reported demand, W (drives demand-proportional
     /// targets).
     pub demand_w: f64,
-    /// Logical tick at which the lease expires unless renewed.
+    /// Logical time, ms, at which the lease expires unless renewed.
     pub expires_tick: u64,
     /// Table epoch of the last grant/re-adoption/expiry — renewals
     /// presenting an older epoch are fenced off.
     pub fence: u64,
     /// Live (renewable) vs. expired-and-encumbered.
     pub live: bool,
-    /// The tick the lease expired at (its own `expires_tick`, **not** the
-    /// tick the expiry was detected at — detection depends on when
+    /// The time, ms, the lease expired at (its own `expires_tick`, **not**
+    /// the time the expiry was detected at — detection depends on when
     /// `advance_to` runs, which replay does not reproduce). Zero while
     /// live. Drives health-checked eviction.
     pub expired_tick: u64,
@@ -168,9 +167,10 @@ impl std::error::Error for LeaseError {}
 pub struct LeaseTable {
     global_cap_w: f64,
     policy: ArbiterPolicy,
-    ttl_ticks: u64,
+    ttl_ms: u64,
     floor_w: f64,
-    evict_after_ticks: u64,
+    evict_after_ms: u64,
+    /// The logical clock, ms.
     tick: u64,
     epoch: u64,
     next_lease: u64,
@@ -183,11 +183,24 @@ pub struct LeaseTable {
 }
 
 impl LeaseTable {
-    /// A table over a positive cap with `floor_w < global_cap_w` and a
-    /// TTL of at least one tick.
-    pub fn new(global_cap_w: f64, policy: ArbiterPolicy, ttl_ticks: u64, floor_w: f64) -> Self {
+    /// A table over a positive cap with `floor_w < global_cap_w`, a lease
+    /// TTL of at least one millisecond, and health-checked eviction
+    /// `evict_after_ms` past a lease's expiry: an expired (encumbered)
+    /// lease whose shard stays silent that long is removed entirely,
+    /// returning its reserve to the pool — the operator's `Revoke`
+    /// automated. `0` disables eviction and keeps the floor-parked-forever
+    /// semantics. Eviction is a pure function of the logical clock, so
+    /// replay reproduces it with no journal entry — into a table built with
+    /// the same horizon.
+    pub fn new(
+        global_cap_w: f64,
+        policy: ArbiterPolicy,
+        ttl_ms: u64,
+        floor_w: f64,
+        evict_after_ms: u64,
+    ) -> Self {
         assert!(global_cap_w > 0.0, "global cap must be positive");
-        assert!(ttl_ticks >= 1, "a lease must live at least one tick");
+        assert!(ttl_ms >= 1, "a lease must live at least one millisecond");
         assert!(
             floor_w > 0.0 && floor_w < global_cap_w,
             "floor must be positive and below the cap"
@@ -195,9 +208,9 @@ impl LeaseTable {
         Self {
             global_cap_w,
             policy,
-            ttl_ticks,
+            ttl_ms,
             floor_w,
-            evict_after_ticks: 0,
+            evict_after_ms,
             tick: 0,
             epoch: 0,
             next_lease: 1,
@@ -210,19 +223,7 @@ impl LeaseTable {
         }
     }
 
-    /// Enable health-checked eviction: an expired (encumbered) lease whose
-    /// shard stays silent for `ticks` more logical ticks past its expiry
-    /// is removed entirely, returning its reserve to the pool — the
-    /// operator's `Revoke` automated. `0` (the default) disables
-    /// eviction and keeps the floor-parked-forever semantics. Eviction is
-    /// a pure function of the logical clock, so replay reproduces it with
-    /// no journal entry — as long as the horizon matches
-    /// ([`replay_coordinator`] takes it as a parameter).
-    pub fn set_evict_after_ticks(&mut self, ticks: u64) {
-        self.evict_after_ticks = ticks;
-    }
-
-    /// Current logical tick.
+    /// Current logical time, ms.
     pub fn tick(&self) -> u64 {
         self.tick
     }
@@ -308,19 +309,19 @@ impl LeaseTable {
         self.global_cap_w - self.encumbered_w()
     }
 
-    /// Advance logical time, processing overdue expiries and (when the
-    /// horizon is enabled) evictions as one merged event stream ordered
-    /// by `(event_tick, lease_id)` — an expiry's event tick is the
+    /// Advance logical time to `now_ms`, processing overdue expiries and
+    /// (when the horizon is enabled) evictions as one merged event stream
+    /// ordered by `(event_tick, lease_id)` — an expiry's event tick is the
     /// lease's `expires_tick`, an eviction's is `expired_tick +
-    /// evict_after_ticks`, both pure functions of lease state, so live
+    /// evict_after_ms`, both pure functions of lease state, so live
     /// and replay bump the epoch in the same order no matter how the
     /// intermediate clock advances differ. Each expiry fences the lease
     /// and shrinks its commitment to the encumbered reserve `min(floor,
     /// committed)`; each eviction removes the lease entirely, returning
     /// the reserve to the pool. Returns the expired ids.
-    pub fn advance_to(&mut self, tick: u64) -> Vec<u64> {
-        if tick > self.tick {
-            self.tick = tick;
+    pub fn advance_to(&mut self, now_ms: u64) -> Vec<u64> {
+        if now_ms > self.tick {
+            self.tick = now_ms;
         }
         let mut expired = Vec::new();
         loop {
@@ -331,10 +332,10 @@ impl LeaseTable {
                 let event = if l.live && l.expires_tick <= self.tick {
                     Some((l.expires_tick, *id, false))
                 } else if !l.live
-                    && self.evict_after_ticks > 0
-                    && l.expired_tick.saturating_add(self.evict_after_ticks) <= self.tick
+                    && self.evict_after_ms > 0
+                    && l.expired_tick.saturating_add(self.evict_after_ms) <= self.tick
                 {
-                    Some((l.expired_tick + self.evict_after_ticks, *id, true))
+                    Some((l.expired_tick + self.evict_after_ms, *id, true))
                 } else {
                     None
                 };
@@ -361,7 +362,7 @@ impl LeaseTable {
         expired
     }
 
-    /// The one coordinator step: advance the clock to `tick`, sanitize
+    /// The one coordinator step: advance the clock to `now_ms`, sanitize
     /// the request's demand, apply the operation, and return the journal
     /// entry that records it — or the typed rejection, which leaves
     /// nothing but the clock advance behind (rejections are not
@@ -373,7 +374,7 @@ impl LeaseTable {
     /// and what a restart recomputes cannot drift apart.
     pub fn apply(
         &mut self,
-        tick: u64,
+        now_ms: u64,
         request: &CoordRequest,
     ) -> Option<Result<CoordJournalEntry, LeaseError>> {
         let demand_w = match *request {
@@ -384,7 +385,7 @@ impl LeaseTable {
         // The entry must hold the value the table used, and NaN does not
         // survive JSON.
         let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-        self.advance_to(tick);
+        self.advance_to(now_ms);
         Some(match *request {
             CoordRequest::Lease { shard_id, .. } => self.grant(shard_id, demand_w),
             CoordRequest::Renew { lease_id, epoch, .. } => self.renew(lease_id, epoch, demand_w),
@@ -410,22 +411,20 @@ impl LeaseTable {
     }
 
     /// The reply an applied operation earns, derived from its journal
-    /// entry and the table it was just applied to. `ttl_ms` is the
-    /// coordinator's wall-clock TTL, which every grant and renewal hands
-    /// the shard for its own expiry clock beside the floor it clamps to.
-    pub fn reply(&self, entry: &CoordJournalEntry, ttl_ms: u64) -> CoordResponse {
-        let settled = |lease_id| {
-            self.leases.get(&lease_id).map_or((0.0, 0), |l| (l.committed_w, l.expires_tick))
-        };
-        let floor_w = self.floor_w;
+    /// entry and the table it was just applied to. Every grant and renewal
+    /// hands the shard the TTL for its own expiry clock beside the floor it
+    /// clamps to.
+    pub fn reply(&self, entry: &CoordJournalEntry) -> CoordResponse {
+        let budget_w = |lease_id| self.leases.get(&lease_id).map_or(0.0, |l| l.committed_w);
+        let (ttl_ms, floor_w) = (self.ttl_ms, self.floor_w);
         match *entry {
             CoordJournalEntry::Grant { lease_id, epoch, .. } => {
-                let (budget_w, expires_tick) = settled(lease_id);
-                CoordResponse::Granted { lease_id, epoch, budget_w, expires_tick, ttl_ms, floor_w }
+                let budget_w = budget_w(lease_id);
+                CoordResponse::Granted { lease_id, epoch, budget_w, ttl_ms, floor_w }
             }
             CoordJournalEntry::Renew { lease_id, epoch, .. } => {
-                let (budget_w, expires_tick) = settled(lease_id);
-                CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick, ttl_ms, floor_w }
+                let budget_w = budget_w(lease_id);
+                CoordResponse::Renewed { lease_id, epoch, budget_w, ttl_ms, floor_w }
             }
             CoordJournalEntry::Release { .. } => CoordResponse::Released,
             CoordJournalEntry::Revoke { .. } => CoordResponse::Revoked,
@@ -511,7 +510,7 @@ impl LeaseTable {
             shard_id,
             committed_w,
             demand_w,
-            expires_tick: self.tick.saturating_add(self.ttl_ticks),
+            expires_tick: self.tick.saturating_add(self.ttl_ms),
             fence: self.epoch,
             live: true,
             expired_tick: 0,
@@ -544,7 +543,7 @@ impl LeaseTable {
             return Err(LeaseError::Fenced { lease_id, fence: lease.fence, presented: epoch });
         }
         lease.demand_w = demand_w;
-        lease.expires_tick = self.tick.saturating_add(self.ttl_ticks);
+        lease.expires_tick = self.tick.saturating_add(self.ttl_ms);
         self.epoch += 1;
         self.renews += 1;
         self.settle(lease_id);
@@ -606,7 +605,7 @@ impl CoordRequest {
 /// Coordinator metrics snapshot (`CoordRequest::Stats` reply).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoordStats {
-    /// Current logical tick.
+    /// Current logical time, ms.
     pub tick: u64,
     /// Current table epoch.
     pub epoch: u64,
@@ -655,9 +654,7 @@ pub enum CoordResponse {
         epoch: u64,
         /// The committed budget, W.
         budget_w: f64,
-        /// Logical expiry tick.
-        expires_tick: u64,
-        /// Lease TTL in wall-clock milliseconds — the shard clamps to its
+        /// Lease TTL, ms — the shard clamps to its
         /// floor when this much time passes without a successful renewal.
         ttl_ms: u64,
         /// The coordinator's floor, W: what it encumbers for a silent
@@ -672,8 +669,6 @@ pub enum CoordResponse {
         epoch: u64,
         /// The (possibly resettled) committed budget, W.
         budget_w: f64,
-        /// New logical expiry tick.
-        expires_tick: u64,
         /// As in `Granted`: a coordinator restarted with another TTL or
         /// floor reaches a renewing shard at once.
         ttl_ms: u64,
@@ -708,7 +703,7 @@ pub enum CoordResponse {
 
 /// One recorded coordinator state transition. Only *applied* operations
 /// are journaled — denials and fenced renewals leave no trace — and every
-/// entry records the logical tick it was applied at plus the post-op
+/// entry records the logical time, ms, it was applied at plus the post-op
 /// epoch, so replay reproduces the exact expiry/operation interleaving
 /// and verifies it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -721,7 +716,7 @@ pub enum CoordJournalEntry {
         shard_id: u64,
         /// The shard's reported demand, W.
         demand_w: f64,
-        /// Logical tick the grant was applied at.
+        /// Logical time, ms, the grant was applied at.
         tick: u64,
         /// Table epoch after the grant.
         epoch: u64,
@@ -732,7 +727,7 @@ pub enum CoordJournalEntry {
         lease_id: u64,
         /// Updated demand, W.
         demand_w: f64,
-        /// Logical tick the renewal was applied at.
+        /// Logical time, ms, the renewal was applied at.
         tick: u64,
         /// Table epoch after the renewal.
         epoch: u64,
@@ -741,7 +736,7 @@ pub enum CoordJournalEntry {
     Release {
         /// The released lease.
         lease_id: u64,
-        /// Logical tick the release was applied at.
+        /// Logical time, ms, the release was applied at.
         tick: u64,
         /// Table epoch after the release.
         epoch: u64,
@@ -750,7 +745,7 @@ pub enum CoordJournalEntry {
     Revoke {
         /// The revoked lease.
         lease_id: u64,
-        /// Logical tick the revocation was applied at.
+        /// Logical time, ms, the revocation was applied at.
         tick: u64,
         /// Table epoch after the revocation.
         epoch: u64,
@@ -762,7 +757,7 @@ pub enum CoordJournalEntry {
 pub struct CoordRecovery {
     /// Journal entries replayed.
     pub replayed: u64,
-    /// The logical tick the rebuilt table resumed at.
+    /// The logical time, ms, the rebuilt table resumed at.
     pub tick: u64,
     /// Live leases after replay — shards the restarted coordinator
     /// re-adopts on their next renewal or re-lease.
@@ -775,7 +770,7 @@ pub struct CoordRecovery {
 }
 
 impl CoordJournalEntry {
-    /// The logical tick the operation was applied at.
+    /// The logical time, ms, the operation was applied at.
     pub fn tick(&self) -> u64 {
         match *self {
             CoordJournalEntry::Grant { tick, .. }
@@ -805,24 +800,18 @@ impl CoordJournalEntry {
     }
 }
 
-/// Fold a validated coordinator entry stream into a fresh lease table
-/// through [`LeaseTable::apply`], the step the coordinator took live: each
-/// entry's request is applied at its recorded tick (recomputing any
-/// expirations — and, when `evict_after_ticks > 0`, evictions — on the
-/// way), and the recomputed entry must equal the recorded one, lease id,
-/// shard id, demand, tick and post-op epoch alike. The eviction horizon
-/// must match the one the live table ran with, or recomputed epochs
-/// diverge.
+/// Fold a validated coordinator entry stream into `table`, freshly built
+/// with the configuration to replay under, through [`LeaseTable::apply`],
+/// the step the coordinator took live: each entry's request is applied at
+/// its recorded time (recomputing any expirations — and, with an eviction
+/// horizon, evictions — on the way), and the recomputed entry must equal
+/// the recorded one, lease id, shard id, demand, tick and post-op epoch
+/// alike. A TTL or horizon other than the live table's moves an expiry or
+/// an eviction, so the recomputed epochs diverge.
 pub fn replay_coordinator(
     entries: &[CoordJournalEntry],
-    global_cap_w: f64,
-    policy: ArbiterPolicy,
-    ttl_ticks: u64,
-    floor_w: f64,
-    evict_after_ticks: u64,
+    mut table: LeaseTable,
 ) -> Result<(LeaseTable, CoordRecovery), JournalError> {
-    let mut table = LeaseTable::new(global_cap_w, policy, ttl_ticks, floor_w);
-    table.set_evict_after_ticks(evict_after_ticks);
     for (index, entry) in entries.iter().enumerate() {
         let request = entry.request();
         let detail = match table.apply(entry.tick(), &request) {
@@ -1048,10 +1037,11 @@ mod tests {
     use super::*;
 
     fn table() -> LeaseTable {
-        LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0)
+        LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0)
     }
 
-    /// What a test reads off a `Granted` or `Renewed` reply.
+    /// What a test reads off a `Granted` or `Renewed` reply, and the
+    /// lease's expiry in the table that sent it.
     #[derive(Debug)]
     struct Outcome {
         lease_id: u64,
@@ -1068,7 +1058,7 @@ mod tests {
         request: CoordRequest,
     ) -> Result<CoordResponse, LeaseError> {
         let entry = t.apply(t.tick(), &request).expect("a lease operation")?;
-        let reply = t.reply(&entry, 0);
+        let reply = t.reply(&entry);
         journal.push(entry);
         Ok(reply)
     }
@@ -1080,8 +1070,9 @@ mod tests {
         request: CoordRequest,
     ) -> Result<Outcome, LeaseError> {
         Ok(match step(t, journal, request)? {
-            CoordResponse::Granted { lease_id, epoch, budget_w, expires_tick, .. }
-            | CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick, .. } => {
+            CoordResponse::Granted { lease_id, epoch, budget_w, .. }
+            | CoordResponse::Renewed { lease_id, epoch, budget_w, .. } => {
+                let expires_tick = t.lease(lease_id).expect("a granted lease").expires_tick;
                 Outcome { lease_id, epoch, budget_w, expires_tick }
             }
             other => panic!("expected Granted or Renewed, got {other:?}"),
@@ -1138,7 +1129,7 @@ mod tests {
     fn grants_below_a_floor_sized_target_are_denied_without_trace() {
         // Floor 45 of a 100 W cap: two shards fit (target 50), a third
         // (target 33.3) does not.
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0, 0);
         grant(&mut t, 1, 0.0).unwrap();
         grant(&mut t, 2, 0.0).unwrap();
         let epoch_before = t.epoch();
@@ -1155,7 +1146,7 @@ mod tests {
 
     #[test]
     fn commitments_never_exceed_the_pool_mid_ramp() {
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
         let a = grant(&mut t, 1, 40.0).unwrap();
         let epoch = t.epoch();
         renew(&mut t, a.lease_id, epoch, 40.0).unwrap();
@@ -1231,13 +1222,12 @@ mod tests {
         assert_eq!(t.lease(a.lease_id).unwrap().committed_w, 100.0);
     }
 
-    /// One round of a shard's lease machine against `t` at the table's tick
-    /// and `now_ms` on the shard's clock; `lost` drops the reply after the
-    /// table applied the request.
+    /// One round of a shard's lease machine against `t` at `now_ms`; `lost`
+    /// drops the reply after the table applied the request.
     fn round(t: &mut LeaseTable, shard: &mut ShardLease, now_ms: u64, lost: bool) -> f64 {
         let request = shard.request(60.0);
-        let reply = match t.apply(t.tick(), &request).expect("a lease operation") {
-            Ok(entry) => t.reply(&entry, 500),
+        let reply = match t.apply(now_ms, &request).expect("a lease operation") {
+            Ok(entry) => t.reply(&entry),
             Err(e) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
         };
         shard.on_reply(&request, (!lost).then_some(&reply), now_ms)
@@ -1249,14 +1239,13 @@ mod tests {
         // lands: each ask presents the shard's id, so the later two
         // re-adopt the lease the first created. Then the shard renews every
         // half TTL, past the TTL a second lease would have expired at.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
         let mut shard = ShardLease::new(1, 2.0);
         for lost in [true, true, false] {
             round(&mut t, &mut shard, 0, lost);
         }
-        for tick in [10, 20] {
-            t.advance_to(tick);
-            round(&mut t, &mut shard, tick * 25, false);
+        for now_ms in [250, 500] {
+            round(&mut t, &mut shard, now_ms, false);
         }
         let stats = t.stats();
         assert_eq!(t.snapshot().len(), 1, "one shard, one lease: {stats:?}");
@@ -1269,11 +1258,11 @@ mod tests {
         // on a 10 W pre-lease reserve. A holds the whole 90 W, then hears
         // nothing past its TTL on either side, and B joins into the watts
         // A's expiry freed.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
         let (mut a, mut b) = (ShardLease::new(1, 10.0), ShardLease::new(2, 10.0));
         assert_eq!(round(&mut t, &mut a, 0, false), 90.0);
         assert_eq!(a.on_reply(&a.request(60.0), None, 500), 2.0, "A clamps to the floor");
-        t.advance_to(20);
+        t.advance_to(500);
         assert_eq!(t.stats().encumbered_w, 2.0);
         assert_eq!(round(&mut t, &mut b, 500, false), 88.0);
         let enforced_w = a.cap_w() + b.cap_w();
@@ -1287,17 +1276,16 @@ mod tests {
         // live, so A renews rather than re-leases; then A is silent past
         // its TTL on both sides, and B joins into the watts A's expiry
         // freed.
-        let mut first = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 10.0);
+        let mut first = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 10.0, 0);
         let mut a = ShardLease::new(1, 10.0);
         let request = a.request(60.0);
         let entry = first.apply(0, &request).expect("a lease operation").unwrap();
-        assert_eq!(a.on_reply(&request, Some(&first.reply(&entry, 500)), 0), 90.0);
-        let (mut t, _) =
-            replay_coordinator(&[entry], 90.0, ArbiterPolicy::EqualShare, 20, 2.0, 0).unwrap();
-        t.advance_to(5);
+        assert_eq!(a.on_reply(&request, Some(&first.reply(&entry)), 0), 90.0);
+        let restarted = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
+        let (mut t, _) = replay_coordinator(&[entry], restarted).unwrap();
         assert_eq!(round(&mut t, &mut a, 125, false), 90.0);
         a.on_reply(&a.request(60.0), None, 625);
-        t.advance_to(25);
+        t.advance_to(625);
         assert_eq!(t.stats().encumbered_w, 2.0);
         let mut b = ShardLease::new(2, 10.0);
         assert_eq!(round(&mut t, &mut b, 625, false), 88.0);
@@ -1326,14 +1314,33 @@ mod tests {
         );
         let journal = [serde_json::from_str::<CoordJournalEntry>(line).unwrap()];
         assert_eq!(serde_json::to_string(&journal[0]).unwrap(), line, "the entry format holds");
-        let mut live = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 20, 2.0);
+        let fresh = || LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
+        let mut live = fresh();
         grant(&mut live, shard_id, 60.0).unwrap();
-        let (mut t, recovery) =
-            replay_coordinator(&journal, 90.0, ArbiterPolicy::EqualShare, 20, 2.0, 0).unwrap();
+        let (mut t, recovery) = replay_coordinator(&journal, fresh()).unwrap();
         assert_eq!((t.snapshot(), recovery.next_lease), (live.snapshot(), 2));
         let mut restarted = ShardLease::new(shard_id, 2.0);
         assert_eq!(round(&mut t, &mut restarted, 0, false), 90.0);
         assert_eq!((restarted.lease_id(), t.snapshot().len()), (Some(1), 1));
+    }
+
+    #[test]
+    fn a_journal_whose_expiries_moved_is_refused_not_guessed() {
+        // A coordinator counting 50 ms ticks under a 20-tick TTL journaled
+        // A's grant at tick 0 and, after A expired at tick 20, B's at 25.
+        // Read as milliseconds under a 1 s TTL, A is still live at 25, so
+        // the recomputed epoch differs and replay refuses the journal.
+        let lines = [
+            r#"{"Grant":{"lease_id":1,"shard_id":1,"demand_w":60,"tick":0,"epoch":1}}"#,
+            r#"{"Grant":{"lease_id":2,"shard_id":2,"demand_w":60,"tick":25,"epoch":3}}"#,
+        ];
+        let journal = lines.map(|line| serde_json::from_str::<CoordJournalEntry>(line).unwrap());
+        let table = |ttl_ms| LeaseTable::new(90.0, ArbiterPolicy::EqualShare, ttl_ms, 2.0, 0);
+        assert!(matches!(
+            replay_coordinator(&journal, table(1_000)),
+            Err(JournalError::Divergence { index: 1, .. })
+        ));
+        assert!(replay_coordinator(&journal, table(20)).is_ok(), "a 20-tick TTL wrote it");
     }
 
     #[test]
@@ -1342,7 +1349,7 @@ mod tests {
         // down toward its third is applied but its reply is lost, so A
         // takes its own degraded step; B and C then renew into what the
         // table freed.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 20, 2.0);
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 500, 2.0, 0);
         let mut shards = [1, 2, 3].map(|id| ShardLease::new(id, 2.0));
         for shard in &mut shards {
             round(&mut t, shard, 0, false);
@@ -1360,7 +1367,7 @@ mod tests {
 
     #[test]
     fn a_ttl_at_the_top_of_the_clock_saturates_instead_of_expiring_in_the_past() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0, 0);
         t.advance_to(5);
         let a = grant(&mut t, 1, 0.0).unwrap();
         let renewed = renew(&mut t, a.lease_id, a.epoch, 0.0).unwrap();
@@ -1408,8 +1415,7 @@ mod tests {
 
     #[test]
     fn eviction_reclaims_the_encumbrance_and_readmission_is_a_fresh_grant() {
-        let mut t = table();
-        t.set_evict_after_ticks(3);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
         let a = grant(&mut t, 1, 0.0).unwrap();
         let b = grant(&mut t, 2, 0.0).unwrap();
         renew_round(&mut t);
@@ -1449,8 +1455,8 @@ mod tests {
 
     #[test]
     fn eviction_is_replay_pure_when_the_horizon_matches() {
-        let mut live = table();
-        live.set_evict_after_ticks(3);
+        let evicting = || LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
+        let mut live = evicting();
         let mut journal = Vec::new();
         let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
         let a = call(&mut live, &mut journal, lease(1)).unwrap();
@@ -1470,8 +1476,7 @@ mod tests {
         let a2 = call(&mut live, &mut journal, lease(1)).unwrap();
         assert_ne!(a2.lease_id, a.lease_id, "evicted shard re-admits under a fresh lease");
 
-        let (rebuilt, recovery) =
-            replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3).unwrap();
+        let (rebuilt, recovery) = replay_coordinator(&journal, evicting()).unwrap();
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
         assert_eq!(rebuilt.stats(), live.stats());
         assert_eq!(recovery.next_lease, live.next_lease());
@@ -1479,14 +1484,14 @@ mod tests {
         // A mismatched horizon loses the eviction's epoch bump and is
         // caught by the recomputed entry, not silently absorbed.
         assert!(matches!(
-            replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
+            replay_coordinator(&journal, table()),
             Err(JournalError::Divergence { .. })
         ));
     }
 
     #[test]
     fn demand_proportional_targets_favor_hungry_shards() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
         let a = grant(&mut t, 1, 10.0).unwrap();
         renew(&mut t, a.lease_id, a.epoch, 10.0).unwrap();
         let b = grant(&mut t, 2, 40.0).unwrap();
@@ -1505,7 +1510,7 @@ mod tests {
     fn an_astronomical_demand_still_commits_finite_watts() {
         // 1e308 W beside 10 W overflows `extra * demand` in the split: the
         // target must still be finite, and the shard must still get watts.
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
         let a = grant(&mut t, 1, 10.0).unwrap();
         let b = grant(&mut t, 2, 1e308).unwrap();
         for _ in 0..2 {
@@ -1520,7 +1525,8 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_exact_table() {
-        let mut live = LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0);
+        let fresh = || LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0);
+        let mut live = fresh();
         let mut journal = Vec::new();
         let lease = |shard_id, demand_w| CoordRequest::Lease { shard_id, demand_w };
         let renew = |lease_id, epoch| CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 };
@@ -1539,9 +1545,7 @@ mod tests {
         let a2 = call(&mut live, &mut journal, lease(1, 20.0)).unwrap();
         assert_eq!(a2.lease_id, a.lease_id);
 
-        let (rebuilt, recovery) =
-            replay_coordinator(&journal, 80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0)
-                .unwrap();
+        let (rebuilt, recovery) = replay_coordinator(&journal, fresh()).unwrap();
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
         assert_eq!(rebuilt.stats(), live.stats());
         assert_eq!(recovery.replayed, journal.len() as u64);
@@ -1558,7 +1562,7 @@ mod tests {
             tick: 0,
             epoch: 42, // a fresh table's first grant lands on epoch 1
         }];
-        match replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0) {
+        match replay_coordinator(&entries, table()) {
             Err(JournalError::Divergence { index: 0, detail }) => {
                 assert!(detail.contains("epoch: 42"), "unhelpful detail: {detail}");
                 assert!(detail.contains("epoch: 1 }"), "unhelpful detail: {detail}");
@@ -1569,27 +1573,20 @@ mod tests {
         let entries =
             vec![CoordJournalEntry::Renew { lease_id: 7, demand_w: 0.0, tick: 0, epoch: 1 }];
         assert!(matches!(
-            replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
+            replay_coordinator(&entries, table()),
             Err(JournalError::Divergence { index: 0, .. })
         ));
     }
 
     /// A `Granted` reply for lease 1 from a coordinator whose floor is 5 W.
     fn granted(epoch: u64, budget_w: f64, ttl_ms: u64) -> CoordResponse {
-        CoordResponse::Granted {
-            lease_id: 1,
-            epoch,
-            budget_w,
-            expires_tick: 10,
-            ttl_ms,
-            floor_w: 5.0,
-        }
+        CoordResponse::Granted { lease_id: 1, epoch, budget_w, ttl_ms, floor_w: 5.0 }
     }
 
     /// A `Renewed` reply for lease 1 from the same coordinator, TTL 1 s.
     fn renewed(epoch: u64, budget_w: f64) -> CoordResponse {
         let (ttl_ms, floor_w) = (1_000, 5.0);
-        CoordResponse::Renewed { lease_id: 1, epoch, budget_w, expires_tick: 20, ttl_ms, floor_w }
+        CoordResponse::Renewed { lease_id: 1, epoch, budget_w, ttl_ms, floor_w }
     }
 
     fn rejected(code: &str) -> CoordResponse {

@@ -29,13 +29,12 @@ fn model() -> TrainedModel {
 const GLOBAL_CAP_W: f64 = 90.0;
 const FLOOR_W: f64 = 2.0;
 
-/// TTL = 20 ticks × 25 ms = 500 ms of silence; leases journaled to
-/// `journal`.
+/// TTL = 500 ms of silence; leases journaled to `journal`.
 fn coordinator_config(journal: &Path) -> CoordinatorConfig {
     CoordinatorConfig {
         global_cap_w: GLOBAL_CAP_W,
         floor_w: FLOOR_W,
-        tick_ms: 25,
+        ttl_ms: 500,
         journal: Some(journal.to_path_buf()),
         ..Default::default()
     }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 const CAP_W: f64 = 100.0;
 const FLOOR_W: f64 = 4.0;
-const TTL_TICKS: u64 = 6;
+const TTL_MS: u64 = 6;
 
 fn policy_from(n: u8) -> ArbiterPolicy {
     if n.is_multiple_of(2) {
@@ -73,7 +73,12 @@ fn apply(
     }
 }
 
-/// Step `ops` through a table with eviction after `horizon` ticks (0 =
+/// A fresh table under `policy` with eviction after `horizon` ms (0 = off).
+fn fresh(policy: ArbiterPolicy, horizon: u64) -> LeaseTable {
+    LeaseTable::new(CAP_W, policy, TTL_MS, FLOOR_W, horizon)
+}
+
+/// Step `ops` through a table with eviction after `horizon` ms (0 =
 /// off). After every op, live commitments fit inside the unencumbered
 /// pool, the fleet total never exceeds the cap, no lease commits a
 /// negative amount, no shard id holds two leases, an expired lease
@@ -82,8 +87,7 @@ fn apply(
 /// included though they are never journaled — so `next_lease` matches and
 /// a restarted coordinator can never hand a granted id out twice.
 fn churn(policy: u8, horizon: u64, ops: &[(u8, u64, f64, u64)]) -> Result<(), TestCaseError> {
-    let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
-    live.set_evict_after_ticks(horizon);
+    let mut live = fresh(policy_from(policy), horizon);
     let mut journal = Vec::new();
     for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
         apply(&mut live, &mut journal, op, pick, demand_w, dt);
@@ -107,7 +111,7 @@ fn churn(policy: u8, horizon: u64, ops: &[(u8, u64, f64, u64)]) -> Result<(), Te
     }
 
     let (mut replayed, recovery) =
-        replay_coordinator(&journal, CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, horizon)
+        replay_coordinator(&journal, fresh(policy_from(policy), horizon))
             .expect("a faithfully recorded journal replays");
     prop_assert_eq!(recovery.replayed, journal.len() as u64);
     // The restarted coordinator's first act is advancing to the current
@@ -154,7 +158,7 @@ proptest! {
 
 /// Whether every lease belongs to a different shard.
 /// Every schedule of lease steps to depth 6, from an empty table, under
-/// both policies, with eviction off and at a one-tick horizon. A step is
+/// both policies, with eviction off and at a 1 ms horizon. A step is
 /// a lease under shard id 1, 2, 3 or 4 (a fresh shard, or a re-adoption
 /// once it holds a lease), a renewal
 /// or a release of each live lease, a revocation of each encumbered lease,
@@ -170,11 +174,9 @@ fn every_lease_schedule_to_depth_six_conserves_and_replays() {
     const DEPTH: usize = 6;
     let mut schedules = 0u64;
     for policy in [ArbiterPolicy::EqualShare, ArbiterPolicy::DemandProportional] {
-        for evict_after_ticks in [0, 1] {
-            let mut table = LeaseTable::new(CAP_W, policy, TTL_TICKS, FLOOR_W);
-            table.set_evict_after_ticks(evict_after_ticks);
+        for horizon in [0, 1] {
             let mut journal = Vec::new();
-            schedules += explore(&table, &mut journal, DEPTH, policy, evict_after_ticks);
+            schedules += explore(&fresh(policy, horizon), &mut journal, DEPTH, policy, horizon);
         }
     }
     assert_eq!(schedules, 550_180);
@@ -187,7 +189,7 @@ fn explore(
     journal: &mut Vec<CoordJournalEntry>,
     depth: usize,
     policy: ArbiterPolicy,
-    evict_after_ticks: u64,
+    horizon: u64,
 ) -> u64 {
     if depth == 0 {
         return 1;
@@ -212,7 +214,7 @@ fn explore(
         let mut next = table.clone();
         let journaled = match &step {
             None => {
-                next.advance_to(next.tick() + TTL_TICKS);
+                next.advance_to(next.tick() + TTL_MS);
                 false
             }
             Some(request) => match next.apply(next.tick(), request) {
@@ -224,21 +226,19 @@ fn explore(
             },
         };
         let stats = next.stats();
-        let context =
-            || format!("{policy:?}, evict {evict_after_ticks}, {journal:?} then {step:?}");
+        let context = || format!("{policy:?}, evict {horizon}, {journal:?} then {step:?}");
         assert_eq!(stats.overshoot_w, 0.0, "{}", context());
         assert!(stats.live_committed_w + stats.encumbered_w <= CAP_W, "{}", context());
         for (_, lease) in next.snapshot() {
             assert!(lease.live || lease.committed_w <= FLOOR_W, "{}", context());
         }
         assert!(next.one_lease_per_shard(), "{}", context());
-        let (mut replayed, _) =
-            replay_coordinator(journal, CAP_W, policy, TTL_TICKS, FLOOR_W, evict_after_ticks)
-                .unwrap_or_else(|e| panic!("{}: {e}", context()));
+        let (mut replayed, _) = replay_coordinator(journal, fresh(policy, horizon))
+            .unwrap_or_else(|e| panic!("{}: {e}", context()));
         replayed.advance_to(next.tick());
         assert_eq!(replayed.snapshot(), next.snapshot(), "{}", context());
         assert_eq!(replayed.stats(), stats, "{}", context());
-        schedules += explore(&next, journal, depth - 1, policy, evict_after_ticks);
+        schedules += explore(&next, journal, depth - 1, policy, horizon);
         if journaled {
             journal.pop();
         }

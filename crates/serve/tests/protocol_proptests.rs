@@ -426,7 +426,6 @@ mod codec {
                 lease_id: 1,
                 epoch: 3,
                 budget_w: 80.0,
-                expires_tick: 9,
                 ttl_ms: 600,
                 floor_w: 2.5,
             },
@@ -434,7 +433,6 @@ mod codec {
                 lease_id: 1,
                 epoch: 4,
                 budget_w: 79.5,
-                expires_tick: 12,
                 ttl_ms: 600,
                 floor_w: 2.5,
             },

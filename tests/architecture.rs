@@ -132,6 +132,26 @@ const GUARDS: &[Guard] = &[
             Lit("shard_id: Some("),
         ],
     },
+    // The lease protocol counts milliseconds on both sides of the fleet: the
+    // coordinator steps at `base + elapsed_ms`, the unit of the shard's own
+    // TTL clock, so no tick length, tick-counted TTL or eviction horizon,
+    // or horizon set after the table is built comes back.
+    Guard {
+        name: "One lease clock",
+        paths: SOURCES,
+        forbidden: &[
+            Lit("tick_ms"),
+            Lit("TICK_MS"),
+            Lit("tick-ms"),
+            Lit("ttl_ticks"),
+            Lit("TTL_TICKS"),
+            Lit("ttl-ticks"),
+            Lit("evict_after_ticks"),
+            Lit("EVICT_AFTER_TICKS"),
+            Lit("evict-after-ticks"),
+            Lit("set_evict_after"),
+        ],
+    },
     // Every arbiter transition is one step, `Arbiter::apply`: the server
     // journals the entry it returns and `journal::replay` re-applies
     // `JournalEntry::arbiter_op`, so server.rs builds no arbiter entry, and
