@@ -25,7 +25,7 @@ pub struct Experiment {
 }
 
 /// What an [`Experiment`] runs.
-pub type Run = fn(&mut dyn Write) -> io::Result<String>;
+type Run = fn(&mut dyn Write) -> io::Result<String>;
 
 /// Every experiment, in DESIGN.md section 4 order.
 pub static REGISTRY: &[Experiment] = &[

@@ -22,27 +22,27 @@ use std::path::PathBuf;
 
 /// The fixed seed every experiment uses: results in EXPERIMENTS.md were
 /// produced with this machine.
-pub const EXPERIMENT_SEED: u64 = 2014;
+const EXPERIMENT_SEED: u64 = 2014;
 
 /// The machine all experiments run on.
-pub fn default_machine() -> Machine {
+fn default_machine() -> Machine {
     Machine::new(EXPERIMENT_SEED)
 }
 
 /// Characterize the full 7-instance, 65-kernel-combination suite.
-pub fn characterized_suite() -> Vec<AppProfiles> {
+fn characterized_suite() -> Vec<AppProfiles> {
     characterize_apps(&default_machine(), &acs_kernels::app_instances())
 }
 
 /// Run the paper's full leave-one-benchmark-out evaluation with default
 /// training parameters (k = 5 clusters).
-pub fn full_evaluation() -> Evaluation {
+fn full_evaluation() -> Evaluation {
     evaluate(&characterized_suite(), TrainingParams::default())
         .expect("full-suite training succeeds")
 }
 
 /// Format an optional percentage for table output.
-pub fn pct(v: Option<f64>) -> String {
+fn pct(v: Option<f64>) -> String {
     match v {
         Some(p) => format!("{p:.0}"),
         None => "—".to_string(),
@@ -71,7 +71,7 @@ pub fn render_table3(rows: &[MethodSummary]) -> String {
 /// Render a per-application-instance figure: one row per app label, one
 /// column per compared method, using `metric` to pull the plotted value
 /// out of each per-app summary.
-pub fn render_by_app(
+fn render_by_app(
     eval: &Evaluation,
     title: &str,
     metric: impl Fn(&MethodSummary) -> Option<f64>,

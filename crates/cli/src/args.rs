@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// The subcommand (first positional argument).
-    pub command: String,
+    pub(crate) command: String,
     /// `--key value` pairs.
     options: BTreeMap<String, String>,
 }
@@ -75,7 +75,7 @@ impl Args {
     }
 
     /// Reject the first option (in name order) that is not in `known`.
-    pub fn only(&self, known: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn only(&self, known: &[&str]) -> Result<(), ArgError> {
         match self.options.keys().find(|key| !known.contains(&key.as_str())) {
             Some(key) => Err(ArgError::Unknown { command: self.command.clone(), key: key.clone() }),
             None => Ok(()),
@@ -83,17 +83,17 @@ impl Args {
     }
 
     /// A string option.
-    pub fn get(&self, key: &'static str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &'static str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// A required string option.
-    pub fn require(&self, key: &'static str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, key: &'static str) -> Result<&str, ArgError> {
         self.get(key).ok_or(ArgError::Missing(key))
     }
 
     /// A typed option with a default.
-    pub fn get_or<T: std::str::FromStr>(
+    pub(crate) fn get_or<T: std::str::FromStr>(
         &self,
         key: &'static str,
         default: T,
@@ -105,7 +105,10 @@ impl Args {
     }
 
     /// A required typed option.
-    pub fn require_parsed<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, ArgError> {
+    pub(crate) fn require_parsed<T: std::str::FromStr>(
+        &self,
+        key: &'static str,
+    ) -> Result<T, ArgError> {
         let v = self.require(key)?;
         v.parse().map_err(|_| ArgError::Invalid { key, value: v.to_string() })
     }

@@ -19,5 +19,5 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{ArgError, Args};
-pub use commands::{run, CliError, USAGE};
+pub use args::Args;
+pub use commands::{run, USAGE};

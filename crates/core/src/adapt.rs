@@ -96,11 +96,11 @@ impl std::error::Error for AdaptError {}
 // `KalmanFilter` starts from and is held to.
 
 /// Initial process-noise covariance (adapted online, ALERT-style).
-pub const Q: f64 = 1e-4;
+const Q: f64 = 1e-4;
 /// Measurement-noise covariance.
-pub const R: f64 = 4e-4;
+const R: f64 = 4e-4;
 /// Initial error covariance.
-pub const P0: f64 = 1.0;
+const P0: f64 = 1.0;
 /// Floor under the adaptive process noise.
 pub const Q_FLOOR: f64 = 1e-5;
 /// Observations averaged into the per-kernel baseline before any detection
@@ -149,7 +149,7 @@ pub struct KalmanFilter {
 }
 
 impl KalmanFilter {
-    /// A filter starting at estimate `x0` with covariances [`P0`] and [`Q`].
+    /// A filter starting at estimate `x0` with covariances `P0` and `Q`.
     pub fn new(x0: f64) -> Self {
         Self { x: x0, p: P0, q: Q, k: 0.0, y: 0.0 }
     }
@@ -398,7 +398,7 @@ pub struct AdaptivePredictor {
 
 impl AdaptivePredictor {
     /// Total measurements accepted.
-    pub fn observations(&self) -> u64 {
+    fn observations(&self) -> u64 {
         self.observations
     }
 

@@ -13,24 +13,24 @@ use serde::{Deserialize, Serialize};
 
 /// A percentile interval for one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Interval {
+struct Interval {
     /// Point estimate from the full sample.
-    pub point: f64,
+    point: f64,
     /// Lower percentile bound.
-    pub lo: f64,
+    lo: f64,
     /// Upper percentile bound.
-    pub hi: f64,
+    hi: f64,
 }
 
 /// Bootstrap intervals for one method's headline metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MethodIntervals {
     /// The method.
-    pub method: Method,
+    method: Method,
     /// Percent of constraints met.
-    pub pct_under: Interval,
+    pct_under: Interval,
     /// Percent of oracle performance in under-limit cases.
-    pub under_perf_pct: Interval,
+    under_perf_pct: Interval,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {

@@ -21,14 +21,14 @@ use serde::{Deserialize, Serialize};
 
 /// A prediction with one-sigma uncertainty bands.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BoundedPoint {
+struct BoundedPoint {
     /// Expected power and performance.
-    pub point: PowerPerfPoint,
+    point: PowerPerfPoint,
     /// One-sigma uncertainty of the power prediction, W.
-    pub power_sigma: f64,
+    power_sigma: f64,
     /// One-sigma uncertainty of the performance prediction (same units as
     /// `point.perf`).
-    pub perf_sigma: f64,
+    perf_sigma: f64,
 }
 
 /// Predictions with uncertainty for the full configuration space.
@@ -38,7 +38,7 @@ pub struct BoundedProfile {
     pub cluster: usize,
     /// One bounded prediction per configuration, in
     /// `Configuration::all()` order.
-    pub points: Vec<BoundedPoint>,
+    points: Vec<BoundedPoint>,
 }
 
 impl BoundedProfile {

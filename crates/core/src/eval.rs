@@ -48,9 +48,9 @@ pub struct CaseResult {
     /// Performance (inverse time) of the selected configuration.
     pub perf: f64,
     /// True power of the oracle's selection at the same constraint, W.
-    pub oracle_power_w: f64,
+    oracle_power_w: f64,
     /// Performance of the oracle's selection.
-    pub oracle_perf: f64,
+    oracle_perf: f64,
 }
 
 impl CaseResult {
@@ -65,7 +65,7 @@ impl CaseResult {
     }
 
     /// Method power as a fraction of oracle power.
-    pub fn power_ratio(&self) -> f64 {
+    fn power_ratio(&self) -> f64 {
         self.power_w / self.oracle_power_w
     }
 }
@@ -172,7 +172,7 @@ impl Evaluation {
     }
 
     /// Cases of one method only.
-    pub fn cases_of(&self, method: Method) -> Vec<&CaseResult> {
+    fn cases_of(&self, method: Method) -> Vec<&CaseResult> {
         self.cases.iter().filter(|c| c.method == method).collect()
     }
 }
@@ -289,7 +289,7 @@ pub struct PreparedSuite<'a> {
 
 impl<'a> PreparedSuite<'a> {
     /// Prepare `apps` for any number of evaluations, once
-    /// [`Prepared::new`] has checked every profile.
+    /// `Prepared::new` has checked every profile.
     pub fn new(apps: &'a [AppProfiles]) -> Result<Self, TrainError> {
         let kernels = Prepared::new(apps.iter().flat_map(|a| &a.profiles))?;
         // Fold by *benchmark* (LULESH, CoMD, SMC, LU): holding out a

@@ -6,7 +6,7 @@
 //! extract the frontier — every select. This module restructures that
 //! work for the machine:
 //!
-//! * [`ConfigSpace`] — a struct-of-arrays view of the 42-configuration
+//! * `ConfigSpace` — a struct-of-arrays view of the 42-configuration
 //!   space, feature columns precomputed once per process;
 //! * per-model precomputation, held by [`Predictor`]: per-cluster
 //!   power/ratio columns (regression inputs are static per configuration,
@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 /// columns over [`Configuration::all`]'s order, with the two device blocks
 /// contiguous (`[0, cpu_end)` CPU, `[cpu_end, len)` GPU).
 #[derive(Debug)]
-pub struct ConfigSpace {
+pub(crate) struct ConfigSpace {
     configs: &'static [Configuration],
     /// `cols[k][i]` = feature `k` of configuration `i`
     /// ([`config_features`] laid out column-major).
@@ -47,7 +47,7 @@ pub struct ConfigSpace {
 
 impl ConfigSpace {
     /// The process-wide space, built once.
-    pub fn get() -> &'static ConfigSpace {
+    pub(crate) fn get() -> &'static ConfigSpace {
         static SPACE: OnceLock<ConfigSpace> = OnceLock::new();
         SPACE.get_or_init(|| {
             let configs = Configuration::all();
@@ -76,22 +76,22 @@ impl ConfigSpace {
     }
 
     /// Number of configurations (42).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.configs.len()
     }
 
     /// Always false — the space is never empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.configs.is_empty()
     }
 
     /// Index of the first GPU-device configuration.
-    pub fn cpu_end(&self) -> usize {
+    pub(crate) fn cpu_end(&self) -> usize {
         self.cpu_end
     }
 
     /// The configurations, in index order.
-    pub fn configs(&self) -> &'static [Configuration] {
+    pub(crate) fn configs(&self) -> &'static [Configuration] {
         self.configs
     }
 }

@@ -27,7 +27,7 @@ pub fn sample_config(device: Device) -> Configuration {
 }
 
 /// Number of raw regression features per device row.
-pub const CONFIG_FEATURES: usize = 6;
+pub(crate) const CONFIG_FEATURES: usize = 6;
 
 /// Design row for one configuration on its own device: configuration
 /// variables plus first-order interactions, normalized to the reference
@@ -50,10 +50,10 @@ pub fn config_features(config: &Configuration) -> [f64; CONFIG_FEATURES] {
 }
 
 /// Number of classification-tree features.
-pub const TREE_FEATURES: usize = 16;
+const TREE_FEATURES: usize = 16;
 
 /// Names of the classification features, aligned with [`tree_features`].
-pub const TREE_FEATURE_NAMES: [&str; TREE_FEATURES] = [
+pub(crate) const TREE_FEATURE_NAMES: [&str; TREE_FEATURES] = [
     "ipc",
     "l1_mpki",
     "l2_mpki",
@@ -75,7 +75,7 @@ pub const TREE_FEATURE_NAMES: [&str; TREE_FEATURES] = [
 /// Classification features for a kernel from its two sample-configuration
 /// runs (Section III-B: "performance counter and power data from training
 /// kernels on the sample configurations").
-pub fn tree_features(cpu_sample: &KernelRun, gpu_sample: &KernelRun) -> [f64; TREE_FEATURES] {
+fn tree_features(cpu_sample: &KernelRun, gpu_sample: &KernelRun) -> [f64; TREE_FEATURES] {
     debug_assert_eq!(cpu_sample.config.device, Device::Cpu);
     debug_assert_eq!(gpu_sample.config.device, Device::Gpu);
 
@@ -106,9 +106,9 @@ pub fn tree_features(cpu_sample: &KernelRun, gpu_sample: &KernelRun) -> [f64; TR
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SamplePair {
     /// The CPU sample run (Table II row 1).
-    pub cpu: KernelRun,
+    pub(crate) cpu: KernelRun,
     /// The GPU sample run (Table II row 2).
-    pub gpu: KernelRun,
+    pub(crate) gpu: KernelRun,
 }
 
 impl SamplePair {

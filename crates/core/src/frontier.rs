@@ -80,7 +80,7 @@ impl Frontier {
     }
 
     /// True when the frontier is empty (no input points).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
@@ -125,7 +125,7 @@ impl Frontier {
 
     /// The rank (position in increasing-power order) of each of `configs`
     /// within this frontier; `None` for configurations not on the frontier.
-    pub fn rank_of(&self, config: &Configuration) -> Option<usize> {
+    fn rank_of(&self, config: &Configuration) -> Option<usize> {
         self.points.iter().position(|p| &p.config == config)
     }
 

@@ -82,7 +82,7 @@ impl std::error::Error for RuntimeError {}
 
 /// The rungs of the degradation ladder, most-trusting first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DegradationTier {
+pub(crate) enum DegradationTier {
     /// Trust the model's frontier selection unmodified.
     Model,
     /// The model's selection, frequency-limited below the prediction.
@@ -98,9 +98,9 @@ pub enum DegradationTier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierState {
     /// Current rung.
-    pub tier: DegradationTier,
+    pub(crate) tier: DegradationTier,
     /// P-state step-downs applied from the rung's base configuration.
-    pub fl_steps: u8,
+    pub(crate) fl_steps: u8,
 }
 
 /// Walk `config`'s active device down `n` P-states, saturating at the
@@ -137,18 +137,18 @@ fn step_down(mut config: Configuration, n: u8) -> Configuration {
 }
 
 /// The machine's minimum-power configuration that still makes progress.
-pub fn safe_min_config() -> Configuration {
+pub(crate) fn safe_min_config() -> Configuration {
     Configuration::cpu(1, CpuPState::MIN)
 }
 
 impl TierState {
     /// The healthiest state: trust the model.
-    pub fn model() -> Self {
+    pub(crate) fn model() -> Self {
         Self { tier: DegradationTier::Model, fl_steps: 0 }
     }
 
     /// The configuration this rung runs, given the model's selection.
-    pub fn apply(&self, model_choice: Configuration) -> Configuration {
+    pub(crate) fn apply(&self, model_choice: Configuration) -> Configuration {
         match self.tier {
             DegradationTier::Model => model_choice,
             DegradationTier::ModelFl => step_down(model_choice, self.fl_steps),
@@ -160,7 +160,7 @@ impl TierState {
     /// One rung down. Within the FL tiers this adds a frequency-limiting
     /// step; once a tier's ladder is exhausted it falls to the next tier.
     /// `SafeMin` is absorbing.
-    pub fn degraded(&self, model_choice: Configuration) -> Self {
+    pub(crate) fn degraded(&self, model_choice: Configuration) -> Self {
         match self.tier {
             DegradationTier::Model => Self { tier: DegradationTier::ModelFl, fl_steps: 1 },
             DegradationTier::ModelFl => {
@@ -184,7 +184,7 @@ impl TierState {
     }
 
     /// One rung up (toward trusting the model again).
-    pub fn recovered(&self) -> Self {
+    pub(crate) fn recovered(&self) -> Self {
         match self.tier {
             DegradationTier::Model => *self,
             DegradationTier::ModelFl => {
@@ -218,7 +218,7 @@ impl TierState {
 
     /// Maximum number of `degraded` calls from `model()` to `SafeMin`,
     /// regardless of the model's choice (bounds watchdog convergence).
-    pub fn max_rungs() -> u32 {
+    fn max_rungs() -> u32 {
         // Model → up to COUNT-1 ModelFl steps (+ GPU ladder on GPU picks)
         // → CpuFl{0..COUNT-1} → SafeMin, with one transition rung each.
         let cpu = CpuPState::COUNT as u32;
@@ -232,20 +232,20 @@ impl TierState {
 pub struct GuardPolicy {
     /// Consecutive measured-over-cap iterations before stepping down a
     /// rung (the ISSUE's `K`).
-    pub max_overcap_streak: u32,
+    pub(crate) max_overcap_streak: u32,
     /// Consecutive clean (valid-sensor, under-cap) iterations before
     /// stepping back up a rung (the ISSUE's `N`).
-    pub recovery_clean_iters: u32,
+    pub(crate) recovery_clean_iters: u32,
     /// Retries for a failed execution or clamped transition, per
     /// iteration.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// First retry waits this long; each further retry doubles it.
-    pub backoff_base_s: f64,
+    pub(crate) backoff_base_s: f64,
     /// Consecutive invalid sensor readings (dropouts or exact repeats)
     /// before degrading on suspicion of a stale sensor. `0` disables
     /// stale detection (needed for noiseless machines, whose genuine
     /// readings repeat exactly).
-    pub stale_sensor_window: u32,
+    pub(crate) stale_sensor_window: u32,
 }
 
 impl Default for GuardPolicy {
@@ -266,13 +266,13 @@ pub struct KernelHealth {
     /// Current ladder position.
     pub tier: TierState,
     /// Consecutive measured-over-cap iterations.
-    pub overcap_streak: u32,
+    pub(crate) overcap_streak: u32,
     /// Consecutive clean iterations (toward recovery).
-    pub clean_streak: u32,
+    pub(crate) clean_streak: u32,
     /// Consecutive invalid sensor readings (dropout or frozen).
-    pub stale_streak: u32,
+    pub(crate) stale_streak: u32,
     /// Last measured package power, W (for frozen-reading detection).
-    pub last_power_w: Option<f64>,
+    pub(crate) last_power_w: Option<f64>,
     /// Total rung step-downs.
     pub degradations: u32,
     /// Total rung step-ups.

@@ -21,7 +21,7 @@
 //!    configuration variables ([`features::config_features`] →
 //!    [`offline::ClusterModels`]);
 //! 6. train the classification tree over the sample-configuration
-//!    features ([`features::tree_features`]).
+//!    features (`features::tree_features`).
 //!
 //! **Online, per new kernel** (Section III-C) — [`online::Predictor`]:
 //!
@@ -29,7 +29,7 @@
 //!    configurations ([`features::sample_config`] →
 //!    [`features::SamplePair`]);
 //! 2. classify it into a cluster by walking the CART
-//!    ([`online::Predictor::classify`]);
+//!    (`online::Predictor::classify`);
 //! 3. predict power and performance at every configuration and derive the
 //!    predicted frontier ([`online::Predictor::predict`], on the
 //!    precomputed tables of [`fastpath`]);
@@ -117,25 +117,17 @@ pub mod persist;
 pub mod runtime;
 pub mod timeline;
 
-pub use bootstrap::{bootstrap_table3, Interval, MethodIntervals};
-pub use eval::{characterize_apps, evaluate, AppProfiles, CaseResult, Evaluation, MethodSummary};
-pub use fastpath::{ConfigSpace, FastModel, SelectScratch};
-pub use features::{sample_config, SamplePair, TREE_FEATURE_NAMES};
+pub use eval::MethodSummary;
+pub use fastpath::{FastModel, SelectScratch};
+pub use features::{sample_config, SamplePair};
 pub use frontier::{Frontier, PowerPerfPoint};
 pub use methods::Method;
 pub use offline::{train, train_on_suite, ClusterModels, TrainedModel, TrainingParams};
 pub use online::{prediction_error, PredictedProfile, Predictor};
 pub use profile::{collect_suite, KernelProfile};
 
-pub use adapt::{
-    AdaptCorrection, AdaptError, AdaptOutcome, AdaptSelection, AdaptivePredictor, DriftEvent,
-    KalmanFilter, Signal,
-};
-pub use confidence::{predict_with_confidence, BoundedPoint, BoundedProfile};
-pub use health::{
-    safe_min_config, DegradationTier, GuardPolicy, KernelHealth, RuntimeError, TierState,
-};
-pub use persist::{
-    crc32, quarantine_path, read_artifact, write_artifact, PersistError, ARTIFACT_VERSION,
-};
-pub use runtime::{AppRunReport, CappedRuntime};
+pub use adapt::{AdaptError, AdaptivePredictor, DriftEvent, KalmanFilter, Signal};
+pub use confidence::predict_with_confidence;
+pub use health::{GuardPolicy, RuntimeError};
+pub use persist::{crc32, PersistError};
+pub use runtime::CappedRuntime;

@@ -15,19 +15,19 @@ pub struct LimitResult {
     /// The configuration the limiter settled on.
     pub config: Configuration,
     /// Number of P-state changes performed.
-    pub steps: u32,
+    steps: u32,
     /// Whether the final measured power met the cap.
-    pub met: bool,
+    pub(crate) met: bool,
     /// Measured power still above the cap at the settled configuration,
     /// W. Zero when `met`; positive when the cap is below the minimum
     /// achievable power (the walk terminates at the floor and reports the
     /// shortfall instead of looping).
-    pub residual_w: f64,
+    residual_w: f64,
 }
 
 /// Walk the *CPU* P-state of `config` down from its current state until
 /// measured power meets `cap_w` or the floor is reached.
-pub fn limit_cpu_freq(
+pub(crate) fn limit_cpu_freq(
     mut config: Configuration,
     cap_w: f64,
     mut measure: impl FnMut(&Configuration) -> f64,
@@ -50,7 +50,7 @@ pub fn limit_cpu_freq(
 
 /// Walk the *GPU* P-state down until measured power meets `cap_w` or the
 /// floor is reached. Only meaningful for GPU-device configurations.
-pub fn limit_gpu_freq(
+pub(crate) fn limit_gpu_freq(
     mut config: Configuration,
     cap_w: f64,
     mut measure: impl FnMut(&Configuration) -> f64,
@@ -74,7 +74,7 @@ pub fn limit_gpu_freq(
 
 /// Raise the CPU P-state as far as possible while measured power stays
 /// within `cap_w` (the "power headroom" step of the GPU+FL baseline).
-pub fn raise_cpu_freq_within(
+pub(crate) fn raise_cpu_freq_within(
     mut config: Configuration,
     cap_w: f64,
     mut measure: impl FnMut(&Configuration) -> f64,
@@ -121,7 +121,7 @@ pub fn limit_active_device(
 /// limiter actually moves). The paper's <1 ms online-overhead budget must
 /// absorb these; with realistic slew rates the whole ladder costs tens of
 /// microseconds.
-pub fn transition_cost_s(
+fn transition_cost_s(
     from: &Configuration,
     to: &Configuration,
     model: &acs_sim::TransitionModel,
@@ -144,13 +144,13 @@ pub mod start {
     use super::*;
 
     /// CPU+FL starting point: all cores, fastest CPU P-state, GPU parked.
-    pub fn cpu_fl() -> Configuration {
+    pub(crate) fn cpu_fl() -> Configuration {
         Configuration::cpu(acs_sim::NUM_CPU_CORES, CpuPState::MAX)
     }
 
     /// GPU+FL starting point: GPU at maximum frequency, host CPU at
     /// minimum.
-    pub fn gpu_fl() -> Configuration {
+    pub(crate) fn gpu_fl() -> Configuration {
         Configuration::gpu(GpuPState::MAX, CpuPState::MIN)
     }
 }

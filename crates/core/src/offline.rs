@@ -299,7 +299,9 @@ impl<'a> Prepared<'a> {
     /// Check every profile ([`TrainError::BadProfile`] names the first
     /// unusable run), then build every kernel's measured Pareto frontier
     /// and compare them pairwise.
-    pub fn new(profiles: impl IntoIterator<Item = &'a KernelProfile>) -> Result<Self, TrainError> {
+    pub(crate) fn new(
+        profiles: impl IntoIterator<Item = &'a KernelProfile>,
+    ) -> Result<Self, TrainError> {
         let profiles: Vec<&KernelProfile> = profiles.into_iter().collect();
         for profile in &profiles {
             check_profile(profile)?;

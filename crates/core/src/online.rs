@@ -71,7 +71,7 @@ impl Predictor {
 
     /// Assign the kernel to a cluster from its two sample runs: the CART
     /// walk ([`ClassificationTree::predict`]).
-    pub fn classify(&self, samples: &SamplePair) -> usize {
+    pub(crate) fn classify(&self, samples: &SamplePair) -> usize {
         self.tree.predict(&samples.tree_features())
     }
 

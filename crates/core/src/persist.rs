@@ -30,13 +30,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The artifact format version this binary reads and writes.
-pub const ARTIFACT_VERSION: u32 = 1;
+const ARTIFACT_VERSION: u32 = 1;
 
 /// Magic prefix of an enveloped artifact; anything else is legacy JSON.
 const MAGIC: &str = "acs-artifact ";
 
 /// The `kind=` tag for trained-model artifacts.
-pub const MODEL_KIND: &str = "trained-model";
+const MODEL_KIND: &str = "trained-model";
 
 /// Errors from persistence.
 #[derive(Debug)]
@@ -128,7 +128,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Where a corrupt artifact at `path` gets quarantined.
-pub fn quarantine_path(path: &Path) -> PathBuf {
+fn quarantine_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".corrupt");
     PathBuf::from(os)
@@ -155,11 +155,7 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> PersistError {
 /// then renamed over `path`. A crash at any point leaves either the old
 /// artifact or the new one — never a torn hybrid (the leftover temp file
 /// never matches the artifact path, so loads ignore it).
-pub fn write_artifact(
-    path: impl AsRef<Path>,
-    kind: &str,
-    payload: &[u8],
-) -> Result<(), PersistError> {
+fn write_artifact(path: impl AsRef<Path>, kind: &str, payload: &[u8]) -> Result<(), PersistError> {
     debug_assert!(
         !kind.contains(|c: char| c.is_whitespace()),
         "artifact kind must be a single token"
@@ -219,7 +215,7 @@ fn parse_header(line: &str) -> Option<(u32, &str, u32, usize)> {
 ///   caller).
 /// - Unparseable header, length mismatch, or checksum mismatch →
 ///   quarantine to `<path>.corrupt` + [`PersistError::Corrupt`].
-pub fn read_artifact(path: impl AsRef<Path>, expected_kind: &str) -> Result<Vec<u8>, PersistError> {
+fn read_artifact(path: impl AsRef<Path>, expected_kind: &str) -> Result<Vec<u8>, PersistError> {
     let path = path.as_ref();
     let bytes = std::fs::read(path)?;
     if !bytes.starts_with(MAGIC.as_bytes()) {
@@ -264,12 +260,12 @@ pub fn read_artifact(path: impl AsRef<Path>, expected_kind: &str) -> Result<Vec<
 
 impl TrainedModel {
     /// Serialize to a JSON string.
-    pub fn to_json(&self) -> Result<String, PersistError> {
+    fn to_json(&self) -> Result<String, PersistError> {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
     /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, PersistError> {
+    fn from_json(json: &str) -> Result<Self, PersistError> {
         Ok(serde_json::from_str(json)?)
     }
 

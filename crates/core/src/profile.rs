@@ -73,7 +73,7 @@ impl KernelProfile {
     }
 
     /// Runs on one device only.
-    pub fn runs_on(&self, device: Device) -> impl Iterator<Item = &KernelRun> {
+    fn runs_on(&self, device: Device) -> impl Iterator<Item = &KernelRun> {
         self.runs.iter().filter(move |r| r.config.device == device)
     }
 

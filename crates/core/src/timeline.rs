@@ -129,7 +129,7 @@ struct TimelineInner {
 
 impl Timeline {
     /// An empty timeline at t = 0 that keeps every entry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -148,14 +148,14 @@ impl Timeline {
     /// Record the event `event` builds at the current virtual time, leaving
     /// the clock where it is. `event` runs only if the timeline keeps
     /// entries, and under the timeline's lock, so it must not record.
-    pub fn record(&self, event: impl FnOnce() -> Event) {
+    pub(crate) fn record(&self, event: impl FnOnce() -> Event) {
         self.record_advancing(0.0, event);
     }
 
     /// [`record`](Self::record), then advance the clock by `advance_s`: a
     /// [`Event::KernelRun`]'s `time_s` or a [`Event::RetryBackoff`]'s
     /// `wait_s`, which the caller passes as the event's field too.
-    pub fn record_advancing(&self, advance_s: f64, event: impl FnOnce() -> Event) {
+    pub(crate) fn record_advancing(&self, advance_s: f64, event: impl FnOnce() -> Event) {
         let mut inner = self.inner.lock();
         let at_s = inner.now_s;
         inner.now_s += advance_s;

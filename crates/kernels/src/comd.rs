@@ -10,10 +10,10 @@ use crate::spec::KernelSpec;
 use acs_sim::KernelCharacteristics;
 
 /// Benchmark name used in kernel ids and evaluation tables.
-pub const NAME: &str = "CoMD";
+pub(crate) const NAME: &str = "CoMD";
 
 /// The 7 CoMD kernel specifications.
-pub const SPECS: [KernelSpec; 7] = [
+const SPECS: [KernelSpec; 7] = [
     KernelSpec {
         name: "LJForce",
         compute_ms: 30.0,

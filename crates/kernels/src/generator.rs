@@ -18,20 +18,20 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GeneratorConfig {
     /// Number of microbenchmarks to generate.
-    pub count: usize,
+    count: usize,
     /// Single-thread compute time range at reference frequency, seconds
     /// (log-uniform).
-    pub compute_time_s: (f64, f64),
+    compute_time_s: (f64, f64),
     /// Memory-boundedness range (fraction of reference time DRAM-bound).
-    pub memory_boundedness: (f64, f64),
+    memory_boundedness: (f64, f64),
     /// GPU speedup range (log-uniform).
-    pub gpu_speedup: (f64, f64),
+    gpu_speedup: (f64, f64),
     /// Branch-divergence range.
-    pub branch_divergence: (f64, f64),
+    branch_divergence: (f64, f64),
     /// Parallel-fraction range.
-    pub parallel_fraction: (f64, f64),
+    parallel_fraction: (f64, f64),
     /// Vectorization range.
-    pub vector_fraction: (f64, f64),
+    vector_fraction: (f64, f64),
 }
 
 impl Default for GeneratorConfig {

@@ -24,7 +24,7 @@ pub enum InputSize {
 impl InputSize {
     /// Multiplier on compute time relative to the Small baseline (an 8×
     /// element count for a 2× refinement in each spatial dimension).
-    pub fn compute_scale(self) -> f64 {
+    pub(crate) fn compute_scale(self) -> f64 {
         match self {
             InputSize::Small | InputSize::Default => 1.0,
             InputSize::Large => 8.0,
@@ -33,7 +33,7 @@ impl InputSize {
 
     /// Multiplier on DRAM-bound time. Grows faster than compute because the
     /// larger working set also lowers cache hit rates.
-    pub fn memory_scale(self) -> f64 {
+    pub(crate) fn memory_scale(self) -> f64 {
         match self {
             InputSize::Small | InputSize::Default => 1.0,
             InputSize::Large => 11.0,
@@ -41,7 +41,7 @@ impl InputSize {
     }
 
     /// Multiplier on the resident working set.
-    pub fn working_set_scale(self) -> f64 {
+    pub(crate) fn working_set_scale(self) -> f64 {
         match self {
             InputSize::Small | InputSize::Default => 1.0,
             InputSize::Large => 8.0,
@@ -50,7 +50,7 @@ impl InputSize {
 
     /// Multiplier on effective GPU speedup: more work per launch means
     /// better occupancy on the 384-lane array.
-    pub fn gpu_occupancy_scale(self) -> f64 {
+    pub(crate) fn gpu_occupancy_scale(self) -> f64 {
         match self {
             InputSize::Small | InputSize::Default => 1.0,
             InputSize::Large => 1.15,

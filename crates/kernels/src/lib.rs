@@ -4,7 +4,7 @@
 //! kernels), CoMD (7), SMC (8), and Rodinia LU (1) — 36 kernels total, run
 //! at multiple input sizes for 65 benchmark/input combinations.
 //!
-//! Each kernel is a [`KernelSpec`] table row of latent characteristics
+//! Each kernel is a `KernelSpec` table row of latent characteristics
 //! (parallel fraction, memory-boundedness, GPU affinity, branch divergence,
 //! vectorization, launch overhead, switching activity) instantiated into an
 //! [`acs_sim::KernelCharacteristics`] for a concrete input size. The latents
@@ -32,7 +32,5 @@ pub mod suite;
 
 pub use generator::{generate, GeneratorConfig};
 pub use inputs::InputSize;
-pub use spec::KernelSpec;
-pub use suite::{
-    all_kernel_instances, app_instances, distinct_kernel_count, training_kernels, AppInstance,
-};
+
+pub use suite::{all_kernel_instances, app_instances, training_kernels, AppInstance};

@@ -11,10 +11,10 @@ use crate::spec::KernelSpec;
 use acs_sim::KernelCharacteristics;
 
 /// Benchmark name used in kernel ids and evaluation tables.
-pub const NAME: &str = "LU";
+pub(crate) const NAME: &str = "LU";
 
 /// The single `lud` kernel specification at the Small input.
-pub const SPECS: [KernelSpec; 1] = [KernelSpec {
+pub(crate) const SPECS: [KernelSpec; 1] = [KernelSpec {
     name: "lud",
     compute_ms: 16.0,
     memory_ms: 1.2,

@@ -12,10 +12,10 @@ use crate::spec::KernelSpec;
 use acs_sim::KernelCharacteristics;
 
 /// Benchmark name used in kernel ids and evaluation tables.
-pub const NAME: &str = "LULESH";
+pub(crate) const NAME: &str = "LULESH";
 
 /// The 20 LULESH kernel specifications at the Small input.
-pub const SPECS: [KernelSpec; 20] = [
+const SPECS: [KernelSpec; 20] = [
     // Compute-dense element kernels: high parallel fraction, strong GPU
     // affinity, FP-heavy (module sharing hurts), big weights.
     KernelSpec {

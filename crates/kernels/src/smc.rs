@@ -11,10 +11,10 @@ use crate::spec::KernelSpec;
 use acs_sim::KernelCharacteristics;
 
 /// Benchmark name used in kernel ids and evaluation tables.
-pub const NAME: &str = "SMC";
+pub(crate) const NAME: &str = "SMC";
 
 /// The 8 SMC kernel specifications at the Small input.
-pub const SPECS: [KernelSpec; 8] = [
+const SPECS: [KernelSpec; 8] = [
     KernelSpec {
         name: "ChemRates",
         compute_ms: 40.0,

@@ -1,7 +1,7 @@
 //! Kernel specification table format.
 //!
 //! Each benchmark module describes its kernels as a compact static table of
-//! [`KernelSpec`] rows (latents at the Small input), which are instantiated
+//! `KernelSpec` rows (latents at the Small input), which are instantiated
 //! into [`KernelCharacteristics`] for a concrete input size.
 
 use crate::inputs::InputSize;
@@ -12,44 +12,44 @@ use acs_sim::KernelCharacteristics;
 /// Time-like fields are in milliseconds for readability; instantiation
 /// converts to seconds.
 #[derive(Debug, Clone, Copy)]
-pub struct KernelSpec {
+pub(crate) struct KernelSpec {
     /// Kernel name as it appears in the source benchmark.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Single-thread compute time at 3.7 GHz, milliseconds.
-    pub compute_ms: f64,
+    pub(crate) compute_ms: f64,
     /// Single-thread DRAM-bound time, milliseconds.
-    pub memory_ms: f64,
+    pub(crate) memory_ms: f64,
     /// Amdahl parallel fraction.
-    pub parallel_fraction: f64,
+    pub(crate) parallel_fraction: f64,
     /// Threads at which DRAM bandwidth saturates.
-    pub bw_saturation_threads: f64,
+    pub(crate) bw_saturation_threads: f64,
     /// Module-sharing (shared FPU/front-end) throughput penalty.
-    pub module_sharing_penalty: f64,
+    pub(crate) module_sharing_penalty: f64,
     /// Per-extra-thread synchronization overhead.
-    pub sync_overhead: f64,
+    pub(crate) sync_overhead: f64,
     /// Effective GPU speedup over one reference CPU core.
-    pub gpu_speedup: f64,
+    pub(crate) gpu_speedup: f64,
     /// Branch-divergence factor.
-    pub branch_divergence: f64,
+    pub(crate) branch_divergence: f64,
     /// GPU bandwidth advantage over one CPU thread.
-    pub gpu_bw_advantage: f64,
+    pub(crate) gpu_bw_advantage: f64,
     /// OpenCL launch + driver overhead, milliseconds.
-    pub launch_ms: f64,
+    pub(crate) launch_ms: f64,
     /// Fraction of vector (SIMD) instructions.
-    pub vector_fraction: f64,
+    pub(crate) vector_fraction: f64,
     /// Working set, MiB.
-    pub working_set_mb: f64,
+    pub(crate) working_set_mb: f64,
     /// CPU switching activity.
-    pub cpu_activity: f64,
+    pub(crate) cpu_activity: f64,
     /// GPU switching activity.
-    pub gpu_activity: f64,
+    pub(crate) gpu_activity: f64,
     /// Relative share of application time (normalized per app later).
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 impl KernelSpec {
     /// Instantiate this spec for a benchmark at an input size.
-    pub fn instantiate(&self, benchmark: &str, input: InputSize) -> KernelCharacteristics {
+    pub(crate) fn instantiate(&self, benchmark: &str, input: InputSize) -> KernelCharacteristics {
         KernelCharacteristics {
             name: self.name.to_string(),
             benchmark: benchmark.to_string(),

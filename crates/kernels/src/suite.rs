@@ -75,7 +75,7 @@ pub fn all_kernel_instances() -> Vec<KernelCharacteristics> {
 }
 
 /// Number of distinct kernels (ignoring input size).
-pub fn distinct_kernel_count() -> usize {
+fn distinct_kernel_count() -> usize {
     let mut names: Vec<String> =
         all_kernel_instances().iter().map(|k| format!("{}/{}", k.benchmark, k.name)).collect();
     names.sort();

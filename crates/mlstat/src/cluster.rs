@@ -30,7 +30,7 @@ impl Dissimilarity {
 
     /// True when the matrix is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.n == 0
     }
 

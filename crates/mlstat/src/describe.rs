@@ -2,7 +2,7 @@
 //! histograms — the reporting toolkit the experiment binaries share.
 
 /// Fractional ranks (average rank for ties), 1-based as in R's `rank()`.
-pub fn ranks(xs: &[f64]) -> Vec<f64> {
+fn ranks(xs: &[f64]) -> Vec<f64> {
     let n = xs.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).unwrap());
@@ -25,7 +25,7 @@ pub fn ranks(xs: &[f64]) -> Vec<f64> {
 
 /// Pearson correlation coefficient; `None` when either input is constant
 /// or lengths differ/are short.
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }

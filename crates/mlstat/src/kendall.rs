@@ -90,7 +90,7 @@ pub fn tau_b(x: &[f64], y: &[f64]) -> Option<f64> {
 /// Kendall rank correlation between the *orders* of two permutations of the
 /// same items: `ranks_a[i]` and `ranks_b[i]` are item `i`'s positions in
 /// the two orderings.
-pub fn tau_of_rankings(ranks_a: &[usize], ranks_b: &[usize]) -> Option<f64> {
+fn tau_of_rankings(ranks_a: &[usize], ranks_b: &[usize]) -> Option<f64> {
     let a: Vec<f64> = ranks_a.iter().map(|&r| r as f64).collect();
     let b: Vec<f64> = ranks_b.iter().map(|&r| r as f64).collect();
     tau_a(&a, &b)

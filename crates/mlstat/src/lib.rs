@@ -46,11 +46,9 @@ pub mod tree;
 pub mod validate;
 
 pub use cluster::{pam, silhouette, Clustering, Dissimilarity};
-pub use describe::{histogram, pearson, quantile, ranks, spearman};
+pub use describe::{histogram, quantile, spearman};
 pub use kendall::{tau_a, tau_b};
-pub use matrix::{Cholesky, Matrix, MatrixError};
-pub use regression::{interaction_len, with_interactions, Design, FitError, LinearModel};
+pub use matrix::{Matrix, MatrixError};
+pub use regression::{Design, FitError, LinearModel};
 pub use tree::{ClassificationTree, TreeError, TreeParams};
-pub use validate::{
-    leave_one_group_out, leave_one_out, mean, median, std_dev, weighted_mean, Fold,
-};
+pub use validate::{leave_one_group_out, Fold};

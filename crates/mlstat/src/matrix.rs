@@ -76,12 +76,12 @@ impl Matrix {
 
     /// Borrow one row as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
         for r in 0..self.rows {
@@ -93,7 +93,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
+    fn matmul(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
         if self.cols != other.rows {
             return Err(MatrixError::Dimension(format!(
                 "{}x{} * {}x{}",
@@ -164,7 +164,7 @@ impl Matrix {
     }
 
     /// The lower-right square block from row and column `from` on.
-    pub fn trailing_block(&self, from: usize) -> Matrix {
+    pub(crate) fn trailing_block(&self, from: usize) -> Matrix {
         let n = self.rows.min(self.cols).saturating_sub(from);
         let mut data = Vec::with_capacity(n * n);
         for r in from..from + n {
@@ -238,7 +238,7 @@ impl Matrix {
 
     /// Solve a general square system `self · x = b` by Gaussian elimination
     /// with partial pivoting.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
         let n = self.rows;
         if self.cols != n || b.len() != n {
             return Err(MatrixError::Dimension("solve needs square A and matching b".into()));

@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 
 /// Expand a raw feature vector with all pairwise interaction terms
 /// `xᵢ·xⱼ (i < j)`, preserving the original features first.
-pub fn with_interactions(x: &[f64]) -> Vec<f64> {
+fn with_interactions(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     let mut out = Vec::with_capacity(n + n * (n - 1) / 2);
     out.extend_from_slice(x);
@@ -37,7 +37,7 @@ pub fn with_interactions(x: &[f64]) -> Vec<f64> {
 }
 
 /// Number of columns produced by [`with_interactions`] for `n` raw features.
-pub fn interaction_len(n: usize) -> usize {
+fn interaction_len(n: usize) -> usize {
     n + n * n.saturating_sub(1) / 2
 }
 
@@ -247,7 +247,7 @@ impl LinearModel {
     }
 
     /// Number of raw design columns this model expects.
-    pub fn input_len(&self) -> usize {
+    fn input_len(&self) -> usize {
         self.coeffs.len() - usize::from(self.intercept)
     }
 }

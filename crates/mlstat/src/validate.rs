@@ -19,7 +19,7 @@ pub struct Fold {
 }
 
 /// Leave-one-out folds over `n` items.
-pub fn leave_one_out(n: usize) -> Vec<Fold> {
+fn leave_one_out(n: usize) -> Vec<Fold> {
     (0..n)
         .map(|held| Fold {
             label: format!("item-{held}"),
@@ -54,7 +54,7 @@ pub fn leave_one_group_out(groups: &[&str]) -> Vec<Fold> {
 }
 
 /// Arithmetic mean; 0 for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
+fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -63,7 +63,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Weighted arithmetic mean; 0 when weights sum to 0.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
+fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
     assert_eq!(xs.len(), ws.len(), "value/weight length mismatch");
     let total: f64 = ws.iter().sum();
     if total <= 0.0 {
@@ -73,7 +73,7 @@ pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
 }
 
 /// Population standard deviation; 0 for fewer than two items.
-pub fn std_dev(xs: &[f64]) -> f64 {
+fn std_dev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -82,7 +82,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// Median; 0 for empty input.
-pub fn median(xs: &[f64]) -> f64 {
+fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }

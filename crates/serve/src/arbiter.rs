@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// Watt comparison tolerance, shared by the arbiter and the lease table:
 /// the minimum budget change that counts as a reshuffle, and the total
 /// demand below which demands are indistinguishable.
-pub const BUDGET_EPS_W: f64 = 1e-9;
+pub(crate) const BUDGET_EPS_W: f64 = 1e-9;
 
 /// Fold the floating-point remainder of a split onto the first share so
 /// the shares sum back to `target` *exactly*. f64 splits do not sum back
@@ -71,7 +71,7 @@ impl ArbiterPolicy {
     /// (`fold_exact_sum`). The one budget-split formula: the session
     /// arbiter, the lease table's targets and its admission check all
     /// call it.
-    pub fn split(&self, pool_w: f64, demands: &[f64]) -> Vec<f64> {
+    pub(crate) fn split(&self, pool_w: f64, demands: &[f64]) -> Vec<f64> {
         let n = demands.len() as f64;
         let mut shares: Vec<f64> = match self {
             ArbiterPolicy::EqualShare => vec![pool_w / n; demands.len()],
@@ -98,7 +98,7 @@ impl ArbiterPolicy {
     }
 
     /// Stable name (the CLI `--policy` value).
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             ArbiterPolicy::EqualShare => "equal",
             ArbiterPolicy::DemandProportional => "demand",
@@ -177,7 +177,7 @@ impl Arbiter {
     }
 
     /// The active policy.
-    pub fn policy(&self) -> ArbiterPolicy {
+    fn policy(&self) -> ArbiterPolicy {
         self.policy
     }
 
@@ -187,7 +187,7 @@ impl Arbiter {
     }
 
     /// How many times a rebalance actually changed at least one budget.
-    pub fn rebalances(&self) -> u64 {
+    pub(crate) fn rebalances(&self) -> u64 {
         self.rebalances
     }
 

@@ -8,7 +8,7 @@
 //! and is pure; this module is only plumbing: the listener, the logical
 //! clock, and the journal. A lease request is one call of
 //! [`LeaseTable::apply`] at the current time; the entry it returns is
-//! journaled and [`LeaseTable::reply`] answers the shard.
+//! journaled and `LeaseTable::reply` answers the shard.
 //!
 //! ## Clock
 //!
@@ -205,7 +205,7 @@ pub struct CoordinatorHandle {
 impl CoordinatorHandle {
     /// Request shutdown; the accept loop and connections drain within
     /// their next poll interval.
-    pub fn shutdown(&self) {
+    fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
     }
 

@@ -58,10 +58,10 @@ impl std::error::Error for EngineError {}
 
 /// Default bound on memoized kernel profiles. The full suite is far
 /// smaller, so the default never evicts in practice; tests shrink it.
-pub const DEFAULT_PROFILE_CAPACITY: usize = 512;
+const DEFAULT_PROFILE_CAPACITY: usize = 512;
 
 /// Default bound on remembered idempotency keys.
-pub const DEFAULT_IDEM_CAPACITY: usize = 1024;
+const DEFAULT_IDEM_CAPACITY: usize = 1024;
 
 /// An LRU slot: the value plus the tick of its last touch.
 struct Slot<V> {
@@ -135,19 +135,19 @@ impl Engine {
     }
 
     /// Shrink (or grow) the idempotency-memo bound. Clamped to at least 1.
-    pub fn with_idem_capacity(mut self, capacity: usize) -> Self {
+    fn with_idem_capacity(mut self, capacity: usize) -> Self {
         self.idem_capacity = capacity.max(1);
         self
     }
 
     /// Install the cache-miss hook (server → recovery journal). Installed
     /// *after* recovery warm-up so replayed keys are not re-journaled.
-    pub fn set_miss_hook(&self, hook: MissHook) {
+    pub(crate) fn set_miss_hook(&self, hook: MissHook) {
         *self.on_miss.lock() = Some(hook);
     }
 
     /// The trained model the engine serves.
-    pub fn model(&self) -> &Arc<TrainedModel> {
+    fn model(&self) -> &Arc<TrainedModel> {
         &self.model
     }
 
@@ -157,12 +157,12 @@ impl Engine {
     }
 
     /// `(hits, misses)` of the profile cache since startup.
-    pub fn cache_counts(&self) -> (u64, u64) {
+    pub(crate) fn cache_counts(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
     /// Kernels currently memoized (≤ the configured capacity).
-    pub fn cached_profiles(&self) -> usize {
+    fn cached_profiles(&self) -> usize {
         self.cache.lock().len()
     }
 

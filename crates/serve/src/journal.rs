@@ -35,7 +35,7 @@
 //! tail, which the next open then cleanly truncates away. Per-entry fsync
 //! would put a disk round trip on every request; crash-only semantics do
 //! not need it. For deployments where the crash window must also cover
-//! power loss, [`Journal::open_with_sync`] (the `--journal-sync` flag)
+//! power loss, `Journal::open_with_sync` (the `--journal-sync` flag)
 //! upgrades every append batch to `File::sync_data`, trading a disk round
 //! trip per append for a zero-loss tail. Replay is byte-for-byte
 //! equivalent in both modes — sync changes *when* bytes are durable,
@@ -45,7 +45,7 @@
 //!
 //! Arbiter entries record the epoch *after* their operation. The live
 //! server journals the entry [`Arbiter::apply`] returns, and [`replay`]
-//! folds that same step over [`JournalEntry::arbiter_op`] on a fresh
+//! folds that same step over `JournalEntry::arbiter_op` on a fresh
 //! arbiter, requiring every recomputed entry to equal the recorded one —
 //! a mismatch means the journal and the arbiter implementation disagree
 //! about history, and recovery refuses to guess
@@ -153,7 +153,7 @@ impl JournalEntry {
     /// The arbiter transition an `Admit`, `Leave`, `Report` or `Cap`
     /// entry records — the inverse of [`Arbiter::apply`]. `None` for
     /// every other entry.
-    pub fn arbiter_op(&self) -> Option<ArbiterOp> {
+    pub(crate) fn arbiter_op(&self) -> Option<ArbiterOp> {
         Some(match *self {
             JournalEntry::Admit { node_id, .. } => ArbiterOp::Admit { node_id },
             JournalEntry::Leave { node_id, .. } => ArbiterOp::Leave { node_id },
@@ -270,7 +270,7 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
     /// clean log. With `sync`, every append batch is `sync_data`ed, so
     /// the tail also survives machine power loss at the cost of a disk
     /// round trip per append.
-    pub fn open_with_sync(
+    pub(crate) fn open_with_sync(
         path: impl AsRef<Path>,
         sync: bool,
     ) -> Result<(Self, Vec<E>), JournalError> {
@@ -312,12 +312,12 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
     }
 
     /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
+    fn path(&self) -> &Path {
         &self.path
     }
 
     /// Whether appends are `sync_data`ed (the `--journal-sync` mode).
-    pub fn synced(&self) -> bool {
+    fn synced(&self) -> bool {
         self.sync
     }
 
@@ -328,13 +328,13 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
 
     /// Entries in the log, counting both the recovered prefix and appends
     /// through this handle.
-    pub fn entries(&self) -> u64 {
+    fn entries(&self) -> u64 {
         self.inner.lock().next_seq
     }
 
     /// Entries appended through this handle since open (the STATS
     /// `journal_appends` counter).
-    pub fn appended_entries(&self) -> u64 {
+    pub(crate) fn appended_entries(&self) -> u64 {
         self.inner.lock().next_seq - self.recovered
     }
 

@@ -23,7 +23,7 @@
 //!    commitment to no less than half of it, nor below `min(floor, it)`:
 //!    a shard whose reply is lost takes exactly that step itself. The sum
 //!    of committed budgets therefore never exceeds the pool, and converges
-//!    to it exactly (largest-remainder fold, [`ArbiterPolicy::split`]) once
+//!    to it exactly (largest-remainder fold, `ArbiterPolicy::split`) once
 //!    every live shard has renewed after a membership change.
 //! 2. **Encumbrance at the floor.** A lease that misses its renewals
 //!    expires, but its watts are not fully reclaimed: `min(floor,
@@ -43,7 +43,7 @@
 //! shard id: a shard whose `Granted` reply was lost asks again under the
 //! same id and re-adopts the lease it never heard about.
 //!
-//! Shard side, [`ShardLease`] mirrors rule 2 with the coordinator's floor,
+//! Shard side, `ShardLease` mirrors rule 2 with the coordinator's floor,
 //! which every `Granted` carries: on every missed renewal the local cap
 //! halves toward `min(floor, last grant)`, and when the lease's TTL passes
 //! by the shard's own clock it clamps there. The local cap is monotone
@@ -56,13 +56,13 @@
 //! through one step, [`LeaseTable::apply`]: advance the logical clock to
 //! the request's tick, apply the operation, and return the
 //! [`CoordJournalEntry`] that records it; it journals that entry and
-//! answers with [`LeaseTable::reply`]. [`replay_coordinator`] folds the
+//! answers with `LeaseTable::reply`. [`replay_coordinator`] folds the
 //! same step over the journal and requires every recomputed entry to
 //! equal the recorded one ([`JournalError::Divergence`] when history
 //! cannot be trusted). Expirations are recomputed on the way, never
 //! journaled. The shard's lease client builds each request with
-//! [`ShardLease::request`] and hands every reply, or the lack of one, to
-//! [`ShardLease::on_reply`]. Both machines count **milliseconds**, and
+//! `ShardLease::request` and hands every reply, or the lack of one, to
+//! `ShardLease::on_reply`. Both machines count **milliseconds**, and
 //! neither reads a clock: each step is handed its time (a journal's
 //! `tick` is one millisecond), so a test steps both on logical time.
 
@@ -81,12 +81,12 @@ pub struct LeaseState {
     pub committed_w: f64,
     /// The shard's last reported demand, W (drives demand-proportional
     /// targets).
-    pub demand_w: f64,
+    demand_w: f64,
     /// Logical time, ms, at which the lease expires unless renewed.
-    pub expires_tick: u64,
+    expires_tick: u64,
     /// Table epoch of the last grant/re-adoption/expiry — renewals
     /// presenting an older epoch are fenced off.
-    pub fence: u64,
+    fence: u64,
     /// Live (renewable) vs. expired-and-encumbered.
     pub live: bool,
     /// The time, ms, the lease expired at (its own `expires_tick`, **not**
@@ -131,7 +131,7 @@ pub enum LeaseError {
 
 impl LeaseError {
     /// Stable machine-readable code for [`CoordResponse::Rejected`].
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             LeaseError::Denied { .. } => "denied",
             LeaseError::UnknownLease { .. } => "unknown-lease",
@@ -370,7 +370,7 @@ impl LeaseTable {
     /// operations and touch nothing, not even the clock.
     ///
     /// Replay is this same step folded over the journal
-    /// ([`CoordJournalEntry::request`]), so what the coordinator journals
+    /// (`CoordJournalEntry::request`), so what the coordinator journals
     /// and what a restart recomputes cannot drift apart.
     pub fn apply(
         &mut self,
@@ -414,7 +414,7 @@ impl LeaseTable {
     /// entry and the table it was just applied to. Every grant and renewal
     /// hands the shard the TTL for its own expiry clock beside the floor it
     /// clamps to.
-    pub fn reply(&self, entry: &CoordJournalEntry) -> CoordResponse {
+    pub(crate) fn reply(&self, entry: &CoordJournalEntry) -> CoordResponse {
         let budget_w = |lease_id| self.leases.get(&lease_id).map_or(0.0, |l| l.committed_w);
         let (ttl_ms, floor_w) = (self.ttl_ms, self.floor_w);
         match *entry {
@@ -590,7 +590,7 @@ pub enum CoordRequest {
 
 impl CoordRequest {
     /// Short label for metrics bucketing.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             CoordRequest::Lease { .. } => "lease",
             CoordRequest::Renew { .. } => "renew",
@@ -675,7 +675,7 @@ pub enum CoordResponse {
         /// As in `Granted`.
         floor_w: f64,
     },
-    /// Typed lease rejection ([`LeaseError::code`]); the shard reacts by
+    /// Typed lease rejection (`LeaseError::code`); the shard reacts by
     /// re-leasing (`expired`, `fenced`, `unknown-lease`) or retrying
     /// later (`denied`).
     Rejected {
@@ -758,7 +758,7 @@ pub struct CoordRecovery {
     /// Journal entries replayed.
     pub replayed: u64,
     /// The logical time, ms, the rebuilt table resumed at.
-    pub tick: u64,
+    tick: u64,
     /// Live leases after replay — shards the restarted coordinator
     /// re-adopts on their next renewal or re-lease.
     pub live_leases: Vec<u64>,
@@ -766,12 +766,12 @@ pub struct CoordRecovery {
     pub encumbered_leases: Vec<u64>,
     /// The lease id the next fresh grant will receive (burned ids stay
     /// burned, exactly like session node ids).
-    pub next_lease: u64,
+    next_lease: u64,
 }
 
 impl CoordJournalEntry {
     /// The logical time, ms, the operation was applied at.
-    pub fn tick(&self) -> u64 {
+    fn tick(&self) -> u64 {
         match *self {
             CoordJournalEntry::Grant { tick, .. }
             | CoordJournalEntry::Renew { tick, .. }
@@ -786,7 +786,7 @@ impl CoordJournalEntry {
     /// renewal cleared its fence live, so it presents
     /// `u64::MAX`: replay checks what the renewal produced, not the token
     /// it carried.
-    pub fn request(&self) -> CoordRequest {
+    fn request(&self) -> CoordRequest {
         match *self {
             CoordJournalEntry::Grant { shard_id, demand_w, .. } => {
                 CoordRequest::Lease { shard_id, demand_w }
@@ -834,7 +834,7 @@ pub fn replay_coordinator(
 
 /// Which side of the lease the shard is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardLeaseState {
+pub(crate) enum ShardLeaseState {
     /// No lease yet (startup, or after a release): the shard runs at its
     /// pre-lease reserve, or where its last lease left it.
     Unleased,
@@ -847,7 +847,7 @@ pub enum ShardLeaseState {
 
 impl ShardLeaseState {
     /// Stable name for the STATS snapshot.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ShardLeaseState::Unleased => "unleased",
             ShardLeaseState::Leased => "leased",
@@ -863,7 +863,7 @@ impl ShardLeaseState {
 /// exceeds the last granted budget, and between grants it is monotone
 /// non-increasing.
 #[derive(Debug, Clone)]
-pub struct ShardLease {
+pub(crate) struct ShardLease {
     shard_id: u64,
     /// Where degraded mode stops, before `min(·, last grant)`: the
     /// pre-lease reserve until a grant lands, then the coordinator's floor.
@@ -885,7 +885,7 @@ pub struct ShardLease {
 impl ShardLease {
     /// A fresh, unleased shard `shard_id`: the local cap starts at the
     /// pre-lease reserve `reserve_w`.
-    pub fn new(shard_id: u64, reserve_w: f64) -> Self {
+    pub(crate) fn new(shard_id: u64, reserve_w: f64) -> Self {
         assert!(reserve_w > 0.0, "the pre-lease reserve must be positive");
         Self {
             shard_id,
@@ -903,17 +903,17 @@ impl ShardLease {
     }
 
     /// Current state.
-    pub fn state(&self) -> ShardLeaseState {
+    pub(crate) fn state(&self) -> ShardLeaseState {
         self.state
     }
 
     /// The cap the shard's arbiter may run at right now, W.
-    pub fn cap_w(&self) -> f64 {
+    pub(crate) fn cap_w(&self) -> f64 {
         self.cap_w
     }
 
     /// The lease id, once granted.
-    pub fn lease_id(&self) -> Option<u64> {
+    pub(crate) fn lease_id(&self) -> Option<u64> {
         self.lease_id
     }
 
@@ -926,20 +926,20 @@ impl ShardLease {
     }
 
     /// How many times the shard has entered degraded mode.
-    pub fn degraded_entries(&self) -> u64 {
+    pub(crate) fn degraded_entries(&self) -> u64 {
         self.degraded_entries
     }
 
     /// How many times a renewal learned the coordinator's health check had
     /// evicted the lease (`unknown-lease` on a renew).
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// The next request: a renewal presenting the last epoch while a lease
     /// is held, else a lease under the shard's id (a re-adoption when the
     /// coordinator holds one for it, never a double grant).
-    pub fn request(&self, demand_w: f64) -> CoordRequest {
+    pub(crate) fn request(&self, demand_w: f64) -> CoordRequest {
         match self.lease_id {
             Some(lease_id) => CoordRequest::Renew { lease_id, epoch: self.epoch, demand_w },
             None => CoordRequest::Lease { shard_id: self.shard_id, demand_w },
@@ -965,7 +965,7 @@ impl ShardLease {
     ///   shard's own clock it clamps there — the encumbered reserve the
     ///   coordinator holds — so both sides agree on the worst case
     ///   without communicating.
-    pub fn on_reply(
+    pub(crate) fn on_reply(
         &mut self,
         request: &CoordRequest,
         reply: Option<&CoordResponse>,

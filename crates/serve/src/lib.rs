@@ -20,7 +20,7 @@
 //! - [`metrics`] — counters, latency quantiles, the `STATS` snapshot
 //! - [`net`] — the connection layer every server shares: listener,
 //!   accept/reap/drain loop, per-connection frame loop, [`FrameClient`],
-//!   [`Running`] background servers
+//!   `Running` background servers
 //! - [`server`] — admission control, sessions, lease client, brownout
 //! - [`journal`] — append-only recovery journal; a restarted server
 //!   replays it and resumes with identical budgets and a warm cache
@@ -56,15 +56,14 @@ mod scripted;
 pub mod server;
 
 pub use arbiter::{Arbiter, ArbiterOp, ArbiterPolicy};
-pub use coordinator::{CoordClient, Coordinator, CoordinatorConfig, CoordinatorHandle};
+pub use coordinator::{CoordClient, Coordinator, CoordinatorConfig};
 pub use engine::{Engine, EngineError};
 pub use journal::{replay, Journal, JournalEntry, JournalError, Recovery, SessionAdapt};
 pub use lease::{
-    replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
-    LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
+    replay_coordinator, CoordJournalEntry, CoordRequest, CoordResponse, CoordStats, LeaseTable,
 };
 pub use metrics::{LeaseReport, Metrics, StatsSnapshot};
-pub use net::{FrameClient, Running};
+pub use net::FrameClient;
 pub use protocol::{
     read_frame, read_frame_blocking, write_frame, ProtocolError, ReadOutcome, ReportFeedback,
     Request, Response, Selection, MAX_FRAME_LEN,

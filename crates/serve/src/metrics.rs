@@ -40,7 +40,7 @@ pub struct StatsSnapshot {
     /// Arbiter rebalances that changed at least one budget.
     pub arbiter_rebalances: u64,
     /// Budget reshuffles that made a session re-run selection.
-    pub reselections: u64,
+    reselections: u64,
     /// Connections or batches refused with a typed `Overloaded`.
     pub overloaded: u64,
     /// `Run` requests answered from the idempotency memo (a retry with a
@@ -76,14 +76,14 @@ pub struct StatsSnapshot {
     /// Typed drift events (bias, variance blow-up, cluster mismatch)
     /// emitted by the drift detectors.
     #[serde(default)]
-    pub drift_events: u64,
+    drift_events: u64,
     /// Selections where the adaptive correction changed the configuration
     /// the static model would have picked.
     #[serde(default)]
-    pub adapt_reselections: u64,
+    adapt_reselections: u64,
     /// Kernels flagged for cluster re-classification by a gross mismatch.
     #[serde(default)]
-    pub reclassifications: u64,
+    reclassifications: u64,
     /// Deadline-carrying requests shed before service with a typed
     /// `ShedDeadline` (the deadline was already unmeetable).
     #[serde(default)]
@@ -182,7 +182,7 @@ impl Histogram {
 /// its previous one so that each poll judges only the requests served
 /// since ([`Metrics::p99_latency_us_since`]).
 #[derive(Clone)]
-pub struct LatencyCounts([u64; BUCKETS]);
+pub(crate) struct LatencyCounts([u64; BUCKETS]);
 
 impl Default for LatencyCounts {
     fn default() -> Self {
@@ -265,12 +265,12 @@ impl Metrics {
     }
 
     /// Count a typed `Overloaded` rejection.
-    pub fn record_overloaded(&self) {
+    pub(crate) fn record_overloaded(&self) {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a wire-protocol failure.
-    pub fn record_protocol_error(&self) {
+    pub(crate) fn record_protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -292,7 +292,7 @@ impl Metrics {
     /// Seed the rung tallies from journal replay, so a restarted server's
     /// STATS reconcile with the history it recovered instead of restarting
     /// every rung at zero.
-    pub fn seed_rungs(&self, tallies: &BTreeMap<String, u64>) {
+    pub(crate) fn seed_rungs(&self, tallies: &BTreeMap<String, u64>) {
         let mut degradation = self.degradation.lock();
         for (label, count) in tallies {
             *degradation.entry(label.clone()).or_insert(0) += count;
@@ -315,18 +315,18 @@ impl Metrics {
 
     /// Record one successful lease renewal and its round-trip latency in
     /// nanoseconds.
-    pub fn record_renew(&self, latency_ns: u64) {
+    pub(crate) fn record_renew(&self, latency_ns: u64) {
         self.lease_renews.fetch_add(1, Ordering::Relaxed);
         self.renew_latencies.record(latency_ns);
     }
 
     /// Count a deadline-carrying request shed before service.
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.sheds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a deadline-carrying request that was served late.
-    pub fn record_deadline_miss(&self) {
+    pub(crate) fn record_deadline_miss(&self) {
         self.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -334,7 +334,7 @@ impl Metrics {
     /// `seen` was last passed here (`seen` is advanced to now); `None`
     /// when there were none. The brownout controller polls this, so its
     /// estimate follows the last poll interval rather than all of history.
-    pub fn p99_latency_us_since(&self, seen: &mut LatencyCounts) -> Option<u64> {
+    pub(crate) fn p99_latency_us_since(&self, seen: &mut LatencyCounts) -> Option<u64> {
         let now = self.latencies.counts();
         let window = now.since(seen);
         *seen = now;

@@ -76,7 +76,7 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
     }
 
-    pub fn install_sigint() {
+    pub(crate) fn install_sigint() {
         // SAFETY: `signal` is the libc function of that signature, and the
         // handler only performs an atomic store, which is async-signal-safe.
         unsafe {
@@ -84,14 +84,14 @@ mod sys {
         }
     }
 
-    pub fn sigint_pending() -> bool {
+    pub(crate) fn sigint_pending() -> bool {
         SIGINT.load(Ordering::SeqCst)
     }
 
     /// Block until `listener` has a connection to accept, `timeout`
     /// passes, or a signal arrives — whichever is first. The caller tries
     /// `accept` again in every case, so the outcome is not reported.
-    pub fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
+    pub(crate) fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
         let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
         let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
         // SAFETY: `poll` is the libc function of that signature; `fd` is one
@@ -108,7 +108,7 @@ mod sys {
 
     /// Whether an `accept` error number says the listener itself is
     /// unusable: `EBADF`, `EFAULT`, `EINVAL` or `ENOTSOCK`.
-    pub fn listener_unusable(errno: i32) -> bool {
+    pub(crate) fn listener_unusable(errno: i32) -> bool {
         const EBADF: i32 = 9;
         const EFAULT: i32 = 14;
         const EINVAL: i32 = 22;
@@ -122,15 +122,15 @@ mod sys {
 
 #[cfg(not(unix))]
 mod sys {
-    pub fn install_sigint() {}
-    pub fn sigint_pending() -> bool {
+    pub(crate) fn install_sigint() {}
+    pub(crate) fn sigint_pending() -> bool {
         false
     }
-    pub fn wait_acceptable(_: &std::net::TcpListener, timeout: std::time::Duration) {
+    pub(crate) fn wait_acceptable(_: &std::net::TcpListener, timeout: std::time::Duration) {
         super::back_off(timeout);
     }
     /// `WSAEBADF`, `WSAEFAULT`, `WSAEINVAL` and `WSAENOTSOCK`.
-    pub fn listener_unusable(errno: i32) -> bool {
+    pub(crate) fn listener_unusable(errno: i32) -> bool {
         matches!(errno, 10009 | 10014 | 10022 | 10038)
     }
 }
@@ -432,7 +432,10 @@ impl<Req: Serialize, Resp: Deserialize> FrameClient<Req, Resp> {
     /// Connect with a timeout on both the connect and later calls — the
     /// lease client uses this so a partitioned coordinator surfaces as a
     /// miss within one renewal interval, not a hung thread.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, ProtocolError> {
+    pub(crate) fn connect_timeout(
+        addr: &SocketAddr,
+        timeout: Duration,
+    ) -> Result<Self, ProtocolError> {
         let stream = TcpStream::connect_timeout(addr, timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
@@ -441,7 +444,7 @@ impl<Req: Serialize, Resp: Deserialize> FrameClient<Req, Resp> {
     }
 
     /// Send one request and wait for its response. A read timeout (set by
-    /// [`connect_timeout`](Self::connect_timeout) or on
+    /// `connect_timeout` or on
     /// [`stream_mut`](Self::stream_mut)) is `TimedOut`; a peer that closes
     /// before answering is `UnexpectedEof`.
     pub fn call(&mut self, request: &Req) -> Result<Resp, ProtocolError> {

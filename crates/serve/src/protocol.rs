@@ -98,10 +98,10 @@ pub enum Request {
 impl Request {
     /// Every label [`kind`](Self::kind) returns: the per-kind counters in
     /// `Metrics` are an array indexed by position in this table.
-    pub const KINDS: [&'static str; 8] =
+    pub(crate) const KINDS: [&'static str; 8] =
         ["hello", "select", "batch", "run", "report", "stats", "bye", "shutdown"];
 
-    /// Short label for metrics bucketing, one of [`KINDS`](Self::KINDS).
+    /// Short label for metrics bucketing, one of `KINDS`.
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Hello => "hello",
@@ -118,7 +118,7 @@ impl Request {
     /// The request's shedding envelope: `Some((deadline_ms, priority))`
     /// for deadline-carrying work, `None` for everything else (which is
     /// never shed).
-    pub fn deadline(&self) -> Option<(u64, u8)> {
+    pub(crate) fn deadline(&self) -> Option<(u64, u8)> {
         match *self {
             Request::Select { deadline_ms: Some(d), priority, .. }
             | Request::Batch { deadline_ms: Some(d), priority, .. }
@@ -261,7 +261,7 @@ pub enum ProtocolError {
 
 impl ProtocolError {
     /// Stable machine-readable code for `Response::Error`.
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             ProtocolError::Io(_) => "io",
             ProtocolError::Truncated { .. } => "truncated",

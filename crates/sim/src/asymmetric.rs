@@ -19,26 +19,26 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AsymmetricCpuConfig {
     /// P-state of each dual-core module.
-    pub module_pstates: [CpuPState; 2],
+    module_pstates: [CpuPState; 2],
     /// Active threads (1..=4), packed compactly (module 0 first).
-    pub threads: u8,
+    threads: u8,
 }
 
 impl AsymmetricCpuConfig {
     /// Construct, validating the thread count.
-    pub fn new(module_pstates: [CpuPState; 2], threads: u8) -> Self {
+    fn new(module_pstates: [CpuPState; 2], threads: u8) -> Self {
         assert!((1..=NUM_CPU_CORES).contains(&threads), "threads must be 1..=4");
         Self { module_pstates, threads }
     }
 
     /// Active cores per module under compact packing.
-    pub fn cores_per_module(&self) -> [u8; 2] {
+    fn cores_per_module(&self) -> [u8; 2] {
         [self.threads.min(2), self.threads.saturating_sub(2)]
     }
 
     /// Shared-plane voltage: set by the *faster* module among those with
     /// active cores.
-    pub fn plane_voltage(&self) -> f64 {
+    fn plane_voltage(&self) -> f64 {
         let cores = self.cores_per_module();
         let active: Vec<CpuPState> =
             (0..2).filter(|&m| cores[m] > 0).map(|m| self.module_pstates[m]).collect();
@@ -52,7 +52,7 @@ impl AsymmetricCpuConfig {
     }
 
     /// The symmetric configuration this collapses to when it is symmetric.
-    pub fn as_symmetric(&self) -> Option<Configuration> {
+    fn as_symmetric(&self) -> Option<Configuration> {
         self.is_symmetric().then(|| Configuration::cpu(self.threads, self.module_pstates[0]))
     }
 

@@ -26,11 +26,11 @@ pub const BOOST_STATES: [OperatingPoint; 2] =
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThermalModel {
     /// Ambient (inlet) temperature, °C.
-    pub t_ambient_c: f64,
+    t_ambient_c: f64,
     /// Junction-to-ambient thermal resistance, °C/W.
-    pub r_th_c_per_w: f64,
+    r_th_c_per_w: f64,
     /// Maximum junction temperature the boost governor allows, °C.
-    pub t_max_c: f64,
+    t_max_c: f64,
 }
 
 impl Default for ThermalModel {
@@ -42,7 +42,7 @@ impl Default for ThermalModel {
 impl ThermalModel {
     /// Steady-state die temperature at a package power, °C.
     #[inline]
-    pub fn temperature_c(&self, power_w: f64) -> f64 {
+    fn temperature_c(&self, power_w: f64) -> f64 {
         self.t_ambient_c + self.r_th_c_per_w * power_w
     }
 
@@ -56,7 +56,7 @@ impl ThermalModel {
     /// run the boosted state so the *average* power stays within the
     /// thermal budget. 1 when even sustained boost fits; 0 when the base
     /// state already saturates the budget.
-    pub fn residency(&self, base_power_w: f64, boost_power_w: f64) -> f64 {
+    fn residency(&self, base_power_w: f64, boost_power_w: f64) -> f64 {
         let budget = self.power_budget_w();
         if boost_power_w <= budget {
             return 1.0;

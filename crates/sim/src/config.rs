@@ -32,7 +32,7 @@ impl fmt::Display for Device {
 pub const NUM_CPU_CORES: u8 = 4;
 
 /// Number of CPU compute units (dual-core "Piledriver" modules).
-pub const NUM_CPU_MODULES: u8 = 2;
+pub(crate) const NUM_CPU_MODULES: u8 = 2;
 
 /// A full hardware configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -66,7 +66,7 @@ impl Configuration {
     ///
     /// Threads are packed onto modules in core order (cores 0,1 are module 0;
     /// cores 2,3 are module 1), matching a compact OpenMP affinity.
-    pub fn active_modules(&self) -> u8 {
+    fn active_modules(&self) -> u8 {
         match self.device {
             Device::Cpu => self.threads.div_ceil(2),
             Device::Gpu => 1,

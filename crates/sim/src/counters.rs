@@ -21,43 +21,43 @@ pub struct CounterSet {
     /// Aggregate busy core cycles across active cores.
     pub core_cycles: f64,
     /// Reference (fixed-rate) cycles across active cores.
-    pub ref_cycles: f64,
+    pub(crate) ref_cycles: f64,
     /// L1 data-cache misses.
-    pub l1d_misses: f64,
+    pub(crate) l1d_misses: f64,
     /// L2 data-cache misses.
-    pub l2d_misses: f64,
+    pub(crate) l2d_misses: f64,
     /// Data TLB misses.
-    pub tlb_misses: f64,
+    pub(crate) tlb_misses: f64,
     /// Retired conditional branches.
-    pub branches: f64,
+    pub(crate) branches: f64,
     /// Retired vector (packed SIMD) instructions.
-    pub vector_instructions: f64,
+    pub(crate) vector_instructions: f64,
     /// Cycles stalled on any resource.
-    pub stalled_cycles: f64,
+    pub(crate) stalled_cycles: f64,
     /// Cycles the module FPU was idle.
-    pub fpu_idle_cycles: f64,
+    pub(crate) fpu_idle_cycles: f64,
     /// Timer and device interrupts observed during the execution.
-    pub interrupts: f64,
+    pub(crate) interrupts: f64,
     /// DRAM accesses observed by the northbridge PMU (includes GPU traffic).
     pub dram_accesses: f64,
 }
 
 /// Timing facts the counter generator needs about an execution.
 #[derive(Debug, Clone, Copy)]
-pub struct CounterInputs {
+pub(crate) struct CounterInputs {
     /// Executing device.
-    pub device: Device,
+    pub(crate) device: Device,
     /// Total wall time, seconds.
-    pub total_s: f64,
+    pub(crate) total_s: f64,
     /// Host-CPU busy time (all of it for CPU runs; serial + launch for GPU
     /// runs), seconds.
-    pub host_busy_s: f64,
+    pub(crate) host_busy_s: f64,
     /// Time stalled on DRAM, seconds.
-    pub memory_s: f64,
+    pub(crate) memory_s: f64,
     /// Active CPU threads.
-    pub threads: u8,
+    pub(crate) threads: u8,
     /// Host CPU core frequency, GHz.
-    pub cpu_freq_ghz: f64,
+    pub(crate) cpu_freq_ghz: f64,
 }
 
 /// Base in-flight IPC of the host cores when not stalled.
@@ -70,7 +70,7 @@ const REF_CLOCK_GHZ: f64 = 3.7;
 const COUNT_SIGMA: f64 = 0.02;
 
 /// Generate the counter set for one execution.
-pub fn generate(
+pub(crate) fn generate(
     kernel: &KernelCharacteristics,
     inputs: &CounterInputs,
     noise: &NoiseSource,
@@ -140,7 +140,7 @@ pub fn generate(
 
 /// Names of the normalized counter features, aligned with
 /// [`CounterSet::normalized_features`].
-pub const FEATURE_NAMES: [&str; 10] = [
+const FEATURE_NAMES: [&str; 10] = [
     "ipc",
     "l1_mpki",
     "l2_mpki",

@@ -21,12 +21,12 @@ pub struct CpuTiming {
     /// Time stalled on DRAM, seconds.
     pub memory_s: f64,
     /// Effective parallel speedup achieved by the thread count.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// Fraction of active threads that share a module with a sibling thread,
 /// assuming compact packing (cores 0,1 on module 0; 2,3 on module 1).
-pub fn shared_core_fraction(threads: u8) -> f64 {
+pub(crate) fn shared_core_fraction(threads: u8) -> f64 {
     match threads {
         0 | 1 => 0.0,
         2 => 1.0,
@@ -42,7 +42,7 @@ pub fn shared_core_fraction(threads: u8) -> f64 {
 /// module-sharing loss follows the family's topology, and synchronization
 /// overhead follows the *software* thread count — oversubscribed threads
 /// still synchronize.
-pub fn effective_compute_threads_on(
+fn effective_compute_threads_on(
     family: &MachineFamily,
     kernel: &KernelCharacteristics,
     threads: u8,
@@ -71,7 +71,7 @@ pub fn cpu_time_on(
 /// Wall time at an arbitrary core frequency (GHz) — the P-state table does
 /// not constrain this entry point, which the opportunistic-overclocking
 /// model uses for boost-blended effective frequencies.
-pub fn cpu_time_at(kernel: &KernelCharacteristics, freq_ghz: f64, threads: u8) -> CpuTiming {
+pub(crate) fn cpu_time_at(kernel: &KernelCharacteristics, freq_ghz: f64, threads: u8) -> CpuTiming {
     cpu_time_at_on(FamilyId::Trinity.descriptor(), kernel, freq_ghz, threads)
 }
 
@@ -80,7 +80,7 @@ pub fn cpu_time_at(kernel: &KernelCharacteristics, freq_ghz: f64, threads: u8) -
 /// the response through its frequency anchor, IPC, core topology, and
 /// memory bandwidth. With the Trinity descriptor every scale factor is a
 /// bitwise-neutral `× 1.0` in unchanged operation order.
-pub fn cpu_time_at_on(
+fn cpu_time_at_on(
     family: &MachineFamily,
     kernel: &KernelCharacteristics,
     freq_ghz: f64,

@@ -25,26 +25,26 @@ use serde::{Deserialize, Serialize};
 /// sensor-visible and true power planes; `perf` divides throughput (so a
 /// factor below 1.0 slows the kernel down).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftFactors {
+struct DriftFactors {
     /// Power multiplier (1.0 = no drift).
-    pub power: f64,
+    power: f64,
     /// Performance multiplier (1.0 = no drift).
-    pub perf: f64,
+    perf: f64,
 }
 
 impl DriftFactors {
     /// The identity: no drift at all.
-    pub const NONE: DriftFactors = DriftFactors { power: 1.0, perf: 1.0 };
+    const NONE: DriftFactors = DriftFactors { power: 1.0, perf: 1.0 };
 
     /// True iff both factors are exactly 1.0.
-    pub fn is_identity(&self) -> bool {
+    fn is_identity(&self) -> bool {
         self.power == 1.0 && self.perf == 1.0
     }
 }
 
 /// The drift process family. Magnitudes are fractional (0.35 = 35%).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DriftKind {
+enum DriftKind {
     /// No drift: factors are exactly 1.0 forever.
     None,
     /// Thermal ramp: power rises linearly to `1 + rise` over `horizon`
@@ -90,13 +90,13 @@ pub enum DriftKind {
 
 /// A seeded drift scenario: a process shape plus a seed that jitters its
 /// phase and magnitude, so different seeds give different-but-reproducible
-/// trajectories. [`DriftPlan::factors_at`] is a pure function — no state.
+/// trajectories. `DriftPlan::factors_at` is a pure function — no state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DriftPlan {
     /// Seed for phase/magnitude jitter.
-    pub seed: u64,
+    seed: u64,
     /// The process shape.
-    pub kind: DriftKind,
+    kind: DriftKind,
 }
 
 impl DriftPlan {
@@ -144,7 +144,7 @@ impl DriftPlan {
     /// The drift factors at iteration `iteration`. Pure: same plan + same
     /// iteration always gives bit-identical factors. Factors start at the
     /// identity at `t = 0` for every kind.
-    pub fn factors_at(&self, iteration: u64) -> DriftFactors {
+    fn factors_at(&self, iteration: u64) -> DriftFactors {
         match self.kind {
             DriftKind::None => DriftFactors::NONE,
             DriftKind::ThermalRamp { horizon, rise } => {
@@ -199,12 +199,12 @@ impl<E> DriftedMachine<E> {
     }
 
     /// The wrapped executor.
-    pub fn inner(&self) -> &E {
+    fn inner(&self) -> &E {
         &self.inner
     }
 
     /// The active drift plan.
-    pub fn plan(&self) -> &DriftPlan {
+    fn plan(&self) -> &DriftPlan {
         &self.plan
     }
 }

@@ -85,17 +85,17 @@ impl std::fmt::Display for FamilyId {
 /// divergence, and paying a fixed per-launch offload cost. Its power curve
 /// lives in the owning family's [`PowerCalibration`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Accelerator {
+pub(crate) struct Accelerator {
     /// Extra compute speedup multiplier on top of the kernel's (already
     /// divergence-derated) GPU speedup.
-    pub speedup_scale: f64,
+    pub(crate) speedup_scale: f64,
     /// Divergence derating strength: throughput is further multiplied by
     /// `(1 − penalty · branch_divergence)`, floored at 5%. Accelerator
     /// lanes stall far harder on divergent control flow than GPU SIMDs.
-    pub divergence_penalty: f64,
+    pub(crate) divergence_penalty: f64,
     /// Fixed offload/reconfiguration overhead per launch, seconds (at the
     /// reference host frequency; scales with host DVFS like launch cost).
-    pub offload_overhead_s: f64,
+    pub(crate) offload_overhead_s: f64,
 }
 
 /// Parametric description of one machine architecture class.
@@ -107,71 +107,71 @@ pub struct Accelerator {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineFamily {
     /// Which canonical family this is.
-    pub id: FamilyId,
+    id: FamilyId,
     /// CPU voltage/frequency table, slowest first (always 6 entries — the
     /// knob space is shared; the *values* are per-family).
-    pub cpu_pstates: [OperatingPoint; CpuPState::COUNT],
+    cpu_pstates: [OperatingPoint; CpuPState::COUNT],
     /// GPU voltage/frequency table, slowest first (always 3 entries).
-    pub gpu_pstates: [OperatingPoint; GpuPState::COUNT],
+    gpu_pstates: [OperatingPoint; GpuPState::COUNT],
     /// Physical core count. The thread knob still spans 1..=4; a family
     /// with fewer cores oversubscribes (extra software threads add sync
     /// overhead but no compute or memory parallelism), one with more
     /// leaves cores dark.
-    pub cpu_cores: u8,
+    cpu_cores: u8,
     /// Cores per shared-front-end module (Piledriver: 2). `1` disables
     /// module sharing entirely.
-    pub cores_per_module: u8,
+    pub(crate) cores_per_module: u8,
     /// Single-core compute throughput relative to a Trinity core at equal
     /// frequency (multiplies the effective frequency).
-    pub ipc_scale: f64,
+    pub(crate) ipc_scale: f64,
     /// GPU array width relative to Trinity's (multiplies the kernel's
     /// effective GPU speedup).
-    pub gpu_width_scale: f64,
+    pub(crate) gpu_width_scale: f64,
     /// Memory subsystem bandwidth relative to Trinity's (divides DRAM
     /// time on both devices).
-    pub mem_bw_scale: f64,
+    pub(crate) mem_bw_scale: f64,
     /// The family's power-model calibration.
-    pub power_cal: PowerCalibration,
+    pub(crate) power_cal: PowerCalibration,
     /// Offload accelerator in place of a conventional GPU, if any.
-    pub accelerator: Option<Accelerator>,
+    pub(crate) accelerator: Option<Accelerator>,
 }
 
 impl MachineFamily {
     /// Operating point behind a CPU P-state knob on this family.
     #[inline]
-    pub fn cpu_point(&self, p: CpuPState) -> OperatingPoint {
+    pub(crate) fn cpu_point(&self, p: CpuPState) -> OperatingPoint {
         self.cpu_pstates[p.0 as usize]
     }
 
     /// Operating point behind a GPU P-state knob on this family.
     #[inline]
-    pub fn gpu_point(&self, p: GpuPState) -> OperatingPoint {
+    pub(crate) fn gpu_point(&self, p: GpuPState) -> OperatingPoint {
         self.gpu_pstates[p.0 as usize]
     }
 
     /// Reference (fastest) CPU frequency, GHz — the family's counter
     /// normalization and leading-loads anchor.
     #[inline]
-    pub fn cpu_ref_freq_ghz(&self) -> f64 {
+    pub(crate) fn cpu_ref_freq_ghz(&self) -> f64 {
         self.cpu_pstates[CpuPState::COUNT - 1].freq_ghz
     }
 
     /// Reference (fastest) GPU frequency, GHz.
     #[inline]
-    pub fn gpu_ref_freq_ghz(&self) -> f64 {
+    pub(crate) fn gpu_ref_freq_ghz(&self) -> f64 {
         self.gpu_pstates[GpuPState::COUNT - 1].freq_ghz
     }
 
     /// Total module count (`cpu_cores / cores_per_module`, rounded up).
     #[inline]
-    pub fn total_modules(&self) -> u8 {
+    pub(crate) fn total_modules(&self) -> u8 {
         self.cpu_cores.div_ceil(self.cores_per_module.max(1))
     }
 
     /// Threads actually backed by physical cores (oversubscribed software
     /// threads share cores and contribute no extra parallelism).
     #[inline]
-    pub fn physical_threads(&self, threads: u8) -> u8 {
+    pub(crate) fn physical_threads(&self, threads: u8) -> u8 {
         threads.min(self.cpu_cores)
     }
 
@@ -179,7 +179,7 @@ impl MachineFamily {
     /// sibling, under compact packing. Generalizes the Trinity table
     /// (0, 1, 2/3, 1 for 1..=4 threads on 2-core modules) to any module
     /// width.
-    pub fn shared_core_fraction(&self, threads: u8) -> f64 {
+    pub(crate) fn shared_core_fraction(&self, threads: u8) -> f64 {
         let m = self.cores_per_module;
         let active = self.physical_threads(threads);
         if m <= 1 || active <= 1 {

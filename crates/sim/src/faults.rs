@@ -22,7 +22,7 @@ use std::cell::RefCell;
 
 /// The classes of injected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
+enum FaultKind {
     /// The power sensor returned no reading (both planes read 0 W).
     SensorDropout,
     /// The power sensor latched and repeats a stale reading.
@@ -56,9 +56,9 @@ impl std::fmt::Display for FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionFault {
     /// Which fault class fired.
-    pub kind: FaultKind,
+    kind: FaultKind,
     /// The executor-global invocation index at which it fired.
-    pub invocation: u64,
+    invocation: u64,
 }
 
 impl std::fmt::Display for ExecutionFault {
@@ -213,13 +213,13 @@ pub struct FaultyMachine {
 /// Per-class draw lanes: distinct tags keep the fault classes' coin flips
 /// independent even at the same invocation index.
 mod lane {
-    pub const RUN_FAIL: u64 = 1;
-    pub const PSTATE: u64 = 2;
-    pub const COUNTER: u64 = 3;
-    pub const FREEZE: u64 = 4;
-    pub const DROPOUT: u64 = 5;
-    pub const BIAS: u64 = 6;
-    pub const SCRAMBLE: u64 = 7;
+    pub(crate) const RUN_FAIL: u64 = 1;
+    pub(crate) const PSTATE: u64 = 2;
+    pub(crate) const COUNTER: u64 = 3;
+    pub(crate) const FREEZE: u64 = 4;
+    pub(crate) const DROPOUT: u64 = 5;
+    pub(crate) const BIAS: u64 = 6;
+    pub(crate) const SCRAMBLE: u64 = 7;
 }
 
 impl FaultyMachine {
@@ -229,12 +229,12 @@ impl FaultyMachine {
     }
 
     /// The wrapped machine.
-    pub fn machine(&self) -> &Machine {
+    fn machine(&self) -> &Machine {
         &self.machine
     }
 
     /// The fault schedule.
-    pub fn plan(&self) -> &FaultPlan {
+    fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
@@ -244,12 +244,12 @@ impl FaultyMachine {
     }
 
     /// The configuration the hardware is actually at, if any run completed.
-    pub fn applied_config(&self) -> Option<Configuration> {
+    fn applied_config(&self) -> Option<Configuration> {
         self.state.borrow().applied
     }
 
     /// Reset all injection state and counters (the plan is kept).
-    pub fn reset(&self) {
+    fn reset(&self) {
         *self.state.borrow_mut() = FaultState::default();
     }
 

@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransitionModel {
     /// Voltage regulator slew rate, volts per second.
-    pub slew_v_per_s: f64,
+    slew_v_per_s: f64,
     /// Fixed PLL relock / microcode latency per transition, seconds.
-    pub relock_s: f64,
+    relock_s: f64,
 }
 
 impl Default for TransitionModel {
@@ -32,7 +32,7 @@ impl Default for TransitionModel {
 
 impl TransitionModel {
     /// Latency of one CPU P-state transition, seconds.
-    pub fn cpu_latency_s(&self, from: CpuPState, to: CpuPState) -> f64 {
+    fn cpu_latency_s(&self, from: CpuPState, to: CpuPState) -> f64 {
         if from == to {
             return 0.0;
         }
@@ -59,7 +59,7 @@ impl TransitionModel {
 
 /// Decision of a governor evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GovernorAction {
+enum GovernorAction {
     /// Stay at the current P-state.
     Hold,
     /// Move to the given P-state.
@@ -72,9 +72,9 @@ pub enum GovernorAction {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OndemandGovernor {
     /// Utilization above which the governor jumps straight to maximum.
-    pub up_threshold: f64,
+    up_threshold: f64,
     /// Target utilization when scaling down (capacity headroom).
-    pub target_util: f64,
+    target_util: f64,
 }
 
 impl Default for OndemandGovernor {
@@ -86,7 +86,7 @@ impl Default for OndemandGovernor {
 impl OndemandGovernor {
     /// Evaluate the governor at `current` P-state under the observed core
     /// utilization in [0, 1].
-    pub fn evaluate(&self, current: CpuPState, utilization: f64) -> GovernorAction {
+    fn evaluate(&self, current: CpuPState, utilization: f64) -> GovernorAction {
         let util = utilization.clamp(0.0, 1.0);
         if util > self.up_threshold {
             return if current == CpuPState::MAX {

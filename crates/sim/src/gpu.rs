@@ -18,13 +18,13 @@ use crate::kernel::KernelCharacteristics;
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GpuTiming {
     /// Total wall time, seconds.
-    pub total_s: f64,
+    pub(crate) total_s: f64,
     /// Host (CPU) time: serial portion + launch/driver overhead, seconds.
     pub host_s: f64,
     /// Device compute-limited time, seconds.
-    pub device_compute_s: f64,
+    device_compute_s: f64,
     /// Device memory-limited time, seconds.
-    pub device_memory_s: f64,
+    pub(crate) device_memory_s: f64,
     /// Device time actually accounted (max of compute/memory with overlap).
     pub device_s: f64,
 }
@@ -36,18 +36,18 @@ const NON_OVERLAP: f64 = 0.12;
 
 /// Effective GPU compute speedup over one reference-frequency CPU core,
 /// after branch-divergence derating.
-pub fn effective_gpu_speedup(kernel: &KernelCharacteristics) -> f64 {
+fn effective_gpu_speedup(kernel: &KernelCharacteristics) -> f64 {
     kernel.gpu_speedup * (1.0 - 0.75 * kernel.branch_divergence)
 }
 
 /// Wall time of one kernel iteration at a GPU configuration, without noise.
-pub fn gpu_time(kernel: &KernelCharacteristics, config: &Configuration) -> GpuTiming {
+pub(crate) fn gpu_time(kernel: &KernelCharacteristics, config: &Configuration) -> GpuTiming {
     gpu_time_on(FamilyId::Trinity.descriptor(), kernel, config)
 }
 
-/// [`gpu_time`] on an explicit machine family. The family reshapes the
+/// `gpu_time` on an explicit machine family. The family reshapes the
 /// device through its GPU array width and memory bandwidth; an attached
-/// [`crate::family::Accelerator`] further scales regular-kernel speedup,
+/// `crate::family::Accelerator` further scales regular-kernel speedup,
 /// punishes divergence, and adds a fixed offload cost to the host phase.
 /// With the Trinity descriptor every hook is a bitwise-neutral `× 1.0`.
 pub fn gpu_time_on(

@@ -70,7 +70,7 @@ pub struct KernelCharacteristics {
 
 impl KernelCharacteristics {
     /// Total single-thread time at the reference operating point.
-    pub fn reference_time_s(&self) -> f64 {
+    pub(crate) fn reference_time_s(&self) -> f64 {
         self.compute_time_s + self.memory_time_s
     }
 
@@ -102,7 +102,7 @@ impl KernelCharacteristics {
 
     /// `fnv1a` of [`id`](Self::id), computed without building the string:
     /// the kernel's address in the simulator's noise streams.
-    pub fn id_hash(&self) -> u64 {
+    pub(crate) fn id_hash(&self) -> u64 {
         self.id_parts().iter().fold(FNV_OFFSET_BASIS, |h, part| fnv1a_extend(h, part.as_bytes()))
     }
 

@@ -41,18 +41,16 @@ pub mod pstate;
 pub mod sensor;
 pub mod trace;
 
-pub use asymmetric::{asymmetric_cpu_power, asymmetric_cpu_time, AsymmetricCpuConfig};
-pub use boost::{boosted_cpu_run, BoostedRun, ThermalModel, BOOST_STATES};
-pub use config::{Configuration, Device, NUM_CPU_CORES, NUM_CPU_MODULES};
-pub use counters::{CounterSet, FEATURE_NAMES};
-pub use drift::{DriftFactors, DriftKind, DriftPlan, DriftedMachine};
-pub use family::{Accelerator, FamilyId, MachineFamily};
-pub use faults::{ExecutionFault, Executor, FaultKind, FaultPlan, FaultStats, FaultyMachine};
-pub use governor::{GovernorAction, OndemandGovernor, TransitionModel};
+pub use config::{Configuration, Device, NUM_CPU_CORES};
+
+pub use drift::{DriftPlan, DriftedMachine};
+pub use family::{FamilyId, MachineFamily};
+pub use faults::{Executor, FaultPlan, FaultyMachine};
+pub use governor::{OndemandGovernor, TransitionModel};
 pub use kernel::KernelCharacteristics;
 pub use machine::{KernelRun, Machine};
 pub use noise::{NoiseSource, SplitMix64};
 pub use power::{PowerBreakdown, PowerCalibration};
 pub use pstate::{CpuPState, GpuPState, CPU_REF_FREQ_GHZ, GPU_REF_FREQ_GHZ};
 pub use sensor::PowerSensor;
-pub use trace::{trace_for, trace_for_on, PowerTrace, TraceSegment};
+pub use trace::{trace_for, PowerTrace, TraceSegment};

@@ -30,11 +30,11 @@ pub enum Stream {
 }
 
 /// SplitMix64's Weyl increment (the golden-ratio gamma).
-pub const GOLDEN_GAMMA: u64 = 0x9E3779B97F4A7C15;
+const GOLDEN_GAMMA: u64 = 0x9E3779B97F4A7C15;
 
 /// SplitMix64's first finalizer multiplier. The fault and arrival streams
 /// also borrow it as an odd stream-separation multiplier.
-pub const MIX_MUL: u64 = 0xBF58476D1CE4E5B9;
+pub(crate) const MIX_MUL: u64 = 0xBF58476D1CE4E5B9;
 
 /// SplitMix64 finalizer: a strong 64-bit mixing function.
 #[inline]
@@ -70,7 +70,7 @@ impl SplitMix64 {
 }
 
 /// FNV-1a's offset basis: the hash of the empty string.
-pub const FNV_OFFSET_BASIS: u64 = 0xCBF29CE484222325;
+pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF29CE484222325;
 
 /// FNV-1a hash of a byte string, used to fold kernel names into the seed.
 #[inline]
@@ -81,7 +81,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Continue an FNV-1a hash over more bytes: hashing a string piece by
 /// piece gives the hash of the concatenation.
 #[inline]
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100000001B3);
@@ -104,7 +104,12 @@ impl NoiseSource {
     /// [`NoiseSource::new`] for a kernel id already hashed with [`fnv1a`]
     /// (`KernelCharacteristics::id_hash`), so one execution that needs
     /// several sources hashes its kernel once.
-    pub fn from_id_hash(machine_seed: u64, id_hash: u64, config_index: usize, run: u64) -> Self {
+    pub(crate) fn from_id_hash(
+        machine_seed: u64,
+        id_hash: u64,
+        config_index: usize,
+        run: u64,
+    ) -> Self {
         let mut base = splitmix64(machine_seed);
         base = splitmix64(base ^ id_hash);
         base = splitmix64(base ^ (config_index as u64).wrapping_mul(0x9E3779B97F4A7C15));
@@ -115,13 +120,13 @@ impl NoiseSource {
     /// Raw 64-bit sample for `stream`, with an extra lane index for streams
     /// that need more than one draw.
     #[inline]
-    pub fn bits(&self, stream: Stream, lane: u64) -> u64 {
+    fn bits(&self, stream: Stream, lane: u64) -> u64 {
         splitmix64(self.base ^ (stream as u64).wrapping_mul(0xD1342543DE82EF95) ^ (lane << 32))
     }
 
     /// Uniform sample in [0, 1).
     #[inline]
-    pub fn uniform(&self, stream: Stream, lane: u64) -> f64 {
+    fn uniform(&self, stream: Stream, lane: u64) -> f64 {
         // 53 high bits → uniform double in [0,1).
         (self.bits(stream, lane) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

@@ -21,33 +21,33 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerCalibration {
     /// CPU dynamic power coefficient, W / (V² · GHz) per active core.
-    pub k_cpu_dyn: f64,
+    pub(crate) k_cpu_dyn: f64,
     /// CPU leakage per powered module, W / V².
-    pub k_cpu_leak_module: f64,
+    pub(crate) k_cpu_leak_module: f64,
     /// Idle core parked inside a powered module, W.
-    pub cpu_idle_core_w: f64,
+    pub(crate) cpu_idle_core_w: f64,
     /// Fully power-gated module, W.
-    pub cpu_gated_module_w: f64,
+    pub(crate) cpu_gated_module_w: f64,
     /// CPU-plane uncore (shared front-end clocks etc.), W.
-    pub cpu_uncore_w: f64,
+    pub(crate) cpu_uncore_w: f64,
     /// GPU dynamic power coefficient, W / (V² · GHz) for the whole array.
-    pub k_gpu_dyn: f64,
+    pub(crate) k_gpu_dyn: f64,
     /// GPU leakage, W / V².
-    pub k_gpu_leak: f64,
+    pub(crate) k_gpu_leak: f64,
     /// Always-on cost of an *active* GPU (ungated array, clock tree,
     /// command processor), W, scaled by utilization. This is why Trinity's
     /// slowest GPU configuration still draws far more than a one-thread
     /// CPU configuration (paper Table I: 24.2 W vs 12.5 W) while GPU DVFS
     /// changes total power only mildly.
-    pub gpu_active_base_w: f64,
+    pub(crate) gpu_active_base_w: f64,
     /// Northbridge base power, W.
-    pub nb_base_w: f64,
+    pub(crate) nb_base_w: f64,
     /// Additional northbridge power at full DRAM utilization, W.
-    pub nb_dram_w: f64,
+    pub(crate) nb_dram_w: f64,
     /// Relative switching activity of a core while stalled on memory.
-    pub mem_stall_activity: f64,
+    pub(crate) mem_stall_activity: f64,
     /// Relative activity of the host core polling for GPU completion.
-    pub gpu_host_poll_activity: f64,
+    pub(crate) gpu_host_poll_activity: f64,
 }
 
 impl Default for PowerCalibration {
@@ -176,7 +176,7 @@ impl PowerCalibration {
     /// Per-phase powers of a GPU-device execution on `family`: the host
     /// phase (serial portion + launch, GPU idle) and the device phase (GPU
     /// busy, host polling). Their time-weighted mean over
-    /// `(host_s, device_s)` equals [`PowerCalibration::gpu_run_power`]
+    /// `(host_s, device_s)` equals `PowerCalibration::gpu_run_power`
     /// exactly.
     pub fn gpu_phase_powers_on(
         &self,
@@ -232,7 +232,7 @@ impl PowerCalibration {
     }
 
     /// [`PowerCalibration::cpu_run_power`] on an explicit family.
-    pub fn cpu_run_power_on(
+    pub(crate) fn cpu_run_power_on(
         &self,
         family: &MachineFamily,
         kernel: &KernelCharacteristics,
@@ -261,7 +261,7 @@ impl PowerCalibration {
     }
 
     /// Average power of a GPU-device execution.
-    pub fn gpu_run_power(
+    pub(crate) fn gpu_run_power(
         &self,
         kernel: &KernelCharacteristics,
         config: &Configuration,
@@ -271,7 +271,7 @@ impl PowerCalibration {
     }
 
     /// [`PowerCalibration::gpu_run_power`] on an explicit family.
-    pub fn gpu_run_power_on(
+    pub(crate) fn gpu_run_power_on(
         &self,
         family: &MachineFamily,
         kernel: &KernelCharacteristics,

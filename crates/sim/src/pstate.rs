@@ -13,12 +13,12 @@ pub struct OperatingPoint {
     /// Core clock in GHz.
     pub freq_ghz: f64,
     /// Supply voltage in volts.
-    pub voltage_v: f64,
+    pub(crate) voltage_v: f64,
 }
 
 impl OperatingPoint {
     /// A new operating point from a frequency (GHz) and voltage (V).
-    pub const fn new(freq_ghz: f64, voltage_v: f64) -> Self {
+    pub(crate) const fn new(freq_ghz: f64, voltage_v: f64) -> Self {
         Self { freq_ghz, voltage_v }
     }
 }
@@ -26,7 +26,7 @@ impl OperatingPoint {
 /// Software-visible CPU P-states, fastest first is *not* guaranteed; the
 /// table is ordered slowest → fastest so that index 0 is the deepest
 /// power-saving state, matching ACPI convention reversed for readability.
-pub const CPU_PSTATES: [OperatingPoint; 6] = [
+pub(crate) const CPU_PSTATES: [OperatingPoint; 6] = [
     OperatingPoint::new(1.4, 0.850),
     OperatingPoint::new(1.9, 0.925),
     OperatingPoint::new(2.4, 1.000),
@@ -36,17 +36,17 @@ pub const CPU_PSTATES: [OperatingPoint; 6] = [
 ];
 
 /// Effective GPU P-states on the Trinity GPU power plane.
-pub const GPU_PSTATES: [OperatingPoint; 3] = [
+pub(crate) const GPU_PSTATES: [OperatingPoint; 3] = [
     OperatingPoint::new(0.311, 0.825),
     OperatingPoint::new(0.649, 1.000),
     OperatingPoint::new(0.819, 1.175),
 ];
 
-/// Index into [`CPU_PSTATES`]. `CpuPState(0)` is the slowest state.
+/// Index into `CPU_PSTATES`. `CpuPState(0)` is the slowest state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CpuPState(pub u8);
 
-/// Index into [`GPU_PSTATES`]. `GpuPState(0)` is the slowest state.
+/// Index into `GPU_PSTATES`. `GpuPState(0)` is the slowest state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct GpuPState(pub u8);
 
@@ -61,7 +61,7 @@ impl CpuPState {
 
     /// The operating point for this P-state.
     #[inline]
-    pub fn point(self) -> OperatingPoint {
+    pub(crate) fn point(self) -> OperatingPoint {
         CPU_PSTATES[self.0 as usize]
     }
 
@@ -106,7 +106,7 @@ impl GpuPState {
 
     /// The operating point for this P-state.
     #[inline]
-    pub fn point(self) -> OperatingPoint {
+    pub(crate) fn point(self) -> OperatingPoint {
         GPU_PSTATES[self.0 as usize]
     }
 
@@ -133,7 +133,7 @@ impl GpuPState {
     }
 
     /// The next faster P-state, or `None` at the ceiling.
-    pub fn step_up(self) -> Option<GpuPState> {
+    fn step_up(self) -> Option<GpuPState> {
         let next = self.0 + 1;
         (usize::from(next) < GPU_PSTATES.len()).then_some(GpuPState(next))
     }
@@ -151,7 +151,7 @@ pub const GPU_REF_FREQ_GHZ: f64 = 0.819;
 /// Trinity's compute units share a voltage plane, so the plane voltage is
 /// that demanded by the faster module even if the other idles at a lower
 /// P-state. The paper relies on this coupling (Section IV-A).
-pub fn shared_plane_voltage(module_states: &[CpuPState]) -> f64 {
+pub(crate) fn shared_plane_voltage(module_states: &[CpuPState]) -> f64 {
     module_states.iter().map(|p| p.voltage_v()).fold(CPU_PSTATES[0].voltage_v, f64::max)
 }
 

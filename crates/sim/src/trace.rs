@@ -216,7 +216,7 @@ pub fn trace_for(
 }
 
 /// [`trace_for`] on an explicit machine family.
-pub fn trace_for_on(
+pub(crate) fn trace_for_on(
     family: &MachineFamily,
     kernel: &KernelCharacteristics,
     config: &Configuration,

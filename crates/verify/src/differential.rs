@@ -22,13 +22,13 @@ pub struct ScenarioCase {
     /// Which method.
     pub method: Method,
     /// Machine seed.
-    pub machine_seed: u64,
+    machine_seed: u64,
     /// Kernel identifier.
     pub kernel_id: String,
     /// The power constraint, W.
     pub cap_w: f64,
     /// The method's selection.
-    pub config: Configuration,
+    config: Configuration,
     /// True power of the selection, W.
     pub power_w: f64,
     /// Performance of the selection.
@@ -42,14 +42,14 @@ impl ScenarioCase {
     /// *infeasible* cap — one even the oracle cannot meet — judges the
     /// method against the oracle's fallback power instead, since meeting
     /// the cap is impossible by construction).
-    pub fn under_limit(&self) -> bool {
+    fn under_limit(&self) -> bool {
         let bound = if self.oracle.feasible { self.cap_w } else { self.oracle.power_w };
         self.power_w <= bound * (1.0 + 1e-9)
     }
 
     /// Performance regret vs. the oracle: `1 − perf/oracle_perf`, positive
     /// when the method is slower, clamped at 0 when it (over-cap) "wins".
-    pub fn regret(&self) -> f64 {
+    fn regret(&self) -> f64 {
         (1.0 - self.perf / self.oracle.perf).max(0.0)
     }
 }
@@ -58,20 +58,20 @@ impl ScenarioCase {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MethodRegret {
     /// The method.
-    pub method: Method,
+    method: Method,
     /// Scenarios replayed.
     pub scenarios: usize,
     /// Fraction of scenarios meeting the constraint.
     pub under_rate: f64,
     /// Mean performance regret vs. the oracle over under-limit scenarios.
-    pub mean_regret: f64,
+    pub(crate) mean_regret: f64,
     /// Worst under-limit regret.
-    pub max_regret: f64,
+    max_regret: f64,
     /// Fraction of scenarios whose true power exceeded a *feasible* cap.
-    pub violation_rate: f64,
+    pub(crate) violation_rate: f64,
     /// Mean `power/cap` ratio over violating scenarios (how badly a
     /// violation overshoots), when any.
-    pub mean_overshoot: Option<f64>,
+    pub(crate) mean_overshoot: Option<f64>,
 }
 
 /// The full differential report.
@@ -92,17 +92,17 @@ pub struct RegretReport {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Thresholds {
     /// Minimum under-limit rate for Model+FL (paper: 88%).
-    pub model_fl_min_under: f64,
+    model_fl_min_under: f64,
     /// Minimum under-limit rate for Model alone (paper: 73%).
-    pub model_min_under: f64,
+    model_min_under: f64,
     /// Maximum mean under-limit regret for the model methods (paper: they
     /// keep ≈91% of oracle performance, i.e. ≈9% regret).
-    pub model_max_mean_regret: f64,
+    model_max_mean_regret: f64,
     /// Maximum mean under-limit regret for any method (even CPU+FL stays
     /// above ≈69% of oracle performance in the paper).
-    pub any_max_mean_regret: f64,
+    any_max_mean_regret: f64,
     /// Maximum feasible-cap violation rate for Model+FL.
-    pub model_fl_max_violations: f64,
+    model_fl_max_violations: f64,
 }
 
 impl Default for Thresholds {
@@ -303,7 +303,7 @@ impl RegretReport {
     /// A compact, float-rounded summary (the `regret_summary` artifact):
     /// aggregate rates only, quantized so the pinned bytes stay stable
     /// under last-ulp arithmetic drift.
-    pub fn summary(&self) -> serde::Value {
+    pub(crate) fn summary(&self) -> serde::Value {
         use serde::Value;
         let rows: Vec<Value> = self
             .per_method

@@ -31,15 +31,15 @@ use serde::{Deserialize, Serialize};
 pub struct DriftGridParams {
     /// Machine seed (the serve default, 2014, keeps the grid aligned with
     /// the server's golden traces).
-    pub machine_seed: u64,
+    machine_seed: u64,
     /// Seed for the drift processes' phase/magnitude jitter.
-    pub drift_seed: u64,
+    drift_seed: u64,
     /// Stride over the held-out evaluation suite (1 = every kernel).
-    pub kernel_stride: usize,
+    kernel_stride: usize,
     /// Probe caps per kernel, spread across the feasible frontier band.
-    pub caps_per_kernel: usize,
+    caps_per_kernel: usize,
     /// Iterations per cell.
-    pub iterations: u64,
+    iterations: u64,
 }
 
 impl DriftGridParams {
@@ -68,7 +68,7 @@ impl DriftGridParams {
 
 /// The drift processes scored by the grid, zero drift first. The zero row
 /// is the regression gate (nothing may change); the rest are the wins.
-pub fn drift_processes(params: &DriftGridParams) -> Vec<(String, DriftPlan)> {
+fn drift_processes(params: &DriftGridParams) -> Vec<(String, DriftPlan)> {
     let seed = params.drift_seed;
     vec![
         ("zero".to_string(), DriftPlan::none(seed)),
@@ -100,36 +100,36 @@ pub struct DriftCell {
     /// Times the adaptive path moved the selection off the static answer.
     pub reselections: u64,
     /// Drift events the adaptive predictor emitted.
-    pub drift_events: u64,
+    drift_events: u64,
     /// True iff every adaptive selection equalled the static selection.
     pub identical_selections: bool,
     /// True iff both mean regrets are bit-for-bit equal (implied by
     /// `identical_selections`; this is the zero-drift exactness witness).
-    pub regret_bits_match: bool,
+    regret_bits_match: bool,
 }
 
 /// Per-process aggregate over all its cells (equal cell weight).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioRegret {
+struct ScenarioRegret {
     /// Drift process name.
-    pub scenario: String,
+    scenario: String,
     /// Mean of the cells' static mean regrets.
-    pub static_mean_regret: f64,
+    static_mean_regret: f64,
     /// Mean of the cells' adaptive mean regrets.
-    pub adaptive_mean_regret: f64,
+    adaptive_mean_regret: f64,
     /// Total re-selections across the process's cells.
-    pub reselections: u64,
+    reselections: u64,
     /// Total drift events across the process's cells.
-    pub drift_events: u64,
+    drift_events: u64,
 }
 
 /// The full drift differential report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftReport {
     /// Grid shape the report was produced under.
-    pub params: DriftGridParams,
+    params: DriftGridParams,
     /// Process names in grid order (zero drift first).
-    pub scenarios: Vec<String>,
+    scenarios: Vec<String>,
     /// All cells, ordered process × kernel × cap (process outermost).
     pub cells: Vec<DriftCell>,
 }
@@ -139,10 +139,10 @@ pub struct DriftReport {
 pub struct AdaptThresholds {
     /// A drifted process passes only if its aggregate adaptive mean regret
     /// undercuts the static one by strictly more than this margin.
-    pub min_improvement: f64,
+    min_improvement: f64,
     /// Ceiling on the aggregate adaptive mean regret under any drifted
     /// process — adaptation must not merely beat a terrible baseline.
-    pub max_adaptive_regret: f64,
+    max_adaptive_regret: f64,
 }
 
 impl Default for AdaptThresholds {
@@ -349,7 +349,7 @@ pub fn run_drift(params: &DriftGridParams) -> Result<DriftReport, TrainError> {
 
 impl DriftReport {
     /// Per-process aggregates, in grid order.
-    pub fn scenario_regrets(&self) -> Vec<ScenarioRegret> {
+    fn scenario_regrets(&self) -> Vec<ScenarioRegret> {
         self.scenarios
             .iter()
             .map(|name| {

@@ -39,18 +39,9 @@ pub mod reference;
 pub mod scenario;
 pub mod transfer;
 
-pub use differential::{run_differential, MethodRegret, RegretReport, ScenarioCase, Thresholds};
-pub use drift::{
-    drift_processes, run_drift, AdaptThresholds, DriftCell, DriftGridParams, DriftReport,
-    ScenarioRegret,
-};
-pub use metamorphic::{
-    check_all, check_cap_monotonicity, check_cluster_permutation_invariance,
-    check_family_frontiers, check_frontier_non_domination, check_seed_determinism,
-    InvariantViolation,
-};
-pub use oracle::OracleChoice;
-pub use scenario::{GridParams, MachineScenarios, Scenario, ScenarioGrid};
-pub use transfer::{
-    run_transfer, TransferCell, TransferMatrix, TransferThresholds, TRANSFER_METHODS,
-};
+pub use differential::{run_differential, MethodRegret, Thresholds};
+pub use drift::{run_drift, AdaptThresholds, DriftGridParams};
+pub use metamorphic::{check_cap_monotonicity, check_frontier_non_domination};
+
+pub use scenario::{GridParams, ScenarioGrid};
+pub use transfer::{run_transfer, TransferThresholds};

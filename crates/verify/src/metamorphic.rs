@@ -177,7 +177,7 @@ fn partition_of(ids: &[String], assignment: &[usize]) -> BTreeSet<BTreeSet<Strin
 /// Invariant 3: clustering the same training profiles in a different order
 /// must yield the same partition (cluster *labels* may differ — only
 /// co-membership matters).
-pub fn check_cluster_permutation_invariance(
+fn check_cluster_permutation_invariance(
     profiles: &[KernelProfile],
     n_clusters: usize,
 ) -> Vec<InvariantViolation> {
@@ -240,7 +240,7 @@ where
 /// Invariant 4: byte-identical timelines for equal seeds, on the plain
 /// machine and under the guarded chaos path from the fault-injection
 /// harness.
-pub fn check_seed_determinism(
+fn check_seed_determinism(
     machine_seed: u64,
     model: &TrainedModel,
     app: &AppInstance,
@@ -295,7 +295,7 @@ pub fn check_seed_determinism(
 /// invariants are family-independent physics — a parametrization that
 /// breaks them (e.g. a power curve that inverts under a wide GPU) is a
 /// bug in the family descriptor, and this is the check that names it.
-pub fn check_family_frontiers(
+fn check_family_frontiers(
     family: acs_sim::FamilyId,
     machine_seed: u64,
     kernels: &[acs_sim::KernelCharacteristics],

@@ -15,9 +15,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OracleChoice {
     /// The selected configuration.
-    pub config: Configuration,
+    config: Configuration,
     /// Its true power, W.
-    pub power_w: f64,
+    pub(crate) power_w: f64,
     /// Its performance (inverse time).
     pub perf: f64,
     /// Whether the selection meets the cap (false only when no
@@ -27,7 +27,7 @@ pub struct OracleChoice {
 
 impl OracleChoice {
     /// The answer `Frontier::select` gave on a true-power frontier.
-    pub fn new(point: &PowerPerfPoint, feasible: bool) -> Self {
+    pub(crate) fn new(point: &PowerPerfPoint, feasible: bool) -> Self {
         Self { config: point.config, power_w: point.power_w, perf: point.perf, feasible }
     }
 }

@@ -680,7 +680,7 @@ pub fn estimate_trace(
 }
 
 /// The phase trace of one kernel execution, no jitter applied.
-pub fn trace_for_on(
+fn trace_for_on(
     family: &MachineFamily,
     kernel: &KernelCharacteristics,
     config: &Configuration,

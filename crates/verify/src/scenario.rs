@@ -65,7 +65,7 @@ impl GridParams {
     }
 
     /// The families this grid instantiates (empty normalizes to Trinity).
-    pub fn effective_families(&self) -> Vec<FamilyId> {
+    fn effective_families(&self) -> Vec<FamilyId> {
         if self.families.is_empty() {
             vec![FamilyId::Trinity]
         } else {
@@ -76,16 +76,16 @@ impl GridParams {
 
 /// One replayable `(machine, kernel, cap)` case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Scenario {
+struct Scenario {
     /// Family of the machine this scenario runs on.
     #[serde(default)]
-    pub family: FamilyId,
+    family: FamilyId,
     /// Seed of the machine this scenario runs on.
-    pub machine_seed: u64,
+    machine_seed: u64,
     /// Kernel identifier (`benchmark/input/name`).
-    pub kernel_id: String,
+    kernel_id: String,
     /// The power constraint, W.
-    pub cap_w: f64,
+    cap_w: f64,
 }
 
 /// A machine's worth of scenarios plus the data needed to replay them.
@@ -101,7 +101,7 @@ pub struct MachineScenarios {
 /// The full grid: per-machine scenario sets.
 pub struct ScenarioGrid {
     /// Parameters the grid was generated from.
-    pub params: GridParams,
+    params: GridParams,
     /// One entry per machine seed.
     pub machines: Vec<MachineScenarios>,
 }
@@ -119,7 +119,7 @@ pub(crate) fn evaluation_kernels() -> Vec<KernelCharacteristics> {
 /// The probe caps for one kernel: `caps_per_kernel` watt levels spread
 /// evenly from below the oracle frontier's minimum power (infeasible when
 /// `tight_cap_factor < 1`) up to its maximum.
-pub fn probe_caps(profile: &KernelProfile, params: &GridParams) -> Vec<f64> {
+fn probe_caps(profile: &KernelProfile, params: &GridParams) -> Vec<f64> {
     let frontier = profile.oracle_frontier();
     let lo = frontier.min_power().expect("non-empty frontier").power_w * params.tight_cap_factor;
     let hi = frontier.max_perf().expect("non-empty frontier").power_w;
@@ -164,12 +164,12 @@ impl ScenarioGrid {
     }
 
     /// True when the grid holds no scenarios.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Flat list of scenario descriptors (for reports and goldens).
-    pub fn scenarios(&self) -> Vec<Scenario> {
+    fn scenarios(&self) -> Vec<Scenario> {
         let mut out = Vec::with_capacity(self.len());
         for m in &self.machines {
             for (profile, caps) in &m.evaluated {

@@ -22,19 +22,19 @@ use serde::{Deserialize, Serialize};
 /// The model-driven methods whose selections depend on training data.
 /// The fixed-device baselines ignore the model, so their transfer regret
 /// is zero by definition and scoring them would only pad the matrix.
-pub const TRANSFER_METHODS: [Method; 2] = [Method::Model, Method::ModelFL];
+const TRANSFER_METHODS: [Method; 2] = [Method::Model, Method::ModelFL];
 
 /// One `(train family, serve family, method)` cell of the matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferCell {
     /// Family the model was trained on.
-    pub train_family: FamilyId,
+    train_family: FamilyId,
     /// Family the model served.
-    pub serve_family: FamilyId,
+    serve_family: FamilyId,
     /// Which method made the selections.
-    pub method: Method,
+    method: Method,
     /// The foreign-model differential statistics on the serve family.
-    pub stats: MethodRegret,
+    stats: MethodRegret,
     /// Excess mean regret over the serve family's native model, clamped
     /// at zero: `max(0, mean_regret(A→B) − mean_regret(B→B))`.
     pub transfer_regret: f64,
@@ -55,9 +55,9 @@ impl TransferCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferMatrix {
     /// Families in grid order (matrix axes).
-    pub families: Vec<FamilyId>,
+    families: Vec<FamilyId>,
     /// `(kernel, cap)` scenarios scored per pair per method.
-    pub scenarios_per_pair: usize,
+    scenarios_per_pair: usize,
     /// All cells, ordered `train × serve × method` (train outermost).
     pub cells: Vec<TransferCell>,
 }
@@ -71,23 +71,23 @@ pub struct TransferMatrix {
 pub struct TransferThresholds {
     /// Native pairs must show exactly zero transfer regret (tolerance
     /// for the clamped float subtraction only).
-    pub native_transfer_tol: f64,
+    native_transfer_tol: f64,
     /// Maximum transfer regret for any cross pair. Measured worst case on
     /// the quick transfer grid is ≈34% (BigCore→LowPower, a 4-wide module
     /// machine scheduling a 2-core one); the gate sits above it with
     /// margin but below 50%, where a transferred model would be giving up
     /// half the oracle's remaining performance.
-    pub cross_max_transfer_regret: f64,
+    cross_max_transfer_regret: f64,
     /// Minimum under-limit rate for Model+FL on cross pairs. The quick
     /// grid's two caps per kernel quantize this rate coarsely (measured
     /// floor: exactly 50%), so the gate sits just below that step.
-    pub cross_min_under: f64,
+    cross_min_under: f64,
     /// Maximum feasible-cap violation rate for Model+FL on cross pairs.
-    pub cross_max_violation_rate: f64,
+    cross_max_violation_rate: f64,
     /// Maximum overshoot shift vs. native for Model+FL on cross pairs
     /// (a foreign model may violate caps, but not qualitatively harder
     /// than the native one).
-    pub cross_max_overshoot_delta: f64,
+    cross_max_overshoot_delta: f64,
 }
 
 impl Default for TransferThresholds {
@@ -169,7 +169,7 @@ fn score_pair(serve: &MachineScenarios, predictor: &Predictor) -> Vec<MethodRegr
 
 impl TransferMatrix {
     /// Look up one cell.
-    pub fn cell(&self, train: FamilyId, serve: FamilyId, method: Method) -> Option<&TransferCell> {
+    fn cell(&self, train: FamilyId, serve: FamilyId, method: Method) -> Option<&TransferCell> {
         self.cells
             .iter()
             .find(|c| c.train_family == train && c.serve_family == serve && c.method == method)
