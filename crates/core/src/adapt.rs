@@ -398,6 +398,7 @@ pub struct AdaptivePredictor {
 
 impl AdaptivePredictor {
     /// Total measurements accepted.
+    #[cfg(test)]
     fn observations(&self) -> u64 {
         self.observations
     }

@@ -170,11 +170,6 @@ impl Evaluation {
             })
             .collect()
     }
-
-    /// Cases of one method only.
-    fn cases_of(&self, method: Method) -> Vec<&CaseResult> {
-        self.cases.iter().filter(|c| c.method == method).collect()
-    }
 }
 
 /// Characterized application instance: the app plus its kernels' profiles.
@@ -447,7 +442,7 @@ mod tests {
     fn evaluation_produces_cases_for_all_methods() {
         let e = mini_eval();
         for &m in &Method::COMPARED {
-            assert!(!e.cases_of(m).is_empty(), "{m} has no cases");
+            assert!(e.cases.iter().any(|c| c.method == m), "{m} has no cases");
         }
         assert_eq!(e.fold_silhouettes.len(), 2, "two benchmarks → two folds");
     }
@@ -497,7 +492,7 @@ mod tests {
         // Each kernel contributes its weight once; app weights sum to 1.
         let e = mini_eval();
         for &m in &Method::COMPARED {
-            let w: f64 = e.cases_of(m).iter().map(|c| c.weight).sum();
+            let w: f64 = e.cases.iter().filter(|c| c.method == m).map(|c| c.weight).sum();
             assert!((w - 2.0).abs() < 1e-9, "{m}: weight sum {w} (2 apps)");
         }
     }

@@ -80,11 +80,6 @@ impl ConfigSpace {
         self.configs.len()
     }
 
-    /// Always false — the space is never empty.
-    fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
     /// Index of the first GPU-device configuration.
     pub(crate) fn cpu_end(&self) -> usize {
         self.cpu_end
@@ -294,7 +289,6 @@ mod tests {
     fn config_space_is_index_ordered_with_contiguous_blocks() {
         let space = ConfigSpace::get();
         assert_eq!(space.len(), Configuration::space_size());
-        assert!(!space.is_empty());
         assert!(space.cpu_end() > 0 && space.cpu_end() < space.len());
         for (i, c) in space.configs().iter().enumerate() {
             let x = config_features(c);

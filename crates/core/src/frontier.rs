@@ -80,7 +80,7 @@ impl Frontier {
     }
 
     /// True when the frontier is empty (no input points).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
@@ -121,12 +121,6 @@ impl Frontier {
     /// The maximum-performance point.
     pub fn max_perf(&self) -> Option<&PowerPerfPoint> {
         self.points.last()
-    }
-
-    /// The rank (position in increasing-power order) of each of `configs`
-    /// within this frontier; `None` for configurations not on the frontier.
-    fn rank_of(&self, config: &Configuration) -> Option<usize> {
-        self.points.iter().position(|p| &p.config == config)
     }
 
     /// Configuration indices present on this frontier, in frontier order.
@@ -221,11 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_configs() {
+    fn config_indices_follow_frontier_order() {
         let f = Frontier::from_points(vec![pt(0, 10.0, 1.0), pt(1, 20.0, 2.0)]);
-        assert_eq!(f.rank_of(&cfg(0)), Some(0));
-        assert_eq!(f.rank_of(&cfg(1)), Some(1));
-        assert_eq!(f.rank_of(&cfg(3)), None);
         assert_eq!(f.config_indices(), vec![cfg(0).index(), cfg(1).index()]);
     }
 

@@ -218,6 +218,7 @@ impl TierState {
 
     /// Maximum number of `degraded` calls from `model()` to `SafeMin`,
     /// regardless of the model's choice (bounds watchdog convergence).
+    #[cfg(test)]
     fn max_rungs() -> u32 {
         // Model → up to COUNT-1 ModelFl steps (+ GPU ladder on GPU picks)
         // → CpuFl{0..COUNT-1} → SafeMin, with one transition rung each.

@@ -116,29 +116,6 @@ pub fn limit_active_device(
     }
 }
 
-/// DVFS-transition time cost of moving between two configurations,
-/// walking each device's P-state ladder one step at a time (how the
-/// limiter actually moves). The paper's <1 ms online-overhead budget must
-/// absorb these; with realistic slew rates the whole ladder costs tens of
-/// microseconds.
-fn transition_cost_s(
-    from: &Configuration,
-    to: &Configuration,
-    model: &acs_sim::TransitionModel,
-) -> f64 {
-    let cpu = model.cpu_walk_latency_s(from.cpu_pstate, to.cpu_pstate);
-    let gpu_steps = (i32::from(from.gpu_pstate.0) - i32::from(to.gpu_pstate.0)).unsigned_abs();
-    // GPU ladder: sum pairwise transitions along the walk.
-    let (lo, hi) = if from.gpu_pstate.0 <= to.gpu_pstate.0 {
-        (from.gpu_pstate.0, to.gpu_pstate.0)
-    } else {
-        (to.gpu_pstate.0, from.gpu_pstate.0)
-    };
-    let gpu: f64 = (lo..hi).map(|i| model.gpu_latency_s(GpuPState(i), GpuPState(i + 1))).sum();
-    debug_assert_eq!(gpu_steps, u32::from(hi - lo));
-    cpu + gpu
-}
-
 /// Convenience constructors for the baselines' starting configurations.
 pub mod start {
     use super::*;
@@ -272,20 +249,6 @@ mod tests {
         assert!(!r.met);
         assert_eq!(r.config.gpu_pstate, GpuPState::MIN);
         assert_eq!(r.config.cpu_pstate, CpuPState::MIN);
-    }
-
-    #[test]
-    fn transition_cost_accumulates_both_devices() {
-        let model = acs_sim::TransitionModel::default();
-        let a = Configuration::gpu(GpuPState::MIN, CpuPState::MIN);
-        let b = Configuration::gpu(GpuPState::MAX, CpuPState::MAX);
-        let cost = transition_cost_s(&a, &b, &model);
-        assert!(cost > 0.0);
-        // Symmetric, zero for identity, and well under the paper's 1 ms
-        // online budget even for the full double ladder.
-        assert_eq!(cost, transition_cost_s(&b, &a, &model));
-        assert_eq!(transition_cost_s(&a, &a, &model), 0.0);
-        assert!(cost < 1e-3, "{cost}");
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl KernelProfile {
         )
     }
 
-    /// Runs on one device only.
-    fn runs_on(&self, device: Device) -> impl Iterator<Item = &KernelRun> {
-        self.runs.iter().filter(move |r| r.config.device == device)
-    }
-
     /// The best-performing run regardless of power (for normalization).
     pub fn best_run(&self) -> &KernelRun {
         self.runs
@@ -152,16 +147,6 @@ mod tests {
         let s = p.sample_pair();
         assert_eq!(s.cpu.config.device, Device::Cpu);
         assert_eq!(s.gpu.config.device, Device::Gpu);
-    }
-
-    #[test]
-    fn runs_on_partitions_space() {
-        let p = profile();
-        let cpu = p.runs_on(Device::Cpu).count();
-        let gpu = p.runs_on(Device::Gpu).count();
-        assert_eq!(cpu + gpu, Configuration::space_size());
-        assert_eq!(cpu, 24);
-        assert_eq!(gpu, 18);
     }
 
     #[test]

@@ -74,15 +74,6 @@ pub fn all_kernel_instances() -> Vec<KernelCharacteristics> {
     app_instances().into_iter().flat_map(|a| a.kernels).collect()
 }
 
-/// Number of distinct kernels (ignoring input size).
-fn distinct_kernel_count() -> usize {
-    let mut names: Vec<String> =
-        all_kernel_instances().iter().map(|k| format!("{}/{}", k.benchmark, k.name)).collect();
-    names.sort();
-    names.dedup();
-    names.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +85,11 @@ mod tests {
 
     #[test]
     fn suite_has_36_distinct_kernels() {
-        assert_eq!(distinct_kernel_count(), 36);
+        let mut names: Vec<String> =
+            all_kernel_instances().iter().map(|k| format!("{}/{}", k.benchmark, k.name)).collect();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), 36);
     }
 
     #[test]

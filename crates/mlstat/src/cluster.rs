@@ -30,7 +30,7 @@ impl Dissimilarity {
 
     /// True when the matrix is empty.
     #[inline]
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 

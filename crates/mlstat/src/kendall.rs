@@ -87,15 +87,6 @@ pub fn tau_b(x: &[f64], y: &[f64]) -> Option<f64> {
     Some((concordant - discordant) as f64 / denom)
 }
 
-/// Kendall rank correlation between the *orders* of two permutations of the
-/// same items: `ranks_a[i]` and `ranks_b[i]` are item `i`'s positions in
-/// the two orderings.
-fn tau_of_rankings(ranks_a: &[usize], ranks_b: &[usize]) -> Option<f64> {
-    let a: Vec<f64> = ranks_a.iter().map(|&r| r as f64).collect();
-    let b: Vec<f64> = ranks_b.iter().map(|&r| r as f64).collect();
-    tau_a(&a, &b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,11 +171,5 @@ mod tests {
         for t in [tau_a(&x, &y).unwrap(), tau_b(&x, &y).unwrap()] {
             assert!((-1.0..=1.0).contains(&t));
         }
-    }
-
-    #[test]
-    fn rankings_wrapper() {
-        assert_eq!(tau_of_rankings(&[0, 1, 2], &[0, 1, 2]), Some(1.0));
-        assert_eq!(tau_of_rankings(&[0, 1, 2], &[2, 1, 0]), Some(-1.0));
     }
 }

@@ -4,8 +4,8 @@
 //! all reimplemented here from scratch so the reproduction has no opaque
 //! dependencies:
 //!
-//! * [`regression`] — multivariate OLS linear models with first-order
-//!   interaction expansion (the paper's `lm`-style cluster models),
+//! * [`regression`] — multivariate OLS linear models over caller-built
+//!   design columns (the paper's `lm`-style cluster models),
 //! * [`kendall`] — Kendall rank correlation (τ-a, τ-b) for comparing
 //!   Pareto-frontier orderings,
 //! * [`cluster`] — PAM (k-medoids) relational clustering on a

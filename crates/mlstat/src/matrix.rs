@@ -80,41 +80,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Transpose.
-    fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        #[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * other`.
-    fn matmul(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.cols != other.rows {
-            return Err(MatrixError::Dimension(format!(
-                "{}x{} * {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix–vector product.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if self.cols != v.len() {
@@ -236,50 +201,6 @@ impl Matrix {
         self.cholesky()?.solve(b)
     }
 
-    /// Solve a general square system `self · x = b` by Gaussian elimination
-    /// with partial pivoting.
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
-        let n = self.rows;
-        if self.cols != n || b.len() != n {
-            return Err(MatrixError::Dimension("solve needs square A and matching b".into()));
-        }
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        for col in 0..n {
-            // Partial pivot.
-            let pivot = (col..n)
-                .max_by(|&i, &j| a[i * n + col].abs().partial_cmp(&a[j * n + col].abs()).unwrap())
-                .unwrap();
-            if a[pivot * n + col].abs() < 1e-12 {
-                return Err(MatrixError::Singular);
-            }
-            if pivot != col {
-                for k in 0..n {
-                    a.swap(col * n + k, pivot * n + k);
-                }
-                x.swap(col, pivot);
-            }
-            for row in col + 1..n {
-                let factor = a[row * n + col] / a[col * n + col];
-                if factor == 0.0 {
-                    continue;
-                }
-                for k in col..n {
-                    a[row * n + k] -= factor * a[col * n + k];
-                }
-                x[row] -= factor * x[col];
-            }
-        }
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for k in i + 1..n {
-                sum -= a[i * n + k] * x[k];
-            }
-            x[i] = sum / a[i * n + i];
-        }
-        Ok(x)
-    }
-
     /// Add `lambda` to the diagonal (ridge regularization), in place.
     pub fn add_diagonal(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
@@ -363,7 +284,6 @@ mod tests {
     fn identity_solve_is_identity() {
         let i = Matrix::identity(4);
         let b = [1.0, 2.0, 3.0, 4.0];
-        approx(&i.solve(&b).unwrap(), &b, 1e-12);
         approx(&i.solve_spd(&b).unwrap(), &b, 1e-12);
     }
 
@@ -371,24 +291,13 @@ mod tests {
     fn solve_known_system() {
         // [2 1; 1 3] x = [3; 5]  =>  x = [4/5, 7/5]
         let a = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
-        let x = a.solve(&[3.0, 5.0]).unwrap();
-        approx(&x, &[0.8, 1.4], 1e-12);
         let x2 = a.solve_spd(&[3.0, 5.0]).unwrap();
         approx(&x2, &[0.8, 1.4], 1e-12);
     }
 
     #[test]
-    fn solve_requires_pivoting() {
-        // Leading zero forces a row swap.
-        let a = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        approx(&x, &[3.0, 2.0], 1e-12);
-    }
-
-    #[test]
     fn singular_detected() {
         let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert_eq!(a.solve(&[1.0, 2.0]), Err(MatrixError::Singular));
         assert_eq!(a.solve_spd(&[1.0, 2.0]), Err(MatrixError::Singular));
     }
 
@@ -402,7 +311,8 @@ mod tests {
     fn gram_matches_explicit_product() {
         let a = Matrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let g = a.gram();
-        let explicit = a.transpose().matmul(&a).unwrap();
+        // AᵀA by hand: [1·1 + 3·3 + 5·5, 1·2 + 3·4 + 5·6; …, 2·2 + 4·4 + 6·6].
+        let explicit = Matrix::from_rows(2, 2, vec![35.0, 44.0, 44.0, 56.0]).unwrap();
         assert_eq!(g, explicit);
     }
 
@@ -426,7 +336,8 @@ mod tests {
     fn t_vec_matches_transpose_matvec() {
         let a = Matrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let y = [1.0, -1.0, 2.0];
-        approx(&a.t_vec(&y).unwrap(), &a.transpose().matvec(&y).unwrap(), 1e-12);
+        // Aᵀy by hand: [1 − 3 + 10, 2 − 4 + 12].
+        approx(&a.t_vec(&y).unwrap(), &[8.0, 10.0], 1e-12);
     }
 
     #[test]
@@ -439,9 +350,7 @@ mod tests {
     fn dimension_errors() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(a.matvec(&[1.0]), Err(MatrixError::Dimension(_))));
-        assert!(matches!(a.matmul(&Matrix::zeros(2, 2)), Err(MatrixError::Dimension(_))));
         assert!(matches!(a.t_vec(&[1.0]), Err(MatrixError::Dimension(_))));
-        assert!(matches!(a.solve(&[1.0, 1.0]), Err(MatrixError::Dimension(_))));
         assert!(matches!(a.cholesky(), Err(MatrixError::Dimension(_))));
         assert!(matches!(a.solve_spd(&[1.0, 1.0]), Err(MatrixError::Dimension(_))));
         assert!(matches!(Matrix::identity(2).solve_spd(&[1.0]), Err(MatrixError::Dimension(_))));
@@ -482,7 +391,5 @@ mod tests {
         let rhs = [1.0, 2.0, -1.0, 0.5];
         let x = a.solve_spd(&rhs).unwrap();
         approx(&a.matvec(&x).unwrap(), &rhs, 1e-9);
-        let x2 = a.solve(&rhs).unwrap();
-        approx(&x, &x2, 1e-9);
     }
 }

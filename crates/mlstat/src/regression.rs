@@ -1,12 +1,12 @@
-//! Multivariate ordinary-least-squares regression with first-order
-//! interaction expansion — the model family of Section III-B:
+//! Multivariate ordinary-least-squares regression — the model family of
+//! Section III-B:
 //!
 //! * performance: `P_perf = (a₁x₁ + … + aₙxₙ) · S_perf` (no intercept;
 //!   scaling relative to the sample-configuration performance), and
 //! * power: `P_power = b₀ + b₁x₁ + … + bₙxₙ` (with intercept),
 //!
-//! where the `xᵢ` are the configuration variables and their pairwise
-//! products. Fitting solves the normal equations by Cholesky, falling back
+//! where the `xᵢ` are the configuration variables and their products (the
+//! caller's design columns). Fitting solves the normal equations by Cholesky, falling back
 //! to a small ridge penalty when the design is rank-deficient (e.g. a
 //! training cluster whose kernels never vary one knob).
 //!
@@ -21,25 +21,6 @@ use crate::matrix::{Matrix, MatrixError};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::OnceLock;
-
-/// Expand a raw feature vector with all pairwise interaction terms
-/// `xᵢ·xⱼ (i < j)`, preserving the original features first.
-fn with_interactions(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    let mut out = Vec::with_capacity(n + n * (n - 1) / 2);
-    out.extend_from_slice(x);
-    for i in 0..n {
-        for j in i + 1..n {
-            out.push(x[i] * x[j]);
-        }
-    }
-    out
-}
-
-/// Number of columns produced by [`with_interactions`] for `n` raw features.
-fn interaction_len(n: usize) -> usize {
-    n + n * n.saturating_sub(1) / 2
-}
 
 /// A fitted linear model `y ≈ β·x (+ β₀)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -245,32 +226,11 @@ impl LinearModel {
             self.coeffs.iter().zip(x).map(|(c, v)| c * v).sum()
         }
     }
-
-    /// Number of raw design columns this model expects.
-    fn input_len(&self) -> usize {
-        self.coeffs.len() - usize::from(self.intercept)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interaction_expansion_layout() {
-        let x = [2.0, 3.0, 5.0];
-        let e = with_interactions(&x);
-        assert_eq!(e, vec![2.0, 3.0, 5.0, 6.0, 10.0, 15.0]);
-        assert_eq!(e.len(), interaction_len(3));
-    }
-
-    #[test]
-    fn interaction_len_small_cases() {
-        assert_eq!(interaction_len(0), 0);
-        assert_eq!(interaction_len(1), 1);
-        assert_eq!(interaction_len(2), 3);
-        assert_eq!(interaction_len(4), 10);
-    }
 
     #[test]
     fn recovers_planted_model_with_intercept() {
@@ -302,7 +262,6 @@ mod tests {
         let y: Vec<f64> = rows.iter().map(|r| 1.0 + 2.0 * r[0]).collect();
         let m = LinearModel::fit(&rows, &y, true).unwrap();
         assert!((m.predict(&[100.0]) - 201.0).abs() < 1e-6);
-        assert_eq!(m.input_len(), 1);
     }
 
     #[test]
@@ -313,7 +272,7 @@ mod tests {
         for a in 0..5 {
             for b in 0..5 {
                 let x = [a as f64, b as f64];
-                rows.push(with_interactions(&x));
+                rows.push(vec![x[0], x[1], x[0] * x[1]]);
                 y.push(x[0] + x[1] + 0.5 * x[0] * x[1]);
             }
         }

@@ -4,8 +4,7 @@
 //! the entire process across individual benchmarks" (Section V-C): for each
 //! benchmark, the training set is every kernel from the *other* benchmarks,
 //! and the trained pipeline is applied to the held-out benchmark's kernels.
-//! These helpers produce the index partitions for that protocol, plus plain
-//! leave-one-out and simple descriptive statistics.
+//! [`leave_one_group_out`] produces the index partitions for that protocol.
 
 /// One cross-validation fold: indices to train on and to validate on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,17 +15,6 @@ pub struct Fold {
     pub train: Vec<usize>,
     /// Validation (held-out) indices.
     pub test: Vec<usize>,
-}
-
-/// Leave-one-out folds over `n` items.
-fn leave_one_out(n: usize) -> Vec<Fold> {
-    (0..n)
-        .map(|held| Fold {
-            label: format!("item-{held}"),
-            train: (0..n).filter(|&i| i != held).collect(),
-            test: vec![held],
-        })
-        .collect()
 }
 
 /// Leave-one-group-out folds: each distinct group label becomes one fold
@@ -53,63 +41,9 @@ pub fn leave_one_group_out(groups: &[&str]) -> Vec<Fold> {
         .collect()
 }
 
-/// Arithmetic mean; 0 for empty input.
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Weighted arithmetic mean; 0 when weights sum to 0.
-fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ws.len(), "value/weight length mismatch");
-    let total: f64 = ws.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / total
-}
-
-/// Population standard deviation; 0 for fewer than two items.
-fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Median; 0 for empty input.
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        0.5 * (v[mid - 1] + v[mid])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn loo_covers_everything_once() {
-        let folds = leave_one_out(4);
-        assert_eq!(folds.len(), 4);
-        for (i, f) in folds.iter().enumerate() {
-            assert_eq!(f.test, vec![i]);
-            assert_eq!(f.train.len(), 3);
-            assert!(!f.train.contains(&i));
-        }
-    }
 
     #[test]
     fn logo_partitions_by_group() {
@@ -129,23 +63,5 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, vec![0, 1, 2, 3, 4]);
         }
-    }
-
-    #[test]
-    fn stats_basics() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 3.0]), 2.5);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[0.0, 0.0]), 0.0);
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn weighted_mean_checks_lengths() {
-        let _ = weighted_mean(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -96,14 +96,6 @@ impl ArbiterPolicy {
         fold_exact_sum(pool_w, &mut shares);
         shares
     }
-
-    /// Stable name (the CLI `--policy` value).
-    fn name(&self) -> &'static str {
-        match self {
-            ArbiterPolicy::EqualShare => "equal",
-            ArbiterPolicy::DemandProportional => "demand",
-        }
-    }
 }
 
 impl std::str::FromStr for ArbiterPolicy {
@@ -174,11 +166,6 @@ impl Arbiter {
     /// The global cap, W.
     pub fn global_cap_w(&self) -> f64 {
         self.global_cap_w
-    }
-
-    /// The active policy.
-    fn policy(&self) -> ArbiterPolicy {
-        self.policy
     }
 
     /// Number of connected nodes.
@@ -520,6 +507,5 @@ mod tests {
         assert_eq!("equal".parse::<ArbiterPolicy>().unwrap(), ArbiterPolicy::EqualShare);
         assert_eq!("demand".parse::<ArbiterPolicy>().unwrap(), ArbiterPolicy::DemandProportional);
         assert!("fair".parse::<ArbiterPolicy>().is_err());
-        assert_eq!(ArbiterPolicy::DemandProportional.name(), "demand");
     }
 }

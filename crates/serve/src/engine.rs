@@ -61,7 +61,7 @@ impl std::error::Error for EngineError {}
 const DEFAULT_PROFILE_CAPACITY: usize = 512;
 
 /// Default bound on remembered idempotency keys.
-const DEFAULT_IDEM_CAPACITY: usize = 1024;
+const IDEM_CAPACITY: usize = 1024;
 
 /// An LRU slot: the value plus the tick of its last touch.
 struct Slot<V> {
@@ -75,7 +75,6 @@ type MissHook = Box<dyn Fn(&str) + Send + Sync>;
 
 /// Shared, thread-safe selection engine.
 pub struct Engine {
-    model: Arc<TrainedModel>,
     /// The model precompiled for flat evaluation (DESIGN.md §15), built
     /// once at engine construction so cold misses skip per-request
     /// tree-flattening and regression-table setup.
@@ -85,7 +84,6 @@ pub struct Engine {
     cache: Mutex<HashMap<String, Slot<Arc<PredictedProfile>>>>,
     profile_capacity: usize,
     idem: Mutex<HashMap<u64, Slot<Response>>>,
-    idem_capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -114,13 +112,11 @@ impl Engine {
             acs_kernels::all_kernel_instances().into_iter().map(|k| (k.id(), k)).collect();
         Self {
             predictor: Predictor::new(&model),
-            model,
             machine,
             kernels,
             cache: Mutex::new(HashMap::new()),
             profile_capacity: DEFAULT_PROFILE_CAPACITY,
             idem: Mutex::new(HashMap::new()),
-            idem_capacity: DEFAULT_IDEM_CAPACITY,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -134,21 +130,10 @@ impl Engine {
         self
     }
 
-    /// Shrink (or grow) the idempotency-memo bound. Clamped to at least 1.
-    fn with_idem_capacity(mut self, capacity: usize) -> Self {
-        self.idem_capacity = capacity.max(1);
-        self
-    }
-
     /// Install the cache-miss hook (server → recovery journal). Installed
     /// *after* recovery warm-up so replayed keys are not re-journaled.
     pub(crate) fn set_miss_hook(&self, hook: MissHook) {
         *self.on_miss.lock() = Some(hook);
-    }
-
-    /// The trained model the engine serves.
-    fn model(&self) -> &Arc<TrainedModel> {
-        &self.model
     }
 
     /// The kernel with this id, if it is in the suite.
@@ -159,11 +144,6 @@ impl Engine {
     /// `(hits, misses)` of the profile cache since startup.
     pub(crate) fn cache_counts(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-
-    /// Kernels currently memoized (≤ the configured capacity).
-    fn cached_profiles(&self) -> usize {
-        self.cache.lock().len()
     }
 
     /// The memoized predicted profile for a kernel; computed on first use
@@ -235,7 +215,7 @@ impl Engine {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut idem = self.idem.lock();
         idem.insert(key, Slot { value: response.clone(), last_used: tick });
-        evict_lru(&mut idem, self.idem_capacity);
+        evict_lru(&mut idem, IDEM_CAPACITY);
     }
 
     /// Select a configuration for one kernel under a budget.
@@ -315,14 +295,14 @@ mod tests {
         let first = e.select(&ids[0], 25.0).unwrap();
         e.select(&ids[1], 25.0).unwrap();
         e.select(&ids[2], 25.0).unwrap(); // ids[0] is now least recent: out
-        assert_eq!(e.cached_profiles(), 2);
+        assert_eq!(e.cache.lock().len(), 2);
 
         // The evicted kernel recomputes — to the identical selection.
         let again = e.select(&ids[0], 25.0).unwrap();
         assert_eq!(first, again);
         let (hits, misses) = e.cache_counts();
         assert_eq!((hits, misses), (0, 4), "re-selecting an evicted kernel is a miss");
-        assert_eq!(e.cached_profiles(), 2);
+        assert_eq!(e.cache.lock().len(), 2);
     }
 
     #[test]
@@ -380,15 +360,18 @@ mod tests {
 
     #[test]
     fn idem_memo_is_bounded_lru() {
-        let e = engine().with_idem_capacity(2);
+        let e = engine();
         let resp = |n: u64| Response::Welcome { node_id: n, budget_w: 1.0 };
-        e.idem_store(1, &resp(1));
-        e.idem_store(2, &resp(2));
+        let full = IDEM_CAPACITY as u64;
+        for key in 1..=full {
+            e.idem_store(key, &resp(key));
+        }
         assert!(e.idem_lookup(1).is_some()); // refresh key 1: key 2 is LRU
-        e.idem_store(3, &resp(3));
+        e.idem_store(full + 1, &resp(full + 1));
         assert!(e.idem_lookup(2).is_none(), "LRU key evicted at capacity");
         assert!(e.idem_lookup(1).is_some());
-        assert!(e.idem_lookup(3).is_some());
+        assert!(e.idem_lookup(full + 1).is_some());
+        assert_eq!(e.idem.lock().len(), IDEM_CAPACITY);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use acs_core::crc32;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One recorded state transition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -234,7 +234,6 @@ const CRC_FIELD_LEN: usize = 9;
 /// same CRC framing, torn-tail truncation, and durability knobs.
 pub struct Journal<E = JournalEntry> {
     inner: Mutex<Inner>,
-    path: PathBuf,
     truncated_tail_bytes: u64,
     recovered: u64,
     sync: bool,
@@ -301,7 +300,6 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
         Ok((
             Self {
                 inner: Mutex::new(Inner { file, next_seq: entries.len() as u64, line: Vec::new() }),
-                path,
                 truncated_tail_bytes,
                 recovered: entries.len() as u64,
                 sync,
@@ -311,25 +309,9 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
         ))
     }
 
-    /// The journal's on-disk path.
-    fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Whether appends are `sync_data`ed (the `--journal-sync` mode).
-    fn synced(&self) -> bool {
-        self.sync
-    }
-
     /// Bytes of crash debris discarded when this journal was opened.
     pub fn truncated_tail_bytes(&self) -> u64 {
         self.truncated_tail_bytes
-    }
-
-    /// Entries in the log, counting both the recovered prefix and appends
-    /// through this handle.
-    fn entries(&self) -> u64 {
-        self.inner.lock().next_seq
     }
 
     /// Entries appended through this handle since open (the STATS
@@ -494,6 +476,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("acs-journal-{test}-{}", std::process::id()));
@@ -526,12 +509,12 @@ mod tests {
         assert!(empty.is_empty());
         let mut arbiter = Arbiter::new(100.0, ArbiterPolicy::DemandProportional);
         journal_some_history(&journal, &mut arbiter);
-        assert_eq!(journal.entries(), 7);
+        assert_eq!(journal.inner.lock().next_seq, 7);
         drop(journal);
 
         let (reopened, entries) = Journal::<JournalEntry>::open(&path).unwrap();
         assert_eq!(entries.len(), 7);
-        assert_eq!(reopened.entries(), 7);
+        assert_eq!(reopened.inner.lock().next_seq, 7);
         assert_eq!(reopened.truncated_tail_bytes(), 0);
         assert_eq!(entries[0], JournalEntry::Admit { node_id: 1, epoch: 1 });
         std::fs::remove_dir_all(dir).unwrap();
@@ -649,8 +632,8 @@ mod tests {
         let sync_path = dir.join("sync.journal");
         let (flush, _) = Journal::open_with_sync(&flush_path, false).unwrap();
         let (sync, _) = Journal::open_with_sync(&sync_path, true).unwrap();
-        assert!(!flush.synced());
-        assert!(sync.synced());
+        assert!(!flush.sync);
+        assert!(sync.sync);
         let mut a = Arbiter::new(100.0, ArbiterPolicy::DemandProportional);
         journal_some_history(&flush, &mut a);
         let mut b = Arbiter::new(100.0, ArbiterPolicy::DemandProportional);

@@ -8,7 +8,7 @@
 //! voltage plane, a slow module still pays the fast module's V², which
 //! pushes asymmetric configurations inside the symmetric Pareto frontier.
 
-use crate::config::{Configuration, NUM_CPU_CORES};
+use crate::config::NUM_CPU_CORES;
 use crate::cpu::{cpu_time_at, shared_core_fraction};
 use crate::kernel::KernelCharacteristics;
 use crate::power::{PowerBreakdown, PowerCalibration};
@@ -49,11 +49,6 @@ impl AsymmetricCpuConfig {
     pub fn is_symmetric(&self) -> bool {
         let cores = self.cores_per_module();
         cores[1] == 0 || self.module_pstates[0] == self.module_pstates[1]
-    }
-
-    /// The symmetric configuration this collapses to when it is symmetric.
-    fn as_symmetric(&self) -> Option<Configuration> {
-        self.is_symmetric().then(|| Configuration::cpu(self.threads, self.module_pstates[0]))
     }
 
     /// All asymmetric-capable configurations: threads × P-state pairs.
@@ -169,6 +164,7 @@ pub fn asymmetric_cpu_power(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Configuration;
 
     fn kernel() -> KernelCharacteristics {
         KernelCharacteristics::default()
@@ -185,7 +181,7 @@ mod tests {
             for p in CpuPState::all() {
                 let asym = AsymmetricCpuConfig::new([p, p], threads);
                 assert!(asym.is_symmetric());
-                let sym_cfg = asym.as_symmetric().expect("symmetric");
+                let sym_cfg = Configuration::cpu(threads, p);
                 let t_asym = asymmetric_cpu_time(&k, &asym);
                 let t_sym = crate::cpu::cpu_time(&k, &sym_cfg);
                 assert!(

@@ -40,12 +40,6 @@ impl Default for ThermalModel {
 }
 
 impl ThermalModel {
-    /// Steady-state die temperature at a package power, °C.
-    #[inline]
-    fn temperature_c(&self, power_w: f64) -> f64 {
-        self.t_ambient_c + self.r_th_c_per_w * power_w
-    }
-
     /// The package power at which the die reaches its thermal limit, W.
     #[inline]
     pub fn power_budget_w(&self) -> f64 {
@@ -150,8 +144,6 @@ mod tests {
     #[test]
     fn thermal_model_basics() {
         let t = ThermalModel::default();
-        assert!((t.temperature_c(0.0) - t.t_ambient_c).abs() < 1e-12);
-        assert!(t.temperature_c(30.0) > t.t_ambient_c);
         assert!(t.power_budget_w() > 40.0 && t.power_budget_w() < 70.0);
     }
 

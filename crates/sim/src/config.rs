@@ -62,17 +62,6 @@ impl Configuration {
         Self { device: Device::Gpu, threads: 1, cpu_pstate, gpu_pstate }
     }
 
-    /// Number of CPU modules with at least one active core.
-    ///
-    /// Threads are packed onto modules in core order (cores 0,1 are module 0;
-    /// cores 2,3 are module 1), matching a compact OpenMP affinity.
-    fn active_modules(&self) -> u8 {
-        match self.device {
-            Device::Cpu => self.threads.div_ceil(2),
-            Device::Gpu => 1,
-        }
-    }
-
     /// The full configuration space of the simulated machine:
     /// 6 CPU P-states × 4 thread counts (CPU device) plus
     /// 6 CPU P-states × 3 GPU P-states (GPU device) = 42 configurations.
@@ -183,14 +172,6 @@ mod tests {
                 assert_eq!(c.threads, 1);
             }
         }
-    }
-
-    #[test]
-    fn active_modules_packs_compactly() {
-        assert_eq!(Configuration::cpu(1, CpuPState::MIN).active_modules(), 1);
-        assert_eq!(Configuration::cpu(2, CpuPState::MIN).active_modules(), 1);
-        assert_eq!(Configuration::cpu(3, CpuPState::MIN).active_modules(), 2);
-        assert_eq!(Configuration::cpu(4, CpuPState::MIN).active_modules(), 2);
     }
 
     #[test]

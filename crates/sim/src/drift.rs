@@ -197,16 +197,6 @@ impl<E> DriftedMachine<E> {
     pub fn new(inner: E, plan: DriftPlan) -> Self {
         Self { inner, plan }
     }
-
-    /// The wrapped executor.
-    fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// The active drift plan.
-    fn plan(&self) -> &DriftPlan {
-        &self.plan
-    }
 }
 
 impl<E: Executor> Executor for DriftedMachine<E> {

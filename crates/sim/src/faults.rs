@@ -228,29 +228,9 @@ impl FaultyMachine {
         Self { machine, plan, state: RefCell::new(FaultState::default()) }
     }
 
-    /// The wrapped machine.
-    fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// The fault schedule.
-    fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Snapshot of the fault counters.
     pub fn stats(&self) -> FaultStats {
         self.state.borrow().stats
-    }
-
-    /// The configuration the hardware is actually at, if any run completed.
-    fn applied_config(&self) -> Option<Configuration> {
-        self.state.borrow().applied
-    }
-
-    /// Reset all injection state and counters (the plan is kept).
-    fn reset(&self) {
-        *self.state.borrow_mut() = FaultState::default();
     }
 
     /// Deterministic uniform draw in [0, 1) for `(plan.seed, lane, n)`.
@@ -486,7 +466,6 @@ mod tests {
         let r1 = fm.execute(&kernel(), &gpu_cfg(), 1).unwrap();
         assert_eq!(r1.config, cpu_cfg());
         assert_ne!(r1.config, gpu_cfg());
-        assert_eq!(fm.applied_config(), Some(cpu_cfg()));
         assert_eq!(fm.stats().pstate_clamps, 1);
         // Re-requesting the applied configuration is not a transition.
         let r2 = fm.execute(&kernel(), &cpu_cfg(), 2).unwrap();
@@ -503,8 +482,6 @@ mod tests {
         assert_eq!(err.invocation, 1);
         assert!(err.to_string().contains("kernel run failure"));
         assert_eq!(fm.stats().run_failures, 1);
-        // A failed run does not change the applied configuration.
-        assert_eq!(fm.applied_config(), None);
     }
 
     #[test]
@@ -538,14 +515,5 @@ mod tests {
         let fail_rate = s.run_failures as f64 / n as f64;
         assert!((drop_rate - 0.25).abs() < 0.05, "dropout rate {drop_rate}");
         assert!((fail_rate - 0.1).abs() < 0.03, "run failure rate {fail_rate}");
-    }
-
-    #[test]
-    fn reset_clears_state_and_reproduces() {
-        let fm = FaultyMachine::new(Machine::new(7), chaotic_plan(42));
-        let first: Vec<_> = (0..50).map(|i| fm.execute(&kernel(), &cpu_cfg(), i)).collect();
-        fm.reset();
-        let second: Vec<_> = (0..50).map(|i| fm.execute(&kernel(), &cpu_cfg(), i)).collect();
-        assert_eq!(first, second);
     }
 }

@@ -11,7 +11,7 @@
 //! `ondemand`-style governor as the OS baseline the paper's methods
 //! replace.
 
-use crate::pstate::{CpuPState, GpuPState};
+use crate::pstate::CpuPState;
 use serde::{Deserialize, Serialize};
 
 /// Transition-cost model for P-state changes.
@@ -33,15 +33,6 @@ impl Default for TransitionModel {
 impl TransitionModel {
     /// Latency of one CPU P-state transition, seconds.
     fn cpu_latency_s(&self, from: CpuPState, to: CpuPState) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        let dv = (from.voltage_v() - to.voltage_v()).abs();
-        dv / self.slew_v_per_s + self.relock_s
-    }
-
-    /// Latency of one GPU P-state transition, seconds.
-    pub fn gpu_latency_s(&self, from: GpuPState, to: GpuPState) -> f64 {
         if from == to {
             return 0.0;
         }
@@ -166,13 +157,6 @@ mod tests {
             t.cpu_walk_latency_s(CpuPState::MAX, CpuPState::MIN),
             t.cpu_walk_latency_s(CpuPState::MIN, CpuPState::MAX)
         );
-    }
-
-    #[test]
-    fn gpu_latency_behaves_like_cpu() {
-        let t = TransitionModel::default();
-        assert_eq!(t.gpu_latency_s(GpuPState(1), GpuPState(1)), 0.0);
-        assert!(t.gpu_latency_s(GpuPState(0), GpuPState(2)) > t.relock_s);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! GPU P-state.
 
 use crate::config::Configuration;
-use crate::family::{FamilyId, MachineFamily};
+use crate::family::MachineFamily;
 use crate::kernel::KernelCharacteristics;
 
 /// Breakdown of a GPU execution.
@@ -41,8 +41,10 @@ fn effective_gpu_speedup(kernel: &KernelCharacteristics) -> f64 {
 }
 
 /// Wall time of one kernel iteration at a GPU configuration, without noise.
+/// The Trinity form the timing, power and trace tests measure.
+#[cfg(test)]
 pub(crate) fn gpu_time(kernel: &KernelCharacteristics, config: &Configuration) -> GpuTiming {
-    gpu_time_on(FamilyId::Trinity.descriptor(), kernel, config)
+    gpu_time_on(crate::family::FamilyId::Trinity.descriptor(), kernel, config)
 }
 
 /// `gpu_time` on an explicit machine family. The family reshapes the

@@ -260,7 +260,9 @@ impl PowerCalibration {
         PowerBreakdown { cpu_plane_w, gpu_nb_plane_w: gpu_idle + self.nb_component(dram_util) }
     }
 
-    /// Average power of a GPU-device execution.
+    /// Average power of a GPU-device execution. The Trinity form the power
+    /// and trace tests measure.
+    #[cfg(test)]
     pub(crate) fn gpu_run_power(
         &self,
         kernel: &KernelCharacteristics,

@@ -131,12 +131,6 @@ impl GpuPState {
     pub fn step_down(self) -> Option<GpuPState> {
         self.0.checked_sub(1).map(GpuPState)
     }
-
-    /// The next faster P-state, or `None` at the ceiling.
-    fn step_up(self) -> Option<GpuPState> {
-        let next = self.0 + 1;
-        (usize::from(next) < GPU_PSTATES.len()).then_some(GpuPState(next))
-    }
 }
 
 /// Reference frequency used for counter normalization and the leading-loads
@@ -199,15 +193,6 @@ mod tests {
         }
         assert_eq!(p, CpuPState::MIN);
         assert_eq!(hops, CpuPState::COUNT - 1);
-    }
-
-    #[test]
-    fn step_up_reaches_ceiling() {
-        let mut p = GpuPState::MIN;
-        while let Some(next) = p.step_up() {
-            p = next;
-        }
-        assert_eq!(p, GpuPState::MAX);
     }
 
     #[test]

@@ -295,6 +295,8 @@ fn check_seed_determinism(
 /// invariants are family-independent physics — a parametrization that
 /// breaks them (e.g. a power curve that inverts under a wide GPU) is a
 /// bug in the family descriptor, and this is the check that names it.
+/// Only the every-family test runs it.
+#[cfg(test)]
 fn check_family_frontiers(
     family: acs_sim::FamilyId,
     machine_seed: u64,

@@ -74,20 +74,6 @@ impl GridParams {
     }
 }
 
-/// One replayable `(machine, kernel, cap)` case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Scenario {
-    /// Family of the machine this scenario runs on.
-    #[serde(default)]
-    family: FamilyId,
-    /// Seed of the machine this scenario runs on.
-    machine_seed: u64,
-    /// Kernel identifier (`benchmark/input/name`).
-    kernel_id: String,
-    /// The power constraint, W.
-    cap_w: f64,
-}
-
 /// A machine's worth of scenarios plus the data needed to replay them.
 pub struct MachineScenarios {
     /// The simulated node.
@@ -100,8 +86,6 @@ pub struct MachineScenarios {
 
 /// The full grid: per-machine scenario sets.
 pub struct ScenarioGrid {
-    /// Parameters the grid was generated from.
-    params: GridParams,
     /// One entry per machine seed.
     pub machines: Vec<MachineScenarios>,
 }
@@ -152,7 +136,7 @@ impl ScenarioGrid {
                 MachineScenarios { machine, training, evaluated }
             })
             .collect();
-        Self { params, machines }
+        Self { machines }
     }
 
     /// Total `(machine, kernel, cap)` scenario count.
@@ -164,26 +148,8 @@ impl ScenarioGrid {
     }
 
     /// True when the grid holds no scenarios.
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Flat list of scenario descriptors (for reports and goldens).
-    fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::with_capacity(self.len());
-        for m in &self.machines {
-            for (profile, caps) in &m.evaluated {
-                for &cap_w in caps {
-                    out.push(Scenario {
-                        family: m.machine.family,
-                        machine_seed: m.machine.seed,
-                        kernel_id: profile.kernel.id(),
-                        cap_w,
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -223,11 +189,23 @@ mod tests {
 
     #[test]
     fn quick_grid_generates_deterministically() {
+        // Every `(family, seed, kernel, caps)` row of a grid.
+        let rows = |grid: &ScenarioGrid| -> Vec<(FamilyId, u64, String, Vec<f64>)> {
+            let machines = grid.machines.iter();
+            machines
+                .flat_map(|m| {
+                    let at = (m.machine.family, m.machine.seed);
+                    m.evaluated
+                        .iter()
+                        .map(move |(p, caps)| (at.0, at.1, p.kernel.id(), caps.clone()))
+                })
+                .collect()
+        };
         let a = ScenarioGrid::generate(GridParams::quick());
         let b = ScenarioGrid::generate(GridParams::quick());
-        assert_eq!(a.scenarios(), b.scenarios());
+        assert_eq!(rows(&a), rows(&b));
         assert!(!a.is_empty());
-        assert_eq!(a.len(), a.scenarios().len());
+        assert_eq!(a.len(), rows(&a).iter().map(|r| r.3.len()).sum::<usize>());
     }
 
     #[test]
