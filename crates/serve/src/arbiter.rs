@@ -192,6 +192,13 @@ impl Arbiter {
         self.nodes[&node_id].budget_w
     }
 
+    /// [`Self::apply`] for an admission: the node's budget, and the entry
+    /// that records the step.
+    pub(crate) fn admit(&mut self, node_id: u64) -> (f64, JournalEntry) {
+        let budget_w = self.join(node_id);
+        (budget_w, JournalEntry::Admit { node_id, epoch: self.epoch })
+    }
+
     /// Remove a node; its watts flow back to the survivors.
     pub fn leave(&mut self, node_id: u64) {
         if self.nodes.remove(&node_id).is_some() {
@@ -219,10 +226,7 @@ impl Arbiter {
     /// lease, and every session picks a cap move up through the epoch.
     pub fn apply(&mut self, op: ArbiterOp) -> Option<JournalEntry> {
         match op {
-            ArbiterOp::Admit { node_id } => {
-                self.join(node_id);
-                Some(JournalEntry::Admit { node_id, epoch: self.epoch })
-            }
+            ArbiterOp::Admit { node_id } => Some(self.admit(node_id).1),
             ArbiterOp::Leave { node_id } => {
                 self.leave(node_id);
                 Some(JournalEntry::Leave { node_id, epoch: self.epoch })

@@ -51,9 +51,10 @@
 //! about history, and recovery refuses to guess
 //! ([`JournalError::Divergence`], which the coordinator's replay reports
 //! too). Sessions that were admitted but never left are *orphans* (their
-//! TCP connections died with the old process); replay removes them
-//! deterministically in ascending id order and reports them in the
-//! [`Recovery`] summary.
+//! TCP connections died with the old process); replay leaves them seated
+//! and names them in the [`Recovery`] summary, and the restarted server
+//! journals each one's `Leave` in ascending id order, so the next replay
+//! folds their removal like any other step.
 
 use crate::arbiter::{Arbiter, ArbiterOp, ArbiterPolicy};
 use acs_core::crc32;
@@ -194,6 +195,14 @@ pub enum JournalError {
         /// What disagreed.
         detail: String,
     },
+    /// A damaged line that is not the last: a line after it passes its
+    /// CRC, so truncating would throw intact history away.
+    Corrupt {
+        /// The damaged line, counted from 1.
+        line: u64,
+        /// Its byte offset in the file.
+        offset: u64,
+    },
 }
 
 impl std::fmt::Display for JournalError {
@@ -205,6 +214,11 @@ impl std::fmt::Display for JournalError {
                 f,
                 "journal replay diverged at entry {index}: {detail} \
                  (delete the journal to start cold)"
+            ),
+            JournalError::Corrupt { line, offset } => write!(
+                f,
+                "journal line {line} (byte {offset}) is damaged and intact lines follow it; \
+                 the file is left as it was (repair or delete the journal to start cold)"
             ),
         }
     }
@@ -240,15 +254,18 @@ pub struct Journal<E = JournalEntry> {
     _entry: std::marker::PhantomData<fn() -> E>,
 }
 
+/// The body of a journal line whose CRC matches; `None` for bad UTF-8 or
+/// a bad CRC.
+fn crc_body(line: &[u8]) -> Option<&str> {
+    let line = std::str::from_utf8(line).ok()?;
+    let (crc_hex, body) = line.split_once(' ')?;
+    (u32::from_str_radix(crc_hex, 16).ok()? == crc32(body.as_bytes())).then_some(body)
+}
+
 /// Parse one journal line; `None` means the line is damaged (bad UTF-8,
 /// bad CRC, wrong sequence number, or unparseable entry).
 fn parse_line<E: serde::Deserialize>(line: &[u8], expected_seq: u64) -> Option<E> {
-    let line = std::str::from_utf8(line).ok()?;
-    let (crc_hex, body) = line.split_once(' ')?;
-    if u32::from_str_radix(crc_hex, 16).ok()? != crc32(body.as_bytes()) {
-        return None;
-    }
-    let (seq, json) = body.split_once(' ')?;
+    let (seq, json) = crc_body(line)?.split_once(' ')?;
     if seq.parse::<u64>().ok()? != expected_seq {
         return None;
     }
@@ -265,8 +282,10 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
 
     /// Open (or create) the journal at `path`, validating every recorded
     /// line. The valid prefix is returned for [`replay`]; a torn or
-    /// damaged tail is physically truncated so future appends extend a
-    /// clean log. With `sync`, every append batch is `sync_data`ed, so
+    /// damaged final line is physically truncated so future appends extend
+    /// a clean log. A damaged line with a line after it that passes its CRC
+    /// is not a crash's debris: open refuses with
+    /// [`JournalError::Corrupt`] and leaves the file as it found it. With `sync`, every append batch is `sync_data`ed, so
     /// the tail also survives machine power loss at the cost of a disk
     /// round trip per append.
     pub(crate) fn open_with_sync(
@@ -287,7 +306,11 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
                 break; // torn final line: no terminator
             };
             let Some(entry) = parse_line(&rest[..nl], entries.len() as u64) else {
-                break;
+                if rest[nl + 1..].split(|&b| b == b'\n').any(|line| crc_body(line).is_some()) {
+                    let line = entries.len() as u64 + 1;
+                    return Err(JournalError::Corrupt { line, offset: valid_end as u64 });
+                }
+                break; // torn final line
             };
             entries.push(entry);
             valid_end += nl + 1;
@@ -355,7 +378,8 @@ pub struct Recovery {
     /// (deduplicated).
     pub warm_kernels: Vec<String>,
     /// Sessions admitted but never cleanly closed — their connections
-    /// died with the old process; replay removed them in ascending order.
+    /// died with the old process. Replay leaves them seated; the restarted
+    /// server journals their `Leave`s in this (ascending) order.
     pub orphaned_sessions: Vec<u64>,
     /// The node id the next accepted session should get, so restarted
     /// servers never reuse an id the journal already assigned.
@@ -380,7 +404,8 @@ pub struct Recovery {
 
 /// Fold a validated entry stream into a fresh arbiter through
 /// [`Arbiter::apply`], the step the server took live: every arbiter entry
-/// must recompute to itself, post-op epoch included.
+/// must recompute to itself, post-op epoch included. The arbiter comes
+/// back as the journal left it, orphans still seated.
 pub fn replay(
     entries: &[JournalEntry],
     global_cap_w: f64,
@@ -454,9 +479,6 @@ pub fn replay(
         }
     }
     let orphaned_sessions = arbiter.node_ids();
-    for &id in &orphaned_sessions {
-        arbiter.leave(id);
-    }
     let adapt =
         adapt.into_iter().map(|(node_id, predictor)| SessionAdapt { node_id, predictor }).collect();
     Ok((
@@ -549,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_line_truncates_from_there() {
+    fn a_damaged_final_line_is_a_torn_tail() {
         let dir = scratch("corrupt");
         let path = dir.join("serve.journal");
         let (journal, _) = Journal::open(&path).unwrap();
@@ -557,24 +579,41 @@ mod tests {
         journal_some_history(&journal, &mut arbiter);
         drop(journal);
 
-        // Flip one payload byte in the third line: its CRC now fails, and
-        // everything from that line on is discarded.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let mut bad = lines[2].to_string();
-        let flip = bad.len() - 2;
-        bad.replace_range(flip..flip + 1, "~");
-        let mut rewritten = lines[..2].join("\n");
-        rewritten.push('\n');
-        rewritten.push_str(&bad);
-        rewritten.push('\n');
-        rewritten.push_str(&lines[3..].join("\n"));
-        rewritten.push('\n');
-        std::fs::write(&path, rewritten).unwrap();
+        // Flip one payload byte in the last line: its CRC now fails, and
+        // with nothing intact after it, it is cut as crash debris.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let flip = bytes.len() - 3;
+        bytes[flip] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
 
         let (reopened, entries) = Journal::<JournalEntry>::open(&path).unwrap();
-        assert_eq!(entries.len(), 2, "valid prefix before the flipped byte");
+        assert_eq!(entries.len(), 6, "valid prefix before the flipped byte");
         assert!(reopened.truncated_tail_bytes() > 0);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_line_with_intact_lines_after_it_is_refused_and_left_alone() {
+        let dir = scratch("midlog");
+        let path = dir.join("serve.journal");
+        let (journal, _) = Journal::open(&path).unwrap();
+        let mut arbiter = Arbiter::new(100.0, ArbiterPolicy::EqualShare);
+        journal_some_history(&journal, &mut arbiter);
+        drop(journal);
+
+        // One flipped bit in line 2 of 7, inside its JSON: five intact
+        // lines follow it, so this is damage, not a torn tail.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let line2 = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[line2 + 12] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        match Journal::<JournalEntry>::open(&path) {
+            Err(JournalError::Corrupt { line: 2, offset }) => assert_eq!(offset, line2 as u64),
+            Err(other) => panic!("expected Corrupt at line 2, got {other}"),
+            Ok((_, entries)) => panic!("open accepted a damaged log: {entries:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the file is left as it was");
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -600,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_rebuilds_the_arbiter_and_cleans_orphans() {
+    fn replay_rebuilds_the_arbiter_and_names_its_orphans() {
         let dir = scratch("replay");
         let path = dir.join("serve.journal");
         let (journal, _) = Journal::open(&path).unwrap();
@@ -612,9 +651,10 @@ mod tests {
         let (rebuilt, recovery) =
             replay(&entries, 100.0, ArbiterPolicy::DemandProportional).unwrap();
         assert_eq!(recovery.replayed, 7);
-        // Node 2 never left: it is an orphan, removed by replay.
+        // Node 2 never left: it is an orphan, still seated for the
+        // restarted server to journal its leave.
         assert_eq!(recovery.orphaned_sessions, vec![2]);
-        assert_eq!(rebuilt.node_count(), 0);
+        assert_eq!(rebuilt.node_ids(), vec![2]);
         assert_eq!(recovery.next_node, 3, "ids 1 and 2 are burned");
         // Cache keys dedup in first-miss order.
         assert_eq!(recovery.warm_kernels, vec!["LU/Small/lud", "SMC/Large/acc"]);
@@ -681,9 +721,10 @@ mod tests {
     fn a_no_op_cap_between_admissions_replays() {
         // A coordinator-bound shard journals a `Cap` at every bind, even
         // when its replayed cap is already the floor: the first bind moved
-        // the cap to 5 W, node 1 joined, the shard restarted (node 1's
-        // orphan removal emptied the arbiter, which moves no epoch) and
-        // re-journaled the same cap before node 2 joined.
+        // the cap to 5 W, node 1 joined, the shard restarted and
+        // re-journaled the same cap before node 2 joined. A journal written
+        // before restarts journaled their orphans' leaves has no `Leave`
+        // for node 1, and still replays.
         let entries = vec![
             JournalEntry::Cap { cap_w: 5.0, epoch: 0 },
             JournalEntry::Admit { node_id: 1, epoch: 1 },
@@ -701,7 +742,7 @@ mod tests {
             brownout_transitions: 0,
         };
         assert_eq!(recovery, expected);
-        assert_eq!((rebuilt.epoch(), rebuilt.global_cap_w()), (3, 5.0));
+        assert_eq!((rebuilt.epoch(), rebuilt.global_cap_w()), (2, 5.0));
     }
 
     #[test]
@@ -834,13 +875,9 @@ mod tests {
         drop(journal);
 
         let (_, entries) = Journal::<JournalEntry>::open(&path).unwrap();
-        // Fold the step over the journal, keeping the orphans around for
-        // the comparison that `replay` would remove.
-        let mut rebuilt = Arbiter::new(77.0, ArbiterPolicy::DemandProportional);
-        for entry in &entries {
-            assert_eq!(entry.arbiter_op().and_then(|op| rebuilt.apply(op)).as_ref(), Some(entry));
-        }
+        let (rebuilt, _) = replay(&entries, 77.0, ArbiterPolicy::DemandProportional).unwrap();
         assert_eq!(rebuilt.epoch(), live.epoch());
+        assert_eq!(rebuilt.node_ids(), live.node_ids());
         for id in live.node_ids() {
             assert_eq!(
                 rebuilt.budget_of(id).unwrap().to_bits(),

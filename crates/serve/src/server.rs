@@ -217,8 +217,8 @@ impl Shared {
     /// and a coordinator-bound shard clamped to its pre-lease reserve.
     pub(crate) fn new(config: ServeConfig, model: Arc<TrainedModel>) -> Result<Self, ServeError> {
         // Crash recovery: open the journal, replay its valid prefix into a
-        // fresh arbiter (orphaned sessions removed, next node id resumed),
-        // and re-warm the profile cache with the journaled miss keys. The
+        // fresh arbiter (next node id resumed, orphans still seated until
+        // their leaves are journaled below), and re-warm the profile cache with the journaled miss keys. The
         // miss hook is installed only *after* warm-up, so replayed keys are
         // not journaled a second time.
         let (journal, recovery, arbiter, next_node) = match &config.journal {
@@ -272,6 +272,13 @@ impl Shared {
             model,
             config,
         };
+        // The orphans' connections died with the old process: their leaves
+        // go through the journal, so the next replay removes them too.
+        if let Some(recovery) = &shared.recovery {
+            for &node_id in &recovery.orphaned_sessions {
+                shared.arbitrate(ArbiterOp::Leave { node_id });
+            }
+        }
         // A fleet shard must not exceed its pre-lease reserve until its
         // first grant lands, whatever cap the journal replayed: the
         // deployment covers that reserve, and nothing above it.
@@ -292,6 +299,15 @@ impl Shared {
             journal_append(self, &entry);
         }
         (op.node_id().and_then(|id| arbiter.budget_of(id)), arbiter.epoch())
+    }
+
+    /// [`Self::arbitrate`] for an admission, which always seats its node:
+    /// the budget the node joined with and the epoch it belongs to.
+    fn admit(&self, node_id: u64) -> (f64, u64) {
+        let mut arbiter = self.arbiter.lock();
+        let (budget_w, entry) = arbiter.admit(node_id);
+        journal_append(self, &entry);
+        (budget_w, arbiter.epoch())
     }
 }
 
@@ -504,10 +520,9 @@ pub fn should_shed(brownout_level: u8, deadline_ms: u64, priority: u8, est_p99_u
 /// the renew-latency timer and the sleep. The round's time is the
 /// thread's own millisecond clock, read as the request goes out.
 fn run_lease_client(shared: Arc<Shared>) {
-    let Some(lease_mutex) = &shared.lease else {
+    let (Some(lease_mutex), Some(fleet)) = (&shared.lease, &shared.config.fleet) else {
         return;
     };
-    let fleet = shared.config.fleet.as_ref().expect("`Shared::new` leases only for a fleet");
     let (target, renew_every) = (&fleet.coordinator, Duration::from_millis(fleet.renew_ms));
     let origin = Instant::now();
     let mut client: Option<CoordClient> = None;
@@ -630,12 +645,12 @@ impl<'a> Session<'a> {
     /// at the budget it was admitted with. The caller (the accept loop)
     /// has already counted the session in `active`.
     fn join(shared: &'a Shared, node_id: u64) -> Self {
-        let (budget_w, seen_epoch) = shared.arbitrate(ArbiterOp::Admit { node_id });
+        let (budget_w, seen_epoch) = shared.admit(node_id);
         let seat = Seat { shared, node_id };
         let rt = CappedRuntime::guarded(
             Machine::from_family(shared.config.family, shared.config.seed),
             Arc::clone(&shared.model),
-            budget_w.expect("an admitted node holds a budget"),
+            budget_w,
             GuardPolicy::default(),
         );
         // Nothing on the wire reads a session's timeline: one that is not
@@ -1330,6 +1345,40 @@ pub(crate) mod tests {
             })
             .collect();
         assert_eq!(cached, [known[0].as_str()]);
+        let _ = std::fs::remove_file(&journal_path);
+    }
+
+    #[test]
+    fn a_restart_journals_its_orphans_leaves_so_the_next_restart_replays() {
+        // Admit 1 and 2, crash; restart, admit 3, crash; restart. While
+        // replay dropped orphans without journaling it, the second restart
+        // recomputed node 3's admission an epoch early and refused to start.
+        let journal_path =
+            std::env::temp_dir().join(format!("acs-serve-orphans-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let config = ServeConfig { journal: Some(journal_path.clone()), ..ServeConfig::default() };
+        let start = || Server::bind(config.clone(), model());
+        let orphans = |server: &Server| server.shared.recovery.clone().unwrap().orphaned_sessions;
+        for (admitted, orphaned) in [([1, 2].as_slice(), vec![]), (&[3], vec![1, 2])] {
+            let server = start().unwrap();
+            assert_eq!(orphans(&server), orphaned);
+            let sessions: Vec<_> = admitted.iter().map(|&id| join(&server.shared, id)).collect();
+            server.shared.crashed.store(true, Ordering::SeqCst);
+            drop(sessions);
+        }
+        let server = start().expect("the second restart replays its journal");
+        assert_eq!(orphans(&server), vec![3]);
+        assert_eq!(server.shared.arbiter.lock().node_count(), 0);
+        drop(server);
+        let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+        let leaves: Vec<u64> = entries
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::Leave { node_id, .. } => Some(*node_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves, [1, 2, 3], "each restart journals its orphans' leaves");
         let _ = std::fs::remove_file(&journal_path);
     }
 

@@ -262,6 +262,36 @@ fn restart_never_reuses_node_ids_and_conserves_budgets() {
     server.stop();
 }
 
+/// Every restart journals its orphans' `Leave`s, so a shard that crashes
+/// again and again with several sessions open starts every time.
+#[test]
+fn three_restarts_with_two_orphans_each_all_replay() {
+    let dir = scratch("orphans");
+    let journal_path = dir.join("serve.journal");
+    let mut next = 1;
+    for start in 0..4 {
+        let server = Server::spawn(config(Some(journal_path.clone())), model())
+            .unwrap_or_else(|e| panic!("start {start} refused its journal: {e}"));
+        let recovery = server.handle.recovery().unwrap();
+        let orphaned: Vec<u64> = if start == 0 { vec![] } else { vec![next - 2, next - 1] };
+        assert_eq!(recovery.orphaned_sessions, orphaned, "start {start}");
+        assert_eq!(recovery.next_node, next, "start {start}");
+        // Two sessions, admitted in order, and both die with the crash.
+        let mut clients: Vec<Client> =
+            (0..2).map(|_| Client::connect(&server.addr).unwrap()).collect();
+        for client in &mut clients {
+            match client.call(&Request::Hello).unwrap() {
+                Response::Welcome { node_id, .. } => assert_eq!(node_id, next, "start {start}"),
+                other => panic!("expected Welcome, got {other:?}"),
+            }
+            next += 1;
+        }
+        assert_eq!(server.handle.budget_conservation_error_w(), 0.0);
+        server.handle.simulate_crash();
+        server.join();
+    }
+}
+
 #[test]
 fn divergent_journal_is_a_typed_bind_error() {
     let dir = scratch("divergent");
