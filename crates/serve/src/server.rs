@@ -1373,8 +1373,8 @@ pub(crate) mod tests {
         let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
         let leaves: Vec<u64> = entries
             .iter()
-            .filter_map(|e| match e {
-                JournalEntry::Leave { node_id, .. } => Some(*node_id),
+            .filter_map(|e| match e.arbiter_op() {
+                Some(ArbiterOp::Leave { node_id }) => Some(node_id),
                 _ => None,
             })
             .collect();
