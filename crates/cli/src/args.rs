@@ -1,6 +1,7 @@
 //! Minimal `--key value` argument parsing (no external dependency).
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,25 +93,20 @@ impl Args {
         self.get(key).ok_or(ArgError::Missing(key))
     }
 
+    /// A typed option, if given.
+    pub(crate) fn get_parsed<T: FromStr>(&self, key: &'static str) -> Result<Option<T>, ArgError> {
+        let invalid = |v: &str| ArgError::Invalid { key, value: v.to_string() };
+        self.get(key).map(|v| v.parse().map_err(|_| invalid(v))).transpose()
+    }
+
     /// A typed option with a default.
-    pub(crate) fn get_or<T: std::str::FromStr>(
-        &self,
-        key: &'static str,
-        default: T,
-    ) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::Invalid { key, value: v.to_string() }),
-        }
+    pub(crate) fn get_or<T: FromStr>(&self, key: &'static str, default: T) -> Result<T, ArgError> {
+        Ok(self.get_parsed(key)?.unwrap_or(default))
     }
 
     /// A required typed option.
-    pub(crate) fn require_parsed<T: std::str::FromStr>(
-        &self,
-        key: &'static str,
-    ) -> Result<T, ArgError> {
-        let v = self.require(key)?;
-        v.parse().map_err(|_| ArgError::Invalid { key, value: v.to_string() })
+    pub(crate) fn require_parsed<T: FromStr>(&self, key: &'static str) -> Result<T, ArgError> {
+        self.get_parsed(key)?.ok_or(ArgError::Missing(key))
     }
 }
 

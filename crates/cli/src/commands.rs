@@ -7,7 +7,7 @@ use acs_core::{
     sample_config, train, train_on_suite, CappedRuntime, KernelProfile, Predictor, SamplePair,
     TrainedModel, TrainingParams,
 };
-use acs_sim::{Device, Machine};
+use acs_sim::{Cap, Device, Machine};
 use std::io::Write;
 
 /// Errors surfaced to the CLI user.
@@ -109,15 +109,15 @@ COMMANDS:
   serve [--model FILE] [--host H]         long-running selection server: loads
         [--port P] [--global-cap W]       the model once (or trains in-process
         [--policy equal|demand]           when --model is omitted), splits the
-        [--max-sessions N]                global cap across connected sessions
-        [--max-batch N] [--seed N]        via the arbiter, prints the bound
-        [--family F]                      address (--port 0 = ephemeral), and
-        [--journal FILE]                  serves until SIGINT or a Shutdown
-        [--journal-sync true]             poison request; --journal makes
-        [--coordinator HOST:PORT]         admissions/budgets/cache keys durable
-        [--shard-id N] [--renew-ms MS]    so a restart resumes where a crash
-        [--lease-floor W]                 stopped (DESIGN.md §12);
-        [--brownout-us US]                --journal-sync upgrades appends to
+        [--max-sessions N] [--seed N]     global cap across connected sessions
+        [--family F]                      via the arbiter, prints the bound
+        [--journal FILE]                  address (--port 0 = ephemeral), and
+        [--journal-sync true]             serves until SIGINT or a Shutdown
+        [--coordinator HOST:PORT]         poison request; --journal makes
+        [--shard-id N] [--renew-ms MS]    admissions/budgets/cache keys durable
+        [--lease-floor W]                 so a restart resumes where a crash
+        [--brownout-us US]                stopped (DESIGN.md §12);
+                                          --journal-sync upgrades appends to
                                           fdatasync; --coordinator turns the
                                           server into fleet shard --shard-id
                                           (required; restarted under it, the
@@ -268,24 +268,11 @@ fn cmd_tree(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--cap`, a positive wattage, for `predict`, `runtime` and `chaos`.
-/// `default` is what an omitted flag means; `None` makes it required.
-fn cap_arg(args: &Args, default: Option<f64>) -> Result<f64, CliError> {
-    let cap: f64 = match default {
-        Some(default) => args.get_or("cap", default)?,
-        None => args.require_parsed("cap")?,
-    };
-    if cap.is_nan() || cap <= 0.0 {
-        return Err(CliError::Domain(format!("--cap must be a positive wattage, got {cap}")));
-    }
-    Ok(cap)
-}
-
 fn cmd_predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load(args.require("model")?)?;
     let kernel_id = args.require("kernel")?;
     let seed: u64 = args.get_or("seed", 2014)?;
-    let cap = cap_arg(args, Some(f64::INFINITY))?;
+    let cap: Option<Cap> = args.get_parsed("cap")?;
 
     let kernel = acs_kernels::all_kernel_instances()
         .into_iter()
@@ -305,10 +292,10 @@ fn cmd_predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "kernel:   {kernel_id}")?;
     writeln!(out, "cluster:  {}", predicted.cluster)?;
     writeln!(out, "frontier: {} configurations", predicted.frontier.len())?;
-    let config = predicted.select(cap);
+    let config = predicted.select(cap.map_or(f64::INFINITY, Cap::get));
     let point = predicted.point_for(&config);
-    if cap.is_finite() {
-        writeln!(out, "cap:      {cap:.1} W")?;
+    if let Some(cap) = cap {
+        writeln!(out, "cap:      {:.1} W", cap.get())?;
     }
     writeln!(
         out,
@@ -333,7 +320,7 @@ fn cmd_evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_runtime(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
-    let cap = cap_arg(args, None)?;
+    let cap = args.require_parsed::<Cap>("cap")?.get();
     let iters: u64 = args.get_or("iters", 3)?;
     let seed: u64 = args.get_or("seed", 2014)?;
 
@@ -375,7 +362,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let model = TrainedModel::load(args.require("model")?)?;
     let label = args.require("app")?;
-    let cap = cap_arg(args, None)?;
+    let cap = args.require_parsed::<Cap>("cap")?.get();
     let iters: u64 = args.get_or("iters", 10)?;
     let seed: u64 = args.get_or("seed", 2014)?;
 
@@ -582,7 +569,7 @@ fn serve_model(args: &Args, family: acs_sim::FamilyId) -> Result<TrainedModel, C
 }
 
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use acs_serve::{FleetConfig, ServeConfig, Server};
+    use acs_serve::{CoordinatorConfig, FleetConfig, ServeConfig, Server};
 
     let family = family_arg(args)?;
     let fleet = match args.get("coordinator") {
@@ -594,7 +581,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Some(coordinator) => Some(FleetConfig {
             coordinator: coordinator.to_string(),
             shard_id: args.require_parsed("shard-id")?,
-            lease_floor_w: args.get_or("lease-floor", 5.0)?,
+            lease_floor_w: args.get_or("lease-floor", CoordinatorConfig::default().floor_w)?,
             renew_ms: args.get_or("renew-ms", 200)?,
         }),
         None => match ["shard-id", "lease-floor", "renew-ms"]
@@ -610,10 +597,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         port: args.get_or("port", 4014)?,
         seed: args.get_or("seed", 2014)?,
         family,
-        global_cap_w: args.get_or("global-cap", 120.0)?,
+        global_cap_w: args.get_parsed("global-cap")?.map_or(120.0, Cap::get),
         policy: args.get("policy").unwrap_or("equal").parse().map_err(CliError::Domain)?,
         max_sessions: args.get_or("max-sessions", 8)?,
-        max_batch: args.get_or("max-batch", 256)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
         fleet,
@@ -641,13 +627,14 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_coordinator(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use acs_serve::{Coordinator, CoordinatorConfig};
 
+    let defaults = CoordinatorConfig::default();
     let config = CoordinatorConfig {
         host: args.get("host").unwrap_or("127.0.0.1").to_string(),
         port: args.get_or("port", 4015)?,
-        global_cap_w: args.get_or("cap", 120.0)?,
+        global_cap_w: args.get_or("cap", defaults.global_cap_w)?,
         policy: args.get("policy").unwrap_or("demand").parse().map_err(CliError::Domain)?,
         ttl_ms: args.get_or("ttl-ms", 1_000)?,
-        floor_w: args.get_or("floor", 5.0)?,
+        floor_w: args.get_or("floor", defaults.floor_w)?,
         evict_after_ms: args.get_or("evict-after-ms", 0)?,
         journal: args.get("journal").map(std::path::PathBuf::from),
         journal_sync: args.get_or("journal-sync", false)?,
@@ -855,19 +842,21 @@ mod tests {
             Err(CliError::Domain(msg)) => assert!(msg.contains("probability")),
             other => panic!("expected domain error, got {other:?}"),
         }
-        // A non-positive cap fails cleanly instead of tripping the
-        // runtime's assert.
+        // A cap that is not finite and positive is refused as the flag is
+        // parsed, instead of tripping the runtime's assert.
         let predict = format!("predict --model {model} --kernel LULESH/Small/CalcFBHourglassForce");
         for cmd in [
             format!("chaos --model {model} --app CoMD --cap -5"),
+            format!("chaos --model {model} --app CoMD --cap inf"),
             format!("runtime --model {model} --app CoMD --cap 0"),
+            format!("runtime --model {model} --app CoMD --cap inf"),
             format!("{predict} --cap nan"),
             format!("{predict} --cap -5"),
             format!("{predict} --cap 0"),
         ] {
             match run_str(&cmd) {
-                Err(CliError::Domain(msg)) => assert!(msg.contains("positive wattage")),
-                other => panic!("expected domain error for '{cmd}', got {other:?}"),
+                Err(CliError::Args(ArgError::Invalid { key: "cap", .. })) => {}
+                other => panic!("expected an invalid --cap for '{cmd}', got {other:?}"),
             }
         }
     }
@@ -969,21 +958,30 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_cap_and_policy() {
-        match run_str("serve --global-cap -5") {
-            Err(CliError::Domain(msg)) => assert!(msg.contains("positive wattage"), "{msg}"),
-            other => panic!("expected domain error, got {other:?}"),
-        }
         match run_str("serve --policy fair") {
             Err(CliError::Domain(msg)) => assert!(msg.contains("unknown arbiter policy"), "{msg}"),
             other => panic!("expected domain error, got {other:?}"),
         }
+        // A wattage that is not finite and positive is refused as its flag
+        // is parsed.
+        for (command, flag) in [
+            ("serve --global-cap -5", "global-cap"),
+            ("serve --global-cap inf --port 0", "global-cap"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor 0 --port 0", "lease-floor"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor NaN --port 0", "lease-floor"),
+            ("serve --coordinator c:1 --shard-id 1 --lease-floor inf --port 0", "lease-floor"),
+            ("coordinator --cap NaN --port 0", "cap"),
+            ("coordinator --cap inf --port 0", "cap"),
+            ("coordinator --floor 0 --port 0", "floor"),
+        ] {
+            match run_str(command) {
+                Err(CliError::Args(ArgError::Invalid { key, .. })) => assert_eq!(key, flag),
+                other => panic!("{command}: expected an invalid --{flag}, got {other:?}"),
+            }
+        }
         // Values only `bind` can judge come back as its typed error, not
         // as the lease table's assertion.
         for (command, flag) in [
-            ("serve --coordinator c:1 --shard-id 1 --lease-floor 0 --port 0", "--lease-floor"),
-            ("serve --coordinator c:1 --shard-id 1 --lease-floor NaN --port 0", "--lease-floor"),
-            ("serve --coordinator c:1 --shard-id 1 --lease-floor inf --port 0", "--lease-floor"),
-            ("serve --global-cap inf --port 0", "--global-cap"),
             ("serve --coordinator c:1 --shard-id 1 --renew-ms 5 --port 0", "--renew-ms"),
             ("serve --coordinator c:1 --port 0", "--shard-id"),
             ("serve --shard-id 1 --port 0", "--shard-id"),
@@ -991,8 +989,6 @@ mod tests {
             ("serve --renew-ms 50 --port 0", "--renew-ms"),
             ("coordinator --ttl-ms 0 --port 0", "--ttl-ms"),
             ("coordinator --floor 200 --port 0", "--floor"),
-            ("coordinator --cap NaN --port 0", "--cap"),
-            ("coordinator --cap inf --port 0", "--cap"),
         ] {
             match run_str(command) {
                 Err(CliError::Domain(msg)) => assert!(msg.contains(flag), "{command}: {msg}"),

@@ -14,7 +14,7 @@ use acs_serve::{
     ArbiterPolicy, Client, CoordClient, CoordRequest, CoordResponse, Request, Response,
     ServeConfig, Server,
 };
-use acs_sim::Machine;
+use acs_sim::{Machine, Watts};
 use std::io::{BufRead, BufReader};
 use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
@@ -161,7 +161,7 @@ fn a_sigkilled_coordinator_readopts_its_lease_from_the_journal() {
     let journal = dir.join("coordinator.journal");
     let coordinator =
         ["coordinator", "--journal", journal.to_str().unwrap(), "--port", "0", "--ttl-ms", "50000"];
-    let lease = CoordRequest::Lease { shard_id: 7, demand_w: 10.0 };
+    let lease = CoordRequest::Lease { shard_id: 7, demand_w: Watts::new(10.0).unwrap() };
     let lease_id = |client: &mut CoordClient| match client.call(&lease).unwrap() {
         CoordResponse::Granted { lease_id, .. } => lease_id,
         other => panic!("expected a grant to shard 7, got {other:?}"),

@@ -25,6 +25,7 @@
 //! [`CappedRuntime::set_cap`]: acs_core::CappedRuntime::set_cap
 
 use crate::journal::JournalEntry;
+use acs_sim::Cap;
 use std::collections::BTreeMap;
 
 /// Watt comparison tolerance, shared by the arbiter and the lease table:
@@ -120,10 +121,9 @@ pub enum ArbiterOp {
     Leave { node_id: u64 },
     /// A session reports its residual headroom, W ([`Arbiter::report`]).
     Report { node_id: u64, residual_w: f64 },
-    /// The shard's lease budget becomes the global cap, W. A lease can
-    /// shrink, never vanish: a non-positive or non-finite cap is ignored,
-    /// and an unchanged one moves no epoch.
-    Cap { cap_w: f64 },
+    /// The shard's lease budget becomes the global cap, W. An unchanged
+    /// cap moves no epoch.
+    Cap { cap_w: Cap },
 }
 
 impl ArbiterOp {
@@ -236,11 +236,11 @@ impl Arbiter {
                 Some(JournalEntry::Report { node_id, residual_w, epoch: self.epoch })
             }
             ArbiterOp::Cap { cap_w } => {
-                if cap_w.is_finite() && cap_w > 0.0 && cap_w != self.global_cap_w {
-                    self.global_cap_w = cap_w;
+                if cap_w.get() != self.global_cap_w {
+                    self.global_cap_w = cap_w.get();
                     self.rebalance();
                 }
-                Some(JournalEntry::Cap { cap_w: self.global_cap_w, epoch: self.epoch })
+                Some(JournalEntry::Cap { cap_w, epoch: self.epoch })
             }
         }
     }
@@ -491,19 +491,16 @@ mod tests {
             a.join(id);
         }
         let e = a.epoch();
-        let entry = a.apply(ArbiterOp::Cap { cap_w: 61.3 });
+        let cap_w = Cap::new(61.3).unwrap();
+        let entry = a.apply(ArbiterOp::Cap { cap_w });
         assert!(a.epoch() > e, "a real cap change is a reshuffle");
-        assert_eq!(entry, Some(JournalEntry::Cap { cap_w: 61.3, epoch: a.epoch() }));
+        assert_eq!(entry, Some(JournalEntry::Cap { cap_w, epoch: a.epoch() }));
         assert_eq!(a.global_cap_w(), 61.3);
         assert_eq!(a.budget_sum_w(), 61.3);
         assert_eq!(a.conservation_error_w(), 0.0);
-        // Unchanged, non-positive, and non-finite caps are all ignored.
+        // An unchanged cap is no reshuffle.
         let e = a.epoch();
-        for cap_w in [61.3, 0.0, -4.0, f64::NAN] {
-            let entry = a.apply(ArbiterOp::Cap { cap_w });
-            assert_eq!(entry, Some(JournalEntry::Cap { cap_w: 61.3, epoch: e }), "{cap_w}");
-        }
-        assert_eq!(a.global_cap_w(), 61.3);
+        assert_eq!(a.apply(ArbiterOp::Cap { cap_w }), Some(JournalEntry::Cap { cap_w, epoch: e }));
     }
 
     #[test]

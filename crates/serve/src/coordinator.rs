@@ -42,6 +42,7 @@ use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::ProtocolError;
 use crate::server::ServeError;
 use crate::ArbiterPolicy;
+use acs_sim::Cap;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,7 +61,7 @@ pub struct CoordinatorConfig {
     /// Port to bind; `0` asks the OS for an ephemeral port.
     pub port: u16,
     /// The fleet-wide power cap, W.
-    pub global_cap_w: f64,
+    pub global_cap_w: Cap,
     /// How lease targets split the pool (equal, or demand-proportional).
     pub policy: ArbiterPolicy,
     /// Lease TTL, ms: a lease expires this long after its last grant or
@@ -68,8 +69,8 @@ pub struct CoordinatorConfig {
     /// answered round.
     pub ttl_ms: u64,
     /// Degraded-mode floor, W: what an expired lease stays encumbered at,
-    /// and what its silent shard clamps itself to.
-    pub floor_w: f64,
+    /// and what its silent shard clamps itself to. Below the cap.
+    pub floor_w: Cap,
     /// Health-check eviction horizon, ms: an expired lease whose shard
     /// stays silent this long past its expiry is evicted — its encumbered
     /// reserve returns to the pool and the shard must re-admit as a fresh
@@ -92,10 +93,10 @@ impl Default for CoordinatorConfig {
         Self {
             host: "127.0.0.1".into(),
             port: 0,
-            global_cap_w: 120.0,
+            global_cap_w: Cap::new(120.0).expect("120 W is a cap"),
             policy: ArbiterPolicy::DemandProportional,
             ttl_ms: 1_000,
-            floor_w: 5.0,
+            floor_w: Cap::new(5.0).expect("5 W is a cap"),
             evict_after_ms: 0,
             journal: None,
             journal_sync: false,
@@ -111,30 +112,6 @@ pub(crate) struct CoordShared {
     shutdown: AtomicBool,
     started: Instant,
     base_ms: u64,
-}
-
-/// The values only a coordinator can judge, checked before anything binds
-/// or opens a file.
-fn check_config(config: &CoordinatorConfig) -> Result<(), ServeError> {
-    // `LeaseTable::new` asserts these; an operator's typo must not get
-    // that far. A finite cap also bounds the floor below it.
-    let (cap_w, floor_w) = (config.global_cap_w, config.floor_w);
-    if !(cap_w.is_finite() && cap_w > 0.0) {
-        return Err(ServeError::Config(format!(
-            "--cap must be a finite, positive wattage, got {cap_w}"
-        )));
-    }
-    if !(floor_w > 0.0 && floor_w < cap_w) {
-        return Err(ServeError::Config(format!(
-            "--floor must be positive and below --cap, got {floor_w} W against {cap_w} W"
-        )));
-    }
-    if config.ttl_ms == 0 {
-        return Err(ServeError::Config(
-            "--ttl-ms must be at least 1: a lease must live one millisecond".into(),
-        ));
-    }
-    Ok(())
 }
 
 impl CoordShared {
@@ -160,11 +137,24 @@ impl CoordShared {
         }
     }
 
-    /// Everything a coordinator is but its listener, from a checked
-    /// configuration: the lease journal, if one is configured, replayed.
-    /// Divergent journals are a typed error, never a guess at who holds
-    /// which watts.
+    /// Everything a coordinator is but its listener, from a configuration
+    /// it checks before it opens a file: the lease journal, if one is
+    /// configured, replayed. Divergent journals are a typed error, never a
+    /// guess at who holds which watts.
     pub(crate) fn new(config: &CoordinatorConfig) -> Result<Self, ServeError> {
+        // `LeaseTable::new` asserts these; an operator's typo must not get
+        // that far.
+        let (cap_w, floor_w) = (config.global_cap_w.get(), config.floor_w.get());
+        if floor_w >= cap_w {
+            return Err(ServeError::Config(format!(
+                "--floor must be below --cap, got {floor_w} W against {cap_w} W"
+            )));
+        }
+        if config.ttl_ms == 0 {
+            return Err(ServeError::Config(
+                "--ttl-ms must be at least 1: a lease must live one millisecond".into(),
+            ));
+        }
         let (journal, entries) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
@@ -231,7 +221,6 @@ impl Coordinator {
     /// Bind the configured address, replaying the lease journal if one is
     /// configured ([`ServeError::Journal`] on a divergent one).
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        check_config(&config)?;
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
         Ok(Self { listener, shared: Arc::new(CoordShared::new(&config)?) })
     }
@@ -314,7 +303,12 @@ pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acs_sim::Watts;
     use std::path::PathBuf;
+
+    fn watts(w: f64) -> Watts {
+        Watts::new(w).unwrap()
+    }
 
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("acs-coord-{test}-{}", std::process::id()));
@@ -325,8 +319,8 @@ mod tests {
 
     fn config(journal: Option<PathBuf>) -> CoordinatorConfig {
         CoordinatorConfig {
-            global_cap_w: 100.0,
-            floor_w: 5.0,
+            global_cap_w: Cap::new(100.0).unwrap(),
+            floor_w: Cap::new(5.0).unwrap(),
             ttl_ms: 10,
             journal,
             ..Default::default()
@@ -337,17 +331,17 @@ mod tests {
     fn grant_renew_release() {
         let coord = CoordShared::new(&config(None)).unwrap();
         let (lease_id, epoch) =
-            match step(&coord, 0, CoordRequest::Lease { shard_id: 1, demand_w: 10.0 }).0 {
+            match step(&coord, 0, CoordRequest::Lease { shard_id: 1, demand_w: watts(10.0) }).0 {
                 CoordResponse::Granted { lease_id, epoch, budget_w, ttl_ms, floor_w, .. } => {
-                    assert_eq!(budget_w, 100.0, "sole shard owns the pool");
-                    assert_eq!((ttl_ms, floor_w), (10, 5.0));
+                    assert_eq!(budget_w.get(), 100.0, "sole shard owns the pool");
+                    assert_eq!((ttl_ms, floor_w.get()), (10, 5.0));
                     (lease_id, epoch)
                 }
                 other => panic!("expected Granted, got {other:?}"),
             };
-        let renew = |demand_w| CoordRequest::Renew { lease_id, epoch, demand_w };
+        let renew = |demand_w| CoordRequest::Renew { lease_id, epoch, demand_w: watts(demand_w) };
         match step(&coord, 1, renew(12.0)).0 {
-            CoordResponse::Renewed { budget_w, .. } => assert_eq!(budget_w, 100.0),
+            CoordResponse::Renewed { budget_w, .. } => assert_eq!(budget_w.get(), 100.0),
             other => panic!("expected Renewed, got {other:?}"),
         }
         let s = stats(&coord, 1);
@@ -377,10 +371,27 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_demand_is_a_decode_error_that_changes_nothing() {
+        let dir = scratch("demand");
+        let coord = CoordShared::new(&config(Some(dir.join("coord.journal")))).unwrap();
+        let text = r#"{"Lease":{"shard_id":1,"demand_w":-1}}"#;
+        let mut frame = (text.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(text.as_bytes());
+        let before = stats(&coord, 0);
+        let decoded = crate::protocol::read_frame_blocking(&mut &frame[..]).transpose();
+        match Conn(&coord).handle(decoded.expect("one frame")) {
+            (CoordResponse::Error { code, .. }, true) => assert_eq!(code, "malformed"),
+            other => panic!("expected the typed decode error, got {other:?}"),
+        }
+        assert_eq!(stats(&coord, 0), before, "the table or its journal moved");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn restart_replays_the_lease_table_and_readopts() {
         let dir = scratch("restart");
         let journal_path = dir.join("coord.journal");
-        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 10.0 };
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: watts(10.0) };
 
         // Abrupt death: no Release, no drain; the state is just dropped.
         let (lease_id, epoch) = {
@@ -396,7 +407,7 @@ mod tests {
 
         // The shard's fence survived the restart: its next renewal just
         // works — no re-lease, no double grant.
-        match step(&coord, 1, CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 }).0 {
+        match step(&coord, 1, CoordRequest::Renew { lease_id, epoch, demand_w: watts(10.0) }).0 {
             CoordResponse::Renewed { lease_id: id, .. } => assert_eq!(id, lease_id),
             other => panic!("expected Renewed, got {other:?}"),
         }
@@ -415,7 +426,7 @@ mod tests {
         let coord =
             CoordShared::new(&CoordinatorConfig { ttl_ms: 5, evict_after_ms: 5, ..config(None) })
                 .unwrap();
-        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: Watts::default() };
         let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
         // Expiry at 5 ms, eviction 5 ms later: any mutation at 10 ms
         // advances the clock past both, and the silent shard is evicted,
@@ -433,7 +444,7 @@ mod tests {
     #[test]
     fn revoke_frees_a_dead_shards_encumbrance() {
         let coord = CoordShared::new(&CoordinatorConfig { ttl_ms: 5, ..config(None) }).unwrap();
-        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: Watts::default() };
         let (lease_id, _) = granted(step(&coord, 0, lease(1)).0);
         // Stats alone does not move the clock: a lease operation at the
         // expiry time does, and the silent shard's lease is encumbered.

@@ -4,10 +4,14 @@
 //! same instant, or loses the request or the reply (a partition). There is
 //! no socket, thread or sleep, so a schedule is a pure function of its steps.
 //!
-//! Time moves only in jumps, of any number of milliseconds, and every
-//! running shard makes one round at the instant a jump lands: a lease thread renews far more
-//! often than the TTL, so no shard's own TTL clock passes unobserved while
-//! the rest of the fleet moves on. After every [`Step`] the fleet checks:
+//! Time moves only in jumps, of any number of milliseconds. Each shard
+//! rounds on its own schedule, as its lease thread does: every `renew_ms`
+//! from its own phase, and at once when it starts. A jump makes the rounds
+//! that fall due inside it in time order, so with intervals the TTL is no
+//! multiple of, a shard's TTL passes between two of its rounds while the
+//! rest of the fleet moves on. A [`Step::Round`] is one more round at the
+//! current instant. After every round, and after every other [`Step`], the
+//! fleet checks:
 //!
 //! - the caps the shards enforce sum to at most the global cap plus, for
 //!   each shard that holds no grant, its reserve: the larger of its
@@ -31,7 +35,7 @@ use crate::server::tests::{join, model};
 use crate::server::{lease_round, stats_snapshot, FleetConfig, ServeConfig, Session, Shared};
 use crate::ArbiterPolicy;
 use acs_core::TrainedModel;
-use acs_sim::{FamilyId, SplitMix64};
+use acs_sim::{Cap, FamilyId, SplitMix64};
 use std::sync::{Arc, OnceLock};
 use Link::{LoseReply, LoseRequest, Up};
 
@@ -46,6 +50,9 @@ const PAST_MS: u64 = 25;
 const EPS_W: f64 = 1e-9;
 /// Up-link rounds of every shard that bring a healed fleet to rest.
 const SETTLE_ROUNDS: usize = 8;
+/// The renewal intervals a walk's shards draw, ms: the TTL is a multiple of
+/// none of them.
+const RENEW_MS: [u64; 5] = [120, 150, 175, 225, 300];
 
 /// What becomes of one lease round's messages.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -62,8 +69,8 @@ enum Link {
 enum Step {
     /// Shard `i`'s lease round at the current instant.
     Round(usize, Link),
-    /// The clock moves on `ms`; at the new instant shard `i` makes its
-    /// round over the `i`th link.
+    /// The clock moves on `ms`; every round shard `i` makes on the way
+    /// goes over the `i`th link.
     Jump(u64, Vec<Link>),
     CrashShard(usize),
     /// Shard `i` starts again, unleased, under its own id.
@@ -74,10 +81,12 @@ enum Step {
     RestartCoordinator,
 }
 
-/// One shard process: how it is configured, and its state while it runs.
+/// One shard process: how it is configured, its state while it runs, and
+/// when its lease thread makes its next round.
 struct Shard {
     config: ServeConfig,
     running: Option<Shared>,
+    next_ms: u64,
 }
 
 struct Fleet {
@@ -94,36 +103,51 @@ fn start(config: &ServeConfig) -> Shared {
     Shared::new(config.clone(), model).expect("a valid shard configuration")
 }
 
-/// Shard `shard_id` of `family`, demanding `demand_w` and running on
-/// `reserve_w` until its first grant lands.
-fn shard(family: FamilyId, shard_id: u64, reserve_w: f64, demand_w: f64) -> ServeConfig {
-    let coordinator = "in-process".into();
+fn cap(w: f64) -> Cap {
+    Cap::new(w).expect("a cap")
+}
+
+/// Shard `shard_id` of `family`, demanding `demand_w`, running on
+/// `reserve_w` until its first grant lands and making a round every
+/// `renew_ms`.
+fn shard(
+    family: FamilyId,
+    shard_id: u64,
+    reserve_w: f64,
+    demand_w: f64,
+    renew_ms: u64,
+) -> ServeConfig {
+    let (coordinator, lease_floor_w) = ("in-process".into(), cap(reserve_w));
     ServeConfig {
         family,
         global_cap_w: demand_w,
-        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w: reserve_w, renew_ms: 200 }),
+        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w, renew_ms }),
         ..ServeConfig::default()
     }
 }
 
 /// One shard per family, ids from 1, demanding 60 W, on the coordinator's
-/// floor until their first grants land.
-fn fleet_of(families: &[FamilyId]) -> Vec<ServeConfig> {
-    (1..).zip(families).map(|(id, &family)| shard(family, id, FLOOR_W, 60.0)).collect()
+/// floor until their first grants land, and renewing every half TTL from
+/// half a TTL on.
+fn fleet_of(families: &[FamilyId]) -> Vec<(ServeConfig, u64)> {
+    let renew_ms = TTL_MS / 2;
+    let shard = |(id, &family)| (shard(family, id, FLOOR_W, 60.0, renew_ms), renew_ms);
+    (1..).zip(families).map(shard).collect()
 }
 
 impl Fleet {
     /// A coordinator journaling to a fresh file named after `name`, and
-    /// `shards` started, none of them leased yet, at time 0.
-    fn new(name: &str, policy: ArbiterPolicy, evict: u64, shards: Vec<ServeConfig>) -> Self {
+    /// `shards` started, none of them leased yet, at time 0, each with the
+    /// time of its first scheduled round.
+    fn new(name: &str, policy: ArbiterPolicy, evict: u64, shards: Vec<(ServeConfig, u64)>) -> Self {
         let journal =
             std::env::temp_dir().join(format!("acs-fleet-{}-{name}.journal", std::process::id()));
         let _ = std::fs::remove_file(&journal);
         let config = CoordinatorConfig {
-            global_cap_w: CAP_W,
+            global_cap_w: cap(CAP_W),
             policy,
             ttl_ms: TTL_MS,
-            floor_w: FLOOR_W,
+            floor_w: cap(FLOOR_W),
             evict_after_ms: evict,
             journal: Some(journal),
             ..CoordinatorConfig::default()
@@ -135,7 +159,7 @@ impl Fleet {
             coordinator_up: true,
             shards: shards
                 .into_iter()
-                .map(|config| Shard { running: Some(start(&config)), config })
+                .map(|(config, next_ms)| Shard { running: Some(start(&config)), config, next_ms })
                 .collect(),
         }
     }
@@ -172,24 +196,47 @@ impl Fleet {
         caps.into_iter().map(|(_, cap_w)| cap_w).sum()
     }
 
-    /// Take one step, then check every invariant.
+    /// Take one step, checking every invariant after each round it makes,
+    /// or after the step when it makes none.
     fn apply(&mut self, step: Step) -> Result<(), String> {
         let before = self.enforced_w();
-        let mut landed = vec![false; self.shards.len()];
         match step {
-            Step::Round(i, link) => landed[i] = self.lease_round(i, link),
+            Step::Round(i, link) => return self.round(i, link),
             Step::Jump(ms, links) => {
-                self.now_ms += ms;
-                for (i, link) in links.into_iter().enumerate() {
-                    landed[i] = self.lease_round(i, link);
+                let until = self.now_ms + ms;
+                while let Some((at, i)) = self.next_round(until) {
+                    self.now_ms = at;
+                    self.shards[i].next_ms = at + self.fleet(i).renew_ms;
+                    self.round(i, links[i])?;
                 }
+                self.now_ms = until;
+                return Ok(());
             }
             Step::CrashShard(i) => self.shards[i].running = None,
-            Step::RestartShard(i) => self.shards[i].running = Some(start(&self.shards[i].config)),
+            Step::RestartShard(i) => {
+                let shard = &mut self.shards[i];
+                (shard.running, shard.next_ms) = (Some(start(&shard.config)), self.now_ms);
+            }
             Step::CrashCoordinator => self.coordinator_up = false,
             Step::RestartCoordinator => self.restart_coordinator()?,
         }
-        self.check(&before, &landed)
+        self.check(&before, None)
+    }
+
+    /// The earliest round a running shard has due by `until`, and whose.
+    fn next_round(&self, until: u64) -> Option<(u64, usize)> {
+        let due = |(i, shard): (usize, &Shard)| {
+            (shard.running.is_some() && shard.next_ms <= until).then_some((shard.next_ms, i))
+        };
+        self.shards.iter().enumerate().filter_map(due).min()
+    }
+
+    /// Shard `i`'s lease round at the current instant over `link`, then
+    /// every invariant.
+    fn round(&mut self, i: usize, link: Link) -> Result<(), String> {
+        let before = self.enforced_w();
+        let landed = self.lease_round(i, link);
+        self.check(&before, landed.then_some(i))
     }
 
     /// Apply a fixed schedule, panicking on the first broken invariant.
@@ -249,9 +296,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// The invariants, after a step from the caps `before`; `landed` says
-    /// which shards a grant or renewal reached.
-    fn check(&self, before: &[Option<f64>], landed: &[bool]) -> Result<(), String> {
+    /// The invariants, after a step from the caps `before`; `landed` names
+    /// the shard a grant or renewal reached.
+    fn check(&self, before: &[Option<f64>], landed: Option<usize>) -> Result<(), String> {
         let table = self.coordinator.table.lock();
         if table.stats().overshoot_w != 0.0 {
             return Err(format!("the coordinator overshoots: {:?}", table.stats()));
@@ -265,7 +312,7 @@ impl Fleet {
                 continue;
             };
             let lease = shared.lease.as_ref().expect("a fleet shard").lock();
-            let reserve_w = self.fleet(i).lease_floor_w.max(FLOOR_W);
+            let reserve_w = self.fleet(i).lease_floor_w.get().max(FLOOR_W);
             enforced_w += cap_w;
             // A grant backs a cap while the coordinator holds its lease,
             // live or encumbered.
@@ -274,7 +321,8 @@ impl Fleet {
             {
                 unbacked_w += reserve_w;
             }
-            let (low_w, high_w) = lease.grant_w().map_or((0.0, reserve_w), |g| (FLOOR_W.min(g), g));
+            let grant_w = lease.grant_w().map(Cap::get);
+            let (low_w, high_w) = grant_w.map_or((0.0, reserve_w), |g| (FLOOR_W.min(g), g));
             if lease.state() == ShardLeaseState::Degraded
                 && !(low_w - EPS_W..=high_w + EPS_W).contains(&cap_w)
             {
@@ -282,7 +330,8 @@ impl Fleet {
                     "shard {i}: degraded cap {cap_w} W outside [{low_w}, {high_w}]"
                 ));
             }
-            if let Some(was_w) = before[i].filter(|&was_w| !landed[i] && cap_w > was_w + EPS_W) {
+            let rose = |&was_w: &f64| landed != Some(i) && cap_w > was_w + EPS_W;
+            if let Some(was_w) = before[i].filter(rose) {
                 return Err(format!("shard {i}: cap rose {was_w} → {cap_w} W with no grant"));
             }
         }
@@ -296,8 +345,9 @@ impl Fleet {
     }
 
     /// Heal everything — the coordinator and every shard up — jump past
-    /// the TTL every lease applied so far expires in, and let the fleet
-    /// rest. Then every shard holds a live lease under its own id, nothing
+    /// the TTL, every shard renewing on its schedule meanwhile, so any lease
+    /// no shard holds expires, and let the fleet rest. Then every shard
+    /// holds a live lease under its own id, nothing
     /// is encumbered, and the caps, summed in lease id order as the table
     /// sums its commitments, are the global cap to the bit.
     fn quiesce(&mut self) -> Result<(), String> {
@@ -352,7 +402,8 @@ fn links(rng: &mut SplitMix64) -> Vec<Link> {
 
 /// One seeded schedule of `steps` steps over three shards with distinct ids
 /// in 1..=3, each running until its first grant on a pre-lease reserve
-/// below, at or above the coordinator's floor; then quiescence.
+/// below, at or above the coordinator's floor, and renewing on a
+/// [`RENEW_MS`] interval from a phase of its own; then quiescence.
 fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<(), String> {
     let rng = &mut SplitMix64(seed);
     let mut ids = [1, 2, 3];
@@ -361,7 +412,9 @@ fn walk(policy: ArbiterPolicy, evict: u64, seed: u64, steps: usize) -> Result<()
     let shards = (0..3)
         .map(|i| {
             let reserve_w = [FLOOR_W / 2.0, FLOOR_W, 2.5 * FLOOR_W][draw(rng, 3) as usize];
-            shard(families[i], ids[i], reserve_w, 20.0 * (i + 1) as f64)
+            let renew_ms = RENEW_MS[draw(rng, RENEW_MS.len() as u64) as usize];
+            let demand_w = 20.0 * (i + 1) as f64;
+            (shard(families[i], ids[i], reserve_w, demand_w, renew_ms), draw(rng, renew_ms))
         })
         .collect();
     let mut fleet = Fleet::new(&format!("walk-{policy:?}-{evict}-{seed}"), policy, evict, shards);
@@ -519,8 +572,8 @@ fn a_partitioned_shard_degrades_within_its_last_grant_and_recovers() {
     fleet.run([Step::Round(0, Up)]);
     assert_eq!(fleet.enforced_sum_w(), CAP_W);
     // Inside the cut every request or reply is lost: the cap halves toward
-    // min(floor, last grant), and past the TTL by the shard's own clock it
-    // clamps there.
+    // min(floor, last grant), and in the last round before the TTL by the
+    // shard's own clock it clamps there.
     fleet.run([
         Step::Round(0, LoseRequest),
         Step::Round(0, LoseReply),
@@ -528,7 +581,7 @@ fn a_partitioned_shard_degrades_within_its_last_grant_and_recovers() {
     ]);
     assert_eq!(fleet.enforced_sum_w(), CAP_W / 8.0);
     assert_eq!(stats_snapshot(fleet.shard(0)).lease_state, "degraded");
-    fleet.run([Step::Jump(TTL_MS + PAST_MS, vec![LoseReply])]);
+    fleet.run([Step::Jump(TTL_MS + PAST_MS, vec![LoseRequest])]);
     assert_eq!(fleet.enforced_sum_w(), FLOOR_W);
     // Healed: the renewal is rejected as expired, and the re-lease
     // re-adopts the lease under the shard's id.

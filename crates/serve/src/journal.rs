@@ -102,7 +102,7 @@ pub enum JournalEntry {
     /// declare a [`JournalError::Divergence`].
     Cap {
         /// The new shard-wide cap (the lease budget), W.
-        cap_w: f64,
+        cap_w: acs_sim::Cap,
         /// Arbiter epoch after the cap change.
         epoch: u64,
     },
@@ -498,6 +498,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acs_sim::Cap;
     use std::path::PathBuf;
 
     fn scratch(test: &str) -> PathBuf {
@@ -701,7 +702,7 @@ mod tests {
         let mut live = Arbiter::new(100.0, ArbiterPolicy::EqualShare);
         let ops = [
             ArbiterOp::Admit { node_id: 1 },
-            ArbiterOp::Cap { cap_w: 64.0 },
+            ArbiterOp::Cap { cap_w: Cap::new(64.0).unwrap() },
             ArbiterOp::Admit { node_id: 2 },
         ];
         let entries: Vec<_> = ops.into_iter().filter_map(|op| live.apply(op)).collect();
@@ -710,7 +711,7 @@ mod tests {
         assert_eq!(recovery.orphaned_sessions, vec![1, 2]);
 
         // A cap entry with an impossible epoch refuses to replay.
-        let bogus = vec![JournalEntry::Cap { cap_w: 50.0, epoch: 99 }];
+        let bogus = vec![JournalEntry::Cap { cap_w: Cap::new(50.0).unwrap(), epoch: 99 }];
         assert!(matches!(
             replay(&bogus, 100.0, ArbiterPolicy::EqualShare),
             Err(JournalError::Divergence { index: 0, .. })
@@ -725,10 +726,11 @@ mod tests {
         // re-journaled the same cap before node 2 joined. A journal written
         // before restarts journaled their orphans' leaves has no `Leave`
         // for node 1, and still replays.
+        let cap_w = Cap::new(5.0).unwrap();
         let entries = vec![
-            JournalEntry::Cap { cap_w: 5.0, epoch: 0 },
+            JournalEntry::Cap { cap_w, epoch: 0 },
             JournalEntry::Admit { node_id: 1, epoch: 1 },
-            JournalEntry::Cap { cap_w: 5.0, epoch: 1 },
+            JournalEntry::Cap { cap_w, epoch: 1 },
             JournalEntry::Admit { node_id: 2, epoch: 2 },
         ];
         let (rebuilt, recovery) = replay(&entries, 100.0, ArbiterPolicy::EqualShare).unwrap();

@@ -45,10 +45,11 @@
 //!
 //! Shard side, `ShardLease` mirrors rule 2 with the coordinator's floor,
 //! which every `Granted` carries: on every missed renewal the local cap
-//! halves toward `min(floor, last grant)`, and when the lease's TTL passes
-//! by the shard's own clock it clamps there. The local cap is monotone
-//! non-increasing between grants and never exceeds the last granted
-//! budget — the invariant the fleet walk checks after every step.
+//! halves toward `min(floor, last grant)`, and in the last round before
+//! the lease's TTL passes by the shard's own clock it clamps there. The
+//! local cap is monotone non-increasing between grants and never exceeds
+//! the last granted budget — the invariant the fleet walk checks after
+//! every step.
 //!
 //! ## One step each side
 //!
@@ -68,6 +69,7 @@
 
 use crate::arbiter::{ArbiterPolicy, BUDGET_EPS_W};
 use crate::journal::JournalError;
+use acs_sim::{Cap, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -168,7 +170,7 @@ pub struct LeaseTable {
     global_cap_w: f64,
     policy: ArbiterPolicy,
     ttl_ms: u64,
-    floor_w: f64,
+    floor_w: Cap,
     evict_after_ms: u64,
     /// The logical clock, ms.
     tick: u64,
@@ -183,8 +185,8 @@ pub struct LeaseTable {
 }
 
 impl LeaseTable {
-    /// A table over a positive cap with `floor_w < global_cap_w`, a lease
-    /// TTL of at least one millisecond, and health-checked eviction
+    /// A table over a cap with `floor_w < global_cap_w`, a lease TTL of at
+    /// least one millisecond, and health-checked eviction
     /// `evict_after_ms` past a lease's expiry: an expired (encumbered)
     /// lease whose shard stays silent that long is removed entirely,
     /// returning its reserve to the pool — the operator's `Revoke`
@@ -193,20 +195,16 @@ impl LeaseTable {
     /// replay reproduces it with no journal entry — into a table built with
     /// the same horizon.
     pub fn new(
-        global_cap_w: f64,
+        global_cap_w: Cap,
         policy: ArbiterPolicy,
         ttl_ms: u64,
-        floor_w: f64,
+        floor_w: Cap,
         evict_after_ms: u64,
     ) -> Self {
-        assert!(global_cap_w > 0.0, "global cap must be positive");
         assert!(ttl_ms >= 1, "a lease must live at least one millisecond");
-        assert!(
-            floor_w > 0.0 && floor_w < global_cap_w,
-            "floor must be positive and below the cap"
-        );
+        assert!(floor_w < global_cap_w, "the floor must be below the cap");
         Self {
-            global_cap_w,
+            global_cap_w: global_cap_w.get(),
             policy,
             ttl_ms,
             floor_w,
@@ -276,7 +274,7 @@ impl LeaseTable {
             tick: self.tick,
             epoch: self.epoch,
             global_cap_w: self.global_cap_w,
-            floor_w: self.floor_w,
+            floor_w: self.floor_w.get(),
             live_leases: self.live_ids().len() as u64,
             encumbered_leases: self.encumbered_ids().len() as u64,
             live_committed_w,
@@ -353,7 +351,7 @@ impl LeaseTable {
             } else if let Some(lease) = self.leases.get_mut(&id) {
                 self.expirations += 1;
                 lease.live = false;
-                lease.committed_w = lease.committed_w.min(self.floor_w);
+                lease.committed_w = lease.committed_w.min(self.floor_w.get());
                 lease.fence = self.epoch;
                 lease.expired_tick = lease.expires_tick;
                 expired.push(id);
@@ -362,9 +360,9 @@ impl LeaseTable {
         expired
     }
 
-    /// The one coordinator step: advance the clock to `now_ms`, sanitize
-    /// the request's demand, apply the operation, and return the journal
-    /// entry that records it — or the typed rejection, which leaves
+    /// The one coordinator step: advance the clock to `now_ms`, apply the
+    /// operation, and return the journal entry that records it — or the
+    /// typed rejection, which leaves
     /// nothing but the clock advance behind (rejections are not
     /// journaled). `None` for `Stats` and `Shutdown`, which are not lease
     /// operations and touch nothing, not even the clock.
@@ -377,18 +375,15 @@ impl LeaseTable {
         now_ms: u64,
         request: &CoordRequest,
     ) -> Option<Result<CoordJournalEntry, LeaseError>> {
-        let demand_w = match *request {
-            CoordRequest::Lease { demand_w, .. } | CoordRequest::Renew { demand_w, .. } => demand_w,
-            CoordRequest::Release { .. } | CoordRequest::Revoke { .. } => 0.0,
-            CoordRequest::Stats | CoordRequest::Shutdown => return None,
-        };
-        // The entry must hold the value the table used, and NaN does not
-        // survive JSON.
-        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
+        if matches!(request, CoordRequest::Stats | CoordRequest::Shutdown) {
+            return None;
+        }
         self.advance_to(now_ms);
         Some(match *request {
-            CoordRequest::Lease { shard_id, .. } => self.grant(shard_id, demand_w),
-            CoordRequest::Renew { lease_id, epoch, .. } => self.renew(lease_id, epoch, demand_w),
+            CoordRequest::Lease { shard_id, demand_w } => self.grant(shard_id, demand_w),
+            CoordRequest::Renew { lease_id, epoch, demand_w } => {
+                self.renew(lease_id, epoch, demand_w)
+            }
             CoordRequest::Release { lease_id } | CoordRequest::Revoke { lease_id } => {
                 // Release is a shard's clean departure, revoke the
                 // operator's removal of a lease known to be dead; either
@@ -413,9 +408,11 @@ impl LeaseTable {
     /// The reply an applied operation earns, derived from its journal
     /// entry and the table it was just applied to. Every grant and renewal
     /// hands the shard the TTL for its own expiry clock beside the floor it
-    /// clamps to.
+    /// clamps to. A commitment out of range, which the table never makes,
+    /// would go out as zero: no watts yet, to a shard.
     pub(crate) fn reply(&self, entry: &CoordJournalEntry) -> CoordResponse {
-        let budget_w = |lease_id| self.leases.get(&lease_id).map_or(0.0, |l| l.committed_w);
+        let committed = |id| self.leases.get(&id).and_then(|l| Watts::new(l.committed_w).ok());
+        let budget_w = |lease_id| committed(lease_id).unwrap_or_default();
         let (ttl_ms, floor_w) = (self.ttl_ms, self.floor_w);
         match *entry {
             CoordJournalEntry::Grant { lease_id, epoch, .. } => {
@@ -452,7 +449,7 @@ impl LeaseTable {
         };
         let target = self.targets(&live_ids)[pos];
         let free = (self.pool_w() - self.live_committed_w()).max(0.0);
-        let floor_w = self.floor_w;
+        let floor_w = self.floor_w.get();
         if let Some(lease) = self.leases.get_mut(&lease_id) {
             let held = lease.committed_w;
             let lowest = (held * 0.5).max(held.min(floor_w));
@@ -482,7 +479,7 @@ impl LeaseTable {
     /// (commit-on-contact). If even the steady-state target cannot reach
     /// the floor, the grant is denied without mutating the table. Either
     /// way the lease goes live with a fresh fence and TTL, then settles.
-    fn grant(&mut self, shard_id: u64, demand_w: f64) -> Result<CoordJournalEntry, LeaseError> {
+    fn grant(&mut self, shard_id: u64, demand_w: Watts) -> Result<CoordJournalEntry, LeaseError> {
         let readopted = self.leases.iter().find(|(_, l)| l.shard_id == shard_id);
         let (lease_id, committed_w) = match readopted.map(|(id, l)| (*id, l.committed_w)) {
             Some(readopted) => readopted,
@@ -491,11 +488,11 @@ impl LeaseTable {
                 // of the split over the live demands plus its own.
                 let mut demands: Vec<f64> =
                     self.leases.values().filter(|l| l.live).map(|l| l.demand_w).collect();
-                demands.push(demand_w);
+                demands.push(demand_w.get());
                 let target_new = self.policy.split(self.pool_w(), &demands)[demands.len() - 1];
-                if target_new + BUDGET_EPS_W < self.floor_w {
+                if target_new + BUDGET_EPS_W < self.floor_w.get() {
                     return Err(LeaseError::Denied {
-                        needed_w: self.floor_w,
+                        needed_w: self.floor_w.get(),
                         available_w: target_new.max(0.0),
                     });
                 }
@@ -509,7 +506,7 @@ impl LeaseTable {
         let lease = LeaseState {
             shard_id,
             committed_w,
-            demand_w,
+            demand_w: demand_w.get(),
             expires_tick: self.tick.saturating_add(self.ttl_ms),
             fence: self.epoch,
             live: true,
@@ -533,7 +530,7 @@ impl LeaseTable {
         &mut self,
         lease_id: u64,
         epoch: u64,
-        demand_w: f64,
+        demand_w: Watts,
     ) -> Result<CoordJournalEntry, LeaseError> {
         let lease = self.leases.get_mut(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
         if !lease.live {
@@ -542,7 +539,7 @@ impl LeaseTable {
         if epoch < lease.fence {
             return Err(LeaseError::Fenced { lease_id, fence: lease.fence, presented: epoch });
         }
-        lease.demand_w = demand_w;
+        lease.demand_w = demand_w.get();
         lease.expires_tick = self.tick.saturating_add(self.ttl_ms);
         self.epoch += 1;
         self.renews += 1;
@@ -560,7 +557,7 @@ pub enum CoordRequest {
         /// The shard's own id, the same on every lease it asks for.
         shard_id: u64,
         /// The shard's current demand, W.
-        demand_w: f64,
+        demand_w: Watts,
     },
     /// Renew a live lease.
     Renew {
@@ -569,7 +566,7 @@ pub enum CoordRequest {
         /// The epoch from the last grant/renewal (fencing token).
         epoch: u64,
         /// Updated demand, W.
-        demand_w: f64,
+        demand_w: Watts,
     },
     /// Clean departure: drop the lease and free its watts.
     Release {
@@ -653,13 +650,13 @@ pub enum CoordResponse {
         /// Fencing token for the next renewal.
         epoch: u64,
         /// The committed budget, W.
-        budget_w: f64,
+        budget_w: Watts,
         /// Lease TTL, ms — the shard clamps to its
         /// floor when this much time passes without a successful renewal.
         ttl_ms: u64,
         /// The coordinator's floor, W: what it encumbers for a silent
         /// shard, and so where the shard's degraded mode stops.
-        floor_w: f64,
+        floor_w: Cap,
     },
     /// Reply to `Renew`.
     Renewed {
@@ -668,12 +665,12 @@ pub enum CoordResponse {
         /// Fencing token for the next renewal.
         epoch: u64,
         /// The (possibly resettled) committed budget, W.
-        budget_w: f64,
+        budget_w: Watts,
         /// As in `Granted`: a coordinator restarted with another TTL or
         /// floor reaches a renewing shard at once.
         ttl_ms: u64,
         /// As in `Granted`.
-        floor_w: f64,
+        floor_w: Cap,
     },
     /// Typed lease rejection (`LeaseError::code`); the shard reacts by
     /// re-leasing (`expired`, `fenced`, `unknown-lease`) or retrying
@@ -715,7 +712,7 @@ pub enum CoordJournalEntry {
         /// The shard it was granted to.
         shard_id: u64,
         /// The shard's reported demand, W.
-        demand_w: f64,
+        demand_w: Watts,
         /// Logical time, ms, the grant was applied at.
         tick: u64,
         /// Table epoch after the grant.
@@ -726,7 +723,7 @@ pub enum CoordJournalEntry {
         /// The renewed lease.
         lease_id: u64,
         /// Updated demand, W.
-        demand_w: f64,
+        demand_w: Watts,
         /// Logical time, ms, the renewal was applied at.
         tick: u64,
         /// Table epoch after the renewal.
@@ -865,17 +862,21 @@ impl ShardLeaseState {
 #[derive(Debug, Clone)]
 pub(crate) struct ShardLease {
     shard_id: u64,
+    /// What every request asks for, W.
+    demand_w: Watts,
     /// Where degraded mode stops, before `min(·, last grant)`: the
     /// pre-lease reserve until a grant lands, then the coordinator's floor.
-    floor_w: f64,
+    floor_w: Cap,
     state: ShardLeaseState,
     lease_id: Option<u64>,
     epoch: u64,
-    cap_w: f64,
-    grant_w: Option<f64>,
+    cap_w: Cap,
+    grant_w: Option<Cap>,
     degraded_entries: u64,
     /// The lease TTL, ms, from the last grant or renewal.
     ttl_ms: u64,
+    /// How long the shard waits between two rounds, ms.
+    renew_ms: u64,
     /// The time, ms, of the round whose grant or renewal landed last: the
     /// shard-local expiry clock; `None` while no grant is in force.
     contact_ms: Option<u64>,
@@ -883,12 +884,13 @@ pub(crate) struct ShardLease {
 }
 
 impl ShardLease {
-    /// A fresh, unleased shard `shard_id`: the local cap starts at the
-    /// pre-lease reserve `reserve_w`.
-    pub(crate) fn new(shard_id: u64, reserve_w: f64) -> Self {
-        assert!(reserve_w > 0.0, "the pre-lease reserve must be positive");
+    /// A fresh, unleased shard `shard_id` demanding `demand_w` and making
+    /// a round every `renew_ms`: the local cap starts at the pre-lease
+    /// reserve `reserve_w`.
+    pub(crate) fn new(shard_id: u64, demand_w: Watts, reserve_w: Cap, renew_ms: u64) -> Self {
         Self {
             shard_id,
+            demand_w,
             floor_w: reserve_w,
             state: ShardLeaseState::Unleased,
             lease_id: None,
@@ -897,6 +899,7 @@ impl ShardLease {
             grant_w: None,
             degraded_entries: 0,
             ttl_ms: 0,
+            renew_ms,
             contact_ms: None,
             evictions: 0,
         }
@@ -908,7 +911,7 @@ impl ShardLease {
     }
 
     /// The cap the shard's arbiter may run at right now, W.
-    pub(crate) fn cap_w(&self) -> f64 {
+    pub(crate) fn cap_w(&self) -> Cap {
         self.cap_w
     }
 
@@ -921,7 +924,7 @@ impl ShardLease {
     /// ceiling of degraded mode. `None` while unleased, and while a lease
     /// admitted at zero watts still runs on the pre-lease reserve.
     #[cfg(test)]
-    pub(crate) fn grant_w(&self) -> Option<f64> {
+    pub(crate) fn grant_w(&self) -> Option<Cap> {
         self.grant_w
     }
 
@@ -939,9 +942,10 @@ impl ShardLease {
     /// The next request: a renewal presenting the last epoch while a lease
     /// is held, else a lease under the shard's id (a re-adoption when the
     /// coordinator holds one for it, never a double grant).
-    pub(crate) fn request(&self, demand_w: f64) -> CoordRequest {
+    pub(crate) fn request(&self) -> CoordRequest {
+        let (epoch, demand_w) = (self.epoch, self.demand_w);
         match self.lease_id {
-            Some(lease_id) => CoordRequest::Renew { lease_id, epoch: self.epoch, demand_w },
+            Some(lease_id) => CoordRequest::Renew { lease_id, epoch, demand_w },
             None => CoordRequest::Lease { shard_id: self.shard_id, demand_w },
         }
     }
@@ -961,16 +965,17 @@ impl ShardLease {
     ///   `unknown-lease` on a renewal is a health-check eviction and is
     ///   counted. A denial changes nothing: the shard keeps asking.
     /// - A failed call is a miss: the cap halves toward `min(floor, last
-    ///   grant)`, never below it. Once the lease TTL has passed by the
-    ///   shard's own clock it clamps there — the encumbered reserve the
-    ///   coordinator holds — so both sides agree on the worst case
-    ///   without communicating.
+    ///   grant)`, never below it. In the last round before the lease TTL
+    ///   passes by the shard's own clock, the one whose next round would
+    ///   come at or after it, it clamps there — the encumbered reserve the
+    ///   coordinator holds from its own TTL on — so both sides agree on
+    ///   the worst case without communicating.
     pub(crate) fn on_reply(
         &mut self,
         request: &CoordRequest,
         reply: Option<&CoordResponse>,
         now_ms: u64,
-    ) -> f64 {
+    ) -> Cap {
         match reply {
             Some(&CoordResponse::Granted {
                 lease_id, epoch, budget_w, ttl_ms, floor_w, ..
@@ -998,8 +1003,11 @@ impl ShardLease {
                     self.state = ShardLeaseState::Degraded;
                     self.degraded_entries += 1;
                 }
-                self.cap_w = (self.cap_w * 0.5).max(self.reserve_w());
-                if self.contact_ms.is_some_and(|at| now_ms.saturating_sub(at) >= self.ttl_ms) {
+                let reserve_w = self.reserve_w();
+                let half = Cap::new(self.cap_w.get() * 0.5).ok().filter(|&w| w > reserve_w);
+                self.cap_w = half.unwrap_or(reserve_w);
+                let next_ms = now_ms.saturating_add(self.renew_ms);
+                if self.contact_ms.is_some_and(|at| next_ms.saturating_sub(at) >= self.ttl_ms) {
                     self.cap_w = self.reserve_w();
                     self.contact_ms = None;
                 }
@@ -1012,19 +1020,24 @@ impl ShardLease {
 
     /// `min(floor, last grant)`: where degraded mode stops. With no grant
     /// in force the cap it runs on stands in for the last grant.
-    fn reserve_w(&self) -> f64 {
-        self.floor_w.min(self.grant_w.unwrap_or(self.cap_w))
+    fn reserve_w(&self) -> Cap {
+        let (grant, floor) = (self.grant_w.unwrap_or(self.cap_w), self.floor_w);
+        if grant < floor {
+            grant
+        } else {
+            floor
+        }
     }
 
     /// A grant or renewal landed in the round made at `now_ms`: leased
-    /// again at its budget under the coordinator's TTL and floor, and the
-    /// expiry clock restarts.
-    fn landed(&mut self, epoch: u64, budget_w: f64, ttl_ms: u64, floor_w: f64, now_ms: u64) {
+    /// again at its budget, if it is more than zero, under the
+    /// coordinator's TTL and floor, and the expiry clock restarts.
+    fn landed(&mut self, epoch: u64, budget_w: Watts, ttl_ms: u64, floor_w: Cap, now_ms: u64) {
         self.state = ShardLeaseState::Leased;
         self.epoch = epoch;
         self.ttl_ms = ttl_ms;
         self.floor_w = floor_w;
-        if budget_w > 0.0 {
+        if let Ok(budget_w) = Cap::new(budget_w.get()) {
             self.cap_w = budget_w;
             self.grant_w = Some(budget_w);
         }
@@ -1036,8 +1049,24 @@ impl ShardLease {
 mod tests {
     use super::*;
 
+    fn cap(w: f64) -> Cap {
+        Cap::new(w).unwrap()
+    }
+
+    fn watts(w: f64) -> Watts {
+        Watts::new(w).unwrap()
+    }
+
+    const RENEW_MS: u64 = 200;
+
+    /// Shard `shard_id` demanding `demand_w` on a `reserve_w` pre-lease
+    /// reserve, making a round every [`RENEW_MS`].
+    fn shard(shard_id: u64, demand_w: f64, reserve_w: f64) -> ShardLease {
+        ShardLease::new(shard_id, watts(demand_w), cap(reserve_w), RENEW_MS)
+    }
+
     fn table() -> LeaseTable {
-        LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0)
+        LeaseTable::new(cap(100.0), ArbiterPolicy::EqualShare, 10, cap(5.0), 0)
     }
 
     /// What a test reads off a `Granted` or `Renewed` reply, and the
@@ -1073,14 +1102,14 @@ mod tests {
             CoordResponse::Granted { lease_id, epoch, budget_w, .. }
             | CoordResponse::Renewed { lease_id, epoch, budget_w, .. } => {
                 let expires_tick = t.lease(lease_id).expect("a granted lease").expires_tick;
-                Outcome { lease_id, epoch, budget_w, expires_tick }
+                Outcome { lease_id, epoch, budget_w: budget_w.get(), expires_tick }
             }
             other => panic!("expected Granted or Renewed, got {other:?}"),
         })
     }
 
     fn grant(t: &mut LeaseTable, shard_id: u64, demand_w: f64) -> Result<Outcome, LeaseError> {
-        call(t, &mut Vec::new(), CoordRequest::Lease { shard_id, demand_w })
+        call(t, &mut Vec::new(), CoordRequest::Lease { shard_id, demand_w: watts(demand_w) })
     }
 
     fn renew(
@@ -1089,7 +1118,7 @@ mod tests {
         epoch: u64,
         demand_w: f64,
     ) -> Result<Outcome, LeaseError> {
-        call(t, &mut Vec::new(), CoordRequest::Renew { lease_id, epoch, demand_w })
+        call(t, &mut Vec::new(), CoordRequest::Renew { lease_id, epoch, demand_w: watts(demand_w) })
     }
 
     /// Renew every live lease once, in id order, presenting the current
@@ -1129,7 +1158,7 @@ mod tests {
     fn grants_below_a_floor_sized_target_are_denied_without_trace() {
         // Floor 45 of a 100 W cap: two shards fit (target 50), a third
         // (target 33.3) does not.
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0, 0);
+        let mut t = LeaseTable::new(cap(100.0), ArbiterPolicy::EqualShare, 10, cap(45.0), 0);
         grant(&mut t, 1, 0.0).unwrap();
         grant(&mut t, 2, 0.0).unwrap();
         let epoch_before = t.epoch();
@@ -1146,7 +1175,7 @@ mod tests {
 
     #[test]
     fn commitments_never_exceed_the_pool_mid_ramp() {
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
+        let mut t = LeaseTable::new(cap(90.0), ArbiterPolicy::DemandProportional, 10, cap(2.0), 0);
         let a = grant(&mut t, 1, 40.0).unwrap();
         let epoch = t.epoch();
         renew(&mut t, a.lease_id, epoch, 40.0).unwrap();
@@ -1225,12 +1254,12 @@ mod tests {
     /// One round of a shard's lease machine against `t` at `now_ms`; `lost`
     /// drops the reply after the table applied the request.
     fn round(t: &mut LeaseTable, shard: &mut ShardLease, now_ms: u64, lost: bool) -> f64 {
-        let request = shard.request(60.0);
+        let request = shard.request();
         let reply = match t.apply(now_ms, &request).expect("a lease operation") {
             Ok(entry) => t.reply(&entry),
             Err(e) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
         };
-        shard.on_reply(&request, (!lost).then_some(&reply), now_ms)
+        shard.on_reply(&request, (!lost).then_some(&reply), now_ms).get()
     }
 
     #[test]
@@ -1239,8 +1268,8 @@ mod tests {
         // lands: each ask presents the shard's id, so the later two
         // re-adopt the lease the first created. Then the shard renews every
         // half TTL, past the TTL a second lease would have expired at.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
-        let mut shard = ShardLease::new(1, 2.0);
+        let mut t = LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
+        let mut shard = shard(1, 60.0, 2.0);
         for lost in [true, true, false] {
             round(&mut t, &mut shard, 0, lost);
         }
@@ -1249,7 +1278,10 @@ mod tests {
         }
         let stats = t.stats();
         assert_eq!(t.snapshot().len(), 1, "one shard, one lease: {stats:?}");
-        assert_eq!((stats.encumbered_w, shard.lease_id(), shard.cap_w()), (0.0, Some(1), 90.0));
+        assert_eq!(
+            (stats.encumbered_w, shard.lease_id(), shard.cap_w().get()),
+            (0.0, Some(1), 90.0)
+        );
     }
 
     #[test]
@@ -1258,14 +1290,14 @@ mod tests {
         // on a 10 W pre-lease reserve. A holds the whole 90 W, then hears
         // nothing past its TTL on either side, and B joins into the watts
         // A's expiry freed.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
-        let (mut a, mut b) = (ShardLease::new(1, 10.0), ShardLease::new(2, 10.0));
+        let mut t = LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
+        let (mut a, mut b) = (shard(1, 60.0, 10.0), shard(2, 60.0, 10.0));
         assert_eq!(round(&mut t, &mut a, 0, false), 90.0);
-        assert_eq!(a.on_reply(&a.request(60.0), None, 500), 2.0, "A clamps to the floor");
+        assert_eq!(a.on_reply(&a.request(), None, 500).get(), 2.0, "A clamps to the floor");
         t.advance_to(500);
         assert_eq!(t.stats().encumbered_w, 2.0);
         assert_eq!(round(&mut t, &mut b, 500, false), 88.0);
-        let enforced_w = a.cap_w() + b.cap_w();
+        let enforced_w = a.cap_w().get() + b.cap_w().get();
         assert!(enforced_w <= 90.0, "A and B enforce {enforced_w} W under a 90 W cap");
     }
 
@@ -1276,20 +1308,20 @@ mod tests {
         // live, so A renews rather than re-leases; then A is silent past
         // its TTL on both sides, and B joins into the watts A's expiry
         // freed.
-        let mut first = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 10.0, 0);
-        let mut a = ShardLease::new(1, 10.0);
-        let request = a.request(60.0);
+        let mut first = LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(10.0), 0);
+        let mut a = shard(1, 60.0, 10.0);
+        let request = a.request();
         let entry = first.apply(0, &request).expect("a lease operation").unwrap();
-        assert_eq!(a.on_reply(&request, Some(&first.reply(&entry)), 0), 90.0);
-        let restarted = LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
+        assert_eq!(a.on_reply(&request, Some(&first.reply(&entry)), 0).get(), 90.0);
+        let restarted = LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
         let (mut t, _) = replay_coordinator(&[entry], restarted).unwrap();
         assert_eq!(round(&mut t, &mut a, 125, false), 90.0);
-        a.on_reply(&a.request(60.0), None, 625);
+        a.on_reply(&a.request(), None, 625);
         t.advance_to(625);
         assert_eq!(t.stats().encumbered_w, 2.0);
-        let mut b = ShardLease::new(2, 10.0);
+        let mut b = shard(2, 60.0, 10.0);
         assert_eq!(round(&mut t, &mut b, 625, false), 88.0);
-        let enforced_w = a.cap_w() + b.cap_w();
+        let enforced_w = a.cap_w().get() + b.cap_w().get();
         assert!(enforced_w <= 90.0, "A and B enforce {enforced_w} W under a 90 W cap");
     }
 
@@ -1314,12 +1346,12 @@ mod tests {
         );
         let journal = [serde_json::from_str::<CoordJournalEntry>(line).unwrap()];
         assert_eq!(serde_json::to_string(&journal[0]).unwrap(), line, "the entry format holds");
-        let fresh = || LeaseTable::new(90.0, ArbiterPolicy::EqualShare, 500, 2.0, 0);
+        let fresh = || LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
         let mut live = fresh();
         grant(&mut live, shard_id, 60.0).unwrap();
         let (mut t, recovery) = replay_coordinator(&journal, fresh()).unwrap();
         assert_eq!((t.snapshot(), recovery.next_lease), (live.snapshot(), 2));
-        let mut restarted = ShardLease::new(shard_id, 2.0);
+        let mut restarted = shard(shard_id, 60.0, 2.0);
         assert_eq!(round(&mut t, &mut restarted, 0, false), 90.0);
         assert_eq!((restarted.lease_id(), t.snapshot().len()), (Some(1), 1));
     }
@@ -1335,7 +1367,8 @@ mod tests {
             r#"{"Grant":{"lease_id":2,"shard_id":2,"demand_w":60,"tick":25,"epoch":3}}"#,
         ];
         let journal = lines.map(|line| serde_json::from_str::<CoordJournalEntry>(line).unwrap());
-        let table = |ttl_ms| LeaseTable::new(90.0, ArbiterPolicy::EqualShare, ttl_ms, 2.0, 0);
+        let table =
+            |ttl_ms| LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, ttl_ms, cap(2.0), 0);
         assert!(matches!(
             replay_coordinator(&journal, table(1_000)),
             Err(JournalError::Divergence { index: 1, .. })
@@ -1349,25 +1382,25 @@ mod tests {
         // down toward its third is applied but its reply is lost, so A
         // takes its own degraded step; B and C then renew into what the
         // table freed.
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 500, 2.0, 0);
-        let mut shards = [1, 2, 3].map(|id| ShardLease::new(id, 2.0));
+        let mut t = LeaseTable::new(cap(90.0), ArbiterPolicy::DemandProportional, 500, cap(2.0), 0);
+        let mut shards = [1, 2, 3].map(|id| shard(id, 60.0, 2.0));
         for shard in &mut shards {
             round(&mut t, shard, 0, false);
         }
-        assert_eq!(shards[0].cap_w(), 90.0);
+        assert_eq!(shards[0].cap_w().get(), 90.0);
         let a_cap_w = round(&mut t, &mut shards[0], 0, true);
         let committed_w = t.lease(1).unwrap().committed_w;
         assert!(a_cap_w <= committed_w, "A enforces {a_cap_w} W, the table holds {committed_w} W");
         for shard in &mut shards[1..] {
             round(&mut t, shard, 0, false);
         }
-        let enforced_w: f64 = shards.iter().map(ShardLease::cap_w).sum();
+        let enforced_w: f64 = shards.iter().map(|s| s.cap_w().get()).sum();
         assert!(enforced_w <= 90.0, "the fleet enforces {enforced_w} W under a 90 W cap");
     }
 
     #[test]
     fn a_ttl_at_the_top_of_the_clock_saturates_instead_of_expiring_in_the_past() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, u64::MAX, 5.0, 0);
+        let mut t = LeaseTable::new(cap(100.0), ArbiterPolicy::EqualShare, u64::MAX, cap(5.0), 0);
         t.advance_to(5);
         let a = grant(&mut t, 1, 0.0).unwrap();
         let renewed = renew(&mut t, a.lease_id, a.epoch, 0.0).unwrap();
@@ -1415,7 +1448,7 @@ mod tests {
 
     #[test]
     fn eviction_reclaims_the_encumbrance_and_readmission_is_a_fresh_grant() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
+        let mut t = LeaseTable::new(cap(100.0), ArbiterPolicy::EqualShare, 10, cap(5.0), 3);
         let a = grant(&mut t, 1, 0.0).unwrap();
         let b = grant(&mut t, 2, 0.0).unwrap();
         renew_round(&mut t);
@@ -1455,14 +1488,15 @@ mod tests {
 
     #[test]
     fn eviction_is_replay_pure_when_the_horizon_matches() {
-        let evicting = || LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
+        let evicting = || LeaseTable::new(cap(100.0), ArbiterPolicy::EqualShare, 10, cap(5.0), 3);
         let mut live = evicting();
         let mut journal = Vec::new();
-        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: 0.0 };
+        let lease = |shard_id| CoordRequest::Lease { shard_id, demand_w: watts(0.0) };
         let a = call(&mut live, &mut journal, lease(1)).unwrap();
         let b = call(&mut live, &mut journal, lease(2)).unwrap();
         // B never expires, so its grant epoch stays its fence.
-        let renew_b = CoordRequest::Renew { lease_id: b.lease_id, epoch: b.epoch, demand_w: 0.0 };
+        let renew_b =
+            CoordRequest::Renew { lease_id: b.lease_id, epoch: b.epoch, demand_w: watts(0.0) };
         live.advance_to(5);
         step(&mut live, &mut journal, renew_b.clone()).unwrap();
         // The live table detects A's expiry at tick 11 and the eviction at
@@ -1491,7 +1525,7 @@ mod tests {
 
     #[test]
     fn demand_proportional_targets_favor_hungry_shards() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
+        let mut t = LeaseTable::new(cap(100.0), ArbiterPolicy::DemandProportional, 10, cap(2.0), 0);
         let a = grant(&mut t, 1, 10.0).unwrap();
         renew(&mut t, a.lease_id, a.epoch, 10.0).unwrap();
         let b = grant(&mut t, 2, 40.0).unwrap();
@@ -1510,7 +1544,7 @@ mod tests {
     fn an_astronomical_demand_still_commits_finite_watts() {
         // 1e308 W beside 10 W overflows `extra * demand` in the split: the
         // target must still be finite, and the shard must still get watts.
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
+        let mut t = LeaseTable::new(cap(100.0), ArbiterPolicy::DemandProportional, 10, cap(2.0), 0);
         let a = grant(&mut t, 1, 10.0).unwrap();
         let b = grant(&mut t, 2, 1e308).unwrap();
         for _ in 0..2 {
@@ -1525,14 +1559,18 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_exact_table() {
-        let fresh = || LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0);
+        let fresh =
+            || LeaseTable::new(cap(80.0), ArbiterPolicy::DemandProportional, 5, cap(3.0), 0);
         let mut live = fresh();
         let mut journal = Vec::new();
-        let lease = |shard_id, demand_w| CoordRequest::Lease { shard_id, demand_w };
-        let renew = |lease_id, epoch| CoordRequest::Renew { lease_id, epoch, demand_w: 10.0 };
+        let lease =
+            |shard_id, demand_w| CoordRequest::Lease { shard_id, demand_w: watts(demand_w) };
+        let renew =
+            |lease_id, epoch| CoordRequest::Renew { lease_id, epoch, demand_w: watts(10.0) };
         let a = call(&mut live, &mut journal, lease(1, 20.0)).unwrap();
         live.advance_to(2);
-        let request = CoordRequest::Renew { lease_id: a.lease_id, epoch: a.epoch, demand_w: 25.0 };
+        let (lease_id, epoch, demand_w) = (a.lease_id, a.epoch, watts(25.0));
+        let request = CoordRequest::Renew { lease_id, epoch, demand_w };
         step(&mut live, &mut journal, request).unwrap();
         let b = call(&mut live, &mut journal, lease(2, 10.0)).unwrap();
         // B renews at tick 6, pushing its expiry to 11; A goes silent and
@@ -1558,7 +1596,7 @@ mod tests {
         let entries = vec![CoordJournalEntry::Grant {
             lease_id: 1,
             shard_id: 1,
-            demand_w: 0.0,
+            demand_w: watts(0.0),
             tick: 0,
             epoch: 42, // a fresh table's first grant lands on epoch 1
         }];
@@ -1571,7 +1609,7 @@ mod tests {
         }
 
         let entries =
-            vec![CoordJournalEntry::Renew { lease_id: 7, demand_w: 0.0, tick: 0, epoch: 1 }];
+            vec![CoordJournalEntry::Renew { lease_id: 7, demand_w: watts(0.0), tick: 0, epoch: 1 }];
         assert!(matches!(
             replay_coordinator(&entries, table()),
             Err(JournalError::Divergence { index: 0, .. })
@@ -1580,12 +1618,13 @@ mod tests {
 
     /// A `Granted` reply for lease 1 from a coordinator whose floor is 5 W.
     fn granted(epoch: u64, budget_w: f64, ttl_ms: u64) -> CoordResponse {
-        CoordResponse::Granted { lease_id: 1, epoch, budget_w, ttl_ms, floor_w: 5.0 }
+        let (budget_w, floor_w) = (watts(budget_w), cap(5.0));
+        CoordResponse::Granted { lease_id: 1, epoch, budget_w, ttl_ms, floor_w }
     }
 
     /// A `Renewed` reply for lease 1 from the same coordinator, TTL 1 s.
     fn renewed(epoch: u64, budget_w: f64) -> CoordResponse {
-        let (ttl_ms, floor_w) = (1_000, 5.0);
+        let (budget_w, ttl_ms, floor_w) = (watts(budget_w), 1_000, cap(5.0));
         CoordResponse::Renewed { lease_id: 1, epoch, budget_w, ttl_ms, floor_w }
     }
 
@@ -1596,40 +1635,62 @@ mod tests {
     #[test]
     fn shard_lease_decays_but_never_exceeds_the_last_grant() {
         let t0 = 0;
-        let mut s = ShardLease::new(1, 5.0);
+        let mut s = shard(1, 40.0, 5.0);
         assert_eq!(s.state(), ShardLeaseState::Unleased);
-        assert_eq!(s.cap_w(), 5.0, "unleased shards run at the pre-lease reserve");
-        let lease = s.request(40.0);
-        assert_eq!(lease, CoordRequest::Lease { shard_id: 1, demand_w: 40.0 });
-        assert_eq!(s.on_reply(&lease, None, t0), 5.0, "misses before any lease change nothing");
+        assert_eq!(s.cap_w().get(), 5.0, "unleased shards run at the pre-lease reserve");
+        let lease = s.request();
+        assert_eq!(lease, CoordRequest::Lease { shard_id: 1, demand_w: watts(40.0) });
+        let cap_w = s.on_reply(&lease, None, t0).get();
+        assert_eq!(cap_w, 5.0, "misses before any lease change nothing");
 
-        assert_eq!(s.on_reply(&lease, Some(&granted(3, 40.0, 1_000)), t0), 40.0);
+        assert_eq!(s.on_reply(&lease, Some(&granted(3, 40.0, 1_000)), t0).get(), 40.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
-        let renew = s.request(40.0);
-        assert_eq!(renew, CoordRequest::Renew { lease_id: 1, epoch: 3, demand_w: 40.0 });
+        let renew = s.request();
+        assert_eq!(renew, CoordRequest::Renew { lease_id: 1, epoch: 3, demand_w: watts(40.0) });
 
         // Misses halve toward the floor and never go below it.
-        assert_eq!(s.on_reply(&renew, None, t0), 20.0);
+        assert_eq!(s.on_reply(&renew, None, t0).get(), 20.0);
         assert_eq!(s.state(), ShardLeaseState::Degraded);
         assert_eq!(s.degraded_entries(), 1);
-        assert_eq!(s.on_reply(&renew, None, t0), 10.0);
-        assert_eq!(s.on_reply(&renew, None, t0), 5.0);
-        assert_eq!(s.on_reply(&renew, None, t0), 5.0);
+        assert_eq!(s.on_reply(&renew, None, t0).get(), 10.0);
+        assert_eq!(s.on_reply(&renew, None, t0).get(), 5.0);
+        assert_eq!(s.on_reply(&renew, None, t0).get(), 5.0);
         for _ in 0..8 {
-            assert!(s.on_reply(&renew, None, t0) <= 40.0, "the cap never exceeds the last grant");
+            let cap_w = s.on_reply(&renew, None, t0).get();
+            assert!(cap_w <= 40.0, "the cap never exceeds the last grant");
         }
 
         // A successful renewal recovers the lease.
-        assert_eq!(s.on_reply(&renew, Some(&renewed(9, 33.0)), t0), 33.0);
+        assert_eq!(s.on_reply(&renew, Some(&renewed(9, 33.0)), t0).get(), 33.0);
         assert_eq!(s.state(), ShardLeaseState::Leased);
-        assert_eq!(s.cap_w(), 33.0);
+        assert_eq!(s.cap_w().get(), 33.0);
         assert_eq!(s.degraded_entries(), 1, "recovery does not recount the entry");
 
-        // One miss past the TTL by the shard's own clock clamps straight
-        // to the floor.
-        assert_eq!(s.on_reply(&renew, None, t0 + 999), 16.5);
-        assert_eq!(s.on_reply(&renew, None, t0 + 1_000), 5.0);
+        // A miss in the last round before the TTL by the shard's own clock,
+        // the one whose next round would come at or after it, clamps
+        // straight to the floor.
+        let last_ms = t0 + 1_000 - RENEW_MS;
+        assert_eq!(s.on_reply(&renew, None, last_ms - 1).get(), 16.5);
+        assert_eq!(s.on_reply(&renew, None, last_ms).get(), 5.0);
         assert_eq!(s.degraded_entries(), 2);
+    }
+
+    #[test]
+    fn a_partitioned_shard_clamps_in_its_last_round_before_the_ttl() {
+        // A is granted the whole 90 W at 0 ms and then hears nothing: its
+        // rounds at 200 and 400 ms miss. The coordinator expires A's lease
+        // at 500 ms, encumbers the 2 W floor and grants B the other 88 W.
+        // A's next round would come at 600 ms, past the TTL, so 400 ms is
+        // its last chance to clamp. Halving to 22.5 W there instead, A and
+        // B enforced 110.5 W under the 90 W cap from 500 to 600 ms.
+        let mut t = LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
+        let (mut a, mut b) = (shard(1, 60.0, 2.0), shard(2, 60.0, 2.0));
+        assert_eq!(round(&mut t, &mut a, 0, false), 90.0);
+        assert_eq!(a.on_reply(&a.request(), None, 200).get(), 45.0);
+        assert_eq!(a.on_reply(&a.request(), None, 400).get(), 2.0, "A clamps at 400 ms");
+        assert_eq!(round(&mut t, &mut b, 500, false), 88.0);
+        let enforced_w = a.cap_w().get() + b.cap_w().get();
+        assert!(enforced_w <= 90.0, "A and B enforce {enforced_w} W under a 90 W cap");
     }
 
     #[test]
@@ -1637,11 +1698,12 @@ mod tests {
         // A shard whose last grant was *below* the floor must clamp to the
         // grant, not up to the floor — degraded mode never raises the cap.
         let t0 = 0;
-        let mut s = ShardLease::new(1, 10.0);
-        let lease = s.request(4.0);
+        let mut s = shard(1, 4.0, 10.0);
+        let lease = s.request();
         s.on_reply(&lease, Some(&granted(1, 4.0, 0)), t0);
-        let renew = s.request(4.0);
-        assert_eq!(s.on_reply(&renew, None, t0), 4.0, "min(floor, last grant) bounds the decay");
+        let renew = s.request();
+        let cap_w = s.on_reply(&renew, None, t0).get();
+        assert_eq!(cap_w, 4.0, "min(floor, last grant) bounds the decay");
     }
 
     #[test]
@@ -1649,21 +1711,20 @@ mod tests {
         let t0 = 0;
         for (code, evicted) in [("expired", 0), ("fenced", 0), ("unknown-lease", 1), ("denied", 0)]
         {
-            let mut s = ShardLease::new(1, 5.0);
-            let lease = s.request(40.0);
+            let mut s = shard(1, 40.0, 5.0);
+            let lease = s.request();
             s.on_reply(&lease, Some(&granted(1, 40.0, 1_000)), t0);
-            let renew = s.request(40.0);
-            let cap_w = s.on_reply(&renew, Some(&rejected(code)), t0);
+            let renew = s.request();
+            let cap_w = s.on_reply(&renew, Some(&rejected(code)), t0).get();
             assert_eq!(s.evictions(), evicted, "{code}");
             if code == "denied" {
                 assert_eq!((s.state(), cap_w), (ShardLeaseState::Leased, 40.0));
                 continue;
             }
             assert_eq!((s.state(), cap_w), (ShardLeaseState::Unleased, 5.0), "{code}");
-            let re_lease = CoordRequest::Lease { shard_id: 1, demand_w: 40.0 };
-            assert_eq!(s.request(40.0), re_lease, "{code}");
+            assert_eq!(s.request(), lease, "{code}");
             // An unknown-lease answer to a lease request is no eviction.
-            s.on_reply(&re_lease, Some(&rejected("unknown-lease")), t0);
+            s.on_reply(&lease, Some(&rejected("unknown-lease")), t0);
             assert_eq!(s.evictions(), evicted, "{code}");
         }
     }

@@ -70,5 +70,5 @@ pub use protocol::{
 };
 pub use server::{
     brownout_level_for, required_priority, should_shed, Client, FleetConfig, ServeConfig,
-    ServeError, Server, ServerHandle,
+    ServeError, Server, ServerHandle, MAX_BATCH,
 };

@@ -18,9 +18,8 @@ use crate::metrics::{LatencyCounts, LeaseReport, Metrics, StatsSnapshot};
 use crate::net::{serve_tcp, FrameClient, FrameHandler, Listener, Running};
 use crate::protocol::{write_frame, ProtocolError, ReportFeedback, Request, Response, Selection};
 use acs_core::{AdaptivePredictor, CappedRuntime, DriftEvent, GuardPolicy, TrainedModel};
-use acs_sim::{Configuration, FamilyId, Machine};
+use acs_sim::{Cap, Configuration, FamilyId, Machine};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -53,8 +52,6 @@ pub struct ServeConfig {
     pub policy: ArbiterPolicy,
     /// Hard bound on concurrent sessions.
     pub max_sessions: usize,
-    /// Hard bound on kernels per `Batch` request.
-    pub max_batch: usize,
     /// Recovery-journal path. `Some` makes admissions, arbiter reshuffles,
     /// and first-time cache misses durable: a restarted server replays the
     /// journal and resumes with identical budgets and a warm cache.
@@ -86,7 +83,6 @@ impl Default for ServeConfig {
             global_cap_w: 120.0,
             policy: ArbiterPolicy::EqualShare,
             max_sessions: 8,
-            max_batch: 256,
             journal: None,
             journal_sync: false,
             fleet: None,
@@ -105,7 +101,7 @@ pub struct FleetConfig {
     pub shard_id: u64,
     /// Pre-lease reserve, W: the cap the shard runs at until its first
     /// grant lands. From then on it clamps to the coordinator's floor.
-    pub lease_floor_w: f64,
+    pub lease_floor_w: Cap,
     /// Lease renewal interval, ms.
     pub renew_ms: u64,
 }
@@ -171,12 +167,6 @@ pub(crate) struct Shared {
     /// non-empty poll interval, µs — what the shed decision compares
     /// deadlines against.
     est_p99_us: AtomicU64,
-    /// `state_digest()` of each session's adaptive predictor, keyed by
-    /// node id — all of the adaptation state a session shares. Written
-    /// after each observation; a clean leave removes the entry, a crash
-    /// leaves it, mirroring the journal's replay semantics (orphans keep
-    /// their rebuilt state).
-    adapt_digests: Mutex<BTreeMap<u64, u64>>,
 }
 
 /// Best-effort journal append. Append failures (disk full, journal file
@@ -188,34 +178,20 @@ fn journal_append(shared: &Shared, entry: &JournalEntry) {
     }
 }
 
-/// The values only a shard can judge, checked before anything binds or
-/// opens a file.
-fn check_config(config: &ServeConfig) -> Result<(), ServeError> {
-    // `Arbiter::new` and `ShardLease::new` assert positivity; an
-    // operator's typo must not get that far. An infinite cap would pass
-    // those asserts and then split into NaN budgets.
-    let fleet = config.fleet.as_ref();
-    let lease_floor_w = fleet.map(|fleet| fleet.lease_floor_w);
-    for (flag, watts) in
-        [("--global-cap", Some(config.global_cap_w)), ("--lease-floor", lease_floor_w)]
-    {
-        if let Some(watts) = watts.filter(|w| !(w.is_finite() && *w > 0.0)) {
+impl Shared {
+    /// Everything a shard is but its listener, from a configuration it
+    /// checks before it opens a file: the journal replayed, the cache
+    /// re-warmed, and a fleet shard clamped to its pre-lease reserve.
+    pub(crate) fn new(config: ServeConfig, model: Arc<TrainedModel>) -> Result<Self, ServeError> {
+        // The wattage `ServeConfig` keeps an `f64`; a fleet shard demands it.
+        let global_cap_w = Cap::new(config.global_cap_w)
+            .map_err(|e| ServeError::Config(format!("--global-cap: {e}")))?;
+        let fleet = config.fleet.as_ref();
+        if let Some(renew_ms) = fleet.map(|fleet| fleet.renew_ms).filter(|&ms| ms < 10) {
             return Err(ServeError::Config(format!(
-                "{flag} must be a finite, positive wattage, got {watts}"
+                "--renew-ms must be at least 10, got {renew_ms}"
             )));
         }
-    }
-    if let Some(renew_ms) = fleet.map(|fleet| fleet.renew_ms).filter(|&ms| ms < 10) {
-        return Err(ServeError::Config(format!("--renew-ms must be at least 10, got {renew_ms}")));
-    }
-    Ok(())
-}
-
-impl Shared {
-    /// Everything a shard is but its listener, from a checked
-    /// configuration: the journal replayed, the profile cache re-warmed,
-    /// and a coordinator-bound shard clamped to its pre-lease reserve.
-    pub(crate) fn new(config: ServeConfig, model: Arc<TrainedModel>) -> Result<Self, ServeError> {
         // Crash recovery: open the journal, replay its valid prefix into a
         // fresh arbiter (next node id resumed, orphans still seated until
         // their leaves are journaled below), and re-warm the profile cache with the journaled miss keys. The
@@ -232,8 +208,10 @@ impl Shared {
             }
             None => (None, None, Arbiter::new(config.global_cap_w, config.policy), 1),
         };
-        let lease = (config.fleet.as_ref())
-            .map(|fleet| Mutex::new(ShardLease::new(fleet.shard_id, fleet.lease_floor_w)));
+        let lease = fleet.map(|fleet| {
+            let (id, reserve_w) = (fleet.shard_id, fleet.lease_floor_w);
+            Mutex::new(ShardLease::new(id, global_cap_w.into(), reserve_w, fleet.renew_ms))
+        });
         let engine =
             Engine::new(Arc::clone(&model), Machine::from_family(config.family, config.seed));
         if let Some(recovery) = &recovery {
@@ -268,7 +246,6 @@ impl Shared {
             lease,
             brownout_level: AtomicU8::new(0),
             est_p99_us: AtomicU64::new(0),
-            adapt_digests: Mutex::new(BTreeMap::new()),
             model,
             config,
         };
@@ -347,13 +324,6 @@ impl ServerHandle {
         self.shared.recovery.clone()
     }
 
-    /// Adaptation-state digests of the sessions that have observed
-    /// feedback, sorted by node id. The kill-and-restart e2e compares
-    /// these against the digests of the predictors journal replay rebuilds.
-    pub fn adapt_digests(&self) -> Vec<(u64, u64)> {
-        self.shared.adapt_digests.lock().clone().into_iter().collect()
-    }
-
     /// The snapshot a `Stats` request is answered with, without a socket.
     pub fn stats(&self) -> StatsSnapshot {
         stats_snapshot(&self.shared)
@@ -381,7 +351,6 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        check_config(&config)?;
         let listener = Listener::bind(&format!("{}:{}", config.host, config.port))?;
         Ok(Self { listener, shared: Arc::new(Shared::new(config, Arc::new(model))?) })
     }
@@ -570,12 +539,12 @@ pub(crate) fn lease_round(
     let Some(lease_mutex) = &shared.lease else {
         return;
     };
-    let request = lease_mutex.lock().request(shared.config.global_cap_w);
+    let request = lease_mutex.lock().request();
     let reply = call(&request);
     let cap_w = lease_mutex.lock().on_reply(&request, reply.as_ref(), now_ms);
     // Only the lease round moves the cap after `Shared::new`, so the check
     // cannot go stale before the step.
-    if (shared.arbiter.lock().global_cap_w() - cap_w).abs() > BUDGET_EPS_W {
+    if (shared.arbiter.lock().global_cap_w() - cap_w.get()).abs() > BUDGET_EPS_W {
         shared.arbitrate(ArbiterOp::Cap { cap_w });
     }
 }
@@ -621,10 +590,9 @@ impl Drop for Seat<'_> {
         // A simulated crash skips the clean leave: the journal must end the
         // way a SIGKILLed process leaves it, with this session still
         // admitted (the restarted server's replay then removes it as an
-        // orphan) and its adaptation digest still published.
+        // orphan).
         if !shared.crashed.load(Ordering::SeqCst) {
             shared.arbitrate(ArbiterOp::Leave { node_id });
-            shared.adapt_digests.lock().remove(&node_id);
         }
         shared.active.fetch_sub(1, Ordering::SeqCst);
     }
@@ -703,6 +671,9 @@ impl FrameHandler for Session<'_> {
 /// which already bounds how long shutdown waits for a session.
 const MAX_RUN_ITERATIONS: u64 = 1 << 14;
 
+/// Hard bound on kernels per `Batch` request.
+pub const MAX_BATCH: usize = 256;
+
 impl Session<'_> {
     /// Apply an arbiter-assigned budget to the session runtime, re-running
     /// selection for every classified kernel.
@@ -763,9 +734,8 @@ impl Session<'_> {
                 Err(e) => (engine_error(e), false),
             },
             Request::Batch { kernel_ids, .. } => {
-                let limit = shared.config.max_batch;
-                if kernel_ids.len() > limit {
-                    return (self.overloaded(kernel_ids.len() as u64, limit as u64), false);
+                if kernel_ids.len() > MAX_BATCH {
+                    return (self.overloaded(kernel_ids.len() as u64, MAX_BATCH as u64), false);
                 }
                 // In request order; the first unknown id answers the whole
                 // batch, and the ids after it are not profiled.
@@ -916,8 +886,8 @@ impl Session<'_> {
 
     /// Feed one `Report` feedback payload through the session's predictor:
     /// validate, observe, journal the exact clamped ratio bits (plus any
-    /// cluster-mismatch reclassification), count the drift events and
-    /// publish the predictor's new digest. On error the predictor is
+    /// cluster-mismatch reclassification) and count the drift events. On
+    /// error the predictor is
     /// untouched and the caller returns the typed response without touching
     /// the arbiter.
     fn observe_feedback(&mut self, feedback: &ReportFeedback) -> Result<(), Box<Response>> {
@@ -943,7 +913,6 @@ impl Session<'_> {
                 point.perf,
             )
             .map_err(|e| Box::new(error_response("bad-feedback", e)))?;
-        shared.adapt_digests.lock().insert(node_id, self.adapt.state_digest());
         let mismatches = outcome
             .events
             .iter()
@@ -978,7 +947,7 @@ pub(crate) fn stats_snapshot(shared: &Shared) -> StatsSnapshot {
         Some(lease) => {
             let lease = lease.lock();
             let state = lease.state().name().to_string();
-            (state, lease.cap_w(), lease.degraded_entries(), lease.evictions())
+            (state, lease.cap_w().get(), lease.degraded_entries(), lease.evictions())
         }
         None => ("standalone".to_string(), shared.config.global_cap_w, 0, 0),
     };
@@ -1396,7 +1365,7 @@ pub(crate) mod tests {
         let kernels: Vec<String> =
             acs_kernels::all_kernel_instances().iter().take(2).map(|k| k.id()).collect();
         // The victim's handler dies inside its second cache miss, past the
-        // decode-error path, with its seat taken and a digest published.
+        // decode-error path, with its seat taken and an observation made.
         let fatal = kernels[1].clone();
         server.shared.engine.set_miss_hook(Box::new(move |kernel_id| {
             assert_ne!(kernel_id, fatal, "injected handler panic");
@@ -1422,7 +1391,7 @@ pub(crate) mod tests {
         };
         let report = Request::Report { residual_w: 0.0, feedback: Some(feedback) };
         assert!(matches!(victim.call(&report).unwrap(), Response::Budget { .. }));
-        assert_eq!(running.handle.adapt_digests().len(), 1);
+        assert_eq!(running.handle.stats().adapt_observations, 1);
         assert!(victim.call(&select(&kernels[1])).is_err(), "the panicking session hangs up");
 
         wait_until("the dead session never gave its seat back", || {
@@ -1432,7 +1401,6 @@ pub(crate) mod tests {
         // its Hello is answered at the epoch it arrives in.
         assert_eq!(hello(&mut survivor), (1, 90.0), "the survivor owns the whole cap again");
         assert_eq!(running.handle.budget_conservation_error_w(), 0.0);
-        assert_eq!(running.handle.adapt_digests(), [], "the dead session's digest is gone");
         drop(survivor);
         running.stop();
         let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
@@ -1440,6 +1408,90 @@ pub(crate) mod tests {
             entries.iter().any(|e| e.arbiter_op() == Some(ArbiterOp::Leave { node_id: 2 })),
             "the dead session's Leave is journaled: {entries:?}"
         );
+        let _ = std::fs::remove_file(&journal_path);
+    }
+
+    /// What journal replay rebuilds for a session that died seated is the
+    /// predictor that session held, bit for bit.
+    #[test]
+    fn replay_rebuilds_a_crashed_sessions_predictor_bit_for_bit() {
+        let journal_path =
+            std::env::temp_dir().join(format!("acs-serve-adapt-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let config = ServeConfig { journal: Some(journal_path.clone()), ..ServeConfig::default() };
+        let server = Server::bind(config.clone(), model()).unwrap();
+        let mut session = join(&server.shared, 1);
+        // Per kernel, 4 on-model observations form the baseline, then 4 at
+        // 2× power / 0.6× perf confirm a bias and a cluster mismatch.
+        for kernel in acs_kernels::all_kernel_instances().iter().take(2) {
+            let select = Request::Select { kernel_id: kernel.id(), deadline_ms: None, priority: 0 };
+            let picked = match session.step(Ok(select)).0 {
+                Response::Selected(selection) => selection,
+                other => panic!("expected Selected, got {other:?}"),
+            };
+            for step in 0..8 {
+                let (power, perf) = if step < 4 { (1.0, 1.0) } else { (2.0, 0.6) };
+                let feedback = ReportFeedback {
+                    kernel_id: kernel.id(),
+                    config: picked.config,
+                    measured_power_w: picked.predicted_power_w * power,
+                    measured_perf: picked.predicted_perf * perf,
+                };
+                let report = Request::Report { residual_w: 1.0, feedback: Some(feedback) };
+                let reply = session.step(Ok(report)).0;
+                assert!(matches!(reply, Response::Budget { .. }), "{reply:?}");
+            }
+        }
+        let live = session.adapt.state_digest();
+        assert_ne!(live, AdaptivePredictor::default().state_digest(), "nothing was observed");
+        server.shared.crashed.store(true, Ordering::SeqCst);
+        drop(session);
+        drop(server);
+
+        let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+        let (_, recovery) = replay(&entries, config.global_cap_w, config.policy).unwrap();
+        let rebuilt: Vec<(u64, u64)> =
+            recovery.adapt.iter().map(|s| (s.node_id, s.predictor.state_digest())).collect();
+        assert_eq!(rebuilt, [(1, live)]);
+        let _ = std::fs::remove_file(&journal_path);
+    }
+
+    /// A coordinator reply is decoded like any frame: a `Granted` whose
+    /// budget reads as +∞ is no grant but a missed round, so the shard's
+    /// cap, its STATS and its journal stay as they were.
+    #[test]
+    fn a_granted_budget_of_1e999_is_a_missed_round() {
+        let journal_path =
+            std::env::temp_dir().join(format!("acs-serve-grant-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let (coordinator, lease_floor_w) = ("in-process".into(), Cap::new(5.0).unwrap());
+        let config = ServeConfig {
+            journal: Some(journal_path.clone()),
+            fleet: Some(FleetConfig { coordinator, shard_id: 1, lease_floor_w, renew_ms: 200 }),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config, model()).unwrap();
+        let shared: &Shared = &server.shared;
+        let text =
+            r#"{"Granted":{"lease_id":1,"epoch":1,"budget_w":1e999,"ttl_ms":500,"floor_w":2}}"#;
+        let mut frame = (text.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(text.as_bytes());
+        let state = || {
+            let appended = shared.journal.as_ref().map(|j| j.appended_entries());
+            (appended, shared.arbiter.lock().global_cap_w())
+        };
+        let before = state();
+        lease_round(shared, 0, |_| {
+            crate::protocol::read_frame_blocking(&mut &frame[..]).ok().flatten()
+        });
+        assert_eq!(state(), before, "the reply moved the cap or journaled an entry");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Response::Stats(Box::new(stats_snapshot(shared)))).unwrap();
+        match crate::protocol::read_frame_blocking(&mut &wire[..]) {
+            Ok(Some(Response::Stats(stats))) => assert_eq!(stats.lease_budget_w, 5.0),
+            other => panic!("STATS does not decode: {other:?}"),
+        }
+        drop(server);
         let _ = std::fs::remove_file(&journal_path);
     }
 
@@ -1522,7 +1574,6 @@ pub(crate) mod tests {
         let reply = session.step(Ok(report.clone())).0;
         assert_eq!(reply, Response::Budget { budget_w: 22.5 }, "30 W of headroom donates");
         assert_eq!(session.adapt.state_digest(), digest, "level 1 observed the feedback");
-        assert!(shared.adapt_digests.lock().is_empty());
         set(0, 0);
         session.step(Ok(report));
         assert_ne!(session.adapt.state_digest(), digest, "level 0 ignored the feedback");

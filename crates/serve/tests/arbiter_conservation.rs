@@ -6,6 +6,7 @@
 //! deterministic and replays from the journal entries its steps returned.
 
 use acs_serve::{replay, Arbiter, ArbiterOp, ArbiterPolicy};
+use acs_sim::Cap;
 use proptest::prelude::*;
 
 fn policy_from(n: u8) -> ArbiterPolicy {
@@ -21,15 +22,15 @@ fn policy_from(n: u8) -> ArbiterPolicy {
 const HUGE_W: [f64; 3] = [1e308, -1e308, f64::MAX];
 
 /// Arbiter steps over node ids `0..ids` with watts in `-w..w`: joins,
-/// leaves, reports and cap moves, a quarter each. A non-positive cap is
-/// one the arbiter ignores. One report in eight carries a [`HUGE_W`]
-/// residual instead.
+/// leaves, reports and cap moves, a quarter each. A cap move is to the
+/// watts' magnitude, a zero one to 1 mW. One report in eight carries a
+/// [`HUGE_W`] residual instead.
 fn ops(ids: u64, w: f64, len: usize) -> impl Strategy<Value = Vec<ArbiterOp>> {
     let op = (0u8..4, 0..ids, -w..w, 0usize..8).prop_map(|(kind, node_id, w, huge)| match kind {
         0 => ArbiterOp::Admit { node_id },
         1 => ArbiterOp::Leave { node_id },
         2 => ArbiterOp::Report { node_id, residual_w: HUGE_W.get(huge).copied().unwrap_or(w) },
-        _ => ArbiterOp::Cap { cap_w: w },
+        _ => ArbiterOp::Cap { cap_w: Cap::new(w.abs()).unwrap_or(Cap::new(1e-3).unwrap()) },
     });
     prop::collection::vec(op, 1..len)
 }

@@ -14,7 +14,7 @@ use acs_serve::{
     ArbiterPolicy, Client, Coordinator, CoordinatorConfig, FleetConfig, Request, Response,
     ServeConfig, Server, ServerHandle,
 };
-use acs_sim::{FamilyId, Machine};
+use acs_sim::{Cap, FamilyId, Machine};
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -32,8 +32,8 @@ const FLOOR_W: f64 = 2.0;
 /// TTL = 500 ms of silence; leases journaled to `journal`.
 fn coordinator_config(journal: &Path) -> CoordinatorConfig {
     CoordinatorConfig {
-        global_cap_w: GLOBAL_CAP_W,
-        floor_w: FLOOR_W,
+        global_cap_w: Cap::new(GLOBAL_CAP_W).unwrap(),
+        floor_w: Cap::new(FLOOR_W).unwrap(),
         ttl_ms: 500,
         journal: Some(journal.to_path_buf()),
         ..Default::default()
@@ -42,12 +42,12 @@ fn coordinator_config(journal: &Path) -> CoordinatorConfig {
 
 /// Shard `shard_id` of `family` demanding 60 W, leasing from `coordinator`.
 fn shard_config(family: FamilyId, shard_id: u64, coordinator: &str) -> ServeConfig {
-    let coordinator = coordinator.to_string();
+    let (coordinator, lease_floor_w) = (coordinator.to_string(), Cap::new(FLOOR_W).unwrap());
     ServeConfig {
         family,
         global_cap_w: 60.0,
         policy: ArbiterPolicy::EqualShare,
-        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w: FLOOR_W, renew_ms: 25 }),
+        fleet: Some(FleetConfig { coordinator, shard_id, lease_floor_w, renew_ms: 25 }),
         ..ServeConfig::default()
     }
 }

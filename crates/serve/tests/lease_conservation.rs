@@ -12,6 +12,7 @@
 //!   SIGKILLed coordinator re-adopts instead of double-granting.
 
 use acs_serve::{replay_coordinator, ArbiterPolicy, CoordJournalEntry, CoordRequest, LeaseTable};
+use acs_sim::{Cap, Watts};
 use proptest::prelude::*;
 
 const CAP_W: f64 = 100.0;
@@ -40,6 +41,7 @@ fn apply(
     dt: u64,
 ) {
     table.advance_to(table.tick() + dt);
+    let demand_w = Watts::new(demand_w).unwrap();
     let pick_of = |ids: Vec<u64>| ids.get(pick as usize % ids.len().max(1)).copied();
     let request = match op % 4 {
         0 => CoordRequest::Lease {
@@ -75,7 +77,7 @@ fn apply(
 
 /// A fresh table under `policy` with eviction after `horizon` ms (0 = off).
 fn fresh(policy: ArbiterPolicy, horizon: u64) -> LeaseTable {
-    LeaseTable::new(CAP_W, policy, TTL_MS, FLOOR_W, horizon)
+    LeaseTable::new(Cap::new(CAP_W).unwrap(), policy, TTL_MS, Cap::new(FLOOR_W).unwrap(), horizon)
 }
 
 /// Step `ops` through a table with eviction after `horizon` ms (0 =
@@ -196,14 +198,14 @@ fn explore(
     }
     // `None` is one TTL of clock; the rest are requests.
     let mut steps: Vec<Option<CoordRequest>> = vec![None];
-    steps.extend(
-        [1, 2, 3, 4].map(|shard_id| {
-            Some(CoordRequest::Lease { shard_id, demand_w: 10.0 * shard_id as f64 })
-        }),
-    );
+    steps.extend([1, 2, 3, 4].map(|shard_id| {
+        let demand_w = Watts::new(10.0 * shard_id as f64).unwrap();
+        Some(CoordRequest::Lease { shard_id, demand_w })
+    }));
     for lease_id in table.live_ids() {
         let epoch = table.epoch();
-        steps.push(Some(CoordRequest::Renew { lease_id, epoch, demand_w: 30.0 }));
+        let demand_w = Watts::new(30.0).unwrap();
+        steps.push(Some(CoordRequest::Renew { lease_id, epoch, demand_w }));
         steps.push(Some(CoordRequest::Release { lease_id }));
     }
     steps.extend(

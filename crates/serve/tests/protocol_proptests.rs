@@ -206,9 +206,18 @@ mod codec {
         CoordJournalEntry, CoordRequest, CoordResponse, CoordStats, JournalEntry, LeaseReport,
         Metrics, Recovery, ReportFeedback, SessionAdapt,
     };
+    use acs_sim::{Cap, Watts};
     use serde::{Deserialize, Serialize};
     use serde_json::{from_str, parse_value, to_string, to_string_pretty};
     use std::fmt::Debug;
+
+    fn watts(w: f64) -> Watts {
+        Watts::new(w).unwrap()
+    }
+
+    fn cap(w: f64) -> Cap {
+        Cap::new(w).unwrap()
+    }
 
     /// Strings that need every kind of escape, and some that need none.
     const AWKWARD: &str = "q\" b\\ n\n t\t r\r nul\u{0} esc\u{1b} κ/üñ/… 😀";
@@ -355,7 +364,7 @@ mod codec {
             JournalEntry::Report { node_id: 1, residual_w: -0.0, epoch: 4 },
             JournalEntry::Report { node_id: 1, residual_w: 2.5, epoch: 5 },
             JournalEntry::CacheKey { kernel_id: AWKWARD.into() },
-            JournalEntry::Cap { cap_w: 119.99999999999999, epoch: 6 },
+            JournalEntry::Cap { cap_w: cap(119.99999999999999), epoch: 6 },
             JournalEntry::AdaptObs {
                 node_id: 1,
                 kernel_id: "LU/Small/lud".into(),
@@ -381,20 +390,20 @@ mod codec {
             CoordJournalEntry::Grant {
                 lease_id: 1,
                 shard_id: 2,
-                demand_w: 30.5,
+                demand_w: watts(30.5),
                 tick: 3,
                 epoch: 4,
             },
-            CoordJournalEntry::Renew { lease_id: 1, demand_w: 0.0, tick: 5, epoch: 6 },
+            CoordJournalEntry::Renew { lease_id: 1, demand_w: watts(0.0), tick: 5, epoch: 6 },
             CoordJournalEntry::Release { lease_id: 1, tick: 7, epoch: 8 },
             CoordJournalEntry::Revoke { lease_id: 1, tick: 9, epoch: 10 },
         ] {
             pin(&entry);
         }
         for request in [
-            CoordRequest::Lease { shard_id: 4, demand_w: 12.5 },
-            CoordRequest::Lease { shard_id: 1 | 1 << 63, demand_w: 0.0 },
-            CoordRequest::Renew { lease_id: 1, epoch: 2, demand_w: 33.333333333333336 },
+            CoordRequest::Lease { shard_id: 4, demand_w: watts(12.5) },
+            CoordRequest::Lease { shard_id: 1 | 1 << 63, demand_w: watts(0.0) },
+            CoordRequest::Renew { lease_id: 1, epoch: 2, demand_w: watts(33.333333333333336) },
             CoordRequest::Release { lease_id: 1 },
             CoordRequest::Revoke { lease_id: 1 },
             CoordRequest::Stats,
@@ -425,16 +434,16 @@ mod codec {
             CoordResponse::Granted {
                 lease_id: 1,
                 epoch: 3,
-                budget_w: 80.0,
+                budget_w: watts(80.0),
                 ttl_ms: 600,
-                floor_w: 2.5,
+                floor_w: cap(2.5),
             },
             CoordResponse::Renewed {
                 lease_id: 1,
                 epoch: 4,
-                budget_w: 79.5,
+                budget_w: watts(79.5),
                 ttl_ms: 600,
-                floor_w: 2.5,
+                floor_w: cap(2.5),
             },
             CoordResponse::Rejected { code: "pool-exhausted".into(), detail: AWKWARD.into() },
             CoordResponse::Released,
@@ -453,10 +462,10 @@ mod codec {
         pin(&model);
     }
 
-    fn decode(json: &str) -> Result<Request, String> {
+    fn decode<T: Deserialize + Debug>(json: &str) -> Result<T, String> {
         let mut frame = (json.len() as u32).to_be_bytes().to_vec();
         frame.extend_from_slice(json.as_bytes());
-        match read_frame::<_, Request>(&mut &frame[..]) {
+        match read_frame::<_, T>(&mut &frame[..]) {
             Ok(ReadOutcome::Frame(request)) => Ok(request),
             Ok(other) => panic!("{json}: {other:?}"),
             Err(ProtocolError::Malformed(why)) => Err(why),
@@ -539,8 +548,53 @@ mod codec {
             (r#"{"Select":{"kernel_id":"\u+041"}}"#.into(), Err("invalid unicode escape at line 1 column 27".into())),
         ];
         for (json, expected) in table {
-            assert_eq!(decode(&json), expected, "{json}");
+            assert_eq!(decode::<Request>(&json), expected, "{json}");
         }
+    }
+
+    /// (b) for the lease wire: the wattages a lease message may not carry.
+    /// A demand is finite and at least 0 W, a budget too, and a floor is
+    /// finite and above 0 W; anything else is the typed decode error, so
+    /// neither side ever folds one in.
+    #[test]
+    fn the_lease_wattages_refused_are_written_down() {
+        let granted = |budget_w: &str, floor_w: &str| {
+            let fields = format!(r#""budget_w":{budget_w},"ttl_ms":500,"floor_w":{floor_w}"#);
+            format!(r#"{{"Granted":{{"lease_id":1,"epoch":2,{fields}}}}}"#)
+        };
+        for (json, refusal) in [
+            (
+                r#"{"Lease":{"shard_id":1,"demand_w":-1}}"#.to_string(),
+                "field `demand_w`: -1 W is not finite and at least 0",
+            ),
+            (
+                r#"{"Lease":{"shard_id":1,"demand_w":1e999}}"#.to_string(),
+                "field `demand_w`: inf W is not finite and at least 0",
+            ),
+            (
+                r#"{"Renew":{"lease_id":1,"epoch":2,"demand_w":-1}}"#.to_string(),
+                "field `demand_w`: -1 W is not finite and at least 0",
+            ),
+        ] {
+            assert_eq!(decode::<CoordRequest>(&json), Err(refusal.to_string()), "{json}");
+        }
+        for (json, refusal) in [
+            (granted("1e999", "2"), "field `budget_w`: inf W is not finite and at least 0"),
+            (granted("-1", "2"), "field `budget_w`: -1 W is not finite and at least 0"),
+            (granted("80", "0"), "field `floor_w`: 0 W is not finite and above 0"),
+            (granted("80", "-1e999"), "field `floor_w`: -inf W is not finite and above 0"),
+        ] {
+            assert_eq!(decode::<CoordResponse>(&json), Err(refusal.to_string()), "{json}");
+        }
+        let granted = granted("80", "2.5");
+        let expected = CoordResponse::Granted {
+            lease_id: 1,
+            epoch: 2,
+            budget_w: watts(80.0),
+            ttl_ms: 500,
+            floor_w: cap(2.5),
+        };
+        assert_eq!(decode::<CoordResponse>(&granted), Ok(expected), "in range it decodes");
     }
 
     /// Characters of every UTF-8 width, a quote and a backslash included.

@@ -148,7 +148,7 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
     // (4 on-model observations form the baseline, then 4 at 2× power /
     // 0.6× perf confirm bias and a cluster mismatch), plus a few `Run`s
     // for rung tallies. Then die like a SIGKILL.
-    let (pre_digests, pre_tallies) = {
+    let pre_tallies = {
         let server = Server::spawn(config(Some(journal_path.clone())), model()).unwrap();
         let mut client = Client::connect(&server.addr).unwrap();
         client.call(&Request::Hello).unwrap();
@@ -193,24 +193,20 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
         };
         assert!(!tallies.is_empty(), "the runs never recorded a rung");
         assert!(server.handle.stats().adapt_observations > 0, "feedback never reached a predictor");
-        let digests = server.handle.adapt_digests();
-        assert!(!digests.is_empty(), "the session never grew adaptation state");
         server.handle.simulate_crash();
         server.join();
-        (digests, tallies)
+        tallies
     };
 
     // Phase 2: restart on the same journal. Replay must rebuild the
-    // orphaned session's predictor bit-for-bit and reconcile the rung
-    // tallies into the restarted server's STATS.
+    // orphaned session's predictor (bit for bit, which
+    // `server::tests::replay_rebuilds_a_crashed_sessions_predictor_bit_for_bit`
+    // checks) and reconcile the rung tallies into the restarted server's
+    // STATS.
     let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
     let recovery = server.handle.recovery().expect("a journaled server reports its recovery");
-    let replayed: Vec<(u64, u64)> =
-        recovery.adapt.iter().map(|s| (s.node_id, s.predictor.state_digest())).collect();
-    assert_eq!(
-        replayed, pre_digests,
-        "replayed adaptation state must be byte-identical to the pre-crash state"
-    );
+    let orphans: Vec<u64> = recovery.adapt.iter().map(|s| s.node_id).collect();
+    assert_eq!(orphans, [1], "the orphan's adaptation state is rebuilt");
     assert_eq!(recovery.rung_tallies, pre_tallies, "replay reconciles the rung tallies");
 
     let mut client = Client::connect(&server.addr).unwrap();

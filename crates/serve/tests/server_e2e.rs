@@ -5,6 +5,7 @@
 use acs_core::{train_on_suite, TrainedModel};
 use acs_serve::{
     ArbiterPolicy, Client, ReportFeedback, Request, Response, ServeConfig, ServeError, Server,
+    MAX_BATCH,
 };
 use acs_sim::Machine;
 use std::io::Write;
@@ -152,8 +153,7 @@ fn retried_run_with_one_key_replays_byte_identical_bytes() {
 
 #[test]
 fn batch_matches_singles_and_oversized_batch_is_overloaded() {
-    let server =
-        Server::spawn(ServeConfig { max_batch: 4, ..ServeConfig::default() }, model()).unwrap();
+    let server = Server::spawn(ServeConfig::default(), model()).unwrap();
     let mut client = Client::connect(&server.addr).unwrap();
 
     let ids = kernel_ids(4);
@@ -200,12 +200,11 @@ fn batch_matches_singles_and_oversized_batch_is_overloaded() {
     assert_ne!(corrected[0], uncorrected[0], "the correction never reached the batch");
     assert_eq!(corrected[1..], uncorrected[1..], "only the drifted kernel is corrected");
 
-    match client
-        .call(&Request::Batch { kernel_ids: kernel_ids(5), deadline_ms: None, priority: 0 })
-        .unwrap()
-    {
+    // The bound counts ids, not kernels: the same one will do.
+    let kernel_ids = vec![ids[0].clone(); MAX_BATCH + 1];
+    match client.call(&Request::Batch { kernel_ids, deadline_ms: None, priority: 0 }).unwrap() {
         Response::Overloaded { load, limit } => {
-            assert_eq!((load, limit), (5, 4));
+            assert_eq!((load, limit), (MAX_BATCH as u64 + 1, MAX_BATCH as u64));
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }

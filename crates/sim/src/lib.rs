@@ -40,6 +40,7 @@ pub mod power;
 pub mod pstate;
 pub mod sensor;
 pub mod trace;
+pub mod watts;
 
 pub use config::{Configuration, Device, NUM_CPU_CORES};
 
@@ -54,3 +55,4 @@ pub use power::{PowerBreakdown, PowerCalibration};
 pub use pstate::{CpuPState, GpuPState, CPU_REF_FREQ_GHZ, GPU_REF_FREQ_GHZ};
 pub use sensor::PowerSensor;
 pub use trace::{trace_for, PowerTrace, TraceSegment};
+pub use watts::{Cap, Watts};

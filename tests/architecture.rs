@@ -223,6 +223,15 @@ const GUARDS: &[Guard] = &[
             Lit("rate_rps"),
         ],
     },
+    // A cap, floor or demand is parsed once where it enters, a CLI flag or
+    // a lease message, into `acs_sim::Cap` or `acs_sim::Watts`: no flag
+    // helper checks a cap again. Nor does a test-only digest map come back
+    // into the server, or a batch bound nothing but a test sets.
+    Guard {
+        name: "One wattage rule",
+        paths: &["crates"],
+        forbidden: &[Lit("cap_arg"), Lit("adapt_digests"), Lit("max_batch")],
+    },
 ];
 
 const RATCHETS: &[Ratchet] = &[
@@ -247,6 +256,15 @@ const RATCHETS: &[Ratchet] = &[
         paths: &["crates/serve/tests", "tests/serve_determinism.rs"],
         patterns: &[Lit("sleep(")],
         ceiling: 4,
+    },
+    // Past the boundary a wattage is a `Cap` or a `Watts` and checks
+    // nothing. What is left, test modules included: the demand split's
+    // overflow rescale and the signed `Report` residual.
+    Ratchet {
+        name: "Finiteness checks in the serve and CLI crates do not grow",
+        paths: &["crates/serve/src", "crates/cli/src"],
+        patterns: &[Lit("is_finite(")],
+        ceiling: 6,
     },
 ];
 
