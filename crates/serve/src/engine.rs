@@ -24,8 +24,9 @@
 //! - the **idempotency memo** (client key → [`Response`]), which makes
 //!   retried `Run` requests exactly-once in effect: the first successful
 //!   execution's response bytes are replayed verbatim for any retry
-//!   carrying the same key. Also bounded LRU; an evicted key merely
-//!   downgrades a late retry to a re-execution.
+//!   carrying the same key. Also bounded LRU, evicting through an index
+//!   ordered by last use, since every keyed `Run` stores a key; an
+//!   evicted key merely downgrades a late retry to a re-execution.
 
 use crate::protocol::{Response, Selection};
 use acs_core::{
@@ -33,7 +34,7 @@ use acs_core::{
 };
 use acs_sim::{Device, KernelCharacteristics, Machine};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -83,7 +84,7 @@ pub struct Engine {
     kernels: BTreeMap<String, KernelCharacteristics>,
     cache: Mutex<HashMap<String, Slot<Arc<PredictedProfile>>>>,
     profile_capacity: usize,
-    idem: Mutex<HashMap<u64, Slot<Response>>>,
+    idem: Mutex<IdemMemo>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -92,6 +93,9 @@ pub struct Engine {
 
 /// Evict least-recently-used slots (ties broken by smallest key, so the
 /// victim is deterministic under equal ticks) until `map` fits `capacity`.
+/// A scan per victim: the profile cache, which holds the suite's kernels
+/// and never reaches its bound in service, evicts this way and so keeps a
+/// hit down to one map lookup.
 fn evict_lru<K: Ord + std::hash::Hash + Clone, V>(map: &mut HashMap<K, Slot<V>>, capacity: usize) {
     while map.len() > capacity {
         let Some(victim) = map
@@ -102,6 +106,43 @@ fn evict_lru<K: Ord + std::hash::Hash + Clone, V>(map: &mut HashMap<K, Slot<V>>,
             break;
         };
         map.remove(&victim);
+    }
+}
+
+/// The idempotency memo: key → response, bounded LRU. Beside the map,
+/// an index ordered by `(last use, key)` names the victim of
+/// [`evict_lru`]'s rule without a scan.
+struct IdemMemo {
+    slots: HashMap<u64, Slot<Response>>,
+    by_use: BTreeSet<(u64, u64)>,
+    capacity: usize,
+}
+
+impl IdemMemo {
+    fn new(capacity: usize) -> Self {
+        Self { slots: HashMap::new(), by_use: BTreeSet::new(), capacity }
+    }
+
+    /// The response kept under `key`, now last used at `tick`.
+    fn lookup(&mut self, key: u64, tick: u64) -> Option<&Response> {
+        let slot = self.slots.get_mut(&key)?;
+        self.by_use.remove(&(slot.last_used, key));
+        self.by_use.insert((tick, key));
+        slot.last_used = tick;
+        Some(&slot.value)
+    }
+
+    /// Keep `value` under `key`, last used at `tick`, evicting the least
+    /// recently used keys past capacity.
+    fn store(&mut self, key: u64, value: Response, tick: u64) {
+        if let Some(old) = self.slots.insert(key, Slot { value, last_used: tick }) {
+            self.by_use.remove(&(old.last_used, key));
+        }
+        self.by_use.insert((tick, key));
+        while self.slots.len() > self.capacity {
+            let Some((_, victim)) = self.by_use.pop_first() else { break };
+            self.slots.remove(&victim);
+        }
     }
 }
 
@@ -116,7 +157,7 @@ impl Engine {
             kernels,
             cache: Mutex::new(HashMap::new()),
             profile_capacity: DEFAULT_PROFILE_CAPACITY,
-            idem: Mutex::new(HashMap::new()),
+            idem: Mutex::new(IdemMemo::new(IDEM_CAPACITY)),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -139,6 +180,12 @@ impl Engine {
     /// The kernel with this id, if it is in the suite.
     pub fn kernel(&self, id: &str) -> Option<&KernelCharacteristics> {
         self.kernels.get(id)
+    }
+
+    /// Count a profile-cache hit made without a lookup: a session that
+    /// answers a `Select` from its reply memo stands in for one.
+    pub(crate) fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(hits, misses)` of the profile cache since startup.
@@ -203,19 +250,14 @@ impl Engine {
     /// already executed. Refreshes the key's LRU position.
     pub fn idem_lookup(&self, key: u64) -> Option<Response> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut idem = self.idem.lock();
-        let slot = idem.get_mut(&key)?;
-        slot.last_used = tick;
-        Some(slot.value.clone())
+        self.idem.lock().lookup(key, tick).cloned()
     }
 
     /// Remember a successful response under its idempotency key so a
     /// retry replays these exact bytes instead of executing again.
     pub fn idem_store(&self, key: u64, response: &Response) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut idem = self.idem.lock();
-        idem.insert(key, Slot { value: response.clone(), last_used: tick });
-        evict_lru(&mut idem, IDEM_CAPACITY);
+        self.idem.lock().store(key, response.clone(), tick);
     }
 
     /// Select a configuration for one kernel under a budget.
@@ -249,6 +291,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn engine() -> Engine {
         let machine = Machine::new(2014);
@@ -371,7 +414,44 @@ mod tests {
         assert!(e.idem_lookup(2).is_none(), "LRU key evicted at capacity");
         assert!(e.idem_lookup(1).is_some());
         assert!(e.idem_lookup(full + 1).is_some());
-        assert_eq!(e.idem.lock().len(), IDEM_CAPACITY);
+        assert_eq!(e.idem.lock().slots.len(), IDEM_CAPACITY);
+    }
+
+    proptest! {
+        /// The ordered index evicts exactly what a scan for the least
+        /// recently used key would: over random store/lookup sequences on a
+        /// small memo, every lookup agrees with a scanning model, and the
+        /// two hold the same keys at the same ticks throughout.
+        #[test]
+        fn idem_memo_evicts_as_a_scan_would(
+            ops in prop::collection::vec((0u8..3, 0u64..12), 1..200),
+        ) {
+            const CAPACITY: usize = 4;
+            let mut memo = IdemMemo::new(CAPACITY);
+            let mut model: HashMap<u64, Slot<Response>> = HashMap::new();
+            for (tick, (op, key)) in (0u64..).zip(ops) {
+                let value = Response::Welcome { node_id: tick, budget_w: 1.0 };
+                if op == 0 {
+                    memo.store(key, value.clone(), tick);
+                    model.insert(key, Slot { value, last_used: tick });
+                    evict_lru(&mut model, CAPACITY);
+                } else {
+                    let expected = model.get_mut(&key).map(|slot| {
+                        slot.last_used = tick;
+                        slot.value.clone()
+                    });
+                    prop_assert_eq!(memo.lookup(key, tick).cloned(), expected);
+                }
+                let held = |slots: &HashMap<u64, Slot<Response>>| {
+                    let mut held: Vec<(u64, u64)> =
+                        slots.iter().map(|(key, slot)| (slot.last_used, *key)).collect();
+                    held.sort_unstable();
+                    held
+                };
+                prop_assert_eq!(held(&memo.slots), held(&model));
+                prop_assert_eq!(memo.by_use.iter().copied().collect::<Vec<_>>(), held(&model));
+            }
+        }
     }
 
     #[test]

@@ -228,8 +228,8 @@ fn ns_to_us(ns: u64) -> u64 {
 /// Thread-safe metric registry shared by all sessions.
 #[derive(Default)]
 pub struct Metrics {
-    requests_total: AtomicU64,
-    /// One slot per entry of [`Request::KINDS`].
+    /// One slot per entry of [`Request::KINDS`]; their sum is
+    /// `requests_total`.
     by_kind: [AtomicU64; Request::KINDS.len()],
     latencies: Histogram,
     overloaded: AtomicU64,
@@ -255,9 +255,9 @@ impl Metrics {
 
     /// Record one served request of `kind` (a [`Request::kind`] label)
     /// with its service latency in nanoseconds (sub-µs services must not
-    /// collapse to 0).
+    /// collapse to 0). A label [`Request::kind`] never returns counts its
+    /// latency only.
     pub fn record_request(&self, kind: &str, latency_ns: u64) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
         if let Some(slot) = Request::KINDS.iter().position(|k| *k == kind) {
             self.by_kind[slot].fetch_add(1, Ordering::Relaxed);
         }
@@ -286,7 +286,13 @@ impl Metrics {
 
     /// Tally one request served at a degradation-ladder rung.
     pub fn record_rung(&self, label: &str) {
-        *self.degradation.lock().entry(label.to_string()).or_insert(0) += 1;
+        let mut degradation = self.degradation.lock();
+        match degradation.get_mut(label) {
+            Some(count) => *count += 1,
+            None => {
+                degradation.insert(label.to_string(), 1);
+            }
+        }
     }
 
     /// Seed the rung tallies from journal replay, so a restarted server's
@@ -354,12 +360,13 @@ impl Metrics {
         let renew_latencies = self.renew_latencies.counts();
         let (cache_hits, cache_misses) = cache_counts;
         let looked_up = cache_hits + cache_misses;
+        let by_kind: [u64; Request::KINDS.len()] =
+            std::array::from_fn(|slot| self.by_kind[slot].load(Ordering::Relaxed));
         StatsSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
+            requests_total: by_kind.iter().sum(),
             requests_by_kind: Request::KINDS
                 .iter()
-                .zip(&self.by_kind)
-                .map(|(kind, count)| (kind, count.load(Ordering::Relaxed)))
+                .zip(by_kind)
                 .filter(|(_, count)| *count > 0)
                 .map(|(kind, count)| (kind.to_string(), count))
                 .collect(),

@@ -14,10 +14,14 @@
 //!
 //! The frame loop pays syscalls per wake-up, not per frame: one `read`
 //! takes every request the socket holds, and their replies leave in one
-//! `write` just before the loop has to read the socket again.
+//! `write` just before the loop has to read the socket again. Before that
+//! read can put the thread to sleep, the loop takes what has already
+//! arrived without waiting and, finding nothing, yields its core once, so
+//! a peer that answers within a time slice costs no sleep and wake-up.
 
 use crate::protocol::{
-    encode_frame, read_frame_blocking, write_frame, FrameReader, ProtocolError, ReadOutcome,
+    decode_body, encode_frame, read_frame_blocking, write_frame, FrameReader, ProtocolError,
+    ReadOutcome,
 };
 use crate::server::ServeError;
 use parking_lot::Mutex;
@@ -40,13 +44,13 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// written even though requests are still buffered.
 const WRITE_HIGH_WATER: usize = 64 * 1024;
 
-/// The two libc calls the accept loop needs (there is no `libc` crate
-/// here): a SIGINT handler that only sets a flag the loop polls, and
-/// `poll(2)` to wait on the listener.
+/// The libc calls the connection layer needs (there is no `libc` crate
+/// here): a SIGINT handler that only sets a flag the accept loop polls,
+/// `poll(2)` to wait on the listener, and a `recv(2)` that does not wait.
 #[cfg(unix)]
 mod sys {
     use std::io::ErrorKind;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
@@ -54,6 +58,10 @@ mod sys {
     static SIGINT: AtomicBool = AtomicBool::new(false);
     const SIGINT_NO: i32 = 2;
     const POLLIN: i16 = 0x001;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const MSG_DONTWAIT: i32 = 0x40;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const MSG_DONTWAIT: i32 = 0x80;
 
     #[cfg(any(target_os = "linux", target_os = "android"))]
     type NfdsT = std::os::raw::c_ulong;
@@ -74,6 +82,7 @@ mod sys {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
+        fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
     }
 
     pub(crate) fn install_sigint() {
@@ -106,6 +115,19 @@ mod sys {
         }
     }
 
+    /// Read what `stream` has already received into `buf`, without
+    /// waiting: the byte count, and 0 when nothing has arrived, the peer
+    /// has closed or the call failed (the blocking read that follows tells
+    /// those apart).
+    pub(crate) fn recv_ready(stream: &TcpStream, buf: &mut [u8]) -> usize {
+        // SAFETY: `recv` is the libc function of that signature; `buf` is
+        // one live, exclusively borrowed slice of `buf.len()` bytes, the
+        // most the kernel writes. The descriptor stays open for the call
+        // because `stream` is borrowed across it.
+        let got = unsafe { recv(stream.as_raw_fd(), buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+        usize::try_from(got).unwrap_or(0)
+    }
+
     /// Whether an `accept` error number says the listener itself is
     /// unusable: `EBADF`, `EFAULT`, `EINVAL` or `ENOTSOCK`.
     pub(crate) fn listener_unusable(errno: i32) -> bool {
@@ -128,6 +150,9 @@ mod sys {
     }
     pub(crate) fn wait_acceptable(_: &std::net::TcpListener, timeout: std::time::Duration) {
         super::back_off(timeout);
+    }
+    pub(crate) fn recv_ready(_: &std::net::TcpStream, _: &mut [u8]) -> usize {
+        0
     }
     /// `WSAEBADF`, `WSAEFAULT`, `WSAEINVAL` and `WSAENOTSOCK`.
     pub(crate) fn listener_unusable(errno: i32) -> bool {
@@ -328,6 +353,20 @@ impl ThreadsProbe {
     }
 }
 
+/// A stream the frame loop can also read without waiting.
+pub(crate) trait ReadReady: Read {
+    /// Read what has already arrived into `buf`, without blocking: the
+    /// byte count, and 0 when nothing has or the stream cannot tell
+    /// without waiting.
+    fn read_ready(&mut self, buf: &mut [u8]) -> usize;
+}
+
+impl ReadReady for TcpStream {
+    fn read_ready(&mut self, buf: &mut [u8]) -> usize {
+        sys::recv_ready(self, buf)
+    }
+}
+
 /// One side of a framed request/response conversation, driven by
 /// [`serve_frames`].
 pub(crate) trait FrameHandler {
@@ -340,6 +379,18 @@ pub(crate) trait FrameHandler {
     /// [`handle`](Self::handle): whatever a frame must be answered at,
     /// `handle` picks up itself.
     fn turn(&mut self) {}
+
+    /// Answer a complete frame from its `body` alone, before it is
+    /// decoded: append the whole reply frame to `out` and return `true`,
+    /// or return `false` to have the frame decoded and
+    /// [`handle`](Self::handle)d.
+    fn answer_raw(&mut self, _body: &[u8], _out: &mut Vec<u8>) -> bool {
+        false
+    }
+
+    /// See a frame `handle` answered and did not end the conversation
+    /// with: the request `body` and the whole `reply` frame.
+    fn answered(&mut self, _body: &[u8], _reply: &[u8]) {}
 
     /// Answer one frame — or one undecodable frame, which gets its typed
     /// error response and then the connection closes. Returns the response
@@ -360,14 +411,19 @@ fn flush_replies<S: Write>(stream: &mut S, out: &mut Vec<u8>) -> std::io::Result
 /// protocol error or the handler saying it is done, answer every frame in
 /// arrival order.
 ///
-/// Requests are decoded from a per-connection read buffer and replies are
+/// Requests are read into a per-connection read buffer and replies are
 /// encoded into a per-connection write buffer, which is written (a) before
 /// any read that has to go to the stream, (b) when it passes
 /// [`WRITE_HIGH_WATER`], and (c) before the loop returns. A burst of `k`
 /// pipelined requests therefore costs one `read` and one `write`, and a
 /// peer that waits for each reply before sending again still gets it at
 /// once: with nothing left to decode, the next step is a read.
-pub(crate) fn serve_frames<S: Read + Write, H: FrameHandler>(
+///
+/// After a burst of replies is written, the loop first takes whatever
+/// the stream already holds without waiting; only if nothing has arrived
+/// does it yield its core, once, before the read that may sleep. A peer
+/// whose next requests are in flight then costs no sleep and wake-up.
+pub(crate) fn serve_frames<S: ReadReady + Write, H: FrameHandler>(
     stream: &mut S,
     shutdown: &AtomicBool,
     handler: &mut H,
@@ -375,23 +431,37 @@ pub(crate) fn serve_frames<S: Read + Write, H: FrameHandler>(
     let mut input = FrameReader::new();
     let mut out = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
-        // A peer we cannot write to is gone; that is not a protocol error.
-        if !input.has_frame() && flush_replies(stream, &mut out).is_err() {
-            return;
+        if !input.has_frame() && !out.is_empty() {
+            // A peer we cannot write to is gone; that is not a protocol error.
+            if flush_replies(stream, &mut out).is_err() {
+                return;
+            }
+            if !input.read_ready(|free| stream.read_ready(free)) {
+                std::thread::yield_now();
+            }
         }
-        let request = match input.read_frame::<_, H::Req>(stream) {
-            Ok(ReadOutcome::Frame(request)) => Ok(request),
+        let body = match input.read_body(stream) {
+            Ok(ReadOutcome::Frame(body)) => body,
             Ok(ReadOutcome::Idle) => {
                 handler.turn();
                 continue;
             }
             Ok(ReadOutcome::Eof) => break,
-            Err(err) => Err(err),
+            Err(err) => {
+                let (response, _) = handler.handle(Err(err));
+                let _ = encode_frame(&mut out, &response);
+                break;
+            }
         };
-        let failed = request.is_err();
-        let (response, done) = handler.handle(request);
-        if encode_frame(&mut out, &response).is_err() || done || failed {
-            break;
+        if !handler.answer_raw(body, &mut out) {
+            let request = decode_body::<H::Req>(body);
+            let failed = request.is_err();
+            let (response, done) = handler.handle(request);
+            let mark = out.len();
+            if encode_frame(&mut out, &response).is_err() || done || failed {
+                break;
+            }
+            handler.answered(body, &out[mark..]);
         }
         if out.len() >= WRITE_HIGH_WATER && flush_replies(stream, &mut out).is_err() {
             return;
@@ -578,6 +648,60 @@ mod tests {
         // The second read is the one that finds EOF.
         assert_eq!(events, [Event::Read, Event::Write(replies(0, 1..=8)), Event::Read]);
         assert_eq!(turns, 0, "a connection that is never idle never turns");
+    }
+
+    #[test]
+    fn what_has_already_arrived_is_served_without_another_read() {
+        let hello = || frames(&[Request::Hello]);
+        let mut half = hello();
+        let rest = half.split_off(3);
+        let steps = || {
+            vec![
+                Step::Data(hello()),
+                Step::Ready(frames(&[Request::Hello, Request::Hello])),
+                Step::Data(hello()),
+                Step::Ready(half.clone()),
+                Step::Data(rest.clone()),
+            ]
+        };
+        let (events, turns) = converse(steps(), 0);
+        assert_eq!(
+            events,
+            [
+                Event::Read,
+                Event::Write(replies(0, 1..=1)),
+                // Two frames had arrived by the time reply 1 was written.
+                Event::ReadReady,
+                Event::Write(replies(0, 2..=3)),
+                // Nothing had: a yield, then the read that waits.
+                Event::Read,
+                Event::Write(replies(0, 4..=4)),
+                // Half a frame had: the read that waits finishes it.
+                Event::ReadReady,
+                Event::Read,
+                Event::Write(replies(0, 5..=5)),
+                Event::Read,
+            ]
+        );
+        assert_eq!(turns, 0);
+
+        // A stream that cannot be read without waiting gets the same
+        // replies in the same order, one read per arrival.
+        let unready = steps().into_iter().map(|step| match step {
+            Step::Ready(bytes) => Step::Data(bytes),
+            step => step,
+        });
+        let (events, _) = converse(unready.collect(), 0);
+        let written: Vec<u8> = events
+            .into_iter()
+            .filter_map(|event| match event {
+                Event::Write(bytes) => Some(bytes),
+                Event::Read => None,
+                Event::ReadReady => panic!("a read that does not wait found data"),
+            })
+            .flatten()
+            .collect();
+        assert_eq!(written, replies(0, 1..=5));
     }
 
     #[test]

@@ -360,7 +360,7 @@ fn frame_len(header: [u8; HEADER_LEN]) -> Result<usize, ProtocolError> {
 }
 
 /// Decode one frame payload.
-fn decode_body<T: Deserialize>(body: &[u8]) -> Result<T, ProtocolError> {
+pub(crate) fn decode_body<T: Deserialize>(body: &[u8]) -> Result<T, ProtocolError> {
     let text = std::str::from_utf8(body).map_err(|_| ProtocolError::InvalidUtf8)?;
     serde_json::from_str(text).map_err(|e| ProtocolError::Malformed(e.to_string()))
 }
@@ -439,9 +439,9 @@ enum Fill {
 
 /// A per-connection buffered frame reader with [`read_frame`]'s outcomes:
 /// each read takes whatever the stream has (up to the buffer), and every
-/// complete frame already buffered is decoded in place without another
-/// read — a burst of pipelined frames costs one `read`, and no frame
-/// allocates a body.
+/// complete frame already buffered is handed out in place without
+/// another read — a burst of pipelined frames costs one `read`, and no
+/// frame allocates a body.
 pub(crate) struct FrameReader {
     /// `buf[start..end]` holds bytes read but not yet consumed. The length
     /// is [`READ_BUF_LEN`] except while a longer frame is in flight.
@@ -455,7 +455,7 @@ impl FrameReader {
         Self { buf: vec![0u8; READ_BUF_LEN], start: 0, end: 0 }
     }
 
-    /// Whether the next [`read_frame`](Self::read_frame) is answered from
+    /// Whether the next [`read_body`](Self::read_body) is answered from
     /// the buffer, without reading the stream.
     pub(crate) fn has_frame(&self) -> bool {
         match self.buf[self.start..self.end].split_first_chunk::<HEADER_LEN>() {
@@ -499,11 +499,25 @@ impl FrameReader {
         Ok(Fill::Ready)
     }
 
-    /// The next frame, from the buffer if it is already there.
-    pub(crate) fn read_frame<R: Read, T: Deserialize>(
+    /// Take whatever `ready` hands over without waiting (the byte count
+    /// it wrote into the free space it is given) into the buffer, behind
+    /// what is buffered; whether anything came.
+    pub(crate) fn read_ready(&mut self, ready: impl FnOnce(&mut [u8]) -> usize) -> bool {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let free = self.buf.len() - self.end;
+        let got = ready(&mut self.buf[self.end..]).min(free);
+        self.end += got;
+        got > 0
+    }
+
+    /// The next frame's body, undecoded, from the buffer if it is already
+    /// there.
+    pub(crate) fn read_body<R: Read>(
         &mut self,
         r: &mut R,
-    ) -> Result<ReadOutcome<T>, ProtocolError> {
+    ) -> Result<ReadOutcome<&[u8]>, ProtocolError> {
         match self.fill(r, HEADER_LEN)? {
             Fill::Idle => return Ok(ReadOutcome::Idle),
             Fill::Eof if self.start == self.end => return Ok(ReadOutcome::Eof),
@@ -521,7 +535,7 @@ impl FrameReader {
         }
         let body = self.start + HEADER_LEN;
         self.start = body + len;
-        decode_body(&self.buf[body..body + len]).map(ReadOutcome::Frame)
+        Ok(ReadOutcome::Frame(&self.buf[body..body + len]))
     }
 }
 
@@ -545,6 +559,22 @@ mod tests {
     use super::*;
     use crate::scripted::{Event, Scripted, Step};
     use std::io::Cursor;
+
+    impl FrameReader {
+        /// The next frame, decoded: what a connection's frame loop does
+        /// with [`read_body`](Self::read_body)'s bytes when no handler
+        /// answers them first.
+        fn read_frame<R: Read, T: Deserialize>(
+            &mut self,
+            r: &mut R,
+        ) -> Result<ReadOutcome<T>, ProtocolError> {
+            match self.read_body(r)? {
+                ReadOutcome::Frame(body) => decode_body(body).map(ReadOutcome::Frame),
+                ReadOutcome::Eof => Ok(ReadOutcome::Eof),
+                ReadOutcome::Idle => Ok(ReadOutcome::Idle),
+            }
+        }
+    }
 
     fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) {
         let mut buf = Vec::new();

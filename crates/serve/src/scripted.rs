@@ -6,6 +6,7 @@
 //! faults a peer can inflict (DESIGN.md §12) reach the real frame loop
 //! without a socket, a thread or a sleep.
 
+use crate::net::ReadReady;
 use acs_sim::noise::SplitMix64;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -14,6 +15,10 @@ use std::io::{ErrorKind, Read, Write};
 pub(crate) enum Step {
     /// These bytes are ready (a shorter `read` leaves the rest for the next).
     Data(Vec<u8>),
+    /// These bytes have already arrived: a read that does not wait takes
+    /// them too. Without such steps the transport cannot be read without
+    /// waiting, as a stream with no non-blocking read.
+    Ready(Vec<u8>),
     /// The read timeout fires.
     Timeout,
 }
@@ -22,6 +27,8 @@ pub(crate) enum Step {
 #[derive(Debug, PartialEq)]
 pub(crate) enum Event {
     Read,
+    /// A read that did not wait, and found a [`Step::Ready`].
+    ReadReady,
     Write(Vec<u8>),
 }
 
@@ -48,13 +55,36 @@ impl Read for Scripted {
                 Ok(0)
             }
             Some(Step::Timeout) => Err(ErrorKind::WouldBlock.into()),
-            Some(Step::Data(mut bytes)) => {
-                let n = bytes.len().min(buf.len());
-                buf[..n].copy_from_slice(&bytes[..n]);
-                if n < bytes.len() {
-                    self.steps.push_front(Step::Data(bytes.split_off(n)));
+            Some(Step::Data(bytes) | Step::Ready(bytes)) => Ok(self.deliver(bytes, buf)),
+        }
+    }
+}
+
+impl Scripted {
+    /// Copy what fits of `bytes` into `buf`; the rest stays first in the
+    /// script, as data a later read finds.
+    fn deliver(&mut self, mut bytes: Vec<u8>, buf: &mut [u8]) -> usize {
+        let n = bytes.len().min(buf.len());
+        buf[..n].copy_from_slice(&bytes[..n]);
+        if n < bytes.len() {
+            self.steps.push_front(Step::Data(bytes.split_off(n)));
+        }
+        n
+    }
+}
+
+impl ReadReady for Scripted {
+    fn read_ready(&mut self, buf: &mut [u8]) -> usize {
+        match self.steps.pop_front() {
+            Some(Step::Ready(bytes)) => {
+                self.events.push(Event::ReadReady);
+                self.deliver(bytes, buf)
+            }
+            unready => {
+                if let Some(step) = unready {
+                    self.steps.push_front(step);
                 }
-                Ok(n)
+                0
             }
         }
     }

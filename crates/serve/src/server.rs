@@ -146,6 +146,10 @@ pub(crate) struct Shared {
     model: Arc<TrainedModel>,
     engine: Engine,
     pub(crate) arbiter: Mutex<Arbiter>,
+    /// The arbiter's epoch, stored (`Release`) under its lock after every
+    /// step and loaded (`Acquire`) by a session's budget pickup, which so
+    /// sees that no budget moved without taking the lock.
+    epoch: AtomicU64,
     metrics: Metrics,
     shutdown: AtomicBool,
     /// Set by `simulate_crash` (tests only): sessions stop without
@@ -235,6 +239,7 @@ impl Shared {
         }
         let shared = Self {
             engine,
+            epoch: AtomicU64::new(arbiter.epoch()),
             arbiter: Mutex::new(arbiter),
             metrics,
             shutdown: AtomicBool::new(false),
@@ -275,6 +280,7 @@ impl Shared {
         if let Some(entry) = arbiter.apply(op) {
             journal_append(self, &entry);
         }
+        self.epoch.store(arbiter.epoch(), Ordering::Release);
         (op.node_id().and_then(|id| arbiter.budget_of(id)), arbiter.epoch())
     }
 
@@ -284,6 +290,7 @@ impl Shared {
         let mut arbiter = self.arbiter.lock();
         let (budget_w, entry) = arbiter.admit(node_id);
         journal_append(self, &entry);
+        self.epoch.store(arbiter.epoch(), Ordering::Release);
         (budget_w, arbiter.epoch())
     }
 }
@@ -606,6 +613,7 @@ pub(crate) struct Session<'a> {
     rt: CappedRuntime<Machine>,
     adapt: AdaptivePredictor,
     seen_epoch: u64,
+    memo: ReplyMemo,
 }
 
 impl<'a> Session<'a> {
@@ -626,7 +634,8 @@ impl<'a> Session<'a> {
         // session's memory stays flat however many `Run`s and reselections
         // it serves.
         rt.timeline().set_keeping(false);
-        Self { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch }
+        let memo = ReplyMemo::default();
+        Self { seat, rt, adapt: AdaptivePredictor::default(), seen_epoch, memo }
     }
 }
 
@@ -645,15 +654,37 @@ impl FrameHandler for Session<'_> {
         self.pick_up_budget();
     }
 
+    /// A repeated plain `Select`, answered from the reply memo at the
+    /// budget the arbiter holds now, and recorded as [`handle`](Self::handle)
+    /// records the `Select` it stands for: its kind and latency, and the
+    /// profile-cache hit its selection would have been.
+    fn answer_raw(&mut self, body: &[u8], out: &mut Vec<u8>) -> bool {
+        let (hit, latency_ns) = timed(|| {
+            self.pick_up_budget();
+            self.memo.reply(body).map(|reply| out.extend_from_slice(reply)).is_some()
+        });
+        if hit {
+            let shared = self.seat.shared;
+            shared.engine.record_hit();
+            shared.metrics.record_request("select", latency_ns);
+        }
+        hit
+    }
+
+    /// Keep the reply of a `Select` that [`Session::step`] found storable.
+    fn answered(&mut self, body: &[u8], reply: &[u8]) {
+        if let Some(kernel_id) = self.memo.storable.take() {
+            self.memo.store(kernel_id, body, reply);
+        }
+    }
+
     /// The clock shell around [`Session::step`]: times it, and records a
     /// decoded request's kind, latency and deadline miss.
     fn handle(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
-        let started = Instant::now();
         let decoded = request.as_ref().ok().map(|request| (request.kind(), request.deadline()));
-        let (response, done) = self.step(request);
+        let ((response, done), latency_ns) = timed(|| self.step(request));
         if let Some((kind, deadline)) = decoded {
             let metrics = &self.seat.shared.metrics;
-            let latency_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             metrics.record_request(kind, latency_ns);
             // A served (not shed) request that blew through its own deadline
             // is a miss, counted in STATS `deadline_misses`.
@@ -664,6 +695,105 @@ impl FrameHandler for Session<'_> {
         }
         (response, done)
     }
+}
+
+/// What `serve` returns, and how long it took in nanoseconds (saturating).
+fn timed<T>(serve: impl FnOnce() -> T) -> (T, u64) {
+    let started = Instant::now();
+    let served = serve();
+    (served, started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
+}
+
+/// The largest request body the reply memo keeps: a plain `Select` for
+/// any suite kernel is a fraction of it, and a longer one (padded, say)
+/// is answered without being kept.
+const MEMO_MAX_BODY: usize = 512;
+
+/// A session's replies to plain `Select`s (no deadline, no adaptive
+/// correction), keyed by the request's exact bytes, so that a repeated
+/// one is answered without a decode, a selection or an encode
+/// (DESIGN.md §11). Such a reply is a function of the kernel's profile,
+/// which is pure, and of the session's cap: an entry answers only while
+/// `generation`, bumped whenever the cap or the adaptive predictor
+/// changes, is the one it was stored under.
+///
+/// There is at most one entry per suite kernel: a new body for a kernel
+/// overwrites that kernel's entry, reusing its buffers, so a warm memo
+/// allocates nothing.
+#[derive(Default)]
+struct ReplyMemo {
+    /// Each entry's body hash, in entry order: the one place a lookup
+    /// searches.
+    hashes: Vec<u64>,
+    entries: Vec<MemoEntry>,
+    generation: u64,
+    /// The kernel of the `Select` just answered, when its reply may be
+    /// kept; taken by [`FrameHandler::answered`].
+    storable: Option<String>,
+}
+
+struct MemoEntry {
+    kernel_id: String,
+    body: Vec<u8>,
+    /// The whole reply frame, length prefix included.
+    reply: Vec<u8>,
+    generation: u64,
+}
+
+impl ReplyMemo {
+    /// The reply frame kept for exactly these request bytes, if it is
+    /// still current.
+    fn reply(&self, body: &[u8]) -> Option<&[u8]> {
+        if body.len() > MEMO_MAX_BODY {
+            return None;
+        }
+        let hash = body_hash(body);
+        let at = self.hashes.iter().position(|&h| h == hash)?;
+        let entry = &self.entries[at];
+        (entry.generation == self.generation && entry.body == body).then_some(&entry.reply)
+    }
+
+    /// Keep `reply` for `body`, a `Select` for `kernel_id`, in that
+    /// kernel's entry; a body over [`MEMO_MAX_BODY`] is not kept.
+    fn store(&mut self, kernel_id: String, body: &[u8], reply: &[u8]) {
+        if body.len() > MEMO_MAX_BODY {
+            return;
+        }
+        let at = match self.entries.iter().position(|entry| entry.kernel_id == kernel_id) {
+            Some(at) => at,
+            None => {
+                let (body, reply) = (Vec::new(), Vec::new());
+                self.entries.push(MemoEntry { kernel_id, body, reply, generation: 0 });
+                self.hashes.push(0);
+                self.entries.len() - 1
+            }
+        };
+        let entry = &mut self.entries[at];
+        entry.body.clear();
+        entry.body.extend_from_slice(body);
+        entry.reply.clear();
+        entry.reply.extend_from_slice(reply);
+        entry.generation = self.generation;
+        self.hashes[at] = body_hash(body);
+    }
+
+    /// Retire every entry: what a kept reply was computed from changed.
+    fn invalidate(&mut self) {
+        self.generation += 1;
+    }
+}
+
+/// A fast hash of a request body. It only picks the one entry whose bytes
+/// are then compared, so it needs spread, not strength.
+fn body_hash(body: &[u8]) -> u64 {
+    const MIX: u64 = 0x517c_c1b7_2722_0a95;
+    let mut hash = body.len() as u64;
+    for chunk in body.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(MIX);
+    }
+    hash
 }
 
 /// Hard bound on `iterations` per `Run` request: at ~4 µs an iteration one
@@ -681,23 +811,25 @@ impl Session<'_> {
         if (self.rt.cap_w() - budget_w).abs() > BUDGET_EPS_W
             && self.rt.try_set_cap(budget_w).is_ok()
         {
+            self.memo.invalidate();
             self.seat.shared.metrics.record_reselection();
         }
     }
 
     /// Pick up budget reshuffles made on behalf of *other* nodes; a
-    /// changed budget re-runs selection from the cached frontiers.
+    /// changed budget re-runs selection from the cached frontiers. While
+    /// the arbiter's epoch has not moved this takes no lock.
     fn pick_up_budget(&mut self) {
         let Seat { shared, node_id } = self.seat;
+        if shared.epoch.load(Ordering::Acquire) == self.seen_epoch {
+            return;
+        }
         let arbiter = shared.arbiter.lock();
-        let epoch = arbiter.epoch();
-        if epoch != self.seen_epoch {
-            self.seen_epoch = epoch;
-            let budget = arbiter.budget_of(node_id);
-            drop(arbiter);
-            if let Some(budget) = budget {
-                self.apply_budget(budget);
-            }
+        self.seen_epoch = arbiter.epoch();
+        let budget = arbiter.budget_of(node_id);
+        drop(arbiter);
+        if let Some(budget) = budget {
+            self.apply_budget(budget);
         }
     }
 
@@ -706,6 +838,7 @@ impl Session<'_> {
     /// with its typed error (and close), run the shed gate, then the
     /// request. Returns the response and whether the session ends.
     pub(crate) fn step(&mut self, request: Result<Request, ProtocolError>) -> (Response, bool) {
+        self.memo.storable = None;
         self.pick_up_budget();
         let Seat { shared, node_id } = self.seat;
         let request = match request {
@@ -729,8 +862,15 @@ impl Session<'_> {
         }
         match request {
             Request::Hello => (Response::Welcome { node_id, budget_w: self.rt.cap_w() }, false),
-            Request::Select { kernel_id, .. } => match self.select(&kernel_id) {
-                Ok(selection) => (Response::Selected(selection), false),
+            Request::Select { kernel_id, deadline_ms, .. } => match self.select(&kernel_id) {
+                Ok(selection) => {
+                    // Without a deadline and a correction the reply depends
+                    // on the kernel and the cap alone: the memo may keep it.
+                    if deadline_ms.is_none() && self.adapt.correction(&kernel_id).is_none() {
+                        self.memo.storable = Some(kernel_id);
+                    }
+                    (Response::Selected(selection), false)
+                }
                 Err(e) => (engine_error(e), false),
             },
             Request::Batch { kernel_ids, .. } => {
@@ -918,6 +1058,7 @@ impl Session<'_> {
             .iter()
             .filter(|e| matches!(e, DriftEvent::ClusterMismatch { .. }))
             .count() as u64;
+        self.memo.invalidate();
         shared.metrics.record_adapt_observation(outcome.events.len() as u64, mismatches);
         journal_append(
             shared,
@@ -1041,7 +1182,7 @@ pub(crate) mod tests {
         crate::net::serve_frames(&mut stream, &AtomicBool::new(false), session);
         let writes = stream.events.into_iter().filter_map(|event| match event {
             Event::Write(bytes) => Some(bytes),
-            Event::Read => None,
+            Event::Read | Event::ReadReady => None,
         });
         writes.flatten().collect()
     }
@@ -1832,5 +1973,207 @@ pub(crate) mod tests {
                 assert!(usable(seat().rt.cap_w()), "{policy:?} {text}: a fresh join");
             }
         }
+    }
+
+    /// The frame carrying `text` as its body.
+    fn text_frame(text: &str) -> Vec<u8> {
+        let mut frame = (text.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(text.as_bytes());
+        frame
+    }
+
+    /// What `twin` answers to `frames`, each decoded, handled and encoded
+    /// on its own: the bytes a frame loop must write for them.
+    fn stepped(twin: &mut Session, frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for frame in frames {
+            let (reply, _) = twin.handle(crate::protocol::decode_body(&frame[4..]));
+            crate::protocol::encode_frame(&mut wire, &reply).unwrap();
+        }
+        wire
+    }
+
+    /// A `Select` for `kernel_id` in one of its byte variants: plain, with
+    /// a priority, with a deadline (one already expired, one not), or
+    /// padded with whitespace and its defaulted fields left out.
+    fn select_variant(kernel_id: &str, variant: u64) -> Vec<u8> {
+        let select = |deadline_ms, priority| {
+            frame(&Request::Select { kernel_id: kernel_id.into(), deadline_ms, priority })
+        };
+        match variant % 5 {
+            0 => select(None, 0),
+            1 => select(None, (variant / 5 % 256) as u8),
+            2 => select(Some(10_000), 0),
+            3 => select(Some(0), 1),
+            _ => {
+                let pad = " ".repeat((variant / 5 % 40) as usize);
+                text_frame(&format!(r#"{pad}{{ "Select":{pad}{{"kernel_id": "{kernel_id}"}} }}"#))
+            }
+        }
+    }
+
+    /// A fleet shard's configuration: its lease rounds move the cap.
+    fn shard_config() -> ServeConfig {
+        let (coordinator, lease_floor_w) = ("in-process".into(), Cap::new(5.0).unwrap());
+        ServeConfig {
+            global_cap_w: 90.0,
+            fleet: Some(FleetConfig { coordinator, shard_id: 1, lease_floor_w, renew_ms: 200 }),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// A lease round whose coordinator grants `budget_w`, or is not heard
+    /// from at all.
+    fn grant(shared: &Shared, now_ms: u64, budget_w: Option<f64>) {
+        lease_round(shared, now_ms, |_| {
+            budget_w.map(|budget_w| CoordResponse::Granted {
+                lease_id: 1,
+                epoch: now_ms,
+                budget_w: acs_sim::Watts::new(budget_w).unwrap(),
+                ttl_ms: 10_000,
+                floor_w: Cap::new(5.0).unwrap(),
+            })
+        });
+    }
+
+    /// The STATS a walk compares: everything but the two wall-clock
+    /// quantiles.
+    fn counted(shared: &Shared) -> StatsSnapshot {
+        let mut snapshot = stats_snapshot(shared);
+        (snapshot.p50_latency_us, snapshot.p99_latency_us) = (0, 0);
+        snapshot
+    }
+
+    /// The reply memo changes no byte and no count. Two identical shards
+    /// see the same seeded walk: repeated `Select`s in every byte variant
+    /// and for an unknown id, `Report`s with and without drifting
+    /// feedback, a neighbour's joins, leaves and reports, lease rounds
+    /// that move the cap, and a brownout that sheds every deadline. One session is served through the real frame
+    /// loop, memo and all; its twin is handed each decoded request. Every
+    /// reply must match byte for byte, and so must the STATS counters.
+    #[test]
+    fn a_memoized_reply_is_the_reply_the_session_computes() {
+        let mut kernels: Vec<String> =
+            acs_kernels::all_kernel_instances().iter().take(3).map(|k| k.id()).collect();
+        kernels.push("no/such/kernel".into());
+        for seed in [1, 2, 3] {
+            let (server, twin_server) = (
+                Server::bind(shard_config(), model()).unwrap(),
+                Server::bind(shard_config(), model()).unwrap(),
+            );
+            let shareds = [&*server.shared, &*twin_server.shared];
+            shareds.iter().for_each(|shared| grant(shared, 0, Some(90.0)));
+            let (mut served, mut twin) = (join(shareds[0], 1), join(shareds[1], 1));
+            let mut neighbours: Option<[Session; 2]> = None;
+            let mut rng = acs_sim::noise::SplitMix64(seed);
+            let mut hits = 0;
+            for at in 1..=2_000u64 {
+                let (roll, kind) = (rng.next_u64() / 10, rng.next_u64() % 40);
+                let frames: Vec<Vec<u8>> = match kind {
+                    0..=31 => (0..=roll % 3)
+                        .map(|_| {
+                            let roll = rng.next_u64();
+                            let kernel_id = &kernels[(roll % kernels.len() as u64) as usize];
+                            // A few fixed variants, mostly plain, so that
+                            // each repeats; now and then a fresh one.
+                            let pick = roll / 4;
+                            let variant = [0, 0, 0, 36, 2, 2, 3, 19, pick / 9][(pick % 9) as usize];
+                            select_variant(kernel_id, variant)
+                        })
+                        .collect(),
+                    32..=33 => {
+                        let kernel_id = kernels[(roll % 3) as usize].clone();
+                        let config = Configuration::all()[(roll / 40 % 42) as usize];
+                        // Looked up on both shards, so that their cache counts agree.
+                        let [profile, _] =
+                            shareds.map(|shared| shared.engine.profile(&kernel_id).unwrap());
+                        let point = profile.point_for(&config);
+                        // The third kernel drifts halfway through the walk,
+                        // once its on-model baseline is in; the others stay
+                        // static.
+                        let drift = if roll % 3 == 2 && at > 1_000 { 1.6 } else { 1.0 };
+                        let feedback = ReportFeedback {
+                            kernel_id,
+                            config,
+                            measured_power_w: point.power_w * drift,
+                            measured_perf: point.perf / drift,
+                        };
+                        let residual_w = (roll / 6_000 % 30) as f64 - 5.0;
+                        let feedback = (roll / 200_000 % 3 != 0).then_some(feedback);
+                        vec![frame(&Request::Report { residual_w, feedback })]
+                    }
+                    34..=35 => {
+                        match neighbours.take() {
+                            None => neighbours = Some(shareds.map(|shared| join(shared, 2))),
+                            Some(_) if roll % 2 == 0 => {}
+                            Some(mut pair) => {
+                                let residual_w = (roll / 20 % 40) as f64;
+                                let report = || Ok(Request::Report { residual_w, feedback: None });
+                                let replies = pair.each_mut().map(|session| session.step(report()));
+                                assert_eq!(replies[0], replies[1], "seed {seed} step {at}");
+                                neighbours = Some(pair);
+                            }
+                        }
+                        continue;
+                    }
+                    36..=37 => {
+                        let budget_w = [None, Some(30.0), Some(60.0), Some(90.0), Some(47.5)]
+                            [(roll % 5) as usize];
+                        shareds.iter().for_each(|shared| grant(shared, at, budget_w));
+                        continue;
+                    }
+                    38 => {
+                        // Full brownout with a p99 estimate past every
+                        // deadline the walk sends sheds them all; or back.
+                        for shared in shareds {
+                            let level = 3 - shared.brownout_level.load(Ordering::SeqCst);
+                            shared.brownout_level.store(level, Ordering::SeqCst);
+                            shared
+                                .est_p99_us
+                                .store(u64::from(level) * 10_000_000, Ordering::SeqCst);
+                        }
+                        continue;
+                    }
+                    _ => vec![frame(&Request::Hello)],
+                };
+                served.pick_up_budget();
+                hits += usize::from(served.memo.reply(&frames[0][4..]).is_some());
+                let steps = frames.iter().map(|frame| Step::Data(frame.clone())).collect();
+                let (wire, expected) = (converse(&mut served, steps), stepped(&mut twin, &frames));
+                if wire != expected {
+                    let text = String::from_utf8_lossy;
+                    panic!("seed {seed} step {at}: {} != {}", text(&wire), text(&expected));
+                }
+            }
+            let drifted = served.adapt.correction(&kernels[2]).is_some();
+            assert!(drifted, "seed {seed}: the walk confirmed no drift");
+            assert!(hits > 100, "seed {seed}: the memo answered only {hits} frames");
+            assert!(served.memo.entries.len() <= 3, "one entry per suite kernel asked for");
+            drop((served, twin, neighbours));
+            assert_eq!(counted(shareds[0]), counted(shareds[1]), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_one_entry_per_kernel_and_no_long_body() {
+        let server = Server::bind(ServeConfig::default(), model()).unwrap();
+        let kernel_id = acs_kernels::all_kernel_instances()[0].id();
+        let mut session = join(&server.shared, 1);
+        let plain = converse(&mut session, vec![Step::Data(select_variant(&kernel_id, 0))]);
+        // 10 000 distinct bodies for one kernel, each answered with the
+        // plain reply and each kept in that kernel's one entry.
+        for (before, after) in (0..100).flat_map(|b| (0..100).map(move |a| (b, a))) {
+            let (before, after) = (" ".repeat(before), " ".repeat(after));
+            let text = format!(r#"{before}{{"Select":{{"kernel_id":"{kernel_id}"}}}}{after}"#);
+            assert_eq!(converse(&mut session, vec![Step::Data(text_frame(&text))]), plain);
+            assert_eq!((session.memo.entries.len(), session.memo.hashes.len()), (1, 1));
+        }
+        // A 60 KB body is answered but never kept.
+        let mut fresh = join(&server.shared, 2);
+        let plain = converse(&mut fresh, vec![Step::Data(select_variant(&kernel_id, 0))]);
+        fresh.memo = ReplyMemo::default();
+        let padded = format!(r#"{{"Select":{{"kernel_id":"{kernel_id}"}}}}{}"#, " ".repeat(60_000));
+        assert_eq!(converse(&mut fresh, vec![Step::Data(text_frame(&padded))]), plain);
+        assert!(fresh.memo.entries.is_empty(), "a {} byte body was kept", padded.len());
     }
 }
