@@ -31,11 +31,10 @@
 use crate::online::PredictedProfile;
 use acs_sim::noise::{fnv1a, splitmix64};
 use acs_sim::Configuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which measured signal an error or event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Signal {
     /// Package power draw (watts).
     Power,
@@ -134,7 +133,7 @@ pub struct Innovation {
 /// A scalar Kalman filter with ALERT-Online's adaptive process noise
 /// (`A = H = 1`). The update is a fixed `f64` sequence in source order —
 /// identical inputs always produce bit-identical state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KalmanFilter {
     /// Posterior state estimate.
     pub x: f64,
@@ -189,7 +188,7 @@ impl KalmanFilter {
 }
 
 /// A typed drift detection, emitted at most once per (kernel, kind, signal).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DriftEvent {
     /// The Kalman posterior moved persistently away from 1.0: the static
     /// model is biased for this kernel. Latches the correction on.
@@ -224,7 +223,7 @@ pub enum DriftEvent {
 }
 
 /// Per-signal estimator state: one Kalman filter plus detector scratch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SignalTracker {
     filter: KalmanFilter,
     /// Ring buffer of innovation-normalized residuals.
@@ -305,7 +304,7 @@ impl SignalTracker {
 }
 
 /// Per-kernel adaptation state: a learned baseline plus two signal trackers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct KernelTracker {
     baseline_power_sum: f64,
     baseline_perf_sum: f64,
@@ -347,7 +346,7 @@ impl KernelTracker {
 
 /// The measured/predicted correction factors for a kernel with confirmed
 /// drift: multiply a predicted quantity by its ratio to estimate the truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptCorrection {
     /// Estimated true power / predicted power.
     pub power_ratio: f64,
@@ -382,7 +381,7 @@ pub struct AdaptSelection {
 /// posteriors. Until drift is *confirmed* for a kernel, selection falls
 /// through to the bit-identical static path — a predictor that never sees
 /// feedback is observationally indistinguishable from no predictor at all.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptivePredictor {
     kernels: BTreeMap<String, KernelTracker>,
     observations: u64,
@@ -761,17 +760,5 @@ mod tests {
             other => panic!("expected NonPositive power, got {other:?}"),
         }
         assert_eq!(predictor.observations(), 0, "rejected observation must not count");
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_exact_state() {
-        let mut predictor = AdaptivePredictor::default();
-        for i in 0..12u64 {
-            predictor.observe("k", 20.0 + i as f64, 2.0, 20.0, 2.0).unwrap();
-        }
-        let json = serde_json::to_string(&predictor).unwrap();
-        let back: AdaptivePredictor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.state_digest(), predictor.state_digest());
-        assert_eq!(back, predictor);
     }
 }

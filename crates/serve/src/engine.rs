@@ -2,30 +2,32 @@
 //!
 //! The cold path for a kernel is the paper's full online stage — two
 //! sample-configuration runs, CART classification, and per-configuration
-//! regression (Section III-C). The engine memoizes the resulting
-//! [`PredictedProfile`] per kernel id, so repeat clients pay only a Pareto
-//! frontier walk. A batch is that walk once per kernel, in request order.
+//! regression (Section III-C). The engine keeps the resulting
+//! [`PredictedProfile`] beside its kernel in a table of the suite, filled
+//! once per kernel, so repeat clients pay only a Pareto frontier walk. A
+//! batch is that walk once per kernel, in request order.
 //!
-//! Determinism rule (DESIGN.md §11): a cache hit and a cache miss must
-//! produce byte-identical selections. That holds because the profile is a
-//! pure function of `(machine seed, kernel id, model)` — the cache changes
+//! Determinism rule (DESIGN.md §11): a hit and a miss must produce
+//! byte-identical selections. That holds because the profile is a pure
+//! function of `(machine seed, kernel id, model)` — the table changes
 //! *when* work happens, never *what* is answered — and it is why
 //! [`Selection`] carries no hit/miss flag; hit rates live in the metrics
-//! snapshot only. The same rule makes eviction safe: the profile cache is
-//! bounded LRU (least-recently-used out first, ties broken by kernel id),
-//! and an evicted kernel is simply recomputed to the identical value.
+//! snapshot only. The same rule makes a bound safe: an engine built with
+//! [`Engine::with_profile_capacity`] keeps at most that many profiles, and
+//! a kernel past the bound is recomputed, to the identical value, on
+//! every call.
 //!
 //! Two memo layers live here:
 //!
-//! - the **profile cache** (kernel id → [`PredictedProfile`]), a pure
+//! - the **profile table** (kernel id → [`PredictedProfile`]), a pure
 //!   memo whose misses are reported to an optional hook — the server
 //!   wires that hook to the recovery journal so a restart can re-warm
 //!   the same keys;
 //! - the **idempotency memo** (client key → [`Response`]), which makes
 //!   retried `Run` requests exactly-once in effect: the first successful
 //!   execution's response bytes are replayed verbatim for any retry
-//!   carrying the same key. Also bounded LRU, evicting through an index
-//!   ordered by last use, since every keyed `Run` stores a key; an
+//!   carrying the same key. Its key space is unbounded, so it is a
+//!   bounded LRU, evicting through an index ordered by last use; an
 //!   evicted key merely downgrades a late retry to a re-execution.
 
 use crate::protocol::{Response, Selection};
@@ -34,9 +36,9 @@ use acs_core::{
 };
 use acs_sim::{Device, KernelCharacteristics, Machine};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Typed engine failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,10 +59,6 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Default bound on memoized kernel profiles. The full suite is far
-/// smaller, so the default never evicts in practice; tests shrink it.
-const DEFAULT_PROFILE_CAPACITY: usize = 512;
-
 /// Default bound on remembered idempotency keys.
 const IDEM_CAPACITY: usize = 1024;
 
@@ -70,8 +68,14 @@ struct Slot<V> {
     last_used: u64,
 }
 
-/// Called with the kernel id whenever a profile-cache miss inserts a new
-/// entry (the server journals these so a restart can re-warm the cache).
+/// One suite kernel and, once it has been selected, its profile.
+struct Entry {
+    kernel: KernelCharacteristics,
+    profile: OnceLock<Arc<PredictedProfile>>,
+}
+
+/// Called with the kernel id whenever a miss keeps a kernel's profile
+/// (the server journals these so a restart can re-warm the table).
 type MissHook = Box<dyn Fn(&str) + Send + Sync>;
 
 /// Shared, thread-safe selection engine.
@@ -81,50 +85,41 @@ pub struct Engine {
     /// tree-flattening and regression-table setup.
     predictor: Predictor,
     machine: Machine,
-    kernels: BTreeMap<String, KernelCharacteristics>,
-    cache: Mutex<HashMap<String, Slot<Arc<PredictedProfile>>>>,
+    /// The suite by kernel id, each kernel's profile kept beside it.
+    kernels: HashMap<String, Entry>,
+    /// At most this many profiles are kept (every kernel, unless a test
+    /// or a benchmark probe shrinks it); `kept` counts them.
     profile_capacity: usize,
+    kept: AtomicUsize,
     idem: Mutex<IdemMemo>,
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     on_miss: Mutex<Option<MissHook>>,
 }
 
-/// Evict least-recently-used slots (ties broken by smallest key, so the
-/// victim is deterministic under equal ticks) until `map` fits `capacity`.
-/// A scan per victim: the profile cache, which holds the suite's kernels
-/// and never reaches its bound in service, evicts this way and so keeps a
-/// hit down to one map lookup.
-fn evict_lru<K: Ord + std::hash::Hash + Clone, V>(map: &mut HashMap<K, Slot<V>>, capacity: usize) {
-    while map.len() > capacity {
-        let Some(victim) = map
-            .iter()
-            .min_by(|(ka, a), (kb, b)| a.last_used.cmp(&b.last_used).then_with(|| ka.cmp(kb)))
-            .map(|(k, _)| k.clone())
-        else {
-            break;
-        };
-        map.remove(&victim);
-    }
-}
-
-/// The idempotency memo: key → response, bounded LRU. Beside the map,
-/// an index ordered by `(last use, key)` names the victim of
-/// [`evict_lru`]'s rule without a scan.
+/// The idempotency memo: key → response, bounded LRU. Each lookup or
+/// store is one tick; beside the map, an index ordered by
+/// `(last use, key)` names the least recently used key without a scan.
 struct IdemMemo {
     slots: HashMap<u64, Slot<Response>>,
     by_use: BTreeSet<(u64, u64)>,
     capacity: usize,
+    tick: u64,
 }
 
 impl IdemMemo {
     fn new(capacity: usize) -> Self {
-        Self { slots: HashMap::new(), by_use: BTreeSet::new(), capacity }
+        Self { slots: HashMap::new(), by_use: BTreeSet::new(), capacity, tick: 0 }
     }
 
-    /// The response kept under `key`, now last used at `tick`.
-    fn lookup(&mut self, key: u64, tick: u64) -> Option<&Response> {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick - 1
+    }
+
+    /// The response kept under `key`, now the most recently used.
+    fn lookup(&mut self, key: u64) -> Option<&Response> {
+        let tick = self.next_tick();
         let slot = self.slots.get_mut(&key)?;
         self.by_use.remove(&(slot.last_used, key));
         self.by_use.insert((tick, key));
@@ -132,9 +127,10 @@ impl IdemMemo {
         Some(&slot.value)
     }
 
-    /// Keep `value` under `key`, last used at `tick`, evicting the least
-    /// recently used keys past capacity.
-    fn store(&mut self, key: u64, value: Response, tick: u64) {
+    /// Keep `value` under `key`, evicting the least recently used keys
+    /// past capacity.
+    fn store(&mut self, key: u64, value: Response) {
+        let tick = self.next_tick();
         if let Some(old) = self.slots.insert(key, Slot { value, last_used: tick }) {
             self.by_use.remove(&(old.last_used, key));
         }
@@ -149,29 +145,31 @@ impl IdemMemo {
 impl Engine {
     /// An engine answering for the full benchmark suite on `machine`.
     pub fn new(model: Arc<TrainedModel>, machine: Machine) -> Self {
-        let kernels =
-            acs_kernels::all_kernel_instances().into_iter().map(|k| (k.id(), k)).collect();
+        let kernels = acs_kernels::all_kernel_instances()
+            .into_iter()
+            .map(|kernel| (kernel.id(), Entry { kernel, profile: OnceLock::new() }))
+            .collect();
         Self {
             predictor: Predictor::new(&model),
             machine,
             kernels,
-            cache: Mutex::new(HashMap::new()),
-            profile_capacity: DEFAULT_PROFILE_CAPACITY,
+            profile_capacity: usize::MAX,
+            kept: AtomicUsize::new(0),
             idem: Mutex::new(IdemMemo::new(IDEM_CAPACITY)),
-            tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             on_miss: Mutex::new(None),
         }
     }
 
-    /// Shrink (or grow) the profile-cache bound. Clamped to at least 1.
+    /// Keep at most `capacity` profiles: the first kernels selected are
+    /// kept, and any other is recomputed, as a miss, on every call.
     pub fn with_profile_capacity(mut self, capacity: usize) -> Self {
-        self.profile_capacity = capacity.max(1);
+        self.profile_capacity = capacity;
         self
     }
 
-    /// Install the cache-miss hook (server → recovery journal). Installed
+    /// Install the miss hook (server → recovery journal). Installed
     /// *after* recovery warm-up so replayed keys are not re-journaled.
     pub(crate) fn set_miss_hook(&self, hook: MissHook) {
         *self.on_miss.lock() = Some(hook);
@@ -179,41 +177,37 @@ impl Engine {
 
     /// The kernel with this id, if it is in the suite.
     pub fn kernel(&self, id: &str) -> Option<&KernelCharacteristics> {
-        self.kernels.get(id)
+        self.kernels.get(id).map(|entry| &entry.kernel)
     }
 
-    /// Count a profile-cache hit made without a lookup: a session that
-    /// answers a `Select` from its reply memo stands in for one.
+    /// Count a profile hit made without a lookup: a session that answers
+    /// a `Select` from its reply memo stands in for one.
     pub(crate) fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(hits, misses)` of the profile cache since startup.
+    /// `(hits, misses)` of the profile table since startup.
     pub(crate) fn cache_counts(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
-    /// The memoized predicted profile for a kernel; computed on first use
-    /// (two sample runs + classify + regress), a map lookup afterwards.
-    /// The cache is bounded: beyond capacity the least-recently-used
-    /// kernel is dropped and will be recomputed — to the bit-identical
-    /// value — if asked for again.
+    /// The predicted profile for a kernel: computed on first use (two
+    /// sample runs + classify + regress) and kept in the kernel's slot,
+    /// one map lookup afterwards.
     pub fn profile(&self, kernel_id: &str) -> Result<Arc<PredictedProfile>, EngineError> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some(hit) = self.cache.lock().get_mut(kernel_id) {
-            hit.last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&hit.value));
-        }
-        let kernel = self
+        let entry = self
             .kernels
             .get(kernel_id)
             .ok_or_else(|| EngineError::UnknownKernel(kernel_id.to_string()))?;
-        // Compute outside the lock: concurrent misses for the same kernel
-        // duplicate pure work but agree on the result bit-for-bit (the
-        // profile is a function of seed + kernel + model only).
-        let cpu = self.machine.run_iter(kernel, &sample_config(Device::Cpu), 0);
-        let gpu = self.machine.run_iter(kernel, &sample_config(Device::Gpu), 1);
+        if let Some(profile) = entry.profile.get() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(profile));
+        }
+        // Concurrent misses for the same kernel duplicate pure work but
+        // agree on the result bit-for-bit (the profile is a function of
+        // seed + kernel + model only).
+        let cpu = self.machine.run_iter(&entry.kernel, &sample_config(Device::Cpu), 0);
+        let gpu = self.machine.run_iter(&entry.kernel, &sample_config(Device::Gpu), 1);
         // Per-thread scratch arena: each connection thread reuses one
         // across requests (the profile itself still owns its
         // points/frontier — the scratch only absorbs the intermediate
@@ -226,40 +220,32 @@ impl Engine {
             Arc::new(self.predictor.predict_with(&SamplePair::new(cpu, gpu), &mut s.borrow_mut()))
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (result, inserted) = {
-            let mut cache = self.cache.lock();
-            let inserted = !cache.contains_key(kernel_id);
-            let slot = cache
-                .entry(kernel_id.to_string())
-                .or_insert(Slot { value: profile, last_used: tick });
-            slot.last_used = tick;
-            let result = Arc::clone(&slot.value);
-            evict_lru(&mut cache, self.profile_capacity);
-            (result, inserted)
-        };
-        if inserted {
-            // Outside the cache lock: the hook may take the journal lock.
-            if let Some(hook) = self.on_miss.lock().as_ref() {
-                hook(kernel_id);
+        // Keep it if the bound has room. Of racing misses one fills the
+        // slot and fires the hook; the others give their room back.
+        let room = |kept: usize| (kept < self.profile_capacity).then_some(kept + 1);
+        if self.kept.fetch_update(Ordering::Relaxed, Ordering::Relaxed, room).is_ok() {
+            if entry.profile.set(Arc::clone(&profile)).is_ok() {
+                if let Some(hook) = self.on_miss.lock().as_ref() {
+                    hook(kernel_id);
+                }
+            } else {
+                self.kept.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        Ok(result)
+        Ok(profile)
     }
 
     /// The memoized response for an idempotency key, if the keyed request
     /// already executed. Refreshes the key's LRU position.
     pub fn idem_lookup(&self, key: u64) -> Option<Response> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.idem.lock().lookup(key, tick).cloned()
+        self.idem.lock().lookup(key).cloned()
     }
 
     /// Remember a successful response under its idempotency key so a
     /// retry replays these exact bytes instead of executing again.
     pub fn idem_store(&self, key: u64, response: &Response) {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.idem.lock().store(key, response.clone(), tick);
+        self.idem.lock().store(key, response.clone());
     }
-
     /// Select a configuration for one kernel under a budget.
     pub fn select(&self, kernel_id: &str, budget_w: f64) -> Result<Selection, EngineError> {
         let profile = self.profile(kernel_id)?;
@@ -299,10 +285,34 @@ mod tests {
         Engine::new(Arc::new(model), machine)
     }
 
+    /// The first `n` suite kernel ids, in id order.
+    fn ids(e: &Engine, n: usize) -> Vec<String> {
+        let mut ids: Vec<String> = e.kernels.keys().cloned().collect();
+        ids.sort_unstable();
+        ids.truncate(n);
+        ids
+    }
+
+    /// Evict least-recently-used slots (ties broken by smallest key) until
+    /// `map` fits `capacity`, a scan per victim: the rule the idempotency
+    /// memo's ordered index must reproduce.
+    fn evict_lru(map: &mut HashMap<u64, Slot<Response>>, capacity: usize) {
+        while map.len() > capacity {
+            let Some(victim) = map
+                .iter()
+                .min_by(|(ka, a), (kb, b)| a.last_used.cmp(&b.last_used).then_with(|| ka.cmp(kb)))
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            map.remove(&victim);
+        }
+    }
+
     #[test]
     fn cache_hit_equals_cache_miss() {
         let e = engine();
-        let id = e.kernels.keys().next().unwrap().clone();
+        let id = ids(&e, 1).remove(0);
         let cold = e.select(&id, 25.0).unwrap();
         let warm = e.select(&id, 25.0).unwrap();
         assert_eq!(cold, warm);
@@ -322,7 +332,7 @@ mod tests {
     #[test]
     fn batch_preserves_request_order_and_matches_singles() {
         let e = engine();
-        let ids: Vec<String> = e.kernels.keys().take(8).cloned().collect();
+        let ids = ids(&e, 8);
         let batch = e.select_batch(&ids, 30.0);
         assert_eq!(batch.len(), ids.len());
         for (id, got) in ids.iter().zip(&batch) {
@@ -332,45 +342,63 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_is_bounded_and_recomputes_identically() {
+    fn a_kernel_past_the_bound_recomputes_identically_as_a_miss() {
         let e = engine().with_profile_capacity(2);
-        let ids: Vec<String> = e.kernels.keys().take(3).cloned().collect();
-        let first = e.select(&ids[0], 25.0).unwrap();
-        e.select(&ids[1], 25.0).unwrap();
-        e.select(&ids[2], 25.0).unwrap(); // ids[0] is now least recent: out
-        assert_eq!(e.cache.lock().len(), 2);
+        let ids = ids(&e, 3);
+        let kept: Vec<Selection> = ids[..2].iter().map(|id| e.select(id, 25.0).unwrap()).collect();
+        let past = e.select(&ids[2], 25.0).unwrap();
+        assert_eq!(e.cache_counts(), (0, 3));
 
-        // The evicted kernel recomputes — to the identical selection.
-        let again = e.select(&ids[0], 25.0).unwrap();
-        assert_eq!(first, again);
-        let (hits, misses) = e.cache_counts();
-        assert_eq!((hits, misses), (0, 4), "re-selecting an evicted kernel is a miss");
-        assert_eq!(e.cache.lock().len(), 2);
+        // The two kept kernels hit, to the same selections.
+        for (id, first) in ids[..2].iter().zip(&kept) {
+            assert_eq!(&e.select(id, 25.0).unwrap(), first);
+        }
+        assert_eq!(e.cache_counts(), (2, 3));
+        // The third is recomputed, to the identical selection, as a miss.
+        assert_eq!(e.select(&ids[2], 25.0).unwrap(), past);
+        assert_eq!(e.cache_counts(), (2, 4));
+        assert_eq!(e.kernels.values().filter(|entry| entry.profile.get().is_some()).count(), 2);
     }
 
     #[test]
-    fn lru_refresh_protects_recently_used_entries() {
-        let e = engine().with_profile_capacity(2);
-        let ids: Vec<String> = e.kernels.keys().take(3).cloned().collect();
-        e.select(&ids[0], 25.0).unwrap();
-        e.select(&ids[1], 25.0).unwrap();
-        e.select(&ids[0], 25.0).unwrap(); // refresh: ids[1] is now LRU
-        e.select(&ids[2], 25.0).unwrap(); // evicts ids[1]
-        let (hits, _) = e.cache_counts();
-        assert_eq!(hits, 1);
-        // ids[0] survived the eviction; selecting it again is a hit.
-        e.select(&ids[0], 25.0).unwrap();
+    fn racing_cold_selects_agree_and_keep_the_kernel_once() {
+        use std::sync::{Barrier, Mutex as StdMutex};
+        const THREADS: usize = 4;
+        let e = engine();
+        let seen: Arc<StdMutex<Vec<String>>> = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        e.set_miss_hook(Box::new(move |id| sink.lock().unwrap().push(id.to_string())));
+        let id = ids(&e, 1).remove(0);
+        let barrier = Barrier::new(THREADS);
+        let picked: Vec<Selection> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        e.select(&id, 25.0).unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let bits = |s: &Selection| {
+            (s.config, s.cluster, s.predicted_power_w.to_bits(), s.predicted_perf.to_bits())
+        };
+        for selection in &picked[1..] {
+            assert_eq!(bits(selection), bits(&picked[0]));
+        }
+        assert_eq!(*seen.lock().unwrap(), [id], "the hook fires once for the kernel");
         let (hits, misses) = e.cache_counts();
-        assert_eq!((hits, misses), (2, 3));
+        assert_eq!(hits + misses, THREADS as u64);
     }
 
     #[test]
     fn restart_without_journal_recomputes_value_equal_selections() {
         // A fresh engine over the same (seed, model) is exactly what a
-        // server restart without `--journal` builds: a cold cache. The
+        // server restart without `--journal` builds: an empty table. The
         // recomputed selection must be value-equal to the warm one.
         let warm = engine();
-        let id = warm.kernels.keys().next().unwrap().clone();
+        let id = ids(&warm, 1).remove(0);
         warm.select(&id, 25.0).unwrap();
         let cached = warm.select(&id, 25.0).unwrap(); // warm-path answer
 
@@ -432,7 +460,7 @@ mod tests {
             for (tick, (op, key)) in (0u64..).zip(ops) {
                 let value = Response::Welcome { node_id: tick, budget_w: 1.0 };
                 if op == 0 {
-                    memo.store(key, value.clone(), tick);
+                    memo.store(key, value.clone());
                     model.insert(key, Slot { value, last_used: tick });
                     evict_lru(&mut model, CAPACITY);
                 } else {
@@ -440,7 +468,7 @@ mod tests {
                         slot.last_used = tick;
                         slot.value.clone()
                     });
-                    prop_assert_eq!(memo.lookup(key, tick).cloned(), expected);
+                    prop_assert_eq!(memo.lookup(key).cloned(), expected);
                 }
                 let held = |slots: &HashMap<u64, Slot<Response>>| {
                     let mut held: Vec<(u64, u64)> =
@@ -461,7 +489,7 @@ mod tests {
         let seen: Arc<StdMutex<Vec<String>>> = Arc::new(StdMutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         e.set_miss_hook(Box::new(move |id| sink.lock().unwrap().push(id.to_string())));
-        let ids: Vec<String> = e.kernels.keys().take(2).cloned().collect();
+        let ids = ids(&e, 2);
         e.select(&ids[0], 25.0).unwrap();
         e.select(&ids[0], 25.0).unwrap(); // hit: no hook
         e.select(&ids[1], 25.0).unwrap();
@@ -471,7 +499,7 @@ mod tests {
     #[test]
     fn tighter_budget_never_raises_predicted_power() {
         let e = engine();
-        let id = e.kernels.keys().next().unwrap().clone();
+        let id = ids(&e, 1).remove(0);
         let loose = e.select(&id, 60.0).unwrap();
         let tight = e.select(&id, 12.0).unwrap();
         assert!(tight.predicted_power_w <= loose.predicted_power_w + 1e-9);

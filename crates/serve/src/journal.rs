@@ -7,7 +7,7 @@
 //! process. The journal records exactly that state transition stream so a
 //! restarted server can *replay* it and resume where the dead one
 //! stopped: same arbiter epoch, same next node id, same (re-warmed)
-//! profile cache, and therefore byte-identical selections.
+//! profile table, and therefore byte-identical selections.
 //!
 //! ## Format
 //!
@@ -18,28 +18,28 @@
 //! ```
 //!
 //! The CRC covers `<seq> <entry-json>`, and `seq` must equal the line's
-//! index. On open, the journal validates every line in order and
-//! **truncates at the first invalid one**: under the append-only
-//! crash-only model the only legitimate damage is a torn tail from a
-//! death mid-append, so everything from the first bad line on is crash
-//! debris, not data. (A byte flipped by something *other* than a crash
-//! also truncates from that point — the journal is an optimization, and
-//! a shorter valid prefix is always safe to resume from.)
+//! index. On open, the journal validates every line in order. Under the
+//! append-only crash-only model the only legitimate damage is a torn tail
+//! from a death mid-append, so a damaged line with nothing intact after it
+//! is crash debris and is truncated away. A damaged line with an intact
+//! line after it is not: something *other* than a crash changed the file,
+//! and open refuses with [`JournalError::Corrupt`], leaving the file as it
+//! was, rather than throw intact history away.
 //!
 //! ## Durability
 //!
 //! Appends go straight to the OS (`File` is unbuffered) and are flushed,
 //! not fsynced, by default: the journal survives process death — including
 //! SIGKILL, which is what the kill-and-restart e2e and the CLI's
-//! `sigkill.rs` exercise — while a whole-machine power loss may drop the OS-buffered
-//! tail, which the next open then cleanly truncates away. Per-entry fsync
-//! would put a disk round trip on every request; crash-only semantics do
-//! not need it. For deployments where the crash window must also cover
-//! power loss, `Journal::open_with_sync` (the `--journal-sync` flag)
-//! upgrades every append batch to `File::sync_data`, trading a disk round
-//! trip per append for a zero-loss tail. Replay is byte-for-byte
-//! equivalent in both modes — sync changes *when* bytes are durable,
-//! never what is written.
+//! `sigkill.rs` exercise — while a whole-machine power loss may drop the
+//! OS-buffered tail, which the next open then cleanly truncates away.
+//! Per-entry fsync would put a disk round trip on every request;
+//! crash-only semantics do not need it. For deployments where the crash
+//! window must also cover power loss, `Journal::open_with_sync` (the
+//! `--journal-sync` flag) upgrades every append batch to
+//! `File::sync_data`, trading a disk round trip per append for a
+//! zero-loss tail. Replay is byte-for-byte equivalent in both modes —
+//! sync changes *when* bytes are durable, never what is written.
 //!
 //! ## Replay verification
 //!
@@ -109,7 +109,7 @@ pub enum JournalEntry {
     /// A session's [`AdaptivePredictor`](acs_core::AdaptivePredictor)
     /// consumed one measured/predicted ratio pair. The exact `f64` bits
     /// are journaled so replay feeds *identical* measurements through the
-    /// Kalman filters and rebuilds bit-identical adaptation state.
+    /// Kalman filters and checks each `Reclassify` against what they emit.
     AdaptObs {
         /// The observing session.
         node_id: u64,
@@ -139,10 +139,10 @@ pub enum JournalEntry {
         /// The rung label (`model`, or a guard-ladder tier label).
         label: String,
     },
-    /// The brownout controller changed level. Pure observability — the
+    /// The brownout controller changed level. Pure observability: the
     /// live level is derived from wall-clock latency and always restarts
-    /// at 0 after a crash — but the transition history is durable, and
-    /// replay re-counts it so a restarted server's STATS reconcile.
+    /// at 0 after a crash, so replay accepts these entries and restores
+    /// nothing from them.
     Brownout {
         /// The level entered (0 = normal, rising levels disable more
         /// optional work).
@@ -165,17 +165,6 @@ impl JournalEntry {
             _ => return None,
         })
     }
-}
-
-/// One orphaned session's rebuilt adaptation state, keyed by node id.
-/// A `Vec` of these (not a map) so the JSON stays string-key-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionAdapt {
-    /// The session the state belongs to.
-    pub node_id: u64,
-    /// The predictor as rebuilt by replaying every journaled observation
-    /// bit-for-bit.
-    pub predictor: acs_core::AdaptivePredictor,
 }
 
 /// Typed journal failures.
@@ -283,11 +272,12 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
     /// Open (or create) the journal at `path`, validating every recorded
     /// line. The valid prefix is returned for [`replay`]; a torn or
     /// damaged final line is physically truncated so future appends extend
-    /// a clean log. A damaged line with a line after it that passes its CRC
-    /// is not a crash's debris: open refuses with
-    /// [`JournalError::Corrupt`] and leaves the file as it found it. With `sync`, every append batch is `sync_data`ed, so
-    /// the tail also survives machine power loss at the cost of a disk
-    /// round trip per append.
+    /// a clean log. A damaged line with a line after it that passes its
+    /// CRC is not a crash's debris: open refuses with
+    /// [`JournalError::Corrupt`] and leaves the file as it found it. With
+    /// `sync`, every append batch is `sync_data`ed, so the tail also
+    /// survives machine power loss at the cost of a disk round trip per
+    /// append.
     pub(crate) fn open_with_sync(
         path: impl AsRef<Path>,
         sync: bool,
@@ -369,12 +359,14 @@ impl<E: serde::Serialize + serde::Deserialize> Journal<E> {
     }
 }
 
-/// What [`replay`] reconstructed, for logging and the recovery bench.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What [`replay`] reconstructed that a restarted server reads: its
+/// `recovered:` line, its warm-up, its orphans' leaves, its next node id
+/// and its STATS rung tallies.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
     /// Journal entries replayed.
     pub replayed: u64,
-    /// Kernel ids to re-warm the profile cache with, in first-miss order
+    /// Kernel ids to re-warm the profile table with, in first-miss order
     /// (deduplicated).
     pub warm_kernels: Vec<String>,
     /// Sessions admitted but never cleanly closed — their connections
@@ -386,26 +378,17 @@ pub struct Recovery {
     pub next_node: u64,
     /// Degradation-rung tallies re-summed from `Rung` entries, so a
     /// restarted server's STATS reconcile with replayed history.
-    /// `#[serde(default)]` keeps pre-adapt recovery records parseable.
-    #[serde(default)]
     pub rung_tallies: std::collections::BTreeMap<String, u64>,
-    /// Adaptation state of sessions that never cleanly left, rebuilt
-    /// bit-for-bit from `AdaptObs` entries and sorted by node id.
-    /// (Cleanly-closed sessions drop their state exactly as the live
-    /// server does on `Bye`.)
-    #[serde(default)]
-    pub adapt: Vec<SessionAdapt>,
-    /// Brownout level transitions re-counted from `Brownout` entries.
-    /// The live level itself restarts at 0 (it tracks wall-clock latency,
-    /// which died with the old process); only the count is history.
-    #[serde(default)]
-    pub brownout_transitions: u64,
 }
 
 /// Fold a validated entry stream into a fresh arbiter through
 /// [`Arbiter::apply`], the step the server took live: every arbiter entry
 /// must recompute to itself, post-op epoch included. The arbiter comes
-/// back as the journal left it, orphans still seated.
+/// back as the journal left it, orphans still seated. Every `AdaptObs` is
+/// folded through its session's predictor, which must accept it, and every
+/// `Reclassify` must match a mismatch those predictors emitted; the
+/// predictors themselves are dropped, since a restarted session starts
+/// with none.
 pub fn replay(
     entries: &[JournalEntry],
     global_cap_w: f64,
@@ -419,7 +402,6 @@ pub fn replay(
         std::collections::BTreeMap::new();
     let mut rung_tallies: std::collections::BTreeMap<String, u64> =
         std::collections::BTreeMap::new();
-    let mut brownout_transitions = 0u64;
     // (node, kernel) pairs whose last replayed observation emitted a
     // cluster mismatch; each journaled Reclassify must consume one. Other
     // sessions' entries may fall between an AdaptObs and its Reclassify.
@@ -460,9 +442,7 @@ pub fn replay(
             JournalEntry::Rung { label } => {
                 *rung_tallies.entry(label.clone()).or_insert(0) += 1;
             }
-            JournalEntry::Brownout { .. } => {
-                brownout_transitions += 1;
-            }
+            JournalEntry::Brownout { .. } => {}
             // Admit, Leave, Report and Cap: the step the server took live.
             _ => {
                 let op = entry.arbiter_op();
@@ -478,21 +458,14 @@ pub fn replay(
             }
         }
     }
-    let orphaned_sessions = arbiter.node_ids();
-    let adapt =
-        adapt.into_iter().map(|(node_id, predictor)| SessionAdapt { node_id, predictor }).collect();
-    Ok((
-        arbiter,
-        Recovery {
-            replayed: entries.len() as u64,
-            warm_kernels,
-            orphaned_sessions,
-            next_node,
-            rung_tallies,
-            adapt,
-            brownout_transitions,
-        },
-    ))
+    let recovery = Recovery {
+        replayed: entries.len() as u64,
+        warm_kernels,
+        orphaned_sessions: arbiter.node_ids(),
+        next_node,
+        rung_tallies,
+    };
+    Ok((arbiter, recovery))
 }
 
 #[cfg(test)]
@@ -740,17 +713,15 @@ mod tests {
             orphaned_sessions: vec![1, 2],
             next_node: 3,
             rung_tallies: Default::default(),
-            adapt: vec![],
-            brownout_transitions: 0,
         };
         assert_eq!(recovery, expected);
         assert_eq!((rebuilt.epoch(), rebuilt.global_cap_w()), (2, 5.0));
     }
 
     #[test]
-    fn replay_rebuilds_adaptation_state_and_rung_tallies() {
-        // Drive a live predictor, journal the exact ratio bits the way the
-        // server does, and check replay lands on bit-identical state.
+    fn replay_checks_adaptation_history_and_rebuilds_rung_tallies() {
+        // Drive a live predictor and journal the exact ratio bits and the
+        // reclassification the way the server does: replay accepts it.
         let mut live = acs_core::AdaptivePredictor::default();
         let mut entries = vec![JournalEntry::Admit { node_id: 1, epoch: 1 }];
         let ratios = [(1.0, 1.0), (1.01, 0.99), (0.99, 1.0), (1.0, 1.01), (2.0, 0.5), (2.0, 0.5)];
@@ -778,28 +749,21 @@ mod tests {
         entries.push(JournalEntry::Rung { label: "frequency".into() });
 
         let (_, recovery) = replay(&entries, 100.0, ArbiterPolicy::EqualShare).unwrap();
-        assert_eq!(recovery.adapt.len(), 1, "the orphaned session keeps its state");
-        assert_eq!(recovery.adapt[0].node_id, 1);
-        assert_eq!(recovery.adapt[0].predictor, live, "replayed state must be bit-identical");
-        assert_eq!(recovery.adapt[0].predictor.state_digest(), live.state_digest());
+        assert_eq!(recovery.orphaned_sessions, [1]);
         assert_eq!(recovery.rung_tallies.get("model"), Some(&2));
         assert_eq!(recovery.rung_tallies.get("frequency"), Some(&1));
-    }
 
-    #[test]
-    fn clean_leave_drops_the_sessions_adaptation_state() {
-        let entries = vec![
-            JournalEntry::Admit { node_id: 1, epoch: 1 },
-            JournalEntry::AdaptObs {
-                node_id: 1,
-                kernel_id: "k".into(),
-                power_bits: f64::to_bits(1.0),
-                perf_bits: f64::to_bits(1.0),
-            },
-            JournalEntry::Leave { node_id: 1, epoch: 1 },
-        ];
-        let (_, recovery) = replay(&entries, 100.0, ArbiterPolicy::EqualShare).unwrap();
-        assert!(recovery.adapt.is_empty(), "Bye discards adaptation state, so must replay");
+        // The observation that tripped the detector, moved back onto the
+        // baseline: its journaled reclassification is now unearned.
+        let at = entries.iter().position(|e| matches!(e, JournalEntry::Reclassify { .. })).unwrap();
+        let JournalEntry::AdaptObs { power_bits, perf_bits, .. } = &mut entries[at - 1] else {
+            panic!("a reclassification follows its observation: {entries:?}");
+        };
+        (*power_bits, *perf_bits) = (1f64.to_bits(), 1f64.to_bits());
+        match replay(&entries, 100.0, ArbiterPolicy::EqualShare) {
+            Err(JournalError::Divergence { index, .. }) => assert_eq!(index, at),
+            other => panic!("expected Divergence at {at}, got {other:?}"),
+        }
     }
 
     #[test]
@@ -836,30 +800,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_adapt_recovery_records_parse_with_empty_adapt_fields() {
-        // Recovery summaries serialized before the adaptation layer lack
-        // the rung_tallies/adapt fields; they must deserialize as empty.
-        let json = r#"{"replayed":3,"warm_kernels":["k"],"orphaned_sessions":[2],"next_node":3}"#;
-        let recovery: Recovery = serde_json::from_str(json).unwrap();
-        assert_eq!(recovery.replayed, 3);
-        assert!(recovery.rung_tallies.is_empty());
-        assert!(recovery.adapt.is_empty());
-        assert_eq!(recovery.brownout_transitions, 0);
-    }
-
-    #[test]
-    fn replay_counts_brownout_transitions_without_restoring_the_level() {
+    fn brownout_entries_replay_without_restoring_the_level() {
         // Brownout entries are durable history, but the live level is a
-        // wall-clock-derived quantity: replay counts the transitions and
-        // nothing else (a restarted server always starts at level 0).
+        // wall-clock-derived quantity: replay accepts the transitions and
+        // restores nothing from them (a restarted server starts at level
+        // 0, which `server::tests` checks on a restart).
         let entries = vec![
             JournalEntry::Brownout { level: 1 },
             JournalEntry::Brownout { level: 2 },
             JournalEntry::Brownout { level: 0 },
         ];
         let (arbiter, recovery) = replay(&entries, 100.0, ArbiterPolicy::EqualShare).unwrap();
-        assert_eq!(recovery.brownout_transitions, 3);
-        assert_eq!(recovery.replayed, 3);
+        let (_, empty) = replay(&[], 100.0, ArbiterPolicy::EqualShare).unwrap();
+        assert_eq!(recovery, Recovery { replayed: 3, ..empty });
         assert_eq!(arbiter.epoch(), 0, "brownout transitions never touch the arbiter");
     }
 

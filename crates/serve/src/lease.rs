@@ -750,20 +750,15 @@ pub enum CoordJournalEntry {
 }
 
 /// What [`replay_coordinator`] reconstructed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoordRecovery {
     /// Journal entries replayed.
     pub replayed: u64,
-    /// The logical time, ms, the rebuilt table resumed at.
-    tick: u64,
     /// Live leases after replay — shards the restarted coordinator
     /// re-adopts on their next renewal or re-lease.
     pub live_leases: Vec<u64>,
     /// Expired-and-encumbered leases after replay.
     pub encumbered_leases: Vec<u64>,
-    /// The lease id the next fresh grant will receive (burned ids stay
-    /// burned, exactly like session node ids).
-    next_lease: u64,
 }
 
 impl CoordJournalEntry {
@@ -821,16 +816,14 @@ pub fn replay_coordinator(
     }
     let recovery = CoordRecovery {
         replayed: entries.len() as u64,
-        tick: table.tick(),
         live_leases: table.live_ids(),
         encumbered_leases: table.encumbered_ids(),
-        next_lease: table.next_lease(),
     };
     Ok((table, recovery))
 }
 
 /// Which side of the lease the shard is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShardLeaseState {
     /// No lease yet (startup, or after a release): the shard runs at its
     /// pre-lease reserve, or where its last lease left it.
@@ -1349,8 +1342,8 @@ mod tests {
         let fresh = || LeaseTable::new(cap(90.0), ArbiterPolicy::EqualShare, 500, cap(2.0), 0);
         let mut live = fresh();
         grant(&mut live, shard_id, 60.0).unwrap();
-        let (mut t, recovery) = replay_coordinator(&journal, fresh()).unwrap();
-        assert_eq!((t.snapshot(), recovery.next_lease), (live.snapshot(), 2));
+        let (mut t, _) = replay_coordinator(&journal, fresh()).unwrap();
+        assert_eq!((t.snapshot(), t.next_lease()), (live.snapshot(), 2));
         let mut restarted = shard(shard_id, 60.0, 2.0);
         assert_eq!(round(&mut t, &mut restarted, 0, false), 90.0);
         assert_eq!((restarted.lease_id(), t.snapshot().len()), (Some(1), 1));
@@ -1510,10 +1503,10 @@ mod tests {
         let a2 = call(&mut live, &mut journal, lease(1)).unwrap();
         assert_ne!(a2.lease_id, a.lease_id, "evicted shard re-admits under a fresh lease");
 
-        let (rebuilt, recovery) = replay_coordinator(&journal, evicting()).unwrap();
+        let (rebuilt, _) = replay_coordinator(&journal, evicting()).unwrap();
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
         assert_eq!(rebuilt.stats(), live.stats());
-        assert_eq!(recovery.next_lease, live.next_lease());
+        assert_eq!(rebuilt.next_lease(), live.next_lease());
 
         // A mismatched horizon loses the eviction's epoch bump and is
         // caught by the recomputed entry, not silently absorbed.
@@ -1587,7 +1580,7 @@ mod tests {
         assert_eq!(rebuilt.snapshot(), live.snapshot(), "replay lands on the exact table");
         assert_eq!(rebuilt.stats(), live.stats());
         assert_eq!(recovery.replayed, journal.len() as u64);
-        assert_eq!(recovery.next_lease, live.next_lease());
+        assert_eq!(rebuilt.next_lease(), live.next_lease());
         assert_eq!(recovery.live_leases, live.live_ids());
     }
 

@@ -13,8 +13,8 @@
 //!
 //! Module map:
 //! - [`protocol`] — length-prefixed JSON frames, typed [`ProtocolError`]
-//! - [`engine`] — memoized classify+predict, bounded LRU caches,
-//!   idempotency memo
+//! - [`engine`] — classify+predict kept per suite kernel in a table
+//!   filled once, and the idempotency memo (a bounded LRU)
 //! - [`arbiter`] — global-cap partitioning policies (budgets always sum
 //!   exactly to the cap)
 //! - [`metrics`] — counters, latency quantiles, the `STATS` snapshot
@@ -23,7 +23,8 @@
 //!   `Running` background servers
 //! - [`server`] — admission control, sessions, lease client, brownout
 //! - [`journal`] — append-only recovery journal; a restarted server
-//!   replays it and resumes with identical budgets and a warm cache
+//!   replays it and resumes with identical budgets and a warm profile
+//!   table
 //! - [`lease`] — the fleet layer's state machines: the coordinator's
 //!   lease table (epoch-fenced, encumbrance-at-floor expiry, exact-sum
 //!   conservation) and the shard's degraded-mode cap
@@ -58,7 +59,7 @@ pub mod server;
 pub use arbiter::{Arbiter, ArbiterOp, ArbiterPolicy};
 pub use coordinator::{CoordClient, Coordinator, CoordinatorConfig};
 pub use engine::{Engine, EngineError};
-pub use journal::{replay, Journal, JournalEntry, JournalError, Recovery, SessionAdapt};
+pub use journal::{replay, Journal, JournalEntry, JournalError, Recovery};
 pub use lease::{
     replay_coordinator, CoordJournalEntry, CoordRequest, CoordResponse, CoordStats, LeaseTable,
 };

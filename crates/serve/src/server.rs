@@ -184,7 +184,7 @@ fn journal_append(shared: &Shared, entry: &JournalEntry) {
 
 impl Shared {
     /// Everything a shard is but its listener, from a configuration it
-    /// checks before it opens a file: the journal replayed, the cache
+    /// checks before it opens a file: the journal replayed, the profiles
     /// re-warmed, and a fleet shard clamped to its pre-lease reserve.
     pub(crate) fn new(config: ServeConfig, model: Arc<TrainedModel>) -> Result<Self, ServeError> {
         // The wattage `ServeConfig` keeps an `f64`; a fleet shard demands it.
@@ -198,9 +198,9 @@ impl Shared {
         }
         // Crash recovery: open the journal, replay its valid prefix into a
         // fresh arbiter (next node id resumed, orphans still seated until
-        // their leaves are journaled below), and re-warm the profile cache with the journaled miss keys. The
-        // miss hook is installed only *after* warm-up, so replayed keys are
-        // not journaled a second time.
+        // their leaves are journaled below), and re-warm the profile table
+        // with the journaled miss keys. The miss hook is installed only
+        // *after* warm-up, so replayed keys are not journaled a second time.
         let (journal, recovery, arbiter, next_node) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
@@ -1552,10 +1552,13 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&journal_path);
     }
 
-    /// What journal replay rebuilds for a session that died seated is the
-    /// predictor that session held, bit for bit.
+    /// A session that died seated left observations and the
+    /// reclassifications they earned in the journal. As recorded, they
+    /// replay, and the restart resumes with the rung tallies and at
+    /// brownout level 0; with one observation moved back onto its
+    /// baseline, the reclassification it earned is refused.
     #[test]
-    fn replay_rebuilds_a_crashed_sessions_predictor_bit_for_bit() {
+    fn replay_checks_a_crashed_sessions_observations_against_its_reclassifications() {
         let journal_path =
             std::env::temp_dir().join(format!("acs-serve-adapt-{}.journal", std::process::id()));
         let _ = std::fs::remove_file(&journal_path);
@@ -1564,7 +1567,8 @@ pub(crate) mod tests {
         let mut session = join(&server.shared, 1);
         // Per kernel, 4 on-model observations form the baseline, then 4 at
         // 2× power / 0.6× perf confirm a bias and a cluster mismatch.
-        for kernel in acs_kernels::all_kernel_instances().iter().take(2) {
+        let kernels = acs_kernels::all_kernel_instances();
+        for kernel in kernels.iter().take(2) {
             let select = Request::Select { kernel_id: kernel.id(), deadline_ms: None, priority: 0 };
             let picked = match session.step(Ok(select)).0 {
                 Response::Selected(selection) => selection,
@@ -1583,17 +1587,40 @@ pub(crate) mod tests {
                 assert!(matches!(reply, Response::Budget { .. }), "{reply:?}");
             }
         }
-        let live = session.adapt.state_digest();
-        assert_ne!(live, AdaptivePredictor::default().state_digest(), "nothing was observed");
+        let run = Request::Run {
+            kernel_id: kernels[0].id(),
+            iterations: 1,
+            idem: None,
+            deadline_ms: None,
+            priority: 0,
+        };
+        assert!(matches!(session.step(Ok(run)).0, Response::Ran { .. }));
+        assert_eq!(session.adapt.reclassifications(), 2, "each kernel was reclassified");
+        let tallies = stats_snapshot(&server.shared).degradation_tallies;
+        assert!(!tallies.is_empty(), "the run never recorded a rung");
         server.shared.crashed.store(true, Ordering::SeqCst);
         drop(session);
         drop(server);
 
-        let (_, entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
-        let (_, recovery) = replay(&entries, config.global_cap_w, config.policy).unwrap();
-        let rebuilt: Vec<(u64, u64)> =
-            recovery.adapt.iter().map(|s| (s.node_id, s.predictor.state_digest())).collect();
-        assert_eq!(rebuilt, [(1, live)]);
+        let (journal, mut entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+        journal.append(&JournalEntry::Brownout { level: 2 }).unwrap();
+        drop(journal);
+        let restarted = Server::bind(config.clone(), model()).unwrap();
+        let recovery = restarted.handle().recovery().expect("a journaled server replays");
+        assert_eq!(recovery.orphaned_sessions, [1]);
+        assert_eq!(recovery.rung_tallies, tallies);
+        assert_eq!(restarted.handle().stats().brownout_level, 0);
+        drop(restarted);
+
+        let at = entries.iter().position(|e| matches!(e, JournalEntry::Reclassify { .. })).unwrap();
+        let JournalEntry::AdaptObs { power_bits, perf_bits, .. } = &mut entries[at - 1] else {
+            panic!("a reclassification follows its observation: {entries:?}");
+        };
+        (*power_bits, *perf_bits) = (1f64.to_bits(), 1f64.to_bits());
+        match replay(&entries, config.global_cap_w, config.policy) {
+            Err(crate::journal::JournalError::Divergence { index, .. }) => assert_eq!(index, at),
+            other => panic!("expected Divergence at {at}, got {other:?}"),
+        }
         let _ = std::fs::remove_file(&journal_path);
     }
 

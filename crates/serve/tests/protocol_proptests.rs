@@ -204,7 +204,7 @@ mod codec {
     use super::*;
     use acs_serve::{
         CoordJournalEntry, CoordRequest, CoordResponse, CoordStats, JournalEntry, LeaseReport,
-        Metrics, Recovery, ReportFeedback, SessionAdapt,
+        Metrics, ReportFeedback,
     };
     use acs_sim::{Cap, Watts};
     use serde::{Deserialize, Serialize};
@@ -377,15 +377,6 @@ mod codec {
         ] {
             pin(&entry);
         }
-        pin(&Recovery {
-            replayed: 12,
-            warm_kernels: vec!["a".into(), AWKWARD.into()],
-            orphaned_sessions: vec![2, 5],
-            next_node: 6,
-            rung_tallies: [("model".to_string(), 4u64)].into_iter().collect(),
-            adapt: vec![SessionAdapt { node_id: 2, predictor: Default::default() }],
-            brownout_transitions: 1,
-        });
         for entry in [
             CoordJournalEntry::Grant {
                 lease_id: 1,

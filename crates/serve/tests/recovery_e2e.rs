@@ -138,7 +138,7 @@ fn kill_and_restart_resumes_byte_identical_selections() {
 }
 
 #[test]
-fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
+fn kill_and_restart_checks_adaptation_history_and_replays_rung_tallies() {
     let dir = scratch("adapt");
     let journal_path = dir.join("serve.journal");
     let ids: Vec<String> =
@@ -198,15 +198,37 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
         tallies
     };
 
-    // Phase 2: restart on the same journal. Replay must rebuild the
-    // orphaned session's predictor (bit for bit, which
-    // `server::tests::replay_rebuilds_a_crashed_sessions_predictor_bit_for_bit`
-    // checks) and reconcile the rung tallies into the restarted server's
-    // STATS.
+    // The crashed session's journal holds its observations and the
+    // reclassifications they earned. A copy with the observation before
+    // the first reclassification moved back onto its baseline is refused
+    // at that reclassification.
+    let (_, mut entries) = Journal::<JournalEntry>::open(&journal_path).unwrap();
+    let at = entries.iter().position(|e| matches!(e, JournalEntry::Reclassify { .. }));
+    let at = at.expect("the drift was journaled as a reclassification");
+    let JournalEntry::AdaptObs { power_bits, perf_bits, .. } = &mut entries[at - 1] else {
+        panic!("a reclassification follows its observation: {entries:?}");
+    };
+    (*power_bits, *perf_bits) = (1f64.to_bits(), 1f64.to_bits());
+    let altered_path = dir.join("altered.journal");
+    let (altered, _) = Journal::open(&altered_path).unwrap();
+    for entry in &entries {
+        altered.append(entry).unwrap();
+    }
+    drop(altered);
+    match Server::bind(config(Some(altered_path)), model()) {
+        Err(ServeError::Journal(detail)) => {
+            assert!(detail.contains(&format!("diverged at entry {at}:")), "{detail}");
+        }
+        Ok(_) => panic!("bind accepted an unearned reclassification"),
+        Err(other) => panic!("expected ServeError::Journal, got {other}"),
+    }
+
+    // Phase 2: restart on the journal as recorded. Replay accepts the
+    // adaptation history and reconciles the rung tallies into the
+    // restarted server's STATS.
     let server = Server::spawn(config(Some(journal_path)), model()).unwrap();
     let recovery = server.handle.recovery().expect("a journaled server reports its recovery");
-    let orphans: Vec<u64> = recovery.adapt.iter().map(|s| s.node_id).collect();
-    assert_eq!(orphans, [1], "the orphan's adaptation state is rebuilt");
+    assert_eq!(recovery.orphaned_sessions, [1]);
     assert_eq!(recovery.rung_tallies, pre_tallies, "replay reconciles the rung tallies");
 
     let mut client = Client::connect(&server.addr).unwrap();

@@ -232,6 +232,19 @@ const GUARDS: &[Guard] = &[
         paths: &["crates"],
         forbidden: &[Lit("cap_arg"), Lit("adapt_digests"), Lit("max_batch")],
     },
+    // The engine keeps each suite kernel's profile beside it, filled once:
+    // no profile-cache bound or eviction comes back. A restart's `Recovery`
+    // holds what the restart reads: not the orphans' predictors, nor a
+    // count of brownout transitions that no STATS field carries.
+    Guard {
+        name: "One profile table",
+        paths: &["crates"],
+        forbidden: &[
+            Lit("DEFAULT_PROFILE_CAPACITY"),
+            Lit("SessionAdapt"),
+            Lit("brownout_transitions"),
+        ],
+    },
 ];
 
 const RATCHETS: &[Ratchet] = &[
