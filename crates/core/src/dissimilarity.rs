@@ -24,9 +24,11 @@ use acs_sim::Configuration;
 const ORDER_WEIGHT: f64 = 0.5;
 
 /// The configuration space: a frontier holds at most this many points, and
-/// positions on it fit a byte.
+/// positions on it fit a byte. Membership masks hold one bit per
+/// configuration, and a walk's seen-ranks mask one bit per 1-based position.
 const SPACE: usize = Configuration::space_size();
 const _: () = assert!(SPACE < u8::MAX as usize);
+const _: () = assert!(SPACE < u64::BITS as usize);
 
 /// One frontier's ordering, readable both ways: the configurations in
 /// frontier order, and each configuration's position on the frontier.
@@ -37,6 +39,11 @@ struct RankTable {
     /// By `Configuration::index()`: one more than the configuration's
     /// position on the frontier, 0 when it is not on it.
     rank: [u8; SPACE],
+    /// Bit `Configuration::index()` is set for every configuration on the
+    /// frontier.
+    members: u64,
+    /// Whether some configuration sits on the frontier more than once.
+    repeats: bool,
 }
 
 impl RankTable {
@@ -44,22 +51,66 @@ impl RankTable {
         let len = frontier.len();
         assert!(len <= SPACE, "a frontier of {len} points over {SPACE} configurations");
         let (mut order, mut rank) = ([0u8; SPACE], [0u8; SPACE]);
+        let (mut members, mut repeats) = (0u64, false);
         for (position, point) in frontier.points().iter().enumerate() {
             let config = point.config.index();
             order[position] = config as u8;
             if rank[config] == 0 {
                 rank[config] = position as u8 + 1;
+            } else {
+                repeats = true;
             }
+            members |= 1 << config;
         }
-        Self { len, order, rank }
+        Self { len, order, rank, members, repeats }
     }
 
     /// [`frontier_dissimilarity`] of the two frontiers the tables were
     /// built from.
     fn dissimilarity(&self, other: &RankTable) -> f64 {
-        // The other frontier's ranks of the shared configurations, in this
-        // frontier's order — so a pair is concordant exactly when its
-        // ranks ascend.
+        // The other frontier's ranks of the shared configurations, walked
+        // in this frontier's order — so a pair is concordant exactly when
+        // its ranks ascend. `shared` counts this frontier's points whose
+        // configuration the other holds, and `balance` is concordant −
+        // discordant pairs.
+        let (shared, balance) = if self.repeats {
+            self.shared_pairwise(other)
+        } else {
+            // Distinct configurations have distinct ranks on the other
+            // frontier, so no pair ties: every pair not discordant is
+            // concordant. A discordant pair is an earlier, higher rank.
+            let shared = (self.members & other.members).count_ones() as usize;
+            let mut seen = 0u64;
+            let mut discordant = 0u32;
+            for &config in &self.order[..self.len] {
+                let rank = other.rank[usize::from(config)];
+                if rank != 0 {
+                    discordant += (seen >> rank).count_ones();
+                    seen |= 1 << rank;
+                }
+            }
+            (shared, (shared * shared.saturating_sub(1) / 2) as i64 - 2 * i64::from(discordant))
+        };
+
+        let union = self.len + other.len - shared;
+        let membership = if union == 0 { 1.0 } else { 1.0 - shared as f64 / union as f64 };
+
+        // Kendall τ-a, `(concordant − discordant) / pairs`; undefined on
+        // fewer than two shared configurations.
+        let order = if shared < 2 {
+            1.0
+        } else {
+            let pairs = (shared * (shared - 1) / 2) as f64;
+            (1.0 - balance as f64 / pairs) / 2.0
+        };
+
+        ORDER_WEIGHT * order + (1.0 - ORDER_WEIGHT) * membership
+    }
+
+    /// `(shared, concordant − discordant)` pair by pair, for a frontier
+    /// that repeats a configuration: each repeat counts as shared again,
+    /// and a pair of equal ranks is neither concordant nor discordant.
+    fn shared_pairwise(&self, other: &RankTable) -> (usize, i64) {
         let mut ranks = [0u8; SPACE];
         let mut shared = 0;
         for &config in &self.order[..self.len] {
@@ -70,26 +121,13 @@ impl RankTable {
             }
         }
         let ranks = &ranks[..shared];
-
-        let union = self.len + other.len - shared;
-        let membership = if union == 0 { 1.0 } else { 1.0 - shared as f64 / union as f64 };
-
-        // Kendall τ-a, `(concordant − discordant) / pairs`; undefined on
-        // fewer than two shared configurations.
-        let order = if shared < 2 {
-            1.0
-        } else {
-            let mut balance = 0i64;
-            for (i, a) in ranks.iter().enumerate() {
-                for b in &ranks[i + 1..] {
-                    balance += i64::from(a < b) - i64::from(a > b);
-                }
+        let mut balance = 0i64;
+        for (i, a) in ranks.iter().enumerate() {
+            for b in &ranks[i + 1..] {
+                balance += i64::from(a < b) - i64::from(a > b);
             }
-            let pairs = (shared * (shared - 1) / 2) as f64;
-            (1.0 - balance as f64 / pairs) / 2.0
-        };
-
-        ORDER_WEIGHT * order + (1.0 - ORDER_WEIGHT) * membership
+        }
+        (shared, balance)
     }
 }
 

@@ -19,7 +19,7 @@ use acs_kernels::AppInstance;
 use acs_mlstat::{leave_one_group_out, Fold};
 use acs_sim::{Configuration, Machine};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Tolerance for "meets the power constraint": measured equality up to
 /// floating-point noise counts as meeting it (the oracle's own pick sits
@@ -32,10 +32,10 @@ pub struct CaseResult {
     /// Which method produced this case.
     pub method: Method,
     /// Kernel identifier, shared by every case of the kernel.
-    pub kernel_id: Arc<str>,
+    pub kernel_id: Rc<str>,
     /// Application instance label (e.g. `LULESH Small`), shared by every
     /// case of the app.
-    pub app_label: Arc<str>,
+    pub app_label: Rc<str>,
     /// Case weight: kernel's share of app time, split evenly over the
     /// kernel's constraints so every kernel contributes its weight once.
     pub weight: f64,
@@ -150,18 +150,18 @@ impl Evaluation {
     }
 
     /// Application-instance labels present, in first-appearance order.
-    pub fn app_labels(&self) -> Vec<Arc<str>> {
+    pub fn app_labels(&self) -> Vec<Rc<str>> {
         let mut labels = Vec::new();
         for c in &self.cases {
             if !labels.contains(&c.app_label) {
-                labels.push(Arc::clone(&c.app_label));
+                labels.push(Rc::clone(&c.app_label));
             }
         }
         labels
     }
 
     /// Per-application summaries for one method (Figures 5, 6, 8, 9).
-    pub fn by_app(&self, method: Method) -> Vec<(Arc<str>, MethodSummary)> {
+    pub fn by_app(&self, method: Method) -> Vec<(Rc<str>, MethodSummary)> {
         self.app_labels()
             .into_iter()
             .map(|label| {
@@ -304,8 +304,8 @@ impl<'a> PreparedSuite<'a> {
             .collect();
         let mut held_out = Vec::with_capacity(starts[apps.len()]);
         for app in apps {
-            let label: Arc<str> = app.app.label().into();
-            held_out.extend(app.profiles.iter().map(|p| HeldOut::new(p, Arc::clone(&label))));
+            let label: Rc<str> = app.app.label().into();
+            held_out.extend(app.profiles.iter().map(|p| HeldOut::new(p, Rc::clone(&label))));
         }
         Ok(Self { kernels, folds, starts, held_out })
     }
@@ -366,12 +366,12 @@ pub fn evaluate_kernel(
 struct HeldOut<'a> {
     profile: &'a KernelProfile,
     oracle: Frontier,
-    kernel_id: Arc<str>,
-    app_label: Arc<str>,
+    kernel_id: Rc<str>,
+    app_label: Rc<str>,
 }
 
 impl<'a> HeldOut<'a> {
-    fn new(profile: &'a KernelProfile, app_label: Arc<str>) -> Self {
+    fn new(profile: &'a KernelProfile, app_label: Rc<str>) -> Self {
         let oracle = profile.oracle_frontier();
         Self { profile, oracle, kernel_id: profile.kernel.id().into(), app_label }
     }
@@ -384,8 +384,8 @@ impl<'a> HeldOut<'a> {
         replay_each(self.profile, &self.oracle, caps, &Method::COMPARED, predictor, |pick| {
             cases.push(CaseResult {
                 method: pick.method,
-                kernel_id: Arc::clone(&self.kernel_id),
-                app_label: Arc::clone(&self.app_label),
+                kernel_id: Rc::clone(&self.kernel_id),
+                app_label: Rc::clone(&self.app_label),
                 weight,
                 cap_w: pick.cap_w,
                 config: pick.picked.config,

@@ -40,6 +40,12 @@ impl Dissimilarity {
         self.data[i * self.n + j]
     }
 
+    /// Row `i`: item `i`'s dissimilarity to every item, in item order.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
     /// Set the dissimilarity between `i` and `j` (kept symmetric).
     pub fn set(&mut self, i: usize, j: usize, d: f64) {
         self.data[i * self.n + j] = d;
@@ -51,7 +57,7 @@ impl Dissimilarity {
     pub fn principal(&self, items: &[usize]) -> Self {
         let mut data = Vec::with_capacity(items.len() * items.len());
         for &i in items {
-            let row = &self.data[i * self.n..(i + 1) * self.n];
+            let row = self.row(i);
             data.extend(items.iter().map(|&j| row[j]));
         }
         Self { n: items.len(), data }
@@ -112,7 +118,7 @@ impl Clustering {
 /// Where every item stands against a medoid set: the slot of its nearest
 /// medoid and its dissimilarity to the nearest and to the second-nearest.
 /// This is the assignment and the objective, and it prices every exchange
-/// of one non-medoid against each medoid in one pass over the items
+/// of a non-medoid against a medoid in one pass over the matrix's rows
 /// ([`swap_costs`](Self::swap_costs)) without re-scanning the medoids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NearestMedoids {
@@ -126,6 +132,8 @@ pub struct NearestMedoids {
     /// there is a single medoid.
     second: Vec<f64>,
     is_medoid: Vec<bool>,
+    /// Number of medoid slots.
+    k: usize,
 }
 
 impl NearestMedoids {
@@ -162,7 +170,7 @@ impl NearestMedoids {
             }
             nearest[i] = best;
         }
-        Self { slot, nearest, second, is_medoid }
+        Self { slot, nearest, second, is_medoid, k: medoids.len() }
     }
 
     /// The PAM objective: total dissimilarity of the non-medoid items to
@@ -177,35 +185,45 @@ impl NearestMedoids {
         cost
     }
 
-    /// The objective after replacing the medoid in each slot by the
-    /// non-medoid `item`, `costs[slot]` for every slot, in one pass over
-    /// the items. Every term is the minimum the item would find by
-    /// scanning the new medoid set, and each slot's terms are added in
-    /// item order, so `costs[slot]` is [`cost`](Self::cost) of that
-    /// exchanged set to the last bit.
-    pub fn swap_costs(&self, d: &Dissimilarity, item: usize, costs: &mut [f64]) {
-        debug_assert!(!self.is_medoid[item]);
+    /// The objective after replacing the medoid in `slot` by the
+    /// non-medoid `item`, for every slot and every such item, as
+    /// `costs[slot * n + item]` (`costs` holds `k · n` entries; a medoid's
+    /// column is left meaningless). One pass over the matrix's rows: row
+    /// `i` adds its term to every entry but those of column `i`. Every
+    /// term is the minimum the item would find by scanning the exchanged
+    /// medoid set, and each entry's terms are added in row order, so an
+    /// entry is [`cost`](Self::cost) of that exchanged set to the last bit.
+    pub fn swap_costs(&self, d: &Dissimilarity, costs: &mut [f64]) {
+        let n = self.slot.len();
+        assert_eq!(costs.len(), self.k * n, "one entry per slot and item");
         costs.fill(0.0);
-        for i in 0..self.slot.len() {
-            if i == item {
-                continue;
-            }
-            let own = self.slot[i];
-            // The one that arrives, against the nearest of the medoids
-            // that stay: the second-nearest when `own` is the one leaving.
-            let arriving = d.get(i, item);
-            let min = |kept: f64| if arriving < kept { arriving } else { kept };
+        for i in 0..n {
+            let (row, own) = (d.row(i), self.slot[i]);
             if self.is_medoid[i] {
                 // A medoid that stays costs nothing; only its own slot's
                 // exchange makes it an ordinary item.
-                costs[own] += min(self.second[i]);
+                add_nearer(&mut costs[own * n..(own + 1) * n], row, i, self.second[i]);
                 continue;
             }
-            let (leaving, staying) = (min(self.second[i]), min(self.nearest[i]));
-            for (slot, cost) in costs.iter_mut().enumerate() {
-                *cost += if slot == own { leaving } else { staying };
+            for (slot, slot_costs) in costs.chunks_exact_mut(n).enumerate() {
+                // The one that arrives, against the nearest of the medoids
+                // that stay: the second-nearest when `own` is the one leaving.
+                let kept = if slot == own { self.second[i] } else { self.nearest[i] };
+                add_nearer(slot_costs, row, i, kept);
             }
         }
+    }
+}
+
+/// `costs[c] += min(row[c], kept)` for every column `c` but `skip`.
+#[inline]
+fn add_nearer(costs: &mut [f64], row: &[f64], skip: usize, kept: f64) {
+    let nearer = |arriving: f64| if arriving < kept { arriving } else { kept };
+    for (cost, &arriving) in costs[..skip].iter_mut().zip(&row[..skip]) {
+        *cost += nearer(arriving);
+    }
+    for (cost, &arriving) in costs[skip + 1..].iter_mut().zip(&row[skip + 1..]) {
+        *cost += nearer(arriving);
     }
 }
 
@@ -220,55 +238,62 @@ pub fn pam(d: &Dissimilarity, k: usize) -> Clustering {
     assert!(k >= 1 && k <= n, "k = {k} must be in 1..={n}");
 
     // BUILD: first medoid minimizes total dissimilarity; each subsequent
-    // medoid maximizes the cost reduction.
+    // medoid maximizes the cost reduction. Column totals and gains are
+    // accumulated row by row, each in item order.
     let mut medoids: Vec<usize> = Vec::with_capacity(k);
-    let totals: Vec<f64> = (0..n).map(|a| (0..n).map(|i| d.get(i, a)).sum()).collect();
+    let mut totals = vec![0.0; n];
+    for i in 0..n {
+        for (total, &d_ia) in totals.iter_mut().zip(d.row(i)) {
+            *total += d_ia;
+        }
+    }
     let first = (0..n)
         .min_by(|&a, &b| totals[a].partial_cmp(&totals[b]).unwrap())
         .expect("non-empty matrix");
     medoids.push(first);
 
+    // Current distance of every item to its nearest medoid.
+    let mut near = vec![f64::INFINITY; n];
+    let mut gains = totals;
     while medoids.len() < k {
-        // Current distance of every item to its nearest medoid.
-        let near: Vec<f64> = (0..n)
-            .map(|i| medoids.iter().map(|&m| d.get(i, m)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let gains: Vec<(usize, f64)> = (0..n)
+        let newest = medoids[medoids.len() - 1];
+        for (i, near_i) in near.iter_mut().enumerate() {
+            *near_i = near_i.min(d.get(i, newest));
+        }
+        gains.fill(0.0);
+        for (i, &near_i) in near.iter().enumerate() {
+            for (gain, &d_ic) in gains.iter_mut().zip(d.row(i)) {
+                *gain += (near_i - d_ic).max(0.0);
+            }
+        }
+        let candidate = (0..n)
             .filter(|c| !medoids.contains(c))
-            .map(|c| (c, (0..n).map(|i| (near[i] - d.get(i, c)).max(0.0)).sum()))
-            .collect();
-        let &(candidate, _) = gains
-            .iter()
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
+            .max_by(|&a, &b| {
+                gains[a]
+                    .partial_cmp(&gains[b])
                     .unwrap()
                     // Tie-break toward the lower index for determinism.
-                    .then(b.0.cmp(&a.0))
+                    .then(b.cmp(&a))
             })
             .expect("k <= n leaves a candidate");
         medoids.push(candidate);
     }
 
     // SWAP: steepest-descent single swaps. Every exchange is priced
-    // first, one pass per candidate item (`costs[item * k + slot]`), then
+    // first, in one pass over the rows (`costs[slot * n + item]`), then
     // scanned slot by slot, item by item: under the `+ 1e-12` rule that
     // order decides between exchanges of equal cost.
     let mut near = NearestMedoids::new(d, &medoids);
     let mut cost = near.cost();
-    let mut costs = vec![0.0; n * k];
+    let mut costs = vec![0.0; k * n];
     loop {
-        for (item, item_costs) in costs.chunks_exact_mut(k).enumerate() {
-            if !near.is_medoid[item] {
-                near.swap_costs(d, item, item_costs);
-            }
-        }
+        near.swap_costs(d, &mut costs);
         let mut best: Option<(usize, usize, f64)> = None; // (medoid slot, item, new cost)
-        for slot in 0..k {
-            for item in 0..n {
+        for (slot, slot_costs) in costs.chunks_exact(n).enumerate() {
+            for (item, &c) in slot_costs.iter().enumerate() {
                 if near.is_medoid[item] {
                     continue;
                 }
-                let c = costs[item * k + slot];
                 if c + 1e-12 < best.map_or(cost, |(_, _, bc)| bc) {
                     best = Some((slot, item, c));
                 }
@@ -488,14 +513,14 @@ mod tests {
         d.set(0, 2, 0.0);
         let medoids = [0, 3];
         let near = NearestMedoids::new(&d, &medoids);
-        let mut costs = [f64::NAN; 2];
+        let mut costs = [f64::NAN; 2 * 6];
+        near.swap_costs(&d, &mut costs);
         for item in [1, 2, 4, 5] {
-            near.swap_costs(&d, item, &mut costs);
-            for (slot, &cost) in costs.iter().enumerate() {
+            for slot in 0..medoids.len() {
                 let mut swapped = medoids;
                 swapped[slot] = item;
                 assert_eq!(
-                    cost,
+                    costs[slot * 6 + item],
                     NearestMedoids::new(&d, &swapped).cost(),
                     "slot {slot} ← item {item}"
                 );

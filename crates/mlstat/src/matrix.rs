@@ -223,15 +223,30 @@ pub struct Cholesky {
 impl Cholesky {
     /// Solve `A · x = b` by forward then back substitution.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+        let (mut z, mut x) = (vec![0.0; self.n], vec![0.0; self.n]);
+        self.solve_into(b, &mut z, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](Self::solve) into the caller's buffers: `z` receives
+    /// `L⁻¹ b` and `x` the solution, each overwritten whole, so a buffer
+    /// pair serves any number of right-hand sides.
+    pub(crate) fn solve_into(
+        &self,
+        b: &[f64],
+        z: &mut [f64],
+        x: &mut [f64],
+    ) -> Result<(), MatrixError> {
         let (n, l) = (self.n, &self.l);
-        if b.len() != n {
+        if b.len() != n || z.len() != n || x.len() != n {
             return Err(MatrixError::Dimension(format!(
-                "{n}x{n} factor against a right-hand side of {}",
-                b.len()
+                "{n}x{n} factor against a right-hand side of {} into {} and {}",
+                b.len(),
+                z.len(),
+                x.len()
             )));
         }
         // Forward substitution: L z = b.
-        let mut z = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[i];
             for k in 0..i {
@@ -240,7 +255,6 @@ impl Cholesky {
             z[i] = sum / l[i * n + i];
         }
         // Back substitution: Lᵀ x = z.
-        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = z[i];
             for k in i + 1..n {
@@ -248,7 +262,7 @@ impl Cholesky {
             }
             x[i] = sum / l[i * n + i];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -368,11 +382,19 @@ mod tests {
     fn one_factor_serves_many_right_hand_sides() {
         let a = Matrix::from_rows(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]).unwrap();
         let factor = a.cholesky().unwrap();
+        let (mut z, mut into) = ([f64::NAN; 3], [f64::NAN; 3]);
         for rhs in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, -1.0, 0.5]] {
             let x = factor.solve(&rhs).unwrap();
             assert_eq!(x, a.solve_spd(&rhs).unwrap());
             approx(&a.matvec(&x).unwrap(), &rhs, 1e-12);
+            // The same buffers, reused: every entry is overwritten.
+            factor.solve_into(&rhs, &mut z, &mut into).unwrap();
+            assert_eq!(into.map(f64::to_bits), <[f64; 3]>::try_from(x).unwrap().map(f64::to_bits));
         }
+        assert!(matches!(
+            factor.solve_into(&[1.0; 3], &mut [0.0; 2], &mut into),
+            Err(MatrixError::Dimension(_))
+        ));
     }
 
     #[test]

@@ -181,16 +181,19 @@ impl Design {
 
         // Coefficient standard errors: sqrt of diag(σ²·(XᵀX)⁻¹), with the
         // unbiased residual variance estimate: one column of the inverse
-        // of the (possibly ridged) Gram per coefficient.
+        // of the (possibly ridged) Gram per coefficient, every column
+        // solved into the same three buffers, one allocation.
         let dof = y.len().saturating_sub(p);
         let mut coef_std_errors = Vec::new();
         if dof > 0 {
             let sigma2 = ss_res / dof as f64;
             coef_std_errors.reserve_exact(p);
-            let mut e = vec![0.0; p];
+            let mut buffers = vec![0.0; 3 * p];
+            let (e, rest) = buffers.split_at_mut(p);
+            let (z, col) = rest.split_at_mut(p);
             for j in 0..p {
                 e[j] = 1.0;
-                let col = factor.solve(&e)?;
+                factor.solve_into(e, z, col)?;
                 e[j] = 0.0;
                 coef_std_errors.push((sigma2 * col[j].max(0.0)).sqrt());
             }

@@ -1,7 +1,8 @@
 //! Bit identity of the offline stage's kernels with their obvious
 //! statements in `acs_verify::reference`: the rank-table frontier
-//! dissimilarity against ranks-as-floats + `kendall::tau_a`, PAM's
-//! one-pass-per-candidate SWAP against a full re-assignment per trial,
+//! dissimilarity (a bitmask count, or a pairwise one for a frontier that
+//! repeats a configuration) against ranks-as-floats + `kendall::tau_a`, PAM's
+//! one-pass-over-the-rows SWAP against a full re-assignment per trial,
 //! the one-pass silhouette against a rescan per cluster, one Gram per
 //! design and one factorization per regression against a Gram per model
 //! and a factorization per right-hand side, a running Gram over a block
@@ -261,9 +262,32 @@ proptest! {
         let (mut low_plus, mut high_plus) = (low.clone(), high.clone());
         low_plus.push(common);
         high_plus.insert(0, common);
+        // Both sides of the Kendall count for any non-empty draw: `a` and
+        // `b` without their repeats (each distinct configuration once, in
+        // first-seen order), and again with their first configuration
+        // repeated at the end.
+        let distinct = |c: &[usize]| {
+            let mut seen = Vec::with_capacity(c.len());
+            for &ci in c {
+                if !seen.contains(&ci) {
+                    seen.push(ci);
+                }
+            }
+            seen
+        };
+        let (a_once, b_once) = (distinct(&a), distinct(&b));
+        let repeated = |once: &[usize]| {
+            let mut twice = once.to_vec();
+            twice.extend(once.first());
+            twice
+        };
+        let (a_twice, b_twice) = (repeated(&a_once), repeated(&b_once));
 
-        let frontiers: Vec<Frontier> =
-            [&a, &b, &low, &high, &low_plus, &high_plus].map(|c| frontier(c)).into();
+        let frontiers: Vec<Frontier> = [
+            &a, &b, &low, &high, &low_plus, &high_plus, &a_once, &b_once, &a_twice, &b_twice,
+        ]
+        .map(|c| frontier(c))
+        .into();
         for x in &frontiers {
             for y in &frontiers {
                 prop_assert_eq!(
@@ -294,14 +318,15 @@ proptest! {
                 near.cost().to_bits(),
                 reference::assign_and_cost(&d, medoids).1.to_bits()
             );
-            let mut costs = vec![f64::NAN; k];
+            // Every entry of the table for every non-medoid in every slot.
+            let mut costs = vec![f64::NAN; k * n];
+            near.swap_costs(&d, &mut costs);
             for &item in &order[k..] {
-                near.swap_costs(&d, item, &mut costs);
-                for (slot, cost) in costs.iter().enumerate() {
+                for slot in 0..k {
                     let mut trial = medoids.to_vec();
                     trial[slot] = item;
                     prop_assert_eq!(
-                        cost.to_bits(),
+                        costs[slot * n + item].to_bits(),
                         reference::assign_and_cost(&d, &trial).1.to_bits(),
                         "k = {}, slot {}, item {}", k, slot, item
                     );

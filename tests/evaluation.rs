@@ -153,6 +153,51 @@ fn every_fold_is_what_training_on_its_own_would_build() {
 }
 
 #[test]
+fn a_held_out_benchmark_cannot_reach_its_own_fold() {
+    // Section V-C: a fold is trained without its held-out benchmark. Scale
+    // every run of one benchmark's profiles (time and both power planes,
+    // measured and true): the fold holding it out must fit the same model
+    // to the bit from its sub-matrix of the suite's matrix, and every fold
+    // that trains on it must see the change. Each benchmark in turn.
+    let params = TrainingParams::default();
+    let apps = reduced_suite();
+    let suite = PreparedSuite::new(&apps).unwrap();
+    // The JSON model file: every number in it, to the bit.
+    let model_bytes = |suite: &PreparedSuite, indices: &[usize]| {
+        serde_json::to_string(&suite.kernels().fit(indices, params).unwrap()).unwrap()
+    };
+    let models: Vec<String> =
+        suite.folds().iter().map(|(_, indices)| model_bytes(&suite, indices)).collect();
+    for benchmark in ["LULESH", "CoMD", "SMC", "LU"] {
+        let mut scaled = apps.clone();
+        for app in scaled.iter_mut().filter(|a| a.app.benchmark == benchmark) {
+            for run in app.profiles.iter_mut().flat_map(|p| &mut p.runs) {
+                run.time_s *= 1.5;
+                for power in [&mut run.power, &mut run.true_power] {
+                    power.cpu_plane_w *= 1.25;
+                    power.gpu_nb_plane_w *= 0.8;
+                }
+            }
+        }
+        let twin = PreparedSuite::new(&scaled).unwrap();
+        let mut held_out = 0;
+        for (((fold, indices), twin_fold), ours) in
+            suite.folds().iter().zip(twin.folds()).zip(&models)
+        {
+            assert_eq!((fold, indices), (&twin_fold.0, &twin_fold.1));
+            let theirs = model_bytes(&twin, indices);
+            if fold.test.iter().all(|&ai| apps[ai].app.benchmark == benchmark) {
+                held_out += 1;
+                assert_eq!(ours, &theirs, "fold {} holds {benchmark} out", fold.label);
+            } else {
+                assert_ne!(ours, &theirs, "fold {} trains on {benchmark}", fold.label);
+            }
+        }
+        assert_eq!(held_out, 1, "one fold holds {benchmark} out");
+    }
+}
+
+#[test]
 fn oracle_perf_bounds_under_limit_methods() {
     let e = run_eval();
     for c in &e.cases {
